@@ -9,12 +9,14 @@
 //!   cargo run --release -p dcdo-bench --bin dcdo-inspect -- \
 //!       [vm] <workload> [seed] [--out PREFIX] [--threads N]
 //!
-//! Workloads: reconfig, reconfig_faulted, crash_during_reconfig,
-//! rolling_partition, restart_storm. Seed defaults to 42; output defaults
-//! to BENCH_profile.json / BENCH_profile.prom. `--threads N` runs the
-//! simulation on the sharded parallel engine with N workers — the report
-//! (and the exported JSON) is byte-identical at any thread count, which
-//! makes the flag a handy determinism spot-check on real workloads.
+//! Workloads: reconfig, reconfig_faulted, crash_during_reconfig (the
+//! `reconfig_run` driver with its layer map), rolling_partition,
+//! restart_storm (the declared scenarios, profiled with an empty layer
+//! map). Seed defaults to 42; output defaults to BENCH_profile.json /
+//! BENCH_profile.prom. `--threads N` runs the simulation on the sharded
+//! parallel engine with N workers — the report (and the exported JSON) is
+//! byte-identical at any thread count, which makes the flag a handy
+//! determinism spot-check on real workloads.
 //!
 //! The `vm` subcommand (`dcdo-inspect vm <workload> …`) runs the same
 //! scenario and then reports the VM's view of it: the per-function cost
@@ -43,10 +45,17 @@
 //! span trees of every aborted, invariant-violating, or slowest-percentile
 //! flow. Both honor the uniform `--threads N` / `--out FILE` flags every
 //! subcommand shares, and both exit nonzero if the scenario fails.
+//!
+//! The `trace` subcommand (`dcdo-inspect trace <name|file.scn> [seed]
+//! [--threads N] [--out FILE]`) runs one scenario and writes its span log
+//! as Chrome-trace JSON (`chrome://tracing` / Perfetto), printing the span
+//! count and the build-independent digest.
 
-use dcdo_profile::{CriticalPath, ProfileReport};
+use dcdo_profile::{CriticalPath, FnNames, LayerMap, ProfileReport};
+use dcdo_scenario::RunArtifacts;
+use dcdo_sim::{SpanEvent, TraceLog};
 use dcdo_vm::{FusionStats, VmProfile, OPCODE_NAMES};
-use dcdo_workloads::{chaos, reconfig};
+use dcdo_workloads::reconfig;
 
 const WORKLOADS: &[&str] = &[
     "reconfig",
@@ -63,6 +72,7 @@ fn usage() -> ! {
     eprintln!("       dcdo-inspect epochs <name|file.scn> [seed] [--threads N]");
     eprintln!("       dcdo-inspect timeline <name|file.scn> [seed] [--threads N] [--out FILE]");
     eprintln!("       dcdo-inspect flight <name|file.scn> [seed] [--threads N] [--out FILE]");
+    eprintln!("       dcdo-inspect trace <name|file.scn> [seed] [--threads N] [--out FILE]");
     eprintln!("workloads: {}", WORKLOADS.join(", "));
     eprintln!("vm: print the VM per-function/per-opcode cost tables and");
     eprintln!("    superinstruction coverage for the scenario");
@@ -75,6 +85,7 @@ fn usage() -> ! {
     eprintln!("    as deterministic JSON (+ Prometheus text alongside)");
     eprintln!("flight: run one scenario and render the tail-sampled");
     eprintln!("    flight-recorder dump (aborted/violating/slowest flows)");
+    eprintln!("trace: run one scenario and write its span log as Chrome-trace JSON");
     eprintln!("every subcommand accepts --threads N and --out FILE uniformly");
     std::process::exit(2);
 }
@@ -250,10 +261,12 @@ fn run_scenarios(args: &[String]) {
     }
 }
 
-/// Resolves the single-scenario target shared by `epochs`, `timeline`,
-/// and `flight` (they take one scenario, not `all`).
-fn single_scenario(subcommand: &str, cli: &Cli) -> dcdo_scenario::Scenario {
-    let (target, seed) = target_and_seed(cli);
+/// Runs the one scenario an `epochs`/`timeline`/`flight`/`trace` command
+/// line names (they take one scenario, not `all`); exits with status 2 if
+/// the declaration is invalid.
+fn run_single(subcommand: &str, args: &[String]) -> (Cli, String, RunArtifacts) {
+    let cli = parse_cli(args);
+    let (target, seed) = target_and_seed(&cli);
     if target == "all" {
         eprintln!("dcdo-inspect: {subcommand} takes one scenario, not `all`");
         std::process::exit(2);
@@ -262,110 +275,111 @@ fn single_scenario(subcommand: &str, cli: &Cli) -> dcdo_scenario::Scenario {
     if let Some(seed) = seed {
         scenario = scenario.with_seed(seed);
     }
-    scenario
-}
-
-/// The `epochs` subcommand: run one scenario with span logging and render
-/// the per-group epoch timeline (proposals, commits, replica adoptions).
-fn run_epochs(args: &[String]) {
-    let cli = parse_cli(args);
-    let scenario = single_scenario("epochs", &cli);
     let name = scenario.name.clone();
-    match dcdo_scenario::run_with_spans(scenario, cli.threads) {
-        Ok((report, spans)) => {
-            let rows = dcdo_group::epoch_timeline(&spans);
-            println!(
-                "scenario {name}, seed {}: {} epoch events over {} spans",
-                report.seed,
-                rows.len(),
-                spans.len()
-            );
-            if rows.is_empty() {
-                println!("(no group-epoch spans — does the scenario deploy a replica group?)");
-            } else {
-                print!("{}", dcdo_group::render_timeline(&rows));
-            }
-            if !report.passed {
-                eprintln!("dcdo-inspect: scenario {name} failed its expectations");
-                std::process::exit(1);
-            }
-        }
+    match dcdo_scenario::run_artifacts(scenario, cli.threads) {
+        Ok(artifacts) => (cli, name, artifacts),
         Err(e) => {
             eprintln!("dcdo-inspect: scenario {name} is invalid: {e}");
             std::process::exit(2);
         }
     }
+}
+
+/// Exits with status 1 if the scenario failed its expectations.
+fn exit_unless_passed(name: &str, passed: bool) {
+    if !passed {
+        eprintln!("dcdo-inspect: scenario {name} failed its expectations");
+        std::process::exit(1);
+    }
+}
+
+/// Rebuilds the indexed span log the profiler and exporters consume from
+/// a run's span list.
+fn span_log(spans: Vec<SpanEvent>) -> TraceLog {
+    let mut log = TraceLog::new();
+    for event in spans {
+        log.push_event(event);
+    }
+    log
+}
+
+/// The `epochs` subcommand: run one scenario with span logging and render
+/// the per-group epoch timeline (proposals, commits, replica adoptions).
+fn run_epochs(args: &[String]) {
+    let (_, name, artifacts) = run_single("epochs", args);
+    let rows = dcdo_group::epoch_timeline(&artifacts.spans);
+    println!(
+        "scenario {name}, seed {}: {} epoch events over {} spans",
+        artifacts.report.seed,
+        rows.len(),
+        artifacts.spans.len()
+    );
+    if rows.is_empty() {
+        println!("(no group-epoch spans — does the scenario deploy a replica group?)");
+    } else {
+        print!("{}", dcdo_group::render_timeline(&rows));
+    }
+    exit_unless_passed(&name, artifacts.report.passed);
 }
 
 /// The `timeline` subcommand: run one scenario, print a per-window summary
 /// table, and export the windowed telemetry as deterministic JSON (and
 /// Prometheus text alongside).
 fn run_timeline(args: &[String]) {
-    let cli = parse_cli(args);
-    let scenario = single_scenario("timeline", &cli);
-    let name = scenario.name.clone();
-    match dcdo_scenario::run_artifacts(scenario, cli.threads) {
-        Ok(artifacts) => {
-            let r = &artifacts.report;
-            println!(
-                "scenario {name}, seed {}: {} events over the run",
-                r.seed, r.events_processed
-            );
-            print_timeline_table(&artifacts.timeline_json);
-            let json_path = cli.out.unwrap_or_else(|| format!("TIMELINE_{name}.json"));
-            let prom_path = sibling_prom_path(&json_path);
-            std::fs::write(&json_path, &artifacts.timeline_json).expect("write timeline JSON");
-            std::fs::write(&prom_path, &artifacts.timeline_prom)
-                .expect("write timeline Prometheus");
-            println!("wrote {json_path} and {prom_path}");
-            if !r.passed {
-                eprintln!("dcdo-inspect: scenario {name} failed its expectations");
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("dcdo-inspect: scenario {name} is invalid: {e}");
-            std::process::exit(2);
-        }
-    }
+    let (cli, name, artifacts) = run_single("timeline", args);
+    let r = &artifacts.report;
+    println!(
+        "scenario {name}, seed {}: {} events over the run",
+        r.seed, r.events_processed
+    );
+    print_timeline_table(&artifacts.timeline_json);
+    let json_path = cli.out.unwrap_or_else(|| format!("TIMELINE_{name}.json"));
+    let prom_path = sibling_prom_path(&json_path);
+    std::fs::write(&json_path, &artifacts.timeline_json).expect("write timeline JSON");
+    std::fs::write(&prom_path, &artifacts.timeline_prom).expect("write timeline Prometheus");
+    println!("wrote {json_path} and {prom_path}");
+    exit_unless_passed(&name, artifacts.report.passed);
 }
 
 /// The `flight` subcommand: run one scenario, render the tail-sampled
 /// flight-recorder dump, and export it as deterministic JSON.
 fn run_flight(args: &[String]) {
-    let cli = parse_cli(args);
-    let scenario = single_scenario("flight", &cli);
-    let name = scenario.name.clone();
-    match dcdo_scenario::run_artifacts(scenario, cli.threads) {
-        Ok(artifacts) => {
-            let r = &artifacts.report;
-            let Some(flight) = &artifacts.flight else {
-                eprintln!("dcdo-inspect: scenario {name} never built a world");
-                std::process::exit(2);
-            };
-            println!(
-                "scenario {name}, seed {}: flight digest {:016x}, {} frames recorded, \
-                 {} of {} flows retained",
-                r.seed,
-                r.flight_digest,
-                flight.frames_recorded,
-                flight.flows.len(),
-                flight.total_flows
-            );
-            print!("{}", flight.render());
-            let json_path = cli.out.unwrap_or_else(|| format!("FLIGHT_{name}.json"));
-            std::fs::write(&json_path, flight.to_json()).expect("write flight dump JSON");
-            println!("wrote {json_path}");
-            if !r.passed {
-                eprintln!("dcdo-inspect: scenario {name} failed its expectations");
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("dcdo-inspect: scenario {name} is invalid: {e}");
-            std::process::exit(2);
-        }
-    }
+    let (cli, name, artifacts) = run_single("flight", args);
+    let r = &artifacts.report;
+    let Some(flight) = &artifacts.flight else {
+        eprintln!("dcdo-inspect: scenario {name} never built a world");
+        std::process::exit(2);
+    };
+    println!(
+        "scenario {name}, seed {}: flight digest {:016x}, {} frames recorded, \
+         {} of {} flows retained",
+        r.seed,
+        r.flight_digest,
+        flight.frames_recorded,
+        flight.flows.len(),
+        flight.total_flows
+    );
+    print!("{}", flight.render());
+    let json_path = cli.out.unwrap_or_else(|| format!("FLIGHT_{name}.json"));
+    std::fs::write(&json_path, flight.to_json()).expect("write flight dump JSON");
+    println!("wrote {json_path}");
+    exit_unless_passed(&name, artifacts.report.passed);
+}
+
+/// The `trace` subcommand: run one scenario and write its span log as
+/// Chrome-trace JSON, printing the span count and the build-independent
+/// digest.
+fn run_trace(args: &[String]) {
+    let (cli, name, artifacts) = run_single("trace", args);
+    let log = span_log(artifacts.spans);
+    let json_path = cli.out.unwrap_or_else(|| format!("TRACE_{name}.json"));
+    std::fs::write(&json_path, log.to_chrome_trace()).expect("write chrome trace");
+    println!(
+        "wrote {json_path}: {} spans, digest {:016x}",
+        log.len(),
+        artifacts.report.span_digest
+    );
+    exit_unless_passed(&name, artifacts.report.passed);
 }
 
 /// Derives the Prometheus export path from the JSON path (`x.json` →
@@ -415,24 +429,33 @@ fn print_timeline_table(timeline_json: &str) {
 
 fn run_workload(name: &str, seed: u64) -> ProfileReport {
     match name {
-        "reconfig" | "reconfig_faulted" => {
-            let run = reconfig::reconfig_run(seed, name == "reconfig_faulted");
+        "reconfig" | "reconfig_faulted" | "crash_during_reconfig" => {
+            let mut run = reconfig::reconfig_run(seed, name != "reconfig");
+            if name == "crash_during_reconfig" {
+                // The declared scenario's episode drains the queue.
+                run.bed.sim.run_until_idle();
+            }
             if run.recovery_time_s > 0.0 {
                 println!("recovery after injected crash: {:.3}s", run.recovery_time_s);
             }
             println!("reconfiguration window: {} messages", run.window_messages);
             run.profile()
         }
+        // The ring scenarios have no manager or vault, so their profile
+        // carries an empty layer map (everything attributes to
+        // `other`/`network`) and surfaces traffic and RPC shape.
         _ => {
-            let (report, profile) = chaos::profiled_scenario(name, seed).unwrap_or_else(|| usage());
-            println!(
-                "{}: recovery {:.3}s, amplification {:.3}x, {} trace violations",
-                report.name,
-                report.recovery_time_s,
-                report.message_amplification,
-                report.trace_violations
-            );
-            profile
+            let scenario = dcdo_scenario::registry::load_declared(name)
+                .unwrap_or_else(|| usage())
+                .with_seed(seed);
+            let artifacts = dcdo_scenario::run_artifacts(scenario, None)
+                .expect("declared scenarios validate at any seed");
+            print!("{}", artifacts.report.render());
+            ProfileReport::analyze(
+                &span_log(artifacts.spans),
+                &LayerMap::new(),
+                &FnNames::new(),
+            )
         }
     }
 }
@@ -664,6 +687,10 @@ fn main() {
         }
         Some("flight") => {
             run_flight(&args[1..]);
+            return;
+        }
+        Some("trace") => {
+            run_trace(&args[1..]);
             return;
         }
         _ => {}

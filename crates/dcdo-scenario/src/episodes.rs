@@ -18,8 +18,7 @@ use crate::workload::{RunCx, ServiceHandles, Workload};
 /// padded replacement `step` component on a 16-node testbed, optionally
 /// with the instance's host crashed mid-evolution.
 ///
-/// The faulted variant first runs a healthy same-seed baseline (exactly as
-/// the hand-coded `crash_during_reconfig` does) and records
+/// The faulted variant first runs a healthy same-seed baseline and records
 /// `reconfig.amplification` (faulted window messages over baseline) and
 /// `reconfig.recovery_s` gauges.
 pub struct ReconfigEpisode {

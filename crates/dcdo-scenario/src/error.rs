@@ -70,6 +70,13 @@ pub enum ScenarioError {
         /// What it needs, in words (`"legion"`, `"episode"`).
         needs: &'static str,
     },
+    /// A workload drives the shared DCDO service (`calls`, `config_ops`,
+    /// `migrations`) but no workload in the scenario stands one up, so
+    /// every step would silently do nothing.
+    MissingService {
+        /// The workload with nothing to drive.
+        workload: String,
+    },
     /// A workload name no factory is registered for.
     UnknownWorkload {
         /// The unresolvable name.
@@ -144,6 +151,11 @@ impl fmt::Display for ScenarioError {
             ScenarioError::WorldMismatch { workload, needs } => {
                 write!(f, "workload {workload:?} needs a {needs} topology")
             }
+            ScenarioError::MissingService { workload } => write!(
+                f,
+                "workload {workload:?} drives a DCDO service but no workload stands one up \
+                 (declare `counter_service`)"
+            ),
             ScenarioError::UnknownWorkload { name } => {
                 write!(f, "unknown workload {name:?}")
             }

@@ -9,8 +9,8 @@
 //!
 //! The built-ins re-express the repo's existing checks as reusable
 //! expectation impls: [`TraceInvariantsClean`] wraps
-//! `dcdo_sim::check_trace_invariants`, [`NoLeakedEvents`] is the
-//! `ChaosReport::leaked_events == 0` check, and the metric/counter/gauge
+//! `dcdo_sim::check_trace_invariants`, [`NoLeakedEvents`] checks that the
+//! event queue drained, and the metric/counter/gauge
 //! families judge the stats the workloads and simulator recorded.
 
 use crate::workload::RunCx;

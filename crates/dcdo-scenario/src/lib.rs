@@ -18,7 +18,7 @@
 //!   participate in validation.
 //! - **Expectations judge.** An [`Expectation`] captures a baseline
 //!   before the window and judges the finished run into a [`Verdict`].
-//!   The repo's invariant checker and chaos-report checks are reusable
+//!   The repo's invariant checker and leak check are reusable
 //!   impls ([`TraceInvariantsClean`], [`NoLeakedEvents`], the
 //!   counter/metric/gauge bounds, [`MixConverged`]).
 //!
@@ -31,10 +31,8 @@
 //! Scenarios are declared two ways: the Rust builder
 //! ([`Scenario::builder`]) or self-contained `.scn` text files
 //! ([`Scenario::from_text`], no external parser dependencies). The
-//! canonical workloads from earlier PRs are re-expressed as embedded
-//! declarations in [`registry`] — reproducing their golden trace hashes
-//! byte-identically — alongside `mixed_traffic`, the first
-//! declaration-only workload (80/15/5 calls/config-ops/migrations).
+//! canonical workloads are embedded declarations in [`registry`], each
+//! one's full report pinned by the committed `BENCH_scenarios.json`.
 //!
 //! # Example
 //!
@@ -105,9 +103,7 @@ pub use parse::{
 pub use registry::Registry;
 pub use report::ScenarioReport;
 pub use ring::{ChaosAttachment, ChatterRing};
-pub use runner::{
-    run, run_artifacts, run_with_spans, run_with_threads, RunArtifacts, FLIGHT_SLOW_QUANTILE,
-};
+pub use runner::{run, run_artifacts, RunArtifacts, FLIGHT_SLOW_QUANTILE};
 pub use scenario::{Scenario, ScenarioBuilder, Window, WorkloadSlot};
 pub use slo::{SloErrorRate, SloLatency, SloRecovery};
 pub use topology::{Infra, NetKind, Topology, World};

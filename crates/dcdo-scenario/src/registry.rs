@@ -10,7 +10,7 @@
 //! The repo's canonical workloads live here as *embedded scenario text*,
 //! parsed through the same `.scn` loader users feed files to — proving the
 //! loader covers the whole canonical set. The golden-parity suite holds
-//! each declaration to the trace hash of its hand-coded counterpart.
+//! each declaration's full report to the committed `BENCH_scenarios.json`.
 
 use std::collections::BTreeMap;
 
@@ -455,7 +455,7 @@ expect metric_equals sim.node_crashes 1
 
 /// `rolling_partition` — a genuine composition (not an episode): the ring
 /// and the fault plan are independent declared workloads over a bare
-/// topology, reproducing the hand-coded scenario's trace hash exactly.
+/// topology.
 pub const ROLLING_PARTITION: &str = "\
 scenario rolling_partition
 seed 42

@@ -1,7 +1,7 @@
 //! The scenario runner: validate, build, set up, drive, measure, judge.
 //!
-//! The run sequence matches the repo's hand-coded workload drivers exactly
-//! (the golden-parity suite holds it to their trace hashes):
+//! The run sequence (the golden-parity suite pins its trace hashes, span
+//! digests, and gauges against the committed `BENCH_scenarios.json`):
 //!
 //! 1. [`Scenario::validate`] — typed rejection before any state exists.
 //! 2. Build the world from the topology (episodes stay pending).
@@ -49,34 +49,18 @@ pub struct RunArtifacts {
     pub slo_breached: bool,
 }
 
-/// Runs `scenario` to completion at the process-default thread count.
+/// Runs `scenario` to completion at the process-default thread count and
+/// returns only the pass/fail report.
 pub fn run(scenario: Scenario) -> Result<ScenarioReport, ScenarioError> {
-    run_with_threads(scenario, None)
+    run_artifacts(scenario, None).map(|a| a.report)
 }
 
 /// Runs `scenario` with an explicit worker-thread count for the world the
-/// runner builds (`None` keeps the process default). Episode workloads
-/// build their own simulations, which honor the process default
-/// (`DCDO_SIM_THREADS` / `dcdo_sim::set_default_threads`) instead.
-pub fn run_with_threads(
-    scenario: Scenario,
-    threads: Option<u32>,
-) -> Result<ScenarioReport, ScenarioError> {
-    run_inner(scenario, threads).map(|a| a.report)
-}
-
-/// Like [`run_with_threads`], but also returns the run's span log — the
-/// raw material for post-hoc analyses like the epoch timeline
-/// (`dcdo-inspect epochs`).
-pub fn run_with_spans(
-    scenario: Scenario,
-    threads: Option<u32>,
-) -> Result<(ScenarioReport, Vec<dcdo_sim::SpanEvent>), ScenarioError> {
-    run_inner(scenario, threads).map(|a| (a.report, a.spans))
-}
-
-/// Like [`run_with_threads`], but returns the full [`RunArtifacts`]:
-/// report, span log, timeline exports, and flight-recorder dump.
+/// runner builds (`None` keeps the process default) and returns the full
+/// [`RunArtifacts`]: report, span log, timeline exports, and
+/// flight-recorder dump. Episode workloads build their own simulations,
+/// which honor the process default (`DCDO_SIM_THREADS` /
+/// `dcdo_sim::set_default_threads`) instead.
 pub fn run_artifacts(
     scenario: Scenario,
     threads: Option<u32>,

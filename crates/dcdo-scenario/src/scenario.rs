@@ -126,6 +126,7 @@ impl Scenario {
                 });
             }
         }
+        let has_service = self.workloads.iter().any(|s| s.workload.provides_service());
         for slot in &self.workloads {
             let needs = slot.workload.needs();
             let compatible = match needs {
@@ -137,6 +138,11 @@ impl Scenario {
                 return Err(ScenarioError::WorldMismatch {
                     workload: slot.workload.name().to_string(),
                     needs: needs.name(),
+                });
+            }
+            if slot.workload.drives_service() && !has_service {
+                return Err(ScenarioError::MissingService {
+                    workload: slot.workload.name().to_string(),
                 });
             }
             slot.workload.check(&self.topology)?;

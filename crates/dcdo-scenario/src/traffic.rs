@@ -46,6 +46,10 @@ impl Workload for CounterService {
         Infra::Legion
     }
 
+    fn provides_service(&self) -> bool {
+        true
+    }
+
     fn check(&self, topology: &Topology) -> Result<(), ScenarioError> {
         if self.home >= topology.nodes {
             return Err(ScenarioError::BadParam {
@@ -187,6 +191,10 @@ impl Workload for Calls {
         Infra::Legion
     }
 
+    fn drives_service(&self) -> bool {
+        true
+    }
+
     fn step(&mut self, cx: &mut RunCx, _tick: u64) {
         let Some(s) = cx.service else {
             return;
@@ -233,6 +241,10 @@ impl Workload for ConfigOps {
 
     fn needs(&self) -> Infra {
         Infra::Legion
+    }
+
+    fn drives_service(&self) -> bool {
+        true
     }
 
     fn step(&mut self, cx: &mut RunCx, _tick: u64) {
@@ -302,6 +314,10 @@ impl Workload for Migrations {
 
     fn needs(&self) -> Infra {
         Infra::Legion
+    }
+
+    fn drives_service(&self) -> bool {
+        true
     }
 
     fn check(&self, topology: &Topology) -> Result<(), ScenarioError> {

@@ -129,6 +129,18 @@ pub trait Workload {
         Infra::Bare
     }
 
+    /// `true` if `setup` publishes the [`ServiceHandles`] the
+    /// service-driving workloads step against.
+    fn provides_service(&self) -> bool {
+        false
+    }
+
+    /// `true` if every `step` drives the shared DCDO service; validation
+    /// rejects such a workload when nothing in the scenario provides one.
+    fn drives_service(&self) -> bool {
+        false
+    }
+
     /// Validates this workload's parameters against the topology before
     /// anything is built (home node in range, ring fits the node count).
     /// Called by `Scenario::validate`.

@@ -1,77 +1,61 @@
-//! Golden-oracle parity: every canonical workload re-expressed as a
-//! declared scenario must reproduce the trace hash and span digest of its
-//! hand-coded counterpart byte-for-byte.
+//! Golden parity: every declared scenario's full report — trace hash, span
+//! digest, flight digest, event count, counters, gauges, verdicts — is
+//! pinned byte-for-byte by the committed `BENCH_scenarios.json` (the
+//! output of `dcdo-inspect scenario all`). The runs use the process-default
+//! thread count, so `DCDO_SIM_THREADS=4 cargo test` holds the sharded
+//! engine — episodes included — to the same bytes.
 //!
-//! The composed scenarios (`rolling_partition`, `restart_storm`) are real
-//! compositions — ring workload + fault-plan attachment over a bare
-//! topology — so equality here proves the scenario runner's construction
-//! order (trace on, spans on, ring, controller, run, drain) matches the
-//! original drivers exactly, and that the declarative layer adds zero
-//! behavioral drift. The episode scenarios wrap the original drivers and
-//! must agree trivially but still guard the wiring.
+//! The episode scenarios are additionally compared against direct runs of
+//! the drivers they wrap (`reconfig_run`, the sim-bench shapes), guarding
+//! the wiring between episode and runner.
 
 use dcdo_chaos::trace_hash;
-use dcdo_scenario::{registry, run, run_with_threads, Scenario};
-use dcdo_workloads::{chaos, reconfig, simbench};
+use dcdo_scenario::{registry, run, run_artifacts, Scenario};
+use dcdo_workloads::{reconfig, simbench};
+
+/// The committed output of `dcdo-inspect scenario all`.
+const GOLDEN: &str = include_str!("../../../BENCH_scenarios.json");
 
 fn declared(name: &str) -> Scenario {
     registry::load_declared(name).expect("declared scenario exists")
 }
 
 #[test]
-fn rolling_partition_matches_hand_coded_driver() {
-    let direct = chaos::rolling_partition(42);
-    let report = run(declared("rolling_partition")).expect("valid scenario");
-    assert_eq!(report.trace_hash, direct.trace_hash, "trace diverged");
-    assert_eq!(report.span_digest, direct.span_digest, "spans diverged");
-    assert_eq!(report.events_processed, direct.events_processed);
-    assert!(report.passed, "{}", report.render());
-}
-
-#[test]
-fn rolling_partition_parity_holds_at_four_threads() {
-    let direct = chaos::rolling_partition(42);
-    let report = run_with_threads(declared("rolling_partition"), Some(4)).expect("valid");
+fn committed_goldens_pin_every_declared_scenario() {
+    let reports: Vec<String> = registry::declared()
+        .iter()
+        .map(|(name, _)| run(declared(name)).expect("valid scenario").to_json())
+        .collect();
+    for (report, (name, _)) in reports.iter().zip(registry::declared()) {
+        assert!(
+            GOLDEN.contains(report.as_str()),
+            "{name} diverged from BENCH_scenarios.json; now reports:\n{report}"
+        );
+    }
     assert_eq!(
-        report.trace_hash, direct.trace_hash,
-        "sharded scenario run diverged from sequential hand-coded driver"
+        format!("{{\"scenarios\":[{}]}}\n", reports.join(",")),
+        GOLDEN,
+        "regenerate with `dcdo-inspect scenario all` only for an intended change"
     );
-    assert_eq!(report.span_digest, direct.span_digest);
 }
 
 #[test]
-fn restart_storm_matches_hand_coded_driver() {
-    let direct = chaos::restart_storm(42);
-    let report = run(declared("restart_storm")).expect("valid scenario");
-    assert_eq!(report.trace_hash, direct.trace_hash, "trace diverged");
-    assert_eq!(report.span_digest, direct.span_digest, "spans diverged");
-    assert_eq!(report.leaked_events, direct.leaked_events);
-    assert!(report.passed, "{}", report.render());
-}
-
-#[test]
-fn restart_storm_parity_holds_at_four_threads() {
-    let direct = chaos::restart_storm(42);
-    let report = run_with_threads(declared("restart_storm"), Some(4)).expect("valid");
-    assert_eq!(report.trace_hash, direct.trace_hash);
-    assert_eq!(report.span_digest, direct.span_digest);
-}
-
-#[test]
-fn crash_during_reconfig_matches_hand_coded_driver() {
-    let direct = chaos::crash_during_reconfig(42);
-    let report = run(declared("crash_during_reconfig")).expect("valid scenario");
-    assert_eq!(report.trace_hash, direct.trace_hash, "trace diverged");
-    assert_eq!(report.span_digest, direct.span_digest, "spans diverged");
-    assert!(report.passed, "{}", report.render());
-    // The declared expectations judge the same quantities the hand-coded
-    // report computes.
-    let gauges: std::collections::BTreeMap<_, _> = report.gauges.iter().cloned().collect();
-    assert_eq!(
-        gauges["reconfig.amplification"], direct.message_amplification,
-        "amplification diverged from the hand-coded computation"
-    );
-    assert_eq!(gauges["reconfig.recovery_s"], direct.recovery_time_s);
+fn chaos_scenarios_replay_per_seed_and_diverge_across_seeds() {
+    for name in [
+        "crash_during_reconfig",
+        "rolling_partition",
+        "restart_storm",
+    ] {
+        let at = |seed| run(declared(name).with_seed(seed)).expect("valid scenario");
+        let (a, b) = (at(7), at(7));
+        assert!(a.passed, "{}", a.render());
+        assert_eq!(a.to_json(), b.to_json(), "{name}: same seed must replay");
+        assert_ne!(
+            a.trace_hash,
+            at(8).trace_hash,
+            "{name}: different seeds should explore different schedules"
+        );
+    }
 }
 
 #[test]
@@ -142,7 +126,9 @@ fn every_declared_scenario_loads_validates_and_passes() {
 fn rolling_upgrade_parity_holds_at_four_threads() {
     let seq = run(declared("rolling_upgrade")).expect("valid scenario");
     assert!(seq.passed, "{}", seq.render());
-    let par = run_with_threads(declared("rolling_upgrade"), Some(4)).expect("valid");
+    let par = run_artifacts(declared("rolling_upgrade"), Some(4))
+        .expect("valid")
+        .report;
     assert_eq!(par.trace_hash, seq.trace_hash, "sharded run diverged");
     assert_eq!(par.span_digest, seq.span_digest);
     assert_eq!(
@@ -155,7 +141,9 @@ fn rolling_upgrade_parity_holds_at_four_threads() {
 fn rolling_upgrade_coord_crash_parity_holds_at_four_threads() {
     let seq = run(declared("rolling_upgrade_coord_crash")).expect("valid scenario");
     assert!(seq.passed, "{}", seq.render());
-    let par = run_with_threads(declared("rolling_upgrade_coord_crash"), Some(4)).expect("valid");
+    let par = run_artifacts(declared("rolling_upgrade_coord_crash"), Some(4))
+        .expect("valid")
+        .report;
     assert_eq!(par.trace_hash, seq.trace_hash, "sharded run diverged");
     assert_eq!(par.span_digest, seq.span_digest);
     assert_eq!(

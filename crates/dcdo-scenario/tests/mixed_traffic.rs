@@ -10,11 +10,18 @@
 use proptest::prelude::*;
 
 use dcdo_scenario::{
-    registry, run, run_with_threads, MixConverged, NetKind, RunCx, Scenario, Topology, Workload,
+    registry, run, run_artifacts, MixConverged, NetKind, RunCx, Scenario, ScenarioReport, Topology,
+    Workload,
 };
 
 fn mixed_traffic() -> Scenario {
     registry::load_declared("mixed_traffic").expect("declared scenario exists")
+}
+
+fn run_at(threads: u32) -> ScenarioReport {
+    run_artifacts(mixed_traffic(), Some(threads))
+        .expect("valid")
+        .report
 }
 
 #[test]
@@ -37,8 +44,8 @@ fn mixed_traffic_passes_every_expectation() {
 
 #[test]
 fn mixed_traffic_same_seed_same_bytes() {
-    let a = run_with_threads(mixed_traffic(), Some(1)).expect("valid");
-    let b = run_with_threads(mixed_traffic(), Some(1)).expect("valid");
+    let a = run_at(1);
+    let b = run_at(1);
     assert_eq!(a.trace_hash, b.trace_hash, "execution traces diverged");
     assert_eq!(a.span_digest, b.span_digest, "span logs diverged");
     assert_eq!(a.to_json(), b.to_json(), "JSON exports diverged");
@@ -48,8 +55,8 @@ fn mixed_traffic_same_seed_same_bytes() {
 fn mixed_traffic_thread_count_is_invisible() {
     // The weighted selector draws from a per-lane RNG stream, so the mix —
     // and the entire execution — is byte-identical sequential vs sharded.
-    let seq = run_with_threads(mixed_traffic(), Some(1)).expect("valid");
-    let par = run_with_threads(mixed_traffic(), Some(4)).expect("valid");
+    let seq = run_at(1);
+    let par = run_at(4);
     assert_eq!(
         seq.span_digest, par.span_digest,
         "span digest changed with worker-thread count"

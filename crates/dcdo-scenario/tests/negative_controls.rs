@@ -226,6 +226,62 @@ fn oversized_ring_is_rejected_as_bad_param() {
 }
 
 #[test]
+fn traffic_without_a_service_is_rejected() {
+    // Without a `counter_service` every step would be a silent no-op and
+    // the run would report PASS having done nothing.
+    for workload in ["calls", "config_ops", "migrations nodes=1+2"] {
+        let text = format!(
+            "scenario idle\ntopology legion nodes=4\nwindow ticks=10\nworkload {workload} weight=1\n"
+        );
+        let scenario = Scenario::from_text(&text).expect("parses and resolves");
+        let name = workload.split(' ').next().expect("name token");
+        assert_eq!(
+            scenario.validate(),
+            Err(ScenarioError::MissingService {
+                workload: name.to_string()
+            })
+        );
+        assert!(run(scenario).is_err(), "rejected before any world is built");
+    }
+}
+
+#[test]
+fn fault_plan_naming_a_node_outside_the_topology_is_rejected() {
+    for faults in [
+        "crash_for@1+0.5=77",
+        "crash@1=8",
+        "crash@1=3 restart@1.5=3 restart@1.6=9",
+        "partition@1=0+1/2+12 heal@1.5",
+    ] {
+        let text = format!(
+            "scenario far\ntopology bare nodes=8\nwindow secs=2\n\
+             workload chatter_ring nodes=8 until=2\nworkload chaos node=0 {faults}\n"
+        );
+        let scenario = Scenario::from_text(&text).expect("parses and resolves");
+        match scenario.validate() {
+            Err(ScenarioError::BadParam { context, msg }) => {
+                assert_eq!(context, "workload chaos");
+                assert!(msg.contains("out of range"), "{faults}: {msg}");
+                assert!(msg.contains("8 nodes"), "{faults}: {msg}");
+            }
+            other => panic!("{faults}: expected BadParam, got {other:?}"),
+        }
+    }
+    // Link faults have no `.scn` token; bound them through the builder.
+    let plan =
+        FaultPlan::new().clear_link_fault_at(secs(1), NodeId::from_raw(1), NodeId::from_raw(8));
+    let scenario = Scenario::builder("far_link")
+        .topology(Topology::bare(8, NetKind::Centurion))
+        .timed(secs(2))
+        .workload(0, ChaosAttachment::new(NodeId::from_raw(0), plan))
+        .build();
+    assert!(matches!(
+        scenario.validate(),
+        Err(ScenarioError::BadParam { ref msg, .. }) if msg.contains("link-fault node 8")
+    ));
+}
+
+#[test]
 fn unknown_names_are_rejected_by_the_loader() {
     let err = Scenario::from_text(
         "scenario x\ntopology bare nodes=4\nwindow secs=1\nworkload no_such_thing\n",

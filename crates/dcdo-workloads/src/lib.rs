@@ -10,16 +10,12 @@
 //!   remote-invocation latency and to feed lazy update checks;
 //! - [`simbench`] — the sim-core throughput workload shapes behind the
 //!   `sim_throughput` bench suite and the `BENCH_sim.json` emitter;
-//! - [`chaos`] — deterministic fault-injection scenarios (crash during
-//!   reconfiguration, rolling partitions, restart storms) with recovery
-//!   metrics behind the `BENCH_chaos.json` emitter;
 //! - [`reconfig`] — the canonical reconfiguration workload with the layer
 //!   map and name tables the `dcdo-profile` analyzers consume.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chaos;
 mod clients;
 mod components;
 pub mod reconfig;

@@ -10,8 +10,8 @@
 //! to the right layer and [`ReconfigRun::fn_names`] can print function names
 //! instead of hashes.
 //!
-//! The same function (with `inject_fault = true`) powers the
-//! `crash_during_reconfig` chaos scenario in [`crate::chaos`].
+//! The same function (with `inject_fault = true`) is the driver the
+//! declared `crash_during_reconfig` scenario's episode wraps.
 
 use dcdo_core::ops::{
     CheckpointDcdo, ConfigureVersion, CreateDcdo, DcdoCreated, DeriveVersion, DerivedVersion,

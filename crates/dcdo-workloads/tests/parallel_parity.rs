@@ -1,20 +1,19 @@
-//! The parallel engine's acceptance oracle: every workload and chaos
-//! scenario must produce **byte-identical** span digests and execution
-//! traces at every thread count.
+//! The parallel engine's acceptance oracle: every sim-bench workload must
+//! produce **byte-identical** span digests and execution traces at every
+//! thread count. (The declared scenarios — chaos compositions included —
+//! are held to the same standard by `dcdo-scenario`'s `flight_parity.rs`
+//! and `golden_parity.rs`.)
 //!
 //! The sharded runner (DESIGN.md §11) claims that conservative lookahead
 //! plus the `(time, lane, seq)` merge reproduces the sequential execution
 //! exactly — not merely an equivalent one. These tests hold it to that:
 //! the digests from `threads = 1` (the sole-threaded loop, no sharding
 //! machinery at all) are compared against runs at 2, 4, and 8 worker
-//! threads, including under structural fault plans driven by the chaos
-//! controller.
+//! threads.
 
-use dcdo_sim::{check_trace_invariants, set_default_threads, Simulation};
-use dcdo_workloads::chaos::{crash_during_reconfig, restart_storm, rolling_partition, ChaosReport};
+use dcdo_sim::{check_trace_invariants, Simulation};
 use dcdo_workloads::simbench;
 use legion_substrate::Msg;
-use std::sync::Mutex;
 
 const THREAD_COUNTS: [u32; 3] = [2, 4, 8];
 
@@ -77,81 +76,4 @@ fn timer_heavy_parity() {
 #[test]
 fn transfer_heavy_parity() {
     assert_workload_parity("transfer_heavy", || simbench::transfer_heavy_sim(4, 6));
-}
-
-// ---------------------------------------------------------------------------
-// chaos scenarios
-//
-// Scenario functions build their simulations internally, so the worker
-// count is injected through the process-wide default. The lock serializes
-// the scenario tests against each other (tests in one binary share the
-// global), and the guard restores the sequential default even on panic so
-// one failing scenario can't contaminate the rest.
-
-static DEFAULT_THREADS_LOCK: Mutex<()> = Mutex::new(());
-
-struct ThreadsGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-impl Drop for ThreadsGuard<'_> {
-    fn drop(&mut self) {
-        set_default_threads(1);
-    }
-}
-
-fn with_default_threads(threads: u32) -> ThreadsGuard<'static> {
-    let guard = DEFAULT_THREADS_LOCK
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
-    set_default_threads(threads);
-    ThreadsGuard(guard)
-}
-
-/// Asserts a chaos scenario's full report signature — span digest, trace
-/// hash, event count, and recovery metrics — is thread-count invariant.
-fn assert_scenario_parity(scenario: impl Fn(u64) -> ChaosReport) {
-    let sequential = {
-        let _g = with_default_threads(1);
-        scenario(11)
-    };
-    assert_eq!(sequential.trace_violations, 0, "{}", sequential.name);
-    for threads in THREAD_COUNTS {
-        let parallel = {
-            let _g = with_default_threads(threads);
-            scenario(11)
-        };
-        let name = sequential.name;
-        assert_eq!(
-            sequential.span_digest, parallel.span_digest,
-            "{name}: span digest diverged at {threads} threads"
-        );
-        assert_eq!(
-            sequential.trace_hash, parallel.trace_hash,
-            "{name}: execution trace diverged at {threads} threads"
-        );
-        assert_eq!(
-            sequential.events_processed, parallel.events_processed,
-            "{name}: event count diverged at {threads} threads"
-        );
-        assert_eq!(
-            (sequential.recovery_time_s, sequential.unreachable_drops),
-            (parallel.recovery_time_s, parallel.unreachable_drops),
-            "{name}: recovery metrics diverged at {threads} threads"
-        );
-        assert_eq!(parallel.trace_violations, 0, "{name} @ {threads} threads");
-    }
-}
-
-#[test]
-fn crash_during_reconfig_parity() {
-    assert_scenario_parity(crash_during_reconfig);
-}
-
-#[test]
-fn rolling_partition_parity() {
-    assert_scenario_parity(rolling_partition);
-}
-
-#[test]
-fn restart_storm_parity() {
-    assert_scenario_parity(restart_storm);
 }
