@@ -53,7 +53,7 @@
 
 use dcdo_profile::{CriticalPath, FnNames, LayerMap, ProfileReport};
 use dcdo_scenario::RunArtifacts;
-use dcdo_sim::{SpanEvent, TraceLog};
+use dcdo_sim::TraceLog;
 use dcdo_vm::{FusionStats, VmProfile, OPCODE_NAMES};
 use dcdo_workloads::reconfig;
 
@@ -293,16 +293,6 @@ fn exit_unless_passed(name: &str, passed: bool) {
     }
 }
 
-/// Rebuilds the indexed span log the profiler and exporters consume from
-/// a run's span list.
-fn span_log(spans: Vec<SpanEvent>) -> TraceLog {
-    let mut log = TraceLog::new();
-    for event in spans {
-        log.push_event(event);
-    }
-    log
-}
-
 /// The `epochs` subcommand: run one scenario with span logging and render
 /// the per-group epoch timeline (proposals, commits, replica adoptions).
 fn run_epochs(args: &[String]) {
@@ -371,7 +361,7 @@ fn run_flight(args: &[String]) {
 /// digest.
 fn run_trace(args: &[String]) {
     let (cli, name, artifacts) = run_single("trace", args);
-    let log = span_log(artifacts.spans);
+    let log = TraceLog::from_events(artifacts.spans);
     let json_path = cli.out.unwrap_or_else(|| format!("TRACE_{name}.json"));
     std::fs::write(&json_path, log.to_chrome_trace()).expect("write chrome trace");
     println!(
@@ -452,7 +442,7 @@ fn run_workload(name: &str, seed: u64) -> ProfileReport {
                 .expect("declared scenarios validate at any seed");
             print!("{}", artifacts.report.render());
             ProfileReport::analyze(
-                &span_log(artifacts.spans),
+                &TraceLog::from_events(artifacts.spans),
                 &LayerMap::new(),
                 &FnNames::new(),
             )

@@ -151,3 +151,23 @@ fn rolling_upgrade_coord_crash_parity_holds_at_four_threads() {
         "counters diverged across threads"
     );
 }
+
+#[test]
+fn retained_flight_trees_are_pinned() {
+    // The report fingerprint carries only the ring digest; this pins the
+    // tail sampler's retained causal trees themselves.
+    for (name, fnv) in [
+        ("mixed_traffic", 0x8c17_c880_9000_f036u64),
+        ("crash_during_reconfig", 0xa8ac_1f9f_b839_7db1u64),
+    ] {
+        let flight = run_artifacts(declared(name), None)
+            .expect("valid scenario")
+            .flight
+            .expect("a world was built");
+        let got = dcdo_sim::fn_hash(&flight.to_json());
+        assert_eq!(
+            got, fnv,
+            "{name}: flight.to_json() changed, now hashes {got:#018x}"
+        );
+    }
+}

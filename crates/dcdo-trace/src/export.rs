@@ -67,7 +67,7 @@ impl TraceLog {
 /// Appends `,"field":value` pairs (and the partition group array) to a JSON
 /// object under construction.
 fn write_fields(out: &mut String, e: &SpanEvent) {
-    for (name, value) in e.kind.fields() {
+    for (name, value) in e.kind.fields().as_slice() {
         let _ = write!(out, ",\"{name}\":{value}");
     }
     if let SpanKind::PartitionChanged { groups } = &e.kind {

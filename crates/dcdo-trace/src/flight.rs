@@ -171,18 +171,21 @@ impl FlightRecorder {
         self.head.saturating_sub(self.cap) as u64
     }
 
+    /// The retained frames in place, as the ring's older and newer halves
+    /// (the newer one is empty until the ring wraps).
+    fn halves(&self) -> (&[FlightFrame], &[FlightFrame]) {
+        if self.head <= self.cap {
+            (&self.frames, &[])
+        } else {
+            let (newer, older) = self.frames.split_at(self.head & (self.cap - 1));
+            (older, newer)
+        }
+    }
+
     /// Retained frames, oldest first.
     pub fn frames(&self) -> Vec<FlightFrame> {
-        if self.head <= self.cap {
-            self.frames.clone()
-        } else {
-            let mask = self.cap - 1;
-            let split = self.head & mask;
-            let mut out = Vec::with_capacity(self.cap);
-            out.extend_from_slice(&self.frames[split..]);
-            out.extend_from_slice(&self.frames[..split]);
-            out
-        }
+        let (older, newer) = self.halves();
+        [older, newer].concat()
     }
 
     /// FNV-1a digest over the total count and every retained frame, oldest
@@ -192,7 +195,8 @@ impl FlightRecorder {
     pub fn digest(&self) -> u64 {
         let mut h = Fnv1a::new();
         h.write_u64(self.head as u64);
-        for f in self.frames() {
+        let (older, newer) = self.halves();
+        for f in older.iter().chain(newer) {
             h.write_u64(f.at_ns);
             h.write_u64(f.meta);
         }
@@ -262,11 +266,24 @@ struct FlowInfo {
     violating: bool,
 }
 
+impl FlowInfo {
+    /// Start-to-end duration of a terminated flow. `push_event` is public,
+    /// so an end stamped before its start can arrive; it counts as 0.
+    fn duration_ns(&self) -> Option<u64> {
+        self.end_ns.map(|end| end.saturating_sub(self.start_ns))
+    }
+}
+
 /// Applies the tail-sampling retention policy to a finished span log:
 /// keeps the full causal span tree of every flow that aborted (or leaked),
 /// every flow named by an invariant violation, and every terminated flow
 /// whose duration reaches the nearest-rank `slow_quantile` of all flow
 /// durations. `recorder` contributes the ring statistics of the dump.
+///
+/// The log is swept a fixed number of times whatever the number of
+/// retained flows — flow bookkeeping, the invariant checker, and one sweep
+/// that extracts every retained tree together — so the cost is
+/// O(spans + retained output).
 pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64) -> FlightDump {
     let q = slow_quantile.clamp(0.0, 1.0);
     let mut flows: BTreeMap<u64, FlowInfo> = BTreeMap::new();
@@ -313,10 +330,7 @@ pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64
     // Nearest-rank threshold over terminated-flow durations: a flow is
     // "slow" when its duration reaches the q-quantile. Integer nanoseconds,
     // so the cut is exact in every build profile.
-    let mut durations: Vec<u64> = flows
-        .values()
-        .filter_map(|i| i.end_ns.map(|e| e - i.start_ns))
-        .collect();
+    let mut durations: Vec<u64> = flows.values().filter_map(FlowInfo::duration_ns).collect();
     durations.sort_unstable();
     let slow_floor = if durations.is_empty() {
         None
@@ -327,8 +341,7 @@ pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64
     let total_flows = flows.len() as u64;
     let mut retained = Vec::new();
     for (flow, info) in flows {
-        let dur = info.end_ns.map(|e| e - info.start_ns);
-        let slow = match (dur, slow_floor) {
+        let slow = match (info.duration_ns(), slow_floor) {
             (Some(d), Some(floor)) => d >= floor,
             _ => false,
         };
@@ -336,7 +349,6 @@ pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64
         if !(aborted || info.violating || slow) {
             continue;
         }
-        let spans = log.spans_for_flow(flow).into_iter().cloned().collect();
         retained.push(RetainedFlow {
             flow,
             object: info.object,
@@ -347,8 +359,12 @@ pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64
             aborted,
             violating: info.violating,
             slow,
-            spans,
+            spans: Vec::new(),
         });
+    }
+    let wanted: Vec<u64> = retained.iter().map(|f| f.flow).collect();
+    for (f, tree) in retained.iter_mut().zip(log.flow_trees(&wanted)) {
+        f.spans = tree.iter().map(|&pos| log.events()[pos].clone()).collect();
     }
     FlightDump {
         slow_quantile: q,
@@ -655,6 +671,94 @@ mod tests {
         assert_eq!(dump.flows.len(), 1);
         assert!(dump.flows[0].aborted, "leaked flow retained as aborted");
         assert!(dump.flows[0].violating, "checker names the leak");
+    }
+
+    #[test]
+    fn flow_completed_before_it_started_has_zero_duration() {
+        // `push_event` takes any timestamps: an end stamped before its
+        // start must neither panic nor wrap into the "slowest" flow.
+        let id = |raw| SpanId::from_raw(raw).expect("nonzero");
+        let ev = |raw, at_ns, kind| SpanEvent {
+            id: id(raw),
+            parent: None,
+            at_ns,
+            node: 0,
+            kind,
+        };
+        let started = |flow| SpanKind::FlowStarted {
+            flow,
+            object: 1,
+            kind: FlowKind::Update,
+        };
+        let log = TraceLog::from_events(vec![
+            ev(1, 500, started(1)),
+            ev(2, 100, SpanKind::FlowCompleted { flow: 1 }),
+            ev(3, 600, started(2)),
+            ev(4, 650, SpanKind::FlowCompleted { flow: 2 }),
+        ]);
+        let dump = tail_sample(&log, &FlightRecorder::new(), 0.95);
+        let slow: Vec<u64> = dump.flows.iter().map(|f| f.flow).collect();
+        assert_eq!(
+            slow,
+            vec![2],
+            "the 50 ns flow is the slow one, not the backwards one"
+        );
+        // At q = 0 both are kept; the backwards flow reports its stamps as is.
+        let all = tail_sample(&log, &FlightRecorder::new(), 0.0);
+        assert_eq!((all.flows[0].start_ns, all.flows[0].end_ns), (500, 100));
+    }
+
+    /// A log of `flows` completed flows, every one retained at q = 0, each a
+    /// start, two descendants and an end, with unrelated timers between.
+    fn churn_log(flows: u64) -> TraceLog {
+        let mut log = TraceLog::new();
+        log.enable();
+        for flow in 0..flows {
+            let at = flow * 100;
+            let start = log.emit(
+                at,
+                0,
+                None,
+                SpanKind::FlowStarted {
+                    flow,
+                    object: flow,
+                    kind: FlowKind::Update,
+                },
+            );
+            let sent = log.emit(
+                at + 1,
+                0,
+                start,
+                SpanKind::TimerFired { actor: 1, token: 0 },
+            );
+            log.emit(at + 2, 1, sent, SpanKind::TimerFired { actor: 2, token: 0 });
+            for t in 0..4 {
+                log.emit(at + 3, 2, None, SpanKind::TimerFired { actor: 3, token: t });
+            }
+            log.emit(at + 9, 0, start, SpanKind::FlowCompleted { flow });
+        }
+        log
+    }
+
+    #[test]
+    fn extraction_work_is_linear_in_the_log() {
+        // Timing-free scaling gate: 4x the spans with 4x the retained flows
+        // must cost ~4x the sweep work. The per-flow rescans this replaced
+        // cost 16x (flows x spans).
+        let visits = |flows| {
+            let log = churn_log(flows);
+            crate::log::SWEEP_VISITS.with(|v| v.set(0));
+            let dump = tail_sample(&log, &FlightRecorder::new(), 0.0);
+            assert_eq!(dump.flows.len() as u64, flows);
+            assert!(dump.flows.iter().all(|f| f.spans.len() == 4));
+            crate::log::SWEEP_VISITS.with(|v| v.get())
+        };
+        let (small, large) = (visits(200), visits(800));
+        assert!(small >= 200 * 8, "the counter is wired: {small}");
+        assert!(
+            large as f64 <= 4.5 * small as f64,
+            "sweep work grew {small} -> {large} for 4x the log"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The per-run structured trace log: recording, queries, digest.
 
-use std::collections::{HashMap, VecDeque};
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 use crate::span::{SpanEvent, SpanId, SpanKind};
 
@@ -14,21 +15,52 @@ use crate::span::{SpanEvent, SpanId, SpanKind};
 /// Events enter the log through two doors: [`TraceLog::emit`] mints the next
 /// dense id itself, while [`TraceLog::push_event`] appends a pre-built event
 /// whose id the producer chose (the simulation engine allocates per-lane
-/// ids so a parallel run can merge shard logs back into one sequence). Both
-/// maintain the id → position index that [`TraceLog::get`] uses.
+/// ids so a parallel run can merge shard logs back into one sequence).
+///
+/// Recording is a plain `Vec` push and does no hashing. The id → position
+/// index behind [`TraceLog::get`] is built on the first lookup and extended
+/// by the spans recorded since on each later one, so a run that never looks
+/// a span up by id never pays for the index. Flow extraction
+/// ([`TraceLog::spans_for_flow`], [`tail_sample`](crate::tail_sample)) is
+/// one forward sweep, O(spans + retained output), and relies on the log's
+/// ordering contract: a parent is recorded before its children. A child
+/// recorded ahead of its parent is not counted as a descendant.
 #[derive(Debug, Default, Clone)]
 pub struct TraceLog {
     enabled: bool,
     next_id: u64,
     events: Vec<SpanEvent>,
-    /// Raw span id → index in `events`.
-    index: HashMap<u64, usize>,
+    index: RefCell<IdIndex>,
+}
+
+/// The lazily built id → position index (see [`TraceLog::get`]).
+#[derive(Debug, Default, Clone)]
+struct IdIndex {
+    /// Raw span id → index in `events`, for `events[..covered]`.
+    positions: HashMap<u64, usize>,
+    covered: usize,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Work done by [`TraceLog::flow_trees`] on this thread: one per span
+    /// visited plus one per position emitted (the scaling test's gauge).
+    pub(crate) static SWEEP_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl TraceLog {
     /// Creates a disabled log.
     pub fn new() -> Self {
         TraceLog::default()
+    }
+
+    /// Wraps an already recorded span list (a finished run's
+    /// `RunArtifacts::spans`, say) as a disabled log, without copying it.
+    pub fn from_events(events: Vec<SpanEvent>) -> Self {
+        TraceLog {
+            events,
+            ..TraceLog::default()
+        }
     }
 
     /// Starts recording.
@@ -50,7 +82,9 @@ impl TraceLog {
     /// Drops all captured events and resets the id sequence.
     pub fn clear(&mut self) {
         self.events.clear();
-        self.index.clear();
+        let index = self.index.get_mut();
+        index.positions.clear();
+        index.covered = 0;
         self.next_id = 0;
     }
 
@@ -72,7 +106,6 @@ impl TraceLog {
         }
         self.next_id += 1;
         let id = SpanId::from_raw(self.next_id).expect("span ids start at 1");
-        self.index.insert(id.as_raw(), self.events.len());
         self.events.push(SpanEvent {
             id,
             parent,
@@ -88,7 +121,6 @@ impl TraceLog {
     /// owns id uniqueness. The engine uses this to merge per-shard span
     /// buffers back into execution order after a parallel window.
     pub fn push_event(&mut self, ev: SpanEvent) {
-        self.index.insert(ev.id.as_raw(), self.events.len());
         self.events.push(ev);
     }
 
@@ -107,31 +139,90 @@ impl TraceLog {
         self.events.is_empty()
     }
 
-    /// Looks an event up by id.
+    /// Looks an event up by id. The first call indexes the whole log; a
+    /// later call indexes only what was recorded since the previous one.
     pub fn get(&self, id: SpanId) -> Option<&SpanEvent> {
-        self.events.get(*self.index.get(&id.as_raw())?)
-    }
-
-    /// Direct causal children of `id`, in emit order.
-    pub fn children_of(&self, id: SpanId) -> Vec<&SpanEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.parent == Some(id))
-            .collect()
-    }
-
-    /// Events with `start_ns <= at_ns < end_ns`, in emit order.
-    pub fn between(&self, start_ns: u64, end_ns: u64) -> Vec<&SpanEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.at_ns >= start_ns && e.at_ns < end_ns)
-            .collect()
+        let index = &mut *self.index.borrow_mut();
+        index.positions.reserve(self.events.len() - index.covered);
+        for (pos, e) in self.events.iter().enumerate().skip(index.covered) {
+            index.positions.insert(e.id.as_raw(), pos);
+        }
+        index.covered = self.events.len();
+        self.events.get(*index.positions.get(&id.as_raw())?)
     }
 
     /// Every event belonging to a flow: events that name the flow id
     /// directly, plus all causal descendants of those events (the RPCs,
     /// timers, and deliveries the flow fanned out into), in emit order.
     pub fn spans_for_flow(&self, flow: u64) -> Vec<&SpanEvent> {
+        self.flow_trees(&[flow])[0]
+            .iter()
+            .map(|&pos| &self.events[pos])
+            .collect()
+    }
+
+    /// The causal trees of all `wanted` flows (distinct ids) at once: for
+    /// each, the log positions of its [`spans_for_flow`](Self::spans_for_flow)
+    /// events, ascending.
+    ///
+    /// One forward sweep. A span belongs to the trees its parent belongs to,
+    /// plus the tree of the flow it names itself; parents precede children
+    /// in log order, so the parent's answer is known when the child is
+    /// reached. Only spans inside some wanted tree are remembered, which
+    /// keeps the lookup table as small as the output instead of as large as
+    /// the log.
+    pub(crate) fn flow_trees(&self, wanted: &[u64]) -> Vec<Vec<usize>> {
+        let slot_of: HashMap<u64, usize> = wanted
+            .iter()
+            .enumerate()
+            .map(|(slot, &flow)| (flow, slot))
+            .collect();
+        let mut trees = vec![Vec::new(); wanted.len()];
+        // Membership sets, as lists of `wanted` slots. Set `s` for
+        // `s < wanted.len()` is `{s}`; a span naming one wanted flow beneath
+        // the tree of another appends the union it needs.
+        let mut sets: Vec<Vec<usize>> = (0..wanted.len()).map(|slot| vec![slot]).collect();
+        // Raw id of each span inside some wanted tree → its membership set.
+        let mut member: HashMap<u64, usize> = HashMap::new();
+        for (pos, e) in self.events.iter().enumerate() {
+            #[cfg(test)]
+            SWEEP_VISITS.with(|v| v.set(v.get() + 1));
+            let own = e.kind.flow_id().and_then(|f| slot_of.get(&f).copied());
+            let inherited = e.parent.and_then(|p| member.get(&p.as_raw()).copied());
+            let set = match (inherited, own) {
+                (None, None) => continue,
+                (None, Some(slot)) => slot,
+                (Some(set), None) => set,
+                (Some(set), Some(slot)) if sets[set].contains(&slot) => set,
+                (Some(set), Some(slot)) => {
+                    let mut union = sets[set].clone();
+                    union.push(slot);
+                    sets.push(union);
+                    sets.len() - 1
+                }
+            };
+            member.insert(e.id.as_raw(), set);
+            for &slot in &sets[set] {
+                #[cfg(test)]
+                SWEEP_VISITS.with(|v| v.set(v.get() + 1));
+                trees[slot].push(pos);
+            }
+        }
+        trees
+    }
+
+    /// The extraction [`flow_trees`](Self::flow_trees) replaced, kept as the
+    /// differential oracle: breadth-first from the flow's own spans, one
+    /// rescan of the log's remainder per span found.
+    #[cfg(test)]
+    pub(crate) fn flow_tree_oracle(&self, flow: u64) -> Vec<usize> {
+        use std::collections::VecDeque;
+        let index: HashMap<u64, usize> = self
+            .events
+            .iter()
+            .enumerate()
+            .map(|(pos, e)| (e.id.as_raw(), pos))
+            .collect();
         let mut member = vec![false; self.events.len()];
         let mut queue = VecDeque::new();
         for (i, e) in self.events.iter().enumerate() {
@@ -140,11 +231,9 @@ impl TraceLog {
                 queue.push_back(e.id);
             }
         }
-        // Children always appear after their parents (log order), so one
-        // forward sweep per frontier element terminates.
         while let Some(parent) = queue.pop_front() {
             // First candidate child position: just past the parent itself.
-            let start = self.index.get(&parent.as_raw()).map_or(0, |&pos| pos + 1);
+            let start = index.get(&parent.as_raw()).map_or(0, |&pos| pos + 1);
             for (i, e) in self.events.iter().enumerate().skip(start) {
                 if !member[i] && e.parent == Some(parent) {
                     member[i] = true;
@@ -152,12 +241,7 @@ impl TraceLog {
                 }
             }
         }
-        self.events
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| member[*i])
-            .map(|(_, e)| e)
-            .collect()
+        (0..self.events.len()).filter(|&i| member[i]).collect()
     }
 
     /// A build-independent FNV-1a digest of the whole log.
@@ -182,8 +266,8 @@ impl TraceLog {
             if let SpanKind::GenerationStamp { object, .. } = &e.kind {
                 h.write_u64(*object);
             } else {
-                for (_, v) in e.kind.fields() {
-                    h.write_u64(v);
+                for (_, v) in e.kind.fields().as_slice() {
+                    h.write_u64(*v);
                 }
             }
             if let SpanKind::PartitionChanged { groups } = &e.kind {
@@ -297,38 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn children_of_returns_direct_children_only() {
-        let log = sample_log();
-        let root = log.events()[0].id;
-        let kids = log.children_of(root);
-        assert_eq!(kids.len(), 2);
-        assert!(matches!(kids[0].kind, SpanKind::MsgSent { .. }));
-        assert!(matches!(kids[1].kind, SpanKind::FlowCompleted { .. }));
-    }
-
-    #[test]
-    fn between_is_half_open() {
-        let log = sample_log();
-        let window: Vec<u64> = log.between(20, 50).iter().map(|e| e.at_ns).collect();
-        assert_eq!(window, vec![20, 30, 40]);
-    }
-
-    #[test]
-    fn between_boundary_inclusivity() {
-        // Events at exactly the window start are included; events at exactly
-        // the window end are excluded (half-open `[start, end)`).
-        let log = sample_log(); // events at 10, 20, 30, 40, 50
-        let exact: Vec<u64> = log.between(10, 10).iter().map(|e| e.at_ns).collect();
-        assert_eq!(exact, Vec::<u64>::new(), "empty window captures nothing");
-        let start_only: Vec<u64> = log.between(50, 51).iter().map(|e| e.at_ns).collect();
-        assert_eq!(start_only, vec![50], "start boundary is inclusive");
-        let end_only: Vec<u64> = log.between(0, 10).iter().map(|e| e.at_ns).collect();
-        assert_eq!(end_only, Vec::<u64>::new(), "end boundary is exclusive");
-        let all: Vec<u64> = log.between(10, 51).iter().map(|e| e.at_ns).collect();
-        assert_eq!(all, vec![10, 20, 30, 40, 50]);
-    }
-
-    #[test]
     fn spans_for_flow_on_empty_log_is_empty() {
         let empty = TraceLog::new();
         assert!(empty.spans_for_flow(0).is_empty());
@@ -374,8 +426,8 @@ mod tests {
 
     #[test]
     fn push_event_with_sparse_ids_supports_lookup_and_flows() {
-        // The engine's lane-allocated ids are huge and non-dense; get(),
-        // children_of, and spans_for_flow must still work.
+        // The engine's lane-allocated ids are huge and non-dense; get() and
+        // spans_for_flow must still work.
         let mut log = TraceLog::new();
         log.enable();
         let big = |raw: u64| SpanId::from_raw(raw).expect("nonzero");
@@ -401,7 +453,6 @@ mod tests {
         assert_eq!(log.get(big(1 << 48)).expect("indexed").at_ns, 5);
         assert_eq!(log.get(big((2 << 48) | 7)).expect("indexed").at_ns, 6);
         assert!(log.get(big(42)).is_none());
-        assert_eq!(log.children_of(big(1 << 48)).len(), 1);
         assert_eq!(log.spans_for_flow(3).len(), 2);
         // A later emit() still mints dense ids independent of pushed ones.
         let id = log
@@ -409,6 +460,52 @@ mod tests {
             .expect("enabled");
         assert_eq!(id.as_raw(), 1);
         assert_eq!(log.get(id).expect("indexed").at_ns, 7);
+    }
+
+    #[test]
+    fn get_stays_correct_across_emit_push_and_clear() {
+        let mut log = sample_log();
+        let first = log.events()[0].clone();
+        // First lookup builds the index.
+        assert_eq!(log.get(first.id), Some(&first));
+        let emitted = log
+            .emit(60, 0, None, SpanKind::PartitionHealed)
+            .expect("enabled");
+        let pushed = SpanEvent {
+            id: SpanId::from_raw((3 << 48) | 9).expect("nonzero"),
+            parent: Some(emitted),
+            at_ns: 70,
+            node: 1,
+            kind: SpanKind::FlowAborted { flow: 7 },
+        };
+        log.push_event(pushed.clone());
+        // Spans recorded after the index was built resolve, and the old
+        // ones still do.
+        assert_eq!(log.get(emitted).expect("indexed").at_ns, 60);
+        assert_eq!(log.get(pushed.id), Some(&pushed));
+        assert_eq!(log.get(first.id), Some(&first));
+        // A clone carries a usable index of its own.
+        assert_eq!(log.clone().get(pushed.id), Some(&pushed));
+        log.clear();
+        assert_eq!(log.get(first.id), None, "clear drops the index too");
+        assert_eq!(log.get(pushed.id), None);
+        let reused = log
+            .emit(80, 2, None, SpanKind::PartitionHealed)
+            .expect("enabled");
+        assert_eq!(reused, first.id, "dense ids restart after clear");
+        assert_eq!(log.get(reused).expect("indexed").at_ns, 80);
+    }
+
+    #[test]
+    fn from_events_wraps_a_span_list_without_enabling() {
+        let events = sample_log().events().to_vec();
+        let mut log = TraceLog::from_events(events.clone());
+        assert!(!log.is_enabled());
+        assert_eq!(log.events(), &events[..]);
+        assert_eq!(log.digest(), sample_log().digest());
+        assert_eq!(log.get(events[2].id), Some(&events[2]));
+        assert_eq!(log.spans_for_flow(7).len(), 4);
+        assert_eq!(log.emit(0, 0, None, SpanKind::PartitionHealed), None);
     }
 
     #[test]
@@ -420,5 +517,83 @@ mod tests {
             .emit(0, 0, None, SpanKind::PartitionHealed)
             .expect("enabled");
         assert_eq!(id.as_raw(), 1);
+    }
+
+    mod sweep_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Flow ids the generated spans name; 9 never occurs.
+        const FLOWS: [u64; 5] = [1, 2, 3, 4, 9];
+
+        /// Lane-style sparse id of the `i`-th span, as the engine mints them.
+        fn lane_id(i: usize) -> SpanId {
+            SpanId::from_raw((((i % 3) as u64 + 1) << 48) | i as u64).expect("nonzero")
+        }
+
+        /// Builds a random forest. Per span: `link` picks the parent — none
+        /// (a new root), an earlier span, a later span (a child pushed before
+        /// its parent) or an id absent from the log; `what` picks a
+        /// flow-naming kind of flow 1–4 (so flows get several roots, and a
+        /// span of flow G lands beneath flow F) or a plain timer.
+        fn forest(spec: &[(u8, u16, u8)]) -> TraceLog {
+            let n = spec.len();
+            let events = spec
+                .iter()
+                .enumerate()
+                .map(|(i, &(link, pick, what))| {
+                    let pick = pick as usize;
+                    let parent = match link {
+                        0 => None,
+                        1..=5 if i > 0 => Some(lane_id(pick % i)),
+                        6 if i + 1 < n => Some(lane_id(i + 1 + pick % (n - i - 1))),
+                        7 => Some(lane_id(n + pick)),
+                        _ => None,
+                    };
+                    let flow = what as u64 % 4 + 1;
+                    let kind = match what / 4 {
+                        0 => SpanKind::FlowStarted {
+                            flow,
+                            object: 1,
+                            kind: FlowKind::Update,
+                        },
+                        1 => SpanKind::FlowStep { flow, step: 0 },
+                        2 => SpanKind::FlowCompleted { flow },
+                        _ => SpanKind::TimerFired { actor: 1, token: 0 },
+                    };
+                    SpanEvent {
+                        id: lane_id(i),
+                        parent,
+                        at_ns: i as u64,
+                        node: 0,
+                        kind,
+                    }
+                })
+                .collect();
+            TraceLog::from_events(events)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The one-sweep extraction returns exactly the position lists
+            /// of the per-flow rescanning oracle, for every flow at once and
+            /// for each flow alone.
+            #[test]
+            fn sweep_matches_rescanning_oracle(
+                spec in prop::collection::vec((0u8..8, any::<u16>(), 0u8..24), 0..48),
+            ) {
+                let log = forest(&spec);
+                let together = log.flow_trees(&FLOWS);
+                for (slot, &flow) in FLOWS.iter().enumerate() {
+                    let want = log.flow_tree_oracle(flow);
+                    prop_assert_eq!(&together[slot], &want, "flow {} in the joint sweep", flow);
+                    prop_assert_eq!(&log.flow_trees(&[flow])[0], &want, "flow {} alone", flow);
+                    let ids: Vec<SpanId> = want.iter().map(|&pos| log.events()[pos].id).collect();
+                    let got: Vec<SpanId> = log.spans_for_flow(flow).iter().map(|e| e.id).collect();
+                    prop_assert_eq!(got, ids);
+                }
+            }
+        }
     }
 }

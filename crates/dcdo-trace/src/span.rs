@@ -426,6 +426,39 @@ pub enum SpanKind {
     },
 }
 
+/// The most named integer fields any [`SpanKind`] variant carries.
+const MAX_FIELDS: usize = 6;
+
+/// A variant's `(name, value)` pairs in a fixed array (see
+/// [`SpanKind::fields`]).
+pub(crate) struct Fields {
+    pairs: [(&'static str, u64); MAX_FIELDS],
+    len: usize,
+}
+
+impl Fields {
+    fn of(src: &[(&'static str, u64)]) -> Self {
+        let mut pairs = [("", 0); MAX_FIELDS];
+        pairs[..src.len()].copy_from_slice(src);
+        Fields {
+            pairs,
+            len: src.len(),
+        }
+    }
+
+    /// The pairs, in declaration order.
+    pub(crate) fn as_slice(&self) -> &[(&'static str, u64)] {
+        &self.pairs[..self.len]
+    }
+}
+
+/// Builds a [`Fields`] from up to [`MAX_FIELDS`] `(name, value)` pairs.
+macro_rules! fields {
+    ($($pair:expr),* $(,)?) => {
+        Fields::of(&[$($pair),*])
+    };
+}
+
 impl SpanKind {
     /// A stable integer code identifying the variant (digest, exporters).
     pub const fn code(&self) -> u64 {
@@ -541,12 +574,14 @@ impl SpanKind {
         }
     }
 
-    /// Named integer fields in declaration order, for the exporters.
+    /// Named integer fields in declaration order, for the exporters and
+    /// the digest. Returned by value on the stack: the digest calls this
+    /// once per span, so it must not allocate.
     ///
     /// [`SpanKind::PartitionChanged`]'s group vector is not representable as
     /// scalar pairs and is handled separately by the exporters and the
     /// digest.
-    pub(crate) fn fields(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn fields(&self) -> Fields {
         match self {
             SpanKind::MsgSent {
                 src,
@@ -555,7 +590,7 @@ impl SpanKind {
                 dst_node,
                 verdict,
                 bytes,
-            } => vec![
+            } => fields![
                 ("src", *src as u64),
                 ("dst", *dst as u64),
                 ("src_node", *src_node as u64),
@@ -564,68 +599,68 @@ impl SpanKind {
                 ("bytes", *bytes),
             ],
             SpanKind::MsgDelivered { src, dst, dst_node }
-            | SpanKind::MsgDeadLetter { src, dst, dst_node } => vec![
+            | SpanKind::MsgDeadLetter { src, dst, dst_node } => fields![
                 ("src", *src as u64),
                 ("dst", *dst as u64),
                 ("dst_node", *dst_node as u64),
             ],
             SpanKind::TimerFired { actor, token } => {
-                vec![("actor", *actor as u64), ("token", *token)]
+                fields![("actor", *actor as u64), ("token", *token)]
             }
             SpanKind::ActorSpawned { actor, node } => {
-                vec![("actor", *actor as u64), ("node", *node as u64)]
+                fields![("actor", *actor as u64), ("node", *node as u64)]
             }
-            SpanKind::ActorKilled { actor } => vec![("actor", *actor as u64)],
+            SpanKind::ActorKilled { actor } => fields![("actor", *actor as u64)],
             SpanKind::NodeCrashed { node } | SpanKind::NodeRestarted { node } => {
-                vec![("node", *node as u64)]
+                fields![("node", *node as u64)]
             }
             SpanKind::PartitionChanged { groups } => {
-                vec![("ngroups", groups.len() as u64)]
+                fields![("ngroups", groups.len() as u64)]
             }
-            SpanKind::PartitionHealed => vec![],
+            SpanKind::PartitionHealed => fields![],
             SpanKind::LinkFaultSet { src_node, dst_node }
-            | SpanKind::LinkFaultCleared { src_node, dst_node } => vec![
+            | SpanKind::LinkFaultCleared { src_node, dst_node } => fields![
                 ("src_node", *src_node as u64),
                 ("dst_node", *dst_node as u64),
             ],
             SpanKind::ChaosFault { action, node } => {
-                vec![("action", *action as u64), ("node", *node as u64)]
+                fields![("action", *action as u64), ("node", *node as u64)]
             }
             SpanKind::RpcAttempt {
                 call,
                 object,
                 attempt,
                 dst,
-            } => vec![
+            } => fields![
                 ("call", *call),
                 ("object", *object),
                 ("attempt", *attempt as u64),
                 ("dst", *dst as u64),
             ],
             SpanKind::RpcRetry { call, attempt } => {
-                vec![("call", *call), ("attempt", *attempt as u64)]
+                fields![("call", *call), ("attempt", *attempt as u64)]
             }
             SpanKind::BindingHit { object, dst } | SpanKind::BindingRegistered { object, dst } => {
-                vec![("object", *object), ("dst", *dst as u64)]
+                fields![("object", *object), ("dst", *dst as u64)]
             }
             SpanKind::BindingMiss { object } | SpanKind::BindingInvalidated { object } => {
-                vec![("object", *object)]
+                fields![("object", *object)]
             }
             SpanKind::RpcCompleted { call, outcome } => {
-                vec![("call", *call), ("outcome", outcome.code())]
+                fields![("call", *call), ("outcome", outcome.code())]
             }
             SpanKind::FlowStarted { flow, object, kind } => {
-                vec![("flow", *flow), ("object", *object), ("kind", kind.code())]
+                fields![("flow", *flow), ("object", *object), ("kind", kind.code())]
             }
-            SpanKind::FlowStep { flow, step } => vec![("flow", *flow), ("step", *step as u64)],
+            SpanKind::FlowStep { flow, step } => fields![("flow", *flow), ("step", *step as u64)],
             SpanKind::FlowCompleted { flow } | SpanKind::FlowAborted { flow } => {
-                vec![("flow", *flow)]
+                fields![("flow", *flow)]
             }
             SpanKind::GenerationStamp { object, generation } => {
-                vec![("object", *object), ("generation", *generation)]
+                fields![("object", *object), ("generation", *generation)]
             }
             SpanKind::CallServed { object, call } => {
-                vec![("object", *object), ("call", *call)]
+                fields![("object", *object), ("call", *call)]
             }
             SpanKind::EpochProposed {
                 group,
@@ -636,18 +671,18 @@ impl SpanKind {
                 group,
                 epoch,
                 config,
-            } => vec![("group", *group), ("epoch", *epoch), ("config", *config)],
+            } => fields![("group", *group), ("epoch", *epoch), ("config", *config)],
             SpanKind::ReplicaEpoch {
                 group,
                 replica,
                 epoch,
-            } => vec![("group", *group), ("replica", *replica), ("epoch", *epoch)],
+            } => fields![("group", *group), ("replica", *replica), ("epoch", *epoch)],
             SpanKind::EpochServed {
                 group,
                 replica,
                 epoch,
                 call,
-            } => vec![
+            } => fields![
                 ("group", *group),
                 ("replica", *replica),
                 ("epoch", *epoch),
@@ -660,7 +695,7 @@ impl SpanKind {
                 calls,
                 instructions,
                 work_nanos,
-            } => vec![
+            } => fields![
                 ("object", *object),
                 ("call", *call),
                 ("function", *function),
