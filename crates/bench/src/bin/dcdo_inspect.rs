@@ -233,6 +233,14 @@ fn run_scenarios(args: &[String]) {
             Ok(artifacts) => {
                 print!("{}", artifacts.report.render());
                 all_passed &= artifacts.report.passed;
+                if artifacts.trace_entries_dropped > 0 {
+                    eprintln!(
+                        "dcdo-inspect: scenario {name}: trace_hash covers the last {} \
+                         execution-trace entries; {} earlier ones left the ring",
+                        dcdo_scenario::TRACE_RING_CAPACITY,
+                        artifacts.trace_entries_dropped
+                    );
+                }
                 if artifacts.slo_breached {
                     if let Some(flight) = &artifacts.flight {
                         let dump_path = format!("FLIGHT_{name}.breach.json");

@@ -13,6 +13,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use dcdo_sim::Fnv1a;
+
 /// A joinable description of a configuration change.
 ///
 /// Each field is itself a join-semilattice: optional version tags merge by
@@ -129,15 +131,15 @@ impl ConfigDelta {
 
     /// Build-independent FNV-1a digest over the delta's integer content.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.tagged(1, self.version.map(|v| v as u64 + 1).unwrap_or(0));
-        h.set(2, &self.add_members);
-        h.set(3, &self.remove_members);
-        h.set(4, &self.upgrade);
-        h.set(5, &self.downgrade);
+        let mut h = Fnv1a::new();
+        tagged(&mut h, 1, self.version.map(|v| v as u64 + 1).unwrap_or(0));
+        set(&mut h, 2, &self.add_members);
+        set(&mut h, 3, &self.remove_members);
+        set(&mut h, 4, &self.upgrade);
+        set(&mut h, 5, &self.downgrade);
         for (&k, &v) in &self.params {
-            h.tagged(6, k as u64);
-            h.word(v);
+            tagged(&mut h, 6, k as u64);
+            h.write_u64(v);
         }
         h.finish()
     }
@@ -209,50 +211,30 @@ impl GroupConfig {
 
     /// Build-independent FNV-1a digest over the config's integer content.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
-        h.tagged(1, self.epoch);
-        h.tagged(2, self.version as u64);
-        h.set(3, &self.members);
-        h.set(4, &self.upgraded);
+        let mut h = Fnv1a::new();
+        tagged(&mut h, 1, self.epoch);
+        tagged(&mut h, 2, self.version as u64);
+        set(&mut h, 3, &self.members);
+        set(&mut h, 4, &self.upgraded);
         for (&k, &v) in &self.params {
-            h.tagged(5, k as u64);
-            h.word(v);
+            tagged(&mut h, 5, k as u64);
+            h.write_u64(v);
         }
         h.finish()
     }
 }
 
-/// Streaming FNV-1a over 64-bit words (little-endian bytes), matching the
-/// digest style the trace layer uses.
-struct Fnv(u64);
+/// Digest framing over the workspace's one FNV-1a: a tag word before each
+/// field, and a length word before each set.
+fn tagged(h: &mut Fnv1a, tag: u64, w: u64) {
+    h.write_u64(tag);
+    h.write_u64(w);
+}
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn tagged(&mut self, tag: u64, w: u64) {
-        self.word(tag);
-        self.word(w);
-    }
-
-    fn set(&mut self, tag: u64, s: &BTreeSet<u32>) {
-        self.word(tag);
-        self.word(s.len() as u64);
-        for &m in s {
-            self.word(m as u64);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
+fn set(h: &mut Fnv1a, tag: u64, s: &BTreeSet<u32>) {
+    tagged(h, tag, s.len() as u64);
+    for &m in s {
+        h.write_u64(m as u64);
     }
 }
 

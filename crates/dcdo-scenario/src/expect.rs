@@ -76,10 +76,10 @@ impl Expectation for TraceInvariantsClean {
     }
 
     fn judge(&mut self, cx: &RunCx) -> Verdict {
-        let Some(sim) = cx.world.sim() else {
+        if cx.world.sim().is_none() {
             return Verdict::fail(self.name(), "no world was built".to_string());
-        };
-        let violations = dcdo_sim::check_trace_invariants(sim.spans());
+        }
+        let violations = cx.trace_violations();
         if violations.is_empty() {
             Verdict::pass(self.name(), "0 violations".to_string())
         } else {

@@ -103,7 +103,7 @@ pub use parse::{
 pub use registry::Registry;
 pub use report::ScenarioReport;
 pub use ring::{ChaosAttachment, ChatterRing};
-pub use runner::{run, run_artifacts, RunArtifacts, FLIGHT_SLOW_QUANTILE};
+pub use runner::{run, run_artifacts, RunArtifacts, FLIGHT_SLOW_QUANTILE, TRACE_RING_CAPACITY};
 pub use scenario::{Scenario, ScenarioBuilder, Window, WorkloadSlot};
 pub use slo::{SloErrorRate, SloLatency, SloRecovery};
 pub use topology::{Infra, NetKind, Topology, World};

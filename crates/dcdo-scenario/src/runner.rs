@@ -13,10 +13,20 @@
 //!    from the engine's per-lane deterministic RNG stream, so the mix a
 //!    seed produces is byte-identical at every worker-thread count;
 //!    episode windows run each workload's episode hook once.
-//! 7. Drain the queue, `measure` every workload, `judge` every
-//!    expectation, and assemble the [`ScenarioReport`].
+//! 7. Drain the queue and `measure` every workload, then the post-run pass
+//!    over the finished logs, each step once and in this order: derive the
+//!    windowed series from the span log → run the trace-invariant checker
+//!    (one sweep, kept on the [`RunCx`] for every later reader) → `judge`
+//!    every expectation → span digest and `trace_hash` → tail-sample the
+//!    flight dump (with the checker's verdict) → move the spans out of the
+//!    simulation into the [`RunArtifacts`] → export the timeline.
+//!
+//! `trace_hash` witnesses the *tail* of the run: the legacy execution-trace
+//! ring keeps the last [`TRACE_RING_CAPACITY`] engine events, and a longer
+//! run evicts the rest ([`RunArtifacts::trace_entries_dropped`] says how
+//! many). The span digest covers every span of the run.
 
-use dcdo_sim::{tail_sample, FlightDump, NodeId, RpcOutcome, SpanEvent, SpanKind};
+use dcdo_sim::{tail_sample_checked, FlightDump, NodeId, RpcOutcome, SpanEvent, SpanKind};
 
 use crate::report::ScenarioReport;
 use crate::scenario::{Scenario, Window};
@@ -27,6 +37,10 @@ use crate::ScenarioError;
 /// the slowest 5% keep their full causal span trees in the flight dump.
 pub const FLIGHT_SLOW_QUANTILE: f64 = 0.95;
 
+/// Capacity of the legacy execution-trace ring the runner enables: the
+/// report's `trace_hash` covers the last this-many engine events.
+pub const TRACE_RING_CAPACITY: usize = 1 << 18;
+
 /// Everything a scenario run produces beyond the pass/fail report: the raw
 /// span log, the windowed-telemetry exports, and the flight-recorder dump.
 /// All of it is deterministic — byte-identical at every worker-thread
@@ -35,8 +49,14 @@ pub const FLIGHT_SLOW_QUANTILE: f64 = 0.95;
 pub struct RunArtifacts {
     /// The pass/fail report (same value [`run`] returns).
     pub report: ScenarioReport,
-    /// The run's span log, for post-hoc analyses.
+    /// The run's span log, for post-hoc analyses (moved out of the
+    /// simulation, not copied; [`dcdo_sim::TraceLog::from_events`] wraps it
+    /// again).
     pub spans: Vec<SpanEvent>,
+    /// Entries the legacy execution-trace ring evicted: when non-zero,
+    /// [`ScenarioReport::trace_hash`] witnesses only the ring's tail (its
+    /// last [`TRACE_RING_CAPACITY`] entries), not the whole run.
+    pub trace_entries_dropped: u64,
     /// Windowed time-series telemetry as deterministic JSON.
     pub timeline_json: String,
     /// The same telemetry as Prometheus text exposition.
@@ -135,7 +155,7 @@ fn run_inner(mut scenario: Scenario, threads: Option<u32>) -> Result<RunArtifact
         if let Some(n) = threads {
             sim.set_threads(n);
         }
-        sim.trace_mut().enable(1 << 18);
+        sim.trace_mut().enable(TRACE_RING_CAPACITY);
         sim.spans_mut().enable();
     }
     for slot in &mut scenario.workloads {
@@ -216,6 +236,9 @@ fn run_inner(mut scenario: Scenario, threads: Option<u32>) -> Result<RunArtifact
     // Fill the timeline's derived series before judging so the SLO
     // watchdogs see the full windowed picture.
     derive_windowed_series(&mut cx);
+    // One checker sweep of the finished log serves the expectation, the
+    // report and the tail sampler.
+    let trace_violations = cx.trace_violations().len() as u64;
     let verdicts: Vec<_> = scenario
         .expectations
         .iter_mut()
@@ -226,34 +249,33 @@ fn run_inner(mut scenario: Scenario, threads: Option<u32>) -> Result<RunArtifact
         .filter(|v| !v.passed && v.expectation.starts_with("slo_"))
         .count() as u64;
 
-    let (
-        trace_hash,
-        span_digest,
-        events_processed,
-        leaked_events,
-        trace_violations,
-        spans,
-        flight_digest,
-        flight,
-    ) = match cx.world.sim() {
+    let (trace_hash, span_digest, events_processed, leaked_events, trace_entries_dropped, flight) =
+        match cx.world.sim() {
+            Some(sim) => (
+                dcdo_chaos::trace_hash(sim.trace()),
+                sim.spans().digest(),
+                sim.events_processed(),
+                sim.pending_events() as u64,
+                sim.trace().dropped(),
+                Some(tail_sample_checked(
+                    sim.spans(),
+                    cx.trace_violations(),
+                    sim.flight(),
+                    FLIGHT_SLOW_QUANTILE,
+                )),
+            ),
+            None => (0, 0, 0, 0, 0, None),
+        };
+    // Every reader of the span log has had its turn, so the artifacts take
+    // the events themselves: an element-wise clone would hold the log
+    // twice (`PartitionChanged` owns a `Vec`, so `SpanEvent` is not `Copy`).
+    let (spans, timeline_json, timeline_prom) = match cx.world.sim_mut() {
         Some(sim) => (
-            dcdo_chaos::trace_hash(sim.trace()),
-            sim.spans().digest(),
-            sim.events_processed(),
-            sim.pending_events() as u64,
-            dcdo_sim::check_trace_invariants(sim.spans()).len() as u64,
-            sim.spans().events().to_vec(),
-            sim.flight().digest(),
-            Some(tail_sample(sim.spans(), sim.flight(), FLIGHT_SLOW_QUANTILE)),
-        ),
-        None => (0, 0, 0, 0, 0, Vec::new(), 0, None),
-    };
-    let (timeline_json, timeline_prom) = match cx.world.sim_mut() {
-        Some(sim) => (
+            sim.spans_mut().take_events(),
             sim.timeline_mut().to_json(),
             sim.timeline_mut().to_prometheus(),
         ),
-        None => (String::new(), String::new()),
+        None => (Vec::new(), String::new(), String::new()),
     };
     Ok(RunArtifacts {
         report: ScenarioReport {
@@ -262,7 +284,7 @@ fn run_inner(mut scenario: Scenario, threads: Option<u32>) -> Result<RunArtifact
             passed: verdicts.iter().all(|v| v.passed),
             trace_hash,
             span_digest,
-            flight_digest,
+            flight_digest: flight.as_ref().map_or(0, |f| f.ring_digest),
             events_processed,
             leaked_events,
             trace_violations,
@@ -273,9 +295,42 @@ fn run_inner(mut scenario: Scenario, threads: Option<u32>) -> Result<RunArtifact
             verdicts,
         },
         spans,
+        trace_entries_dropped,
         timeline_json,
         timeline_prom,
         flight,
         slo_breached: slo_breaches > 0,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry;
+    use crate::workload::CHECKER_RUNS;
+
+    #[test]
+    fn the_invariant_checker_runs_once_per_run() {
+        let runs = || CHECKER_RUNS.with(|c| c.get());
+        // `mixed_traffic` declares `trace_invariants`, so the expectation,
+        // the report and the tail sampler all want the verdict.
+        let scenario = registry::load_declared("mixed_traffic").expect("declared");
+        assert!(scenario
+            .expectations
+            .iter()
+            .any(|e| e.name() == "trace_invariants"));
+        let before = runs();
+        let artifacts = run_artifacts(scenario, None).expect("valid scenario");
+        assert_eq!(runs(), before + 1);
+        assert!(artifacts.report.passed, "{}", artifacts.report.render());
+
+        // Without the expectation the report and the sampler still share one.
+        let mut scenario = registry::load_declared("mixed_traffic").expect("declared");
+        scenario
+            .expectations
+            .retain(|e| e.name() != "trace_invariants");
+        let before = runs();
+        run_artifacts(scenario, None).expect("valid scenario");
+        assert_eq!(runs(), before + 1);
+    }
 }

@@ -19,10 +19,11 @@
 //! [`ServiceHandles`], and the counter/gauge stats the report exports and
 //! expectations judge.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 use dcdo_chaos::FaultPlan;
-use dcdo_sim::{ActorId, NodeId, SimDuration};
+use dcdo_sim::{ActorId, NodeId, SimDuration, Violation};
 use dcdo_types::ObjectId;
 
 use crate::topology::{Infra, World};
@@ -76,6 +77,16 @@ pub struct RunCx {
     /// Gauges recorded by workloads and the runner (`net.amplification`,
     /// `mix.calls.observed`, …).
     pub gauges: BTreeMap<String, f64>,
+    /// The invariant checker's verdict on the finished span log (see
+    /// [`RunCx::trace_violations`]).
+    violations: OnceCell<Vec<Violation>>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Times the invariant checker ran on behalf of a [`RunCx`] on this
+    /// thread — the one-check-per-run test's gauge.
+    pub(crate) static CHECKER_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl RunCx {
@@ -88,7 +99,24 @@ impl RunCx {
             group: None,
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
+            violations: OnceCell::new(),
         }
+    }
+
+    /// Every trace-invariant violation in the world's span log (none when
+    /// no world was built). The checker is a full sweep of the log, so it
+    /// runs on the first call and the verdict is kept: the expectation, the
+    /// report and the tail sampler all read the same one. Only meaningful
+    /// once the run has drained — spans recorded later are not checked.
+    pub fn trace_violations(&self) -> &[Violation] {
+        self.violations.get_or_init(|| {
+            #[cfg(test)]
+            CHECKER_RUNS.with(|c| c.set(c.get() + 1));
+            self.world
+                .sim()
+                .map(|sim| dcdo_sim::check_trace_invariants(sim.spans()))
+                .unwrap_or_default()
+        })
     }
 
     /// Increments counter `key` by one.

@@ -171,3 +171,41 @@ fn retained_flight_trees_are_pinned() {
         );
     }
 }
+
+/// Recomputes every span-log witness from the spans a run hands back and
+/// compares it with what the run reported: the move out of the simulation
+/// lost nothing, and the one checker verdict the expectation, the report
+/// and the tail sampler shared is the real one (the planted-violation
+/// negative control covers a non-empty verdict).
+#[test]
+fn returned_spans_recompute_every_reported_witness() {
+    use dcdo_sim::{check_trace_invariants, tail_sample, FlightDump, FlightRecorder, TraceLog};
+    let summary = |dump: &FlightDump| -> Vec<(u64, bool, bool, bool, usize)> {
+        dump.flows
+            .iter()
+            .map(|f| (f.flow, f.aborted, f.violating, f.slow, f.spans.len()))
+            .collect()
+    };
+    for (name, _) in registry::declared() {
+        let artifacts = run_artifacts(declared(name), None).expect("valid scenario");
+        let report = artifacts.report;
+        let log = TraceLog::from_events(artifacts.spans);
+        assert_eq!(log.digest(), report.span_digest, "{name}: span digest");
+        assert_eq!(
+            check_trace_invariants(&log).len() as u64,
+            report.trace_violations,
+            "{name}: violations"
+        );
+        let flight = artifacts.flight.expect("a world was built");
+        assert_eq!(flight.ring_digest, report.flight_digest, "{name}: ring");
+        // The ring left with the simulation; the retained flows depend on
+        // the span log and the checker only.
+        let again = tail_sample(
+            &log,
+            &FlightRecorder::new(),
+            dcdo_scenario::FLIGHT_SLOW_QUANTILE,
+        );
+        assert_eq!(summary(&again), summary(&flight), "{name}: retained flows");
+        assert_eq!(again.total_flows, flight.total_flows, "{name}: flow count");
+    }
+}

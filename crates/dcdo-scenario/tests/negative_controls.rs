@@ -3,8 +3,8 @@
 
 use dcdo_chaos::{FaultPlan, PlanError};
 use dcdo_scenario::{
-    run, Calls, ChaosAttachment, ChatterRing, CounterBound, NetKind, NoLeakedEvents, RunCx,
-    Scenario, ScenarioError, Topology, TraceInvariantsClean, Workload,
+    run, run_artifacts, Calls, ChaosAttachment, ChatterRing, CounterBound, NetKind, NoLeakedEvents,
+    RunCx, Scenario, ScenarioError, Topology, TraceInvariantsClean, Workload,
 };
 use dcdo_sim::{NodeId, SimDuration};
 
@@ -49,9 +49,19 @@ fn planted_invariant_violation_fails_with_a_precise_verdict() {
         .workload(0, PlantViolation)
         .expect(TraceInvariantsClean)
         .build();
-    let report = run(scenario).expect("declaration itself is valid");
+    let artifacts = run_artifacts(scenario, None).expect("declaration itself is valid");
+    let report = &artifacts.report;
     assert!(!report.passed, "planted violation must fail the run");
-    assert!(report.trace_violations > 0);
+    // One checker verdict feeds the expectation, the report and the tail
+    // sampler, and it is the one a fresh check of the returned spans gives.
+    assert_eq!(report.trace_violations, 1);
+    let flight = artifacts.flight.as_ref().expect("a world was built");
+    assert!(flight
+        .flows
+        .iter()
+        .any(|f| f.flow == 999_999 && f.violating));
+    let log = dcdo_sim::TraceLog::from_events(artifacts.spans.clone());
+    assert_eq!(dcdo_sim::check_trace_invariants(&log).len(), 1);
     let verdict = &report.verdicts[0];
     assert_eq!(verdict.expectation, "trace_invariants");
     assert!(!verdict.passed);

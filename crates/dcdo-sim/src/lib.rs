@@ -78,12 +78,14 @@ pub use trace::{Trace, TraceEntry, TraceEvent};
 
 // The always-on flight recorder (see the `dcdo-trace` crate): re-exported
 // alongside the engine that feeds it.
-pub use dcdo_trace::{tail_sample, FlightDump, FlightFrame, FlightRecorder, RetainedFlow};
+pub use dcdo_trace::{
+    tail_sample, tail_sample_checked, FlightDump, FlightFrame, FlightRecorder, RetainedFlow,
+};
 
 // Structured causal tracing (see the `dcdo-trace` crate): re-exported so
 // layers above the engine can emit spans through [`Ctx`] without depending
 // on the tracing crate directly.
 pub use dcdo_trace::{
-    check as check_trace_invariants, fn_hash, FlowKind, RpcOutcome, SendVerdict, SpanEvent, SpanId,
-    SpanKind, TraceLog, Violation, NO_NODE,
+    check as check_trace_invariants, fn_hash, fnv1a, FlowKind, Fnv1a, RpcOutcome, SendVerdict,
+    SpanEvent, SpanId, SpanKind, TraceLog, Violation, NO_NODE,
 };

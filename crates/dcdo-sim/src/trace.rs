@@ -7,7 +7,7 @@
 //! produce identical traces.
 
 use std::collections::VecDeque;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::engine::ActorId;
 use crate::net::NodeId;
@@ -127,7 +127,9 @@ impl Trace {
         self.enabled
     }
 
-    pub(crate) fn record(&mut self, at: SimTime, event: TraceEvent) {
+    /// Appends an entry (a no-op while disabled), evicting the oldest one
+    /// at capacity. The engine records every structural event it executes.
+    pub fn record(&mut self, at: SimTime, event: TraceEvent) {
         if !self.enabled {
             return;
         }
@@ -162,8 +164,7 @@ impl Trace {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for e in &self.entries {
-            out.push_str(&e.to_string());
-            out.push('\n');
+            writeln!(out, "{e}").expect("writing to a String never fails");
         }
         out
     }

@@ -179,20 +179,11 @@ fn identical_seeds_produce_identical_traces_verbatim() {
 /// in dcdo-workloads enforces the latter). If one of these fails, event
 /// ordering changed — that is a correctness bug, not a test to update.
 mod golden_trace {
+    // FNV-1a: stable across platforms and Rust versions (unlike
+    // `DefaultHasher`).
     use dcdo_sim::{
-        Actor, ActorId, Ctx, NetConfig, NodeId, Payload, SimDuration, Simulation, TimerId,
+        fnv1a, Actor, ActorId, Ctx, NetConfig, NodeId, Payload, SimDuration, Simulation, TimerId,
     };
-
-    /// FNV-1a, dependency-free and stable across platforms and Rust
-    /// versions (unlike `DefaultHasher`).
-    fn fnv1a(data: &[u8]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in data {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h
-    }
 
     #[derive(Debug, Clone)]
     struct Packet {

@@ -198,10 +198,19 @@ impl Topology {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Times [`check`] ran on this thread: the checker is a full sweep, so
+    /// callers holding its verdict must not trigger it again.
+    pub(crate) static CHECK_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Replays a finished log and returns every invariant violation found, in
 /// trace order (terminal "never happened" violations — leaked flows,
 /// dangling retry chains — come last).
 pub fn check(log: &TraceLog) -> Vec<Violation> {
+    #[cfg(test)]
+    CHECK_CALLS.with(|c| c.set(c.get() + 1));
     let mut violations = Vec::new();
     let mut topo = Topology::default();
     // flow id -> (object, open?, node the flow started on)

@@ -22,7 +22,8 @@
 use std::collections::BTreeMap;
 
 use crate::check::{check, Violation};
-use crate::log::{Fnv1a, TraceLog};
+use crate::hash::Fnv1a;
+use crate::log::TraceLog;
 use crate::span::{SpanEvent, SpanId, SpanKind};
 
 /// One compact flight-recorder frame: the executed event's time plus a
@@ -285,6 +286,18 @@ impl FlowInfo {
 /// that extracts every retained tree together — so the cost is
 /// O(spans + retained output).
 pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64) -> FlightDump {
+    tail_sample_checked(log, &check(log), recorder, slow_quantile)
+}
+
+/// [`tail_sample`] for a caller that already holds the invariant checker's
+/// verdict on `log` (`violations` must be `check(log)`): the checker sweep
+/// is skipped.
+pub fn tail_sample_checked(
+    log: &TraceLog,
+    violations: &[Violation],
+    recorder: &FlightRecorder,
+    slow_quantile: f64,
+) -> FlightDump {
     let q = slow_quantile.clamp(0.0, 1.0);
     let mut flows: BTreeMap<u64, FlowInfo> = BTreeMap::new();
     for e in log.events() {
@@ -314,7 +327,7 @@ pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64
             _ => {}
         }
     }
-    for v in check(log) {
+    for v in violations {
         let named = match v {
             Violation::LeakedFlow { flow, .. } | Violation::SpuriousFlowEnd { flow, .. } => {
                 Some(flow)
@@ -322,7 +335,7 @@ pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64
             _ => None,
         };
         if let Some(flow) = named {
-            if let Some(info) = flows.get_mut(&flow) {
+            if let Some(info) = flows.get_mut(flow) {
                 info.violating = true;
             }
         }
@@ -671,6 +684,35 @@ mod tests {
         assert_eq!(dump.flows.len(), 1);
         assert!(dump.flows[0].aborted, "leaked flow retained as aborted");
         assert!(dump.flows[0].violating, "checker names the leak");
+    }
+
+    #[test]
+    fn only_the_wrapper_runs_the_checker() {
+        let mut log = flow_log();
+        log.emit(
+            50,
+            0,
+            None,
+            SpanKind::FlowStarted {
+                flow: 4,
+                object: 103,
+                kind: FlowKind::Recover,
+            },
+        );
+        let calls = || crate::check::CHECK_CALLS.with(|c| c.get());
+        let r = FlightRecorder::new();
+        let violations = check(&log);
+        assert!(!violations.is_empty(), "flow 4 leaks");
+        let before = calls();
+        let given = tail_sample_checked(&log, &violations, &r, 0.95);
+        assert_eq!(calls(), before, "the verdict was handed in");
+        let wrapped = tail_sample(&log, &r, 0.95);
+        assert_eq!(calls(), before + 1);
+        assert_eq!(given.to_json(), wrapped.to_json());
+        assert!(given.flows.iter().any(|f| f.flow == 4 && f.violating));
+        // The verdict is an input: without it no flow is marked violating.
+        let blind = tail_sample_checked(&log, &[], &r, 0.95);
+        assert!(blind.flows.iter().all(|f| !f.violating));
     }
 
     #[test]

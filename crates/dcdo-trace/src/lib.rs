@@ -33,12 +33,15 @@
 mod check;
 mod export;
 mod flight;
+mod hash;
 mod log;
 mod span;
 
 pub use check::{check, Violation};
 pub use flight::{
-    tail_sample, FlightDump, FlightFrame, FlightRecorder, RetainedFlow, DEFAULT_FLIGHT_CAPACITY,
+    tail_sample, tail_sample_checked, FlightDump, FlightFrame, FlightRecorder, RetainedFlow,
+    DEFAULT_FLIGHT_CAPACITY,
 };
-pub use log::{fn_hash, TraceLog};
+pub use hash::{fn_hash, fnv1a, Fnv1a};
+pub use log::TraceLog;
 pub use span::{FlowKind, RpcOutcome, SendVerdict, SpanEvent, SpanId, SpanKind, NO_NODE};

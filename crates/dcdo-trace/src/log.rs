@@ -3,6 +3,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
+use crate::hash::Fnv1a;
 use crate::span::{SpanEvent, SpanId, SpanKind};
 
 /// A deterministic, append-only log of [`SpanEvent`]s for one run.
@@ -86,6 +87,16 @@ impl TraceLog {
         index.positions.clear();
         index.covered = 0;
         self.next_id = 0;
+    }
+
+    /// Moves the captured events out, leaving the log empty (and its
+    /// enabled state unchanged). The id sequence continues, so spans emitted
+    /// afterwards never collide with the ones taken.
+    pub fn take_events(&mut self) -> Vec<SpanEvent> {
+        // The index describes the departing events: a stale `covered` would
+        // underflow in `get`.
+        *self.index.get_mut() = IdIndex::default();
+        std::mem::take(&mut self.events)
     }
 
     /// Records an event, returning its id — or `None` when disabled.
@@ -280,42 +291,6 @@ impl TraceLog {
     }
 }
 
-/// Build-independent FNV-1a hash of a function name.
-///
-/// This is how string-valued identities (function names) cross into the
-/// integer-only trace: [`SpanKind::VmCost`] carries `fn_hash(name)` and the
-/// emitting layer publishes a hash → name table out of band. The hash is
-/// plain FNV-1a over the UTF-8 bytes, so it is identical across builds,
-/// machines, and processes.
-pub fn fn_hash(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// 64-bit FNV-1a over little-endian u64 words.
-pub(crate) struct Fnv1a(u64);
-
-impl Fnv1a {
-    pub(crate) fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,15 +366,6 @@ mod tests {
     }
 
     #[test]
-    fn fn_hash_is_stable_and_distinguishes_names() {
-        // Pin the FNV-1a constants: the hash must never drift, because the
-        // VmCost `function` field is compared across builds and runs.
-        assert_eq!(fn_hash(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fn_hash("step"), fn_hash("step"));
-        assert_ne!(fn_hash("step"), fn_hash("get"));
-    }
-
-    #[test]
     fn spans_for_flow_includes_causal_descendants() {
         let log = sample_log();
         let flow: Vec<u64> = log
@@ -422,6 +388,8 @@ mod tests {
         c.emit(60, 0, None, SpanKind::PartitionHealed);
         assert_ne!(a.digest(), c.digest());
         assert_ne!(TraceLog::new().digest(), a.digest());
+        // Pinned before `Fnv1a::write_u64` learned to skip zero runs.
+        assert_eq!(a.digest(), 0x9916_cecf_acb4_8300);
     }
 
     #[test]
@@ -494,6 +462,25 @@ mod tests {
             .expect("enabled");
         assert_eq!(reused, first.id, "dense ids restart after clear");
         assert_eq!(log.get(reused).expect("indexed").at_ns, 80);
+    }
+
+    #[test]
+    fn take_events_empties_the_log_and_its_index() {
+        let mut log = sample_log();
+        let old = log.events().to_vec();
+        // Build the index first, so the take has something stale to drop.
+        assert_eq!(log.get(old[4].id), Some(&old[4]));
+        assert_eq!(log.take_events(), old);
+        assert_eq!(log.len(), 0);
+        for e in &old {
+            assert_eq!(log.get(e.id), None);
+        }
+        let next = log
+            .emit(60, 0, None, SpanKind::PartitionHealed)
+            .expect("still enabled");
+        assert_eq!(next.as_raw(), 6, "the id sequence continues");
+        assert_eq!(log.get(next).expect("indexed").at_ns, 60);
+        assert_eq!(log.get(old[0].id), None);
     }
 
     #[test]
