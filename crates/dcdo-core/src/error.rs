@@ -2,7 +2,8 @@
 
 use std::fmt;
 
-use dcdo_types::{ComponentId, Dependency, FunctionName, Protection, VersionId};
+use dcdo_types::{CallId, ComponentId, Dependency, FunctionName, Protection, VersionId};
+use legion_substrate::{Ack, InvocationFault, Msg};
 use serde::{Deserialize, Serialize};
 
 /// Why a configuration operation on a DFM descriptor (or a live DCDO) was
@@ -186,6 +187,22 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+/// On the wire a configuration error is a refusal carrying its text.
+impl From<ConfigError> for InvocationFault {
+    fn from(e: ConfigError) -> Self {
+        InvocationFault::Refused(e.to_string())
+    }
+}
+
+/// The reply to a configuration operation that has nothing to report back:
+/// an [`Ack`], or the refusal.
+pub(crate) fn ack_or_refuse(call: CallId, result: Result<(), ConfigError>) -> Msg {
+    match result {
+        Ok(()) => Msg::control_ok(call, Ack),
+        Err(e) => Msg::refused(call, e),
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,7 @@ use bytes::Bytes;
 use dcdo_sim::{Actor, ActorId, Ctx, SimDuration};
 use dcdo_types::{CallId, ComponentId, ImplementationType, ObjectId};
 use dcdo_vm::{ComponentBinary, ComponentDescriptor};
-use legion_substrate::{ControlOp, CostModel, InvocationFault, Msg};
+use legion_substrate::{CostModel, InvocationFault, Msg};
 
 use crate::ops::{
     ComponentDescriptorReply, ComponentPayload, ReadComponent, ReadComponentDescriptor,
@@ -90,10 +90,7 @@ impl Actor<Msg> for Ico {
                 if target != self.object {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
+                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
                     );
                     return;
                 }
@@ -114,23 +111,17 @@ impl Actor<Msg> for Ico {
                 {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
+                        Msg::control_ok(
                             call,
-                            result: Ok(ControlOp::new(ComponentDescriptorReply {
+                            ComponentDescriptorReply {
                                 descriptor: self.descriptor.clone(),
-                            })),
-                        },
+                            },
+                        ),
                     );
                 } else {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::Refused(format!(
-                                "ICO does not understand {}",
-                                op.describe()
-                            ))),
-                        },
+                        Msg::refused(call, format!("ICO does not understand {}", op.describe())),
                     );
                 }
             }
@@ -152,13 +143,13 @@ impl Actor<Msg> for Ico {
             self.reads_served += 1;
             ctx.send(
                 requester,
-                Msg::ControlReply {
+                Msg::control_ok(
                     call,
-                    result: Ok(ControlOp::new(ComponentPayload {
+                    ComponentPayload {
                         component: self.component,
                         bytes: self.encoded.clone(),
-                    })),
-                },
+                    },
+                ),
             );
         }
     }
@@ -183,6 +174,7 @@ impl std::fmt::Debug for Ico {
 mod tests {
     use dcdo_sim::{NetConfig, NodeId, Simulation};
     use dcdo_vm::ComponentBuilder;
+    use legion_substrate::ControlOp;
 
     use super::*;
 

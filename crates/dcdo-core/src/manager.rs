@@ -16,22 +16,58 @@
 //! ([`UpdatePropagation::Proactive`] evolves every instance when a new
 //! current version is designated). The pull side (lazy checks) is served
 //! through [`CheckVersion`].
+//!
+//! # Lifecycle flows
+//!
+//! Every lifecycle operation is a *flow*: a fixed sequence of steps declared
+//! in one table (`MgrKind::plan`) and walked by one interpreter. `open_flow`
+//! starts it, `enter_step` issues the step's action (the only place each
+//! operation is built), `absorb` folds the reply into the flow, `advance`
+//! moves on, and `finish_flow` records the outcome:
+//!
+//! | kind       | steps                                                    | finishing records                              |
+//! |------------|----------------------------------------------------------|------------------------------------------------|
+//! | Create     | Spawn → Register → Apply                                 | new table entry; `DcdoCreated`                 |
+//! | Update     | Apply                                                    | entry's version and type; `UpdateDone`         |
+//! | Migrate    | Capture → Deactivate → Spawn → Apply → Restore → Register | entry's address and host; `MigrateDone`        |
+//! | Deactivate | Capture → Deactivate → Unregister                        | state parked in the entry; `Ack`               |
+//! | Activate   | Spawn → Apply → Restore → Register                       | address and host, nothing parked; `DcdoCreated` |
+//! | Checkpoint | Capture → SaveVault                                      | nothing (the vault holds the snapshot); `DcdoCheckpointed` |
+//! | Recover    | Spawn → Apply → LoadVault → Restore → Register           | address and host, no longer crashed; resumes an interrupted update |
+//!
+//! Recover skips Restore when the vault holds no snapshot. Spawn is a timer
+//! (process creation); every other step is one RPC. A step that fails, or a
+//! host that dies under the flow ([`NodeFailed`]), aborts the flow.
+//!
+//! One admission check (`admit`) stands in front of every flow on an
+//! existing instance; a refused request opens no flow and sends no
+//! `Progress`:
+//!
+//! | kind                                   | instance must be | also                                  |
+//! |----------------------------------------|------------------|---------------------------------------|
+//! | Update, Migrate, Deactivate, Checkpoint | live             | Migrate: target host known; Checkpoint: vault configured |
+//! | Activate                               | deactivated      | target host known                     |
+//! | Recover                                | crashed          | vault configured                      |
+//! | Create                                 | (none yet)       | current version instantiable; host known |
+//!
+//! Update additionally passes the group-epoch fence, the per-instance
+//! serialisation queue and the version policy before its flow opens.
 
 use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
-use dcdo_sim::{Actor, ActorId, Ctx, FlowKind as TraceFlowKind, NodeId, SimTime, SpanKind};
+use dcdo_sim::{mgr_step, Actor, ActorId, Ctx, FlowKind, NodeId, SimTime, SpanKind};
 use dcdo_types::{CallId, ClassId, ImplementationType, ObjectId, VersionId};
 use legion_substrate::binding::{RegisterBinding, UnregisterBinding};
 use legion_substrate::monolithic::{CaptureState, Deactivate, RestoreState, StateBlob};
 use legion_substrate::vault::{LoadState, LoadedState, SaveState};
 use legion_substrate::{
-    Ack, AgentAddress, ControlOp, CostModel, Handled, InvocationFault, Msg, RpcClient,
-    RpcCompletion,
+    Ack, AgentAddress, ControlOp, CostModel, Handled, InvocationFault, Msg, ReplyPayload,
+    RpcClient, RpcCompletion,
 };
 
 use crate::descriptor::DfmDescriptor;
-use crate::error::ConfigError;
+use crate::error::{ack_or_refuse, ConfigError};
 use crate::hosts::HostDirectory;
 use crate::object::DcdoObject;
 use crate::ops::{
@@ -89,17 +125,20 @@ struct DcdoInfo {
     crashed: bool,
 }
 
+/// One step of a lifecycle flow. The discriminant is the step's wire-stable
+/// `FlowStep` code ([`mgr_step`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
 enum MgrStep {
-    Capture,
-    Deactivate,
-    Unregister,
-    Spawn,
-    Register,
-    Apply,
-    Restore,
-    SaveVault,
-    LoadVault,
+    Capture = mgr_step::CAPTURE,
+    Deactivate = mgr_step::DEACTIVATE,
+    Unregister = mgr_step::UNREGISTER,
+    Spawn = mgr_step::SPAWN,
+    Register = mgr_step::REGISTER,
+    Apply = mgr_step::APPLY,
+    Restore = mgr_step::RESTORE,
+    SaveVault = mgr_step::SAVE_VAULT,
+    LoadVault = mgr_step::LOAD_VAULT,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,6 +150,93 @@ enum MgrKind {
     Activate,
     Checkpoint,
     Recover,
+}
+
+/// What the DCDO table says about an instance, as admission sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum InstanceState {
+    /// Running in a process on a host that is up.
+    Live,
+    /// Deactivated: no process, state parked in the table.
+    Parked,
+    /// Its host went down ([`NodeFailed`]) and it has not been recovered.
+    Crashed,
+}
+
+/// The declared shape of one kind of flow: a row of the module docs' plan
+/// and admission tables.
+struct Plan {
+    /// The flow's kind in the span log.
+    trace: FlowKind,
+    /// The state the instance must be in for the flow to be admitted
+    /// (`None`: the flow creates the instance).
+    needs: Option<InstanceState>,
+    /// The steps, walked in order by `enter_step` / `absorb` / `advance`.
+    steps: &'static [MgrStep],
+    /// Counter bumped when the flow finishes.
+    counter: Option<&'static str>,
+    /// Histogram sampled with the flow's duration when it finishes.
+    timer: Option<&'static str>,
+}
+
+impl MgrKind {
+    const fn plan(self) -> Plan {
+        use InstanceState::{Crashed, Live, Parked};
+        use MgrStep::{
+            Apply, Capture, Deactivate, LoadVault, Register, Restore, SaveVault, Spawn, Unregister,
+        };
+        match self {
+            MgrKind::Create => Plan {
+                trace: FlowKind::Create,
+                needs: None,
+                steps: &[Spawn, Register, Apply],
+                counter: None,
+                timer: Some("manager.create_time"),
+            },
+            MgrKind::Update => Plan {
+                trace: FlowKind::Update,
+                needs: Some(Live),
+                steps: &[Apply],
+                counter: Some("manager.updates_done"),
+                timer: Some("manager.update_time"),
+            },
+            MgrKind::Migrate => Plan {
+                trace: FlowKind::Migrate,
+                needs: Some(Live),
+                steps: &[Capture, Deactivate, Spawn, Apply, Restore, Register],
+                counter: Some("manager.migrations_done"),
+                timer: Some("manager.migrate_time"),
+            },
+            MgrKind::Deactivate => Plan {
+                trace: FlowKind::Deactivate,
+                needs: Some(Live),
+                steps: &[Capture, Deactivate, Unregister],
+                counter: Some("manager.deactivations"),
+                timer: None,
+            },
+            MgrKind::Activate => Plan {
+                trace: FlowKind::Activate,
+                needs: Some(Parked),
+                steps: &[Spawn, Apply, Restore, Register],
+                counter: Some("manager.activations"),
+                timer: Some("manager.activate_time"),
+            },
+            MgrKind::Checkpoint => Plan {
+                trace: FlowKind::Checkpoint,
+                needs: Some(Live),
+                steps: &[Capture, SaveVault],
+                counter: Some("manager.checkpoints"),
+                timer: Some("manager.checkpoint_time"),
+            },
+            MgrKind::Recover => Plan {
+                trace: FlowKind::Recover,
+                needs: Some(Crashed),
+                steps: &[Spawn, Apply, LoadVault, Restore, Register],
+                counter: Some("manager.recoveries"),
+                timer: Some("manager.recover_time"),
+            },
+        }
+    }
 }
 
 /// A queued (serialized) update request: reply channel, explicit target,
@@ -134,10 +260,25 @@ struct MgrFlow {
     target_node: NodeId,
     state: Option<Bytes>,
     new_actor: Option<ActorId>,
-    step: MgrStep,
+    /// Index of the current step in the kind's plan.
+    at: usize,
     started: SimTime,
     /// Push attempts already burned (supervised internal updates retry).
     retries: u32,
+}
+
+impl MgrFlow {
+    fn step(&self) -> MgrStep {
+        self.kind.plan().steps[self.at]
+    }
+
+    /// The state an earlier step captured or loaded, or that admission
+    /// found parked in the table.
+    fn held_state(&self) -> Bytes {
+        self.state
+            .clone()
+            .expect("state captured, parked or loaded")
+    }
 }
 
 /// The manager object for one DCDO type.
@@ -300,15 +441,27 @@ impl DcdoManager {
 
     // ---- version store operations --------------------------------------
 
+    fn entry(&self, version: &VersionId) -> Result<&VersionEntry, ConfigError> {
+        self.store
+            .get(version)
+            .ok_or_else(|| ConfigError::UnknownVersion(version.clone()))
+    }
+
+    /// The entry of a version DCDOs can be created at or evolved to.
+    fn instantiable_entry(&self, version: &VersionId) -> Result<&VersionEntry, ConfigError> {
+        let entry = self.entry(version)?;
+        if !entry.instantiable {
+            return Err(ConfigError::VersionNotInstantiable(version.clone()));
+        }
+        Ok(entry)
+    }
+
     fn derive_version(&mut self, from: &VersionId) -> Result<VersionId, ConfigError> {
-        let parent = self
-            .store
-            .get(from)
-            .ok_or_else(|| ConfigError::UnknownVersion(from.clone()))?;
+        let parent = self.entry(from)?.descriptor.clone();
         let branch = self.branch_counters.entry(from.clone()).or_insert(0);
         *branch += 1;
         let version = from.child(*branch);
-        let descriptor = parent.descriptor.clone().with_version(version.clone());
+        let descriptor = parent.with_version(version.clone());
         self.store.insert(
             version.clone(),
             VersionEntry {
@@ -331,10 +484,7 @@ impl DcdoManager {
     }
 
     fn mark_instantiable(&mut self, version: &VersionId) -> Result<(), ConfigError> {
-        let entry = self
-            .store
-            .get(version)
-            .ok_or_else(|| ConfigError::UnknownVersion(version.clone()))?;
+        let entry = self.entry(version)?;
         if entry.instantiable {
             return Ok(());
         }
@@ -353,13 +503,7 @@ impl DcdoManager {
 
     /// The version-policy check of §3.4–3.5.
     fn evolution_allowed(&self, from: &VersionId, to: &VersionId) -> Result<(), ConfigError> {
-        let entry = self
-            .store
-            .get(to)
-            .ok_or_else(|| ConfigError::UnknownVersion(to.clone()))?;
-        if !entry.instantiable {
-            return Err(ConfigError::VersionNotInstantiable(to.clone()));
-        }
+        let entry = self.instantiable_entry(to)?;
         let forbid = |rule: &str| {
             Err(ConfigError::PolicyForbids {
                 from: from.clone(),
@@ -409,6 +553,376 @@ impl DcdoManager {
         self.rpc_routes.insert(call.as_raw(), flow_id);
     }
 
+    /// Answers `reply`, if anyone is waiting, with a successful payload.
+    fn answer(
+        ctx: &mut Ctx<'_, Msg>,
+        reply: Option<(ActorId, CallId)>,
+        payload: impl Into<ControlOp>,
+    ) {
+        if let Some((reply_to, call)) = reply {
+            ctx.send(reply_to, Msg::control_ok(call, payload));
+        }
+    }
+
+    /// Answers `reply`, if anyone is waiting, with a refusal.
+    fn refuse(
+        ctx: &mut Ctx<'_, Msg>,
+        reply: Option<(ActorId, CallId)>,
+        why: impl Into<InvocationFault>,
+    ) {
+        if let Some((reply_to, call)) = reply {
+            ctx.send(reply_to, Msg::refused(call, why));
+        }
+    }
+
+    /// The one admission check in front of every flow on an existing
+    /// instance (see the module docs' admission table): the vault is
+    /// configured if the plan uses it, the instance is known and in the
+    /// state the plan needs, and the target host (`node`, or the instance's
+    /// own) is known. Returns the instance's record and the target host.
+    fn admit(
+        &self,
+        kind: MgrKind,
+        object: ObjectId,
+        node: Option<NodeId>,
+    ) -> Result<(DcdoInfo, NodeId), String> {
+        let plan = kind.plan();
+        let uses_vault = |s: &MgrStep| matches!(s, MgrStep::SaveVault | MgrStep::LoadVault);
+        if plan.steps.iter().any(uses_vault) && self.vault.is_none() {
+            return Err("manager has no vault configured".into());
+        }
+        let info = self
+            .table
+            .get(&object)
+            .ok_or_else(|| format!("unknown instance {object}"))?;
+        let state = if info.crashed {
+            InstanceState::Crashed
+        } else if info.parked_state.is_some() {
+            InstanceState::Parked
+        } else {
+            InstanceState::Live
+        };
+        if plan.needs != Some(state) {
+            let what = match (plan.needs, state) {
+                (Some(InstanceState::Parked), _) => "is not deactivated",
+                (Some(InstanceState::Crashed), _) => "is not crashed",
+                (_, InstanceState::Parked) if kind == MgrKind::Deactivate => {
+                    "is already deactivated"
+                }
+                (_, InstanceState::Parked) => "is deactivated",
+                _ => "host crashed",
+            };
+            return Err(format!("instance {object} {what}"));
+        }
+        let node = node.unwrap_or(info.node);
+        if !self.hosts.contains(node) {
+            return Err(format!("unknown node {node}"));
+        }
+        Ok((info.clone(), node))
+    }
+
+    /// Opens a flow at the first step of its plan: acknowledges the caller
+    /// with `Progress`, draws the flow id (and, for a flow that creates its
+    /// instance, the new object id), and emits `FlowStarted`. The caller
+    /// enters the first step.
+    #[allow(clippy::too_many_arguments)]
+    fn open_flow(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        kind: MgrKind,
+        reply: Option<(ActorId, CallId)>,
+        object: Option<ObjectId>,
+        version: VersionId,
+        target_node: NodeId,
+        state: Option<Bytes>,
+    ) -> u64 {
+        if let Some((reply_to, call)) = reply {
+            ctx.send(reply_to, Msg::Progress { call });
+        }
+        let flow_id = ctx.fresh_u64();
+        let object = object.unwrap_or_else(|| ObjectId::from_raw(ctx.fresh_u64()));
+        if ctx.tracing_enabled() {
+            ctx.emit_span(SpanKind::FlowStarted {
+                flow: flow_id,
+                object: object.as_raw(),
+                kind: kind.plan().trace,
+            });
+        }
+        self.flows.insert(
+            flow_id,
+            MgrFlow {
+                kind,
+                reply,
+                object,
+                version,
+                target_node,
+                state,
+                new_actor: None,
+                at: 0,
+                started: ctx.now(),
+                retries: 0,
+            },
+        );
+        flow_id
+    }
+
+    /// Admits and starts a flow of `kind` on an existing instance.
+    fn start_flow(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        kind: MgrKind,
+        reply: Option<(ActorId, CallId)>,
+        object: ObjectId,
+        node: Option<NodeId>,
+    ) {
+        match self.admit(kind, object, node) {
+            Ok((info, node)) => {
+                // Only a deactivated instance has state parked in the table.
+                let state = info.parked_state;
+                let flow_id =
+                    self.open_flow(ctx, kind, reply, Some(object), info.version, node, state);
+                self.enter_step(ctx, flow_id);
+            }
+            Err(why) => Self::refuse(ctx, reply, why),
+        }
+    }
+
+    /// Issues the action of the flow's current step — the single place each
+    /// step's operation is built. Every step but the first of a plan leaves
+    /// a `FlowStep` span *before* its action (the first is implied by
+    /// `FlowStarted`); Update's lone Apply has always been marked too, and
+    /// the span digests pin that.
+    fn enter_step(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
+        let flow = &self.flows[&flow_id];
+        let (step, object) = (flow.step(), flow.object);
+        if (flow.at > 0 || flow.kind == MgrKind::Update) && ctx.tracing_enabled() {
+            ctx.emit_span(SpanKind::FlowStep {
+                flow: flow_id,
+                step: step as u32,
+            });
+        }
+        let vault = || self.vault.expect("admission checked the vault");
+        let (target, op) = match step {
+            MgrStep::Capture => (object, ControlOp::new(CaptureState)),
+            MgrStep::Deactivate => (object, ControlOp::new(Deactivate)),
+            MgrStep::Unregister => (
+                self.agent.object,
+                ControlOp::new(UnregisterBinding { object }),
+            ),
+            MgrStep::Spawn => {
+                // DCDO process creation: base spawn cost only — the function
+                // "linking" happens per component during incorporation.
+                let delay = self.cost.process_spawn_base;
+                return self.schedule_flow_timer(ctx, flow_id, delay);
+            }
+            MgrStep::Register => {
+                let address = flow.new_actor.expect("spawned");
+                (
+                    self.agent.object,
+                    ControlOp::new(RegisterBinding { object, address }),
+                )
+            }
+            MgrStep::Apply => {
+                let descriptor = self.store[&flow.version].descriptor.clone();
+                (object, ControlOp::new(ApplyDfmDescriptor { descriptor }))
+            }
+            MgrStep::Restore => {
+                let bytes = flow.held_state();
+                (object, ControlOp::new(RestoreState { bytes }))
+            }
+            MgrStep::SaveVault => {
+                let (owner, bytes) = (object, flow.held_state());
+                (vault(), ControlOp::new(SaveState { owner, bytes }))
+            }
+            MgrStep::LoadVault => (vault(), ControlOp::new(LoadState { owner: object })),
+        };
+        self.rpc_step(ctx, flow_id, target, op);
+    }
+
+    /// Folds the reply to the flow's current step into the flow: captured
+    /// and loaded state are kept for the steps that consume them.
+    fn absorb(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        flow_id: u64,
+        payload: &ReplyPayload,
+    ) -> Result<(), String> {
+        let flow = self.flows.get_mut(&flow_id).expect("flow exists");
+        match flow.step() {
+            MgrStep::Capture => {
+                let blob = payload
+                    .control_as::<StateBlob>()
+                    .ok_or("capture returned no state")?;
+                flow.state = Some(blob.bytes.clone());
+            }
+            MgrStep::LoadVault => {
+                flow.state = payload
+                    .control_as::<LoadedState>()
+                    .and_then(|l| l.bytes.clone());
+                if flow.state.is_none() {
+                    // No snapshot: the instance restarts fresh at its
+                    // version, so the Restore that follows is skipped.
+                    ctx.metrics().incr("manager.recoveries_without_snapshot");
+                    flow.at += 1;
+                    debug_assert_eq!(flow.step(), MgrStep::Restore);
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// The flow's current step is done: enters the next step of its plan,
+    /// or finishes the flow after the last.
+    fn advance(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
+        let flow = self.flows.get_mut(&flow_id).expect("flow exists");
+        flow.at += 1;
+        if flow.at < flow.kind.plan().steps.len() {
+            self.enter_step(ctx, flow_id);
+        } else {
+            self.finish_flow(ctx, flow_id);
+        }
+    }
+
+    /// The Spawn step's timer fired: creates the flow's new DCDO process.
+    fn spawn_dcdo(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
+        let (node, object) = {
+            let flow = &self.flows[&flow_id];
+            (flow.target_node, flow.object)
+        };
+        let entry = self.hosts.entry(node).expect("node checked at admission");
+        let seed = ctx.rng().fork_seed();
+        let dcdo = DcdoObject::new(
+            object,
+            self.object,
+            entry.object,
+            entry.arch,
+            // The DCDO starts empty at the root; the plan's Apply step
+            // brings it to the flow's version.
+            VersionId::root(),
+            self.cost.clone(),
+            RpcClient::new(self.agent, self.cost.clone()),
+            seed,
+        );
+        let actor = ctx.spawn(node, Box::new(dcdo));
+        ctx.metrics().incr("manager.dcdos_created");
+        self.flows.get_mut(&flow_id).expect("flow exists").new_actor = Some(actor);
+        // Address the new process directly until the binding is registered.
+        self.rpc.seed_binding(object, actor);
+    }
+
+    /// Removes a flow that cannot complete, counting it under `counter`.
+    fn abort_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, counter: &str) -> MgrFlow {
+        let flow = self.flows.remove(&flow_id).expect("flow exists");
+        ctx.metrics().incr(counter);
+        if ctx.tracing_enabled() {
+            ctx.emit_span(SpanKind::FlowAborted { flow: flow_id });
+        }
+        flow
+    }
+
+    fn fail_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, why: String) {
+        let flow = self.abort_flow(ctx, flow_id, "manager.flows_failed");
+        if flow.kind == MgrKind::Update {
+            self.release_update_slot(ctx, flow.object);
+            // Supervised internal updates (proactive pushes) are retried: a
+            // lost reply must not strand an instance behind the current
+            // version.
+            if flow.reply.is_none() && flow.retries < 5 {
+                ctx.metrics().incr("manager.update_retries");
+                let token = ctx.fresh_u64();
+                self.retry_updates
+                    .insert(token, (flow.object, flow.version, flow.retries + 1));
+                ctx.schedule_timer(dcdo_sim::SimDuration::from_secs(1), token);
+                return;
+            }
+        }
+        Self::refuse(ctx, flow.reply, why);
+    }
+
+    /// The last step of the plan is done: records what the flow changed in
+    /// the DCDO table (see the module docs' plan table), counts and times
+    /// it, and answers the caller.
+    fn finish_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
+        let flow = self.flows.remove(&flow_id).expect("flow exists");
+        if ctx.tracing_enabled() {
+            ctx.emit_span(SpanKind::FlowCompleted { flow: flow_id });
+        }
+        let plan = flow.kind.plan();
+        let (object, version) = (flow.object, flow.version);
+        let impl_type = self
+            .store
+            .get(&version)
+            .map(|e| e.descriptor.implementation_type());
+        if flow.kind == MgrKind::Create {
+            self.table.insert(
+                object,
+                DcdoInfo {
+                    actor: flow.new_actor.expect("spawned"),
+                    node: flow.target_node,
+                    version: version.clone(),
+                    impl_type: impl_type.unwrap_or_default(),
+                    parked_state: None,
+                    crashed: false,
+                },
+            );
+        } else if let Some(info) = self.table.get_mut(&object) {
+            if let Some(address) = flow.new_actor {
+                // Migrate, Activate, Recover: the instance is live again,
+                // in its new process.
+                info.actor = address;
+                info.node = flow.target_node;
+                info.parked_state = None;
+                info.crashed = false;
+            }
+            match flow.kind {
+                MgrKind::Update => {
+                    info.version = version.clone();
+                    info.impl_type = impl_type.unwrap_or(info.impl_type);
+                }
+                MgrKind::Deactivate => {
+                    info.parked_state = Some(flow.state.expect("state captured"));
+                }
+                _ => {}
+            }
+        }
+        if flow.kind == MgrKind::Update {
+            self.release_update_slot(ctx, object);
+        }
+        if let Some(counter) = plan.counter {
+            ctx.metrics().incr(counter);
+        }
+        if let Some(timer) = plan.timer {
+            let elapsed = ctx.now().duration_since(flow.started);
+            ctx.metrics().sample_duration(timer, elapsed);
+        }
+        let address = flow.new_actor;
+        let payload = match flow.kind {
+            MgrKind::Create | MgrKind::Activate => ControlOp::new(DcdoCreated {
+                object,
+                address: address.expect("spawned"),
+                version,
+            }),
+            MgrKind::Update => ControlOp::new(UpdateDone { object, version }),
+            MgrKind::Migrate => ControlOp::new(MigrateDone {
+                object,
+                address: address.expect("spawned"),
+                version,
+            }),
+            MgrKind::Deactivate => ControlOp::new(Ack),
+            MgrKind::Checkpoint => ControlOp::new(DcdoCheckpointed { object, version }),
+            MgrKind::Recover => {
+                // Nobody waits on a recovery; resume the reconfiguration
+                // the crash interrupted, if any.
+                if let Some(target) = self.interrupted_updates.remove(&object) {
+                    self.start_update(ctx, None, object, Some(target));
+                }
+                return;
+            }
+        };
+        Self::answer(ctx, flow.reply, payload);
+    }
+
     /// Releases the per-instance update lock and starts the next queued
     /// update, if any.
     fn release_update_slot(&mut self, ctx: &mut Ctx<'_, Msg>, object: ObjectId) {
@@ -422,90 +936,6 @@ impl DcdoManager {
         }
     }
 
-    /// Maps a manager flow kind onto its trace-level [`TraceFlowKind`].
-    fn trace_kind(kind: MgrKind) -> TraceFlowKind {
-        match kind {
-            MgrKind::Create => TraceFlowKind::Create,
-            MgrKind::Update => TraceFlowKind::Update,
-            MgrKind::Migrate => TraceFlowKind::Migrate,
-            MgrKind::Deactivate => TraceFlowKind::Deactivate,
-            MgrKind::Activate => TraceFlowKind::Activate,
-            MgrKind::Checkpoint => TraceFlowKind::Checkpoint,
-            MgrKind::Recover => TraceFlowKind::Recover,
-        }
-    }
-
-    /// Stable wire code for a manager step (trace `FlowStep` payload).
-    fn step_code(step: MgrStep) -> u32 {
-        match step {
-            MgrStep::Capture => 0,
-            MgrStep::Deactivate => 1,
-            MgrStep::Unregister => 2,
-            MgrStep::Spawn => 3,
-            MgrStep::Register => 4,
-            MgrStep::Apply => 5,
-            MgrStep::Restore => 6,
-            MgrStep::SaveVault => 7,
-            MgrStep::LoadVault => 8,
-        }
-    }
-
-    /// Emits a `FlowStarted` span for a freshly inserted flow.
-    fn trace_flow_started(&self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        if !ctx.tracing_enabled() {
-            return;
-        }
-        if let Some(flow) = self.flows.get(&flow_id) {
-            ctx.emit_span(SpanKind::FlowStarted {
-                flow: flow_id,
-                object: flow.object.as_raw(),
-                kind: Self::trace_kind(flow.kind),
-            });
-        }
-    }
-
-    /// Emits a `FlowStep` span for a flow that just entered `step`.
-    fn trace_step(ctx: &mut Ctx<'_, Msg>, flow_id: u64, step: MgrStep) {
-        if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowStep {
-                flow: flow_id,
-                step: Self::step_code(step),
-            });
-        }
-    }
-
-    fn fail_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, why: String) {
-        if let Some(flow) = self.flows.remove(&flow_id) {
-            ctx.metrics().incr("manager.flows_failed");
-            if ctx.tracing_enabled() {
-                ctx.emit_span(SpanKind::FlowAborted { flow: flow_id });
-            }
-            if flow.kind == MgrKind::Update {
-                self.release_update_slot(ctx, flow.object);
-            }
-            // Supervised internal updates (proactive pushes) are retried: a
-            // lost reply must not strand an instance behind the current
-            // version.
-            if flow.kind == MgrKind::Update && flow.reply.is_none() && flow.retries < 5 {
-                ctx.metrics().incr("manager.update_retries");
-                let token = ctx.fresh_u64();
-                self.retry_updates
-                    .insert(token, (flow.object, flow.version.clone(), flow.retries + 1));
-                ctx.schedule_timer(dcdo_sim::SimDuration::from_secs(1), token);
-                return;
-            }
-            if let Some((reply_to, call)) = flow.reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
-                    },
-                );
-            }
-        }
-    }
-
     fn start_create(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -514,296 +944,15 @@ impl DcdoManager {
         node: NodeId,
     ) {
         let version = self.current.clone();
-        let Some(entry) = self.store.get(&version) else {
-            ctx.send(
-                reply_to,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(
-                        ConfigError::UnknownVersion(version).to_string(),
-                    )),
-                },
-            );
-            return;
-        };
-        if !entry.instantiable {
-            ctx.send(
-                reply_to,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(
-                        ConfigError::VersionNotInstantiable(version).to_string(),
-                    )),
-                },
-            );
-            return;
+        if let Err(e) = self.instantiable_entry(&version) {
+            return ctx.send(reply_to, Msg::refused(call, e));
         }
         if !self.hosts.contains(node) {
-            ctx.send(
-                reply_to,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(format!("unknown node {node}"))),
-                },
-            );
-            return;
+            return ctx.send(reply_to, Msg::refused(call, format!("unknown node {node}")));
         }
-        ctx.send(reply_to, Msg::Progress { call });
-        let flow_id = ctx.fresh_u64();
-        let object = ObjectId::from_raw(ctx.fresh_u64());
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Create,
-                reply: Some((reply_to, call)),
-                object,
-                version,
-                target_node: node,
-                state: None,
-                new_actor: None,
-                step: MgrStep::Spawn,
-                started: ctx.now(),
-                retries: 0,
-            },
-        );
-        self.trace_flow_started(ctx, flow_id);
-        // DCDO process creation: base spawn cost only — the function
-        // "linking" happens per component during incorporation.
-        let delay = self.cost.process_spawn_base;
-        self.schedule_flow_timer(ctx, flow_id, delay);
-    }
-
-    fn spawn_dcdo(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let (node, object, kind) = {
-            let flow = &self.flows[&flow_id];
-            (flow.target_node, flow.object, flow.kind)
-        };
-        let entry = self.hosts.entry(node).expect("node checked at start");
-        let seed = ctx.rng().fork_seed();
-        let dcdo = DcdoObject::new(
-            object,
-            self.object,
-            entry.object,
-            entry.arch,
-            // The DCDO starts empty at the root; ApplyDfmDescriptor brings
-            // it to the flow's version.
-            VersionId::root(),
-            self.cost.clone(),
-            RpcClient::new(self.agent, self.cost.clone()),
-            seed,
-        );
-        let actor = ctx.spawn(node, Box::new(dcdo));
-        ctx.metrics().incr("manager.dcdos_created");
-        {
-            let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-            flow.new_actor = Some(actor);
-        }
-        // Address the new process directly until the binding is registered.
-        self.rpc.seed_binding(object, actor);
-        match kind {
-            MgrKind::Create => {
-                self.flows.get_mut(&flow_id).expect("flow exists").step = MgrStep::Register;
-                Self::trace_step(ctx, flow_id, MgrStep::Register);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    self.agent.object,
-                    ControlOp::new(RegisterBinding {
-                        object,
-                        address: actor,
-                    }),
-                );
-            }
-            MgrKind::Migrate | MgrKind::Activate | MgrKind::Recover => {
-                // Bring the new process to the instance's version first.
-                self.begin_apply(ctx, flow_id);
-            }
-            MgrKind::Update | MgrKind::Deactivate | MgrKind::Checkpoint => {
-                unreachable!("these flows do not spawn processes")
-            }
-        }
-    }
-
-    fn begin_apply(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let (object, version) = {
-            let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-            flow.step = MgrStep::Apply;
-            (flow.object, flow.version.clone())
-        };
-        Self::trace_step(ctx, flow_id, MgrStep::Apply);
-        let descriptor = self.store[&version].descriptor.clone();
-        self.rpc_step(
-            ctx,
-            flow_id,
-            object,
-            ControlOp::new(ApplyDfmDescriptor { descriptor }),
-        );
-    }
-
-    fn finish_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let flow = self.flows.remove(&flow_id).expect("flow exists");
-        if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowCompleted { flow: flow_id });
-        }
-        let elapsed = ctx.now().duration_since(flow.started);
-        match flow.kind {
-            MgrKind::Create => {
-                let address = flow.new_actor.expect("spawned");
-                let impl_type = self
-                    .store
-                    .get(&flow.version)
-                    .map(|e| e.descriptor.implementation_type())
-                    .unwrap_or_default();
-                self.table.insert(
-                    flow.object,
-                    DcdoInfo {
-                        actor: address,
-                        node: flow.target_node,
-                        version: flow.version.clone(),
-                        impl_type,
-                        parked_state: None,
-                        crashed: false,
-                    },
-                );
-                ctx.metrics()
-                    .sample_duration("manager.create_time", elapsed);
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(DcdoCreated {
-                                object: flow.object,
-                                address,
-                                version: flow.version,
-                            })),
-                        },
-                    );
-                }
-            }
-            MgrKind::Update => {
-                let impl_type = self
-                    .store
-                    .get(&flow.version)
-                    .map(|e| e.descriptor.implementation_type());
-                if let Some(info) = self.table.get_mut(&flow.object) {
-                    info.version = flow.version.clone();
-                    if let Some(t) = impl_type {
-                        info.impl_type = t;
-                    }
-                }
-                self.release_update_slot(ctx, flow.object);
-                ctx.metrics().incr("manager.updates_done");
-                ctx.metrics()
-                    .sample_duration("manager.update_time", elapsed);
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(UpdateDone {
-                                object: flow.object,
-                                version: flow.version,
-                            })),
-                        },
-                    );
-                }
-            }
-            MgrKind::Migrate => {
-                let address = flow.new_actor.expect("spawned");
-                if let Some(info) = self.table.get_mut(&flow.object) {
-                    info.actor = address;
-                    info.node = flow.target_node;
-                }
-                ctx.metrics().incr("manager.migrations_done");
-                ctx.metrics()
-                    .sample_duration("manager.migrate_time", elapsed);
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(MigrateDone {
-                                object: flow.object,
-                                address,
-                                version: flow.version,
-                            })),
-                        },
-                    );
-                }
-            }
-            MgrKind::Deactivate => {
-                if let Some(info) = self.table.get_mut(&flow.object) {
-                    info.parked_state = Some(flow.state.clone().expect("state captured"));
-                }
-                ctx.metrics().incr("manager.deactivations");
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(Ack)),
-                        },
-                    );
-                }
-            }
-            MgrKind::Activate => {
-                let address = flow.new_actor.expect("spawned");
-                if let Some(info) = self.table.get_mut(&flow.object) {
-                    info.actor = address;
-                    info.node = flow.target_node;
-                    info.parked_state = None;
-                }
-                ctx.metrics().incr("manager.activations");
-                ctx.metrics()
-                    .sample_duration("manager.activate_time", elapsed);
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(DcdoCreated {
-                                object: flow.object,
-                                address,
-                                version: flow.version,
-                            })),
-                        },
-                    );
-                }
-            }
-            MgrKind::Checkpoint => {
-                ctx.metrics().incr("manager.checkpoints");
-                ctx.metrics()
-                    .sample_duration("manager.checkpoint_time", elapsed);
-                if let Some((reply_to, call)) = flow.reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(DcdoCheckpointed {
-                                object: flow.object,
-                                version: flow.version,
-                            })),
-                        },
-                    );
-                }
-            }
-            MgrKind::Recover => {
-                let address = flow.new_actor.expect("spawned");
-                if let Some(info) = self.table.get_mut(&flow.object) {
-                    info.actor = address;
-                    info.node = flow.target_node;
-                    info.crashed = false;
-                }
-                ctx.metrics().incr("manager.recoveries");
-                ctx.metrics()
-                    .sample_duration("manager.recover_time", elapsed);
-                // Resume the reconfiguration the crash interrupted, if any.
-                if let Some(target) = self.interrupted_updates.remove(&flow.object) {
-                    self.start_update(ctx, None, flow.object, Some(target));
-                }
-            }
-        }
+        let reply = Some((reply_to, call));
+        let flow_id = self.open_flow(ctx, MgrKind::Create, reply, None, version, node, None);
+        self.enter_step(ctx, flow_id);
     }
 
     fn start_update(
@@ -832,19 +981,11 @@ impl DcdoManager {
                 // otherwise apply a pre-epoch target post-commit).
                 gate.refused_while_fenced += 1;
                 ctx.metrics().incr("manager.group_fence_refusals");
-                if let Some((reply_to, call)) = reply {
-                    ctx.send(
-                        reply_to,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::Refused(format!(
-                                "group {} epoch {} is fencing evolution",
-                                gate.group, gate.epoch
-                            ))),
-                        },
-                    );
-                }
-                return;
+                let why = format!(
+                    "group {} epoch {} is fencing evolution",
+                    gate.group, gate.epoch
+                );
+                return Self::refuse(ctx, reply, why);
             }
         }
         if self.updates_in_flight.contains(&object) {
@@ -859,294 +1000,32 @@ impl DcdoManager {
             return;
         }
         let target = to.unwrap_or_else(|| self.current.clone());
-        let refuse = |ctx: &mut Ctx<'_, Msg>, why: String| {
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
-                    },
-                );
+        let kind = MgrKind::Update;
+        let (info, node) = match self.admit(kind, object, None) {
+            Ok(admitted) => admitted,
+            Err(why) => {
+                // Internal pushes to a crashed instance are remembered and
+                // resumed after recovery so the instance does not stay
+                // stranded behind the current version.
+                if reply.is_none() && self.table.get(&object).is_some_and(|i| i.crashed) {
+                    self.interrupted_updates.insert(object, target);
+                }
+                return Self::refuse(ctx, reply, why);
             }
         };
-        let Some(info) = self.table.get(&object) else {
-            refuse(ctx, format!("unknown instance {object}"));
-            return;
-        };
-        if info.parked_state.is_some() {
-            refuse(ctx, format!("instance {object} is deactivated"));
-            return;
-        }
-        if info.crashed {
-            // Internal pushes are remembered and resumed after recovery so
-            // the instance does not stay stranded behind the current version.
-            if reply.is_none() {
-                self.interrupted_updates.insert(object, target.clone());
-            }
-            refuse(ctx, format!("instance {object} host crashed"));
-            return;
-        }
         if info.version == target {
             // Already there: answer immediately.
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Ok(ControlOp::new(UpdateDone {
-                            object,
-                            version: target,
-                        })),
-                    },
-                );
-            }
-            return;
+            let version = target;
+            return Self::answer(ctx, reply, UpdateDone { object, version });
         }
         if let Err(e) = self.evolution_allowed(&info.version, &target) {
             ctx.metrics().incr("manager.updates_refused");
-            refuse(ctx, e.to_string());
-            return;
+            return Self::refuse(ctx, reply, e);
         }
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow_id = ctx.fresh_u64();
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Update,
-                reply,
-                object,
-                version: target,
-                target_node: info.node,
-                state: None,
-                new_actor: Some(info.actor),
-                step: MgrStep::Apply,
-                started: ctx.now(),
-                retries,
-            },
-        );
-        self.trace_flow_started(ctx, flow_id);
+        let flow_id = self.open_flow(ctx, kind, reply, Some(object), target, node, None);
+        self.flows.get_mut(&flow_id).expect("just opened").retries = retries;
         self.updates_in_flight.insert(object);
-        self.begin_apply(ctx, flow_id);
-    }
-
-    /// Migrates a DCDO to another node: capture state, deactivate the old
-    /// process, create a new process there, re-apply the instance's version
-    /// (component fetches hit the *new* host's cache), restore state, and
-    /// re-register the binding. Clients holding the old address pay the
-    /// stale-binding discovery — migration, unlike evolution, does move the
-    /// physical address.
-    fn start_migrate(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        reply: Option<(ActorId, CallId)>,
-        object: ObjectId,
-        to: NodeId,
-    ) {
-        let refuse = |ctx: &mut Ctx<'_, Msg>, why: String| {
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
-                    },
-                );
-            }
-        };
-        let Some(info) = self.table.get(&object).cloned() else {
-            refuse(ctx, format!("unknown instance {object}"));
-            return;
-        };
-        if !self.hosts.contains(to) {
-            refuse(ctx, format!("unknown node {to}"));
-            return;
-        }
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow_id = ctx.fresh_u64();
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Migrate,
-                reply,
-                object,
-                version: info.version.clone(),
-                target_node: to,
-                state: None,
-                new_actor: None,
-                step: MgrStep::Capture,
-                started: ctx.now(),
-                retries: 0,
-            },
-        );
-        self.trace_flow_started(ctx, flow_id);
-        self.rpc_step(ctx, flow_id, object, ControlOp::new(CaptureState));
-    }
-
-    fn start_deactivate(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        reply: Option<(ActorId, CallId)>,
-        object: ObjectId,
-    ) {
-        let refuse = |ctx: &mut Ctx<'_, Msg>, why: String| {
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
-                    },
-                );
-            }
-        };
-        let Some(info) = self.table.get(&object).cloned() else {
-            refuse(ctx, format!("unknown instance {object}"));
-            return;
-        };
-        if info.parked_state.is_some() {
-            refuse(ctx, format!("instance {object} is already deactivated"));
-            return;
-        }
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow_id = ctx.fresh_u64();
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Deactivate,
-                reply,
-                object,
-                version: info.version.clone(),
-                target_node: info.node,
-                state: None,
-                new_actor: None,
-                step: MgrStep::Capture,
-                started: ctx.now(),
-                retries: 0,
-            },
-        );
-        self.trace_flow_started(ctx, flow_id);
-        self.rpc_step(ctx, flow_id, object, ControlOp::new(CaptureState));
-    }
-
-    fn start_activate(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        reply: Option<(ActorId, CallId)>,
-        object: ObjectId,
-        node: Option<NodeId>,
-    ) {
-        let refuse = |ctx: &mut Ctx<'_, Msg>, why: String| {
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
-                    },
-                );
-            }
-        };
-        let Some(info) = self.table.get(&object).cloned() else {
-            refuse(ctx, format!("unknown instance {object}"));
-            return;
-        };
-        let Some(state) = info.parked_state else {
-            refuse(ctx, format!("instance {object} is not deactivated"));
-            return;
-        };
-        let target_node = node.unwrap_or(info.node);
-        if !self.hosts.contains(target_node) {
-            refuse(ctx, format!("unknown node {target_node}"));
-            return;
-        }
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow_id = ctx.fresh_u64();
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Activate,
-                reply,
-                object,
-                version: info.version.clone(),
-                target_node,
-                state: Some(state),
-                new_actor: None,
-                step: MgrStep::Spawn,
-                started: ctx.now(),
-                retries: 0,
-            },
-        );
-        self.trace_flow_started(ctx, flow_id);
-        let delay = self.cost.process_spawn_base;
-        self.schedule_flow_timer(ctx, flow_id, delay);
-    }
-
-    /// Checkpoint: capture the running instance's state and persist it in
-    /// the vault, without disturbing the process. The snapshot is what
-    /// [`NodeRecovered`] rebuilds from after a crash.
-    fn start_checkpoint(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        reply: Option<(ActorId, CallId)>,
-        object: ObjectId,
-    ) {
-        let refuse = |ctx: &mut Ctx<'_, Msg>, why: String| {
-            if let Some((reply_to, call)) = reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(why)),
-                    },
-                );
-            }
-        };
-        if self.vault.is_none() {
-            refuse(ctx, "manager has no vault configured".into());
-            return;
-        }
-        let Some(info) = self.table.get(&object).cloned() else {
-            refuse(ctx, format!("unknown instance {object}"));
-            return;
-        };
-        if info.parked_state.is_some() {
-            refuse(ctx, format!("instance {object} is deactivated"));
-            return;
-        }
-        if info.crashed {
-            refuse(ctx, format!("instance {object} host crashed"));
-            return;
-        }
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow_id = ctx.fresh_u64();
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind: MgrKind::Checkpoint,
-                reply,
-                object,
-                version: info.version.clone(),
-                target_node: info.node,
-                state: None,
-                new_actor: None,
-                step: MgrStep::Capture,
-                started: ctx.now(),
-                retries: 0,
-            },
-        );
-        self.trace_flow_started(ctx, flow_id);
-        self.rpc_step(ctx, flow_id, object, ControlOp::new(CaptureState));
+        self.enter_step(ctx, flow_id);
     }
 
     /// A host crashed: mark resident instances crashed and abort every
@@ -1177,52 +1056,27 @@ impl DcdoManager {
         doomed.sort_unstable();
         let mut aborted: Vec<ObjectId> = Vec::new();
         for flow_id in doomed {
-            let flow = self.flows.remove(&flow_id).expect("doomed flow exists");
-            ctx.metrics().incr("manager.flows_aborted");
-            if ctx.tracing_enabled() {
-                ctx.emit_span(SpanKind::FlowAborted { flow: flow_id });
-            }
+            let flow = self.abort_flow(ctx, flow_id, "manager.flows_aborted");
             aborted.push(flow.object);
             if flow.kind == MgrKind::Update {
                 self.updates_in_flight.remove(&flow.object);
                 if flow.reply.is_none() {
-                    self.interrupted_updates
-                        .insert(flow.object, flow.version.clone());
+                    self.interrupted_updates.insert(flow.object, flow.version);
                 }
             }
-            if let Some((reply_to, fcall)) = flow.reply {
-                ctx.send(
-                    reply_to,
-                    Msg::ControlReply {
-                        call: fcall,
-                        result: Err(InvocationFault::Refused(format!(
-                            "node {node} failed mid-{:?}",
-                            flow.kind
-                        ))),
-                    },
-                );
-            }
+            let why = format!("node {node} failed mid-{:?}", flow.kind);
+            Self::refuse(ctx, flow.reply, why);
         }
         // Queued updates behind an aborted flow cannot run while the
         // instance is down: refuse explicit ones, remember internal ones.
         for object in &crashed {
-            if let Some(queue) = self.queued_updates.remove(object) {
-                for (reply, to, _) in queue {
-                    match reply {
-                        Some((reply_to, qcall)) => ctx.send(
-                            reply_to,
-                            Msg::ControlReply {
-                                call: qcall,
-                                result: Err(InvocationFault::Refused(format!(
-                                    "node {node} failed before queued update ran"
-                                ))),
-                            },
-                        ),
-                        None => {
-                            let target = to.unwrap_or_else(|| self.current.clone());
-                            self.interrupted_updates.insert(*object, target);
-                        }
-                    }
+            for (reply, to, _) in self.queued_updates.remove(object).into_iter().flatten() {
+                if reply.is_some() {
+                    let why = format!("node {node} failed before queued update ran");
+                    Self::refuse(ctx, reply, why);
+                } else {
+                    let target = to.unwrap_or_else(|| self.current.clone());
+                    self.interrupted_updates.insert(*object, target);
                 }
             }
         }
@@ -1230,18 +1084,12 @@ impl DcdoManager {
         aborted.dedup();
         ctx.metrics()
             .add("manager.instances_crashed", crashed.len() as u64);
-        ctx.send(
-            from,
-            Msg::ControlReply {
-                call,
-                result: Ok(ControlOp::new(NodeFailureReport { crashed, aborted })),
-            },
-        );
+        let report = NodeFailureReport { crashed, aborted };
+        ctx.send(from, Msg::control_ok(call, report));
     }
 
     /// A crashed host is back: rebuild every crashed instance that lived
-    /// there from its vault snapshot (fresh process at the instance's
-    /// version, state restored, binding re-registered).
+    /// there from its vault snapshot (the Recover plan).
     fn handle_node_recovered(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -1250,53 +1098,15 @@ impl DcdoManager {
         node: NodeId,
     ) {
         if self.vault.is_none() {
-            ctx.send(
-                from,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(
-                        "manager has no vault configured".into(),
-                    )),
-                },
-            );
-            return;
+            return ctx.send(from, Msg::refused(call, "manager has no vault configured"));
         }
-        let mut objects: Vec<ObjectId> = self
-            .table
-            .iter()
-            .filter(|(_, i)| i.node == node && i.crashed)
-            .map(|(o, _)| *o)
-            .collect();
-        objects.sort_unstable();
+        let mut objects = self.crashed_instances();
+        objects.retain(|o| self.table[o].node == node);
         for &object in &objects {
-            let version = self.table[&object].version.clone();
             ctx.metrics().incr("manager.recoveries_started");
-            let flow_id = ctx.fresh_u64();
-            self.flows.insert(
-                flow_id,
-                MgrFlow {
-                    kind: MgrKind::Recover,
-                    reply: None,
-                    object,
-                    version,
-                    target_node: node,
-                    state: None,
-                    new_actor: None,
-                    step: MgrStep::Spawn,
-                    started: ctx.now(),
-                    retries: 0,
-                },
-            );
-            self.trace_flow_started(ctx, flow_id);
-            self.schedule_flow_timer(ctx, flow_id, self.cost.process_spawn_base);
+            self.start_flow(ctx, MgrKind::Recover, None, object, Some(node));
         }
-        ctx.send(
-            from,
-            Msg::ControlReply {
-                call,
-                result: Ok(ControlOp::new(RecoveryStarted { objects })),
-            },
-        );
+        ctx.send(from, Msg::control_ok(call, RecoveryStarted { objects }));
     }
 
     fn handle_rpc_completion(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
@@ -1317,12 +1127,7 @@ impl DcdoManager {
                     self.configurable_mut(&version)?
                         .incorporate_component(&reply, Some(ico))
                 });
-            let wire = match result {
-                Ok(()) => Ok(ControlOp::new(Ack)),
-                Err(e) => Err(InvocationFault::Refused(e.to_string())),
-            };
-            ctx.send(reply_to, Msg::ControlReply { call, result: wire });
-            return;
+            return ctx.send(reply_to, ack_or_refuse(call, result));
         }
         let Some(flow_id) = self.rpc_routes.remove(&completion.call.as_raw()) else {
             return;
@@ -1330,231 +1135,14 @@ impl DcdoManager {
         let Some(flow) = self.flows.get(&flow_id) else {
             return;
         };
-        let (kind, step) = (flow.kind, flow.step);
-        let payload = match completion.result {
-            Ok(p) => p,
-            Err(fault) => {
-                self.fail_flow(ctx, flow_id, format!("step {step:?} failed: {fault}"));
-                return;
-            }
-        };
-        match (kind, step) {
-            // Create: Spawn(timer) -> Register -> Apply -> done.
-            (MgrKind::Create, MgrStep::Register) => self.begin_apply(ctx, flow_id),
-            (MgrKind::Create, MgrStep::Apply) => self.finish_flow(ctx, flow_id),
-            // Update: Apply -> done.
-            (MgrKind::Update, MgrStep::Apply) => self.finish_flow(ctx, flow_id),
-            // Migrate: Capture -> Deactivate -> Spawn(timer) -> Apply ->
-            // Restore -> Register -> done.
-            (MgrKind::Migrate, MgrStep::Capture) => {
-                let Some(blob) = payload.control_as::<StateBlob>().map(|b| b.bytes.clone()) else {
-                    self.fail_flow(ctx, flow_id, "capture returned no state".into());
-                    return;
-                };
-                let object = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.state = Some(blob);
-                    flow.step = MgrStep::Deactivate;
-                    flow.object
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Deactivate);
-                self.rpc_step(ctx, flow_id, object, ControlOp::new(Deactivate));
-            }
-            (MgrKind::Migrate, MgrStep::Deactivate) => {
-                self.flows.get_mut(&flow_id).expect("flow exists").step = MgrStep::Spawn;
-                Self::trace_step(ctx, flow_id, MgrStep::Spawn);
-                let delay = self.cost.process_spawn_base;
-                self.schedule_flow_timer(ctx, flow_id, delay);
-            }
-            (MgrKind::Migrate, MgrStep::Apply) => {
-                let (object, state) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Restore;
-                    (flow.object, flow.state.clone().expect("state captured"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Restore);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    object,
-                    ControlOp::new(RestoreState { bytes: state }),
-                );
-            }
-            (MgrKind::Migrate, MgrStep::Restore) => {
-                let (object, address) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Register;
-                    (flow.object, flow.new_actor.expect("spawned"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Register);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    self.agent.object,
-                    ControlOp::new(RegisterBinding { object, address }),
-                );
-            }
-            (MgrKind::Migrate, MgrStep::Register) => self.finish_flow(ctx, flow_id),
-            // Deactivate: Capture -> Deactivate -> Unregister -> done.
-            (MgrKind::Deactivate, MgrStep::Capture) => {
-                let Some(blob) = payload.control_as::<StateBlob>().map(|b| b.bytes.clone()) else {
-                    self.fail_flow(ctx, flow_id, "capture returned no state".into());
-                    return;
-                };
-                let object = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.state = Some(blob);
-                    flow.step = MgrStep::Deactivate;
-                    flow.object
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Deactivate);
-                self.rpc_step(ctx, flow_id, object, ControlOp::new(Deactivate));
-            }
-            (MgrKind::Deactivate, MgrStep::Deactivate) => {
-                let object = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Unregister;
-                    flow.object
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Unregister);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    self.agent.object,
-                    ControlOp::new(UnregisterBinding { object }),
-                );
-            }
-            (MgrKind::Deactivate, MgrStep::Unregister) => self.finish_flow(ctx, flow_id),
-            // Activate: Spawn(timer) -> Apply -> Restore -> Register -> done.
-            (MgrKind::Activate, MgrStep::Apply) => {
-                let (object, state) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Restore;
-                    (flow.object, flow.state.clone().expect("state parked"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Restore);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    object,
-                    ControlOp::new(RestoreState { bytes: state }),
-                );
-            }
-            (MgrKind::Activate, MgrStep::Restore) => {
-                let (object, address) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Register;
-                    (flow.object, flow.new_actor.expect("spawned"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Register);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    self.agent.object,
-                    ControlOp::new(RegisterBinding { object, address }),
-                );
-            }
-            (MgrKind::Activate, MgrStep::Register) => self.finish_flow(ctx, flow_id),
-            // Checkpoint: Capture -> SaveVault -> done (process untouched).
-            (MgrKind::Checkpoint, MgrStep::Capture) => {
-                let Some(blob) = payload.control_as::<StateBlob>().map(|b| b.bytes.clone()) else {
-                    self.fail_flow(ctx, flow_id, "capture returned no state".into());
-                    return;
-                };
-                let (object, vault) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.state = Some(blob.clone());
-                    flow.step = MgrStep::SaveVault;
-                    (
-                        flow.object,
-                        self.vault.expect("checkpoint requires a vault"),
-                    )
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::SaveVault);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    vault,
-                    ControlOp::new(SaveState {
-                        owner: object,
-                        bytes: blob,
-                    }),
-                );
-            }
-            (MgrKind::Checkpoint, MgrStep::SaveVault) => self.finish_flow(ctx, flow_id),
-            // Recover: Spawn(timer) -> Apply -> LoadVault -> Restore ->
-            // Register -> done (Restore is skipped when no snapshot exists).
-            (MgrKind::Recover, MgrStep::Apply) => {
-                let (object, vault) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::LoadVault;
-                    (flow.object, self.vault.expect("recovery requires a vault"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::LoadVault);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    vault,
-                    ControlOp::new(LoadState { owner: object }),
-                );
-            }
-            (MgrKind::Recover, MgrStep::LoadVault) => {
-                let bytes = payload
-                    .control_as::<LoadedState>()
-                    .and_then(|l| l.bytes.clone());
-                if let Some(state) = bytes {
-                    let object = {
-                        let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                        flow.step = MgrStep::Restore;
-                        flow.state = Some(state.clone());
-                        flow.object
-                    };
-                    Self::trace_step(ctx, flow_id, MgrStep::Restore);
-                    self.rpc_step(
-                        ctx,
-                        flow_id,
-                        object,
-                        ControlOp::new(RestoreState { bytes: state }),
-                    );
-                } else {
-                    // No snapshot: the instance restarts fresh at its version.
-                    ctx.metrics().incr("manager.recoveries_without_snapshot");
-                    let (object, address) = {
-                        let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                        flow.step = MgrStep::Register;
-                        (flow.object, flow.new_actor.expect("spawned"))
-                    };
-                    Self::trace_step(ctx, flow_id, MgrStep::Register);
-                    self.rpc_step(
-                        ctx,
-                        flow_id,
-                        self.agent.object,
-                        ControlOp::new(RegisterBinding { object, address }),
-                    );
-                }
-            }
-            (MgrKind::Recover, MgrStep::Restore) => {
-                let (object, address) = {
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    flow.step = MgrStep::Register;
-                    (flow.object, flow.new_actor.expect("spawned"))
-                };
-                Self::trace_step(ctx, flow_id, MgrStep::Register);
-                self.rpc_step(
-                    ctx,
-                    flow_id,
-                    self.agent.object,
-                    ControlOp::new(RegisterBinding { object, address }),
-                );
-            }
-            (MgrKind::Recover, MgrStep::Register) => self.finish_flow(ctx, flow_id),
-            (kind, step) => {
-                self.fail_flow(
-                    ctx,
-                    flow_id,
-                    format!("unexpected reply in {kind:?}/{step:?}"),
-                );
-            }
+        let step = flow.step();
+        let absorbed = completion
+            .result
+            .map_err(|fault| format!("step {step:?} failed: {fault}"))
+            .and_then(|payload| self.absorb(ctx, flow_id, &payload));
+        match absorbed {
+            Ok(()) => self.advance(ctx, flow_id),
+            Err(why) => self.fail_flow(ctx, flow_id, why),
         }
     }
 
@@ -1568,15 +1156,8 @@ impl DcdoManager {
         // Incorporation needs an ICO round trip; everything else is local.
         if let VersionConfigOp::IncorporateComponent { ico } = cfg.op {
             // Check the version is configurable before paying the roundtrip.
-            if let Err(e) = self.configurable_mut(&cfg.version).map(|_| ()) {
-                ctx.send(
-                    from,
-                    Msg::ControlReply {
-                        call,
-                        result: Err(InvocationFault::Refused(e.to_string())),
-                    },
-                );
-                return;
+            if let Err(e) = self.configurable_mut(&cfg.version) {
+                return ctx.send(from, Msg::refused(call, e));
             }
             let rpc_call = self
                 .rpc
@@ -1611,11 +1192,7 @@ impl DcdoManager {
                     visibility,
                 } => d.set_visibility(function, *visibility),
             });
-        let wire = match result {
-            Ok(()) => Ok(ControlOp::new(Ack)),
-            Err(e) => Err(InvocationFault::Refused(e.to_string())),
-        };
-        ctx.send(from, Msg::ControlReply { call, result: wire });
+        ctx.send(from, ack_or_refuse(call, result));
     }
 
     fn handle_set_group_epoch(
@@ -1626,20 +1203,26 @@ impl DcdoManager {
         set: &SetGroupEpoch,
     ) {
         let object = self.object;
-        let result = match &mut self.group_gate {
-            Some(gate) if gate.group != set.group => Err(InvocationFault::Refused(format!(
-                "manager is enrolled in group {}, not {}",
-                gate.group, set.group
-            ))),
+        let reply = match &mut self.group_gate {
+            Some(gate) if gate.group != set.group => Msg::refused(
+                call,
+                format!(
+                    "manager is enrolled in group {}, not {}",
+                    gate.group, set.group
+                ),
+            ),
             // Backwards never; re-fencing an epoch already adopted never.
             Some(gate)
                 if set.epoch < gate.epoch
                     || (set.epoch == gate.epoch && set.fence && !gate.fenced) =>
             {
-                Err(InvocationFault::Refused(format!(
-                    "stale group epoch {} (manager is at {})",
-                    set.epoch, gate.epoch
-                )))
+                Msg::refused(
+                    call,
+                    format!(
+                        "stale group epoch {} (manager is at {})",
+                        set.epoch, gate.epoch
+                    ),
+                )
             }
             gate => {
                 let g = gate.get_or_insert(GroupGate {
@@ -1662,15 +1245,18 @@ impl DcdoManager {
                     });
                     ctx.metrics().incr("manager.group_epoch_adoptions");
                 }
-                Ok(ControlOp::new(GroupEpochReport {
-                    group: g.group,
-                    epoch: g.epoch,
-                    fenced: g.fenced,
-                    refused_while_fenced: g.refused_while_fenced,
-                }))
+                Msg::control_ok(
+                    call,
+                    GroupEpochReport {
+                        group: g.group,
+                        epoch: g.epoch,
+                        fenced: g.fenced,
+                        refused_while_fenced: g.refused_while_fenced,
+                    },
+                )
             }
         };
-        ctx.send(from, Msg::ControlReply { call, result });
+        ctx.send(from, reply);
     }
 
     /// The manager's group enrolment, if any: `(group, epoch, fenced)`.
@@ -1702,21 +1288,18 @@ impl DcdoManager {
             self.start_update(ctx, Some((from, call)), update.object, update.to.clone());
             return;
         }
+        let reply = Some((from, call));
         if let Some(mig) = op.as_any().downcast_ref::<MigrateDcdo>() {
-            self.start_migrate(ctx, Some((from, call)), mig.object, mig.to);
-            return;
+            return self.start_flow(ctx, MgrKind::Migrate, reply, mig.object, Some(mig.to));
         }
         if let Some(de) = op.as_any().downcast_ref::<DeactivateDcdo>() {
-            self.start_deactivate(ctx, Some((from, call)), de.object);
-            return;
+            return self.start_flow(ctx, MgrKind::Deactivate, reply, de.object, None);
         }
         if let Some(act) = op.as_any().downcast_ref::<ActivateDcdo>() {
-            self.start_activate(ctx, Some((from, call)), act.object, act.node);
-            return;
+            return self.start_flow(ctx, MgrKind::Activate, reply, act.object, act.node);
         }
         if let Some(cp) = op.as_any().downcast_ref::<CheckpointDcdo>() {
-            self.start_checkpoint(ctx, Some((from, call)), cp.object);
-            return;
+            return self.start_flow(ctx, MgrKind::Checkpoint, reply, cp.object, None);
         }
         if let Some(nf) = op.as_any().downcast_ref::<NodeFailed>() {
             self.handle_node_failed(ctx, from, call, nf.node);
@@ -1734,66 +1317,62 @@ impl DcdoManager {
             self.handle_set_group_epoch(ctx, from, call, set);
             return;
         }
-        let result: Result<ControlOp, InvocationFault> =
-            if let Some(derive) = op.as_any().downcast_ref::<DeriveVersion>() {
-                match self.derive_version(&derive.from) {
-                    Ok(version) => Ok(ControlOp::new(DerivedVersion { version })),
-                    Err(e) => Err(InvocationFault::Refused(e.to_string())),
-                }
-            } else if let Some(mark) = op.as_any().downcast_ref::<MarkInstantiable>() {
-                match self.mark_instantiable(&mark.version) {
-                    Ok(()) => Ok(ControlOp::new(Ack)),
-                    Err(e) => Err(InvocationFault::Refused(e.to_string())),
-                }
-            } else if let Some(set) = op.as_any().downcast_ref::<SetCurrentVersion>() {
-                match self.store.get(&set.version) {
-                    Some(entry) if entry.instantiable => {
-                        self.current = set.version.clone();
-                        ctx.metrics().incr("manager.current_version_changes");
-                        if self.propagation == UpdatePropagation::Proactive {
-                            let instances: Vec<ObjectId> = self
-                                .table
-                                .iter()
-                                .filter(|(_, i)| i.version != self.current)
-                                .map(|(o, _)| *o)
-                                .collect();
-                            for object in instances {
-                                self.start_update(ctx, None, object, None);
-                            }
+        let reply = if let Some(derive) = op.as_any().downcast_ref::<DeriveVersion>() {
+            match self.derive_version(&derive.from) {
+                Ok(version) => Msg::control_ok(call, DerivedVersion { version }),
+                Err(e) => Msg::refused(call, e),
+            }
+        } else if let Some(mark) = op.as_any().downcast_ref::<MarkInstantiable>() {
+            ack_or_refuse(call, self.mark_instantiable(&mark.version))
+        } else if let Some(set) = op.as_any().downcast_ref::<SetCurrentVersion>() {
+            match self.instantiable_entry(&set.version) {
+                Ok(_) => {
+                    self.current = set.version.clone();
+                    ctx.metrics().incr("manager.current_version_changes");
+                    if self.propagation == UpdatePropagation::Proactive {
+                        let instances: Vec<ObjectId> = self
+                            .table
+                            .iter()
+                            .filter(|(_, i)| i.version != self.current)
+                            .map(|(o, _)| *o)
+                            .collect();
+                        for object in instances {
+                            self.start_update(ctx, None, object, None);
                         }
-                        Ok(ControlOp::new(Ack))
                     }
-                    Some(_) => Err(InvocationFault::Refused(
-                        ConfigError::VersionNotInstantiable(set.version.clone()).to_string(),
-                    )),
-                    None => Err(InvocationFault::Refused(
-                        ConfigError::UnknownVersion(set.version.clone()).to_string(),
-                    )),
+                    Msg::control_ok(call, Ack)
                 }
-            } else if let Some(check) = op.as_any().downcast_ref::<CheckVersion>() {
-                ctx.metrics().incr("manager.version_checks");
-                let up_to_date = check.current == self.current
-                    || self
-                        .evolution_allowed(&check.current, &self.current)
-                        .is_err();
-                let descriptor = if up_to_date {
-                    None
-                } else {
-                    self.store.get(&self.current).map(|e| e.descriptor.clone())
-                };
-                // Optimistically record the promise; the DCDO confirms with
-                // ReportVersion once the evolution lands.
-                Ok(ControlOp::new(VersionCheckReply {
+                Err(e) => Msg::refused(call, e),
+            }
+        } else if let Some(check) = op.as_any().downcast_ref::<CheckVersion>() {
+            ctx.metrics().incr("manager.version_checks");
+            let up_to_date = check.current == self.current
+                || self
+                    .evolution_allowed(&check.current, &self.current)
+                    .is_err();
+            let descriptor = if up_to_date {
+                None
+            } else {
+                self.store.get(&self.current).map(|e| e.descriptor.clone())
+            };
+            // Optimistically record the promise; the DCDO confirms with
+            // ReportVersion once the evolution lands.
+            Msg::control_ok(
+                call,
+                VersionCheckReply {
                     up_to_date,
                     descriptor,
-                }))
-            } else if let Some(report) = op.as_any().downcast_ref::<ReportVersion>() {
-                if let Some(info) = self.table.get_mut(&report.object) {
-                    info.version = report.version.clone();
-                }
-                Ok(ControlOp::new(Ack))
-            } else if op.as_any().downcast_ref::<ListVersions>().is_some() {
-                Ok(ControlOp::new(VersionTable {
+                },
+            )
+        } else if let Some(report) = op.as_any().downcast_ref::<ReportVersion>() {
+            if let Some(info) = self.table.get_mut(&report.object) {
+                info.version = report.version.clone();
+            }
+            Msg::control_ok(call, Ack)
+        } else if op.as_any().downcast_ref::<ListVersions>().is_some() {
+            Msg::control_ok(
+                call,
+                VersionTable {
                     entries: self
                         .store
                         .iter()
@@ -1807,29 +1386,34 @@ impl DcdoManager {
                         })
                         .collect(),
                     current: self.current.clone(),
-                }))
-            } else if op.as_any().downcast_ref::<ListDcdos>().is_some() {
-                Ok(ControlOp::new(DcdoTable {
+                },
+            )
+        } else if op.as_any().downcast_ref::<ListDcdos>().is_some() {
+            Msg::control_ok(
+                call,
+                DcdoTable {
                     entries: self.instances(),
-                }))
-            } else if let Some(q) = op.as_any().downcast_ref::<QueryVersionInfo>() {
-                match self.store.get(&q.version) {
-                    Some(entry) => Ok(ControlOp::new(VersionInfo {
+                },
+            )
+        } else if let Some(q) = op.as_any().downcast_ref::<QueryVersionInfo>() {
+            match self.entry(&q.version) {
+                Ok(entry) => Msg::control_ok(
+                    call,
+                    VersionInfo {
                         version: q.version.clone(),
                         instantiable: entry.instantiable,
                         descriptor: entry.descriptor.clone(),
-                    })),
-                    None => Err(InvocationFault::Refused(
-                        ConfigError::UnknownVersion(q.version.clone()).to_string(),
-                    )),
-                }
-            } else {
-                Err(InvocationFault::Refused(format!(
-                    "DCDO Manager does not understand {}",
-                    op.describe()
-                )))
-            };
-        ctx.send(from, Msg::ControlReply { call, result });
+                    },
+                ),
+                Err(e) => Msg::refused(call, e),
+            }
+        } else {
+            Msg::refused(
+                call,
+                format!("DCDO Manager does not understand {}", op.describe()),
+            )
+        };
+        ctx.send(from, reply);
     }
 }
 
@@ -1838,14 +1422,10 @@ impl Actor<Msg> for DcdoManager {
         match msg {
             Msg::Control { call, target, op } => {
                 if target != self.object {
-                    ctx.send(
+                    return ctx.send(
                         from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
+                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
                     );
-                    return;
                 }
                 self.handle_control(ctx, from, call, op);
             }
@@ -1881,9 +1461,10 @@ impl Actor<Msg> for DcdoManager {
             if self
                 .flows
                 .get(&flow_id)
-                .is_some_and(|f| f.step == MgrStep::Spawn)
+                .is_some_and(|f| f.step() == MgrStep::Spawn)
             {
                 self.spawn_dcdo(ctx, flow_id);
+                self.advance(ctx, flow_id);
             }
         }
     }
@@ -1902,5 +1483,31 @@ impl std::fmt::Debug for DcdoManager {
             .field("versions", &self.store.len())
             .field("instances", &self.table.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::MgrKind::{Activate, Checkpoint, Create, Deactivate, Migrate, Recover, Update};
+    use super::{MgrKind, MgrStep};
+
+    /// The `FlowStep` codes a flow of `kind` leaves after its first step.
+    fn later_step_codes(kind: MgrKind) -> Vec<u32> {
+        kind.plan().steps[1..].iter().map(|s| *s as u32).collect()
+    }
+
+    // The same literals `dcdo_lifecycle.rs::every_flow_kind_walks_its_
+    // declared_steps` reads off the span log of real flows.
+    #[test]
+    fn plans_declare_the_observed_step_sequences() {
+        assert_eq!(later_step_codes(Create), [4, 5]);
+        assert_eq!(later_step_codes(Update), []);
+        assert_eq!(later_step_codes(Migrate), [1, 3, 5, 6, 4]);
+        assert_eq!(later_step_codes(Deactivate), [1, 2]);
+        assert_eq!(later_step_codes(Activate), [5, 6, 4]);
+        assert_eq!(later_step_codes(Checkpoint), [7]);
+        assert_eq!(later_step_codes(Recover), [5, 8, 6, 4]);
+        // Update's only step is Apply, which it marks although it is first.
+        assert_eq!(Update.plan().steps, [MgrStep::Apply]);
     }
 }

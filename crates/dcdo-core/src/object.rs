@@ -24,7 +24,9 @@
 use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
-use dcdo_sim::{Actor, ActorId, Ctx, FlowKind as TraceFlowKind, SimDuration, SimTime, SpanKind};
+use dcdo_sim::{
+    cfg_step, Actor, ActorId, Ctx, FlowKind as TraceFlowKind, SimDuration, SimTime, SpanKind,
+};
 use dcdo_types::{
     Architecture, CallId, ComponentId, FunctionName, ImplementationType, ObjectId, VersionId,
 };
@@ -36,7 +38,7 @@ use legion_substrate::{
 };
 
 use crate::dfm::Dfm;
-use crate::error::ConfigError;
+use crate::error::{ack_or_refuse, ConfigError};
 use crate::ops::{
     AddFunctionDependency, ApplyDfmDescriptor, CheckVersion, DisableFunction, EnableFunction,
     FunctionStatusReport, ImplementationReport, IncorporateComponent, InterfaceReport, LazyCheck,
@@ -47,27 +49,6 @@ use crate::ops::{
 
 /// Interval at which delayed removals re-check thread activity.
 const IDLE_RECHECK: SimDuration = SimDuration::from_millis(50);
-
-/// Stable step codes for object-local `Config` flows (trace `FlowStep`
-/// payloads): the staged fetch pipeline, the removal gate, and the final
-/// semantic application. These are wire-stable — the profiler keys its
-/// per-step latency tables on them.
-mod cfg_step {
-    /// Reading the component descriptor from the ICO.
-    pub const DESCRIPTOR: u32 = 0;
-    /// Consulting the local host's component cache.
-    pub const HOST_CHECK: u32 = 1;
-    /// Downloading the component data from the ICO.
-    pub const ICO_READ: u32 = 2;
-    /// Writing the downloaded data into the local host cache.
-    pub const HOST_STORE: u32 = 3;
-    /// Mapping the component into the address space (timer).
-    pub const MAP: u32 = 4;
-    /// Checking the thread-activity gate (may repeat on rechecks).
-    pub const GATE: u32 = 5;
-    /// Applying the semantic configuration change.
-    pub const APPLY: u32 = 6;
-}
 
 #[derive(Debug)]
 enum FetchStage {
@@ -330,12 +311,25 @@ impl DcdoObject {
         }
     }
 
-    fn start_flow(&mut self, ctx: &mut Ctx<'_, Msg>, mut flow: ConfigFlow) -> u64 {
+    fn start_flow(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        reply: Option<(ActorId, CallId)>,
+        kind: FlowKind,
+        to_fetch: VecDeque<FetchItem>,
+    ) -> u64 {
         let flow_id = ctx.fresh_u64();
-        if let Some((reply_to, call)) = flow.reply {
+        if let Some((reply_to, call)) = reply {
             ctx.send(reply_to, Msg::Progress { call });
         }
-        flow.started = ctx.now();
+        let flow = ConfigFlow {
+            reply,
+            kind,
+            to_fetch,
+            fetching: None,
+            started: ctx.now(),
+            force_deadline: None,
+        };
         self.flows.insert(flow_id, flow);
         self.trace_flow_started(ctx, flow_id);
         self.advance_flow(ctx, flow_id);
@@ -515,17 +509,7 @@ impl DcdoObject {
             self.unpark_all(ctx);
         }
         if let Some((reply_to, call)) = flow.reply {
-            let reply = match result {
-                Ok(()) => Ok(ControlOp::new(Ack)),
-                Err(e) => Err(InvocationFault::Refused(e.to_string())),
-            };
-            ctx.send(
-                reply_to,
-                Msg::ControlReply {
-                    call,
-                    result: reply,
-                },
-            );
+            ctx.send(reply_to, ack_or_refuse(call, result));
         }
     }
 
@@ -542,13 +526,7 @@ impl DcdoObject {
             self.unpark_all(ctx);
         }
         if let Some((reply_to, call)) = flow.reply {
-            ctx.send(
-                reply_to,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(err.to_string())),
-                },
-            );
+            ctx.send(reply_to, Msg::refused(call, err));
         }
     }
 
@@ -780,29 +758,13 @@ impl DcdoObject {
                         "component {component} has no ICO to fetch from"
                     ));
                     if let Some((reply_to, call)) = reply {
-                        ctx.send(
-                            reply_to,
-                            Msg::ControlReply {
-                                call,
-                                result: Err(InvocationFault::Refused(err.to_string())),
-                            },
-                        );
+                        ctx.send(reply_to, Msg::refused(call, err));
                     }
                     return;
                 }
             }
         }
-        self.start_flow(
-            ctx,
-            ConfigFlow {
-                reply,
-                kind: FlowKind::Apply { target },
-                to_fetch,
-                fetching: None,
-                started: ctx.now(),
-                force_deadline: None,
-            },
-        );
+        self.start_flow(ctx, reply, FlowKind::Apply { target }, to_fetch);
     }
 
     // ---- control dispatch ------------------------------------------------
@@ -821,17 +783,7 @@ impl DcdoObject {
                 ico: inc.ico,
                 component: None,
             });
-            self.start_flow(
-                ctx,
-                ConfigFlow {
-                    reply: Some((from, call)),
-                    kind: FlowKind::Incorporate,
-                    to_fetch,
-                    fetching: None,
-                    started: ctx.now(),
-                    force_deadline: None,
-                },
-            );
+            self.start_flow(ctx, Some((from, call)), FlowKind::Incorporate, to_fetch);
             return;
         }
         if let Some(apply) = op.as_any().downcast_ref::<ApplyDfmDescriptor>() {
@@ -839,63 +791,46 @@ impl DcdoObject {
             return;
         }
         if let Some(rm) = op.as_any().downcast_ref::<RemoveComponent>() {
-            self.start_flow(
-                ctx,
-                ConfigFlow {
-                    reply: Some((from, call)),
-                    kind: FlowKind::Remove {
-                        component: rm.component,
-                    },
-                    to_fetch: VecDeque::new(),
-                    fetching: None,
-                    started: ctx.now(),
-                    force_deadline: None,
-                },
-            );
+            let kind = FlowKind::Remove {
+                component: rm.component,
+            };
+            self.start_flow(ctx, Some((from, call)), kind, VecDeque::new());
             return;
         }
         if let Some(dis) = op.as_any().downcast_ref::<DisableFunction>() {
-            self.start_flow(
-                ctx,
-                ConfigFlow {
-                    reply: Some((from, call)),
-                    kind: FlowKind::Disable {
-                        function: dis.function.clone(),
-                    },
-                    to_fetch: VecDeque::new(),
-                    fetching: None,
-                    started: ctx.now(),
-                    force_deadline: None,
-                },
-            );
+            let kind = FlowKind::Disable {
+                function: dis.function.clone(),
+            };
+            self.start_flow(ctx, Some((from, call)), kind, VecDeque::new());
             return;
         }
 
         // Synchronous configuration and status functions.
-        let result: Result<ControlOp, InvocationFault> =
-            if let Some(en) = op.as_any().downcast_ref::<EnableFunction>() {
-                let r = self.dfm.enable_function(&en.function, en.component);
-                self.config_result(ctx, r)
-            } else if let Some(p) = op.as_any().downcast_ref::<SetFunctionProtection>() {
-                let r = self.dfm_descriptor_mut(|d| d.set_protection(&p.function, p.protection));
-                self.config_result(ctx, r)
-            } else if let Some(d) = op.as_any().downcast_ref::<AddFunctionDependency>() {
-                let r = self.dfm_descriptor_mut(|desc| desc.add_dependency(d.dependency.clone()));
-                self.config_result(ctx, r)
-            } else if let Some(d) = op.as_any().downcast_ref::<RemoveFunctionDependency>() {
-                let r = self.dfm_descriptor_mut(|desc| {
-                    desc.remove_dependency(&d.dependency);
-                    Ok(())
-                });
-                self.config_result(ctx, r)
-            } else if let Some(p) = op.as_any().downcast_ref::<SetRemovalPolicy>() {
-                self.removal_policy = p.policy;
-                Ok(ControlOp::new(Ack))
-            } else if let Some(l) = op.as_any().downcast_ref::<SetLazyCheck>() {
-                self.lazy = l.mode;
-                Ok(ControlOp::new(Ack))
-            } else if op.as_any().downcast_ref::<QueryInterface>().is_some() {
-                Ok(ControlOp::new(InterfaceReport {
+        let reply = if let Some(en) = op.as_any().downcast_ref::<EnableFunction>() {
+            let r = self.dfm.enable_function(&en.function, en.component);
+            self.config_reply(ctx, call, r)
+        } else if let Some(p) = op.as_any().downcast_ref::<SetFunctionProtection>() {
+            let r = self.dfm_descriptor_mut(|d| d.set_protection(&p.function, p.protection));
+            self.config_reply(ctx, call, r)
+        } else if let Some(d) = op.as_any().downcast_ref::<AddFunctionDependency>() {
+            let r = self.dfm_descriptor_mut(|desc| desc.add_dependency(d.dependency.clone()));
+            self.config_reply(ctx, call, r)
+        } else if let Some(d) = op.as_any().downcast_ref::<RemoveFunctionDependency>() {
+            let r = self.dfm_descriptor_mut(|desc| {
+                desc.remove_dependency(&d.dependency);
+                Ok(())
+            });
+            self.config_reply(ctx, call, r)
+        } else if let Some(p) = op.as_any().downcast_ref::<SetRemovalPolicy>() {
+            self.removal_policy = p.policy;
+            Msg::control_ok(call, Ack)
+        } else if let Some(l) = op.as_any().downcast_ref::<SetLazyCheck>() {
+            self.lazy = l.mode;
+            Msg::control_ok(call, Ack)
+        } else if op.as_any().downcast_ref::<QueryInterface>().is_some() {
+            Msg::control_ok(
+                call,
+                InterfaceReport {
                     functions: self
                         .dfm
                         .descriptor()
@@ -903,22 +838,28 @@ impl DcdoObject {
                         .into_iter()
                         .map(|(sig, prot)| (sig.to_string(), prot))
                         .collect(),
-                }))
-            } else if op.as_any().downcast_ref::<QueryImplementation>().is_some() {
-                Ok(ControlOp::new(ImplementationReport {
+                },
+            )
+        } else if op.as_any().downcast_ref::<QueryImplementation>().is_some() {
+            Msg::control_ok(
+                call,
+                ImplementationReport {
                     version: self.dfm.version().clone(),
                     components: self.dfm.descriptor().components().map(|(c, _)| c).collect(),
                     impl_type: self.impl_type,
                     function_count: self.dfm.descriptor().function_count(),
-                }))
-            } else if let Some(q) = op.as_any().downcast_ref::<QueryFunctionStatus>() {
-                let record = self.dfm.descriptor().function(&q.function);
-                let implementations = record.map(|r| r.impls().to_vec()).unwrap_or_default();
-                let active_threads = implementations
-                    .iter()
-                    .map(|c| self.dfm.active_threads(&q.function, *c))
-                    .sum();
-                Ok(ControlOp::new(FunctionStatusReport {
+                },
+            )
+        } else if let Some(q) = op.as_any().downcast_ref::<QueryFunctionStatus>() {
+            let record = self.dfm.descriptor().function(&q.function);
+            let implementations = record.map(|r| r.impls().to_vec()).unwrap_or_default();
+            let active_threads = implementations
+                .iter()
+                .map(|c| self.dfm.active_threads(&q.function, *c))
+                .sum();
+            Msg::control_ok(
+                call,
+                FunctionStatusReport {
                     function: q.function.clone(),
                     present: record.is_some(),
                     enabled: record.and_then(|r| r.enabled()),
@@ -926,30 +867,31 @@ impl DcdoObject {
                     protection: record.map(|r| r.protection()),
                     active_threads,
                     implementations,
-                }))
-            } else if op.as_any().downcast_ref::<CaptureState>().is_some() {
-                Ok(ControlOp::new(StateBlob {
+                },
+            )
+        } else if op.as_any().downcast_ref::<CaptureState>().is_some() {
+            Msg::control_ok(
+                call,
+                StateBlob {
                     bytes: self.state.capture(),
-                }))
-            } else if let Some(restore) = op.as_any().downcast_ref::<RestoreState>() {
-                match ValueStore::restore(restore.bytes.clone()) {
-                    Ok(state) => {
-                        self.state = state;
-                        Ok(ControlOp::new(Ack))
-                    }
-                    Err(e) => Err(InvocationFault::Refused(format!("bad state blob: {e}"))),
+                },
+            )
+        } else if let Some(restore) = op.as_any().downcast_ref::<RestoreState>() {
+            match ValueStore::restore(restore.bytes.clone()) {
+                Ok(state) => {
+                    self.state = state;
+                    Msg::control_ok(call, Ack)
                 }
-            } else if op.as_any().downcast_ref::<Deactivate>().is_some() {
-                let me = ctx.self_id();
-                ctx.kill(me);
-                Ok(ControlOp::new(Ack))
-            } else {
-                Err(InvocationFault::Refused(format!(
-                    "DCDO does not understand {}",
-                    op.describe()
-                )))
-            };
-        ctx.send(from, Msg::ControlReply { call, result });
+                Err(e) => Msg::refused(call, format!("bad state blob: {e}")),
+            }
+        } else if op.as_any().downcast_ref::<Deactivate>().is_some() {
+            let me = ctx.self_id();
+            ctx.kill(me);
+            Msg::control_ok(call, Ack)
+        } else {
+            Msg::refused(call, format!("DCDO does not understand {}", op.describe()))
+        };
+        ctx.send(from, reply);
     }
 
     fn dfm_descriptor_mut(
@@ -960,24 +902,24 @@ impl DcdoObject {
         self.dfm.with_descriptor_mut(f)
     }
 
-    fn config_result(
+    /// Replies to a synchronous configuration function, stamping the new
+    /// generation if it took effect.
+    fn config_reply(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
+        call: CallId,
         r: Result<(), ConfigError>,
-    ) -> Result<ControlOp, InvocationFault> {
-        match r {
-            Ok(()) => {
-                self.config_ops_applied += 1;
-                if ctx.tracing_enabled() {
-                    ctx.emit_span(SpanKind::GenerationStamp {
-                        object: self.object.as_raw(),
-                        generation: self.dfm.generation(),
-                    });
-                }
-                Ok(ControlOp::new(Ack))
+    ) -> Msg {
+        if r.is_ok() {
+            self.config_ops_applied += 1;
+            if ctx.tracing_enabled() {
+                ctx.emit_span(SpanKind::GenerationStamp {
+                    object: self.object.as_raw(),
+                    generation: self.dfm.generation(),
+                });
             }
-            Err(e) => Err(InvocationFault::Refused(e.to_string())),
         }
+        ack_or_refuse(call, r)
     }
 }
 
@@ -1043,10 +985,7 @@ impl Actor<Msg> for DcdoObject {
                 if target != self.object {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
+                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
                     );
                     return;
                 }

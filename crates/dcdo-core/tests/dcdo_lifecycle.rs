@@ -19,7 +19,7 @@ use dcdo_vm::{ComponentBinary, ComponentBuilder, FunctionBuilder, Value};
 use legion_substrate::class::{ClassObject, CreateInstance, InstanceCreated};
 use legion_substrate::harness::Testbed;
 use legion_substrate::monolithic::ExecutableImage;
-use legion_substrate::{ControlOp, InvocationFault};
+use legion_substrate::{ControlOp, InvocationFault, Msg};
 
 // ---- scenario components ----------------------------------------------------
 
@@ -1622,4 +1622,178 @@ fn group_epoch_gate_fences_evolution_until_commit() {
         .expect("manager alive");
     assert_eq!(mgr.group_epoch(), Some((7, 1, false)));
     assert_eq!(mgr.group_fence_refusals(), 1);
+}
+
+#[test]
+fn every_flow_kind_walks_its_declared_steps() {
+    use dcdo_core::ops::{ActivateDcdo, DeactivateDcdo, MigrateDcdo};
+    use dcdo_sim::{FlowKind, SpanKind};
+
+    let (mut s, dcdo, v1) = Scenario::with_counter(41, false);
+    s.bed.sim.spans_mut().enable();
+    let home = s.bed.nodes[9];
+
+    // One flow of every kind, in this order. `dcdo` ends up checkpointed on
+    // `home`; `bare` lives there with no snapshot in the vault.
+    let (bare, _) = s.create_dcdo(9);
+    s.mgr_ok(ControlOp::new(CheckpointDcdo { object: dcdo }));
+    let ico = s.publish_component(&step_ten(), 2);
+    let v2 = s.derive(&v1.to_string());
+    s.configure(&v2, VersionConfigOp::IncorporateComponent { ico });
+    s.configure(
+        &v2,
+        VersionConfigOp::EnableFunction {
+            function: "step".into(),
+            component: ComponentId::from_raw(2),
+        },
+    );
+    s.mark_and_set_current(&v2);
+    let update = UpdateInstance {
+        object: dcdo,
+        to: None,
+    };
+    s.mgr_ok(ControlOp::new(update));
+    let migrate = MigrateDcdo {
+        object: dcdo,
+        to: home,
+    };
+    s.mgr_ok(ControlOp::new(migrate));
+    s.mgr_ok(ControlOp::new(DeactivateDcdo { object: dcdo }));
+    let activate = ActivateDcdo {
+        object: dcdo,
+        node: None,
+    };
+    s.mgr_ok(ControlOp::new(activate));
+    s.bed.sim.crash_node(home);
+    s.mgr_ok(ControlOp::new(NodeFailed { node: home }));
+    s.bed.sim.restart_node(home);
+    s.bed.revive_host(home);
+    s.mgr_ok(ControlOp::new(NodeRecovered { node: home }));
+    s.bed.run_for(SimDuration::from_secs(60));
+    assert!(dcdo < bare, "recovery starts flows in object order");
+    assert_eq!(
+        s.bed
+            .sim
+            .metrics()
+            .counter("manager.recoveries_without_snapshot"),
+        1
+    );
+
+    // Per manager flow, in start order: kind, the FlowStep codes it left,
+    // and how many FlowCompleted spans closed it.
+    let mut flows: Vec<(u64, FlowKind, Vec<u32>, u32)> = Vec::new();
+    for e in s.bed.sim.spans().events() {
+        match &e.kind {
+            SpanKind::FlowStarted { flow, kind, .. } if *kind != FlowKind::Config => {
+                flows.push((*flow, *kind, Vec::new(), 0));
+            }
+            SpanKind::FlowStep { flow, step } => {
+                if let Some(f) = flows.iter_mut().find(|f| f.0 == *flow) {
+                    f.2.push(*step);
+                }
+            }
+            SpanKind::FlowCompleted { flow } => {
+                if let Some(f) = flows.iter_mut().find(|f| f.0 == *flow) {
+                    f.3 += 1;
+                }
+            }
+            SpanKind::FlowAborted { flow } => {
+                assert!(flows.iter().all(|f| f.0 != *flow), "flow {flow} aborted");
+            }
+            _ => {}
+        }
+    }
+    let walked: Vec<(FlowKind, &[u32], u32)> = flows
+        .iter()
+        .map(|(_, kind, steps, completed)| (*kind, steps.as_slice(), *completed))
+        .collect();
+    // The first step of a plan is implied by FlowStarted and leaves no
+    // FlowStep — except Update's lone Apply, which has always been marked.
+    let expected: [(FlowKind, &[u32], u32); 8] = [
+        (FlowKind::Create, &[4, 5], 1),
+        (FlowKind::Checkpoint, &[7], 1),
+        (FlowKind::Update, &[5], 1),
+        (FlowKind::Migrate, &[1, 3, 5, 6, 4], 1),
+        (FlowKind::Deactivate, &[1, 2], 1),
+        (FlowKind::Activate, &[5, 6, 4], 1),
+        (FlowKind::Recover, &[5, 8, 6, 4], 1),
+        // No snapshot in the vault: Restore is skipped.
+        (FlowKind::Recover, &[5, 8, 4], 1),
+    ];
+    assert_eq!(walked, expected);
+}
+
+/// Records what the manager sends back, and when.
+#[derive(Default)]
+struct ReplyProbe {
+    progress: u32,
+    replies: Vec<(dcdo_sim::SimTime, Result<ControlOp, InvocationFault>)>,
+}
+
+impl dcdo_sim::Actor<Msg> for ReplyProbe {
+    fn on_message(&mut self, ctx: &mut dcdo_sim::Ctx<'_, Msg>, _from: dcdo_sim::ActorId, msg: Msg) {
+        match msg {
+            Msg::ControlReply { result, .. } => self.replies.push((ctx.now(), result)),
+            Msg::Progress { .. } => self.progress += 1,
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn flows_on_a_parked_or_crashed_instance_are_refused_at_admission() {
+    use dcdo_core::ops::{DeactivateDcdo, MigrateDcdo};
+
+    let (mut s, dcdo, _v) = Scenario::with_counter(42, false);
+    let (to, home) = (s.bed.nodes[8], s.bed.nodes[4]);
+    // The probe shares the manager's node: delivery takes exactly
+    // `local_delivery` each way, so a request refused in the handler that
+    // received it is answered exactly two local hops after it was posted.
+    let probe = s.bed.sim.spawn(s.bed.nodes[0], ReplyProbe::default());
+    let hop = dcdo_sim::NetConfig::centurion().local_delivery;
+    let mut next_call = 0;
+    let mut refused = |s: &mut Scenario, op: ControlOp, expect: &str| {
+        next_call += 1;
+        let failed_before = s.bed.sim.metrics().counter("manager.flows_failed");
+        let posted = s.bed.sim.now();
+        let msg = Msg::Control {
+            call: dcdo_types::CallId::from_raw(next_call),
+            target: s.manager_obj,
+            op,
+        };
+        s.bed.sim.post(probe, s.manager_actor, msg);
+        s.bed.run_for(SimDuration::from_secs(1));
+        let p = s.bed.sim.actor::<ReplyProbe>(probe).expect("probe alive");
+        assert_eq!(p.progress, 0, "a refused request is never acknowledged");
+        assert_eq!(p.replies.len(), next_call as usize);
+        let (at, result) = p.replies.last().expect("answered");
+        assert_eq!(*at, posted + hop + hop, "refused in the receiving handler");
+        let fault = result.as_ref().expect_err("refused");
+        assert!(
+            matches!(fault, InvocationFault::Refused(why) if why.contains(expect)),
+            "expected {expect:?}, got {fault:?}"
+        );
+        let mgr = s.bed.sim.actor::<DcdoManager>(s.manager_actor);
+        assert_eq!(mgr.expect("manager alive").flows_in_flight(), 0);
+        assert_eq!(
+            s.bed.sim.metrics().counter("manager.flows_failed"),
+            failed_before
+        );
+    };
+
+    // Deactivated: there is no process to capture state from.
+    s.mgr_ok(ControlOp::new(DeactivateDcdo { object: dcdo }));
+    let migrate = || ControlOp::new(MigrateDcdo { object: dcdo, to });
+    refused(&mut s, migrate(), "is deactivated");
+
+    // Crashed: same, for migration and for deactivation.
+    s.mgr_ok(ControlOp::new(dcdo_core::ops::ActivateDcdo {
+        object: dcdo,
+        node: None,
+    }));
+    s.bed.sim.crash_node(home);
+    s.mgr_ok(ControlOp::new(NodeFailed { node: home }));
+    refused(&mut s, migrate(), "host crashed");
+    let deactivate = ControlOp::new(DeactivateDcdo { object: dcdo });
+    refused(&mut s, deactivate, "host crashed");
 }

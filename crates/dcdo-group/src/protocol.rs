@@ -265,12 +265,15 @@ impl GroupReplica {
     }
 
     fn on_control(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, call: CallId, op: ControlOp) {
-        let result = if let Some(prep) = op.downcast_ref::<EpochPrepare>() {
+        let reply = if let Some(prep) = op.downcast_ref::<EpochPrepare>() {
             if prep.group != self.group || prep.epoch <= self.config.epoch {
-                Err(InvocationFault::Refused(format!(
-                    "stale prepare for epoch {} (at {})",
-                    prep.epoch, self.config.epoch
-                )))
+                Msg::refused(
+                    call,
+                    format!(
+                        "stale prepare for epoch {} (at {})",
+                        prep.epoch, self.config.epoch
+                    ),
+                )
             } else {
                 if let Some(old) = self.fence.take() {
                     ctx.cancel_timer(old.timer);
@@ -280,15 +283,18 @@ impl GroupReplica {
                     epoch: prep.epoch,
                     timer,
                 });
-                Ok(ControlOp::new(EpochPrepareAck {
-                    member: self.member,
-                    epoch: prep.epoch,
-                    joined_digest: prep.joined_digest,
-                }))
+                Msg::control_ok(
+                    call,
+                    EpochPrepareAck {
+                        member: self.member,
+                        epoch: prep.epoch,
+                        joined_digest: prep.joined_digest,
+                    },
+                )
             }
         } else if let Some(commit) = op.downcast_ref::<EpochCommit>() {
             self.adopt(ctx, commit.config.clone());
-            Ok(ControlOp::new(Ack))
+            Msg::control_ok(call, Ack)
         } else if let Some(abort) = op.downcast_ref::<EpochAbort>() {
             if let Some(fence) = self.fence.take() {
                 if fence.epoch == abort.epoch && abort.group == self.group {
@@ -297,24 +303,27 @@ impl GroupReplica {
                     self.fence = Some(fence);
                 }
             }
-            Ok(ControlOp::new(Ack))
+            Msg::control_ok(call, Ack)
         } else if op.downcast_ref::<ProbeReplica>().is_some() {
-            Ok(ControlOp::new(ReplicaStatus {
-                member: self.member,
-                epoch: self.config.epoch,
-                version: self.running_version(),
-                healthy: self.healthy(),
-                served: self.served,
-                refused: self.refused,
-                config_digest: self.config.digest(),
-            }))
+            Msg::control_ok(
+                call,
+                ReplicaStatus {
+                    member: self.member,
+                    epoch: self.config.epoch,
+                    version: self.running_version(),
+                    healthy: self.healthy(),
+                    served: self.served,
+                    refused: self.refused,
+                    config_digest: self.config.digest(),
+                },
+            )
         } else {
-            Err(InvocationFault::Refused(format!(
-                "group replica does not handle {}",
-                op.describe()
-            )))
+            Msg::refused(
+                call,
+                format!("group replica does not handle {}", op.describe()),
+            )
         };
-        ctx.send(from, Msg::ControlReply { call, result });
+        ctx.send(from, reply);
     }
 }
 
@@ -346,10 +355,7 @@ impl Actor<Msg> for GroupReplica {
                 if target != self.object {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
+                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
                     );
                     return;
                 }
@@ -573,19 +579,13 @@ impl GroupCoordinator {
                 },
             );
         }
-        let digest = self.config.digest();
+        let result = ProposalResult {
+            committed: true,
+            epoch: self.config.epoch,
+            config_digest: self.config.digest(),
+        };
         for (proposer, call) in round.proposers {
-            ctx.send(
-                proposer,
-                Msg::ControlReply {
-                    call,
-                    result: Ok(ControlOp::new(ProposalResult {
-                        committed: true,
-                        epoch: self.config.epoch,
-                        config_digest: digest,
-                    })),
-                },
-            );
+            ctx.send(proposer, Msg::control_ok(call, result.clone()));
         }
         if !self.inbox_proposers.is_empty() && !self.round_scheduled {
             self.round_scheduled = true;
@@ -614,19 +614,13 @@ impl GroupCoordinator {
                 },
             );
         }
-        let digest = self.config.digest();
+        let result = ProposalResult {
+            committed: false,
+            epoch: round.epoch,
+            config_digest: self.config.digest(),
+        };
         for (proposer, call) in round.proposers {
-            ctx.send(
-                proposer,
-                Msg::ControlReply {
-                    call,
-                    result: Ok(ControlOp::new(ProposalResult {
-                        committed: false,
-                        epoch: round.epoch,
-                        config_digest: digest,
-                    })),
-                },
-            );
+            ctx.send(proposer, Msg::control_ok(call, result.clone()));
         }
     }
 }
@@ -638,10 +632,7 @@ impl Actor<Msg> for GroupCoordinator {
                 if target != self.object {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
+                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
                     );
                     return;
                 }
@@ -649,13 +640,10 @@ impl Actor<Msg> for GroupCoordinator {
                     if p.group != self.group {
                         ctx.send(
                             from,
-                            Msg::ControlReply {
+                            Msg::refused(
                                 call,
-                                result: Err(InvocationFault::Refused(format!(
-                                    "coordinator serves group {}, not {}",
-                                    self.group, p.group
-                                ))),
-                            },
+                                format!("coordinator serves group {}, not {}", self.group, p.group),
+                            ),
                         );
                         return;
                     }
@@ -670,13 +658,10 @@ impl Actor<Msg> for GroupCoordinator {
                 } else {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
+                        Msg::refused(
                             call,
-                            result: Err(InvocationFault::Refused(format!(
-                                "group coordinator does not handle {}",
-                                op.describe()
-                            ))),
-                        },
+                            format!("group coordinator does not handle {}", op.describe()),
+                        ),
                     );
                 }
             }

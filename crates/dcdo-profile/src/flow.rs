@@ -148,38 +148,14 @@ pub fn step_breakdown(flows: &[FlowRecord]) -> Vec<StepStat> {
     out
 }
 
-/// Human name of a layer step code within its flow kind.
-///
-/// Manager lifecycle flows (create/update/migrate/…) share the manager's
-/// step vocabulary; object-local [`FlowKind::Config`] flows use the DCDO's
-/// staged-fetch vocabulary.
+/// Human name of a step cell: `"init"` for the synthetic [`STEP_INIT`]
+/// segment, otherwise the layer's own name for the code
+/// ([`FlowKind::step_name`], the one step vocabulary).
 pub fn step_name(kind: FlowKind, step: u32) -> &'static str {
     if step == STEP_INIT {
-        return "init";
-    }
-    match kind {
-        FlowKind::Config => match step {
-            0 => "descriptor",
-            1 => "host_check",
-            2 => "ico_read",
-            3 => "host_store",
-            4 => "map",
-            5 => "gate",
-            6 => "apply",
-            _ => "unknown",
-        },
-        _ => match step {
-            0 => "capture",
-            1 => "deactivate",
-            2 => "unregister",
-            3 => "spawn",
-            4 => "register",
-            5 => "apply",
-            6 => "restore",
-            7 => "save_vault",
-            8 => "load_vault",
-            _ => "unknown",
-        },
+        "init"
+    } else {
+        kind.step_name(step)
     }
 }
 
@@ -440,11 +416,9 @@ mod tests {
     }
 
     #[test]
-    fn step_names_are_stable() {
-        assert_eq!(step_name(FlowKind::Config, 0), "descriptor");
-        assert_eq!(step_name(FlowKind::Config, 6), "apply");
-        assert_eq!(step_name(FlowKind::Update, 5), "apply");
-        assert_eq!(step_name(FlowKind::Recover, 8), "load_vault");
+    fn init_segment_is_named_beside_the_layer_vocabulary() {
         assert_eq!(step_name(FlowKind::Create, STEP_INIT), "init");
+        assert_eq!(step_name(FlowKind::Config, 0), "descriptor");
+        assert_eq!(step_name(FlowKind::Recover, 8), "load_vault");
     }
 }

@@ -44,4 +44,6 @@ pub use flight::{
 };
 pub use hash::{fn_hash, fnv1a, Fnv1a};
 pub use log::TraceLog;
-pub use span::{FlowKind, RpcOutcome, SendVerdict, SpanEvent, SpanId, SpanKind, NO_NODE};
+pub use span::{
+    cfg_step, mgr_step, FlowKind, RpcOutcome, SendVerdict, SpanEvent, SpanId, SpanKind, NO_NODE,
+};

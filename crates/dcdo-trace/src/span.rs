@@ -164,6 +164,86 @@ impl FlowKind {
             FlowKind::Epoch => "epoch",
         }
     }
+
+    /// Human name of a `FlowStep` code within this kind of flow: the
+    /// [`cfg_step`] vocabulary for object-local [`FlowKind::Config`] flows,
+    /// the [`mgr_step`] vocabulary for every lifecycle kind.
+    pub fn step_name(self, code: u32) -> &'static str {
+        let names: &[&str] = match self {
+            FlowKind::Config => &cfg_step::NAMES,
+            _ => &mgr_step::NAMES,
+        };
+        names.get(code as usize).copied().unwrap_or("unknown")
+    }
+}
+
+/// Wire-stable `FlowStep` codes of the DCDO Manager's lifecycle flows
+/// (create, update, migrate, deactivate, activate, checkpoint, recover).
+/// The profiler keys its per-step latency tables on them and the span
+/// digests cover them, so a code is never renumbered.
+pub mod mgr_step {
+    /// Capturing the running instance's state.
+    pub const CAPTURE: u32 = 0;
+    /// Stopping the instance's process.
+    pub const DEACTIVATE: u32 = 1;
+    /// Removing the instance's binding.
+    pub const UNREGISTER: u32 = 2;
+    /// Creating a fresh process (timer).
+    pub const SPAWN: u32 = 3;
+    /// Registering the (new) address with the binding agent.
+    pub const REGISTER: u32 = 4;
+    /// Applying the flow's DFM descriptor to the process.
+    pub const APPLY: u32 = 5;
+    /// Restoring captured, parked or loaded state into the process.
+    pub const RESTORE: u32 = 6;
+    /// Persisting the captured state in the vault.
+    pub const SAVE_VAULT: u32 = 7;
+    /// Loading the instance's snapshot from the vault.
+    pub const LOAD_VAULT: u32 = 8;
+
+    /// Step names, indexed by code.
+    pub(super) const NAMES: [&str; 9] = [
+        "capture",
+        "deactivate",
+        "unregister",
+        "spawn",
+        "register",
+        "apply",
+        "restore",
+        "save_vault",
+        "load_vault",
+    ];
+}
+
+/// Wire-stable `FlowStep` codes of object-local [`FlowKind::Config`] flows:
+/// the staged fetch pipeline, the removal gate, and the final semantic
+/// application. Never renumbered, like [`mgr_step`].
+pub mod cfg_step {
+    /// Reading the component descriptor from the ICO.
+    pub const DESCRIPTOR: u32 = 0;
+    /// Consulting the local host's component cache.
+    pub const HOST_CHECK: u32 = 1;
+    /// Downloading the component data from the ICO.
+    pub const ICO_READ: u32 = 2;
+    /// Writing the downloaded data into the local host cache.
+    pub const HOST_STORE: u32 = 3;
+    /// Mapping the component into the address space (timer).
+    pub const MAP: u32 = 4;
+    /// Checking the thread-activity gate (may repeat on rechecks).
+    pub const GATE: u32 = 5;
+    /// Applying the semantic configuration change.
+    pub const APPLY: u32 = 6;
+
+    /// Step names, indexed by code.
+    pub(super) const NAMES: [&str; 7] = [
+        "descriptor",
+        "host_check",
+        "ico_read",
+        "host_store",
+        "map",
+        "gate",
+        "apply",
+    ];
 }
 
 /// The typed payload of one span event.
@@ -720,4 +800,45 @@ pub struct SpanEvent {
     pub node: u32,
     /// The typed payload.
     pub kind: SpanKind,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn step_names_are_stable() {
+        let mgr = [
+            (mgr_step::CAPTURE, 0, "capture"),
+            (mgr_step::DEACTIVATE, 1, "deactivate"),
+            (mgr_step::UNREGISTER, 2, "unregister"),
+            (mgr_step::SPAWN, 3, "spawn"),
+            (mgr_step::REGISTER, 4, "register"),
+            (mgr_step::APPLY, 5, "apply"),
+            (mgr_step::RESTORE, 6, "restore"),
+            (mgr_step::SAVE_VAULT, 7, "save_vault"),
+            (mgr_step::LOAD_VAULT, 8, "load_vault"),
+        ];
+        for (code, wire, name) in mgr {
+            assert_eq!(code, wire);
+            assert_eq!(FlowKind::Migrate.step_name(code), name);
+        }
+        let cfg = [
+            (cfg_step::DESCRIPTOR, 0, "descriptor"),
+            (cfg_step::HOST_CHECK, 1, "host_check"),
+            (cfg_step::ICO_READ, 2, "ico_read"),
+            (cfg_step::HOST_STORE, 3, "host_store"),
+            (cfg_step::MAP, 4, "map"),
+            (cfg_step::GATE, 5, "gate"),
+            (cfg_step::APPLY, 6, "apply"),
+        ];
+        for (code, wire, name) in cfg {
+            assert_eq!(code, wire);
+            assert_eq!(FlowKind::Config.step_name(code), name);
+        }
+        assert_eq!(FlowKind::Update.step_name(5), "apply");
+        assert_eq!(FlowKind::Recover.step_name(8), "load_vault");
+        assert_eq!(FlowKind::Create.step_name(9), "unknown");
+        assert_eq!(FlowKind::Config.step_name(7), "unknown");
+    }
 }

@@ -16,7 +16,7 @@ use dcdo_sim::{Actor, ActorId, Ctx, SpanKind};
 use dcdo_types::ObjectId;
 
 use crate::control_payload;
-use crate::msg::{Ack, ControlOp, InvocationFault, Msg};
+use crate::msg::{Ack, InvocationFault, Msg};
 
 /// Registers (or updates) the binding for an object.
 #[derive(Debug, Clone)]
@@ -149,51 +149,53 @@ impl Actor<Msg> for BindingAgent {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
         match msg {
             Msg::Control { call, op, .. } => {
-                let result: Result<ControlOp, InvocationFault> =
-                    if let Some(reg) = op.as_any().downcast_ref::<RegisterBinding>() {
-                        self.bindings.insert(reg.object, reg.address);
-                        ctx.metrics().incr("binding.registered");
-                        if ctx.tracing_enabled() {
-                            ctx.emit_span(SpanKind::BindingRegistered {
-                                object: reg.object.as_raw(),
-                                dst: reg.address.as_raw(),
-                            });
-                        }
-                        Ok(ControlOp::new(Ack))
-                    } else if let Some(unreg) = op.as_any().downcast_ref::<UnregisterBinding>() {
-                        self.bindings.remove(&unreg.object);
-                        if ctx.tracing_enabled() {
+                let reply = if let Some(reg) = op.as_any().downcast_ref::<RegisterBinding>() {
+                    self.bindings.insert(reg.object, reg.address);
+                    ctx.metrics().incr("binding.registered");
+                    if ctx.tracing_enabled() {
+                        ctx.emit_span(SpanKind::BindingRegistered {
+                            object: reg.object.as_raw(),
+                            dst: reg.address.as_raw(),
+                        });
+                    }
+                    Msg::control_ok(call, Ack)
+                } else if let Some(unreg) = op.as_any().downcast_ref::<UnregisterBinding>() {
+                    self.bindings.remove(&unreg.object);
+                    if ctx.tracing_enabled() {
+                        ctx.emit_span(SpanKind::BindingInvalidated {
+                            object: unreg.object.as_raw(),
+                        });
+                    }
+                    Msg::control_ok(call, Ack)
+                } else if let Some(inv) = op.as_any().downcast_ref::<InvalidateBindings>() {
+                    let removed = self.invalidate_addresses(&inv.addresses);
+                    ctx.metrics()
+                        .add("binding.invalidated", removed.len() as u64);
+                    if ctx.tracing_enabled() {
+                        for object in &removed {
                             ctx.emit_span(SpanKind::BindingInvalidated {
-                                object: unreg.object.as_raw(),
+                                object: object.as_raw(),
                             });
                         }
-                        Ok(ControlOp::new(Ack))
-                    } else if let Some(inv) = op.as_any().downcast_ref::<InvalidateBindings>() {
-                        let removed = self.invalidate_addresses(&inv.addresses);
-                        ctx.metrics()
-                            .add("binding.invalidated", removed.len() as u64);
-                        if ctx.tracing_enabled() {
-                            for object in &removed {
-                                ctx.emit_span(SpanKind::BindingInvalidated {
-                                    object: object.as_raw(),
-                                });
-                            }
-                        }
-                        Ok(ControlOp::new(InvalidatedBindings { removed }))
-                    } else if let Some(query) = op.as_any().downcast_ref::<QueryBinding>() {
-                        self.queries_served += 1;
-                        ctx.metrics().incr("binding.queries");
-                        Ok(ControlOp::new(BindingResult {
+                    }
+                    Msg::control_ok(call, InvalidatedBindings { removed })
+                } else if let Some(query) = op.as_any().downcast_ref::<QueryBinding>() {
+                    self.queries_served += 1;
+                    ctx.metrics().incr("binding.queries");
+                    Msg::control_ok(
+                        call,
+                        BindingResult {
                             object: query.object,
                             address: self.bindings.get(&query.object).copied(),
-                        }))
-                    } else {
-                        Err(InvocationFault::Refused(format!(
-                            "binding agent does not understand {}",
-                            op.describe()
-                        )))
-                    };
-                ctx.send(from, Msg::ControlReply { call, result });
+                        },
+                    )
+                } else {
+                    Msg::refused(
+                        call,
+                        format!("binding agent does not understand {}", op.describe()),
+                    )
+                };
+                ctx.send(from, reply);
             }
             Msg::Invoke { call, function, .. } => {
                 // Binding agents export no user-level functions.
@@ -220,7 +222,7 @@ mod tests {
     use dcdo_types::CallId;
 
     use super::*;
-    use crate::msg::ControlPayload;
+    use crate::msg::{ControlOp, ControlPayload};
 
     /// Driver actor that records control replies it receives.
     #[derive(Default)]

@@ -310,13 +310,7 @@ impl ClassObject {
     fn fail_op(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64, why: String) {
         if let Some(op) = self.ops.remove(&op_id) {
             ctx.metrics().incr("class.ops_failed");
-            ctx.send(
-                op.reply_to,
-                Msg::ControlReply {
-                    call: op.call,
-                    result: Err(InvocationFault::Refused(why)),
-                },
-            );
+            ctx.send(op.reply_to, Msg::refused(op.call, why));
         }
     }
 
@@ -416,6 +410,24 @@ impl ClassObject {
         }
     }
 
+    /// Pushes `state` into the freshly spawned process.
+    fn begin_restore(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64, state: Bytes) {
+        let (object, new_actor) = {
+            let op = self.ops.get_mut(&op_id).expect("op exists");
+            op.step = Step::Restore;
+            (op.object, op.new_actor.expect("spawned"))
+        };
+        // The new process has no binding yet; address it directly by
+        // seeding the rpc cache with the fresh actor.
+        self.rpc.seed_binding(object, new_actor);
+        self.rpc_step(
+            ctx,
+            op_id,
+            object,
+            ControlOp::new(RestoreState { bytes: state }),
+        );
+    }
+
     fn begin_register(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
         let (object, address) = {
             let op = self.ops.get_mut(&op_id).expect("op exists");
@@ -443,51 +455,47 @@ impl ClassObject {
             },
         );
         let elapsed = ctx.now().duration_since(op.started);
-        let (metric, reply): (&str, ControlOp) = match op.kind {
-            OpKind::Create => (
-                "class.create_time",
-                ControlOp::new(InstanceCreated {
-                    object: op.object,
-                    address,
-                    version: op.target_version,
-                }),
-            ),
-            OpKind::Evolve => (
-                "class.evolve_time",
-                ControlOp::new(LifecycleDone {
-                    object: op.object,
-                    address,
-                    version: op.target_version,
-                }),
-            ),
-            OpKind::Migrate => (
-                "class.migrate_time",
-                ControlOp::new(LifecycleDone {
-                    object: op.object,
-                    address,
-                    version: op.target_version,
-                }),
-            ),
-            OpKind::Reactivate => (
-                "class.reactivate_time",
-                ControlOp::new(LifecycleDone {
-                    object: op.object,
-                    address,
-                    version: op.target_version,
-                }),
-            ),
-            OpKind::Checkpoint => {
-                unreachable!("checkpoints finish via finish_checkpoint")
-            }
+        let metric = match op.kind {
+            OpKind::Create => "class.create_time",
+            OpKind::Evolve => "class.evolve_time",
+            OpKind::Migrate => "class.migrate_time",
+            OpKind::Reactivate => "class.reactivate_time",
+            OpKind::Checkpoint => unreachable!("checkpoints finish via finish_checkpoint"),
         };
         ctx.metrics().sample_duration(metric, elapsed);
-        ctx.send(
-            op.reply_to,
-            Msg::ControlReply {
-                call: op.call,
-                result: Ok(reply),
-            },
-        );
+        let (object, version) = (op.object, op.target_version);
+        let reply = if op.kind == OpKind::Create {
+            Msg::control_ok(
+                op.call,
+                InstanceCreated {
+                    object,
+                    address,
+                    version,
+                },
+            )
+        } else {
+            Msg::control_ok(
+                op.call,
+                LifecycleDone {
+                    object,
+                    address,
+                    version,
+                },
+            )
+        };
+        ctx.send(op.reply_to, reply);
+    }
+
+    /// The instance an operation works on, or why the operation is refused.
+    /// `vault_use` says what a vault-backed operation needs the vault for.
+    fn admit(&self, object: ObjectId, vault_use: Option<&str>) -> Result<Instance, String> {
+        if let (Some(what), None) = (vault_use, self.vault) {
+            return Err(format!("class has no vault to {what}"));
+        }
+        self.instances
+            .get(&object)
+            .copied()
+            .ok_or_else(|| format!("unknown instance {object}"))
     }
 
     fn start_lifecycle(
@@ -499,17 +507,10 @@ impl ClassObject {
         object: ObjectId,
         target_node: Option<NodeId>,
     ) {
-        let Some(instance) = self.instances.get(&object).copied() else {
-            ctx.send(
-                reply_to,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(format!(
-                        "unknown instance {object}"
-                    ))),
-                },
-            );
-            return;
+        let vault_use = (kind == OpKind::Checkpoint).then_some("checkpoint into");
+        let instance = match self.admit(object, vault_use) {
+            Ok(instance) => instance,
+            Err(why) => return ctx.send(reply_to, Msg::refused(call, why)),
         };
         ctx.send(reply_to, Msg::Progress { call });
         let op_id = ctx.fresh_u64();
@@ -527,50 +528,8 @@ impl ClassObject {
             target_version,
             old_actor: Some(instance.actor),
             state: None,
-            needs_restore: true,
-            new_actor: None,
-            step: Step::Capture,
-        };
-        self.ops.insert(op_id, op);
-        self.rpc_step(ctx, op_id, object, ControlOp::new(CaptureState));
-    }
-
-    fn start_checkpoint(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        reply_to: ActorId,
-        call: CallId,
-        object: ObjectId,
-    ) {
-        let instance = self.instances.get(&object).copied();
-        let (Some(instance), Some(_vault)) = (instance, self.vault) else {
-            let why = if self.vault.is_none() {
-                "class has no vault to checkpoint into".to_string()
-            } else {
-                format!("unknown instance {object}")
-            };
-            ctx.send(
-                reply_to,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(why)),
-                },
-            );
-            return;
-        };
-        ctx.send(reply_to, Msg::Progress { call });
-        let op_id = ctx.fresh_u64();
-        let op = PendingOp {
-            kind: OpKind::Checkpoint,
-            reply_to,
-            call,
-            started: ctx.now(),
-            object,
-            target_node: instance.node,
-            target_version: instance.version,
-            old_actor: Some(instance.actor),
-            state: None,
-            needs_restore: false,
+            // A checkpoint leaves the running process as it is.
+            needs_restore: kind != OpKind::Checkpoint,
             new_actor: None,
             step: Step::Capture,
         };
@@ -586,21 +545,9 @@ impl ClassObject {
         object: ObjectId,
         node: NodeId,
     ) {
-        let instance = self.instances.get(&object).copied();
-        let (Some(instance), Some(_vault)) = (instance, self.vault) else {
-            let why = if self.vault.is_none() {
-                "class has no vault to reactivate from".to_string()
-            } else {
-                format!("unknown instance {object}")
-            };
-            ctx.send(
-                reply_to,
-                Msg::ControlReply {
-                    call,
-                    result: Err(InvocationFault::Refused(why)),
-                },
-            );
-            return;
+        let instance = match self.admit(object, Some("reactivate from")) {
+            Ok(instance) => instance,
+            Err(why) => return ctx.send(reply_to, Msg::refused(call, why)),
         };
         ctx.send(reply_to, Msg::Progress { call });
         ctx.metrics().incr("class.reactivations_started");
@@ -632,10 +579,7 @@ impl ClassObject {
             .sample_duration("class.checkpoint_time", elapsed);
         ctx.send(
             op.reply_to,
-            Msg::ControlReply {
-                call: op.call,
-                result: Ok(ControlOp::new(CheckpointDone { object: op.object })),
-            },
+            Msg::control_ok(op.call, CheckpointDone { object: op.object }),
         );
     }
 
@@ -679,20 +623,8 @@ impl ClassObject {
                         self.fail_op(ctx, op_id, "vault lost the parked state".into());
                         return;
                     };
-                    let (object, state) = {
-                        let op = self.ops.get_mut(&op_id).expect("op exists");
-                        op.state = Some(bytes.clone());
-                        op.step = Step::Restore;
-                        (op.object, bytes)
-                    };
-                    let new_actor = self.ops[&op_id].new_actor.expect("spawned");
-                    self.rpc.seed_binding(object, new_actor);
-                    self.rpc_step(
-                        ctx,
-                        op_id,
-                        object,
-                        ControlOp::new(RestoreState { bytes: state }),
-                    );
+                    self.ops.get_mut(&op_id).expect("op exists").state = Some(bytes.clone());
+                    self.begin_restore(ctx, op_id, bytes);
                 }
                 Step::Deactivate => {
                     // Old process is gone; its binding is stale from here on.
@@ -769,21 +701,8 @@ impl ClassObject {
                     );
                     return;
                 }
-                let (object_old_binding, state) = {
-                    let op = self.ops.get_mut(&op_id).expect("op exists");
-                    op.step = Step::Restore;
-                    (op.object, op.state.clone().expect("state present"))
-                };
-                // The new process has no binding yet; address it directly by
-                // seeding the rpc cache with the fresh actor.
-                let new_actor = self.ops[&op_id].new_actor.expect("spawned");
-                self.rpc.seed_binding(object_old_binding, new_actor);
-                self.rpc_step(
-                    ctx,
-                    op_id,
-                    object_old_binding,
-                    ControlOp::new(RestoreState { bytes: state }),
-                );
+                let state = self.ops[&op_id].state.clone().expect("state present");
+                self.begin_restore(ctx, op_id, state);
             }
             other => {
                 self.fail_op(ctx, op_id, format!("unexpected timer in step {other:?}"));
@@ -799,10 +718,7 @@ impl Actor<Msg> for ClassObject {
                 if target != self.object {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
+                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
                     );
                     return;
                 }
@@ -812,13 +728,7 @@ impl Actor<Msg> for ClassObject {
                     let version = set.image.version();
                     self.images.insert(version, set.image.clone());
                     self.current_version = version;
-                    ctx.send(
-                        from,
-                        Msg::ControlReply {
-                            call,
-                            result: Ok(ControlOp::new(crate::msg::Ack)),
-                        },
-                    );
+                    ctx.send(from, Msg::control_ok(call, crate::msg::Ack));
                 } else if let Some(ev) = op.as_any().downcast_ref::<EvolveInstance>() {
                     self.start_lifecycle(ctx, OpKind::Evolve, from, call, ev.object, None);
                 } else if let Some(mig) = op.as_any().downcast_ref::<MigrateInstance>() {
@@ -831,29 +741,26 @@ impl Actor<Msg> for ClassObject {
                         Some(mig.to),
                     );
                 } else if let Some(ck) = op.as_any().downcast_ref::<CheckpointInstance>() {
-                    self.start_checkpoint(ctx, from, call, ck.object);
+                    self.start_lifecycle(ctx, OpKind::Checkpoint, from, call, ck.object, None);
                 } else if let Some(re) = op.as_any().downcast_ref::<ReactivateInstance>() {
                     self.start_reactivate(ctx, from, call, re.object, re.node);
                 } else if op.as_any().downcast_ref::<ListInstances>().is_some() {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
+                        Msg::control_ok(
                             call,
-                            result: Ok(ControlOp::new(InstanceTable {
+                            InstanceTable {
                                 entries: self.instances(),
-                            })),
-                        },
+                            },
+                        ),
                     );
                 } else {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
+                        Msg::refused(
                             call,
-                            result: Err(InvocationFault::Refused(format!(
-                                "class object does not understand {}",
-                                op.describe()
-                            ))),
-                        },
+                            format!("class object does not understand {}", op.describe()),
+                        ),
                     );
                 }
             }

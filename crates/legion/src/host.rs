@@ -13,7 +13,7 @@ use dcdo_sim::{Actor, ActorId, Ctx, NodeId};
 use dcdo_types::{Architecture, ClassId, ComponentId, HostId, ObjectId};
 
 use crate::control_payload;
-use crate::msg::{Ack, ControlOp, InvocationFault, Msg};
+use crate::msg::{Ack, InvocationFault, Msg};
 
 /// Control op: store component data in the host's cache.
 #[derive(Debug, Clone)]
@@ -172,41 +172,43 @@ impl Actor<Msg> for HostObject {
                 if target != self.object {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
+                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
                     );
                     return;
                 }
-                let result: Result<ControlOp, InvocationFault> =
-                    if let Some(store) = op.as_any().downcast_ref::<StoreComponentData>() {
-                        self.components.insert(store.component, store.bytes.clone());
-                        ctx.metrics().incr("host.components_stored");
-                        Ok(ControlOp::new(Ack))
-                    } else if let Some(fetch) = op.as_any().downcast_ref::<FetchComponentData>() {
-                        Ok(ControlOp::new(ComponentData {
+                let reply = if let Some(store) = op.as_any().downcast_ref::<StoreComponentData>() {
+                    self.components.insert(store.component, store.bytes.clone());
+                    ctx.metrics().incr("host.components_stored");
+                    Msg::control_ok(call, Ack)
+                } else if let Some(fetch) = op.as_any().downcast_ref::<FetchComponentData>() {
+                    Msg::control_ok(
+                        call,
+                        ComponentData {
                             component: fetch.component,
                             bytes: self.components.get(&fetch.component).cloned(),
-                        }))
-                    } else if let Some(has) = op.as_any().downcast_ref::<HasComponent>() {
-                        Ok(ControlOp::new(CachedReply {
+                        },
+                    )
+                } else if let Some(has) = op.as_any().downcast_ref::<HasComponent>() {
+                    Msg::control_ok(
+                        call,
+                        CachedReply {
                             cached: self.components.contains_key(&has.component),
-                        }))
-                    } else if let Some(store) = op.as_any().downcast_ref::<StoreExecutable>() {
-                        self.executables.insert((store.class, store.version));
-                        Ok(ControlOp::new(Ack))
-                    } else if let Some(has) = op.as_any().downcast_ref::<HasExecutable>() {
-                        Ok(ControlOp::new(CachedReply {
+                        },
+                    )
+                } else if let Some(store) = op.as_any().downcast_ref::<StoreExecutable>() {
+                    self.executables.insert((store.class, store.version));
+                    Msg::control_ok(call, Ack)
+                } else if let Some(has) = op.as_any().downcast_ref::<HasExecutable>() {
+                    Msg::control_ok(
+                        call,
+                        CachedReply {
                             cached: self.executables.contains(&(has.class, has.version)),
-                        }))
-                    } else {
-                        Err(InvocationFault::Refused(format!(
-                            "host does not understand {}",
-                            op.describe()
-                        )))
-                    };
-                ctx.send(from, Msg::ControlReply { call, result });
+                        },
+                    )
+                } else {
+                    Msg::refused(call, format!("host does not understand {}", op.describe()))
+                };
+                ctx.send(from, reply);
             }
             Msg::Invoke { call, function, .. } => {
                 ctx.send(

@@ -193,35 +193,40 @@ impl MonolithicObject {
         call: dcdo_types::CallId,
         op: ControlOp,
     ) {
-        let result: Result<ControlOp, InvocationFault> =
-            if op.as_any().downcast_ref::<CaptureState>().is_some() {
-                Ok(ControlOp::new(StateBlob {
+        let reply = if op.as_any().downcast_ref::<CaptureState>().is_some() {
+            Msg::control_ok(
+                call,
+                StateBlob {
                     bytes: self.state.capture(),
-                }))
-            } else if let Some(restore) = op.as_any().downcast_ref::<RestoreState>() {
-                match ValueStore::restore(restore.bytes.clone()) {
-                    Ok(state) => {
-                        self.state = state;
-                        Ok(ControlOp::new(Ack))
-                    }
-                    Err(e) => Err(InvocationFault::Refused(format!("bad state blob: {e}"))),
+                },
+            )
+        } else if let Some(restore) = op.as_any().downcast_ref::<RestoreState>() {
+            match ValueStore::restore(restore.bytes.clone()) {
+                Ok(state) => {
+                    self.state = state;
+                    Msg::control_ok(call, Ack)
                 }
-            } else if op.as_any().downcast_ref::<QueryVersion>().is_some() {
-                Ok(ControlOp::new(VersionReport {
+                Err(e) => Msg::refused(call, format!("bad state blob: {e}")),
+            }
+        } else if op.as_any().downcast_ref::<QueryVersion>().is_some() {
+            Msg::control_ok(
+                call,
+                VersionReport {
                     version: self.image_version,
                     functions: self.function_count,
-                }))
-            } else if op.as_any().downcast_ref::<Deactivate>().is_some() {
-                let me = ctx.self_id();
-                ctx.kill(me);
-                Ok(ControlOp::new(Ack))
-            } else {
-                Err(InvocationFault::Refused(format!(
-                    "monolithic object does not understand {}",
-                    op.describe()
-                )))
-            };
-        ctx.send(from, Msg::ControlReply { call, result });
+                },
+            )
+        } else if op.as_any().downcast_ref::<Deactivate>().is_some() {
+            let me = ctx.self_id();
+            ctx.kill(me);
+            Msg::control_ok(call, Ack)
+        } else {
+            Msg::refused(
+                call,
+                format!("monolithic object does not understand {}", op.describe()),
+            )
+        };
+        ctx.send(from, reply);
     }
 }
 
@@ -260,10 +265,7 @@ impl Actor<Msg> for MonolithicObject {
                 if target != self.object {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
+                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
                     );
                     return;
                 }

@@ -66,6 +66,20 @@ impl fmt::Display for InvocationFault {
 
 impl std::error::Error for InvocationFault {}
 
+/// Explanatory text is a refusal: lets [`Msg::refused`] take either a fault
+/// or the reason an operation was declined.
+impl From<String> for InvocationFault {
+    fn from(why: String) -> Self {
+        InvocationFault::Refused(why)
+    }
+}
+
+impl From<&str> for InvocationFault {
+    fn from(why: &str) -> Self {
+        InvocationFault::Refused(why.to_owned())
+    }
+}
+
 impl From<VmError> for InvocationFault {
     fn from(e: VmError) -> Self {
         match e {
@@ -255,6 +269,23 @@ impl Payload for Msg {
 }
 
 impl Msg {
+    /// The successful [`Msg::ControlReply`] to `call`, carrying `payload`.
+    pub fn control_ok(call: CallId, payload: impl Into<ControlOp>) -> Msg {
+        Msg::ControlReply {
+            call,
+            result: Ok(payload.into()),
+        }
+    }
+
+    /// The failed [`Msg::ControlReply`] to `call`. `why` is a fault, or the
+    /// text of a refusal ([`InvocationFault::Refused`]).
+    pub fn refused(call: CallId, why: impl Into<InvocationFault>) -> Msg {
+        Msg::ControlReply {
+            call,
+            result: Err(why.into()),
+        }
+    }
+
     /// Returns the call id carried by the message.
     pub fn call_id(&self) -> CallId {
         match self {
@@ -373,6 +404,28 @@ mod tests {
             InvocationFault::from(VmError::DivideByZero),
             InvocationFault::ExecutionFault(VmError::DivideByZero)
         ));
+    }
+
+    #[test]
+    fn reply_constructors_build_control_replies() {
+        let call = CallId::from_raw(5);
+        let Msg::ControlReply { call: c, result } = Msg::control_ok(call, Ack) else {
+            panic!("not a control reply");
+        };
+        assert_eq!(c, call);
+        assert!(result.expect("ok").downcast_ref::<Ack>().is_some());
+        let Msg::ControlReply { result, .. } = Msg::refused(call, "no vault") else {
+            panic!("not a control reply");
+        };
+        assert_eq!(
+            result.expect_err("refused"),
+            InvocationFault::Refused("no vault".into())
+        );
+        let gone = InvocationFault::NoSuchObject(ObjectId::from_raw(4));
+        let Msg::ControlReply { result, .. } = Msg::refused(call, gone.clone()) else {
+            panic!("not a control reply");
+        };
+        assert_eq!(result.expect_err("fault kept"), gone);
     }
 
     #[test]

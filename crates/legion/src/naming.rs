@@ -15,7 +15,7 @@ use dcdo_types::ObjectId;
 use serde::{Deserialize, Serialize};
 
 use crate::control_payload;
-use crate::msg::{Ack, ControlOp, InvocationFault, Msg};
+use crate::msg::{Ack, InvocationFault, Msg};
 
 /// A hierarchical context path like `/home/components/sorting-v2`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -224,40 +224,39 @@ impl Actor<Msg> for ContextSpace {
                 if target != self.object {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
+                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
                     );
                     return;
                 }
-                let result: Result<ControlOp, InvocationFault> =
-                    if let Some(bind) = op.as_any().downcast_ref::<BindName>() {
-                        self.bindings.insert(bind.path.clone(), bind.object);
-                        Ok(ControlOp::new(Ack))
-                    } else if let Some(unbind) = op.as_any().downcast_ref::<UnbindName>() {
-                        self.bindings.remove(&unbind.path);
-                        Ok(ControlOp::new(Ack))
-                    } else if let Some(lookup) = op.as_any().downcast_ref::<LookupName>() {
-                        Ok(ControlOp::new(NameResult {
+                let reply = if let Some(bind) = op.as_any().downcast_ref::<BindName>() {
+                    self.bindings.insert(bind.path.clone(), bind.object);
+                    Msg::control_ok(call, Ack)
+                } else if let Some(unbind) = op.as_any().downcast_ref::<UnbindName>() {
+                    self.bindings.remove(&unbind.path);
+                    Msg::control_ok(call, Ack)
+                } else if let Some(lookup) = op.as_any().downcast_ref::<LookupName>() {
+                    Msg::control_ok(
+                        call,
+                        NameResult {
                             path: lookup.path.clone(),
                             object: self.bindings.get(&lookup.path).copied(),
-                        }))
-                    } else if let Some(list) = op.as_any().downcast_ref::<ListContext>() {
-                        let entries = self
-                            .bindings
-                            .iter()
-                            .filter(|(p, _)| list.context.contains(p))
-                            .map(|(p, o)| (p.clone(), *o))
-                            .collect();
-                        Ok(ControlOp::new(ContextListing { entries }))
-                    } else {
-                        Err(InvocationFault::Refused(format!(
-                            "context space does not understand {}",
-                            op.describe()
-                        )))
-                    };
-                ctx.send(from, Msg::ControlReply { call, result });
+                        },
+                    )
+                } else if let Some(list) = op.as_any().downcast_ref::<ListContext>() {
+                    let entries = self
+                        .bindings
+                        .iter()
+                        .filter(|(p, _)| list.context.contains(p))
+                        .map(|(p, o)| (p.clone(), *o))
+                        .collect();
+                    Msg::control_ok(call, ContextListing { entries })
+                } else {
+                    Msg::refused(
+                        call,
+                        format!("context space does not understand {}", op.describe()),
+                    )
+                };
+                ctx.send(from, reply);
             }
             Msg::Invoke { call, function, .. } => {
                 ctx.send(

@@ -11,7 +11,7 @@ use dcdo_sim::{Actor, ActorId, Ctx};
 use dcdo_types::ObjectId;
 
 use crate::control_payload;
-use crate::msg::{Ack, ControlOp, InvocationFault, Msg};
+use crate::msg::{Ack, InvocationFault, Msg};
 
 /// Control op: persist a state blob for `owner`.
 #[derive(Debug, Clone)]
@@ -96,31 +96,27 @@ impl Actor<Msg> for Vault {
                 if target != self.object {
                     ctx.send(
                         from,
-                        Msg::ControlReply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
+                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
                     );
                     return;
                 }
-                let result: Result<ControlOp, InvocationFault> =
-                    if let Some(save) = op.as_any().downcast_ref::<SaveState>() {
-                        self.blobs.insert(save.owner, save.bytes.clone());
-                        ctx.metrics().incr("vault.saves");
-                        Ok(ControlOp::new(Ack))
-                    } else if let Some(load) = op.as_any().downcast_ref::<LoadState>() {
-                        ctx.metrics().incr("vault.loads");
-                        Ok(ControlOp::new(LoadedState {
+                let reply = if let Some(save) = op.as_any().downcast_ref::<SaveState>() {
+                    self.blobs.insert(save.owner, save.bytes.clone());
+                    ctx.metrics().incr("vault.saves");
+                    Msg::control_ok(call, Ack)
+                } else if let Some(load) = op.as_any().downcast_ref::<LoadState>() {
+                    ctx.metrics().incr("vault.loads");
+                    Msg::control_ok(
+                        call,
+                        LoadedState {
                             owner: load.owner,
                             bytes: self.blobs.get(&load.owner).cloned(),
-                        }))
-                    } else {
-                        Err(InvocationFault::Refused(format!(
-                            "vault does not understand {}",
-                            op.describe()
-                        )))
-                    };
-                ctx.send(from, Msg::ControlReply { call, result });
+                        },
+                    )
+                } else {
+                    Msg::refused(call, format!("vault does not understand {}", op.describe()))
+                };
+                ctx.send(from, reply);
             }
             Msg::Invoke { call, function, .. } => {
                 ctx.send(
