@@ -56,7 +56,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
-use dcdo_sim::{mgr_step, Actor, ActorId, Ctx, FlowKind, NodeId, SimTime, SpanKind};
+use dcdo_sim::{mgr_step, Actor, ActorId, Ctx, FlowKind, IdMap, IdSet, NodeId, SimTime, SpanKind};
 use dcdo_types::{CallId, ClassId, ImplementationType, ObjectId, VersionId};
 use legion_substrate::binding::{RegisterBinding, UnregisterBinding};
 use legion_substrate::monolithic::{CaptureState, Deactivate, RestoreState, StateBlob};
@@ -292,28 +292,28 @@ pub struct DcdoManager {
     store: BTreeMap<VersionId, VersionEntry>,
     branch_counters: HashMap<VersionId, u32>,
     current: VersionId,
-    table: HashMap<ObjectId, DcdoInfo>,
+    table: IdMap<ObjectId, DcdoInfo>,
     version_policy: VersionPolicy,
     propagation: UpdatePropagation,
-    flows: HashMap<u64, MgrFlow>,
-    rpc_routes: HashMap<u64, u64>,
-    timer_routes: HashMap<u64, u64>,
+    flows: IdMap<u64, MgrFlow>,
+    rpc_routes: IdMap<u64, u64>,
+    timer_routes: IdMap<u64, u64>,
     // Supervised update retries: timer token -> (object, target, attempt).
-    retry_updates: HashMap<u64, (ObjectId, VersionId, u32)>,
+    retry_updates: IdMap<u64, (ObjectId, VersionId, u32)>,
     // Per-instance serialization of update flows: an instance has at most
     // one Apply in flight; later requests queue here. Without this, two
     // overlapping pushes can complete out of order and roll the instance
     // back to the older version.
-    updates_in_flight: std::collections::HashSet<ObjectId>,
-    queued_updates: HashMap<ObjectId, std::collections::VecDeque<QueuedUpdate>>,
+    updates_in_flight: IdSet<ObjectId>,
+    queued_updates: IdMap<ObjectId, std::collections::VecDeque<QueuedUpdate>>,
     // The vault backing checkpoint/recovery flows, when configured.
     vault: Option<ObjectId>,
     // Updates interrupted by a host crash: object -> target version. Resumed
     // automatically once the instance is recovered.
-    interrupted_updates: HashMap<ObjectId, VersionId>,
+    interrupted_updates: IdMap<ObjectId, VersionId>,
     // ConfigureVersion incorporations awaiting an ICO descriptor:
     // rpc call -> (reply_to, call, version, ico).
-    pending_incorporations: HashMap<u64, (ActorId, CallId, VersionId, ObjectId)>,
+    pending_incorporations: IdMap<u64, (ActorId, CallId, VersionId, ObjectId)>,
     // Epoch-based group reconfiguration enrolment, if any (SetGroupEpoch).
     group_gate: Option<GroupGate>,
 }
@@ -350,18 +350,18 @@ impl DcdoManager {
             store,
             branch_counters: HashMap::new(),
             current: root,
-            table: HashMap::new(),
+            table: IdMap::default(),
             version_policy,
             propagation,
-            flows: HashMap::new(),
-            rpc_routes: HashMap::new(),
-            timer_routes: HashMap::new(),
-            retry_updates: HashMap::new(),
-            updates_in_flight: std::collections::HashSet::new(),
-            queued_updates: HashMap::new(),
+            flows: IdMap::default(),
+            rpc_routes: IdMap::default(),
+            timer_routes: IdMap::default(),
+            retry_updates: IdMap::default(),
+            updates_in_flight: IdSet::default(),
+            queued_updates: IdMap::default(),
             vault: None,
-            interrupted_updates: HashMap::new(),
-            pending_incorporations: HashMap::new(),
+            interrupted_updates: IdMap::default(),
+            pending_incorporations: IdMap::default(),
             group_gate: None,
         }
     }

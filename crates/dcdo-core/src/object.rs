@@ -21,11 +21,11 @@
 //! disables are postponed while active threads of dependent functions would
 //! be stranded.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use dcdo_sim::{
-    cfg_step, Actor, ActorId, Ctx, FlowKind as TraceFlowKind, SimDuration, SimTime, SpanKind,
+    cfg_step, Actor, ActorId, Ctx, FlowKind as TraceFlowKind, IdMap, SimDuration, SimTime, SpanKind,
 };
 use dcdo_types::{
     Architecture, CallId, ComponentId, FunctionName, ImplementationType, ObjectId, VersionId,
@@ -130,9 +130,9 @@ pub struct DcdoObject {
     last_check: SimTime,
     check_in_flight: bool,
     parked: Vec<ParkedInvocation>,
-    flows: HashMap<u64, ConfigFlow>,
-    rpc_routes: HashMap<u64, u64>,
-    timer_routes: HashMap<u64, u64>,
+    flows: IdMap<u64, ConfigFlow>,
+    rpc_routes: IdMap<u64, u64>,
+    timer_routes: IdMap<u64, u64>,
     config_ops_applied: u64,
 }
 
@@ -172,9 +172,9 @@ impl DcdoObject {
             last_check: SimTime::ZERO,
             check_in_flight: false,
             parked: Vec::new(),
-            flows: HashMap::new(),
-            rpc_routes: HashMap::new(),
-            timer_routes: HashMap::new(),
+            flows: IdMap::default(),
+            rpc_routes: IdMap::default(),
+            timer_routes: IdMap::default(),
             config_ops_applied: 0,
         }
     }

@@ -26,7 +26,7 @@
 //! run evicts the rest ([`RunArtifacts::trace_entries_dropped`] says how
 //! many). The span digest covers every span of the run.
 
-use dcdo_sim::{tail_sample_checked, FlightDump, NodeId, RpcOutcome, SpanEvent, SpanKind};
+use dcdo_sim::{tail_sample_checked, FlightDump, IdMap, NodeId, RpcOutcome, SpanEvent, SpanKind};
 
 use crate::report::ScenarioReport;
 use crate::scenario::{Scenario, Window};
@@ -95,12 +95,11 @@ pub fn run_artifacts(
 /// log — which is byte-identical at every worker-thread count — written
 /// into the engine's timeline so bucketing matches the hot-path stats.
 fn derive_windowed_series(cx: &mut RunCx) {
-    use std::collections::BTreeMap;
     let Some(sim) = cx.world.sim() else { return };
     let mut samples: Vec<(u64, &'static str, f64)> = Vec::new();
     let mut counters: Vec<(u64, &'static str, u64)> = Vec::new();
-    let mut flow_start: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut rpc_start: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut flow_start: IdMap<u64, u64> = IdMap::default();
+    let mut rpc_start: IdMap<u64, u64> = IdMap::default();
     for e in sim.spans().events() {
         match &e.kind {
             SpanKind::FlowStarted { flow, .. } => {

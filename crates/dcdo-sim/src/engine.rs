@@ -20,10 +20,11 @@
 //! that each own a disjoint set of nodes, runs them a bounded lookahead
 //! window ahead, and merges their buffered traces back by event key.
 use std::any::Any;
-use std::collections::HashSet;
 use std::fmt;
 
-use dcdo_trace::{FlightFrame, FlightRecorder, SendVerdict, SpanEvent, SpanId, SpanKind, TraceLog};
+use dcdo_trace::{
+    FlightFrame, FlightRecorder, IdSet, SendVerdict, SpanEvent, SpanId, SpanKind, TraceLog,
+};
 
 use crate::metrics::Metrics;
 use crate::net::{DeliveryPlan, LinkFault, NetConfig, Network, NodeId};
@@ -450,7 +451,7 @@ pub struct Simulation<M: Payload> {
     /// Actors registered as structural-fault drivers (see
     /// [`Simulation::mark_structural`]): their events always execute at a
     /// global barrier, never inside a parallel window.
-    structural: HashSet<u32>,
+    structural: IdSet<u32>,
     /// Per-instance worker-thread override (see [`Simulation::set_threads`]).
     threads: Option<u32>,
     /// `Some` while this simulation is a shard of a parallel window.
@@ -502,7 +503,7 @@ impl<M: Payload> Simulation<M> {
             current_span: None,
             cur_lane: 0,
             cur_key: 0,
-            structural: HashSet::new(),
+            structural: IdSet::default(),
             threads: None,
             shard: None,
             outbox: Vec::new(),

@@ -31,7 +31,9 @@
 //! raw-key API (`push_raw`, `pop_raw`, `drain_raw`) lets the sharded engine
 //! move events between per-shard queues without re-keying them.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+
+use dcdo_trace::IdMap;
 
 use crate::time::SimTime;
 
@@ -78,7 +80,7 @@ pub(crate) struct EventQueue<T> {
     /// heap entry with a later time, in `(time, seq)` order.
     ring: VecDeque<(u128, T)>,
     /// Live (scheduled, uncancelled, unfired) timer id → slab slot.
-    timers: HashMap<u64, u32>,
+    timers: IdMap<u64, u32>,
     peak_len: usize,
 }
 
@@ -89,7 +91,7 @@ impl<T> EventQueue<T> {
             slab: Vec::new(),
             free: Vec::new(),
             ring: VecDeque::new(),
-            timers: HashMap::new(),
+            timers: IdMap::default(),
             peak_len: 0,
         }
     }

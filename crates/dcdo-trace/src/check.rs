@@ -26,9 +26,9 @@
 //!    group serves at an older epoch (stale replicas are fenced until they
 //!    catch up).
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::hash::IdMap;
 use crate::log::TraceLog;
 use crate::span::{FlowKind, SpanId, SpanKind};
 
@@ -174,13 +174,25 @@ impl fmt::Display for Violation {
 /// Replayed topology state: which nodes are down and how they are grouped.
 #[derive(Default)]
 struct Topology {
-    down: HashMap<u32, bool>,
+    /// Indexed by node; nodes past the end are up.
+    down: Vec<bool>,
     groups: Vec<u32>,
 }
 
 impl Topology {
     fn is_down(&self, node: u32) -> bool {
-        self.down.get(&node).copied().unwrap_or(false)
+        self.down.get(node as usize).copied().unwrap_or(false)
+    }
+
+    fn set_down(&mut self, node: u32, down: bool) {
+        let node = node as usize;
+        if node >= self.down.len() {
+            if !down {
+                return;
+            }
+            self.down.resize(node + 1, false);
+        }
+        self.down[node] = down;
     }
 
     fn group_of(&self, node: u32) -> u32 {
@@ -214,21 +226,21 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut topo = Topology::default();
     // flow id -> (object, open?, node the flow started on)
-    let mut flows: HashMap<u64, (u64, bool, u32)> = HashMap::new();
-    let mut generations: HashMap<u64, u64> = HashMap::new();
+    let mut flows: IdMap<u64, (u64, bool, u32)> = IdMap::default();
+    let mut generations: IdMap<u64, u64> = IdMap::default();
     // call id -> (resolved?, caller node of the latest attempt)
-    let mut calls: HashMap<u64, (bool, u32)> = HashMap::new();
+    let mut calls: IdMap<u64, (bool, u32)> = IdMap::default();
     // object -> recover flow awaiting re-registration
-    let mut recovering: HashMap<u64, u64> = HashMap::new();
+    let mut recovering: IdMap<u64, u64> = IdMap::default();
     // group -> last committed epoch
-    let mut committed: HashMap<u64, u64> = HashMap::new();
+    let mut committed: IdMap<u64, u64> = IdMap::default();
     // (group, replica) -> last adopted epoch
-    let mut adopted: HashMap<(u64, u64), u64> = HashMap::new();
+    let mut adopted: IdMap<(u64, u64), u64> = IdMap::default();
 
     for e in log.events() {
         match &e.kind {
             SpanKind::NodeCrashed { node } => {
-                topo.down.insert(*node, true);
+                topo.set_down(*node, true);
                 // Retry chains whose caller just died terminate with it.
                 for (resolved, caller) in calls.values_mut() {
                     if *caller == *node {
@@ -243,7 +255,7 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                 }
             }
             SpanKind::NodeRestarted { node } => {
-                topo.down.insert(*node, false);
+                topo.set_down(*node, false);
             }
             SpanKind::PartitionChanged { groups } => {
                 topo.groups = groups.clone();

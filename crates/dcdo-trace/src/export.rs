@@ -341,8 +341,7 @@ mod tests {
         assert_eq!(events.len(), log.len());
 
         // `ts` values are monotone non-decreasing per (pid, tid) track.
-        let mut last_ts: std::collections::HashMap<(u64, u64), f64> =
-            std::collections::HashMap::new();
+        let mut last_ts: crate::IdMap<(u64, u64), f64> = crate::IdMap::default();
         for e in events {
             let pid = e.get("pid").expect("pid").num() as u64;
             let tid = e.get("tid").expect("tid").num() as u64;
@@ -355,8 +354,7 @@ mod tests {
         // Parent/child nesting is well-formed: every nonzero parent refers
         // to an exported span with a smaller id and an earlier-or-equal
         // timestamp.
-        let mut at_ns_by_span: std::collections::HashMap<u64, u64> =
-            std::collections::HashMap::new();
+        let mut at_ns_by_span: crate::IdMap<u64, u64> = crate::IdMap::default();
         for e in events {
             let args = e.get("args").expect("args");
             let span = args.get("span").expect("span").num() as u64;

@@ -1,10 +1,8 @@
 //! The per-run structured trace log: recording, queries, digest.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
-use crate::hash::Fnv1a;
+use crate::hash::{Fnv1a, IdMap};
 use crate::span::{SpanEvent, SpanId, SpanKind};
+use std::cell::RefCell;
 
 /// A deterministic, append-only log of [`SpanEvent`]s for one run.
 ///
@@ -38,7 +36,7 @@ pub struct TraceLog {
 #[derive(Debug, Default, Clone)]
 struct IdIndex {
     /// Raw span id → index in `events`, for `events[..covered]`.
-    positions: HashMap<u64, usize>,
+    positions: IdMap<u64, usize>,
     covered: usize,
 }
 
@@ -183,7 +181,7 @@ impl TraceLog {
     /// keeps the lookup table as small as the output instead of as large as
     /// the log.
     pub(crate) fn flow_trees(&self, wanted: &[u64]) -> Vec<Vec<usize>> {
-        let slot_of: HashMap<u64, usize> = wanted
+        let slot_of: IdMap<u64, usize> = wanted
             .iter()
             .enumerate()
             .map(|(slot, &flow)| (flow, slot))
@@ -194,7 +192,7 @@ impl TraceLog {
         // the tree of another appends the union it needs.
         let mut sets: Vec<Vec<usize>> = (0..wanted.len()).map(|slot| vec![slot]).collect();
         // Raw id of each span inside some wanted tree → its membership set.
-        let mut member: HashMap<u64, usize> = HashMap::new();
+        let mut member: IdMap<u64, usize> = IdMap::default();
         for (pos, e) in self.events.iter().enumerate() {
             #[cfg(test)]
             SWEEP_VISITS.with(|v| v.set(v.get() + 1));
@@ -228,7 +226,7 @@ impl TraceLog {
     #[cfg(test)]
     pub(crate) fn flow_tree_oracle(&self, flow: u64) -> Vec<usize> {
         use std::collections::VecDeque;
-        let index: HashMap<u64, usize> = self
+        let index: IdMap<u64, usize> = self
             .events
             .iter()
             .enumerate()

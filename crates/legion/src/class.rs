@@ -11,10 +11,8 @@
 //!   so clients pay the 25–35 s stale-binding discovery on their next call;
 //! - **migrate**: the same pipeline at the current version onto a new host.
 
-use std::collections::{HashMap, HashSet};
-
 use bytes::Bytes;
-use dcdo_sim::{Actor, ActorId, Ctx, NodeId, SimDuration, SimTime};
+use dcdo_sim::{Actor, ActorId, Ctx, IdMap, IdSet, NodeId, SimDuration, SimTime};
 use dcdo_types::{CallId, ClassId, ObjectId};
 
 use crate::binding::RegisterBinding;
@@ -214,13 +212,13 @@ pub struct ClassObject {
     agent: AgentAddress,
     rpc: RpcClient,
     vault: Option<ObjectId>,
-    images: HashMap<u32, ExecutableImage>,
+    images: IdMap<u32, ExecutableImage>,
     current_version: u32,
-    instances: HashMap<ObjectId, Instance>,
-    downloaded: HashSet<(NodeId, u32)>,
-    ops: HashMap<u64, PendingOp>,
-    timer_routes: HashMap<u64, u64>,
-    rpc_routes: HashMap<u64, u64>,
+    instances: IdMap<ObjectId, Instance>,
+    downloaded: IdSet<(NodeId, u32)>,
+    ops: IdMap<u64, PendingOp>,
+    timer_routes: IdMap<u64, u64>,
+    rpc_routes: IdMap<u64, u64>,
 }
 
 impl ClassObject {
@@ -233,7 +231,7 @@ impl ClassObject {
         agent: AgentAddress,
     ) -> Self {
         let current_version = initial.version();
-        let mut images = HashMap::new();
+        let mut images = IdMap::default();
         images.insert(current_version, initial);
         ClassObject {
             object,
@@ -244,11 +242,11 @@ impl ClassObject {
             vault: None,
             images,
             current_version,
-            instances: HashMap::new(),
-            downloaded: HashSet::new(),
-            ops: HashMap::new(),
-            timer_routes: HashMap::new(),
-            rpc_routes: HashMap::new(),
+            instances: IdMap::default(),
+            downloaded: IdSet::default(),
+            ops: IdMap::default(),
+            timer_routes: IdMap::default(),
+            rpc_routes: IdMap::default(),
         }
     }
 

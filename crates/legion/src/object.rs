@@ -11,9 +11,7 @@
 //! function/component problems: configuration operations arriving while a
 //! thread is parked can invalidate what the thread needs on resume.
 
-use std::collections::HashMap;
-
-use dcdo_sim::{fn_hash, ActorId, Ctx, SimDuration, SpanKind};
+use dcdo_sim::{fn_hash, ActorId, Ctx, IdMap, SimDuration, SpanKind};
 use dcdo_types::{CallId, ComponentId, FunctionName, ObjectId};
 use dcdo_vm::{
     CallOrigin, CallResolver, NativeRegistry, OutcallRequest, RunOutcome, Value, ValueStore,
@@ -52,9 +50,9 @@ enum Deferred {
 pub struct ObjectRuntime {
     object: ObjectId,
     fuel: u64,
-    threads: HashMap<u64, ThreadEntry>,
-    deferred: HashMap<u64, Deferred>,
-    outcalls: HashMap<u64, u64>,
+    threads: IdMap<u64, ThreadEntry>,
+    deferred: IdMap<u64, Deferred>,
+    outcalls: IdMap<u64, u64>,
     invocations_served: u64,
     vm_profile: VmProfile,
 }
@@ -65,9 +63,9 @@ impl ObjectRuntime {
         ObjectRuntime {
             object,
             fuel: DEFAULT_FUEL,
-            threads: HashMap::new(),
-            deferred: HashMap::new(),
-            outcalls: HashMap::new(),
+            threads: IdMap::default(),
+            deferred: IdMap::default(),
+            outcalls: IdMap::default(),
             invocations_served: 0,
             vm_profile: VmProfile::new(),
         }

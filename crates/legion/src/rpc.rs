@@ -23,9 +23,7 @@
 //! A reply of [`InvocationFault::NoSuchObject`] (the address is alive but
 //! hosts someone else) short-circuits straight to rebinding.
 
-use std::collections::HashMap;
-
-use dcdo_sim::{ActorId, Ctx, RpcOutcome, SimDuration, SimTime, SpanKind, TimerId};
+use dcdo_sim::{ActorId, Ctx, IdMap, RpcOutcome, SimDuration, SimTime, SpanKind, TimerId};
 use dcdo_types::{CallId, FunctionName, ObjectId};
 use dcdo_vm::Value;
 
@@ -149,10 +147,10 @@ struct Pending {
 pub struct RpcClient {
     agent: AgentAddress,
     cost: CostModel,
-    cache: HashMap<ObjectId, ActorId>,
-    pending: HashMap<u64, Pending>,
+    cache: IdMap<ObjectId, ActorId>,
+    pending: IdMap<u64, Pending>,
     // binding-query call raw -> original call raw
-    binding_queries: HashMap<u64, u64>,
+    binding_queries: IdMap<u64, u64>,
 }
 
 impl RpcClient {
@@ -160,14 +158,14 @@ impl RpcClient {
     /// per `cost`. The agent's own binding is pre-seeded (its address is
     /// well-known infrastructure).
     pub fn new(agent: AgentAddress, cost: CostModel) -> Self {
-        let mut cache = HashMap::new();
+        let mut cache = IdMap::default();
         cache.insert(agent.object, agent.actor);
         RpcClient {
             agent,
             cost,
             cache,
-            pending: HashMap::new(),
-            binding_queries: HashMap::new(),
+            pending: IdMap::default(),
+            binding_queries: IdMap::default(),
         }
     }
 
