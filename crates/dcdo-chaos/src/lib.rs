@@ -13,7 +13,7 @@
 //!   every action is carried by an ordinary engine timer, so fault timing
 //!   participates in the same `(time, seq)` total order as all other events
 //!   and replays bit-identically for a given seed;
-//! - [`trace_hash`] condenses an execution trace into an FNV-1a golden hash
+//! - [`trace_hash`] folds an execution trace into one golden hash word
 //!   so tests can assert that two runs of the same plan + seed are
 //!   indistinguishable.
 //!

@@ -13,7 +13,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dcdo_sim::Fnv1a;
+use dcdo_sim::Fold;
 
 /// A joinable description of a configuration change.
 ///
@@ -129,9 +129,9 @@ impl ConfigDelta {
             .fold(ConfigDelta::new(), |acc, d| acc.join(d))
     }
 
-    /// Build-independent FNV-1a digest over the delta's integer content.
+    /// Build-independent [`Fold`] digest over the delta's integer content.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = Fold::new(self.params.len() as u64);
         tagged(&mut h, 1, self.version.map(|v| v as u64 + 1).unwrap_or(0));
         set(&mut h, 2, &self.add_members);
         set(&mut h, 3, &self.remove_members);
@@ -139,7 +139,7 @@ impl ConfigDelta {
         set(&mut h, 5, &self.downgrade);
         for (&k, &v) in &self.params {
             tagged(&mut h, 6, k as u64);
-            h.write_u64(v);
+            h.word(v);
         }
         h.finish()
     }
@@ -209,32 +209,33 @@ impl GroupConfig {
         }
     }
 
-    /// Build-independent FNV-1a digest over the config's integer content.
+    /// Build-independent [`Fold`] digest over the config's integer content.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
+        let mut h = Fold::new(self.params.len() as u64);
         tagged(&mut h, 1, self.epoch);
         tagged(&mut h, 2, self.version as u64);
         set(&mut h, 3, &self.members);
         set(&mut h, 4, &self.upgraded);
         for (&k, &v) in &self.params {
             tagged(&mut h, 5, k as u64);
-            h.write_u64(v);
+            h.word(v);
         }
         h.finish()
     }
 }
 
-/// Digest framing over the workspace's one FNV-1a: a tag word before each
-/// field, and a length word before each set.
-fn tagged(h: &mut Fnv1a, tag: u64, w: u64) {
-    h.write_u64(tag);
-    h.write_u64(w);
+/// Digest framing over the workspace's one word fold: a tag word before
+/// each field, a length word before each set, and the parameter count as
+/// the fold's element count.
+fn tagged(h: &mut Fold, tag: u64, w: u64) {
+    h.word(tag);
+    h.word(w);
 }
 
-fn set(h: &mut Fnv1a, tag: u64, s: &BTreeSet<u32>) {
+fn set(h: &mut Fold, tag: u64, s: &BTreeSet<u32>) {
     tagged(h, tag, s.len() as u64);
     for &m in s {
-        h.write_u64(m as u64);
+        h.word(m as u64);
     }
 }
 

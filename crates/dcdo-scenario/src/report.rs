@@ -19,12 +19,12 @@ pub struct ScenarioReport {
     pub seed: u64,
     /// Whether every expectation verdict passed.
     pub passed: bool,
-    /// FNV-1a hash of the rendered execution trace.
+    /// Word fold of the execution-trace ring (`dcdo_chaos::trace_hash`).
     pub trace_hash: u64,
-    /// FNV-1a digest of the structured span log (integer-only, stable
+    /// Word-fold digest of the structured span log (integer-only, stable
     /// across build profiles and thread counts).
     pub span_digest: u64,
-    /// FNV-1a digest of the flight-recorder ring (same stability
+    /// Word-fold digest of the flight-recorder ring (same stability
     /// guarantees as the span digest).
     pub flight_digest: u64,
     /// Engine events processed over the whole run.

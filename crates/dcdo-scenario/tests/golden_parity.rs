@@ -10,7 +10,8 @@
 //! the wiring between episode and runner.
 
 use dcdo_chaos::trace_hash;
-use dcdo_scenario::{registry, run, run_artifacts, Scenario};
+use dcdo_scenario::{registry, run, run_artifacts, Expectation, RunCx, Scenario, Verdict};
+use dcdo_sim::{fnv1a, Fnv1a, SpanKind, TraceLog};
 use dcdo_workloads::{reconfig, simbench};
 
 /// The committed output of `dcdo-inspect scenario all`.
@@ -157,8 +158,8 @@ fn retained_flight_trees_are_pinned() {
     // The report fingerprint carries only the ring digest; this pins the
     // tail sampler's retained causal trees themselves.
     for (name, fnv) in [
-        ("mixed_traffic", 0x8c17_c880_9000_f036u64),
-        ("crash_during_reconfig", 0xa8ac_1f9f_b839_7db1u64),
+        ("mixed_traffic", 0x5074_42aa_4a9a_f1efu64),
+        ("crash_during_reconfig", 0x8918_971f_1be4_b2c1u64),
     ] {
         let flight = run_artifacts(declared(name), None)
             .expect("valid scenario")
@@ -207,5 +208,214 @@ fn returned_spans_recompute_every_reported_witness() {
         );
         assert_eq!(summary(&again), summary(&flight), "{name}: retained flows");
         assert_eq!(again.total_flows, flight.total_flows, "{name}: flow count");
+    }
+}
+
+/// The witnesses as the parent of the word fold (PR 15) computed them,
+/// byte-serial FNV-1a throughout, from public accessors only: the re-pin
+/// oracle. Judged like any expectation, so it reads the very trace ring,
+/// span log and flight ring the run's own (folded) witnesses come from.
+struct LegacyWitnesses;
+
+impl Expectation for LegacyWitnesses {
+    fn name(&self) -> &str {
+        "legacy_witnesses"
+    }
+
+    fn judge(&mut self, cx: &RunCx) -> Verdict {
+        let sim = cx.world.sim().expect("a world was built");
+        let trace = fnv1a(sim.trace().render().as_bytes());
+        let (span, span_sans_configs) = legacy_span_digests(sim.spans());
+        let mut flight = Fnv1a::new();
+        let mut word = |w: u64| flight.write_bytes(&w.to_le_bytes());
+        word(sim.flight().recorded());
+        for frame in sim.flight().frames() {
+            word(frame.at_ns);
+            word(frame.meta);
+        }
+        let flight = flight.finish();
+        Verdict::pass(
+            self.name(),
+            format!("{trace:016x} {span:016x} {flight:016x} {span_sans_configs:016x}"),
+        )
+    }
+}
+
+/// PR 15's `TraceLog::digest`: id, parent, time, node, kind code, then the
+/// kind's fields in declaration order (read back from the JSONL export,
+/// which prints exactly those), a `GenerationStamp` contributing only its
+/// object, a `PartitionChanged` also its groups. The second digest leaves
+/// out the `config` word of `EpochProposed`/`EpochCommitted`: that value is
+/// itself a `dcdo-group` lattice digest, which moved to the fold too.
+fn legacy_span_digests(log: &TraceLog) -> (u64, u64) {
+    let (mut all, mut sans_configs) = (Fnv1a::new(), Fnv1a::new());
+    for (e, line) in log.events().iter().zip(log.to_jsonl().lines()) {
+        let mut word = |w: u64, config: bool| {
+            all.write_bytes(&w.to_le_bytes());
+            if !config {
+                sans_configs.write_bytes(&w.to_le_bytes());
+            }
+        };
+        for w in [
+            e.id.as_raw(),
+            e.parent.map_or(0, |p| p.as_raw()),
+            e.at_ns,
+            e.node as u64,
+            e.kind.code(),
+        ] {
+            word(w, false);
+        }
+        // `…,"kind":"<name>"<,"field":value>*[,"groups":[…]]}`
+        let fields = line.split_once("\"kind\":\"").expect("kind").1;
+        let fields = fields.split_once('"').expect("kind name").1;
+        let fields = fields.split(",\"groups\"").next().expect("nonempty");
+        for field in fields.trim_end_matches('}').split(',').skip(1) {
+            let (name, value) = field.split_once(':').expect("a pair");
+            let is_epoch = matches!(
+                e.kind,
+                SpanKind::EpochProposed { .. } | SpanKind::EpochCommitted { .. }
+            );
+            if name == "\"generation\"" && matches!(e.kind, SpanKind::GenerationStamp { .. }) {
+                continue;
+            }
+            word(
+                value.parse().expect("an integer field"),
+                is_epoch && name == "\"config\"",
+            );
+        }
+        if let SpanKind::PartitionChanged { groups } = &e.kind {
+            groups.iter().for_each(|&g| word(g as u64, false));
+        }
+    }
+    (all.finish(), sans_configs.finish())
+}
+
+/// `(scenario, trace_hash, span_digest, flight_digest)` exactly as PR 15's
+/// `BENCH_scenarios.json` committed them, frozen here when the witnesses
+/// moved from byte-serial FNV-1a to the word fold.
+const PR15_WITNESSES: [(&str, u64, u64, u64); 10] = [
+    (
+        "mixed_traffic",
+        0x97687be6a1494396,
+        0x6ee60657563181a8,
+        0x7b08709876c59d54,
+    ),
+    (
+        "reconfig",
+        0x29fa196e3360438b,
+        0xa548be305c9ba2da,
+        0xf83a6d21f8a990a0,
+    ),
+    (
+        "crash_during_reconfig",
+        0x0f17e97b9d821bdf,
+        0xd742f2dfbc9abd22,
+        0xc752d67d8fe0994c,
+    ),
+    (
+        "rolling_partition",
+        0xfdaf5b5403d416ae,
+        0x9cbe6dd0a44785ac,
+        0x0c13b226bf71d2df,
+    ),
+    (
+        "restart_storm",
+        0x7b18a8a92da4351a,
+        0xf7adc191d0a5bcf0,
+        0xabb1f839fed9fc19,
+    ),
+    (
+        "rolling_upgrade",
+        0x13fd7cec809667ec,
+        0x31dccea7ee3ffe8e,
+        0xe329742dd5d993f1,
+    ),
+    (
+        "rolling_upgrade_coord_crash",
+        0xa670a023a5f2a1fd,
+        0x799d35a89be21205,
+        0xe9dda8e1b2eab75e,
+    ),
+    (
+        "ping_pong",
+        0x9990adecabac00c9,
+        0xab5fa64ab00e8bab,
+        0x931da280a3fccabb,
+    ),
+    (
+        "fan_out",
+        0x65ec887181647a8b,
+        0x1c51ef636564bb0c,
+        0xab7ec23acd3a80e5,
+    ),
+    (
+        "transfer_heavy",
+        0xef5b6b871ab6b8c4,
+        0xa56a7375c5ac120d,
+        0xda9d6338deeb08c9,
+    ),
+];
+
+/// The two scenarios whose spans carry group-config digests: their PR 15
+/// span digest with the `config` words left out, computed by
+/// [`legacy_span_digests`] at the PR 15 commit.
+const PR15_SPAN_DIGEST_SANS_CONFIGS: [(&str, u64); 2] = [
+    ("rolling_upgrade", 0x10fb_80fc_c4fb_81cb),
+    ("rolling_upgrade_coord_crash", 0x65cf_a28d_73a1_444a),
+];
+
+/// The one-time re-pin proof: from the same run, at 1 and at 4 threads, the
+/// legacy witnesses still equal PR 15's goldens and the folded ones equal
+/// the committed `BENCH_scenarios.json` — the values moved, the behaviour
+/// they witness did not.
+#[test]
+fn legacy_witnesses_still_match_the_pr15_goldens() {
+    assert_eq!(registry::declared().len(), PR15_WITNESSES.len());
+    for (&(name, _), &(frozen_name, trace, span, flight)) in
+        registry::declared().iter().zip(&PR15_WITNESSES)
+    {
+        assert_eq!(name, frozen_name);
+        for threads in [1, 4] {
+            let mut scenario = declared(name);
+            scenario.expectations.push(Box::new(LegacyWitnesses));
+            let report = run_artifacts(scenario, Some(threads))
+                .expect("valid scenario")
+                .report;
+            let legacy: Vec<u64> = report
+                .verdicts
+                .last()
+                .expect("the legacy verdict")
+                .detail
+                .split(' ')
+                .map(|hex| u64::from_str_radix(hex, 16).expect("hex"))
+                .collect();
+            let at = format!("{name} at {threads} threads");
+            assert_eq!(legacy[0], trace, "{at}: legacy trace hash");
+            assert_eq!(legacy[2], flight, "{at}: legacy flight digest");
+            match PR15_SPAN_DIGEST_SANS_CONFIGS
+                .iter()
+                .find(|(n, _)| *n == name)
+            {
+                Some(&(_, sans_configs)) => {
+                    assert_eq!(
+                        legacy[3], sans_configs,
+                        "{at}: legacy span digest sans configs"
+                    )
+                }
+                None => {
+                    assert_eq!(legacy[1], span, "{at}: legacy span digest");
+                    assert_eq!(legacy[3], span, "{at}: no config words to leave out");
+                }
+            }
+            let folded = format!(
+                "{{\"scenario\":\"{name}\",\"seed\":{},\"passed\":true,\"trace_hash\":\"{:016x}\",\
+                 \"span_digest\":\"{:016x}\",\"flight_digest\":\"{:016x}\",",
+                report.seed, report.trace_hash, report.span_digest, report.flight_digest
+            );
+            assert!(
+                GOLDEN.contains(&folded),
+                "{at}: not in BENCH_scenarios.json: {folded}"
+            );
+        }
     }
 }

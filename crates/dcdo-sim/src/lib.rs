@@ -86,7 +86,7 @@ pub use dcdo_trace::{
 // layers above the engine can emit spans through [`Ctx`] without depending
 // on the tracing crate directly.
 pub use dcdo_trace::{
-    cfg_step, check as check_trace_invariants, fn_hash, fnv1a, mgr_step, FlowKind, Fnv1a, IdHasher,
-    IdMap, IdSet, RpcOutcome, SendVerdict, SpanEvent, SpanId, SpanKind, TraceLog, Violation,
-    NO_NODE,
+    cfg_step, check as check_trace_invariants, fn_hash, fnv1a, mgr_step, FlowKind, Fnv1a, Fold,
+    IdHasher, IdMap, IdSet, RpcOutcome, SendVerdict, SpanEvent, SpanId, SpanKind, TraceLog,
+    Violation, NO_NODE,
 };

@@ -5,7 +5,7 @@
 //! when enabled, so it stays opt-in. The flight recorder is the
 //! complementary always-on facility: every executed engine event leaves a
 //! 16-byte [`FlightFrame`] in a fixed-capacity ring (the "black box" of
-//! recent history), with deterministic oldest-first eviction and an FNV-1a
+//! recent history), with deterministic oldest-first eviction and a word-fold
 //! digest over the retained window. The engine buffers frames per shard
 //! tagged with the executing event's key and k-way merges them at window
 //! barriers, exactly like its span buffers, so the retained set and the
@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 
 use crate::check::{check, Violation};
-use crate::hash::Fnv1a;
+use crate::hash::Fold;
 use crate::log::TraceLog;
 use crate::span::{SpanEvent, SpanId, SpanKind};
 
@@ -189,17 +189,16 @@ impl FlightRecorder {
         [older, newer].concat()
     }
 
-    /// FNV-1a digest over the total count and every retained frame, oldest
-    /// first. Byte-identical at any worker-thread count and across build
+    /// [`Fold`] digest over the total count ever recorded and every retained
+    /// frame (`at_ns`, then `meta`), oldest first. Byte-identical at any worker-thread count and across build
     /// profiles: frames merge back into execution order at shard barriers
     /// and carry integers only.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(self.head as u64);
+        let mut h = Fold::new(self.head as u64);
         let (older, newer) = self.halves();
         for f in older.iter().chain(newer) {
-            h.write_u64(f.at_ns);
-            h.write_u64(f.meta);
+            h.word(f.at_ns);
+            h.word(f.meta);
         }
         h.finish()
     }

@@ -1,13 +1,48 @@
-//! The workspace's one FNV-1a: every digest and golden hash (span log,
-//! flight ring, group configs, legacy trace text, function names) feeds this
-//! hasher, so they all share one pair of constants.
+//! The workspace's three hashers, one per job: [`Fold`] condenses integer
+//! streams into witnesses (span log, flight ring, group configs, the engine
+//! trace ring), [`IdHasher`] indexes tables keyed by ids this program minted
+//! itself, and [`Fnv1a`] — byte-serial and standard — is for strings only
+//! (function names, rendered text).
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// The odd multiplier of [`IdHasher`]: 2^64 / φ.
+/// The odd multiplier of [`Fold`] and [`IdHasher`]: 2^64 / φ.
 const K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The word-wise fold behind every integer witness: one multiply and one
+/// rotate per `u64`.
+///
+/// `h₀ = K`; each word `w` steps `h ← rotl((h ⊕ w) · K, 32)` (wrapping
+/// multiply); the element count goes in first, so a truncated stream shows
+/// even when its tail was all zeros. Each step is a bijection of `h` for a
+/// fixed `w` and of `w` for a fixed `h`, so two streams that differ in
+/// exactly one word never collide. Integer arithmetic only: identical
+/// across debug and release builds, machines, and processes.
+#[derive(Debug, Clone, Copy)]
+pub struct Fold(u64);
+
+impl Fold {
+    /// A fold over a stream of `count` elements (spans, frames, entries —
+    /// whatever the caller iterates).
+    pub fn new(count: u64) -> Self {
+        let mut h = Fold(K);
+        h.word(count);
+        h
+    }
+
+    /// Feeds one word.
+    #[inline(always)]
+    pub fn word(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(K).rotate_left(32);
+    }
+
+    /// The witness of everything fed so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
 
 /// The hasher of every table keyed by an integer this program minted itself
 /// (span, call, flow, timer, object and node ids): one widening multiply,
@@ -63,6 +98,7 @@ const PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// `PRIME^k` for `k` in `0..=8`: what hashing `k` zero bytes multiplies the
 /// state by (`h ^ 0 == h`, so only the multiplies remain).
+#[cfg(test)]
 const PRIME_POW: [u64; 9] = {
     let mut pow = [1u64; 9];
     let mut k = 1;
@@ -100,15 +136,14 @@ impl Fnv1a {
         self.0 = h;
     }
 
-    /// Feeds the eight little-endian bytes of `v`.
-    ///
-    /// Ids, nodes, codes and fields are mostly small, so the bytes are
-    /// hashed only while the remaining value is non-zero; the trailing zero
-    /// bytes then cost one multiply by the precomputed `PRIME_POW` entry.
-    /// Same function as the byte loop ([`Fnv1a::write_bytes`] of
-    /// `v.to_le_bytes()`), which the tests keep as the reference.
-    #[inline]
-    pub fn write_u64(&mut self, mut v: u64) {
+    /// Feeds the eight little-endian bytes of `v`: what every integer
+    /// witness was built from before [`Fold`], kept as the tests' legacy
+    /// oracle. The bytes are hashed only while the remaining value is
+    /// non-zero; the trailing zero bytes then cost one multiply by the
+    /// precomputed `PRIME_POW` entry. Same function as the byte loop
+    /// ([`Fnv1a::write_bytes`] of `v.to_le_bytes()`).
+    #[cfg(test)]
+    pub(crate) fn write_u64(&mut self, mut v: u64) {
         let mut h = self.0;
         let mut zero_bytes = 8;
         while v != 0 {
@@ -209,6 +244,30 @@ mod tests {
         }
     }
 
+    fn fold(words: &[u64]) -> u64 {
+        let mut h = Fold::new(words.len() as u64);
+        words.iter().for_each(|&w| h.word(w));
+        h.finish()
+    }
+
+    #[test]
+    fn fold_is_pinned_across_build_profiles() {
+        // CI runs this in debug and in release: wrapping arithmetic only,
+        // so both must land on these values.
+        assert_eq!(fold(&[]), 0xce48_59b9_df44_2d22);
+        assert_eq!(fold(&[0]), 0x704b_939d_5c78_2089);
+        assert_eq!(
+            fold(&[1, 2, 3, u64::MAX, 1 << 48, 0, 0]),
+            0x24cf_a3c9_224f_8995
+        );
+    }
+
+    #[test]
+    fn fold_shows_truncation_of_a_zero_tail() {
+        assert_ne!(fold(&[7, 0, 0]), fold(&[7, 0]));
+        assert_ne!(fold(&[0]), fold(&[]));
+    }
+
     /// Longest linear-probe displacement when `keys` go, in order, into an
     /// open-addressed table of `slots` (a power of two) indexed by the
     /// hash's low bits — how hashbrown picks a key's first group.
@@ -248,6 +307,19 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Each step is a bijection of the word: streams that differ in
+        /// exactly one word never collide, wherever the word sits.
+        #[test]
+        fn fold_separates_streams_differing_in_one_word(
+            words in prop::collection::vec(any::<u64>(), 1..24),
+            at in any::<usize>(),
+            flip in 1u64..=u64::MAX,
+        ) {
+            let mut edited = words.clone();
+            edited[at % words.len()] ^= flip;
+            prop_assert_ne!(fold(&words), fold(&edited));
+        }
 
         #[test]
         fn write_u64_matches_byte_loop(prefix in any::<u64>(), v in any::<u64>(), keep in 0u32..64) {

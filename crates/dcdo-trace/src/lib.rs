@@ -42,7 +42,7 @@ pub use flight::{
     tail_sample, tail_sample_checked, FlightDump, FlightFrame, FlightRecorder, RetainedFlow,
     DEFAULT_FLIGHT_CAPACITY,
 };
-pub use hash::{fn_hash, fnv1a, Fnv1a, IdHasher, IdMap, IdSet};
+pub use hash::{fn_hash, fnv1a, Fnv1a, Fold, IdHasher, IdMap, IdSet};
 pub use log::TraceLog;
 pub use span::{
     cfg_step, mgr_step, FlowKind, RpcOutcome, SendVerdict, SpanEvent, SpanId, SpanKind, NO_NODE,
