@@ -21,12 +21,16 @@
 //!    flight dump (with the checker's verdict) → move the spans out of the
 //!    simulation into the [`RunArtifacts`] → export the timeline.
 //!
-//! `trace_hash` witnesses the *tail* of the run: the legacy execution-trace
-//! ring keeps the last [`TRACE_RING_CAPACITY`] engine events, and a longer
-//! run evicts the rest ([`RunArtifacts::trace_entries_dropped`] says how
-//! many). The span digest covers every span of the run.
+//! The three witnesses are word folds (`dcdo_sim::Fold`: one multiply and
+//! one rotate per `u64`, seeded with the element count), never byte hashes.
+//! `trace_hash` folds `(at_ns, event code, a, b)` per entry of the legacy
+//! execution-trace ring and so witnesses the *tail* of the run: the ring
+//! keeps the last [`TRACE_RING_CAPACITY`] engine events, and a longer run
+//! evicts the rest ([`RunArtifacts::trace_entries_dropped`] says how many).
+//! The span digest covers every field of every span of the run; the flight
+//! digest the frame count and the flight ring's retained frames.
 
-use dcdo_sim::{tail_sample_checked, FlightDump, IdMap, NodeId, RpcOutcome, SpanEvent, SpanKind};
+use dcdo_sim::{tail_sample_checked, FlightDump, NodeId, RpcOutcome, SpanEvent, SpanKind};
 
 use crate::report::ScenarioReport;
 use crate::scenario::{Scenario, Window};
@@ -95,11 +99,16 @@ pub fn run_artifacts(
 /// log — which is byte-identical at every worker-thread count — written
 /// into the engine's timeline so bucketing matches the hot-path stats.
 fn derive_windowed_series(cx: &mut RunCx) {
+    // Deliberately not `IdMap`: measured twice (PRs 14 and 16), hash tables
+    // here are ~2 % faster on `calls_steady` but cost its next set-ups +28 %
+    // (their one large allocation is mmapped, and without the B-tree's small
+    // nodes growing the heap glibc trims it between set-ups).
+    use std::collections::BTreeMap;
     let Some(sim) = cx.world.sim() else { return };
     let mut samples: Vec<(u64, &'static str, f64)> = Vec::new();
     let mut counters: Vec<(u64, &'static str, u64)> = Vec::new();
-    let mut flow_start: IdMap<u64, u64> = IdMap::default();
-    let mut rpc_start: IdMap<u64, u64> = IdMap::default();
+    let mut flow_start: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut rpc_start: BTreeMap<u64, u64> = BTreeMap::new();
     for e in sim.spans().events() {
         match &e.kind {
             SpanKind::FlowStarted { flow, .. } => {

@@ -126,12 +126,18 @@ impl RunCx {
 
     /// Adds `n` to counter `key`.
     pub fn add(&mut self, key: &str, n: u64) {
-        *self.counters.entry(key.to_string()).or_insert(0) += n;
+        match self.counters.get_mut(key) {
+            Some(v) => *v += n,
+            None => drop(self.counters.insert(key.to_string(), n)),
+        }
     }
 
     /// Records gauge `key` (last write wins).
     pub fn gauge(&mut self, key: &str, value: f64) {
-        self.gauges.insert(key.to_string(), value);
+        match self.gauges.get_mut(key) {
+            Some(v) => *v = value,
+            None => drop(self.gauges.insert(key.to_string(), value)),
+        }
     }
 
     /// Counter `key`'s current value (0 when never recorded).

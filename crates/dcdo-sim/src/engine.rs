@@ -926,8 +926,8 @@ impl<M: Payload> Simulation<M> {
         if self.lanes.len() <= idx {
             self.lanes.resize_with(idx + 1, || None);
         }
-        let seed = lane_seed(self.run_seed, lane);
-        self.lanes[idx].get_or_insert_with(|| LaneState::new(seed))
+        let run_seed = self.run_seed;
+        self.lanes[idx].get_or_insert_with(|| LaneState::new(lane_seed(run_seed, lane)))
     }
 
     fn ensure_lane_slots(&mut self, lane: u16) {

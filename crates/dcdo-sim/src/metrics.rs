@@ -191,7 +191,11 @@ impl Metrics {
 
     /// Adds `delta` to the named counter, creating it at zero if absent.
     pub fn add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += delta;
+        // Look up by `&str`: only a counter's first touch allocates its key.
+        match self.counters.get_mut(name) {
+            Some(v) => *v += delta,
+            None => drop(self.counters.insert(name.to_owned(), delta)),
+        }
     }
 
     /// Increments the named counter by one.
@@ -206,9 +210,12 @@ impl Metrics {
 
     /// Records a sample into the named histogram.
     pub fn sample(&mut self, name: &str, value: f64) {
+        if !self.histograms.contains_key(name) {
+            self.histograms.insert(name.to_owned(), Histogram::new());
+        }
         self.histograms
-            .entry(name.to_owned())
-            .or_default()
+            .get_mut(name)
+            .expect("present or just inserted")
             .record(value);
     }
 
@@ -235,6 +242,12 @@ impl Metrics {
     /// Iterates over all histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
+    }
+
+    /// Iterates over all histograms mutably (quantiles sort in place), in
+    /// name order.
+    pub(crate) fn histograms_mut(&mut self) -> impl Iterator<Item = (&str, &mut Histogram)> {
+        self.histograms.iter_mut().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Clears all counters and histograms.
@@ -289,6 +302,27 @@ mod tests {
         m.add("x", 4);
         assert_eq!(m.counter("x"), 5);
         assert_eq!(m.counters().collect::<Vec<_>>(), vec![("x", 5)]);
+    }
+
+    #[test]
+    fn a_known_key_is_found_not_reinserted() {
+        let mut m = Metrics::new();
+        m.incr("x");
+        m.sample("lat", 1.0);
+        let keys = |m: &Metrics| {
+            let ptrs = |k: &String| k.as_ptr();
+            (
+                m.counters.keys().map(ptrs).collect::<Vec<_>>(),
+                m.histograms.keys().map(ptrs).collect::<Vec<_>>(),
+            )
+        };
+        let before = keys(&m);
+        m.incr("x");
+        m.sample("lat", 2.0);
+        // Same maps, same key allocations: the second touch built no key.
+        assert_eq!(keys(&m), before);
+        assert_eq!(m.counter("x"), 2);
+        assert_eq!(m.histogram("lat").expect("recorded").count(), 2);
     }
 
     #[test]

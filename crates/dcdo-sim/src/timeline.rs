@@ -19,8 +19,9 @@
 //! worker-thread count and across build profiles.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use crate::metrics::Metrics;
+use crate::metrics::{Histogram, Metrics};
 
 /// Default bucket width: 100 ms of simulated time.
 pub const DEFAULT_BUCKET_NS: u64 = 100_000_000;
@@ -263,58 +264,47 @@ impl Timeline {
     /// identical at any worker-thread count and across build profiles.
     pub fn to_json(&mut self) -> String {
         self.flush();
+        let bucket_ns = self.bucket_ns;
         let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"bucket_ns\": {},\n", self.bucket_ns));
-        out.push_str("  \"buckets\": [");
-        let indices: Vec<u64> = self.done.keys().copied().collect();
-        for (i, idx) in indices.iter().enumerate() {
+        let _ = write!(out, "{{\n  \"bucket_ns\": {bucket_ns},\n  \"buckets\": [");
+        for (i, (idx, b)) in self.done.iter_mut().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let start_ns = idx * self.bucket_ns;
-            let b = self.done.get_mut(idx).expect("bucket exists");
-            out.push_str("\n    {");
-            out.push_str(&format!("\"window\": {idx}, "));
-            out.push_str(&format!("\"start_ns\": {start_ns}, "));
-            out.push_str(&format!("\"events\": {}, ", b.stats.events));
-            out.push_str(&format!("\"delivered\": {}, ", b.stats.delivered));
-            out.push_str(&format!("\"timers\": {}, ", b.stats.timers));
-            out.push_str(&format!("\"dead_letters\": {}, ", b.stats.dead_letters));
-            out.push_str(&format!("\"crashes\": {}, ", b.stats.crashes));
-            out.push_str(&format!("\"restarts\": {}, ", b.stats.restarts));
-            out.push_str("\"counters\": {");
-            let counters: Vec<(String, u64)> = b
-                .metrics
-                .counters()
-                .map(|(k, v)| (k.to_owned(), v))
-                .collect();
-            for (j, (name, v)) in counters.iter().enumerate() {
+            let stats = b.stats;
+            let _ = write!(
+                out,
+                "\n    {{\"window\": {idx}, \"start_ns\": {}, \"events\": {}, \"delivered\": {}, \
+                 \"timers\": {}, \"dead_letters\": {}, \"crashes\": {}, \"restarts\": {}, \"counters\": {{",
+                idx * bucket_ns,
+                stats.events,
+                stats.delivered,
+                stats.timers,
+                stats.dead_letters,
+                stats.crashes,
+                stats.restarts,
+            );
+            for (j, (name, v)) in b.metrics.counters().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!("\"{name}\": {v}"));
+                let _ = write!(out, "\"{name}\": {v}");
             }
             out.push_str("}, \"series\": {");
-            let names: Vec<String> = b.metrics.histograms().map(|(k, _)| k.to_owned()).collect();
-            for (j, name) in names.iter().enumerate() {
+            for (j, (name, h)) in b.metrics.histograms_mut().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let h = b.metrics.histogram_mut(name).expect("series exists");
-                let count = h.count();
-                let min = h.min().unwrap_or(0.0);
-                let p50 = h.quantile(0.5).unwrap_or(0.0);
-                let p90 = h.quantile(0.9).unwrap_or(0.0);
-                let p99 = h.quantile(0.99).unwrap_or(0.0);
-                let max = h.max().unwrap_or(0.0);
-                out.push_str(&format!(
-                    "\"{name}\": {{\"count\": {count}, \"min\": {min:?}, \"p50\": {p50:?}, \"p90\": {p90:?}, \"p99\": {p99:?}, \"max\": {max:?}}}"
-                ));
+                let [count, min, p50, p90, p99, max] = series_stats(h);
+                let _ = write!(
+                    out,
+                    "\"{name}\": {{\"count\": {count}, \"min\": {min:?}, \"p50\": {p50:?}, \
+                     \"p90\": {p90:?}, \"p99\": {p99:?}, \"max\": {max:?}}}"
+                );
             }
             out.push_str("}}");
         }
-        if !indices.is_empty() {
+        if !self.done.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("]\n}\n");
@@ -326,64 +316,69 @@ impl Timeline {
     pub fn to_prometheus(&mut self) -> String {
         self.flush();
         let mut out = String::new();
-        out.push_str("# TYPE dcdo_window_events gauge\n");
-        for (idx, b) in &self.done {
-            out.push_str(&format!(
-                "dcdo_window_events{{window=\"{idx}\"}} {}\n",
-                b.stats.events
-            ));
-        }
-        for (field, get) in [
-            ("delivered", 0usize),
-            ("timers", 1),
-            ("dead_letters", 2),
-            ("crashes", 3),
-            ("restarts", 4),
-        ] {
-            out.push_str(&format!("# TYPE dcdo_window_{field} gauge\n"));
+        let fields = [
+            "events",
+            "delivered",
+            "timers",
+            "dead_letters",
+            "crashes",
+            "restarts",
+        ];
+        for (k, field) in fields.iter().enumerate() {
+            let _ = writeln!(out, "# TYPE dcdo_window_{field} gauge");
             for (idx, b) in &self.done {
-                let v = match get {
-                    0 => b.stats.delivered,
-                    1 => b.stats.timers,
-                    2 => b.stats.dead_letters,
-                    3 => b.stats.crashes,
-                    _ => b.stats.restarts,
-                };
-                out.push_str(&format!("dcdo_window_{field}{{window=\"{idx}\"}} {v}\n"));
+                let s = &b.stats;
+                let v = [
+                    s.events,
+                    s.delivered,
+                    s.timers,
+                    s.dead_letters,
+                    s.crashes,
+                    s.restarts,
+                ][k];
+                let _ = writeln!(out, "dcdo_window_{field}{{window=\"{idx}\"}} {v}");
             }
         }
         out.push_str("# TYPE dcdo_window_counter gauge\n");
         for (idx, b) in &self.done {
             for (name, v) in b.metrics.counters() {
-                out.push_str(&format!(
-                    "dcdo_window_counter{{name=\"{name}\",window=\"{idx}\"}} {v}\n"
-                ));
+                let _ = writeln!(
+                    out,
+                    "dcdo_window_counter{{name=\"{name}\",window=\"{idx}\"}} {v}"
+                );
             }
         }
         out.push_str("# TYPE dcdo_window_series gauge\n");
-        let indices: Vec<u64> = self.done.keys().copied().collect();
-        for idx in indices {
-            let b = self.done.get_mut(&idx).expect("bucket exists");
-            let names: Vec<String> = b.metrics.histograms().map(|(k, _)| k.to_owned()).collect();
-            for name in names {
-                let h = b.metrics.histogram_mut(&name).expect("series exists");
-                let stats = [
-                    ("count", h.count() as f64),
-                    ("min", h.min().unwrap_or(0.0)),
-                    ("p50", h.quantile(0.5).unwrap_or(0.0)),
-                    ("p90", h.quantile(0.9).unwrap_or(0.0)),
-                    ("p99", h.quantile(0.99).unwrap_or(0.0)),
-                    ("max", h.max().unwrap_or(0.0)),
-                ];
-                for (stat, v) in stats {
-                    out.push_str(&format!(
-                        "dcdo_window_series{{name=\"{name}\",stat=\"{stat}\",window=\"{idx}\"}} {v:?}\n"
-                    ));
+        for (idx, b) in &mut self.done {
+            for (name, h) in b.metrics.histograms_mut() {
+                let stats = series_stats(h);
+                for (stat, v) in ["count", "min", "p50", "p90", "p99", "max"]
+                    .iter()
+                    .zip(stats)
+                {
+                    let _ = writeln!(
+                        out,
+                        "dcdo_window_series{{name=\"{name}\",stat=\"{stat}\",window=\"{idx}\"}} {v:?}"
+                    );
                 }
             }
         }
         out
     }
+}
+
+/// What both exporters report of one series: count, exact min,
+/// nearest-rank p50/p90/p99, exact max (0 where empty). The first quantile
+/// sorts the samples once; everything after reads the sorted buffer.
+fn series_stats(h: &mut Histogram) -> [f64; 6] {
+    [
+        h.count() as f64,
+        h.min().unwrap_or(0.0),
+        h.quantile(0.5).unwrap_or(0.0),
+        h.quantile(0.9).unwrap_or(0.0),
+        h.quantile(0.99).unwrap_or(0.0),
+        h.max().unwrap_or(0.0),
+    ]
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 //! decide before knowing how the flow ends).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::check::{check, Violation};
 use crate::hash::Fold;
@@ -393,48 +394,39 @@ impl FlightDump {
     /// byte-identical sequential vs sharded and debug vs release.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"slow_quantile\": {:?},\n", self.slow_quantile));
-        out.push_str(&format!("  \"total_flows\": {},\n", self.total_flows));
-        out.push_str(&format!(
-            "  \"frames_recorded\": {},\n",
-            self.frames_recorded
-        ));
-        out.push_str(&format!(
-            "  \"frames_retained\": {},\n",
-            self.frames_retained
-        ));
-        out.push_str(&format!(
-            "  \"ring_digest\": \"{:016x}\",\n",
-            self.ring_digest
-        ));
-        out.push_str("  \"flows\": [");
+        let _ = write!(
+            out,
+            "{{\n  \"slow_quantile\": {:?},\n  \"total_flows\": {},\n  \"frames_recorded\": {},\n  \
+             \"frames_retained\": {},\n  \"ring_digest\": \"{:016x}\",\n  \"flows\": [",
+            self.slow_quantile,
+            self.total_flows,
+            self.frames_recorded,
+            self.frames_retained,
+            self.ring_digest,
+        );
         for (i, f) in self.flows.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"flow\": {}, ", f.flow));
-            out.push_str(&format!("\"object\": {}, ", f.object));
-            out.push_str(&format!("\"kind\": \"{}\", ", f.kind_name));
-            out.push_str(&format!("\"start_ns\": {}, ", f.start_ns));
-            out.push_str(&format!("\"end_ns\": {}, ", f.end_ns));
-            out.push_str(&format!("\"aborted\": {}, ", f.aborted));
-            out.push_str(&format!("\"violating\": {}, ", f.violating));
-            out.push_str(&format!("\"slow\": {}, ", f.slow));
-            out.push_str("\"spans\": [");
+            let _ = write!(
+                out,
+                "\n    {{\"flow\": {}, \"object\": {}, \"kind\": \"{}\", \"start_ns\": {}, \
+                 \"end_ns\": {}, \"aborted\": {}, \"violating\": {}, \"slow\": {}, \"spans\": [",
+                f.flow, f.object, f.kind_name, f.start_ns, f.end_ns, f.aborted, f.violating, f.slow,
+            );
             for (j, s) in f.spans.iter().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                out.push_str(&format!(
+                let _ = write!(
+                    out,
                     "{{\"id\": {}, \"parent\": {}, \"at_ns\": {}, \"node\": {}, \"name\": \"{}\"}}",
                     s.id.as_raw(),
                     s.parent.map_or(0, SpanId::as_raw),
                     s.at_ns,
                     s.node,
                     s.kind.name()
-                ));
+                );
             }
             out.push_str("]}");
         }

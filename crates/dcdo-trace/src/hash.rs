@@ -244,82 +244,8 @@ mod tests {
         }
     }
 
-    fn fold(words: &[u64]) -> u64 {
-        let mut h = Fold::new(words.len() as u64);
-        words.iter().for_each(|&w| h.word(w));
-        h.finish()
-    }
-
-    #[test]
-    fn fold_is_pinned_across_build_profiles() {
-        // CI runs this in debug and in release: wrapping arithmetic only,
-        // so both must land on these values.
-        assert_eq!(fold(&[]), 0xce48_59b9_df44_2d22);
-        assert_eq!(fold(&[0]), 0x704b_939d_5c78_2089);
-        assert_eq!(
-            fold(&[1, 2, 3, u64::MAX, 1 << 48, 0, 0]),
-            0x24cf_a3c9_224f_8995
-        );
-    }
-
-    #[test]
-    fn fold_shows_truncation_of_a_zero_tail() {
-        assert_ne!(fold(&[7, 0, 0]), fold(&[7, 0]));
-        assert_ne!(fold(&[0]), fold(&[]));
-    }
-
-    /// Longest linear-probe displacement when `keys` go, in order, into an
-    /// open-addressed table of `slots` (a power of two) indexed by the
-    /// hash's low bits — how hashbrown picks a key's first group.
-    fn longest_probe(keys: &[u64], slots: usize, hash: impl Fn(u64) -> u64) -> usize {
-        let mut taken = vec![false; slots];
-        let mut longest = 0;
-        for &key in keys {
-            let mut at = hash(key) as usize & (slots - 1);
-            let mut probes = 0;
-            while taken[at] {
-                at = (at + 1) & (slots - 1);
-                probes += 1;
-            }
-            taken[at] = true;
-            longest = longest.max(probes);
-        }
-        longest
-    }
-
-    #[test]
-    fn id_hasher_spreads_lane_structured_span_ids() {
-        use std::hash::BuildHasher;
-        // 16 lanes × 4 096 engine span ids at load factor 1/2. Measured:
-        // IdHasher 18, the bare product 31 (all 16 lanes share 4 096 home
-        // slots), the product with only its own top 32 bits folded in 228.
-        const BOUND: usize = 24;
-        let keys: Vec<u64> = (0..16u64)
-            .flat_map(|lane| (1..=4096u64).map(move |ctr| ((lane + 1) << 48) | ctr))
-            .collect();
-        let slots = 2 * keys.len();
-        let build = BuildHasherDefault::<IdHasher>::default();
-        let folded = longest_probe(&keys, slots, |k| build.hash_one(k));
-        assert!(folded <= BOUND, "IdHasher: longest probe {folded}");
-        let bare = longest_probe(&keys, slots, |k| k.wrapping_mul(K));
-        assert!(bare > BOUND, "bare multiply: longest probe {bare}");
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// Each step is a bijection of the word: streams that differ in
-        /// exactly one word never collide, wherever the word sits.
-        #[test]
-        fn fold_separates_streams_differing_in_one_word(
-            words in prop::collection::vec(any::<u64>(), 1..24),
-            at in any::<usize>(),
-            flip in 1u64..=u64::MAX,
-        ) {
-            let mut edited = words.clone();
-            edited[at % words.len()] ^= flip;
-            prop_assert_ne!(fold(&words), fold(&edited));
-        }
 
         #[test]
         fn write_u64_matches_byte_loop(prefix in any::<u64>(), v in any::<u64>(), keep in 0u32..64) {

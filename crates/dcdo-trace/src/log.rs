@@ -522,129 +522,6 @@ mod tests {
         assert_eq!(id.as_raw(), 1);
     }
 
-    mod digest_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        /// One span as the words the digest covers: id, parent (0 = none),
-        /// time, node, then the kind's own fields (see [`span`]).
-        type Spec = (u64, u64, u64, u32, u8, [u64; 4]);
-
-        /// How many of the kind's fields enter the digest.
-        fn covered_fields(what: u8) -> usize {
-            [4, 2, 2, 3, 1][what as usize % 5]
-        }
-
-        fn span(&(id, parent, at_ns, node, what, f): &Spec) -> SpanEvent {
-            let kind = match what % 5 {
-                0 => SpanKind::MsgSent {
-                    src: f[0] as u32,
-                    dst: f[1] as u32,
-                    src_node: f[2] as u32,
-                    dst_node: 1,
-                    verdict: crate::SendVerdict::Sent,
-                    bytes: f[3],
-                },
-                1 => SpanKind::TimerFired {
-                    actor: f[0] as u32,
-                    token: f[1],
-                },
-                2 => SpanKind::FlowStarted {
-                    flow: f[0],
-                    object: f[1],
-                    kind: FlowKind::Update,
-                },
-                3 => SpanKind::PartitionChanged {
-                    groups: f[..3].iter().map(|&g| g as u32).collect(),
-                },
-                // The generation (`f[1]`) is the one recorded value the
-                // digest leaves out.
-                _ => SpanKind::GenerationStamp {
-                    object: f[0],
-                    generation: f[1],
-                },
-            };
-            SpanEvent {
-                id: SpanId::from_raw(id | 1).expect("nonzero"),
-                parent: SpanId::from_raw(parent),
-                at_ns,
-                node,
-                kind,
-            }
-        }
-
-        fn digest_of(specs: &[Spec]) -> u64 {
-            TraceLog::from_events(specs.iter().map(span).collect()).digest()
-        }
-
-        fn specs() -> impl Strategy<Value = Vec<Spec>> {
-            let word = || prop_oneof![0u64..8, any::<u64>()];
-            prop::collection::vec(
-                (
-                    word(),
-                    word(),
-                    word(),
-                    any::<u32>(),
-                    0u8..5,
-                    (word(), word(), word(), word()).prop_map(|(a, b, c, d)| [a, b, c, d]),
-                ),
-                1..24,
-            )
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(512))]
-
-            /// Flipping any one covered word of any span changes the digest;
-            /// flipping a `GenerationStamp`'s value does not.
-            #[test]
-            fn any_one_field_of_any_span_moves_the_digest(
-                specs in specs(),
-                at in any::<usize>(),
-                word in any::<usize>(),
-                // Bits 1–15: survives the `as u32` fields and `id | 1`.
-                flip in (1u64..1 << 15).prop_map(|bits| bits << 1),
-            ) {
-                let before = digest_of(&specs);
-                let mut edited = specs.clone();
-                let spec = &mut edited[at % specs.len()];
-                match word % (4 + covered_fields(spec.4)) {
-                    0 => spec.0 ^= flip,
-                    1 => spec.1 ^= flip,
-                    2 => spec.2 ^= flip,
-                    3 => spec.3 ^= flip as u32,
-                    field => spec.5[field - 4] ^= flip,
-                }
-                prop_assert_ne!(digest_of(&edited), before);
-
-                let mut restamped = specs.clone();
-                for spec in restamped.iter_mut().filter(|spec| spec.4 % 5 == 4) {
-                    spec.5[1] ^= flip;
-                }
-                prop_assert_eq!(digest_of(&restamped), before);
-            }
-
-            /// Swapping two adjacent (different) spans, or dropping the last
-            /// span, changes the digest.
-            #[test]
-            fn reordering_or_truncating_moves_the_digest(
-                specs in specs(),
-                at in any::<usize>(),
-            ) {
-                let before = digest_of(&specs);
-                if specs.len() > 1 {
-                    let at = at % (specs.len() - 1);
-                    let mut swapped = specs.clone();
-                    swapped.swap(at, at + 1);
-                    if span(&specs[at]) != span(&specs[at + 1]) {
-                        prop_assert_ne!(digest_of(&swapped), before);
-                    }
-                }
-                prop_assert_ne!(digest_of(&specs[..specs.len() - 1]), before);
-            }
-        }
-    }
-
     mod sweep_props {
         use super::*;
         use proptest::prelude::*;
