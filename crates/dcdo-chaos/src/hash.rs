@@ -25,18 +25,16 @@ pub fn trace_hash(trace: &Trace) -> u64 {
 
 /// An event's stable code (declaration order, from 1) and its two operands.
 fn words(event: &TraceEvent) -> (u64, u64, u64) {
-    let pair = |a: u32, b: u32| (a as u64, b as u64);
-    let (code, (a, b)) = match event {
-        TraceEvent::Spawned { actor, node } => (1, pair(actor.as_raw(), node.as_raw())),
-        TraceEvent::Killed { actor } => (2, pair(actor.as_raw(), 0)),
-        TraceEvent::Delivered { src, dst } => (3, pair(src.as_raw(), dst.as_raw())),
-        TraceEvent::DeadLetter { src, dst } => (4, pair(src.as_raw(), dst.as_raw())),
-        TraceEvent::TimerFired { actor, token } => (5, (actor.as_raw() as u64, *token)),
-        TraceEvent::NodeDown { node } => (6, pair(node.as_raw(), 0)),
-        TraceEvent::NodeUp { node } => (7, pair(node.as_raw(), 0)),
-        TraceEvent::Unreachable { src, dst } => (8, pair(src.as_raw(), dst.as_raw())),
-    };
-    (code, a, b)
+    match event {
+        TraceEvent::Spawned { actor, node } => (1, actor.as_raw().into(), node.as_raw().into()),
+        TraceEvent::Killed { actor } => (2, actor.as_raw().into(), 0),
+        TraceEvent::Delivered { src, dst } => (3, src.as_raw().into(), dst.as_raw().into()),
+        TraceEvent::DeadLetter { src, dst } => (4, src.as_raw().into(), dst.as_raw().into()),
+        TraceEvent::TimerFired { actor, token } => (5, actor.as_raw().into(), *token),
+        TraceEvent::NodeDown { node } => (6, node.as_raw().into(), 0),
+        TraceEvent::NodeUp { node } => (7, node.as_raw().into(), 0),
+        TraceEvent::Unreachable { src, dst } => (8, src.as_raw().into(), dst.as_raw().into()),
+    }
 }
 
 #[cfg(test)]

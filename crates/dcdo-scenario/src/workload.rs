@@ -128,7 +128,9 @@ impl RunCx {
     pub fn add(&mut self, key: &str, n: u64) {
         match self.counters.get_mut(key) {
             Some(v) => *v += n,
-            None => drop(self.counters.insert(key.to_string(), n)),
+            None => {
+                self.counters.insert(key.to_string(), n);
+            }
         }
     }
 
@@ -136,7 +138,9 @@ impl RunCx {
     pub fn gauge(&mut self, key: &str, value: f64) {
         match self.gauges.get_mut(key) {
             Some(v) => *v = value,
-            None => drop(self.gauges.insert(key.to_string(), value)),
+            None => {
+                self.gauges.insert(key.to_string(), value);
+            }
         }
     }
 

@@ -269,13 +269,14 @@ fn legacy_span_digests(log: &TraceLog) -> (u64, u64) {
         let fields = line.split_once("\"kind\":\"").expect("kind").1;
         let fields = fields.split_once('"').expect("kind name").1;
         let fields = fields.split(",\"groups\"").next().expect("nonempty");
+        let is_epoch = matches!(
+            e.kind,
+            SpanKind::EpochProposed { .. } | SpanKind::EpochCommitted { .. }
+        );
+        let is_stamp = matches!(e.kind, SpanKind::GenerationStamp { .. });
         for field in fields.trim_end_matches('}').split(',').skip(1) {
             let (name, value) = field.split_once(':').expect("a pair");
-            let is_epoch = matches!(
-                e.kind,
-                SpanKind::EpochProposed { .. } | SpanKind::EpochCommitted { .. }
-            );
-            if name == "\"generation\"" && matches!(e.kind, SpanKind::GenerationStamp { .. }) {
+            if is_stamp && name == "\"generation\"" {
                 continue;
             }
             word(

@@ -194,7 +194,9 @@ impl Metrics {
         // Look up by `&str`: only a counter's first touch allocates its key.
         match self.counters.get_mut(name) {
             Some(v) => *v += delta,
-            None => drop(self.counters.insert(name.to_owned(), delta)),
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
         }
     }
 
@@ -210,13 +212,14 @@ impl Metrics {
 
     /// Records a sample into the named histogram.
     pub fn sample(&mut self, name: &str, value: f64) {
-        if !self.histograms.contains_key(name) {
-            self.histograms.insert(name.to_owned(), Histogram::new());
+        match self.histograms.get_mut(name) {
+            Some(h) => h.record(value),
+            None => self
+                .histograms
+                .entry(name.to_owned())
+                .or_default()
+                .record(value),
         }
-        self.histograms
-            .get_mut(name)
-            .expect("present or just inserted")
-            .record(value);
     }
 
     /// Records a duration sample (in seconds) into the named histogram.

@@ -1,8 +1,9 @@
 //! The per-run structured trace log: recording, queries, digest.
 
+use std::cell::RefCell;
+
 use crate::hash::{Fold, IdMap};
 use crate::span::{SpanEvent, SpanId, SpanKind};
-use std::cell::RefCell;
 
 /// A deterministic, append-only log of [`SpanEvent`]s for one run.
 ///
