@@ -7,16 +7,13 @@
 //!
 //! Usage:
 //!   cargo run --release -p dcdo-bench --bin dcdo-inspect -- \
-//!       [vm] <workload> [seed] [--out PREFIX] [--threads N]
+//!       [vm] <workload> [seed] [--out PREFIX]
 //!
 //! Workloads: reconfig, reconfig_faulted, crash_during_reconfig (the
 //! `reconfig_run` driver with its layer map), rolling_partition,
 //! restart_storm (the declared scenarios, profiled with an empty layer
 //! map). Seed defaults to 42; output defaults to BENCH_profile.json /
-//! BENCH_profile.prom. `--threads N` runs the simulation on the sharded
-//! parallel engine with N workers — the report (and the exported JSON) is
-//! byte-identical at any thread count, which makes the flag a handy
-//! determinism spot-check on real workloads.
+//! BENCH_profile.prom.
 //!
 //! The `vm` subcommand (`dcdo-inspect vm <workload> …`) runs the same
 //! scenario and then reports the VM's view of it: the per-function cost
@@ -26,14 +23,14 @@
 //! writes `PREFIX.vm.json`.
 //!
 //! The `scenarios` subcommand lists every declared scenario; `scenario
-//! <name|file.scn|all> [seed] [--threads N] [--out FILE]` runs declared
+//! <name|file.scn|all> [seed] [--out FILE]` runs declared
 //! scenarios (or a `.scn` file) through the `dcdo-scenario` runner, prints
 //! each verdict table, and writes the deterministic per-run JSON reports to
 //! `BENCH_scenarios.json`. The process exits nonzero if any expectation
 //! fails, so CI can gate on declared behavior.
 //!
-//! The `epochs` subcommand (`dcdo-inspect epochs <name|file.scn> [seed]
-//! [--threads N]`) runs one scenario and renders the group-epoch timeline
+//! The `epochs` subcommand (`dcdo-inspect epochs <name|file.scn> [seed]`)
+//! runs one scenario and renders the group-epoch timeline
 //! reconstructed from its span log: every proposal, commit, and replica
 //! adoption in deterministic log order — the observability view of the
 //! epoch-based reconfiguration protocol.
@@ -43,11 +40,11 @@
 //! series) as deterministic JSON and Prometheus text; `flight` runs one
 //! scenario and renders the tail-sampled flight-recorder dump — the causal
 //! span trees of every aborted, invariant-violating, or slowest-percentile
-//! flow. Both honor the uniform `--threads N` / `--out FILE` flags every
-//! subcommand shares, and both exit nonzero if the scenario fails.
+//! flow. Both honor the `--out FILE` flag every subcommand shares, and both
+//! exit nonzero if the scenario fails.
 //!
 //! The `trace` subcommand (`dcdo-inspect trace <name|file.scn> [seed]
-//! [--threads N] [--out FILE]`) runs one scenario and writes its span log
+//! [--out FILE]`) runs one scenario and writes its span log
 //! as Chrome-trace JSON (`chrome://tracing` / Perfetto), printing the span
 //! count and the build-independent digest.
 
@@ -66,13 +63,13 @@ const WORKLOADS: &[&str] = &[
 ];
 
 fn usage() -> ! {
-    eprintln!("usage: dcdo-inspect [vm] <workload> [seed] [--out PREFIX] [--threads N]");
+    eprintln!("usage: dcdo-inspect [vm] <workload> [seed] [--out PREFIX]");
     eprintln!("       dcdo-inspect scenarios");
-    eprintln!("       dcdo-inspect scenario <name|file.scn|all> [seed] [--threads N] [--out FILE]");
-    eprintln!("       dcdo-inspect epochs <name|file.scn> [seed] [--threads N]");
-    eprintln!("       dcdo-inspect timeline <name|file.scn> [seed] [--threads N] [--out FILE]");
-    eprintln!("       dcdo-inspect flight <name|file.scn> [seed] [--threads N] [--out FILE]");
-    eprintln!("       dcdo-inspect trace <name|file.scn> [seed] [--threads N] [--out FILE]");
+    eprintln!("       dcdo-inspect scenario <name|file.scn|all> [seed] [--out FILE]");
+    eprintln!("       dcdo-inspect epochs <name|file.scn> [seed]");
+    eprintln!("       dcdo-inspect timeline <name|file.scn> [seed] [--out FILE]");
+    eprintln!("       dcdo-inspect flight <name|file.scn> [seed] [--out FILE]");
+    eprintln!("       dcdo-inspect trace <name|file.scn> [seed] [--out FILE]");
     eprintln!("workloads: {}", WORKLOADS.join(", "));
     eprintln!("vm: print the VM per-function/per-opcode cost tables and");
     eprintln!("    superinstruction coverage for the scenario");
@@ -86,27 +83,23 @@ fn usage() -> ! {
     eprintln!("flight: run one scenario and render the tail-sampled");
     eprintln!("    flight-recorder dump (aborted/violating/slowest flows)");
     eprintln!("trace: run one scenario and write its span log as Chrome-trace JSON");
-    eprintln!("every subcommand accepts --threads N and --out FILE uniformly");
+    eprintln!("every subcommand accepts --out FILE");
     std::process::exit(2);
 }
 
 /// The command-line tail every subcommand shares: positional arguments
-/// plus the uniform `--out FILE` / `--threads N` flags.
+/// plus the uniform `--out FILE` flag.
 struct Cli {
     positionals: Vec<String>,
     out: Option<String>,
-    threads: Option<u32>,
 }
 
-/// Parses the shared flag set. `--threads` is also installed as the
-/// process-wide default because several workloads build their simulations
-/// internally; worlds the scenario runner builds get it passed explicitly
-/// as well. Unknown flags exit with the usage text (status 2).
+/// Parses the shared flag set. Unknown flags exit with the usage text
+/// (status 2).
 fn parse_cli(args: &[String]) -> Cli {
     let mut cli = Cli {
         positionals: Vec::new(),
         out: None,
-        threads: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -114,15 +107,6 @@ fn parse_cli(args: &[String]) -> Cli {
             "--out" => {
                 i += 1;
                 cli.out = Some(args.get(i).cloned().unwrap_or_else(|| usage()));
-            }
-            "--threads" => {
-                i += 1;
-                let n: u32 = args
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                dcdo_sim::set_default_threads(n);
-                cli.threads = Some(n);
             }
             "--help" | "-h" => usage(),
             a if a.starts_with("--") => usage(),
@@ -229,7 +213,7 @@ fn run_scenarios(args: &[String]) {
     let mut reports = Vec::new();
     for scenario in scenarios {
         let name = scenario.name.clone();
-        match dcdo_scenario::run_artifacts(scenario, cli.threads) {
+        match dcdo_scenario::run_artifacts(scenario, None) {
             Ok(artifacts) => {
                 print!("{}", artifacts.report.render());
                 all_passed &= artifacts.report.passed;
@@ -284,7 +268,7 @@ fn run_single(subcommand: &str, args: &[String]) -> (Cli, String, RunArtifacts) 
         scenario = scenario.with_seed(seed);
     }
     let name = scenario.name.clone();
-    match dcdo_scenario::run_artifacts(scenario, cli.threads) {
+    match dcdo_scenario::run_artifacts(scenario, None) {
         Ok(artifacts) => (cli, name, artifacts),
         Err(e) => {
             eprintln!("dcdo-inspect: scenario {name} is invalid: {e}");
@@ -716,10 +700,7 @@ fn main() {
         usage();
     }
 
-    match cli.threads {
-        Some(n) => println!("workload {workload}, seed {seed}, {n} worker thread(s)"),
-        None => println!("workload {workload}, seed {seed}"),
-    }
+    println!("workload {workload}, seed {seed}");
     if vm_mode {
         // Scope the process-wide VM aggregates to this scenario.
         dcdo_vm::reset_global_vm_profile();

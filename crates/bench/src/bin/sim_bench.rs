@@ -81,20 +81,6 @@ fn measure_paired(
     (shot(0, name_off), shot(1, name_on))
 }
 
-/// Times one workload at a fixed worker-thread count.
-fn measure_at_threads(
-    name: &'static str,
-    reps: u32,
-    threads: u32,
-    build: impl Fn() -> (dcdo_sim::Simulation<legion_substrate::Msg>, u64),
-) -> Shot {
-    measure(name, reps, || {
-        let (mut sim, budget) = build();
-        sim.set_threads(threads);
-        sim.run_with_budget(budget)
-    })
-}
-
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -105,38 +91,6 @@ fn main() {
         measure("fan_out", reps, || simbench::fan_out(500, 200, 512)),
         measure("timer_heavy", reps, || simbench::timer_heavy(64, 2_000)),
         measure("transfer_heavy", reps, || simbench::transfer_heavy(100, 50)),
-    ];
-
-    // Parallel-engine sweep: the two shard-friendly shapes at 1/2/4/8
-    // worker threads. `host_cpus` is recorded alongside because the sweep
-    // is only meaningful relative to the cores actually available — on a
-    // 1-CPU host the >1-thread rows measure coordination overhead, not
-    // scaling (CI runs this on a multi-core runner and uploads the JSON).
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let sweep_counts = [1u32, 2, 4, 8];
-    let sweep: Vec<(&'static str, Vec<Shot>)> = vec![
-        (
-            "fan_out_wide",
-            sweep_counts
-                .iter()
-                .map(|&t| {
-                    measure_at_threads("fan_out_wide", reps, t, || {
-                        simbench::fan_out_wide_sim(200, 192, 512)
-                    })
-                })
-                .collect(),
-        ),
-        (
-            "transfer_heavy",
-            sweep_counts
-                .iter()
-                .map(|&t| {
-                    measure_at_threads("transfer_heavy", reps, t, || {
-                        simbench::transfer_heavy_sim(100, 50)
-                    })
-                })
-                .collect(),
-        ),
     ];
 
     // Tracing overhead probe: the same fan_out shape with the span log
@@ -208,27 +162,6 @@ fn main() {
             s.best_events_per_sec,
             s.mean_events_per_sec,
             if i + 1 < shots.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n  \"threads_sweep\": {\n");
-    json.push_str(&format!("    \"host_cpus\": {host_cpus},\n"));
-    for (wi, (wname, shots_by_threads)) in sweep.iter().enumerate() {
-        json.push_str(&format!("    \"{wname}\": {{"));
-        for (ti, (t, s)) in sweep_counts.iter().zip(shots_by_threads).enumerate() {
-            json.push_str(&format!(
-                "\"{t}\": {{\"best\": {:.0}, \"mean\": {:.0}}}{}",
-                s.best_events_per_sec,
-                s.mean_events_per_sec,
-                if ti + 1 < sweep_counts.len() {
-                    ", "
-                } else {
-                    ""
-                }
-            ));
-        }
-        json.push_str(&format!(
-            "}}{}\n",
-            if wi + 1 < sweep.len() { "," } else { "" }
         ));
     }
     json.push_str("  },\n  \"tracing\": {\n");
@@ -303,15 +236,6 @@ fn main() {
             "{:<16} {:>10} events   best {:>12.0} ev/s   mean {:>12.0} ev/s",
             s.name, s.events, s.best_events_per_sec, s.mean_events_per_sec
         );
-    }
-    println!("threads sweep (host has {host_cpus} cpu(s)):");
-    for (wname, shots_by_threads) in &sweep {
-        for (t, s) in sweep_counts.iter().zip(shots_by_threads) {
-            println!(
-                "  {wname:<16} @ {t} thread(s)   best {:>12.0} ev/s   mean {:>12.0} ev/s",
-                s.best_events_per_sec, s.mean_events_per_sec
-            );
-        }
     }
     println!("tracing on fan_out: throughput ratio {traced_ratio:.2}, overhead {overhead_x:.2}x");
     println!(

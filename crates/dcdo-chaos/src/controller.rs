@@ -68,10 +68,6 @@ impl<M: Payload> ChaosController<M> {
             _payload: PhantomData,
         };
         let actor = sim.spawn(node, controller);
-        // The controller mutates simulation structure (crashes, restarts,
-        // partitions), so its events must execute at global barriers when
-        // the engine runs sharded across threads.
-        sim.mark_structural(actor);
         // Timers are scheduled in step order, so same-instant steps apply
         // in insertion order (seq breaks the tie).
         for (idx, at) in offsets.into_iter().enumerate() {

@@ -320,9 +320,8 @@ fn probes_report_health_version_and_counters() {
 
 #[test]
 fn sustained_traffic_across_a_reconfiguration_only_sees_typed_refusals() {
-    let run = |seed: u64, threads: u32| {
+    let run = |seed: u64| {
         let mut sim = new_sim(seed);
-        sim.set_threads(threads);
         let dep = deploy_group(&mut sim, 1, NodeId::from_raw(5), &replica_nodes(4), 1);
         let client = sim.spawn(
             NodeId::from_raw(6),
@@ -353,11 +352,10 @@ fn sustained_traffic_across_a_reconfiguration_only_sees_typed_refusals() {
             c.ok(),
             c.refused(),
             c.failed(),
-            sim.spans().digest(),
-            { check_trace_invariants(sim.spans()).len() },
+            check_trace_invariants(sim.spans()).len(),
         )
     };
-    let (sent, ok, refused, failed, digest, violations) = run(41, 1);
+    let (sent, ok, refused, failed, violations) = run(41);
     assert!(sent >= 300, "sustained traffic ran ({sent} sent)");
     assert!(ok >= sent - refused - failed);
     assert_eq!(failed, 0, "only typed fence refusals are acceptable");
@@ -366,10 +364,4 @@ fn sustained_traffic_across_a_reconfiguration_only_sees_typed_refusals() {
         "fence window must be brief ({refused}/{sent} refused)"
     );
     assert_eq!(violations, 0);
-
-    // The exact same run at 4 threads is byte-identical.
-    let (sent4, ok4, refused4, failed4, digest4, violations4) = run(41, 4);
-    assert_eq!((sent4, ok4, refused4, failed4), (sent, ok, refused, failed));
-    assert_eq!(digest4, digest, "span digest byte-equal at 1 vs 4 threads");
-    assert_eq!(violations4, 0);
 }

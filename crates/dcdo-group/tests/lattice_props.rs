@@ -6,9 +6,8 @@
 //!    and `join_all` is permutation-invariant, digests included.
 //! 2. Protocol-level convergence — random sets of concurrent config
 //!    proposals, issued within one batching round under random seeds
-//!    (delivery orders) and at 1 vs 4 engine threads, leave every replica
-//!    at the identical joined epoch with byte-equal config digests, and
-//!    the 1-thread and 4-thread runs produce byte-identical span digests.
+//!    (delivery orders), leave every replica at the identical joined
+//!    epoch with byte-equal config digests.
 
 mod common;
 
@@ -94,15 +93,13 @@ struct Outcome {
     replica_epochs: Vec<u64>,
     replica_digests: Vec<u64>,
     coordinator_digest: u64,
-    span_digest: u64,
     violations: usize,
 }
 
 /// Runs `shots` (all inside one batching round) against a fresh group and
 /// reports where every replica ended up.
-fn run_round(seed: u64, threads: u32, shots: &[Shot]) -> Outcome {
+fn run_round(seed: u64, shots: &[Shot]) -> Outcome {
     let mut sim: Simulation<Msg> = Simulation::new(NetConfig::centurion(), seed);
-    sim.set_threads(threads);
     sim.spans_mut().enable();
     let replica_nodes: Vec<NodeId> = (1..=MEMBERS).map(NodeId::from_raw).collect();
     let dep = deploy_group(&mut sim, 1, NodeId::from_raw(5), &replica_nodes, 1);
@@ -154,7 +151,6 @@ fn run_round(seed: u64, threads: u32, shots: &[Shot]) -> Outcome {
         replica_epochs,
         replica_digests,
         coordinator_digest,
-        span_digest: sim.spans().digest(),
         violations: check_trace_invariants(sim.spans()).len(),
     }
 }
@@ -163,7 +159,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn concurrent_proposals_join_to_one_epoch_at_any_thread_count(
+    fn concurrent_proposals_join_to_one_epoch(
         seed in 0u64..1_000_000,
         deltas in prop::collection::vec(arb_delta(), 1..4),
         staggers in prop::collection::vec(0u64..15, 3),
@@ -176,8 +172,7 @@ proptest! {
                 at: SimDuration::from_millis(ms),
             })
             .collect();
-        let seq = run_round(seed, 1, &shots);
-        let par = run_round(seed, 4, &shots);
+        let seq = run_round(seed, &shots);
 
         // All proposals landed in one round: every replica is at epoch 1
         // with the digest predicted by the pure lattice.
@@ -189,11 +184,5 @@ proptest! {
         }
         prop_assert_eq!(seq.coordinator_digest, expected);
         prop_assert_eq!(seq.violations, 0, "no invariant violations");
-
-        // Thread count is invisible: byte-identical outcomes and spans.
-        prop_assert_eq!(&par.replica_epochs, &seq.replica_epochs);
-        prop_assert_eq!(&par.replica_digests, &seq.replica_digests);
-        prop_assert_eq!(par.span_digest, seq.span_digest, "span digests byte-equal at 1 vs 4 threads");
-        prop_assert_eq!(par.violations, 0);
     }
 }

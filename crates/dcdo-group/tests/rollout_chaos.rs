@@ -49,14 +49,8 @@ struct RunResult {
 
 /// Deploys group + client + rollout driver (+ an optional fault plan on
 /// node 0), runs the window, and reports the end state.
-fn run_rollout(
-    seed: u64,
-    threads: u32,
-    faults: Option<FaultPlan>,
-    unhealthy_canary: bool,
-) -> RunResult {
+fn run_rollout(seed: u64, faults: Option<FaultPlan>, unhealthy_canary: bool) -> RunResult {
     let mut sim: Simulation<Msg> = Simulation::new(NetConfig::centurion(), seed);
-    sim.set_threads(threads);
     sim.spans_mut().enable();
     sim.trace_mut().enable(1 << 18);
     let replica_nodes: Vec<NodeId> = (1..=REPLICAS).map(NodeId::from_raw).collect();
@@ -122,7 +116,7 @@ fn run_rollout(
 
 #[test]
 fn rolling_upgrade_completes_under_sustained_traffic() {
-    let r = run_rollout(101, 1, None, false);
+    let r = run_rollout(101, None, false);
     assert_eq!(r.state, RolloutState::Completed);
     assert_eq!(r.waves_committed, 3);
     // Canary, 25% (same single member for 4 replicas), then 100%.
@@ -145,17 +139,11 @@ fn rolling_upgrade_completes_under_sustained_traffic() {
         r.client_sent
     );
     assert_eq!(r.violations, vec![]);
-
-    // Byte-identical at 4 threads, same seed.
-    let r4 = run_rollout(101, 4, None, false);
-    assert_eq!(r4.state, RolloutState::Completed);
-    assert_eq!(r4.span_digest, r.span_digest);
-    assert_eq!(r4.trace_hash, r.trace_hash);
 }
 
 #[test]
 fn an_unhealthy_canary_rolls_the_group_back() {
-    let r = run_rollout(103, 1, None, true);
+    let r = run_rollout(103, None, true);
     assert_eq!(r.state, RolloutState::RolledBack);
     assert_eq!(r.waves_committed, 1, "only the canary wave committed");
     // Canary epoch + rollback epoch.
@@ -174,11 +162,6 @@ fn an_unhealthy_canary_rolls_the_group_back() {
     assert!(!r.any_fenced);
     assert_eq!(r.client_failed, 0);
     assert_eq!(r.violations, vec![]);
-
-    let r4 = run_rollout(103, 4, None, true);
-    assert_eq!(r4.state, RolloutState::RolledBack);
-    assert_eq!(r4.span_digest, r.span_digest);
-    assert_eq!(r4.trace_hash, r.trace_hash);
 }
 
 #[test]
@@ -192,7 +175,7 @@ fn coordinator_crash_at_each_wave_boundary_completes_or_rolls_back_cleanly() {
             NodeId::from_raw(COORD_NODE),
         );
         let seed = 200 + i as u64;
-        let r = run_rollout(seed, 1, Some(faults.clone()), false);
+        let r = run_rollout(seed, Some(faults.clone()), false);
         assert!(
             matches!(r.state, RolloutState::Completed | RolloutState::RolledBack),
             "wave {i}: rollout must complete or roll back, got {:?}",
@@ -222,13 +205,10 @@ fn coordinator_crash_at_each_wave_boundary_completes_or_rolls_back_cleanly() {
             r.waves_committed
         );
 
-        // Same-seed replay is byte-identical, seq and 4-threaded.
-        let replay = run_rollout(seed, 1, Some(faults.clone()), false);
+        // Same-seed replay is byte-identical.
+        let replay = run_rollout(seed, Some(faults), false);
         assert_eq!(replay.trace_hash, r.trace_hash, "wave {i}: replay hash");
         assert_eq!(replay.span_digest, r.span_digest);
-        let par = run_rollout(seed, 4, Some(faults), false);
-        assert_eq!(par.trace_hash, r.trace_hash, "wave {i}: 4-thread hash");
-        assert_eq!(par.span_digest, r.span_digest);
     }
 }
 
@@ -238,7 +218,7 @@ fn crashing_the_coordinator_between_waves_strands_no_fences() {
     // goes to a dead coordinator, the driver's deadline rolls the wave back.
     let faults =
         FaultPlan::new().crash_at(SimDuration::from_millis(250), NodeId::from_raw(COORD_NODE));
-    let r = run_rollout(211, 1, Some(faults), false);
+    let r = run_rollout(211, Some(faults), false);
     assert_eq!(r.state, RolloutState::RolledBack);
     assert_eq!(r.waves_committed, 1);
     assert!(r.replica_epochs.iter().all(|&e| e == 1));
@@ -256,7 +236,7 @@ fn the_deployment_survives_an_uninvolved_node_crash() {
     // the reconfiguration protocol untouched.
     let faults =
         FaultPlan::new().crash_at(SimDuration::from_millis(350), NodeId::from_raw(CLIENT_NODE));
-    let r = run_rollout(223, 1, Some(faults), false);
+    let r = run_rollout(223, Some(faults), false);
     assert_eq!(r.state, RolloutState::Completed);
     assert!(r.replica_versions.iter().all(|&v| v == 2));
     assert_eq!(r.violations, vec![]);
@@ -266,8 +246,8 @@ fn the_deployment_survives_an_uninvolved_node_crash() {
 fn group_deployment_is_deterministic_across_seeds_only() {
     // Different seeds change delivery jitter and thus the trace; the
     // protocol outcome stays the same.
-    let a = run_rollout(301, 1, None, false);
-    let b = run_rollout(302, 1, None, false);
+    let a = run_rollout(301, None, false);
+    let b = run_rollout(302, None, false);
     assert_ne!(a.trace_hash, b.trace_hash, "seed must matter");
     assert_eq!(a.state, RolloutState::Completed);
     assert_eq!(b.state, RolloutState::Completed);

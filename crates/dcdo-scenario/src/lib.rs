@@ -12,8 +12,8 @@
 //! - **Workloads drive.** A [`Workload`] is a trait object with
 //!   setup/step/episode/measure phases. Inside a tick window the runner
 //!   picks which workload steps by a **weighted draw from the engine's
-//!   per-lane deterministic RNG streams**, so the traffic mix a seed
-//!   produces is byte-identical at every `DCDO_SIM_THREADS` count.
+//!   per-lane deterministic RNG streams**, so the traffic mix is a pure
+//!   function of the seed.
 //!   `FaultPlan`s attach as workloads ([`ChaosAttachment`]) and
 //!   participate in validation.
 //! - **Expectations judge.** An [`Expectation`] captures a baseline

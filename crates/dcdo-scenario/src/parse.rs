@@ -234,10 +234,15 @@ fn parse_window(line: usize, token: &str) -> Result<Window, ScenarioError> {
     Err(err(line, &format!("unknown window {token:?}")))
 }
 
+/// Longest duration a declaration may name: ~31 years, so that sums of a
+/// few parsed durations (a plan's start + downtime, now + delay) still fit
+/// the engine's `u64` nanosecond clock.
+const MAX_SECS: f64 = 1e9;
+
 /// Parses decimal seconds (millisecond resolution) into a [`SimDuration`].
 pub fn parse_secs(s: &str) -> Option<SimDuration> {
     let secs: f64 = s.parse().ok()?;
-    if !secs.is_finite() || secs < 0.0 {
+    if !(0.0..=MAX_SECS).contains(&secs) {
         return None;
     }
     Some(SimDuration::from_millis((secs * 1000.0).round() as u64))
@@ -349,9 +354,17 @@ mod tests {
                 msg: "unknown directive \"frobnicate\"".to_string()
             }
         );
-        let err =
-            parse_scenario("scenario x\ntopology bare nodes=4\nwindow secs=oops\n").unwrap_err();
-        assert!(matches!(err, ScenarioError::Parse { line: 3, .. }));
+        for secs in ["oops", "30000000000"] {
+            let text = format!("scenario x\ntopology bare nodes=4\nwindow secs={secs}\n");
+            let err = parse_scenario(&text).unwrap_err();
+            assert_eq!(
+                err,
+                ScenarioError::Parse {
+                    line: 3,
+                    msg: format!("bad duration {secs:?}")
+                }
+            );
+        }
     }
 
     #[test]
@@ -371,6 +384,12 @@ mod tests {
         assert_eq!(parse_secs("0.5"), Some(SimDuration::from_millis(500)));
         assert_eq!(parse_secs("-1"), None);
         assert_eq!(parse_secs("inf"), None);
+        assert_eq!(parse_secs("NaN"), None);
+        assert_eq!(
+            parse_secs("1e9"),
+            Some(SimDuration::from_secs(1_000_000_000))
+        );
+        assert_eq!(parse_secs("30000000000"), None, "ns would overflow u64");
         assert_eq!(parse_secs("x"), None);
     }
 

@@ -1,10 +1,9 @@
 //! The scenario report and its deterministic JSON export.
 //!
 //! Everything in a [`ScenarioReport`] is derived from deterministic
-//! simulation state, so two same-seed runs of the same scenario — at any
-//! worker-thread count — serialize to byte-identical JSON. The CI scenario
-//! matrix diffs sequential against 4-thread exports to enforce exactly
-//! that.
+//! simulation state, so two same-seed runs of the same scenario serialize
+//! to byte-identical JSON. The CI scenario matrix diffs release and debug
+//! exports against the committed goldens to enforce exactly that.
 
 use std::fmt::Write as _;
 
@@ -22,7 +21,7 @@ pub struct ScenarioReport {
     /// Word fold of the execution-trace ring (`dcdo_chaos::trace_hash`).
     pub trace_hash: u64,
     /// Word-fold digest of the structured span log (integer-only, stable
-    /// across build profiles and thread counts).
+    /// across build profiles).
     pub span_digest: u64,
     /// Word-fold digest of the flight-recorder ring (same stability
     /// guarantees as the span digest).

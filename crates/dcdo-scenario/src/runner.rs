@@ -10,8 +10,8 @@
 //! 5. `capture` every expectation's baseline.
 //! 6. Drive the window: timed runs let timers and chaos plans supply the
 //!    traffic; tick windows draw one workload per tick by a weighted draw
-//!    from the engine's per-lane deterministic RNG stream, so the mix a
-//!    seed produces is byte-identical at every worker-thread count;
+//!    from the engine's per-lane deterministic RNG stream, so the mix is
+//!    a pure function of the seed;
 //!    episode windows run each workload's episode hook once.
 //! 7. Drain the queue and `measure` every workload, then the post-run pass
 //!    over the finished logs, each step once and in this order: derive the
@@ -47,8 +47,7 @@ pub const TRACE_RING_CAPACITY: usize = 1 << 18;
 
 /// Everything a scenario run produces beyond the pass/fail report: the raw
 /// span log, the windowed-telemetry exports, and the flight-recorder dump.
-/// All of it is deterministic — byte-identical at every worker-thread
-/// count and across build profiles.
+/// All of it is deterministic — byte-identical across build profiles.
 #[derive(Debug)]
 pub struct RunArtifacts {
     /// The pass/fail report (same value [`run`] returns).
@@ -73,31 +72,17 @@ pub struct RunArtifacts {
     pub slo_breached: bool,
 }
 
-/// Runs `scenario` to completion at the process-default thread count and
-/// returns only the pass/fail report.
+/// Runs `scenario` to completion and returns only the pass/fail report.
 pub fn run(scenario: Scenario) -> Result<ScenarioReport, ScenarioError> {
     run_artifacts(scenario, None).map(|a| a.report)
-}
-
-/// Runs `scenario` with an explicit worker-thread count for the world the
-/// runner builds (`None` keeps the process default) and returns the full
-/// [`RunArtifacts`]: report, span log, timeline exports, and
-/// flight-recorder dump. Episode workloads build their own simulations,
-/// which honor the process default (`DCDO_SIM_THREADS` /
-/// `dcdo_sim::set_default_threads`) instead.
-pub fn run_artifacts(
-    scenario: Scenario,
-    threads: Option<u32>,
-) -> Result<RunArtifacts, ScenarioError> {
-    run_inner(scenario, threads)
 }
 
 /// Derives the windowed series the SLO watchdogs judge from the span log:
 /// flow latencies and outcomes (`lat.flow`, `ok.flow`, `err.flow`), RPC
 /// latencies keyed off each call's first attempt (`lat.rpc`, `ok.rpc`,
 /// `err.rpc`), and served calls (`served`). A pure function of the span
-/// log — which is byte-identical at every worker-thread count — written
-/// into the engine's timeline so bucketing matches the hot-path stats.
+/// log, written into the engine's timeline so bucketing matches the
+/// hot-path stats.
 fn derive_windowed_series(cx: &mut RunCx) {
     // Deliberately not `IdMap`: measured twice (PRs 14 and 16), hash tables
     // here are ~2 % faster on `calls_steady` but cost its next set-ups +28 %
@@ -156,13 +141,19 @@ fn derive_windowed_series(cx: &mut RunCx) {
     timeline.flush();
 }
 
-fn run_inner(mut scenario: Scenario, threads: Option<u32>) -> Result<RunArtifacts, ScenarioError> {
+/// Runs `scenario` and returns the full [`RunArtifacts`]: report, span log,
+/// timeline exports, and flight-recorder dump.
+///
+/// `_threads` is ignored (the engine is sequential). It is kept only
+/// because `benchmark/src/plain.rs:67` passes `None` and cannot be edited
+/// outside a benchmark PR (see ROADMAP.md), which removes the parameter.
+pub fn run_artifacts(
+    mut scenario: Scenario,
+    _threads: Option<u32>,
+) -> Result<RunArtifacts, ScenarioError> {
     scenario.validate()?;
     let mut cx = RunCx::new(scenario.seed, scenario.topology.build(scenario.seed));
     if let Some(sim) = cx.world.sim_mut() {
-        if let Some(n) = threads {
-            sim.set_threads(n);
-        }
         sim.trace_mut().enable(TRACE_RING_CAPACITY);
         sim.spans_mut().enable();
     }
@@ -184,14 +175,14 @@ fn run_inner(mut scenario: Scenario, threads: Option<u32>) -> Result<RunArtifact
             // Weighted selection draws from the lane of the service's
             // client node (falling back to node 0's lane): per-lane RNG
             // streams are the engine's determinism backbone, so the draw
-            // sequence — and therefore the traffic mix — is identical
-            // whether the run is sequential or sharded.
+            // sequence — and therefore the traffic mix — does not move
+            // with what other lanes do.
             let lane_node = cx
                 .service
                 .map(|s| s.client_node)
                 .unwrap_or_else(|| NodeId::from_raw(0));
             let weights: Vec<u64> = scenario.workloads.iter().map(|s| s.weight).collect();
-            let total: u64 = weights.iter().sum();
+            let total = scenario.total_weight().expect("validated: weights fit u64");
             let mut counts = vec![0u64; weights.len()];
             for tick in 0..n {
                 let mut draw = cx

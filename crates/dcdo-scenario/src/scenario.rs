@@ -1,7 +1,7 @@
 //! The scenario: a topology, a weighted workload mix, expectations, and a
 //! run window, validated as a whole before anything is built.
 
-use dcdo_sim::SimDuration;
+use dcdo_sim::{NodeId, SimDuration};
 
 use crate::error::ScenarioError;
 use crate::expect::Expectation;
@@ -99,12 +99,29 @@ impl Scenario {
         self
     }
 
+    /// Sum of the workloads' selection weights, `None` on `u64` overflow.
+    pub(crate) fn total_weight(&self) -> Option<u64> {
+        self.workloads
+            .iter()
+            .try_fold(0u64, |sum, slot| sum.checked_add(slot.weight))
+    }
+
     /// Checks the declaration for internal consistency without building
     /// any simulation state. Mirrors `FaultPlan::validate` one layer up.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.topology.nodes == 0 {
             return Err(ScenarioError::NoNodes {
                 scenario: self.name.clone(),
+            });
+        }
+        if self.topology.nodes >= NodeId::LIMIT {
+            return Err(ScenarioError::BadParam {
+                context: "topology".to_string(),
+                msg: format!(
+                    "{} nodes exceed the engine's limit of {}",
+                    self.topology.nodes,
+                    NodeId::LIMIT - 1
+                ),
             });
         }
         if self.workloads.is_empty() {
@@ -120,7 +137,11 @@ impl Scenario {
             });
         }
         if let Window::Ticks(_) = self.window {
-            if self.workloads.iter().map(|s| s.weight).sum::<u64>() == 0 {
+            let total = self.total_weight().ok_or_else(|| ScenarioError::BadParam {
+                context: format!("scenario {:?}", self.name),
+                msg: "total workload weight overflows u64".to_string(),
+            })?;
+            if total == 0 {
                 return Err(ScenarioError::ZeroTotalWeight {
                     scenario: self.name.clone(),
                 });

@@ -11,8 +11,7 @@
 //!
 //! The windowed series the watchdogs read (`lat.flow`, `ok.rpc`, …) are
 //! derived deterministically from the span log after the window closes
-//! (see the runner), so every verdict is byte-identical at any
-//! worker-thread count.
+//! (see the runner), so every verdict replays byte-identically.
 
 use dcdo_sim::SpanKind;
 

@@ -8,7 +8,7 @@
 //! - [`step`](Workload::step) drives one closed-loop traffic unit. Inside
 //!   a tick window the runner picks which workload steps by a weighted
 //!   draw from the engine's per-lane deterministic RNG streams, so the
-//!   mix a seed produces is byte-identical at every worker-thread count.
+//!   mix is a pure function of the seed.
 //! - [`episode`](Workload::episode) runs a complete self-contained
 //!   workload (the PR 3–5 canonical runs) and installs the finished world
 //!   into the context so expectations can judge it.

@@ -1,9 +1,7 @@
 //! Golden parity: every declared scenario's full report — trace hash, span
 //! digest, flight digest, event count, counters, gauges, verdicts — is
 //! pinned byte-for-byte by the committed `BENCH_scenarios.json` (the
-//! output of `dcdo-inspect scenario all`). The runs use the process-default
-//! thread count, so `DCDO_SIM_THREADS=4 cargo test` holds the sharded
-//! engine — episodes included — to the same bytes.
+//! output of `dcdo-inspect scenario all`).
 //!
 //! The episode scenarios are additionally compared against direct runs of
 //! the drivers they wrap (`reconfig_run`, the sim-bench shapes), guarding
@@ -121,36 +119,6 @@ fn every_declared_scenario_loads_validates_and_passes() {
         assert_eq!(report.leaked_events, 0, "{name} leaked events");
         assert_eq!(report.trace_violations, 0, "{name} violated invariants");
     }
-}
-
-#[test]
-fn rolling_upgrade_parity_holds_at_four_threads() {
-    let seq = run(declared("rolling_upgrade")).expect("valid scenario");
-    assert!(seq.passed, "{}", seq.render());
-    let par = run_artifacts(declared("rolling_upgrade"), Some(4))
-        .expect("valid")
-        .report;
-    assert_eq!(par.trace_hash, seq.trace_hash, "sharded run diverged");
-    assert_eq!(par.span_digest, seq.span_digest);
-    assert_eq!(
-        par.counters, seq.counters,
-        "counters diverged across threads"
-    );
-}
-
-#[test]
-fn rolling_upgrade_coord_crash_parity_holds_at_four_threads() {
-    let seq = run(declared("rolling_upgrade_coord_crash")).expect("valid scenario");
-    assert!(seq.passed, "{}", seq.render());
-    let par = run_artifacts(declared("rolling_upgrade_coord_crash"), Some(4))
-        .expect("valid")
-        .report;
-    assert_eq!(par.trace_hash, seq.trace_hash, "sharded run diverged");
-    assert_eq!(par.span_digest, seq.span_digest);
-    assert_eq!(
-        par.counters, seq.counters,
-        "counters diverged across threads"
-    );
 }
 
 #[test]
@@ -365,10 +333,10 @@ const PR15_SPAN_DIGEST_SANS_CONFIGS: [(&str, u64); 2] = [
     ("rolling_upgrade_coord_crash", 0x65cf_a28d_73a1_444a),
 ];
 
-/// The one-time re-pin proof: from the same run, at 1 and at 4 threads, the
-/// legacy witnesses still equal PR 15's goldens and the folded ones equal
-/// the committed `BENCH_scenarios.json` — the values moved, the behaviour
-/// they witness did not.
+/// The one-time re-pin proof: from the same run, the legacy witnesses still
+/// equal PR 15's goldens and the folded ones equal the committed
+/// `BENCH_scenarios.json` — the values moved, the behaviour they witness
+/// did not.
 #[test]
 fn legacy_witnesses_still_match_the_pr15_goldens() {
     assert_eq!(registry::declared().len(), PR15_WITNESSES.len());
@@ -376,47 +344,44 @@ fn legacy_witnesses_still_match_the_pr15_goldens() {
         registry::declared().iter().zip(&PR15_WITNESSES)
     {
         assert_eq!(name, frozen_name);
-        for threads in [1, 4] {
-            let mut scenario = declared(name);
-            scenario.expectations.push(Box::new(LegacyWitnesses));
-            let report = run_artifacts(scenario, Some(threads))
-                .expect("valid scenario")
-                .report;
-            let legacy: Vec<u64> = report
-                .verdicts
-                .last()
-                .expect("the legacy verdict")
-                .detail
-                .split(' ')
-                .map(|hex| u64::from_str_radix(hex, 16).expect("hex"))
-                .collect();
-            let at = format!("{name} at {threads} threads");
-            assert_eq!(legacy[0], trace, "{at}: legacy trace hash");
-            assert_eq!(legacy[2], flight, "{at}: legacy flight digest");
-            match PR15_SPAN_DIGEST_SANS_CONFIGS
-                .iter()
-                .find(|(n, _)| *n == name)
-            {
-                Some(&(_, sans_configs)) => {
-                    assert_eq!(
-                        legacy[3], sans_configs,
-                        "{at}: legacy span digest sans configs"
-                    )
-                }
-                None => {
-                    assert_eq!(legacy[1], span, "{at}: legacy span digest");
-                    assert_eq!(legacy[3], span, "{at}: no config words to leave out");
-                }
+        let mut scenario = declared(name);
+        scenario.expectations.push(Box::new(LegacyWitnesses));
+        let report = run_artifacts(scenario, None)
+            .expect("valid scenario")
+            .report;
+        let legacy: Vec<u64> = report
+            .verdicts
+            .last()
+            .expect("the legacy verdict")
+            .detail
+            .split(' ')
+            .map(|hex| u64::from_str_radix(hex, 16).expect("hex"))
+            .collect();
+        assert_eq!(legacy[0], trace, "{name}: legacy trace hash");
+        assert_eq!(legacy[2], flight, "{name}: legacy flight digest");
+        match PR15_SPAN_DIGEST_SANS_CONFIGS
+            .iter()
+            .find(|(n, _)| *n == name)
+        {
+            Some(&(_, sans_configs)) => {
+                assert_eq!(
+                    legacy[3], sans_configs,
+                    "{name}: legacy span digest sans configs"
+                )
             }
-            let folded = format!(
-                "{{\"scenario\":\"{name}\",\"seed\":{},\"passed\":true,\"trace_hash\":\"{:016x}\",\
-                 \"span_digest\":\"{:016x}\",\"flight_digest\":\"{:016x}\",",
-                report.seed, report.trace_hash, report.span_digest, report.flight_digest
-            );
-            assert!(
-                GOLDEN.contains(&folded),
-                "{at}: not in BENCH_scenarios.json: {folded}"
-            );
+            None => {
+                assert_eq!(legacy[1], span, "{name}: legacy span digest");
+                assert_eq!(legacy[3], span, "{name}: no config words to leave out");
+            }
         }
+        let folded = format!(
+            "{{\"scenario\":\"{name}\",\"seed\":{},\"passed\":true,\"trace_hash\":\"{:016x}\",\
+             \"span_digest\":\"{:016x}\",\"flight_digest\":\"{:016x}\",",
+            report.seed, report.trace_hash, report.span_digest, report.flight_digest
+        );
+        assert!(
+            GOLDEN.contains(&folded),
+            "{name}: not in BENCH_scenarios.json: {folded}"
+        );
     }
 }

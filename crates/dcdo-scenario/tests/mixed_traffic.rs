@@ -3,25 +3,16 @@
 //! weighted-selection machinery behind it.
 //!
 //! Covers the determinism contract end to end: same-seed runs are
-//! byte-identical (trace hash, span digest, and the full JSON export) at
-//! one worker thread and at four, and the empirical traffic mix converges
-//! to the declared weights within a seed-stable bound.
+//! byte-identical (trace hash, span digest, and the full JSON export), and
+//! the empirical traffic mix converges to the declared weights within a
+//! seed-stable bound.
 
 use proptest::prelude::*;
 
-use dcdo_scenario::{
-    registry, run, run_artifacts, MixConverged, NetKind, RunCx, Scenario, ScenarioReport, Topology,
-    Workload,
-};
+use dcdo_scenario::{registry, run, MixConverged, NetKind, RunCx, Scenario, Topology, Workload};
 
 fn mixed_traffic() -> Scenario {
     registry::load_declared("mixed_traffic").expect("declared scenario exists")
-}
-
-fn run_at(threads: u32) -> ScenarioReport {
-    run_artifacts(mixed_traffic(), Some(threads))
-        .expect("valid")
-        .report
 }
 
 #[test]
@@ -44,32 +35,11 @@ fn mixed_traffic_passes_every_expectation() {
 
 #[test]
 fn mixed_traffic_same_seed_same_bytes() {
-    let a = run_at(1);
-    let b = run_at(1);
+    let a = run(mixed_traffic()).expect("valid");
+    let b = run(mixed_traffic()).expect("valid");
     assert_eq!(a.trace_hash, b.trace_hash, "execution traces diverged");
     assert_eq!(a.span_digest, b.span_digest, "span logs diverged");
     assert_eq!(a.to_json(), b.to_json(), "JSON exports diverged");
-}
-
-#[test]
-fn mixed_traffic_thread_count_is_invisible() {
-    // The weighted selector draws from a per-lane RNG stream, so the mix —
-    // and the entire execution — is byte-identical sequential vs sharded.
-    let seq = run_at(1);
-    let par = run_at(4);
-    assert_eq!(
-        seq.span_digest, par.span_digest,
-        "span digest changed with worker-thread count"
-    );
-    assert_eq!(
-        seq.trace_hash, par.trace_hash,
-        "trace hash changed with worker-thread count"
-    );
-    assert_eq!(
-        seq.to_json(),
-        par.to_json(),
-        "JSON export changed with worker-thread count"
-    );
 }
 
 #[test]

@@ -108,6 +108,21 @@ fn zero_total_weight_is_rejected() {
             scenario: "zero".to_string()
         })
     );
+    // A total past u64 is rejected too, not wrapped into a skewed mix.
+    let scenario = Scenario::builder("huge")
+        .seed(1)
+        .topology(Topology::legion(4, NetKind::Centurion))
+        .ticks(100)
+        .workload(u64::MAX, Calls::new())
+        .workload(u64::MAX, Calls::new())
+        .build();
+    assert_eq!(
+        scenario.validate(),
+        Err(ScenarioError::BadParam {
+            context: "scenario \"huge\"".to_string(),
+            msg: "total workload weight overflows u64".to_string()
+        })
+    );
 }
 
 #[test]
@@ -137,6 +152,20 @@ fn zero_nodes_is_rejected() {
         scenario.validate(),
         Err(ScenarioError::NoNodes {
             scenario: "hollow".to_string()
+        })
+    );
+    // Nor may a topology outgrow the engine's 16-bit lane space.
+    let scenario = Scenario::builder("vast")
+        .seed(1)
+        .topology(Topology::bare(70_000, NetKind::Centurion))
+        .timed(secs(1))
+        .workload(0, ChatterRing::new(70_000, secs(1)))
+        .build();
+    assert_eq!(
+        scenario.validate(),
+        Err(ScenarioError::BadParam {
+            context: "topology".to_string(),
+            msg: "70000 nodes exceed the engine's limit of 65534".to_string()
         })
     );
 }

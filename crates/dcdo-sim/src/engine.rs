@@ -12,19 +12,13 @@
 //! numbers, timer ids, fresh `u64`s, span ids, actor ids, RNG draws — comes
 //! from a per-lane counter or a per-lane RNG stream split deterministically
 //! from the run seed. Because a lane's counters advance only with that
-//! lane's own activity, the whole keyed event history is independent of
-//! *which thread* executed an event, which is what lets the sharded
-//! parallel engine (see [`crate::parallel`]) reproduce byte-identical
-//! traces at any worker count. A `Simulation` doubles as the shard unit:
-//! the parallel runner splits one simulation into per-shard sub-simulations
-//! that each own a disjoint set of nodes, runs them a bounded lookahead
-//! window ahead, and merges their buffered traces back by event key.
+//! lane's own activity, a node's history does not depend on what unrelated
+//! nodes do, and every golden trace hash and span digest is keyed on these
+//! names.
 use std::any::Any;
 use std::fmt;
 
-use dcdo_trace::{
-    FlightFrame, FlightRecorder, IdSet, SendVerdict, SpanEvent, SpanId, SpanKind, TraceLog,
-};
+use dcdo_trace::{FlightFrame, FlightRecorder, SendVerdict, SpanEvent, SpanId, SpanKind, TraceLog};
 
 use crate::metrics::Metrics;
 use crate::net::{DeliveryPlan, LinkFault, NetConfig, Network, NodeId};
@@ -32,7 +26,7 @@ use crate::queue::EventQueue;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::timeline::Timeline;
-use crate::trace::{Trace, TraceEntry, TraceEvent};
+use crate::trace::{Trace, TraceEvent};
 
 /// Bit position splitting a lane from a per-lane counter in 64-bit ids.
 pub(crate) const LANE_SHIFT: u32 = 48;
@@ -101,8 +95,9 @@ pub struct TimerId(u64);
 /// A message type routable by the engine.
 ///
 /// `wire_size` is the payload size the network model charges for; the
-/// default of 64 bytes approximates an empty RPC header. `Send` is required
-/// so simulations can be executed by the sharded parallel runner.
+/// default of 64 bytes approximates an empty RPC header. Nothing in the
+/// engine needs the `Send` bound here and on [`Actor`] any more; dropping
+/// it would ripple through every actor crate for no gain.
 pub trait Payload: 'static + Send {
     /// Returns the on-the-wire size of this message in bytes.
     fn wire_size(&self) -> u64 {
@@ -129,8 +124,7 @@ pub trait Payload: 'static + Send {
 /// Actors own their state and react to messages and timers via the [`Ctx`]
 /// handle, which exposes the clock, the network, randomness, metrics, and
 /// actor management. `Actor` requires [`Any`] so drivers can downcast actors
-/// for inspection between events, and `Send` so a shard (and the actors it
-/// owns) can be handed to a worker thread.
+/// for inspection between events.
 pub trait Actor<M: Payload>: Any + Send {
     /// Handles a message delivered to this actor.
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: ActorId, msg: M);
@@ -166,14 +160,6 @@ pub(crate) enum EventKind<M> {
     },
 }
 
-impl<M> EventKind<M> {
-    fn dst(&self) -> ActorId {
-        match self {
-            EventKind::Deliver { dst, .. } | EventKind::Timer { dst, .. } => *dst,
-        }
-    }
-}
-
 /// Mutable name-allocation state of one lane: its RNG stream and the
 /// counters behind event keys, timer ids, fresh `u64`s, span ids, and actor
 /// ids. Created lazily from [`lane_seed`] the first time a lane acts, so a
@@ -205,13 +191,6 @@ impl LaneState {
             flight_rng: None,
         }
     }
-}
-
-/// Which slice of the node space a shard sub-simulation owns.
-#[derive(Clone, Copy)]
-pub(crate) struct ShardRole {
-    idx: u32,
-    nshards: u32,
 }
 
 /// The handle through which an actor (or a driver) interacts with the engine.
@@ -391,10 +370,6 @@ enum Slot<M> {
     Occupied(Box<dyn Actor<M>>),
     Running,
     Vacant,
-    /// The actor exists but is owned by a different shard of a parallel
-    /// window; only placement queries are valid here. Dispatching to a
-    /// `Remote` slot is a routing bug and panics.
-    Remote,
 }
 
 /// The discrete-event simulation engine.
@@ -445,40 +420,11 @@ pub struct Simulation<M: Payload> {
     /// The lane charged for names minted right now: 0 driver-side, node + 1
     /// while that node's handler runs.
     cur_lane: u16,
-    /// Key of the event being executed; tags buffered emissions so per-shard
-    /// logs merge back into execution order.
-    cur_key: u128,
-    /// Actors registered as structural-fault drivers (see
-    /// [`Simulation::mark_structural`]): their events always execute at a
-    /// global barrier, never inside a parallel window.
-    structural: IdSet<u32>,
-    /// Per-instance worker-thread override (see [`Simulation::set_threads`]).
-    threads: Option<u32>,
-    /// `Some` while this simulation is a shard of a parallel window.
-    shard: Option<ShardRole>,
-    /// Cross-shard (or structural-bound) sends deferred to the next barrier.
-    outbox: Vec<(u128, EventKind<M>)>,
-    /// Buffered trace entries, tagged with the emitting event's key.
-    trace_buf: Vec<(u128, TraceEntry)>,
-    /// Buffered span events, tagged with the emitting event's key.
-    span_buf: Vec<(u128, SpanEvent)>,
-    /// Actors spawned inside the current window, to register with every
-    /// other shard at the barrier.
-    new_actors: Vec<(ActorId, NodeId)>,
-    /// Actors spawned inside the current window whose placement belongs to
-    /// another shard: the boxed actor travels to its owner at the barrier.
-    exported: Vec<(ActorId, Box<dyn Actor<M>>)>,
     /// The always-on flight recorder: a bounded ring of compact frames per
-    /// executed event. Shards never push into their own ring — see
-    /// `flight_buf`.
+    /// executed event.
     flight: FlightRecorder,
-    /// Shard-side flight frames, tagged with the emitting event's key and
-    /// merged into the root ring at the window barrier so eviction order is
-    /// the sequential execution order.
-    flight_buf: Vec<(u128, FlightFrame)>,
     /// Head-sampling rate: keep 1 in `n` delivered/timer frames (1 = all).
-    /// Draws come from per-lane `flight_rng` streams, so the retained set
-    /// is identical at any worker-thread count.
+    /// Draws come from per-lane `flight_rng` streams.
     flight_sample_n: u64,
     /// The always-on windowed time-series registry.
     timeline: Timeline,
@@ -502,17 +448,7 @@ impl<M: Payload> Simulation<M> {
             spans: TraceLog::new(),
             current_span: None,
             cur_lane: 0,
-            cur_key: 0,
-            structural: IdSet::default(),
-            threads: None,
-            shard: None,
-            outbox: Vec::new(),
-            trace_buf: Vec::new(),
-            span_buf: Vec::new(),
-            new_actors: Vec::new(),
-            exported: Vec::new(),
             flight: FlightRecorder::new(),
-            flight_buf: Vec::new(),
             flight_sample_n: 1,
             timeline: Timeline::new(),
         }
@@ -558,9 +494,7 @@ impl<M: Payload> Simulation<M> {
     }
 
     /// Returns the high-water mark of [`pending_events`]
-    /// (memory-boundedness witness for cancel-heavy workloads). Under
-    /// parallel execution this is the root queue's own high-water mark;
-    /// events resident in per-shard queues during a window are not counted.
+    /// (memory-boundedness witness for cancel-heavy workloads).
     ///
     /// [`pending_events`]: Simulation::pending_events
     pub fn peak_pending_events(&self) -> usize {
@@ -617,40 +551,15 @@ impl<M: Payload> Simulation<M> {
     /// and timer frames (`n` = 1, the default, keeps everything).
     /// Dead letters, crashes, and restarts are always recorded. Draws come
     /// from dedicated per-lane RNG streams split from a salted run seed, so
-    /// the retained set is byte-identical at any worker-thread count and
     /// the engine's main RNG streams are never perturbed.
     pub fn set_flight_sampling(&mut self, n: u64) {
         self.flight_sample_n = n.max(1);
     }
 
-    /// Overrides the worker-thread count for this simulation's `run_*`
-    /// entry points (1 = sequential). Without an override, runs consult
-    /// [`crate::set_default_threads`] and then the `DCDO_SIM_THREADS`
-    /// environment variable.
-    pub fn set_threads(&mut self, n: u32) {
-        self.threads = Some(n.max(1));
-    }
-
-    /// The worker-thread count `run_*` entry points will use.
-    pub fn threads(&self) -> u32 {
-        self.threads
-            .unwrap_or_else(crate::parallel::default_threads)
-            .max(1)
-    }
-
-    /// Registers an actor as a structural-fault driver: every event
-    /// delivered to it executes at a global barrier with all shards merged,
-    /// so its handler may crash/restart nodes, install partitions or link
-    /// faults, and touch any actor. The chaos controller registers itself
-    /// automatically; custom fault-driving actors must call this before the
-    /// run or their structural calls panic inside parallel windows.
-    pub fn mark_structural(&mut self, actor: ActorId) {
-        assert!(
-            self.shard.is_none(),
-            "mark_structural may not be called inside a parallel window"
-        );
-        self.structural.insert(actor.as_raw());
-    }
+    /// Has no effect: the engine has one, sequential, execution path. Kept
+    /// only because `benchmark/src/replica.rs:187`, its one caller, cannot
+    /// be edited outside a benchmark PR (see ROADMAP.md), which removes both.
+    pub fn set_threads(&mut self, _n: u32) {}
 
     /// Records a structured span at the current time with no node
     /// attribution (driver-side). Returns `None` when tracing is disabled.
@@ -664,7 +573,6 @@ impl<M: Payload> Simulation<M> {
     /// [`network_mut`](Simulation::network_mut) + `set_partition` so the
     /// trace-invariant checker can replay reachability).
     pub fn set_partition(&mut self, partition_groups: &[Vec<NodeId>]) {
-        self.assert_sole("set_partition");
         self.network.set_partition(partition_groups);
         if self.spans.is_enabled() {
             let groups = self.network.partition_groups().to_vec();
@@ -675,14 +583,12 @@ impl<M: Payload> Simulation<M> {
     /// Heals any installed partition, recording the change in the
     /// structured trace.
     pub fn heal_partition(&mut self) {
-        self.assert_sole("heal_partition");
         self.network.heal_partition();
         self.emit_span(SpanKind::PartitionHealed);
     }
 
     /// Installs a directed link fault, recording it in the structured trace.
     pub fn set_link_fault(&mut self, src: NodeId, dst: NodeId, fault: LinkFault) {
-        self.assert_sole("set_link_fault");
         self.network.set_link_fault(src, dst, fault);
         self.emit_span(SpanKind::LinkFaultSet {
             src_node: src.as_raw(),
@@ -692,7 +598,6 @@ impl<M: Payload> Simulation<M> {
 
     /// Clears a directed link fault, recording it in the structured trace.
     pub fn clear_link_fault(&mut self, src: NodeId, dst: NodeId) {
-        self.assert_sole("clear_link_fault");
         self.network.clear_link_fault(src, dst);
         self.emit_span(SpanKind::LinkFaultCleared {
             src_node: src.as_raw(),
@@ -713,14 +618,12 @@ impl<M: Payload> Simulation<M> {
     /// Driver-side access to the deterministic RNG stream of `node`'s lane —
     /// the same stream [`Ctx::rng`] hands an actor executing on that node.
     ///
-    /// Draws advance only that lane's state, so they are byte-identical at
-    /// every worker-thread count (the per-lane streams are the engine's
-    /// determinism backbone; see the module docs). Scenario drivers use this
-    /// for weighted workload selection: the traffic mix a seed produces is
-    /// the same whether the run is sequential or sharded.
+    /// Draws advance only that lane's state (the per-lane streams are the
+    /// engine's determinism backbone; see the module docs). Scenario drivers
+    /// use this for weighted workload selection.
     pub fn rng_for(&mut self, node: NodeId) -> &mut SimRng {
         assert!(
-            node.as_raw() < u16::MAX as u32,
+            node.as_raw() < NodeId::LIMIT,
             "node ids must fit the engine's 16-bit lane space"
         );
         let lane = node.as_raw() as u16 + 1;
@@ -735,7 +638,7 @@ impl<M: Payload> Simulation<M> {
     /// Spawns a boxed actor on `node` and returns its id.
     pub fn spawn_boxed(&mut self, node: NodeId, actor: Box<dyn Actor<M>>) -> ActorId {
         assert!(
-            node.as_raw() < 0xFFFF,
+            node.as_raw() < NodeId::LIMIT,
             "node ids must fit the engine's 16-bit lane space"
         );
         let lane = self.cur_lane;
@@ -749,18 +652,8 @@ impl<M: Payload> Simulation<M> {
         let id = ActorId::from_parts(lane, ctr as u16);
         self.ensure_lane_slots(lane);
         debug_assert_eq!(self.actors[lane as usize].len(), ctr as usize);
-        if self.owns_node(node) {
-            self.actors[lane as usize].push(Slot::Occupied(actor));
-        } else {
-            // Spawned from inside a window onto a node another shard owns:
-            // the box travels to its owner at the barrier.
-            self.actors[lane as usize].push(Slot::Remote);
-            self.exported.push((id, actor));
-        }
+        self.actors[lane as usize].push(Slot::Occupied(actor));
         self.placements[lane as usize].push(node);
-        if self.shard.is_some() {
-            self.new_actors.push((id, node));
-        }
         self.trace_record(TraceEvent::Spawned { actor: id, node });
         let parent = self.current_span;
         self.span_emit(
@@ -783,12 +676,7 @@ impl<M: Payload> Simulation<M> {
         else {
             return;
         };
-        let slot = self.slot_mut(actor).expect("placement implies slot");
-        assert!(
-            !matches!(slot, Slot::Remote),
-            "kill({actor}) targets an actor owned by another shard during a parallel window"
-        );
-        *slot = Slot::Vacant;
+        *self.slot_mut(actor).expect("placement implies slot") = Slot::Vacant;
         self.trace_record(TraceEvent::Killed { actor });
         let parent = self.current_span;
         self.span_emit(
@@ -802,14 +690,7 @@ impl<M: Payload> Simulation<M> {
 
     /// Returns `true` if the actor is alive.
     pub fn is_alive(&self, actor: ActorId) -> bool {
-        match self.slot(actor) {
-            Some(Slot::Occupied(_) | Slot::Running) => true,
-            Some(Slot::Remote) => panic!(
-                "is_alive({actor}) asked about an actor owned by another shard \
-                 during a parallel window"
-            ),
-            _ => false,
-        }
+        matches!(self.slot(actor), Some(Slot::Occupied(_) | Slot::Running))
     }
 
     /// Returns the node an actor is placed on.
@@ -919,7 +800,7 @@ impl<M: Payload> Simulation<M> {
         self.queue.cancel_timer(id.0);
     }
 
-    // ---- lane / shard internals -----------------------------------------
+    // ---- lane internals -------------------------------------------------
 
     fn lane_state(&mut self, lane: u16) -> &mut LaneState {
         let idx = lane as usize;
@@ -948,45 +829,16 @@ impl<M: Payload> Simulation<M> {
             .get_mut(id.ctr_index())
     }
 
-    fn owns_node(&self, node: NodeId) -> bool {
-        match self.shard {
-            None => true,
-            Some(r) => node.as_raw() % r.nshards == r.idx,
-        }
-    }
-
-    fn assert_sole(&self, what: &str) {
-        assert!(
-            self.shard.is_none(),
-            "{what} mutates global topology and may only run driver-side or \
-             from an actor registered with Simulation::mark_structural"
-        );
-    }
-
-    /// Records an execution-trace event: directly in sole mode, buffered
-    /// (tagged with the executing event's key) inside a parallel window.
+    /// Records an execution-trace event at the current time.
     fn trace_record(&mut self, event: TraceEvent) {
-        if !self.trace.is_enabled() {
-            return;
-        }
-        if self.shard.is_some() {
-            self.trace_buf.push((
-                self.cur_key,
-                TraceEntry {
-                    at: self.time,
-                    event,
-                },
-            ));
-        } else {
+        if self.trace.is_enabled() {
             self.trace.record(self.time, event);
         }
     }
 
     /// Emits a structured span from the current lane: ids are
-    /// `((lane + 1) << 48) | per-lane counter`, so they are unique, never
-    /// collide with the dense ids of standalone [`TraceLog::emit`] calls,
-    /// and do not depend on the worker-thread count. Buffered inside a
-    /// parallel window, direct otherwise.
+    /// `((lane + 1) << 48) | per-lane counter`, so they are unique and never
+    /// collide with the dense ids of standalone [`TraceLog::emit`] calls.
     fn span_emit(&mut self, node: u32, parent: Option<SpanId>, kind: SpanKind) -> Option<SpanId> {
         if !self.spans.is_enabled() {
             return None;
@@ -998,18 +850,13 @@ impl<M: Payload> Simulation<M> {
         debug_assert!(ls.span_ctr < 1 << LANE_SHIFT);
         let raw = ((lane as u64 + 1) << LANE_SHIFT) | ls.span_ctr;
         let id = SpanId::from_raw(raw).expect("lane span ids are nonzero");
-        let ev = SpanEvent {
+        self.spans.push_event(SpanEvent {
             id,
             parent,
             at_ns,
             node,
             kind,
-        };
-        if self.shard.is_some() {
-            self.span_buf.push((self.cur_key, ev));
-        } else {
-            self.spans.push_event(ev);
-        }
+        });
         Some(id)
     }
 
@@ -1019,17 +866,6 @@ impl<M: Payload> Simulation<M> {
         ls.seq += 1;
         debug_assert!(ls.seq < 1 << LANE_SHIFT);
         let key = ((at.as_nanos() as u128) << 64) | ((lane as u128) << LANE_SHIFT) | ls.seq as u128;
-        if self.shard.is_some() {
-            let dst = kind.dst();
-            if !self.owns_node(self.node_of(dst)) || self.structural.contains(&dst.as_raw()) {
-                debug_assert!(
-                    matches!(kind, EventKind::Deliver { .. }),
-                    "timers are self-targeted and never cross shards"
-                );
-                self.outbox.push((key, kind));
-                return;
-            }
-        }
         match &kind {
             // Timers always go through the heap — even zero-delay ones —
             // so every timer stays cancellable.
@@ -1148,11 +984,8 @@ impl<M: Payload> Simulation<M> {
     ///
     /// Crashing an already-down node is a no-op. The currently executing
     /// actor (if any) is not touched — use [`Ctx::crash_node`] from inside
-    /// a handler, which also handles self-destruction. From a parallel run,
-    /// only driver code or a [`mark_structural`](Simulation::mark_structural)
-    /// actor may call this.
+    /// a handler, which also handles self-destruction.
     pub fn crash_node(&mut self, node: NodeId) -> usize {
-        self.assert_sole("crash_node");
         if !self.network.is_node_up(node) {
             return 0;
         }
@@ -1203,7 +1036,6 @@ impl<M: Payload> Simulation<M> {
     /// that died in the crash stay dead — recovery layers spawn fresh ones.
     /// Restarting a node that is up is a no-op.
     pub fn restart_node(&mut self, node: NodeId) {
-        self.assert_sole("restart_node");
         if self.network.is_node_up(node) {
             return;
         }
@@ -1244,22 +1076,14 @@ impl<M: Payload> Simulation<M> {
         out
     }
 
-    /// Processes the next event sequentially. Returns `false` if the queue
-    /// is empty. `step` always executes on the calling thread regardless of
-    /// the configured thread count.
+    /// Processes the next event. Returns `false` if the queue is empty.
     pub fn step(&mut self) -> bool {
         let Some((key, kind)) = self.queue.pop_raw() else {
             return false;
         };
-        self.execute(key, kind);
-        true
-    }
-
-    fn execute(&mut self, key: u128, kind: EventKind<M>) {
         let at = SimTime::from_nanos((key >> 64) as u64);
         debug_assert!(at >= self.time, "time cannot go backwards");
         self.time = at;
-        self.cur_key = key;
         self.events_processed += 1;
         match kind {
             EventKind::Deliver {
@@ -1272,6 +1096,7 @@ impl<M: Payload> Simulation<M> {
                 dst, token, cause, ..
             } => self.dispatch_timer(dst, token, cause),
         }
+        true
     }
 
     /// The always-on observability hook: accounts the executing event into
@@ -1300,12 +1125,8 @@ impl<M: Payload> Simulation<M> {
                     return;
                 }
             }
-            let frame = FlightFrame::pack(at_ns, code, node, actor);
-            if self.shard.is_some() {
-                self.flight_buf.push((self.cur_key, frame));
-            } else {
-                self.flight.push(frame);
-            }
+            self.flight
+                .push(FlightFrame::pack(at_ns, code, node, actor));
         }
     }
 
@@ -1323,10 +1144,6 @@ impl<M: Payload> Simulation<M> {
         };
         self.cur_lane = dst_node.as_raw() as u16 + 1;
         let slot_ref = self.slot_mut(dst).expect("placement implies slot");
-        assert!(
-            !matches!(slot_ref, Slot::Remote),
-            "delivery for {dst} reached a shard that does not own it"
-        );
         let slot = std::mem::replace(slot_ref, Slot::Running);
         let Slot::Occupied(mut actor) = slot else {
             *self.slot_mut(dst).expect("slot exists") = Slot::Vacant;
@@ -1386,10 +1203,6 @@ impl<M: Payload> Simulation<M> {
         };
         self.cur_lane = node.as_raw() as u16 + 1;
         let slot_ref = self.slot_mut(dst).expect("placement implies slot");
-        assert!(
-            !matches!(slot_ref, Slot::Remote),
-            "timer for {dst} fired on a shard that does not own it"
-        );
         let slot = std::mem::replace(slot_ref, Slot::Running);
         let Slot::Occupied(mut actor) = slot else {
             *self.slot_mut(dst).expect("slot exists") = Slot::Vacant;
@@ -1425,8 +1238,7 @@ impl<M: Payload> Simulation<M> {
     }
 
     /// Runs until the queue is empty. Returns the number of events
-    /// processed. Uses the configured worker-thread count (see
-    /// [`set_threads`](Simulation::set_threads)).
+    /// processed.
     ///
     /// # Panics
     ///
@@ -1436,21 +1248,13 @@ impl<M: Payload> Simulation<M> {
     }
 
     /// Runs until the queue is empty or `budget` events have been processed;
-    /// returns the number processed. Uses the configured worker-thread
-    /// count.
+    /// returns the number processed.
     ///
     /// # Panics
     ///
     /// Panics if the budget is exhausted with events still pending — a
     /// deterministic simulation that exceeds its budget is a bug, not load.
     pub fn run_with_budget(&mut self, budget: u64) -> u64 {
-        match self.threads() {
-            0 | 1 => self.run_with_budget_sole(budget),
-            t => self.run_parallel_with_budget(t, budget),
-        }
-    }
-
-    pub(crate) fn run_with_budget_sole(&mut self, budget: u64) -> u64 {
         let mut n = 0;
         while n < budget {
             if !self.step() {
@@ -1467,15 +1271,8 @@ impl<M: Payload> Simulation<M> {
 
     /// Runs until simulated time reaches `deadline` (events at exactly
     /// `deadline` are processed) or the queue empties. Returns events
-    /// processed. Uses the configured worker-thread count.
+    /// processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        match self.threads() {
-            0 | 1 => self.run_until_sole(deadline),
-            t => self.run_parallel_until(t, deadline),
-        }
-    }
-
-    pub(crate) fn run_until_sole(&mut self, deadline: SimTime) -> u64 {
         let mut n = 0;
         while let Some((at, _)) = self.queue.peek_key() {
             if at > deadline {
@@ -1494,286 +1291,6 @@ impl<M: Payload> Simulation<M> {
     pub fn run_for(&mut self, d: SimDuration) -> u64 {
         let deadline = self.time + d;
         self.run_until(deadline)
-    }
-
-    // ---- shard lifecycle (used by crate::parallel) ----------------------
-
-    /// Advances the clock to a deadline no events reached (run_until
-    /// semantics: the simulation "waits out" the remaining idle time).
-    pub(crate) fn set_time_for_deadline(&mut self, deadline: SimTime) {
-        debug_assert!(self.time <= deadline);
-        self.time = deadline;
-    }
-
-    /// Time of the earliest pending event, in nanoseconds.
-    pub(crate) fn peek_time_ns(&self) -> Option<u64> {
-        self.queue.peek_raw_key().map(|k| (k >> 64) as u64)
-    }
-
-    /// Executes pending events with key-time strictly below `w_end_ns`, up
-    /// to `cap` of them. Returns `(events executed, hit the cap)`.
-    pub(crate) fn run_window(&mut self, w_end_ns: u64, cap: u64) -> (u64, bool) {
-        let w_key = (w_end_ns as u128) << 64;
-        let mut n = 0u64;
-        loop {
-            let Some(k) = self.queue.peek_raw_key() else {
-                return (n, false);
-            };
-            if k >= w_key {
-                return (n, false);
-            }
-            if n >= cap {
-                return (n, true);
-            }
-            let (key, kind) = self.queue.pop_raw().expect("peeked non-empty");
-            self.execute(key, kind);
-            n += 1;
-        }
-    }
-
-    /// Executes every pending event at exactly the current head time
-    /// (a structural barrier runs the full tick sequentially so topology
-    /// mutations see a merged world). Returns events executed.
-    pub(crate) fn run_head_tick_sole(&mut self) -> u64 {
-        debug_assert!(self.shard.is_none());
-        let Some(head) = self.peek_time_ns() else {
-            return 0;
-        };
-        let mut n = 0;
-        while self.peek_time_ns() == Some(head) {
-            self.step();
-            n += 1;
-        }
-        n
-    }
-
-    /// Splits this simulation into `n` shard sub-simulations, each owning
-    /// the nodes `u` with `u % n == idx`. Events destined for
-    /// [structural](Simulation::mark_structural) actors stay in the root
-    /// queue; everything else (actor slots, per-lane state, pending events)
-    /// moves to its owner. The root keeps `Remote` placeholders and stays
-    /// inert until [`collapse_shards`](Simulation::collapse_shards).
-    // Boxed on purpose (not `vec_box` noise): shards cross thread
-    // boundaries every window, and a boxed shard moves as one pointer
-    // instead of memcpy'ing the whole engine struct per handoff.
-    #[allow(clippy::vec_box)]
-    pub(crate) fn split_shards(&mut self, n: u32) -> Vec<Box<Simulation<M>>> {
-        debug_assert!(self.shard.is_none());
-        let nlanes = self.actors.len();
-        let mut shards: Vec<Box<Simulation<M>>> = (0..n)
-            .map(|idx| {
-                let mut s = Simulation::new(NetConfig::instant(), self.run_seed);
-                s.time = self.time;
-                s.network = self.network.fork_for_shard();
-                s.placements = self.placements.clone();
-                s.actors = (0..nlanes).map(|_| Vec::new()).collect();
-                s.structural = self.structural.clone();
-                s.threads = Some(1);
-                s.shard = Some(ShardRole { idx, nshards: n });
-                if self.trace.is_enabled() {
-                    s.trace.enable(1); // flag only; entries are buffered
-                }
-                if self.spans.is_enabled() {
-                    s.spans.enable();
-                }
-                // Flight frames are buffered (flag only; the ring lives on
-                // the root); timelines are shard-local and merge order-free
-                // at collapse.
-                if !self.flight.is_enabled() {
-                    s.flight.disable();
-                }
-                s.flight_sample_n = self.flight_sample_n;
-                s.timeline.set_bucket_ns(self.timeline.bucket_ns());
-                if !self.timeline.is_enabled() {
-                    s.timeline.disable();
-                }
-                Box::new(s)
-            })
-            .collect();
-        // Actor slots move to the owner of their placement; everyone else
-        // (including the root) keeps a Remote placeholder.
-        for lane in 0..nlanes {
-            for ctr in 0..self.actors[lane].len() {
-                let node = self.placements[lane][ctr];
-                let owner = (node.as_raw() % n) as usize;
-                let mut slot = Some(std::mem::replace(&mut self.actors[lane][ctr], Slot::Remote));
-                for (i, sh) in shards.iter_mut().enumerate() {
-                    sh.actors[lane].push(if i == owner {
-                        slot.take().expect("moved once")
-                    } else {
-                        Slot::Remote
-                    });
-                }
-            }
-        }
-        // Lane state: lane 0 (the driver) stays with the root; lane u + 1
-        // goes to the shard owning node u.
-        for lane in 1..self.lanes.len() {
-            let owner = ((lane as u32 - 1) % n) as usize;
-            if let Some(st) = self.lanes[lane].take() {
-                if shards[owner].lanes.len() <= lane {
-                    shards[owner].lanes.resize_with(lane + 1, || None);
-                }
-                shards[owner].lanes[lane] = Some(st);
-            }
-        }
-        // Pending events: structural destinations stay home, the rest go to
-        // the shard owning the destination's node.
-        for (key, timer_id, kind) in self.queue.drain_raw() {
-            let dst = kind.dst();
-            let q = if self.structural.contains(&dst.as_raw()) {
-                &mut self.queue
-            } else {
-                let owner = (self.node_of(dst).as_raw() % n) as usize;
-                &mut shards[owner].queue
-            };
-            if timer_id != 0 {
-                q.push_raw_timer(key, timer_id, kind);
-            } else {
-                q.push_raw(key, kind);
-            }
-        }
-        shards
-    }
-
-    /// Barrier merge after one parallel window: registers actors spawned in
-    /// the window with every simulation, delivers exported actor boxes to
-    /// their owners, routes outboxed cross-shard sends, and merges the
-    /// buffered trace/span logs back into the root in event-key order.
-    pub(crate) fn merge_window(&mut self, shards: &mut [Box<Simulation<M>>]) {
-        let n = shards.len() as u32;
-        // 1. Registrations, then exported boxes (ids are lane-allocated, so
-        //    per-shard registration order is spawn order and slots line up).
-        for i in 0..shards.len() {
-            let new_actors = std::mem::take(&mut shards[i].new_actors);
-            for (id, node) in new_actors {
-                let lane = id.lane_index();
-                let ctr = id.ctr_index();
-                self.ensure_lane_slots(lane as u16);
-                debug_assert_eq!(self.actors[lane].len(), ctr);
-                self.actors[lane].push(Slot::Remote);
-                self.placements[lane].push(node);
-                for (j, sh) in shards.iter_mut().enumerate() {
-                    if j == i {
-                        continue;
-                    }
-                    sh.ensure_lane_slots(lane as u16);
-                    debug_assert_eq!(sh.actors[lane].len(), ctr);
-                    sh.actors[lane].push(Slot::Remote);
-                    sh.placements[lane].push(node);
-                }
-            }
-            let exported = std::mem::take(&mut shards[i].exported);
-            for (id, bx) in exported {
-                let owner = (self.node_of(id).as_raw() % n) as usize;
-                debug_assert_ne!(owner, i, "exported actors go to another shard");
-                shards[owner].actors[id.lane_index()][id.ctr_index()] = Slot::Occupied(bx);
-            }
-        }
-        // 2. Outboxed sends (already keyed by their sender's lane).
-        for i in 0..shards.len() {
-            let outbox = std::mem::take(&mut shards[i].outbox);
-            for (key, kind) in outbox {
-                let dst = kind.dst();
-                if self.structural.contains(&dst.as_raw()) {
-                    self.queue.push_raw(key, kind);
-                } else {
-                    let owner = (self.node_of(dst).as_raw() % n) as usize;
-                    shards[owner].queue.push_raw(key, kind);
-                }
-            }
-        }
-        // 3. Buffered logs, k-way merged by emitting-event key. Each shard's
-        //    buffer is in its own execution order; the global execution
-        //    order is recovered by always taking the smallest head key
-        //    (cross-shard events created inside a window cannot execute in
-        //    the same window, so every shard's head is globally comparable).
-        let tbufs: Vec<_> = shards
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.trace_buf))
-            .collect();
-        merge_tagged(tbufs, |e: TraceEntry| self.trace.record(e.at, e.event));
-        let sbufs: Vec<_> = shards
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.span_buf))
-            .collect();
-        merge_tagged(sbufs, |ev: SpanEvent| self.spans.push_event(ev));
-        let fbufs: Vec<_> = shards
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.flight_buf))
-            .collect();
-        merge_tagged(fbufs, |f: FlightFrame| self.flight.push(f));
-    }
-
-    /// Folds shard sub-simulations back into the root: queues, actor slots,
-    /// lane state, network statistics and egress clocks, metrics, and the
-    /// event count. The root becomes a plain sequential simulation again.
-    #[allow(clippy::vec_box)]
-    pub(crate) fn collapse_shards(&mut self, shards: Vec<Box<Simulation<M>>>) {
-        let n = shards.len() as u32;
-        for (i, mut sh) in shards.into_iter().enumerate() {
-            debug_assert!(sh.outbox.is_empty(), "merge_window drains outboxes");
-            debug_assert!(sh.trace_buf.is_empty() && sh.span_buf.is_empty());
-            debug_assert!(
-                sh.flight_buf.is_empty(),
-                "merge_window drains flight frames"
-            );
-            debug_assert!(sh.new_actors.is_empty() && sh.exported.is_empty());
-            self.time = self.time.max(sh.time);
-            self.events_processed += sh.events_processed;
-            for (key, timer_id, kind) in sh.queue.drain_raw() {
-                if timer_id != 0 {
-                    self.queue.push_raw_timer(key, timer_id, kind);
-                } else {
-                    self.queue.push_raw(key, kind);
-                }
-            }
-            for lane in 0..sh.actors.len() {
-                for ctr in 0..sh.actors[lane].len() {
-                    let slot = std::mem::replace(&mut sh.actors[lane][ctr], Slot::Remote);
-                    if !matches!(slot, Slot::Remote) {
-                        self.actors[lane][ctr] = slot;
-                    }
-                }
-            }
-            for lane in 0..sh.lanes.len() {
-                if let Some(st) = sh.lanes[lane].take() {
-                    if self.lanes.len() <= lane {
-                        self.lanes.resize_with(lane + 1, || None);
-                    }
-                    debug_assert!(self.lanes[lane].is_none(), "lane owned by one shard");
-                    self.lanes[lane] = Some(st);
-                }
-            }
-            let idx = i as u32;
-            self.network
-                .absorb_shard(&sh.network, |node| node % n == idx);
-            self.metrics.merge(&sh.metrics);
-            self.timeline.merge(&mut sh.timeline);
-        }
-    }
-}
-
-/// K-way merges per-shard `(event key, item)` buffers in ascending key
-/// order. Each buffer is individually in execution order with duplicate
-/// keys only within one buffer (one event executes on exactly one shard),
-/// so taking the smallest current head reproduces the global execution
-/// order.
-fn merge_tagged<T>(bufs: Vec<Vec<(u128, T)>>, mut f: impl FnMut(T)) {
-    let mut iters: Vec<_> = bufs.into_iter().map(|b| b.into_iter().peekable()).collect();
-    loop {
-        let mut best: Option<(u128, usize)> = None;
-        for (i, it) in iters.iter_mut().enumerate() {
-            if let Some((k, _)) = it.peek() {
-                if best.is_none_or(|(bk, _)| *k < bk) {
-                    best = Some((*k, i));
-                }
-            }
-        }
-        match best {
-            Some((_, i)) => f(iters[i].next().expect("peeked").1),
-            None => break,
-        }
     }
 }
 
@@ -1836,7 +1353,6 @@ mod tests {
 
     fn two_node_sim() -> (Simulation<TestMsg>, ActorId, ActorId) {
         let mut sim = Simulation::new(NetConfig::centurion(), 1);
-        sim.set_threads(1);
         let client = sim.spawn(NodeId::from_raw(0), Collector::default());
         let server = sim.spawn(NodeId::from_raw(1), Responder);
         (sim, client, server)
@@ -2000,7 +1516,6 @@ mod tests {
     #[test]
     fn crash_kills_actors_cancels_timers_and_blocks_traffic() {
         let mut sim = Simulation::new(NetConfig::centurion(), 9);
-        sim.set_threads(1);
         let n0 = NodeId::from_raw(0);
         let n1 = NodeId::from_raw(1);
         let client = sim.spawn(n0, Collector::default());
@@ -2064,7 +1579,6 @@ mod tests {
     #[test]
     fn partitioned_nodes_drop_cross_group_traffic() {
         let mut sim = Simulation::new(NetConfig::centurion(), 11);
-        sim.set_threads(1);
         let a = sim.spawn(NodeId::from_raw(0), Collector::default());
         let b = sim.spawn(NodeId::from_raw(1), Responder);
         sim.network_mut()
@@ -2086,7 +1600,6 @@ mod tests {
         let mut cfg = NetConfig::centurion();
         cfg.duplicate_rate = 1.0;
         let mut sim = Simulation::new(cfg, 12);
-        sim.set_threads(1);
         let a = sim.spawn(NodeId::from_raw(0), Collector::default());
         let b = sim.spawn(NodeId::from_raw(1), Collector::default());
         sim.post(a, b, TestMsg::Pong(1));
@@ -2107,7 +1620,6 @@ mod tests {
     fn identical_seeds_give_identical_traces() {
         let run = |seed: u64| -> Vec<(u32, SimTime)> {
             let mut sim = Simulation::new(NetConfig::centurion(), seed);
-            sim.set_threads(1);
             let client = sim.spawn(NodeId::from_raw(0), Collector::default());
             let server = sim.spawn(NodeId::from_raw(1), Responder);
             for tag in 0..20 {

@@ -6,7 +6,7 @@
 //!
 //! - a virtual clock with nanosecond resolution ([`SimTime`], [`SimDuration`]);
 //! - an actor-based event engine ([`Simulation`], [`Actor`], [`Ctx`]) with
-//!   timers and deterministic `(time, seq)` event ordering;
+//!   timers and deterministic `(time, lane, seq)` event ordering;
 //! - a calibrated network model ([`NetConfig`], [`Network`]) with per-message
 //!   overhead, bandwidth serialization, egress contention, and optional
 //!   loss/duplication fault injection;
@@ -18,12 +18,8 @@
 //! Determinism: events are totally ordered by `(time, lane, sequence)` keys
 //! minted from per-lane counters, and all jitter comes from per-lane seeded
 //! generators split deterministically from the run seed — identical seeds
-//! produce identical traces. The parallel sharded runner (enable with
-//! [`Simulation::set_threads`], [`set_default_threads`], or
-//! `DCDO_SIM_THREADS`) executes disjoint node shards concurrently under a
-//! conservative network-latency lookahead and merges their logs back into
-//! the exact sequential order: trace digests are byte-identical at every
-//! thread count.
+//! produce identical traces. Execution is sequential, on the calling
+//! thread.
 //!
 //! # Examples
 //!
@@ -60,7 +56,6 @@
 mod engine;
 mod metrics;
 mod net;
-mod parallel;
 mod queue;
 mod rng;
 mod time;
@@ -70,7 +65,6 @@ mod trace;
 pub use engine::{Actor, ActorId, Ctx, Payload, Simulation, TimerId};
 pub use metrics::{Histogram, Metrics};
 pub use net::{DeliveryPlan, LinkFault, NetConfig, NetStats, Network, NodeId, TransferModel};
-pub use parallel::set_default_threads;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use timeline::{Bucket, Timeline, WindowStats, DEFAULT_BUCKET_NS};

@@ -154,26 +154,6 @@ impl Histogram {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
-
-    /// Folds another histogram's samples into this one, as if every sample
-    /// of `other` had been recorded here directly: count, min, max, and
-    /// quantiles afterwards equal those of the union multiset. Used to
-    /// aggregate per-shard metrics after a parallel run. (The mean is
-    /// subject to the usual float-summation reordering — identical to many
-    /// decimal places, not necessarily to the last bit.)
-    pub fn merge(&mut self, other: &Histogram) {
-        self.samples.extend_from_slice(&other.samples);
-        if !other.samples.is_empty() {
-            self.sorted = false;
-        }
-        self.sum += other.sum;
-        if let Some(m) = other.min {
-            self.min = Some(self.min.map_or(m, |s| s.min(m)));
-        }
-        if let Some(m) = other.max {
-            self.max = Some(self.max.map_or(m, |s| s.max(m)));
-        }
-    }
 }
 
 /// A named collection of counters and histograms.
@@ -257,18 +237,6 @@ impl Metrics {
     pub fn reset(&mut self) {
         self.counters.clear();
         self.histograms.clear();
-    }
-
-    /// Folds another registry into this one: counters are summed, histograms
-    /// are merged sample-by-sample (see [`Histogram::merge`]). Used to
-    /// aggregate per-shard metrics after a parallel run.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (name, v) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += v;
-        }
-        for (name, h) in &other.histograms {
-            self.histograms.entry(name.clone()).or_default().merge(h);
-        }
     }
 }
 
@@ -561,77 +529,6 @@ mod tests {
                     prop_assert_eq!(h.max().expect("nonempty"), max);
                     prop_assert_eq!(h.count(), all.len());
                 }
-            }
-
-            #[test]
-            fn merged_quantiles_match_recording_the_union(
-                left in prop::collection::vec(-1e9..1e9f64, 0..150),
-                right in prop::collection::vec(-1e9..1e9f64, 0..150),
-                qs in prop::collection::vec(0.0..=1.0f64, 1..6),
-            ) {
-                // Merging two histograms must be indistinguishable (for
-                // count/min/max/quantiles) from recording the union of
-                // their samples into one histogram.
-                let mut a = Histogram::new();
-                for &s in &left {
-                    a.record(s);
-                }
-                let mut b = Histogram::new();
-                for &s in &right {
-                    b.record(s);
-                }
-                let _ = a.quantile(0.5); // sort mid-way: merge must unsort
-                let mut union = Histogram::new();
-                for &s in left.iter().chain(right.iter()) {
-                    union.record(s);
-                }
-                a.merge(&b);
-                prop_assert_eq!(a.count(), union.count());
-                prop_assert_eq!(a.min(), union.min());
-                prop_assert_eq!(a.max(), union.max());
-                for &q in &qs {
-                    prop_assert_eq!(a.quantile(q), union.quantile(q));
-                }
-                if let (Some(got), Some(want)) = (a.mean(), union.mean()) {
-                    prop_assert!((got - want).abs() <= 1e-6 * (1.0 + want.abs()));
-                }
-            }
-
-            #[test]
-            fn metrics_merge_sums_counters_and_merges_histograms(
-                xs in prop::collection::vec(0u64..1000, 0..10),
-                ys in prop::collection::vec(0u64..1000, 0..10),
-                samples in prop::collection::vec(-1e6..1e6f64, 1..40),
-            ) {
-                let mut a = Metrics::new();
-                let mut b = Metrics::new();
-                for &x in &xs {
-                    a.add("shared", x);
-                }
-                for &y in &ys {
-                    b.add("shared", y);
-                }
-                b.incr("only_b");
-                let (first, second) = samples.split_at(samples.len() / 2);
-                for &s in first {
-                    a.sample("lat", s);
-                }
-                for &s in second {
-                    b.sample("lat", s);
-                }
-                a.merge(&b);
-                prop_assert_eq!(
-                    a.counter("shared"),
-                    xs.iter().sum::<u64>() + ys.iter().sum::<u64>()
-                );
-                prop_assert_eq!(a.counter("only_b"), 1);
-                let mut union = Histogram::new();
-                for &s in &samples {
-                    union.record(s);
-                }
-                let h = a.histogram_mut("lat").expect("merged");
-                prop_assert_eq!(h.count(), union.count());
-                prop_assert_eq!(h.quantile(0.9), union.quantile(0.9));
             }
 
             #[test]

@@ -22,6 +22,10 @@ use crate::time::{SimDuration, SimTime};
 pub struct NodeId(u32);
 
 impl NodeId {
+    /// Raw ids the engine can place actors on are below this: node `u`'s
+    /// handlers run in lane `u + 1`, and lanes are 16 bits wide.
+    pub const LIMIT: u32 = 0xFFFF;
+
     /// Creates a node id from a raw index.
     pub const fn from_raw(raw: u32) -> Self {
         NodeId(raw)
@@ -351,55 +355,6 @@ impl Network {
     /// Delivery and fault counters accumulated so far.
     pub fn stats(&self) -> NetStats {
         self.stats
-    }
-
-    /// A conservative lower bound on the delay of any message that crosses
-    /// a node boundary: no cross-node send planned at time `t` can arrive
-    /// before `t + min_cross_delay()`. This is the lookahead window of the
-    /// parallel engine. Jitter can only shrink the deterministic components
-    /// by `jitter_frac`, and `mul_f64` rounds to nearest, so one extra
-    /// nanosecond is shaved off to stay sound. Returns zero for
-    /// instant-style configs (no usable lookahead — the parallel runner
-    /// falls back to sequential execution).
-    pub fn min_cross_delay(&self) -> SimDuration {
-        let base = self.config.per_message_overhead + self.config.latency;
-        if base.is_zero() {
-            return SimDuration::ZERO;
-        }
-        base.mul_f64((1.0 - self.config.jitter_frac).max(0.0))
-            .saturating_sub(SimDuration::from_nanos(1))
-    }
-
-    /// Clones this network for a shard of a parallel window: same
-    /// configuration, topology (down flags, partition groups, link faults)
-    /// and egress clocks, but zeroed counters so shard-local traffic can be
-    /// summed back without double counting.
-    pub(crate) fn fork_for_shard(&self) -> Network {
-        let mut n = self.clone();
-        n.stats = NetStats::default();
-        n
-    }
-
-    /// Folds a shard's network back in after a parallel window: counters
-    /// are summed, and the egress clocks of the nodes the shard owned
-    /// (selected by `owns`) are copied back. Topology is not touched — it
-    /// only changes at sequential barriers, where all shards share it.
-    pub(crate) fn absorb_shard(&mut self, shard: &Network, owns: impl Fn(u32) -> bool) {
-        self.stats.messages_sent += shard.stats.messages_sent;
-        self.stats.messages_lost += shard.stats.messages_lost;
-        self.stats.duplicates_planned += shard.stats.duplicates_planned;
-        self.stats.duplicates_degraded += shard.stats.duplicates_degraded;
-        self.stats.unreachable += shard.stats.unreachable;
-        self.stats.bytes_sent += shard.stats.bytes_sent;
-        for (idx, &t) in shard.egress_free.iter().enumerate() {
-            if !owns(idx as u32) {
-                continue;
-            }
-            if self.egress_free.len() <= idx {
-                self.egress_free.resize(idx + 1, SimTime::ZERO);
-            }
-            self.egress_free[idx] = t;
-        }
     }
 
     /// Records that a planned duplicate delivery was degraded to a single

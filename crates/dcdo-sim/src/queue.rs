@@ -24,12 +24,10 @@
 //! Ordering is by the packed key `(at.as_nanos() << 64) | sub`: `sub` is a
 //! 64-bit sub-key the engine structures as `(lane << 48) | lane_seq`, where
 //! a *lane* is one execution context (the driver, or one node's handlers).
-//! Per-lane sequence numbers make keys unique and — crucially for the
-//! parallel engine — independent of how many worker threads executed the
-//! run: a lane's counter advances only with that lane's own events. The
-//! queue itself only relies on keys being unique and totally ordered; the
-//! raw-key API (`push_raw`, `pop_raw`, `drain_raw`) lets the sharded engine
-//! move events between per-shard queues without re-keying them.
+//! Per-lane sequence numbers make keys unique, and a lane's counter
+//! advances only with that lane's own events. The queue itself only relies
+//! on keys being unique and totally ordered; the engine packs its keys
+//! itself and uses the raw-key API (`push_raw`, `pop_raw`).
 
 use std::collections::VecDeque;
 
@@ -248,27 +246,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Empties the queue, returning every pending `(key, timer_id, item)` in
-    /// arbitrary (but deterministic) order; `timer_id` is `0` for
-    /// deliveries. Used by the sharded engine to redistribute events between
-    /// queues; callers re-push with [`push_raw`](Self::push_raw) /
-    /// [`push_raw_timer`](Self::push_raw_timer).
-    pub fn drain_raw(&mut self) -> Vec<(u128, u64, T)> {
-        let mut out = Vec::with_capacity(self.len());
-        for (key, item) in self.ring.drain(..) {
-            out.push((key, NO_TIMER, item));
-        }
-        for e in self.heap.drain(..) {
-            let entry = &mut self.slab[e.slot as usize];
-            let item = entry.item.take().expect("heap entry has an item");
-            out.push((e.key, entry.timer_id, item));
-        }
-        self.slab.clear();
-        self.free.clear();
-        self.timers.clear();
-        out
-    }
-
     fn push_slab(&mut self, key: u128, timer_id: u64, item: T) -> u32 {
         let slot = match self.free.pop() {
             Some(s) => {
@@ -475,25 +452,6 @@ mod tests {
         q.push_same_tick(t(0), 2, 20); // smaller key after larger: diverted
         q.push_same_tick(t(0), 7, 70);
         assert_eq!(drain(&mut q), vec![20, 50, 70]);
-    }
-
-    #[test]
-    fn drain_raw_roundtrips_through_push_raw() {
-        let mut q = EventQueue::new();
-        q.push(t(30), 1, 301);
-        q.push_same_tick(t(0), 2, 2);
-        q.push_timer(t(10), 3, 9, 109);
-        let mut other = EventQueue::new();
-        for (key, timer_id, item) in q.drain_raw() {
-            if timer_id != 0 {
-                other.push_raw_timer(key, timer_id, item);
-            } else {
-                other.push_raw(key, item);
-            }
-        }
-        assert!(q.is_empty());
-        assert!(other.cancel_timer(9), "timer index survives the move");
-        assert_eq!(drain(&mut other), vec![2, 301]);
     }
 
     #[test]

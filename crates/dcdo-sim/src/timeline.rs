@@ -10,13 +10,11 @@
 //! division, no map lookups — which is what lets the timeline stay on
 //! during benchmarks.
 //!
-//! Bucketing is by *sim time*, not processing order, so per-shard timelines
-//! from a parallel run merge order-free: counters sum and histogram
-//! multisets union into exactly the buckets a sequential run would have
-//! filled. The exporters emit only order-independent statistics (counts,
-//! exact min/max, nearest-rank quantiles — never float sums of merged
-//! histograms), so the JSON and Prometheus text are byte-identical at any
-//! worker-thread count and across build profiles.
+//! Bucketing is by *sim time*, not processing order: series derived after
+//! the run land in the buckets the hot path already filled. The exporters
+//! emit only order-independent statistics (counts, exact min/max,
+//! nearest-rank quantiles — never float sums), so the JSON and Prometheus
+//! text are byte-identical across build profiles.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -221,24 +219,6 @@ impl Timeline {
         }
     }
 
-    /// Folds another timeline into this one (after flushing both sides).
-    /// Bucket widths must match. Order-free: counters sum and sample
-    /// multisets union, so merging per-shard timelines in any order yields
-    /// the sequential result.
-    pub fn merge(&mut self, other: &mut Timeline) {
-        assert_eq!(
-            self.bucket_ns, other.bucket_ns,
-            "cannot merge timelines with different bucket widths"
-        );
-        self.flush();
-        other.flush();
-        for (idx, bucket) in std::mem::take(&mut other.done) {
-            let slot = self.done.entry(idx).or_default();
-            slot.stats.merge(&bucket.stats);
-            slot.metrics.merge(&bucket.metrics);
-        }
-    }
-
     /// Finished buckets in ascending window order (call
     /// [`flush`](Timeline::flush) first to include the in-flight bucket).
     pub fn buckets(&self) -> impl Iterator<Item = (u64, &Bucket)> {
@@ -261,7 +241,7 @@ impl Timeline {
     /// Deterministic JSON: fixed key order, buckets ascending, series
     /// reporting only count / exact min / nearest-rank quantiles / exact
     /// max — statistics of the sample *multiset*, so the bytes are
-    /// identical at any worker-thread count and across build profiles.
+    /// identical across build profiles.
     pub fn to_json(&mut self) -> String {
         self.flush();
         let bucket_ns = self.bucket_ns;
@@ -427,33 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_reproduces_single_timeline() {
-        // Split one event stream across two shard timelines in an arbitrary
-        // interleaving: the merge must equal single-timeline accounting.
-        let mut whole = Timeline::new();
-        whole.set_bucket_ns(100);
-        let mut a = Timeline::new();
-        a.set_bucket_ns(100);
-        let mut b = Timeline::new();
-        b.set_bucket_ns(100);
-        let events = [(10u64, 2u8), (20, 4), (110, 2), (130, 3), (250, 2)];
-        for (i, (at, code)) in events.iter().enumerate() {
-            whole.account(*at, *code);
-            if i % 2 == 0 {
-                a.account(*at, *code);
-            } else {
-                b.account(*at, *code);
-            }
-        }
-        whole.record_sample(15, "lat", 0.5);
-        a.record_sample(15, "lat", 0.5);
-        whole.record_counter(115, "ok", 3);
-        b.record_counter(115, "ok", 3);
-        a.merge(&mut b);
-        assert_eq!(whole.to_json(), a.to_json());
-    }
-
-    #[test]
     fn json_reports_multiset_statistics_only() {
         let mut t = Timeline::new();
         t.set_bucket_ns(1000);
@@ -469,7 +422,7 @@ mod tests {
         assert!(json.contains("\"min\": 1.0"));
         assert!(json.contains("\"p50\": 2.0"));
         assert!(json.contains("\"max\": 3.0"));
-        assert!(!json.contains("mean"), "merged-float stats are excluded");
+        assert!(!json.contains("mean"), "float-sum stats are excluded");
     }
 
     #[test]
@@ -488,10 +441,9 @@ mod tests {
 
     #[test]
     fn out_of_order_cross_bucket_accounting_still_lands_correctly() {
-        // Shards process disjoint event subsequences, so a shard's clock can
-        // jump backward relative to another's. Within one timeline, account
-        // rolls forward only on boundary crossings; record_* always indexes
-        // by division. Mixed use must still bucket correctly.
+        // Derived series are recorded after the run, behind the hot path's
+        // clock: account rolls forward only on boundary crossings, record_*
+        // always indexes by division. Mixed use must still bucket correctly.
         let mut t = Timeline::new();
         t.set_bucket_ns(100);
         t.account(250, 2);

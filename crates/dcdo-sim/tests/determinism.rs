@@ -164,20 +164,126 @@ fn identical_seeds_produce_identical_traces_verbatim() {
     assert_ne!(a, run(100), "different seeds produce different traces");
 }
 
+/// Lane isolation: the names the engine mints for a node's handlers — RNG
+/// draws, fresh `u64`s, timer ids, actor ids, span ids — come from that
+/// node's lane alone, so node 0's history is the same whether or not other
+/// nodes are busy.
+mod lane_isolation {
+    use super::Job;
+    use dcdo_sim::{
+        Actor, ActorId, Ctx, NetConfig, NodeId, SimDuration, Simulation, SpanId, TimerId,
+    };
+
+    const ROUNDS: u64 = 12;
+
+    /// Every name minted for one actor's handler, in order.
+    #[derive(Debug, Default, Clone, PartialEq)]
+    struct Minted {
+        draws: Vec<u64>,
+        fresh: Vec<u64>,
+        timers: Vec<TimerId>,
+        actors: Vec<ActorId>,
+        spans: Vec<Option<SpanId>>,
+    }
+
+    struct Idle;
+
+    impl Actor<Job> for Idle {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_, Job>, _from: ActorId, _msg: Job) {}
+    }
+
+    /// Timer-driven: each round mints one name of every kind and records it.
+    #[derive(Default)]
+    struct Probe {
+        minted: Minted,
+    }
+
+    impl Actor<Job> for Probe {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Job>, _from: ActorId, _msg: Job) {
+            self.minted.spans.push(ctx.current_span());
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Job>, token: u64) {
+            let m = &mut self.minted;
+            m.draws.push(ctx.rng().range_u64(0, u64::MAX));
+            m.fresh.push(ctx.fresh_u64());
+            m.spans.push(ctx.current_span());
+            let node = ctx.node();
+            m.actors.push(ctx.spawn(node, Box::new(Idle)));
+            // A same-node send: keyed by this lane's event counter.
+            let me = ctx.self_id();
+            ctx.send(me, Job { tag: 0, size: 64 });
+            if token < ROUNDS {
+                m.timers
+                    .push(ctx.schedule_timer(SimDuration::from_millis(3), token + 1));
+            }
+        }
+    }
+
+    /// Unrelated load: draws, mints and sends across nodes 1–3.
+    struct Chatter {
+        peer: Option<ActorId>,
+    }
+
+    impl Actor<Job> for Chatter {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, Job>, _from: ActorId, _msg: Job) {
+            ctx.fresh_u64();
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Job>, token: u64) {
+            let size = ctx.rng().range_u64(64, 4096);
+            ctx.fresh_u64();
+            let node = ctx.node();
+            ctx.spawn(node, Box::new(Idle));
+            let peer = self.peer.expect("wired before the run");
+            ctx.send(peer, Job { tag: 0, size });
+            if token < 5 * ROUNDS {
+                ctx.schedule_timer(SimDuration::from_micros(700), token + 1);
+            }
+        }
+    }
+
+    fn node0_history(seed: u64, with_chatter: bool) -> Minted {
+        let mut sim = Simulation::new(NetConfig::centurion(), seed);
+        sim.spans_mut().enable();
+        let probe = sim.spawn(NodeId::from_raw(0), Probe::default());
+        sim.schedule_timer_for(probe, SimDuration::from_millis(1), 0);
+        if with_chatter {
+            let chatters: Vec<ActorId> = (1..=3)
+                .map(|n| sim.spawn(NodeId::from_raw(n), Chatter { peer: None }))
+                .collect();
+            for (i, &c) in chatters.iter().enumerate() {
+                let peer = chatters[(i + 1) % chatters.len()];
+                sim.actor_mut::<Chatter>(c).expect("alive").peer = Some(peer);
+                sim.schedule_timer_for(c, SimDuration::from_millis(1), 0);
+            }
+        }
+        sim.run_until_idle();
+        sim.actor::<Probe>(probe).expect("alive").minted.clone()
+    }
+
+    #[test]
+    fn a_lanes_history_does_not_depend_on_other_lanes() {
+        let alone = node0_history(11, false);
+        assert_eq!(alone.draws.len() as u64, ROUNDS + 1);
+        assert_eq!(alone.timers.len() as u64, ROUNDS);
+        assert_eq!(alone.spans.len() as u64, 2 * (ROUNDS + 1));
+        assert!(alone.spans.iter().all(Option::is_some));
+        assert_eq!(alone, node0_history(11, true));
+        assert_ne!(alone.draws, node0_history(12, false).draws);
+    }
+}
+
 /// Golden-trace pinning: the exact event order of the engine, hashed.
 ///
 /// These hashes pin the observable event order of the lane-structured
-/// engine (per-lane `(time, lane, seq)` keys and per-lane RNG streams,
-/// introduced for the parallel sharded runner). The ping-pong and
-/// timer-heavy constants were re-captured at that introduction — per-lane
-/// RNG streams legitimately re-jitter arrival times, and per-lane sub-keys
-/// reorder same-tick events across lanes — while the fan-out constant
-/// survived from the seed engine unchanged (single-hub FIFO order is
-/// lane-invariant). From here on the hashes pin the order across *every*
-/// execution mode: the sequential engine and the parallel runner at any
-/// thread count must reproduce them bit-for-bit (the parallel-parity suite
-/// in dcdo-workloads enforces the latter). If one of these fails, event
-/// ordering changed — that is a correctness bug, not a test to update.
+/// engine (per-lane `(time, lane, seq)` keys and per-lane RNG streams).
+/// The ping-pong and timer-heavy constants were re-captured when lanes were
+/// introduced — per-lane RNG streams legitimately re-jitter arrival times,
+/// and per-lane sub-keys reorder same-tick events across lanes — while the
+/// fan-out constant survived from the seed engine unchanged (single-hub
+/// FIFO order is lane-invariant). If one of these fails, event ordering
+/// changed — that is a correctness bug, not a test to update.
 mod golden_trace {
     // FNV-1a: stable across platforms and Rust versions (unlike
     // `DefaultHasher`).

@@ -6,10 +6,7 @@
 //! complementary always-on facility: every executed engine event leaves a
 //! 16-byte [`FlightFrame`] in a fixed-capacity ring (the "black box" of
 //! recent history), with deterministic oldest-first eviction and a word-fold
-//! digest over the retained window. The engine buffers frames per shard
-//! tagged with the executing event's key and k-way merges them at window
-//! barriers, exactly like its span buffers, so the retained set and the
-//! digest are byte-identical at any worker-thread count.
+//! digest over the retained window.
 //!
 //! When a full span log *is* available (scenario runs enable one; SLO
 //! breaches demand one), [`tail_sample`] applies the retention policy after
@@ -191,9 +188,8 @@ impl FlightRecorder {
     }
 
     /// [`Fold`] digest over the total count ever recorded and every retained
-    /// frame (`at_ns`, then `meta`), oldest first. Byte-identical at any worker-thread count and across build
-    /// profiles: frames merge back into execution order at shard barriers
-    /// and carry integers only.
+    /// frame (`at_ns`, then `meta`), oldest first. Byte-identical across
+    /// build profiles: frames carry integers only.
     pub fn digest(&self) -> u64 {
         let mut h = Fold::new(self.head as u64);
         let (older, newer) = self.halves();
@@ -391,7 +387,7 @@ pub fn tail_sample_checked(
 
 impl FlightDump {
     /// Deterministic JSON: fixed key order, integer ids, hex digest —
-    /// byte-identical sequential vs sharded and debug vs release.
+    /// byte-identical debug vs release.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(

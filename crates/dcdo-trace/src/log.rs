@@ -15,7 +15,7 @@ use crate::span::{SpanEvent, SpanId, SpanKind};
 /// Events enter the log through two doors: [`TraceLog::emit`] mints the next
 /// dense id itself, while [`TraceLog::push_event`] appends a pre-built event
 /// whose id the producer chose (the simulation engine allocates per-lane
-/// ids so a parallel run can merge shard logs back into one sequence).
+/// ids, so a node's span ids do not depend on what other nodes emit).
 ///
 /// Recording is a plain `Vec` push and does no hashing. The id → position
 /// index behind [`TraceLog::get`] is built on the first lookup and extended
@@ -128,8 +128,7 @@ impl TraceLog {
 
     /// Appends a pre-built event carrying a producer-allocated id. Unlike
     /// [`TraceLog::emit`], the id sequence is not advanced — the producer
-    /// owns id uniqueness. The engine uses this to merge per-shard span
-    /// buffers back into execution order after a parallel window.
+    /// owns id uniqueness. The engine records its lane-minted spans here.
     pub fn push_event(&mut self, ev: SpanEvent) {
         self.events.push(ev);
     }

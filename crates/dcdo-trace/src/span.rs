@@ -12,9 +12,8 @@ pub const NO_NODE: u32 = u32::MAX;
 /// Standalone [`emit`](crate::TraceLog::emit) calls assign dense sequence
 /// numbers starting at 1. Producers that append pre-built events through
 /// [`push_event`](crate::TraceLog::push_event) — like the simulation
-/// engine, whose parallel mode needs thread-count-independent ids — supply
-/// their own nonzero ids instead; log position, not id value, is the total
-/// order over a mixed log.
+/// engine, which mints ids per lane — supply their own nonzero ids instead;
+/// log position, not id value, is the total order over a mixed log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(NonZeroU64);
 

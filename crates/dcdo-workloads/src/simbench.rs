@@ -254,7 +254,7 @@ pub fn fan_out(rounds: u64, spokes: u32, payload_words: usize) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// fan-out-wide (the parallel-scaling shape)
+// fan-out-wide (many concurrent clusters)
 
 /// Builds the wide fan-out simulation: one [`BlastHub`] per centurion node
 /// (16 independent broadcast clusters running concurrently), with the
@@ -262,12 +262,9 @@ pub fn fan_out(rounds: u64, spokes: u32, payload_words: usize) -> u64 {
 /// placed on a *different* node than its hub.
 ///
 /// Unlike [`fan_out_sim`] — a single hub on the instant network, which is
-/// an inherently serial event stream — this shape is built for the sharded
-/// runner: the centurion network's link latency gives the conservative
-/// lookahead a non-zero window, and the 16 clusters make progress
-/// independently, so work spreads across however many shards the engine is
-/// configured with. It is the scaling workload of the thread-count sweep
-/// in `BENCH_sim.json`.
+/// an inherently serial event stream — the 16 clusters make progress
+/// independently over the centurion network's link latency, so many
+/// lanes have events pending at once.
 pub fn fan_out_wide_sim(rounds: u64, spokes: u32, payload_words: usize) -> (Simulation<Msg>, u64) {
     const HUBS: u32 = 16;
     let mut sim = Simulation::new(NetConfig::centurion(), 31);
@@ -289,7 +286,7 @@ pub fn fan_out_wide_sim(rounds: u64, spokes: u32, payload_words: usize) -> (Simu
     for i in 0..spokes {
         let h = i % HUBS;
         // Spokes sit on nodes other than their hub's, so every broadcast
-        // and every ack crosses the network (and, sharded, a lane).
+        // and every ack crosses the network (and a lane).
         let node = (h + 1 + i / HUBS) % HUBS;
         let spoke = sim.spawn(NodeId::from_raw(node), AckSpoke);
         sim.actor_mut::<BlastHub>(hubs[h as usize])

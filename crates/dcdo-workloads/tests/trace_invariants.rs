@@ -42,6 +42,12 @@ fn fan_out_trace_is_clean_and_deterministic() {
     let (sim, budget) = simbench::fan_out_sim(20, 8, 16);
     let b = run_checked(sim, budget, "fan_out");
     assert_eq!(a, b);
+    // The wide variant: 16 hubs on the calibrated network, every lane busy.
+    let (sim, budget) = simbench::fan_out_wide_sim(12, 48, 16);
+    let a = run_checked(sim, budget, "fan_out_wide");
+    let (sim, budget) = simbench::fan_out_wide_sim(12, 48, 16);
+    let b = run_checked(sim, budget, "fan_out_wide");
+    assert_eq!(a, b);
 }
 
 #[test]

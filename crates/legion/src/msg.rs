@@ -95,8 +95,8 @@ impl From<VmError> for InvocationFault {
 ///
 /// Implemented by binding-agent, vault, host, class, ICO, DCDO, and manager
 /// operation types. Receivers downcast with [`ControlPayload::as_any`].
-/// `Send + Sync` because payloads are `Arc`-shared immutable values that
-/// must travel with their shard when the engine runs parallel windows.
+/// `Send + Sync` because payloads are `Arc`-shared immutable values and
+/// the engine's `Payload` bound asks for `Send`.
 pub trait ControlPayload: Any + fmt::Debug + Send + Sync {
     /// On-the-wire size of the payload in bytes.
     fn wire_size(&self) -> u64 {
