@@ -308,7 +308,7 @@ fn run_epochs(args: &[String]) {
 /// table, and export the windowed telemetry as deterministic JSON (and
 /// Prometheus text alongside).
 fn run_timeline(args: &[String]) {
-    let (cli, name, artifacts) = run_single("timeline", args);
+    let (cli, name, mut artifacts) = run_single("timeline", args);
     let r = &artifacts.report;
     println!(
         "scenario {name}, seed {}: {} events over the run",
@@ -318,7 +318,8 @@ fn run_timeline(args: &[String]) {
     let json_path = cli.out.unwrap_or_else(|| format!("TIMELINE_{name}.json"));
     let prom_path = sibling_prom_path(&json_path);
     std::fs::write(&json_path, &artifacts.timeline_json).expect("write timeline JSON");
-    std::fs::write(&prom_path, &artifacts.timeline_prom).expect("write timeline Prometheus");
+    let prom = artifacts.timeline.to_prometheus();
+    std::fs::write(&prom_path, prom).expect("write timeline Prometheus");
     println!("wrote {json_path} and {prom_path}");
     exit_unless_passed(&name, artifacts.report.passed);
 }

@@ -24,7 +24,7 @@ use crate::group::{ReplicaGroup, RollingUpgrade};
 use crate::parse::{parse_fault_tokens, parse_scenario, parse_secs, ScenarioDecl};
 use crate::ring::{ChaosAttachment, ChatterRing};
 use crate::scenario::{Scenario, WorkloadSlot};
-use crate::slo::{parse_quantile, SloErrorRate, SloLatency, SloRecovery};
+use crate::slo::{SloErrorRate, SloLatency, SloRecovery};
 use crate::traffic::{Calls, ConfigOps, CounterService, Migrations};
 use crate::workload::Workload;
 
@@ -210,15 +210,16 @@ impl Registry {
                         .to_string(),
                 });
             };
-            let quantile = parse_quantile(q).ok_or_else(|| ScenarioError::BadParam {
+            let bad = |msg| ScenarioError::BadParam {
                 context: "expect slo_latency".to_string(),
-                msg: format!("bad quantile {q:?}"),
-            })?;
-            let bound: f64 = bound.parse().map_err(|_| ScenarioError::BadParam {
-                context: "expect slo_latency".to_string(),
-                msg: format!("bad bound {bound:?}"),
-            })?;
-            Ok(Box::new(SloLatency::new(series, quantile, bound)))
+                msg,
+            };
+            let bound: f64 = bound
+                .parse()
+                .map_err(|_| bad(format!("bad bound {bound:?}")))?;
+            let slo = SloLatency::new(series, q, bound)
+                .ok_or_else(|| bad(format!("bad quantile {q:?}")))?;
+            Ok(Box::new(slo))
         });
         r.register_expectation("slo_error_rate", |args| {
             let (prefix, max_frac) = key_and_f64(args, "slo_error_rate")?;

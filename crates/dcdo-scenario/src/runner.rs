@@ -17,9 +17,11 @@
 //!    over the finished logs, each step once and in this order: derive the
 //!    windowed series from the span log → run the trace-invariant checker
 //!    (one sweep, kept on the [`RunCx`] for every later reader) → `judge`
-//!    every expectation → span digest and `trace_hash` → tail-sample the
+//!    every expectation → `trace_hash` and span digest → tail-sample the
 //!    flight dump (with the checker's verdict) → move the spans out of the
-//!    simulation into the [`RunArtifacts`] → export the timeline.
+//!    simulation into the [`RunArtifacts`] → render the timeline JSON and
+//!    move the finished timeline out too. Nothing renders the Prometheus
+//!    text unless a caller asks the returned timeline for it.
 //!
 //! The three witnesses are word folds (`dcdo_sim::Fold`: one multiply and
 //! one rotate per `u64`, seeded with the element count), never byte hashes.
@@ -30,7 +32,9 @@
 //! The span digest covers every field of every span of the run; the flight
 //! digest the frame count and the flight ring's retained frames.
 
-use dcdo_sim::{tail_sample_checked, FlightDump, NodeId, RpcOutcome, SpanEvent, SpanKind};
+use dcdo_sim::{
+    tail_sample_checked, FlightDump, NodeId, RpcOutcome, SpanEvent, SpanKind, Timeline,
+};
 
 use crate::report::ScenarioReport;
 use crate::scenario::{Scenario, Window};
@@ -60,10 +64,14 @@ pub struct RunArtifacts {
     /// [`ScenarioReport::trace_hash`] witnesses only the ring's tail (its
     /// last [`TRACE_RING_CAPACITY`] entries), not the whole run.
     pub trace_entries_dropped: u64,
-    /// Windowed time-series telemetry as deterministic JSON.
+    /// Windowed time-series telemetry as deterministic JSON, rendered with
+    /// every run (`benchmark/src/traced.rs` compares it; see ROADMAP.md).
     pub timeline_json: String,
-    /// The same telemetry as Prometheus text exposition.
-    pub timeline_prom: String,
+    /// The finished, flushed timeline itself, moved out of the simulation:
+    /// the SLO judges' windows, and the source of any further export (e.g.
+    /// [`Timeline::to_prometheus`], which only a caller that writes the
+    /// text pays for).
+    pub timeline: Timeline,
     /// The tail-sampled flight-recorder dump (`None` only when the
     /// scenario never built a world).
     pub flight: Option<FlightDump>,
@@ -88,6 +96,14 @@ fn derive_windowed_series(cx: &mut RunCx) {
     // here are ~2 % faster on `calls_steady` but cost its next set-ups +28 %
     // (their one large allocation is mmapped, and without the B-tree's small
     // nodes growing the heap glibc trims it between set-ups).
+    //
+    // A start leaves its map at the terminal span, so the maps hold only
+    // what is in flight. On every log the invariant checker accepts this
+    // yields exactly the samples a lookup that kept every start would: a
+    // flow id starts at most once (`DuplicateFlowStart`) and ends at most
+    // once (`SpuriousFlowEnd`), a call completes at most once
+    // (`DuplicateRpcCompletion`), so no terminal span ever needs a start
+    // that an earlier terminal removed.
     use std::collections::BTreeMap;
     let Some(sim) = cx.world.sim() else { return };
     let mut samples: Vec<(u64, &'static str, f64)> = Vec::new();
@@ -99,23 +115,19 @@ fn derive_windowed_series(cx: &mut RunCx) {
             SpanKind::FlowStarted { flow, .. } => {
                 flow_start.entry(*flow).or_insert(e.at_ns);
             }
-            SpanKind::FlowCompleted { flow } => {
-                if let Some(t0) = flow_start.get(flow) {
+            SpanKind::FlowCompleted { flow } | SpanKind::FlowAborted { flow } => {
+                if let Some(t0) = flow_start.remove(flow) {
                     samples.push((e.at_ns, "lat.flow", (e.at_ns - t0) as f64 / 1e9));
                 }
-                counters.push((e.at_ns, "ok.flow", 1));
-            }
-            SpanKind::FlowAborted { flow } => {
-                if let Some(t0) = flow_start.get(flow) {
-                    samples.push((e.at_ns, "lat.flow", (e.at_ns - t0) as f64 / 1e9));
-                }
-                counters.push((e.at_ns, "err.flow", 1));
+                let completed = matches!(e.kind, SpanKind::FlowCompleted { .. });
+                let name = if completed { "ok.flow" } else { "err.flow" };
+                counters.push((e.at_ns, name, 1));
             }
             SpanKind::RpcAttempt { call, .. } => {
                 rpc_start.entry(*call).or_insert(e.at_ns);
             }
             SpanKind::RpcCompleted { call, outcome } => {
-                if let Some(t0) = rpc_start.get(call) {
+                if let Some(t0) = rpc_start.remove(call) {
                     samples.push((e.at_ns, "lat.rpc", (e.at_ns - t0) as f64 / 1e9));
                 }
                 let name = match outcome {
@@ -268,13 +280,13 @@ pub fn run_artifacts(
     // Every reader of the span log has had its turn, so the artifacts take
     // the events themselves: an element-wise clone would hold the log
     // twice (`PartitionChanged` owns a `Vec`, so `SpanEvent` is not `Copy`).
-    let (spans, timeline_json, timeline_prom) = match cx.world.sim_mut() {
+    let (spans, timeline_json, timeline) = match cx.world.sim_mut() {
         Some(sim) => (
             sim.spans_mut().take_events(),
             sim.timeline_mut().to_json(),
-            sim.timeline_mut().to_prometheus(),
+            std::mem::take(sim.timeline_mut()),
         ),
-        None => (Vec::new(), String::new(), String::new()),
+        None => (Vec::new(), String::new(), Timeline::new()),
     };
     Ok(RunArtifacts {
         report: ScenarioReport {
@@ -296,7 +308,7 @@ pub fn run_artifacts(
         spans,
         trace_entries_dropped,
         timeline_json,
-        timeline_prom,
+        timeline,
         flight,
         slo_breached: slo_breaches > 0,
     })

@@ -13,14 +13,12 @@
 //! derived deterministically from the span log after the window closes
 //! (see the runner), so every verdict replays byte-identically.
 
-use dcdo_sim::SpanKind;
-
 use crate::expect::{Expectation, Verdict};
 use crate::workload::RunCx;
 
 /// A per-window latency-quantile bound: in every timeline bucket where the
 /// series has samples, its `q`-quantile must stay at or below the bound
-/// (seconds). Declared as `expect slo_latency <series> <p50|p90|p95|p99>
+/// (seconds). Declared as `expect slo_latency <series> <p50|p90|p95|p99|q=F>
 /// <bound_secs>`.
 #[derive(Debug)]
 pub struct SloLatency {
@@ -31,15 +29,16 @@ pub struct SloLatency {
 }
 
 impl SloLatency {
-    /// Bounds the `q`-quantile (`0.0 ..= 1.0`) of `series` in every window.
-    pub fn new(series: &str, q: f64, bound_secs: f64) -> Self {
-        let clamped = q.clamp(0.0, 1.0);
-        SloLatency {
+    /// Bounds the quantile that `quantile` declares (`p99`, `p99.9`,
+    /// `q=0.999`) of `series` in every window and reports it under that
+    /// same token. `None` if the token declares no quantile.
+    pub fn new(series: &str, quantile: &str, bound_secs: f64) -> Option<Self> {
+        Some(SloLatency {
             series: series.to_string(),
-            q: clamped,
-            q_label: format!("p{:.0}", clamped * 100.0),
+            q: parse_quantile(quantile)?,
+            q_label: quantile.to_string(),
             bound_secs,
-        }
+        })
     }
 }
 
@@ -161,9 +160,14 @@ impl Expectation for SloErrorRate {
     }
 }
 
-/// A recovery-time budget: after every `NodeCrashed` span, deliveries must
-/// resume (some later timeline bucket with `delivered > 0`) within the
-/// budget. Declared as `expect slo_recovery <budget_secs>`.
+/// A recovery-time budget: after every node crash, deliveries must resume
+/// (some later timeline bucket with `delivered > 0`) within the budget.
+/// Declared as `expect slo_recovery <budget_secs>`.
+///
+/// The crashes come from the engine's own list
+/// ([`node_crashes`](dcdo_sim::Simulation::node_crashes)), not the span
+/// log, so they count even in a run with spans off (the runner always
+/// turns spans on).
 #[derive(Debug)]
 pub struct SloRecovery {
     budget_secs: f64,
@@ -185,37 +189,32 @@ impl Expectation for SloRecovery {
         let Some(sim) = cx.world.sim() else {
             return Verdict::fail(self.name(), "no world was built".to_string());
         };
-        let bucket_ns = sim.timeline().bucket_ns();
-        let end_ns = sim
-            .timeline()
+        let timeline = sim.timeline();
+        let bucket_ns = timeline.bucket_ns();
+        let end_ns = timeline
             .buckets()
             .last()
             .map(|(idx, _)| (idx + 1) * bucket_ns)
             .unwrap_or(0);
-        let mut crashes = 0u64;
+        let crashes = sim.node_crashes().len() as u64;
         let mut breaches = 0u64;
         let mut worst: Option<f64> = None;
-        for e in sim.spans().events() {
-            let SpanKind::NodeCrashed { .. } = e.kind else {
-                continue;
-            };
-            crashes += 1;
+        for crash in sim.node_crashes() {
+            let at_ns = crash.as_nanos();
             // Resumption at bucket granularity: the first bucket strictly
             // after the crash's with deliveries. (The crash's own bucket
             // may mix pre-crash traffic, so it cannot witness recovery.)
-            let crash_idx = e.at_ns / bucket_ns;
-            let resumed = sim
-                .timeline()
-                .buckets()
-                .find(|(idx, b)| *idx > crash_idx && b.stats.delivered > 0)
+            let resumed = timeline
+                .buckets_from(at_ns / bucket_ns + 1)
+                .find(|(_, b)| b.stats.delivered > 0)
                 .map(|(idx, _)| (idx + 1) * bucket_ns);
             let recovery_s = match resumed {
-                Some(resumed_ns) => (resumed_ns - e.at_ns) as f64 / 1e9,
+                Some(resumed_ns) => (resumed_ns - at_ns) as f64 / 1e9,
                 None => {
                     // No resumption observed: only a breach if the run gave
                     // it a fair chance (the budget elapsed before the
                     // timeline ended).
-                    let waited = end_ns.saturating_sub(e.at_ns) as f64 / 1e9;
+                    let waited = end_ns.saturating_sub(at_ns) as f64 / 1e9;
                     if waited > self.budget_secs {
                         breaches += 1;
                         if worst.map(|w| waited > w).unwrap_or(true) {
@@ -250,7 +249,7 @@ impl Expectation for SloRecovery {
 
 /// Parses a quantile token for `slo_latency`: `p50`, `p90`, `p95`, `p99`,
 /// or an explicit `q=0.75`.
-pub(crate) fn parse_quantile(token: &str) -> Option<f64> {
+fn parse_quantile(token: &str) -> Option<f64> {
     if let Some(rest) = token.strip_prefix("q=") {
         let q: f64 = rest.parse().ok()?;
         (0.0..=1.0).contains(&q).then_some(q)
@@ -272,5 +271,19 @@ mod tests {
         assert_eq!(parse_quantile("p101"), None);
         assert_eq!(parse_quantile("q=1.5"), None);
         assert_eq!(parse_quantile("50"), None);
+    }
+
+    #[test]
+    fn quantile_labels_echo_the_declaration() {
+        // A quantile is reported as declared: `q=0.999` must not read as
+        // `p100`, the maximum.
+        for (token, q) in [("p50", 0.5), ("p99", 0.99), ("q=0.999", 0.999)] {
+            let slo = SloLatency::new("lat.rpc", token, 1.0).expect("a quantile");
+            assert_eq!((slo.q_label.as_str(), slo.q), (token, q));
+        }
+        let slo = SloLatency::new("lat.rpc", "p99.9", 1.0).expect("a quantile");
+        assert_eq!(slo.q_label, "p99.9");
+        assert!((slo.q - 0.999).abs() < 1e-12);
+        assert!(SloLatency::new("lat.rpc", "p101", 1.0).is_none());
     }
 }

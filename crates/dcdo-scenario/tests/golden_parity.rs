@@ -9,7 +9,7 @@
 
 use dcdo_chaos::trace_hash;
 use dcdo_scenario::{registry, run, run_artifacts, Expectation, RunCx, Scenario, Verdict};
-use dcdo_sim::{fnv1a, Fnv1a, SpanKind, TraceLog};
+use dcdo_sim::{fnv1a, Fnv1a, Fold, SpanKind, TraceLog};
 use dcdo_workloads::{reconfig, simbench};
 
 /// The committed output of `dcdo-inspect scenario all`.
@@ -137,6 +137,60 @@ fn retained_flight_trees_are_pinned() {
         assert_eq!(
             got, fnv,
             "{name}: flight.to_json() changed, now hashes {got:#018x}"
+        );
+    }
+}
+
+/// A [`Fold`] over `text`'s bytes, eight to a little-endian word (the last
+/// zero-padded), seeded with the byte length.
+fn fold_text(text: &str) -> u64 {
+    let mut fold = Fold::new(text.len() as u64);
+    for chunk in text.as_bytes().chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        fold.word(u64::from_le_bytes(word));
+    }
+    fold.finish()
+}
+
+/// `(scenario, timeline JSON, timeline Prometheus text)` folds, taken from
+/// the `BTreeMap` window store and its `write!` exporters before the
+/// sorted-`Vec` store and the direct integer writer replaced them.
+const TIMELINE_EXPORTS: [(&str, u64, u64); 10] = [
+    ("mixed_traffic", 0xcc296a838d8d8993, 0xe3fa6f597d9b2a70),
+    ("reconfig", 0xd5460e587c83341f, 0xeeba9c8fc866ac3b),
+    (
+        "crash_during_reconfig",
+        0xbdbc4d7b1ed9138a,
+        0x9408684a5385bc22,
+    ),
+    ("rolling_partition", 0xabac1ce8c89f454c, 0xdebdb0063572cf55),
+    ("restart_storm", 0x8edaf6760daff11a, 0x7fcb4eaf26c3961d),
+    ("rolling_upgrade", 0x75a860eb3ed62ec7, 0x7b21a220744bcb0f),
+    (
+        "rolling_upgrade_coord_crash",
+        0xc205a00e7dca44be,
+        0xc99aba087ee39d55,
+    ),
+    ("ping_pong", 0x4bb9138b7a38abbf, 0x76872f9bdf233cc1),
+    ("fan_out", 0x6526e028131222ac, 0xe16865b156548039),
+    ("transfer_heavy", 0x83b5cd01c2a263c3, 0xf9382e459daf1776),
+];
+
+/// The timeline exports of every declared scenario are byte-identical to
+/// what the previous window store and exporters wrote.
+#[test]
+fn timeline_exports_are_pinned() {
+    assert_eq!(registry::declared().len(), TIMELINE_EXPORTS.len());
+    for (&(name, _), &(pinned, json, prom)) in registry::declared().iter().zip(&TIMELINE_EXPORTS) {
+        assert_eq!(name, pinned);
+        let mut artifacts = run_artifacts(declared(name), None).expect("valid scenario");
+        let got = fold_text(&artifacts.timeline_json);
+        assert_eq!(got, json, "{name}: timeline JSON now folds to {got:#018x}");
+        let got = fold_text(&artifacts.timeline.to_prometheus());
+        assert_eq!(
+            got, prom,
+            "{name}: timeline Prometheus now folds to {got:#018x}"
         );
     }
 }

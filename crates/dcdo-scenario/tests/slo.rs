@@ -71,14 +71,17 @@ fn shipped_slo_lines_pass_everywhere() {
 #[test]
 fn artifacts_carry_timeline_and_flight() {
     let scenario = registry::load_declared("mixed_traffic").expect("loads");
-    let a = run_artifacts(scenario, None).expect("runs");
+    let mut a = run_artifacts(scenario, None).expect("runs");
     assert!(a.timeline_json.contains("\"bucket_ns\""));
     assert!(a.timeline_json.contains("\"delivered\""));
     // The derived series land in the same timeline as the hot-path stats.
     assert!(a.timeline_json.contains("\"lat.rpc\""));
     assert!(a.timeline_json.contains("\"ok.rpc\""));
-    assert!(a.timeline_prom.contains("dcdo_window_events"));
-    assert!(a.timeline_prom.contains("dcdo_window_series"));
+    // The Prometheus text is rendered on request, from the same timeline.
+    let prom = a.timeline.to_prometheus();
+    assert!(prom.contains("dcdo_window_events"));
+    assert!(prom.contains("dcdo_window_series"));
+    assert_eq!(a.timeline.to_json(), a.timeline_json);
     let flight = a.flight.expect("world was built");
     assert!(flight.frames_recorded > 0);
     assert_eq!(a.report.flight_digest, flight.ring_digest);

@@ -428,6 +428,8 @@ pub struct Simulation<M: Payload> {
     flight_sample_n: u64,
     /// The always-on windowed time-series registry.
     timeline: Timeline,
+    /// When each node crash happened, in order (a run has a handful).
+    crashes: Vec<SimTime>,
 }
 
 impl<M: Payload> Simulation<M> {
@@ -451,6 +453,7 @@ impl<M: Payload> Simulation<M> {
             flight: FlightRecorder::new(),
             flight_sample_n: 1,
             timeline: Timeline::new(),
+            crashes: Vec::new(),
         }
     }
 
@@ -545,6 +548,12 @@ impl<M: Payload> Simulation<M> {
     /// before a run or export it afterwards.
     pub fn timeline_mut(&mut self) -> &mut Timeline {
         &mut self.timeline
+    }
+
+    /// The instants of every node crash so far, ascending. Kept whether or
+    /// not spans are recorded.
+    pub fn node_crashes(&self) -> &[SimTime] {
+        &self.crashes
     }
 
     /// Configures flight-recorder head sampling: keep 1 in `n` delivered
@@ -991,6 +1000,7 @@ impl<M: Payload> Simulation<M> {
         }
         self.network.set_node_down(node);
         self.metrics.incr("sim.node_crashes");
+        self.crashes.push(self.time);
         self.trace_record(TraceEvent::NodeDown { node });
         let parent = self.current_span;
         let crash_span = self.span_emit(

@@ -16,7 +16,6 @@
 //! nearest-rank quantiles — never float sums), so the JSON and Prometheus
 //! text are byte-identical across build profiles.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::{Histogram, Metrics};
@@ -41,6 +40,16 @@ pub struct WindowStats {
     pub restarts: u64,
 }
 
+/// The exported [`WindowStats`] fields, in export order.
+const STAT_FIELDS: [&str; 6] = [
+    "events",
+    "delivered",
+    "timers",
+    "dead_letters",
+    "crashes",
+    "restarts",
+];
+
 impl WindowStats {
     fn merge(&mut self, other: &WindowStats) {
         self.events += other.events;
@@ -59,6 +68,18 @@ impl WindowStats {
     /// from when the accumulator flushes.
     fn observed(&self) -> u64 {
         self.delivered + self.timers + self.dead_letters + self.crashes + self.restarts
+    }
+
+    /// The counts in [`STAT_FIELDS`] order.
+    fn values(&self) -> [u64; 6] {
+        [
+            self.events,
+            self.delivered,
+            self.timers,
+            self.dead_letters,
+            self.crashes,
+            self.restarts,
+        ]
     }
 }
 
@@ -83,7 +104,10 @@ pub struct Timeline {
     /// against this instead of dividing.
     cur_end_ns: u64,
     cur: WindowStats,
-    done: BTreeMap<u64, Bucket>,
+    /// Finished buckets, one per window index, sorted by it. The hot path
+    /// and a run's derived series mostly touch the last window, an O(1)
+    /// append; a record behind it pays a binary search.
+    done: Vec<(u64, Bucket)>,
 }
 
 impl Default for Timeline {
@@ -101,7 +125,7 @@ impl Timeline {
             cur_idx: 0,
             cur_end_ns: DEFAULT_BUCKET_NS,
             cur: WindowStats::default(),
-            done: BTreeMap::new(),
+            done: Vec::new(),
         }
     }
 
@@ -167,17 +191,30 @@ impl Timeline {
     /// once per bucket boundary, and is the only place that divides.
     #[cold]
     fn roll(&mut self, at_ns: u64) {
-        if !self.cur.is_zero() {
-            let mut stats = std::mem::take(&mut self.cur);
-            stats.events = stats.observed();
-            self.done
-                .entry(self.cur_idx)
-                .or_default()
-                .stats
-                .merge(&stats);
-        }
+        self.flush();
         self.cur_idx = at_ns / self.bucket_ns;
         self.cur_end_ns = (self.cur_idx + 1) * self.bucket_ns;
+    }
+
+    /// The finished bucket of window `idx`, created empty if new.
+    fn bucket_mut(&mut self, idx: u64) -> &mut Bucket {
+        let pos = match self.done.last() {
+            Some(&(last, _)) if last == idx => self.done.len() - 1,
+            Some(&(last, _)) if last > idx => {
+                match self.done.binary_search_by_key(&idx, |&(i, _)| i) {
+                    Ok(pos) => pos,
+                    Err(pos) => {
+                        self.done.insert(pos, (idx, Bucket::default()));
+                        pos
+                    }
+                }
+            }
+            _ => {
+                self.done.push((idx, Bucket::default()));
+                self.done.len() - 1
+            }
+        };
+        &mut self.done[pos].1
     }
 
     /// Adds `delta` to the named counter in the bucket containing `at_ns`.
@@ -188,7 +225,7 @@ impl Timeline {
             return;
         }
         let idx = at_ns / self.bucket_ns;
-        self.done.entry(idx).or_default().metrics.add(name, delta);
+        self.bucket_mut(idx).metrics.add(name, delta);
     }
 
     /// Records a sample into the named series in the bucket containing
@@ -198,11 +235,7 @@ impl Timeline {
             return;
         }
         let idx = at_ns / self.bucket_ns;
-        self.done
-            .entry(idx)
-            .or_default()
-            .metrics
-            .sample(name, value);
+        self.bucket_mut(idx).metrics.sample(name, value);
     }
 
     /// Flushes the in-flight accumulator so [`buckets`](Timeline::buckets)
@@ -211,11 +244,7 @@ impl Timeline {
         if !self.cur.is_zero() {
             let mut stats = std::mem::take(&mut self.cur);
             stats.events = stats.observed();
-            self.done
-                .entry(self.cur_idx)
-                .or_default()
-                .stats
-                .merge(&stats);
+            self.bucket_mut(self.cur_idx).stats.merge(&stats);
         }
     }
 
@@ -225,9 +254,16 @@ impl Timeline {
         self.done.iter().map(|(k, v)| (*k, v))
     }
 
+    /// Finished buckets from window `idx` on, ascending: a binary search
+    /// for the start, not a scan of the windows before it.
+    pub fn buckets_from(&self, idx: u64) -> impl Iterator<Item = (u64, &Bucket)> {
+        let start = self.done.partition_point(|&(i, _)| i < idx);
+        self.done[start..].iter().map(|(k, v)| (*k, v))
+    }
+
     /// Total events accounted across all buckets (including in-flight).
     pub fn total_events(&self) -> u64 {
-        self.done.values().map(|b| b.stats.events).sum::<u64>() + self.cur.observed()
+        self.done.iter().map(|(_, b)| b.stats.events).sum::<u64>() + self.cur.observed()
     }
 
     /// Drops all recorded buckets and the in-flight accumulator.
@@ -245,41 +281,48 @@ impl Timeline {
     pub fn to_json(&mut self) -> String {
         self.flush();
         let bucket_ns = self.bucket_ns;
-        let mut out = String::new();
-        let _ = write!(out, "{{\n  \"bucket_ns\": {bucket_ns},\n  \"buckets\": [");
+        let mut out = String::with_capacity(64 + 256 * self.done.len());
+        out.push_str("{\n  \"bucket_ns\": ");
+        push_u64(&mut out, bucket_ns);
+        out.push_str(",\n  \"buckets\": [");
         for (i, (idx, b)) in self.done.iter_mut().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let stats = b.stats;
-            let _ = write!(
-                out,
-                "\n    {{\"window\": {idx}, \"start_ns\": {}, \"events\": {}, \"delivered\": {}, \
-                 \"timers\": {}, \"dead_letters\": {}, \"crashes\": {}, \"restarts\": {}, \"counters\": {{",
-                idx * bucket_ns,
-                stats.events,
-                stats.delivered,
-                stats.timers,
-                stats.dead_letters,
-                stats.crashes,
-                stats.restarts,
-            );
+            out.push_str("\n    {\"window\": ");
+            push_u64(&mut out, *idx);
+            out.push_str(", \"start_ns\": ");
+            push_u64(&mut out, *idx * bucket_ns);
+            for (field, v) in STAT_FIELDS.iter().zip(b.stats.values()) {
+                out.push_str(", \"");
+                out.push_str(field);
+                out.push_str("\": ");
+                push_u64(&mut out, v);
+            }
+            out.push_str(", \"counters\": {");
             for (j, (name, v)) in b.metrics.counters().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{name}\": {v}");
+                out.push('"');
+                out.push_str(name);
+                out.push_str("\": ");
+                push_u64(&mut out, v);
             }
             out.push_str("}, \"series\": {");
             for (j, (name, h)) in b.metrics.histograms_mut().enumerate() {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let [count, min, p50, p90, p99, max] = series_stats(h);
+                let [_, min, p50, p90, p99, max] = series_stats(h);
+                out.push('"');
+                out.push_str(name);
+                out.push_str("\": {\"count\": ");
+                push_u64(&mut out, h.count() as u64);
                 let _ = write!(
                     out,
-                    "\"{name}\": {{\"count\": {count}, \"min\": {min:?}, \"p50\": {p50:?}, \
-                     \"p90\": {p90:?}, \"p99\": {p99:?}, \"max\": {max:?}}}"
+                    ", \"min\": {min:?}, \"p50\": {p50:?}, \"p90\": {p90:?}, \
+                     \"p99\": {p99:?}, \"max\": {max:?}}}"
                 );
             }
             out.push_str("}}");
@@ -292,40 +335,36 @@ impl Timeline {
     }
 
     /// Deterministic Prometheus text exposition of the same statistics,
-    /// with the window index as a label.
+    /// with the window index as a label. Rendered only on request: the
+    /// scenario runner returns the finished timeline and leaves this call to
+    /// the caller that writes it out.
     pub fn to_prometheus(&mut self) -> String {
         self.flush();
-        let mut out = String::new();
-        let fields = [
-            "events",
-            "delivered",
-            "timers",
-            "dead_letters",
-            "crashes",
-            "restarts",
-        ];
-        for (k, field) in fields.iter().enumerate() {
-            let _ = writeln!(out, "# TYPE dcdo_window_{field} gauge");
+        let mut out = String::with_capacity(512 * self.done.len());
+        for (k, field) in STAT_FIELDS.iter().enumerate() {
+            out.push_str("# TYPE dcdo_window_");
+            out.push_str(field);
+            out.push_str(" gauge\n");
             for (idx, b) in &self.done {
-                let s = &b.stats;
-                let v = [
-                    s.events,
-                    s.delivered,
-                    s.timers,
-                    s.dead_letters,
-                    s.crashes,
-                    s.restarts,
-                ][k];
-                let _ = writeln!(out, "dcdo_window_{field}{{window=\"{idx}\"}} {v}");
+                out.push_str("dcdo_window_");
+                out.push_str(field);
+                out.push_str("{window=\"");
+                push_u64(&mut out, *idx);
+                out.push_str("\"} ");
+                push_u64(&mut out, b.stats.values()[k]);
+                out.push('\n');
             }
         }
         out.push_str("# TYPE dcdo_window_counter gauge\n");
         for (idx, b) in &self.done {
             for (name, v) in b.metrics.counters() {
-                let _ = writeln!(
-                    out,
-                    "dcdo_window_counter{{name=\"{name}\",window=\"{idx}\"}} {v}"
-                );
+                out.push_str("dcdo_window_counter{name=\"");
+                out.push_str(name);
+                out.push_str("\",window=\"");
+                push_u64(&mut out, *idx);
+                out.push_str("\"} ");
+                push_u64(&mut out, v);
+                out.push('\n');
             }
         }
         out.push_str("# TYPE dcdo_window_series gauge\n");
@@ -336,15 +375,34 @@ impl Timeline {
                     .iter()
                     .zip(stats)
                 {
-                    let _ = writeln!(
-                        out,
-                        "dcdo_window_series{{name=\"{name}\",stat=\"{stat}\",window=\"{idx}\"}} {v:?}"
-                    );
+                    out.push_str("dcdo_window_series{name=\"");
+                    out.push_str(name);
+                    out.push_str("\",stat=\"");
+                    out.push_str(stat);
+                    out.push_str("\",window=\"");
+                    push_u64(&mut out, *idx);
+                    let _ = writeln!(out, "\"}} {v:?}");
                 }
             }
         }
         out
     }
+}
+
+/// Appends `v` in decimal, the bytes `write!(out, "{v}")` would append,
+/// without going through the formatting machinery.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// What both exporters report of one series: count, exact min,
@@ -451,5 +509,232 @@ mod tests {
         t.flush();
         let buckets: Vec<u64> = t.buckets().map(|(i, _)| i).collect();
         assert_eq!(buckets, vec![0, 2]);
+        let from: Vec<u64> = t.buckets_from(1).map(|(i, _)| i).collect();
+        assert_eq!(from, vec![2]);
+        assert_eq!(t.buckets_from(3).count(), 0);
+    }
+
+    #[test]
+    fn decimal_writer_matches_display() {
+        let mut cases = vec![0, 9, 10, u64::MAX];
+        cases.extend((0..20).map(|k| 10u64.pow(k)));
+        cases.extend((1..20).map(|k| 10u64.pow(k) - 1));
+        for v in cases {
+            let mut out = String::from("x");
+            push_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+    }
+
+    /// The window store this module had before the sorted `Vec`: a
+    /// `BTreeMap` keyed by window, rendered through `write!`.
+    struct Oracle {
+        bucket_ns: u64,
+        cur_idx: u64,
+        cur_end_ns: u64,
+        cur: WindowStats,
+        done: std::collections::BTreeMap<u64, Bucket>,
+    }
+
+    impl Oracle {
+        fn new(bucket_ns: u64) -> Self {
+            Oracle {
+                bucket_ns,
+                cur_idx: 0,
+                cur_end_ns: bucket_ns,
+                cur: WindowStats::default(),
+                done: Default::default(),
+            }
+        }
+
+        fn account(&mut self, at_ns: u64, code: u8) {
+            if at_ns >= self.cur_end_ns {
+                self.flush();
+                self.cur_idx = at_ns / self.bucket_ns;
+                self.cur_end_ns = (self.cur_idx + 1) * self.bucket_ns;
+            }
+            match code {
+                2 => self.cur.delivered += 1,
+                3 => self.cur.dead_letters += 1,
+                4 => self.cur.timers += 1,
+                7 => self.cur.crashes += 1,
+                8 => self.cur.restarts += 1,
+                _ => {}
+            }
+        }
+
+        fn bucket(&mut self, at_ns: u64) -> &mut Bucket {
+            self.done.entry(at_ns / self.bucket_ns).or_default()
+        }
+
+        fn flush(&mut self) {
+            if !self.cur.is_zero() {
+                let mut stats = std::mem::take(&mut self.cur);
+                stats.events = stats.observed();
+                self.done
+                    .entry(self.cur_idx)
+                    .or_default()
+                    .stats
+                    .merge(&stats);
+            }
+        }
+
+        fn json(&mut self) -> String {
+            self.flush();
+            let bucket_ns = self.bucket_ns;
+            let mut out = String::new();
+            let _ = write!(out, "{{\n  \"bucket_ns\": {bucket_ns},\n  \"buckets\": [");
+            for (i, (idx, b)) in self.done.iter_mut().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let [events, delivered, timers, dead_letters, crashes, restarts] = b.stats.values();
+                let _ = write!(
+                    out,
+                    "\n    {{\"window\": {idx}, \"start_ns\": {}, \"events\": {events}, \
+                     \"delivered\": {delivered}, \"timers\": {timers}, \"dead_letters\": \
+                     {dead_letters}, \"crashes\": {crashes}, \"restarts\": {restarts}, \
+                     \"counters\": {{",
+                    idx * bucket_ns,
+                );
+                for (j, (name, v)) in b.metrics.counters().enumerate() {
+                    let sep = if j > 0 { ", " } else { "" };
+                    let _ = write!(out, "{sep}\"{name}\": {v}");
+                }
+                out.push_str("}, \"series\": {");
+                for (j, (name, h)) in b.metrics.histograms_mut().enumerate() {
+                    let sep = if j > 0 { ", " } else { "" };
+                    let [count, min, p50, p90, p99, max] = series_stats(h);
+                    let _ = write!(
+                        out,
+                        "{sep}\"{name}\": {{\"count\": {count}, \"min\": {min:?}, \"p50\": \
+                         {p50:?}, \"p90\": {p90:?}, \"p99\": {p99:?}, \"max\": {max:?}}}"
+                    );
+                }
+                out.push_str("}}");
+            }
+            if !self.done.is_empty() {
+                out.push_str("\n  ");
+            }
+            out.push_str("]\n}\n");
+            out
+        }
+
+        fn prometheus(&mut self) -> String {
+            self.flush();
+            let mut out = String::new();
+            for (k, field) in STAT_FIELDS.iter().enumerate() {
+                let _ = writeln!(out, "# TYPE dcdo_window_{field} gauge");
+                for (idx, b) in &self.done {
+                    let v = b.stats.values()[k];
+                    let _ = writeln!(out, "dcdo_window_{field}{{window=\"{idx}\"}} {v}");
+                }
+            }
+            out.push_str("# TYPE dcdo_window_counter gauge\n");
+            for (idx, b) in &self.done {
+                for (name, v) in b.metrics.counters() {
+                    let _ = writeln!(
+                        out,
+                        "dcdo_window_counter{{name=\"{name}\",window=\"{idx}\"}} {v}"
+                    );
+                }
+            }
+            out.push_str("# TYPE dcdo_window_series gauge\n");
+            for (idx, b) in &mut self.done {
+                for (name, h) in b.metrics.histograms_mut() {
+                    let stats = series_stats(h);
+                    for (stat, v) in ["count", "min", "p50", "p90", "p99", "max"]
+                        .iter()
+                        .zip(stats)
+                    {
+                        let _ = writeln!(
+                            out,
+                            "dcdo_window_series{{name=\"{name}\",stat=\"{stat}\",\
+                             window=\"{idx}\"}} {v:?}"
+                        );
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// A bucket as comparable plain data.
+    type Flat = (
+        u64,
+        WindowStats,
+        Vec<(String, u64)>,
+        Vec<(String, Vec<f64>)>,
+    );
+
+    fn flat<'a>(buckets: impl Iterator<Item = (u64, &'a Bucket)>) -> Vec<Flat> {
+        buckets
+            .map(|(idx, b)| {
+                let counters = b.metrics.counters().map(|(n, v)| (n.into(), v));
+                let series = b.metrics.histograms();
+                let series = series.map(|(n, h)| (n.into(), h.samples().to_vec()));
+                (idx, b.stats, counters.collect(), series.collect())
+            })
+            .collect()
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        const BUCKET_NS: u64 = 100;
+        const NAMES: [&str; 3] = ["lat.rpc", "ok.rpc", "served"];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Any interleaving of hot-path accounting, derived records (in
+            /// and behind the current window, near and far apart) and
+            /// flushes leaves the sorted-`Vec` store holding and exporting
+            /// exactly what the `BTreeMap` store did; an empty op list is
+            /// the empty timeline.
+            #[test]
+            fn sorted_vec_store_matches_btreemap_oracle(
+                ops in prop::collection::vec(
+                    (
+                        0u8..4,
+                        prop_oneof![0u64..6, 6u64..40, 1_000u64..1_003, 1_000_000_000u64..1_000_000_002],
+                        0u64..BUCKET_NS,
+                        (0usize..3, 0u8..9),
+                    ),
+                    0..48,
+                ),
+            ) {
+                let mut t = Timeline::new();
+                t.set_bucket_ns(BUCKET_NS);
+                let mut oracle = Oracle::new(BUCKET_NS);
+                for &(op, window, offset, (name, small)) in &ops {
+                    let at_ns = window * BUCKET_NS + offset;
+                    match op {
+                        0 => {
+                            t.account(at_ns, small);
+                            oracle.account(at_ns, small);
+                        }
+                        1 => {
+                            t.record_counter(at_ns, NAMES[name], small as u64);
+                            oracle.bucket(at_ns).metrics.add(NAMES[name], small as u64);
+                        }
+                        2 => {
+                            let value = small as f64 / 4.0 - offset as f64;
+                            t.record_sample(at_ns, NAMES[name], value);
+                            oracle.bucket(at_ns).metrics.sample(NAMES[name], value);
+                        }
+                        _ => {
+                            t.flush();
+                            oracle.flush();
+                        }
+                    }
+                    prop_assert_eq!(flat(t.buckets()), flat(oracle.done.iter().map(|(k, v)| (*k, v))));
+                }
+                prop_assert_eq!(t.to_json(), oracle.json());
+                prop_assert_eq!(t.to_prometheus(), oracle.prometheus());
+                prop_assert_eq!(flat(t.buckets()), flat(oracle.done.iter().map(|(k, v)| (*k, v))));
+            }
+        }
     }
 }

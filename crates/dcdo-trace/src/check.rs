@@ -8,16 +8,17 @@
 //!    delivery across a traced partition or toward a traced-down node.
 //!    (In-flight messages sent *before* a partition may legally land after
 //!    it; only the send-time verdict is checked against topology.)
-//! 2. **Flow termination** — every `FlowStarted` meets a matching
-//!    `FlowCompleted` or `FlowAborted`; flows never leak. A flow whose
-//!    *owner's* node crashes dies with its actor and is not leaked
+//! 2. **Flow termination** — every flow id starts once and meets one
+//!    matching `FlowCompleted` or `FlowAborted`; flows never leak. A flow
+//!    whose *owner's* node crashes dies with its actor and is not leaked
 //!    (mirroring the retry-chain rule below).
 //! 3. **Generation monotonicity** — `GenerationStamp`s are non-decreasing
 //!    per object.
 //! 4. **Retry-chain resolution** — every call with an `RpcAttempt`
 //!    terminates in an `RpcCompleted` (success or a typed fault); chains
-//!    never dangle. A chain whose *caller's* node crashes dies with the
-//!    caller and is not dangling.
+//!    never dangle, and no call completes twice. A chain whose *caller's*
+//!    node crashes dies with the caller and is not dangling. A completion
+//!    with no attempt is legal (legion's binding-query timeouts emit one).
 //! 5. **Recovery re-registration** — after a `Recover` flow starts for an
 //!    object, the object serves no call until its binding is re-registered.
 //! 6. **Epoch monotonicity** — committed epochs are strictly increasing per
@@ -66,6 +67,13 @@ pub enum Violation {
         /// The flow id.
         flow: u64,
     },
+    /// A flow id started a second time.
+    DuplicateFlowStart {
+        /// The offending event.
+        span: SpanId,
+        /// The flow id.
+        flow: u64,
+    },
     /// An object's generation stamp went backwards.
     GenerationRegressed {
         /// The object.
@@ -78,6 +86,13 @@ pub enum Violation {
     /// An RPC retry chain never terminated.
     DanglingRetryChain {
         /// The unresolved call id.
+        call: u64,
+    },
+    /// An RPC call completed a second time.
+    DuplicateRpcCompletion {
+        /// The offending event.
+        span: SpanId,
+        /// The call id.
         call: u64,
     },
     /// A recovered object served a call before re-registering its binding.
@@ -136,11 +151,17 @@ impl fmt::Display for Violation {
             Violation::SpuriousFlowEnd { span, flow } => {
                 write!(f, "{span}: flow {flow} ended without being open")
             }
+            Violation::DuplicateFlowStart { span, flow } => {
+                write!(f, "{span}: flow {flow} started again")
+            }
             Violation::GenerationRegressed { object, from, to } => {
                 write!(f, "object {object}: generation regressed {from} -> {to}")
             }
             Violation::DanglingRetryChain { call } => {
                 write!(f, "call {call}: retry chain never resolved")
+            }
+            Violation::DuplicateRpcCompletion { span, call } => {
+                write!(f, "{span}: call {call} completed again")
             }
             Violation::ServedBeforeReregister { span, object } => {
                 write!(
@@ -228,8 +249,8 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
     // flow id -> (object, open?, node the flow started on)
     let mut flows: IdMap<u64, (u64, bool, u32)> = IdMap::default();
     let mut generations: IdMap<u64, u64> = IdMap::default();
-    // call id -> (resolved?, caller node of the latest attempt)
-    let mut calls: IdMap<u64, (bool, u32)> = IdMap::default();
+    // call id -> (resolved?, completed?, caller node of the latest attempt)
+    let mut calls: IdMap<u64, (bool, bool, u32)> = IdMap::default();
     // object -> recover flow awaiting re-registration
     let mut recovering: IdMap<u64, u64> = IdMap::default();
     // group -> last committed epoch
@@ -242,7 +263,7 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
             SpanKind::NodeCrashed { node } => {
                 topo.set_down(*node, true);
                 // Retry chains whose caller just died terminate with it.
-                for (resolved, caller) in calls.values_mut() {
+                for (resolved, _, caller) in calls.values_mut() {
                     if *caller == *node {
                         *resolved = true;
                     }
@@ -282,7 +303,12 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                 });
             }
             SpanKind::FlowStarted { flow, object, kind } => {
-                flows.insert(*flow, (*object, true, e.node));
+                if flows.insert(*flow, (*object, true, e.node)).is_some() {
+                    violations.push(Violation::DuplicateFlowStart {
+                        span: e.id,
+                        flow: *flow,
+                    });
+                }
                 if *kind == FlowKind::Recover {
                     recovering.insert(*object, *flow);
                 }
@@ -318,11 +344,16 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                 }
             }
             SpanKind::RpcAttempt { call, .. } => {
-                let entry = calls.entry(*call).or_insert((false, e.node));
-                entry.1 = e.node;
+                let entry = calls.entry(*call).or_insert((false, false, e.node));
+                entry.2 = e.node;
             }
             SpanKind::RpcCompleted { call, .. } => {
-                calls.insert(*call, (true, e.node));
+                if let Some((_, true, _)) = calls.insert(*call, (true, true, e.node)) {
+                    violations.push(Violation::DuplicateRpcCompletion {
+                        span: e.id,
+                        call: *call,
+                    });
+                }
             }
             SpanKind::BindingRegistered { object, .. } => {
                 recovering.remove(object);
@@ -403,7 +434,7 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
 
     let mut dangling: Vec<u64> = calls
         .iter()
-        .filter(|(_, (resolved, _))| !*resolved)
+        .filter(|(_, (resolved, _, _))| !*resolved)
         .map(|(call, _)| *call)
         .collect();
     dangling.sort_unstable();
@@ -712,6 +743,56 @@ mod tests {
             },
         );
         assert_eq!(check(&l), vec![]);
+    }
+
+    #[test]
+    fn catches_duplicate_rpc_completion() {
+        // Negative control: call 77 resolves, then resolves again.
+        let attempt = SpanKind::RpcAttempt {
+            call: 77,
+            object: 9,
+            attempt: 1,
+            dst: 2,
+        };
+        let done = |outcome| SpanKind::RpcCompleted { call: 77, outcome };
+        let mut l = log();
+        l.emit(0, 0, None, attempt.clone());
+        l.emit(1, 0, None, done(RpcOutcome::Ok));
+        assert_eq!(check(&l), vec![]);
+        l.emit(2, 0, None, done(RpcOutcome::Timeout));
+        assert!(matches!(
+            check(&l)[..],
+            [Violation::DuplicateRpcCompletion { call: 77, .. }]
+        ));
+        // A completion without any attempt (a binding-query timeout) is
+        // legal, and so is one after the caller's node crashed.
+        let mut l2 = log();
+        l2.emit(0, 0, None, done(RpcOutcome::Timeout));
+        let mut l3 = log();
+        l3.emit(0, 4, None, attempt);
+        l3.emit(1, NO_NODE, None, SpanKind::NodeCrashed { node: 4 });
+        l3.emit(2, 0, None, done(RpcOutcome::Unreachable));
+        assert_eq!((check(&l2), check(&l3)), (vec![], vec![]));
+    }
+
+    #[test]
+    fn catches_duplicate_flow_start() {
+        // Negative control: flow 1 ends, then its id starts again.
+        let started = SpanKind::FlowStarted {
+            flow: 1,
+            object: 7,
+            kind: FlowKind::Update,
+        };
+        let mut l = log();
+        l.emit(0, 0, None, started.clone());
+        l.emit(1, 0, None, SpanKind::FlowCompleted { flow: 1 });
+        assert_eq!(check(&l), vec![]);
+        l.emit(2, 0, None, started);
+        l.emit(3, 0, None, SpanKind::FlowCompleted { flow: 1 });
+        assert!(matches!(
+            check(&l)[..],
+            [Violation::DuplicateFlowStart { flow: 1, .. }]
+        ));
     }
 
     #[test]

@@ -325,9 +325,9 @@ pub fn tail_sample_checked(
     }
     for v in violations {
         let named = match v {
-            Violation::LeakedFlow { flow, .. } | Violation::SpuriousFlowEnd { flow, .. } => {
-                Some(flow)
-            }
+            Violation::LeakedFlow { flow, .. }
+            | Violation::SpuriousFlowEnd { flow, .. }
+            | Violation::DuplicateFlowStart { flow, .. } => Some(flow),
             _ => None,
         };
         if let Some(flow) = named {
