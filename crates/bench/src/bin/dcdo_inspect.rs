@@ -354,7 +354,7 @@ fn run_flight(args: &[String]) {
 /// digest.
 fn run_trace(args: &[String]) {
     let (cli, name, artifacts) = run_single("trace", args);
-    let log = TraceLog::from_events(artifacts.spans);
+    let log = TraceLog::from_events(artifacts.spans, artifacts.span_groups);
     let json_path = cli.out.unwrap_or_else(|| format!("TRACE_{name}.json"));
     std::fs::write(&json_path, log.to_chrome_trace()).expect("write chrome trace");
     println!(
@@ -435,7 +435,7 @@ fn run_workload(name: &str, seed: u64) -> ProfileReport {
                 .expect("declared scenarios validate at any seed");
             print!("{}", artifacts.report.render());
             ProfileReport::analyze(
-                &TraceLog::from_events(artifacts.spans),
+                &TraceLog::from_events(artifacts.spans, artifacts.span_groups),
                 &LayerMap::new(),
                 &FnNames::new(),
             )

@@ -343,7 +343,7 @@ impl Actor<Msg> for GroupReplica {
                     self.served += 1;
                     ctx.emit_span(SpanKind::EpochServed {
                         group: self.group,
-                        replica: self.member as u64,
+                        replica: self.member,
                         epoch: self.config.epoch,
                         call: call.as_raw(),
                     });

@@ -288,19 +288,7 @@ mod tests {
                 dst_node: 4,
             },
         );
-        l.emit(
-            950,
-            4,
-            del,
-            SpanKind::VmCost {
-                object: 4,
-                call: 77,
-                function: fn_hash("step"),
-                calls: 1,
-                instructions: 12,
-                work_nanos: 40,
-            },
-        );
+        l.emit(950, 4, del, SpanKind::vm_cost(fn_hash("step"), 1, 12, 40));
         l.emit(1_000, 0, del, SpanKind::FlowCompleted { flow: 1 });
         l
     }

@@ -88,7 +88,7 @@ pub fn vm_costs_between(
                 work_nanos: 0,
             });
             cost.threads += 1;
-            cost.calls += *calls;
+            cost.calls += u64::from(*calls);
             cost.instructions += *instructions;
             cost.work_nanos += *work_nanos;
         }
@@ -108,14 +108,7 @@ mod tests {
     use super::*;
 
     fn cost(function: u64, calls: u64, instructions: u64, work: u64) -> SpanKind {
-        SpanKind::VmCost {
-            object: 1,
-            call: 2,
-            function,
-            calls,
-            instructions,
-            work_nanos: work,
-        }
+        SpanKind::vm_cost(function, calls, instructions, work)
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //!    windowed series from the span log → run the trace-invariant checker
 //!    (one sweep, kept on the [`RunCx`] for every later reader) → `judge`
 //!    every expectation → `trace_hash` and span digest → tail-sample the
-//!    flight dump (with the checker's verdict) → move the spans out of the
-//!    simulation into the [`RunArtifacts`] → render the timeline JSON and
-//!    move the finished timeline out too. Nothing renders the Prometheus
-//!    text unless a caller asks the returned timeline for it.
+//!    flight dump (with the checker's verdict) → move the spans and their
+//!    group arena out of the simulation into the [`RunArtifacts`] → render
+//!    the timeline JSON and move the finished timeline out too. Nothing
+//!    renders the Prometheus text unless a caller asks the returned timeline
+//!    for it.
 //!
 //! The three witnesses are word folds (`dcdo_sim::Fold`: one multiply and
 //! one rotate per `u64`, seeded with the element count), never byte hashes.
@@ -33,7 +34,7 @@
 //! digest the frame count and the flight ring's retained frames.
 
 use dcdo_sim::{
-    tail_sample_checked, FlightDump, NodeId, RpcOutcome, SpanEvent, SpanKind, Timeline,
+    tail_sample_checked, FlightDump, GroupArena, NodeId, RpcOutcome, SpanEvent, SpanKind, Timeline,
 };
 
 use crate::report::ScenarioReport;
@@ -56,10 +57,14 @@ pub const TRACE_RING_CAPACITY: usize = 1 << 18;
 pub struct RunArtifacts {
     /// The pass/fail report (same value [`run`] returns).
     pub report: ScenarioReport,
-    /// The run's span log, for post-hoc analyses (moved out of the
-    /// simulation, not copied; [`dcdo_sim::TraceLog::from_events`] wraps it
-    /// again).
+    /// The run's span log, for post-hoc analyses: moved out of the
+    /// simulation, since a copy would hold the log twice.
+    /// [`dcdo_sim::TraceLog::from_events`] wraps it again, together with
+    /// [`span_groups`](RunArtifacts::span_groups).
     pub spans: Vec<SpanEvent>,
+    /// The group arena the `PartitionChanged` spans in
+    /// [`spans`](RunArtifacts::spans) point into.
+    pub span_groups: GroupArena,
     /// Entries the legacy execution-trace ring evicted: when non-zero,
     /// [`ScenarioReport::trace_hash`] witnesses only the ring's tail (its
     /// last [`TRACE_RING_CAPACITY`] entries), not the whole run.
@@ -278,15 +283,14 @@ pub fn run_artifacts(
             None => (0, 0, 0, 0, 0, None),
         };
     // Every reader of the span log has had its turn, so the artifacts take
-    // the events themselves: an element-wise clone would hold the log
-    // twice (`PartitionChanged` owns a `Vec`, so `SpanEvent` is not `Copy`).
-    let (spans, timeline_json, timeline) = match cx.world.sim_mut() {
+    // the events and their group arena themselves.
+    let ((spans, span_groups), timeline_json, timeline) = match cx.world.sim_mut() {
         Some(sim) => (
             sim.spans_mut().take_events(),
             sim.timeline_mut().to_json(),
             std::mem::take(sim.timeline_mut()),
         ),
-        None => (Vec::new(), String::new(), Timeline::new()),
+        None => (Default::default(), String::new(), Timeline::new()),
     };
     Ok(RunArtifacts {
         report: ScenarioReport {
@@ -306,6 +310,7 @@ pub fn run_artifacts(
             verdicts,
         },
         spans,
+        span_groups,
         trace_entries_dropped,
         timeline_json,
         timeline,

@@ -212,7 +212,7 @@ fn returned_spans_recompute_every_reported_witness() {
     for (name, _) in registry::declared() {
         let artifacts = run_artifacts(declared(name), None).expect("valid scenario");
         let report = artifacts.report;
-        let log = TraceLog::from_events(artifacts.spans);
+        let log = TraceLog::from_events(artifacts.spans, artifacts.span_groups);
         assert_eq!(log.digest(), report.span_digest, "{name}: span digest");
         assert_eq!(
             check_trace_invariants(&log).len() as u64,
@@ -233,6 +233,70 @@ fn returned_spans_recompute_every_reported_witness() {
     }
 }
 
+/// Partitions installed through `Simulation::set_partition` (by
+/// `rolling_partition`'s chaos plan) keep their groups in the log's arena:
+/// after the spans leave the run in `RunArtifacts` and are wrapped again,
+/// the digest, both exporters and the checker all read the same groups.
+#[test]
+fn partition_groups_survive_the_artifacts_round_trip() {
+    use dcdo_sim::{check_trace_invariants, SendVerdict, SpanEvent, SpanId, Violation};
+    let artifacts = run_artifacts(declared("rolling_partition"), None).expect("valid scenario");
+    let (spans, groups) = (artifacts.spans, artifacts.span_groups);
+    let log = TraceLog::from_events(spans.clone(), groups.clone());
+    assert_eq!(log.digest(), artifacts.report.span_digest);
+
+    let installed: Vec<(usize, &[u32])> = log
+        .events()
+        .iter()
+        .enumerate()
+        .filter_map(|(pos, e)| match e.kind {
+            SpanKind::PartitionChanged { groups } => Some((pos, log.groups(groups))),
+            _ => None,
+        })
+        .collect();
+    let expected: [&[u32]; 2] = [&[1, 1, 1, 1, 2, 2, 2, 2], &[1, 2, 1, 2, 1, 2, 1, 2]];
+    assert_eq!(installed.iter().map(|p| p.1).collect::<Vec<_>>(), expected);
+
+    let jsonl = log.to_jsonl();
+    let jsonl: Vec<&str> = jsonl.lines().collect();
+    let chrome = log.to_chrome_trace();
+    for &(pos, groups) in &installed {
+        let list: Vec<String> = groups.iter().map(u32::to_string).collect();
+        let tail = format!("\"ngroups\":8,\"groups\":[{}]}}", list.join(","));
+        assert!(jsonl[pos].ends_with(&tail), "JSONL: {}", jsonl[pos]);
+        assert!(
+            chrome.contains(&format!("{tail}}}")),
+            "Chrome trace: {tail}"
+        );
+    }
+
+    // The checker replays reachability from the arena: right after the
+    // first partition, node 0 reaches node 2 but not node 4.
+    let first = installed[0].0;
+    let planted = |dst_node: u32| {
+        let mut log = TraceLog::from_events(spans[..=first].to_vec(), groups.clone());
+        log.push_event(SpanEvent {
+            id: SpanId::from_raw(u64::MAX).expect("nonzero"),
+            parent: None,
+            at_ns: spans[first].at_ns,
+            node: 0,
+            kind: SpanKind::MsgSent {
+                src: 0,
+                dst: 1,
+                src_node: 0,
+                dst_node,
+                verdict: SendVerdict::Sent,
+                bytes: 1,
+            },
+        });
+        check_trace_invariants(&log)
+            .into_iter()
+            .filter(|v| matches!(v, Violation::SentAcrossFault { .. }))
+            .count()
+    };
+    assert_eq!((planted(2), planted(4)), (0, 1));
+}
+
 /// The witnesses as the parent of the word fold (PR 15) computed them,
 /// byte-serial FNV-1a throughout, from public accessors only: the re-pin
 /// oracle. Judged like any expectation, so it reads the very trace ring,
@@ -247,7 +311,7 @@ impl Expectation for LegacyWitnesses {
     fn judge(&mut self, cx: &RunCx) -> Verdict {
         let sim = cx.world.sim().expect("a world was built");
         let trace = fnv1a(sim.trace().render().as_bytes());
-        let (span, span_sans_configs) = legacy_span_digests(sim.spans());
+        let [span, span_sans_configs, span_sans_vm_ids] = legacy_span_digests(sim.spans());
         let mut flight = Fnv1a::new();
         let mut word = |w: u64| flight.write_bytes(&w.to_le_bytes());
         word(sim.flight().recorded());
@@ -258,24 +322,47 @@ impl Expectation for LegacyWitnesses {
         let flight = flight.finish();
         Verdict::pass(
             self.name(),
-            format!("{trace:016x} {span:016x} {flight:016x} {span_sans_configs:016x}"),
+            format!(
+                "{trace:016x} {span:016x} {flight:016x} {span_sans_configs:016x} \
+                 {span_sans_vm_ids:016x}"
+            ),
         )
     }
 }
 
+/// A word [`legacy_span_digests`] covers, by which digests leave it out.
+#[derive(Clone, Copy, PartialEq)]
+enum Word {
+    /// Every digest covers it.
+    Kept,
+    /// The `config` word of `EpochProposed`/`EpochCommitted`.
+    Config,
+    /// The `object` or `call` word of a `VmCost` in the 88-byte record.
+    VmId,
+}
+
 /// PR 15's `TraceLog::digest`: id, parent, time, node, kind code, then the
-/// kind's fields in declaration order (read back from the JSONL export,
-/// which prints exactly those), a `GenerationStamp` contributing only its
-/// object, a `PartitionChanged` also its groups. The second digest leaves
-/// out the `config` word of `EpochProposed`/`EpochCommitted`: that value is
-/// itself a `dcdo-group` lattice digest, which moved to the fold too.
-fn legacy_span_digests(log: &TraceLog) -> (u64, u64) {
-    let (mut all, mut sans_configs) = (Fnv1a::new(), Fnv1a::new());
+/// kind's fields in declaration order, a `GenerationStamp` contributing only
+/// its object, a `PartitionChanged` also its groups. Fields and groups are
+/// read back from the JSONL export, which prints exactly those, so the
+/// oracle does not depend on the span record's layout.
+///
+/// Three digests, `[all, sans configs, sans VM ids]`. The second leaves out
+/// the `config` words: that value is itself a `dcdo-group` lattice digest,
+/// which moved to the fold too. The third leaves out `VmCost`'s `object`
+/// and `call` words, which the 64-byte span record dropped.
+fn legacy_span_digests(log: &TraceLog) -> [u64; 3] {
+    let mut digests = [Fnv1a::new(), Fnv1a::new(), Fnv1a::new()];
     for (e, line) in log.events().iter().zip(log.to_jsonl().lines()) {
-        let mut word = |w: u64, config: bool| {
-            all.write_bytes(&w.to_le_bytes());
-            if !config {
-                sans_configs.write_bytes(&w.to_le_bytes());
+        let mut word = |w: u64, kind: Word| {
+            for (digest, left_out) in
+                digests
+                    .iter_mut()
+                    .zip([None, Some(Word::Config), Some(Word::VmId)])
+            {
+                if left_out != Some(kind) {
+                    digest.write_bytes(&w.to_le_bytes());
+                }
             }
         };
         for w in [
@@ -285,32 +372,38 @@ fn legacy_span_digests(log: &TraceLog) -> (u64, u64) {
             e.node as u64,
             e.kind.code(),
         ] {
-            word(w, false);
+            word(w, Word::Kept);
         }
         // `…,"kind":"<name>"<,"field":value>*[,"groups":[…]]}`
         let fields = line.split_once("\"kind\":\"").expect("kind").1;
         let fields = fields.split_once('"').expect("kind name").1;
-        let fields = fields.split(",\"groups\"").next().expect("nonempty");
+        let (fields, groups) = match fields.split_once(",\"groups\":[") {
+            Some((fields, groups)) => (fields, groups.trim_end_matches("]}")),
+            None => (fields.trim_end_matches('}'), ""),
+        };
         let is_epoch = matches!(
             e.kind,
             SpanKind::EpochProposed { .. } | SpanKind::EpochCommitted { .. }
         );
         let is_stamp = matches!(e.kind, SpanKind::GenerationStamp { .. });
-        for field in fields.trim_end_matches('}').split(',').skip(1) {
+        let is_vm = matches!(e.kind, SpanKind::VmCost { .. });
+        for field in fields.split(',').skip(1) {
             let (name, value) = field.split_once(':').expect("a pair");
             if is_stamp && name == "\"generation\"" {
                 continue;
             }
-            word(
-                value.parse().expect("an integer field"),
-                is_epoch && name == "\"config\"",
-            );
+            let kind = match name {
+                "\"config\"" if is_epoch => Word::Config,
+                "\"object\"" | "\"call\"" if is_vm => Word::VmId,
+                _ => Word::Kept,
+            };
+            word(value.parse().expect("an integer field"), kind);
         }
-        if let SpanKind::PartitionChanged { groups } = &e.kind {
-            groups.iter().for_each(|&g| word(g as u64, false));
+        for g in groups.split(',').filter(|g| !g.is_empty()) {
+            word(g.parse().expect("an integer group"), Word::Kept);
         }
     }
-    (all.finish(), sans_configs.finish())
+    digests.map(|d| d.finish())
 }
 
 /// `(scenario, trace_hash, span_digest, flight_digest)` exactly as PR 15's
@@ -387,10 +480,21 @@ const PR15_SPAN_DIGEST_SANS_CONFIGS: [(&str, u64); 2] = [
     ("rolling_upgrade_coord_crash", 0x65cf_a28d_73a1_444a),
 ];
 
+/// The three scenarios whose spans carry `VmCost`: their span digest with
+/// `VmCost`'s `object` and `call` words left out, computed by
+/// [`legacy_span_digests`] from the 88-byte record's spans, in the same run
+/// whose full legacy span digest equalled the frozen golden above.
+const SPAN_DIGEST_SANS_VM_IDS: [(&str, u64); 3] = [
+    ("mixed_traffic", 0xcf10_4525_b2db_d615),
+    ("reconfig", 0xcb04_77a3_35f9_a87e),
+    ("crash_during_reconfig", 0x7c9d_8669_3b9a_ac1a),
+];
+
 /// The one-time re-pin proof: from the same run, the legacy witnesses still
 /// equal PR 15's goldens and the folded ones equal the committed
 /// `BENCH_scenarios.json` — the values moved, the behaviour they witness
-/// did not.
+/// did not. Where a re-pin left words out (the `config` digests, the
+/// `VmCost` ids) the legacy digest without them equals the frozen one.
 #[test]
 fn legacy_witnesses_still_match_the_pr15_goldens() {
     assert_eq!(registry::declared().len(), PR15_WITNESSES.len());
@@ -413,19 +517,23 @@ fn legacy_witnesses_still_match_the_pr15_goldens() {
             .collect();
         assert_eq!(legacy[0], trace, "{name}: legacy trace hash");
         assert_eq!(legacy[2], flight, "{name}: legacy flight digest");
-        match PR15_SPAN_DIGEST_SANS_CONFIGS
-            .iter()
-            .find(|(n, _)| *n == name)
-        {
-            Some(&(_, sans_configs)) => {
-                assert_eq!(
-                    legacy[3], sans_configs,
-                    "{name}: legacy span digest sans configs"
-                )
-            }
-            None => {
+        let frozen = |table: &[(&str, u64)]| table.iter().find(|(n, _)| *n == name).map(|e| e.1);
+        match (
+            frozen(&PR15_SPAN_DIGEST_SANS_CONFIGS),
+            frozen(&SPAN_DIGEST_SANS_VM_IDS),
+        ) {
+            (Some(sans_configs), _) => assert_eq!(
+                legacy[3], sans_configs,
+                "{name}: legacy span digest sans configs"
+            ),
+            (None, Some(sans_vm_ids)) => assert_eq!(
+                legacy[4], sans_vm_ids,
+                "{name}: legacy span digest sans VM ids"
+            ),
+            (None, None) => {
                 assert_eq!(legacy[1], span, "{name}: legacy span digest");
                 assert_eq!(legacy[3], span, "{name}: no config words to leave out");
+                assert_eq!(legacy[4], span, "{name}: no VM ids to leave out");
             }
         }
         let folded = format!(

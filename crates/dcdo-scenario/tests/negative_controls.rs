@@ -60,7 +60,8 @@ fn planted_invariant_violation_fails_with_a_precise_verdict() {
         .flows
         .iter()
         .any(|f| f.flow == 999_999 && f.violating));
-    let log = dcdo_sim::TraceLog::from_events(artifacts.spans.clone());
+    let log =
+        dcdo_sim::TraceLog::from_events(artifacts.spans.clone(), artifacts.span_groups.clone());
     assert_eq!(dcdo_sim::check_trace_invariants(&log).len(), 1);
     let verdict = &report.verdicts[0];
     assert_eq!(verdict.expectation, "trace_invariants");

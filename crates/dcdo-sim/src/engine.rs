@@ -584,7 +584,7 @@ impl<M: Payload> Simulation<M> {
     pub fn set_partition(&mut self, partition_groups: &[Vec<NodeId>]) {
         self.network.set_partition(partition_groups);
         if self.spans.is_enabled() {
-            let groups = self.network.partition_groups().to_vec();
+            let groups = self.spans.intern_groups(self.network.partition_groups());
             self.emit_span(SpanKind::PartitionChanged { groups });
         }
     }

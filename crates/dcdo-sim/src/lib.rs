@@ -81,6 +81,6 @@ pub use dcdo_trace::{
 // on the tracing crate directly.
 pub use dcdo_trace::{
     cfg_step, check as check_trace_invariants, fn_hash, fnv1a, mgr_step, FlowKind, Fnv1a, Fold,
-    IdHasher, IdMap, IdSet, RpcOutcome, SendVerdict, SpanEvent, SpanId, SpanKind, TraceLog,
-    Violation, NO_NODE,
+    GroupArena, GroupsRef, IdHasher, IdMap, IdSet, RpcOutcome, SendVerdict, SpanEvent, SpanId,
+    SpanKind, TraceLog, Violation, NO_NODE,
 };

@@ -279,7 +279,7 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                 topo.set_down(*node, false);
             }
             SpanKind::PartitionChanged { groups } => {
-                topo.groups = groups.clone();
+                topo.groups = log.groups(*groups).to_vec();
             }
             SpanKind::PartitionHealed => {
                 topo.groups.clear();
@@ -411,7 +411,7 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                         violations.push(Violation::MixedEpochServing {
                             span: e.id,
                             group: *group,
-                            replica: *replica,
+                            replica: *replica as u64,
                             serving: *epoch,
                             committed: current,
                         });
@@ -564,15 +564,16 @@ mod tests {
         assert_eq!(check(&l2), vec![]);
     }
 
+    /// Installs a partition with the given per-node groups in `l`.
+    fn partition(l: &mut TraceLog, groups: &[u32]) {
+        let groups = l.intern_groups(groups);
+        l.emit(0, NO_NODE, None, SpanKind::PartitionChanged { groups });
+    }
+
     #[test]
     fn catches_send_planned_across_partition() {
         let mut l = log();
-        l.emit(
-            0,
-            NO_NODE,
-            None,
-            SpanKind::PartitionChanged { groups: vec![1, 2] },
-        );
+        partition(&mut l, &[1, 2]);
         l.emit(1, 0, None, sent(0, 1, SendVerdict::Sent));
         assert!(matches!(
             check(&l)[..],
@@ -584,12 +585,7 @@ mod tests {
         ));
         // The honest verdict is fine, and so is a send after healing.
         let mut l2 = log();
-        l2.emit(
-            0,
-            NO_NODE,
-            None,
-            SpanKind::PartitionChanged { groups: vec![1, 2] },
-        );
+        partition(&mut l2, &[1, 2]);
         l2.emit(1, 0, None, sent(0, 1, SendVerdict::Unreachable));
         l2.emit(2, NO_NODE, None, SpanKind::PartitionHealed);
         l2.emit(3, 0, None, sent(0, 1, SendVerdict::Sent));
@@ -756,7 +752,7 @@ mod tests {
         };
         let done = |outcome| SpanKind::RpcCompleted { call: 77, outcome };
         let mut l = log();
-        l.emit(0, 0, None, attempt.clone());
+        l.emit(0, 0, None, attempt);
         l.emit(1, 0, None, done(RpcOutcome::Ok));
         assert_eq!(check(&l), vec![]);
         l.emit(2, 0, None, done(RpcOutcome::Timeout));
@@ -784,7 +780,7 @@ mod tests {
             kind: FlowKind::Update,
         };
         let mut l = log();
-        l.emit(0, 0, None, started.clone());
+        l.emit(0, 0, None, started);
         l.emit(1, 0, None, SpanKind::FlowCompleted { flow: 1 });
         assert_eq!(check(&l), vec![]);
         l.emit(2, 0, None, started);

@@ -37,7 +37,7 @@ impl TraceLog {
                 e.parent.map_or(0, |p| p.as_raw()),
                 e.at_ns,
             );
-            write_fields(&mut out, e);
+            self.write_fields(&mut out, e);
             out.push_str("}}");
         }
         out.push_str("]}");
@@ -57,28 +57,28 @@ impl TraceLog {
                 e.node,
                 e.kind.name(),
             );
-            write_fields(&mut out, e);
+            self.write_fields(&mut out, e);
             out.push_str("}\n");
         }
         out
     }
-}
 
-/// Appends `,"field":value` pairs (and the partition group array) to a JSON
-/// object under construction.
-fn write_fields(out: &mut String, e: &SpanEvent) {
-    for (name, value) in e.kind.fields().as_slice() {
-        let _ = write!(out, ",\"{name}\":{value}");
-    }
-    if let SpanKind::PartitionChanged { groups } = &e.kind {
-        out.push_str(",\"groups\":[");
-        for (i, g) in groups.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{g}");
+    /// Appends `,"field":value` pairs (and the partition group array, read
+    /// from the log's arena) to a JSON object under construction.
+    fn write_fields(&self, out: &mut String, e: &SpanEvent) {
+        for (name, value) in e.kind.fields().as_slice() {
+            let _ = write!(out, ",\"{name}\":{value}");
         }
-        out.push(']');
+        if let SpanKind::PartitionChanged { groups } = e.kind {
+            out.push_str(",\"groups\":[");
+            for (i, g) in self.groups(groups).iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{g}");
+            }
+            out.push(']');
+        }
     }
 }
 
@@ -113,14 +113,8 @@ mod tests {
                 dst_node: 1,
             },
         );
-        log.emit(
-            4_000,
-            u32::MAX,
-            None,
-            SpanKind::PartitionChanged {
-                groups: vec![1, 1, 2],
-            },
-        );
+        let groups = log.intern_groups(&[1, 1, 2]);
+        log.emit(4_000, u32::MAX, None, SpanKind::PartitionChanged { groups });
         log
     }
 

@@ -230,7 +230,8 @@ pub struct RetainedFlow {
     /// The flow's duration is in the retained slowest percentile.
     pub slow: bool,
     /// The full causal span tree (the flow's spans plus all descendants),
-    /// in log order.
+    /// in log order. A `PartitionChanged` among them keeps its handle into
+    /// the sampled log's group arena.
     pub spans: Vec<SpanEvent>,
 }
 
@@ -373,7 +374,7 @@ pub fn tail_sample_checked(
     }
     let wanted: Vec<u64> = retained.iter().map(|f| f.flow).collect();
     for (f, tree) in retained.iter_mut().zip(log.flow_trees(&wanted)) {
-        f.spans = tree.iter().map(|&pos| log.events()[pos].clone()).collect();
+        f.spans = tree.iter().map(|&pos| log.events()[pos]).collect();
     }
     FlightDump {
         slow_quantile: q,
@@ -719,12 +720,15 @@ mod tests {
             object: 1,
             kind: FlowKind::Update,
         };
-        let log = TraceLog::from_events(vec![
-            ev(1, 500, started(1)),
-            ev(2, 100, SpanKind::FlowCompleted { flow: 1 }),
-            ev(3, 600, started(2)),
-            ev(4, 650, SpanKind::FlowCompleted { flow: 2 }),
-        ]);
+        let log = TraceLog::from_events(
+            vec![
+                ev(1, 500, started(1)),
+                ev(2, 100, SpanKind::FlowCompleted { flow: 1 }),
+                ev(3, 600, started(2)),
+                ev(4, 650, SpanKind::FlowCompleted { flow: 2 }),
+            ],
+            crate::GroupArena::default(),
+        );
         let dump = tail_sample(&log, &FlightRecorder::new(), 0.95);
         let slow: Vec<u64> = dump.flows.iter().map(|f| f.flow).collect();
         assert_eq!(

@@ -45,5 +45,6 @@ pub use flight::{
 pub use hash::{fn_hash, fnv1a, Fnv1a, Fold, IdHasher, IdMap, IdSet};
 pub use log::TraceLog;
 pub use span::{
-    cfg_step, mgr_step, FlowKind, RpcOutcome, SendVerdict, SpanEvent, SpanId, SpanKind, NO_NODE,
+    cfg_step, mgr_step, FlowKind, GroupArena, GroupsRef, RpcOutcome, SendVerdict, SpanEvent,
+    SpanId, SpanKind, NO_NODE,
 };

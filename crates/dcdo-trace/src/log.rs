@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 
 use crate::hash::{Fold, IdMap};
-use crate::span::{SpanEvent, SpanId, SpanKind};
+use crate::span::{GroupArena, GroupsRef, SpanEvent, SpanId, SpanKind};
 
 /// A deterministic, append-only log of [`SpanEvent`]s for one run.
 ///
@@ -17,7 +17,10 @@ use crate::span::{SpanEvent, SpanId, SpanKind};
 /// whose id the producer chose (the simulation engine allocates per-lane
 /// ids, so a node's span ids do not depend on what other nodes emit).
 ///
-/// Recording is a plain `Vec` push and does no hashing. The id → position
+/// Recording is a plain `Vec` push of a 64-byte `Copy` record and does no
+/// hashing; the one variable-length payload, a partition's group vector,
+/// goes into the log's [`GroupArena`] through [`TraceLog::intern_groups`]
+/// and the span carries a handle. The id → position
 /// index behind [`TraceLog::get`] is built on the first lookup and extended
 /// by the spans recorded since on each later one, so a run that never looks
 /// a span up by id never pays for the index. Flow extraction
@@ -30,6 +33,7 @@ pub struct TraceLog {
     enabled: bool,
     next_id: u64,
     events: Vec<SpanEvent>,
+    groups: GroupArena,
     index: RefCell<IdIndex>,
 }
 
@@ -54,11 +58,14 @@ impl TraceLog {
         TraceLog::default()
     }
 
-    /// Wraps an already recorded span list (a finished run's
-    /// `RunArtifacts::spans`, say) as a disabled log, without copying it.
-    pub fn from_events(events: Vec<SpanEvent>) -> Self {
+    /// Wraps an already recorded span list and the arena its
+    /// `PartitionChanged` handles point into (a finished run's
+    /// `RunArtifacts::spans` and `span_groups`, say) as a disabled log,
+    /// without copying either.
+    pub fn from_events(events: Vec<SpanEvent>, groups: GroupArena) -> Self {
         TraceLog {
             events,
+            groups,
             ..TraceLog::default()
         }
     }
@@ -82,20 +89,37 @@ impl TraceLog {
     /// Drops all captured events and resets the id sequence.
     pub fn clear(&mut self) {
         self.events.clear();
+        self.groups.clear();
         let index = self.index.get_mut();
         index.positions.clear();
         index.covered = 0;
         self.next_id = 0;
     }
 
-    /// Moves the captured events out, leaving the log empty (and its
-    /// enabled state unchanged). The id sequence continues, so spans emitted
-    /// afterwards never collide with the ones taken.
-    pub fn take_events(&mut self) -> Vec<SpanEvent> {
+    /// Moves the captured events and their group arena out, leaving the log
+    /// empty (and its enabled state unchanged). The id sequence continues,
+    /// so spans emitted afterwards never collide with the ones taken.
+    pub fn take_events(&mut self) -> (Vec<SpanEvent>, GroupArena) {
         // The index describes the departing events: a stale `covered` would
         // underflow in `get`.
         *self.index.get_mut() = IdIndex::default();
-        std::mem::take(&mut self.events)
+        (
+            std::mem::take(&mut self.events),
+            std::mem::take(&mut self.groups),
+        )
+    }
+
+    /// Stores a partition's group vector in the log's arena and returns the
+    /// handle a [`SpanKind::PartitionChanged`] span carries. Callers gate on
+    /// [`is_enabled`](TraceLog::is_enabled), as for the span itself.
+    pub fn intern_groups(&mut self, groups: &[u32]) -> GroupsRef {
+        self.groups.push(groups)
+    }
+
+    /// The group vector behind a [`SpanKind::PartitionChanged`] handle of
+    /// this log.
+    pub fn groups(&self, groups: GroupsRef) -> &[u32] {
+        self.groups.get(groups)
     }
 
     /// Records an event, returning its id — or `None` when disabled.
@@ -288,9 +312,9 @@ impl TraceLog {
                     word(*v);
                 }
             }
-            if let SpanKind::PartitionChanged { groups } = &e.kind {
-                for g in groups {
-                    word(*g as u64);
+            if let SpanKind::PartitionChanged { groups } = e.kind {
+                for &g in self.groups(groups) {
+                    word(g as u64);
                 }
             }
         }
@@ -449,7 +473,7 @@ mod tests {
     #[test]
     fn get_stays_correct_across_emit_push_and_clear() {
         let mut log = sample_log();
-        let first = log.events()[0].clone();
+        let first = log.events()[0];
         // First lookup builds the index.
         assert_eq!(log.get(first.id), Some(&first));
         let emitted = log
@@ -462,7 +486,7 @@ mod tests {
             node: 1,
             kind: SpanKind::FlowAborted { flow: 7 },
         };
-        log.push_event(pushed.clone());
+        log.push_event(pushed);
         // Spans recorded after the index was built resolve, and the old
         // ones still do.
         assert_eq!(log.get(emitted).expect("indexed").at_ns, 60);
@@ -483,10 +507,14 @@ mod tests {
     #[test]
     fn take_events_empties_the_log_and_its_index() {
         let mut log = sample_log();
+        let groups = log.intern_groups(&[1, 2]);
+        log.emit(55, 0, None, SpanKind::PartitionChanged { groups });
         let old = log.events().to_vec();
         // Build the index first, so the take has something stale to drop.
         assert_eq!(log.get(old[4].id), Some(&old[4]));
-        assert_eq!(log.take_events(), old);
+        let (events, arena) = log.take_events();
+        assert_eq!(events, old);
+        assert_eq!(arena.get(groups), &[1, 2], "the arena leaves with them");
         assert_eq!(log.len(), 0);
         for e in &old {
             assert_eq!(log.get(e.id), None);
@@ -494,7 +522,7 @@ mod tests {
         let next = log
             .emit(60, 0, None, SpanKind::PartitionHealed)
             .expect("still enabled");
-        assert_eq!(next.as_raw(), 6, "the id sequence continues");
+        assert_eq!(next.as_raw(), 7, "the id sequence continues");
         assert_eq!(log.get(next).expect("indexed").at_ns, 60);
         assert_eq!(log.get(old[0].id), None);
     }
@@ -502,7 +530,7 @@ mod tests {
     #[test]
     fn from_events_wraps_a_span_list_without_enabling() {
         let events = sample_log().events().to_vec();
-        let mut log = TraceLog::from_events(events.clone());
+        let mut log = TraceLog::from_events(events.clone(), GroupArena::default());
         assert!(!log.is_enabled());
         assert_eq!(log.events(), &events[..]);
         assert_eq!(log.digest(), sample_log().digest());
@@ -573,7 +601,7 @@ mod tests {
                     }
                 })
                 .collect();
-            TraceLog::from_events(events)
+            TraceLog::from_events(events, GroupArena::default())
         }
 
         proptest! {

@@ -245,13 +245,62 @@ pub mod cfg_step {
     ];
 }
 
+/// A `Copy` handle to one [`SpanKind::PartitionChanged`] group vector, held
+/// in the [`GroupArena`] of the log that recorded the span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupsRef {
+    start: u32,
+    len: u32,
+}
+
+impl GroupsRef {
+    /// The number of raw node ids the partition assigns a group.
+    pub(crate) const fn len(self) -> usize {
+        self.len as usize
+    }
+}
+
+/// Append-only storage for the group vectors of a log's
+/// [`SpanKind::PartitionChanged`] spans, so the span record itself stays a
+/// fixed-size `Copy` value.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct GroupArena {
+    groups: Vec<u32>,
+}
+
+impl GroupArena {
+    /// Stores `groups` and returns the handle a span carries.
+    pub fn push(&mut self, groups: &[u32]) -> GroupsRef {
+        let start = u32::try_from(self.groups.len()).expect("group arena exceeds u32");
+        let len = u32::try_from(groups.len()).expect("partition exceeds u32 nodes");
+        self.groups.extend_from_slice(groups);
+        GroupsRef { start, len }
+    }
+
+    /// The group vector behind `groups`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `groups` was issued by another arena and reaches past this
+    /// one's end.
+    pub fn get(&self, groups: GroupsRef) -> &[u32] {
+        &self.groups[groups.start as usize..][..groups.len()]
+    }
+
+    /// Forgets every stored vector (handles issued so far become invalid).
+    pub(crate) fn clear(&mut self) {
+        self.groups.clear();
+    }
+}
+
 /// The typed payload of one span event.
 ///
 /// Identifiers are raw integers: `u32` for engine-level actors and nodes,
 /// `u64` for the logical ids minted above the engine (objects, calls, flows).
 /// Every variant is integer-only so the log digests identically across
-/// builds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// builds, and fixed-size so the record is `Copy` (the one variable-length
+/// payload, a partition's groups, lives in the log's [`GroupArena`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     // ---- engine ---------------------------------------------------------
     /// A message was offered to the network.
@@ -319,8 +368,9 @@ pub enum SpanKind {
     /// A partition was installed; `groups[i]` is the partition group of the
     /// node with raw id `i` (nodes past the end are in group 0).
     PartitionChanged {
-        /// Group assignment per raw node id.
-        groups: Vec<u32>,
+        /// Group assignment per raw node id, read through
+        /// [`TraceLog::groups`](crate::TraceLog::groups).
+        groups: GroupsRef,
     },
     /// Any installed partition was healed.
     PartitionHealed,
@@ -474,7 +524,7 @@ pub enum SpanKind {
         /// The group.
         group: u64,
         /// The serving replica (member id).
-        replica: u64,
+        replica: u32,
         /// The epoch the call was served at.
         epoch: u64,
         /// The call id served.
@@ -488,16 +538,12 @@ pub enum SpanKind {
     /// profiler can attribute compute to components. `function` is the
     /// build-independent FNV-1a hash of the function's name (see
     /// [`fn_hash`](crate::fn_hash)); the layers above publish a hash → name
-    /// table out of band.
+    /// table out of band. Build it with [`SpanKind::vm_cost`].
     VmCost {
-        /// The serving object.
-        object: u64,
-        /// The call id the thread was serving.
-        call: u64,
         /// FNV-1a hash of the function name.
         function: u64,
-        /// Times the function was entered.
-        calls: u64,
+        /// Times the function was entered, saturating at `u32::MAX`.
+        calls: u32,
         /// Instructions retired inside the function.
         instructions: u64,
         /// Simulated nanoseconds charged by `Work` instructions inside it.
@@ -624,32 +670,14 @@ impl SpanKind {
         }
     }
 
-    /// The logical object id this event references, if any.
-    pub const fn object_id(&self) -> Option<u64> {
-        match self {
-            SpanKind::RpcAttempt { object, .. }
-            | SpanKind::BindingHit { object, .. }
-            | SpanKind::BindingMiss { object }
-            | SpanKind::BindingRegistered { object, .. }
-            | SpanKind::BindingInvalidated { object }
-            | SpanKind::FlowStarted { object, .. }
-            | SpanKind::GenerationStamp { object, .. }
-            | SpanKind::CallServed { object, .. }
-            | SpanKind::VmCost { object, .. } => Some(*object),
-            _ => None,
-        }
-    }
-
-    /// The call id this event references, if any.
-    pub const fn call_id(&self) -> Option<u64> {
-        match self {
-            SpanKind::RpcAttempt { call, .. }
-            | SpanKind::RpcRetry { call, .. }
-            | SpanKind::RpcCompleted { call, .. }
-            | SpanKind::CallServed { call, .. }
-            | SpanKind::EpochServed { call, .. }
-            | SpanKind::VmCost { call, .. } => Some(*call),
-            _ => None,
+    /// A [`SpanKind::VmCost`] from a thread's `u64` counters: `calls`
+    /// saturates at `u32::MAX`.
+    pub fn vm_cost(function: u64, calls: u64, instructions: u64, work_nanos: u64) -> Self {
+        SpanKind::VmCost {
+            function,
+            calls: u32::try_from(calls).unwrap_or(u32::MAX),
+            instructions,
+            work_nanos,
         }
     }
 
@@ -657,9 +685,8 @@ impl SpanKind {
     /// the digest. Returned by value on the stack: the digest calls this
     /// once per span, so it must not allocate.
     ///
-    /// [`SpanKind::PartitionChanged`]'s group vector is not representable as
-    /// scalar pairs and is handled separately by the exporters and the
-    /// digest.
+    /// [`SpanKind::PartitionChanged`]'s group vector lives in the log's
+    /// [`GroupArena`]; the exporters and the digest read it from there.
     pub(crate) fn fields(&self) -> Fields {
         match self {
             SpanKind::MsgSent {
@@ -763,22 +790,18 @@ impl SpanKind {
                 call,
             } => fields![
                 ("group", *group),
-                ("replica", *replica),
+                ("replica", *replica as u64),
                 ("epoch", *epoch),
                 ("call", *call),
             ],
             SpanKind::VmCost {
-                object,
-                call,
                 function,
                 calls,
                 instructions,
                 work_nanos,
             } => fields![
-                ("object", *object),
-                ("call", *call),
                 ("function", *function),
-                ("calls", *calls),
+                ("calls", *calls as u64),
                 ("instructions", *instructions),
                 ("work_nanos", *work_nanos),
             ],
@@ -786,8 +809,9 @@ impl SpanKind {
     }
 }
 
-/// One recorded event of a [`TraceLog`](crate::TraceLog).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One recorded event of a [`TraceLog`](crate::TraceLog): a 64-byte `Copy`
+/// record, so a log of them is one flat allocation with nothing to drop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     /// This event's id (see [`SpanId`] for the allocation schemes).
     pub id: SpanId,
@@ -801,9 +825,53 @@ pub struct SpanEvent {
     pub kind: SpanKind,
 }
 
+// The record layout is part of tracing's cost: every span is written once,
+// swept by each post-run reader, and first-touched as fresh pages.
+const _: () = assert!(std::mem::size_of::<SpanKind>() == 32);
+const _: () = assert!(std::mem::size_of::<SpanEvent>() == 64);
+const _: () = {
+    const fn copy<T: Copy>() {}
+    copy::<SpanEvent>()
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn vm_cost_calls_saturate_at_u32_max() {
+        let calls = |n| match SpanKind::vm_cost(7, n, 1, 2) {
+            SpanKind::VmCost { calls, .. } => calls,
+            other => panic!("not a VmCost: {other:?}"),
+        };
+        assert_eq!(calls(3), 3);
+        assert_eq!(calls(u32::MAX as u64), u32::MAX);
+        assert_eq!(calls(u32::MAX as u64 + 1), u32::MAX);
+        assert_eq!(calls(u64::MAX), u32::MAX);
+        assert_eq!(
+            SpanKind::vm_cost(7, 1 << 40, 1, 2).fields().as_slice(),
+            &[
+                ("function", 7),
+                ("calls", u32::MAX as u64),
+                ("instructions", 1),
+                ("work_nanos", 2)
+            ]
+        );
+    }
+
+    #[test]
+    fn group_arena_hands_back_what_was_pushed() {
+        let mut arena = GroupArena::default();
+        let a = arena.push(&[1, 1, 2]);
+        let empty = arena.push(&[]);
+        let b = arena.push(&[0, 3]);
+        assert_eq!(arena.get(a), &[1, 1, 2]);
+        assert_eq!(arena.get(b), &[0, 3]);
+        assert!(arena.get(empty).is_empty());
+        assert_eq!((a.len(), b.len(), empty.len()), (3, 2, 0));
+        arena.clear();
+        assert_eq!(arena, GroupArena::default());
+    }
 
     #[test]
     fn step_names_are_stable() {

@@ -5,7 +5,9 @@
 //! aggregate. Profiling is off by default and costs **one predicted branch
 //! per retired instruction** when disabled (`Option::None` check); enabled,
 //! it is three array increments per instruction with no allocation on the
-//! hot path (names are interned once per function).
+//! hot path (a function's name is looked up once per entry, by a linear
+//! scan: a thread touches one to three functions, so a hash table would
+//! cost more to build than it saves).
 //!
 //! The fuel cost of a function equals its instruction count — the fuel loop
 //! charges exactly one unit per retired instruction — so `instructions`
@@ -13,7 +15,7 @@
 
 use std::sync::{Mutex, OnceLock};
 
-use dcdo_types::{FunctionInterner, FunctionName};
+use dcdo_types::FunctionName;
 
 use crate::instr::OPCODE_COUNT;
 
@@ -73,13 +75,13 @@ impl FnStats {
 
 /// Live profiling state attached to one running thread.
 ///
-/// Maintains a shadow stack of interned function ids parallel to the
-/// thread's call frames, so each retired instruction is attributed to the
-/// innermost function without touching the frame itself.
+/// Maintains a shadow stack of indices into the thread's function list,
+/// parallel to the thread's call frames, so each retired instruction is
+/// attributed to the innermost function without touching the frame itself.
 #[derive(Debug)]
 pub struct ThreadProfile {
-    interner: FunctionInterner,
-    stats: Vec<FnStats>,
+    /// Every function entered, in first-entered order.
+    functions: Vec<FnProfile>,
     shadow: Vec<u32>,
     opcodes: [u64; OPCODE_COUNT],
 }
@@ -87,8 +89,7 @@ pub struct ThreadProfile {
 impl Default for ThreadProfile {
     fn default() -> Self {
         ThreadProfile {
-            interner: FunctionInterner::default(),
-            stats: Vec::new(),
+            functions: Vec::new(),
             shadow: Vec::new(),
             opcodes: [0; OPCODE_COUNT],
         }
@@ -96,15 +97,20 @@ impl Default for ThreadProfile {
 }
 
 impl ThreadProfile {
-    /// Records entry into `function`: interns the name, pushes the shadow
-    /// frame, and counts the call.
+    /// Records entry into `function`: finds (or appends) its entry, pushes
+    /// the shadow frame, and counts the call.
     pub(crate) fn enter(&mut self, function: &FunctionName) {
-        let id = self.interner.intern(function);
-        let index = id.index();
-        if index >= self.stats.len() {
-            self.stats.resize(index + 1, FnStats::default());
-        }
-        self.stats[index].calls += 1;
+        let index = match self.functions.iter().position(|f| f.name == *function) {
+            Some(index) => index,
+            None => {
+                self.functions.push(FnProfile {
+                    name: function.clone(),
+                    stats: FnStats::default(),
+                });
+                self.functions.len() - 1
+            }
+        };
+        self.functions[index].stats.calls += 1;
         self.shadow.push(index as u32);
     }
 
@@ -119,7 +125,7 @@ impl ThreadProfile {
     pub(crate) fn instruction(&mut self, opcode: usize, work_nanos: u64) {
         self.opcodes[opcode] += 1;
         if let Some(&top) = self.shadow.last() {
-            let s = &mut self.stats[top as usize];
+            let s = &mut self.functions[top as usize].stats;
             s.instructions += 1;
             s.work_nanos += work_nanos;
         }
@@ -127,22 +133,8 @@ impl ThreadProfile {
 
     /// Freezes the counters into a report.
     pub fn snapshot(&self) -> VmProfile {
-        let functions = self
-            .stats
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.calls > 0 || s.instructions > 0)
-            .map(|(i, s)| FnProfile {
-                name: self
-                    .interner
-                    .name(dcdo_types::FunctionId::from_index(i))
-                    .expect("interned id")
-                    .clone(),
-                stats: *s,
-            })
-            .collect();
         VmProfile {
-            functions,
+            functions: self.functions.clone(),
             opcodes: self.opcodes,
         }
     }

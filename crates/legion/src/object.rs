@@ -226,14 +226,12 @@ impl ObjectRuntime {
             return;
         };
         for f in &profile.functions {
-            ctx.emit_span(SpanKind::VmCost {
-                object: self.object.as_raw(),
-                call: entry.call.as_raw(),
-                function: fn_hash(f.name.as_str()),
-                calls: f.stats.calls,
-                instructions: f.stats.instructions,
-                work_nanos: f.stats.work_nanos,
-            });
+            ctx.emit_span(SpanKind::vm_cost(
+                fn_hash(f.name.as_str()),
+                f.stats.calls,
+                f.stats.instructions,
+                f.stats.work_nanos,
+            ));
         }
         self.vm_profile.merge(&profile);
         dcdo_vm::record_global_vm_profile(&profile);
