@@ -11,7 +11,7 @@
 
 use std::env;
 
-use dcdo_bench::experiments;
+use dcdo_bench::experiments::render_with;
 
 fn main() {
     let mut seed = 42u64;
@@ -30,47 +30,8 @@ fn main() {
             other => selected.push(other.to_lowercase()),
         }
     }
-    let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
-
-    println!("# DCDO reproduction — paper evaluation tables (simulated time)");
-    println!();
-    println!(
-        "seed = {seed}; testbed = 16 nodes, 100 Mbps switched Ethernet (calibrated); \
-         mode = {}",
-        if quick { "quick" } else { "full" }
-    );
-    println!();
-
-    if want("e1") {
-        println!("{}", experiments::e1(seed));
-    }
-    if want("e2") {
-        println!("{}", experiments::e2(seed));
-    }
-    if want("e3") {
-        println!("{}", experiments::e3(seed));
-    }
-    if want("e4") {
-        let trials = if quick { 4 } else { 12 };
-        println!("{}", experiments::e4(seed, trials));
-    }
-    if want("e5") {
-        println!("{}", experiments::e5(seed));
-    }
-    if want("e6") {
-        println!("{}", experiments::e6(seed));
-    }
-    if want("e7") {
-        let sizes: &[usize] = if quick { &[4, 16] } else { &[4, 16, 64] };
-        println!("{}", experiments::e7(seed, sizes));
-    }
-    if want("e8") {
-        println!("{}", experiments::e8(seed));
-    }
-    if want("p1") {
-        println!("{}", experiments::p1(seed));
-    }
-    if want("a1") && !quick {
-        println!("{}", experiments::a1(seed));
-    }
+    let want = |id: &str| {
+        (selected.is_empty() || selected.iter().any(|s| s == id)) && !(quick && id == "a1")
+    };
+    print!("{}", render_with(seed, quick, want));
 }
