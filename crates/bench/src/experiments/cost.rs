@@ -2,12 +2,11 @@
 //! evolution-cost comparison — the paper's headline "Cost" results.
 
 use dcdo_core::ops::{UpdateInstance, VersionConfigOp};
-use dcdo_core::DcdoObject;
-use dcdo_evolution::{Fleet, Strategy};
 use dcdo_types::VersionId;
 use dcdo_vm::Value;
 use dcdo_workloads::service;
 use dcdo_workloads::{ComponentSuite, SuiteSpec};
+use dcdo_workloads::{Fleet, Strategy};
 use legion_substrate::class::{EvolveInstance, SetCurrentImage};
 use legion_substrate::harness::Testbed;
 use legion_substrate::host::HostObject;
@@ -162,8 +161,8 @@ fn update_elapsed(fleet: &mut Fleet, version: &VersionId) -> f64 {
     fleet.set_current(version);
     let (object, _) = fleet.instances[0];
     let completion = fleet.bed.control_and_wait(
-        fleet.driver,
-        fleet.manager_obj,
+        fleet.manager.driver,
+        fleet.manager.object,
         ControlOp::new(UpdateInstance { object, to: None }),
     );
     completion.result.expect("update succeeds");
@@ -324,22 +323,4 @@ pub fn e6(seed: u64) -> Table {
          discovery — the paper's dramatic advantage reproduces",
     );
     t
-}
-
-/// Exposes the counter fleet to sibling experiments/tests.
-pub fn counter_fleet_for_tests(seed: u64) -> (Fleet, VersionId) {
-    counter_fleet(seed)
-}
-
-/// Sanity helper used by the harness tests: the instance evolves and keeps
-/// answering.
-pub fn assert_counter_still_works(fleet: &mut Fleet) {
-    let (object, actor) = fleet.instances[0];
-    let value = fleet.call(object, "incr", vec![]).expect("incr");
-    assert!(matches!(value, Value::Int(_)));
-    let _ = fleet
-        .bed
-        .sim
-        .actor::<DcdoObject>(actor)
-        .expect("instance alive");
 }

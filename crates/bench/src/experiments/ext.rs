@@ -2,9 +2,9 @@
 //! the calibration-sensitivity ablation (A1).
 
 use dcdo_core::ops::{MigrateDcdo, MigrateDone};
-use dcdo_evolution::Strategy;
 use dcdo_sim::{NetConfig, SimDuration, TransferModel};
 use dcdo_workloads::service;
+use dcdo_workloads::Strategy;
 use legion_substrate::class::MigrateInstance;
 use legion_substrate::harness::Testbed;
 use legion_substrate::host::HostObject;
@@ -63,8 +63,8 @@ pub fn e8(seed: u64) -> Table {
                 .store_component(comp.id(), comp.encode());
         }
         let completion = fleet.bed.control_and_wait(
-            fleet.driver,
-            fleet.manager_obj,
+            fleet.manager.driver,
+            fleet.manager.object,
             ControlOp::new(MigrateDcdo { object, to }),
         );
         let payload = completion.result.expect("migration succeeds");
@@ -158,7 +158,7 @@ pub fn a1(seed: u64) -> Table {
             let download = cost.transfer.transfer_time(5_100_000).as_secs_f64();
             // E6 shape check under this cost model: measure a real
             // reconfiguration-only evolution.
-            let dcdo_evolution = {
+            let dcdo_evolve_s = {
                 let bed = Testbed::new(
                     16,
                     cost.clone(),
@@ -166,7 +166,7 @@ pub fn a1(seed: u64) -> Table {
                     seed + timeout_s + throughput_kib as u64,
                 );
                 let mut fleet =
-                    dcdo_evolution::Fleet::on_testbed(bed, Strategy::SingleVersionExplicit);
+                    dcdo_workloads::Fleet::on_testbed(bed, Strategy::SingleVersionExplicit);
                 let core = service::counter_core();
                 let ico = fleet.publish_component(&core, 1);
                 let root = dcdo_types::VersionId::root();
@@ -196,14 +196,14 @@ pub fn a1(seed: u64) -> Table {
                 fleet.set_current(&v2);
                 let (object, _) = fleet.instances[0];
                 let completion = fleet.bed.control_and_wait(
-                    fleet.driver,
-                    fleet.manager_obj,
+                    fleet.manager.driver,
+                    fleet.manager.object,
                     ControlOp::new(dcdo_core::ops::UpdateInstance { object, to: None }),
                 );
                 completion.result.expect("evolution succeeds");
                 completion.elapsed.as_secs_f64()
             };
-            let wins = dcdo_evolution < download;
+            let wins = dcdo_evolve_s < download;
             t.row(vec![
                 format!("timeout={timeout_s}s"),
                 format!("transfer={throughput_kib} KiB/s"),

@@ -8,9 +8,9 @@ mod perf;
 mod policy;
 mod profile;
 
-pub use cost::{assert_counter_still_works, counter_fleet_for_tests, e4, e5, e6};
+pub use cost::{e4, e5, e6};
 pub use ext::{a1, e8};
-pub use perf::{e1, e2, e3, single_instance};
+pub use perf::{e1, e2, e3};
 pub use policy::e7;
 pub use profile::p1;
 

@@ -1,15 +1,14 @@
 //! E1–E3: dispatch overhead (intra-object and remote) and creation cost.
 
-use dcdo_evolution::Strategy;
 use dcdo_sim::NetConfig;
-use dcdo_types::ObjectId;
+use dcdo_workloads::Strategy;
 use dcdo_workloads::SuiteSpec;
 use legion_substrate::harness::Testbed;
 use legion_substrate::{ControlOp, CostModel};
 
 use crate::setup::{
-    bench_components, create_monolithic, fleet_with_components, mean_latency_secs, spawn_class,
-    suite_image,
+    bench_components, create_monolithic, fleet_with_components, fleet_with_suite,
+    mean_latency_secs, spawn_class, suite_image,
 };
 use crate::table::{secs, Table};
 
@@ -241,11 +240,12 @@ pub fn e3(seed: u64) -> Table {
     let mut last = 0.0;
     for comps in [1usize, 2, 5, 10, 25, 50] {
         let spec = SuiteSpec::paper_creation(comps);
-        let (mut fleet, _v) = fleet_with_suite_spec(&spec, seed + comps as u64);
+        let (mut fleet, _v) =
+            fleet_with_suite(&spec, Strategy::SingleVersionExplicit, seed + comps as u64);
         let node = fleet.bed.nodes[3];
         let completion = fleet.bed.control_and_wait(
-            fleet.driver,
-            fleet.manager_obj,
+            fleet.manager.driver,
+            fleet.manager.object,
             ControlOp::new(dcdo_core::ops::CreateDcdo { node }),
         );
         completion.result.expect("creation succeeds");
@@ -258,16 +258,4 @@ pub fn e3(seed: u64) -> Table {
         secs(last)
     ));
     t
-}
-
-fn fleet_with_suite_spec(
-    spec: &SuiteSpec,
-    seed: u64,
-) -> (dcdo_evolution::Fleet, dcdo_types::VersionId) {
-    crate::setup::fleet_with_suite(spec, Strategy::SingleVersionExplicit, seed)
-}
-
-/// Convenience for tests: the instance object of a one-instance fleet.
-pub fn single_instance(fleet: &dcdo_evolution::Fleet) -> ObjectId {
-    fleet.instances[0].0
 }

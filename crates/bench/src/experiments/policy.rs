@@ -2,10 +2,10 @@
 //! and overhead vs fleet size for the §3.4 policies.
 
 use dcdo_core::ops::VersionConfigOp;
-use dcdo_evolution::{Fleet, Strategy};
 use dcdo_sim::SimDuration;
 use dcdo_types::{ComponentId, VersionId};
 use dcdo_vm::{ComponentBinary, ComponentBuilder};
+use dcdo_workloads::{Fleet, Strategy};
 
 use crate::table::{secs, Table};
 

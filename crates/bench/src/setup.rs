@@ -1,11 +1,11 @@
 //! Shared scenario builders for the experiments.
 
 use dcdo_core::ops::VersionConfigOp;
-use dcdo_evolution::{Fleet, Strategy};
 use dcdo_sim::NodeId;
 use dcdo_types::{ClassId, ObjectId, VersionId};
 use dcdo_vm::{CodeBlock, ComponentBinary, ComponentBuilder, FunctionBuilder};
 use dcdo_workloads::{ComponentSuite, SuiteSpec};
+use dcdo_workloads::{Fleet, Strategy};
 use legion_substrate::class::{ClassObject, CreateInstance, InstanceCreated};
 use legion_substrate::harness::Testbed;
 use legion_substrate::monolithic::ExecutableImage;

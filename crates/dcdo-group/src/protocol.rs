@@ -139,6 +139,12 @@ control_payload!(ReplicaStatus, "replica-status");
 /// epoch is added so a stale timeout for an already-resolved round no-ops.
 const FENCE_TOKEN_BASE: u64 = 1_000;
 
+/// How long a fence survives without a commit or abort before the replica
+/// reverts to serving the last committed epoch. It exceeds the
+/// coordinator's [`ACK_DEADLINE`] plus a network delay, so a commit always
+/// outruns the timeout.
+const FENCE_TIMEOUT: SimDuration = SimDuration::from_millis(400);
+
 /// An in-flight fence on a replica.
 #[derive(Debug)]
 struct Fence {
@@ -159,11 +165,6 @@ pub struct GroupReplica {
     base_version: u32,
     config: GroupConfig,
     fence: Option<Fence>,
-    /// How long a fence survives without a commit or abort before the
-    /// replica reverts to serving the last committed epoch. Must exceed the
-    /// coordinator's ack deadline plus a network delay so a commit always
-    /// outruns the timeout.
-    fence_timeout: SimDuration,
     served: u64,
     refused: u64,
     /// Fault-injection knob: report unhealthy to probes once this replica
@@ -181,17 +182,10 @@ impl GroupReplica {
             base_version: config.version,
             config,
             fence: None,
-            fence_timeout: SimDuration::from_millis(400),
             served: 0,
             refused: 0,
             unhealthy_from_version: None,
         }
-    }
-
-    /// Overrides the fence timeout.
-    pub fn with_fence_timeout(mut self, timeout: SimDuration) -> Self {
-        self.fence_timeout = timeout;
-        self
     }
 
     /// Plants the health fault: probes report unhealthy once this replica
@@ -278,7 +272,7 @@ impl GroupReplica {
                 if let Some(old) = self.fence.take() {
                     ctx.cancel_timer(old.timer);
                 }
-                let timer = ctx.schedule_timer(self.fence_timeout, FENCE_TOKEN_BASE + prep.epoch);
+                let timer = ctx.schedule_timer(FENCE_TIMEOUT, FENCE_TOKEN_BASE + prep.epoch);
                 self.fence = Some(Fence {
                     epoch: prep.epoch,
                     timer,
@@ -388,6 +382,8 @@ impl Actor<Msg> for GroupReplica {
 const ROUND_TOKEN: u64 = 1;
 /// Timer-token base for a round's ack deadline (`+ epoch`).
 const DEADLINE_TOKEN_BASE: u64 = 1_000;
+/// How long a round waits for prepare acks before it aborts.
+const ACK_DEADLINE: SimDuration = SimDuration::from_millis(100);
 
 /// An in-flight epoch round on the coordinator.
 struct Round {
@@ -416,7 +412,6 @@ pub struct GroupCoordinator {
     config: GroupConfig,
     replicas: BTreeMap<u32, (ActorId, ObjectId)>,
     round_delay: SimDuration,
-    ack_deadline: SimDuration,
     /// Joined delta of proposals waiting for the next round.
     inbox: ConfigDelta,
     inbox_proposers: Vec<(ActorId, CallId)>,
@@ -441,7 +436,6 @@ impl GroupCoordinator {
             config,
             replicas,
             round_delay: SimDuration::from_millis(5),
-            ack_deadline: SimDuration::from_millis(100),
             inbox: ConfigDelta::new(),
             inbox_proposers: Vec::new(),
             round_scheduled: false,
@@ -451,27 +445,10 @@ impl GroupCoordinator {
         }
     }
 
-    /// Overrides the proposal-batching delay.
-    pub fn with_round_delay(mut self, delay: SimDuration) -> Self {
-        self.round_delay = delay;
-        self
-    }
-
-    /// Overrides the prepare-ack deadline.
-    pub fn with_ack_deadline(mut self, deadline: SimDuration) -> Self {
-        self.ack_deadline = deadline;
-        self
-    }
-
     /// Adjusts the proposal-batching delay on a live coordinator (tests
     /// widen it to force concurrent proposals into one round).
     pub fn set_round_delay(&mut self, delay: SimDuration) {
         self.round_delay = delay;
-    }
-
-    /// Adjusts the prepare-ack deadline on a live coordinator.
-    pub fn set_ack_deadline(&mut self, deadline: SimDuration) {
-        self.ack_deadline = deadline;
     }
 
     /// The committed configuration.
@@ -535,7 +512,7 @@ impl GroupCoordinator {
                 },
             );
         }
-        let deadline = ctx.schedule_timer(self.ack_deadline, DEADLINE_TOKEN_BASE + epoch);
+        let deadline = ctx.schedule_timer(ACK_DEADLINE, DEADLINE_TOKEN_BASE + epoch);
         self.round = Some(Round {
             epoch,
             joined_digest,

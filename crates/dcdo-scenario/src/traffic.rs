@@ -6,14 +6,9 @@
 //! hand-written driver function exists for it anywhere in the repo; the
 //! declaration in [`crate::registry`] is the whole workload.
 
-use dcdo_core::ops::{
-    ConfigureVersion, CreateDcdo, DcdoCreated, DeriveVersion, DerivedVersion, LazyCheck,
-    MarkInstantiable, MigrateDcdo, QueryFunctionStatus, QueryInterface, SetCurrentVersion,
-    SetLazyCheck, VersionConfigOp,
-};
-use dcdo_core::{DcdoManager, HostDirectory, Ico, UpdatePropagation, VersionPolicy};
-use dcdo_types::ClassId;
-use dcdo_workloads::service;
+use dcdo_core::ops::{LazyCheck, MigrateDcdo, QueryFunctionStatus, QueryInterface, SetLazyCheck};
+use dcdo_types::VersionId;
+use dcdo_workloads::{service, Manager, Strategy};
 use legion_substrate::ControlOp;
 
 use crate::error::ScenarioError;
@@ -66,98 +61,17 @@ impl Workload for CounterService {
     fn setup(&mut self, cx: &mut RunCx) {
         let handles = {
             let bed = cx.world.testbed_mut().expect("validated: legion topology");
-            let hosts = HostDirectory::from_testbed(bed);
-            let manager_obj = bed.fresh_object_id();
-            let manager = DcdoManager::new(
-                manager_obj,
-                ClassId::from_raw(1),
-                bed.cost.clone(),
-                bed.agent,
-                hosts,
-                VersionPolicy::SingleVersion,
-                UpdatePropagation::Explicit,
-            )
-            .with_vault(bed.vault_object);
-            let manager_actor = bed.sim.spawn(bed.nodes[0], manager);
-            bed.register(manager_obj, manager_actor);
             let client_node = *bed.nodes.last().expect("validated: nonzero nodes");
-            let (_, client) = bed.spawn_client(client_node);
-
-            let ico_obj = bed.fresh_object_id();
-            let ico_node = bed.nodes[1 % bed.nodes.len()];
-            let cost = bed.cost.clone();
-            let ico_actor = bed
-                .sim
-                .spawn(ico_node, Ico::new(ico_obj, &service::counter_core(), cost));
-            bed.register(ico_obj, ico_actor);
-
-            let v1 = bed
-                .control_and_wait(
-                    client,
-                    manager_obj,
-                    ControlOp::new(DeriveVersion {
-                        from: "1".parse().expect("version"),
-                    }),
-                )
-                .result
-                .expect("derive succeeds")
-                .control_as::<DerivedVersion>()
-                .expect("derived-version reply")
-                .version
-                .clone();
-            bed.control_and_wait(
-                client,
-                manager_obj,
-                ControlOp::new(ConfigureVersion {
-                    version: v1.clone(),
-                    op: VersionConfigOp::IncorporateComponent { ico: ico_obj },
-                }),
-            )
-            .result
-            .expect("incorporate");
-            for f in ["step", "get", "incr"] {
-                bed.control_and_wait(
-                    client,
-                    manager_obj,
-                    ControlOp::new(ConfigureVersion {
-                        version: v1.clone(),
-                        op: VersionConfigOp::EnableFunction {
-                            function: f.into(),
-                            component: service::ids::COUNTER_CORE,
-                        },
-                    }),
-                )
-                .result
-                .expect("enable");
-            }
-            for op in [
-                ControlOp::new(MarkInstantiable {
-                    version: v1.clone(),
-                }),
-                ControlOp::new(SetCurrentVersion {
-                    version: v1.clone(),
-                }),
-            ] {
-                bed.control_and_wait(client, manager_obj, op)
-                    .result
-                    .expect("version workflow");
-            }
+            let manager = Manager::spawn(bed, Strategy::SingleVersionExplicit, client_node);
+            let (ico, _) = Manager::publish(bed, &service::counter_core(), 1);
+            let v1 = manager.build_version(bed, &VersionId::root(), service::counter_v1(ico));
+            manager.set_current(bed, &v1);
             let home = bed.nodes[self.home as usize];
-            let dcdo = bed
-                .control_and_wait(
-                    client,
-                    manager_obj,
-                    ControlOp::new(CreateDcdo { node: home }),
-                )
-                .result
-                .expect("create")
-                .control_as::<DcdoCreated>()
-                .expect("dcdo-created reply")
-                .object;
+            let (dcdo, _) = manager.create(bed, home);
             ServiceHandles {
-                manager: manager_obj,
-                manager_actor,
-                client,
+                manager: manager.object,
+                manager_actor: manager.actor,
+                client: manager.driver,
                 client_node,
                 dcdo,
                 dcdo_node: home,

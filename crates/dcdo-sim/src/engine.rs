@@ -45,12 +45,6 @@ fn lane_seed(run_seed: u64, lane: u16) -> u64 {
     splitmix64(run_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(lane as u64 + 1))
 }
 
-/// Salt separating flight-recorder head-sampling streams from the lanes'
-/// main RNG streams: sampling draws come from `lane_seed(run_seed ^
-/// FLIGHT_SALT, lane)`, so enabling sampling cannot shift any draw the
-/// simulated system itself observes.
-const FLIGHT_SALT: u64 = 0x0F11_6817_0DEC_0DE5;
-
 /// Identifies an actor within one [`Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(u32);
@@ -172,11 +166,6 @@ pub(crate) struct LaneState {
     fresh: u64,
     span_ctr: u64,
     actor_ctr: u32,
-    /// Flight-recorder head-sampling stream, split from a salted run seed
-    /// so sampling draws never perturb the lane's main RNG stream. Created
-    /// only when sampling is actually configured (`flight_sample_n > 1`),
-    /// so the default always-on path makes no draws at all.
-    flight_rng: Option<SimRng>,
 }
 
 impl LaneState {
@@ -188,7 +177,6 @@ impl LaneState {
             fresh: 0,
             span_ctr: 0,
             actor_ctr: 0,
-            flight_rng: None,
         }
     }
 }
@@ -327,15 +315,6 @@ impl<'a, M: Payload> Ctx<'a, M> {
         self.sim.span_emit(node, parent, kind)
     }
 
-    /// Records a structured span with an explicit causal parent (e.g. the
-    /// span that opened a multi-event protocol exchange). Returns `None`
-    /// when tracing is disabled.
-    #[inline]
-    pub fn emit_span_under(&mut self, parent: Option<SpanId>, kind: SpanKind) -> Option<SpanId> {
-        let node = self.sim.node_of(self.self_id).as_raw();
-        self.sim.span_emit(node, parent, kind)
-    }
-
     /// The span of the event currently being dispatched, if traced.
     pub fn current_span(&self) -> Option<SpanId> {
         self.sim.current_span
@@ -423,9 +402,6 @@ pub struct Simulation<M: Payload> {
     /// The always-on flight recorder: a bounded ring of compact frames per
     /// executed event.
     flight: FlightRecorder,
-    /// Head-sampling rate: keep 1 in `n` delivered/timer frames (1 = all).
-    /// Draws come from per-lane `flight_rng` streams.
-    flight_sample_n: u64,
     /// The always-on windowed time-series registry.
     timeline: Timeline,
     /// When each node crash happened, in order (a run has a handful).
@@ -451,7 +427,6 @@ impl<M: Payload> Simulation<M> {
             current_span: None,
             cur_lane: 0,
             flight: FlightRecorder::new(),
-            flight_sample_n: 1,
             timeline: Timeline::new(),
             crashes: Vec::new(),
         }
@@ -554,15 +529,6 @@ impl<M: Payload> Simulation<M> {
     /// not spans are recorded.
     pub fn node_crashes(&self) -> &[SimTime] {
         &self.crashes
-    }
-
-    /// Configures flight-recorder head sampling: keep 1 in `n` delivered
-    /// and timer frames (`n` = 1, the default, keeps everything).
-    /// Dead letters, crashes, and restarts are always recorded. Draws come
-    /// from dedicated per-lane RNG streams split from a salted run seed, so
-    /// the engine's main RNG streams are never perturbed.
-    pub fn set_flight_sampling(&mut self, n: u64) {
-        self.flight_sample_n = n.max(1);
     }
 
     /// Has no effect: the engine has one, sequential, execution path. Kept
@@ -1010,7 +976,7 @@ impl<M: Payload> Simulation<M> {
                 node: node.as_raw(),
             },
         );
-        self.observe(7, node.as_raw(), 0, false);
+        self.observe(7, node.as_raw(), 0);
         let mut killed = 0;
         for lane in 0..self.actors.len() {
             for ctr in 0..self.actors[lane].len() {
@@ -1060,7 +1026,7 @@ impl<M: Payload> Simulation<M> {
                 node: node.as_raw(),
             },
         );
-        self.observe(8, node.as_raw(), 0, false);
+        self.observe(8, node.as_raw(), 0);
     }
 
     /// Returns `true` if the node is up (never crashed, or restarted).
@@ -1111,30 +1077,16 @@ impl<M: Payload> Simulation<M> {
 
     /// The always-on observability hook: accounts the executing event into
     /// the timeline bucket and leaves a compact frame in the flight ring.
-    /// `sampled` frames (deliveries, timers) are subject to head sampling;
-    /// error-shaped frames (dead letters, crashes, restarts) always record.
     /// This is the per-event hot path — one enabled branch per facility, a
     /// cached bucket-end compare, plain integer increments, and a 16-byte
     /// ring store; no division or map lookups.
     #[inline(always)]
-    fn observe(&mut self, code: u8, node: u32, actor: u64, sampled: bool) {
+    fn observe(&mut self, code: u8, node: u32, actor: u64) {
         let at_ns = self.time.as_nanos();
         if self.timeline.is_enabled() {
             self.timeline.account(at_ns, code);
         }
         if self.flight.is_enabled() {
-            if sampled && self.flight_sample_n > 1 {
-                let n = self.flight_sample_n;
-                let lane = self.cur_lane;
-                let run_seed = self.run_seed;
-                let ls = self.lane_state(lane);
-                let rng = ls.flight_rng.get_or_insert_with(|| {
-                    SimRng::seed_from_u64(lane_seed(run_seed ^ FLIGHT_SALT, lane))
-                });
-                if rng.range_u64(0, n) != 0 {
-                    return;
-                }
-            }
             self.flight
                 .push(FlightFrame::pack(at_ns, code, node, actor));
         }
@@ -1149,7 +1101,7 @@ impl<M: Payload> Simulation<M> {
             // Never-spawned destination: count and drop.
             self.metrics.incr("sim.dead_letters");
             self.trace_record(TraceEvent::DeadLetter { src, dst });
-            self.observe(3, u32::MAX, dst.as_raw() as u64, false);
+            self.observe(3, u32::MAX, dst.as_raw() as u64);
             return;
         };
         self.cur_lane = dst_node.as_raw() as u16 + 1;
@@ -1168,7 +1120,7 @@ impl<M: Payload> Simulation<M> {
                     dst_node: dst_node.as_raw(),
                 },
             );
-            self.observe(3, dst_node.as_raw(), dst.as_raw() as u64, false);
+            self.observe(3, dst_node.as_raw(), dst.as_raw() as u64);
             self.cur_lane = 0;
             return;
         };
@@ -1182,7 +1134,7 @@ impl<M: Payload> Simulation<M> {
                 dst_node: dst_node.as_raw(),
             },
         );
-        self.observe(2, dst_node.as_raw(), dst.as_raw() as u64, true);
+        self.observe(2, dst_node.as_raw(), dst.as_raw() as u64);
         let killed;
         {
             let mut ctx = Ctx {
@@ -1227,7 +1179,7 @@ impl<M: Payload> Simulation<M> {
                 token,
             },
         );
-        self.observe(4, node.as_raw(), dst.as_raw() as u64, true);
+        self.observe(4, node.as_raw(), dst.as_raw() as u64);
         let killed;
         {
             let mut ctx = Ctx {

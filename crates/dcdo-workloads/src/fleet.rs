@@ -10,18 +10,15 @@
 
 use std::collections::HashMap;
 
-use dcdo_core::ops::{
-    ConfigureVersion, CreateDcdo, DcdoCreated, DeriveVersion, DerivedVersion, LazyCheck,
-    MarkInstantiable, SetCurrentVersion, SetLazyCheck, UpdateInstance, VersionConfigOp,
-};
-use dcdo_core::HostDirectory;
-use dcdo_core::{DcdoManager, DcdoObject, Ico};
+use dcdo_core::ops::{LazyCheck, SetLazyCheck, UpdateInstance, VersionConfigOp};
+use dcdo_core::DcdoObject;
 use dcdo_sim::{ActorId, SimDuration};
-use dcdo_types::{ClassId, ObjectId, VersionId};
+use dcdo_types::{ObjectId, VersionId};
 use dcdo_vm::ComponentBinary;
 use legion_substrate::harness::Testbed;
 use legion_substrate::ControlOp;
 
+use crate::manager::Manager;
 use crate::strategy::Strategy;
 
 /// Convergence measurement for one version rollout.
@@ -73,89 +70,35 @@ impl PropagationReport {
 pub struct Fleet {
     /// The underlying testbed.
     pub bed: Testbed,
-    /// The manager's object identity.
-    pub manager_obj: ObjectId,
-    /// The manager's actor.
-    pub manager_actor: ActorId,
-    /// The admin client used for control operations.
-    pub driver: ActorId,
+    /// The manager, driven from node 0.
+    pub manager: Manager,
     /// The instances: `(object, actor)`.
     pub instances: Vec<(ObjectId, ActorId)>,
     strategy: Strategy,
-    current: VersionId,
 }
 
 impl Fleet {
     /// Builds a fleet on a fresh Centurion testbed.
     pub fn new(strategy: Strategy, seed: u64) -> Self {
-        let bed = Testbed::centurion(seed);
-        Fleet::on_testbed(bed, strategy)
+        Fleet::on_testbed(Testbed::centurion(seed), strategy)
     }
 
     /// Builds a fleet on an existing testbed (lets callers customize the
-    /// host directory, e.g. for heterogeneous-architecture scenarios).
-    pub fn on_testbed(bed: Testbed, strategy: Strategy) -> Self {
-        let hosts = HostDirectory::from_testbed(&bed);
-        Fleet::with_hosts(bed, strategy, hosts)
-    }
-
-    /// Builds a fleet with an explicit host directory.
-    pub fn with_hosts(mut bed: Testbed, strategy: Strategy, hosts: HostDirectory) -> Self {
-        let manager_obj = bed.fresh_object_id();
-        let manager = DcdoManager::new(
-            manager_obj,
-            ClassId::from_raw(1),
-            bed.cost.clone(),
-            bed.agent,
-            hosts,
-            strategy.version_policy(),
-            strategy.propagation(),
-        );
-        let manager_actor = bed.sim.spawn(bed.nodes[0], manager);
-        bed.register(manager_obj, manager_actor);
-        let (_, driver) = bed.spawn_client(bed.nodes[0]);
+    /// cost model or the network).
+    pub fn on_testbed(mut bed: Testbed, strategy: Strategy) -> Self {
+        let driver_node = bed.nodes[0];
+        let manager = Manager::spawn(&mut bed, strategy, driver_node);
         Fleet {
             bed,
-            manager_obj,
-            manager_actor,
-            driver,
+            manager,
             instances: Vec::new(),
             strategy,
-            current: VersionId::root(),
-        }
-    }
-
-    /// The strategy in force.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// The manager's current version as this fleet last set it.
-    pub fn current_version(&self) -> &VersionId {
-        &self.current
-    }
-
-    fn control(&mut self, target: ObjectId, op: ControlOp) -> Result<(), String> {
-        let completion = self.bed.control_and_wait(self.driver, target, op);
-        completion.result.map(|_| ()).map_err(|e| e.to_string())
-    }
-
-    fn control_expect(&mut self, target: ObjectId, op: ControlOp) {
-        if let Err(e) = self.control(target, op) {
-            panic!("fleet control op failed: {e}");
         }
     }
 
     /// Publishes a component in a fresh ICO, returning the ICO's identity.
     pub fn publish_component(&mut self, binary: &ComponentBinary, node: usize) -> ObjectId {
-        let ico_obj = self.bed.fresh_object_id();
-        let node = self.bed.nodes[node % self.bed.nodes.len()];
-        let actor = self
-            .bed
-            .sim
-            .spawn(node, Ico::new(ico_obj, binary, self.bed.cost.clone()));
-        self.bed.register(ico_obj, actor);
-        ico_obj
+        Manager::publish(&mut self.bed, binary, node).0
     }
 
     /// Derives a new version from `from`, applies the configuration steps,
@@ -165,49 +108,13 @@ impl Fleet {
     ///
     /// Panics if any step is refused.
     pub fn build_version(&mut self, from: &VersionId, steps: Vec<VersionConfigOp>) -> VersionId {
-        let completion = self.bed.control_and_wait(
-            self.driver,
-            self.manager_obj,
-            ControlOp::new(DeriveVersion { from: from.clone() }),
-        );
-        let version = completion
-            .result
-            .expect("derive succeeds")
-            .control_as::<DerivedVersion>()
-            .expect("derived-version reply")
-            .version
-            .clone();
-        for op in steps {
-            let mgr = self.manager_obj;
-            self.control_expect(
-                mgr,
-                ControlOp::new(ConfigureVersion {
-                    version: version.clone(),
-                    op,
-                }),
-            );
-        }
-        let mgr = self.manager_obj;
-        self.control_expect(
-            mgr,
-            ControlOp::new(MarkInstantiable {
-                version: version.clone(),
-            }),
-        );
-        version
+        self.manager.build_version(&mut self.bed, from, steps)
     }
 
     /// Designates `version` as current (triggering proactive push when the
     /// strategy calls for it).
     pub fn set_current(&mut self, version: &VersionId) {
-        let mgr = self.manager_obj;
-        self.control_expect(
-            mgr,
-            ControlOp::new(SetCurrentVersion {
-                version: version.clone(),
-            }),
-        );
-        self.current = version.clone();
+        self.manager.set_current(&mut self.bed, version);
     }
 
     /// Creates `n` instances round-robin across nodes 1.. and applies the
@@ -216,18 +123,14 @@ impl Fleet {
         let lazy = self.strategy.lazy_check();
         for i in 0..n {
             let node = self.bed.nodes[1 + (i % (self.bed.nodes.len() - 1))];
-            let completion = self.bed.control_and_wait(
-                self.driver,
-                self.manager_obj,
-                ControlOp::new(CreateDcdo { node }),
-            );
-            let payload = completion.result.expect("creation succeeds");
-            let created = payload.control_as::<DcdoCreated>().expect("dcdo-created");
-            let (object, address) = (created.object, created.address);
+            let (object, actor) = self.manager.create(&mut self.bed, node);
             if lazy != LazyCheck::Never {
-                self.control_expect(object, ControlOp::new(SetLazyCheck { mode: lazy }));
+                let op = ControlOp::new(SetLazyCheck { mode: lazy });
+                if let Err(e) = self.manager.control(&mut self.bed, object, op) {
+                    panic!("fleet control op failed: {e}");
+                }
             }
-            self.instances.push((object, address));
+            self.instances.push((object, actor));
         }
     }
 
@@ -238,9 +141,10 @@ impl Fleet {
     pub fn update_all_explicitly(&mut self) -> usize {
         let mut accepted = 0;
         for (object, _) in self.instances.clone() {
-            let mgr = self.manager_obj;
+            let op = ControlOp::new(UpdateInstance { object, to: None });
             if self
-                .control(mgr, ControlOp::new(UpdateInstance { object, to: None }))
+                .manager
+                .control(&mut self.bed, self.manager.object, op)
                 .is_ok()
             {
                 accepted += 1;
@@ -305,7 +209,8 @@ impl Fleet {
         while self.bed.sim.now() < deadline && converged.len() < self.instances.len() {
             if let Some(function) = traffic_fn {
                 for (object, _) in self.instances.clone() {
-                    self.bed.client_call(self.driver, object, function, vec![]);
+                    self.bed
+                        .client_call(self.manager.driver, object, function, vec![]);
                 }
             }
             self.bed.run_for(sample);
@@ -350,11 +255,6 @@ impl Fleet {
         self.bed.sim.now().duration_since(start)
     }
 
-    /// Convenience: the observed convergence state as a map.
-    pub fn versions_by_instance(&self) -> HashMap<ObjectId, VersionId> {
-        self.instance_versions().into_iter().collect()
-    }
-
     /// Issues an invocation from the driver and waits for the reply.
     pub fn call(
         &mut self,
@@ -362,7 +262,9 @@ impl Fleet {
         function: &str,
         args: Vec<dcdo_vm::Value>,
     ) -> Result<dcdo_vm::Value, String> {
-        let completion = self.bed.call_and_wait(self.driver, target, function, args);
+        let completion = self
+            .bed
+            .call_and_wait(self.manager.driver, target, function, args);
         completion
             .result
             .map(|p| p.into_value().expect("value reply"))
@@ -375,7 +277,6 @@ impl std::fmt::Debug for Fleet {
         f.debug_struct("Fleet")
             .field("strategy", &self.strategy.name())
             .field("instances", &self.instances.len())
-            .field("current", &self.current)
             .finish()
     }
 }
@@ -528,6 +429,21 @@ mod tests {
             fleet.call(obj, "tick", vec![]).expect("tick"),
             dcdo_vm::Value::Int(10)
         );
+    }
+
+    #[test]
+    fn fleet_instances_can_checkpoint() {
+        // The fleet's manager has the testbed's vault attached, so the
+        // §3.1 checkpoint flow is admitted rather than refused.
+        let mut fleet = Fleet::new(Strategy::SingleVersionExplicit, 6);
+        base_version(&mut fleet);
+        fleet.create_instances(1);
+        let (object, _) = fleet.instances[0];
+        let op = ControlOp::new(dcdo_core::ops::CheckpointDcdo { object });
+        let checkpoint = fleet
+            .manager
+            .control(&mut fleet.bed, fleet.manager.object, op);
+        assert_eq!(checkpoint, Ok(()));
     }
 }
 

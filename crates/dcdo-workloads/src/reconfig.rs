@@ -13,20 +13,17 @@
 //! The same function (with `inject_fault = true`) is the driver the
 //! declared `crash_during_reconfig` scenario's episode wraps.
 
-use dcdo_core::ops::{
-    CheckpointDcdo, ConfigureVersion, CreateDcdo, DcdoCreated, DeriveVersion, DerivedVersion,
-    MarkInstantiable, NodeFailed, NodeRecovered, SetCurrentVersion, UpdateInstance,
-    VersionConfigOp,
-};
-use dcdo_core::{DcdoManager, HostDirectory, Ico, UpdatePropagation, VersionPolicy};
+use dcdo_core::ops::{CheckpointDcdo, NodeFailed, NodeRecovered, UpdateInstance, VersionConfigOp};
 use dcdo_profile::{FnNames, Layer, LayerMap, ProfileReport};
 use dcdo_sim::{ActorId, NodeId, SimDuration};
-use dcdo_types::{ClassId, ObjectId, VersionId};
+use dcdo_types::{ObjectId, VersionId};
 use dcdo_vm::{ComponentBuilder, Value};
 use legion_substrate::harness::Testbed;
 use legion_substrate::ControlOp;
 
+use crate::manager::Manager;
 use crate::service;
+use crate::strategy::Strategy;
 
 /// A fat replacement `step` component: its static data makes the transfer
 /// take seconds, leaving a wide window to crash the host mid-evolution.
@@ -116,151 +113,38 @@ pub fn reconfig_run(seed: u64, inject_fault: bool) -> ReconfigRun {
     let mut bed = Testbed::centurion(seed);
     bed.sim.trace_mut().enable(1 << 18);
     bed.sim.spans_mut().enable();
-    let hosts = HostDirectory::from_testbed(&bed);
-    let manager_obj = bed.fresh_object_id();
-    let manager = DcdoManager::new(
-        manager_obj,
-        ClassId::from_raw(1),
-        bed.cost.clone(),
-        bed.agent,
-        hosts,
-        VersionPolicy::SingleVersion,
-        UpdatePropagation::Explicit,
-    )
-    .with_vault(bed.vault_object);
-    let manager_actor = bed.sim.spawn(bed.nodes[0], manager);
-    bed.register(manager_obj, manager_actor);
-    let (_, client) = bed.spawn_client(bed.nodes[15]);
-
-    let mut ico_actors = Vec::new();
-    let publish = |bed: &mut Testbed,
-                   ico_actors: &mut Vec<ActorId>,
-                   binary: &dcdo_vm::ComponentBinary,
-                   node: usize| {
-        let ico_obj = bed.fresh_object_id();
-        let node = bed.nodes[node];
-        let cost = bed.cost.clone();
-        let actor = bed.sim.spawn(node, Ico::new(ico_obj, binary, cost));
-        bed.register(ico_obj, actor);
-        ico_actors.push(actor);
-        ico_obj
-    };
-    let derive = |bed: &mut Testbed, from: &str| -> VersionId {
-        bed.control_and_wait(
-            client,
-            manager_obj,
-            ControlOp::new(DeriveVersion {
-                from: from.parse().expect("version"),
-            }),
-        )
-        .result
-        .expect("derive succeeds")
-        .control_as::<DerivedVersion>()
-        .expect("derived-version reply")
-        .version
-        .clone()
-    };
+    let driver_node = bed.nodes[15];
+    let manager = Manager::spawn(&mut bed, Strategy::SingleVersionExplicit, driver_node);
+    let (manager_obj, client) = (manager.object, manager.driver);
 
     // Version 1.1: the counter core, live in one instance on node 4.
-    let core_ico = publish(&mut bed, &mut ico_actors, &service::counter_core(), 1);
-    let v1 = derive(&mut bed, "1");
-    bed.control_and_wait(
-        client,
-        manager_obj,
-        ControlOp::new(ConfigureVersion {
-            version: v1.clone(),
-            op: VersionConfigOp::IncorporateComponent { ico: core_ico },
-        }),
-    )
-    .result
-    .expect("incorporate");
-    for f in ["step", "get", "incr"] {
-        bed.control_and_wait(
-            client,
-            manager_obj,
-            ControlOp::new(ConfigureVersion {
-                version: v1.clone(),
-                op: VersionConfigOp::EnableFunction {
-                    function: f.into(),
-                    component: service::ids::COUNTER_CORE,
-                },
-            }),
-        )
-        .result
-        .expect("enable");
-    }
-    for op in [
-        ControlOp::new(MarkInstantiable {
-            version: v1.clone(),
-        }),
-        ControlOp::new(SetCurrentVersion {
-            version: v1.clone(),
-        }),
-    ] {
-        bed.control_and_wait(client, manager_obj, op)
-            .result
-            .expect("version workflow");
-    }
+    let (core_ico, core_actor) = Manager::publish(&mut bed, &service::counter_core(), 1);
+    let v1 = manager.build_version(&mut bed, &VersionId::root(), service::counter_v1(core_ico));
+    manager.set_current(&mut bed, &v1);
     let node = bed.nodes[4];
-    let dcdo = bed
-        .control_and_wait(client, manager_obj, ControlOp::new(CreateDcdo { node }))
-        .result
-        .expect("create")
-        .control_as::<DcdoCreated>()
-        .expect("dcdo-created")
-        .object;
+    let (dcdo, _) = manager.create(&mut bed, node);
     for _ in 0..2 {
         bed.call_and_wait(client, dcdo, "incr", vec![])
             .result
             .expect("incr");
     }
     // Snapshot (count = 2): what recovery will rebuild from.
-    bed.control_and_wait(
-        client,
-        manager_obj,
-        ControlOp::new(CheckpointDcdo { object: dcdo }),
-    )
-    .result
-    .expect("checkpoint");
+    let checkpoint = ControlOp::new(CheckpointDcdo { object: dcdo });
+    manager
+        .control(&mut bed, manager_obj, checkpoint)
+        .expect("checkpoint");
 
     // Version 1.1.1: the padded step.
-    let step_ico = publish(&mut bed, &mut ico_actors, &padded_step(), 2);
-    let v2 = derive(&mut bed, &v1.to_string());
-    bed.control_and_wait(
-        client,
-        manager_obj,
-        ControlOp::new(ConfigureVersion {
-            version: v2.clone(),
-            op: VersionConfigOp::IncorporateComponent { ico: step_ico },
-        }),
-    )
-    .result
-    .expect("incorporate step");
-    bed.control_and_wait(
-        client,
-        manager_obj,
-        ControlOp::new(ConfigureVersion {
-            version: v2.clone(),
-            op: VersionConfigOp::EnableFunction {
-                function: "step".into(),
-                component: service::ids::STEP_TEN,
-            },
-        }),
-    )
-    .result
-    .expect("enable step");
-    for op in [
-        ControlOp::new(MarkInstantiable {
-            version: v2.clone(),
-        }),
-        ControlOp::new(SetCurrentVersion {
-            version: v2.clone(),
-        }),
-    ] {
-        bed.control_and_wait(client, manager_obj, op)
-            .result
-            .expect("version workflow");
-    }
+    let (step_ico, step_actor) = Manager::publish(&mut bed, &padded_step(), 2);
+    let steps = vec![
+        VersionConfigOp::IncorporateComponent { ico: step_ico },
+        VersionConfigOp::EnableFunction {
+            function: "step".into(),
+            component: service::ids::STEP_TEN,
+        },
+    ];
+    let v2 = manager.build_version(&mut bed, &v1, steps);
+    manager.set_current(&mut bed, &v2);
 
     // The measured window: update kickoff to verified post-update service.
     let window_start_messages = bed.sim.network().stats().messages_sent;
@@ -277,31 +161,30 @@ pub fn reconfig_run(seed: u64, inject_fault: bool) -> ReconfigRun {
         bed.run_for(SimDuration::from_secs(1));
         bed.sim.crash_node(node);
         let crashed_at = bed.sim.now();
-        bed.control_and_wait(client, manager_obj, ControlOp::new(NodeFailed { node }))
-            .result
+        let failed = ControlOp::new(NodeFailed { node });
+        manager
+            .control(&mut bed, manager_obj, failed)
             .expect("failure report");
         bed.wait_for(client, update)
             .result
             .expect_err("interrupted update is refused");
         bed.sim.restart_node(node);
         bed.revive_host(node);
-        bed.control_and_wait(client, manager_obj, ControlOp::new(NodeRecovered { node }))
-            .result
+        let recovered = ControlOp::new(NodeRecovered { node });
+        manager
+            .control(&mut bed, manager_obj, recovered)
             .expect("recovery starts");
         while bed.sim.metrics().counter("manager.recoveries") == 0 {
             assert!(bed.sim.step(), "drained before recovery completed");
         }
         recovery_time_s = bed.sim.now().duration_since(crashed_at).as_secs_f64();
-        bed.control_and_wait(
-            client,
-            manager_obj,
-            ControlOp::new(UpdateInstance {
-                object: dcdo,
-                to: None,
-            }),
-        )
-        .result
-        .expect("re-issued update lands");
+        let update = ControlOp::new(UpdateInstance {
+            object: dcdo,
+            to: None,
+        });
+        manager
+            .control(&mut bed, manager_obj, update)
+            .expect("re-issued update lands");
     } else {
         bed.wait_for(client, update).result.expect("update lands");
     }
@@ -317,12 +200,12 @@ pub fn reconfig_run(seed: u64, inject_fault: bool) -> ReconfigRun {
     let window_messages = bed.sim.network().stats().messages_sent - window_start_messages;
     ReconfigRun {
         bed,
-        manager_actor,
+        manager_actor: manager.actor,
         manager_object: manager_obj,
         client,
         dcdo,
         dcdo_node: node,
-        ico_actors,
+        ico_actors: vec![core_actor, step_actor],
         window_messages,
         recovery_time_s,
     }

@@ -6,6 +6,8 @@
 //!   dynamic `compare(int, int)`, whose implementation determines the sort
 //!   order — the motivating example for behavioral dependencies.
 
+use dcdo_core::ops::VersionConfigOp;
+use dcdo_types::ObjectId;
 use dcdo_vm::{CodeBlock, ComponentBinary, ComponentBuilder, FunctionBuilder};
 
 /// Well-known component ids used by the canonical services.
@@ -69,6 +71,19 @@ pub fn counter_core() -> ComponentBinary {
         .auto_structural_deps()
         .build()
         .expect("valid component")
+}
+
+/// The counter's first version: incorporate the core published in `ico`,
+/// then enable `step`, `get` and `incr` from it.
+pub fn counter_v1(ico: ObjectId) -> Vec<VersionConfigOp> {
+    let mut steps = vec![VersionConfigOp::IncorporateComponent { ico }];
+    for function in ["step", "get", "incr"] {
+        steps.push(VersionConfigOp::EnableFunction {
+            function: function.into(),
+            component: ids::COUNTER_CORE,
+        });
+    }
+    steps
 }
 
 /// A replacement internal `step` advancing by `amount`.

@@ -18,7 +18,7 @@ use dcdo_sim::SimDuration;
 ///
 /// ```
 /// use dcdo_core::{UpdatePropagation, VersionPolicy};
-/// use dcdo_evolution::Strategy;
+/// use dcdo_workloads::Strategy;
 ///
 /// let s = Strategy::SingleVersionProactive;
 /// assert_eq!(s.version_policy(), VersionPolicy::SingleVersion);

@@ -14,13 +14,13 @@
 use dcdo::core::ops::{
     DisableFunction, RemovalPolicy, RemoveComponent, SetRemovalPolicy, VersionConfigOp,
 };
-use dcdo::evolution::{Fleet, Strategy};
 use dcdo::legion::class::{ClassObject, CreateInstance, InstanceCreated};
 use dcdo::legion::monolithic::ExecutableImage;
 use dcdo::legion::ControlOp;
 use dcdo::sim::SimDuration;
 use dcdo::types::{ClassId, ComponentId, Protection, VersionId};
 use dcdo::vm::{ComponentBuilder, FunctionBuilder, Value};
+use dcdo::workloads::{Fleet, Strategy};
 
 /// counter without declared dependencies — deliberately unprotected.
 fn unprotected_counter() -> dcdo::vm::ComponentBinary {
@@ -61,7 +61,7 @@ fn main() {
     fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(DisableFunction {
                 function: "incr".into(),
@@ -77,7 +77,7 @@ fn main() {
     fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(dcdo::core::ops::EnableFunction {
                 function: "incr".into(),
@@ -93,7 +93,7 @@ fn main() {
     fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(DisableFunction {
                 function: "step".into(),
@@ -111,7 +111,7 @@ fn main() {
     fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(dcdo::core::ops::EnableFunction {
                 function: "step".into(),
@@ -123,7 +123,7 @@ fn main() {
     fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(dcdo::core::ops::AddFunctionDependency {
                 dependency: dcdo::types::Dependency::type_a(
@@ -138,7 +138,7 @@ fn main() {
     match fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(DisableFunction {
                 function: "step".into(),
@@ -152,7 +152,7 @@ fn main() {
     fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(dcdo::core::ops::SetFunctionProtection {
                 function: "incr".into(),
@@ -164,7 +164,7 @@ fn main() {
     match fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(DisableFunction {
                 function: "incr".into(),
@@ -191,7 +191,7 @@ fn main() {
     fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(dcdo::core::ops::IncorporateComponent { ico: ico2 }),
         )
@@ -200,7 +200,7 @@ fn main() {
     fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(dcdo::core::ops::EnableFunction {
                 function: "relay".into(),
@@ -232,7 +232,7 @@ fn main() {
     let peer = fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             class_obj,
             ControlOp::new(CreateInstance { node }),
         )
@@ -242,15 +242,18 @@ fn main() {
         .expect("reply")
         .object;
 
-    let pending = fleet
-        .bed
-        .client_call(fleet.driver, dcdo, "relay", vec![Value::ObjRef(peer)]);
+    let pending = fleet.bed.client_call(
+        fleet.manager.driver,
+        dcdo,
+        "relay",
+        vec![Value::ObjRef(peer)],
+    );
     fleet.bed.run_for(SimDuration::from_millis(100));
     println!("a thread is suspended inside the relay component; removal under Refuse policy:");
     match fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(RemoveComponent {
                 component: ComponentId::from_raw(2),
@@ -266,7 +269,7 @@ fn main() {
     fleet
         .bed
         .control_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             dcdo,
             ControlOp::new(SetRemovalPolicy {
                 policy: RemovalPolicy::DelayUntilIdle,
@@ -275,13 +278,13 @@ fn main() {
         .result
         .expect("policy set");
     let removal = fleet.bed.client_control(
-        fleet.driver,
+        fleet.manager.driver,
         dcdo,
         ControlOp::new(RemoveComponent {
             component: ComponentId::from_raw(2),
         }),
     );
-    let relay_reply = fleet.bed.wait_for(fleet.driver, pending);
+    let relay_reply = fleet.bed.wait_for(fleet.manager.driver, pending);
     println!(
         "  suspended thread completed first: relay -> {}",
         relay_reply
@@ -290,7 +293,7 @@ fn main() {
             .into_value()
             .expect("value")
     );
-    let removal_reply = fleet.bed.wait_for(fleet.driver, removal);
+    let removal_reply = fleet.bed.wait_for(fleet.manager.driver, removal);
     assert!(removal_reply.result.is_ok());
     println!("  then the removal proceeded — no thread lost its code");
 }

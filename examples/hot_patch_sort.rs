@@ -11,11 +11,11 @@
 //! the manager refuse exactly that swap.
 
 use dcdo::core::ops::VersionConfigOp;
-use dcdo::evolution::{Fleet, Strategy};
 use dcdo::legion::ControlOp;
 use dcdo::types::{Dependency, VersionId};
 use dcdo::vm::Value;
 use dcdo::workloads::service;
+use dcdo::workloads::{Fleet, Strategy};
 
 fn show(fleet: &mut Fleet, label: &str) {
     let (obj, _) = fleet.instances[0];
@@ -99,8 +99,8 @@ fn main() {
     // The forbidden configuration: enable the descending compare while the
     // behavioral dependency stands.
     let derive = fleet.bed.control_and_wait(
-        fleet.driver,
-        fleet.manager_obj,
+        fleet.manager.driver,
+        fleet.manager.object,
         ControlOp::new(dcdo::core::ops::DeriveVersion { from: v3.clone() }),
     );
     let v4 = derive
@@ -111,8 +111,8 @@ fn main() {
         .version
         .clone();
     let refusal = fleet.bed.control_and_wait(
-        fleet.driver,
-        fleet.manager_obj,
+        fleet.manager.driver,
+        fleet.manager.object,
         ControlOp::new(dcdo::core::ops::ConfigureVersion {
             version: v4,
             op: VersionConfigOp::EnableFunction {

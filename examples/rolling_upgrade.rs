@@ -10,10 +10,10 @@
 //! explicit vs lazy update policies.
 
 use dcdo::core::ops::VersionConfigOp;
-use dcdo::evolution::{Fleet, Strategy};
 use dcdo::sim::SimDuration;
 use dcdo::types::{ComponentId, VersionId};
 use dcdo::vm::ComponentBuilder;
+use dcdo::workloads::{Fleet, Strategy};
 
 fn tick(id: u64, amount: i64) -> dcdo::vm::ComponentBinary {
     ComponentBuilder::new(ComponentId::from_raw(id), format!("tick-{amount}"))

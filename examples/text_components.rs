@@ -12,9 +12,9 @@
 //! the objects are initially compiled and run".
 
 use dcdo::core::ops::VersionConfigOp;
-use dcdo::evolution::{Fleet, Strategy};
 use dcdo::types::{ComponentId, VersionId};
 use dcdo::vm::{assemble, disassemble};
+use dcdo::workloads::{Fleet, Strategy};
 
 const TALLY_V1: &str = r#"
 component "tally" id=41

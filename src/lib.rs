@@ -15,11 +15,12 @@
 //! - [`group`] — epoch-based group reconfiguration: joinable config deltas
 //!   (lattice agreement), propose/commit epochs over replica sets, and
 //!   rolling-upgrade orchestration.
-//! - [`evolution`] — evolution management strategies (§3.3–3.5).
 //! - [`profile`] — the trace-driven profiler: flow latency breakdowns,
 //!   critical paths, reconfiguration cost tables, VM cost attribution, and
 //!   deterministic metric exporters.
-//! - [`workloads`] — workload generators used by the benchmark harness.
+//! - [`workloads`] — fixtures and workload generators: the manager
+//!   stand-up handle, the §3.3–3.5 evolution strategies and the `Fleet`
+//!   that measures their rollouts, canonical services, and load drivers.
 //! - [`scenario`] — the declarative scenario framework: topologies,
 //!   weighted workload mixes, pluggable expectations, and the `.scn`
 //!   loader behind `dcdo-inspect scenario`.
@@ -34,7 +35,6 @@
 
 pub use dcdo_chaos as chaos;
 pub use dcdo_core as core;
-pub use dcdo_evolution as evolution;
 pub use dcdo_group as group;
 pub use dcdo_profile as profile;
 pub use dcdo_scenario as scenario;

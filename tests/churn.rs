@@ -2,12 +2,12 @@
 //! continuous client load and message loss, without dropping a call.
 
 use dcdo::core::ops::{ListVersions, VersionConfigOp, VersionTable};
-use dcdo::evolution::{Fleet, Strategy};
 use dcdo::legion::ControlOp;
 use dcdo::sim::SimDuration;
 use dcdo::types::{ComponentId, VersionId};
 use dcdo::vm::ComponentBuilder;
 use dcdo::workloads::ClosedLoopClient;
+use dcdo::workloads::{Fleet, Strategy};
 
 fn tick(id: u64, amount: i64) -> dcdo::vm::ComponentBinary {
     ComponentBuilder::new(ComponentId::from_raw(id), format!("tick-{id}"))
@@ -115,8 +115,8 @@ fn ten_generations_under_load_and_loss() {
 
     // The manager's DFM store holds the whole derivation chain.
     let completion = fleet.bed.control_and_wait(
-        fleet.driver,
-        fleet.manager_obj,
+        fleet.manager.driver,
+        fleet.manager.object,
         ControlOp::new(ListVersions),
     );
     let payload = completion.result.expect("list succeeds");

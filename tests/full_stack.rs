@@ -2,13 +2,11 @@
 //! under client load during evolution, determinism, and fault injection.
 
 use dcdo::core::ops::VersionConfigOp;
-use dcdo::evolution::{Fleet, Strategy};
 use dcdo::legion::ControlOp;
 use dcdo::sim::SimDuration;
 use dcdo::types::{ComponentId, VersionId};
 use dcdo::vm::{ComponentBuilder, Value};
-use dcdo::workloads::service;
-use dcdo::workloads::ClosedLoopClient;
+use dcdo::workloads::{service, ClosedLoopClient, Fleet, Manager, Strategy};
 
 /// Builds a counter fleet (the canonical service) at version 1.1.
 fn counter_fleet(strategy: Strategy, seed: u64) -> (Fleet, VersionId) {
@@ -16,24 +14,7 @@ fn counter_fleet(strategy: Strategy, seed: u64) -> (Fleet, VersionId) {
     let core = service::counter_core();
     let ico = fleet.publish_component(&core, 1);
     let root = VersionId::root();
-    let v1 = fleet.build_version(
-        &root,
-        vec![
-            VersionConfigOp::IncorporateComponent { ico },
-            VersionConfigOp::EnableFunction {
-                function: "step".into(),
-                component: service::ids::COUNTER_CORE,
-            },
-            VersionConfigOp::EnableFunction {
-                function: "get".into(),
-                component: service::ids::COUNTER_CORE,
-            },
-            VersionConfigOp::EnableFunction {
-                function: "incr".into(),
-                component: service::ids::COUNTER_CORE,
-            },
-        ],
-    );
+    let v1 = fleet.build_version(&root, service::counter_v1(ico));
     fleet.set_current(&v1);
     fleet.create_instances(1);
     (fleet, v1)
@@ -235,8 +216,8 @@ fn two_services_coexist_and_interact() {
     fleet
         .bed
         .control_and_wait(
-            fleet.driver,
-            fleet.manager_obj,
+            fleet.manager.driver,
+            fleet.manager.object,
             ControlOp::new(dcdo::core::ops::UpdateInstance {
                 object: backend,
                 to: None,
@@ -255,7 +236,7 @@ fn interface_queries_reflect_live_configuration() {
     let (mut fleet, _v) = counter_fleet(Strategy::SingleVersionExplicit, 5);
     let (target, _) = fleet.instances[0];
     let completion = fleet.bed.control_and_wait(
-        fleet.driver,
+        fleet.manager.driver,
         target,
         ControlOp::new(dcdo::core::ops::QueryImplementation),
     );
@@ -268,7 +249,7 @@ fn interface_queries_reflect_live_configuration() {
     assert_eq!(report.version.to_string(), "1.1");
 
     let completion = fleet.bed.control_and_wait(
-        fleet.driver,
+        fleet.manager.driver,
         target,
         ControlOp::new(dcdo::core::ops::QueryFunctionStatus {
             function: "step".into(),
@@ -309,32 +290,15 @@ fn two_managers_two_types_one_testbed() {
     let sorter_mgr_actor = fleet.bed.sim.spawn(fleet.bed.nodes[1], sorter_mgr);
     fleet.bed.register(sorter_mgr_obj, sorter_mgr_actor);
 
-    // Configure the sorting type's version 1.1 through its own manager.
-    let sorting = service::sorting_component();
-    let ico_obj = fleet.bed.fresh_object_id();
-    let node = fleet.bed.nodes[2];
-    let cost = fleet.bed.cost.clone();
-    let ico = fleet
-        .bed
-        .sim
-        .spawn(node, dcdo::core::Ico::new(ico_obj, &sorting, cost));
-    fleet.bed.register(ico_obj, ico);
-
-    let derive = fleet.bed.control_and_wait(
-        fleet.driver,
-        sorter_mgr_obj,
-        ControlOp::new(dcdo::core::ops::DeriveVersion {
-            from: VersionId::root(),
-        }),
-    );
-    let v1 = derive
-        .result
-        .expect("derive succeeds")
-        .control_as::<dcdo::core::ops::DerivedVersion>()
-        .expect("reply")
-        .version
-        .clone();
-    for op in [
+    // Configure the sorting type's version 1.1 through its own manager,
+    // driven by the fleet's driver client.
+    let sorter_mgr = Manager {
+        object: sorter_mgr_obj,
+        actor: sorter_mgr_actor,
+        driver: fleet.manager.driver,
+    };
+    let (ico_obj, _) = Manager::publish(&mut fleet.bed, &service::sorting_component(), 2);
+    let steps = vec![
         VersionConfigOp::IncorporateComponent { ico: ico_obj },
         VersionConfigOp::EnableFunction {
             function: "compare".into(),
@@ -344,53 +308,17 @@ fn two_managers_two_types_one_testbed() {
             function: "sort".into(),
             component: service::ids::SORTING,
         },
-    ] {
-        fleet
-            .bed
-            .control_and_wait(
-                fleet.driver,
-                sorter_mgr_obj,
-                ControlOp::new(dcdo::core::ops::ConfigureVersion {
-                    version: v1.clone(),
-                    op,
-                }),
-            )
-            .result
-            .expect("configure succeeds");
-    }
-    for op in [
-        ControlOp::new(dcdo::core::ops::MarkInstantiable {
-            version: v1.clone(),
-        }),
-        ControlOp::new(dcdo::core::ops::SetCurrentVersion {
-            version: v1.clone(),
-        }),
-    ] {
-        fleet
-            .bed
-            .control_and_wait(fleet.driver, sorter_mgr_obj, op)
-            .result
-            .expect("manager op succeeds");
-    }
-    let created = fleet.bed.control_and_wait(
-        fleet.driver,
-        sorter_mgr_obj,
-        ControlOp::new(dcdo::core::ops::CreateDcdo {
-            node: fleet.bed.nodes[6],
-        }),
-    );
-    let sorter = created
-        .result
-        .expect("creation succeeds")
-        .control_as::<dcdo::core::ops::DcdoCreated>()
-        .expect("reply")
-        .object;
+    ];
+    let v1 = sorter_mgr.build_version(&mut fleet.bed, &VersionId::root(), steps);
+    sorter_mgr.set_current(&mut fleet.bed, &v1);
+    let node = fleet.bed.nodes[6];
+    let (sorter, _) = sorter_mgr.create(&mut fleet.bed, node);
 
     // Both types serve, independently.
     let sorted = fleet
         .bed
         .call_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             sorter,
             "sort",
             vec![Value::List(vec![
@@ -409,7 +337,7 @@ fn two_managers_two_types_one_testbed() {
     );
     let n = fleet
         .bed
-        .call_and_wait(fleet.driver, counter, "incr", vec![])
+        .call_and_wait(fleet.manager.driver, counter, "incr", vec![])
         .result
         .expect("incr succeeds")
         .into_value()
@@ -433,7 +361,7 @@ fn two_managers_two_types_one_testbed() {
     fleet.update_all_explicitly();
     let n = fleet
         .bed
-        .call_and_wait(fleet.driver, counter, "incr", vec![])
+        .call_and_wait(fleet.manager.driver, counter, "incr", vec![])
         .result
         .expect("incr succeeds")
         .into_value()
@@ -442,7 +370,7 @@ fn two_managers_two_types_one_testbed() {
     let sorted = fleet
         .bed
         .call_and_wait(
-            fleet.driver,
+            fleet.manager.driver,
             sorter,
             "sort",
             vec![Value::List(vec![Value::Int(9), Value::Int(8)])],
