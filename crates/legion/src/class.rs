@@ -1,15 +1,41 @@
 //! Class objects: Legion's managers for normal (monolithic) objects.
 //!
 //! A class object holds the executable images for its type and drives the
-//! heavyweight lifecycle pipelines the paper measures in §4:
+//! heavyweight lifecycle pipelines the paper measures in §4. Process
+//! creation costs `0.2 s + 4 ms × functions`; evolve is E6's baseline, and
+//! it kills the old physical address, so clients pay the 25–35 s
+//! stale-binding discovery on their next call.
 //!
-//! - **create**: download the executable to the target host (if absent),
-//!   create a process (`0.2 s + 4 ms × functions`), register the binding;
-//! - **evolve** (the baseline for E6): capture state → download the new
-//!   executable → deactivate the old process → create a new process →
-//!   restore state → re-register the binding. The old physical address dies,
-//!   so clients pay the 25–35 s stale-binding discovery on their next call;
-//! - **migrate**: the same pipeline at the current version onto a new host.
+//! # Pipelines
+//!
+//! Every lifecycle operation is a fixed sequence of steps declared in one
+//! table (`OpKind::plan`) and walked by one interpreter: `start` admits the
+//! operation, `enter_step` issues the current step's action (the only place
+//! each action is built), a reply or timer moves the operation on through
+//! `advance`, and `finish_op` records the outcome:
+//!
+//! | kind              | steps                                                                                              | version   | finishing records                     |
+//! |-------------------|----------------------------------------------------------------------------------------------------|-----------|---------------------------------------|
+//! | Create            | Download → Spawn → Register                                                                        | current   | new instance; `InstanceCreated`       |
+//! | Evolve, Migrate   | Capture → CaptureCost → SaveVault → Download → Deactivate → Spawn → RestoreCost → LoadVault → Restore → Register | Evolve: current; Migrate: its own | node and version; `LifecycleDone` |
+//! | Checkpoint        | Capture → CaptureCost → SaveVault                                                                  | its own   | nothing (the vault holds the snapshot); `CheckpointDone` |
+//! | Reactivate        | Download → Spawn → RestoreCost → LoadVault → Restore → Register                                    | its own   | node and version; `LifecycleDone`     |
+//!
+//! One skip rule drops a step that does not apply: Download when the target
+//! host already holds the executable, SaveVault when the class has no vault,
+//! and LoadVault when it has none or the state is still held. Download,
+//! Spawn and the two cost steps are timers; every other step is one RPC.
+//! A step that fails aborts the operation with a refusal.
+//!
+//! One admission check (`admit`) stands in front of every operation on an
+//! existing instance; a refused request starts nothing and sends no
+//! `Progress`:
+//!
+//! | kind                   | instance must be | also             |
+//! |------------------------|------------------|------------------|
+//! | Create                 | (none yet)       |                  |
+//! | Evolve, Migrate        | known            |                  |
+//! | Checkpoint, Reactivate | known            | vault configured |
 
 use bytes::Bytes;
 use dcdo_sim::{Actor, ActorId, Ctx, IdMap, IdSet, NodeId, SimDuration, SimTime};
@@ -147,32 +173,25 @@ control_payload!(InstanceTable, "instance-table");
 
 #[derive(Debug, Clone, Copy)]
 struct Instance {
-    actor: ActorId,
     node: NodeId,
     version: u32,
 }
 
+/// One step of a lifecycle pipeline. Download, Spawn (the new process
+/// exists once its timer fires), CaptureCost and RestoreCost wait out a
+/// delay; every other step is one RPC, and the state Capture and LoadVault
+/// return is kept for the steps after them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Step {
-    /// Waiting for CaptureState reply from the old process.
     Capture,
-    /// Waiting for the state-capture cost timer.
     CaptureCost,
-    /// Waiting for the vault to acknowledge the parked state.
     SaveVault,
-    /// Waiting for the vault to hand the parked state back.
-    LoadVault,
-    /// Waiting for the executable download timer.
     Download,
-    /// Waiting for the Deactivate reply from the old process.
     Deactivate,
-    /// Waiting for the process-creation timer.
     Spawn,
-    /// Waiting for the state-restore cost timer.
     RestoreCost,
-    /// Waiting for the RestoreState reply from the new process.
+    LoadVault,
     Restore,
-    /// Waiting for the binding (re-)registration reply.
     Register,
 }
 
@@ -181,10 +200,74 @@ enum OpKind {
     Create,
     Evolve,
     Migrate,
-    /// Capture → park in vault; no process replacement.
     Checkpoint,
-    /// Spawn a fresh process from the vault snapshot after a crash.
     Reactivate,
+}
+
+/// The declared shape of one kind of operation: a row of the module docs'
+/// pipeline and admission tables.
+struct Plan {
+    /// The steps, walked in order.
+    steps: &'static [Step],
+    /// What the operation needs the vault for; without one it is refused.
+    vault_use: Option<&'static str>,
+    /// Counter bumped when the operation is admitted.
+    counter: Option<&'static str>,
+    /// Histogram sampled with the operation's duration when it finishes.
+    timer: &'static str,
+}
+
+impl OpKind {
+    const fn plan(self) -> Plan {
+        use Step::{
+            Capture, CaptureCost, Deactivate, Download, LoadVault, Register, Restore, RestoreCost,
+            SaveVault, Spawn,
+        };
+        const REPLACE: &[Step] = &[
+            Capture,
+            CaptureCost,
+            SaveVault,
+            Download,
+            Deactivate,
+            Spawn,
+            RestoreCost,
+            LoadVault,
+            Restore,
+            Register,
+        ];
+        match self {
+            OpKind::Create => Plan {
+                steps: &[Download, Spawn, Register],
+                vault_use: None,
+                counter: None,
+                timer: "class.create_time",
+            },
+            OpKind::Evolve => Plan {
+                steps: REPLACE,
+                vault_use: None,
+                counter: None,
+                timer: "class.evolve_time",
+            },
+            OpKind::Migrate => Plan {
+                steps: REPLACE,
+                vault_use: None,
+                counter: None,
+                timer: "class.migrate_time",
+            },
+            OpKind::Checkpoint => Plan {
+                steps: &[Capture, CaptureCost, SaveVault],
+                vault_use: Some("checkpoint into"),
+                counter: None,
+                timer: "class.checkpoint_time",
+            },
+            OpKind::Reactivate => Plan {
+                steps: &[Download, Spawn, RestoreCost, LoadVault, Restore, Register],
+                vault_use: Some("reactivate from"),
+                counter: Some("class.reactivations_started"),
+                timer: "class.reactivate_time",
+            },
+        }
+    }
 }
 
 struct PendingOp {
@@ -195,13 +278,17 @@ struct PendingOp {
     object: ObjectId,
     target_node: NodeId,
     target_version: u32,
-    old_actor: Option<ActorId>,
+    /// The captured (or reloaded) state, while the class holds it.
     state: Option<Bytes>,
-    /// Set once state was captured (it may be parked in the vault rather
-    /// than held in `state`).
-    needs_restore: bool,
     new_actor: Option<ActorId>,
-    step: Step,
+    /// Index of the current step in the plan.
+    at: usize,
+}
+
+impl PendingOp {
+    fn step(&self) -> Option<Step> {
+        self.kind.plan().steps.get(self.at).copied()
+    }
 }
 
 /// The class object for a type of monolithic Legion objects.
@@ -312,209 +399,48 @@ impl ClassObject {
         }
     }
 
-    fn start_create(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        reply_to: ActorId,
-        call: CallId,
-        node: NodeId,
-    ) {
-        ctx.send(reply_to, Msg::Progress { call });
-        let op_id = ctx.fresh_u64();
-        let object = ObjectId::from_raw(ctx.fresh_u64());
-        let version = self.current_version;
-        let op = PendingOp {
-            kind: OpKind::Create,
-            reply_to,
-            call,
-            started: ctx.now(),
-            object,
-            target_node: node,
-            target_version: version,
-            old_actor: None,
-            state: None,
-            needs_restore: false,
-            new_actor: None,
-            step: Step::Download,
-        };
-        self.ops.insert(op_id, op);
-        self.begin_download_or_spawn(ctx, op_id);
-    }
-
-    fn begin_download_or_spawn(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
-        let (node, version) = {
-            let op = &self.ops[&op_id];
-            (op.target_node, op.target_version)
-        };
-        if self.downloaded.contains(&(node, version)) {
-            self.after_download(ctx, op_id);
-        } else {
-            let size = self.images[&version].size_bytes();
-            let delay = self.cost.transfer.transfer_time(size);
-            ctx.metrics().incr("class.executable_downloads");
-            ctx.metrics()
-                .sample_duration("class.executable_download_time", delay);
-            self.ops.get_mut(&op_id).expect("op exists").step = Step::Download;
-            self.schedule_step(ctx, op_id, delay);
-        }
-    }
-
-    /// The executable is on the target host; deactivate the old process if
-    /// there is one, otherwise go straight to process creation.
-    fn after_download(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
-        let (kind, old, object) = {
-            let op = &self.ops[&op_id];
-            (op.kind, op.old_actor, op.object)
-        };
-        if kind == OpKind::Create || old.is_none() {
-            self.begin_spawn(ctx, op_id);
-        } else {
-            self.ops.get_mut(&op_id).expect("op exists").step = Step::Deactivate;
-            self.rpc_step(ctx, op_id, object, ControlOp::new(Deactivate));
-        }
-    }
-
-    fn begin_spawn(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
-        let version = self.ops[&op_id].target_version;
-        let functions = self.images[&version].functions().len();
-        let delay = self.cost.process_creation(functions);
-        self.ops.get_mut(&op_id).expect("op exists").step = Step::Spawn;
-        self.schedule_step(ctx, op_id, delay);
-    }
-
-    fn spawn_process(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
-        let (object, node, version) = {
-            let op = &self.ops[&op_id];
-            (op.object, op.target_node, op.target_version)
-        };
-        let image = &self.images[&version];
-        let rpc = RpcClient::new(self.agent, self.cost.clone());
-        let actor = ctx.spawn(
-            node,
-            Box::new(MonolithicObject::new(object, image, &self.cost, rpc)),
-        );
-        ctx.metrics().incr("class.processes_created");
-        let op = self.ops.get_mut(&op_id).expect("op exists");
-        op.new_actor = Some(actor);
-        if op.needs_restore {
-            // Charge restore cost, then push the state into the new process
-            // (loading it back from the vault first, when one is configured).
-            let bytes = op.state.as_ref().map_or(4096, |s| s.len() as u64);
-            op.step = Step::RestoreCost;
-            let delay = self.cost.state_restore(bytes);
-            self.schedule_step(ctx, op_id, delay);
-        } else {
-            self.begin_register(ctx, op_id);
-        }
-    }
-
-    /// Pushes `state` into the freshly spawned process.
-    fn begin_restore(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64, state: Bytes) {
-        let (object, new_actor) = {
-            let op = self.ops.get_mut(&op_id).expect("op exists");
-            op.step = Step::Restore;
-            (op.object, op.new_actor.expect("spawned"))
-        };
-        // The new process has no binding yet; address it directly by
-        // seeding the rpc cache with the fresh actor.
-        self.rpc.seed_binding(object, new_actor);
-        self.rpc_step(
-            ctx,
-            op_id,
-            object,
-            ControlOp::new(RestoreState { bytes: state }),
-        );
-    }
-
-    fn begin_register(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
-        let (object, address) = {
-            let op = self.ops.get_mut(&op_id).expect("op exists");
-            op.step = Step::Register;
-            (op.object, op.new_actor.expect("spawned"))
-        };
-        self.rpc_step(
-            ctx,
-            op_id,
-            self.agent.object,
-            ControlOp::new(RegisterBinding { object, address }),
-        );
-    }
-
-    fn finish_op(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
-        let op = self.ops.remove(&op_id).expect("op exists");
-        let address = op.new_actor.expect("spawned");
-        self.downloaded.insert((op.target_node, op.target_version));
-        self.instances.insert(
-            op.object,
-            Instance {
-                actor: address,
-                node: op.target_node,
-                version: op.target_version,
-            },
-        );
-        let elapsed = ctx.now().duration_since(op.started);
-        let metric = match op.kind {
-            OpKind::Create => "class.create_time",
-            OpKind::Evolve => "class.evolve_time",
-            OpKind::Migrate => "class.migrate_time",
-            OpKind::Reactivate => "class.reactivate_time",
-            OpKind::Checkpoint => unreachable!("checkpoints finish via finish_checkpoint"),
-        };
-        ctx.metrics().sample_duration(metric, elapsed);
-        let (object, version) = (op.object, op.target_version);
-        let reply = if op.kind == OpKind::Create {
-            Msg::control_ok(
-                op.call,
-                InstanceCreated {
-                    object,
-                    address,
-                    version,
-                },
-            )
-        } else {
-            Msg::control_ok(
-                op.call,
-                LifecycleDone {
-                    object,
-                    address,
-                    version,
-                },
-            )
-        };
-        ctx.send(op.reply_to, reply);
-    }
-
-    /// The instance an operation works on, or why the operation is refused.
-    /// `vault_use` says what a vault-backed operation needs the vault for.
-    fn admit(&self, object: ObjectId, vault_use: Option<&str>) -> Result<Instance, String> {
-        if let (Some(what), None) = (vault_use, self.vault) {
+    /// The instance an operation works on (`None` for a create), or why
+    /// the operation is refused.
+    fn admit(&self, plan: &Plan, object: Option<ObjectId>) -> Result<Option<Instance>, String> {
+        if let (Some(what), None) = (plan.vault_use, self.vault) {
             return Err(format!("class has no vault to {what}"));
         }
-        self.instances
-            .get(&object)
-            .copied()
-            .ok_or_else(|| format!("unknown instance {object}"))
+        object
+            .map(|object| {
+                self.instances
+                    .get(&object)
+                    .copied()
+                    .ok_or_else(|| format!("unknown instance {object}"))
+            })
+            .transpose()
     }
 
-    fn start_lifecycle(
+    /// Admits and starts an operation of `kind` on `object` (a create
+    /// names none and mints it), placing the result on `node` (default:
+    /// where the instance runs).
+    fn start(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         kind: OpKind,
         reply_to: ActorId,
         call: CallId,
-        object: ObjectId,
-        target_node: Option<NodeId>,
+        object: Option<ObjectId>,
+        node: Option<NodeId>,
     ) {
-        let vault_use = (kind == OpKind::Checkpoint).then_some("checkpoint into");
-        let instance = match self.admit(object, vault_use) {
+        let plan = kind.plan();
+        let instance = match self.admit(&plan, object) {
             Ok(instance) => instance,
             Err(why) => return ctx.send(reply_to, Msg::refused(call, why)),
         };
         ctx.send(reply_to, Msg::Progress { call });
+        if let Some(counter) = plan.counter {
+            ctx.metrics().incr(counter);
+        }
         let op_id = ctx.fresh_u64();
-        let target_version = match kind {
-            OpKind::Evolve => self.current_version,
-            _ => instance.version,
+        let object = object.unwrap_or_else(|| ObjectId::from_raw(ctx.fresh_u64()));
+        let target_version = match instance {
+            Some(i) if kind != OpKind::Evolve => i.version,
+            _ => self.current_version,
         };
         let op = PendingOp {
             kind,
@@ -522,190 +448,194 @@ impl ClassObject {
             call,
             started: ctx.now(),
             object,
-            target_node: target_node.unwrap_or(instance.node),
+            target_node: node
+                .or(instance.map(|i| i.node))
+                .expect("a create names its node"),
             target_version,
-            old_actor: Some(instance.actor),
             state: None,
-            // A checkpoint leaves the running process as it is.
-            needs_restore: kind != OpKind::Checkpoint,
             new_actor: None,
-            step: Step::Capture,
+            at: 0,
         };
         self.ops.insert(op_id, op);
-        self.rpc_step(ctx, op_id, object, ControlOp::new(CaptureState));
+        self.enter_step(ctx, op_id);
     }
 
-    fn start_reactivate(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        reply_to: ActorId,
-        call: CallId,
-        object: ObjectId,
-        node: NodeId,
-    ) {
-        let instance = match self.admit(object, Some("reactivate from")) {
-            Ok(instance) => instance,
-            Err(why) => return ctx.send(reply_to, Msg::refused(call, why)),
-        };
-        ctx.send(reply_to, Msg::Progress { call });
-        ctx.metrics().incr("class.reactivations_started");
-        let op_id = ctx.fresh_u64();
-        let op = PendingOp {
-            kind: OpKind::Reactivate,
-            reply_to,
-            call,
-            started: ctx.now(),
-            object,
-            target_node: node,
-            target_version: instance.version,
-            // The old process died with its host; there is nothing to
-            // capture or deactivate.
-            old_actor: None,
-            state: None,
-            needs_restore: true,
-            new_actor: None,
-            step: Step::Download,
-        };
-        self.ops.insert(op_id, op);
-        self.begin_download_or_spawn(ctx, op_id);
+    /// Whether `step` does not apply to `op` (the skip rule).
+    fn skips(&self, op: &PendingOp, step: Step) -> bool {
+        match step {
+            Step::Download => self
+                .downloaded
+                .contains(&(op.target_node, op.target_version)),
+            Step::SaveVault => self.vault.is_none(),
+            Step::LoadVault => self.vault.is_none() || op.state.is_some(),
+            _ => false,
+        }
     }
 
-    fn finish_checkpoint(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
+    /// Issues the action of the operation's current step — the single
+    /// place each step's action is built — after skipping the steps that
+    /// do not apply; finishes the operation after its last step.
+    fn enter_step(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
+        let step = loop {
+            let op = &self.ops[&op_id];
+            match op.step() {
+                None => return self.finish_op(ctx, op_id),
+                Some(step) if self.skips(op, step) => {
+                    self.ops.get_mut(&op_id).expect("op exists").at += 1;
+                }
+                Some(step) => break step,
+            }
+        };
+        let op = self.ops.get_mut(&op_id).expect("op exists");
+        let object = op.object;
+        let vault = || self.vault.expect("the skip rule checked the vault");
+        let (target, action) = match step {
+            Step::Capture => (object, ControlOp::new(CaptureState)),
+            Step::CaptureCost => {
+                let bytes = op.state.as_ref().expect("state captured").len() as u64;
+                let delay = self.cost.state_capture(bytes);
+                return self.schedule_step(ctx, op_id, delay);
+            }
+            Step::SaveVault => {
+                let bytes = op.state.take().expect("state captured");
+                let save = SaveState {
+                    owner: object,
+                    bytes,
+                };
+                (vault(), ControlOp::new(save))
+            }
+            Step::Download => {
+                let size = self.images[&op.target_version].size_bytes();
+                let delay = self.cost.transfer.transfer_time(size);
+                ctx.metrics().incr("class.executable_downloads");
+                ctx.metrics()
+                    .sample_duration("class.executable_download_time", delay);
+                return self.schedule_step(ctx, op_id, delay);
+            }
+            Step::Deactivate => (object, ControlOp::new(Deactivate)),
+            Step::Spawn => {
+                let functions = self.images[&op.target_version].functions().len();
+                let delay = self.cost.process_creation(functions);
+                return self.schedule_step(ctx, op_id, delay);
+            }
+            Step::RestoreCost => {
+                let bytes = op.state.as_ref().map_or(4096, |s| s.len() as u64);
+                let delay = self.cost.state_restore(bytes);
+                return self.schedule_step(ctx, op_id, delay);
+            }
+            Step::LoadVault => (vault(), ControlOp::new(LoadState { owner: object })),
+            Step::Restore => {
+                // The new process has no binding yet; address it directly
+                // by seeding the rpc cache with the fresh actor.
+                let bytes = op.state.clone().expect("state held");
+                self.rpc
+                    .seed_binding(object, op.new_actor.expect("spawned"));
+                (object, ControlOp::new(RestoreState { bytes }))
+            }
+            Step::Register => {
+                let address = op.new_actor.expect("spawned");
+                let register = RegisterBinding { object, address };
+                (self.agent.object, ControlOp::new(register))
+            }
+        };
+        self.rpc_step(ctx, op_id, target, action);
+    }
+
+    /// The operation's current step is done: moves on to the next.
+    fn advance(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
+        self.ops.get_mut(&op_id).expect("op exists").at += 1;
+        self.enter_step(ctx, op_id);
+    }
+
+    /// The last step of the plan is done: records the outcome (see the
+    /// module docs' pipeline table), times it, and answers the caller.
+    fn finish_op(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
         let op = self.ops.remove(&op_id).expect("op exists");
         let elapsed = ctx.now().duration_since(op.started);
-        ctx.metrics()
-            .sample_duration("class.checkpoint_time", elapsed);
-        ctx.send(
-            op.reply_to,
-            Msg::control_ok(op.call, CheckpointDone { object: op.object }),
-        );
+        ctx.metrics().sample_duration(op.kind.plan().timer, elapsed);
+        let (object, version) = (op.object, op.target_version);
+        let reply = match op.new_actor {
+            // Only a checkpoint spawns nothing.
+            None => Msg::control_ok(op.call, CheckpointDone { object }),
+            Some(address) => {
+                let node = op.target_node;
+                self.instances.insert(object, Instance { node, version });
+                if op.kind == OpKind::Create {
+                    let created = InstanceCreated {
+                        object,
+                        address,
+                        version,
+                    };
+                    Msg::control_ok(op.call, created)
+                } else {
+                    let done = LifecycleDone {
+                        object,
+                        address,
+                        version,
+                    };
+                    Msg::control_ok(op.call, done)
+                }
+            }
+        };
+        ctx.send(op.reply_to, reply);
     }
 
+    /// An RPC step's reply arrived: keeps the state a Capture or LoadVault
+    /// returned, then advances (or fails the operation).
     fn handle_rpc_completion(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
         let Some(op_id) = self.rpc_routes.remove(&completion.call.as_raw()) else {
             return;
         };
-        if !self.ops.contains_key(&op_id) {
+        let Some(step) = self.ops.get(&op_id).and_then(PendingOp::step) else {
             return;
-        }
-        let step = self.ops[&op_id].step;
-        match completion.result {
-            Err(fault) => {
-                self.fail_op(ctx, op_id, format!("step {step:?} failed: {fault}"));
+        };
+        let state = completion
+            .result
+            .map_err(|fault| format!("step {step:?} failed: {fault}"))
+            .and_then(|payload| match step {
+                Step::Capture => payload
+                    .control_as::<StateBlob>()
+                    .map(|b| Some(b.bytes.clone()))
+                    .ok_or_else(|| "capture returned no state".to_string()),
+                Step::LoadVault => payload
+                    .control_as::<LoadedState>()
+                    .and_then(|l| l.bytes.clone())
+                    .map(Some)
+                    .ok_or_else(|| "vault lost the parked state".to_string()),
+                _ => Ok(None),
+            });
+        match state {
+            Err(why) => self.fail_op(ctx, op_id, why),
+            Ok(state) => {
+                if state.is_some() {
+                    self.ops.get_mut(&op_id).expect("op exists").state = state;
+                }
+                self.advance(ctx, op_id);
             }
-            Ok(payload) => match step {
-                Step::Capture => {
-                    let Some(blob) = payload.control_as::<StateBlob>().map(|b| b.bytes.clone())
-                    else {
-                        self.fail_op(ctx, op_id, "capture returned no state".into());
-                        return;
-                    };
-                    let op = self.ops.get_mut(&op_id).expect("op exists");
-                    let delay = self.cost.state_capture(blob.len() as u64);
-                    op.state = Some(blob);
-                    op.step = Step::CaptureCost;
-                    self.schedule_step(ctx, op_id, delay);
-                }
-                Step::SaveVault => {
-                    if self.ops[&op_id].kind == OpKind::Checkpoint {
-                        self.finish_checkpoint(ctx, op_id);
-                    } else {
-                        self.begin_download_or_spawn(ctx, op_id);
-                    }
-                }
-                Step::LoadVault => {
-                    let Some(bytes) = payload
-                        .control_as::<LoadedState>()
-                        .and_then(|l| l.bytes.clone())
-                    else {
-                        self.fail_op(ctx, op_id, "vault lost the parked state".into());
-                        return;
-                    };
-                    self.ops.get_mut(&op_id).expect("op exists").state = Some(bytes.clone());
-                    self.begin_restore(ctx, op_id, bytes);
-                }
-                Step::Deactivate => {
-                    // Old process is gone; its binding is stale from here on.
-                    self.begin_spawn(ctx, op_id);
-                }
-                Step::Restore => {
-                    self.begin_register(ctx, op_id);
-                }
-                Step::Register => {
-                    self.finish_op(ctx, op_id);
-                }
-                other => {
-                    self.fail_op(
-                        ctx,
-                        op_id,
-                        format!("unexpected rpc reply in step {other:?}"),
-                    );
-                }
-            },
         }
     }
 
+    /// A timer step's delay is over: the download lands or the process is
+    /// created (the Spawn step's new process), then the operation advances.
     fn handle_step_timer(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
-        if !self.ops.contains_key(&op_id) {
+        let Some(op) = self.ops.get(&op_id) else {
             return;
+        };
+        match op.step() {
+            Some(Step::Download) => {
+                self.downloaded.insert((op.target_node, op.target_version));
+            }
+            Some(Step::Spawn) => {
+                let image = &self.images[&op.target_version];
+                let rpc = RpcClient::new(self.agent, self.cost.clone());
+                let process = MonolithicObject::new(op.object, image, &self.cost, rpc);
+                let actor = ctx.spawn(op.target_node, Box::new(process));
+                ctx.metrics().incr("class.processes_created");
+                self.ops.get_mut(&op_id).expect("op exists").new_actor = Some(actor);
+            }
+            _ => {}
         }
-        let step = self.ops[&op_id].step;
-        match step {
-            Step::Download => {
-                let (node, version) = {
-                    let op = &self.ops[&op_id];
-                    (op.target_node, op.target_version)
-                };
-                self.downloaded.insert((node, version));
-                self.after_download(ctx, op_id);
-            }
-            Step::CaptureCost => match self.vault {
-                Some(vault) => {
-                    let (object, state) = {
-                        let op = self.ops.get_mut(&op_id).expect("op exists");
-                        op.step = Step::SaveVault;
-                        (op.object, op.state.clone().expect("state captured"))
-                    };
-                    self.rpc_step(
-                        ctx,
-                        op_id,
-                        vault,
-                        ControlOp::new(SaveState {
-                            owner: object,
-                            bytes: state,
-                        }),
-                    );
-                    // The blob now lives in the vault; drop the local copy
-                    // to keep the flow honest about where state resides.
-                    self.ops.get_mut(&op_id).expect("op exists").state = None;
-                }
-                None => self.begin_download_or_spawn(ctx, op_id),
-            },
-            Step::Spawn => {
-                self.spawn_process(ctx, op_id);
-            }
-            Step::RestoreCost => {
-                if let (Some(vault), None) = (self.vault, self.ops[&op_id].state.as_ref()) {
-                    let object = {
-                        let op = self.ops.get_mut(&op_id).expect("op exists");
-                        op.step = Step::LoadVault;
-                        op.object
-                    };
-                    self.rpc_step(
-                        ctx,
-                        op_id,
-                        vault,
-                        ControlOp::new(LoadState { owner: object }),
-                    );
-                    return;
-                }
-                let state = self.ops[&op_id].state.clone().expect("state present");
-                self.begin_restore(ctx, op_id, state);
-            }
-            other => {
-                self.fail_op(ctx, op_id, format!("unexpected timer in step {other:?}"));
-            }
-        }
+        self.advance(ctx, op_id);
     }
 }
 
@@ -720,47 +650,33 @@ impl Actor<Msg> for ClassObject {
                     );
                     return;
                 }
-                if let Some(create) = op.as_any().downcast_ref::<CreateInstance>() {
-                    self.start_create(ctx, from, call, create.node);
-                } else if let Some(set) = op.as_any().downcast_ref::<SetCurrentImage>() {
-                    let version = set.image.version();
-                    self.images.insert(version, set.image.clone());
-                    self.current_version = version;
-                    ctx.send(from, Msg::control_ok(call, crate::msg::Ack));
-                } else if let Some(ev) = op.as_any().downcast_ref::<EvolveInstance>() {
-                    self.start_lifecycle(ctx, OpKind::Evolve, from, call, ev.object, None);
-                } else if let Some(mig) = op.as_any().downcast_ref::<MigrateInstance>() {
-                    self.start_lifecycle(
-                        ctx,
-                        OpKind::Migrate,
-                        from,
-                        call,
-                        mig.object,
-                        Some(mig.to),
-                    );
-                } else if let Some(ck) = op.as_any().downcast_ref::<CheckpointInstance>() {
-                    self.start_lifecycle(ctx, OpKind::Checkpoint, from, call, ck.object, None);
-                } else if let Some(re) = op.as_any().downcast_ref::<ReactivateInstance>() {
-                    self.start_reactivate(ctx, from, call, re.object, re.node);
-                } else if op.as_any().downcast_ref::<ListInstances>().is_some() {
-                    ctx.send(
-                        from,
-                        Msg::control_ok(
-                            call,
-                            InstanceTable {
-                                entries: self.instances(),
-                            },
-                        ),
-                    );
+                let any = op.as_any();
+                let (kind, object, node) = if let Some(c) = any.downcast_ref::<CreateInstance>() {
+                    (OpKind::Create, None, Some(c.node))
+                } else if let Some(e) = any.downcast_ref::<EvolveInstance>() {
+                    (OpKind::Evolve, Some(e.object), None)
+                } else if let Some(m) = any.downcast_ref::<MigrateInstance>() {
+                    (OpKind::Migrate, Some(m.object), Some(m.to))
+                } else if let Some(c) = any.downcast_ref::<CheckpointInstance>() {
+                    (OpKind::Checkpoint, Some(c.object), None)
+                } else if let Some(r) = any.downcast_ref::<ReactivateInstance>() {
+                    (OpKind::Reactivate, Some(r.object), Some(r.node))
                 } else {
-                    ctx.send(
-                        from,
-                        Msg::refused(
-                            call,
-                            format!("class object does not understand {}", op.describe()),
-                        ),
-                    );
-                }
+                    let reply = if let Some(set) = any.downcast_ref::<SetCurrentImage>() {
+                        let version = set.image.version();
+                        self.images.insert(version, set.image.clone());
+                        self.current_version = version;
+                        Msg::control_ok(call, crate::msg::Ack)
+                    } else if any.downcast_ref::<ListInstances>().is_some() {
+                        let entries = self.instances();
+                        Msg::control_ok(call, InstanceTable { entries })
+                    } else {
+                        let why = format!("class object does not understand {}", op.describe());
+                        Msg::refused(call, why)
+                    };
+                    return ctx.send(from, reply);
+                };
+                self.start(ctx, kind, from, call, object, node);
             }
             Msg::Invoke { call, function, .. } => {
                 ctx.send(
