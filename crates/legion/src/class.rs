@@ -17,9 +17,9 @@
 //! | kind              | steps                                                                                              | version   | finishing records                     |
 //! |-------------------|----------------------------------------------------------------------------------------------------|-----------|---------------------------------------|
 //! | Create            | Download → Spawn → Register                                                                        | current   | new instance; `InstanceCreated`       |
-//! | Evolve, Migrate   | Capture → CaptureCost → SaveVault → Download → Deactivate → Spawn → RestoreCost → LoadVault → Restore → Register | Evolve: current; Migrate: its own | node and version; `LifecycleDone` |
+//! | Evolve, Migrate   | Capture → CaptureCost → SaveVault → Download → Deactivate → Spawn → LoadVault → RestoreCost → Restore → Register | Evolve: current; Migrate: its own | node and version; `LifecycleDone` |
 //! | Checkpoint        | Capture → CaptureCost → SaveVault                                                                  | its own   | nothing (the vault holds the snapshot); `CheckpointDone` |
-//! | Reactivate        | Download → Spawn → RestoreCost → LoadVault → Restore → Register                                    | its own   | node and version; `LifecycleDone`     |
+//! | Reactivate        | Download → Spawn → LoadVault → RestoreCost → Restore → Register                                    | its own   | node and version; `LifecycleDone`     |
 //!
 //! One skip rule drops a step that does not apply: Download when the target
 //! host already holds the executable, SaveVault when the class has no vault,
@@ -189,8 +189,8 @@ enum Step {
     Download,
     Deactivate,
     Spawn,
-    RestoreCost,
     LoadVault,
+    RestoreCost,
     Restore,
     Register,
 }
@@ -230,8 +230,8 @@ impl OpKind {
             Download,
             Deactivate,
             Spawn,
-            RestoreCost,
             LoadVault,
+            RestoreCost,
             Restore,
             Register,
         ];
@@ -261,7 +261,7 @@ impl OpKind {
                 timer: "class.checkpoint_time",
             },
             OpKind::Reactivate => Plan {
-                steps: &[Download, Spawn, RestoreCost, LoadVault, Restore, Register],
+                steps: &[Download, Spawn, LoadVault, RestoreCost, Restore, Register],
                 vault_use: Some("reactivate from"),
                 counter: Some("class.reactivations_started"),
                 timer: "class.reactivate_time",
@@ -519,7 +519,7 @@ impl ClassObject {
                 return self.schedule_step(ctx, op_id, delay);
             }
             Step::RestoreCost => {
-                let bytes = op.state.as_ref().map_or(4096, |s| s.len() as u64);
+                let bytes = op.state.as_ref().expect("state held").len() as u64;
                 let delay = self.cost.state_restore(bytes);
                 return self.schedule_step(ctx, op_id, delay);
             }
