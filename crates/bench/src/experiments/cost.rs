@@ -7,13 +7,12 @@ use dcdo_vm::Value;
 use dcdo_workloads::service;
 use dcdo_workloads::{ComponentSuite, SuiteSpec};
 use dcdo_workloads::{Fleet, Strategy};
-use legion_substrate::class::{EvolveInstance, SetCurrentImage};
-use legion_substrate::harness::Testbed;
+use legion_substrate::harness::{Class, Testbed};
 use legion_substrate::host::HostObject;
 use legion_substrate::monolithic::ExecutableImage;
 use legion_substrate::ControlOp;
 
-use crate::setup::{create_monolithic, fleet_with_components, spawn_class};
+use crate::setup::fleet_with_components;
 use crate::table::{secs, Table};
 
 /// E4: how long a client takes to discover a stale binding.
@@ -29,33 +28,23 @@ pub fn e4(seed: u64, trials: usize) -> Table {
     for trial in 0..trials {
         let mut bed = Testbed::centurion(seed + trial as u64);
         let leaf = dcdo_workloads::kernel_function("leaf", 0);
-        let image = ExecutableImage::new(1, vec![leaf.clone()], 550_000);
-        let class = spawn_class(&mut bed, 1, image);
-        let (_, admin) = bed.spawn_client(bed.nodes[0]);
+        let class = Class::spawn(
+            &mut bed,
+            ExecutableImage::new(1, vec![leaf.clone()], 550_000),
+        );
         let node = bed.nodes[2];
-        let instance = create_monolithic(&mut bed, admin, class, node);
+        let instance = class.create(&mut bed, node);
         let (_, client) = bed.spawn_client(bed.nodes[9]);
         // Prime the client's binding cache.
         bed.call_and_wait(client, instance, "leaf", vec![Value::Int(1)])
             .result
             .expect("prime call");
         // Replace the executable: the old process dies, the address changes.
-        bed.control_and_wait(
-            admin,
-            class,
-            ControlOp::new(SetCurrentImage {
-                image: ExecutableImage::new(2, vec![leaf], 550_000),
-            }),
-        )
-        .result
-        .expect("image set");
-        bed.control_and_wait(
-            admin,
-            class,
-            ControlOp::new(EvolveInstance { object: instance }),
-        )
-        .result
-        .expect("evolved");
+        let image = ExecutableImage::new(2, vec![leaf], 550_000);
+        class
+            .replace(&mut bed, instance, image)
+            .result
+            .expect("evolved");
         // The stale client call rides through the discovery protocol.
         let completion = bed.call_and_wait(client, instance, "leaf", vec![Value::Int(1)]);
         completion.result.expect("eventually succeeds");
@@ -113,25 +102,11 @@ pub fn e5(seed: u64) -> Table {
         let measured = if measure {
             let mut bed = Testbed::centurion(seed + bytes);
             let leaf = dcdo_workloads::kernel_function("leaf", 0);
-            let image = ExecutableImage::new(1, vec![leaf.clone()], bytes);
-            let class = spawn_class(&mut bed, 1, image);
-            let (_, admin) = bed.spawn_client(bed.nodes[0]);
+            let class = Class::spawn(&mut bed, ExecutableImage::new(1, vec![leaf.clone()], bytes));
             let node = bed.nodes[2];
-            let instance = create_monolithic(&mut bed, admin, class, node);
-            bed.control_and_wait(
-                admin,
-                class,
-                ControlOp::new(SetCurrentImage {
-                    image: ExecutableImage::new(2, vec![leaf], bytes),
-                }),
-            )
-            .result
-            .expect("image set");
-            let completion = bed.control_and_wait(
-                admin,
-                class,
-                ControlOp::new(EvolveInstance { object: instance }),
-            );
+            let instance = class.create(&mut bed, node);
+            let image = ExecutableImage::new(2, vec![leaf], bytes);
+            let completion = class.replace(&mut bed, instance, image);
             completion.result.expect("evolved");
             secs(completion.elapsed.as_secs_f64())
         } else {
@@ -274,33 +249,12 @@ pub fn e6(seed: u64) -> Table {
     // (d) Monolithic replacement at two executable sizes.
     for (label, bytes) in [("550 KB", 550_000u64), ("5.1 MB", 5_100_000)] {
         let mut bed = Testbed::centurion(seed + bytes + 77);
-        let functions: Vec<dcdo_vm::CodeBlock> = service::counter_core()
-            .functions()
-            .iter()
-            .map(|f| f.code().clone())
-            .collect();
-        let class = spawn_class(
-            &mut bed,
-            1,
-            ExecutableImage::new(1, functions.clone(), bytes),
-        );
-        let (_, admin) = bed.spawn_client(bed.nodes[0]);
+        let counter = [service::counter_core()];
+        let class = Class::spawn(&mut bed, ExecutableImage::of_components(1, &counter, bytes));
         let node = bed.nodes[2];
-        let instance = create_monolithic(&mut bed, admin, class, node);
-        bed.control_and_wait(
-            admin,
-            class,
-            ControlOp::new(SetCurrentImage {
-                image: ExecutableImage::new(2, functions, bytes),
-            }),
-        )
-        .result
-        .expect("image set");
-        let completion = bed.control_and_wait(
-            admin,
-            class,
-            ControlOp::new(EvolveInstance { object: instance }),
-        );
+        let instance = class.create(&mut bed, node);
+        let image = ExecutableImage::of_components(2, &counter, bytes);
+        let completion = class.replace(&mut bed, instance, image);
         completion.result.expect("evolved");
         t.row(vec![
             "monolithic replacement".into(),

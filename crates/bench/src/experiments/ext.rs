@@ -6,12 +6,12 @@ use dcdo_sim::{NetConfig, SimDuration, TransferModel};
 use dcdo_workloads::service;
 use dcdo_workloads::Strategy;
 use legion_substrate::class::MigrateInstance;
-use legion_substrate::harness::Testbed;
+use legion_substrate::harness::{Class, Testbed};
 use legion_substrate::host::HostObject;
 use legion_substrate::monolithic::ExecutableImage;
 use legion_substrate::{ControlOp, CostModel};
 
-use crate::setup::{create_monolithic, fleet_with_components, spawn_class};
+use crate::setup::fleet_with_components;
 use crate::table::{secs, Table};
 
 /// E8 (extension): migration cost, DCDO vs monolithic.
@@ -79,28 +79,20 @@ pub fn e8(seed: u64) -> Table {
     // Monolithic, cold and warm executable cache on the target host.
     for warm in [false, true] {
         let mut bed = Testbed::centurion(seed + 100 + u64::from(warm));
-        let functions: Vec<dcdo_vm::CodeBlock> = service::counter_core()
-            .functions()
-            .iter()
-            .map(|f| f.code().clone())
-            .collect();
-        let class = spawn_class(&mut bed, 1, ExecutableImage::new(1, functions, 550_000));
-        let (_, admin) = bed.spawn_client(bed.nodes[0]);
+        let image = ExecutableImage::of_components(1, &[service::counter_core()], 550_000);
+        let class = Class::spawn(&mut bed, image);
         let from_node = bed.nodes[2];
-        let instance = create_monolithic(&mut bed, admin, class, from_node);
+        let instance = class.create(&mut bed, from_node);
         let to = bed.nodes[8];
         if warm {
             // Downloading once (via a throwaway instance) warms the cache.
-            let _ = create_monolithic(&mut bed, admin, class, to);
+            class.create(&mut bed, to);
         }
-        let completion = bed.control_and_wait(
-            admin,
-            class,
-            ControlOp::new(MigrateInstance {
-                object: instance,
-                to,
-            }),
-        );
+        let migrate = MigrateInstance {
+            object: instance,
+            to,
+        };
+        let completion = class.control(&mut bed, ControlOp::new(migrate));
         completion.result.expect("migration succeeds");
         t.row(vec![
             "monolithic".into(),

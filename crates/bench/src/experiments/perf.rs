@@ -3,13 +3,11 @@
 use dcdo_sim::NetConfig;
 use dcdo_workloads::Strategy;
 use dcdo_workloads::SuiteSpec;
-use legion_substrate::harness::Testbed;
+use legion_substrate::harness::{Class, Testbed};
+use legion_substrate::monolithic::ExecutableImage;
 use legion_substrate::{ControlOp, CostModel};
 
-use crate::setup::{
-    bench_components, create_monolithic, fleet_with_components, fleet_with_suite,
-    mean_latency_secs, spawn_class, suite_image,
-};
+use crate::setup::{bench_components, fleet_with_components, fleet_with_suite};
 use crate::table::{secs, Table};
 
 const CHAIN_K: usize = 16;
@@ -26,15 +24,14 @@ fn dcdo_slopes(seed: u64, extra_spec: Option<&SuiteSpec>) -> (f64, f64) {
     fleet.create_instances(1);
     let (obj, actor) = fleet.instances[0];
     let node = fleet.bed.sim.node_of(actor);
-    let node_idx = fleet
-        .bed
-        .nodes
-        .iter()
-        .position(|n| *n == node)
-        .expect("instance node known");
-    let base = mean_latency_secs(&mut fleet, node_idx, obj, "chain0", SAMPLES);
-    let self_t = mean_latency_secs(&mut fleet, node_idx, obj, "self_chain", SAMPLES);
-    let cross_t = mean_latency_secs(&mut fleet, node_idx, obj, "cross_chain", SAMPLES);
+    // Each function is timed from a fresh client on the instance's node.
+    let mut mean = |function: &str| {
+        let (_, client) = fleet.bed.spawn_client(node);
+        fleet.bed.mean_call_secs(client, obj, function, SAMPLES)
+    };
+    let base = mean("chain0");
+    let self_t = mean("self_chain");
+    let cross_t = mean("cross_chain");
     (
         (self_t - base) / CHAIN_K as f64,
         (cross_t - base) / CHAIN_K as f64,
@@ -44,31 +41,13 @@ fn dcdo_slopes(seed: u64, extra_spec: Option<&SuiteSpec>) -> (f64, f64) {
 /// The monolithic direct-dispatch slope.
 fn monolithic_slope(seed: u64) -> f64 {
     let mut bed = Testbed::centurion(seed);
-    let functions = bench_components(CHAIN_K)
-        .iter()
-        .flat_map(|c| c.functions().iter().map(|f| f.code().clone()))
-        .collect();
-    let image = legion_substrate::monolithic::ExecutableImage::new(1, functions, 550_000);
-    let class = spawn_class(&mut bed, 1, image);
-    let (_, admin) = bed.spawn_client(bed.nodes[0]);
+    let image = ExecutableImage::of_components(1, &bench_components(CHAIN_K), 550_000);
+    let class = Class::spawn(&mut bed, image);
     let target_node = bed.nodes[3];
-    let instance = create_monolithic(&mut bed, admin, class, target_node);
+    let instance = class.create(&mut bed, target_node);
     let (_, client) = bed.spawn_client(target_node);
-    let mut measure = |function: &str| -> f64 {
-        // Warm-up: absorb the one-time binding query.
-        bed.call_and_wait(client, instance, function, vec![])
-            .result
-            .expect("warm-up succeeds");
-        let mut total = 0.0;
-        for _ in 0..SAMPLES {
-            let c = bed.call_and_wait(client, instance, function, vec![]);
-            c.result.expect("bench call succeeds");
-            total += c.elapsed.as_secs_f64();
-        }
-        total / SAMPLES as f64
-    };
-    let base = measure("chain0");
-    let self_t = measure("self_chain");
+    let base = bed.mean_call_secs(client, instance, "chain0", SAMPLES);
+    let self_t = bed.mean_call_secs(client, instance, "self_chain", SAMPLES);
     (self_t - base) / CHAIN_K as f64
 }
 
@@ -137,15 +116,10 @@ pub fn e2(seed: u64) -> Table {
     // Monolithic baseline.
     let mono_rt = {
         let mut bed = Testbed::new(16, CostModel::centurion(), NetConfig::centurion(), seed);
-        let functions = bench_components(1)
-            .iter()
-            .flat_map(|c| c.functions().iter().map(|f| f.code().clone()))
-            .collect();
-        let image = legion_substrate::monolithic::ExecutableImage::new(1, functions, 550_000);
-        let class = spawn_class(&mut bed, 1, image);
-        let (_, admin) = bed.spawn_client(bed.nodes[0]);
+        let image = ExecutableImage::of_components(1, &bench_components(1), 550_000);
+        let class = Class::spawn(&mut bed, image);
         let node = bed.nodes[2];
-        let instance = create_monolithic(&mut bed, admin, class, node);
+        let instance = class.create(&mut bed, node);
         let (_, client) = bed.spawn_client(bed.nodes[9]);
         let mut total = 0.0;
         for _ in 0..SAMPLES {
@@ -180,7 +154,8 @@ pub fn e2(seed: u64) -> Table {
         );
         fleet.create_instances(1);
         let (obj, _) = fleet.instances[0];
-        let rt = mean_latency_secs(&mut fleet, 9, obj, "leaf", SAMPLES);
+        let (_, client) = fleet.bed.spawn_client(fleet.bed.nodes[9]);
+        let rt = fleet.bed.mean_call_secs(client, obj, "leaf", SAMPLES);
         dcdo_rts.push(rt);
         t.row(vec![
             "DCDO".into(),
@@ -216,18 +191,14 @@ pub fn e3(seed: u64) -> Table {
     // 2.2 s is process creation, not download).
     let mono = {
         let mut bed = Testbed::centurion(seed);
-        let spec = SuiteSpec::paper_creation(1);
-        let image = suite_image(&spec, 1, 5_100_000);
-        let class = spawn_class(&mut bed, 1, image);
-        let (_, admin) = bed.spawn_client(bed.nodes[0]);
+        let suite = dcdo_workloads::ComponentSuite::generate(&SuiteSpec::paper_creation(1));
+        let image = ExecutableImage::of_components(1, suite.components(), 5_100_000);
+        let class = Class::spawn(&mut bed, image);
         // Warm the host's executable cache with a throwaway instance.
-        let warm_node = bed.nodes[3];
-        let _ = create_monolithic(&mut bed, admin, class, warm_node);
-        let completion = bed.control_and_wait(
-            admin,
-            class,
-            ControlOp::new(legion_substrate::class::CreateInstance { node: bed.nodes[3] }),
-        );
+        let node = bed.nodes[3];
+        class.create(&mut bed, node);
+        let create = legion_substrate::class::CreateInstance { node };
+        let completion = class.control(&mut bed, ControlOp::new(create));
         completion.result.expect("creation succeeds");
         completion.elapsed.as_secs_f64()
     };

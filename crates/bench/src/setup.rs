@@ -1,15 +1,10 @@
 //! Shared scenario builders for the experiments.
 
 use dcdo_core::ops::VersionConfigOp;
-use dcdo_sim::NodeId;
-use dcdo_types::{ClassId, ObjectId, VersionId};
+use dcdo_types::VersionId;
 use dcdo_vm::{CodeBlock, ComponentBinary, ComponentBuilder, FunctionBuilder};
 use dcdo_workloads::{ComponentSuite, SuiteSpec};
 use dcdo_workloads::{Fleet, Strategy};
-use legion_substrate::class::{ClassObject, CreateInstance, InstanceCreated};
-use legion_substrate::harness::Testbed;
-use legion_substrate::monolithic::ExecutableImage;
-use legion_substrate::ControlOp;
 
 /// A `name() -> int` that performs `k` dynamic calls to `callee` and
 /// returns their sum (each callee returns 1, so the result is `k`).
@@ -84,77 +79,4 @@ pub fn fleet_with_components(
 pub fn fleet_with_suite(spec: &SuiteSpec, strategy: Strategy, seed: u64) -> (Fleet, VersionId) {
     let suite = ComponentSuite::generate(spec);
     fleet_with_components(suite.components(), strategy, seed)
-}
-
-/// Spawns a monolithic class object into a testbed and returns its object
-/// identity.
-pub fn spawn_class(bed: &mut Testbed, class_id: u64, image: ExecutableImage) -> ObjectId {
-    let class_obj = bed.fresh_object_id();
-    let class = ClassObject::new(
-        class_obj,
-        ClassId::from_raw(class_id),
-        image,
-        bed.cost.clone(),
-        bed.agent,
-    );
-    let actor = bed.sim.spawn(bed.nodes[0], class);
-    bed.register(class_obj, actor);
-    class_obj
-}
-
-/// Creates a monolithic instance on `node`, returning its identity.
-pub fn create_monolithic(
-    bed: &mut Testbed,
-    admin: dcdo_sim::ActorId,
-    class_obj: ObjectId,
-    node: NodeId,
-) -> ObjectId {
-    let completion =
-        bed.control_and_wait(admin, class_obj, ControlOp::new(CreateInstance { node }));
-    completion
-        .result
-        .expect("monolithic creation succeeds")
-        .control_as::<InstanceCreated>()
-        .expect("instance-created reply")
-        .object
-}
-
-/// An executable image exposing the same functions as a component suite
-/// (the monolithic baseline of the creation experiment).
-pub fn suite_image(spec: &SuiteSpec, version: u32, size_bytes: u64) -> ExecutableImage {
-    let suite = ComponentSuite::generate(spec);
-    let functions: Vec<CodeBlock> = suite
-        .components()
-        .iter()
-        .flat_map(|c| c.functions().iter().map(|f| f.code().clone()))
-        .collect();
-    ExecutableImage::new(version, functions, size_bytes)
-}
-
-/// Measures mean round-trip latency of `n` sequential invocations from a
-/// fresh client on `client_node`.
-pub fn mean_latency_secs(
-    fleet: &mut Fleet,
-    client_node: usize,
-    target: ObjectId,
-    function: &str,
-    n: usize,
-) -> f64 {
-    let node = fleet.bed.nodes[client_node % fleet.bed.nodes.len()];
-    let (_, client) = fleet.bed.spawn_client(node);
-    // Warm-up call: pays the one-time binding query so it does not skew
-    // the mean.
-    fleet
-        .bed
-        .call_and_wait(client, target, function, vec![])
-        .result
-        .expect("warm-up call succeeds");
-    let mut total = 0.0;
-    for _ in 0..n {
-        let completion = fleet.bed.call_and_wait(client, target, function, vec![]);
-        let payload = completion.result.expect("bench call succeeds");
-        let _ = payload;
-        total += completion.elapsed.as_secs_f64();
-    }
-    total / n as f64
 }

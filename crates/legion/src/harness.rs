@@ -3,17 +3,20 @@
 //! [`Testbed`] assembles the standing infrastructure every experiment
 //! needs — the simulation engine, a binding agent, host objects for each
 //! node, a vault, and a context space — and provides driver-side helpers to
-//! issue calls from clients and wait for their completions. Benches,
-//! integration tests, and examples all build on this.
+//! issue calls from clients and wait for their completions. [`Class`] stands
+//! up the monolithic baseline on it. Benches, integration tests, and
+//! examples all build on this.
 
 use dcdo_sim::{ActorId, NetConfig, NodeId, SimDuration, Simulation};
-use dcdo_types::{Architecture, HostId, ObjectId};
+use dcdo_types::{Architecture, ClassId, HostId, ObjectId};
 use dcdo_vm::Value;
 
 use crate::binding::BindingAgent;
+use crate::class::{ClassObject, CreateInstance, EvolveInstance, InstanceCreated, SetCurrentImage};
 use crate::client::ClientObject;
 use crate::cost::CostModel;
 use crate::host::HostObject;
+use crate::monolithic::ExecutableImage;
 use crate::msg::{ControlOp, Msg};
 use crate::naming::ContextSpace;
 use crate::rpc::{AgentAddress, RpcCompletion};
@@ -204,6 +207,32 @@ impl Testbed {
         self.wait_for(client, call)
     }
 
+    /// The mean round trip, in seconds, of `n` sequential `function()`
+    /// invocations from `client`, after one warm-up call that pays the
+    /// client's one-time binding query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any call fails.
+    pub fn mean_call_secs(
+        &mut self,
+        client: ActorId,
+        target: ObjectId,
+        function: &str,
+        n: usize,
+    ) -> f64 {
+        self.call_and_wait(client, target, function, vec![])
+            .result
+            .expect("warm-up call succeeds");
+        let mut total = 0.0;
+        for _ in 0..n {
+            let completion = self.call_and_wait(client, target, function, vec![]);
+            completion.result.expect("timed call succeeds");
+            total += completion.elapsed.as_secs_f64();
+        }
+        total / n as f64
+    }
+
     /// Lets the simulation run for a span of virtual time.
     pub fn run_for(&mut self, d: SimDuration) {
         self.sim.run_for(d);
@@ -228,5 +257,73 @@ impl Testbed {
         self.register(object, actor);
         self.hosts[idx] = actor;
         actor
+    }
+}
+
+/// A monolithic class object spawned on a testbed, plus the client that
+/// drives it: the one way to stand up the normal-object baseline. (A class
+/// that parks state in a vault is built with [`ClassObject::with_vault`].)
+#[derive(Debug, Clone, Copy)]
+pub struct Class {
+    /// The class object's identity.
+    pub object: ObjectId,
+    /// The client that issues every control operation below.
+    pub driver: ActorId,
+}
+
+impl Class {
+    /// Spawns a class object managing `image`, then its driver client, both
+    /// on node 0.
+    pub fn spawn(bed: &mut Testbed, image: ExecutableImage) -> Class {
+        let object = bed.fresh_object_id();
+        let class = ClassObject::new(
+            object,
+            ClassId::from_raw(1),
+            image,
+            bed.cost.clone(),
+            bed.agent,
+        );
+        let actor = bed.sim.spawn(bed.nodes[0], class);
+        bed.register(object, actor);
+        let (_, driver) = bed.spawn_client(bed.nodes[0]);
+        Class { object, driver }
+    }
+
+    /// Sends one control operation to the class from the driver and waits
+    /// for the reply.
+    pub fn control(&self, bed: &mut Testbed, op: ControlOp) -> RpcCompletion {
+        bed.control_and_wait(self.driver, self.object, op)
+    }
+
+    /// Creates an instance on `node`, returning its identity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the class refuses.
+    pub fn create(&self, bed: &mut Testbed, node: NodeId) -> ObjectId {
+        self.control(bed, ControlOp::new(CreateInstance { node }))
+            .result
+            .expect("creation succeeds")
+            .control_as::<InstanceCreated>()
+            .expect("instance-created reply")
+            .object
+    }
+
+    /// Replaces `object`'s executable: makes `image` current, then evolves
+    /// `object` to it, returning the evolve's completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the class refuses the image.
+    pub fn replace(
+        &self,
+        bed: &mut Testbed,
+        object: ObjectId,
+        image: ExecutableImage,
+    ) -> RpcCompletion {
+        self.control(bed, ControlOp::new(SetCurrentImage { image }))
+            .result
+            .expect("image set");
+        self.control(bed, ControlOp::new(EvolveInstance { object }))
     }
 }

@@ -12,7 +12,7 @@
 use bytes::Bytes;
 use dcdo_sim::{Actor, ActorId, Ctx};
 use dcdo_types::{ComponentId, ObjectId};
-use dcdo_vm::{CodeBlock, NativeRegistry, StaticResolver, ValueStore};
+use dcdo_vm::{CodeBlock, ComponentBinary, NativeRegistry, StaticResolver, ValueStore};
 
 use crate::control_payload;
 use crate::cost::CostModel;
@@ -39,6 +39,16 @@ impl ExecutableImage {
             functions,
             size_bytes,
         }
+    }
+
+    /// An image linking every function of `components` (the monolithic
+    /// twin of a DCDO built from them).
+    pub fn of_components(version: u32, components: &[ComponentBinary], size_bytes: u64) -> Self {
+        let functions = components
+            .iter()
+            .flat_map(|c| c.functions().iter().map(|f| f.code().clone()))
+            .collect();
+        ExecutableImage::new(version, functions, size_bytes)
     }
 
     /// The image's version number (monotonic per class).
