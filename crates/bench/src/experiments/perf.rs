@@ -121,13 +121,7 @@ pub fn e2(seed: u64) -> Table {
         let node = bed.nodes[2];
         let instance = class.create(&mut bed, node);
         let (_, client) = bed.spawn_client(bed.nodes[9]);
-        let mut total = 0.0;
-        for _ in 0..SAMPLES {
-            let c = bed.call_and_wait(client, instance, "leaf", vec![]);
-            c.result.expect("call succeeds");
-            total += c.elapsed.as_secs_f64();
-        }
-        total / SAMPLES as f64
+        bed.mean_call_secs(client, instance, "leaf", SAMPLES)
     };
     t.row(vec![
         "normal Legion object".into(),
