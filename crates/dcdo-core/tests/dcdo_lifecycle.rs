@@ -16,8 +16,7 @@ use dcdo_core::{DcdoManager, HostDirectory, Ico, UpdatePropagation, VersionPolic
 use dcdo_sim::SimDuration;
 use dcdo_types::{ClassId, ComponentId, ObjectId, VersionId};
 use dcdo_vm::{ComponentBinary, ComponentBuilder, FunctionBuilder, Value};
-use legion_substrate::class::{ClassObject, CreateInstance, InstanceCreated};
-use legion_substrate::harness::Testbed;
+use legion_substrate::harness::{Class, Testbed};
 use legion_substrate::monolithic::ExecutableImage;
 use legion_substrate::{ControlOp, InvocationFault, Msg};
 
@@ -426,60 +425,15 @@ fn dcdo_evolution_beats_monolithic_evolution_dramatically() {
     assert!(dcdo_completion.result.is_ok());
 
     // Baseline: a monolithic object with the same functions.
-    let image_v1 = ExecutableImage::new(
-        1,
-        counter_core(false)
-            .functions()
-            .iter()
-            .map(|f| f.code().clone())
-            .collect(),
-        550_000,
+    let counter = [counter_core(false)];
+    let class = Class::spawn(
+        &mut s.bed,
+        ExecutableImage::of_components(1, &counter, 550_000),
     );
-    let class_obj = s.bed.fresh_object_id();
-    let class = ClassObject::new(
-        class_obj,
-        ClassId::from_raw(9),
-        image_v1,
-        s.bed.cost.clone(),
-        s.bed.agent,
-    );
-    let class_actor = s.bed.sim.spawn(s.bed.nodes[0], class);
-    s.bed.register(class_obj, class_actor);
-    let created = s.bed.control_and_wait(
-        s.client,
-        class_obj,
-        ControlOp::new(CreateInstance {
-            node: s.bed.nodes[4],
-        }),
-    );
-    let instance = created
-        .result
-        .expect("created")
-        .control_as::<InstanceCreated>()
-        .expect("reply")
-        .object;
-    let image_v2 = ExecutableImage::new(
-        2,
-        counter_core(false)
-            .functions()
-            .iter()
-            .map(|f| f.code().clone())
-            .collect(),
-        550_000,
-    );
-    s.bed
-        .control_and_wait(
-            s.client,
-            class_obj,
-            ControlOp::new(legion_substrate::class::SetCurrentImage { image: image_v2 }),
-        )
-        .result
-        .expect("image set");
-    let mono_completion = s.bed.control_and_wait(
-        s.client,
-        class_obj,
-        ControlOp::new(legion_substrate::class::EvolveInstance { object: instance }),
-    );
+    let node = s.bed.nodes[4];
+    let instance = class.create(&mut s.bed, node);
+    let image_v2 = ExecutableImage::of_components(2, &counter, 550_000);
+    let mono_completion = class.replace(&mut s.bed, instance, image_v2);
     let mono_time = mono_completion.elapsed;
     assert!(mono_completion.result.is_ok());
 
@@ -643,31 +597,8 @@ fn thread_activity_monitoring_gates_component_removal() {
         .build()
         .expect("valid");
     let image = ExecutableImage::new(1, vec![slow_code], 100_000);
-    let class_obj = s.bed.fresh_object_id();
-    let class = ClassObject::new(
-        class_obj,
-        ClassId::from_raw(7),
-        image,
-        s.bed.cost.clone(),
-        s.bed.agent,
-    );
-    let class_actor = s.bed.sim.spawn(s.bed.nodes[0], class);
-    s.bed.register(class_obj, class_actor);
-    let peer = {
-        let completion = s.bed.control_and_wait(
-            s.client,
-            class_obj,
-            ControlOp::new(CreateInstance {
-                node: s.bed.nodes[2],
-            }),
-        );
-        completion
-            .result
-            .expect("peer created")
-            .control_as::<InstanceCreated>()
-            .expect("reply")
-            .object
-    };
+    let node = s.bed.nodes[2];
+    let peer = Class::spawn(&mut s.bed, image).create(&mut s.bed, node);
 
     // Add the relay component to the current version and evolve the DCDO.
     let relay = relay_component();
@@ -749,31 +680,8 @@ fn forced_removal_aborts_suspended_threads() {
         .build()
         .expect("valid");
     let image = ExecutableImage::new(1, vec![slow_code], 100_000);
-    let class_obj = s.bed.fresh_object_id();
-    let class = ClassObject::new(
-        class_obj,
-        ClassId::from_raw(7),
-        image,
-        s.bed.cost.clone(),
-        s.bed.agent,
-    );
-    let class_actor = s.bed.sim.spawn(s.bed.nodes[0], class);
-    s.bed.register(class_obj, class_actor);
-    let peer = {
-        let completion = s.bed.control_and_wait(
-            s.client,
-            class_obj,
-            ControlOp::new(CreateInstance {
-                node: s.bed.nodes[2],
-            }),
-        );
-        completion
-            .result
-            .expect("peer created")
-            .control_as::<InstanceCreated>()
-            .expect("reply")
-            .object
-    };
+    let node = s.bed.nodes[2];
+    let peer = Class::spawn(&mut s.bed, image).create(&mut s.bed, node);
     let relay = relay_component();
     let ico = s.publish_component(&relay, 3);
     let v2 = s.derive(&v1.to_string());

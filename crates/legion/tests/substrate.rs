@@ -10,7 +10,7 @@ use legion_substrate::class::{
     InstanceCreated, LifecycleDone, ListInstances, MigrateInstance, ReactivateInstance,
     SetCurrentImage,
 };
-use legion_substrate::harness::Testbed;
+use legion_substrate::harness::{Class, Testbed};
 use legion_substrate::monolithic::{ExecutableImage, QueryVersion, VersionReport};
 use legion_substrate::{ControlOp, InvocationFault, ReplyPayload};
 
@@ -65,42 +65,21 @@ fn adder_image(version: u32, extra_functions: usize, size_bytes: u64) -> Executa
 }
 
 /// Builds a testbed with one class object managing `adder` images.
-fn setup(seed: u64) -> (Testbed, ObjectId) {
+fn setup(seed: u64) -> (Testbed, Class) {
     let mut bed = Testbed::centurion(seed);
-    let class_object = bed.fresh_object_id();
-    let image = adder_image(1, 0, 550_000);
-    let class = ClassObject::new(
-        class_object,
-        ClassId::from_raw(1),
-        image,
-        bed.cost.clone(),
-        bed.agent,
-    );
-    let actor = bed.sim.spawn(bed.nodes[0], class);
-    bed.register(class_object, actor);
-    (bed, class_object)
+    let class = Class::spawn(&mut bed, adder_image(1, 0, 550_000));
+    (bed, class)
 }
 
-fn create_instance(bed: &mut Testbed, class_object: ObjectId, node: u32) -> ObjectId {
-    let (_, client) = bed.spawn_client(bed.nodes[0]);
-    let completion = bed.control_and_wait(
-        client,
-        class_object,
-        ControlOp::new(CreateInstance {
-            node: bed.nodes[node as usize],
-        }),
-    );
-    let payload = completion.result.expect("creation succeeds");
-    payload
-        .control_as::<InstanceCreated>()
-        .expect("instance-created reply")
-        .object
+fn create_instance(bed: &mut Testbed, class: Class, node: u32) -> ObjectId {
+    let node = bed.nodes[node as usize];
+    class.create(bed, node)
 }
 
 #[test]
 fn create_and_invoke_across_the_network() {
-    let (mut bed, class_object) = setup(1);
-    let instance = create_instance(&mut bed, class_object, 3);
+    let (mut bed, class) = setup(1);
+    let instance = create_instance(&mut bed, class, 3);
     let (_, client) = bed.spawn_client(bed.nodes[7]);
     let completion = bed.call_and_wait(
         client,
@@ -121,34 +100,24 @@ fn create_and_invoke_across_the_network() {
 
 #[test]
 fn creation_cost_matches_paper_calibration() {
-    let (mut bed, class_object) = setup(2);
-    let (_, client) = bed.spawn_client(bed.nodes[0]);
+    let (mut bed, class) = setup(2);
+    let node = bed.nodes[1];
     // First creation pays executable download (550 KB ~ 4s) + spawn.
-    let call = bed.client_control(
-        client,
-        class_object,
-        ControlOp::new(CreateInstance { node: bed.nodes[1] }),
-    );
-    let completion = bed.wait_for(client, call);
+    let completion = class.control(&mut bed, ControlOp::new(CreateInstance { node }));
     assert!(completion.result.is_ok());
     let first = completion.elapsed.as_secs_f64();
     assert!((3.5..=6.5).contains(&first), "first creation {first}s");
 
     // Second creation on the same node: executable cached, only spawn cost.
-    let call = bed.client_control(
-        client,
-        class_object,
-        ControlOp::new(CreateInstance { node: bed.nodes[1] }),
-    );
-    let completion = bed.wait_for(client, call);
+    let completion = class.control(&mut bed, ControlOp::new(CreateInstance { node }));
     let second = completion.elapsed.as_secs_f64();
     assert!(second < 0.5, "cached creation {second}s");
 }
 
 #[test]
 fn invocations_mutate_persistent_state() {
-    let (mut bed, class_object) = setup(3);
-    let instance = create_instance(&mut bed, class_object, 2);
+    let (mut bed, class) = setup(3);
+    let instance = create_instance(&mut bed, class, 2);
     let (_, client) = bed.spawn_client(bed.nodes[4]);
     for expected in 1..=3 {
         let completion = bed.call_and_wait(client, instance, "bump", vec![]);
@@ -163,8 +132,8 @@ fn invocations_mutate_persistent_state() {
 
 #[test]
 fn unknown_function_is_reported_to_the_client() {
-    let (mut bed, class_object) = setup(4);
-    let instance = create_instance(&mut bed, class_object, 1);
+    let (mut bed, class) = setup(4);
+    let instance = create_instance(&mut bed, class, 1);
     let (_, client) = bed.spawn_client(bed.nodes[0]);
     let completion = bed.call_and_wait(client, instance, "missing", vec![]);
     assert!(matches!(
@@ -175,28 +144,15 @@ fn unknown_function_is_reported_to_the_client() {
 
 #[test]
 fn evolution_replaces_executable_and_preserves_state() {
-    let (mut bed, class_object) = setup(5);
-    let instance = create_instance(&mut bed, class_object, 2);
+    let (mut bed, class) = setup(5);
+    let instance = create_instance(&mut bed, class, 2);
     let (_, client) = bed.spawn_client(bed.nodes[5]);
 
     // Accumulate some state, then evolve.
     for _ in 0..5 {
         bed.call_and_wait(client, instance, "bump", vec![]);
     }
-    let completion = bed.control_and_wait(
-        client,
-        class_object,
-        ControlOp::new(SetCurrentImage {
-            image: adder_image(2, 0, 5_100_000),
-        }),
-    );
-    assert!(completion.result.is_ok());
-
-    let completion = bed.control_and_wait(
-        client,
-        class_object,
-        ControlOp::new(EvolveInstance { object: instance }),
-    );
+    let completion = class.replace(&mut bed, instance, adder_image(2, 0, 5_100_000));
     let payload = completion.result.expect("evolution succeeds");
     let done = payload
         .control_as::<LifecycleDone>()
@@ -233,8 +189,8 @@ fn evolution_replaces_executable_and_preserves_state() {
 
 #[test]
 fn stale_binding_discovery_takes_25_to_35_seconds() {
-    let (mut bed, class_object) = setup(6);
-    let instance = create_instance(&mut bed, class_object, 2);
+    let (mut bed, class) = setup(6);
+    let instance = create_instance(&mut bed, class, 2);
     let (_, client) = bed.spawn_client(bed.nodes[9]);
 
     // Prime the client's binding cache with a successful call.
@@ -243,19 +199,7 @@ fn stale_binding_discovery_takes_25_to_35_seconds() {
     assert!(completion.rebinds == 0);
 
     // Evolve the instance: the old process dies, the binding changes.
-    let (_, admin) = bed.spawn_client(bed.nodes[0]);
-    bed.control_and_wait(
-        admin,
-        class_object,
-        ControlOp::new(SetCurrentImage {
-            image: adder_image(3, 0, 550_000),
-        }),
-    );
-    let done = bed.control_and_wait(
-        admin,
-        class_object,
-        ControlOp::new(EvolveInstance { object: instance }),
-    );
+    let done = class.replace(&mut bed, instance, adder_image(3, 0, 550_000));
     assert!(done.result.is_ok());
 
     // The client still holds the stale address; its next call must ride
@@ -288,15 +232,15 @@ fn stale_binding_discovery_takes_25_to_35_seconds() {
 
 #[test]
 fn migration_moves_an_instance_between_hosts() {
-    let (mut bed, class_object) = setup(7);
-    let instance = create_instance(&mut bed, class_object, 1);
+    let (mut bed, class) = setup(7);
+    let instance = create_instance(&mut bed, class, 1);
     let (_, client) = bed.spawn_client(bed.nodes[0]);
     for _ in 0..3 {
         bed.call_and_wait(client, instance, "bump", vec![]);
     }
     let completion = bed.control_and_wait(
         client,
-        class_object,
+        class.object,
         ControlOp::new(MigrateInstance {
             object: instance,
             to: bed.nodes[8],
@@ -306,7 +250,7 @@ fn migration_moves_an_instance_between_hosts() {
     assert!(payload.control_as::<LifecycleDone>().is_some());
 
     // Instance table reflects the new placement.
-    let listing = bed.control_and_wait(client, class_object, ControlOp::new(ListInstances));
+    let listing = bed.control_and_wait(client, class.object, ControlOp::new(ListInstances));
     let payload = listing.result.expect("list succeeds");
     let table = payload
         .control_as::<legion_substrate::class::InstanceTable>()
@@ -327,8 +271,8 @@ fn migration_moves_an_instance_between_hosts() {
 
 #[test]
 fn version_query_reports_running_image() {
-    let (mut bed, class_object) = setup(8);
-    let instance = create_instance(&mut bed, class_object, 1);
+    let (mut bed, class) = setup(8);
+    let instance = create_instance(&mut bed, class, 1);
     let (_, client) = bed.spawn_client(bed.nodes[2]);
     let completion = bed.control_and_wait(client, instance, ControlOp::new(QueryVersion));
     let payload = completion.result.expect("query succeeds");
@@ -341,8 +285,8 @@ fn version_query_reports_running_image() {
 
 #[test]
 fn replies_use_reply_payload_helpers() {
-    let (mut bed, class_object) = setup(9);
-    let instance = create_instance(&mut bed, class_object, 1);
+    let (mut bed, class) = setup(9);
+    let instance = create_instance(&mut bed, class, 1);
     let (_, client) = bed.spawn_client(bed.nodes[2]);
     let completion = bed.call_and_wait(client, instance, "add", vec![Value::Int(1), Value::Int(2)]);
     let payload = completion.result.expect("ok");

@@ -14,11 +14,11 @@
 use dcdo::core::ops::{
     DisableFunction, RemovalPolicy, RemoveComponent, SetRemovalPolicy, VersionConfigOp,
 };
-use dcdo::legion::class::{ClassObject, CreateInstance, InstanceCreated};
+use dcdo::legion::harness::Class;
 use dcdo::legion::monolithic::ExecutableImage;
 use dcdo::legion::ControlOp;
 use dcdo::sim::SimDuration;
-use dcdo::types::{ClassId, ComponentId, Protection, VersionId};
+use dcdo::types::{ComponentId, Protection, VersionId};
 use dcdo::vm::{ComponentBuilder, FunctionBuilder, Value};
 use dcdo::workloads::{Fleet, Strategy};
 
@@ -218,29 +218,9 @@ fn main() {
         .ret()
         .build()
         .expect("slow assembles");
-    let class_obj = fleet.bed.fresh_object_id();
-    let class = ClassObject::new(
-        class_obj,
-        ClassId::from_raw(9),
-        ExecutableImage::new(1, vec![slow], 100_000),
-        fleet.bed.cost.clone(),
-        fleet.bed.agent,
-    );
-    let class_actor = fleet.bed.sim.spawn(fleet.bed.nodes[0], class);
-    fleet.bed.register(class_obj, class_actor);
+    let class = Class::spawn(&mut fleet.bed, ExecutableImage::new(1, vec![slow], 100_000));
     let node = fleet.bed.nodes[2];
-    let peer = fleet
-        .bed
-        .control_and_wait(
-            fleet.manager.driver,
-            class_obj,
-            ControlOp::new(CreateInstance { node }),
-        )
-        .result
-        .expect("peer created")
-        .control_as::<InstanceCreated>()
-        .expect("reply")
-        .object;
+    let peer = class.create(&mut fleet.bed, node);
 
     let pending = fleet.bed.client_call(
         fleet.manager.driver,
