@@ -411,11 +411,6 @@ impl DcdoManager {
         self.store.get(version).map(|e| &e.descriptor)
     }
 
-    /// Whether a version is instantiable.
-    pub fn is_instantiable(&self, version: &VersionId) -> bool {
-        self.store.get(version).is_some_and(|e| e.instantiable)
-    }
-
     /// Lifecycle flows still in progress.
     pub fn flows_in_flight(&self) -> usize {
         self.flows.len()

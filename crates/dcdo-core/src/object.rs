@@ -184,11 +184,6 @@ impl DcdoObject {
         self.object
     }
 
-    /// The DCDO's manager.
-    pub fn manager_id(&self) -> ObjectId {
-        self.manager
-    }
-
     /// The native architecture of the host this DCDO runs on.
     pub fn host_arch(&self) -> Architecture {
         self.host_arch
@@ -222,16 +217,6 @@ impl DcdoObject {
     /// Configuration flows still in progress.
     pub fn flows_in_flight(&self) -> usize {
         self.flows.len()
-    }
-
-    /// Sets the lazy check mode (driver-side; also settable over the wire).
-    pub fn set_lazy_check(&mut self, mode: LazyCheck) {
-        self.lazy = mode;
-    }
-
-    /// Sets the removal policy (driver-side; also settable over the wire).
-    pub fn set_removal_policy(&mut self, policy: RemovalPolicy) {
-        self.removal_policy = policy;
     }
 
     // ---- lazy update checking (§3.4) -----------------------------------

@@ -73,11 +73,6 @@ impl ClientObject {
         &self.completions
     }
 
-    /// Drains collected completions.
-    pub fn take_completions(&mut self) -> Vec<RpcCompletion> {
-        std::mem::take(&mut self.completions)
-    }
-
     /// Finds a completion by call id.
     pub fn completion(&self, call: CallId) -> Option<&RpcCompletion> {
         self.completions.iter().find(|c| c.call == call)

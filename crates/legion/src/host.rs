@@ -138,30 +138,9 @@ impl HostObject {
         self.arch
     }
 
-    /// Direct cache check (driver-side).
-    pub fn has_component(&self, component: ComponentId) -> bool {
-        self.components.contains_key(&component)
-    }
-
     /// Direct cache insert (driver-side pre-warming).
     pub fn store_component(&mut self, component: ComponentId, bytes: Bytes) {
         self.components.insert(component, bytes);
-    }
-
-    /// Direct executable-cache check (driver-side).
-    pub fn has_executable(&self, class: ClassId, version: u32) -> bool {
-        self.executables.contains(&(class, version))
-    }
-
-    /// Number of cached components.
-    pub fn cached_components(&self) -> usize {
-        self.components.len()
-    }
-
-    /// Evicts everything from both caches.
-    pub fn clear_caches(&mut self) {
-        self.components.clear();
-        self.executables.clear();
     }
 }
 

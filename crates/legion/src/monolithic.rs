@@ -186,11 +186,6 @@ impl MonolithicObject {
         &self.state
     }
 
-    /// Mutable state access for scenario setup.
-    pub fn state_mut(&mut self) -> &mut ValueStore {
-        &mut self.state
-    }
-
     /// Invocations served so far.
     pub fn invocations_served(&self) -> u64 {
         self.runtime.invocations_served()

@@ -28,7 +28,6 @@ struct ThreadEntry {
     thread: VmThread,
     reply_to: ActorId,
     call: CallId,
-    root_function: FunctionName,
 }
 
 enum Deferred {
@@ -152,7 +151,6 @@ impl ObjectRuntime {
                         thread,
                         reply_to: from,
                         call,
-                        root_function: function,
                     },
                 );
                 self.run_thread(ctx, token, resolver, natives, globals, rpc);
@@ -327,14 +325,6 @@ impl ObjectRuntime {
         // charges apply on the next run.
         self.defer(ctx, SimDuration::ZERO, Deferred::ResumeThread { token });
         let _ = (resolver, natives, globals, rpc);
-    }
-
-    /// Names the root function of each live thread (diagnostics).
-    pub fn live_thread_functions(&self) -> Vec<FunctionName> {
-        self.threads
-            .values()
-            .map(|e| e.root_function.clone())
-            .collect()
     }
 }
 
