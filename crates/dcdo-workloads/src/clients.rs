@@ -3,9 +3,9 @@
 //! [`ClosedLoopClient`] issues a fixed number of sequential invocations of
 //! one function against one object — the next request leaves when the
 //! previous reply arrives (optionally after a think time) — and records
-//! per-call latency. This is the driver behind the remote-invocation
-//! overhead experiment (E2) and the background traffic for evolution
-//! scenarios.
+//! per-call latency. No experiment uses it: it is the background call
+//! traffic of the end-to-end tests (`tests/full_stack.rs`,
+//! `tests/churn.rs`).
 
 use dcdo_sim::{Actor, ActorId, Ctx, SimDuration, SimTime};
 use dcdo_types::ObjectId;
@@ -93,21 +93,6 @@ impl ClosedLoopClient {
     /// Returns `true` when all calls have completed.
     pub fn is_done(&self) -> bool {
         self.remaining == 0 && self.in_flight.is_none()
-    }
-
-    /// Mean latency over successful calls, seconds.
-    pub fn mean_latency_secs(&self) -> Option<f64> {
-        let ok: Vec<f64> = self
-            .records
-            .iter()
-            .filter(|r| r.ok)
-            .map(|r| r.latency.as_secs_f64())
-            .collect();
-        if ok.is_empty() {
-            None
-        } else {
-            Some(ok.iter().sum::<f64>() / ok.len() as f64)
-        }
     }
 
     fn fire(&mut self, ctx: &mut Ctx<'_, Msg>) {

@@ -15,8 +15,8 @@
 //!   shape);
 //! - [`service`] — the canonical counter and sort/compare services
 //!   (including the paper's §3.2 behavioral-dependency example);
-//! - [`ClosedLoopClient`] — the sequential-call load driver used to measure
-//!   remote-invocation latency and to feed lazy update checks;
+//! - [`ClosedLoopClient`] — the sequential-call load driver behind the
+//!   end-to-end tests' background traffic and lazy update checks;
 //! - [`simbench`] — the sim-core throughput workload shapes behind the
 //!   `sim_throughput` bench suite and the `BENCH_sim.json` emitter;
 //! - [`reconfig`] — the canonical reconfiguration workload with the layer
