@@ -56,11 +56,10 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
-use dcdo_sim::{mgr_step, Actor, ActorId, Ctx, FlowKind, IdMap, IdSet, NodeId, SimTime, SpanKind};
+use dcdo_sim::{Actor, ActorId, Ctx, IdMap, IdSet, NodeId, SpanKind};
 use dcdo_types::{CallId, ClassId, ImplementationType, ObjectId, VersionId};
-use legion_substrate::binding::{RegisterBinding, UnregisterBinding};
-use legion_substrate::monolithic::{CaptureState, Deactivate, RestoreState, StateBlob};
-use legion_substrate::vault::{LoadState, LoadedState, SaveState};
+use legion_substrate::binding::UnregisterBinding;
+use legion_substrate::plan::{Action, Held, PlanOwner, Plans, Skip, Step};
 use legion_substrate::{
     Ack, AgentAddress, ControlOp, CostModel, Handled, InvocationFault, Msg, ReplyPayload,
     RpcClient, RpcCompletion,
@@ -125,118 +124,147 @@ struct DcdoInfo {
     crashed: bool,
 }
 
-/// One step of a lifecycle flow. The discriminant is the step's wire-stable
-/// `FlowStep` code ([`mgr_step`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u32)]
-enum MgrStep {
-    Capture = mgr_step::CAPTURE,
-    Deactivate = mgr_step::DEACTIVATE,
-    Unregister = mgr_step::UNREGISTER,
-    Spawn = mgr_step::SPAWN,
-    Register = mgr_step::REGISTER,
-    Apply = mgr_step::APPLY,
-    Restore = mgr_step::RESTORE,
-    SaveVault = mgr_step::SAVE_VAULT,
-    LoadVault = mgr_step::LOAD_VAULT,
-}
+use flow::{InstanceState, MgrFlow, MgrKind, Target};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MgrKind {
-    Create,
-    Update,
-    Migrate,
-    Deactivate,
-    Activate,
-    Checkpoint,
-    Recover,
-}
+/// The plan driver's view of manager flows: `pub` only so that the
+/// [`PlanOwner`] impl can name them; nothing outside this file can.
+mod flow {
+    use dcdo_sim::{FlowKind, NodeId};
+    use dcdo_types::VersionId;
+    use legion_substrate::plan::{Flow, Held, Kind, Step};
 
-/// What the DCDO table says about an instance, as admission sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum InstanceState {
-    /// Running in a process on a host that is up.
-    Live,
-    /// Deactivated: no process, state parked in the table.
-    Parked,
-    /// Its host went down ([`NodeFailed`]) and it has not been recovered.
-    Crashed,
-}
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum MgrKind {
+        Create,
+        Update,
+        Migrate,
+        Deactivate,
+        Activate,
+        Checkpoint,
+        Recover,
+    }
 
-/// The declared shape of one kind of flow: a row of the module docs' plan
-/// and admission tables.
-struct Plan {
-    /// The flow's kind in the span log.
-    trace: FlowKind,
-    /// The state the instance must be in for the flow to be admitted
-    /// (`None`: the flow creates the instance).
-    needs: Option<InstanceState>,
-    /// The steps, walked in order by `enter_step` / `absorb` / `advance`.
-    steps: &'static [MgrStep],
-    /// Counter bumped when the flow finishes.
-    counter: Option<&'static str>,
-    /// Histogram sampled with the flow's duration when it finishes.
-    timer: Option<&'static str>,
-}
+    /// What the DCDO table says about an instance, as admission sees it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum InstanceState {
+        /// Running in a process on a host that is up.
+        Live,
+        /// Deactivated: no process, state parked in the table.
+        Parked,
+        /// Its host went down ([`NodeFailed`]) and it has not been recovered.
+        Crashed,
+    }
 
-impl MgrKind {
-    const fn plan(self) -> Plan {
-        use InstanceState::{Crashed, Live, Parked};
-        use MgrStep::{
-            Apply, Capture, Deactivate, LoadVault, Register, Restore, SaveVault, Spawn, Unregister,
-        };
-        match self {
-            MgrKind::Create => Plan {
-                trace: FlowKind::Create,
-                needs: None,
-                steps: &[Spawn, Register, Apply],
-                counter: None,
-                timer: Some("manager.create_time"),
-            },
-            MgrKind::Update => Plan {
-                trace: FlowKind::Update,
-                needs: Some(Live),
-                steps: &[Apply],
-                counter: Some("manager.updates_done"),
-                timer: Some("manager.update_time"),
-            },
-            MgrKind::Migrate => Plan {
-                trace: FlowKind::Migrate,
-                needs: Some(Live),
-                steps: &[Capture, Deactivate, Spawn, Apply, Restore, Register],
-                counter: Some("manager.migrations_done"),
-                timer: Some("manager.migrate_time"),
-            },
-            MgrKind::Deactivate => Plan {
-                trace: FlowKind::Deactivate,
-                needs: Some(Live),
-                steps: &[Capture, Deactivate, Unregister],
-                counter: Some("manager.deactivations"),
-                timer: None,
-            },
-            MgrKind::Activate => Plan {
-                trace: FlowKind::Activate,
-                needs: Some(Parked),
-                steps: &[Spawn, Apply, Restore, Register],
-                counter: Some("manager.activations"),
-                timer: Some("manager.activate_time"),
-            },
-            MgrKind::Checkpoint => Plan {
-                trace: FlowKind::Checkpoint,
-                needs: Some(Live),
-                steps: &[Capture, SaveVault],
-                counter: Some("manager.checkpoints"),
-                timer: Some("manager.checkpoint_time"),
-            },
-            MgrKind::Recover => Plan {
-                trace: FlowKind::Recover,
-                needs: Some(Crashed),
-                steps: &[Spawn, Apply, LoadVault, Restore, Register],
-                counter: Some("manager.recoveries"),
-                timer: Some("manager.recover_time"),
-            },
+    /// The declared shape of one kind of flow: a row of the module docs' plan
+    /// and admission tables.
+    pub struct Plan {
+        /// The flow's kind in the span log.
+        pub trace: FlowKind,
+        /// The state the instance must be in for the flow to be admitted
+        /// (`None`: the flow creates the instance).
+        pub needs: Option<InstanceState>,
+        /// The steps, walked in order.
+        pub steps: &'static [Step],
+        /// Counter bumped when the flow finishes.
+        pub counter: Option<&'static str>,
+        /// Histogram sampled with the flow's duration when it finishes.
+        pub timer: Option<&'static str>,
+    }
+
+    impl MgrKind {
+        pub const fn plan(self) -> Plan {
+            use InstanceState::{Crashed, Live, Parked};
+            use Step::{
+                Apply, Capture, Deactivate, LoadVault, Register, Restore, SaveVault, Spawn,
+                Unregister,
+            };
+            match self {
+                MgrKind::Create => Plan {
+                    trace: FlowKind::Create,
+                    needs: None,
+                    steps: &[Spawn, Register, Apply],
+                    counter: None,
+                    timer: Some("manager.create_time"),
+                },
+                MgrKind::Update => Plan {
+                    trace: FlowKind::Update,
+                    needs: Some(Live),
+                    steps: &[Apply],
+                    counter: Some("manager.updates_done"),
+                    timer: Some("manager.update_time"),
+                },
+                MgrKind::Migrate => Plan {
+                    trace: FlowKind::Migrate,
+                    needs: Some(Live),
+                    steps: &[Capture, Deactivate, Spawn, Apply, Restore, Register],
+                    counter: Some("manager.migrations_done"),
+                    timer: Some("manager.migrate_time"),
+                },
+                MgrKind::Deactivate => Plan {
+                    trace: FlowKind::Deactivate,
+                    needs: Some(Live),
+                    steps: &[Capture, Deactivate, Unregister],
+                    counter: Some("manager.deactivations"),
+                    timer: None,
+                },
+                MgrKind::Activate => Plan {
+                    trace: FlowKind::Activate,
+                    needs: Some(Parked),
+                    steps: &[Spawn, Apply, Restore, Register],
+                    counter: Some("manager.activations"),
+                    timer: Some("manager.activate_time"),
+                },
+                MgrKind::Checkpoint => Plan {
+                    trace: FlowKind::Checkpoint,
+                    needs: Some(Live),
+                    steps: &[Capture, SaveVault],
+                    counter: Some("manager.checkpoints"),
+                    timer: Some("manager.checkpoint_time"),
+                },
+                MgrKind::Recover => Plan {
+                    trace: FlowKind::Recover,
+                    needs: Some(Crashed),
+                    steps: &[Spawn, Apply, LoadVault, Restore, Register],
+                    counter: Some("manager.recoveries"),
+                    timer: Some("manager.recover_time"),
+                },
+            }
         }
     }
+
+    impl Kind for MgrKind {
+        type Step = Step;
+
+        fn code(step: Step) -> u32 {
+            step as u32
+        }
+
+        fn trace(self) -> FlowKind {
+            self.plan().trace
+        }
+
+        fn steps(self) -> &'static [Step] {
+            self.plan().steps
+        }
+
+        /// `FlowStarted` implies a flow's first step; Update's lone Apply has
+        /// always been marked too, and the span digests pin that.
+        fn marks_first(self) -> bool {
+            self == MgrKind::Update
+        }
+    }
+
+    /// What a lifecycle flow works towards, and what it holds between steps.
+    #[derive(Debug)]
+    pub struct Target {
+        pub version: VersionId,
+        pub node: NodeId,
+        pub held: Held,
+        /// Push attempts already burned (supervised internal updates retry).
+        pub retries: u32,
+    }
+
+    pub type MgrFlow = Flow<MgrKind, Target>;
 }
 
 /// A queued (serialized) update request: reply channel, explicit target,
@@ -250,35 +278,6 @@ struct GroupGate {
     epoch: u64,
     fenced: bool,
     refused_while_fenced: u64,
-}
-
-struct MgrFlow {
-    kind: MgrKind,
-    reply: Option<(ActorId, CallId)>,
-    object: ObjectId,
-    version: VersionId,
-    target_node: NodeId,
-    state: Option<Bytes>,
-    new_actor: Option<ActorId>,
-    /// Index of the current step in the kind's plan.
-    at: usize,
-    started: SimTime,
-    /// Push attempts already burned (supervised internal updates retry).
-    retries: u32,
-}
-
-impl MgrFlow {
-    fn step(&self) -> MgrStep {
-        self.kind.plan().steps[self.at]
-    }
-
-    /// The state an earlier step captured or loaded, or that admission
-    /// found parked in the table.
-    fn held_state(&self) -> Bytes {
-        self.state
-            .clone()
-            .expect("state captured, parked or loaded")
-    }
 }
 
 /// The manager object for one DCDO type.
@@ -295,9 +294,7 @@ pub struct DcdoManager {
     table: IdMap<ObjectId, DcdoInfo>,
     version_policy: VersionPolicy,
     propagation: UpdatePropagation,
-    flows: IdMap<u64, MgrFlow>,
-    rpc_routes: IdMap<u64, u64>,
-    timer_routes: IdMap<u64, u64>,
+    plans: Plans<MgrKind, Target>,
     // Supervised update retries: timer token -> (object, target, attempt).
     retry_updates: IdMap<u64, (ObjectId, VersionId, u32)>,
     // Per-instance serialization of update flows: an instance has at most
@@ -353,9 +350,7 @@ impl DcdoManager {
             table: IdMap::default(),
             version_policy,
             propagation,
-            flows: IdMap::default(),
-            rpc_routes: IdMap::default(),
-            timer_routes: IdMap::default(),
+            plans: Plans::default(),
             retry_updates: IdMap::default(),
             updates_in_flight: IdSet::default(),
             queued_updates: IdMap::default(),
@@ -413,7 +408,7 @@ impl DcdoManager {
 
     /// Lifecycle flows still in progress.
     pub fn flows_in_flight(&self) -> usize {
-        self.flows.len()
+        self.plans.len()
     }
 
     /// Instances currently marked crashed (driver-side inspection).
@@ -532,22 +527,6 @@ impl DcdoManager {
 
     // ---- flows ----------------------------------------------------------
 
-    fn schedule_flow_timer(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        flow_id: u64,
-        delay: dcdo_sim::SimDuration,
-    ) {
-        let token = ctx.fresh_u64();
-        self.timer_routes.insert(token, flow_id);
-        ctx.schedule_timer(delay, token);
-    }
-
-    fn rpc_step(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, target: ObjectId, op: ControlOp) {
-        let call = self.rpc.control(ctx, target, op);
-        self.rpc_routes.insert(call.as_raw(), flow_id);
-    }
-
     /// Answers `reply`, if anyone is waiting, with a successful payload.
     fn answer(
         ctx: &mut Ctx<'_, Msg>,
@@ -582,7 +561,7 @@ impl DcdoManager {
         node: Option<NodeId>,
     ) -> Result<(DcdoInfo, NodeId), String> {
         let plan = kind.plan();
-        let uses_vault = |s: &MgrStep| matches!(s, MgrStep::SaveVault | MgrStep::LoadVault);
+        let uses_vault = |s: &Step| matches!(s, Step::SaveVault | Step::LoadVault);
         if plan.steps.iter().any(uses_vault) && self.vault.is_none() {
             return Err("manager has no vault configured".into());
         }
@@ -616,51 +595,6 @@ impl DcdoManager {
         Ok((info.clone(), node))
     }
 
-    /// Opens a flow at the first step of its plan: acknowledges the caller
-    /// with `Progress`, draws the flow id (and, for a flow that creates its
-    /// instance, the new object id), and emits `FlowStarted`. The caller
-    /// enters the first step.
-    #[allow(clippy::too_many_arguments)]
-    fn open_flow(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        kind: MgrKind,
-        reply: Option<(ActorId, CallId)>,
-        object: Option<ObjectId>,
-        version: VersionId,
-        target_node: NodeId,
-        state: Option<Bytes>,
-    ) -> u64 {
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow_id = ctx.fresh_u64();
-        let object = object.unwrap_or_else(|| ObjectId::from_raw(ctx.fresh_u64()));
-        if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowStarted {
-                flow: flow_id,
-                object: object.as_raw(),
-                kind: kind.plan().trace,
-            });
-        }
-        self.flows.insert(
-            flow_id,
-            MgrFlow {
-                kind,
-                reply,
-                object,
-                version,
-                target_node,
-                state,
-                new_actor: None,
-                at: 0,
-                started: ctx.now(),
-                retries: 0,
-            },
-        );
-        flow_id
-    }
-
     /// Admits and starts a flow of `kind` on an existing instance.
     fn start_flow(
         &mut self,
@@ -673,118 +607,25 @@ impl DcdoManager {
         match self.admit(kind, object, node) {
             Ok((info, node)) => {
                 // Only a deactivated instance has state parked in the table.
-                let state = info.parked_state;
-                let flow_id =
-                    self.open_flow(ctx, kind, reply, Some(object), info.version, node, state);
-                self.enter_step(ctx, flow_id);
+                let held = Held {
+                    state: info.parked_state,
+                    new_actor: None,
+                };
+                let target = Target {
+                    version: info.version,
+                    node,
+                    held,
+                    retries: 0,
+                };
+                self.open_flow(ctx, kind, reply, Some(object), 0, target);
             }
             Err(why) => Self::refuse(ctx, reply, why),
         }
     }
 
-    /// Issues the action of the flow's current step — the single place each
-    /// step's operation is built. Every step but the first of a plan leaves
-    /// a `FlowStep` span *before* its action (the first is implied by
-    /// `FlowStarted`); Update's lone Apply has always been marked too, and
-    /// the span digests pin that.
-    fn enter_step(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let flow = &self.flows[&flow_id];
-        let (step, object) = (flow.step(), flow.object);
-        if (flow.at > 0 || flow.kind == MgrKind::Update) && ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowStep {
-                flow: flow_id,
-                step: step as u32,
-            });
-        }
-        let vault = || self.vault.expect("admission checked the vault");
-        let (target, op) = match step {
-            MgrStep::Capture => (object, ControlOp::new(CaptureState)),
-            MgrStep::Deactivate => (object, ControlOp::new(Deactivate)),
-            MgrStep::Unregister => (
-                self.agent.object,
-                ControlOp::new(UnregisterBinding { object }),
-            ),
-            MgrStep::Spawn => {
-                // DCDO process creation: base spawn cost only — the function
-                // "linking" happens per component during incorporation.
-                let delay = self.cost.process_spawn_base;
-                return self.schedule_flow_timer(ctx, flow_id, delay);
-            }
-            MgrStep::Register => {
-                let address = flow.new_actor.expect("spawned");
-                (
-                    self.agent.object,
-                    ControlOp::new(RegisterBinding { object, address }),
-                )
-            }
-            MgrStep::Apply => {
-                let descriptor = self.store[&flow.version].descriptor.clone();
-                (object, ControlOp::new(ApplyDfmDescriptor { descriptor }))
-            }
-            MgrStep::Restore => {
-                let bytes = flow.held_state();
-                (object, ControlOp::new(RestoreState { bytes }))
-            }
-            MgrStep::SaveVault => {
-                let (owner, bytes) = (object, flow.held_state());
-                (vault(), ControlOp::new(SaveState { owner, bytes }))
-            }
-            MgrStep::LoadVault => (vault(), ControlOp::new(LoadState { owner: object })),
-        };
-        self.rpc_step(ctx, flow_id, target, op);
-    }
-
-    /// Folds the reply to the flow's current step into the flow: captured
-    /// and loaded state are kept for the steps that consume them.
-    fn absorb(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        flow_id: u64,
-        payload: &ReplyPayload,
-    ) -> Result<(), String> {
-        let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-        match flow.step() {
-            MgrStep::Capture => {
-                let blob = payload
-                    .control_as::<StateBlob>()
-                    .ok_or("capture returned no state")?;
-                flow.state = Some(blob.bytes.clone());
-            }
-            MgrStep::LoadVault => {
-                flow.state = payload
-                    .control_as::<LoadedState>()
-                    .and_then(|l| l.bytes.clone());
-                if flow.state.is_none() {
-                    // No snapshot: the instance restarts fresh at its
-                    // version, so the Restore that follows is skipped.
-                    ctx.metrics().incr("manager.recoveries_without_snapshot");
-                    flow.at += 1;
-                    debug_assert_eq!(flow.step(), MgrStep::Restore);
-                }
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// The flow's current step is done: enters the next step of its plan,
-    /// or finishes the flow after the last.
-    fn advance(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-        flow.at += 1;
-        if flow.at < flow.kind.plan().steps.len() {
-            self.enter_step(ctx, flow_id);
-        } else {
-            self.finish_flow(ctx, flow_id);
-        }
-    }
-
     /// The Spawn step's timer fired: creates the flow's new DCDO process.
-    fn spawn_dcdo(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let (node, object) = {
-            let flow = &self.flows[&flow_id];
-            (flow.target_node, flow.object)
-        };
+    fn spawn_dcdo(&mut self, ctx: &mut Ctx<'_, Msg>, flow: &mut MgrFlow) {
+        let (node, object) = (flow.data.node, flow.object);
         let entry = self.hosts.entry(node).expect("node checked at admission");
         let seed = ctx.rng().fork_seed();
         let dcdo = DcdoObject::new(
@@ -801,121 +642,9 @@ impl DcdoManager {
         );
         let actor = ctx.spawn(node, Box::new(dcdo));
         ctx.metrics().incr("manager.dcdos_created");
-        self.flows.get_mut(&flow_id).expect("flow exists").new_actor = Some(actor);
+        flow.data.held.new_actor = Some(actor);
         // Address the new process directly until the binding is registered.
         self.rpc.seed_binding(object, actor);
-    }
-
-    /// Removes a flow that cannot complete, counting it under `counter`.
-    fn abort_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, counter: &str) -> MgrFlow {
-        let flow = self.flows.remove(&flow_id).expect("flow exists");
-        ctx.metrics().incr(counter);
-        if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowAborted { flow: flow_id });
-        }
-        flow
-    }
-
-    fn fail_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, why: String) {
-        let flow = self.abort_flow(ctx, flow_id, "manager.flows_failed");
-        if flow.kind == MgrKind::Update {
-            self.release_update_slot(ctx, flow.object);
-            // Supervised internal updates (proactive pushes) are retried: a
-            // lost reply must not strand an instance behind the current
-            // version.
-            if flow.reply.is_none() && flow.retries < 5 {
-                ctx.metrics().incr("manager.update_retries");
-                let token = ctx.fresh_u64();
-                self.retry_updates
-                    .insert(token, (flow.object, flow.version, flow.retries + 1));
-                ctx.schedule_timer(dcdo_sim::SimDuration::from_secs(1), token);
-                return;
-            }
-        }
-        Self::refuse(ctx, flow.reply, why);
-    }
-
-    /// The last step of the plan is done: records what the flow changed in
-    /// the DCDO table (see the module docs' plan table), counts and times
-    /// it, and answers the caller.
-    fn finish_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let flow = self.flows.remove(&flow_id).expect("flow exists");
-        if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowCompleted { flow: flow_id });
-        }
-        let plan = flow.kind.plan();
-        let (object, version) = (flow.object, flow.version);
-        let impl_type = self
-            .store
-            .get(&version)
-            .map(|e| e.descriptor.implementation_type());
-        if flow.kind == MgrKind::Create {
-            self.table.insert(
-                object,
-                DcdoInfo {
-                    actor: flow.new_actor.expect("spawned"),
-                    node: flow.target_node,
-                    version: version.clone(),
-                    impl_type: impl_type.unwrap_or_default(),
-                    parked_state: None,
-                    crashed: false,
-                },
-            );
-        } else if let Some(info) = self.table.get_mut(&object) {
-            if let Some(address) = flow.new_actor {
-                // Migrate, Activate, Recover: the instance is live again,
-                // in its new process.
-                info.actor = address;
-                info.node = flow.target_node;
-                info.parked_state = None;
-                info.crashed = false;
-            }
-            match flow.kind {
-                MgrKind::Update => {
-                    info.version = version.clone();
-                    info.impl_type = impl_type.unwrap_or(info.impl_type);
-                }
-                MgrKind::Deactivate => {
-                    info.parked_state = Some(flow.state.expect("state captured"));
-                }
-                _ => {}
-            }
-        }
-        if flow.kind == MgrKind::Update {
-            self.release_update_slot(ctx, object);
-        }
-        if let Some(counter) = plan.counter {
-            ctx.metrics().incr(counter);
-        }
-        if let Some(timer) = plan.timer {
-            let elapsed = ctx.now().duration_since(flow.started);
-            ctx.metrics().sample_duration(timer, elapsed);
-        }
-        let address = flow.new_actor;
-        let payload = match flow.kind {
-            MgrKind::Create | MgrKind::Activate => ControlOp::new(DcdoCreated {
-                object,
-                address: address.expect("spawned"),
-                version,
-            }),
-            MgrKind::Update => ControlOp::new(UpdateDone { object, version }),
-            MgrKind::Migrate => ControlOp::new(MigrateDone {
-                object,
-                address: address.expect("spawned"),
-                version,
-            }),
-            MgrKind::Deactivate => ControlOp::new(Ack),
-            MgrKind::Checkpoint => ControlOp::new(DcdoCheckpointed { object, version }),
-            MgrKind::Recover => {
-                // Nobody waits on a recovery; resume the reconfiguration
-                // the crash interrupted, if any.
-                if let Some(target) = self.interrupted_updates.remove(&object) {
-                    self.start_update(ctx, None, object, Some(target));
-                }
-                return;
-            }
-        };
-        Self::answer(ctx, flow.reply, payload);
     }
 
     /// Releases the per-instance update lock and starts the next queued
@@ -945,9 +674,14 @@ impl DcdoManager {
         if !self.hosts.contains(node) {
             return ctx.send(reply_to, Msg::refused(call, format!("unknown node {node}")));
         }
+        let target = Target {
+            version,
+            node,
+            held: Held::default(),
+            retries: 0,
+        };
         let reply = Some((reply_to, call));
-        let flow_id = self.open_flow(ctx, MgrKind::Create, reply, None, version, node, None);
-        self.enter_step(ctx, flow_id);
+        self.open_flow(ctx, MgrKind::Create, reply, None, 0, target);
     }
 
     fn start_update(
@@ -1017,10 +751,14 @@ impl DcdoManager {
             ctx.metrics().incr("manager.updates_refused");
             return Self::refuse(ctx, reply, e);
         }
-        let flow_id = self.open_flow(ctx, kind, reply, Some(object), target, node, None);
-        self.flows.get_mut(&flow_id).expect("just opened").retries = retries;
         self.updates_in_flight.insert(object);
-        self.enter_step(ctx, flow_id);
+        let target = Target {
+            version: target,
+            node,
+            held: Held::default(),
+            retries,
+        };
+        self.open_flow(ctx, kind, reply, Some(object), 0, target);
     }
 
     /// A host crashed: mark resident instances crashed and abort every
@@ -1043,20 +781,22 @@ impl DcdoManager {
         }
         crashed.sort_unstable();
         let mut doomed: Vec<u64> = self
-            .flows
+            .plans
             .iter()
-            .filter(|(_, f)| f.target_node == node || crashed.contains(&f.object))
-            .map(|(id, _)| *id)
+            .filter(|(_, f)| f.data.node == node || crashed.contains(&f.object))
+            .map(|(id, _)| id)
             .collect();
         doomed.sort_unstable();
         let mut aborted: Vec<ObjectId> = Vec::new();
         for flow_id in doomed {
-            let flow = self.abort_flow(ctx, flow_id, "manager.flows_aborted");
+            let flow = self.abort_flow(ctx, flow_id).expect("flow in flight");
+            ctx.metrics().incr("manager.flows_aborted");
             aborted.push(flow.object);
             if flow.kind == MgrKind::Update {
                 self.updates_in_flight.remove(&flow.object);
                 if flow.reply.is_none() {
-                    self.interrupted_updates.insert(flow.object, flow.version);
+                    self.interrupted_updates
+                        .insert(flow.object, flow.data.version);
                 }
             }
             let why = format!("node {node} failed mid-{:?}", flow.kind);
@@ -1124,21 +864,7 @@ impl DcdoManager {
                 });
             return ctx.send(reply_to, ack_or_refuse(call, result));
         }
-        let Some(flow_id) = self.rpc_routes.remove(&completion.call.as_raw()) else {
-            return;
-        };
-        let Some(flow) = self.flows.get(&flow_id) else {
-            return;
-        };
-        let step = flow.step();
-        let absorbed = completion
-            .result
-            .map_err(|fault| format!("step {step:?} failed: {fault}"))
-            .and_then(|payload| self.absorb(ctx, flow_id, &payload));
-        match absorbed {
-            Ok(()) => self.advance(ctx, flow_id),
-            Err(why) => self.fail_flow(ctx, flow_id, why),
-        }
+        self.plan_reply(ctx, completion);
     }
 
     fn handle_configure(
@@ -1412,6 +1138,175 @@ impl DcdoManager {
     }
 }
 
+impl PlanOwner for DcdoManager {
+    type Kind = MgrKind;
+    type Data = Target;
+    type Error = String;
+
+    fn plans(&mut self) -> &mut Plans<MgrKind, Target> {
+        &mut self.plans
+    }
+
+    fn rpc(&mut self) -> &mut RpcClient {
+        &mut self.rpc
+    }
+
+    fn skip(&self, flow: &MgrFlow, step: Step) -> Skip {
+        Skip::from(step.skips(self.vault, &flow.data.held))
+    }
+
+    fn action(
+        &mut self,
+        _ctx: &mut Ctx<'_, Msg>,
+        flow: &mut MgrFlow,
+        step: Step,
+    ) -> Result<Action, String> {
+        let object = flow.object;
+        Ok(match step {
+            // DCDO process creation: base spawn cost only — the function
+            // "linking" happens per component during incorporation.
+            Step::Spawn => Action::Timer(self.cost.process_spawn_base),
+            Step::Unregister => {
+                let unregister = UnregisterBinding { object };
+                Action::Rpc(self.agent.object, ControlOp::new(unregister))
+            }
+            Step::Apply => {
+                let descriptor = self.store[&flow.data.version].descriptor.clone();
+                Action::Rpc(object, ControlOp::new(ApplyDfmDescriptor { descriptor }))
+            }
+            _ => step
+                .shared_action(object, &mut flow.data.held, self.agent, self.vault)
+                .expect("every manager step is built"),
+        })
+    }
+
+    fn absorb(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        flow: &mut MgrFlow,
+        step: Step,
+        reply: Result<ReplyPayload, InvocationFault>,
+    ) -> Result<(), String> {
+        step.absorb(reply, &mut flow.data.held)?;
+        if step == Step::LoadVault && flow.data.held.state.is_none() {
+            // No snapshot: the instance restarts fresh at its version, and
+            // the skip rule drops the Restore that follows.
+            ctx.metrics().incr("manager.recoveries_without_snapshot");
+        }
+        Ok(())
+    }
+
+    fn timer_done(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        flow: &mut MgrFlow,
+        _step: Step,
+    ) -> Result<(), String> {
+        // Spawn is the only timer step.
+        self.spawn_dcdo(ctx, flow);
+        Ok(())
+    }
+
+    /// The last step of the plan is done: records what the flow changed in
+    /// the DCDO table (see the module docs' plan table), counts and times
+    /// it, and answers the caller.
+    fn finish(&mut self, ctx: &mut Ctx<'_, Msg>, flow: MgrFlow) {
+        let plan = flow.kind.plan();
+        let (object, version) = (flow.object, flow.data.version);
+        let impl_type = self
+            .store
+            .get(&version)
+            .map(|e| e.descriptor.implementation_type());
+        if flow.kind == MgrKind::Create {
+            self.table.insert(
+                object,
+                DcdoInfo {
+                    actor: flow.data.held.new_actor.expect("spawned"),
+                    node: flow.data.node,
+                    version: version.clone(),
+                    impl_type: impl_type.unwrap_or_default(),
+                    parked_state: None,
+                    crashed: false,
+                },
+            );
+        } else if let Some(info) = self.table.get_mut(&object) {
+            if let Some(address) = flow.data.held.new_actor {
+                // Migrate, Activate, Recover: the instance is live again,
+                // in its new process.
+                info.actor = address;
+                info.node = flow.data.node;
+                info.parked_state = None;
+                info.crashed = false;
+            }
+            match flow.kind {
+                MgrKind::Update => {
+                    info.version = version.clone();
+                    info.impl_type = impl_type.unwrap_or(info.impl_type);
+                }
+                MgrKind::Deactivate => {
+                    info.parked_state = Some(flow.data.held.state.expect("state captured"));
+                }
+                _ => {}
+            }
+        }
+        if flow.kind == MgrKind::Update {
+            self.release_update_slot(ctx, object);
+        }
+        if let Some(counter) = plan.counter {
+            ctx.metrics().incr(counter);
+        }
+        if let Some(timer) = plan.timer {
+            let elapsed = ctx.now().duration_since(flow.started);
+            ctx.metrics().sample_duration(timer, elapsed);
+        }
+        let address = flow.data.held.new_actor;
+        let payload = match flow.kind {
+            MgrKind::Create | MgrKind::Activate => ControlOp::new(DcdoCreated {
+                object,
+                address: address.expect("spawned"),
+                version,
+            }),
+            MgrKind::Update => ControlOp::new(UpdateDone { object, version }),
+            MgrKind::Migrate => ControlOp::new(MigrateDone {
+                object,
+                address: address.expect("spawned"),
+                version,
+            }),
+            MgrKind::Deactivate => ControlOp::new(Ack),
+            MgrKind::Checkpoint => ControlOp::new(DcdoCheckpointed { object, version }),
+            MgrKind::Recover => {
+                // Nobody waits on a recovery; resume the reconfiguration
+                // the crash interrupted, if any.
+                if let Some(target) = self.interrupted_updates.remove(&object) {
+                    self.start_update(ctx, None, object, Some(target));
+                }
+                return;
+            }
+        };
+        Self::answer(ctx, flow.reply, payload);
+    }
+
+    fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: MgrFlow, why: String) {
+        ctx.metrics().incr("manager.flows_failed");
+        if flow.kind == MgrKind::Update {
+            self.release_update_slot(ctx, flow.object);
+            // Supervised internal updates (proactive pushes) are retried: a
+            // lost reply must not strand an instance behind the current
+            // version.
+            let retries = flow.data.retries;
+            if flow.reply.is_none() && retries < 5 {
+                ctx.metrics().incr("manager.update_retries");
+                let token = ctx.fresh_u64();
+                self.retry_updates
+                    .insert(token, (flow.object, flow.data.version, retries + 1));
+                ctx.schedule_timer(dcdo_sim::SimDuration::from_secs(1), token);
+                return;
+            }
+        }
+        Self::refuse(ctx, flow.reply, why);
+    }
+}
+
 impl Actor<Msg> for DcdoManager {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
         match msg {
@@ -1452,16 +1347,7 @@ impl Actor<Msg> for DcdoManager {
             self.start_update_with_retries(ctx, None, object, Some(version), attempt);
             return;
         }
-        if let Some(flow_id) = self.timer_routes.remove(&token) {
-            if self
-                .flows
-                .get(&flow_id)
-                .is_some_and(|f| f.step() == MgrStep::Spawn)
-            {
-                self.spawn_dcdo(ctx, flow_id);
-                self.advance(ctx, flow_id);
-            }
-        }
+        self.plan_timer(ctx, token);
     }
 
     fn name(&self) -> &str {
@@ -1484,7 +1370,7 @@ impl std::fmt::Debug for DcdoManager {
 #[cfg(test)]
 mod tests {
     use super::MgrKind::{Activate, Checkpoint, Create, Deactivate, Migrate, Recover, Update};
-    use super::{MgrKind, MgrStep};
+    use super::{MgrKind, Step};
 
     /// The `FlowStep` codes a flow of `kind` leaves after its first step.
     fn later_step_codes(kind: MgrKind) -> Vec<u32> {
@@ -1503,6 +1389,6 @@ mod tests {
         assert_eq!(later_step_codes(Checkpoint), [7]);
         assert_eq!(later_step_codes(Recover), [5, 8, 6, 4]);
         // Update's only step is Apply, which it marks although it is first.
-        assert_eq!(Update.plan().steps, [MgrStep::Apply]);
+        assert_eq!(Update.plan().steps, [Step::Apply]);
     }
 }

@@ -21,20 +21,18 @@
 //! disables are postponed while active threads of dependent functions would
 //! be stranded.
 
-use std::collections::VecDeque;
-
 use bytes::Bytes;
-use dcdo_sim::{
-    cfg_step, Actor, ActorId, Ctx, FlowKind as TraceFlowKind, IdMap, SimDuration, SimTime, SpanKind,
-};
+use dcdo_sim::{Actor, ActorId, Ctx, SimDuration, SimTime, SpanKind};
 use dcdo_types::{
     Architecture, CallId, ComponentId, FunctionName, ImplementationType, ObjectId, VersionId,
 };
 use dcdo_vm::{ComponentBinary, NativeRegistry, Value, ValueStore};
 use legion_substrate::host::{ComponentData, FetchComponentData, StoreComponentData};
 use legion_substrate::monolithic::{CaptureState, Deactivate, RestoreState, StateBlob};
+use legion_substrate::plan::{Action, PlanOwner, Plans, Skip};
 use legion_substrate::{
-    Ack, ControlOp, CostModel, Handled, InvocationFault, Msg, RpcClient, RpcCompletion,
+    Ack, ControlOp, CostModel, Handled, InvocationFault, Msg, ReplyPayload, RpcClient,
+    RpcCompletion,
 };
 
 use crate::dfm::Dfm;
@@ -50,55 +48,104 @@ use crate::ops::{
 /// Interval at which delayed removals re-check thread activity.
 const IDLE_RECHECK: SimDuration = SimDuration::from_millis(50);
 
-#[derive(Debug)]
-enum FetchStage {
-    /// Reading the component descriptor from the ICO (size unknown yet).
-    Descriptor { ico: ObjectId },
-    /// Asking the local host cache.
-    HostCheck {
-        component: ComponentId,
-        ico: ObjectId,
-    },
-    /// Downloading from the ICO.
-    IcoRead { component: ComponentId },
-    /// Writing into the local host cache.
-    HostStore { binary: ComponentBinary },
-    /// Mapping into the address space (timer).
-    MapTimer { binary: ComponentBinary },
-}
+use flow::{CfgStep, Config, ConfigFlow, ConfigOp, FetchItem, Staged, Target};
 
-#[derive(Debug)]
-enum FlowKind {
-    /// `incorporateComponent()`: incorporate staged components (disabled).
-    Incorporate,
-    /// Bulk evolution toward a full target descriptor.
-    Apply {
-        target: crate::descriptor::DfmDescriptor,
-    },
-    /// `removeComponent()` gated by thread activity.
-    Remove { component: ComponentId },
-    /// `disableFunction()` postponed while dependent threads are active.
-    Disable { function: FunctionName },
-}
+/// The plan driver's view of configuration flows: `pub` only so that the
+/// [`PlanOwner`] impl can name them; nothing outside this file can.
+mod flow {
+    use bytes::Bytes;
+    use dcdo_sim::{cfg_step, FlowKind, SimTime};
+    use dcdo_types::{ComponentId, FunctionName, ObjectId};
+    use dcdo_vm::ComponentBinary;
+    use legion_substrate::plan::{Flow, Kind};
 
-/// One component still to pull: its ICO, and — when the caller already
-/// knows it (Apply flows, from the target descriptor) — the component id,
-/// which lets the fetch skip the ICO metadata roundtrip and go straight to
-/// the local host cache.
-#[derive(Debug, Clone, Copy)]
-struct FetchItem {
-    ico: ObjectId,
-    component: Option<ComponentId>,
-}
+    use crate::descriptor::DfmDescriptor;
 
-#[derive(Debug)]
-struct ConfigFlow {
-    reply: Option<(ActorId, CallId)>,
-    kind: FlowKind,
-    to_fetch: VecDeque<FetchItem>,
-    fetching: Option<FetchStage>,
-    started: SimTime,
-    force_deadline: Option<SimTime>,
+    /// One step of a configuration flow. The discriminant is the step's
+    /// wire-stable `FlowStep` code ([`cfg_step`]).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[repr(u32)]
+    pub enum CfgStep {
+        Descriptor = cfg_step::DESCRIPTOR,
+        HostCheck = cfg_step::HOST_CHECK,
+        IcoRead = cfg_step::ICO_READ,
+        HostStore = cfg_step::HOST_STORE,
+        Map = cfg_step::MAP,
+        Gate = cfg_step::GATE,
+        Apply = cfg_step::APPLY,
+    }
+
+    /// Every configuration flow walks one plan: the fetch steps once per
+    /// component still to pull, then the gate and the change itself.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Config;
+
+    impl Kind for Config {
+        type Step = CfgStep;
+
+        fn code(step: CfgStep) -> u32 {
+            step as u32
+        }
+
+        fn trace(self) -> FlowKind {
+            FlowKind::Config
+        }
+
+        fn each(self) -> &'static [CfgStep] {
+            use CfgStep::{Descriptor, HostCheck, HostStore, IcoRead, Map};
+            &[Descriptor, HostCheck, IcoRead, HostStore, Map]
+        }
+
+        fn steps(self) -> &'static [CfgStep] {
+            &[CfgStep::Gate, CfgStep::Apply]
+        }
+    }
+
+    /// The configuration change a flow makes once its components are in.
+    #[derive(Debug)]
+    pub enum ConfigOp {
+        /// `incorporateComponent()`: incorporate staged components (disabled).
+        Incorporate,
+        /// Bulk evolution toward a full target descriptor.
+        Apply { target: DfmDescriptor },
+        /// `removeComponent()` gated by thread activity.
+        Remove { component: ComponentId },
+        /// `disableFunction()` postponed while dependent threads are active.
+        Disable { function: FunctionName },
+    }
+
+    /// What a component's fetch has brought in so far.
+    #[derive(Debug, Default)]
+    pub enum Staged {
+        /// Nothing yet.
+        #[default]
+        Nothing,
+        /// Downloaded from the ICO: the data (for the host cache) and its
+        /// decoding.
+        Downloaded(Bytes, ComponentBinary),
+        /// Decoded, ready to map; `true` if the host cache had it.
+        Ready(ComponentBinary, bool),
+    }
+
+    /// One component still to pull: its ICO, and — when the caller already
+    /// knows it (Apply flows, from the target descriptor) — the component
+    /// id, which lets the fetch skip the ICO metadata roundtrip and go
+    /// straight to the local host cache.
+    #[derive(Debug)]
+    pub struct FetchItem {
+        pub ico: ObjectId,
+        pub component: Option<ComponentId>,
+        pub staged: Staged,
+    }
+
+    #[derive(Debug)]
+    pub struct Target {
+        pub op: ConfigOp,
+        pub items: Vec<FetchItem>,
+        pub force_deadline: Option<SimTime>,
+    }
+
+    pub type ConfigFlow = Flow<Config, Target>;
 }
 
 /// How an invocation is parked while the object synchronizes with its
@@ -130,9 +177,9 @@ pub struct DcdoObject {
     last_check: SimTime,
     check_in_flight: bool,
     parked: Vec<ParkedInvocation>,
-    flows: IdMap<u64, ConfigFlow>,
-    rpc_routes: IdMap<u64, u64>,
-    timer_routes: IdMap<u64, u64>,
+    plans: Plans<Config, Target>,
+    /// The lazy version check in flight, by call id.
+    check_call: Option<CallId>,
     config_ops_applied: u64,
 }
 
@@ -172,9 +219,8 @@ impl DcdoObject {
             last_check: SimTime::ZERO,
             check_in_flight: false,
             parked: Vec::new(),
-            flows: IdMap::default(),
-            rpc_routes: IdMap::default(),
-            timer_routes: IdMap::default(),
+            plans: Plans::default(),
+            check_call: None,
             config_ops_applied: 0,
         }
     }
@@ -216,7 +262,7 @@ impl DcdoObject {
 
     /// Configuration flows still in progress.
     pub fn flows_in_flight(&self) -> usize {
-        self.flows.len()
+        self.plans.len()
     }
 
     // ---- lazy update checking (§3.4) -----------------------------------
@@ -242,8 +288,7 @@ impl DcdoObject {
                 current: self.dfm.version().clone(),
             }),
         );
-        // Route the reply to the pseudo-flow id 0.
-        self.rpc_routes.insert(call.as_raw(), 0);
+        self.check_call = Some(call);
         ctx.metrics().incr("dcdo.lazy_checks");
     }
 
@@ -272,105 +317,41 @@ impl DcdoObject {
 
     // ---- configuration flows -------------------------------------------
 
-    /// Emits a `FlowStarted` span for a freshly inserted object-local flow.
-    /// Object flows carry the trace kind `Config`, distinguishing them from
-    /// the manager's lifecycle flows.
-    fn trace_flow_started(&self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowStarted {
-                flow: flow_id,
-                object: self.object.as_raw(),
-                kind: TraceFlowKind::Config,
-            });
-        }
-    }
-
-    /// Emits a `FlowStep` span for a flow that just entered `step` (one of
-    /// the [`cfg_step`] codes).
-    fn trace_step(ctx: &mut Ctx<'_, Msg>, flow_id: u64, step: u32) {
-        if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowStep {
-                flow: flow_id,
-                step,
-            });
-        }
-    }
-
-    fn start_flow(
+    /// Opens a configuration flow that pulls `items`, then makes `op`.
+    fn start_config(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         reply: Option<(ActorId, CallId)>,
-        kind: FlowKind,
-        to_fetch: VecDeque<FetchItem>,
-    ) -> u64 {
-        let flow_id = ctx.fresh_u64();
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
-        let flow = ConfigFlow {
-            reply,
-            kind,
-            to_fetch,
-            fetching: None,
-            started: ctx.now(),
+        op: ConfigOp,
+        items: Vec<FetchItem>,
+    ) {
+        let target = Target {
+            op,
+            items,
             force_deadline: None,
         };
-        self.flows.insert(flow_id, flow);
-        self.trace_flow_started(ctx, flow_id);
-        self.advance_flow(ctx, flow_id);
-        flow_id
+        let (object, items) = (Some(self.object), target.items.len());
+        self.open_flow(ctx, Config, reply, object, items, target);
     }
 
-    /// Drives a flow forward: fetch the next component, or run the
-    /// completion gate.
-    fn advance_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let Some(flow) = self.flows.get_mut(&flow_id) else {
-            return;
-        };
-        if flow.fetching.is_some() {
-            return;
+    /// §2.1: implementation types gate mapping — architecture-specific
+    /// code cannot be mapped into a process on the wrong architecture.
+    fn mappable(&self, binary: &ComponentBinary) -> Result<(), ConfigError> {
+        if binary.impl_type().compatible_with_host(self.host_arch) {
+            return Ok(());
         }
-        if let Some(item) = flow.to_fetch.pop_front() {
-            match item.component {
-                Some(component) if self.dfm.is_loaded(component) => {
-                    self.advance_flow(ctx, flow_id);
-                }
-                Some(component) => {
-                    flow.fetching = Some(FetchStage::HostCheck {
-                        component,
-                        ico: item.ico,
-                    });
-                    Self::trace_step(ctx, flow_id, cfg_step::HOST_CHECK);
-                    let call = self.rpc.control(
-                        ctx,
-                        self.host,
-                        ControlOp::new(FetchComponentData { component }),
-                    );
-                    self.rpc_routes.insert(call.as_raw(), flow_id);
-                }
-                None => {
-                    flow.fetching = Some(FetchStage::Descriptor { ico: item.ico });
-                    Self::trace_step(ctx, flow_id, cfg_step::DESCRIPTOR);
-                    let call =
-                        self.rpc
-                            .control(ctx, item.ico, ControlOp::new(ReadComponentDescriptor));
-                    self.rpc_routes.insert(call.as_raw(), flow_id);
-                }
-            }
-            return;
-        }
-        self.finish_gate(ctx, flow_id);
+        Err(ConfigError::IncompatibleArchitecture {
+            component: binary.id(),
+            component_arch: binary.impl_type().architecture().to_string(),
+            host_arch: self.host_arch.to_string(),
+        })
     }
 
-    /// All data staged: apply the flow's semantic step, honoring the
-    /// thread-activity policy for anything that removes code.
-    fn finish_gate(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let Some(flow) = self.flows.get(&flow_id) else {
-            return;
-        };
-        Self::trace_step(ctx, flow_id, cfg_step::GATE);
-        let busy: Vec<(ComponentId, u32)> = match &flow.kind {
-            FlowKind::Remove { component } => {
+    /// The Gate step: with every component in, waits out (or refuses, or
+    /// forces past) the threads still running code the change removes.
+    fn gate(&mut self, ctx: &mut Ctx<'_, Msg>, target: &mut Target) -> Result<Action, ConfigError> {
+        let busy: Vec<(ComponentId, u32)> = match &target.op {
+            ConfigOp::Remove { component } => {
                 let n = self.dfm.component_active_threads(*component);
                 if n > 0 {
                     vec![(*component, n)]
@@ -378,7 +359,7 @@ impl DcdoObject {
                     vec![]
                 }
             }
-            FlowKind::Apply { target } => {
+            ConfigOp::Apply { target } => {
                 let diff = self.dfm.descriptor().diff_components(target);
                 diff.remove
                     .iter()
@@ -386,66 +367,59 @@ impl DcdoObject {
                     .filter(|(_, n)| *n > 0)
                     .collect()
             }
-            FlowKind::Disable { function } => {
+            ConfigOp::Disable { function } => {
                 if self.dfm.dependents_active(function) {
                     vec![(ComponentId::from_raw(0), 1)]
                 } else {
                     vec![]
                 }
             }
-            FlowKind::Incorporate => vec![],
+            ConfigOp::Incorporate => vec![],
         };
-        if !busy.is_empty() {
-            match self.removal_policy {
-                RemovalPolicy::Refuse => {
-                    let (component, active_threads) = busy[0];
-                    self.fail_flow(
-                        ctx,
-                        flow_id,
-                        ConfigError::ComponentBusy {
-                            component,
-                            active_threads: active_threads as usize,
-                        },
-                    );
+        let Some(&(component, active_threads)) = busy.first() else {
+            return Ok(Action::Done);
+        };
+        match self.removal_policy {
+            RemovalPolicy::Refuse => Err(ConfigError::ComponentBusy {
+                component,
+                active_threads: active_threads as usize,
+            }),
+            RemovalPolicy::DelayUntilIdle => {
+                ctx.metrics().incr("dcdo.removals_delayed");
+                Ok(Action::Recheck(IDLE_RECHECK))
+            }
+            RemovalPolicy::ForceAfter(grace) => {
+                let now = ctx.now();
+                let deadline = *target.force_deadline.get_or_insert(now + grace);
+                if now < deadline {
+                    return Ok(Action::Recheck(IDLE_RECHECK));
                 }
-                RemovalPolicy::DelayUntilIdle => {
-                    ctx.metrics().incr("dcdo.removals_delayed");
-                    self.schedule_flow_timer(ctx, flow_id, IDLE_RECHECK);
-                }
-                RemovalPolicy::ForceAfter(grace) => {
-                    let now = ctx.now();
-                    let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                    let deadline = *flow.force_deadline.get_or_insert(now + grace);
-                    if now >= deadline {
-                        // Grace expired: abort the stragglers and proceed.
-                        for (component, _) in &busy {
-                            for token in self.runtime.threads_in_component(*component) {
-                                self.runtime.abort_thread(
-                                    ctx,
-                                    &mut self.dfm,
-                                    token,
-                                    "component removal forced after grace period",
-                                );
-                            }
-                        }
-                        self.apply_flow_semantics(ctx, flow_id);
-                    } else {
-                        self.schedule_flow_timer(ctx, flow_id, IDLE_RECHECK);
+                // Grace expired: abort the stragglers and proceed.
+                for (component, _) in &busy {
+                    for token in self.runtime.threads_in_component(*component) {
+                        self.runtime.abort_thread(
+                            ctx,
+                            &mut self.dfm,
+                            token,
+                            "component removal forced after grace period",
+                        );
                     }
                 }
+                Ok(Action::Done)
             }
-            return;
         }
-        self.apply_flow_semantics(ctx, flow_id);
     }
 
-    /// Executes the flow's actual configuration change and replies.
-    fn apply_flow_semantics(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let flow = self.flows.remove(&flow_id).expect("flow exists");
-        Self::trace_step(ctx, flow_id, cfg_step::APPLY);
-        let result: Result<(), ConfigError> = match flow.kind {
-            FlowKind::Incorporate => Ok(()), // staged components were incorporated during mapping
-            FlowKind::Apply { target } => {
+    /// The Apply step: makes the flow's configuration change.
+    fn apply_change(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        flow: &mut ConfigFlow,
+    ) -> Result<(), ConfigError> {
+        match std::mem::replace(&mut flow.data.op, ConfigOp::Incorporate) {
+            // Staged components were incorporated as they were mapped.
+            ConfigOp::Incorporate => Ok(()),
+            ConfigOp::Apply { target } => {
                 let outcome = self.dfm.apply_descriptor(target);
                 if outcome.is_ok() {
                     let elapsed = ctx.now().duration_since(flow.started);
@@ -455,248 +429,28 @@ impl DcdoObject {
                 }
                 outcome
             }
-            FlowKind::Remove { component } => self.dfm.remove_component(component),
-            FlowKind::Disable { function } => self.dfm.disable_function(&function),
-        };
-        if ctx.tracing_enabled() {
-            if result.is_ok() {
-                ctx.emit_span(SpanKind::FlowCompleted { flow: flow_id });
-            } else {
-                ctx.emit_span(SpanKind::FlowAborted { flow: flow_id });
-            }
-        }
-        if result.is_ok() {
-            self.config_ops_applied += 1;
-            if ctx.tracing_enabled() {
-                ctx.emit_span(SpanKind::GenerationStamp {
-                    object: self.object.as_raw(),
-                    generation: self.dfm.generation(),
-                });
-            }
-        }
-        if self.check_in_flight {
-            // A lazy-triggered evolution just finished; resume service and
-            // tell the manager where we landed (fire-and-forget).
-            self.check_in_flight = false;
-            if result.is_ok() {
-                let call = self.rpc.control(
-                    ctx,
-                    self.manager,
-                    ControlOp::new(crate::ops::ReportVersion {
-                        object: self.object,
-                        version: self.dfm.version().clone(),
-                    }),
-                );
-                // Route nowhere: the Ack settles the rpc entry and is
-                // discarded by the generic completion path.
-                let _ = call;
-            }
-            self.unpark_all(ctx);
-        }
-        if let Some((reply_to, call)) = flow.reply {
-            ctx.send(reply_to, ack_or_refuse(call, result));
+            ConfigOp::Remove { component } => self.dfm.remove_component(component),
+            ConfigOp::Disable { function } => self.dfm.disable_function(&function),
         }
     }
 
-    fn fail_flow(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, err: ConfigError) {
-        let Some(flow) = self.flows.remove(&flow_id) else {
-            return;
-        };
-        ctx.metrics().incr("dcdo.config_failed");
+    /// Counts a configuration change that took effect and stamps the new
+    /// generation.
+    fn applied(&mut self, ctx: &mut Ctx<'_, Msg>) {
+        self.config_ops_applied += 1;
         if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowAborted { flow: flow_id });
+            ctx.emit_span(SpanKind::GenerationStamp {
+                object: self.object.as_raw(),
+                generation: self.dfm.generation(),
+            });
         }
+    }
+
+    /// A lazy-triggered evolution ended: resume service.
+    fn end_lazy_check(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if self.check_in_flight {
             self.check_in_flight = false;
             self.unpark_all(ctx);
-        }
-        if let Some((reply_to, call)) = flow.reply {
-            ctx.send(reply_to, Msg::refused(call, err));
-        }
-    }
-
-    fn schedule_flow_timer(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, delay: SimDuration) {
-        let token = ctx.fresh_u64();
-        self.timer_routes.insert(token, flow_id);
-        ctx.schedule_timer(delay, token);
-    }
-
-    /// Handles an RPC completion belonging to a flow's fetch pipeline.
-    fn handle_flow_completion(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        flow_id: u64,
-        completion: RpcCompletion,
-    ) {
-        // flow_id 0 is the lazy version check.
-        if flow_id == 0 {
-            self.handle_check_reply(ctx, completion);
-            return;
-        }
-        let Some(flow) = self.flows.get_mut(&flow_id) else {
-            return;
-        };
-        let stage = flow.fetching.take();
-        let payload = match completion.result {
-            Ok(p) => p,
-            Err(fault) => {
-                self.fail_flow(
-                    ctx,
-                    flow_id,
-                    ConfigError::BadComponent(format!("fetch failed: {fault}")),
-                );
-                return;
-            }
-        };
-        match stage {
-            Some(FetchStage::Descriptor { ico }) => {
-                let Some(reply) = payload.control_as::<crate::ops::ComponentDescriptorReply>()
-                else {
-                    self.fail_flow(
-                        ctx,
-                        flow_id,
-                        ConfigError::BadComponent("bad descriptor reply".into()),
-                    );
-                    return;
-                };
-                let component = reply.descriptor.id;
-                if self.dfm.is_loaded(component) {
-                    // Already have the code; nothing to fetch.
-                    self.advance_flow(ctx, flow_id);
-                    return;
-                }
-                let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                flow.fetching = Some(FetchStage::HostCheck { component, ico });
-                Self::trace_step(ctx, flow_id, cfg_step::HOST_CHECK);
-                let call = self.rpc.control(
-                    ctx,
-                    self.host,
-                    ControlOp::new(FetchComponentData { component }),
-                );
-                self.rpc_routes.insert(call.as_raw(), flow_id);
-            }
-            Some(FetchStage::HostCheck { component, ico }) => {
-                let cached = payload
-                    .control_as::<ComponentData>()
-                    .and_then(|d| d.bytes.clone());
-                match cached {
-                    Some(bytes) => {
-                        ctx.metrics().incr("dcdo.component_cache_hits");
-                        self.map_component(ctx, flow_id, bytes, true);
-                    }
-                    None => {
-                        ctx.metrics().incr("dcdo.component_cache_misses");
-                        let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                        flow.fetching = Some(FetchStage::IcoRead { component });
-                        Self::trace_step(ctx, flow_id, cfg_step::ICO_READ);
-                        let call = self.rpc.control(ctx, ico, ControlOp::new(ReadComponent));
-                        self.rpc_routes.insert(call.as_raw(), flow_id);
-                    }
-                }
-            }
-            Some(FetchStage::IcoRead { component }) => {
-                let Some(data) = payload.control_as::<crate::ops::ComponentPayload>() else {
-                    self.fail_flow(
-                        ctx,
-                        flow_id,
-                        ConfigError::BadComponent("bad component payload".into()),
-                    );
-                    return;
-                };
-                let bytes = data.bytes.clone();
-                // Store into the local host cache, then map (non-cached).
-                let binary = match ComponentBinary::decode(bytes.clone()) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        self.fail_flow(ctx, flow_id, ConfigError::BadComponent(e.to_string()));
-                        return;
-                    }
-                };
-                let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                flow.fetching = Some(FetchStage::HostStore { binary });
-                Self::trace_step(ctx, flow_id, cfg_step::HOST_STORE);
-                let call = self.rpc.control(
-                    ctx,
-                    self.host,
-                    ControlOp::new(StoreComponentData { component, bytes }),
-                );
-                self.rpc_routes.insert(call.as_raw(), flow_id);
-            }
-            Some(FetchStage::HostStore { binary }) => {
-                self.begin_map(ctx, flow_id, binary, false);
-            }
-            Some(FetchStage::MapTimer { .. }) | None => {
-                // Unexpected; drop the payload.
-            }
-        }
-    }
-
-    fn map_component(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64, bytes: Bytes, cached: bool) {
-        match ComponentBinary::decode(bytes) {
-            Ok(binary) => self.begin_map(ctx, flow_id, binary, cached),
-            Err(e) => self.fail_flow(ctx, flow_id, ConfigError::BadComponent(e.to_string())),
-        }
-    }
-
-    fn begin_map(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        flow_id: u64,
-        binary: ComponentBinary,
-        cached: bool,
-    ) {
-        // §2.1: implementation types gate mapping — architecture-specific
-        // code cannot be mapped into a process on the wrong architecture.
-        if !binary.impl_type().compatible_with_host(self.host_arch) {
-            let err = ConfigError::IncompatibleArchitecture {
-                component: binary.id(),
-                component_arch: binary.impl_type().architecture().to_string(),
-                host_arch: self.host_arch.to_string(),
-            };
-            self.fail_flow(ctx, flow_id, err);
-            return;
-        }
-        let functions = binary.functions().len();
-        let delay = self.cost.component_incorporation(functions, cached);
-        ctx.metrics()
-            .sample_duration("dcdo.component_map_time", delay);
-        let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-        let _ = cached;
-        flow.fetching = Some(FetchStage::MapTimer { binary });
-        Self::trace_step(ctx, flow_id, cfg_step::MAP);
-        self.schedule_flow_timer(ctx, flow_id, delay);
-    }
-
-    /// A flow timer fired: either a map completed or a removal gate
-    /// re-checks.
-    fn handle_flow_timer(&mut self, ctx: &mut Ctx<'_, Msg>, flow_id: u64) {
-        let Some(flow) = self.flows.get_mut(&flow_id) else {
-            return;
-        };
-        match flow.fetching.take() {
-            Some(FetchStage::MapTimer { binary }) => {
-                let is_apply = matches!(flow.kind, FlowKind::Apply { .. });
-                let outcome = if is_apply {
-                    self.dfm.stage_component(&binary)
-                } else {
-                    self.dfm.incorporate_component(&binary, None)
-                };
-                ctx.metrics().incr("dcdo.components_mapped");
-                match outcome {
-                    Ok(()) => self.advance_flow(ctx, flow_id),
-                    Err(e) => self.fail_flow(ctx, flow_id, e),
-                }
-            }
-            Some(other) => {
-                // Not a map timer; restore the stage and treat the timer as
-                // a removal-gate recheck.
-                let flow = self.flows.get_mut(&flow_id).expect("flow exists");
-                flow.fetching = Some(other);
-            }
-            None => {
-                // Removal-gate recheck.
-                self.finish_gate(ctx, flow_id);
-            }
         }
     }
 
@@ -713,11 +467,8 @@ impl DcdoObject {
                 ctx.metrics().incr("dcdo.lazy_updates_triggered");
                 self.begin_apply(ctx, None, target);
             }
-            _ => {
-                // Up to date (or the check failed): resume service.
-                self.check_in_flight = false;
-                self.unpark_all(ctx);
-            }
+            // Up to date (or the check failed): resume service.
+            _ => self.end_lazy_check(ctx),
         }
     }
 
@@ -728,28 +479,47 @@ impl DcdoObject {
         target: crate::descriptor::DfmDescriptor,
     ) {
         let diff = self.dfm.descriptor().diff_components(&target);
-        let mut to_fetch = VecDeque::new();
+        let mut items = Vec::new();
         for (component, record) in &diff.add {
             if self.dfm.is_loaded(*component) {
                 continue;
             }
-            match record.ico {
-                Some(ico) => to_fetch.push_back(FetchItem {
-                    ico,
-                    component: Some(*component),
-                }),
-                None => {
-                    let err = ConfigError::BadComponent(format!(
-                        "component {component} has no ICO to fetch from"
-                    ));
-                    if let Some((reply_to, call)) = reply {
-                        ctx.send(reply_to, Msg::refused(call, err));
-                    }
-                    return;
+            let Some(ico) = record.ico else {
+                let err = ConfigError::BadComponent(format!(
+                    "component {component} has no ICO to fetch from"
+                ));
+                if let Some((reply_to, call)) = reply {
+                    ctx.send(reply_to, Msg::refused(call, err));
                 }
+                return;
+            };
+            items.push(FetchItem {
+                ico,
+                component: Some(*component),
+                staged: Staged::Nothing,
+            });
+        }
+        self.start_config(ctx, reply, ConfigOp::Apply { target }, items);
+    }
+
+    /// An RPC completed: an outcall of a running thread, a flow step, or
+    /// the lazy version check.
+    fn on_completion(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
+        if self.runtime.owns_completion(&completion) {
+            self.runtime.handle_outcall_completion(
+                ctx,
+                completion,
+                &mut self.dfm,
+                &self.natives,
+                &mut self.state,
+                &mut self.rpc,
+            );
+        } else if let Some(completion) = self.plan_reply(ctx, completion) {
+            if self.check_call == Some(completion.call) {
+                self.check_call = None;
+                self.handle_check_reply(ctx, completion);
             }
         }
-        self.start_flow(ctx, reply, FlowKind::Apply { target }, to_fetch);
     }
 
     // ---- control dispatch ------------------------------------------------
@@ -762,32 +532,29 @@ impl DcdoObject {
         op: ControlOp,
     ) {
         // Multi-step configuration functions.
+        let reply = Some((from, call));
         if let Some(inc) = op.as_any().downcast_ref::<IncorporateComponent>() {
-            let mut to_fetch = VecDeque::new();
-            to_fetch.push_back(FetchItem {
+            let item = FetchItem {
                 ico: inc.ico,
                 component: None,
-            });
-            self.start_flow(ctx, Some((from, call)), FlowKind::Incorporate, to_fetch);
-            return;
+                staged: Staged::Nothing,
+            };
+            return self.start_config(ctx, reply, ConfigOp::Incorporate, vec![item]);
         }
         if let Some(apply) = op.as_any().downcast_ref::<ApplyDfmDescriptor>() {
-            self.begin_apply(ctx, Some((from, call)), apply.descriptor.clone());
-            return;
+            return self.begin_apply(ctx, reply, apply.descriptor.clone());
         }
         if let Some(rm) = op.as_any().downcast_ref::<RemoveComponent>() {
-            let kind = FlowKind::Remove {
+            let remove = ConfigOp::Remove {
                 component: rm.component,
             };
-            self.start_flow(ctx, Some((from, call)), kind, VecDeque::new());
-            return;
+            return self.start_config(ctx, reply, remove, Vec::new());
         }
         if let Some(dis) = op.as_any().downcast_ref::<DisableFunction>() {
-            let kind = FlowKind::Disable {
+            let disable = ConfigOp::Disable {
                 function: dis.function.clone(),
             };
-            self.start_flow(ctx, Some((from, call)), kind, VecDeque::new());
-            return;
+            return self.start_config(ctx, reply, disable, Vec::new());
         }
 
         // Synchronous configuration and status functions.
@@ -896,15 +663,186 @@ impl DcdoObject {
         r: Result<(), ConfigError>,
     ) -> Msg {
         if r.is_ok() {
-            self.config_ops_applied += 1;
-            if ctx.tracing_enabled() {
-                ctx.emit_span(SpanKind::GenerationStamp {
-                    object: self.object.as_raw(),
-                    generation: self.dfm.generation(),
-                });
-            }
+            self.applied(ctx);
         }
         ack_or_refuse(call, r)
+    }
+}
+
+impl PlanOwner for DcdoObject {
+    type Kind = Config;
+    type Data = Target;
+    type Error = ConfigError;
+
+    fn plans(&mut self) -> &mut Plans<Config, Target> {
+        &mut self.plans
+    }
+
+    fn rpc(&mut self) -> &mut RpcClient {
+        &mut self.rpc
+    }
+
+    /// Descriptor is dropped when the component is already known, IcoRead
+    /// and HostStore on a host-cache hit, and the whole item when its
+    /// component is already loaded.
+    fn skip(&self, flow: &ConfigFlow, step: CfgStep) -> Skip {
+        let Some(item) = flow.data.items.get(flow.item()) else {
+            return Skip::No;
+        };
+        match step {
+            CfgStep::Descriptor => Skip::from(item.component.is_some()),
+            CfgStep::HostCheck => match item.component {
+                Some(c) if self.dfm.is_loaded(c) => Skip::Item,
+                _ => Skip::No,
+            },
+            CfgStep::IcoRead | CfgStep::HostStore => {
+                Skip::from(matches!(item.staged, Staged::Ready(_, true)))
+            }
+            _ => Skip::No,
+        }
+    }
+
+    fn action(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        flow: &mut ConfigFlow,
+        step: CfgStep,
+    ) -> Result<Action, ConfigError> {
+        let item = match step {
+            CfgStep::Gate => return self.gate(ctx, &mut flow.data),
+            CfgStep::Apply => return self.apply_change(ctx, flow).map(|()| Action::Done),
+            _ => &flow.data.items[flow.item()],
+        };
+        let component = || item.component.expect("component known");
+        let (target, op) = match (step, &item.staged) {
+            (CfgStep::Descriptor, _) => (item.ico, ControlOp::new(ReadComponentDescriptor)),
+            (CfgStep::HostCheck, _) => {
+                let fetch = FetchComponentData {
+                    component: component(),
+                };
+                (self.host, ControlOp::new(fetch))
+            }
+            (CfgStep::IcoRead, _) => (item.ico, ControlOp::new(ReadComponent)),
+            (CfgStep::HostStore, Staged::Downloaded(bytes, _)) => {
+                let store = StoreComponentData {
+                    component: component(),
+                    bytes: bytes.clone(),
+                };
+                (self.host, ControlOp::new(store))
+            }
+            (CfgStep::Map, Staged::Ready(binary, cached)) => {
+                let functions = binary.functions().len();
+                let delay = self.cost.component_incorporation(functions, *cached);
+                ctx.metrics()
+                    .sample_duration("dcdo.component_map_time", delay);
+                return Ok(Action::Timer(delay));
+            }
+            (step, staged) => unreachable!("{step:?} entered with {staged:?}"),
+        };
+        Ok(Action::Rpc(target, op))
+    }
+
+    /// Keeps what a fetch step brought in: the component id, the host's
+    /// cached copy (decoded), or the ICO's data (decoded, then stored).
+    fn absorb(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        flow: &mut ConfigFlow,
+        step: CfgStep,
+        reply: Result<ReplyPayload, InvocationFault>,
+    ) -> Result<(), ConfigError> {
+        let bad = |why: String| ConfigError::BadComponent(why);
+        let payload = reply.map_err(|fault| bad(format!("fetch failed: {fault}")))?;
+        let decode = |bytes: Bytes| ComponentBinary::decode(bytes).map_err(|e| bad(e.to_string()));
+        let i = flow.item();
+        let item = &mut flow.data.items[i];
+        match step {
+            CfgStep::Descriptor => {
+                let reply = payload
+                    .control_as::<crate::ops::ComponentDescriptorReply>()
+                    .ok_or_else(|| bad("bad descriptor reply".into()))?;
+                item.component = Some(reply.descriptor.id);
+            }
+            CfgStep::HostCheck => {
+                let cached = payload
+                    .control_as::<ComponentData>()
+                    .and_then(|d| d.bytes.clone());
+                let Some(bytes) = cached else {
+                    ctx.metrics().incr("dcdo.component_cache_misses");
+                    return Ok(());
+                };
+                ctx.metrics().incr("dcdo.component_cache_hits");
+                let binary = decode(bytes)?;
+                self.mappable(&binary)?;
+                item.staged = Staged::Ready(binary, true);
+            }
+            CfgStep::IcoRead => {
+                let data = payload
+                    .control_as::<crate::ops::ComponentPayload>()
+                    .ok_or_else(|| bad("bad component payload".into()))?;
+                let binary = decode(data.bytes.clone())?;
+                item.staged = Staged::Downloaded(data.bytes.clone(), binary);
+            }
+            CfgStep::HostStore => {
+                let Staged::Downloaded(_, binary) = std::mem::take(&mut item.staged) else {
+                    unreachable!("HostStore follows a download");
+                };
+                self.mappable(&binary)?;
+                item.staged = Staged::Ready(binary, false);
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// The Map step's delay is over: the component is in the address space.
+    fn timer_done(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        flow: &mut ConfigFlow,
+        _step: CfgStep,
+    ) -> Result<(), ConfigError> {
+        let i = flow.item();
+        let item = &mut flow.data.items[i];
+        let Staged::Ready(binary, _) = std::mem::take(&mut item.staged) else {
+            unreachable!("Map follows a decode");
+        };
+        let outcome = if matches!(flow.data.op, ConfigOp::Apply { .. }) {
+            self.dfm.stage_component(&binary)
+        } else {
+            self.dfm.incorporate_component(&binary, None)
+        };
+        ctx.metrics().incr("dcdo.components_mapped");
+        outcome
+    }
+
+    fn finish(&mut self, ctx: &mut Ctx<'_, Msg>, flow: ConfigFlow) {
+        self.applied(ctx);
+        if self.check_in_flight {
+            // A lazy-triggered evolution just finished: tell the manager
+            // where we landed (fire-and-forget; the Ack settles the rpc
+            // entry and is dropped unrouted).
+            let report = crate::ops::ReportVersion {
+                object: self.object,
+                version: self.dfm.version().clone(),
+            };
+            self.rpc.control(ctx, self.manager, ControlOp::new(report));
+            self.end_lazy_check(ctx);
+        }
+        if let Some((reply_to, call)) = flow.reply {
+            ctx.send(reply_to, Msg::control_ok(call, Ack));
+        }
+    }
+
+    fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: ConfigFlow, err: ConfigError) {
+        // A change the DFM refuses is a refusal, not a failed fetch.
+        if flow.step() != Some(CfgStep::Apply) {
+            ctx.metrics().incr("dcdo.config_failed");
+        }
+        self.end_lazy_check(ctx);
+        if let Some((reply_to, call)) = flow.reply {
+            ctx.send(reply_to, Msg::refused(call, err));
+        }
     }
 }
 
@@ -976,47 +914,22 @@ impl Actor<Msg> for DcdoObject {
                 }
                 self.handle_control(ctx, from, call, op);
             }
-            reply => match self.rpc.handle_message(ctx, reply) {
-                Handled::Completed(completion) => {
-                    if self.runtime.owns_completion(&completion) {
-                        self.runtime.handle_outcall_completion(
-                            ctx,
-                            completion,
-                            &mut self.dfm,
-                            &self.natives,
-                            &mut self.state,
-                            &mut self.rpc,
-                        );
-                    } else if let Some(flow_id) = self.rpc_routes.remove(&completion.call.as_raw())
-                    {
-                        self.handle_flow_completion(ctx, flow_id, completion);
-                    }
+            reply => {
+                if let Handled::Completed(completion) = self.rpc.handle_message(ctx, reply) {
+                    self.on_completion(ctx, completion);
                 }
-                Handled::InProgress | Handled::Stale | Handled::NotMine(_) => {}
-            },
+            }
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
         if self.rpc.owns_timer(token) {
             if let Some(completion) = self.rpc.handle_timer(ctx, token) {
-                if self.runtime.owns_completion(&completion) {
-                    self.runtime.handle_outcall_completion(
-                        ctx,
-                        completion,
-                        &mut self.dfm,
-                        &self.natives,
-                        &mut self.state,
-                        &mut self.rpc,
-                    );
-                } else if let Some(flow_id) = self.rpc_routes.remove(&completion.call.as_raw()) {
-                    self.handle_flow_completion(ctx, flow_id, completion);
-                }
+                self.on_completion(ctx, completion);
             }
             return;
         }
-        if let Some(flow_id) = self.timer_routes.remove(&token) {
-            self.handle_flow_timer(ctx, flow_id);
+        if self.plan_timer(ctx, token) {
             return;
         }
         self.runtime.handle_timer(
@@ -1040,7 +953,7 @@ impl std::fmt::Debug for DcdoObject {
             .field("object", &self.object)
             .field("version", self.dfm.version())
             .field("components", &self.dfm.descriptor().component_count())
-            .field("flows_in_flight", &self.flows.len())
+            .field("flows_in_flight", &self.plans.len())
             .finish()
     }
 }

@@ -131,6 +131,16 @@ pub enum FlowKind {
     Config,
     /// Group epoch round (propose → prepare/ack → commit or abort).
     Epoch,
+    /// A class object creating a monolithic instance.
+    ClassCreate,
+    /// A class object replacing an instance with its current image.
+    ClassEvolve,
+    /// A class object moving an instance to another node.
+    ClassMigrate,
+    /// A class object parking an instance's state in its vault.
+    ClassCheckpoint,
+    /// A class object bringing a crashed instance back from its vault.
+    ClassReactivate,
 }
 
 impl FlowKind {
@@ -146,6 +156,11 @@ impl FlowKind {
             FlowKind::Recover => 6,
             FlowKind::Config => 7,
             FlowKind::Epoch => 8,
+            FlowKind::ClassCreate => 9,
+            FlowKind::ClassEvolve => 10,
+            FlowKind::ClassMigrate => 11,
+            FlowKind::ClassCheckpoint => 12,
+            FlowKind::ClassReactivate => 13,
         }
     }
 
@@ -161,12 +176,18 @@ impl FlowKind {
             FlowKind::Recover => "recover",
             FlowKind::Config => "config",
             FlowKind::Epoch => "epoch",
+            FlowKind::ClassCreate => "class_create",
+            FlowKind::ClassEvolve => "class_evolve",
+            FlowKind::ClassMigrate => "class_migrate",
+            FlowKind::ClassCheckpoint => "class_checkpoint",
+            FlowKind::ClassReactivate => "class_reactivate",
         }
     }
 
     /// Human name of a `FlowStep` code within this kind of flow: the
     /// [`cfg_step`] vocabulary for object-local [`FlowKind::Config`] flows,
-    /// the [`mgr_step`] vocabulary for every lifecycle kind.
+    /// the [`mgr_step`] vocabulary for every lifecycle kind (the class
+    /// object's included).
     pub fn step_name(self, code: u32) -> &'static str {
         let names: &[&str] = match self {
             FlowKind::Config => &cfg_step::NAMES,
@@ -176,10 +197,11 @@ impl FlowKind {
     }
 }
 
-/// Wire-stable `FlowStep` codes of the DCDO Manager's lifecycle flows
-/// (create, update, migrate, deactivate, activate, checkpoint, recover).
-/// The profiler keys its per-step latency tables on them and the span
-/// digests cover them, so a code is never renumbered.
+/// Wire-stable `FlowStep` codes of the lifecycle flows: the DCDO Manager's
+/// (create, update, migrate, deactivate, activate, checkpoint, recover) and
+/// the class object's (`class_*`), which share one step vocabulary. The
+/// profiler keys its per-step latency tables on them and the span digests
+/// cover them, so a code is never renumbered.
 pub mod mgr_step {
     /// Capturing the running instance's state.
     pub const CAPTURE: u32 = 0;
@@ -199,9 +221,15 @@ pub mod mgr_step {
     pub const SAVE_VAULT: u32 = 7;
     /// Loading the instance's snapshot from the vault.
     pub const LOAD_VAULT: u32 = 8;
+    /// Downloading the executable image to the target host (timer).
+    pub const DOWNLOAD: u32 = 9;
+    /// Paying for the state capture (timer).
+    pub const CAPTURE_COST: u32 = 10;
+    /// Paying for the state restore (timer).
+    pub const RESTORE_COST: u32 = 11;
 
     /// Step names, indexed by code.
-    pub(super) const NAMES: [&str; 9] = [
+    pub(super) const NAMES: [&str; 12] = [
         "capture",
         "deactivate",
         "unregister",
@@ -211,6 +239,9 @@ pub mod mgr_step {
         "restore",
         "save_vault",
         "load_vault",
+        "download",
+        "capture_cost",
+        "restore_cost",
     ];
 }
 
@@ -874,6 +905,29 @@ mod tests {
     }
 
     #[test]
+    fn flow_kind_codes_and_names_are_stable() {
+        let kinds = [
+            (FlowKind::Create, 0, "create"),
+            (FlowKind::Update, 1, "update"),
+            (FlowKind::Migrate, 2, "migrate"),
+            (FlowKind::Deactivate, 3, "deactivate"),
+            (FlowKind::Activate, 4, "activate"),
+            (FlowKind::Checkpoint, 5, "checkpoint"),
+            (FlowKind::Recover, 6, "recover"),
+            (FlowKind::Config, 7, "config"),
+            (FlowKind::Epoch, 8, "epoch"),
+            (FlowKind::ClassCreate, 9, "class_create"),
+            (FlowKind::ClassEvolve, 10, "class_evolve"),
+            (FlowKind::ClassMigrate, 11, "class_migrate"),
+            (FlowKind::ClassCheckpoint, 12, "class_checkpoint"),
+            (FlowKind::ClassReactivate, 13, "class_reactivate"),
+        ];
+        for (kind, code, name) in kinds {
+            assert_eq!((kind.code(), kind.name()), (code, name));
+        }
+    }
+
+    #[test]
     fn step_names_are_stable() {
         let mgr = [
             (mgr_step::CAPTURE, 0, "capture"),
@@ -885,6 +939,9 @@ mod tests {
             (mgr_step::RESTORE, 6, "restore"),
             (mgr_step::SAVE_VAULT, 7, "save_vault"),
             (mgr_step::LOAD_VAULT, 8, "load_vault"),
+            (mgr_step::DOWNLOAD, 9, "download"),
+            (mgr_step::CAPTURE_COST, 10, "capture_cost"),
+            (mgr_step::RESTORE_COST, 11, "restore_cost"),
         ];
         for (code, wire, name) in mgr {
             assert_eq!(code, wire);
@@ -905,7 +962,8 @@ mod tests {
         }
         assert_eq!(FlowKind::Update.step_name(5), "apply");
         assert_eq!(FlowKind::Recover.step_name(8), "load_vault");
-        assert_eq!(FlowKind::Create.step_name(9), "unknown");
+        assert_eq!(FlowKind::ClassEvolve.step_name(9), "download");
+        assert_eq!(FlowKind::Create.step_name(12), "unknown");
         assert_eq!(FlowKind::Config.step_name(7), "unknown");
     }
 }

@@ -37,19 +37,15 @@
 //! | Evolve, Migrate        | known            |                  |
 //! | Checkpoint, Reactivate | known            | vault configured |
 
-use bytes::Bytes;
-use dcdo_sim::{Actor, ActorId, Ctx, IdMap, IdSet, NodeId, SimDuration, SimTime};
+use dcdo_sim::{Actor, ActorId, Ctx, FlowKind, IdMap, IdSet, NodeId};
 use dcdo_types::{CallId, ClassId, ObjectId};
 
-use crate::binding::RegisterBinding;
 use crate::control_payload;
 use crate::cost::CostModel;
-use crate::monolithic::{
-    CaptureState, Deactivate, ExecutableImage, MonolithicObject, RestoreState, StateBlob,
-};
-use crate::msg::{ControlOp, InvocationFault, Msg};
-use crate::rpc::{AgentAddress, Handled, RpcClient, RpcCompletion};
-use crate::vault::{LoadState, LoadedState, SaveState};
+use crate::monolithic::{ExecutableImage, MonolithicObject};
+use crate::msg::{InvocationFault, Msg};
+use crate::plan::{Action, Flow, Held, Kind, PlanOwner, Plans, Skip, Step};
+use crate::rpc::{AgentAddress, Handled, ReplyPayload, RpcClient};
 
 /// Control op: create a new instance on `node`.
 #[derive(Debug, Clone)]
@@ -76,7 +72,8 @@ control_payload!(InstanceCreated, "instance-created");
 /// Control op: install a new executable image and make it current.
 #[derive(Debug, Clone)]
 pub struct SetCurrentImage {
-    /// The new image. Its version must be fresh for this class.
+    /// The new image. Its version must be above the class's current one;
+    /// a class refuses any other.
     pub image: ExecutableImage,
 }
 
@@ -177,118 +174,120 @@ struct Instance {
     version: u32,
 }
 
-/// One step of a lifecycle pipeline. Download, Spawn (the new process
-/// exists once its timer fires), CaptureCost and RestoreCost wait out a
-/// delay; every other step is one RPC, and the state Capture and LoadVault
-/// return is kept for the steps after them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step {
-    Capture,
-    CaptureCost,
-    SaveVault,
-    Download,
-    Deactivate,
-    Spawn,
-    LoadVault,
-    RestoreCost,
-    Restore,
-    Register,
-}
+use op::{ClassFlow, OpKind, Plan, Target};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpKind {
-    Create,
-    Evolve,
-    Migrate,
-    Checkpoint,
-    Reactivate,
-}
+/// The plan driver's view of class operations: `pub` only so that the
+/// [`PlanOwner`] impl can name them; nothing outside this file can.
+mod op {
+    use super::{Flow, FlowKind, Held, Kind, NodeId, Step};
 
-/// The declared shape of one kind of operation: a row of the module docs'
-/// pipeline and admission tables.
-struct Plan {
-    /// The steps, walked in order.
-    steps: &'static [Step],
-    /// What the operation needs the vault for; without one it is refused.
-    vault_use: Option<&'static str>,
-    /// Counter bumped when the operation is admitted.
-    counter: Option<&'static str>,
-    /// Histogram sampled with the operation's duration when it finishes.
-    timer: &'static str,
-}
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum OpKind {
+        Create,
+        Evolve,
+        Migrate,
+        Checkpoint,
+        Reactivate,
+    }
 
-impl OpKind {
-    const fn plan(self) -> Plan {
-        use Step::{
-            Capture, CaptureCost, Deactivate, Download, LoadVault, Register, Restore, RestoreCost,
-            SaveVault, Spawn,
-        };
-        const REPLACE: &[Step] = &[
-            Capture,
-            CaptureCost,
-            SaveVault,
-            Download,
-            Deactivate,
-            Spawn,
-            LoadVault,
-            RestoreCost,
-            Restore,
-            Register,
-        ];
-        match self {
-            OpKind::Create => Plan {
-                steps: &[Download, Spawn, Register],
-                vault_use: None,
-                counter: None,
-                timer: "class.create_time",
-            },
-            OpKind::Evolve => Plan {
-                steps: REPLACE,
-                vault_use: None,
-                counter: None,
-                timer: "class.evolve_time",
-            },
-            OpKind::Migrate => Plan {
-                steps: REPLACE,
-                vault_use: None,
-                counter: None,
-                timer: "class.migrate_time",
-            },
-            OpKind::Checkpoint => Plan {
-                steps: &[Capture, CaptureCost, SaveVault],
-                vault_use: Some("checkpoint into"),
-                counter: None,
-                timer: "class.checkpoint_time",
-            },
-            OpKind::Reactivate => Plan {
-                steps: &[Download, Spawn, LoadVault, RestoreCost, Restore, Register],
-                vault_use: Some("reactivate from"),
-                counter: Some("class.reactivations_started"),
-                timer: "class.reactivate_time",
-            },
+    /// The declared shape of one kind of operation: a row of the module docs'
+    /// pipeline and admission tables.
+    pub struct Plan {
+        /// The operation's kind in the span log.
+        pub trace: FlowKind,
+        /// The steps, walked in order.
+        pub steps: &'static [Step],
+        /// What the operation needs the vault for; without one it is refused.
+        pub vault_use: Option<&'static str>,
+        /// Counter bumped when the operation is admitted.
+        pub counter: Option<&'static str>,
+        /// Histogram sampled with the operation's duration when it finishes.
+        pub timer: &'static str,
+    }
+
+    impl OpKind {
+        pub const fn plan(self) -> Plan {
+            use Step::{
+                Capture, CaptureCost, Deactivate, Download, LoadVault, Register, Restore,
+                RestoreCost, SaveVault, Spawn,
+            };
+            const REPLACE: &[Step] = &[
+                Capture,
+                CaptureCost,
+                SaveVault,
+                Download,
+                Deactivate,
+                Spawn,
+                LoadVault,
+                RestoreCost,
+                Restore,
+                Register,
+            ];
+            match self {
+                OpKind::Create => Plan {
+                    trace: FlowKind::ClassCreate,
+                    steps: &[Download, Spawn, Register],
+                    vault_use: None,
+                    counter: None,
+                    timer: "class.create_time",
+                },
+                OpKind::Evolve => Plan {
+                    trace: FlowKind::ClassEvolve,
+                    steps: REPLACE,
+                    vault_use: None,
+                    counter: None,
+                    timer: "class.evolve_time",
+                },
+                OpKind::Migrate => Plan {
+                    trace: FlowKind::ClassMigrate,
+                    steps: REPLACE,
+                    vault_use: None,
+                    counter: None,
+                    timer: "class.migrate_time",
+                },
+                OpKind::Checkpoint => Plan {
+                    trace: FlowKind::ClassCheckpoint,
+                    steps: &[Capture, CaptureCost, SaveVault],
+                    vault_use: Some("checkpoint into"),
+                    counter: None,
+                    timer: "class.checkpoint_time",
+                },
+                OpKind::Reactivate => Plan {
+                    trace: FlowKind::ClassReactivate,
+                    steps: &[Download, Spawn, LoadVault, RestoreCost, Restore, Register],
+                    vault_use: Some("reactivate from"),
+                    counter: Some("class.reactivations_started"),
+                    timer: "class.reactivate_time",
+                },
+            }
         }
     }
-}
 
-struct PendingOp {
-    kind: OpKind,
-    reply_to: ActorId,
-    call: CallId,
-    started: SimTime,
-    object: ObjectId,
-    target_node: NodeId,
-    target_version: u32,
-    /// The captured (or reloaded) state, while the class holds it.
-    state: Option<Bytes>,
-    new_actor: Option<ActorId>,
-    /// Index of the current step in the plan.
-    at: usize,
-}
+    impl Kind for OpKind {
+        type Step = Step;
 
-impl PendingOp {
-    fn step(&self) -> Option<Step> {
-        self.kind.plan().steps.get(self.at).copied()
+        fn code(step: Step) -> u32 {
+            step as u32
+        }
+
+        fn trace(self) -> FlowKind {
+            self.plan().trace
+        }
+
+        fn steps(self) -> &'static [Step] {
+            self.plan().steps
+        }
     }
+
+    /// Where an operation puts its result, and what it holds between steps.
+    #[derive(Debug)]
+    pub struct Target {
+        pub node: NodeId,
+        pub version: u32,
+        pub held: Held,
+    }
+
+    pub type ClassFlow = Flow<OpKind, Target>;
 }
 
 /// The class object for a type of monolithic Legion objects.
@@ -303,9 +302,7 @@ pub struct ClassObject {
     current_version: u32,
     instances: IdMap<ObjectId, Instance>,
     downloaded: IdSet<(NodeId, u32)>,
-    ops: IdMap<u64, PendingOp>,
-    timer_routes: IdMap<u64, u64>,
-    rpc_routes: IdMap<u64, u64>,
+    plans: Plans<OpKind, Target>,
 }
 
 impl ClassObject {
@@ -331,9 +328,7 @@ impl ClassObject {
             current_version,
             instances: IdMap::default(),
             downloaded: IdSet::default(),
-            ops: IdMap::default(),
-            timer_routes: IdMap::default(),
-            rpc_routes: IdMap::default(),
+            plans: Plans::default(),
         }
     }
 
@@ -371,7 +366,7 @@ impl ClassObject {
 
     /// Lifecycle operations still in flight.
     pub fn ops_in_flight(&self) -> usize {
-        self.ops.len()
+        self.plans.len()
     }
 
     /// Forgets that executables were ever downloaded to `node` — call when
@@ -381,29 +376,32 @@ impl ClassObject {
         self.downloaded.retain(|(n, _)| *n != node);
     }
 
-    fn schedule_step(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64, after: SimDuration) {
-        let token = ctx.fresh_u64();
-        self.timer_routes.insert(token, op_id);
-        ctx.schedule_timer(after, token);
-    }
-
-    fn rpc_step(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64, target: ObjectId, op: ControlOp) {
-        let call = self.rpc.control(ctx, target, op);
-        self.rpc_routes.insert(call.as_raw(), op_id);
-    }
-
-    fn fail_op(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64, why: String) {
-        if let Some(op) = self.ops.remove(&op_id) {
-            ctx.metrics().incr("class.ops_failed");
-            ctx.send(op.reply_to, Msg::refused(op.call, why));
+    /// Installs a new image and makes it current, or says why not.
+    fn set_image(&mut self, image: &ExecutableImage) -> Result<(), String> {
+        let (version, current) = (image.version(), self.current_version);
+        if version <= current {
+            return Err(format!(
+                "image version {version} is not above the current version {current}"
+            ));
         }
+        self.images.insert(version, image.clone());
+        self.current_version = version;
+        Ok(())
     }
 
     /// The instance an operation works on (`None` for a create), or why
     /// the operation is refused.
-    fn admit(&self, plan: &Plan, object: Option<ObjectId>) -> Result<Option<Instance>, String> {
+    fn admit(
+        &self,
+        plan: &Plan,
+        object: Option<ObjectId>,
+        node: Option<NodeId>,
+    ) -> Result<Option<Instance>, String> {
         if let (Some(what), None) = (plan.vault_use, self.vault) {
             return Err(format!("class has no vault to {what}"));
+        }
+        if let Some(node) = node.filter(|n| n.as_raw() >= NodeId::LIMIT) {
+            return Err(format!("unknown node {node}"));
         }
         object
             .map(|object| {
@@ -428,214 +426,165 @@ impl ClassObject {
         node: Option<NodeId>,
     ) {
         let plan = kind.plan();
-        let instance = match self.admit(&plan, object) {
+        let instance = match self.admit(&plan, object, node) {
             Ok(instance) => instance,
             Err(why) => return ctx.send(reply_to, Msg::refused(call, why)),
         };
-        ctx.send(reply_to, Msg::Progress { call });
         if let Some(counter) = plan.counter {
             ctx.metrics().incr(counter);
         }
-        let op_id = ctx.fresh_u64();
-        let object = object.unwrap_or_else(|| ObjectId::from_raw(ctx.fresh_u64()));
-        let target_version = match instance {
+        let version = match instance {
             Some(i) if kind != OpKind::Evolve => i.version,
             _ => self.current_version,
         };
-        let op = PendingOp {
-            kind,
-            reply_to,
-            call,
-            started: ctx.now(),
-            object,
-            target_node: node
+        let target = Target {
+            node: node
                 .or(instance.map(|i| i.node))
                 .expect("a create names its node"),
-            target_version,
-            state: None,
-            new_actor: None,
-            at: 0,
+            version,
+            held: Held::default(),
         };
-        self.ops.insert(op_id, op);
-        self.enter_step(ctx, op_id);
+        self.open_flow(ctx, kind, Some((reply_to, call)), object, 0, target);
+    }
+}
+
+impl PlanOwner for ClassObject {
+    type Kind = OpKind;
+    type Data = Target;
+    type Error = String;
+
+    fn plans(&mut self) -> &mut Plans<OpKind, Target> {
+        &mut self.plans
     }
 
-    /// Whether `step` does not apply to `op` (the skip rule).
-    fn skips(&self, op: &PendingOp, step: Step) -> bool {
-        match step {
-            Step::Download => self
-                .downloaded
-                .contains(&(op.target_node, op.target_version)),
-            Step::SaveVault => self.vault.is_none(),
-            Step::LoadVault => self.vault.is_none() || op.state.is_some(),
-            _ => false,
-        }
+    fn rpc(&mut self) -> &mut RpcClient {
+        &mut self.rpc
     }
 
-    /// Issues the action of the operation's current step — the single
-    /// place each step's action is built — after skipping the steps that
-    /// do not apply; finishes the operation after its last step.
-    fn enter_step(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
-        let step = loop {
-            let op = &self.ops[&op_id];
-            match op.step() {
-                None => return self.finish_op(ctx, op_id),
-                Some(step) if self.skips(op, step) => {
-                    self.ops.get_mut(&op_id).expect("op exists").at += 1;
-                }
-                Some(step) => break step,
-            }
-        };
-        let op = self.ops.get_mut(&op_id).expect("op exists");
-        let object = op.object;
-        let vault = || self.vault.expect("the skip rule checked the vault");
-        let (target, action) = match step {
-            Step::Capture => (object, ControlOp::new(CaptureState)),
-            Step::CaptureCost => {
-                let bytes = op.state.as_ref().expect("state captured").len() as u64;
-                let delay = self.cost.state_capture(bytes);
-                return self.schedule_step(ctx, op_id, delay);
-            }
-            Step::SaveVault => {
-                let bytes = op.state.take().expect("state captured");
-                let save = SaveState {
-                    owner: object,
-                    bytes,
-                };
-                (vault(), ControlOp::new(save))
-            }
+    /// Download is dropped when the target host already holds the
+    /// executable; the vault and restore steps follow the shared rule.
+    fn skip(&self, flow: &ClassFlow, step: Step) -> Skip {
+        let target = &flow.data;
+        Skip::from(match step {
+            Step::Download => self.downloaded.contains(&(target.node, target.version)),
+            _ => step.skips(self.vault, &target.held),
+        })
+    }
+
+    fn action(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        flow: &mut ClassFlow,
+        step: Step,
+    ) -> Result<Action, String> {
+        let target = &mut flow.data;
+        let image = &self.images[&target.version];
+        let state_len = |held: &Held| held.state.as_ref().expect("state held").len() as u64;
+        let delay = match step {
             Step::Download => {
-                let size = self.images[&op.target_version].size_bytes();
-                let delay = self.cost.transfer.transfer_time(size);
+                let delay = self.cost.transfer.transfer_time(image.size_bytes());
                 ctx.metrics().incr("class.executable_downloads");
                 ctx.metrics()
                     .sample_duration("class.executable_download_time", delay);
-                return self.schedule_step(ctx, op_id, delay);
+                delay
             }
-            Step::Deactivate => (object, ControlOp::new(Deactivate)),
-            Step::Spawn => {
-                let functions = self.images[&op.target_version].functions().len();
-                let delay = self.cost.process_creation(functions);
-                return self.schedule_step(ctx, op_id, delay);
-            }
-            Step::RestoreCost => {
-                let bytes = op.state.as_ref().expect("state held").len() as u64;
-                let delay = self.cost.state_restore(bytes);
-                return self.schedule_step(ctx, op_id, delay);
-            }
-            Step::LoadVault => (vault(), ControlOp::new(LoadState { owner: object })),
-            Step::Restore => {
-                // The new process has no binding yet; address it directly
-                // by seeding the rpc cache with the fresh actor.
-                let bytes = op.state.clone().expect("state held");
-                self.rpc
-                    .seed_binding(object, op.new_actor.expect("spawned"));
-                (object, ControlOp::new(RestoreState { bytes }))
-            }
-            Step::Register => {
-                let address = op.new_actor.expect("spawned");
-                let register = RegisterBinding { object, address };
-                (self.agent.object, ControlOp::new(register))
+            Step::Spawn => self.cost.process_creation(image.functions().len()),
+            Step::CaptureCost => self.cost.state_capture(state_len(&target.held)),
+            Step::RestoreCost => self.cost.state_restore(state_len(&target.held)),
+            _ => {
+                if step == Step::Restore {
+                    // The new process has no binding yet; address it
+                    // directly by seeding the rpc cache with the fresh actor.
+                    let actor = target.held.new_actor.expect("spawned");
+                    self.rpc.seed_binding(flow.object, actor);
+                }
+                let action =
+                    step.shared_action(flow.object, &mut target.held, self.agent, self.vault);
+                return Ok(action.expect("every class step is built"));
             }
         };
-        self.rpc_step(ctx, op_id, target, action);
+        Ok(Action::Timer(delay))
     }
 
-    /// The operation's current step is done: moves on to the next.
-    fn advance(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
-        self.ops.get_mut(&op_id).expect("op exists").at += 1;
-        self.enter_step(ctx, op_id);
+    fn absorb(
+        &mut self,
+        _ctx: &mut Ctx<'_, Msg>,
+        flow: &mut ClassFlow,
+        step: Step,
+        reply: Result<ReplyPayload, InvocationFault>,
+    ) -> Result<(), String> {
+        let held = &mut flow.data.held;
+        step.absorb(reply, held)?;
+        if step == Step::LoadVault && held.state.is_none() {
+            return Err("vault lost the parked state".into());
+        }
+        Ok(())
     }
 
-    /// The last step of the plan is done: records the outcome (see the
-    /// module docs' pipeline table), times it, and answers the caller.
-    fn finish_op(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
-        let op = self.ops.remove(&op_id).expect("op exists");
-        let elapsed = ctx.now().duration_since(op.started);
-        ctx.metrics().sample_duration(op.kind.plan().timer, elapsed);
-        let (object, version) = (op.object, op.target_version);
-        let reply = match op.new_actor {
+    /// The download lands, or the Spawn step's new process is created.
+    fn timer_done(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        flow: &mut ClassFlow,
+        step: Step,
+    ) -> Result<(), String> {
+        let target = &mut flow.data;
+        match step {
+            Step::Download => {
+                self.downloaded.insert((target.node, target.version));
+            }
+            Step::Spawn => {
+                let image = &self.images[&target.version];
+                let rpc = RpcClient::new(self.agent, self.cost.clone());
+                let process = MonolithicObject::new(flow.object, image, &self.cost, rpc);
+                let actor = ctx.spawn(target.node, Box::new(process));
+                ctx.metrics().incr("class.processes_created");
+                target.held.new_actor = Some(actor);
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Records the outcome (see the module docs' pipeline table), times
+    /// it, and answers the caller.
+    fn finish(&mut self, ctx: &mut Ctx<'_, Msg>, flow: ClassFlow) {
+        let elapsed = ctx.now().duration_since(flow.started);
+        ctx.metrics()
+            .sample_duration(flow.kind.plan().timer, elapsed);
+        let (object, version) = (flow.object, flow.data.version);
+        let (reply_to, call) = flow.reply.expect("every class operation has a caller");
+        let reply = match flow.data.held.new_actor {
             // Only a checkpoint spawns nothing.
-            None => Msg::control_ok(op.call, CheckpointDone { object }),
+            None => Msg::control_ok(call, CheckpointDone { object }),
             Some(address) => {
-                let node = op.target_node;
+                let node = flow.data.node;
                 self.instances.insert(object, Instance { node, version });
-                if op.kind == OpKind::Create {
+                if flow.kind == OpKind::Create {
                     let created = InstanceCreated {
                         object,
                         address,
                         version,
                     };
-                    Msg::control_ok(op.call, created)
+                    Msg::control_ok(call, created)
                 } else {
                     let done = LifecycleDone {
                         object,
                         address,
                         version,
                     };
-                    Msg::control_ok(op.call, done)
+                    Msg::control_ok(call, done)
                 }
             }
         };
-        ctx.send(op.reply_to, reply);
+        ctx.send(reply_to, reply);
     }
 
-    /// An RPC step's reply arrived: keeps the state a Capture or LoadVault
-    /// returned, then advances (or fails the operation).
-    fn handle_rpc_completion(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
-        let Some(op_id) = self.rpc_routes.remove(&completion.call.as_raw()) else {
-            return;
-        };
-        let Some(step) = self.ops.get(&op_id).and_then(PendingOp::step) else {
-            return;
-        };
-        let state = completion
-            .result
-            .map_err(|fault| format!("step {step:?} failed: {fault}"))
-            .and_then(|payload| match step {
-                Step::Capture => payload
-                    .control_as::<StateBlob>()
-                    .map(|b| Some(b.bytes.clone()))
-                    .ok_or_else(|| "capture returned no state".to_string()),
-                Step::LoadVault => payload
-                    .control_as::<LoadedState>()
-                    .and_then(|l| l.bytes.clone())
-                    .map(Some)
-                    .ok_or_else(|| "vault lost the parked state".to_string()),
-                _ => Ok(None),
-            });
-        match state {
-            Err(why) => self.fail_op(ctx, op_id, why),
-            Ok(state) => {
-                if state.is_some() {
-                    self.ops.get_mut(&op_id).expect("op exists").state = state;
-                }
-                self.advance(ctx, op_id);
-            }
+    fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: ClassFlow, why: String) {
+        ctx.metrics().incr("class.ops_failed");
+        if let Some((reply_to, call)) = flow.reply {
+            ctx.send(reply_to, Msg::refused(call, why));
         }
-    }
-
-    /// A timer step's delay is over: the download lands or the process is
-    /// created (the Spawn step's new process), then the operation advances.
-    fn handle_step_timer(&mut self, ctx: &mut Ctx<'_, Msg>, op_id: u64) {
-        let Some(op) = self.ops.get(&op_id) else {
-            return;
-        };
-        match op.step() {
-            Some(Step::Download) => {
-                self.downloaded.insert((op.target_node, op.target_version));
-            }
-            Some(Step::Spawn) => {
-                let image = &self.images[&op.target_version];
-                let rpc = RpcClient::new(self.agent, self.cost.clone());
-                let process = MonolithicObject::new(op.object, image, &self.cost, rpc);
-                let actor = ctx.spawn(op.target_node, Box::new(process));
-                ctx.metrics().incr("class.processes_created");
-                self.ops.get_mut(&op_id).expect("op exists").new_actor = Some(actor);
-            }
-            _ => {}
-        }
-        self.advance(ctx, op_id);
     }
 }
 
@@ -663,10 +612,10 @@ impl Actor<Msg> for ClassObject {
                     (OpKind::Reactivate, Some(r.object), Some(r.node))
                 } else {
                     let reply = if let Some(set) = any.downcast_ref::<SetCurrentImage>() {
-                        let version = set.image.version();
-                        self.images.insert(version, set.image.clone());
-                        self.current_version = version;
-                        Msg::control_ok(call, crate::msg::Ack)
+                        match self.set_image(&set.image) {
+                            Ok(()) => Msg::control_ok(call, crate::msg::Ack),
+                            Err(why) => Msg::refused(call, why),
+                        }
                     } else if any.downcast_ref::<ListInstances>().is_some() {
                         let entries = self.instances();
                         Msg::control_ok(call, InstanceTable { entries })
@@ -689,7 +638,7 @@ impl Actor<Msg> for ClassObject {
             }
             reply => {
                 if let Handled::Completed(completion) = self.rpc.handle_message(ctx, reply) {
-                    self.handle_rpc_completion(ctx, completion);
+                    self.plan_reply(ctx, completion);
                 }
             }
         }
@@ -698,13 +647,11 @@ impl Actor<Msg> for ClassObject {
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
         if self.rpc.owns_timer(token) {
             if let Some(completion) = self.rpc.handle_timer(ctx, token) {
-                self.handle_rpc_completion(ctx, completion);
+                self.plan_reply(ctx, completion);
             }
             return;
         }
-        if let Some(op_id) = self.timer_routes.remove(&token) {
-            self.handle_step_timer(ctx, op_id);
-        }
+        self.plan_timer(ctx, token);
     }
 
     fn name(&self) -> &str {
@@ -719,7 +666,7 @@ impl std::fmt::Debug for ClassObject {
             .field("class", &self.class)
             .field("current_version", &self.current_version)
             .field("instances", &self.instances.len())
-            .field("ops_in_flight", &self.ops.len())
+            .field("ops_in_flight", &self.plans.len())
             .finish()
     }
 }

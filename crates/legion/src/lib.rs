@@ -29,6 +29,7 @@ pub mod monolithic;
 mod msg;
 pub mod naming;
 pub mod object;
+pub mod plan;
 pub mod rpc;
 pub mod vault;
 
