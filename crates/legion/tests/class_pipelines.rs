@@ -202,7 +202,8 @@ fn class_pipelines_are_pinned() {
 /// Captured before the pipelines became a declared plan table. The vault
 /// rows moved once, by -1.2 ms per restore, when a vault-backed restore
 /// stopped being charged for a 4096-byte placeholder instead of the state
-/// it loads.
+/// it loads. The span digests moved once, when class operations started
+/// leaving flow spans; no step time, counter or event count moved with them.
 const PINNED: &str = "\
 vault=false seed=3
 create-cold ok 4306203496
@@ -215,7 +216,7 @@ reactivate refused 40000
 evolve-unknown refused 40000
 counters binding.queries=3 binding.registered=4 class.executable_downloads=3 class.processes_created=4 rpc.completed=21 rpc.faulted=3 sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0
 events 66
-spans 8da424400b7c0efe
+spans 0150d38a8c6d80a7
 vault=false seed=42
 create-cold ok 4306203496
 create-warm ok 208080000
@@ -227,7 +228,7 @@ reactivate refused 40000
 evolve-unknown refused 40000
 counters binding.queries=3 binding.registered=4 class.executable_downloads=3 class.processes_created=4 rpc.completed=21 rpc.faulted=3 sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0
 events 66
-spans 28a14bf6f82f829d
+spans 913a1888b0744186
 vault=true seed=3
 create-cold ok 4306203496
 create-warm ok 208080000
@@ -239,7 +240,7 @@ reactivate ok 4307237557
 evolve-unknown refused 40000
 counters binding.queries=4 binding.registered=5 class.executable_downloads=4 class.processes_created=5 class.reactivations_started=1 rpc.completed=30 rpc.faulted=1 sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0 vault.loads=3 vault.saves=3
 events 92
-spans fafb093db67ce907
+spans b0914fc1675b3710
 vault=true seed=42
 create-cold ok 4306203496
 create-warm ok 208080000
@@ -251,5 +252,5 @@ reactivate ok 4307204788
 evolve-unknown refused 40000
 counters binding.queries=4 binding.registered=5 class.executable_downloads=4 class.processes_created=5 class.reactivations_started=1 rpc.completed=30 rpc.faulted=1 sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0 vault.loads=3 vault.saves=3
 events 92
-spans d641ceb652fa053b
+spans 7928d95098d74a59
 ";
