@@ -20,10 +20,9 @@
 //! # Lifecycle flows
 //!
 //! Every lifecycle operation is a *flow*: a fixed sequence of steps declared
-//! in one table (`MgrKind::plan`) and walked by one interpreter. `open_flow`
-//! starts it, `enter_step` issues the step's action (the only place each
-//! operation is built), `absorb` folds the reply into the flow, `advance`
-//! moves on, and `finish_flow` records the outcome:
+//! in one table (`MgrKind::plan`) and walked by the plan driver
+//! ([`legion_substrate::plan`]); the manager builds each step's action and
+//! records the outcome:
 //!
 //! | kind       | steps                                                    | finishing records                              |
 //! |------------|----------------------------------------------------------|------------------------------------------------|
@@ -35,9 +34,10 @@
 //! | Checkpoint | Capture → SaveVault                                      | nothing (the vault holds the snapshot); `DcdoCheckpointed` |
 //! | Recover    | Spawn → Apply → LoadVault → Restore → Register           | address and host, no longer crashed; resumes an interrupted update |
 //!
-//! Recover skips Restore when the vault holds no snapshot. Spawn is a timer
-//! (process creation); every other step is one RPC. A step that fails, or a
-//! host that dies under the flow ([`NodeFailed`]), aborts the flow.
+//! The shared skip rule drops Restore when the vault holds no snapshot.
+//! Spawn is a timer (process creation); every other step is one RPC. A step
+//! that fails, or a host that dies under the flow ([`NodeFailed`]), aborts
+//! the flow.
 //!
 //! One admission check (`admit`) stands in front of every flow on an
 //! existing instance; a refused request opens no flow and sends no
@@ -56,13 +56,15 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
-use dcdo_sim::{Actor, ActorId, Ctx, IdMap, IdSet, NodeId, SpanKind};
+use dcdo_sim::{Actor, ActorId, Ctx, FlowKind, IdMap, IdSet, NodeId, SpanKind};
 use dcdo_types::{CallId, ClassId, ImplementationType, ObjectId, VersionId};
 use legion_substrate::binding::UnregisterBinding;
-use legion_substrate::plan::{Action, Held, PlanOwner, Plans, Skip, Step};
+use legion_substrate::plan::{
+    answer, Action, Flow, Held, Kind, PlanOwner, Plans, Reply, Skip, Step,
+};
 use legion_substrate::{
-    Ack, AgentAddress, ControlOp, CostModel, Handled, InvocationFault, Msg, ReplyPayload,
-    RpcClient, RpcCompletion,
+    Ack, AgentAddress, ControlOp, CostModel, Handled, InvocationFault, Msg, RpcClient,
+    RpcCompletion,
 };
 
 use crate::descriptor::DfmDescriptor;
@@ -124,148 +126,150 @@ struct DcdoInfo {
     crashed: bool,
 }
 
-use flow::{InstanceState, MgrFlow, MgrKind, Target};
-
-/// The plan driver's view of manager flows: `pub` only so that the
-/// [`PlanOwner`] impl can name them; nothing outside this file can.
-mod flow {
-    use dcdo_sim::{FlowKind, NodeId};
-    use dcdo_types::VersionId;
-    use legion_substrate::plan::{Flow, Held, Kind, Step};
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum MgrKind {
-        Create,
-        Update,
-        Migrate,
-        Deactivate,
-        Activate,
-        Checkpoint,
-        Recover,
-    }
-
-    /// What the DCDO table says about an instance, as admission sees it.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum InstanceState {
-        /// Running in a process on a host that is up.
-        Live,
-        /// Deactivated: no process, state parked in the table.
-        Parked,
-        /// Its host went down ([`NodeFailed`]) and it has not been recovered.
-        Crashed,
-    }
-
-    /// The declared shape of one kind of flow: a row of the module docs' plan
-    /// and admission tables.
-    pub struct Plan {
-        /// The flow's kind in the span log.
-        pub trace: FlowKind,
-        /// The state the instance must be in for the flow to be admitted
-        /// (`None`: the flow creates the instance).
-        pub needs: Option<InstanceState>,
-        /// The steps, walked in order.
-        pub steps: &'static [Step],
-        /// Counter bumped when the flow finishes.
-        pub counter: Option<&'static str>,
-        /// Histogram sampled with the flow's duration when it finishes.
-        pub timer: Option<&'static str>,
-    }
-
-    impl MgrKind {
-        pub const fn plan(self) -> Plan {
-            use InstanceState::{Crashed, Live, Parked};
-            use Step::{
-                Apply, Capture, Deactivate, LoadVault, Register, Restore, SaveVault, Spawn,
-                Unregister,
-            };
-            match self {
-                MgrKind::Create => Plan {
-                    trace: FlowKind::Create,
-                    needs: None,
-                    steps: &[Spawn, Register, Apply],
-                    counter: None,
-                    timer: Some("manager.create_time"),
-                },
-                MgrKind::Update => Plan {
-                    trace: FlowKind::Update,
-                    needs: Some(Live),
-                    steps: &[Apply],
-                    counter: Some("manager.updates_done"),
-                    timer: Some("manager.update_time"),
-                },
-                MgrKind::Migrate => Plan {
-                    trace: FlowKind::Migrate,
-                    needs: Some(Live),
-                    steps: &[Capture, Deactivate, Spawn, Apply, Restore, Register],
-                    counter: Some("manager.migrations_done"),
-                    timer: Some("manager.migrate_time"),
-                },
-                MgrKind::Deactivate => Plan {
-                    trace: FlowKind::Deactivate,
-                    needs: Some(Live),
-                    steps: &[Capture, Deactivate, Unregister],
-                    counter: Some("manager.deactivations"),
-                    timer: None,
-                },
-                MgrKind::Activate => Plan {
-                    trace: FlowKind::Activate,
-                    needs: Some(Parked),
-                    steps: &[Spawn, Apply, Restore, Register],
-                    counter: Some("manager.activations"),
-                    timer: Some("manager.activate_time"),
-                },
-                MgrKind::Checkpoint => Plan {
-                    trace: FlowKind::Checkpoint,
-                    needs: Some(Live),
-                    steps: &[Capture, SaveVault],
-                    counter: Some("manager.checkpoints"),
-                    timer: Some("manager.checkpoint_time"),
-                },
-                MgrKind::Recover => Plan {
-                    trace: FlowKind::Recover,
-                    needs: Some(Crashed),
-                    steps: &[Spawn, Apply, LoadVault, Restore, Register],
-                    counter: Some("manager.recoveries"),
-                    timer: Some("manager.recover_time"),
-                },
-            }
-        }
-    }
-
-    impl Kind for MgrKind {
-        type Step = Step;
-
-        fn code(step: Step) -> u32 {
-            step as u32
-        }
-
-        fn trace(self) -> FlowKind {
-            self.plan().trace
-        }
-
-        fn steps(self) -> &'static [Step] {
-            self.plan().steps
-        }
-
-        /// `FlowStarted` implies a flow's first step; Update's lone Apply has
-        /// always been marked too, and the span digests pin that.
-        fn marks_first(self) -> bool {
-            self == MgrKind::Update
-        }
-    }
-
-    /// What a lifecycle flow works towards, and what it holds between steps.
-    #[derive(Debug)]
-    pub struct Target {
-        pub version: VersionId,
-        pub node: NodeId,
-        pub held: Held,
-        /// Push attempts already burned (supervised internal updates retry).
-        pub retries: u32,
-    }
-
-    pub type MgrFlow = Flow<MgrKind, Target>;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MgrKind {
+    Create,
+    Update,
+    Migrate,
+    Deactivate,
+    Activate,
+    Checkpoint,
+    Recover,
 }
+
+/// What the DCDO table says about an instance, as admission sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum InstanceState {
+    /// Running in a process on a host that is up.
+    Live,
+    /// Deactivated: no process, state parked in the table.
+    Parked,
+    /// Its host went down ([`NodeFailed`]) and it has not been recovered.
+    Crashed,
+}
+
+/// The declared shape of one kind of flow: a row of the module docs' plan
+/// and admission tables.
+struct Plan {
+    /// The flow's kind in the span log.
+    trace: FlowKind,
+    /// The state the instance must be in for the flow to be admitted
+    /// (`None`: the flow creates the instance).
+    needs: Option<InstanceState>,
+    /// The steps, walked in order.
+    steps: &'static [Step],
+    /// Counter bumped when the flow finishes.
+    counter: Option<&'static str>,
+    /// Histogram sampled with the flow's duration when it finishes.
+    timer: Option<&'static str>,
+}
+
+impl MgrKind {
+    const fn plan(self) -> Plan {
+        use InstanceState::{Crashed, Live, Parked};
+        use Step::{
+            Apply, Capture, Deactivate, LoadVault, Register, Restore, SaveVault, Spawn, Unregister,
+        };
+        match self {
+            MgrKind::Create => Plan {
+                trace: FlowKind::Create,
+                needs: None,
+                steps: &[Spawn, Register, Apply],
+                counter: None,
+                timer: Some("manager.create_time"),
+            },
+            MgrKind::Update => Plan {
+                trace: FlowKind::Update,
+                needs: Some(Live),
+                steps: &[Apply],
+                counter: Some("manager.updates_done"),
+                timer: Some("manager.update_time"),
+            },
+            MgrKind::Migrate => Plan {
+                trace: FlowKind::Migrate,
+                needs: Some(Live),
+                steps: &[Capture, Deactivate, Spawn, Apply, Restore, Register],
+                counter: Some("manager.migrations_done"),
+                timer: Some("manager.migrate_time"),
+            },
+            MgrKind::Deactivate => Plan {
+                trace: FlowKind::Deactivate,
+                needs: Some(Live),
+                steps: &[Capture, Deactivate, Unregister],
+                counter: Some("manager.deactivations"),
+                timer: None,
+            },
+            MgrKind::Activate => Plan {
+                trace: FlowKind::Activate,
+                needs: Some(Parked),
+                steps: &[Spawn, Apply, Restore, Register],
+                counter: Some("manager.activations"),
+                timer: Some("manager.activate_time"),
+            },
+            MgrKind::Checkpoint => Plan {
+                trace: FlowKind::Checkpoint,
+                needs: Some(Live),
+                steps: &[Capture, SaveVault],
+                counter: Some("manager.checkpoints"),
+                timer: Some("manager.checkpoint_time"),
+            },
+            MgrKind::Recover => Plan {
+                trace: FlowKind::Recover,
+                needs: Some(Crashed),
+                steps: &[Spawn, Apply, LoadVault, Restore, Register],
+                counter: Some("manager.recoveries"),
+                timer: Some("manager.recover_time"),
+            },
+        }
+    }
+}
+
+impl Kind for MgrKind {
+    type Step = Step;
+
+    fn trace(self) -> FlowKind {
+        self.plan().trace
+    }
+
+    fn steps(self) -> &'static [Step] {
+        self.plan().steps
+    }
+
+    /// `FlowStarted` implies a flow's first step; Update's lone Apply has
+    /// always been marked too, and the span digests pin that.
+    fn marks_first(self) -> bool {
+        self == MgrKind::Update
+    }
+}
+
+/// What a lifecycle flow works towards, and what it holds between steps.
+#[derive(Debug)]
+struct Target {
+    version: VersionId,
+    node: NodeId,
+    held: Held,
+    /// Push attempts already burned (supervised internal updates retry).
+    retries: u32,
+}
+
+impl Target {
+    /// A flow to `version` on `node`, holding `state` (only a deactivated
+    /// instance has state parked in the table).
+    fn new(version: VersionId, node: NodeId, state: Option<Bytes>, retries: u32) -> Self {
+        let held = Held {
+            state,
+            new_actor: None,
+        };
+        Target {
+            version,
+            node,
+            held,
+            retries,
+        }
+    }
+}
+
+type MgrFlow = Flow<MgrKind, Target>;
 
 /// A queued (serialized) update request: reply channel, explicit target,
 /// and retry count.
@@ -373,11 +377,6 @@ impl DcdoManager {
         self.object
     }
 
-    /// The class managed.
-    pub fn class_id(&self) -> ClassId {
-        self.class
-    }
-
     /// The current (official) version.
     pub fn current_version(&self) -> &VersionId {
         &self.current
@@ -408,7 +407,7 @@ impl DcdoManager {
 
     /// Lifecycle flows still in progress.
     pub fn flows_in_flight(&self) -> usize {
-        self.plans.len()
+        self.plans.in_flight()
     }
 
     /// Instances currently marked crashed (driver-side inspection).
@@ -527,28 +526,6 @@ impl DcdoManager {
 
     // ---- flows ----------------------------------------------------------
 
-    /// Answers `reply`, if anyone is waiting, with a successful payload.
-    fn answer(
-        ctx: &mut Ctx<'_, Msg>,
-        reply: Option<(ActorId, CallId)>,
-        payload: impl Into<ControlOp>,
-    ) {
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::control_ok(call, payload));
-        }
-    }
-
-    /// Answers `reply`, if anyone is waiting, with a refusal.
-    fn refuse(
-        ctx: &mut Ctx<'_, Msg>,
-        reply: Option<(ActorId, CallId)>,
-        why: impl Into<InvocationFault>,
-    ) {
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::refused(call, why));
-        }
-    }
-
     /// The one admission check in front of every flow on an existing
     /// instance (see the module docs' admission table): the vault is
     /// configured if the plan uses it, the instance is known and in the
@@ -606,20 +583,10 @@ impl DcdoManager {
     ) {
         match self.admit(kind, object, node) {
             Ok((info, node)) => {
-                // Only a deactivated instance has state parked in the table.
-                let held = Held {
-                    state: info.parked_state,
-                    new_actor: None,
-                };
-                let target = Target {
-                    version: info.version,
-                    node,
-                    held,
-                    retries: 0,
-                };
+                let target = Target::new(info.version, node, info.parked_state, 0);
                 self.open_flow(ctx, kind, reply, Some(object), 0, target);
             }
-            Err(why) => Self::refuse(ctx, reply, why),
+            Err(why) => answer(ctx, reply, |call| Msg::refused(call, why)),
         }
     }
 
@@ -656,7 +623,7 @@ impl DcdoManager {
             .get_mut(&object)
             .and_then(std::collections::VecDeque::pop_front);
         if let Some((reply, to, retries)) = next {
-            self.start_update_with_retries(ctx, reply, object, to, retries);
+            self.start_update(ctx, reply, object, to, retries);
         }
     }
 
@@ -674,28 +641,14 @@ impl DcdoManager {
         if !self.hosts.contains(node) {
             return ctx.send(reply_to, Msg::refused(call, format!("unknown node {node}")));
         }
-        let target = Target {
-            version,
-            node,
-            held: Held::default(),
-            retries: 0,
-        };
+        let target = Target::new(version, node, None, 0);
         let reply = Some((reply_to, call));
         self.open_flow(ctx, MgrKind::Create, reply, None, 0, target);
     }
 
+    /// Starts an update of `object` to `to` (default: the current version)
+    /// after `retries` failed pushes.
     fn start_update(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        reply: Option<(ActorId, CallId)>,
-        object: ObjectId,
-        to: Option<VersionId>,
-    ) {
-        self.start_update_with_retries(ctx, reply, object, to, 0);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_update_with_retries(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         reply: Option<(ActorId, CallId)>,
@@ -714,7 +667,7 @@ impl DcdoManager {
                     "group {} epoch {} is fencing evolution",
                     gate.group, gate.epoch
                 );
-                return Self::refuse(ctx, reply, why);
+                return answer(ctx, reply, |call| Msg::refused(call, why));
             }
         }
         if self.updates_in_flight.contains(&object) {
@@ -739,25 +692,22 @@ impl DcdoManager {
                 if reply.is_none() && self.table.get(&object).is_some_and(|i| i.crashed) {
                     self.interrupted_updates.insert(object, target);
                 }
-                return Self::refuse(ctx, reply, why);
+                return answer(ctx, reply, |call| Msg::refused(call, why));
             }
         };
         if info.version == target {
             // Already there: answer immediately.
             let version = target;
-            return Self::answer(ctx, reply, UpdateDone { object, version });
+            return answer(ctx, reply, |call| {
+                Msg::control_ok(call, UpdateDone { object, version })
+            });
         }
         if let Err(e) = self.evolution_allowed(&info.version, &target) {
             ctx.metrics().incr("manager.updates_refused");
-            return Self::refuse(ctx, reply, e);
+            return answer(ctx, reply, |call| Msg::refused(call, e));
         }
         self.updates_in_flight.insert(object);
-        let target = Target {
-            version: target,
-            node,
-            held: Held::default(),
-            retries,
-        };
+        let target = Target::new(target, node, None, retries);
         self.open_flow(ctx, kind, reply, Some(object), 0, target);
     }
 
@@ -800,7 +750,7 @@ impl DcdoManager {
                 }
             }
             let why = format!("node {node} failed mid-{:?}", flow.kind);
-            Self::refuse(ctx, flow.reply, why);
+            answer(ctx, flow.reply, |call| Msg::refused(call, why));
         }
         // Queued updates behind an aborted flow cannot run while the
         // instance is down: refuse explicit ones, remember internal ones.
@@ -808,7 +758,7 @@ impl DcdoManager {
             for (reply, to, _) in self.queued_updates.remove(object).into_iter().flatten() {
                 if reply.is_some() {
                     let why = format!("node {node} failed before queued update ran");
-                    Self::refuse(ctx, reply, why);
+                    answer(ctx, reply, |call| Msg::refused(call, why));
                 } else {
                     let target = to.unwrap_or_else(|| self.current.clone());
                     self.interrupted_updates.insert(*object, target);
@@ -1001,15 +951,13 @@ impl DcdoManager {
         call: CallId,
         op: ControlOp,
     ) {
+        let reply = Some((from, call));
         if let Some(create) = op.as_any().downcast_ref::<CreateDcdo>() {
-            self.start_create(ctx, from, call, create.node);
-            return;
+            return self.start_create(ctx, from, call, create.node);
         }
         if let Some(update) = op.as_any().downcast_ref::<UpdateInstance>() {
-            self.start_update(ctx, Some((from, call)), update.object, update.to.clone());
-            return;
+            return self.start_update(ctx, reply, update.object, update.to.clone(), 0);
         }
-        let reply = Some((from, call));
         if let Some(mig) = op.as_any().downcast_ref::<MigrateDcdo>() {
             return self.start_flow(ctx, MgrKind::Migrate, reply, mig.object, Some(mig.to));
         }
@@ -1023,20 +971,16 @@ impl DcdoManager {
             return self.start_flow(ctx, MgrKind::Checkpoint, reply, cp.object, None);
         }
         if let Some(nf) = op.as_any().downcast_ref::<NodeFailed>() {
-            self.handle_node_failed(ctx, from, call, nf.node);
-            return;
+            return self.handle_node_failed(ctx, from, call, nf.node);
         }
         if let Some(nr) = op.as_any().downcast_ref::<NodeRecovered>() {
-            self.handle_node_recovered(ctx, from, call, nr.node);
-            return;
+            return self.handle_node_recovered(ctx, from, call, nr.node);
         }
         if let Some(cfg) = op.as_any().downcast_ref::<ConfigureVersion>() {
-            self.handle_configure(ctx, from, call, cfg);
-            return;
+            return self.handle_configure(ctx, from, call, cfg);
         }
         if let Some(set) = op.as_any().downcast_ref::<SetGroupEpoch>() {
-            self.handle_set_group_epoch(ctx, from, call, set);
-            return;
+            return self.handle_set_group_epoch(ctx, from, call, set);
         }
         let reply = if let Some(derive) = op.as_any().downcast_ref::<DeriveVersion>() {
             match self.derive_version(&derive.from) {
@@ -1058,7 +1002,7 @@ impl DcdoManager {
                             .map(|(o, _)| *o)
                             .collect();
                         for object in instances {
-                            self.start_update(ctx, None, object, None);
+                            self.start_update(ctx, None, object, None, 0);
                         }
                     }
                     Msg::control_ok(call, Ack)
@@ -1138,17 +1082,11 @@ impl DcdoManager {
     }
 }
 
-impl PlanOwner for DcdoManager {
-    type Kind = MgrKind;
-    type Data = Target;
+impl PlanOwner<MgrKind, Target> for DcdoManager {
     type Error = String;
 
     fn plans(&mut self) -> &mut Plans<MgrKind, Target> {
         &mut self.plans
-    }
-
-    fn rpc(&mut self) -> &mut RpcClient {
-        &mut self.rpc
     }
 
     fn skip(&self, flow: &MgrFlow, step: Step) -> Skip {
@@ -1157,53 +1095,49 @@ impl PlanOwner for DcdoManager {
 
     fn action(
         &mut self,
-        _ctx: &mut Ctx<'_, Msg>,
+        ctx: &mut Ctx<'_, Msg>,
         flow: &mut MgrFlow,
         step: Step,
     ) -> Result<Action, String> {
         let object = flow.object;
-        Ok(match step {
+        let (target, op) = match step {
             // DCDO process creation: base spawn cost only — the function
             // "linking" happens per component during incorporation.
-            Step::Spawn => Action::Timer(self.cost.process_spawn_base),
+            Step::Spawn => return Ok(Action::Timer(self.cost.process_spawn_base)),
             Step::Unregister => {
                 let unregister = UnregisterBinding { object };
-                Action::Rpc(self.agent.object, ControlOp::new(unregister))
+                (self.agent.object, ControlOp::new(unregister))
             }
             Step::Apply => {
                 let descriptor = self.store[&flow.data.version].descriptor.clone();
-                Action::Rpc(object, ControlOp::new(ApplyDfmDescriptor { descriptor }))
+                (object, ControlOp::new(ApplyDfmDescriptor { descriptor }))
             }
             _ => step
-                .shared_action(object, &mut flow.data.held, self.agent, self.vault)
+                .shared_op(object, &mut flow.data.held, self.agent, self.vault)
                 .expect("every manager step is built"),
-        })
+        };
+        Ok(Action::Rpc(self.rpc.control(ctx, target, op)))
     }
 
-    fn absorb(
+    /// Keeps the state a Capture or LoadVault returns; Spawn, the only
+    /// timer step, creates the new process.
+    fn done(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         flow: &mut MgrFlow,
         step: Step,
-        reply: Result<ReplyPayload, InvocationFault>,
+        reply: Option<Reply>,
     ) -> Result<(), String> {
+        let Some(reply) = reply else {
+            self.spawn_dcdo(ctx, flow);
+            return Ok(());
+        };
         step.absorb(reply, &mut flow.data.held)?;
         if step == Step::LoadVault && flow.data.held.state.is_none() {
             // No snapshot: the instance restarts fresh at its version, and
             // the skip rule drops the Restore that follows.
             ctx.metrics().incr("manager.recoveries_without_snapshot");
         }
-        Ok(())
-    }
-
-    fn timer_done(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        flow: &mut MgrFlow,
-        _step: Step,
-    ) -> Result<(), String> {
-        // Spawn is the only timer step.
-        self.spawn_dcdo(ctx, flow);
         Ok(())
     }
 
@@ -1278,12 +1212,12 @@ impl PlanOwner for DcdoManager {
                 // Nobody waits on a recovery; resume the reconfiguration
                 // the crash interrupted, if any.
                 if let Some(target) = self.interrupted_updates.remove(&object) {
-                    self.start_update(ctx, None, object, Some(target));
+                    self.start_update(ctx, None, object, Some(target), 0);
                 }
                 return;
             }
         };
-        Self::answer(ctx, flow.reply, payload);
+        answer(ctx, flow.reply, |call| Msg::control_ok(call, payload));
     }
 
     fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: MgrFlow, why: String) {
@@ -1303,7 +1237,7 @@ impl PlanOwner for DcdoManager {
                 return;
             }
         }
-        Self::refuse(ctx, flow.reply, why);
+        answer(ctx, flow.reply, |call| Msg::refused(call, why));
     }
 }
 
@@ -1344,7 +1278,7 @@ impl Actor<Msg> for DcdoManager {
             return;
         }
         if let Some((object, version, attempt)) = self.retry_updates.remove(&token) {
-            self.start_update_with_retries(ctx, None, object, Some(version), attempt);
+            self.start_update(ctx, None, object, Some(version), attempt);
             return;
         }
         self.plan_timer(ctx, token);

@@ -22,19 +22,19 @@
 //! be stranded.
 
 use bytes::Bytes;
-use dcdo_sim::{Actor, ActorId, Ctx, SimDuration, SimTime, SpanKind};
+use dcdo_sim::{cfg_step, Actor, ActorId, Ctx, FlowKind, SimDuration, SimTime, SpanKind};
 use dcdo_types::{
     Architecture, CallId, ComponentId, FunctionName, ImplementationType, ObjectId, VersionId,
 };
 use dcdo_vm::{ComponentBinary, NativeRegistry, Value, ValueStore};
 use legion_substrate::host::{ComponentData, FetchComponentData, StoreComponentData};
 use legion_substrate::monolithic::{CaptureState, Deactivate, RestoreState, StateBlob};
-use legion_substrate::plan::{Action, PlanOwner, Plans, Skip};
+use legion_substrate::plan::{answer, Action, Flow, Kind, PlanOwner, Plans, Reply, Skip};
 use legion_substrate::{
-    Ack, ControlOp, CostModel, Handled, InvocationFault, Msg, ReplyPayload, RpcClient,
-    RpcCompletion,
+    Ack, ControlOp, CostModel, Handled, InvocationFault, Msg, RpcClient, RpcCompletion,
 };
 
+use crate::descriptor::DfmDescriptor;
 use crate::dfm::Dfm;
 use crate::error::{ack_or_refuse, ConfigError};
 use crate::ops::{
@@ -48,107 +48,93 @@ use crate::ops::{
 /// Interval at which delayed removals re-check thread activity.
 const IDLE_RECHECK: SimDuration = SimDuration::from_millis(50);
 
-use flow::{CfgStep, Config, ConfigFlow, ConfigOp, FetchItem, Staged, Target};
-
-/// The plan driver's view of configuration flows: `pub` only so that the
-/// [`PlanOwner`] impl can name them; nothing outside this file can.
-mod flow {
-    use bytes::Bytes;
-    use dcdo_sim::{cfg_step, FlowKind, SimTime};
-    use dcdo_types::{ComponentId, FunctionName, ObjectId};
-    use dcdo_vm::ComponentBinary;
-    use legion_substrate::plan::{Flow, Kind};
-
-    use crate::descriptor::DfmDescriptor;
-
-    /// One step of a configuration flow. The discriminant is the step's
-    /// wire-stable `FlowStep` code ([`cfg_step`]).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    #[repr(u32)]
-    pub enum CfgStep {
-        Descriptor = cfg_step::DESCRIPTOR,
-        HostCheck = cfg_step::HOST_CHECK,
-        IcoRead = cfg_step::ICO_READ,
-        HostStore = cfg_step::HOST_STORE,
-        Map = cfg_step::MAP,
-        Gate = cfg_step::GATE,
-        Apply = cfg_step::APPLY,
-    }
-
-    /// Every configuration flow walks one plan: the fetch steps once per
-    /// component still to pull, then the gate and the change itself.
-    #[derive(Debug, Clone, Copy)]
-    pub struct Config;
-
-    impl Kind for Config {
-        type Step = CfgStep;
-
-        fn code(step: CfgStep) -> u32 {
-            step as u32
-        }
-
-        fn trace(self) -> FlowKind {
-            FlowKind::Config
-        }
-
-        fn each(self) -> &'static [CfgStep] {
-            use CfgStep::{Descriptor, HostCheck, HostStore, IcoRead, Map};
-            &[Descriptor, HostCheck, IcoRead, HostStore, Map]
-        }
-
-        fn steps(self) -> &'static [CfgStep] {
-            &[CfgStep::Gate, CfgStep::Apply]
-        }
-    }
-
-    /// The configuration change a flow makes once its components are in.
-    #[derive(Debug)]
-    pub enum ConfigOp {
-        /// `incorporateComponent()`: incorporate staged components (disabled).
-        Incorporate,
-        /// Bulk evolution toward a full target descriptor.
-        Apply { target: DfmDescriptor },
-        /// `removeComponent()` gated by thread activity.
-        Remove { component: ComponentId },
-        /// `disableFunction()` postponed while dependent threads are active.
-        Disable { function: FunctionName },
-    }
-
-    /// What a component's fetch has brought in so far.
-    #[derive(Debug, Default)]
-    pub enum Staged {
-        /// Nothing yet.
-        #[default]
-        Nothing,
-        /// Downloaded from the ICO: the data (for the host cache) and its
-        /// decoding.
-        Downloaded(Bytes, ComponentBinary),
-        /// Decoded, ready to map; `true` if the host cache had it.
-        Ready(ComponentBinary, bool),
-    }
-
-    /// One component still to pull: its ICO, and — when the caller already
-    /// knows it (Apply flows, from the target descriptor) — the component
-    /// id, which lets the fetch skip the ICO metadata roundtrip and go
-    /// straight to the local host cache.
-    #[derive(Debug)]
-    pub struct FetchItem {
-        pub ico: ObjectId,
-        pub component: Option<ComponentId>,
-        pub staged: Staged,
-    }
-
-    #[derive(Debug)]
-    pub struct Target {
-        pub op: ConfigOp,
-        pub items: Vec<FetchItem>,
-        pub force_deadline: Option<SimTime>,
-    }
-
-    pub type ConfigFlow = Flow<Config, Target>;
+/// One step of a configuration flow. The discriminant is the step's
+/// wire-stable `FlowStep` code ([`cfg_step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
+enum CfgStep {
+    Descriptor = cfg_step::DESCRIPTOR,
+    HostCheck = cfg_step::HOST_CHECK,
+    IcoRead = cfg_step::ICO_READ,
+    HostStore = cfg_step::HOST_STORE,
+    Map = cfg_step::MAP,
+    Gate = cfg_step::GATE,
+    Apply = cfg_step::APPLY,
 }
 
-/// How an invocation is parked while the object synchronizes with its
+impl From<CfgStep> for u32 {
+    fn from(step: CfgStep) -> u32 {
+        step as u32
+    }
+}
+
+/// Every configuration flow walks one plan: the fetch steps once per
+/// component still to pull, then the gate and the change itself.
+#[derive(Debug, Clone, Copy)]
+struct Config;
+
+impl Kind for Config {
+    type Step = CfgStep;
+
+    fn trace(self) -> FlowKind {
+        FlowKind::Config
+    }
+
+    fn each(self) -> &'static [CfgStep] {
+        use CfgStep::{Descriptor, HostCheck, HostStore, IcoRead, Map};
+        &[Descriptor, HostCheck, IcoRead, HostStore, Map]
+    }
+
+    fn steps(self) -> &'static [CfgStep] {
+        &[CfgStep::Gate, CfgStep::Apply]
+    }
+}
+
+/// The configuration change a flow makes once its components are in.
+#[derive(Debug)]
+enum ConfigOp {
+    /// `incorporateComponent()`: incorporate staged components (disabled).
+    Incorporate,
+    /// Bulk evolution toward a full target descriptor.
+    Apply { target: DfmDescriptor },
+    /// `removeComponent()` gated by thread activity.
+    Remove { component: ComponentId },
+    /// `disableFunction()` postponed while dependent threads are active.
+    Disable { function: FunctionName },
+}
+
+/// What a component's fetch has brought in so far.
+#[derive(Debug, Default)]
+enum Staged {
+    /// Nothing yet.
+    #[default]
+    Nothing,
+    /// Downloaded from the ICO: the data (for the host cache), decoded.
+    Downloaded(Bytes, ComponentBinary),
+    /// Decoded, ready to map; `true` if the host cache had it.
+    Ready(ComponentBinary, bool),
+}
+
+/// One component still to pull: its ICO, and its id when the caller knows
+/// it (Apply flows, from the target descriptor), which skips the ICO
+/// metadata roundtrip.
+#[derive(Debug)]
+struct FetchItem {
+    ico: ObjectId,
+    component: Option<ComponentId>,
+    staged: Staged,
+}
+
+#[derive(Debug)]
+struct Target {
+    op: ConfigOp,
+    items: Vec<FetchItem>,
+    force_deadline: Option<SimTime>,
+}
+
+type ConfigFlow = Flow<Config, Target>;
+
+/// An invocation to serve, or parked while the object synchronizes with its
 /// manager (lazy update policies).
 #[derive(Debug)]
 struct ParkedInvocation {
@@ -262,7 +248,7 @@ impl DcdoObject {
 
     /// Configuration flows still in progress.
     pub fn flows_in_flight(&self) -> usize {
-        self.plans.len()
+        self.plans.in_flight()
     }
 
     // ---- lazy update checking (§3.4) -----------------------------------
@@ -293,26 +279,29 @@ impl DcdoObject {
     }
 
     fn unpark_all(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let parked = std::mem::take(&mut self.parked);
-        for p in parked {
-            if ctx.tracing_enabled() {
-                ctx.emit_span(SpanKind::CallServed {
-                    object: self.object.as_raw(),
-                    call: p.call.as_raw(),
-                });
-            }
-            self.runtime.handle_invoke(
-                ctx,
-                p.from,
-                p.call,
-                p.function,
-                p.args,
-                &mut self.dfm,
-                &self.natives,
-                &mut self.state,
-                &mut self.rpc,
-            );
+        for p in std::mem::take(&mut self.parked) {
+            self.serve(ctx, p);
         }
+    }
+
+    fn serve(&mut self, ctx: &mut Ctx<'_, Msg>, p: ParkedInvocation) {
+        if ctx.tracing_enabled() {
+            ctx.emit_span(SpanKind::CallServed {
+                object: self.object.as_raw(),
+                call: p.call.as_raw(),
+            });
+        }
+        self.runtime.handle_invoke(
+            ctx,
+            p.from,
+            p.call,
+            p.function,
+            p.args,
+            &mut self.dfm,
+            &self.natives,
+            &mut self.state,
+            &mut self.rpc,
+        );
     }
 
     // ---- configuration flows -------------------------------------------
@@ -350,32 +339,20 @@ impl DcdoObject {
     /// The Gate step: with every component in, waits out (or refuses, or
     /// forces past) the threads still running code the change removes.
     fn gate(&mut self, ctx: &mut Ctx<'_, Msg>, target: &mut Target) -> Result<Action, ConfigError> {
-        let busy: Vec<(ComponentId, u32)> = match &target.op {
-            ConfigOp::Remove { component } => {
-                let n = self.dfm.component_active_threads(*component);
-                if n > 0 {
-                    vec![(*component, n)]
-                } else {
-                    vec![]
-                }
-            }
+        let threads = |c: &ComponentId| (*c, self.dfm.component_active_threads(*c));
+        let mut busy: Vec<(ComponentId, u32)> = match &target.op {
+            ConfigOp::Remove { component } => vec![threads(component)],
             ConfigOp::Apply { target } => {
                 let diff = self.dfm.descriptor().diff_components(target);
-                diff.remove
-                    .iter()
-                    .map(|c| (*c, self.dfm.component_active_threads(*c)))
-                    .filter(|(_, n)| *n > 0)
-                    .collect()
+                diff.remove.iter().map(threads).collect()
             }
             ConfigOp::Disable { function } => {
-                if self.dfm.dependents_active(function) {
-                    vec![(ComponentId::from_raw(0), 1)]
-                } else {
-                    vec![]
-                }
+                let active = u32::from(self.dfm.dependents_active(function));
+                vec![(ComponentId::from_raw(0), active)]
             }
             ConfigOp::Incorporate => vec![],
         };
+        busy.retain(|(_, n)| *n > 0);
         let Some(&(component, active_threads)) = busy.first() else {
             return Ok(Action::Done);
         };
@@ -395,14 +372,10 @@ impl DcdoObject {
                     return Ok(Action::Recheck(IDLE_RECHECK));
                 }
                 // Grace expired: abort the stragglers and proceed.
+                let why = "component removal forced after grace period";
                 for (component, _) in &busy {
                     for token in self.runtime.threads_in_component(*component) {
-                        self.runtime.abort_thread(
-                            ctx,
-                            &mut self.dfm,
-                            token,
-                            "component removal forced after grace period",
-                        );
+                        self.runtime.abort_thread(ctx, &mut self.dfm, token, why);
                     }
                 }
                 Ok(Action::Done)
@@ -476,7 +449,7 @@ impl DcdoObject {
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         reply: Option<(ActorId, CallId)>,
-        target: crate::descriptor::DfmDescriptor,
+        target: DfmDescriptor,
     ) {
         let diff = self.dfm.descriptor().diff_components(&target);
         let mut items = Vec::new();
@@ -488,10 +461,7 @@ impl DcdoObject {
                 let err = ConfigError::BadComponent(format!(
                     "component {component} has no ICO to fetch from"
                 ));
-                if let Some((reply_to, call)) = reply {
-                    ctx.send(reply_to, Msg::refused(call, err));
-                }
-                return;
+                return answer(ctx, reply, |call| Msg::refused(call, err));
             };
             items.push(FetchItem {
                 ico,
@@ -515,8 +485,7 @@ impl DcdoObject {
                 &mut self.rpc,
             );
         } else if let Some(completion) = self.plan_reply(ctx, completion) {
-            if self.check_call == Some(completion.call) {
-                self.check_call = None;
+            if self.check_call.take_if(|c| *c == completion.call).is_some() {
                 self.handle_check_reply(ctx, completion);
             }
         }
@@ -562,13 +531,17 @@ impl DcdoObject {
             let r = self.dfm.enable_function(&en.function, en.component);
             self.config_reply(ctx, call, r)
         } else if let Some(p) = op.as_any().downcast_ref::<SetFunctionProtection>() {
-            let r = self.dfm_descriptor_mut(|d| d.set_protection(&p.function, p.protection));
+            let r = self
+                .dfm
+                .with_descriptor_mut(|d| d.set_protection(&p.function, p.protection));
             self.config_reply(ctx, call, r)
         } else if let Some(d) = op.as_any().downcast_ref::<AddFunctionDependency>() {
-            let r = self.dfm_descriptor_mut(|desc| desc.add_dependency(d.dependency.clone()));
+            let r = self
+                .dfm
+                .with_descriptor_mut(|desc| desc.add_dependency(d.dependency.clone()));
             self.config_reply(ctx, call, r)
         } else if let Some(d) = op.as_any().downcast_ref::<RemoveFunctionDependency>() {
-            let r = self.dfm_descriptor_mut(|desc| {
+            let r = self.dfm.with_descriptor_mut(|desc| {
                 desc.remove_dependency(&d.dependency);
                 Ok(())
             });
@@ -646,14 +619,6 @@ impl DcdoObject {
         ctx.send(from, reply);
     }
 
-    fn dfm_descriptor_mut(
-        &mut self,
-        f: impl FnOnce(&mut crate::descriptor::DfmDescriptor) -> Result<(), ConfigError>,
-    ) -> Result<(), ConfigError> {
-        // The Dfm owns the descriptor; expose a scoped mutation.
-        self.dfm.with_descriptor_mut(f)
-    }
-
     /// Replies to a synchronous configuration function, stamping the new
     /// generation if it took effect.
     fn config_reply(
@@ -669,17 +634,11 @@ impl DcdoObject {
     }
 }
 
-impl PlanOwner for DcdoObject {
-    type Kind = Config;
-    type Data = Target;
+impl PlanOwner<Config, Target> for DcdoObject {
     type Error = ConfigError;
 
     fn plans(&mut self) -> &mut Plans<Config, Target> {
         &mut self.plans
-    }
-
-    fn rpc(&mut self) -> &mut RpcClient {
-        &mut self.rpc
     }
 
     /// Descriptor is dropped when the component is already known, IcoRead
@@ -739,23 +698,37 @@ impl PlanOwner for DcdoObject {
             }
             (step, staged) => unreachable!("{step:?} entered with {staged:?}"),
         };
-        Ok(Action::Rpc(target, op))
+        Ok(Action::Rpc(self.rpc.control(ctx, target, op)))
     }
 
-    /// Keeps what a fetch step brought in: the component id, the host's
-    /// cached copy (decoded), or the ICO's data (decoded, then stored).
-    fn absorb(
+    /// Keeps what a fetch step brought in — the component id, the host's
+    /// cached copy (decoded), or the ICO's data (decoded, then stored) — or,
+    /// once the Map step's delay is over, maps the component in.
+    fn done(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         flow: &mut ConfigFlow,
         step: CfgStep,
-        reply: Result<ReplyPayload, InvocationFault>,
+        reply: Option<Reply>,
     ) -> Result<(), ConfigError> {
-        let bad = |why: String| ConfigError::BadComponent(why);
-        let payload = reply.map_err(|fault| bad(format!("fetch failed: {fault}")))?;
+        let bad = ConfigError::BadComponent;
         let decode = |bytes: Bytes| ComponentBinary::decode(bytes).map_err(|e| bad(e.to_string()));
         let i = flow.item();
         let item = &mut flow.data.items[i];
+        let Some(reply) = reply else {
+            // Map is the only timer step.
+            let Staged::Ready(binary, _) = std::mem::take(&mut item.staged) else {
+                unreachable!("Map follows a decode");
+            };
+            let outcome = if matches!(flow.data.op, ConfigOp::Apply { .. }) {
+                self.dfm.stage_component(&binary)
+            } else {
+                self.dfm.incorporate_component(&binary, None)
+            };
+            ctx.metrics().incr("dcdo.components_mapped");
+            return outcome;
+        };
+        let payload = reply.map_err(|fault| bad(format!("fetch failed: {fault}")))?;
         match step {
             CfgStep::Descriptor => {
                 let reply = payload
@@ -795,27 +768,6 @@ impl PlanOwner for DcdoObject {
         Ok(())
     }
 
-    /// The Map step's delay is over: the component is in the address space.
-    fn timer_done(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        flow: &mut ConfigFlow,
-        _step: CfgStep,
-    ) -> Result<(), ConfigError> {
-        let i = flow.item();
-        let item = &mut flow.data.items[i];
-        let Staged::Ready(binary, _) = std::mem::take(&mut item.staged) else {
-            unreachable!("Map follows a decode");
-        };
-        let outcome = if matches!(flow.data.op, ConfigOp::Apply { .. }) {
-            self.dfm.stage_component(&binary)
-        } else {
-            self.dfm.incorporate_component(&binary, None)
-        };
-        ctx.metrics().incr("dcdo.components_mapped");
-        outcome
-    }
-
     fn finish(&mut self, ctx: &mut Ctx<'_, Msg>, flow: ConfigFlow) {
         self.applied(ctx);
         if self.check_in_flight {
@@ -829,9 +781,7 @@ impl PlanOwner for DcdoObject {
             self.rpc.control(ctx, self.manager, ControlOp::new(report));
             self.end_lazy_check(ctx);
         }
-        if let Some((reply_to, call)) = flow.reply {
-            ctx.send(reply_to, Msg::control_ok(call, Ack));
-        }
+        answer(ctx, flow.reply, |call| Msg::control_ok(call, Ack));
     }
 
     fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: ConfigFlow, err: ConfigError) {
@@ -840,9 +790,7 @@ impl PlanOwner for DcdoObject {
             ctx.metrics().incr("dcdo.config_failed");
         }
         self.end_lazy_check(ctx);
-        if let Some((reply_to, call)) = flow.reply {
-            ctx.send(reply_to, Msg::refused(call, err));
-        }
+        answer(ctx, flow.reply, |call| Msg::refused(call, err));
     }
 }
 
@@ -865,44 +813,21 @@ impl Actor<Msg> for DcdoObject {
                     );
                     return;
                 }
-                let now = ctx.now();
-                if self.check_in_flight {
-                    self.parked.push(ParkedInvocation {
-                        from,
-                        call,
-                        function,
-                        args,
-                    });
-                    return;
-                }
-                self.calls_since_check += 1;
-                if self.lazy_check_due(now) {
-                    self.parked.push(ParkedInvocation {
-                        from,
-                        call,
-                        function,
-                        args,
-                    });
-                    self.start_version_check(ctx);
-                    return;
-                }
-                if ctx.tracing_enabled() {
-                    ctx.emit_span(SpanKind::CallServed {
-                        object: self.object.as_raw(),
-                        call: call.as_raw(),
-                    });
-                }
-                self.runtime.handle_invoke(
-                    ctx,
+                let invocation = ParkedInvocation {
                     from,
                     call,
                     function,
                     args,
-                    &mut self.dfm,
-                    &self.natives,
-                    &mut self.state,
-                    &mut self.rpc,
-                );
+                };
+                if self.check_in_flight {
+                    return self.parked.push(invocation);
+                }
+                self.calls_since_check += 1;
+                if self.lazy_check_due(ctx.now()) {
+                    self.parked.push(invocation);
+                    return self.start_version_check(ctx);
+                }
+                self.serve(ctx, invocation);
             }
             Msg::Control { call, target, op } => {
                 if target != self.object {
@@ -929,17 +854,16 @@ impl Actor<Msg> for DcdoObject {
             }
             return;
         }
-        if self.plan_timer(ctx, token) {
-            return;
+        if !self.plan_timer(ctx, token) {
+            self.runtime.handle_timer(
+                ctx,
+                token,
+                &mut self.dfm,
+                &self.natives,
+                &mut self.state,
+                &mut self.rpc,
+            );
         }
-        self.runtime.handle_timer(
-            ctx,
-            token,
-            &mut self.dfm,
-            &self.natives,
-            &mut self.state,
-            &mut self.rpc,
-        );
     }
 
     fn name(&self) -> &str {
@@ -953,7 +877,7 @@ impl std::fmt::Debug for DcdoObject {
             .field("object", &self.object)
             .field("version", self.dfm.version())
             .field("components", &self.dfm.descriptor().component_count())
-            .field("flows_in_flight", &self.plans.len())
+            .field("flows_in_flight", &self.plans.in_flight())
             .finish()
     }
 }

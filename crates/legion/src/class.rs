@@ -9,10 +9,9 @@
 //! # Pipelines
 //!
 //! Every lifecycle operation is a fixed sequence of steps declared in one
-//! table (`OpKind::plan`) and walked by one interpreter: `start` admits the
-//! operation, `enter_step` issues the current step's action (the only place
-//! each action is built), a reply or timer moves the operation on through
-//! `advance`, and `finish_op` records the outcome:
+//! table (`OpKind::plan`) and walked by the plan driver ([`crate::plan`]),
+//! which leaves the same flow spans as the DCDO side (kinds `class_*`); the
+//! class object builds each step's action and records the outcome:
 //!
 //! | kind              | steps                                                                                              | version   | finishing records                     |
 //! |-------------------|----------------------------------------------------------------------------------------------------|-----------|---------------------------------------|
@@ -27,15 +26,18 @@
 //! Spawn and the two cost steps are timers; every other step is one RPC.
 //! A step that fails aborts the operation with a refusal.
 //!
-//! One admission check (`admit`) stands in front of every operation on an
-//! existing instance; a refused request starts nothing and sends no
-//! `Progress`:
+//! One admission check (`admit`) stands in front of every operation; a
+//! refused request starts nothing and sends no `Progress`:
 //!
-//! | kind                   | instance must be | also             |
-//! |------------------------|------------------|------------------|
-//! | Create                 | (none yet)       |                  |
-//! | Evolve, Migrate        | known            |                  |
-//! | Checkpoint, Reactivate | known            | vault configured |
+//! | kind                   | instance must be | also                       |
+//! |------------------------|------------------|----------------------------|
+//! | Create                 | (none yet)       | node in the lane space     |
+//! | Evolve                 | known            |                            |
+//! | Migrate                | known            | node in the lane space     |
+//! | Checkpoint             | known            | vault configured           |
+//! | Reactivate             | known            | vault configured; node in the lane space |
+//!
+//! `SetCurrentImage` is refused unless its version is above the current one.
 
 use dcdo_sim::{Actor, ActorId, Ctx, FlowKind, IdMap, IdSet, NodeId};
 use dcdo_types::{CallId, ClassId, ObjectId};
@@ -43,9 +45,9 @@ use dcdo_types::{CallId, ClassId, ObjectId};
 use crate::control_payload;
 use crate::cost::CostModel;
 use crate::monolithic::{ExecutableImage, MonolithicObject};
-use crate::msg::{InvocationFault, Msg};
-use crate::plan::{Action, Flow, Held, Kind, PlanOwner, Plans, Skip, Step};
-use crate::rpc::{AgentAddress, Handled, ReplyPayload, RpcClient};
+use crate::msg::{ControlOp, InvocationFault, Msg};
+use crate::plan::{answer, Action, Flow, Held, Kind, PlanOwner, Plans, Reply, Skip, Step};
+use crate::rpc::{AgentAddress, Handled, RpcClient};
 
 /// Control op: create a new instance on `node`.
 #[derive(Debug, Clone)]
@@ -174,121 +176,109 @@ struct Instance {
     version: u32,
 }
 
-use op::{ClassFlow, OpKind, Plan, Target};
-
-/// The plan driver's view of class operations: `pub` only so that the
-/// [`PlanOwner`] impl can name them; nothing outside this file can.
-mod op {
-    use super::{Flow, FlowKind, Held, Kind, NodeId, Step};
-
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum OpKind {
-        Create,
-        Evolve,
-        Migrate,
-        Checkpoint,
-        Reactivate,
-    }
-
-    /// The declared shape of one kind of operation: a row of the module docs'
-    /// pipeline and admission tables.
-    pub struct Plan {
-        /// The operation's kind in the span log.
-        pub trace: FlowKind,
-        /// The steps, walked in order.
-        pub steps: &'static [Step],
-        /// What the operation needs the vault for; without one it is refused.
-        pub vault_use: Option<&'static str>,
-        /// Counter bumped when the operation is admitted.
-        pub counter: Option<&'static str>,
-        /// Histogram sampled with the operation's duration when it finishes.
-        pub timer: &'static str,
-    }
-
-    impl OpKind {
-        pub const fn plan(self) -> Plan {
-            use Step::{
-                Capture, CaptureCost, Deactivate, Download, LoadVault, Register, Restore,
-                RestoreCost, SaveVault, Spawn,
-            };
-            const REPLACE: &[Step] = &[
-                Capture,
-                CaptureCost,
-                SaveVault,
-                Download,
-                Deactivate,
-                Spawn,
-                LoadVault,
-                RestoreCost,
-                Restore,
-                Register,
-            ];
-            match self {
-                OpKind::Create => Plan {
-                    trace: FlowKind::ClassCreate,
-                    steps: &[Download, Spawn, Register],
-                    vault_use: None,
-                    counter: None,
-                    timer: "class.create_time",
-                },
-                OpKind::Evolve => Plan {
-                    trace: FlowKind::ClassEvolve,
-                    steps: REPLACE,
-                    vault_use: None,
-                    counter: None,
-                    timer: "class.evolve_time",
-                },
-                OpKind::Migrate => Plan {
-                    trace: FlowKind::ClassMigrate,
-                    steps: REPLACE,
-                    vault_use: None,
-                    counter: None,
-                    timer: "class.migrate_time",
-                },
-                OpKind::Checkpoint => Plan {
-                    trace: FlowKind::ClassCheckpoint,
-                    steps: &[Capture, CaptureCost, SaveVault],
-                    vault_use: Some("checkpoint into"),
-                    counter: None,
-                    timer: "class.checkpoint_time",
-                },
-                OpKind::Reactivate => Plan {
-                    trace: FlowKind::ClassReactivate,
-                    steps: &[Download, Spawn, LoadVault, RestoreCost, Restore, Register],
-                    vault_use: Some("reactivate from"),
-                    counter: Some("class.reactivations_started"),
-                    timer: "class.reactivate_time",
-                },
-            }
-        }
-    }
-
-    impl Kind for OpKind {
-        type Step = Step;
-
-        fn code(step: Step) -> u32 {
-            step as u32
-        }
-
-        fn trace(self) -> FlowKind {
-            self.plan().trace
-        }
-
-        fn steps(self) -> &'static [Step] {
-            self.plan().steps
-        }
-    }
-
-    /// Where an operation puts its result, and what it holds between steps.
-    #[derive(Debug)]
-    pub struct Target {
-        pub node: NodeId,
-        pub version: u32,
-        pub held: Held,
-    }
-
-    pub type ClassFlow = Flow<OpKind, Target>;
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpKind {
+    Create,
+    Evolve,
+    Migrate,
+    Checkpoint,
+    Reactivate,
 }
+
+/// The declared shape of one kind of operation: a row of the module docs'
+/// pipeline and admission tables.
+struct Plan {
+    /// The operation's kind in the span log.
+    trace: FlowKind,
+    /// The steps, walked in order.
+    steps: &'static [Step],
+    /// What the operation needs the vault for; without one it is refused.
+    vault_use: Option<&'static str>,
+    /// Counter bumped when the operation is admitted.
+    counter: Option<&'static str>,
+    /// Histogram sampled with the operation's duration when it finishes.
+    timer: &'static str,
+}
+
+impl OpKind {
+    const fn plan(self) -> Plan {
+        use Step::{
+            Capture, CaptureCost, Deactivate, Download, LoadVault, Register, Restore, RestoreCost,
+            SaveVault, Spawn,
+        };
+        const REPLACE: &[Step] = &[
+            Capture,
+            CaptureCost,
+            SaveVault,
+            Download,
+            Deactivate,
+            Spawn,
+            LoadVault,
+            RestoreCost,
+            Restore,
+            Register,
+        ];
+        match self {
+            OpKind::Create => Plan {
+                trace: FlowKind::ClassCreate,
+                steps: &[Download, Spawn, Register],
+                vault_use: None,
+                counter: None,
+                timer: "class.create_time",
+            },
+            OpKind::Evolve => Plan {
+                trace: FlowKind::ClassEvolve,
+                steps: REPLACE,
+                vault_use: None,
+                counter: None,
+                timer: "class.evolve_time",
+            },
+            OpKind::Migrate => Plan {
+                trace: FlowKind::ClassMigrate,
+                steps: REPLACE,
+                vault_use: None,
+                counter: None,
+                timer: "class.migrate_time",
+            },
+            OpKind::Checkpoint => Plan {
+                trace: FlowKind::ClassCheckpoint,
+                steps: &[Capture, CaptureCost, SaveVault],
+                vault_use: Some("checkpoint into"),
+                counter: None,
+                timer: "class.checkpoint_time",
+            },
+            OpKind::Reactivate => Plan {
+                trace: FlowKind::ClassReactivate,
+                steps: &[Download, Spawn, LoadVault, RestoreCost, Restore, Register],
+                vault_use: Some("reactivate from"),
+                counter: Some("class.reactivations_started"),
+                timer: "class.reactivate_time",
+            },
+        }
+    }
+}
+
+impl Kind for OpKind {
+    type Step = Step;
+
+    fn trace(self) -> FlowKind {
+        self.plan().trace
+    }
+
+    fn steps(self) -> &'static [Step] {
+        self.plan().steps
+    }
+}
+
+/// Where an operation puts its result, and what it holds between steps.
+#[derive(Debug)]
+struct Target {
+    node: NodeId,
+    version: u32,
+    held: Held,
+}
+
+type ClassFlow = Flow<OpKind, Target>;
 
 /// The class object for a type of monolithic Legion objects.
 pub struct ClassObject {
@@ -346,11 +336,6 @@ impl ClassObject {
         self.object
     }
 
-    /// The class managed.
-    pub fn class_id(&self) -> ClassId {
-        self.class
-    }
-
     /// The current image version.
     pub fn current_version(&self) -> u32 {
         self.current_version
@@ -362,11 +347,6 @@ impl ClassObject {
             .iter()
             .map(|(o, i)| (*o, i.node, i.version))
             .collect()
-    }
-
-    /// Lifecycle operations still in flight.
-    pub fn ops_in_flight(&self) -> usize {
-        self.plans.len()
     }
 
     /// Forgets that executables were ever downloaded to `node` — call when
@@ -448,17 +428,11 @@ impl ClassObject {
     }
 }
 
-impl PlanOwner for ClassObject {
-    type Kind = OpKind;
-    type Data = Target;
+impl PlanOwner<OpKind, Target> for ClassObject {
     type Error = String;
 
     fn plans(&mut self) -> &mut Plans<OpKind, Target> {
         &mut self.plans
-    }
-
-    fn rpc(&mut self) -> &mut RpcClient {
-        &mut self.rpc
     }
 
     /// Download is dropped when the target host already holds the
@@ -498,35 +472,23 @@ impl PlanOwner for ClassObject {
                     let actor = target.held.new_actor.expect("spawned");
                     self.rpc.seed_binding(flow.object, actor);
                 }
-                let action =
-                    step.shared_action(flow.object, &mut target.held, self.agent, self.vault);
-                return Ok(action.expect("every class step is built"));
+                let (to, op) = step
+                    .shared_op(flow.object, &mut target.held, self.agent, self.vault)
+                    .expect("every class step is built");
+                return Ok(Action::Rpc(self.rpc.control(ctx, to, op)));
             }
         };
         Ok(Action::Timer(delay))
     }
 
-    fn absorb(
-        &mut self,
-        _ctx: &mut Ctx<'_, Msg>,
-        flow: &mut ClassFlow,
-        step: Step,
-        reply: Result<ReplyPayload, InvocationFault>,
-    ) -> Result<(), String> {
-        let held = &mut flow.data.held;
-        step.absorb(reply, held)?;
-        if step == Step::LoadVault && held.state.is_none() {
-            return Err("vault lost the parked state".into());
-        }
-        Ok(())
-    }
-
-    /// The download lands, or the Spawn step's new process is created.
-    fn timer_done(
+    /// Keeps the state a Capture or LoadVault returns; the download
+    /// lands, or the Spawn step's new process is created.
+    fn done(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         flow: &mut ClassFlow,
         step: Step,
+        reply: Option<Reply>,
     ) -> Result<(), String> {
         let target = &mut flow.data;
         match step {
@@ -541,7 +503,13 @@ impl PlanOwner for ClassObject {
                 ctx.metrics().incr("class.processes_created");
                 target.held.new_actor = Some(actor);
             }
-            _ => {}
+            Step::CaptureCost | Step::RestoreCost => {}
+            _ => {
+                step.absorb(reply.expect("an RPC step"), &mut target.held)?;
+                if step == Step::LoadVault && target.held.state.is_none() {
+                    return Err("vault lost the parked state".into());
+                }
+            }
         }
         Ok(())
     }
@@ -553,38 +521,32 @@ impl PlanOwner for ClassObject {
         ctx.metrics()
             .sample_duration(flow.kind.plan().timer, elapsed);
         let (object, version) = (flow.object, flow.data.version);
-        let (reply_to, call) = flow.reply.expect("every class operation has a caller");
         let reply = match flow.data.held.new_actor {
             // Only a checkpoint spawns nothing.
-            None => Msg::control_ok(call, CheckpointDone { object }),
+            None => ControlOp::new(CheckpointDone { object }),
             Some(address) => {
                 let node = flow.data.node;
                 self.instances.insert(object, Instance { node, version });
-                if flow.kind == OpKind::Create {
-                    let created = InstanceCreated {
+                match flow.kind {
+                    OpKind::Create => ControlOp::new(InstanceCreated {
                         object,
                         address,
                         version,
-                    };
-                    Msg::control_ok(call, created)
-                } else {
-                    let done = LifecycleDone {
+                    }),
+                    _ => ControlOp::new(LifecycleDone {
                         object,
                         address,
                         version,
-                    };
-                    Msg::control_ok(call, done)
+                    }),
                 }
             }
         };
-        ctx.send(reply_to, reply);
+        answer(ctx, flow.reply, |call| Msg::control_ok(call, reply));
     }
 
     fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: ClassFlow, why: String) {
         ctx.metrics().incr("class.ops_failed");
-        if let Some((reply_to, call)) = flow.reply {
-            ctx.send(reply_to, Msg::refused(call, why));
-        }
+        answer(ctx, flow.reply, |call| Msg::refused(call, why));
     }
 }
 
@@ -666,7 +628,7 @@ impl std::fmt::Debug for ClassObject {
             .field("class", &self.class)
             .field("current_version", &self.current_version)
             .field("instances", &self.instances.len())
-            .field("ops_in_flight", &self.plans.len())
+            .field("ops_in_flight", &self.plans.in_flight())
             .finish()
     }
 }

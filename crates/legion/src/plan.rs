@@ -1,28 +1,12 @@
-//! Step plans: the one driver behind every multi-step operation of the
-//! stack — a class object's lifecycle pipelines, a DCDO Manager's lifecycle
-//! flows, and a DCDO's configuration flows.
+//! Step plans: the one driver behind the class object's, the DCDO
+//! Manager's and the DCDO's multi-step operations (DESIGN.md §2.4).
 //!
-//! An owner declares each kind of operation as a plan ([`Kind`]): the steps
-//! walked in order, optionally preceded by a block walked once per item (a
-//! DCDO pulls every component through the same fetch steps). Per step, the
-//! owner ([`PlanOwner`]) says whether it applies (`skip`, the owner's one
-//! skip rule), what it does (`action`: one RPC, a timer, a recheck after a
-//! delay, or nothing to wait for), what its reply or timer means (`absorb`,
-//! `timer_done`), and what finishing or failing records. The driver does the
-//! rest:
-//!
-//! - it holds the in-flight table and the rpc/timer route maps;
-//! - [`open_flow`](PlanOwner::open_flow) answers `Progress`, draws the flow
-//!   id (and a new object's id), and leaves `FlowStarted`;
-//! - it walks the flow, leaving a `FlowStep` span as each step is entered
-//!   (the first one only if [`Kind::marks_first`]) and before its action;
-//! - it closes the flow with `FlowCompleted` after the last step, or
-//!   `FlowAborted` when a step fails or the owner aborts it.
-//!
-//! [`Step`] is the lifecycle vocabulary class objects and DCDO Managers
-//! share. Its discriminants are the wire-stable [`mgr_step`] codes, and the
-//! steps both owners take — Capture, Deactivate, Restore, Register,
-//! SaveVault and LoadVault — are built, skipped and absorbed here.
+//! An owner declares each kind of operation as a [`Kind`] and supplies the
+//! per-step hooks of [`PlanOwner`]; the driver holds the in-flight table and
+//! the rpc/timer route maps, walks each flow past the steps the owner's skip
+//! rule drops, and leaves its `FlowStarted`, `FlowStep`, `FlowCompleted` and
+//! `FlowAborted` spans. [`Step`] is the lifecycle vocabulary class objects
+//! and DCDO Managers share, with the steps both take built here.
 
 use std::fmt::Debug;
 
@@ -33,15 +17,14 @@ use dcdo_types::{CallId, ObjectId};
 use crate::binding::RegisterBinding;
 use crate::monolithic::{CaptureState, Deactivate, RestoreState, StateBlob};
 use crate::msg::{ControlOp, InvocationFault, Msg};
-use crate::rpc::{AgentAddress, ReplyPayload, RpcClient, RpcCompletion};
+use crate::rpc::{AgentAddress, ReplyPayload, RpcCompletion};
 use crate::vault::{LoadState, LoadedState, SaveState};
 
 /// One kind of planned operation: a declared sequence of steps.
 pub trait Kind: Copy {
-    /// The owner's step vocabulary.
-    type Step: Copy + Debug + 'static;
-    /// A step's wire-stable `FlowStep` code.
-    fn code(step: Self::Step) -> u32;
+    /// The owner's step vocabulary; a step's `u32` is its wire-stable
+    /// `FlowStep` code.
+    type Step: Copy + Debug + Into<u32> + 'static;
     /// The flow's kind in the span log.
     fn trace(self) -> FlowKind;
     /// The steps walked once per item, before [`steps`](Kind::steps).
@@ -60,8 +43,8 @@ pub trait Kind: Copy {
 /// What an entered step does.
 #[derive(Debug)]
 pub enum Action {
-    /// Sends one control op; the step ends with its reply.
-    Rpc(ObjectId, ControlOp),
+    /// Sent one control op (this call); the step ends with its reply.
+    Rpc(CallId),
     /// Waits; the step ends when the delay is over.
     Timer(SimDuration),
     /// Waits, then enters the same step again.
@@ -147,13 +130,8 @@ impl<K, D> Default for Plans<K, D> {
 
 impl<K, D> Plans<K, D> {
     /// Flows in flight.
-    pub fn len(&self) -> usize {
+    pub fn in_flight(&self) -> usize {
         self.flows.len()
-    }
-
-    /// Whether no flow is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.flows.is_empty()
     }
 
     /// The flows in flight, by id (in no particular order).
@@ -162,51 +140,40 @@ impl<K, D> Plans<K, D> {
     }
 }
 
-/// The flows one owner drives, as the driver sees them.
-pub type FlowOf<O> = Flow<<O as PlanOwner>::Kind, <O as PlanOwner>::Data>;
+/// How an RPC step ended.
+pub type Reply = Result<ReplyPayload, InvocationFault>;
 
-/// An actor whose multi-step operations are walked by the plan driver. It
-/// supplies the per-step hooks; the provided methods are the driver.
-pub trait PlanOwner: Sized {
-    /// The owner's kinds of operation.
-    type Kind: Kind;
-    /// The owner's per-flow state.
-    type Data;
+/// An actor whose operations of kinds `K`, each holding a `D`, the plan
+/// driver walks: it supplies the per-step hooks, and the provided methods
+/// are the driver.
+pub trait PlanOwner<K: Kind, D>: Sized {
     /// Why a step failed.
     type Error;
 
     /// The owner's in-flight table.
-    fn plans(&mut self) -> &mut Plans<Self::Kind, Self::Data>;
-    /// The client that sends the owner's RPC steps.
-    fn rpc(&mut self) -> &mut RpcClient;
+    fn plans(&mut self) -> &mut Plans<K, D>;
     /// The skip rule: whether `step` applies to `flow`.
-    fn skip(&self, flow: &FlowOf<Self>, step: StepOf<Self>) -> Skip;
-    /// The entered step's action — the only place it is built.
+    fn skip(&self, flow: &Flow<K, D>, step: K::Step) -> Skip;
+    /// The entered step's action: the only place it is built (an RPC step
+    /// sends its op here).
     fn action(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        flow: &mut FlowOf<Self>,
-        step: StepOf<Self>,
+        flow: &mut Flow<K, D>,
+        step: K::Step,
     ) -> Result<Action, Self::Error>;
-    /// Folds an RPC step's outcome into the flow.
-    fn absorb(
+    /// The step ended: an RPC step with its `reply`, a timer step with none.
+    fn done(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        flow: &mut FlowOf<Self>,
-        step: StepOf<Self>,
-        reply: Result<ReplyPayload, InvocationFault>,
-    ) -> Result<(), Self::Error>;
-    /// A timer step's delay is over.
-    fn timer_done(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        flow: &mut FlowOf<Self>,
-        step: StepOf<Self>,
+        flow: &mut Flow<K, D>,
+        step: K::Step,
+        reply: Option<Reply>,
     ) -> Result<(), Self::Error>;
     /// The last step is done (`FlowCompleted` is already left).
-    fn finish(&mut self, ctx: &mut Ctx<'_, Msg>, flow: FlowOf<Self>);
+    fn finish(&mut self, ctx: &mut Ctx<'_, Msg>, flow: Flow<K, D>);
     /// A step failed (`FlowAborted` is already left).
-    fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: FlowOf<Self>, why: Self::Error);
+    fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: Flow<K, D>, why: Self::Error);
 
     /// Opens a flow of `kind` on `object` (`None`: mint a new object id)
     /// with `items` passes over the per-item steps, and enters its first
@@ -214,24 +181,21 @@ pub trait PlanOwner: Sized {
     fn open_flow(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        kind: Self::Kind,
+        kind: K,
         reply: Option<(ActorId, CallId)>,
         object: Option<ObjectId>,
         items: usize,
-        data: Self::Data,
+        data: D,
     ) {
-        if let Some((reply_to, call)) = reply {
-            ctx.send(reply_to, Msg::Progress { call });
-        }
+        answer(ctx, reply, |call| Msg::Progress { call });
         let id = ctx.fresh_u64();
         let object = object.unwrap_or_else(|| ObjectId::from_raw(ctx.fresh_u64()));
-        if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowStarted {
-                flow: id,
-                object: object.as_raw(),
-                kind: kind.trace(),
-            });
-        }
+        let (raw, trace) = (object.as_raw(), kind.trace());
+        ctx.emit_span(SpanKind::FlowStarted {
+            flow: id,
+            object: raw,
+            kind: trace,
+        });
         let started = ctx.now();
         let flow = Flow {
             kind,
@@ -247,12 +211,10 @@ pub trait PlanOwner: Sized {
 
     /// Enters the flow's current step, past the steps the skip rule drops,
     /// and issues its action; finishes the flow after its last step.
-    fn walk(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64, mut flow: FlowOf<Self>) {
+    fn walk(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64, mut flow: Flow<K, D>) {
         let step = loop {
             let Some(step) = flow.step() else {
-                if ctx.tracing_enabled() {
-                    ctx.emit_span(SpanKind::FlowCompleted { flow: id });
-                }
+                ctx.emit_span(SpanKind::FlowCompleted { flow: id });
                 return self.finish(ctx, flow);
             };
             match self.skip(&flow, step) {
@@ -261,8 +223,8 @@ pub trait PlanOwner: Sized {
                 Skip::Item => flow.at = (flow.item() + 1) * flow.kind.each().len(),
             }
         };
-        if (flow.at > 0 || flow.kind.marks_first()) && ctx.tracing_enabled() {
-            let step = Self::Kind::code(step);
+        if flow.at > 0 || flow.kind.marks_first() {
+            let step = step.into();
             ctx.emit_span(SpanKind::FlowStep { flow: id, step });
         }
         let (delay, recheck) = match self.action(ctx, &mut flow, step) {
@@ -271,8 +233,7 @@ pub trait PlanOwner: Sized {
                 flow.at += 1;
                 return self.walk(ctx, id, flow);
             }
-            Ok(Action::Rpc(target, op)) => {
-                let call = self.rpc().control(ctx, target, op);
+            Ok(Action::Rpc(call)) => {
                 self.plans().rpc_routes.insert(call.as_raw(), id);
                 self.plans().flows.insert(id, flow);
                 return;
@@ -286,44 +247,42 @@ pub trait PlanOwner: Sized {
         self.plans().flows.insert(id, flow);
     }
 
-    /// Closes a flow whose step failed.
-    fn fail_flow(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64, flow: FlowOf<Self>, why: Self::Error) {
-        if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowAborted { flow: id });
+    /// The flow's step ended: moves on to the next, or fails the flow.
+    fn end_step(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64, reply: Option<Reply>) {
+        let Some(mut flow) = self.plans().flows.remove(&id) else {
+            return;
+        };
+        let step = flow.step().expect("a waiting flow is at a step");
+        match self.done(ctx, &mut flow, step, reply) {
+            Ok(()) => {
+                flow.at += 1;
+                self.walk(ctx, id, flow);
+            }
+            Err(why) => self.fail_flow(ctx, id, flow, why),
         }
+    }
+
+    /// Closes a flow whose step failed.
+    fn fail_flow(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64, flow: Flow<K, D>, why: Self::Error) {
+        ctx.emit_span(SpanKind::FlowAborted { flow: id });
         self.fail(ctx, flow, why);
     }
 
     /// Removes a flow that cannot go on, leaving `FlowAborted`; what the
     /// abort means is the caller's to record.
-    fn abort_flow(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64) -> Option<FlowOf<Self>> {
+    fn abort_flow(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64) -> Option<Flow<K, D>> {
         let flow = self.plans().flows.remove(&id)?;
-        if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::FlowAborted { flow: id });
-        }
+        ctx.emit_span(SpanKind::FlowAborted { flow: id });
         Some(flow)
     }
 
-    /// Routes an RPC completion to the flow step waiting for it and moves
-    /// that flow on. Hands back a completion no flow step waits for.
-    fn plan_reply(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        completion: RpcCompletion,
-    ) -> Option<RpcCompletion> {
-        let Some(id) = self.plans().rpc_routes.remove(&completion.call.as_raw()) else {
-            return Some(completion);
+    /// Routes an RPC completion to the flow step waiting for it; hands back
+    /// a completion no flow step waits for.
+    fn plan_reply(&mut self, ctx: &mut Ctx<'_, Msg>, c: RpcCompletion) -> Option<RpcCompletion> {
+        let Some(id) = self.plans().rpc_routes.remove(&c.call.as_raw()) else {
+            return Some(c);
         };
-        if let Some(mut flow) = self.plans().flows.remove(&id) {
-            let step = flow.step().expect("a waiting flow is at a step");
-            match self.absorb(ctx, &mut flow, step, completion.result) {
-                Ok(()) => {
-                    flow.at += 1;
-                    self.walk(ctx, id, flow);
-                }
-                Err(why) => self.fail_flow(ctx, id, flow, why),
-            }
-        }
+        self.end_step(ctx, id, Some(c.result));
         None
     }
 
@@ -333,27 +292,25 @@ pub trait PlanOwner: Sized {
         let Some((id, recheck)) = self.plans().timer_routes.remove(&token) else {
             return false;
         };
-        let Some(mut flow) = self.plans().flows.remove(&id) else {
-            return true;
-        };
-        if recheck {
+        if !recheck {
+            self.end_step(ctx, id, None);
+        } else if let Some(flow) = self.plans().flows.remove(&id) {
             self.walk(ctx, id, flow);
-            return true;
-        }
-        let step = flow.step().expect("a waiting flow is at a step");
-        match self.timer_done(ctx, &mut flow, step) {
-            Ok(()) => {
-                flow.at += 1;
-                self.walk(ctx, id, flow);
-            }
-            Err(why) => self.fail_flow(ctx, id, flow, why),
         }
         true
     }
 }
 
-/// The step vocabulary of one owner's flows.
-pub type StepOf<O> = <<O as PlanOwner>::Kind as Kind>::Step;
+/// Sends `msg(call)` to whoever waits on `reply`, if anyone.
+pub fn answer(
+    ctx: &mut Ctx<'_, Msg>,
+    reply: Option<(ActorId, CallId)>,
+    msg: impl FnOnce(CallId) -> Msg,
+) {
+    if let Some((reply_to, call)) = reply {
+        ctx.send(reply_to, msg(call));
+    }
+}
 
 /// One step of a lifecycle flow, shared by class objects and DCDO
 /// Managers. The discriminant is the step's wire-stable `FlowStep` code
@@ -388,11 +345,16 @@ pub enum Step {
     RestoreCost = mgr_step::RESTORE_COST,
 }
 
+impl From<Step> for u32 {
+    fn from(step: Step) -> u32 {
+        step as u32
+    }
+}
+
 /// What a lifecycle flow holds between its steps.
 #[derive(Debug, Default)]
 pub struct Held {
-    /// The state Capture or LoadVault returned, or admission found parked,
-    /// while the flow holds it.
+    /// The state Capture or LoadVault returned, or admission found parked.
     pub state: Option<Bytes>,
     /// The process the Spawn step created.
     pub new_actor: Option<ActorId>,
@@ -411,17 +373,17 @@ impl Step {
         }
     }
 
-    /// The action of a step both owners take the same way; `None` for the
-    /// owner's own steps.
-    pub fn shared_action(
+    /// The op (and its target) of a step both owners take the same way;
+    /// `None` for the owner's own steps.
+    pub fn shared_op(
         self,
         object: ObjectId,
         held: &mut Held,
         agent: AgentAddress,
         vault: Option<ObjectId>,
-    ) -> Option<Action> {
+    ) -> Option<(ObjectId, ControlOp)> {
         let vault = || vault.expect("admission checked the vault");
-        let (target, op) = match self {
+        Some(match self {
             Step::Capture => (object, ControlOp::new(CaptureState)),
             Step::Deactivate => (object, ControlOp::new(Deactivate)),
             Step::SaveVault => {
@@ -445,17 +407,12 @@ impl Step {
                 (agent.object, ControlOp::new(register))
             }
             _ => return None,
-        };
-        Some(Action::Rpc(target, op))
+        })
     }
 
-    /// Folds a step's reply into `held`: the state Capture returns, and the
-    /// snapshot LoadVault returns (`None` when the vault holds none).
-    pub fn absorb(
-        self,
-        reply: Result<ReplyPayload, InvocationFault>,
-        held: &mut Held,
-    ) -> Result<(), String> {
+    /// Folds an RPC step's reply into `held`: the state Capture returns, and
+    /// the snapshot LoadVault returns (`None` when the vault holds none).
+    pub fn absorb(self, reply: Reply, held: &mut Held) -> Result<(), String> {
         let payload = reply.map_err(|fault| format!("step {self:?} failed: {fault}"))?;
         match self {
             Step::Capture => {
