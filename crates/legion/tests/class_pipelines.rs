@@ -3,9 +3,10 @@
 //! evolve, with and without a vault, at two seeds. Each run renders the
 //! outcome and exact simulated duration of every step, the sorted metric
 //! counters, the engine's event count and the span digest; the rendering
-//! must equal the constant below byte for byte.
+//! must equal the constant below byte for byte. Every run here is traced,
+//! and the trace-invariant checker must find nothing in it.
 
-use dcdo_sim::SimDuration;
+use dcdo_sim::{check_trace_invariants, FlowKind, NodeId, SimDuration, SpanKind};
 use dcdo_types::{ClassId, ObjectId};
 use dcdo_vm::{FunctionBuilder, Value};
 use legion_substrate::binding::BindingAgent;
@@ -48,8 +49,9 @@ fn image(version: u32) -> ExecutableImage {
 }
 
 /// Spawns a class object (with the testbed's vault when `vault`) and a
-/// driver client, both on node 0.
+/// driver client, both on node 0, and turns span tracing on.
 fn stand_up(bed: &mut Testbed, vault: bool) -> (ObjectId, dcdo_sim::ActorId, dcdo_sim::ActorId) {
+    bed.sim.spans_mut().enable();
     let object = bed.fresh_object_id();
     let mut class = ClassObject::new(
         object,
@@ -67,9 +69,15 @@ fn stand_up(bed: &mut Testbed, vault: bool) -> (ObjectId, dcdo_sim::ActorId, dcd
     (object, actor, driver)
 }
 
-fn run(vault: bool, seed: u64) -> String {
+/// The trace-invariant checker finds nothing in the run's span log.
+fn assert_trace_clean(bed: &Testbed) {
+    let violations = check_trace_invariants(bed.sim.spans());
+    assert!(violations.is_empty(), "trace violations: {violations:?}");
+}
+
+/// Drives every pipeline once; returns the testbed and the rendering.
+fn run(vault: bool, seed: u64) -> (Testbed, String) {
     let mut bed = Testbed::centurion(seed);
-    bed.sim.spans_mut().enable();
     let (class, class_actor, driver) = stand_up(&mut bed, vault);
     let mut out = format!("vault={vault} seed={seed}\n");
     let mut step = |bed: &mut Testbed, name: &str, op: ControlOp| {
@@ -149,7 +157,8 @@ fn run(vault: bool, seed: u64) -> String {
     writeln!(out, "counters {}", counters.join(" ")).expect("write");
     writeln!(out, "events {}", bed.sim.events_processed()).expect("write");
     writeln!(out, "spans {:016x}", bed.sim.spans().digest()).expect("write");
-    out
+    assert_trace_clean(&bed);
+    (bed, out)
 }
 
 /// Evolves an instance holding a 64 KB string global and returns how long
@@ -176,6 +185,7 @@ fn evolve_holding_64kb(vault: bool) -> SimDuration {
     let evolve = ControlOp::new(EvolveInstance { object: instance });
     let done = bed.control_and_wait(driver, class, evolve);
     done.result.expect("evolved");
+    assert_trace_clean(&bed);
     done.elapsed
 }
 
@@ -194,9 +204,139 @@ fn a_vault_never_makes_an_evolve_faster() {
 fn class_pipelines_are_pinned() {
     let got: String = [(false, 3), (false, 42), (true, 3), (true, 42)]
         .into_iter()
-        .map(|(vault, seed)| run(vault, seed))
+        .map(|(vault, seed)| run(vault, seed).1)
         .collect();
     assert_eq!(got, PINNED, "\n{got}");
+}
+
+/// Per class flow, in start order: its kind, the `FlowStep` codes it left,
+/// and whether `FlowCompleted` closed it.
+fn walked(bed: &Testbed) -> Vec<(FlowKind, Vec<u32>, bool)> {
+    let mut flows: Vec<(u64, FlowKind, Vec<u32>, bool)> = Vec::new();
+    for e in bed.sim.spans().events() {
+        match e.kind {
+            SpanKind::FlowStarted { flow, kind, .. } => flows.push((flow, kind, vec![], false)),
+            SpanKind::FlowStep { flow, step } => {
+                let f = flows.iter_mut().find(|f| f.0 == flow).expect("started");
+                f.2.push(step);
+            }
+            SpanKind::FlowCompleted { flow } => {
+                let f = flows.iter_mut().find(|f| f.0 == flow).expect("started");
+                f.3 = true;
+            }
+            SpanKind::FlowAborted { flow } => panic!("flow {flow} aborted"),
+            _ => {}
+        }
+    }
+    flows
+        .into_iter()
+        .map(|(_, k, s, done)| (k, s, done))
+        .collect()
+}
+
+// The class-side twin of the manager's `plans_declare_the_observed_step_
+// sequences`: step codes read off the span log of the pinned runs (Download
+// 9, Spawn 3, Register 4, Capture 0, CaptureCost 10, SaveVault 7,
+// Deactivate 1, LoadVault 8, RestoreCost 11, Restore 6).
+#[test]
+fn class_plans_declare_the_observed_step_sequences() {
+    use FlowKind::{ClassCheckpoint, ClassCreate, ClassEvolve, ClassMigrate, ClassReactivate};
+    let replace_held = vec![0, 10, 9, 1, 3, 11, 6, 4];
+    let replace_parked = vec![0, 10, 7, 9, 1, 3, 8, 11, 6, 4];
+    let without_vault = [
+        (ClassCreate, vec![9, 3, 4], true),
+        (ClassCreate, vec![3, 4], true),
+        (ClassEvolve, replace_held.clone(), true),
+        (ClassMigrate, replace_held, true),
+    ];
+    let with_vault = [
+        (ClassCreate, vec![9, 3, 4], true),
+        (ClassCreate, vec![3, 4], true),
+        (ClassEvolve, replace_parked.clone(), true),
+        (ClassMigrate, replace_parked, true),
+        (ClassCheckpoint, vec![0, 10, 7], true),
+        (ClassReactivate, vec![9, 3, 8, 11, 6, 4], true),
+    ];
+    assert_eq!(walked(&run(false, 3).0), without_vault);
+    assert_eq!(walked(&run(true, 3).0), with_vault);
+}
+
+/// Creates one instance on node 2 and returns it.
+fn create_one(bed: &mut Testbed, class: ObjectId, driver: dcdo_sim::ActorId) -> ObjectId {
+    let node = bed.nodes[2];
+    bed.control_and_wait(driver, class, ControlOp::new(CreateInstance { node }))
+        .result
+        .expect("created")
+        .control_as::<InstanceCreated>()
+        .expect("instance-created reply")
+        .object
+}
+
+/// The outcome of one control op: `Ok(())` or the refusal's text.
+fn outcome(
+    bed: &mut Testbed,
+    driver: dcdo_sim::ActorId,
+    class: ObjectId,
+    op: ControlOp,
+) -> Result<(), String> {
+    bed.control_and_wait(driver, class, op)
+        .result
+        .map(|_| ())
+        .map_err(|fault| fault.to_string())
+}
+
+#[test]
+fn set_current_image_refuses_a_version_that_is_not_above_the_current_one() {
+    let mut bed = Testbed::centurion(5);
+    let (class, _, driver) = stand_up(&mut bed, false);
+    let set = |bed: &mut Testbed, image| {
+        outcome(
+            bed,
+            driver,
+            class,
+            ControlOp::new(SetCurrentImage { image }),
+        )
+    };
+    assert_eq!(set(&mut bed, image(2)), Ok(()));
+    let stale = "image version 2 is not above the current version 2";
+    assert!(set(&mut bed, image(2)).is_err_and(|why| why.contains(stale)));
+    let older = "image version 1 is not above the current version 2";
+    assert!(set(&mut bed, image(1)).is_err_and(|why| why.contains(older)));
+    // New instances still run the image that was current before.
+    let node = bed.nodes[3];
+    let created = bed
+        .control_and_wait(driver, class, ControlOp::new(CreateInstance { node }))
+        .result
+        .expect("created");
+    let version = created
+        .control_as::<InstanceCreated>()
+        .expect("reply")
+        .version;
+    assert_eq!(version, 2);
+    assert_trace_clean(&bed);
+}
+
+/// A node outside the engine's lane space is refused at admission, for
+/// each op kind that names a node, and the simulation goes on.
+#[test]
+fn ops_naming_a_node_outside_the_lane_space_are_refused() {
+    let mut bed = Testbed::centurion(5);
+    let (class, _, driver) = stand_up(&mut bed, true);
+    let object = create_one(&mut bed, class, driver);
+    let far = NodeId::from_raw(NodeId::LIMIT);
+    let ops = [
+        ControlOp::new(CreateInstance { node: far }),
+        ControlOp::new(MigrateInstance { object, to: far }),
+        ControlOp::new(ReactivateInstance { object, node: far }),
+    ];
+    for op in ops {
+        let refused = outcome(&mut bed, driver, class, op);
+        assert!(refused.is_err_and(|why| why.contains("unknown node")));
+    }
+    let node = bed.nodes[4];
+    let migrate = ControlOp::new(MigrateInstance { object, to: node });
+    assert_eq!(outcome(&mut bed, driver, class, migrate), Ok(()));
+    assert_trace_clean(&bed);
 }
 
 /// Captured before the pipelines became a declared plan table. The vault
