@@ -10,10 +10,24 @@ use dcdo_workloads::{Fleet, Strategy};
 use legion_substrate::harness::{Class, Testbed};
 use legion_substrate::host::HostObject;
 use legion_substrate::monolithic::ExecutableImage;
-use legion_substrate::ControlOp;
+use legion_substrate::{ControlOp, RpcCompletion};
 
 use crate::setup::fleet_with_components;
 use crate::table::{secs, Table};
+
+/// E6's monolithic baseline on `bed`: a class object creates the counter
+/// service as a `bytes`-sized executable on node 2, then replaces it with
+/// version 2 (set image, then evolve). Returns the evolve's completion.
+pub(crate) fn monolithic_replacement(bed: &mut Testbed, bytes: u64) -> RpcCompletion {
+    let counter = [service::counter_core()];
+    let class = Class::spawn(bed, ExecutableImage::of_components(1, &counter, bytes));
+    let node = bed.nodes[2];
+    let instance = class.create(bed, node);
+    let image = ExecutableImage::of_components(2, &counter, bytes);
+    let completion = class.replace(bed, instance, image);
+    assert!(completion.result.is_ok(), "monolithic replacement failed");
+    completion
+}
 
 /// E4: how long a client takes to discover a stale binding.
 pub fn e4(seed: u64, trials: usize) -> Table {
@@ -249,13 +263,7 @@ pub fn e6(seed: u64) -> Table {
     // (d) Monolithic replacement at two executable sizes.
     for (label, bytes) in [("550 KB", 550_000u64), ("5.1 MB", 5_100_000)] {
         let mut bed = Testbed::centurion(seed + bytes + 77);
-        let counter = [service::counter_core()];
-        let class = Class::spawn(&mut bed, ExecutableImage::of_components(1, &counter, bytes));
-        let node = bed.nodes[2];
-        let instance = class.create(&mut bed, node);
-        let image = ExecutableImage::of_components(2, &counter, bytes);
-        let completion = class.replace(&mut bed, instance, image);
-        completion.result.expect("evolved");
+        let completion = monolithic_replacement(&mut bed, bytes);
         t.row(vec![
             "monolithic replacement".into(),
             format!("{label} executable"),

@@ -6,11 +6,25 @@
 //! `dcdo-profile` derives per-config-op-kind latency and causally
 //! attributed message cost, plus the critical path of the slowest flow
 //! split by layer. It is the same report `dcdo-inspect reconfig` exports
-//! as `BENCH_profile.json`.
+//! as `BENCH_profile.json`. The `class_*` rows come from one traced run of
+//! E6's 550 KB monolithic replacement: the class object's flows leave the
+//! same spans, so the same profiler measures the baseline.
 
+use dcdo_profile::{collect_flows, cost_table, CostRow};
 use dcdo_workloads::reconfig::reconfig_run;
+use legion_substrate::harness::Testbed;
 
+use super::cost::monolithic_replacement;
 use crate::table::{secs, Table};
+
+/// E6's 550 KB monolithic replacement (same seed as its E6 row), traced.
+fn traced_replacement(seed: u64) -> Testbed {
+    let bytes = 550_000;
+    let mut bed = Testbed::centurion(seed + bytes + 77);
+    bed.sim.spans_mut().enable();
+    monolithic_replacement(&mut bed, bytes);
+    bed
+}
 
 fn ns(v: u64) -> String {
     secs(v as f64 / 1e9)
@@ -20,6 +34,9 @@ fn ns(v: u64) -> String {
 pub fn p1(seed: u64) -> Table {
     let run = reconfig_run(seed, false);
     let report = run.profile();
+    let baseline = traced_replacement(seed);
+    let log = baseline.sim.spans();
+    let class_rows = cost_table(log, &collect_flows(log));
     let mut t = Table::new(
         "P1 (profiler)",
         "Reconfiguration cost by config-op kind, derived from the trace",
@@ -39,7 +56,8 @@ pub fn p1(seed: u64) -> Table {
             "bytes",
         ],
     );
-    for r in &report.cost_table {
+    let rows: Vec<&CostRow> = report.cost_table.iter().chain(&class_rows).collect();
+    for r in rows {
         t.row(vec![
             r.kind.name().to_owned(),
             r.flows.to_string(),
@@ -72,4 +90,33 @@ pub fn p1(seed: u64) -> Table {
     };
     t.verdict(verdict);
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::traced_replacement;
+    use dcdo_profile::collect_flows;
+    use dcdo_sim::{mgr_step, FlowKind};
+    use dcdo_workloads::service;
+
+    /// The profiler's download and spawn segments of the traced E6 evolve
+    /// are the cost model's figures, to the nanosecond.
+    #[test]
+    fn traced_replacement_segments_are_the_cost_model() {
+        let bed = traced_replacement(42);
+        let flows = collect_flows(bed.sim.spans());
+        let evolve = flows
+            .iter()
+            .find(|f| f.kind == FlowKind::ClassEvolve)
+            .expect("a class evolve flow");
+        let segment = |code| {
+            let (_, from, to) = evolve.segments().into_iter().find(|s| s.0 == code)?;
+            Some(to - from)
+        };
+        let functions = service::counter_core().functions().len();
+        let download = bed.cost.transfer.transfer_time(550_000).as_nanos();
+        let spawn = bed.cost.process_creation(functions).as_nanos();
+        assert_eq!(segment(mgr_step::DOWNLOAD), Some(download));
+        assert_eq!(segment(mgr_step::SPAWN), Some(spawn));
+    }
 }
