@@ -582,6 +582,42 @@ fn incorporate_component_directly_on_live_object() {
     assert!(matches!(err, InvocationFault::FunctionDisabled(_)));
 }
 
+/// Incorporating a component the DCDO already holds reads its descriptor,
+/// then the plan's skip rule drops the rest of that component's fetch.
+#[test]
+fn incorporating_a_loaded_component_again_skips_its_fetch() {
+    use dcdo_sim::{cfg_step, FlowKind, SpanKind};
+    let (mut s, dcdo, _v) = Scenario::with_counter(11, false);
+    s.bed.sim.spans_mut().enable();
+    let ico = s.publish_component(&relay_component(), 3);
+    let mapped = |s: &Scenario| s.bed.sim.metrics().counter("dcdo.components_mapped");
+    let before = mapped(&s);
+    for _ in 0..2 {
+        let incorporate = ControlOp::new(IncorporateComponent { ico });
+        let done = s.bed.control_and_wait(s.client, dcdo, incorporate);
+        done.result.expect("incorporation succeeds");
+    }
+    let mut config: Vec<(u64, Vec<u32>)> = Vec::new();
+    for e in s.bed.sim.spans().events() {
+        match e.kind {
+            SpanKind::FlowStarted { flow, kind, .. } if kind == FlowKind::Config => {
+                config.push((flow, vec![]));
+            }
+            SpanKind::FlowStep { flow, step } => {
+                if let Some(f) = config.iter_mut().find(|f| f.0 == flow) {
+                    f.1.push(step);
+                }
+            }
+            _ => {}
+        }
+    }
+    use cfg_step::{APPLY, DESCRIPTOR, GATE, HOST_CHECK, HOST_STORE, ICO_READ, MAP};
+    let first = vec![DESCRIPTOR, HOST_CHECK, ICO_READ, HOST_STORE, MAP, GATE, APPLY];
+    let steps: Vec<Vec<u32>> = config.into_iter().map(|(_, steps)| steps).collect();
+    assert_eq!(steps, [first, vec![DESCRIPTOR, GATE, APPLY]]);
+    assert_eq!(mapped(&s) - before, 1);
+}
+
 #[test]
 fn thread_activity_monitoring_gates_component_removal() {
     // A thread suspends inside relay() waiting on a slow peer; removal of

@@ -21,8 +21,8 @@
 //! | Reactivate        | Download → Spawn → LoadVault → RestoreCost → Restore → Register                                    | its own   | node and version; `LifecycleDone`     |
 //!
 //! One skip rule drops a step that does not apply: Download when the target
-//! host already holds the executable, SaveVault when the class has no vault,
-//! and LoadVault when it has none or the state is still held. Download,
+//! host already holds the executable, SaveVault and LoadVault when the class
+//! has no vault (it holds the state itself). Download,
 //! Spawn and the two cost steps are timers; every other step is one RPC.
 //! A step that fails aborts the operation with a refusal.
 //!

@@ -361,14 +361,12 @@ pub struct Held {
 }
 
 impl Step {
-    /// The shared skip rule: SaveVault without a vault; LoadVault without
-    /// one or while the state is still held; RestoreCost and Restore with no
-    /// state to restore.
+    /// The shared skip rule: SaveVault and LoadVault without a vault (the
+    /// flow holds the state itself), Restore with no state to restore.
     pub fn skips(self, vault: Option<ObjectId>, held: &Held) -> bool {
         match self {
-            Step::SaveVault => vault.is_none(),
-            Step::LoadVault => vault.is_none() || held.state.is_some(),
-            Step::RestoreCost | Step::Restore => held.state.is_none(),
+            Step::SaveVault | Step::LoadVault => vault.is_none(),
+            Step::Restore => held.state.is_none(),
             _ => false,
         }
     }
