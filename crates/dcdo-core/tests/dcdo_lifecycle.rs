@@ -600,7 +600,11 @@ fn incorporating_a_loaded_component_again_skips_its_fetch() {
     let mut config: Vec<(u64, Vec<u32>)> = Vec::new();
     for e in s.bed.sim.spans().events() {
         match e.kind {
-            SpanKind::FlowStarted { flow, kind, .. } if kind == FlowKind::Config => {
+            SpanKind::FlowStarted {
+                flow,
+                kind: FlowKind::Config,
+                ..
+            } => {
                 config.push((flow, vec![]));
             }
             SpanKind::FlowStep { flow, step } => {
@@ -612,7 +616,9 @@ fn incorporating_a_loaded_component_again_skips_its_fetch() {
         }
     }
     use cfg_step::{APPLY, DESCRIPTOR, GATE, HOST_CHECK, HOST_STORE, ICO_READ, MAP};
-    let first = vec![DESCRIPTOR, HOST_CHECK, ICO_READ, HOST_STORE, MAP, GATE, APPLY];
+    let first = vec![
+        DESCRIPTOR, HOST_CHECK, ICO_READ, HOST_STORE, MAP, GATE, APPLY,
+    ];
     let steps: Vec<Vec<u32>> = config.into_iter().map(|(_, steps)| steps).collect();
     assert_eq!(steps, [first, vec![DESCRIPTOR, GATE, APPLY]]);
     assert_eq!(mapped(&s) - before, 1);
