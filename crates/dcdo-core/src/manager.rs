@@ -59,9 +59,7 @@ use bytes::Bytes;
 use dcdo_sim::{Actor, ActorId, Ctx, FlowKind, IdMap, IdSet, NodeId, SpanKind};
 use dcdo_types::{CallId, ClassId, ImplementationType, ObjectId, VersionId};
 use legion_substrate::binding::UnregisterBinding;
-use legion_substrate::plan::{
-    answer, Action, Flow, Held, Kind, PlanOwner, Plans, Reply, Skip, Step,
-};
+use legion_substrate::plan::{answer, Action, Flow, Held, Kind, PlanOwner, Plans, Reply, Step};
 use legion_substrate::{
     Ack, AgentAddress, ControlOp, CostModel, Handled, InvocationFault, Msg, RpcClient,
     RpcCompletion,
@@ -1089,8 +1087,8 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
         &mut self.plans
     }
 
-    fn skip(&self, flow: &MgrFlow, step: Step) -> Skip {
-        Skip::from(step.skips(self.vault, &flow.data.held))
+    fn skip(&self, flow: &MgrFlow, step: Step) -> bool {
+        step.skips(self.vault, &flow.data.held)
     }
 
     fn action(

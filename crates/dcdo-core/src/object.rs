@@ -29,7 +29,7 @@ use dcdo_types::{
 use dcdo_vm::{ComponentBinary, NativeRegistry, Value, ValueStore};
 use legion_substrate::host::{ComponentData, FetchComponentData, StoreComponentData};
 use legion_substrate::monolithic::{CaptureState, Deactivate, RestoreState, StateBlob};
-use legion_substrate::plan::{answer, Action, Flow, Kind, PlanOwner, Plans, Reply, Skip};
+use legion_substrate::plan::{answer, Action, Flow, Kind, PlanOwner, Plans, Reply};
 use legion_substrate::{
     Ack, ControlOp, CostModel, Handled, InvocationFault, Msg, RpcClient, RpcCompletion,
 };
@@ -642,22 +642,19 @@ impl PlanOwner<Config, Target> for DcdoObject {
     }
 
     /// Descriptor is dropped when the component is already known, IcoRead
-    /// and HostStore on a host-cache hit, and the whole item when its
-    /// component is already loaded.
-    fn skip(&self, flow: &ConfigFlow, step: CfgStep) -> Skip {
+    /// and HostStore on a host-cache hit, and every fetch step once the
+    /// component is loaded.
+    fn skip(&self, flow: &ConfigFlow, step: CfgStep) -> bool {
         let Some(item) = flow.data.items.get(flow.item()) else {
-            return Skip::No;
+            return false;
         };
+        let loaded = item.component.is_some_and(|c| self.dfm.is_loaded(c));
         match step {
-            CfgStep::Descriptor => Skip::from(item.component.is_some()),
-            CfgStep::HostCheck => match item.component {
-                Some(c) if self.dfm.is_loaded(c) => Skip::Item,
-                _ => Skip::No,
-            },
+            CfgStep::Descriptor => item.component.is_some(),
             CfgStep::IcoRead | CfgStep::HostStore => {
-                Skip::from(matches!(item.staged, Staged::Ready(_, true)))
+                loaded || matches!(item.staged, Staged::Ready(_, true))
             }
-            _ => Skip::No,
+            _ => loaded,
         }
     }
 

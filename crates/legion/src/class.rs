@@ -46,7 +46,7 @@ use crate::control_payload;
 use crate::cost::CostModel;
 use crate::monolithic::{ExecutableImage, MonolithicObject};
 use crate::msg::{ControlOp, InvocationFault, Msg};
-use crate::plan::{answer, Action, Flow, Held, Kind, PlanOwner, Plans, Reply, Skip, Step};
+use crate::plan::{answer, Action, Flow, Held, Kind, PlanOwner, Plans, Reply, Step};
 use crate::rpc::{AgentAddress, Handled, RpcClient};
 
 /// Control op: create a new instance on `node`.
@@ -437,12 +437,12 @@ impl PlanOwner<OpKind, Target> for ClassObject {
 
     /// Download is dropped when the target host already holds the
     /// executable; the vault and restore steps follow the shared rule.
-    fn skip(&self, flow: &ClassFlow, step: Step) -> Skip {
+    fn skip(&self, flow: &ClassFlow, step: Step) -> bool {
         let target = &flow.data;
-        Skip::from(match step {
+        match step {
             Step::Download => self.downloaded.contains(&(target.node, target.version)),
             _ => step.skips(self.vault, &target.held),
-        })
+        }
     }
 
     fn action(

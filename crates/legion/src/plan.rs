@@ -53,27 +53,6 @@ pub enum Action {
     Done,
 }
 
-/// The skip rule's verdict on a step about to be entered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Skip {
-    /// The step applies.
-    No,
-    /// The step does not apply.
-    Step,
-    /// The rest of the current item's steps do not apply.
-    Item,
-}
-
-impl From<bool> for Skip {
-    fn from(skips: bool) -> Self {
-        if skips {
-            Skip::Step
-        } else {
-            Skip::No
-        }
-    }
-}
-
 /// One operation in flight.
 #[derive(Debug)]
 pub struct Flow<K, D> {
@@ -153,7 +132,7 @@ pub trait PlanOwner<K: Kind, D>: Sized {
     /// The owner's in-flight table.
     fn plans(&mut self) -> &mut Plans<K, D>;
     /// The skip rule: whether `step` applies to `flow`.
-    fn skip(&self, flow: &Flow<K, D>, step: K::Step) -> Skip;
+    fn skip(&self, flow: &Flow<K, D>, step: K::Step) -> bool;
     /// The entered step's action: the only place it is built (an RPC step
     /// sends its op here).
     fn action(
@@ -217,11 +196,10 @@ pub trait PlanOwner<K: Kind, D>: Sized {
                 ctx.emit_span(SpanKind::FlowCompleted { flow: id });
                 return self.finish(ctx, flow);
             };
-            match self.skip(&flow, step) {
-                Skip::No => break step,
-                Skip::Step => flow.at += 1,
-                Skip::Item => flow.at = (flow.item() + 1) * flow.kind.each().len(),
+            if !self.skip(&flow, step) {
+                break step;
             }
+            flow.at += 1;
         };
         if flow.at > 0 || flow.kind.marks_first() {
             let step = step.into();
