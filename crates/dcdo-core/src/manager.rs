@@ -113,7 +113,6 @@ struct VersionEntry {
 
 #[derive(Debug, Clone)]
 struct DcdoInfo {
-    actor: ActorId,
     node: NodeId,
     version: VersionId,
     impl_type: ImplementationType,
@@ -229,8 +228,8 @@ impl Kind for MgrKind {
         self.plan().trace
     }
 
-    fn steps(self) -> &'static [Step] {
-        self.plan().steps
+    fn step(self, at: usize) -> Option<Step> {
+        self.plan().steps.get(at).copied()
     }
 
     /// `FlowStarted` implies a flow's first step; Update's lone Apply has
@@ -582,7 +581,7 @@ impl DcdoManager {
         match self.admit(kind, object, node) {
             Ok((info, node)) => {
                 let target = Target::new(info.version, node, info.parked_state, 0);
-                self.open_flow(ctx, kind, reply, Some(object), 0, target);
+                self.open_flow(ctx, kind, reply, Some(object), target);
             }
             Err(why) => answer(ctx, reply, |call| Msg::refused(call, why)),
         }
@@ -641,7 +640,7 @@ impl DcdoManager {
         }
         let target = Target::new(version, node, None, 0);
         let reply = Some((reply_to, call));
-        self.open_flow(ctx, MgrKind::Create, reply, None, 0, target);
+        self.open_flow(ctx, MgrKind::Create, reply, None, target);
     }
 
     /// Starts an update of `object` to `to` (default: the current version)
@@ -706,7 +705,7 @@ impl DcdoManager {
         }
         self.updates_in_flight.insert(object);
         let target = Target::new(target, node, None, retries);
-        self.open_flow(ctx, kind, reply, Some(object), 0, target);
+        self.open_flow(ctx, kind, reply, Some(object), target);
     }
 
     /// A host crashed: mark resident instances crashed and abort every
@@ -1149,37 +1148,29 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
             .store
             .get(&version)
             .map(|e| e.descriptor.implementation_type());
-        if flow.kind == MgrKind::Create {
-            self.table.insert(
-                object,
-                DcdoInfo {
-                    actor: flow.data.held.new_actor.expect("spawned"),
-                    node: flow.data.node,
-                    version: version.clone(),
-                    impl_type: impl_type.unwrap_or_default(),
-                    parked_state: None,
-                    crashed: false,
-                },
-            );
-        } else if let Some(info) = self.table.get_mut(&object) {
-            if let Some(address) = flow.data.held.new_actor {
-                // Migrate, Activate, Recover: the instance is live again,
-                // in its new process.
-                info.actor = address;
-                info.node = flow.data.node;
-                info.parked_state = None;
-                info.crashed = false;
+        // Create adds the entry; after Migrate, Activate and Recover the
+        // instance is live again, in its new process.
+        let info = self.table.entry(object).or_insert_with(|| DcdoInfo {
+            node: flow.data.node,
+            version: version.clone(),
+            impl_type: ImplementationType::default(),
+            parked_state: None,
+            crashed: false,
+        });
+        if flow.data.held.new_actor.is_some() {
+            info.node = flow.data.node;
+            info.parked_state = None;
+            info.crashed = false;
+        }
+        match flow.kind {
+            MgrKind::Create | MgrKind::Update => {
+                info.version = version.clone();
+                info.impl_type = impl_type.unwrap_or(info.impl_type);
             }
-            match flow.kind {
-                MgrKind::Update => {
-                    info.version = version.clone();
-                    info.impl_type = impl_type.unwrap_or(info.impl_type);
-                }
-                MgrKind::Deactivate => {
-                    info.parked_state = Some(flow.data.held.state.expect("state captured"));
-                }
-                _ => {}
+            MgrKind::Deactivate => {
+                info.parked_state = Some(flow.data.held.state.expect("state captured"));
             }
+            _ => {}
         }
         if flow.kind == MgrKind::Update {
             self.release_update_slot(ctx, object);

@@ -68,10 +68,19 @@ impl From<CfgStep> for u32 {
     }
 }
 
-/// Every configuration flow walks one plan: the fetch steps once per
-/// component still to pull, then the gate and the change itself.
+/// The fetch steps a configuration flow walks once per component.
+const FETCH: [CfgStep; 5] = {
+    use CfgStep::{Descriptor, HostCheck, HostStore, IcoRead, Map};
+    [Descriptor, HostCheck, IcoRead, HostStore, Map]
+};
+
+/// Every configuration flow walks one plan: the [`FETCH`] steps once per
+/// component still to pull (`items` of them), then the gate and the change
+/// itself.
 #[derive(Debug, Clone, Copy)]
-struct Config;
+struct Config {
+    items: usize,
+}
 
 impl Kind for Config {
     type Step = CfgStep;
@@ -80,14 +89,17 @@ impl Kind for Config {
         FlowKind::Config
     }
 
-    fn each(self) -> &'static [CfgStep] {
-        use CfgStep::{Descriptor, HostCheck, HostStore, IcoRead, Map};
-        &[Descriptor, HostCheck, IcoRead, HostStore, Map]
+    fn step(self, at: usize) -> Option<CfgStep> {
+        match at.checked_sub(FETCH.len() * self.items) {
+            None => Some(FETCH[at % FETCH.len()]),
+            Some(tail) => [CfgStep::Gate, CfgStep::Apply].get(tail).copied(),
+        }
     }
+}
 
-    fn steps(self) -> &'static [CfgStep] {
-        &[CfgStep::Gate, CfgStep::Apply]
-    }
+/// The component a configuration flow's fetch steps are at.
+fn item(flow: &ConfigFlow) -> usize {
+    flow.at() / FETCH.len()
 }
 
 /// The configuration change a flow makes once its components are in.
@@ -319,8 +331,10 @@ impl DcdoObject {
             items,
             force_deadline: None,
         };
-        let (object, items) = (Some(self.object), target.items.len());
-        self.open_flow(ctx, Config, reply, object, items, target);
+        let kind = Config {
+            items: target.items.len(),
+        };
+        self.open_flow(ctx, kind, reply, Some(self.object), target);
     }
 
     /// §2.1: implementation types gate mapping — architecture-specific
@@ -645,7 +659,7 @@ impl PlanOwner<Config, Target> for DcdoObject {
     /// and HostStore on a host-cache hit, and every fetch step once the
     /// component is loaded.
     fn skip(&self, flow: &ConfigFlow, step: CfgStep) -> bool {
-        let Some(item) = flow.data.items.get(flow.item()) else {
+        let Some(item) = flow.data.items.get(item(flow)) else {
             return false;
         };
         let loaded = item.component.is_some_and(|c| self.dfm.is_loaded(c));
@@ -667,7 +681,7 @@ impl PlanOwner<Config, Target> for DcdoObject {
         let item = match step {
             CfgStep::Gate => return self.gate(ctx, &mut flow.data),
             CfgStep::Apply => return self.apply_change(ctx, flow).map(|()| Action::Done),
-            _ => &flow.data.items[flow.item()],
+            _ => &flow.data.items[item(flow)],
         };
         let component = || item.component.expect("component known");
         let (target, op) = match (step, &item.staged) {
@@ -710,7 +724,7 @@ impl PlanOwner<Config, Target> for DcdoObject {
     ) -> Result<(), ConfigError> {
         let bad = ConfigError::BadComponent;
         let decode = |bytes: Bytes| ComponentBinary::decode(bytes).map_err(|e| bad(e.to_string()));
-        let i = flow.item();
+        let i = item(flow);
         let item = &mut flow.data.items[i];
         let Some(reply) = reply else {
             // Map is the only timer step.

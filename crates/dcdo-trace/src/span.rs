@@ -144,24 +144,10 @@ pub enum FlowKind {
 }
 
 impl FlowKind {
-    /// A stable small integer code (used in the digest and exporters).
+    /// A stable small integer code (used in the digest and exporters): the
+    /// declaration order, so a new kind is only ever appended.
     pub const fn code(self) -> u64 {
-        match self {
-            FlowKind::Create => 0,
-            FlowKind::Update => 1,
-            FlowKind::Migrate => 2,
-            FlowKind::Deactivate => 3,
-            FlowKind::Activate => 4,
-            FlowKind::Checkpoint => 5,
-            FlowKind::Recover => 6,
-            FlowKind::Config => 7,
-            FlowKind::Epoch => 8,
-            FlowKind::ClassCreate => 9,
-            FlowKind::ClassEvolve => 10,
-            FlowKind::ClassMigrate => 11,
-            FlowKind::ClassCheckpoint => 12,
-            FlowKind::ClassReactivate => 13,
-        }
+        self as u64
     }
 
     /// A stable short name.

@@ -265,8 +265,8 @@ impl Kind for OpKind {
         self.plan().trace
     }
 
-    fn steps(self) -> &'static [Step] {
-        self.plan().steps
+    fn step(self, at: usize) -> Option<Step> {
+        self.plan().steps.get(at).copied()
     }
 }
 
@@ -424,7 +424,7 @@ impl ClassObject {
             version,
             held: Held::default(),
         };
-        self.open_flow(ctx, kind, Some((reply_to, call)), object, 0, target);
+        self.open_flow(ctx, kind, Some((reply_to, call)), object, target);
     }
 }
 

@@ -27,12 +27,8 @@ pub trait Kind: Copy {
     type Step: Copy + Debug + Into<u32> + 'static;
     /// The flow's kind in the span log.
     fn trace(self) -> FlowKind;
-    /// The steps walked once per item, before [`steps`](Kind::steps).
-    fn each(self) -> &'static [Self::Step] {
-        &[]
-    }
-    /// The steps walked in order, after the per-item ones.
-    fn steps(self) -> &'static [Self::Step];
+    /// The step at position `at` of the plan; `None` past the last.
+    fn step(self, at: usize) -> Option<Self::Step>;
     /// Whether the first step leaves a `FlowStep` span (otherwise
     /// `FlowStarted` implies it).
     fn marks_first(self) -> bool {
@@ -66,25 +62,18 @@ pub struct Flow<K, D> {
     pub started: SimTime,
     /// The owner's per-flow state.
     pub data: D,
-    items: usize,
     at: usize,
 }
 
 impl<K: Kind, D> Flow<K, D> {
-    /// The step the flow is at; `None` once past the last.
-    pub fn step(&self) -> Option<K::Step> {
-        let each = self.kind.each();
-        let looped = each.len() * self.items;
-        if self.at < looped {
-            Some(each[self.at % each.len()])
-        } else {
-            self.kind.steps().get(self.at - looped).copied()
-        }
+    /// The flow's position in its plan.
+    pub fn at(&self) -> usize {
+        self.at
     }
 
-    /// The item the per-item steps are at (the item count once past them).
-    pub fn item(&self) -> usize {
-        self.at / self.kind.each().len().max(1)
+    /// The step the flow is at; `None` once past the last.
+    pub fn step(&self) -> Option<K::Step> {
+        self.kind.step(self.at)
     }
 }
 
@@ -155,15 +144,13 @@ pub trait PlanOwner<K: Kind, D>: Sized {
     fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: Flow<K, D>, why: Self::Error);
 
     /// Opens a flow of `kind` on `object` (`None`: mint a new object id)
-    /// with `items` passes over the per-item steps, and enters its first
-    /// step.
+    /// and enters its first step.
     fn open_flow(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         kind: K,
         reply: Option<(ActorId, CallId)>,
         object: Option<ObjectId>,
-        items: usize,
         data: D,
     ) {
         answer(ctx, reply, |call| Msg::Progress { call });
@@ -182,7 +169,6 @@ pub trait PlanOwner<K: Kind, D>: Sized {
             reply,
             started,
             data,
-            items,
             at: 0,
         };
         self.walk(ctx, id, flow);
