@@ -56,7 +56,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use bytes::Bytes;
-use dcdo_sim::{Actor, ActorId, Ctx, FlowKind, IdMap, IdSet, NodeId, SpanKind};
+use dcdo_sim::{Actor, ActorId, Ctx, FlowKind, IdMap, NodeId, SpanKind};
 use dcdo_types::{CallId, ClassId, ImplementationType, ObjectId, VersionId};
 use legion_substrate::binding::UnregisterBinding;
 use legion_substrate::plan::{answer, Action, Flow, Held, Kind, PlanOwner, Plans, Reply, Step};
@@ -249,23 +249,6 @@ struct Target {
     retries: u32,
 }
 
-impl Target {
-    /// A flow to `version` on `node`, holding `state` (only a deactivated
-    /// instance has state parked in the table).
-    fn new(version: VersionId, node: NodeId, state: Option<Bytes>, retries: u32) -> Self {
-        let held = Held {
-            state,
-            new_actor: None,
-        };
-        Target {
-            version,
-            node,
-            held,
-            retries,
-        }
-    }
-}
-
 type MgrFlow = Flow<MgrKind, Target>;
 
 /// A queued (serialized) update request: reply channel, explicit target,
@@ -299,10 +282,9 @@ pub struct DcdoManager {
     // Supervised update retries: timer token -> (object, target, attempt).
     retry_updates: IdMap<u64, (ObjectId, VersionId, u32)>,
     // Per-instance serialization of update flows: an instance has at most
-    // one Apply in flight; later requests queue here. Without this, two
-    // overlapping pushes can complete out of order and roll the instance
-    // back to the older version.
-    updates_in_flight: IdSet<ObjectId>,
+    // one Update flow in flight; later requests queue here. Without this,
+    // two overlapping pushes can complete out of order and roll the
+    // instance back to the older version.
     queued_updates: IdMap<ObjectId, std::collections::VecDeque<QueuedUpdate>>,
     // The vault backing checkpoint/recovery flows, when configured.
     vault: Option<ObjectId>,
@@ -353,7 +335,6 @@ impl DcdoManager {
             propagation,
             plans: Plans::default(),
             retry_updates: IdMap::default(),
-            updates_in_flight: IdSet::default(),
             queued_updates: IdMap::default(),
             vault: None,
             interrupted_updates: IdMap::default(),
@@ -523,22 +504,32 @@ impl DcdoManager {
 
     // ---- flows ----------------------------------------------------------
 
-    /// The one admission check in front of every flow on an existing
-    /// instance (see the module docs' admission table): the vault is
-    /// configured if the plan uses it, the instance is known and in the
-    /// state the plan needs, and the target host (`node`, or the instance's
-    /// own) is known. Returns the instance's record and the target host.
+    /// The one admission check in front of every flow (see the module
+    /// docs' admission table): the vault is configured if the plan uses it,
+    /// the instance is known and in the state the plan needs (a create:
+    /// the current version is instantiable), and the target host (`node`,
+    /// or the instance's own) is known. Returns what the flow starts from:
+    /// the instance's version, its host or `node`, and any parked state.
     fn admit(
         &self,
         kind: MgrKind,
-        object: ObjectId,
+        object: Option<ObjectId>,
         node: Option<NodeId>,
-    ) -> Result<(DcdoInfo, NodeId), String> {
+    ) -> Result<Target, String> {
         let plan = kind.plan();
         let uses_vault = |s: &Step| matches!(s, Step::SaveVault | Step::LoadVault);
         if plan.steps.iter().any(uses_vault) && self.vault.is_none() {
             return Err("manager has no vault configured".into());
         }
+        let Some(object) = object else {
+            self.instantiable_entry(&self.current)
+                .map_err(|e| e.to_string())?;
+            return self.target(
+                self.current.clone(),
+                node.expect("a create names its node"),
+                None,
+            );
+        };
         let info = self
             .table
             .get(&object)
@@ -563,26 +554,44 @@ impl DcdoManager {
             return Err(format!("instance {object} {what}"));
         }
         let node = node.unwrap_or(info.node);
+        self.target(info.version.clone(), node, info.parked_state.clone())
+    }
+
+    /// A flow's target on `node`, if the node is a known host.
+    fn target(
+        &self,
+        version: VersionId,
+        node: NodeId,
+        state: Option<Bytes>,
+    ) -> Result<Target, String> {
         if !self.hosts.contains(node) {
             return Err(format!("unknown node {node}"));
         }
-        Ok((info.clone(), node))
+        let held = Held {
+            state,
+            new_actor: None,
+        };
+        let retries = 0;
+        Ok(Target {
+            version,
+            node,
+            held,
+            retries,
+        })
     }
 
-    /// Admits and starts a flow of `kind` on an existing instance.
+    /// Admits and starts a flow of `kind` on `object` (a create names
+    /// none and mints it).
     fn start_flow(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         kind: MgrKind,
         reply: Option<(ActorId, CallId)>,
-        object: ObjectId,
+        object: Option<ObjectId>,
         node: Option<NodeId>,
     ) {
         match self.admit(kind, object, node) {
-            Ok((info, node)) => {
-                let target = Target::new(info.version, node, info.parked_state, 0);
-                self.open_flow(ctx, kind, reply, Some(object), target);
-            }
+            Ok(target) => self.open_flow(ctx, kind, reply, object, target),
             Err(why) => answer(ctx, reply, |call| Msg::refused(call, why)),
         }
     }
@@ -614,7 +623,6 @@ impl DcdoManager {
     /// Releases the per-instance update lock and starts the next queued
     /// update, if any.
     fn release_update_slot(&mut self, ctx: &mut Ctx<'_, Msg>, object: ObjectId) {
-        self.updates_in_flight.remove(&object);
         let next = self
             .queued_updates
             .get_mut(&object)
@@ -622,25 +630,6 @@ impl DcdoManager {
         if let Some((reply, to, retries)) = next {
             self.start_update(ctx, reply, object, to, retries);
         }
-    }
-
-    fn start_create(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        reply_to: ActorId,
-        call: CallId,
-        node: NodeId,
-    ) {
-        let version = self.current.clone();
-        if let Err(e) = self.instantiable_entry(&version) {
-            return ctx.send(reply_to, Msg::refused(call, e));
-        }
-        if !self.hosts.contains(node) {
-            return ctx.send(reply_to, Msg::refused(call, format!("unknown node {node}")));
-        }
-        let target = Target::new(version, node, None, 0);
-        let reply = Some((reply_to, call));
-        self.open_flow(ctx, MgrKind::Create, reply, None, target);
     }
 
     /// Starts an update of `object` to `to` (default: the current version)
@@ -667,7 +656,11 @@ impl DcdoManager {
                 return answer(ctx, reply, |call| Msg::refused(call, why));
             }
         }
-        if self.updates_in_flight.contains(&object) {
+        if self
+            .plans
+            .iter()
+            .any(|(_, f)| f.kind == MgrKind::Update && f.object == object)
+        {
             // Serialize: at most one Apply per instance at a time.
             if let Some((reply_to, call)) = reply {
                 ctx.send(reply_to, Msg::Progress { call });
@@ -680,7 +673,7 @@ impl DcdoManager {
         }
         let target = to.unwrap_or_else(|| self.current.clone());
         let kind = MgrKind::Update;
-        let (info, node) = match self.admit(kind, object, None) {
+        let mut admitted = match self.admit(kind, Some(object), None) {
             Ok(admitted) => admitted,
             Err(why) => {
                 // Internal pushes to a crashed instance are remembered and
@@ -692,20 +685,19 @@ impl DcdoManager {
                 return answer(ctx, reply, |call| Msg::refused(call, why));
             }
         };
-        if info.version == target {
+        if admitted.version == target {
             // Already there: answer immediately.
             let version = target;
             return answer(ctx, reply, |call| {
                 Msg::control_ok(call, UpdateDone { object, version })
             });
         }
-        if let Err(e) = self.evolution_allowed(&info.version, &target) {
+        if let Err(e) = self.evolution_allowed(&admitted.version, &target) {
             ctx.metrics().incr("manager.updates_refused");
             return answer(ctx, reply, |call| Msg::refused(call, e));
         }
-        self.updates_in_flight.insert(object);
-        let target = Target::new(target, node, None, retries);
-        self.open_flow(ctx, kind, reply, Some(object), target);
+        (admitted.version, admitted.retries) = (target, retries);
+        self.open_flow(ctx, kind, reply, Some(object), admitted);
     }
 
     /// A host crashed: mark resident instances crashed and abort every
@@ -740,7 +732,6 @@ impl DcdoManager {
             ctx.metrics().incr("manager.flows_aborted");
             aborted.push(flow.object);
             if flow.kind == MgrKind::Update {
-                self.updates_in_flight.remove(&flow.object);
                 if flow.reply.is_none() {
                     self.interrupted_updates
                         .insert(flow.object, flow.data.version);
@@ -786,7 +777,7 @@ impl DcdoManager {
         objects.retain(|o| self.table[o].node == node);
         for &object in &objects {
             ctx.metrics().incr("manager.recoveries_started");
-            self.start_flow(ctx, MgrKind::Recover, None, object, Some(node));
+            self.start_flow(ctx, MgrKind::Recover, None, Some(object), Some(node));
         }
         ctx.send(from, Msg::control_ok(call, RecoveryStarted { objects }));
     }
@@ -950,22 +941,22 @@ impl DcdoManager {
     ) {
         let reply = Some((from, call));
         if let Some(create) = op.as_any().downcast_ref::<CreateDcdo>() {
-            return self.start_create(ctx, from, call, create.node);
+            return self.start_flow(ctx, MgrKind::Create, reply, None, Some(create.node));
         }
         if let Some(update) = op.as_any().downcast_ref::<UpdateInstance>() {
             return self.start_update(ctx, reply, update.object, update.to.clone(), 0);
         }
         if let Some(mig) = op.as_any().downcast_ref::<MigrateDcdo>() {
-            return self.start_flow(ctx, MgrKind::Migrate, reply, mig.object, Some(mig.to));
+            return self.start_flow(ctx, MgrKind::Migrate, reply, Some(mig.object), Some(mig.to));
         }
         if let Some(de) = op.as_any().downcast_ref::<DeactivateDcdo>() {
-            return self.start_flow(ctx, MgrKind::Deactivate, reply, de.object, None);
+            return self.start_flow(ctx, MgrKind::Deactivate, reply, Some(de.object), None);
         }
         if let Some(act) = op.as_any().downcast_ref::<ActivateDcdo>() {
-            return self.start_flow(ctx, MgrKind::Activate, reply, act.object, act.node);
+            return self.start_flow(ctx, MgrKind::Activate, reply, Some(act.object), act.node);
         }
         if let Some(cp) = op.as_any().downcast_ref::<CheckpointDcdo>() {
-            return self.start_flow(ctx, MgrKind::Checkpoint, reply, cp.object, None);
+            return self.start_flow(ctx, MgrKind::Checkpoint, reply, Some(cp.object), None);
         }
         if let Some(nf) = op.as_any().downcast_ref::<NodeFailed>() {
             return self.handle_node_failed(ctx, from, call, nf.node);

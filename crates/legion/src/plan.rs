@@ -81,17 +81,15 @@ impl<K: Kind, D> Flow<K, D> {
 #[derive(Debug)]
 pub struct Plans<K, D> {
     flows: IdMap<u64, Flow<K, D>>,
-    rpc_routes: IdMap<u64, u64>,
-    /// Timer token → (flow, whether the timer re-enters its step).
-    timer_routes: IdMap<u64, (u64, bool)>,
+    /// RPC call id or timer token → (flow, whether it re-enters its step).
+    routes: IdMap<u64, (u64, bool)>,
 }
 
 impl<K, D> Default for Plans<K, D> {
     fn default() -> Self {
         Plans {
             flows: IdMap::default(),
-            rpc_routes: IdMap::default(),
-            timer_routes: IdMap::default(),
+            routes: IdMap::default(),
         }
     }
 }
@@ -191,31 +189,30 @@ pub trait PlanOwner<K: Kind, D>: Sized {
             let step = step.into();
             ctx.emit_span(SpanKind::FlowStep { flow: id, step });
         }
-        let (delay, recheck) = match self.action(ctx, &mut flow, step) {
+        let route = match self.action(ctx, &mut flow, step) {
             Err(why) => return self.fail_flow(ctx, id, flow, why),
             Ok(Action::Done) => {
                 flow.at += 1;
                 return self.walk(ctx, id, flow);
             }
-            Ok(Action::Rpc(call)) => {
-                self.plans().rpc_routes.insert(call.as_raw(), id);
-                self.plans().flows.insert(id, flow);
-                return;
-            }
-            Ok(Action::Timer(delay)) => (delay, false),
-            Ok(Action::Recheck(delay)) => (delay, true),
+            Ok(Action::Rpc(call)) => (call.as_raw(), false),
+            Ok(Action::Timer(delay)) => (timer(ctx, delay), false),
+            Ok(Action::Recheck(delay)) => (timer(ctx, delay), true),
         };
-        let token = ctx.fresh_u64();
-        self.plans().timer_routes.insert(token, (id, recheck));
-        ctx.schedule_timer(delay, token);
+        self.plans().routes.insert(route.0, (id, route.1));
         self.plans().flows.insert(id, flow);
     }
 
-    /// The flow's step ended: moves on to the next, or fails the flow.
-    fn end_step(&mut self, ctx: &mut Ctx<'_, Msg>, id: u64, reply: Option<Reply>) {
+    /// The call or timer `route` a flow waits on came in: the flow re-enters
+    /// its step (a recheck), or the step ends and the flow moves on or fails.
+    fn end_step(&mut self, ctx: &mut Ctx<'_, Msg>, route: u64, reply: Option<Reply>) {
+        let (id, recheck) = self.plans().routes.remove(&route).expect("routed");
         let Some(mut flow) = self.plans().flows.remove(&id) else {
             return;
         };
+        if recheck {
+            return self.walk(ctx, id, flow);
+        }
         let step = flow.step().expect("a waiting flow is at a step");
         match self.done(ctx, &mut flow, step, reply) {
             Ok(()) => {
@@ -243,26 +240,29 @@ pub trait PlanOwner<K: Kind, D>: Sized {
     /// Routes an RPC completion to the flow step waiting for it; hands back
     /// a completion no flow step waits for.
     fn plan_reply(&mut self, ctx: &mut Ctx<'_, Msg>, c: RpcCompletion) -> Option<RpcCompletion> {
-        let Some(id) = self.plans().rpc_routes.remove(&c.call.as_raw()) else {
+        if !self.plans().routes.contains_key(&c.call.as_raw()) {
             return Some(c);
-        };
-        self.end_step(ctx, id, Some(c.result));
+        }
+        self.end_step(ctx, c.call.as_raw(), Some(c.result));
         None
     }
 
     /// Routes a fired timer to the flow step waiting for it; `false` when
     /// the token is not a plan timer.
     fn plan_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) -> bool {
-        let Some((id, recheck)) = self.plans().timer_routes.remove(&token) else {
-            return false;
-        };
-        if !recheck {
-            self.end_step(ctx, id, None);
-        } else if let Some(flow) = self.plans().flows.remove(&id) {
-            self.walk(ctx, id, flow);
+        let routed = self.plans().routes.contains_key(&token);
+        if routed {
+            self.end_step(ctx, token, None);
         }
-        true
+        routed
     }
+}
+
+/// Schedules a timer `delay` from now and returns its token.
+fn timer(ctx: &mut Ctx<'_, Msg>, delay: SimDuration) -> u64 {
+    let token = ctx.fresh_u64();
+    ctx.schedule_timer(delay, token);
+    token
 }
 
 /// Sends `msg(call)` to whoever waits on `reply`, if anyone.
