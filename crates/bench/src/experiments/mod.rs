@@ -12,7 +12,7 @@ pub use cost::{e4, e5, e6};
 pub use ext::{a1, e8};
 pub use perf::{e1, e2, e3};
 pub use policy::e7;
-pub use profile::p1;
+pub use profile::{p1, traced_replacement};
 
 use crate::table::Table;
 

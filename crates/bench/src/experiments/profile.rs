@@ -17,8 +17,9 @@ use legion_substrate::harness::Testbed;
 use super::cost::monolithic_replacement;
 use crate::table::{secs, Table};
 
-/// E6's 550 KB monolithic replacement (same seed as its E6 row), traced.
-fn traced_replacement(seed: u64) -> Testbed {
+/// E6's 550 KB monolithic replacement (same seed as its E6 row), traced:
+/// the run P1's `class_*` rows are read from.
+pub fn traced_replacement(seed: u64) -> Testbed {
     let bytes = 550_000;
     let mut bed = Testbed::centurion(seed + bytes + 77);
     bed.sim.spans_mut().enable();
@@ -90,33 +91,4 @@ pub fn p1(seed: u64) -> Table {
     };
     t.verdict(verdict);
     t
-}
-
-#[cfg(test)]
-mod tests {
-    use super::traced_replacement;
-    use dcdo_profile::collect_flows;
-    use dcdo_sim::{mgr_step, FlowKind};
-    use dcdo_workloads::service;
-
-    /// The profiler's download and spawn segments of the traced E6 evolve
-    /// are the cost model's figures, to the nanosecond.
-    #[test]
-    fn traced_replacement_segments_are_the_cost_model() {
-        let bed = traced_replacement(42);
-        let flows = collect_flows(bed.sim.spans());
-        let evolve = flows
-            .iter()
-            .find(|f| f.kind == FlowKind::ClassEvolve)
-            .expect("a class evolve flow");
-        let segment = |code| {
-            let (_, from, to) = evolve.segments().into_iter().find(|s| s.0 == code)?;
-            Some(to - from)
-        };
-        let functions = service::counter_core().functions().len();
-        let download = bed.cost.transfer.transfer_time(550_000).as_nanos();
-        let spawn = bed.cost.process_creation(functions).as_nanos();
-        assert_eq!(segment(mgr_step::DOWNLOAD), Some(download));
-        assert_eq!(segment(mgr_step::SPAWN), Some(spawn));
-    }
 }

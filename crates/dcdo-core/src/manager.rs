@@ -596,33 +596,8 @@ impl DcdoManager {
         }
     }
 
-    /// The Spawn step's timer fired: creates the flow's new DCDO process.
-    fn spawn_dcdo(&mut self, ctx: &mut Ctx<'_, Msg>, flow: &mut MgrFlow) {
-        let (node, object) = (flow.data.node, flow.object);
-        let entry = self.hosts.entry(node).expect("node checked at admission");
-        let seed = ctx.rng().fork_seed();
-        let dcdo = DcdoObject::new(
-            object,
-            self.object,
-            entry.object,
-            entry.arch,
-            // The DCDO starts empty at the root; the plan's Apply step
-            // brings it to the flow's version.
-            VersionId::root(),
-            self.cost.clone(),
-            RpcClient::new(self.agent, self.cost.clone()),
-            seed,
-        );
-        let actor = ctx.spawn(node, Box::new(dcdo));
-        ctx.metrics().incr("manager.dcdos_created");
-        flow.data.held.new_actor = Some(actor);
-        // Address the new process directly until the binding is registered.
-        self.rpc.seed_binding(object, actor);
-    }
-
-    /// Releases the per-instance update lock and starts the next queued
-    /// update, if any.
-    fn release_update_slot(&mut self, ctx: &mut Ctx<'_, Msg>, object: ObjectId) {
+    /// Starts the update queued next behind `object`'s last one, if any.
+    fn start_queued_update(&mut self, ctx: &mut Ctx<'_, Msg>, object: ObjectId) {
         let next = self
             .queued_updates
             .get_mut(&object)
@@ -731,11 +706,9 @@ impl DcdoManager {
             let flow = self.abort_flow(ctx, flow_id).expect("flow in flight");
             ctx.metrics().incr("manager.flows_aborted");
             aborted.push(flow.object);
-            if flow.kind == MgrKind::Update {
-                if flow.reply.is_none() {
-                    self.interrupted_updates
-                        .insert(flow.object, flow.data.version);
-                }
+            if flow.kind == MgrKind::Update && flow.reply.is_none() {
+                self.interrupted_updates
+                    .insert(flow.object, flow.data.version);
             }
             let why = format!("node {node} failed mid-{:?}", flow.kind);
             answer(ctx, flow.reply, |call| Msg::refused(call, why));
@@ -1116,11 +1089,31 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
         step: Step,
         reply: Option<Reply>,
     ) -> Result<(), String> {
-        let Some(reply) = reply else {
-            self.spawn_dcdo(ctx, flow);
-            return Ok(());
-        };
-        step.absorb(reply, &mut flow.data.held)?;
+        if let Some(reply) = reply {
+            step.absorb(reply, &mut flow.data.held)?;
+        } else {
+            let (node, object) = (flow.data.node, flow.object);
+            let entry = self.hosts.entry(node).expect("node checked at admission");
+            let seed = ctx.rng().fork_seed();
+            let dcdo = DcdoObject::new(
+                object,
+                self.object,
+                entry.object,
+                entry.arch,
+                // The DCDO starts empty at the root; the plan's Apply step
+                // brings it to the flow's version.
+                VersionId::root(),
+                self.cost.clone(),
+                RpcClient::new(self.agent, self.cost.clone()),
+                seed,
+            );
+            let actor = ctx.spawn(node, Box::new(dcdo));
+            ctx.metrics().incr("manager.dcdos_created");
+            flow.data.held.new_actor = Some(actor);
+            // Address the new process directly until the binding is
+            // registered.
+            self.rpc.seed_binding(object, actor);
+        }
         if step == Step::LoadVault && flow.data.held.state.is_none() {
             // No snapshot: the instance restarts fresh at its version, and
             // the skip rule drops the Restore that follows.
@@ -1164,7 +1157,7 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
             _ => {}
         }
         if flow.kind == MgrKind::Update {
-            self.release_update_slot(ctx, object);
+            self.start_queued_update(ctx, object);
         }
         if let Some(counter) = plan.counter {
             ctx.metrics().incr(counter);
@@ -1203,7 +1196,7 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
     fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: MgrFlow, why: String) {
         ctx.metrics().incr("manager.flows_failed");
         if flow.kind == MgrKind::Update {
-            self.release_update_slot(ctx, flow.object);
+            self.start_queued_update(ctx, flow.object);
             // Supervised internal updates (proactive pushes) are retried: a
             // lost reply must not strand an instance behind the current
             // version.

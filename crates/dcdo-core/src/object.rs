@@ -13,13 +13,16 @@
 //! - **user-defined dynamic functions** are whatever the incorporated
 //!   components implement.
 //!
-//! Incorporating a component is a staged pipeline: consult the local host's
-//! component cache; on a miss, read the data from the component's ICO
-//! (transfer-costed) and store it in the host cache; then map it
-//! (≈200 µs when cached — the paper's number). Removal is gated by thread
+//! Every multi-step configuration function is one plan walked by the plan
+//! driver (`legion_substrate::plan`): per component still to pull,
+//! Descriptor (read from the ICO, unless the id is known) → HostCheck (the
+//! local host's component cache) → IcoRead and HostStore (on a miss: read
+//! the data from the ICO, transfer-costed, and store it in the host cache)
+//! → Map (≈200 µs when cached — the paper's number); then Gate → Apply. A
+//! component already loaded drops its fetch steps. The Gate enforces thread
 //! activity monitoring (§3.2) under a configurable [`RemovalPolicy`], and
-//! disables are postponed while active threads of dependent functions would
-//! be stranded.
+//! postpones disables while active threads of dependent functions would be
+//! stranded.
 
 use bytes::Bytes;
 use dcdo_sim::{cfg_step, Actor, ActorId, Ctx, FlowKind, SimDuration, SimTime, SpanKind};

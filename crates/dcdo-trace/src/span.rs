@@ -891,29 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn flow_kind_codes_and_names_are_stable() {
-        let kinds = [
-            (FlowKind::Create, 0, "create"),
-            (FlowKind::Update, 1, "update"),
-            (FlowKind::Migrate, 2, "migrate"),
-            (FlowKind::Deactivate, 3, "deactivate"),
-            (FlowKind::Activate, 4, "activate"),
-            (FlowKind::Checkpoint, 5, "checkpoint"),
-            (FlowKind::Recover, 6, "recover"),
-            (FlowKind::Config, 7, "config"),
-            (FlowKind::Epoch, 8, "epoch"),
-            (FlowKind::ClassCreate, 9, "class_create"),
-            (FlowKind::ClassEvolve, 10, "class_evolve"),
-            (FlowKind::ClassMigrate, 11, "class_migrate"),
-            (FlowKind::ClassCheckpoint, 12, "class_checkpoint"),
-            (FlowKind::ClassReactivate, 13, "class_reactivate"),
-        ];
-        for (kind, code, name) in kinds {
-            assert_eq!((kind.code(), kind.name()), (code, name));
-        }
-    }
-
-    #[test]
     fn step_names_are_stable() {
         let mgr = [
             (mgr_step::CAPTURE, 0, "capture"),

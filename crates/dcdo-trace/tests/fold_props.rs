@@ -209,3 +209,28 @@ proptest! {
         prop_assert_ne!(digest_of(&specs[..specs.len() - 1]), before);
     }
 }
+
+/// Flow kinds enter the digest by code, and exporters print their names, so
+/// neither may move; a new kind is appended.
+#[test]
+fn flow_kind_codes_and_names_are_stable() {
+    let kinds = [
+        (FlowKind::Create, 0, "create"),
+        (FlowKind::Update, 1, "update"),
+        (FlowKind::Migrate, 2, "migrate"),
+        (FlowKind::Deactivate, 3, "deactivate"),
+        (FlowKind::Activate, 4, "activate"),
+        (FlowKind::Checkpoint, 5, "checkpoint"),
+        (FlowKind::Recover, 6, "recover"),
+        (FlowKind::Config, 7, "config"),
+        (FlowKind::Epoch, 8, "epoch"),
+        (FlowKind::ClassCreate, 9, "class_create"),
+        (FlowKind::ClassEvolve, 10, "class_evolve"),
+        (FlowKind::ClassMigrate, 11, "class_migrate"),
+        (FlowKind::ClassCheckpoint, 12, "class_checkpoint"),
+        (FlowKind::ClassReactivate, 13, "class_reactivate"),
+    ];
+    for (kind, code, name) in kinds {
+        assert_eq!((kind.code(), kind.name()), (code, name));
+    }
+}

@@ -3,12 +3,10 @@
 //!
 //! An owner declares each kind of operation as a [`Kind`] and supplies the
 //! per-step hooks of [`PlanOwner`]; the driver holds the in-flight table and
-//! the rpc/timer route maps, walks each flow past the steps the owner's skip
+//! the route map of the calls and timers they wait on, walks each flow past the steps the owner's skip
 //! rule drops, and leaves its `FlowStarted`, `FlowStep`, `FlowCompleted` and
 //! `FlowAborted` spans. [`Step`] is the lifecycle vocabulary class objects
 //! and DCDO Managers share, with the steps both take built here.
-
-use std::fmt::Debug;
 
 use bytes::Bytes;
 use dcdo_sim::{mgr_step, ActorId, Ctx, FlowKind, IdMap, SimDuration, SimTime, SpanKind};
@@ -24,7 +22,7 @@ use crate::vault::{LoadState, LoadedState, SaveState};
 pub trait Kind: Copy {
     /// The owner's step vocabulary; a step's `u32` is its wire-stable
     /// `FlowStep` code.
-    type Step: Copy + Debug + Into<u32> + 'static;
+    type Step: Copy + Into<u32>;
     /// The flow's kind in the span log.
     fn trace(self) -> FlowKind;
     /// The step at position `at` of the plan; `None` past the last.
