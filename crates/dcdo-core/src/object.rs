@@ -140,19 +140,21 @@ struct FetchItem {
     staged: Staged,
 }
 
+/// The configuration change a flow makes, and the components it pulls
+/// first.
 #[derive(Debug)]
-struct Target {
+struct Change {
     op: ConfigOp,
     items: Vec<FetchItem>,
     force_deadline: Option<SimTime>,
 }
 
-type ConfigFlow = Flow<Config, Target>;
+type ConfigFlow = Flow<Config, Change>;
 
 /// An invocation to serve, or parked while the object synchronizes with its
 /// manager (lazy update policies).
 #[derive(Debug)]
-struct ParkedInvocation {
+struct Invocation {
     from: ActorId,
     call: CallId,
     function: FunctionName,
@@ -177,8 +179,8 @@ pub struct DcdoObject {
     calls_since_check: u32,
     last_check: SimTime,
     check_in_flight: bool,
-    parked: Vec<ParkedInvocation>,
-    plans: Plans<Config, Target>,
+    parked: Vec<Invocation>,
+    plans: Plans<Config, Change>,
     /// The lazy version check in flight, by call id.
     check_call: Option<CallId>,
     config_ops_applied: u64,
@@ -299,7 +301,7 @@ impl DcdoObject {
         }
     }
 
-    fn serve(&mut self, ctx: &mut Ctx<'_, Msg>, p: ParkedInvocation) {
+    fn serve(&mut self, ctx: &mut Ctx<'_, Msg>, p: Invocation) {
         if ctx.tracing_enabled() {
             ctx.emit_span(SpanKind::CallServed {
                 object: self.object.as_raw(),
@@ -329,15 +331,15 @@ impl DcdoObject {
         op: ConfigOp,
         items: Vec<FetchItem>,
     ) {
-        let target = Target {
+        let change = Change {
             op,
             items,
             force_deadline: None,
         };
         let kind = Config {
-            items: target.items.len(),
+            items: change.items.len(),
         };
-        self.open_flow(ctx, kind, reply, Some(self.object), target);
+        self.open_flow(ctx, kind, reply, Some(self.object), change);
     }
 
     /// §2.1: implementation types gate mapping — architecture-specific
@@ -355,9 +357,9 @@ impl DcdoObject {
 
     /// The Gate step: with every component in, waits out (or refuses, or
     /// forces past) the threads still running code the change removes.
-    fn gate(&mut self, ctx: &mut Ctx<'_, Msg>, target: &mut Target) -> Result<Action, ConfigError> {
+    fn gate(&mut self, ctx: &mut Ctx<'_, Msg>, change: &mut Change) -> Result<Action, ConfigError> {
         let threads = |c: &ComponentId| (*c, self.dfm.component_active_threads(*c));
-        let mut busy: Vec<(ComponentId, u32)> = match &target.op {
+        let mut busy: Vec<(ComponentId, u32)> = match &change.op {
             ConfigOp::Remove { component } => vec![threads(component)],
             ConfigOp::Apply { target } => {
                 let diff = self.dfm.descriptor().diff_components(target);
@@ -384,7 +386,7 @@ impl DcdoObject {
             }
             RemovalPolicy::ForceAfter(grace) => {
                 let now = ctx.now();
-                let deadline = *target.force_deadline.get_or_insert(now + grace);
+                let deadline = *change.force_deadline.get_or_insert(now + grace);
                 if now < deadline {
                     return Ok(Action::Recheck(IDLE_RECHECK));
                 }
@@ -651,10 +653,10 @@ impl DcdoObject {
     }
 }
 
-impl PlanOwner<Config, Target> for DcdoObject {
+impl PlanOwner<Config, Change> for DcdoObject {
     type Error = ConfigError;
 
-    fn plans(&mut self) -> &mut Plans<Config, Target> {
+    fn plans(&mut self) -> &mut Plans<Config, Change> {
         &mut self.plans
     }
 
@@ -827,7 +829,7 @@ impl Actor<Msg> for DcdoObject {
                     );
                     return;
                 }
-                let invocation = ParkedInvocation {
+                let invocation = Invocation {
                     from,
                     call,
                     function,

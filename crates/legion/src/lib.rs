@@ -11,7 +11,8 @@
 //! Legion objects built from static monolithic executables
 //! ([`monolithic::MonolithicObject`]) managed by class objects
 //! ([`class::ClassObject`]) whose only evolution mechanism is whole-
-//! executable replacement.
+//! executable replacement; and the step-plan driver ([`plan`]) that class
+//! objects, DCDO Managers and DCDOs walk their multi-step operations on.
 //!
 //! All simulated-time constants live in [`cost::CostModel`], calibrated to
 //! the numbers the paper itself reports (see DESIGN.md §6).

@@ -75,7 +75,7 @@ impl<K: Kind, D> Flow<K, D> {
     }
 }
 
-/// The in-flight table and route maps of one owner's flows.
+/// The in-flight table and the route map of one owner's flows.
 #[derive(Debug)]
 pub struct Plans<K, D> {
     flows: IdMap<u64, Flow<K, D>>,
@@ -116,7 +116,8 @@ pub trait PlanOwner<K: Kind, D>: Sized {
 
     /// The owner's in-flight table.
     fn plans(&mut self) -> &mut Plans<K, D>;
-    /// The skip rule: whether `step` applies to `flow`.
+    /// The skip rule: `true` when `step` does not apply to `flow`, and the
+    /// walk drops it.
     fn skip(&self, flow: &Flow<K, D>, step: K::Step) -> bool;
     /// The entered step's action: the only place it is built (an RPC step
     /// sends its op here).
