@@ -637,9 +637,7 @@ impl DcdoManager {
             .any(|(_, f)| f.kind == MgrKind::Update && f.object == object)
         {
             // Serialize: at most one Apply per instance at a time.
-            if let Some((reply_to, call)) = reply {
-                ctx.send(reply_to, Msg::Progress { call });
-            }
+            answer(ctx, reply, |call| Msg::Progress { call });
             self.queued_updates
                 .entry(object)
                 .or_default()
