@@ -590,10 +590,8 @@ impl DcdoManager {
         object: Option<ObjectId>,
         node: Option<NodeId>,
     ) {
-        match self.admit(kind, object, node) {
-            Ok(target) => self.open_flow(ctx, kind, reply, object, target),
-            Err(why) => answer(ctx, reply, |call| Msg::refused(call, why)),
-        }
+        let admitted = self.admit(kind, object, node);
+        self.open_flow(ctx, kind, reply, object, admitted);
     }
 
     /// Starts the update queued next behind `object`'s last one, if any.
@@ -670,7 +668,7 @@ impl DcdoManager {
             return answer(ctx, reply, |call| Msg::refused(call, e));
         }
         (admitted.version, admitted.retries) = (target, retries);
-        self.open_flow(ctx, kind, reply, Some(object), admitted);
+        self.open_flow(ctx, kind, reply, Some(object), Ok(admitted));
     }
 
     /// A host crashed: mark resident instances crashed and abort every

@@ -339,7 +339,7 @@ impl DcdoObject {
         let kind = Config {
             items: change.items.len(),
         };
-        self.open_flow(ctx, kind, reply, Some(self.object), change);
+        self.open_flow(ctx, kind, reply, Some(self.object), Ok(change));
     }
 
     /// §2.1: implementation types gate mapping — architecture-specific

@@ -406,25 +406,20 @@ impl ClassObject {
         node: Option<NodeId>,
     ) {
         let plan = kind.plan();
-        let instance = match self.admit(&plan, object, node) {
-            Ok(instance) => instance,
-            Err(why) => return ctx.send(reply_to, Msg::refused(call, why)),
-        };
-        if let Some(counter) = plan.counter {
-            ctx.metrics().incr(counter);
-        }
-        let version = match instance {
-            Some(i) if kind != OpKind::Evolve => i.version,
-            _ => self.current_version,
-        };
-        let target = Target {
+        let admitted = self.admit(&plan, object, node).map(|instance| Target {
             node: node
                 .or(instance.map(|i| i.node))
                 .expect("a create names its node"),
-            version,
+            version: match instance {
+                Some(i) if kind != OpKind::Evolve => i.version,
+                _ => self.current_version,
+            },
             held: Held::default(),
-        };
-        self.open_flow(ctx, kind, Some((reply_to, call)), object, target);
+        });
+        if let (Ok(_), Some(counter)) = (&admitted, plan.counter) {
+            ctx.metrics().incr(counter);
+        }
+        self.open_flow(ctx, kind, Some((reply_to, call)), object, admitted);
     }
 }
 

@@ -1,12 +1,13 @@
 //! Step plans: the one driver behind the class object's, the DCDO
 //! Manager's and the DCDO's multi-step operations (DESIGN.md §2.4).
 //!
-//! An owner declares each kind of operation as a [`Kind`] and supplies the
-//! per-step hooks of [`PlanOwner`]; the driver holds the in-flight table and
-//! the route map of the calls and timers they wait on, walks each flow past the steps the owner's skip
-//! rule drops, and leaves its `FlowStarted`, `FlowStep`, `FlowCompleted` and
-//! `FlowAborted` spans. [`Step`] is the lifecycle vocabulary class objects
-//! and DCDO Managers share, with the steps both take built here.
+//! An owner declares each kind of operation as a [`Kind`], admits requests
+//! and supplies the per-step hooks of [`PlanOwner`]; the driver answers the
+//! admission, holds the in-flight table and the route map of the calls and
+//! timers flows wait on, walks each flow past the steps the owner's skip
+//! rule drops, and leaves its `FlowStarted`, `FlowStep`, `FlowCompleted`
+//! and `FlowAborted` spans. [`Step`] is the lifecycle vocabulary class
+//! objects and DCDO Managers share, with the steps both take built here.
 
 use bytes::Bytes;
 use dcdo_sim::{mgr_step, ActorId, Ctx, FlowKind, IdMap, SimDuration, SimTime, SpanKind};
@@ -111,8 +112,8 @@ pub type Reply = Result<ReplyPayload, InvocationFault>;
 /// driver walks: it supplies the per-step hooks, and the provided methods
 /// are the driver.
 pub trait PlanOwner<K: Kind, D>: Sized {
-    /// Why a step failed.
-    type Error;
+    /// Why a request was refused or a step failed.
+    type Error: Into<InvocationFault>;
 
     /// The owner's in-flight table.
     fn plans(&mut self) -> &mut Plans<K, D>;
@@ -141,15 +142,20 @@ pub trait PlanOwner<K: Kind, D>: Sized {
     fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: Flow<K, D>, why: Self::Error);
 
     /// Opens a flow of `kind` on `object` (`None`: mint a new object id)
-    /// and enters its first step.
+    /// with the data the owner's admission handed back, and enters its
+    /// first step. A refused request opens no flow and sends no `Progress`.
     fn open_flow(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         kind: K,
         reply: Option<(ActorId, CallId)>,
         object: Option<ObjectId>,
-        data: D,
+        admitted: Result<D, Self::Error>,
     ) {
+        let data = match admitted {
+            Ok(data) => data,
+            Err(why) => return answer(ctx, reply, |call| Msg::refused(call, why)),
+        };
         answer(ctx, reply, |call| Msg::Progress { call });
         let id = ctx.fresh_u64();
         let object = object.unwrap_or_else(|| ObjectId::from_raw(ctx.fresh_u64()));
