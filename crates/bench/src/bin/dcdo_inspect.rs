@@ -27,7 +27,9 @@
 //! scenarios (or a `.scn` file) through the `dcdo-scenario` runner, prints
 //! each verdict table, and writes the deterministic per-run JSON reports to
 //! `BENCH_scenarios.json`. The process exits nonzero if any expectation
-//! fails, so CI can gate on declared behavior.
+//! fails, so CI can gate on declared behavior. With `--phases` it also
+//! prints each run's host wall time per runner phase (setup, drive,
+//! measure, the post-run sweep, judge, the timeline render, the take).
 //!
 //! The `epochs` subcommand (`dcdo-inspect epochs <name|file.scn> [seed]`)
 //! runs one scenario and renders the group-epoch timeline
@@ -65,7 +67,7 @@ const WORKLOADS: &[&str] = &[
 fn usage() -> ! {
     eprintln!("usage: dcdo-inspect [vm] <workload> [seed] [--out PREFIX]");
     eprintln!("       dcdo-inspect scenarios");
-    eprintln!("       dcdo-inspect scenario <name|file.scn|all> [seed] [--out FILE]");
+    eprintln!("       dcdo-inspect scenario <name|file.scn|all> [seed] [--out FILE] [--phases]");
     eprintln!("       dcdo-inspect epochs <name|file.scn> [seed]");
     eprintln!("       dcdo-inspect timeline <name|file.scn> [seed] [--out FILE]");
     eprintln!("       dcdo-inspect flight <name|file.scn> [seed] [--out FILE]");
@@ -75,7 +77,8 @@ fn usage() -> ! {
     eprintln!("    superinstruction coverage for the scenario");
     eprintln!("scenarios: list the declared scenarios the runner knows");
     eprintln!("scenario: run declared scenarios (or a .scn file), print verdicts,");
-    eprintln!("    and write deterministic reports to BENCH_scenarios.json");
+    eprintln!("    and write deterministic reports to BENCH_scenarios.json;");
+    eprintln!("    --phases also prints each run's host wall time per runner phase");
     eprintln!("epochs: run one scenario and print the group-epoch timeline");
     eprintln!("    (proposals, commits, replica adoptions) from its span log");
     eprintln!("timeline: run one scenario and export its windowed telemetry");
@@ -199,7 +202,9 @@ fn scenario_targets(target: &str) -> Vec<dcdo_scenario::Scenario> {
 /// SLO breach additionally writes the full-fidelity flight-recorder dump
 /// to `FLIGHT_<scenario>.breach.json`.
 fn run_scenarios(args: &[String]) {
-    let cli = parse_cli(args);
+    let phases = args.iter().any(|a| a == "--phases");
+    let args: Vec<String> = args.iter().filter(|a| *a != "--phases").cloned().collect();
+    let cli = parse_cli(&args);
     let (target, seed) = target_and_seed(&cli);
     let out_path = cli
         .out
@@ -213,9 +218,13 @@ fn run_scenarios(args: &[String]) {
     let mut reports = Vec::new();
     for scenario in scenarios {
         let name = scenario.name.clone();
-        match dcdo_scenario::run_artifacts(scenario, None) {
+        let mut times = dcdo_scenario::PhaseTimes::default();
+        match dcdo_scenario::run_artifacts_timed(scenario, &mut times) {
             Ok(artifacts) => {
                 print!("{}", artifacts.report.render());
+                if phases {
+                    print!("{}", render_phases(&name, &times));
+                }
                 all_passed &= artifacts.report.passed;
                 if artifacts.trace_entries_dropped > 0 {
                     eprintln!(
@@ -251,6 +260,31 @@ fn run_scenarios(args: &[String]) {
     if !all_passed {
         std::process::exit(1);
     }
+}
+
+/// The `--phases` table: each runner phase's host wall time and share of
+/// the whole call, then the post-run share (everything after `measure`).
+fn render_phases(name: &str, times: &dcdo_scenario::PhaseTimes) -> String {
+    let total = times.total_s();
+    let share = |s: f64| if total > 0.0 { 100.0 * s / total } else { 0.0 };
+    let mut out = format!("phases of {name} (host wall time):\n");
+    for (phase, s) in times.rows() {
+        out.push_str(&format!(
+            "  {phase:<8} {:>10.3} ms {:>6.1} %\n",
+            s * 1e3,
+            share(s)
+        ));
+    }
+    out.push_str(&format!(
+        "  {:<8} {:>10.3} ms {:>6.1} %\n  {:<8} {:>10.3} ms {:>6.1} %\n",
+        "total",
+        total * 1e3,
+        share(total),
+        "post-run",
+        times.post_run_s() * 1e3,
+        share(times.post_run_s()),
+    ));
+    out
 }
 
 /// Runs the one scenario an `epochs`/`timeline`/`flight`/`trace` command

@@ -33,6 +33,8 @@
 //! The span digest covers every field of every span of the run; the flight
 //! digest the frame count and the flight ring's retained frames.
 
+use std::time::Instant;
+
 use dcdo_sim::{
     tail_sample_checked, FlightDump, GroupArena, NodeId, RpcOutcome, SpanEvent, SpanKind, Timeline,
 };
@@ -83,6 +85,62 @@ pub struct RunArtifacts {
     /// `true` when any `slo_*` expectation failed — callers should persist
     /// the full-fidelity [`flight`](RunArtifacts::flight) dump.
     pub slo_breached: bool,
+}
+
+/// Host wall time of each phase of one [`run_artifacts_timed`] call, in
+/// seconds. The phases run in field order and together are the whole call.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhaseTimes {
+    /// Validate, build the world, switch the sinks on, `setup` every
+    /// workload and `capture` every expectation.
+    pub setup_s: f64,
+    /// The run window, then the drain.
+    pub drive_s: f64,
+    /// `measure` every workload.
+    pub measure_s: f64,
+    /// The post-run pass over the finished logs: windowed series, checker,
+    /// witnesses and the tail-sampled flight dump.
+    pub sweep_s: f64,
+    /// `judge` every expectation.
+    pub judge_s: f64,
+    /// Render the timeline JSON.
+    pub render_s: f64,
+    /// Move the span log and the timeline out, drop the finished world.
+    pub take_s: f64,
+}
+
+impl PhaseTimes {
+    /// The phases as `(name, seconds)`, in run order.
+    pub fn rows(&self) -> [(&'static str, f64); 7] {
+        [
+            ("setup", self.setup_s),
+            ("drive", self.drive_s),
+            ("measure", self.measure_s),
+            ("sweep", self.sweep_s),
+            ("judge", self.judge_s),
+            ("render", self.render_s),
+            ("take", self.take_s),
+        ]
+    }
+
+    /// The whole call.
+    pub fn total_s(&self) -> f64 {
+        self.rows().iter().map(|(_, s)| s).sum()
+    }
+
+    /// Everything after `measure`: sweep, judge, render and take.
+    pub fn post_run_s(&self) -> f64 {
+        self.sweep_s + self.judge_s + self.render_s + self.take_s
+    }
+}
+
+/// Seconds since `*since`, which moves on to now: consecutive calls time
+/// consecutive phases.
+fn lap(since: &mut Instant) -> f64 {
+    let now = Instant::now();
+    let secs = now.duration_since(*since).as_secs_f64();
+    *since = now;
+    secs
 }
 
 /// Runs `scenario` to completion and returns only the pass/fail report.
@@ -165,9 +223,19 @@ fn derive_windowed_series(cx: &mut RunCx) {
 /// because `benchmark/src/plain.rs:67` passes `None` and cannot be edited
 /// outside a benchmark PR (see ROADMAP.md), which removes the parameter.
 pub fn run_artifacts(
-    mut scenario: Scenario,
+    scenario: Scenario,
     _threads: Option<u32>,
 ) -> Result<RunArtifacts, ScenarioError> {
+    run_artifacts_timed(scenario, &mut PhaseTimes::default())
+}
+
+/// [`run_artifacts`], also writing each phase's host wall time into
+/// `times` (`dcdo-inspect scenario … --phases` prints them).
+pub fn run_artifacts_timed(
+    mut scenario: Scenario,
+    times: &mut PhaseTimes,
+) -> Result<RunArtifacts, ScenarioError> {
+    let mut clock = Instant::now();
     scenario.validate()?;
     let mut cx = RunCx::new(scenario.seed, scenario.topology.build(scenario.seed));
     if let Some(sim) = cx.world.sim_mut() {
@@ -180,6 +248,7 @@ pub fn run_artifacts(
     for expectation in &mut scenario.expectations {
         expectation.capture(&cx);
     }
+    times.setup_s = lap(&mut clock);
 
     let mut ticks: Vec<(String, u64)> = Vec::new();
     match scenario.window {
@@ -245,16 +314,19 @@ pub fn run_artifacts(
             }
         }
     }
+    times.drive_s = lap(&mut clock);
 
     for slot in &mut scenario.workloads {
         slot.workload.measure(&mut cx);
     }
+    times.measure_s = lap(&mut clock);
     // Fill the timeline's derived series before judging so the SLO
     // watchdogs see the full windowed picture.
     derive_windowed_series(&mut cx);
     // One checker sweep of the finished log serves the expectation, the
     // report and the tail sampler.
     let trace_violations = cx.trace_violations().len() as u64;
+    times.sweep_s = lap(&mut clock);
     let verdicts: Vec<_> = scenario
         .expectations
         .iter_mut()
@@ -264,6 +336,7 @@ pub fn run_artifacts(
         .iter()
         .filter(|v| !v.passed && v.expectation.starts_with("slo_"))
         .count() as u64;
+    times.judge_s = lap(&mut clock);
 
     let (trace_hash, span_digest, events_processed, leaked_events, trace_entries_dropped, flight) =
         match cx.world.sim() {
@@ -282,17 +355,22 @@ pub fn run_artifacts(
             ),
             None => (0, 0, 0, 0, 0, None),
         };
+    times.sweep_s += lap(&mut clock);
+    let timeline_json = cx
+        .world
+        .sim_mut()
+        .map_or_else(String::new, |sim| sim.timeline_mut().to_json());
+    times.render_s = lap(&mut clock);
     // Every reader of the span log has had its turn, so the artifacts take
     // the events and their group arena themselves.
-    let ((spans, span_groups), timeline_json, timeline) = match cx.world.sim_mut() {
+    let ((spans, span_groups), timeline) = match cx.world.sim_mut() {
         Some(sim) => (
             sim.spans_mut().take_events(),
-            sim.timeline_mut().to_json(),
             std::mem::take(sim.timeline_mut()),
         ),
-        None => (Default::default(), String::new(), Timeline::new()),
+        None => (Default::default(), Timeline::new()),
     };
-    Ok(RunArtifacts {
+    let artifacts = RunArtifacts {
         report: ScenarioReport {
             name: scenario.name.clone(),
             seed: scenario.seed,
@@ -305,8 +383,8 @@ pub fn run_artifacts(
             trace_violations,
             slo_breaches,
             ticks,
-            counters: cx.counters.into_iter().collect(),
-            gauges: cx.gauges.into_iter().collect(),
+            counters: std::mem::take(&mut cx.counters).into_iter().collect(),
+            gauges: std::mem::take(&mut cx.gauges).into_iter().collect(),
             verdicts,
         },
         spans,
@@ -316,7 +394,10 @@ pub fn run_artifacts(
         timeline,
         flight,
         slo_breached: slo_breaches > 0,
-    })
+    };
+    drop(cx);
+    times.take_s = lap(&mut clock);
+    Ok(artifacts)
 }
 
 #[cfg(test)]
