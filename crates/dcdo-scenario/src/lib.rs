@@ -78,6 +78,8 @@ mod episodes;
 mod error;
 mod expect;
 mod group;
+#[cfg(test)]
+mod oracle;
 mod parse;
 mod report;
 mod ring;

@@ -13,16 +13,26 @@
 //!    from the engine's per-lane deterministic RNG stream, so the mix is
 //!    a pure function of the seed;
 //!    episode windows run each workload's episode hook once.
-//! 7. Drain the queue and `measure` every workload, then the post-run pass
-//!    over the finished logs, each step once and in this order: derive the
-//!    windowed series from the span log → run the trace-invariant checker
-//!    (one sweep, kept on the [`RunCx`] for every later reader) → `judge`
-//!    every expectation → `trace_hash` and span digest → tail-sample the
-//!    flight dump (with the checker's verdict) → move the spans and their
-//!    group arena out of the simulation into the [`RunArtifacts`] → render
-//!    the timeline JSON and move the finished timeline out too. Nothing
-//!    renders the Prometheus text unless a caller asks the returned timeline
-//!    for it.
+//! 7. Drain the queue and `measure` every workload. Then the post-run
+//!    pass, each step once and in this order:
+//!    - **One read of the finished span log** ([`post_run_sweep`]): every
+//!      span, in log order, goes to four forward-only folds at once — the
+//!      windowed-series derive (recording straight into the engine's
+//!      timeline), the invariant checker ([`dcdo_sim::Checker`]), the span
+//!      digest ([`dcdo_sim::SpanDigest`]) and the tail sampler
+//!      ([`dcdo_sim::TailSampler`], which keeps every flow's causal-tree
+//!      membership, so its retained trees need no second read). The
+//!      checker's verdict is installed on the [`RunCx`] over any earlier
+//!      read, then marks the sampler's violating flows; the legacy
+//!      execution-trace ring gives the `trace_hash`.
+//!    - `judge` every expectation.
+//!    - Render the timeline JSON, then move the spans, their group arena
+//!      and the finished timeline out of the simulation into the
+//!      [`RunArtifacts`]. Nothing renders the Prometheus text unless a
+//!      caller asks the returned timeline for it.
+//!
+//! [`run_artifacts_timed`] reports each phase's host wall time
+//! ([`PhaseTimes`]).
 //!
 //! The three witnesses are word folds (`dcdo_sim::Fold`: one multiply and
 //! one rotate per `u64`, seeded with the element count), never byte hashes.
@@ -35,9 +45,13 @@
 
 use std::time::Instant;
 
+use std::collections::BTreeMap;
+
 use dcdo_sim::{
-    tail_sample_checked, FlightDump, GroupArena, NodeId, RpcOutcome, SpanEvent, SpanKind, Timeline,
+    Checker, FlightDump, GroupArena, NodeId, RpcOutcome, Simulation, SpanDigest, SpanEvent,
+    SpanKind, TailSampler, Timeline, Violation,
 };
+use legion_substrate::Msg;
 
 use crate::report::ScenarioReport;
 use crate::scenario::{Scenario, Window};
@@ -148,13 +162,15 @@ pub fn run(scenario: Scenario) -> Result<ScenarioReport, ScenarioError> {
     run_artifacts(scenario, None).map(|a| a.report)
 }
 
-/// Derives the windowed series the SLO watchdogs judge from the span log:
-/// flow latencies and outcomes (`lat.flow`, `ok.flow`, `err.flow`), RPC
-/// latencies keyed off each call's first attempt (`lat.rpc`, `ok.rpc`,
-/// `err.rpc`), and served calls (`served`). A pure function of the span
-/// log, written into the engine's timeline so bucketing matches the
-/// hot-path stats.
-fn derive_windowed_series(cx: &mut RunCx) {
+/// Derives the windowed series the SLO watchdogs judge from the span log,
+/// as a forward-only fold: flow latencies and outcomes (`lat.flow`,
+/// `ok.flow`, `err.flow`), RPC latencies keyed off each call's first attempt
+/// (`lat.rpc`, `ok.rpc`, `err.rpc`), and served calls (`served`), recorded
+/// into the engine's timeline so bucketing matches the hot-path stats.
+/// Samples go in one by one; each counter's increments are summed while
+/// they land in one window and recorded once per run of them.
+struct SeriesDerive<'t> {
+    timeline: &'t mut Timeline,
     // Deliberately not `IdMap`: measured twice (PRs 14 and 16), hash tables
     // here are ~2 % faster on `calls_steady` but cost its next set-ups +28 %
     // (their one large allocation is mmapped, and without the B-tree's small
@@ -167,53 +183,142 @@ fn derive_windowed_series(cx: &mut RunCx) {
     // once (`SpuriousFlowEnd`), a call completes at most once
     // (`DuplicateRpcCompletion`), so no terminal span ever needs a start
     // that an earlier terminal removed.
-    use std::collections::BTreeMap;
-    let Some(sim) = cx.world.sim() else { return };
-    let mut samples: Vec<(u64, &'static str, f64)> = Vec::new();
-    let mut counters: Vec<(u64, &'static str, u64)> = Vec::new();
-    let mut flow_start: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut rpc_start: BTreeMap<u64, u64> = BTreeMap::new();
-    for e in sim.spans().events() {
+    flow_start: BTreeMap<u64, u64>,
+    rpc_start: BTreeMap<u64, u64>,
+    /// The unrecorded run of each of [`COUNTERS`], by index.
+    pending: [CounterRun; COUNTERS.len()],
+}
+
+/// The derived counters, in [`SeriesDerive::pending`] order.
+const COUNTERS: [&str; 5] = ["ok.flow", "err.flow", "ok.rpc", "err.rpc", "served"];
+
+/// Increments of one counter not yet recorded: `count` of them, all inside
+/// the window `[start_ns, end_ns)`.
+#[derive(Clone, Copy, Default)]
+struct CounterRun {
+    start_ns: u64,
+    end_ns: u64,
+    count: u64,
+}
+
+impl<'t> SeriesDerive<'t> {
+    fn new(timeline: &'t mut Timeline) -> Self {
+        SeriesDerive {
+            timeline,
+            flow_start: BTreeMap::new(),
+            rpc_start: BTreeMap::new(),
+            pending: Default::default(),
+        }
+    }
+
+    #[inline]
+    fn observe(&mut self, e: &SpanEvent) {
         match &e.kind {
             SpanKind::FlowStarted { flow, .. } => {
-                flow_start.entry(*flow).or_insert(e.at_ns);
+                self.flow_start.entry(*flow).or_insert(e.at_ns);
             }
             SpanKind::FlowCompleted { flow } | SpanKind::FlowAborted { flow } => {
-                if let Some(t0) = flow_start.remove(flow) {
-                    samples.push((e.at_ns, "lat.flow", (e.at_ns - t0) as f64 / 1e9));
+                if let Some(t0) = self.flow_start.remove(flow) {
+                    let latency = (e.at_ns - t0) as f64 / 1e9;
+                    self.timeline.record_sample(e.at_ns, "lat.flow", latency);
                 }
                 let completed = matches!(e.kind, SpanKind::FlowCompleted { .. });
-                let name = if completed { "ok.flow" } else { "err.flow" };
-                counters.push((e.at_ns, name, 1));
+                self.count(if completed { 0 } else { 1 }, e.at_ns);
             }
             SpanKind::RpcAttempt { call, .. } => {
-                rpc_start.entry(*call).or_insert(e.at_ns);
+                self.rpc_start.entry(*call).or_insert(e.at_ns);
             }
             SpanKind::RpcCompleted { call, outcome } => {
-                if let Some(t0) = rpc_start.remove(call) {
-                    samples.push((e.at_ns, "lat.rpc", (e.at_ns - t0) as f64 / 1e9));
+                if let Some(t0) = self.rpc_start.remove(call) {
+                    let latency = (e.at_ns - t0) as f64 / 1e9;
+                    self.timeline.record_sample(e.at_ns, "lat.rpc", latency);
                 }
-                let name = match outcome {
-                    RpcOutcome::Ok => "ok.rpc",
-                    _ => "err.rpc",
-                };
-                counters.push((e.at_ns, name, 1));
+                self.count(if *outcome == RpcOutcome::Ok { 2 } else { 3 }, e.at_ns);
             }
-            SpanKind::CallServed { .. } => counters.push((e.at_ns, "served", 1)),
+            SpanKind::CallServed { .. } => self.count(4, e.at_ns),
             _ => {}
         }
     }
-    let Some(sim) = cx.world.sim_mut() else {
-        return;
-    };
-    let timeline = sim.timeline_mut();
-    for (at_ns, name, value) in samples {
-        timeline.record_sample(at_ns, name, value);
+
+    /// One increment of counter `COUNTERS[i]` at `at_ns`.
+    #[inline]
+    fn count(&mut self, i: usize, at_ns: u64) {
+        let run = &mut self.pending[i];
+        if run.count > 0 && (run.start_ns..run.end_ns).contains(&at_ns) {
+            run.count += 1;
+            return;
+        }
+        self.record(i);
+        let bucket_ns = self.timeline.bucket_ns();
+        let start_ns = at_ns - at_ns % bucket_ns;
+        self.pending[i] = CounterRun {
+            start_ns,
+            end_ns: start_ns.saturating_add(bucket_ns),
+            count: 1,
+        };
     }
-    for (at_ns, name, delta) in counters {
-        timeline.record_counter(at_ns, name, delta);
+
+    /// Records counter `COUNTERS[i]`'s pending run, if any.
+    fn record(&mut self, i: usize) {
+        let run = std::mem::take(&mut self.pending[i]);
+        if run.count > 0 {
+            self.timeline
+                .record_counter(run.start_ns, COUNTERS[i], run.count);
+        }
     }
-    timeline.flush();
+
+    fn finish(mut self) {
+        for i in 0..COUNTERS.len() {
+            self.record(i);
+        }
+        self.timeline.flush();
+    }
+}
+
+/// What the one read of the finished span log yields.
+struct Swept {
+    violations: Vec<Violation>,
+    span_digest: u64,
+    flight: FlightDump,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Spans the runner read after the drain on this thread: the post-run
+    /// sweep's visits plus those of any checker run on a [`RunCx`]'s behalf
+    /// (the read-once test's gauge).
+    pub(crate) static SPAN_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// The post-run pass: one read of `sim`'s finished span log feeds the
+/// windowed-series derive, the invariant checker, the span digest and the
+/// tail sampler. The derive records into `sim`'s timeline, which is
+/// lent out for the read and back in place when this returns.
+fn post_run_sweep(sim: &mut Simulation<Msg>) -> Swept {
+    let mut timeline = std::mem::take(sim.timeline_mut());
+    let log = sim.spans();
+    let mut series = SeriesDerive::new(&mut timeline);
+    let mut checker = Checker::new(log);
+    let mut digest = SpanDigest::new(log);
+    let mut sampler = TailSampler::new();
+    for e in log.events() {
+        #[cfg(test)]
+        SPAN_VISITS.with(|v| v.set(v.get() + 1));
+        series.observe(e);
+        checker.observe(e);
+        digest.observe(e);
+        sampler.observe(e);
+    }
+    series.finish();
+    let violations = checker.finish();
+    let flight = sampler.finish(log, &violations, sim.flight(), FLIGHT_SLOW_QUANTILE);
+    let span_digest = digest.finish();
+    *sim.timeline_mut() = timeline;
+    Swept {
+        violations,
+        span_digest,
+        flight,
+    }
 }
 
 /// Runs `scenario` and returns the full [`RunArtifacts`]: report, span log,
@@ -320,13 +425,30 @@ pub fn run_artifacts_timed(
         slot.workload.measure(&mut cx);
     }
     times.measure_s = lap(&mut clock);
-    // Fill the timeline's derived series before judging so the SLO
-    // watchdogs see the full windowed picture.
-    derive_windowed_series(&mut cx);
-    // One checker sweep of the finished log serves the expectation, the
-    // report and the tail sampler.
+
+    // The post-run sweep fills the timeline's derived series before the
+    // judges read them, and its checker verdict replaces any read an
+    // earlier hook made of the unfinished log.
+    let (trace_hash, span_digest, events_processed, leaked_events, trace_entries_dropped, flight) =
+        match cx.world.sim_mut() {
+            Some(sim) => {
+                let swept = post_run_sweep(sim);
+                cx.install_trace_violations(swept.violations);
+                let sim = cx.world.sim().expect("a built world");
+                (
+                    dcdo_chaos::trace_hash(sim.trace()),
+                    swept.span_digest,
+                    sim.events_processed(),
+                    sim.pending_events() as u64,
+                    sim.trace().dropped(),
+                    Some(swept.flight),
+                )
+            }
+            None => (0, 0, 0, 0, 0, None),
+        };
     let trace_violations = cx.trace_violations().len() as u64;
     times.sweep_s = lap(&mut clock);
+
     let verdicts: Vec<_> = scenario
         .expectations
         .iter_mut()
@@ -338,24 +460,6 @@ pub fn run_artifacts_timed(
         .count() as u64;
     times.judge_s = lap(&mut clock);
 
-    let (trace_hash, span_digest, events_processed, leaked_events, trace_entries_dropped, flight) =
-        match cx.world.sim() {
-            Some(sim) => (
-                dcdo_chaos::trace_hash(sim.trace()),
-                sim.spans().digest(),
-                sim.events_processed(),
-                sim.pending_events() as u64,
-                sim.trace().dropped(),
-                Some(tail_sample_checked(
-                    sim.spans(),
-                    cx.trace_violations(),
-                    sim.flight(),
-                    FLIGHT_SLOW_QUANTILE,
-                )),
-            ),
-            None => (0, 0, 0, 0, 0, None),
-        };
-    times.sweep_s += lap(&mut clock);
     let timeline_json = cx
         .world
         .sim_mut()
@@ -402,32 +506,298 @@ pub fn run_artifacts_timed(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use dcdo_sim::{SpanKind, TraceLog, Violation, NO_NODE};
+
     use super::*;
-    use crate::registry;
-    use crate::workload::CHECKER_RUNS;
+    use crate::expect::{Expectation, Verdict};
+    use crate::oracle;
+    use crate::registry::{self, MIXED_TRAFFIC, ROLLING_UPGRADE_COORD_CRASH};
+    use crate::scenario::WorkloadSlot;
+    use crate::topology::Infra;
+    use crate::workload::Workload;
+
+    /// Spans the runner has read after a drain on this thread so far.
+    fn visits() -> u64 {
+        SPAN_VISITS.with(|v| v.get())
+    }
 
     #[test]
-    fn the_invariant_checker_runs_once_per_run() {
-        let runs = || CHECKER_RUNS.with(|c| c.get());
+    fn the_post_run_sweep_reads_each_span_once() {
         // `mixed_traffic` declares `trace_invariants`, so the expectation,
-        // the report and the tail sampler all want the verdict.
+        // the report and the tail sampler all want the checker's verdict,
+        // and the SLO judges want the derived series.
         let scenario = registry::load_declared("mixed_traffic").expect("declared");
         assert!(scenario
             .expectations
             .iter()
             .any(|e| e.name() == "trace_invariants"));
-        let before = runs();
+        let before = visits();
         let artifacts = run_artifacts(scenario, None).expect("valid scenario");
-        assert_eq!(runs(), before + 1);
         assert!(artifacts.report.passed, "{}", artifacts.report.render());
+        assert!(!artifacts.spans.is_empty());
+        assert_eq!(visits() - before, artifacts.spans.len() as u64);
+    }
 
-        // Without the expectation the report and the sampler still share one.
-        let mut scenario = registry::load_declared("mixed_traffic").expect("declared");
+    /// `scenario` with `workload` appended at weight 0 (never stepped) and
+    /// `expectation` appended.
+    fn extended(
+        mut scenario: Scenario,
+        workload: impl Workload + 'static,
+        expectation: impl Expectation + 'static,
+    ) -> Scenario {
+        scenario.workloads.push(WorkloadSlot {
+            weight: 0,
+            workload: Box::new(workload),
+        });
+        scenario.expectations.push(Box::new(expectation));
         scenario
-            .expectations
-            .retain(|e| e.name() != "trace_invariants");
-        let before = runs();
-        run_artifacts(scenario, None).expect("valid scenario");
-        assert_eq!(runs(), before + 1);
+    }
+
+    /// Emits a `FlowCompleted` for a flow that never started from its
+    /// `measure` hook: one `SpuriousFlowEnd`, recorded after the drain.
+    struct SpuriousEnd;
+
+    impl Workload for SpuriousEnd {
+        fn name(&self) -> &str {
+            "spurious_end"
+        }
+
+        fn needs(&self) -> Infra {
+            Infra::Legion
+        }
+
+        fn measure(&mut self, cx: &mut RunCx) {
+            let sim = cx.world.sim_mut().expect("a built world");
+            let at_ns = sim.now().as_nanos();
+            let flow = u64::MAX;
+            sim.spans_mut()
+                .emit(at_ns, NO_NODE, None, SpanKind::FlowCompleted { flow });
+        }
+    }
+
+    /// Reads the checker's verdict from `capture`, before the run.
+    struct EarlyReader;
+
+    impl Expectation for EarlyReader {
+        fn name(&self) -> &str {
+            "early_reader"
+        }
+
+        fn capture(&mut self, cx: &RunCx) {
+            assert!(cx.trace_violations().is_empty());
+        }
+
+        fn judge(&mut self, _cx: &RunCx) -> Verdict {
+            Verdict::pass(self.name(), String::new())
+        }
+    }
+
+    #[test]
+    fn a_verdict_read_before_the_run_ends_does_not_stand_for_the_run() {
+        let scenario = extended(
+            registry::load_declared("mixed_traffic").expect("declared"),
+            SpuriousEnd,
+            EarlyReader,
+        );
+        let report = run_artifacts(scenario, None)
+            .expect("valid scenario")
+            .report;
+        assert_eq!(report.trace_violations, 1, "{}", report.render());
+        let verdict = |name: &str| {
+            let v = report.verdicts.iter().find(|v| v.expectation == name);
+            v.expect("declared expectation").passed
+        };
+        assert!(!verdict("trace_invariants"));
+        assert!(verdict("early_reader"));
+        assert!(!report.passed);
+    }
+
+    #[test]
+    fn a_lazy_verdict_is_recomputed_once_the_log_grows() {
+        // What a caller judging without the runner sees.
+        let scenario = registry::load_declared("rolling_partition").expect("declared");
+        let mut cx = RunCx::new(7, scenario.topology.build(7));
+        cx.world
+            .sim_mut()
+            .expect("a built world")
+            .spans_mut()
+            .enable();
+        assert!(cx.trace_violations().is_empty());
+        let before = visits();
+        assert!(
+            cx.trace_violations().is_empty(),
+            "kept while the log stands"
+        );
+        assert_eq!(visits(), before);
+        let sim = cx.world.sim_mut().expect("a built world");
+        sim.spans_mut()
+            .emit(0, NO_NODE, None, SpanKind::FlowCompleted { flow: 9 });
+        assert!(matches!(
+            cx.trace_violations()[..],
+            [Violation::SpuriousFlowEnd { flow: 9, .. }]
+        ));
+    }
+
+    /// What the post-run sweep reads, copied from the last `measure` hook:
+    /// the finished span log, the timeline before the derive, and the
+    /// flight ring's `(frames recorded, frames retained, digest)`.
+    struct Snapshot {
+        log: TraceLog,
+        timeline: Timeline,
+        ring: (u64, u64, u64),
+    }
+
+    /// A zero-weight workload whose `measure` hook takes a [`Snapshot`].
+    struct TakeSnapshot {
+        infra: Infra,
+        out: Rc<RefCell<Option<Snapshot>>>,
+    }
+
+    impl Workload for TakeSnapshot {
+        fn name(&self) -> &str {
+            "take_snapshot"
+        }
+
+        fn needs(&self) -> Infra {
+            self.infra
+        }
+
+        fn measure(&mut self, cx: &mut RunCx) {
+            let sim = cx.world.sim().expect("a built world");
+            let flight = sim.flight();
+            *self.out.borrow_mut() = Some(Snapshot {
+                log: sim.spans().clone(),
+                timeline: sim.timeline().clone(),
+                ring: (
+                    flight.recorded(),
+                    flight.recorded().min(flight.capacity() as u64),
+                    flight.digest(),
+                ),
+            });
+        }
+    }
+
+    /// Keeps the verdict the judges see.
+    struct KeepVerdict(Rc<RefCell<Vec<Violation>>>);
+
+    impl Expectation for KeepVerdict {
+        fn name(&self) -> &str {
+            "keep_verdict"
+        }
+
+        fn judge(&mut self, cx: &RunCx) -> Verdict {
+            *self.0.borrow_mut() = cx.trace_violations().to_vec();
+            Verdict::pass(self.name(), String::new())
+        }
+    }
+
+    /// The four benchmark workloads' scenario texts at `scale` (the
+    /// generator in `benchmark/src/workloads.rs`).
+    fn benchmark_shapes(seed: u64, scale: f64) -> [String; 4] {
+        let ticks = |base: f64| ((base * scale).round() as u64).max(1);
+        let calls = ticks(60_000.0);
+        let churn = ticks(10_000.0);
+        let secs = format!("{:.3}", (240.0 * scale).max(2.0));
+        [
+            format!(
+                "scenario calls_steady\nseed {seed}\ntopology legion nodes=16 net=centurion\n\
+                 window ticks={calls}\nworkload counter_service home=4\n\
+                 workload calls weight=100\nexpect trace_invariants\nexpect no_leaks\n\
+                 expect traffic_flowed\nexpect counter_equals calls.ok {calls}\n\
+                 expect counter_equals calls.err 0\n"
+            ),
+            format!(
+                "scenario reconfig_churn\nseed {seed}\ntopology legion nodes=16 net=centurion\n\
+                 window ticks={churn}\nworkload counter_service home=4\n\
+                 workload calls weight=10\nworkload config_ops weight=70\n\
+                 workload migrations weight=20 nodes=4+5+6+7\nexpect trace_invariants\n\
+                 expect no_leaks\nexpect traffic_flowed\nexpect counter_at_least calls.ok 1\n\
+                 expect counter_at_least config_ops.ok 1\nexpect counter_at_least migrations.ok 1\n\
+                 expect counter_equals calls.err 0\nexpect counter_equals config_ops.err 0\n\
+                 expect counter_equals migrations.err 0\nexpect mix_converged 0.1\n"
+            ),
+            MIXED_TRAFFIC
+                .replace("scenario mixed_traffic\n", "scenario mixed_traffic_x50\n")
+                .replace("seed 42\n", &format!("seed {seed}\n"))
+                .replace(
+                    "window ticks=400\n",
+                    &format!("window ticks={}\n", ticks(20_000.0)),
+                ),
+            ROLLING_UPGRADE_COORD_CRASH
+                .replace(
+                    "scenario rolling_upgrade_coord_crash\n",
+                    "scenario upgrade_crash_long\n",
+                )
+                .replace("seed 42\n", &format!("seed {seed}\n"))
+                .replace("window secs=2\n", &format!("window secs={secs}\n"))
+                .replace(" until=2\n", &format!(" until={secs}\n")),
+        ]
+    }
+
+    #[test]
+    fn fused_sweep_equals_the_batch_oracles() {
+        let mut planted_found = 0;
+        for seed in [42, 7, 1234] {
+            let declared = registry::declared()
+                .iter()
+                .map(|(name, _)| registry::load_declared(name).expect("declared"));
+            let shapes = benchmark_shapes(seed, 0.01)
+                .map(|text| Scenario::from_text(&text).expect("benchmark shape parses"));
+            // One run with a planted violation, so the verdicts compared are
+            // not all empty.
+            let mut planted = registry::load_declared("mixed_traffic").expect("declared");
+            planted.name.push_str("+spurious_end");
+            planted.workloads.push(WorkloadSlot {
+                weight: 0,
+                workload: Box::new(SpuriousEnd),
+            });
+            for scenario in declared.chain(shapes).chain([planted]) {
+                let scenario = scenario.with_seed(seed);
+                let name = format!("{} seed {seed}", scenario.name);
+                let snapshot = Rc::new(RefCell::new(None));
+                let verdict = Rc::new(RefCell::new(Vec::new()));
+                let infra = scenario.topology.infra;
+                let scenario = extended(
+                    scenario,
+                    TakeSnapshot {
+                        infra,
+                        out: snapshot.clone(),
+                    },
+                    KeepVerdict(verdict.clone()),
+                );
+                let artifacts = run_artifacts(scenario, None).expect("valid scenario");
+                let Snapshot {
+                    log,
+                    mut timeline,
+                    ring,
+                } = snapshot.take().expect("measured");
+                assert_eq!(log.events(), &artifacts.spans[..], "{name}: spans");
+
+                assert_eq!(
+                    oracle::digest(&log),
+                    artifacts.report.span_digest,
+                    "{name}: digest"
+                );
+                let violations = oracle::check(&log);
+                assert_eq!(violations, *verdict.borrow(), "{name}: violations");
+                planted_found += violations.len();
+                let flight = oracle::tail_sample(&log, &violations, ring, FLIGHT_SLOW_QUANTILE);
+                assert_eq!(
+                    flight.to_json(),
+                    artifacts.flight.expect("a built world").to_json(),
+                    "{name}: flight dump"
+                );
+                oracle::derive_windowed_series(&log, &mut timeline);
+                assert_eq!(
+                    timeline.to_json(),
+                    artifacts.timeline_json,
+                    "{name}: timeline"
+                );
+            }
+        }
+        assert_eq!(planted_found, 3, "one planted violation per seed");
     }
 }

@@ -19,7 +19,7 @@
 //! [`ServiceHandles`], and the counter/gauge stats the report exports and
 //! expectations judge.
 
-use std::cell::OnceCell;
+use std::cell::{Ref, RefCell};
 use std::collections::BTreeMap;
 
 use dcdo_chaos::FaultPlan;
@@ -77,16 +77,9 @@ pub struct RunCx {
     /// Gauges recorded by workloads and the runner (`net.amplification`,
     /// `mix.calls.observed`, …).
     pub gauges: BTreeMap<String, f64>,
-    /// The invariant checker's verdict on the finished span log (see
-    /// [`RunCx::trace_violations`]).
-    violations: OnceCell<Vec<Violation>>,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Times the invariant checker ran on behalf of a [`RunCx`] on this
-    /// thread — the one-check-per-run test's gauge.
-    pub(crate) static CHECKER_RUNS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// The invariant checker's latest verdict and the length of the span
+    /// log it judged (see [`RunCx::trace_violations`]).
+    violations: RefCell<Option<(usize, Vec<Violation>)>>,
 }
 
 impl RunCx {
@@ -99,24 +92,37 @@ impl RunCx {
             group: None,
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
-            violations: OnceCell::new(),
+            violations: RefCell::new(None),
         }
     }
 
     /// Every trace-invariant violation in the world's span log (none when
-    /// no world was built). The checker is a full sweep of the log, so it
-    /// runs on the first call and the verdict is kept: the expectation, the
-    /// report and the tail sampler all read the same one. Only meaningful
-    /// once the run has drained — spans recorded later are not checked.
-    pub fn trace_violations(&self) -> &[Violation] {
-        self.violations.get_or_init(|| {
-            #[cfg(test)]
-            CHECKER_RUNS.with(|c| c.set(c.get() + 1));
-            self.world
-                .sim()
-                .map(|sim| dcdo_sim::check_trace_invariants(sim.spans()))
-                .unwrap_or_default()
+    /// no world was built). The scenario runner installs the verdict of its
+    /// post-run sweep, which the expectations and the report then share. A
+    /// read before that — from a workload's `measure`, an expectation's
+    /// `capture`, or a caller judging without the runner — checks the log
+    /// as it stands, and the verdict is kept only until the log grows.
+    pub fn trace_violations(&self) -> Ref<'_, [Violation]> {
+        let len = self.world.sim().map_or(0, |sim| sim.spans().len());
+        let fresh = matches!(&*self.violations.borrow(), Some((judged, _)) if *judged == len);
+        if !fresh {
+            let violations = self.world.sim().map_or_else(Vec::new, |sim| {
+                #[cfg(test)]
+                crate::runner::SPAN_VISITS.with(|v| v.set(v.get() + len as u64));
+                dcdo_sim::check_trace_invariants(sim.spans())
+            });
+            *self.violations.borrow_mut() = Some((len, violations));
+        }
+        Ref::map(self.violations.borrow(), |verdict| {
+            verdict.as_ref().map_or(&[][..], |(_, v)| &v[..])
         })
+    }
+
+    /// Installs the checker's verdict on the span log as it stands now
+    /// (the runner's post-run sweep), replacing any earlier one.
+    pub(crate) fn install_trace_violations(&mut self, violations: Vec<Violation>) {
+        let len = self.world.sim().map_or(0, |sim| sim.spans().len());
+        *self.violations.get_mut() = Some((len, violations));
     }
 
     /// Increments counter `key` by one.

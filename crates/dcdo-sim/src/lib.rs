@@ -73,14 +73,14 @@ pub use trace::{Trace, TraceEntry, TraceEvent};
 // The always-on flight recorder (see the `dcdo-trace` crate): re-exported
 // alongside the engine that feeds it.
 pub use dcdo_trace::{
-    tail_sample, tail_sample_checked, FlightDump, FlightFrame, FlightRecorder, RetainedFlow,
+    tail_sample, FlightDump, FlightFrame, FlightRecorder, RetainedFlow, TailSampler,
 };
 
 // Structured causal tracing (see the `dcdo-trace` crate): re-exported so
 // layers above the engine can emit spans through [`Ctx`] without depending
 // on the tracing crate directly.
 pub use dcdo_trace::{
-    cfg_step, check as check_trace_invariants, fn_hash, fnv1a, mgr_step, FlowKind, Fnv1a, Fold,
-    GroupArena, GroupsRef, IdHasher, IdMap, IdSet, RpcOutcome, SendVerdict, SpanEvent, SpanId,
-    SpanKind, TraceLog, Violation, NO_NODE,
+    cfg_step, check as check_trace_invariants, fn_hash, fnv1a, mgr_step, Checker, FlowKind, Fnv1a,
+    Fold, GroupArena, GroupsRef, IdHasher, IdMap, IdSet, RpcOutcome, SendVerdict, SpanDigest,
+    SpanEvent, SpanId, SpanKind, TraceLog, Violation, NO_NODE,
 };

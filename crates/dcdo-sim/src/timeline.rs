@@ -94,7 +94,7 @@ pub struct Bucket {
 
 /// The windowed time-series registry. Enabled by default (always-on);
 /// bucket width is fixed once the first event is accounted.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Timeline {
     enabled: bool,
     bucket_ns: u64,

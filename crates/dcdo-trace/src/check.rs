@@ -31,9 +31,9 @@ use std::fmt;
 
 use crate::hash::IdMap;
 use crate::log::TraceLog;
-use crate::span::{FlowKind, SpanId, SpanKind};
+use crate::span::{FlowKind, GroupArena, SpanEvent, SpanId, SpanKind};
 
-/// One invariant violation found by [`check`].
+/// One invariant violation found by [`check`] (or a [`Checker`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// A message was delivered to a node the trace shows as crashed.
@@ -193,7 +193,7 @@ impl fmt::Display for Violation {
 }
 
 /// Replayed topology state: which nodes are down and how they are grouped.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Topology {
     /// Indexed by node; nodes past the end are up.
     down: Vec<bool>,
@@ -231,45 +231,62 @@ impl Topology {
     }
 }
 
-#[cfg(test)]
-thread_local! {
-    /// Times [`check`] ran on this thread: the checker is a full sweep, so
-    /// callers holding its verdict must not trigger it again.
-    pub(crate) static CHECK_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+/// The invariant checker as a forward-only fold: feed it every span of a
+/// finished log in order ([`Checker::observe`]), then take the verdict
+/// ([`Checker::finish`]). [`check`] is the batch driver; the scenario runner
+/// feeds the same fold from its one post-run read of the log.
+#[derive(Clone)]
+pub struct Checker<'a> {
+    /// The log's group arena, for `PartitionChanged` handles.
+    groups: &'a GroupArena,
+    violations: Vec<Violation>,
+    topo: Topology,
+    /// flow id -> (object, open?, node the flow started on)
+    flows: IdMap<u64, (u64, bool, u32)>,
+    generations: IdMap<u64, u64>,
+    /// call id -> (resolved?, completed?, caller node of the latest attempt)
+    calls: IdMap<u64, (bool, bool, u32)>,
+    /// object -> recover flow awaiting re-registration
+    recovering: IdMap<u64, u64>,
+    /// group -> last committed epoch
+    committed: IdMap<u64, u64>,
+    /// (group, replica) -> last adopted epoch
+    adopted: IdMap<(u64, u64), u64>,
 }
 
-/// Replays a finished log and returns every invariant violation found, in
-/// trace order (terminal "never happened" violations — leaked flows,
-/// dangling retry chains — come last).
-pub fn check(log: &TraceLog) -> Vec<Violation> {
-    #[cfg(test)]
-    CHECK_CALLS.with(|c| c.set(c.get() + 1));
-    let mut violations = Vec::new();
-    let mut topo = Topology::default();
-    // flow id -> (object, open?, node the flow started on)
-    let mut flows: IdMap<u64, (u64, bool, u32)> = IdMap::default();
-    let mut generations: IdMap<u64, u64> = IdMap::default();
-    // call id -> (resolved?, completed?, caller node of the latest attempt)
-    let mut calls: IdMap<u64, (bool, bool, u32)> = IdMap::default();
-    // object -> recover flow awaiting re-registration
-    let mut recovering: IdMap<u64, u64> = IdMap::default();
-    // group -> last committed epoch
-    let mut committed: IdMap<u64, u64> = IdMap::default();
-    // (group, replica) -> last adopted epoch
-    let mut adopted: IdMap<(u64, u64), u64> = IdMap::default();
+impl<'a> Checker<'a> {
+    /// A checker for the spans of `log`, which has to be fed every one of
+    /// them in log order.
+    pub fn new(log: &'a TraceLog) -> Self {
+        Checker {
+            groups: log.group_arena(),
+            violations: Vec::new(),
+            topo: Topology::default(),
+            flows: IdMap::default(),
+            generations: IdMap::default(),
+            calls: IdMap::default(),
+            recovering: IdMap::default(),
+            committed: IdMap::default(),
+            adopted: IdMap::default(),
+        }
+    }
 
-    for e in log.events() {
+    /// Replays the next span of the log.
+    #[inline]
+    pub fn observe(&mut self, e: &SpanEvent) {
+        let violations = &mut self.violations;
+        let topo = &mut self.topo;
         match &e.kind {
             SpanKind::NodeCrashed { node } => {
                 topo.set_down(*node, true);
                 // Retry chains whose caller just died terminate with it.
-                for (resolved, _, caller) in calls.values_mut() {
+                for (resolved, _, caller) in self.calls.values_mut() {
                     if *caller == *node {
                         *resolved = true;
                     }
                 }
                 // Flows die with the actor that owned them.
-                for (_, open, owner) in flows.values_mut() {
+                for (_, open, owner) in self.flows.values_mut() {
                     if *owner == *node {
                         *open = false;
                     }
@@ -279,7 +296,7 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                 topo.set_down(*node, false);
             }
             SpanKind::PartitionChanged { groups } => {
-                topo.groups = log.groups(*groups).to_vec();
+                topo.groups = self.groups.get(*groups).to_vec();
             }
             SpanKind::PartitionHealed => {
                 topo.groups.clear();
@@ -303,26 +320,26 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                 });
             }
             SpanKind::FlowStarted { flow, object, kind } => {
-                if flows.insert(*flow, (*object, true, e.node)).is_some() {
+                if self.flows.insert(*flow, (*object, true, e.node)).is_some() {
                     violations.push(Violation::DuplicateFlowStart {
                         span: e.id,
                         flow: *flow,
                     });
                 }
                 if *kind == FlowKind::Recover {
-                    recovering.insert(*object, *flow);
+                    self.recovering.insert(*object, *flow);
                 }
             }
             SpanKind::FlowCompleted { flow } | SpanKind::FlowAborted { flow } => {
-                match flows.get_mut(flow) {
+                match self.flows.get_mut(flow) {
                     Some((object, open, _)) if *open => {
                         *open = false;
                         // An aborted recovery no longer gates serving: the
                         // object stays dead until a fresh recovery flow runs.
                         if matches!(e.kind, SpanKind::FlowAborted { .. })
-                            && recovering.get(object) == Some(flow)
+                            && self.recovering.get(object) == Some(flow)
                         {
-                            recovering.remove(object);
+                            self.recovering.remove(object);
                         }
                     }
                     _ => violations.push(Violation::SpuriousFlowEnd {
@@ -332,7 +349,7 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                 }
             }
             SpanKind::GenerationStamp { object, generation } => {
-                let last = generations.entry(*object).or_insert(*generation);
+                let last = self.generations.entry(*object).or_insert(*generation);
                 if *generation < *last {
                     violations.push(Violation::GenerationRegressed {
                         object: *object,
@@ -344,11 +361,11 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                 }
             }
             SpanKind::RpcAttempt { call, .. } => {
-                let entry = calls.entry(*call).or_insert((false, false, e.node));
+                let entry = self.calls.entry(*call).or_insert((false, false, e.node));
                 entry.2 = e.node;
             }
             SpanKind::RpcCompleted { call, .. } => {
-                if let Some((_, true, _)) = calls.insert(*call, (true, true, e.node)) {
+                if let Some((_, true, _)) = self.calls.insert(*call, (true, true, e.node)) {
                     violations.push(Violation::DuplicateRpcCompletion {
                         span: e.id,
                         call: *call,
@@ -356,16 +373,16 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                 }
             }
             SpanKind::BindingRegistered { object, .. } => {
-                recovering.remove(object);
+                self.recovering.remove(object);
             }
-            SpanKind::CallServed { object, .. } if recovering.contains_key(object) => {
+            SpanKind::CallServed { object, .. } if self.recovering.contains_key(object) => {
                 violations.push(Violation::ServedBeforeReregister {
                     span: e.id,
                     object: *object,
                 });
             }
             SpanKind::EpochCommitted { group, epoch, .. } => {
-                match committed.get(group) {
+                match self.committed.get(group) {
                     // Commits must advance strictly: re-committing the same
                     // epoch would let two different configs claim one epoch.
                     Some(&last) if *epoch <= last => {
@@ -377,7 +394,7 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                         });
                     }
                     _ => {
-                        committed.insert(*group, *epoch);
+                        self.committed.insert(*group, *epoch);
                     }
                 }
             }
@@ -386,7 +403,7 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                 replica,
                 epoch,
             } => {
-                let last = adopted.entry((*group, *replica)).or_insert(*epoch);
+                let last = self.adopted.entry((*group, *replica)).or_insert(*epoch);
                 // Adoption below the group's commit is legal (catch-up in
                 // progress); only the replica's own history must not rewind.
                 if *epoch < *last {
@@ -406,7 +423,7 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
                 epoch,
                 ..
             } => {
-                if let Some(&current) = committed.get(group) {
+                if let Some(&current) = self.committed.get(group) {
                     if *epoch < current {
                         violations.push(Violation::MixedEpochServing {
                             span: e.id,
@@ -422,33 +439,71 @@ pub fn check(log: &TraceLog) -> Vec<Violation> {
         }
     }
 
-    let mut leaked: Vec<(u64, u64)> = flows
-        .iter()
-        .filter(|(_, (_, open, _))| *open)
-        .map(|(flow, (object, _, _))| (*flow, *object))
-        .collect();
-    leaked.sort_unstable();
-    for (flow, object) in leaked {
-        violations.push(Violation::LeakedFlow { flow, object });
-    }
+    /// Every violation found, in trace order, then the terminal "never
+    /// happened" ones — leaked flows, dangling retry chains — each sorted
+    /// by id.
+    pub fn finish(self) -> Vec<Violation> {
+        let mut violations = self.violations;
+        let mut leaked: Vec<(u64, u64)> = self
+            .flows
+            .iter()
+            .filter(|(_, (_, open, _))| *open)
+            .map(|(flow, (object, _, _))| (*flow, *object))
+            .collect();
+        leaked.sort_unstable();
+        for (flow, object) in leaked {
+            violations.push(Violation::LeakedFlow { flow, object });
+        }
 
-    let mut dangling: Vec<u64> = calls
-        .iter()
-        .filter(|(_, (resolved, _, _))| !*resolved)
-        .map(|(call, _)| *call)
-        .collect();
-    dangling.sort_unstable();
-    for call in dangling {
-        violations.push(Violation::DanglingRetryChain { call });
-    }
+        let mut dangling: Vec<u64> = self
+            .calls
+            .iter()
+            .filter(|(_, (resolved, _, _))| !*resolved)
+            .map(|(call, _)| *call)
+            .collect();
+        dangling.sort_unstable();
+        for call in dangling {
+            violations.push(Violation::DanglingRetryChain { call });
+        }
 
-    violations
+        violations
+    }
+}
+
+/// Replays a finished log and returns every invariant violation found, in
+/// trace order (terminal "never happened" violations — leaked flows,
+/// dangling retry chains — come last): one [`Checker`] over every span.
+pub fn check(log: &TraceLog) -> Vec<Violation> {
+    let mut checker = Checker::new(log);
+    for e in log.events() {
+        checker.observe(e);
+    }
+    checker.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::span::{RpcOutcome, SendVerdict, NO_NODE};
+
+    /// The verdict on `l` through the fold, one span at a time. After every
+    /// span the fold's verdict so far must be the batch verdict on the log
+    /// cut there: the checker is forward-only, it never needs a later span
+    /// to judge an earlier one.
+    fn checked(l: &TraceLog) -> Vec<Violation> {
+        let mut checker = Checker::new(l);
+        for (n, e) in l.events().iter().enumerate() {
+            checker.observe(e);
+            let prefix = TraceLog::from_events(l.events()[..=n].to_vec(), l.group_arena().clone());
+            assert_eq!(
+                checker.clone().finish(),
+                check(&prefix),
+                "after {} spans",
+                n + 1
+            );
+        }
+        checker.finish()
+    }
 
     fn log() -> TraceLog {
         let mut l = TraceLog::new();
@@ -526,7 +581,7 @@ mod tests {
             },
         );
         l.emit(7, 0, None, SpanKind::FlowCompleted { flow: 1 });
-        assert_eq!(check(&l), vec![]);
+        assert_eq!(checked(&l), vec![]);
     }
 
     #[test]
@@ -544,7 +599,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            check(&l)[..],
+            checked(&l)[..],
             [Violation::DeliveredToDeadNode { dst_node: 3, .. }]
         ));
         // After a restart the same delivery is fine.
@@ -561,7 +616,7 @@ mod tests {
                 dst_node: 3,
             },
         );
-        assert_eq!(check(&l2), vec![]);
+        assert_eq!(checked(&l2), vec![]);
     }
 
     /// Installs a partition with the given per-node groups in `l`.
@@ -576,7 +631,7 @@ mod tests {
         partition(&mut l, &[1, 2]);
         l.emit(1, 0, None, sent(0, 1, SendVerdict::Sent));
         assert!(matches!(
-            check(&l)[..],
+            checked(&l)[..],
             [Violation::SentAcrossFault {
                 src_node: 0,
                 dst_node: 1,
@@ -589,7 +644,7 @@ mod tests {
         l2.emit(1, 0, None, sent(0, 1, SendVerdict::Unreachable));
         l2.emit(2, NO_NODE, None, SpanKind::PartitionHealed);
         l2.emit(3, 0, None, sent(0, 1, SendVerdict::Sent));
-        assert_eq!(check(&l2), vec![]);
+        assert_eq!(checked(&l2), vec![]);
     }
 
     #[test]
@@ -606,7 +661,7 @@ mod tests {
             },
         );
         assert_eq!(
-            check(&l),
+            checked(&l),
             vec![Violation::LeakedFlow {
                 flow: 42,
                 object: 7
@@ -641,7 +696,7 @@ mod tests {
         );
         l.emit(2, NO_NODE, None, SpanKind::NodeCrashed { node: 3 });
         assert_eq!(
-            check(&l),
+            checked(&l),
             vec![Violation::LeakedFlow {
                 flow: 43,
                 object: 8
@@ -665,7 +720,7 @@ mod tests {
         l.emit(1, 0, None, SpanKind::FlowCompleted { flow: 1 });
         l.emit(2, 0, None, SpanKind::FlowAborted { flow: 1 });
         assert!(matches!(
-            check(&l)[..],
+            checked(&l)[..],
             [Violation::SpuriousFlowEnd { flow: 1, .. }]
         ));
     }
@@ -702,7 +757,7 @@ mod tests {
             },
         );
         assert_eq!(
-            check(&l),
+            checked(&l),
             vec![Violation::GenerationRegressed {
                 object: 7,
                 from: 10,
@@ -727,7 +782,10 @@ mod tests {
                 },
             );
         }
-        assert_eq!(check(&l), vec![Violation::DanglingRetryChain { call: 77 }]);
+        assert_eq!(
+            checked(&l),
+            vec![Violation::DanglingRetryChain { call: 77 }]
+        );
         // A typed Unreachable terminal resolves the chain.
         l.emit(
             4,
@@ -738,7 +796,7 @@ mod tests {
                 outcome: RpcOutcome::Unreachable,
             },
         );
-        assert_eq!(check(&l), vec![]);
+        assert_eq!(checked(&l), vec![]);
     }
 
     #[test]
@@ -754,10 +812,10 @@ mod tests {
         let mut l = log();
         l.emit(0, 0, None, attempt);
         l.emit(1, 0, None, done(RpcOutcome::Ok));
-        assert_eq!(check(&l), vec![]);
+        assert_eq!(checked(&l), vec![]);
         l.emit(2, 0, None, done(RpcOutcome::Timeout));
         assert!(matches!(
-            check(&l)[..],
+            checked(&l)[..],
             [Violation::DuplicateRpcCompletion { call: 77, .. }]
         ));
         // A completion without any attempt (a binding-query timeout) is
@@ -768,7 +826,7 @@ mod tests {
         l3.emit(0, 4, None, attempt);
         l3.emit(1, NO_NODE, None, SpanKind::NodeCrashed { node: 4 });
         l3.emit(2, 0, None, done(RpcOutcome::Unreachable));
-        assert_eq!((check(&l2), check(&l3)), (vec![], vec![]));
+        assert_eq!((checked(&l2), checked(&l3)), (vec![], vec![]));
     }
 
     #[test]
@@ -782,11 +840,11 @@ mod tests {
         let mut l = log();
         l.emit(0, 0, None, started);
         l.emit(1, 0, None, SpanKind::FlowCompleted { flow: 1 });
-        assert_eq!(check(&l), vec![]);
+        assert_eq!(checked(&l), vec![]);
         l.emit(2, 0, None, started);
         l.emit(3, 0, None, SpanKind::FlowCompleted { flow: 1 });
         assert!(matches!(
-            check(&l)[..],
+            checked(&l)[..],
             [Violation::DuplicateFlowStart { flow: 1, .. }]
         ));
     }
@@ -819,7 +877,10 @@ mod tests {
             },
         );
         l.emit(2, NO_NODE, None, SpanKind::NodeCrashed { node: 4 });
-        assert_eq!(check(&l), vec![Violation::DanglingRetryChain { call: 71 }]);
+        assert_eq!(
+            checked(&l),
+            vec![Violation::DanglingRetryChain { call: 71 }]
+        );
     }
 
     #[test]
@@ -845,7 +906,7 @@ mod tests {
         l.emit(3, 0, None, SpanKind::CallServed { object: 7, call: 6 });
         l.emit(4, 0, None, SpanKind::FlowCompleted { flow: 1 });
         assert!(matches!(
-            check(&l)[..],
+            checked(&l)[..],
             [Violation::ServedBeforeReregister { object: 7, .. }]
         ));
     }
@@ -888,7 +949,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            check(&l)[..],
+            checked(&l)[..],
             [Violation::EpochRegressed {
                 group: 7,
                 from: 3,
@@ -912,7 +973,7 @@ mod tests {
             );
         }
         assert!(matches!(
-            check(&l2)[..],
+            checked(&l2)[..],
             [Violation::EpochRegressed {
                 group: 7,
                 from: 3,
@@ -938,7 +999,7 @@ mod tests {
             );
         }
         assert!(matches!(
-            check(&l)[..],
+            checked(&l)[..],
             [Violation::EpochRegressed {
                 group: 7,
                 from: 5,
@@ -986,7 +1047,7 @@ mod tests {
             },
         );
         assert!(matches!(
-            check(&l)[..],
+            checked(&l)[..],
             [Violation::MixedEpochServing {
                 group: 7,
                 replica: 2,
@@ -1028,7 +1089,7 @@ mod tests {
                 call: 100,
             },
         );
-        assert_eq!(check(&l2), vec![]);
+        assert_eq!(checked(&l2), vec![]);
     }
 
     #[test]
@@ -1046,6 +1107,6 @@ mod tests {
         );
         l.emit(1, 0, None, SpanKind::FlowAborted { flow: 1 });
         l.emit(2, 0, None, SpanKind::CallServed { object: 7, call: 5 });
-        assert_eq!(check(&l), vec![]);
+        assert_eq!(checked(&l), vec![]);
     }
 }

@@ -66,9 +66,9 @@ impl TraceLog {
     /// Appends `,"field":value` pairs (and the partition group array, read
     /// from the log's arena) to a JSON object under construction.
     fn write_fields(&self, out: &mut String, e: &SpanEvent) {
-        for (name, value) in e.kind.fields().as_slice() {
+        e.kind.for_each_field(|name, value| {
             let _ = write!(out, ",\"{name}\":{value}");
-        }
+        });
         if let SpanKind::PartitionChanged { groups } = e.kind {
             out.push_str(",\"groups\":[");
             for (i, g) in self.groups(groups).iter().enumerate() {

@@ -19,9 +19,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::check::{check, Violation};
+use crate::check::{Checker, Violation};
 use crate::hash::Fold;
-use crate::log::TraceLog;
+use crate::log::{FlowTrees, TraceLog};
 use crate::span::{SpanEvent, SpanId, SpanKind};
 
 /// One compact flight-recorder frame: the executed event's time plus a
@@ -272,35 +272,34 @@ impl FlowInfo {
     }
 }
 
-/// Applies the tail-sampling retention policy to a finished span log:
-/// keeps the full causal span tree of every flow that aborted (or leaked),
-/// every flow named by an invariant violation, and every terminated flow
-/// whose duration reaches the nearest-rank `slow_quantile` of all flow
-/// durations. `recorder` contributes the ring statistics of the dump.
+/// The tail sampler as a forward-only fold: feed it every span of a
+/// finished log in order ([`TailSampler::observe`]), then apply the
+/// retention policy ([`TailSampler::finish`]). [`tail_sample`] is the batch
+/// driver; the scenario runner feeds the same fold from its one post-run
+/// read of the log.
 ///
-/// The log is swept a fixed number of times whatever the number of
-/// retained flows — flow bookkeeping, the invariant checker, and one sweep
-/// that extracts every retained tree together — so the cost is
-/// O(spans + retained output).
-pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64) -> FlightDump {
-    tail_sample_checked(log, &check(log), recorder, slow_quantile)
+/// Which flows are retained is known only once the log ends, so the fold
+/// keeps every flow's bookkeeping and its causal-tree membership; `finish`
+/// copies the retained trees' spans by position, without reading the rest
+/// of the log again.
+#[derive(Default)]
+pub struct TailSampler {
+    flows: BTreeMap<u64, FlowInfo>,
+    trees: FlowTrees,
 }
 
-/// [`tail_sample`] for a caller that already holds the invariant checker's
-/// verdict on `log` (`violations` must be `check(log)`): the checker sweep
-/// is skipped.
-pub fn tail_sample_checked(
-    log: &TraceLog,
-    violations: &[Violation],
-    recorder: &FlightRecorder,
-    slow_quantile: f64,
-) -> FlightDump {
-    let q = slow_quantile.clamp(0.0, 1.0);
-    let mut flows: BTreeMap<u64, FlowInfo> = BTreeMap::new();
-    for e in log.events() {
+impl TailSampler {
+    /// A sampler that has seen no span yet.
+    pub fn new() -> Self {
+        TailSampler::default()
+    }
+
+    /// Records the next span of the log.
+    #[inline]
+    pub fn observe(&mut self, e: &SpanEvent) {
         match &e.kind {
             SpanKind::FlowStarted { flow, object, kind } => {
-                flows.entry(*flow).or_insert(FlowInfo {
+                self.flows.entry(*flow).or_insert(FlowInfo {
                     object: *object,
                     kind_code: kind.code(),
                     kind_name: kind.name(),
@@ -311,79 +310,113 @@ pub fn tail_sample_checked(
                 });
             }
             SpanKind::FlowCompleted { flow } => {
-                if let Some(info) = flows.get_mut(flow) {
+                if let Some(info) = self.flows.get_mut(flow) {
                     info.end_ns = Some(e.at_ns);
                 }
             }
             SpanKind::FlowAborted { flow } => {
-                if let Some(info) = flows.get_mut(flow) {
+                if let Some(info) = self.flows.get_mut(flow) {
                     info.end_ns = Some(e.at_ns);
                     info.aborted = true;
                 }
             }
             _ => {}
         }
+        self.trees.observe(e);
     }
-    for v in violations {
-        let named = match v {
-            Violation::LeakedFlow { flow, .. }
-            | Violation::SpuriousFlowEnd { flow, .. }
-            | Violation::DuplicateFlowStart { flow, .. } => Some(flow),
-            _ => None,
-        };
-        if let Some(flow) = named {
-            if let Some(info) = flows.get_mut(flow) {
-                info.violating = true;
+
+    /// Applies the retention policy: keeps the full causal span tree of
+    /// every flow that aborted (or leaked), every flow named by one of
+    /// `violations` (the invariant checker's verdict on the same log), and
+    /// every terminated flow whose duration reaches the nearest-rank
+    /// `slow_quantile` of all flow durations. `log` is the log the fold was
+    /// fed, read here only at the retained spans' positions; `recorder`
+    /// contributes the ring statistics of the dump.
+    pub fn finish(
+        self,
+        log: &TraceLog,
+        violations: &[Violation],
+        recorder: &FlightRecorder,
+        slow_quantile: f64,
+    ) -> FlightDump {
+        let q = slow_quantile.clamp(0.0, 1.0);
+        let mut flows = self.flows;
+        for v in violations {
+            let named = match v {
+                Violation::LeakedFlow { flow, .. }
+                | Violation::SpuriousFlowEnd { flow, .. }
+                | Violation::DuplicateFlowStart { flow, .. } => Some(flow),
+                _ => None,
+            };
+            if let Some(flow) = named {
+                if let Some(info) = flows.get_mut(flow) {
+                    info.violating = true;
+                }
             }
         }
-    }
-    // Nearest-rank threshold over terminated-flow durations: a flow is
-    // "slow" when its duration reaches the q-quantile. Integer nanoseconds,
-    // so the cut is exact in every build profile.
-    let mut durations: Vec<u64> = flows.values().filter_map(FlowInfo::duration_ns).collect();
-    durations.sort_unstable();
-    let slow_floor = if durations.is_empty() {
-        None
-    } else {
-        let rank = ((q * durations.len() as f64).ceil() as usize).max(1) - 1;
-        Some(durations[rank])
-    };
-    let total_flows = flows.len() as u64;
-    let mut retained = Vec::new();
-    for (flow, info) in flows {
-        let slow = match (info.duration_ns(), slow_floor) {
-            (Some(d), Some(floor)) => d >= floor,
-            _ => false,
+        // Nearest-rank threshold over terminated-flow durations: a flow is
+        // "slow" when its duration reaches the q-quantile. Integer
+        // nanoseconds, so the cut is exact in every build profile.
+        let mut durations: Vec<u64> = flows.values().filter_map(FlowInfo::duration_ns).collect();
+        durations.sort_unstable();
+        let slow_floor = if durations.is_empty() {
+            None
+        } else {
+            let rank = ((q * durations.len() as f64).ceil() as usize).max(1) - 1;
+            Some(durations[rank])
         };
-        let aborted = info.aborted || info.end_ns.is_none();
-        if !(aborted || info.violating || slow) {
-            continue;
+        let total_flows = flows.len() as u64;
+        let mut retained = Vec::new();
+        for (flow, info) in flows {
+            let slow = match (info.duration_ns(), slow_floor) {
+                (Some(d), Some(floor)) => d >= floor,
+                _ => false,
+            };
+            let aborted = info.aborted || info.end_ns.is_none();
+            if !(aborted || info.violating || slow) {
+                continue;
+            }
+            retained.push(RetainedFlow {
+                flow,
+                object: info.object,
+                kind_code: info.kind_code,
+                kind_name: info.kind_name,
+                start_ns: info.start_ns,
+                end_ns: info.end_ns.unwrap_or(info.start_ns),
+                aborted,
+                violating: info.violating,
+                slow,
+                spans: Vec::new(),
+            });
         }
-        retained.push(RetainedFlow {
-            flow,
-            object: info.object,
-            kind_code: info.kind_code,
-            kind_name: info.kind_name,
-            start_ns: info.start_ns,
-            end_ns: info.end_ns.unwrap_or(info.start_ns),
-            aborted,
-            violating: info.violating,
-            slow,
-            spans: Vec::new(),
-        });
+        let wanted: Vec<u64> = retained.iter().map(|f| f.flow).collect();
+        for (f, tree) in retained.iter_mut().zip(self.trees.finish(&wanted)) {
+            f.spans = tree.iter().map(|&pos| log.events()[pos]).collect();
+        }
+        FlightDump {
+            slow_quantile: q,
+            total_flows,
+            frames_recorded: recorder.recorded(),
+            frames_retained: recorder.recorded().min(recorder.capacity() as u64),
+            ring_digest: recorder.digest(),
+            flows: retained,
+        }
     }
-    let wanted: Vec<u64> = retained.iter().map(|f| f.flow).collect();
-    for (f, tree) in retained.iter_mut().zip(log.flow_trees(&wanted)) {
-        f.spans = tree.iter().map(|&pos| log.events()[pos]).collect();
+}
+
+/// Applies the tail-sampling retention policy to a finished span log (see
+/// [`TailSampler::finish`]): one read of the log feeds a [`Checker`] and a
+/// [`TailSampler`], and the sampler marks the flows the checker's verdict
+/// names. The cost is O(spans + retained output) whatever the number of
+/// retained flows.
+pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64) -> FlightDump {
+    let mut checker = Checker::new(log);
+    let mut sampler = TailSampler::new();
+    for e in log.events() {
+        checker.observe(e);
+        sampler.observe(e);
     }
-    FlightDump {
-        slow_quantile: q,
-        total_flows,
-        frames_recorded: recorder.recorded(),
-        frames_retained: recorder.recorded().min(recorder.capacity() as u64),
-        ring_digest: recorder.digest(),
-        flows: retained,
-    }
+    sampler.finish(log, &checker.finish(), recorder, slow_quantile)
 }
 
 impl FlightDump {
@@ -674,8 +707,18 @@ mod tests {
         assert!(dump.flows[0].violating, "checker names the leak");
     }
 
+    /// Feeds every span of `log` to a fresh sampler, then finishes it
+    /// with `violations` as the checker's verdict.
+    fn sample_with(log: &TraceLog, violations: &[Violation], q: f64) -> FlightDump {
+        let mut sampler = TailSampler::new();
+        for e in log.events() {
+            sampler.observe(e);
+        }
+        sampler.finish(log, violations, &FlightRecorder::new(), q)
+    }
+
     #[test]
-    fn only_the_wrapper_runs_the_checker() {
+    fn the_checker_verdict_marks_the_violating_flows() {
         let mut log = flow_log();
         log.emit(
             50,
@@ -687,19 +730,14 @@ mod tests {
                 kind: FlowKind::Recover,
             },
         );
-        let calls = || crate::check::CHECK_CALLS.with(|c| c.get());
-        let r = FlightRecorder::new();
-        let violations = check(&log);
+        let violations = crate::check(&log);
         assert!(!violations.is_empty(), "flow 4 leaks");
-        let before = calls();
-        let given = tail_sample_checked(&log, &violations, &r, 0.95);
-        assert_eq!(calls(), before, "the verdict was handed in");
-        let wrapped = tail_sample(&log, &r, 0.95);
-        assert_eq!(calls(), before + 1);
+        let given = sample_with(&log, &violations, 0.95);
+        let wrapped = tail_sample(&log, &FlightRecorder::new(), 0.95);
         assert_eq!(given.to_json(), wrapped.to_json());
         assert!(given.flows.iter().any(|f| f.flow == 4 && f.violating));
         // The verdict is an input: without it no flow is marked violating.
-        let blind = tail_sample_checked(&log, &[], &r, 0.95);
+        let blind = sample_with(&log, &[], 0.95);
         assert!(blind.flows.iter().all(|f| !f.violating));
     }
 

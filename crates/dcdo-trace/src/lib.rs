@@ -37,13 +37,13 @@ mod hash;
 mod log;
 mod span;
 
-pub use check::{check, Violation};
+pub use check::{check, Checker, Violation};
 pub use flight::{
-    tail_sample, tail_sample_checked, FlightDump, FlightFrame, FlightRecorder, RetainedFlow,
+    tail_sample, FlightDump, FlightFrame, FlightRecorder, RetainedFlow, TailSampler,
     DEFAULT_FLIGHT_CAPACITY,
 };
 pub use hash::{fn_hash, fnv1a, Fnv1a, Fold, IdHasher, IdMap, IdSet};
-pub use log::TraceLog;
+pub use log::{SpanDigest, TraceLog};
 pub use span::{
     cfg_step, mgr_step, FlowKind, GroupArena, GroupsRef, RpcOutcome, SendVerdict, SpanEvent,
     SpanId, SpanKind, NO_NODE,

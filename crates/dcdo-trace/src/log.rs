@@ -47,8 +47,8 @@ struct IdIndex {
 
 #[cfg(test)]
 thread_local! {
-    /// Work done by [`TraceLog::flow_trees`] on this thread: one per span
-    /// visited plus one per position emitted (the scaling test's gauge).
+    /// Work done by [`FlowTrees`] on this thread: one per span observed
+    /// plus one per position emitted (the scaling test's gauge).
     pub(crate) static SWEEP_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -187,65 +187,25 @@ impl TraceLog {
     /// Every event belonging to a flow: events that name the flow id
     /// directly, plus all causal descendants of those events (the RPCs,
     /// timers, and deliveries the flow fanned out into), in emit order.
+    /// One [`FlowTrees`] fold over the log.
     pub fn spans_for_flow(&self, flow: u64) -> Vec<&SpanEvent> {
-        self.flow_trees(&[flow])[0]
+        let mut trees = FlowTrees::default();
+        for e in &self.events {
+            trees.observe(e);
+        }
+        trees.finish(&[flow])[0]
             .iter()
             .map(|&pos| &self.events[pos])
             .collect()
     }
 
-    /// The causal trees of all `wanted` flows (distinct ids) at once: for
-    /// each, the log positions of its [`spans_for_flow`](Self::spans_for_flow)
-    /// events, ascending.
-    ///
-    /// One forward sweep. A span belongs to the trees its parent belongs to,
-    /// plus the tree of the flow it names itself; parents precede children
-    /// in log order, so the parent's answer is known when the child is
-    /// reached. Only spans inside some wanted tree are remembered, which
-    /// keeps the lookup table as small as the output instead of as large as
-    /// the log.
-    pub(crate) fn flow_trees(&self, wanted: &[u64]) -> Vec<Vec<usize>> {
-        let slot_of: IdMap<u64, usize> = wanted
-            .iter()
-            .enumerate()
-            .map(|(slot, &flow)| (flow, slot))
-            .collect();
-        let mut trees = vec![Vec::new(); wanted.len()];
-        // Membership sets, as lists of `wanted` slots. Set `s` for
-        // `s < wanted.len()` is `{s}`; a span naming one wanted flow beneath
-        // the tree of another appends the union it needs.
-        let mut sets: Vec<Vec<usize>> = (0..wanted.len()).map(|slot| vec![slot]).collect();
-        // Raw id of each span inside some wanted tree → its membership set.
-        let mut member: IdMap<u64, usize> = IdMap::default();
-        for (pos, e) in self.events.iter().enumerate() {
-            #[cfg(test)]
-            SWEEP_VISITS.with(|v| v.set(v.get() + 1));
-            let own = e.kind.flow_id().and_then(|f| slot_of.get(&f).copied());
-            let inherited = e.parent.and_then(|p| member.get(&p.as_raw()).copied());
-            let set = match (inherited, own) {
-                (None, None) => continue,
-                (None, Some(slot)) => slot,
-                (Some(set), None) => set,
-                (Some(set), Some(slot)) if sets[set].contains(&slot) => set,
-                (Some(set), Some(slot)) => {
-                    let mut union = sets[set].clone();
-                    union.push(slot);
-                    sets.push(union);
-                    sets.len() - 1
-                }
-            };
-            member.insert(e.id.as_raw(), set);
-            for &slot in &sets[set] {
-                #[cfg(test)]
-                SWEEP_VISITS.with(|v| v.set(v.get() + 1));
-                trees[slot].push(pos);
-            }
-        }
-        trees
+    /// The arena the log's `PartitionChanged` handles point into.
+    pub(crate) fn group_arena(&self) -> &GroupArena {
+        &self.groups
     }
 
-    /// The extraction [`flow_trees`](Self::flow_trees) replaced, kept as the
-    /// differential oracle: breadth-first from the flow's own spans, one
+    /// The extraction [`FlowTrees`] replaced, kept as the differential
+    /// oracle: breadth-first from the flow's own spans, one
     /// rescan of the log's remainder per span found.
     #[cfg(test)]
     pub(crate) fn flow_tree_oracle(&self, flow: u64) -> Vec<usize> {
@@ -277,47 +237,14 @@ impl TraceLog {
         (0..self.events.len()).filter(|&i| member[i]).collect()
     }
 
-    /// A build-independent [`Fold`] digest of the whole log: the span count,
-    /// then per span its id, parent (0 for none), time, node, variant code
-    /// and fields in declaration order, one word each.
-    ///
-    /// Only integers enter the fold, so the digest is identical across
-    /// debug and release builds and across machines — the cross-build
-    /// determinism witness.
-    ///
-    /// `GenerationStamp` values are excluded: generation numbers come from
-    /// a process-global counter, so their absolute values differ between
-    /// runs sharing a process. Their monotonicity is the invariant
-    /// checker's job; the digest still covers the stamps' order, objects,
-    /// and causality.
+    /// A build-independent [`Fold`] digest of the whole log: one
+    /// [`SpanDigest`] over every span.
     pub fn digest(&self) -> u64 {
-        let mut h = Fold::new(self.events.len() as u64);
-        self.digest_words(|w| h.word(w));
-        h.finish()
-    }
-
-    /// Feeds `word` everything the digest covers, in order.
-    #[inline(always)]
-    fn digest_words(&self, mut word: impl FnMut(u64)) {
+        let mut digest = SpanDigest::new(self);
         for e in &self.events {
-            word(e.id.as_raw());
-            word(e.parent.map_or(0, SpanId::as_raw));
-            word(e.at_ns);
-            word(e.node as u64);
-            word(e.kind.code());
-            if let SpanKind::GenerationStamp { object, .. } = &e.kind {
-                word(*object);
-            } else {
-                for (_, v) in e.kind.fields().as_slice() {
-                    word(*v);
-                }
-            }
-            if let SpanKind::PartitionChanged { groups } = e.kind {
-                for &g in self.groups(groups) {
-                    word(g as u64);
-                }
-            }
+            digest.observe(e);
         }
+        digest.finish()
     }
 
     /// The parent's digest — byte-serial FNV-1a over the same words, no
@@ -325,8 +252,159 @@ impl TraceLog {
     #[cfg(test)]
     pub(crate) fn legacy_digest(&self) -> u64 {
         let mut h = crate::hash::Fnv1a::new();
-        self.digest_words(|w| h.write_u64(w));
+        for e in &self.events {
+            digest_words(e, &self.groups, |w| h.write_u64(w));
+        }
         h.finish()
+    }
+}
+
+/// The span digest as a forward-only fold: the span count, then per span
+/// its id, parent (0 for none), time, node, variant code and fields in
+/// declaration order, one word each, and a `PartitionChanged`'s groups.
+/// [`TraceLog::digest`] is the batch driver; the scenario runner feeds the
+/// same fold from its one post-run read of the log.
+///
+/// Only integers enter the fold, so the digest is identical across debug
+/// and release builds and across machines — the cross-build determinism
+/// witness. The count goes in first, so the fold needs the finished log's
+/// length up front.
+///
+/// `GenerationStamp` values are excluded: generation numbers come from a
+/// process-global counter, so their absolute values differ between runs
+/// sharing a process. Their monotonicity is the invariant checker's job;
+/// the digest still covers the stamps' order, objects, and causality.
+pub struct SpanDigest<'a> {
+    fold: Fold,
+    groups: &'a GroupArena,
+}
+
+impl<'a> SpanDigest<'a> {
+    /// A digest of `log`, which has to be fed every one of its spans in
+    /// log order.
+    pub fn new(log: &'a TraceLog) -> Self {
+        SpanDigest {
+            fold: Fold::new(log.len() as u64),
+            groups: &log.groups,
+        }
+    }
+
+    /// Folds in the next span of the log.
+    #[inline]
+    pub fn observe(&mut self, e: &SpanEvent) {
+        let fold = &mut self.fold;
+        digest_words(e, self.groups, |w| fold.word(w));
+    }
+
+    /// The digest.
+    pub fn finish(self) -> u64 {
+        self.fold.finish()
+    }
+}
+
+/// Feeds `word` everything the digest covers of span `e`, in order.
+#[inline(always)]
+fn digest_words(e: &SpanEvent, groups: &GroupArena, mut word: impl FnMut(u64)) {
+    word(e.id.as_raw());
+    word(e.parent.map_or(0, SpanId::as_raw));
+    word(e.at_ns);
+    word(e.node as u64);
+    word(e.kind.code());
+    if let SpanKind::GenerationStamp { object, .. } = &e.kind {
+        word(*object);
+    } else {
+        e.kind.for_each_field(|_, v| word(v));
+    }
+    if let SpanKind::PartitionChanged { groups: handle } = e.kind {
+        for &g in groups.get(handle) {
+            word(g as u64);
+        }
+    }
+}
+
+/// Causal-tree membership of every flow of a log, as a forward-only fold.
+///
+/// A span belongs to the trees its parent belongs to, plus the tree of the
+/// flow it names itself; parents precede children in log order, so the
+/// parent's answer is known when the child is reached. Which flows a
+/// caller wants is known only after the log ends (the tail sampler picks
+/// them by outcome and duration), so the fold keeps the membership of
+/// every flow: one table entry per span inside some flow's tree, and one
+/// `(slot, position)` pair per tree it joins. [`FlowTrees::finish`] then
+/// reads the wanted trees off the pairs, not off the log.
+#[derive(Debug, Default)]
+pub(crate) struct FlowTrees {
+    /// Flow id → its slot, the index of its own membership set `{slot}`,
+    /// assigned at the flow's first mention.
+    slot_of: IdMap<u64, u32>,
+    /// Membership sets, as lists of slots. A span naming one flow beneath
+    /// the tree of another appends the union it needs.
+    sets: Vec<Vec<u32>>,
+    /// Raw id of each span inside some tree → its membership set.
+    member: IdMap<u64, u32>,
+    /// `(slot, log position)` for every tree each member span joins, in
+    /// log order. Positions fit `u32`: a log of 2^32 64-byte spans would
+    /// hold 256 GiB.
+    pairs: Vec<(u32, u32)>,
+    /// Spans observed so far: the next span's log position.
+    seen: u32,
+}
+
+impl FlowTrees {
+    /// Records the next span of the log.
+    #[inline]
+    pub(crate) fn observe(&mut self, e: &SpanEvent) {
+        #[cfg(test)]
+        SWEEP_VISITS.with(|v| v.set(v.get() + 1));
+        let pos = self.seen;
+        self.seen += 1;
+        let own = e.kind.flow_id().map(|flow| {
+            let next = self.sets.len() as u32;
+            let slot = *self.slot_of.entry(flow).or_insert(next);
+            if slot == next {
+                self.sets.push(vec![slot]);
+            }
+            slot
+        });
+        let inherited = e.parent.and_then(|p| self.member.get(&p.as_raw()).copied());
+        let set = match (inherited, own) {
+            (None, None) => return,
+            (None, Some(slot)) => slot,
+            (Some(set), None) => set,
+            (Some(set), Some(slot)) if self.sets[set as usize].contains(&slot) => set,
+            (Some(set), Some(slot)) => {
+                let mut union = self.sets[set as usize].clone();
+                union.push(slot);
+                self.sets.push(union);
+                self.sets.len() as u32 - 1
+            }
+        };
+        self.member.insert(e.id.as_raw(), set);
+        for &slot in &self.sets[set as usize] {
+            self.pairs.push((slot, pos));
+        }
+    }
+
+    /// The causal trees of the `wanted` flows (distinct ids): for each, the
+    /// log positions of its [`TraceLog::spans_for_flow`] events, ascending.
+    pub(crate) fn finish(self, wanted: &[u64]) -> Vec<Vec<usize>> {
+        const NOT_WANTED: u32 = u32::MAX;
+        let mut out_of = vec![NOT_WANTED; self.sets.len()];
+        for (out, flow) in wanted.iter().enumerate() {
+            if let Some(&slot) = self.slot_of.get(flow) {
+                out_of[slot as usize] = out as u32;
+            }
+        }
+        let mut trees = vec![Vec::new(); wanted.len()];
+        for &(slot, pos) in &self.pairs {
+            let out = out_of[slot as usize];
+            if out != NOT_WANTED {
+                #[cfg(test)]
+                SWEEP_VISITS.with(|v| v.set(v.get() + 1));
+                trees[out as usize].push(pos as usize);
+            }
+        }
+        trees
     }
 }
 
@@ -615,11 +693,14 @@ mod tests {
                 spec in prop::collection::vec((0u8..8, any::<u16>(), 0u8..24), 0..48),
             ) {
                 let log = forest(&spec);
-                let together = log.flow_trees(&FLOWS);
+                let mut trees = FlowTrees::default();
+                for e in log.events() {
+                    trees.observe(e);
+                }
+                let together = trees.finish(&FLOWS);
                 for (slot, &flow) in FLOWS.iter().enumerate() {
                     let want = log.flow_tree_oracle(flow);
                     prop_assert_eq!(&together[slot], &want, "flow {} in the joint sweep", flow);
-                    prop_assert_eq!(&log.flow_trees(&[flow])[0], &want, "flow {} alone", flow);
                     let ids: Vec<SpanId> = want.iter().map(|&pos| log.events()[pos].id).collect();
                     let got: Vec<SpanId> = log.spans_for_flow(flow).iter().map(|e| e.id).collect();
                     prop_assert_eq!(got, ids);

@@ -568,37 +568,14 @@ pub enum SpanKind {
     },
 }
 
-/// The most named integer fields any [`SpanKind`] variant carries.
-const MAX_FIELDS: usize = 6;
-
-/// A variant's `(name, value)` pairs in a fixed array (see
-/// [`SpanKind::fields`]).
-pub(crate) struct Fields {
-    pairs: [(&'static str, u64); MAX_FIELDS],
-    len: usize,
-}
-
-impl Fields {
-    fn of(src: &[(&'static str, u64)]) -> Self {
-        let mut pairs = [("", 0); MAX_FIELDS];
-        pairs[..src.len()].copy_from_slice(src);
-        Fields {
-            pairs,
-            len: src.len(),
-        }
-    }
-
-    /// The pairs, in declaration order.
-    pub(crate) fn as_slice(&self) -> &[(&'static str, u64)] {
-        &self.pairs[..self.len]
-    }
-}
-
-/// Builds a [`Fields`] from up to [`MAX_FIELDS`] `(name, value)` pairs.
+/// Calls `$f(name, value)` for each `(name, value)` pair, in order.
 macro_rules! fields {
-    ($($pair:expr),* $(,)?) => {
-        Fields::of(&[$($pair),*])
-    };
+    ($f:ident; $($pair:expr),* $(,)?) => {{
+        $(
+            let (name, value) = $pair;
+            $f(name, value);
+        )*
+    }};
 }
 
 impl SpanKind {
@@ -698,13 +675,14 @@ impl SpanKind {
         }
     }
 
-    /// Named integer fields in declaration order, for the exporters and
-    /// the digest. Returned by value on the stack: the digest calls this
-    /// once per span, so it must not allocate.
+    /// Calls `f(name, value)` for each named integer field, in declaration
+    /// order: what the exporters print and the digest folds. Inlined into
+    /// the digest, the names cost nothing and no pair is ever stored.
     ///
     /// [`SpanKind::PartitionChanged`]'s group vector lives in the log's
     /// [`GroupArena`]; the exporters and the digest read it from there.
-    pub(crate) fn fields(&self) -> Fields {
+    #[inline(always)]
+    pub(crate) fn for_each_field(&self, mut f: impl FnMut(&'static str, u64)) {
         match self {
             SpanKind::MsgSent {
                 src,
@@ -713,77 +691,79 @@ impl SpanKind {
                 dst_node,
                 verdict,
                 bytes,
-            } => fields![
+            } => fields!(f;
                 ("src", *src as u64),
                 ("dst", *dst as u64),
                 ("src_node", *src_node as u64),
                 ("dst_node", *dst_node as u64),
                 ("verdict", verdict.code()),
                 ("bytes", *bytes),
-            ],
+            ),
             SpanKind::MsgDelivered { src, dst, dst_node }
-            | SpanKind::MsgDeadLetter { src, dst, dst_node } => fields![
+            | SpanKind::MsgDeadLetter { src, dst, dst_node } => fields!(f;
                 ("src", *src as u64),
                 ("dst", *dst as u64),
                 ("dst_node", *dst_node as u64),
-            ],
+            ),
             SpanKind::TimerFired { actor, token } => {
-                fields![("actor", *actor as u64), ("token", *token)]
+                fields!(f; ("actor", *actor as u64), ("token", *token))
             }
             SpanKind::ActorSpawned { actor, node } => {
-                fields![("actor", *actor as u64), ("node", *node as u64)]
+                fields!(f; ("actor", *actor as u64), ("node", *node as u64))
             }
-            SpanKind::ActorKilled { actor } => fields![("actor", *actor as u64)],
+            SpanKind::ActorKilled { actor } => fields!(f; ("actor", *actor as u64)),
             SpanKind::NodeCrashed { node } | SpanKind::NodeRestarted { node } => {
-                fields![("node", *node as u64)]
+                fields!(f; ("node", *node as u64))
             }
             SpanKind::PartitionChanged { groups } => {
-                fields![("ngroups", groups.len() as u64)]
+                fields!(f; ("ngroups", groups.len() as u64))
             }
-            SpanKind::PartitionHealed => fields![],
+            SpanKind::PartitionHealed => {}
             SpanKind::LinkFaultSet { src_node, dst_node }
-            | SpanKind::LinkFaultCleared { src_node, dst_node } => fields![
+            | SpanKind::LinkFaultCleared { src_node, dst_node } => fields!(f;
                 ("src_node", *src_node as u64),
                 ("dst_node", *dst_node as u64),
-            ],
+            ),
             SpanKind::ChaosFault { action, node } => {
-                fields![("action", *action as u64), ("node", *node as u64)]
+                fields!(f; ("action", *action as u64), ("node", *node as u64))
             }
             SpanKind::RpcAttempt {
                 call,
                 object,
                 attempt,
                 dst,
-            } => fields![
+            } => fields!(f;
                 ("call", *call),
                 ("object", *object),
                 ("attempt", *attempt as u64),
                 ("dst", *dst as u64),
-            ],
+            ),
             SpanKind::RpcRetry { call, attempt } => {
-                fields![("call", *call), ("attempt", *attempt as u64)]
+                fields!(f; ("call", *call), ("attempt", *attempt as u64))
             }
             SpanKind::BindingHit { object, dst } | SpanKind::BindingRegistered { object, dst } => {
-                fields![("object", *object), ("dst", *dst as u64)]
+                fields!(f; ("object", *object), ("dst", *dst as u64))
             }
             SpanKind::BindingMiss { object } | SpanKind::BindingInvalidated { object } => {
-                fields![("object", *object)]
+                fields!(f; ("object", *object))
             }
             SpanKind::RpcCompleted { call, outcome } => {
-                fields![("call", *call), ("outcome", outcome.code())]
+                fields!(f; ("call", *call), ("outcome", outcome.code()))
             }
             SpanKind::FlowStarted { flow, object, kind } => {
-                fields![("flow", *flow), ("object", *object), ("kind", kind.code())]
+                fields!(f; ("flow", *flow), ("object", *object), ("kind", kind.code()))
             }
-            SpanKind::FlowStep { flow, step } => fields![("flow", *flow), ("step", *step as u64)],
+            SpanKind::FlowStep { flow, step } => {
+                fields!(f; ("flow", *flow), ("step", *step as u64))
+            }
             SpanKind::FlowCompleted { flow } | SpanKind::FlowAborted { flow } => {
-                fields![("flow", *flow)]
+                fields!(f; ("flow", *flow))
             }
             SpanKind::GenerationStamp { object, generation } => {
-                fields![("object", *object), ("generation", *generation)]
+                fields!(f; ("object", *object), ("generation", *generation))
             }
             SpanKind::CallServed { object, call } => {
-                fields![("object", *object), ("call", *call)]
+                fields!(f; ("object", *object), ("call", *call))
             }
             SpanKind::EpochProposed {
                 group,
@@ -794,34 +774,34 @@ impl SpanKind {
                 group,
                 epoch,
                 config,
-            } => fields![("group", *group), ("epoch", *epoch), ("config", *config)],
+            } => fields!(f; ("group", *group), ("epoch", *epoch), ("config", *config)),
             SpanKind::ReplicaEpoch {
                 group,
                 replica,
                 epoch,
-            } => fields![("group", *group), ("replica", *replica), ("epoch", *epoch)],
+            } => fields!(f; ("group", *group), ("replica", *replica), ("epoch", *epoch)),
             SpanKind::EpochServed {
                 group,
                 replica,
                 epoch,
                 call,
-            } => fields![
+            } => fields!(f;
                 ("group", *group),
                 ("replica", *replica as u64),
                 ("epoch", *epoch),
                 ("call", *call),
-            ],
+            ),
             SpanKind::VmCost {
                 function,
                 calls,
                 instructions,
                 work_nanos,
-            } => fields![
+            } => fields!(f;
                 ("function", *function),
                 ("calls", *calls as u64),
                 ("instructions", *instructions),
                 ("work_nanos", *work_nanos),
-            ],
+            ),
         }
     }
 }
@@ -865,9 +845,12 @@ mod tests {
         assert_eq!(calls(u32::MAX as u64), u32::MAX);
         assert_eq!(calls(u32::MAX as u64 + 1), u32::MAX);
         assert_eq!(calls(u64::MAX), u32::MAX);
+        let mut fields = Vec::new();
+        SpanKind::vm_cost(7, 1 << 40, 1, 2)
+            .for_each_field(|name, value| fields.push((name, value)));
         assert_eq!(
-            SpanKind::vm_cost(7, 1 << 40, 1, 2).fields().as_slice(),
-            &[
+            fields,
+            [
                 ("function", 7),
                 ("calls", u32::MAX as u64),
                 ("instructions", 1),
