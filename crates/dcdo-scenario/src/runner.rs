@@ -189,8 +189,13 @@ struct SeriesDerive<'t> {
     pending: [CounterRun; COUNTERS.len()],
 }
 
-/// The derived counters, in [`SeriesDerive::pending`] order.
+/// The derived counters; [`SeriesDerive::pending`] is indexed alike.
 const COUNTERS: [&str; 5] = ["ok.flow", "err.flow", "ok.rpc", "err.rpc", "served"];
+const OK_FLOW: usize = 0;
+const ERR_FLOW: usize = 1;
+const OK_RPC: usize = 2;
+const ERR_RPC: usize = 3;
+const SERVED: usize = 4;
 
 /// Increments of one counter not yet recorded: `count` of them, all inside
 /// the window `[start_ns, end_ns)`.
@@ -223,7 +228,7 @@ impl<'t> SeriesDerive<'t> {
                     self.timeline.record_sample(e.at_ns, "lat.flow", latency);
                 }
                 let completed = matches!(e.kind, SpanKind::FlowCompleted { .. });
-                self.count(if completed { 0 } else { 1 }, e.at_ns);
+                self.count(if completed { OK_FLOW } else { ERR_FLOW }, e.at_ns);
             }
             SpanKind::RpcAttempt { call, .. } => {
                 self.rpc_start.entry(*call).or_insert(e.at_ns);
@@ -233,9 +238,10 @@ impl<'t> SeriesDerive<'t> {
                     let latency = (e.at_ns - t0) as f64 / 1e9;
                     self.timeline.record_sample(e.at_ns, "lat.rpc", latency);
                 }
-                self.count(if *outcome == RpcOutcome::Ok { 2 } else { 3 }, e.at_ns);
+                let ok = *outcome == RpcOutcome::Ok;
+                self.count(if ok { OK_RPC } else { ERR_RPC }, e.at_ns);
             }
-            SpanKind::CallServed { .. } => self.count(4, e.at_ns),
+            SpanKind::CallServed { .. } => self.count(SERVED, e.at_ns),
             _ => {}
         }
     }

@@ -23,9 +23,15 @@ use crate::span::{GroupArena, GroupsRef, SpanEvent, SpanId, SpanKind};
 /// and the span carries a handle. The id → position
 /// index behind [`TraceLog::get`] is built on the first lookup and extended
 /// by the spans recorded since on each later one, so a run that never looks
-/// a span up by id never pays for the index. Flow extraction
-/// ([`TraceLog::spans_for_flow`], [`tail_sample`](crate::tail_sample)) is
-/// one forward sweep, O(spans + retained output), and relies on the log's
+/// a span up by id never pays for the index.
+///
+/// Every post-run reader is a forward-only fold over the finished log's
+/// spans — [`SpanDigest`], [`Checker`](crate::Checker),
+/// [`TailSampler`](crate::TailSampler) — so one read can feed them all (the
+/// scenario runner's post-run sweep does). [`TraceLog::digest`],
+/// [`check`](crate::check), [`tail_sample`](crate::tail_sample) and
+/// [`TraceLog::spans_for_flow`] are one-read drivers of the same folds.
+/// Flow extraction is O(spans + retained output) and relies on the log's
 /// ordering contract: a parent is recorded before its children. A child
 /// recorded ahead of its parent is not counted as a descendant.
 #[derive(Debug, Default, Clone)]
@@ -329,28 +335,41 @@ fn digest_words(e: &SpanEvent, groups: &GroupArena, mut word: impl FnMut(u64)) {
 /// parent's answer is known when the child is reached. Which flows a
 /// caller wants is known only after the log ends (the tail sampler picks
 /// them by outcome and duration), so the fold keeps the membership of
-/// every flow: one table entry per span inside some flow's tree, and one
-/// `(slot, position)` pair per tree it joins. [`FlowTrees::finish`] then
-/// reads the wanted trees off the pairs, not off the log.
+/// every flow: one table entry per span inside some flow's tree, holding
+/// its membership set and its log position. [`FlowTrees::finish`] reads the
+/// wanted trees off that table, not off the log.
 #[derive(Debug, Default)]
 pub(crate) struct FlowTrees {
-    /// Flow id → its slot, the index of its own membership set `{slot}`,
-    /// assigned at the flow's first mention.
+    /// Flow id → its slot, assigned at the flow's first mention.
     slot_of: IdMap<u64, u32>,
-    /// Membership sets, as lists of slots. A span naming one flow beneath
-    /// the tree of another appends the union it needs.
-    sets: Vec<Vec<u32>>,
-    /// Raw id of each span inside some tree → its membership set.
-    member: IdMap<u64, u32>,
-    /// `(slot, log position)` for every tree each member span joins, in
-    /// log order. Positions fit `u32`: a log of 2^32 64-byte spans would
+    /// Membership sets of more than one slot, as lists of slots: a span
+    /// naming one flow beneath the tree of another needs the union. A set
+    /// id below [`UNION`] is the one-slot set of that slot; `UNION + i` is
+    /// `unions[i]`.
+    unions: Vec<Vec<u32>>,
+    /// Raw id of each span inside some tree → (its membership set, its log
+    /// position). Positions fit `u32`: a log of 2^32 64-byte spans would
     /// hold 256 GiB.
-    pairs: Vec<(u32, u32)>,
+    member: IdMap<u64, (u32, u32)>,
+    /// `(set, position)` of member spans whose id a later member reused
+    /// (`push_event` leaves id uniqueness to the producer).
+    shadowed: Vec<(u32, u32)>,
     /// Spans observed so far: the next span's log position.
     seen: u32,
 }
 
+/// The first set id that names an entry of [`FlowTrees::unions`].
+const UNION: u32 = 1 << 31;
+
 impl FlowTrees {
+    /// The slots of membership set `set`.
+    fn slots<'a>(&'a self, set: &'a u32) -> &'a [u32] {
+        match set.checked_sub(UNION) {
+            Some(i) => &self.unions[i as usize],
+            None => std::slice::from_ref(set),
+        }
+    }
+
     /// Records the next span of the log.
     #[inline]
     pub(crate) fn observe(&mut self, e: &SpanEvent) {
@@ -359,29 +378,26 @@ impl FlowTrees {
         let pos = self.seen;
         self.seen += 1;
         let own = e.kind.flow_id().map(|flow| {
-            let next = self.sets.len() as u32;
-            let slot = *self.slot_of.entry(flow).or_insert(next);
-            if slot == next {
-                self.sets.push(vec![slot]);
-            }
-            slot
+            let next = self.slot_of.len() as u32;
+            *self.slot_of.entry(flow).or_insert(next)
         });
-        let inherited = e.parent.and_then(|p| self.member.get(&p.as_raw()).copied());
+        let inherited = e
+            .parent
+            .and_then(|p| self.member.get(&p.as_raw()).map(|&(set, _)| set));
         let set = match (inherited, own) {
             (None, None) => return,
             (None, Some(slot)) => slot,
             (Some(set), None) => set,
-            (Some(set), Some(slot)) if self.sets[set as usize].contains(&slot) => set,
+            (Some(set), Some(slot)) if self.slots(&set).contains(&slot) => set,
             (Some(set), Some(slot)) => {
-                let mut union = self.sets[set as usize].clone();
+                let mut union = self.slots(&set).to_vec();
                 union.push(slot);
-                self.sets.push(union);
-                self.sets.len() as u32 - 1
+                self.unions.push(union);
+                UNION + self.unions.len() as u32 - 1
             }
         };
-        self.member.insert(e.id.as_raw(), set);
-        for &slot in &self.sets[set as usize] {
-            self.pairs.push((slot, pos));
+        if let Some(earlier) = self.member.insert(e.id.as_raw(), (set, pos)) {
+            self.shadowed.push(earlier);
         }
     }
 
@@ -389,20 +405,25 @@ impl FlowTrees {
     /// log positions of its [`TraceLog::spans_for_flow`] events, ascending.
     pub(crate) fn finish(self, wanted: &[u64]) -> Vec<Vec<usize>> {
         const NOT_WANTED: u32 = u32::MAX;
-        let mut out_of = vec![NOT_WANTED; self.sets.len()];
+        let mut out_of = vec![NOT_WANTED; self.slot_of.len()];
         for (out, flow) in wanted.iter().enumerate() {
             if let Some(&slot) = self.slot_of.get(flow) {
                 out_of[slot as usize] = out as u32;
             }
         }
         let mut trees = vec![Vec::new(); wanted.len()];
-        for &(slot, pos) in &self.pairs {
-            let out = out_of[slot as usize];
-            if out != NOT_WANTED {
-                #[cfg(test)]
-                SWEEP_VISITS.with(|v| v.set(v.get() + 1));
-                trees[out as usize].push(pos as usize);
+        for (set, pos) in self.member.values().chain(&self.shadowed) {
+            for &slot in self.slots(set) {
+                let out = out_of[slot as usize];
+                if out != NOT_WANTED {
+                    #[cfg(test)]
+                    SWEEP_VISITS.with(|v| v.set(v.get() + 1));
+                    trees[out as usize].push(*pos as usize);
+                }
             }
+        }
+        for tree in &mut trees {
+            tree.sort_unstable();
         }
         trees
     }
@@ -546,6 +567,23 @@ mod tests {
             .expect("enabled");
         assert_eq!(id.as_raw(), 1);
         assert_eq!(log.get(id).expect("indexed").at_ns, 7);
+    }
+
+    #[test]
+    fn spans_for_flow_keeps_every_span_of_a_reused_id() {
+        // `push_event` leaves id uniqueness to the producer: a tree member
+        // whose id a later member reuses still belongs to its tree.
+        let id = SpanId::from_raw(5).expect("nonzero");
+        let step = |at_ns, flow| SpanEvent {
+            id,
+            parent: None,
+            at_ns,
+            node: 0,
+            kind: SpanKind::FlowStep { flow, step: 0 },
+        };
+        let log = TraceLog::from_events(vec![step(1, 7), step(2, 8)], GroupArena::default());
+        let at = |flow| -> Vec<u64> { log.spans_for_flow(flow).iter().map(|e| e.at_ns).collect() };
+        assert_eq!((at(7), at(8)), (vec![1], vec![2]));
     }
 
     #[test]
