@@ -193,7 +193,8 @@ impl TraceLog {
     /// Every event belonging to a flow: events that name the flow id
     /// directly, plus all causal descendants of those events (the RPCs,
     /// timers, and deliveries the flow fanned out into), in emit order.
-    /// One [`FlowTrees`] fold over the log.
+    /// One read of the log, through the tail sampler's tree-membership
+    /// fold.
     pub fn spans_for_flow(&self, flow: u64) -> Vec<&SpanEvent> {
         let mut trees = FlowTrees::default();
         for e in &self.events {
