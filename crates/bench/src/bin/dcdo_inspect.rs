@@ -16,11 +16,13 @@
 //! BENCH_profile.prom.
 //!
 //! The `vm` subcommand (`dcdo-inspect vm <workload> …`) runs the same
-//! scenario and then reports the VM's view of it: the per-function cost
-//! table, the per-opcode retirement table (in original-opcode terms, so the
-//! numbers are identical with fusion on or off), and the superinstruction
-//! coverage the threaded dispatch achieved. With `--out PREFIX` it also
-//! writes `PREFIX.vm.json`.
+//! scenario and then reports the VM's view of it from the world's
+//! `VmTotals` (`ReconfigRun::vm_totals`, `RunArtifacts::vm`): the
+//! per-function cost table, the per-opcode retirement table (in
+//! original-opcode terms, so the numbers are identical with fusion on or
+//! off), and the superinstruction coverage the threaded dispatch achieved.
+//! It writes `PREFIX.vm.json` (`BENCH_profile.vm.json` by default), with
+//! function names escaped by the profiler's JSON rule.
 //!
 //! The `scenarios` subcommand lists every declared scenario; `scenario
 //! <name|file.scn|all> [seed] [--out FILE]` runs declared
@@ -50,10 +52,11 @@
 //! as Chrome-trace JSON (`chrome://tracing` / Perfetto), printing the span
 //! count and the build-independent digest.
 
+use dcdo_profile::json::esc;
 use dcdo_profile::{CriticalPath, FnNames, LayerMap, ProfileReport};
 use dcdo_scenario::RunArtifacts;
 use dcdo_sim::TraceLog;
-use dcdo_vm::{FusionStats, VmProfile, OPCODE_NAMES};
+use dcdo_vm::{VmProfile, VmTotals, OPCODE_NAMES};
 use dcdo_workloads::reconfig;
 
 const WORKLOADS: &[&str] = &[
@@ -444,7 +447,9 @@ fn print_timeline_table(timeline_json: &str) {
     }
 }
 
-fn run_workload(name: &str, seed: u64) -> ProfileReport {
+/// Runs `name` and returns its profile together with the world's VM
+/// totals.
+fn run_workload(name: &str, seed: u64) -> (ProfileReport, VmTotals) {
     match name {
         "reconfig" | "reconfig_faulted" | "crash_during_reconfig" => {
             let mut run = reconfig::reconfig_run(seed, name != "reconfig");
@@ -456,7 +461,7 @@ fn run_workload(name: &str, seed: u64) -> ProfileReport {
                 println!("recovery after injected crash: {:.3}s", run.recovery_time_s);
             }
             println!("reconfiguration window: {} messages", run.window_messages);
-            run.profile()
+            (run.profile(), run.vm_totals())
         }
         // The ring scenarios have no manager or vault, so their profile
         // carries an empty layer map (everything attributes to
@@ -468,11 +473,12 @@ fn run_workload(name: &str, seed: u64) -> ProfileReport {
             let artifacts = dcdo_scenario::run_artifacts(scenario, None)
                 .expect("declared scenarios validate at any seed");
             print!("{}", artifacts.report.render());
-            ProfileReport::analyze(
+            let report = ProfileReport::analyze(
                 &TraceLog::from_events(artifacts.spans, artifacts.span_groups),
                 &LayerMap::new(),
                 &FnNames::new(),
-            )
+            );
+            (report, artifacts.vm)
         }
     }
 }
@@ -640,16 +646,17 @@ fn print_vm_opcodes(profile: &VmProfile) {
     println!("{:<14} {:>12}", "total", total);
 }
 
-fn print_vm_fusion(stats: FusionStats) {
+fn print_vm_fusion(totals: &VmTotals) {
     println!(
         "\nsuperinstruction coverage: {:.2}% ({} of {} retired opcodes ran fused)",
-        100.0 * stats.coverage(),
-        stats.fused,
-        stats.retired
+        100.0 * totals.coverage(),
+        totals.fused,
+        totals.retired
     );
 }
 
-fn vm_json(profile: &VmProfile, stats: FusionStats) -> String {
+fn vm_json(totals: &VmTotals) -> String {
+    let profile = &totals.profile;
     let mut s = String::from("{\n  \"functions\": [");
     for (i, f) in profile.functions.iter().enumerate() {
         if i > 0 {
@@ -657,7 +664,7 @@ fn vm_json(profile: &VmProfile, stats: FusionStats) -> String {
         }
         s.push_str(&format!(
             "\n    {{\"name\": \"{}\", \"calls\": {}, \"instructions\": {}, \"work_nanos\": {}}}",
-            f.name.as_str(),
+            esc(f.name.as_str()),
             f.stats.calls,
             f.stats.instructions,
             f.stats.work_nanos
@@ -676,9 +683,9 @@ fn vm_json(profile: &VmProfile, stats: FusionStats) -> String {
     }
     s.push_str(&format!(
         "\n  }},\n  \"fusion\": {{\"retired\": {}, \"fused\": {}, \"coverage\": {:.4}}}\n}}\n",
-        stats.retired,
-        stats.fused,
-        stats.coverage()
+        totals.retired,
+        totals.fused,
+        totals.coverage()
     ));
     s
 }
@@ -736,21 +743,14 @@ fn main() {
     }
 
     println!("workload {workload}, seed {seed}");
-    if vm_mode {
-        // Scope the process-wide VM aggregates to this scenario.
-        dcdo_vm::reset_global_vm_profile();
-        dcdo_vm::reset_fusion_stats();
-    }
-    let report = run_workload(&workload, seed);
+    let (report, vm) = run_workload(&workload, seed);
 
     if vm_mode {
-        let profile = dcdo_vm::global_vm_profile();
-        let fusion = dcdo_vm::fusion_stats();
-        print_vm_functions(&profile);
-        print_vm_opcodes(&profile);
-        print_vm_fusion(fusion);
+        print_vm_functions(&vm.profile);
+        print_vm_opcodes(&vm.profile);
+        print_vm_fusion(&vm);
         let json_path = format!("{out_prefix}.vm.json");
-        std::fs::write(&json_path, vm_json(&profile, fusion)).expect("write VM cost JSON");
+        std::fs::write(&json_path, vm_json(&vm)).expect("write VM cost JSON");
         println!("wrote {json_path}");
         return;
     }
@@ -772,4 +772,27 @@ fn main() {
     std::fs::write(&json_path, report.to_json()).expect("write profile JSON");
     std::fs::write(&prom_path, report.to_prometheus()).expect("write profile Prometheus");
     println!("wrote {json_path} and {prom_path}");
+}
+
+#[cfg(test)]
+mod tests {
+    use dcdo_vm::{FnProfile, FnStats};
+
+    use super::*;
+
+    #[test]
+    fn vm_json_escapes_function_names() {
+        // The signature parser and the codec both accept quotes and
+        // backslashes in a function name.
+        let mut totals = VmTotals::default();
+        totals.profile.functions.push(FnProfile {
+            name: "a\"b\\c".into(),
+            stats: FnStats::default(),
+        });
+        let json = vm_json(&totals);
+        assert!(
+            json.contains(r#"{"name": "a\"b\\c", "calls": 0,"#),
+            "{json}"
+        );
+    }
 }

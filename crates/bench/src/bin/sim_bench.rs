@@ -151,7 +151,7 @@ fn main() {
         simbench::vm_spin_with(SPIN_ITERS, false, simbench::VmSpinMode::Unfused).0
     });
     let speedup_vs_legacy = spin_off.best_events_per_sec / spin_legacy.best_events_per_sec;
-    let fusion_probe = simbench::vm_spin_fusion_probe(SPIN_ITERS.min(10_000));
+    let (fusion_probe, decode_cache) = simbench::vm_spin_fusion_probe(SPIN_ITERS.min(10_000));
 
     let mut json = String::from("{\n  \"suite\": \"sim_throughput\",\n  \"unit\": \"events_per_sec\",\n  \"workloads\": {\n");
     for (i, s) in shots.iter().enumerate() {
@@ -220,7 +220,7 @@ fn main() {
     ));
     json.push_str(&format!(
         "    \"decode_cache\": {{\"decodes\": {}, \"hits\": {}, \"invalidations\": {}}}\n  }}\n}}\n",
-        fusion_probe.stats.decodes, fusion_probe.stats.hits, fusion_probe.stats.invalidations
+        decode_cache.decodes, decode_cache.hits, decode_cache.invalidations
     ));
 
     for s in shots.iter().chain([
@@ -245,9 +245,9 @@ fn main() {
     println!(
         "vm dispatch: {speedup_vs_legacy:.2}x vs legacy, fused coverage {:.1}%, decode cache {}/{} hits/decodes ({} invalidations)",
         fusion_probe.coverage() * 100.0,
-        fusion_probe.stats.hits,
-        fusion_probe.stats.decodes,
-        fusion_probe.stats.invalidations
+        decode_cache.hits,
+        decode_cache.decodes,
+        decode_cache.invalidations
     );
     std::fs::write(&out_path, json).expect("write BENCH_sim.json");
     println!("wrote {out_path}");

@@ -24,13 +24,13 @@
 //! call would see).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dcdo_sim::{SimDuration, SimRng};
 use dcdo_types::{ComponentId, FunctionId, FunctionInterner, FunctionName, VersionId};
 use dcdo_vm::{
-    fusion_default, next_generation, CallOrigin, CallResolver, CallToken, ComponentBinary,
-    DecodeCacheStats, DecodedCode, ResolveError, ResolvedCall,
+    next_generation, CallOrigin, CallResolver, CallToken, ComponentBinary, DecodeCacheStats,
+    DecodedCode, ResolveError, ResolvedCall,
 };
 
 use crate::descriptor::{DfmDescriptor, ImplKey};
@@ -41,7 +41,7 @@ use crate::error::ConfigError;
 enum Slot {
     /// The function is enabled and its code is loaded: dispatch is an index.
     Ready {
-        code: Arc<DecodedCode>,
+        code: Rc<DecodedCode>,
         component: ComponentId,
         exported: bool,
     },
@@ -57,8 +57,8 @@ pub struct Dfm {
     /// Loaded component code, **pre-decoded** into the VM's direct-threaded
     /// form. Decoding happens once per incorporate/stage — the same rare
     /// configuration-time moment that bumps the generation — so steady-state
-    /// dispatch hands out `Arc` clones of a cached decode.
-    loaded: HashMap<ComponentId, HashMap<FunctionName, Arc<DecodedCode>>>,
+    /// dispatch hands out `Rc` clones of a cached decode.
+    loaded: HashMap<ComponentId, HashMap<FunctionName, Rc<DecodedCode>>>,
     interner: FunctionInterner,
     slots: Vec<Slot>,
     generation: u64,
@@ -86,15 +86,16 @@ impl Dfm {
             dispatch_band,
             rng: SimRng::seed_from_u64(seed),
             dispatches: 0,
-            fuse: fusion_default(),
+            fuse: true,
             decode_stats: DecodeCacheStats::default(),
         }
     }
 
-    /// Selects whether the decode pass fuses superinstructions (defaults to
-    /// the process-wide `DCDO_VM_FUSE` knob). Flipping the mode re-decodes
-    /// every loaded function and reindexes — a configuration operation like
-    /// any other, so outstanding [`CallToken`]s expire.
+    /// Selects whether the decode pass fuses superinstructions (on by
+    /// default; off is the differential tests' reference). Flipping the
+    /// mode re-decodes every loaded function and reindexes — a
+    /// configuration operation like any other, so outstanding
+    /// [`CallToken`]s expire.
     pub fn set_fusion(&mut self, fuse: bool) {
         if self.fuse == fuse {
             return;
@@ -104,7 +105,7 @@ impl Dfm {
             for code in map.values_mut() {
                 self.decode_stats.invalidations += 1;
                 self.decode_stats.decodes += 1;
-                *code = Arc::new(DecodedCode::decode(Arc::clone(code.block()), fuse));
+                *code = Rc::new(DecodedCode::decode(Rc::clone(code.block()), fuse));
             }
         }
         self.reindex();
@@ -148,7 +149,7 @@ impl Dfm {
                 continue;
             };
             self.slots[id.index()] = Slot::Ready {
-                code: Arc::clone(code),
+                code: Rc::clone(code),
                 component,
                 exported: record.visibility().is_exported(),
             };
@@ -162,7 +163,7 @@ impl Dfm {
         &self,
         function: &FunctionName,
         origin: CallOrigin,
-    ) -> Result<(Arc<DecodedCode>, ComponentId), ResolveError> {
+    ) -> Result<(Rc<DecodedCode>, ComponentId), ResolveError> {
         let record = self
             .descriptor
             .function(function)
@@ -176,7 +177,7 @@ impl Dfm {
             .get(&component)
             .and_then(|m| m.get(function))
             .ok_or(ResolveError::Missing)?;
-        Ok((Arc::clone(code), component))
+        Ok((Rc::clone(code), component))
     }
 
     /// The implementation version currently reflected.
@@ -344,17 +345,17 @@ impl Dfm {
         Ok(())
     }
 
-    /// Decodes and loads a binary's code blocks (one `Arc<DecodedCode>` per
+    /// Decodes and loads a binary's code blocks (one `Rc<DecodedCode>` per
     /// function, decoded once here rather than per call). Replacing an
     /// already-loaded component drops its cached decodes.
     fn load_decoded(&mut self, binary: &ComponentBinary) {
-        let decoded: HashMap<FunctionName, Arc<DecodedCode>> = binary
+        let decoded: HashMap<FunctionName, Rc<DecodedCode>> = binary
             .functions()
             .iter()
             .map(|f| {
                 (
                     f.name().clone(),
-                    Arc::new(DecodedCode::decode(Arc::new(f.code().clone()), self.fuse)),
+                    Rc::new(DecodedCode::decode(Rc::new(f.code().clone()), self.fuse)),
                 )
             })
             .collect();
@@ -414,7 +415,7 @@ impl Dfm {
                 self.decode_stats.hits += 1;
                 return Ok((
                     ResolvedCall {
-                        code: Arc::clone(code),
+                        code: Rc::clone(code),
                         component: *component,
                     },
                     Some(id),
@@ -466,7 +467,7 @@ impl CallResolver for Dfm {
                 self.dispatches += 1;
                 self.decode_stats.hits += 1;
                 Some(ResolvedCall {
-                    code: Arc::clone(code),
+                    code: Rc::clone(code),
                     component: *component,
                 })
             }

@@ -5,8 +5,9 @@
 //! floating point, and the same report renders identically on every build
 //! profile and machine.
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
+/// Escapes a string for inclusion in a JSON string literal (every writer
+/// of the profiler's JSON and `dcdo-inspect vm`'s uses this rule).
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -28,7 +28,7 @@
 
 mod export;
 mod flow;
-mod json;
+pub mod json;
 mod layer;
 mod path;
 mod report;

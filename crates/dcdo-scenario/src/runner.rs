@@ -51,6 +51,7 @@ use dcdo_sim::{
     Checker, FlightDump, GroupArena, NodeId, RpcOutcome, Simulation, SpanDigest, SpanEvent,
     SpanKind, TailSampler, Timeline, Violation,
 };
+use dcdo_vm::VmTotals;
 use legion_substrate::Msg;
 
 use crate::report::ScenarioReport;
@@ -99,6 +100,9 @@ pub struct RunArtifacts {
     /// `true` when any `slo_*` expectation failed — callers should persist
     /// the full-fidelity [`flight`](RunArtifacts::flight) dump.
     pub slo_breached: bool,
+    /// The world's VM totals (merged thread profiles, retired and fused
+    /// opcodes), moved out of the simulation.
+    pub vm: VmTotals,
 }
 
 /// Host wall time of each phase of one [`run_artifacts_timed`] call, in
@@ -473,12 +477,13 @@ pub fn run_artifacts_timed(
     times.render_s = lap(&mut clock);
     // Every reader of the span log has had its turn, so the artifacts take
     // the events and their group arena themselves.
-    let ((spans, span_groups), timeline) = match cx.world.sim_mut() {
+    let ((spans, span_groups), timeline, vm) = match cx.world.sim_mut() {
         Some(sim) => (
             sim.spans_mut().take_events(),
             std::mem::take(sim.timeline_mut()),
+            std::mem::take(sim.totals_mut::<VmTotals>()),
         ),
-        None => (Default::default(), Timeline::new()),
+        None => Default::default(),
     };
     let artifacts = RunArtifacts {
         report: ScenarioReport {
@@ -504,6 +509,7 @@ pub fn run_artifacts_timed(
         timeline,
         flight,
         slo_breached: slo_breaches > 0,
+        vm,
     };
     drop(cx);
     times.take_s = lap(&mut clock);

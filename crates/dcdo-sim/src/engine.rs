@@ -89,10 +89,8 @@ pub struct TimerId(u64);
 /// A message type routable by the engine.
 ///
 /// `wire_size` is the payload size the network model charges for; the
-/// default of 64 bytes approximates an empty RPC header. Nothing in the
-/// engine needs the `Send` bound here and on [`Actor`] any more; dropping
-/// it would ripple through every actor crate for no gain.
-pub trait Payload: 'static + Send {
+/// default of 64 bytes approximates an empty RPC header.
+pub trait Payload: 'static {
     /// Returns the on-the-wire size of this message in bytes.
     fn wire_size(&self) -> u64 {
         64
@@ -103,7 +101,7 @@ pub trait Payload: 'static + Send {
     /// The default returns `None`, keeping `Clone` optional for payload
     /// types: the engine then models a planned duplicate as a single
     /// delivery at the later of the two arrival times. Types that are
-    /// cheaply clonable (e.g. with `Arc`-shared bodies) should return
+    /// cheaply clonable (e.g. with `Rc`-shared bodies) should return
     /// `Some(clone)` to get true double delivery.
     fn clone_for_redelivery(&self) -> Option<Self>
     where
@@ -119,7 +117,7 @@ pub trait Payload: 'static + Send {
 /// handle, which exposes the clock, the network, randomness, metrics, and
 /// actor management. `Actor` requires [`Any`] so drivers can downcast actors
 /// for inspection between events.
-pub trait Actor<M: Payload>: Any + Send {
+pub trait Actor<M: Payload>: Any {
     /// Handles a message delivered to this actor.
     fn on_message(&mut self, ctx: &mut Ctx<'_, M>, from: ActorId, msg: M);
 
@@ -241,6 +239,11 @@ impl<'a, M: Payload> Ctx<'a, M> {
     /// Returns the simulation's metrics registry.
     pub fn metrics(&mut self) -> &mut Metrics {
         &mut self.sim.metrics
+    }
+
+    /// Returns the world's totals slot (see [`Simulation::totals_mut`]).
+    pub fn totals<T: Any + Default>(&mut self) -> &mut T {
+        self.sim.totals_mut()
     }
 
     /// Mints a fresh unique `u64` (for object ids, call ids, …).
@@ -406,6 +409,9 @@ pub struct Simulation<M: Payload> {
     timeline: Timeline,
     /// When each node crash happened, in order (a run has a handful).
     crashes: Vec<SimTime>,
+    /// Per-world totals a layer above the engine keeps (the VM's), typed
+    /// `dyn Any` because this crate cannot name them.
+    totals: Option<Box<dyn Any>>,
 }
 
 impl<M: Payload> Simulation<M> {
@@ -429,6 +435,7 @@ impl<M: Payload> Simulation<M> {
             flight: FlightRecorder::new(),
             timeline: Timeline::new(),
             crashes: Vec::new(),
+            totals: None,
         }
     }
 
@@ -523,6 +530,26 @@ impl<M: Payload> Simulation<M> {
     /// before a run or export it afterwards.
     pub fn timeline_mut(&mut self) -> &mut Timeline {
         &mut self.timeline
+    }
+
+    /// The world's totals as a `T`, created as `T::default()` on first use:
+    /// counters a layer above the engine keeps per world rather than per
+    /// process (the VM's `VmTotals`, which the object runtime folds into).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot already holds a value of another type.
+    pub fn totals_mut<T: Any + Default>(&mut self) -> &mut T {
+        let slot = self.totals.get_or_insert_with(|| Box::new(T::default()));
+        (**slot)
+            .downcast_mut()
+            .expect("a world's totals slot holds one type")
+    }
+
+    /// The world's totals, if a `T` was ever stored (see
+    /// [`totals_mut`](Simulation::totals_mut)).
+    pub fn totals<T: Any>(&self) -> Option<&T> {
+        self.totals.as_deref()?.downcast_ref()
     }
 
     /// The instants of every node crash so far, ascending. Kept whether or

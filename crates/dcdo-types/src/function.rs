@@ -6,8 +6,8 @@
 //! protected as *mandatory* or *permanent* to restrict evolution.
 
 use std::fmt;
+use std::rc::Rc;
 use std::str::FromStr;
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -15,14 +15,14 @@ use serde::{Deserialize, Serialize};
 ///
 /// Names are the unit of identity in a DFM: all implementations of the same
 /// logical function (possibly in different components) share one name.
-/// Cheap to clone (`Arc`-backed).
+/// Cheap to clone (`Rc`-backed).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 #[serde(transparent)]
-pub struct FunctionName(Arc<str>);
+pub struct FunctionName(Rc<str>);
 
 impl FunctionName {
     /// Creates a function name.
-    pub fn new(name: impl Into<Arc<str>>) -> Self {
+    pub fn new(name: impl Into<Rc<str>>) -> Self {
         FunctionName(name.into())
     }
 
@@ -40,7 +40,7 @@ impl FunctionName {
     /// while a clone of the name is alive — a freed allocation's address
     /// can be reused.
     pub fn identity_key(&self) -> usize {
-        Arc::as_ptr(&self.0) as *const u8 as usize
+        Rc::as_ptr(&self.0) as *const u8 as usize
     }
 }
 

@@ -30,68 +30,13 @@
 //! configuration it was built from. [`DecodeCacheStats`] counts that
 //! lifecycle.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::rc::Rc;
 
 use dcdo_types::{FunctionName, FunctionSignature};
 
 use crate::error::VmError;
 use crate::instr::{CodeBlock, Instr};
 use crate::value::Value;
-
-/// Returns the process default for superinstruction fusion: on, unless the
-/// `DCDO_VM_FUSE` environment variable is set to `0` (read once).
-pub fn fusion_default() -> bool {
-    static FUSE: OnceLock<bool> = OnceLock::new();
-    *FUSE.get_or_init(|| std::env::var("DCDO_VM_FUSE").map_or(true, |v| v != "0"))
-}
-
-/// Process-wide fused-execution counters, aggregated from every finished
-/// [`VmThread::run`](crate::VmThread::run) (relaxed atomics, flushed once
-/// per run, not per instruction).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FusionStats {
-    /// Original opcodes retired by threaded execution.
-    pub retired: u64,
-    /// The subset retired inside a superinstruction.
-    pub fused: u64,
-}
-
-impl FusionStats {
-    /// Fraction of retired original opcodes that ran inside a
-    /// superinstruction (`0.0` when nothing retired).
-    pub fn coverage(&self) -> f64 {
-        if self.retired == 0 {
-            0.0
-        } else {
-            self.fused as f64 / self.retired as f64
-        }
-    }
-}
-
-static RETIRED_TOTAL: AtomicU64 = AtomicU64::new(0);
-static RETIRED_FUSED: AtomicU64 = AtomicU64::new(0);
-
-/// Reads the process-wide fused-execution counters.
-pub fn fusion_stats() -> FusionStats {
-    FusionStats {
-        retired: RETIRED_TOTAL.load(Ordering::Relaxed),
-        fused: RETIRED_FUSED.load(Ordering::Relaxed),
-    }
-}
-
-/// Zeroes the process-wide fused-execution counters (probe setup).
-pub fn reset_fusion_stats() {
-    RETIRED_TOTAL.store(0, Ordering::Relaxed);
-    RETIRED_FUSED.store(0, Ordering::Relaxed);
-}
-
-pub(crate) fn record_retirement(retired: u64, fused: u64) {
-    if retired > 0 {
-        RETIRED_TOTAL.fetch_add(retired, Ordering::Relaxed);
-        RETIRED_FUSED.fetch_add(fused, Ordering::Relaxed);
-    }
-}
 
 /// Lifecycle counters for one resolver's decode cache.
 ///
@@ -382,7 +327,7 @@ pub(crate) enum DecodedOp {
 /// resolver that loaded it and shared per [`ResolvedCall`](crate::ResolvedCall).
 #[derive(Debug)]
 pub struct DecodedCode {
-    block: Arc<CodeBlock>,
+    block: Rc<CodeBlock>,
     ops: Box<[DecodedOp]>,
     call_sites: u32,
     fused_ops: u32,
@@ -394,7 +339,7 @@ impl DecodedCode {
     /// Deterministic: the selector scans in instruction order and always
     /// takes the longest pattern that starts at the current index and does
     /// not contain a jump target in its interior.
-    pub fn decode(block: Arc<CodeBlock>, fuse: bool) -> DecodedCode {
+    pub fn decode(block: Rc<CodeBlock>, fuse: bool) -> DecodedCode {
         let instrs = block.instrs();
         let len = instrs.len();
 
@@ -651,7 +596,7 @@ impl DecodedCode {
     }
 
     /// The original code block this decode was built from.
-    pub fn block(&self) -> &Arc<CodeBlock> {
+    pub fn block(&self) -> &Rc<CodeBlock> {
         &self.block
     }
 
@@ -690,9 +635,9 @@ mod tests {
     use super::*;
     use dcdo_types::FunctionSignature;
 
-    fn block(instrs: Vec<Instr>) -> Arc<CodeBlock> {
+    fn block(instrs: Vec<Instr>) -> Rc<CodeBlock> {
         let sig: FunctionSignature = "f(int) -> int".parse().expect("sig");
-        Arc::new(CodeBlock::new(sig, 4, instrs))
+        Rc::new(CodeBlock::new(sig, 4, instrs))
     }
 
     #[test]
@@ -868,15 +813,5 @@ mod tests {
         // the decoder must preserve that.
         let code = DecodedCode::decode(block(vec![Jump(9)]), true);
         assert_eq!(code.ops()[0], DecodedOp::Jump(1));
-    }
-
-    #[test]
-    fn coverage_math() {
-        let s = FusionStats {
-            retired: 100,
-            fused: 75,
-        };
-        assert!((s.coverage() - 0.75).abs() < 1e-9);
-        assert_eq!(FusionStats::default().coverage(), 0.0);
     }
 }

@@ -15,7 +15,7 @@
 //!   function/component problems strike.
 
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dcdo_types::{FunctionName, FunctionSignature};
 use serde::{Deserialize, Serialize};
@@ -247,7 +247,7 @@ impl fmt::Display for Instr {
 pub struct CodeBlock {
     signature: FunctionSignature,
     locals: u8,
-    instrs: Arc<[Instr]>,
+    instrs: Rc<[Instr]>,
 }
 
 impl CodeBlock {

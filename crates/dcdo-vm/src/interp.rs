@@ -20,7 +20,7 @@
 //! Execution runs over the resolver's pre-decoded
 //! [`DecodedCode`](crate::DecodedCode) stream: a direct-threaded loop whose
 //! inner hot path holds the current frame's fields and the fuel in locals,
-//! never touches the code `Arc`'s refcount per activation, and dispatches
+//! never touches the code `Rc`'s refcount per activation, and dispatches
 //! merged opcodes — including the superinstructions the decode-time peephole
 //! selector fused. Fuel and profiling are charged **per original opcode, in
 //! original program order**, inside every superinstruction, so the
@@ -34,11 +34,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dcdo_types::{ComponentId, FunctionName, ObjectId, TypeTag};
 
-use crate::decoded::{self, ArithKind, DecodedCode, DecodedOp, Operand};
+use crate::decoded::{ArithKind, DecodedCode, DecodedOp, Operand};
 use crate::error::VmError;
 use crate::instr::Instr;
 use crate::native::NativeRegistry;
@@ -53,7 +53,7 @@ pub const MAX_CALL_DEPTH: usize = 128;
 /// One call frame of a running thread.
 #[derive(Debug, Clone)]
 struct Frame {
-    code: Arc<crate::decoded::DecodedCode>,
+    code: Rc<crate::decoded::DecodedCode>,
     component: ComponentId,
     pc: usize,
     args: Vec<Value>,
@@ -257,9 +257,9 @@ impl VmThread {
     }
 
     /// `(total, fused)` original opcodes retired by this thread's threaded
-    /// runs — the per-thread slice of
-    /// [`fusion_stats`](crate::fusion_stats). The legacy stepper does not
-    /// count (it retires nothing fused by definition).
+    /// runs so far — what a host folds, run by run, into its world's
+    /// [`VmTotals`](crate::VmTotals). The legacy stepper does not count (it
+    /// retires nothing fused by definition).
     pub fn retired_counts(&self) -> (u64, u64) {
         (self.total_retired, self.fused_retired)
     }
@@ -414,7 +414,7 @@ impl VmThread {
         let outcome = 'thread: loop {
             // Disjoint field borrows: the current frame's fields (split so
             // the ops slice can be borrowed while the stack and locals are
-            // mutated — no `Arc` refcount traffic per activation), the
+            // mutated — no `Rc` refcount traffic per activation), the
             // profile, and the consumed-nanos accumulator are all live
             // across the inner loop.
             let depth = self.frames.len();
@@ -1133,7 +1133,6 @@ impl VmThread {
         };
         self.total_retired += retired;
         self.fused_retired += fused;
-        decoded::record_retirement(retired, fused);
         outcome
     }
 
@@ -1188,7 +1187,7 @@ impl VmThread {
             }
             let pc = frame.pc;
             frame.pc += 1;
-            (Arc::clone(&frame.code), pc, self.frames.len())
+            (Rc::clone(&frame.code), pc, self.frames.len())
         };
         // Borrow the instruction from the (cheaply cloned) shared code block
         // rather than deep-cloning it every step.
@@ -1568,7 +1567,7 @@ fn pop_bool(stack: &mut Vec<Value>) -> Result<bool, VmError> {
     })
 }
 
-fn pop_str(stack: &mut Vec<Value>) -> Result<std::sync::Arc<str>, VmError> {
+fn pop_str(stack: &mut Vec<Value>) -> Result<std::rc::Rc<str>, VmError> {
     let v = pop(stack)?;
     match v {
         Value::Str(s) => Ok(s),

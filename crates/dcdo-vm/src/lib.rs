@@ -49,17 +49,12 @@ pub use component::{
     ComponentBinary, ComponentBuilder, ComponentDescriptor, ComponentError, FunctionDecl,
     FunctionMeta,
 };
-pub use decoded::{
-    fusion_default, fusion_stats, reset_fusion_stats, DecodeCacheStats, DecodedCode, FusionStats,
-};
+pub use decoded::{DecodeCacheStats, DecodedCode};
 pub use error::VmError;
 pub use instr::{CodeBlock, CodeValidationError, Instr, OPCODE_COUNT, OPCODE_NAMES};
 pub use interp::{OutcallRequest, RunOutcome, ThreadStatus, VmThread, MAX_CALL_DEPTH};
 pub use native::{NativeFn, NativeRegistry};
-pub use profile::{
-    global_vm_profile, record_global_vm_profile, reset_global_vm_profile, FnProfile, FnStats,
-    VmProfile,
-};
+pub use profile::{FnProfile, FnStats, VmProfile, VmTotals};
 pub use resolver::{
     next_generation, CallOrigin, CallResolver, CallToken, ResolveError, ResolvedCall,
     StaticResolver,

@@ -13,44 +13,38 @@
 //! charges exactly one unit per retired instruction — so `instructions`
 //! doubles as the fuel attribution the profiler reports.
 
-use std::sync::{Mutex, OnceLock};
-
 use dcdo_types::FunctionName;
 
 use crate::instr::OPCODE_COUNT;
 
-fn global_aggregate() -> &'static Mutex<VmProfile> {
-    static GLOBAL: OnceLock<Mutex<VmProfile>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(VmProfile::new()))
-}
-
-/// Folds `profile` into the process-wide VM profile aggregate.
+/// One world's VM totals: the merged profile of every profiled thread that
+/// finished in it, and the original opcodes its threaded runs retired.
 ///
-/// The aggregate exists for offline inspection tooling (`dcdo-inspect vm`)
-/// that wants per-opcode totals across every profiled thread in a run
-/// without threading a collector through the runtime. Hosts that emit
-/// per-object profiles (the legion object runtime) record here as they
-/// finish each thread.
-pub fn record_global_vm_profile(profile: &VmProfile) {
-    global_aggregate()
-        .lock()
-        .expect("vm profile aggregate poisoned")
-        .merge(profile);
+/// The host that runs threads keeps one per simulated world (the legion
+/// object runtime folds each finished thread's profile and each run's
+/// retirement into its world's copy), so two worlds in one process never
+/// share a count. `dcdo-inspect vm` reads them off the finished run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct VmTotals {
+    /// Every profiled thread's counters, merged (empty unless tracing
+    /// was on: profiling piggybacks on it).
+    pub profile: VmProfile,
+    /// Original opcodes retired by threaded execution.
+    pub retired: u64,
+    /// The subset retired inside a superinstruction.
+    pub fused: u64,
 }
 
-/// A snapshot of the process-wide VM profile aggregate.
-pub fn global_vm_profile() -> VmProfile {
-    global_aggregate()
-        .lock()
-        .expect("vm profile aggregate poisoned")
-        .clone()
-}
-
-/// Clears the process-wide VM profile aggregate (start of a measured run).
-pub fn reset_global_vm_profile() {
-    *global_aggregate()
-        .lock()
-        .expect("vm profile aggregate poisoned") = VmProfile::new();
+impl VmTotals {
+    /// Fraction of retired original opcodes that ran inside a
+    /// superinstruction (`0.0` when nothing retired).
+    pub fn coverage(&self) -> f64 {
+        if self.retired == 0 {
+            0.0
+        } else {
+            self.fused as f64 / self.retired as f64
+        }
+    }
 }
 
 /// Per-function counters inside a [`ThreadProfile`] / [`VmProfile`].
@@ -206,6 +200,17 @@ impl VmProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn coverage_math() {
+        let t = VmTotals {
+            retired: 100,
+            fused: 75,
+            ..VmTotals::default()
+        };
+        assert!((t.coverage() - 0.75).abs() < 1e-9);
+        assert_eq!(VmTotals::default().coverage(), 0.0);
+    }
 
     #[test]
     fn enter_instruction_exit_attribute_to_innermost() {

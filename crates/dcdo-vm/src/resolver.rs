@@ -38,12 +38,12 @@
 //! token's slot can never name freed code.
 
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use dcdo_types::{ComponentId, FunctionName};
 
-use crate::decoded::{fusion_default, DecodeCacheStats, DecodedCode};
+use crate::decoded::{DecodeCacheStats, DecodedCode};
 use crate::instr::CodeBlock;
 
 /// Where a call originates, which determines the visibility check.
@@ -80,7 +80,7 @@ pub enum ResolveError {
 pub struct ResolvedCall {
     /// The pre-decoded implementation to execute (shared, decoded once per
     /// configuration generation, never per call).
-    pub code: Arc<DecodedCode>,
+    pub code: Rc<DecodedCode>,
     /// The component containing the implementation (for thread-activity
     /// accounting and the disappearing-component check).
     pub component: ComponentId,
@@ -103,10 +103,19 @@ pub struct CallToken {
 /// Issues the next globally unique configuration generation.
 ///
 /// Generations are drawn from one process-wide counter rather than
-/// per-resolver counters so a [`CallToken`] issued by one resolver can never
-/// accidentally match another resolver that happens to have seen the same
-/// number of configuration changes. Generation `0` is reserved and never
-/// issued, so it is safe as a "never matches" sentinel.
+/// per-resolver (or per-world) counters, and this counter is the one piece
+/// of process-wide mutable state the workspace keeps, on purpose:
+///
+/// - a [`CallToken`] issued by one resolver can never match another
+///   resolver that happens to have seen the same number of configuration
+///   changes;
+/// - an object's generation stamps stay monotone across its incarnations
+///   (the trace checker's generation-monotonicity class);
+/// - no witness reads the values: span digests and flight dumps exclude
+///   them, so two worlds sharing the counter still replay byte-identically.
+///
+/// Generation `0` is reserved and never issued, so it is safe as a "never
+/// matches" sentinel.
 pub fn next_generation() -> u64 {
     static COUNTER: AtomicU64 = AtomicU64::new(1);
     COUNTER.fetch_add(1, Ordering::Relaxed)
@@ -192,7 +201,7 @@ pub struct StaticResolver {
 
 #[derive(Debug, Clone)]
 struct ResolvedEntry {
-    code: Arc<DecodedCode>,
+    code: Rc<DecodedCode>,
     component: ComponentId,
 }
 
@@ -203,7 +212,7 @@ impl Default for StaticResolver {
             entries: Vec::new(),
             generation: next_generation(),
             dispatch_cost_nanos: 0,
-            fuse: fusion_default(),
+            fuse: true,
             stats: DecodeCacheStats::default(),
         }
     }
@@ -222,10 +231,11 @@ impl StaticResolver {
         self
     }
 
-    /// Selects whether the decode pass fuses superinstructions. Defaults to
-    /// the process-wide [`fusion_default`] (`DCDO_VM_FUSE`). Flipping the
-    /// mode re-decodes every installed function and moves the table to a
-    /// fresh generation, exactly like any other configuration change.
+    /// Selects whether the decode pass fuses superinstructions (on by
+    /// default; off is the reference the differential tests compare
+    /// against). Flipping the mode re-decodes every installed function and
+    /// moves the table to a fresh generation, exactly like any other
+    /// configuration change.
     pub fn with_fusion(mut self, fuse: bool) -> Self {
         self.set_fusion(fuse);
         self
@@ -240,7 +250,7 @@ impl StaticResolver {
         for entry in &mut self.entries {
             self.stats.invalidations += 1;
             self.stats.decodes += 1;
-            entry.code = Arc::new(DecodedCode::decode(Arc::clone(entry.code.block()), fuse));
+            entry.code = Rc::new(DecodedCode::decode(Rc::clone(entry.code.block()), fuse));
         }
         if !self.entries.is_empty() {
             self.generation = next_generation();
@@ -262,7 +272,7 @@ impl StaticResolver {
         let name = code.signature().name().clone();
         self.stats.decodes += 1;
         let entry = ResolvedEntry {
-            code: Arc::new(DecodedCode::decode(Arc::new(code), self.fuse)),
+            code: Rc::new(DecodedCode::decode(Rc::new(code), self.fuse)),
             component,
         };
         match self.slots_by_name.get(&name) {
@@ -303,7 +313,7 @@ impl StaticResolver {
         self.stats.hits += 1;
         let entry = &self.entries[slot as usize];
         ResolvedCall {
-            code: Arc::clone(&entry.code),
+            code: Rc::clone(&entry.code),
             component: entry.component,
         }
     }
@@ -416,7 +426,7 @@ mod tests {
         let token = token.expect("static resolver issues tokens");
         let redeemed = r.resolve_token(token).expect("fresh token redeems");
         assert_eq!(redeemed.component, first.component);
-        assert!(Arc::ptr_eq(&redeemed.code, &first.code), "same shared code");
+        assert!(Rc::ptr_eq(&redeemed.code, &first.code), "same shared code");
 
         // Any insertion invalidates outstanding tokens...
         r.insert(block("f() -> unit"), ComponentId::from_raw(2));
@@ -455,6 +465,6 @@ mod tests {
         r.insert(block("f() -> unit"), ComponentId::from_raw(1));
         let x = r.resolve(&"f".into(), CallOrigin::Internal).expect("ok");
         let y = r.resolve(&"f".into(), CallOrigin::Internal).expect("ok");
-        assert!(Arc::ptr_eq(&x.code, &y.code));
+        assert!(Rc::ptr_eq(&x.code, &y.code));
     }
 }

@@ -9,7 +9,7 @@
 //! when an object migrates or evolves.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -19,7 +19,7 @@ use crate::value::Value;
 /// The persistent internal state of an active object.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ValueStore {
-    slots: BTreeMap<Arc<str>, Value>,
+    slots: BTreeMap<Rc<str>, Value>,
 }
 
 impl ValueStore {
@@ -34,7 +34,7 @@ impl ValueStore {
     }
 
     /// Writes a slot, returning the previous value if any.
-    pub fn set(&mut self, key: impl Into<Arc<str>>, value: Value) -> Option<Value> {
+    pub fn set(&mut self, key: impl Into<Rc<str>>, value: Value) -> Option<Value> {
         self.slots.insert(key.into(), value)
     }
 
@@ -82,7 +82,7 @@ impl ValueStore {
         let n = r.read_len()?;
         let mut slots = BTreeMap::new();
         for _ in 0..n {
-            let key: Arc<str> = r.str()?.into();
+            let key: Rc<str> = r.str()?.into();
             let value = read_value(&mut r)?;
             slots.insert(key, value);
         }

@@ -1,7 +1,7 @@
 //! Runtime values of the dynamic-code substrate.
 
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dcdo_types::{ObjectId, TypeTag};
 use serde::{Deserialize, Serialize};
@@ -20,7 +20,7 @@ pub enum Value {
     /// A boolean.
     Bool(bool),
     /// An immutable string.
-    Str(Arc<str>),
+    Str(Rc<str>),
     /// A list of values.
     List(Vec<Value>),
     /// A reference to another distributed object.
@@ -29,7 +29,7 @@ pub enum Value {
 
 impl Value {
     /// Creates a string value.
-    pub fn str(s: impl Into<Arc<str>>) -> Self {
+    pub fn str(s: impl Into<Rc<str>>) -> Self {
         Value::Str(s.into())
     }
 

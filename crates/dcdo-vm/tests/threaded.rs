@@ -306,7 +306,7 @@ fn reconfiguration_invalidates_cached_decodes() {
 
     // Flipping fusion re-decodes everything, like any other config op.
     let gen_before = r.generation();
-    r.set_fusion(!dcdo_vm::fusion_default());
+    r.set_fusion(false); // fusion is on by default
     assert_ne!(r.generation(), gen_before);
     assert_eq!(r.decode_stats().decodes, 3);
     assert_eq!(r.decode_stats().invalidations, 2);

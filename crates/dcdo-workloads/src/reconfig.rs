@@ -17,7 +17,7 @@ use dcdo_core::ops::{CheckpointDcdo, NodeFailed, NodeRecovered, UpdateInstance, 
 use dcdo_profile::{FnNames, Layer, LayerMap, ProfileReport};
 use dcdo_sim::{ActorId, NodeId, SimDuration};
 use dcdo_types::{ObjectId, VersionId};
-use dcdo_vm::{ComponentBuilder, Value};
+use dcdo_vm::{ComponentBuilder, Value, VmTotals};
 use legion_substrate::harness::Testbed;
 use legion_substrate::ControlOp;
 
@@ -101,6 +101,12 @@ impl ReconfigRun {
     /// Runs the full profiler over the finished run's span log.
     pub fn profile(&self) -> ProfileReport {
         ProfileReport::analyze(self.bed.sim.spans(), &self.layer_map(), &self.fn_names())
+    }
+
+    /// The world's VM totals so far: every profiled thread's counters and
+    /// the opcodes its threaded runs retired.
+    pub fn vm_totals(&self) -> VmTotals {
+        self.bed.sim.totals().cloned().unwrap_or_default()
     }
 }
 

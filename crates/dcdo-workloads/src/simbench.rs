@@ -619,45 +619,21 @@ pub fn vm_spin_with(iters: i64, profiled: bool, mode: VmSpinMode) -> (u64, (u64,
     }
 }
 
-/// What the fusion/decode-cache probe observed across a spin plus a
-/// simulated reconfiguration.
-#[derive(Debug, Clone, Copy)]
-pub struct VmSpinProbe {
-    /// Original opcodes retired by the probe's threaded runs.
-    pub retired: u64,
-    /// The subset retired inside superinstructions.
-    pub fused: u64,
-    /// Pre-decode cache counters across the whole probe (two decodes per
-    /// function: initial install + the reconfiguration's re-install).
-    pub stats: dcdo_vm::DecodeCacheStats,
-}
-
-impl VmSpinProbe {
-    /// Fraction of executed original opcodes that ran inside a
-    /// superinstruction.
-    pub fn coverage(&self) -> f64 {
-        if self.retired == 0 {
-            0.0
-        } else {
-            self.fused as f64 / self.retired as f64
-        }
-    }
-}
-
 /// Runs a fused spin, then re-installs the spin component (a configuration
 /// operation: the cached decodes are invalidated and rebuilt, outstanding
 /// call tokens expire) and spins again — measuring superinstruction
 /// coverage and decode-cache hit/invalidation behavior across a
-/// reconfiguration.
-pub fn vm_spin_fusion_probe(iters: i64) -> VmSpinProbe {
+/// reconfiguration. Returns the retired/fused totals (no profile) and the
+/// decode cache's counters across the whole probe (two decodes per
+/// function: initial install + the reconfiguration's re-install).
+pub fn vm_spin_fusion_probe(iters: i64) -> (dcdo_vm::VmTotals, dcdo_vm::DecodeCacheStats) {
     use dcdo_vm::{CallOrigin, NativeRegistry, RunOutcome, StaticResolver, ValueStore, VmThread};
     let component = vm_spin_component();
     let mut resolver = StaticResolver::new().with_fusion(true);
     for f in component.functions() {
         resolver.insert(f.code().clone(), component.id());
     }
-    let mut retired = 0;
-    let mut fused = 0;
+    let mut totals = dcdo_vm::VmTotals::default();
     for round in 0..2 {
         if round == 1 {
             // The reconfiguration: re-incorporating the component replaces
@@ -683,15 +659,11 @@ pub fn vm_spin_fusion_probe(iters: i64) -> VmSpinProbe {
             RunOutcome::Completed(Value::Int(v)) => assert_eq!(v, iters, "spin result"),
             other => panic!("spin must complete: {other:?}"),
         }
-        let (r, f) = thread.retired_counts();
-        retired += r;
-        fused += f;
+        let (retired, fused) = thread.retired_counts();
+        totals.retired += retired;
+        totals.fused += fused;
     }
-    VmSpinProbe {
-        retired,
-        fused,
-        stats: resolver.decode_stats(),
-    }
+    (totals, resolver.decode_stats())
 }
 
 #[cfg(test)]
@@ -760,15 +732,15 @@ mod tests {
 
     #[test]
     fn vm_spin_probe_sees_reconfiguration_invalidations() {
-        let probe = vm_spin_fusion_probe(200);
-        assert!(probe.coverage() > 0.5, "coverage {}", probe.coverage());
+        let (totals, stats) = vm_spin_fusion_probe(200);
+        assert!(totals.coverage() > 0.5, "coverage {}", totals.coverage());
         // Two installs of two functions: 4 decodes, 2 of them replacing
         // (invalidating) the first round's cached decodes.
-        assert_eq!(probe.stats.decodes, 4);
-        assert_eq!(probe.stats.invalidations, 2);
+        assert_eq!(stats.decodes, 4);
+        assert_eq!(stats.invalidations, 2);
         // Every CallDyn resolution in both rounds was served from the
         // pre-decoded cache.
-        assert!(probe.stats.hits >= 400);
+        assert!(stats.hits >= 400);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::any::Any;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dcdo_sim::Payload;
 use dcdo_types::{CallId, FunctionName, ObjectId};
@@ -95,9 +95,9 @@ impl From<VmError> for InvocationFault {
 ///
 /// Implemented by binding-agent, vault, host, class, ICO, DCDO, and manager
 /// operation types. Receivers downcast with [`ControlPayload::as_any`].
-/// `Send + Sync` because payloads are `Arc`-shared immutable values and
-/// the engine's `Payload` bound asks for `Send`.
-pub trait ControlPayload: Any + fmt::Debug + Send + Sync {
+/// Payloads are `Rc`-shared immutable values: the engine is sequential, so
+/// nothing asks for `Send` or `Sync`.
+pub trait ControlPayload: Any + fmt::Debug {
     /// On-the-wire size of the payload in bytes.
     fn wire_size(&self) -> u64 {
         64
@@ -115,15 +115,15 @@ pub trait ControlPayload: Any + fmt::Debug + Send + Sync {
 /// Control payloads are immutable once sent, but the RPC machinery must
 /// keep a copy for every retry, the engine for every duplicate delivery,
 /// and fan-out callers one per destination. `ControlOp` wraps the payload
-/// in an [`Arc`] so all of those are pointer clones — the payload itself is
+/// in an [`Rc`] so all of those are pointer clones — the payload itself is
 /// never deep-copied after construction.
 #[derive(Clone)]
-pub struct ControlOp(Arc<dyn ControlPayload>);
+pub struct ControlOp(Rc<dyn ControlPayload>);
 
 impl ControlOp {
     /// Wraps a concrete payload.
     pub fn new(op: impl ControlPayload) -> Self {
-        ControlOp(Arc::new(op))
+        ControlOp(Rc::new(op))
     }
 
     /// Downcasts to the concrete operation type.
@@ -155,11 +155,11 @@ impl<T: ControlPayload> From<T> for ControlOp {
 impl ControlOp {
     /// Wraps an already-boxed payload (the type-erased construction path).
     pub fn from_boxed(op: Box<dyn ControlPayload>) -> Self {
-        ControlOp(Arc::from(op))
+        ControlOp(Rc::from(op))
     }
 }
 
-/// Implements [`ControlPayload`] for a `Debug + Send + 'static` type.
+/// Implements [`ControlPayload`] for a `Debug + 'static` type.
 #[macro_export]
 macro_rules! control_payload {
     ($ty:ty, $name:literal) => {
@@ -190,7 +190,7 @@ macro_rules! control_payload {
 
 /// A message between Legion objects.
 ///
-/// Cheaply clonable: control payloads are [`Arc`]-shared via [`ControlOp`],
+/// Cheaply clonable: control payloads are [`Rc`]-shared via [`ControlOp`],
 /// so cloning a message copies headers and pointers, not payload bytes.
 #[derive(Debug, Clone)]
 pub enum Msg {
@@ -336,7 +336,7 @@ mod tests {
         let op = ControlOp::new(TestOp { data: vec![9] });
         let cloned = op.clone();
         assert_eq!(cloned.downcast_ref::<TestOp>(), op.downcast_ref::<TestOp>());
-        // Arc-shared, not deep-copied.
+        // `Rc`-shared, not deep-copied.
         assert!(std::ptr::eq(
             op.downcast_ref::<TestOp>().expect("typed"),
             cloned.downcast_ref::<TestOp>().expect("typed"),

@@ -15,7 +15,7 @@ use dcdo_sim::{fn_hash, ActorId, Ctx, IdMap, SimDuration, SpanKind};
 use dcdo_types::{CallId, ComponentId, FunctionName, ObjectId};
 use dcdo_vm::{
     CallOrigin, CallResolver, NativeRegistry, OutcallRequest, RunOutcome, Value, ValueStore,
-    VmError, VmProfile, VmThread,
+    VmError, VmThread, VmTotals,
 };
 
 use crate::msg::{InvocationFault, Msg};
@@ -53,7 +53,6 @@ pub struct ObjectRuntime {
     deferred: IdMap<u64, Deferred>,
     outcalls: IdMap<u64, u64>,
     invocations_served: u64,
-    vm_profile: VmProfile,
 }
 
 impl ObjectRuntime {
@@ -66,7 +65,6 @@ impl ObjectRuntime {
             deferred: IdMap::default(),
             outcalls: IdMap::default(),
             invocations_served: 0,
-            vm_profile: VmProfile::new(),
         }
     }
 
@@ -179,7 +177,14 @@ impl ObjectRuntime {
         rpc: &mut RpcClient,
     ) {
         let entry = self.threads.get_mut(&token).expect("thread exists");
+        let (retired, fused) = entry.thread.retired_counts();
         let outcome = entry.thread.run(resolver, natives, globals, self.fuel);
+        // Every run's retirement counts now, so a thread whose actor dies
+        // while it is parked is not lost from the world's totals.
+        let (retired_now, fused_now) = entry.thread.retired_counts();
+        let totals = ctx.totals::<VmTotals>();
+        totals.retired += retired_now - retired;
+        totals.fused += fused_now - fused;
         let consumed = SimDuration::from_nanos(entry.thread.take_consumed_nanos());
         match outcome {
             RunOutcome::Completed(value) => {
@@ -218,7 +223,7 @@ impl ObjectRuntime {
 
     /// Harvests a finished thread's cost profile: emits one `VmCost` span
     /// per function touched (enriching the thread's `CallServed` span) and
-    /// folds the counters into the runtime-lifetime aggregate.
+    /// folds the counters into the world's [`VmTotals`].
     fn finish_profile(&mut self, ctx: &mut Ctx<'_, Msg>, entry: &mut ThreadEntry) {
         let Some(profile) = entry.thread.take_profile() else {
             return;
@@ -231,14 +236,7 @@ impl ObjectRuntime {
                 f.stats.work_nanos,
             ));
         }
-        self.vm_profile.merge(&profile);
-        dcdo_vm::record_global_vm_profile(&profile);
-    }
-
-    /// The merged VM cost profile of every profiled thread that finished in
-    /// this runtime (empty unless tracing was on).
-    pub fn vm_profile(&self) -> &VmProfile {
-        &self.vm_profile
+        ctx.totals::<VmTotals>().profile.merge(&profile);
     }
 
     fn defer(&mut self, ctx: &mut Ctx<'_, Msg>, after: SimDuration, action: Deferred) {
