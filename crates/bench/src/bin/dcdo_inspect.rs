@@ -21,8 +21,8 @@
 //! per-function cost table, the per-opcode retirement table (in
 //! original-opcode terms, so the numbers are identical with fusion on or
 //! off), and the superinstruction coverage the threaded dispatch achieved.
-//! It writes `PREFIX.vm.json` (`BENCH_profile.vm.json` by default), with
-//! function names escaped by the profiler's JSON rule.
+//! It writes `PREFIX.vm.json` (`BENCH_profile.vm.json` by default), like
+//! every export here, through `dcdo_sim::JsonWriter`.
 //!
 //! The `scenarios` subcommand lists every declared scenario; `scenario
 //! <name|file.scn|all> [seed] [--out FILE]` runs declared
@@ -52,10 +52,9 @@
 //! as Chrome-trace JSON (`chrome://tracing` / Perfetto), printing the span
 //! count and the build-independent digest.
 
-use dcdo_profile::json::esc;
 use dcdo_profile::{CriticalPath, FnNames, LayerMap, ProfileReport};
 use dcdo_scenario::RunArtifacts;
-use dcdo_sim::TraceLog;
+use dcdo_sim::{JsonWriter, TraceLog};
 use dcdo_vm::{VmProfile, VmTotals, OPCODE_NAMES};
 use dcdo_workloads::reconfig;
 
@@ -218,7 +217,9 @@ fn run_scenarios(args: &[String]) {
     }
 
     let mut all_passed = true;
-    let mut reports = Vec::new();
+    // The file is `{"scenarios":[…]}`, one report per run in run order.
+    let mut file = JsonWriter::compact();
+    file.object().key("scenarios").array();
     for scenario in scenarios {
         let name = scenario.name.clone();
         let mut times = dcdo_scenario::PhaseTimes::default();
@@ -249,7 +250,7 @@ fn run_scenarios(args: &[String]) {
                         );
                     }
                 }
-                reports.push(artifacts.report.to_json());
+                artifacts.report.write_json(&mut file);
             }
             Err(e) => {
                 eprintln!("dcdo-inspect: scenario {name} is invalid: {e}");
@@ -257,8 +258,8 @@ fn run_scenarios(args: &[String]) {
             }
         }
     }
-    let json = format!("{{\"scenarios\":[{}]}}\n", reports.join(","));
-    std::fs::write(&out_path, json).expect("write scenario report JSON");
+    file.close().close().newline();
+    std::fs::write(&out_path, file.finish()).expect("write scenario report JSON");
     println!("wrote {out_path}");
     if !all_passed {
         std::process::exit(1);
@@ -351,7 +352,7 @@ fn run_timeline(args: &[String]) {
         "scenario {name}, seed {}: {} events over the run",
         r.seed, r.events_processed
     );
-    print_timeline_table(&artifacts.timeline_json);
+    print_timeline_table(&artifacts.timeline);
     let json_path = cli.out.unwrap_or_else(|| format!("TIMELINE_{name}.json"));
     let prom_path = sibling_prom_path(&json_path);
     std::fs::write(&json_path, &artifacts.timeline_json).expect("write timeline JSON");
@@ -411,38 +412,18 @@ fn sibling_prom_path(json_path: &str) -> String {
     }
 }
 
-/// Prints the human-readable per-window table from the timeline JSON's
-/// bucket lines (the JSON is the machine artifact; this is the eyeball
-/// view).
-fn print_timeline_table(timeline_json: &str) {
+/// Prints the human-readable per-window table of the finished timeline
+/// (the JSON is the machine artifact; this is the eyeball view).
+fn print_timeline_table(timeline: &dcdo_sim::Timeline) {
     println!(
         "{:>8} {:>10} {:>10} {:>8} {:>12} {:>8} {:>9}",
         "window", "events", "delivered", "timers", "dead_letters", "crashes", "restarts"
     );
-    for line in timeline_json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with("{\"window\":") {
-            continue;
-        }
-        let field = |key: &str| -> u64 {
-            line.split(&format!("\"{key}\": "))
-                .nth(1)
-                .and_then(|rest| {
-                    rest.split(|c: char| !c.is_ascii_digit())
-                        .next()
-                        .and_then(|n| n.parse().ok())
-                })
-                .unwrap_or(0)
-        };
+    for (window, b) in timeline.buckets() {
+        let s = b.stats;
         println!(
             "{:>8} {:>10} {:>10} {:>8} {:>12} {:>8} {:>9}",
-            field("window"),
-            field("events"),
-            field("delivered"),
-            field("timers"),
-            field("dead_letters"),
-            field("crashes"),
-            field("restarts")
+            window, s.events, s.delivered, s.timers, s.dead_letters, s.crashes, s.restarts
         );
     }
 }
@@ -657,37 +638,28 @@ fn print_vm_fusion(totals: &VmTotals) {
 
 fn vm_json(totals: &VmTotals) -> String {
     let profile = &totals.profile;
-    let mut s = String::from("{\n  \"functions\": [");
-    for (i, f) in profile.functions.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"name\": \"{}\", \"calls\": {}, \"instructions\": {}, \"work_nanos\": {}}}",
-            esc(f.name.as_str()),
-            f.stats.calls,
-            f.stats.instructions,
-            f.stats.work_nanos
-        ));
+    let mut w = JsonWriter::spaced();
+    w.object_lines().key("functions").array_lines();
+    for f in &profile.functions {
+        w.object().key("name").str(f.name.as_str());
+        w.key("calls").u64(f.stats.calls);
+        w.key("instructions").u64(f.stats.instructions);
+        w.key("work_nanos").u64(f.stats.work_nanos).close();
     }
-    s.push_str("\n  ],\n  \"opcodes\": {");
-    let mut first = true;
+    w.close_on_line().key("opcodes").object_lines();
     for (op, n) in profile.opcodes.iter().enumerate() {
         if *n > 0 {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!("\n    \"{}\": {}", OPCODE_NAMES[op], n));
+            w.key(OPCODE_NAMES[op]).u64(*n);
         }
     }
-    s.push_str(&format!(
-        "\n  }},\n  \"fusion\": {{\"retired\": {}, \"fused\": {}, \"coverage\": {:.4}}}\n}}\n",
-        totals.retired,
-        totals.fused,
-        totals.coverage()
-    ));
-    s
+    w.close_on_line().key("fusion").object();
+    w.key("retired").u64(totals.retired);
+    w.key("fused").u64(totals.fused);
+    // Coverage in ten-thousandths, as four fixed decimals.
+    let coverage = (totals.coverage() * 1e4).round() as u64;
+    w.key("coverage").decimal(coverage, 4);
+    w.close().close().newline();
+    w.finish()
 }
 
 fn main() {
@@ -775,10 +747,64 @@ fn main() {
 }
 
 #[cfg(test)]
+#[path = "../../../dcdo-trace/src/write/parse.rs"]
+mod json_parse;
+
+#[cfg(test)]
 mod tests {
     use dcdo_vm::{FnProfile, FnStats};
 
+    use super::json_parse::{parse, Json};
     use super::*;
+
+    /// Every JSON export of one real run is one well-formed document (each
+    /// JSON Lines record is one), and reads back what the run produced.
+    #[test]
+    fn every_json_export_of_a_run_parses() {
+        let scenario = dcdo_scenario::registry::load_declared("mixed_traffic").expect("declared");
+        let artifacts = dcdo_scenario::run_artifacts(scenario, None).expect("valid");
+
+        // `scenario all` writes the committed file (golden_parity pins it).
+        let report = parse(&artifacts.report.to_json());
+        let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scenarios.json");
+        let file = parse(&std::fs::read_to_string(golden).expect("the committed golden"));
+        let runs = file.get("scenarios").expect("scenarios").items();
+        assert!(runs.contains(&report), "the golden holds this run's report");
+
+        let flight = parse(&artifacts.flight.expect("a built world").to_json());
+        assert!(!flight.get("flows").expect("flows").items().is_empty());
+        let timeline = parse(&artifacts.timeline_json);
+        assert!(!timeline.get("buckets").expect("buckets").items().is_empty());
+
+        let vm = parse(&vm_json(&artifacts.vm));
+        let functions = vm.get("functions").expect("functions").items();
+        assert_eq!(functions.len(), artifacts.vm.profile.functions.len());
+        assert!(!functions.is_empty());
+
+        let mut names = FnNames::new();
+        for f in &artifacts.vm.profile.functions {
+            names.insert(f.name.as_str());
+        }
+        let log = TraceLog::from_events(artifacts.spans, artifacts.span_groups);
+        let profile = ProfileReport::analyze(&log, &LayerMap::new(), &names);
+        let doc = parse(&profile.to_json());
+        let hot = doc.get("vm_functions").expect("vm_functions").items();
+        assert_eq!(hot.len(), profile.vm.len());
+        assert!(hot
+            .iter()
+            .all(|f| matches!(f.get("name"), Some(Json::Str(_)))));
+
+        let jsonl = log.to_jsonl();
+        assert_eq!(jsonl.lines().count(), log.len());
+        for line in jsonl.lines() {
+            assert!(matches!(parse(line), Json::Obj(_)), "{line}");
+        }
+        let chrome = parse(&log.to_chrome_trace());
+        assert_eq!(
+            chrome.get("traceEvents").expect("events").items().len(),
+            log.len()
+        );
+    }
 
     #[test]
     fn vm_json_escapes_function_names() {

@@ -19,23 +19,18 @@
 //!   (hash → name, the inverse of [`dcdo_trace::fn_hash`]);
 //! - [`ProfileReport`] — all of the above in one struct with deterministic
 //!   JSON and Prometheus text renderings (integer nanoseconds only, so the
-//!   output is byte-identical across debug/release builds and machines);
-//! - [`metrics_to_json`] / [`metrics_to_prometheus`] — exporters for the
-//!   simulator's [`Metrics`](dcdo_sim::Metrics) registry.
+//!   output is byte-identical across debug/release builds and machines).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod export;
 mod flow;
-pub mod json;
 mod layer;
 mod path;
 mod report;
 mod rpc;
 mod vm;
 
-pub use export::{metrics_to_json, metrics_to_prometheus};
 pub use flow::{
     collect_flows, cost_table, step_breakdown, step_name, CostRow, FlowRecord, StepStat, STEP_INIT,
 };

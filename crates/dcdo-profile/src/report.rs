@@ -1,11 +1,12 @@
 //! The combined profiler report and its deterministic renderings.
 
-use dcdo_trace::TraceLog;
+use std::collections::BTreeMap;
+
+use dcdo_trace::{JsonWriter, PromWriter, TraceLog};
 
 use crate::flow::{
     collect_flows, cost_table, step_breakdown, step_name, CostRow, FlowRecord, StepStat,
 };
-use crate::json::esc;
 use crate::layer::LayerMap;
 use crate::path::{critical_path, CriticalPath};
 use crate::rpc::{rpc_amplification, RpcAmplification};
@@ -73,107 +74,75 @@ impl ProfileReport {
     /// Renders the report as deterministic JSON (fixed key order, integers
     /// only, function hashes as zero-padded hex strings).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-
-        out.push_str("  \"cost_table\": [");
-        for (i, r) in self.cost_table.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"kind\": \"{}\", \"flows\": {}, \"aborted\": {}, \"mean_ns\": {}, \"median_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"messages\": {}, \"bytes\": {}}}",
-                r.kind.name(), r.flows, r.aborted, r.mean_ns, r.median_ns, r.p99_ns, r.max_ns, r.messages, r.bytes
-            ));
+        let mut w = JsonWriter::spaced();
+        w.object_lines().key("cost_table").array_lines();
+        for r in &self.cost_table {
+            w.object().key("kind").str(r.kind.name());
+            w.key("flows").u64(r.flows).key("aborted").u64(r.aborted);
+            w.key("mean_ns").u64(r.mean_ns);
+            w.key("median_ns").u64(r.median_ns);
+            w.key("p99_ns").u64(r.p99_ns).key("max_ns").u64(r.max_ns);
+            w.key("messages").u64(r.messages).key("bytes").u64(r.bytes);
+            w.close();
         }
-        out.push_str(if self.cost_table.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-
-        out.push_str("  \"critical_paths\": [");
-        for (i, p) in self.paths.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let layers: Vec<String> = p
-                .by_layer
-                .iter()
-                .map(|(l, ns)| format!("\"{}\": {ns}", l.name()))
-                .collect();
-            out.push_str(&format!(
-                "    {{\"flow\": {}, \"kind\": \"{}\", \"total_ns\": {}, \"hops\": {}, \"by_layer\": {{{}}}}}",
-                p.flow,
-                p.kind.name(),
-                p.total_ns(),
-                p.segments.len(),
-                layers.join(", ")
-            ));
+        w.close().key("critical_paths").array_lines();
+        for p in &self.paths {
+            w.object().key("flow").u64(p.flow);
+            w.key("kind").str(p.kind.name());
+            w.key("total_ns").u64(p.total_ns());
+            w.key("hops").u64(p.segments.len() as u64);
+            w.key("by_layer").object();
+            for (layer, ns) in &p.by_layer {
+                w.key(layer.name()).u64(*ns);
+            }
+            w.close().close();
         }
-        out.push_str(if self.paths.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-
-        out.push_str("  \"flow_steps\": [");
-        for (i, s) in self.steps.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"kind\": \"{}\", \"step\": \"{}\", \"count\": {}, \"total_ns\": {}, \"mean_ns\": {}, \"max_ns\": {}}}",
-                s.kind.name(),
-                step_name(s.kind, s.step),
-                s.count,
-                s.total_ns,
-                s.mean_ns(),
-                s.max_ns
-            ));
+        w.close().key("flow_steps").array_lines();
+        for s in &self.steps {
+            w.object().key("kind").str(s.kind.name());
+            w.key("step").str(step_name(s.kind, s.step));
+            w.key("count").u64(s.count).key("total_ns").u64(s.total_ns);
+            w.key("mean_ns").u64(s.mean_ns());
+            w.key("max_ns").u64(s.max_ns);
+            w.close();
         }
-        out.push_str(if self.steps.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
-
-        out.push_str(&format!(
-            "  \"flows\": {{\"started\": {}, \"completed\": {}, \"aborted\": {}}},\n",
-            self.flows.len(),
-            self.flows_completed(),
-            self.flows_aborted()
-        ));
-
-        out.push_str(&format!(
-            "  \"rpc\": {{\"calls\": {}, \"attempts\": {}, \"retries\": {}, \"max_attempts\": {}, \"amplification_millis\": {}, \"outcomes\": {{\"ok\": {}, \"fault\": {}, \"unreachable\": {}, \"timeout\": {}}}}},\n",
-            self.rpc.calls,
-            self.rpc.attempts,
-            self.rpc.retries,
-            self.rpc.max_attempts,
-            self.rpc.amplification_millis(),
-            self.rpc.by_outcome[0],
-            self.rpc.by_outcome[1],
-            self.rpc.by_outcome[2],
-            self.rpc.by_outcome[3],
-        ));
-
-        out.push_str("  \"vm_functions\": [");
-        for (i, f) in self.vm.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let name = f
-                .name
-                .as_deref()
-                .map_or("null".to_string(), |n| format!("\"{}\"", esc(n)));
-            out.push_str(&format!(
-                "    {{\"function\": \"0x{:016x}\", \"name\": {name}, \"threads\": {}, \"calls\": {}, \"instructions\": {}, \"work_nanos\": {}}}",
-                f.function, f.threads, f.calls, f.instructions, f.work_nanos
-            ));
+        w.close().key("flows").object();
+        w.key("started").u64(self.flows.len() as u64);
+        w.key("completed").u64(self.flows_completed());
+        w.key("aborted").u64(self.flows_aborted()).close();
+        let rpc = &self.rpc;
+        w.key("rpc").object().key("calls").u64(rpc.calls);
+        w.key("attempts").u64(rpc.attempts);
+        w.key("retries").u64(rpc.retries);
+        w.key("max_attempts").u64(rpc.max_attempts);
+        w.key("amplification_millis")
+            .u64(rpc.amplification_millis());
+        let outcomes = ["ok", "fault", "unreachable", "timeout"].iter();
+        w.key("outcomes").object();
+        for (outcome, n) in outcomes.zip(rpc.by_outcome) {
+            w.key(outcome).u64(n);
         }
-        out.push_str(if self.vm.is_empty() { "]\n" } else { "\n  ]\n" });
-
-        out.push_str("}\n");
-        out
+        w.close().close();
+        w.key("vm_functions").array_lines();
+        for f in &self.vm {
+            w.object().key("function").hex("0x", f.function).key("name");
+            match &f.name {
+                Some(name) => w.str(name),
+                None => w.null(),
+            };
+            w.key("threads").u64(f.threads).key("calls").u64(f.calls);
+            w.key("instructions").u64(f.instructions);
+            w.key("work_nanos").u64(f.work_nanos).close();
+        }
+        w.close().close().newline();
+        w.finish()
     }
 
     /// Renders the report's aggregates in the Prometheus text exposition
     /// format (all gauges; per-flow detail is aggregated per kind).
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        out.push_str("# TYPE dcdo_profile_flow_latency_ns gauge\n");
+        let mut p = PromWriter::default();
+        p.gauge("dcdo_profile_flow_latency_ns");
         for r in &self.cost_table {
             for (stat, v) in [
                 ("mean", r.mean_ns),
@@ -181,68 +150,51 @@ impl ProfileReport {
                 ("p99", r.p99_ns),
                 ("max", r.max_ns),
             ] {
-                out.push_str(&format!(
-                    "dcdo_profile_flow_latency_ns{{kind=\"{}\",stat=\"{stat}\"}} {v}\n",
-                    r.kind.name()
-                ));
+                p.sample("dcdo_profile_flow_latency_ns");
+                p.label("kind", r.kind.name()).label("stat", stat).u64(v);
             }
         }
-        out.push_str("# TYPE dcdo_profile_flow_messages gauge\n");
+        p.gauge("dcdo_profile_flow_messages");
         for r in &self.cost_table {
-            out.push_str(&format!(
-                "dcdo_profile_flow_messages{{kind=\"{}\"}} {}\n",
-                r.kind.name(),
-                r.messages
-            ));
+            p.sample("dcdo_profile_flow_messages");
+            p.label("kind", r.kind.name()).u64(r.messages);
         }
-        out.push_str("# TYPE dcdo_profile_flow_step_total_ns gauge\n");
+        p.gauge("dcdo_profile_flow_step_total_ns");
         for s in &self.steps {
-            out.push_str(&format!(
-                "dcdo_profile_flow_step_total_ns{{kind=\"{}\",step=\"{}\"}} {}\n",
-                s.kind.name(),
-                step_name(s.kind, s.step),
-                s.total_ns
-            ));
+            p.sample("dcdo_profile_flow_step_total_ns");
+            p.label("kind", s.kind.name());
+            p.label("step", step_name(s.kind, s.step)).u64(s.total_ns);
         }
         // Critical-path layer time, aggregated per flow kind.
-        out.push_str("# TYPE dcdo_profile_critical_path_ns gauge\n");
-        let mut agg: Vec<(u64, &'static str, &'static str, u64)> = Vec::new();
-        for p in &self.paths {
-            for (layer, ns) in &p.by_layer {
-                let key = (p.kind.code(), p.kind.name(), layer.name());
-                match agg
-                    .iter_mut()
-                    .find(|(c, _, l, _)| (*c, *l) == (key.0, key.2))
-                {
-                    Some(slot) => slot.3 += ns,
-                    None => agg.push((key.0, key.1, key.2, *ns)),
-                }
+        p.gauge("dcdo_profile_critical_path_ns");
+        let mut agg: BTreeMap<(u64, &str), (&str, u64)> = BTreeMap::new();
+        for path in &self.paths {
+            for (layer, ns) in &path.by_layer {
+                let key = (path.kind.code(), layer.name());
+                agg.entry(key).or_insert((path.kind.name(), 0)).1 += ns;
             }
         }
-        agg.sort_by_key(|(code, _, layer, _)| (*code, *layer));
-        for (_, kind, layer, ns) in agg {
-            out.push_str(&format!(
-                "dcdo_profile_critical_path_ns{{kind=\"{kind}\",layer=\"{layer}\"}} {ns}\n"
-            ));
+        for ((_, layer), (kind, ns)) in agg {
+            p.sample("dcdo_profile_critical_path_ns");
+            p.label("kind", kind).label("layer", layer).u64(ns);
         }
-        out.push_str(&format!(
-            "# TYPE dcdo_profile_rpc_calls gauge\ndcdo_profile_rpc_calls {}\n\
-             # TYPE dcdo_profile_rpc_attempts gauge\ndcdo_profile_rpc_attempts {}\n\
-             # TYPE dcdo_profile_rpc_retries gauge\ndcdo_profile_rpc_retries {}\n",
-            self.rpc.calls, self.rpc.attempts, self.rpc.retries
-        ));
-        out.push_str("# TYPE dcdo_profile_vm_work_nanos gauge\n");
+        for (metric, v) in [
+            ("dcdo_profile_rpc_calls", self.rpc.calls),
+            ("dcdo_profile_rpc_attempts", self.rpc.attempts),
+            ("dcdo_profile_rpc_retries", self.rpc.retries),
+        ] {
+            p.gauge(metric).sample(metric).u64(v);
+        }
+        p.gauge("dcdo_profile_vm_work_nanos");
         for f in &self.vm {
-            let label = f
-                .name
-                .clone()
-                .unwrap_or_else(|| format!("0x{:016x}", f.function));
-            out.push_str(&format!(
-                "dcdo_profile_vm_work_nanos{{function=\"{label}\"}} {}\n",
-                f.work_nanos
-            ));
+            p.sample("dcdo_profile_vm_work_nanos");
+            match &f.name {
+                Some(name) => p.label("function", name),
+                None => p.label_hex("function", "0x", f.function),
+            };
+            p.u64(f.work_nanos);
         }
-        out
+        p.finish()
     }
 }
 
@@ -331,6 +283,25 @@ mod tests {
         assert!(p.contains("dcdo_profile_critical_path_ns{kind=\"update\",layer=\"network\"} 800"));
         assert!(p.contains("dcdo_profile_rpc_calls 0"));
         assert!(p.contains("dcdo_profile_vm_work_nanos"));
+    }
+
+    #[test]
+    fn function_names_are_escaped_in_both_exports() {
+        // The signature parser and the codec both accept such a name.
+        let name = "a\"b\\c\nd";
+        let mut log = TraceLog::new();
+        log.enable();
+        log.emit(5, 0, None, SpanKind::vm_cost(fn_hash(name), 1, 12, 40));
+        let mut names = FnNames::new();
+        names.insert(name);
+        let report = ProfileReport::analyze(&log, &LayerMap::new(), &names);
+        let p = report.to_prometheus();
+        assert!(
+            p.contains("dcdo_profile_vm_work_nanos{function=\"a\\\"b\\\\c\\nd\"} 40\n"),
+            "{p}"
+        );
+        let j = report.to_json();
+        assert!(j.contains(r#""name": "a\"b\\c\nd", "threads": 1"#), "{j}");
     }
 
     #[test]

@@ -7,6 +7,8 @@
 
 use std::fmt::Write as _;
 
+use dcdo_sim::JsonWriter;
+
 use crate::expect::Verdict;
 
 /// The outcome of one scenario run.
@@ -51,54 +53,43 @@ impl ScenarioReport {
     /// order, sorted maps, hashes as zero-padded hex, floats via Rust's
     /// shortest-round-trip `{:?}` formatting.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push('{');
-        let _ = write!(out, "\"scenario\":{}", esc(&self.name));
-        let _ = write!(out, ",\"seed\":{}", self.seed);
-        let _ = write!(out, ",\"passed\":{}", self.passed);
-        let _ = write!(out, ",\"trace_hash\":\"{:016x}\"", self.trace_hash);
-        let _ = write!(out, ",\"span_digest\":\"{:016x}\"", self.span_digest);
-        let _ = write!(out, ",\"flight_digest\":\"{:016x}\"", self.flight_digest);
-        let _ = write!(out, ",\"events_processed\":{}", self.events_processed);
-        let _ = write!(out, ",\"leaked_events\":{}", self.leaked_events);
-        let _ = write!(out, ",\"trace_violations\":{}", self.trace_violations);
-        let _ = write!(out, ",\"slo_breaches\":{}", self.slo_breaches);
-        out.push_str(",\"ticks\":{");
-        for (i, (name, n)) in self.ticks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", esc(name), n);
+        let mut w = JsonWriter::compact();
+        self.write_json(&mut w);
+        w.finish()
+    }
+
+    /// Writes the [`to_json`](ScenarioReport::to_json) object as the next
+    /// value of `w` (`dcdo-inspect` writes an array of them).
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.object().key("scenario").str(&self.name);
+        w.key("seed").u64(self.seed);
+        w.key("passed").bool(self.passed);
+        w.key("trace_hash").hex("", self.trace_hash);
+        w.key("span_digest").hex("", self.span_digest);
+        w.key("flight_digest").hex("", self.flight_digest);
+        w.key("events_processed").u64(self.events_processed);
+        w.key("leaked_events").u64(self.leaked_events);
+        w.key("trace_violations").u64(self.trace_violations);
+        w.key("slo_breaches").u64(self.slo_breaches);
+        w.key("ticks").object();
+        for (name, n) in &self.ticks {
+            w.key(name).u64(*n);
         }
-        out.push_str("},\"counters\":{");
-        for (i, (key, n)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", esc(key), n);
+        w.close().key("counters").object();
+        for (key, n) in &self.counters {
+            w.key(key).u64(*n);
         }
-        out.push_str("},\"gauges\":{");
-        for (i, (key, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", esc(key), num(*v));
+        w.close().key("gauges").object();
+        for (key, v) in &self.gauges {
+            w.key(key).f64(*v);
         }
-        out.push_str("},\"expectations\":[");
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":{},\"passed\":{},\"detail\":{}}}",
-                esc(&v.expectation),
-                v.passed,
-                esc(&v.detail)
-            );
+        w.close().key("expectations").array();
+        for v in &self.verdicts {
+            w.object().key("name").str(&v.expectation);
+            w.key("passed").bool(v.passed);
+            w.key("detail").str(&v.detail).close();
         }
-        out.push_str("]}");
-        out
+        w.close().close();
     }
 
     /// Renders the human-readable verdict table `dcdo-inspect` prints.
@@ -140,37 +131,6 @@ impl ScenarioReport {
             );
         }
         out
-    }
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Deterministic float formatting: Rust's shortest-round-trip `{:?}`
-/// (platform-independent), `null` for non-finite values.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
     }
 }
 

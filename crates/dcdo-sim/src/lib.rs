@@ -76,11 +76,11 @@ pub use dcdo_trace::{
     tail_sample, FlightDump, FlightFrame, FlightRecorder, RetainedFlow, TailSampler,
 };
 
-// Structured causal tracing (see the `dcdo-trace` crate): re-exported so
-// layers above the engine can emit spans through [`Ctx`] without depending
-// on the tracing crate directly.
+// Structured causal tracing and the one export writer (see the `dcdo-trace`
+// crate): re-exported so layers above the engine can emit spans through
+// [`Ctx`] and render their exports without depending on the tracing crate.
 pub use dcdo_trace::{
     cfg_step, check as check_trace_invariants, fn_hash, fnv1a, mgr_step, Checker, FlowKind, Fnv1a,
-    Fold, GroupArena, GroupsRef, IdHasher, IdMap, IdSet, RpcOutcome, SendVerdict, SpanDigest,
-    SpanEvent, SpanId, SpanKind, TraceLog, Violation, NO_NODE,
+    Fold, GroupArena, GroupsRef, IdHasher, IdMap, IdSet, JsonWriter, PromWriter, RpcOutcome,
+    SendVerdict, SpanDigest, SpanEvent, SpanId, SpanKind, TraceLog, Violation, NO_NODE,
 };

@@ -13,10 +13,11 @@
 //! Bucketing is by *sim time*, not processing order: series derived after
 //! the run land in the buckets the hot path already filled. The exporters
 //! emit only order-independent statistics (counts, exact min/max,
-//! nearest-rank quantiles — never float sums), so the JSON and Prometheus
-//! text are byte-identical across build profiles.
+//! nearest-rank quantiles — never float sums) through the one writer
+//! ([`JsonWriter`], [`PromWriter`]), so the JSON and Prometheus text are
+//! byte-identical across build profiles.
 
-use std::fmt::Write as _;
+use dcdo_trace::{JsonWriter, PromWriter};
 
 use crate::metrics::{Histogram, Metrics};
 
@@ -281,57 +282,31 @@ impl Timeline {
     pub fn to_json(&mut self) -> String {
         self.flush();
         let bucket_ns = self.bucket_ns;
-        let mut out = String::with_capacity(64 + 256 * self.done.len());
-        out.push_str("{\n  \"bucket_ns\": ");
-        push_u64(&mut out, bucket_ns);
-        out.push_str(",\n  \"buckets\": [");
-        for (i, (idx, b)) in self.done.iter_mut().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\"window\": ");
-            push_u64(&mut out, *idx);
-            out.push_str(", \"start_ns\": ");
-            push_u64(&mut out, *idx * bucket_ns);
+        let mut w = JsonWriter::spaced();
+        w.object_lines().key("bucket_ns").u64(bucket_ns);
+        w.key("buckets").array_lines();
+        for (idx, b) in &mut self.done {
+            w.object().key("window").u64(*idx);
+            w.key("start_ns").u64(*idx * bucket_ns);
             for (field, v) in STAT_FIELDS.iter().zip(b.stats.values()) {
-                out.push_str(", \"");
-                out.push_str(field);
-                out.push_str("\": ");
-                push_u64(&mut out, v);
+                w.key(field).u64(v);
             }
-            out.push_str(", \"counters\": {");
-            for (j, (name, v)) in b.metrics.counters().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push('"');
-                out.push_str(name);
-                out.push_str("\": ");
-                push_u64(&mut out, v);
+            w.key("counters").object();
+            for (name, v) in b.metrics.counters() {
+                w.key(name).u64(v);
             }
-            out.push_str("}, \"series\": {");
-            for (j, (name, h)) in b.metrics.histograms_mut().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
+            w.close().key("series").object();
+            for (name, h) in b.metrics.histograms_mut() {
                 let [_, min, p50, p90, p99, max] = series_stats(h);
-                out.push('"');
-                out.push_str(name);
-                out.push_str("\": {\"count\": ");
-                push_u64(&mut out, h.count() as u64);
-                let _ = write!(
-                    out,
-                    ", \"min\": {min:?}, \"p50\": {p50:?}, \"p90\": {p90:?}, \
-                     \"p99\": {p99:?}, \"max\": {max:?}}}"
-                );
+                w.key(name).object().key("count").u64(h.count() as u64);
+                w.key("min").f64(min).key("p50").f64(p50);
+                w.key("p90").f64(p90).key("p99").f64(p99);
+                w.key("max").f64(max).close();
             }
-            out.push_str("}}");
+            w.close().close();
         }
-        if !self.done.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        w.close().close().newline();
+        w.finish()
     }
 
     /// Deterministic Prometheus text exposition of the same statistics,
@@ -340,34 +315,23 @@ impl Timeline {
     /// the caller that writes it out.
     pub fn to_prometheus(&mut self) -> String {
         self.flush();
-        let mut out = String::with_capacity(512 * self.done.len());
+        let mut p = PromWriter::default();
         for (k, field) in STAT_FIELDS.iter().enumerate() {
-            out.push_str("# TYPE dcdo_window_");
-            out.push_str(field);
-            out.push_str(" gauge\n");
+            let metric = format!("dcdo_window_{field}");
+            p.gauge(&metric);
             for (idx, b) in &self.done {
-                out.push_str("dcdo_window_");
-                out.push_str(field);
-                out.push_str("{window=\"");
-                push_u64(&mut out, *idx);
-                out.push_str("\"} ");
-                push_u64(&mut out, b.stats.values()[k]);
-                out.push('\n');
+                p.sample(&metric).label_u64("window", *idx);
+                p.u64(b.stats.values()[k]);
             }
         }
-        out.push_str("# TYPE dcdo_window_counter gauge\n");
+        p.gauge("dcdo_window_counter");
         for (idx, b) in &self.done {
             for (name, v) in b.metrics.counters() {
-                out.push_str("dcdo_window_counter{name=\"");
-                out.push_str(name);
-                out.push_str("\",window=\"");
-                push_u64(&mut out, *idx);
-                out.push_str("\"} ");
-                push_u64(&mut out, v);
-                out.push('\n');
+                p.sample("dcdo_window_counter").label("name", name);
+                p.label_u64("window", *idx).u64(v);
             }
         }
-        out.push_str("# TYPE dcdo_window_series gauge\n");
+        p.gauge("dcdo_window_series");
         for (idx, b) in &mut self.done {
             for (name, h) in b.metrics.histograms_mut() {
                 let stats = series_stats(h);
@@ -375,34 +339,13 @@ impl Timeline {
                     .iter()
                     .zip(stats)
                 {
-                    out.push_str("dcdo_window_series{name=\"");
-                    out.push_str(name);
-                    out.push_str("\",stat=\"");
-                    out.push_str(stat);
-                    out.push_str("\",window=\"");
-                    push_u64(&mut out, *idx);
-                    let _ = writeln!(out, "\"}} {v:?}");
+                    p.sample("dcdo_window_series").label("name", name);
+                    p.label("stat", stat).label_u64("window", *idx).f64(v);
                 }
             }
         }
-        out
+        p.finish()
     }
-}
-
-/// Appends `v` in decimal, the bytes `write!(out, "{v}")` would append,
-/// without going through the formatting machinery.
-fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    out.push_str(std::str::from_utf8(&digits[start..]).expect("ASCII digits"));
 }
 
 /// What both exporters report of one series: count, exact min,
@@ -421,6 +364,8 @@ fn series_stats(h: &mut Histogram) -> [f64; 6] {
 
 #[cfg(test)]
 mod tests {
+    use std::fmt::Write as _;
+
     use super::*;
 
     #[test]
@@ -520,10 +465,45 @@ mod tests {
         cases.extend((0..20).map(|k| 10u64.pow(k)));
         cases.extend((1..20).map(|k| 10u64.pow(k) - 1));
         for v in cases {
-            let mut out = String::from("x");
-            push_u64(&mut out, v);
-            assert_eq!(out, format!("x{v}"));
+            let mut t = Timeline::new();
+            t.set_bucket_ns(100);
+            t.record_counter(v / 2, "c", v);
+            let window = v / 200;
+            let json = t.to_json();
+            assert!(json.contains(&format!("\"window\": {window}, ")), "{json}");
+            assert!(
+                json.contains(&format!("\"counters\": {{\"c\": {v}}}")),
+                "{json}"
+            );
+            let line = format!("dcdo_window_counter{{name=\"c\",window=\"{window}\"}} {v}\n");
+            assert!(t.to_prometheus().contains(&line));
         }
+    }
+
+    #[test]
+    fn names_are_escaped_in_both_exports() {
+        // `record_counter` and `record_sample` are public, so a series name
+        // may hold anything.
+        let name = "a\"b\\c\nd";
+        let mut t = Timeline::new();
+        t.record_counter(0, name, 2);
+        t.record_sample(0, name, 0.5);
+        let json = t.to_json();
+        assert!(json.contains(r#""counters": {"a\"b\\c\nd": 2}"#), "{json}");
+        assert!(
+            json.contains(r#""series": {"a\"b\\c\nd": {"count": 1,"#),
+            "{json}"
+        );
+        let prom = t.to_prometheus();
+        let escaped = r#"name="a\"b\\c\nd""#;
+        assert!(prom.contains(&format!(
+            "dcdo_window_counter{{{escaped},window=\"0\"}} 2\n"
+        )));
+        let p50 = format!("dcdo_window_series{{{escaped},stat=\"p50\",window=\"0\"}} 0.5\n");
+        assert!(prom.contains(&p50), "{prom}");
+        // A type line and a sample per window gauge, two lines for the
+        // counter, seven for the series: a raw newline would add one.
+        assert_eq!(prom.lines().count(), 6 * 2 + 1 + 1 + 1 + 6, "{prom}");
     }
 
     /// The window store this module had before the sorted `Vec`: a

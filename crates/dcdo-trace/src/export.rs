@@ -1,13 +1,10 @@
-//! Offline exporters: Chrome-trace JSON and JSONL.
-//!
-//! Both formats are hand-rendered: every field is an integer or a static
-//! name, so no serialization framework is needed and the output is
-//! byte-stable across builds.
-
-use std::fmt::Write as _;
+//! Offline exporters: Chrome-trace JSON and JSONL, rendered through the
+//! crate's one [`JsonWriter`]. Every field is an integer or a static name,
+//! so the output is byte-stable across builds.
 
 use crate::log::TraceLog;
 use crate::span::{SpanEvent, SpanKind};
+use crate::write::JsonWriter;
 
 impl TraceLog {
     /// Renders the log as a Chrome-trace (`chrome://tracing`, Perfetto)
@@ -18,66 +15,51 @@ impl TraceLog {
     /// Chrome expects; sub-microsecond structure is preserved in
     /// `args.at_ns`.
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::with_capacity(128 + self.len() * 96);
-        out.push_str("{\"traceEvents\":[");
-        for (i, e) in self.events().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let ts_us = e.at_ns / 1_000;
-            let ts_frac = e.at_ns % 1_000;
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"p\",\"ts\":{}.{:03},\"pid\":{},\"tid\":0,\"args\":{{\"span\":{},\"parent\":{},\"at_ns\":{}",
-                e.kind.name(),
-                ts_us,
-                ts_frac,
-                e.node,
-                e.id.as_raw(),
-                e.parent.map_or(0, |p| p.as_raw()),
-                e.at_ns,
-            );
-            self.write_fields(&mut out, e);
-            out.push_str("}}");
+        let mut w = JsonWriter::compact();
+        w.object().key("traceEvents").array();
+        for e in self.events() {
+            w.object().key("name").str(e.kind.name());
+            w.key("ph").str("i").key("s").str("p");
+            w.key("ts").decimal(e.at_ns, 3);
+            w.key("pid").u64(u64::from(e.node)).key("tid").u64(0);
+            w.key("args").object();
+            w.key("span").u64(e.id.as_raw());
+            w.key("parent").u64(e.parent.map_or(0, |p| p.as_raw()));
+            w.key("at_ns").u64(e.at_ns);
+            self.write_fields(&mut w, e);
+            w.close().close();
         }
-        out.push_str("]}");
-        out
+        w.close().close();
+        w.finish()
     }
 
     /// Renders the log as JSON Lines: one object per event, emit order.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.len() * 96);
+        let mut w = JsonWriter::compact();
         for e in self.events() {
-            let _ = write!(
-                out,
-                "{{\"span\":{},\"parent\":{},\"at_ns\":{},\"node\":{},\"kind\":\"{}\"",
-                e.id.as_raw(),
-                e.parent.map_or(0, |p| p.as_raw()),
-                e.at_ns,
-                e.node,
-                e.kind.name(),
-            );
-            self.write_fields(&mut out, e);
-            out.push_str("}\n");
+            w.object().key("span").u64(e.id.as_raw());
+            w.key("parent").u64(e.parent.map_or(0, |p| p.as_raw()));
+            w.key("at_ns").u64(e.at_ns);
+            w.key("node").u64(u64::from(e.node));
+            w.key("kind").str(e.kind.name());
+            self.write_fields(&mut w, e);
+            w.close().newline();
         }
-        out
+        w.finish()
     }
 
-    /// Appends `,"field":value` pairs (and the partition group array, read
-    /// from the log's arena) to a JSON object under construction.
-    fn write_fields(&self, out: &mut String, e: &SpanEvent) {
+    /// Writes the event's typed fields (and the partition group array, read
+    /// from the log's arena) as members of the open object.
+    fn write_fields(&self, w: &mut JsonWriter, e: &SpanEvent) {
         e.kind.for_each_field(|name, value| {
-            let _ = write!(out, ",\"{name}\":{value}");
+            w.key(name).u64(value);
         });
         if let SpanKind::PartitionChanged { groups } = e.kind {
-            out.push_str(",\"groups\":[");
-            for (i, g) in self.groups(groups).iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{g}");
+            w.key("groups").array();
+            for &g in self.groups(groups) {
+                w.u64(u64::from(g));
             }
-            out.push(']');
+            w.close();
         }
     }
 }
@@ -86,6 +68,7 @@ impl TraceLog {
 mod tests {
     use super::*;
     use crate::span::SendVerdict;
+    use crate::write::parse::{parse, Json};
 
     fn tiny_log() -> TraceLog {
         let mut log = TraceLog::new();
@@ -138,7 +121,7 @@ mod tests {
         assert!(lines[1].contains("\"parent\":1"));
         assert!(lines[2].contains("\"groups\":[1,1,2]"));
         for line in lines {
-            assert!(line.starts_with('{') && line.ends_with('}'));
+            assert!(matches!(parse(line), Json::Obj(_)), "{line}");
         }
     }
 
@@ -146,134 +129,6 @@ mod tests {
     fn exports_are_deterministic() {
         assert_eq!(tiny_log().to_chrome_trace(), tiny_log().to_chrome_trace());
         assert_eq!(tiny_log().to_jsonl(), tiny_log().to_jsonl());
-    }
-
-    /// A minimal JSON value for the round-trip test below. The exporter
-    /// emits only objects, arrays, numbers, and escape-free strings, so a
-    /// tiny recursive-descent parser is enough to validate the output
-    /// without a serialization framework.
-    #[derive(Debug, Clone, PartialEq)]
-    enum Json {
-        Num(f64),
-        Str(String),
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>),
-    }
-
-    impl Json {
-        fn get(&self, key: &str) -> Option<&Json> {
-            match self {
-                Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        fn num(&self) -> f64 {
-            match self {
-                Json::Num(n) => *n,
-                other => panic!("expected number, got {other:?}"),
-            }
-        }
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Parser<'a> {
-        fn new(text: &'a str) -> Self {
-            Parser {
-                bytes: text.as_bytes(),
-                pos: 0,
-            }
-        }
-
-        fn peek(&self) -> u8 {
-            self.bytes[self.pos]
-        }
-
-        fn bump(&mut self) -> u8 {
-            let b = self.bytes[self.pos];
-            self.pos += 1;
-            b
-        }
-
-        fn expect(&mut self, b: u8) {
-            assert_eq!(self.bump(), b, "malformed JSON at byte {}", self.pos - 1);
-        }
-
-        fn value(&mut self) -> Json {
-            match self.peek() {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Json::Str(self.string()),
-                _ => self.number(),
-            }
-        }
-
-        fn object(&mut self) -> Json {
-            self.expect(b'{');
-            let mut pairs = Vec::new();
-            if self.peek() == b'}' {
-                self.bump();
-                return Json::Obj(pairs);
-            }
-            loop {
-                let key = self.string();
-                self.expect(b':');
-                pairs.push((key, self.value()));
-                match self.bump() {
-                    b',' => continue,
-                    b'}' => break,
-                    other => panic!("unexpected byte {other} in object"),
-                }
-            }
-            Json::Obj(pairs)
-        }
-
-        fn array(&mut self) -> Json {
-            self.expect(b'[');
-            let mut items = Vec::new();
-            if self.peek() == b']' {
-                self.bump();
-                return Json::Arr(items);
-            }
-            loop {
-                items.push(self.value());
-                match self.bump() {
-                    b',' => continue,
-                    b']' => break,
-                    other => panic!("unexpected byte {other} in array"),
-                }
-            }
-            Json::Arr(items)
-        }
-
-        fn string(&mut self) -> String {
-            self.expect(b'"');
-            let start = self.pos;
-            while self.peek() != b'"' {
-                assert_ne!(self.peek(), b'\\', "exporter never emits escapes");
-                self.pos += 1;
-            }
-            let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                .expect("utf8")
-                .to_string();
-            self.bump();
-            s
-        }
-
-        fn number(&mut self) -> Json {
-            let start = self.pos;
-            while self.pos < self.bytes.len()
-                && matches!(self.peek(), b'0'..=b'9' | b'.' | b'-' | b'+' | b'e' | b'E')
-            {
-                self.pos += 1;
-            }
-            let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("utf8");
-            Json::Num(text.parse().expect("number"))
-        }
     }
 
     /// A log with causal structure across two nodes, for the round-trip
@@ -327,7 +182,7 @@ mod tests {
     #[test]
     fn chrome_trace_round_trips() {
         let log = causal_log();
-        let doc = Parser::new(&log.to_chrome_trace()).value();
+        let doc = parse(&log.to_chrome_trace());
         let events = match doc.get("traceEvents") {
             Some(Json::Arr(items)) => items,
             other => panic!("missing traceEvents array: {other:?}"),

@@ -14,15 +14,15 @@
 //! flows that aborted, flows named by an invariant violation, and the
 //! slowest percentile by duration. Everything else is dropped, bounding the
 //! full-fidelity dump the way head sampling never could (head sampling must
-//! decide before knowing how the flow ends).
-
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+//! decide before knowing how the flow ends). The dump renders through
+//! [`JsonWriter`].
 
 use crate::check::{Checker, Violation};
 use crate::hash::Fold;
 use crate::log::{FlowTrees, TraceLog};
 use crate::span::{SpanEvent, SpanId, SpanKind};
+use crate::write::JsonWriter;
+use std::collections::BTreeMap;
 
 /// One compact flight-recorder frame: the executed event's time plus a
 /// packed `(kind code, node, actor)` word. Codes reuse the stable
@@ -420,51 +420,38 @@ pub fn tail_sample(log: &TraceLog, recorder: &FlightRecorder, slow_quantile: f64
 }
 
 impl FlightDump {
-    /// Deterministic JSON: fixed key order, integer ids, hex digest —
-    /// byte-identical debug vs release.
+    /// Deterministic JSON through the crate's [`JsonWriter`]: fixed key
+    /// order, integer ids, hex digest — byte-identical debug vs release.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"slow_quantile\": {:?},\n  \"total_flows\": {},\n  \"frames_recorded\": {},\n  \
-             \"frames_retained\": {},\n  \"ring_digest\": \"{:016x}\",\n  \"flows\": [",
-            self.slow_quantile,
-            self.total_flows,
-            self.frames_recorded,
-            self.frames_retained,
-            self.ring_digest,
-        );
-        for (i, f) in self.flows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut w = JsonWriter::spaced();
+        w.object_lines();
+        w.key("slow_quantile").f64(self.slow_quantile);
+        w.key("total_flows").u64(self.total_flows);
+        w.key("frames_recorded").u64(self.frames_recorded);
+        w.key("frames_retained").u64(self.frames_retained);
+        w.key("ring_digest").hex("", self.ring_digest);
+        w.key("flows").array_lines();
+        for f in &self.flows {
+            w.object().key("flow").u64(f.flow);
+            w.key("object").u64(f.object);
+            w.key("kind").str(f.kind_name);
+            w.key("start_ns").u64(f.start_ns);
+            w.key("end_ns").u64(f.end_ns);
+            w.key("aborted").bool(f.aborted);
+            w.key("violating").bool(f.violating);
+            w.key("slow").bool(f.slow);
+            w.key("spans").array();
+            for s in &f.spans {
+                w.object().key("id").u64(s.id.as_raw());
+                w.key("parent").u64(s.parent.map_or(0, SpanId::as_raw));
+                w.key("at_ns").u64(s.at_ns);
+                w.key("node").u64(u64::from(s.node));
+                w.key("name").str(s.kind.name()).close();
             }
-            let _ = write!(
-                out,
-                "\n    {{\"flow\": {}, \"object\": {}, \"kind\": \"{}\", \"start_ns\": {}, \
-                 \"end_ns\": {}, \"aborted\": {}, \"violating\": {}, \"slow\": {}, \"spans\": [",
-                f.flow, f.object, f.kind_name, f.start_ns, f.end_ns, f.aborted, f.violating, f.slow,
-            );
-            for (j, s) in f.spans.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{{\"id\": {}, \"parent\": {}, \"at_ns\": {}, \"node\": {}, \"name\": \"{}\"}}",
-                    s.id.as_raw(),
-                    s.parent.map_or(0, SpanId::as_raw),
-                    s.at_ns,
-                    s.node,
-                    s.kind.name()
-                );
-            }
-            out.push_str("]}");
+            w.close().close();
         }
-        if !self.flows.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("]\n}\n");
-        out
+        w.close().close().newline();
+        w.finish()
     }
 
     /// Renders the retained span trees, one indented block per flow.

@@ -36,6 +36,7 @@ mod flight;
 mod hash;
 mod log;
 mod span;
+mod write;
 
 pub use check::{check, Checker, Violation};
 pub use flight::{
@@ -48,3 +49,4 @@ pub use span::{
     cfg_step, mgr_step, FlowKind, GroupArena, GroupsRef, RpcOutcome, SendVerdict, SpanEvent,
     SpanId, SpanKind, NO_NODE,
 };
+pub use write::{JsonWriter, PromWriter};
