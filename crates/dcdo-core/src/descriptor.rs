@@ -25,15 +25,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::ConfigError;
 
-/// Identifies one implementation: a function within a component.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ImplKey {
-    /// The dynamic function.
-    pub function: FunctionName,
-    /// The component providing the implementation.
-    pub component: ComponentId,
-}
-
 /// Per-function record in a descriptor.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FunctionRecord {

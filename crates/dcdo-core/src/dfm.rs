@@ -22,6 +22,18 @@
 //! function (§3.1's failure-mode semantics are preserved: the re-resolve
 //! reports the same `Missing`/`Disabled`/`NotExported` outcomes a fresh
 //! call would see).
+//!
+//! # Thread-activity counters
+//!
+//! Every (function, component) implementation whose code is loaded gets a
+//! dense *activity index* when its component is incorporated or staged.
+//! The index rides in each [`ResolvedCall`], so a frame push or pop is one
+//! increment of a `Vec<u32>`; the name-keyed questions of §3.2
+//! ([`Dfm::active_threads`], [`Dfm::component_active_threads`],
+//! [`Dfm::dependents_active`]) walk the short implementation list at
+//! configuration time instead. An index is never reassigned, so a thread
+//! still parked in a removed component decrements the counter it
+//! incremented.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -33,7 +45,7 @@ use dcdo_vm::{
     DecodedCode, ResolveError, ResolvedCall,
 };
 
-use crate::descriptor::{DfmDescriptor, ImplKey};
+use crate::descriptor::DfmDescriptor;
 use crate::error::ConfigError;
 
 /// One slot of the flat dispatch table, indexed by [`FunctionId`].
@@ -43,6 +55,7 @@ enum Slot {
     Ready {
         code: Rc<DecodedCode>,
         component: ComponentId,
+        activity: u32,
         exported: bool,
     },
     /// Anything else (unknown, disabled, or code not loaded); the slow path
@@ -51,6 +64,16 @@ enum Slot {
     Vacant,
 }
 
+/// One loaded implementation's pre-decoded code and activity index.
+#[derive(Debug, Clone)]
+struct Loaded {
+    code: Rc<DecodedCode>,
+    activity: u32,
+}
+
+/// How many recently resolved names the external fast path remembers.
+const RECENT_NAMES: usize = 8;
+
 /// The runtime dynamic function mapper of one DCDO.
 pub struct Dfm {
     descriptor: DfmDescriptor,
@@ -58,11 +81,20 @@ pub struct Dfm {
     /// form. Decoding happens once per incorporate/stage — the same rare
     /// configuration-time moment that bumps the generation — so steady-state
     /// dispatch hands out `Rc` clones of a cached decode.
-    loaded: HashMap<ComponentId, HashMap<FunctionName, Rc<DecodedCode>>>,
+    loaded: HashMap<ComponentId, HashMap<FunctionName, Loaded>>,
     interner: FunctionInterner,
     slots: Vec<Slot>,
     generation: u64,
-    counters: HashMap<ImplKey, u32>,
+    /// The (function, component) implementation behind each activity
+    /// index, in first-loaded order. Only ever appended to.
+    impls: Vec<(FunctionName, ComponentId)>,
+    /// Active threads per activity index (§3.2).
+    active: Vec<u32>,
+    /// Names recently resolved by [`CallResolver::resolve`], each a clone
+    /// of the caller's own allocation, matched by pointer: a caller that
+    /// builds its name once is answered without hashing it. Oldest first;
+    /// the oldest is dropped when a new name arrives at the bound.
+    recent: Vec<(FunctionName, FunctionId)>,
     dispatch_band: (SimDuration, SimDuration),
     rng: SimRng,
     dispatches: u64,
@@ -82,7 +114,9 @@ impl Dfm {
             interner: FunctionInterner::new(),
             slots: Vec::new(),
             generation: next_generation(),
-            counters: HashMap::new(),
+            impls: Vec::new(),
+            active: Vec::new(),
+            recent: Vec::new(),
             dispatch_band,
             rng: SimRng::seed_from_u64(seed),
             dispatches: 0,
@@ -102,10 +136,10 @@ impl Dfm {
         }
         self.fuse = fuse;
         for map in self.loaded.values_mut() {
-            for code in map.values_mut() {
+            for loaded in map.values_mut() {
                 self.decode_stats.invalidations += 1;
                 self.decode_stats.decodes += 1;
-                *code = Rc::new(DecodedCode::decode(Rc::clone(code.block()), fuse));
+                loaded.code = Rc::new(DecodedCode::decode(Rc::clone(loaded.code.block()), fuse));
             }
         }
         self.reindex();
@@ -145,12 +179,13 @@ impl Dfm {
             let Some(component) = record.enabled() else {
                 continue;
             };
-            let Some(code) = self.loaded.get(&component).and_then(|m| m.get(name)) else {
+            let Some(loaded) = self.loaded.get(&component).and_then(|m| m.get(name)) else {
                 continue;
             };
             self.slots[id.index()] = Slot::Ready {
-                code: Rc::clone(code),
+                code: Rc::clone(&loaded.code),
                 component,
+                activity: loaded.activity,
                 exported: record.visibility().is_exported(),
             };
         }
@@ -163,7 +198,7 @@ impl Dfm {
         &self,
         function: &FunctionName,
         origin: CallOrigin,
-    ) -> Result<(Rc<DecodedCode>, ComponentId), ResolveError> {
+    ) -> Result<ResolvedCall, ResolveError> {
         let record = self
             .descriptor
             .function(function)
@@ -172,12 +207,16 @@ impl Dfm {
             return Err(ResolveError::NotExported);
         }
         let component = record.enabled().ok_or(ResolveError::Disabled)?;
-        let code = self
+        let loaded = self
             .loaded
             .get(&component)
             .and_then(|m| m.get(function))
             .ok_or(ResolveError::Missing)?;
-        Ok((Rc::clone(code), component))
+        Ok(ResolvedCall {
+            code: Rc::clone(&loaded.code),
+            component,
+            activity: loaded.activity,
+        })
     }
 
     /// The implementation version currently reflected.
@@ -193,22 +232,17 @@ impl Dfm {
     /// Active-thread count for the implementation of `function` in
     /// `component`.
     pub fn active_threads(&self, function: &FunctionName, component: ComponentId) -> u32 {
-        self.counters
-            .get(&ImplKey {
-                function: function.clone(),
-                component,
-            })
-            .copied()
-            .unwrap_or(0)
+        self.activity()
+            .find(|((f, c), _)| *c == component && f == function)
+            .map_or(0, |(_, n)| n)
     }
 
     /// Total active threads across all implementations in `component` —
     /// the disappearing-component check (§3.2).
     pub fn component_active_threads(&self, component: ComponentId) -> u32 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.component == component)
-            .map(|(_, n)| *n)
+        self.activity()
+            .filter(|((_, c), _)| *c == component)
+            .map(|(_, n)| n)
             .sum()
     }
 
@@ -219,10 +253,14 @@ impl Dfm {
         self.descriptor.dependencies().iter().any(|dep| {
             dep.target().function() == function
                 && self
-                    .counters
-                    .iter()
-                    .any(|(k, n)| *n > 0 && dep.source().matches(&k.function, k.component))
+                    .activity()
+                    .any(|((f, c), n)| n > 0 && dep.source().matches(f, *c))
         })
+    }
+
+    /// Every implementation ever loaded, with its active-thread count.
+    fn activity(&self) -> impl Iterator<Item = (&(FunctionName, ComponentId), u32)> {
+        self.impls.iter().zip(self.active.iter().copied())
     }
 
     // ---- configuration (mechanism of §2.2) -----------------------------
@@ -348,19 +386,29 @@ impl Dfm {
     /// Decodes and loads a binary's code blocks (one `Rc<DecodedCode>` per
     /// function, decoded once here rather than per call). Replacing an
     /// already-loaded component drops its cached decodes.
+    /// Each implementation keeps the activity index it was first given.
     fn load_decoded(&mut self, binary: &ComponentBinary) {
-        let decoded: HashMap<FunctionName, Rc<DecodedCode>> = binary
+        let component = binary.id();
+        let decoded: HashMap<FunctionName, Loaded> = binary
             .functions()
             .iter()
             .map(|f| {
-                (
-                    f.name().clone(),
-                    Rc::new(DecodedCode::decode(Rc::new(f.code().clone()), self.fuse)),
-                )
+                let known = self
+                    .impls
+                    .iter()
+                    .position(|(n, c)| *c == component && n == f.name());
+                let activity = known.unwrap_or_else(|| {
+                    self.impls.push((f.name().clone(), component));
+                    self.active.push(0);
+                    self.active.len() - 1
+                });
+                let activity = u32::try_from(activity).expect("activity index overflow");
+                let code = Rc::new(DecodedCode::decode(Rc::new(f.code().clone()), self.fuse));
+                (f.name().clone(), Loaded { code, activity })
             })
             .collect();
         self.decode_stats.decodes += decoded.len() as u64;
-        if let Some(replaced) = self.loaded.insert(binary.id(), decoded) {
+        if let Some(replaced) = self.loaded.insert(component, decoded) {
             self.decode_stats.invalidations += replaced.len() as u64;
         }
     }
@@ -399,12 +447,13 @@ impl Dfm {
         function: &FunctionName,
         origin: CallOrigin,
     ) -> Result<(ResolvedCall, Option<FunctionId>), ResolveError> {
-        // Fast path: interned id → flat slot. One hash, one index, no
-        // descriptor walk.
-        if let Some(id) = self.interner.get(function) {
+        // Fast path: interned id → flat slot. A pointer compare (or, for a
+        // name not seen lately, one hash), one index, no descriptor walk.
+        if let Some(id) = self.function_id(function) {
             if let Some(Slot::Ready {
                 code,
                 component,
+                activity,
                 exported,
             }) = self.slots.get(id.index())
             {
@@ -417,15 +466,33 @@ impl Dfm {
                     ResolvedCall {
                         code: Rc::clone(code),
                         component: *component,
+                        activity: *activity,
                     },
                     Some(id),
                 ));
             }
         }
-        let (code, component) = self.resolve_slow(function, origin)?;
+        let resolved = self.resolve_slow(function, origin)?;
         self.dispatches += 1;
         self.decode_stats.hits += 1;
-        Ok((ResolvedCall { code, component }, None))
+        Ok((resolved, None))
+    }
+
+    /// The interned id of `function`, if interned. A name whose allocation
+    /// was seen lately is found by pointer; otherwise the interner hashes
+    /// it, and a hit is remembered. Interned ids never change, and the
+    /// remembered clone keeps its allocation (so its address) alive.
+    fn function_id(&mut self, function: &FunctionName) -> Option<FunctionId> {
+        let key = function.identity_key();
+        if let Some((_, id)) = self.recent.iter().find(|(n, _)| n.identity_key() == key) {
+            return Some(*id);
+        }
+        let id = self.interner.get(function)?;
+        if self.recent.len() == RECENT_NAMES {
+            self.recent.remove(0);
+        }
+        self.recent.push((function.clone(), id));
+        Some(id)
     }
 }
 
@@ -462,13 +529,17 @@ impl CallResolver for Dfm {
         }
         match self.slots.get(token.slot as usize) {
             Some(Slot::Ready {
-                code, component, ..
+                code,
+                component,
+                activity,
+                ..
             }) => {
                 self.dispatches += 1;
                 self.decode_stats.hits += 1;
                 Some(ResolvedCall {
                     code: Rc::clone(code),
                     component: *component,
+                    activity: *activity,
                 })
             }
             _ => None,
@@ -489,22 +560,12 @@ impl CallResolver for Dfm {
         }
     }
 
-    fn enter(&mut self, function: &FunctionName, component: ComponentId) {
-        *self
-            .counters
-            .entry(ImplKey {
-                function: function.clone(),
-                component,
-            })
-            .or_insert(0) += 1;
+    fn enter(&mut self, activity: u32) {
+        self.active[activity as usize] += 1;
     }
 
-    fn exit(&mut self, function: &FunctionName, component: ComponentId) {
-        let key = ImplKey {
-            function: function.clone(),
-            component,
-        };
-        let n = self.counters.entry(key).or_insert(0);
+    fn exit(&mut self, activity: u32) {
+        let n = &mut self.active[activity as usize];
         debug_assert!(*n > 0, "thread-activity counter underflow");
         *n = n.saturating_sub(1);
     }
@@ -622,19 +683,46 @@ mod tests {
         }
     }
 
+    /// The activity index a call to `function` reports to enter/exit.
+    fn activity(dfm: &mut Dfm, function: &str) -> u32 {
+        dfm.resolve(&function.into(), CallOrigin::Internal)
+            .expect("resolves")
+            .activity
+    }
+
     #[test]
     fn counters_track_enters_and_exits() {
         let mut dfm = ready_dfm();
         let c1 = ComponentId::from_raw(1);
-        dfm.enter(&"double".into(), c1);
-        dfm.enter(&"double".into(), c1);
-        dfm.enter(&"helper".into(), c1);
+        let (double, helper) = (activity(&mut dfm, "double"), activity(&mut dfm, "helper"));
+        assert_ne!(double, helper);
+        dfm.enter(double);
+        dfm.enter(double);
+        dfm.enter(helper);
         assert_eq!(dfm.active_threads(&"double".into(), c1), 2);
         assert_eq!(dfm.component_active_threads(c1), 3);
-        dfm.exit(&"double".into(), c1);
-        dfm.exit(&"double".into(), c1);
-        dfm.exit(&"helper".into(), c1);
+        dfm.exit(double);
+        dfm.exit(double);
+        dfm.exit(helper);
         assert_eq!(dfm.component_active_threads(c1), 0);
+    }
+
+    #[test]
+    fn activity_indices_outlive_their_component() {
+        let mut dfm = ready_dfm();
+        let c1 = ComponentId::from_raw(1);
+        let double = activity(&mut dfm, "double");
+        dfm.enter(double);
+        // Removing the component keeps the parked thread's counter, and a
+        // re-incorporated copy of the same implementation reuses its index.
+        dfm.remove_component(c1).expect("removes");
+        assert_eq!(dfm.component_active_threads(c1), 1);
+        dfm.incorporate_component(&math_component(1), None)
+            .expect("re-incorporates");
+        dfm.enable_function(&"double".into(), c1).expect("enable");
+        assert_eq!(activity(&mut dfm, "double"), double);
+        dfm.exit(double);
+        assert_eq!(dfm.active_threads(&"double".into(), c1), 0);
     }
 
     #[test]
@@ -646,10 +734,11 @@ mod tests {
             .add_dependency(dcdo_types::Dependency::type_a("double", c1, "helper"))
             .expect("dep");
         assert!(!dfm.dependents_active(&"helper".into()));
-        dfm.enter(&"double".into(), c1);
+        let double = activity(&mut dfm, "double");
+        dfm.enter(double);
         assert!(dfm.dependents_active(&"helper".into()));
         assert!(!dfm.dependents_active(&"double".into()));
-        dfm.exit(&"double".into(), c1);
+        dfm.exit(double);
         assert!(!dfm.dependents_active(&"helper".into()));
     }
 

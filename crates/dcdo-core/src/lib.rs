@@ -36,7 +36,7 @@ mod manager;
 mod object;
 pub mod ops;
 
-pub use descriptor::{ComponentRecord, DescriptorDiff, DfmDescriptor, FunctionRecord, ImplKey};
+pub use descriptor::{ComponentRecord, DescriptorDiff, DfmDescriptor, FunctionRecord};
 pub use dfm::Dfm;
 pub use error::ConfigError;
 pub use hosts::{HostDirectory, HostEntry};

@@ -13,9 +13,9 @@ use dcdo_core::ops::{
     SetLazyCheck, SetRemovalPolicy, UpdateDone, UpdateInstance, VersionConfigOp,
 };
 use dcdo_core::{DcdoManager, HostDirectory, Ico, UpdatePropagation, VersionPolicy};
-use dcdo_sim::SimDuration;
+use dcdo_sim::{fn_hash, SimDuration, SpanKind};
 use dcdo_types::{ClassId, ComponentId, ObjectId, VersionId};
-use dcdo_vm::{ComponentBinary, ComponentBuilder, FunctionBuilder, Value};
+use dcdo_vm::{ComponentBinary, ComponentBuilder, FunctionBuilder, Value, VmTotals};
 use legion_substrate::harness::{Class, Testbed};
 use legion_substrate::monolithic::ExecutableImage;
 use legion_substrate::{ControlOp, InvocationFault, Msg};
@@ -713,6 +713,8 @@ fn thread_activity_monitoring_gates_component_removal() {
 #[test]
 fn forced_removal_aborts_suspended_threads() {
     let (mut s, dcdo, v1) = Scenario::with_counter(13, false);
+    // Traced, so every served thread is profiled — the aborted one too.
+    s.bed.sim.spans_mut().enable();
     // Slow peer that takes 30 simulated seconds (so it outlives the grace).
     let slow_code = FunctionBuilder::parse("slow() -> int")
         .expect("sig")
@@ -777,6 +779,22 @@ fn forced_removal_aborts_suspended_threads() {
         ),
         "{err}"
     );
+    // The aborted thread's cost is harvested like a finished thread's: a
+    // `VmCost` span for relay, and relay in the world's VM totals.
+    let relay_cost = s.bed.sim.spans().events().iter().any(|e| {
+        matches!(e.kind, SpanKind::VmCost { function, calls: 1, .. } if function == fn_hash("relay"))
+    });
+    assert!(relay_cost, "the aborted thread emitted its VmCost span");
+    let totals = s
+        .bed
+        .sim
+        .totals::<VmTotals>()
+        .expect("profiled threads ran");
+    let relay = totals
+        .profile
+        .function("relay")
+        .expect("relay in the VM totals");
+    assert_eq!(relay.calls, 1);
 }
 
 #[test]

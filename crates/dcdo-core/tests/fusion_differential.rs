@@ -102,8 +102,8 @@ fn call_spin_once(dfm: &mut Dfm, observed: &mut Observed, profiled: bool) -> u64
     );
     observed.outcomes.push(outcome);
     observed.nanos.push(thread.take_consumed_nanos());
-    if let Some(profile) = thread.take_profile() {
-        observed.profile.merge(&profile);
+    if let Some(profile) = thread.profile() {
+        observed.profile.merge(profile);
     }
     let (retired, fused) = thread.retired_counts();
     observed.retired += retired;

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dcdo_sim::{
     Actor, ActorId, Ctx, FlowKind, NodeId, SimDuration, SimTime, Simulation, SpanKind, TimerId,
 };
-use dcdo_types::{CallId, ObjectId};
+use dcdo_types::{CallId, FunctionName, ObjectId};
 use dcdo_vm::Value;
 use legion_substrate::{control_payload, Ack, ControlOp, InvocationFault, Msg};
 
@@ -710,6 +710,8 @@ pub struct GroupClient {
     ok: u64,
     refused: u64,
     failed: u64,
+    /// `work`, built once; every invoke clones it.
+    work: FunctionName,
 }
 
 impl GroupClient {
@@ -728,6 +730,7 @@ impl GroupClient {
             ok: 0,
             refused: 0,
             failed: 0,
+            work: "work".into(),
         }
     }
 
@@ -781,7 +784,7 @@ impl Actor<Msg> for GroupClient {
             Msg::Invoke {
                 call,
                 target: object,
-                function: "work".into(),
+                function: self.work.clone(),
                 args: vec![],
             },
         );

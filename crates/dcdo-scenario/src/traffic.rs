@@ -7,7 +7,7 @@
 //! declaration in [`crate::registry`] is the whole workload.
 
 use dcdo_core::ops::{LazyCheck, MigrateDcdo, QueryFunctionStatus, QueryInterface, SetLazyCheck};
-use dcdo_types::VersionId;
+use dcdo_types::{FunctionName, VersionId};
 use dcdo_workloads::{service, Manager, Strategy};
 use legion_substrate::ControlOp;
 
@@ -84,9 +84,21 @@ impl Workload for CounterService {
 
 /// Closed-loop application calls against the service: alternating `incr`
 /// and `get` invocations, each driven to completion.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Calls {
     count: u64,
+    /// `incr` and `get`, built once: every call clones a name that shares
+    /// one allocation.
+    functions: [FunctionName; 2],
+}
+
+impl Default for Calls {
+    fn default() -> Self {
+        Calls {
+            count: 0,
+            functions: ["incr".into(), "get".into()],
+        }
+    }
 }
 
 impl Calls {
@@ -113,11 +125,7 @@ impl Workload for Calls {
         let Some(s) = cx.service else {
             return;
         };
-        let function = if self.count.is_multiple_of(2) {
-            "incr"
-        } else {
-            "get"
-        };
+        let function = self.functions[(self.count % 2) as usize].clone();
         self.count += 1;
         let ok = {
             let bed = cx.world.testbed_mut().expect("validated: legion topology");

@@ -156,12 +156,33 @@ impl Histogram {
     }
 }
 
+/// A counter resolved to its slot in one [`Metrics`] registry, for a
+/// per-call path: bumping it through [`Metrics::add_at`] is an index, with
+/// no name lookup. Valid only with the registry that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterSlot(u32);
+
 /// A named collection of counters and histograms.
+///
+/// A counter lives in one of two places: the name-ordered `counters` map,
+/// or — once a caller resolved it with [`Metrics::counter_slot`] — the slot
+/// table, indexed by [`CounterSlot`]. A slot holds `None` until its counter
+/// is first bumped, so a counter exists (in [`Metrics::counters`]) only
+/// once bumped. Slots are never removed, so a [`CounterSlot`] stays valid
+/// for the registry's life. The table is boxed and absent until the first
+/// resolution: the timeline keeps one registry per window, resolves no
+/// slot, and so pays one pointer for them.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
+    slots: Option<Box<SlotTable>>,
     histograms: BTreeMap<String, Histogram>,
 }
+
+/// Resolved counters, indexed by [`CounterSlot`]: name and value (`None`
+/// until first bumped).
+#[derive(Debug, Clone, Default)]
+struct SlotTable(Vec<(String, Option<u64>)>);
 
 impl Metrics {
     /// Creates an empty metrics registry.
@@ -169,15 +190,50 @@ impl Metrics {
         Metrics::default()
     }
 
+    /// Resolves the named counter to its slot, once, for a caller that
+    /// bumps it per call. Resolving does not create the counter; a value it
+    /// already has moves to the slot.
+    pub fn counter_slot(&mut self, name: &str) -> CounterSlot {
+        let table = &mut self.slots.get_or_insert_with(Box::default).0;
+        let slot = match table.iter().position(|(n, _)| n == name) {
+            Some(slot) => slot,
+            None => {
+                table.push((name.to_owned(), self.counters.remove(name)));
+                table.len() - 1
+            }
+        };
+        CounterSlot(u32::try_from(slot).expect("counter slot overflow"))
+    }
+
+    /// Adds `delta` to the counter at `slot`, creating it at zero if absent.
+    #[inline]
+    pub fn add_at(&mut self, slot: CounterSlot, delta: u64) {
+        let table = self
+            .slots
+            .as_deref_mut()
+            .expect("a CounterSlot comes from its own registry");
+        *table.0[slot.0 as usize].1.get_or_insert(0) += delta;
+    }
+
     /// Adds `delta` to the named counter, creating it at zero if absent.
     pub fn add(&mut self, name: &str, delta: u64) {
         // Look up by `&str`: only a counter's first touch allocates its key.
-        match self.counters.get_mut(name) {
-            Some(v) => *v += delta,
+        if let Some(v) = self.counters.get_mut(name) {
+            *v += delta;
+            return;
+        }
+        let slotted = self.slots.as_deref_mut().map_or(&mut [][..], |t| &mut t.0);
+        match slotted.iter_mut().find(|(n, _)| n == name) {
+            Some((_, v)) => *v.get_or_insert(0) += delta,
             None => {
                 self.counters.insert(name.to_owned(), delta);
             }
         }
+    }
+
+    /// The resolved counters, in slot order.
+    fn slotted(&self) -> &[(String, Option<u64>)] {
+        self.slots.as_deref().map_or(&[], |t| &t.0)
     }
 
     /// Increments the named counter by one.
@@ -187,7 +243,11 @@ impl Metrics {
 
     /// Returns the value of the named counter (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        self.counters
+            .get(name)
+            .copied()
+            .or_else(|| self.slotted().iter().find(|(n, _)| n == name)?.1)
+            .unwrap_or(0)
     }
 
     /// Records a sample into the named histogram.
@@ -219,7 +279,23 @@ impl Metrics {
 
     /// Iterates over all counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
+        let mut slotted: Vec<(&str, u64)> = self
+            .slotted()
+            .iter()
+            .filter_map(|(n, v)| Some((n.as_str(), (*v)?)))
+            .collect();
+        slotted.sort_unstable_by_key(|&(n, _)| n);
+        let mut slotted = slotted.into_iter().peekable();
+        let mut named = self
+            .counters
+            .iter()
+            .map(|(n, v)| (n.as_str(), *v))
+            .peekable();
+        std::iter::from_fn(move || match (named.peek(), slotted.peek()) {
+            (Some(a), Some(b)) if b.0 < a.0 => slotted.next(),
+            (Some(_), _) => named.next(),
+            (None, _) => slotted.next(),
+        })
     }
 
     /// Iterates over all histograms in name order.
@@ -233,9 +309,13 @@ impl Metrics {
         self.histograms.iter_mut().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Clears all counters and histograms.
+    /// Clears all counters and histograms. Resolved [`CounterSlot`]s stay
+    /// valid.
     pub fn reset(&mut self) {
         self.counters.clear();
+        if let Some(table) = self.slots.as_deref_mut() {
+            table.0.iter_mut().for_each(|(_, v)| *v = None);
+        }
         self.histograms.clear();
     }
 }
@@ -243,7 +323,7 @@ impl Metrics {
 impl fmt::Display for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "counters:")?;
-        for (name, v) in &self.counters {
+        for (name, v) in self.counters() {
             writeln!(f, "  {name} = {v}")?;
         }
         writeln!(f, "histograms:")?;
@@ -294,6 +374,35 @@ mod tests {
         assert_eq!(keys(&m), before);
         assert_eq!(m.counter("x"), 2);
         assert_eq!(m.histogram("lat").expect("recorded").count(), 2);
+    }
+
+    #[test]
+    fn a_resolved_slot_bumps_the_named_counter_and_exists_only_once_bumped() {
+        let mut m = Metrics::new();
+        m.incr("b");
+        let slot = m.counter_slot("a");
+        assert_eq!(m.counter_slot("a"), slot, "resolving twice finds one slot");
+        assert_eq!(m.counter("a"), 0);
+        assert_eq!(m.counters().collect::<Vec<_>>(), vec![("b", 1)]);
+        m.add_at(slot, 2);
+        m.incr("a");
+        assert_eq!(m.counter("a"), 3);
+        m.incr("c");
+        assert_eq!(
+            m.counters().collect::<Vec<_>>(),
+            vec![("a", 3), ("b", 1), ("c", 1)]
+        );
+        // A counter bumped by name keeps its value when resolved.
+        let b = m.counter_slot("b");
+        m.add_at(b, 1);
+        assert_eq!(
+            m.counters().collect::<Vec<_>>(),
+            vec![("a", 3), ("b", 2), ("c", 1)]
+        );
+        m.reset();
+        assert_eq!(m.counters().count(), 0);
+        m.add_at(slot, 1);
+        assert_eq!(m.counters().collect::<Vec<_>>(), vec![("a", 1)]);
     }
 
     #[test]

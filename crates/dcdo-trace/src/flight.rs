@@ -150,13 +150,12 @@ impl FlightRecorder {
 
     /// The pre-wrap fill path, kept out of line so the inlined steady-state
     /// [`push`](FlightRecorder::push) is one compare and a masked store.
+    /// The ring grows by doubling up to `cap` (a power of two, so the last
+    /// growth lands on it exactly): a short world — a set-up, a unit test —
+    /// touches only the frames it records instead of mapping the whole
+    /// ring, and the few reallocations of a long run are noise beside it.
     #[inline(never)]
     fn fill(&mut self, frame: FlightFrame) {
-        if self.frames.capacity() < self.cap {
-            // One exact reservation instead of doubling growth: the fill
-            // phase then never reallocates or copies.
-            self.frames.reserve_exact(self.cap - self.frames.len());
-        }
         self.frames.push(frame);
     }
 

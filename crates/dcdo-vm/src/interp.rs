@@ -11,8 +11,9 @@
 //! when the thread wakes it may find the function or component it needs gone.
 //!
 //! All intra-object calls resolve through the owner's [`CallResolver`] at
-//! call time, and entry/exit of every frame is reported to the resolver so a
-//! DFM can maintain the per-function active-thread counters used for thread
+//! call time, and entry/exit of every frame is reported to the resolver — by
+//! the resolved call's activity index, carried in the frame — so a DFM can
+//! maintain the per-implementation active-thread counters used for thread
 //! activity monitoring (§3.2).
 //!
 //! # Dispatch
@@ -32,7 +33,6 @@
 //! stream one `step()` at a time and serves as the differential oracle for
 //! the threaded path (and as the "before" build for benchmarks).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -55,6 +55,9 @@ pub const MAX_CALL_DEPTH: usize = 128;
 struct Frame {
     code: Rc<crate::decoded::DecodedCode>,
     component: ComponentId,
+    /// The resolver's activity index for this implementation, handed back
+    /// to [`CallResolver::exit`] when the frame pops.
+    activity: u32,
     pc: usize,
     args: Vec<Value>,
     locals: Vec<Value>,
@@ -65,7 +68,7 @@ struct Frame {
     /// pre-extracted leaf summary). Sized from the decode (empty for
     /// call-free code), so the threaded path never hashes to find its
     /// cache entry.
-    sites: Box<[SiteState]>,
+    sites: Vec<SiteState>,
 }
 
 /// One call site's inline-cache state.
@@ -89,28 +92,84 @@ struct LeafCall {
     a: Operand,
     b: Operand,
     op: ArithKind,
-    component: ComponentId,
+    activity: u32,
     param: TypeTag,
     ret: TypeTag,
 }
 
 impl Frame {
-    fn new(resolved: ResolvedCall, args: Vec<Value>) -> Self {
-        let locals = vec![Value::Unit; resolved.code.locals() as usize];
-        let sites = vec![SiteState::default(); resolved.code.call_sites()].into_boxed_slice();
+    fn function(&self) -> &FunctionName {
+        self.code.signature().name()
+    }
+}
+
+/// Most buffers of each kind a thread keeps for reuse: one frame's worth
+/// per call level.
+const POOL_CAP: usize = MAX_CALL_DEPTH;
+
+/// A thread's recycled frame buffers. Every frame's arguments, locals and
+/// operand stack come from `values` and its call-site table from `sites`;
+/// a popped frame hands them back cleared. With a host that restarts
+/// finished threads ([`VmThread::restart`]), steady-state call/return
+/// cycles allocate nothing.
+#[derive(Debug, Default)]
+struct FramePool {
+    values: Vec<Vec<Value>>,
+    sites: Vec<Vec<SiteState>>,
+}
+
+impl FramePool {
+    fn values(&mut self) -> Vec<Value> {
+        self.values.pop().unwrap_or_default()
+    }
+
+    fn frame(&mut self, resolved: ResolvedCall, args: Vec<Value>) -> Frame {
+        let mut locals = Vec::new();
+        if resolved.code.locals() > 0 {
+            locals = self.values();
+            locals.resize(resolved.code.locals() as usize, Value::Unit);
+        }
+        let mut sites = Vec::new();
+        if resolved.code.call_sites() > 0 {
+            sites = self.sites.pop().unwrap_or_default();
+            sites.resize(resolved.code.call_sites(), SiteState::default());
+        }
         Frame {
             code: resolved.code,
             component: resolved.component,
+            activity: resolved.activity,
             pc: 0,
             args,
             locals,
-            stack: Vec::new(),
+            stack: self.values(),
             sites,
         }
     }
 
-    fn function(&self) -> &FunctionName {
-        self.code.signature().name()
+    /// Keeps a buffer that has capacity (an empty one costs nothing to
+    /// make anew).
+    fn recycle_values(&mut self, mut values: Vec<Value>) {
+        if values.capacity() > 0 && self.values.len() < 3 * POOL_CAP {
+            values.clear();
+            self.values.push(values);
+        }
+    }
+
+    fn recycle(&mut self, frame: Frame) {
+        let Frame {
+            args,
+            locals,
+            stack,
+            mut sites,
+            ..
+        } = frame;
+        self.recycle_values(args);
+        self.recycle_values(locals);
+        self.recycle_values(stack);
+        if sites.capacity() > 0 && self.sites.len() < POOL_CAP {
+            sites.clear();
+            self.sites.push(sites);
+        }
     }
 }
 
@@ -126,13 +185,14 @@ pub struct OutcallRequest {
 }
 
 /// The observable status of a thread.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ThreadStatus {
     /// Ready to run (fresh or just resumed).
     Runnable,
     /// Parked at a remote outcall awaiting a reply.
     Suspended,
     /// Finished (completed or faulted); may not run again.
+    #[default]
     Done,
 }
 
@@ -167,23 +227,28 @@ enum FrameEvent {
 }
 
 /// A (possibly suspended) thread executing dynamic-function code.
+///
+/// A finished thread can be started again with [`VmThread::restart`],
+/// which keeps its buffers: a host that recycles its finished threads
+/// serves a call with no per-call allocation in the interpreter.
+/// `VmThread::default()` is a finished thread with no buffers yet.
+#[derive(Default)]
 pub struct VmThread {
     frames: Vec<Frame>,
     status: ThreadStatus,
     consumed_nanos: u64,
     pending_resume: Option<Result<Value, VmError>>,
-    /// Legacy-stepper inline cache: the callee name's identity key maps to
-    /// the generation-stamped [`CallToken`] the resolver issued last time
-    /// that site resolved. The threaded path uses the per-frame `sites`
-    /// table instead (indexed, no hashing).
-    call_cache: HashMap<usize, CallToken>,
-    /// Opt-in cost attribution; `None` (the default) costs one predicted
+    /// Legacy-stepper inline cache: the callee name's identity key and the
+    /// generation-stamped [`CallToken`] the resolver issued last time that
+    /// site resolved, scanned linearly (a thread calls a handful of
+    /// names). The threaded path uses the per-frame `sites` table instead.
+    call_cache: Vec<(usize, CallToken)>,
+    /// Opt-in cost attribution; off (the default) costs one predicted
     /// branch per retired instruction.
-    profile: Option<Box<ThreadProfile>>,
-    /// Recycled argument buffers: each `CallDyn` drains its arguments into a
-    /// pooled `Vec` and each return recycles the callee's, so steady-state
-    /// call/return cycles allocate nothing.
-    arg_pool: Vec<Vec<Value>>,
+    profiling: bool,
+    profile: ThreadProfile,
+    /// Recycled frame buffers (arguments, locals, stacks, call-site tables).
+    pool: FramePool,
     /// When set, runs the original single-step interpreter over the
     /// undecoded instruction stream — the differential oracle.
     legacy: bool,
@@ -210,23 +275,52 @@ impl VmThread {
         args: Vec<Value>,
         origin: CallOrigin,
     ) -> Result<VmThread, VmError> {
+        let mut thread = VmThread::default();
+        thread.restart(resolver, function, args, origin)?;
+        Ok(thread)
+    }
+
+    /// Starts this finished thread over as a fresh [`VmThread::call`],
+    /// keeping its buffers. Everything else — status, consumed time,
+    /// retirement counts, inline caches, the stepper mode and profiling —
+    /// starts as `call` would leave it.
+    ///
+    /// # Errors
+    ///
+    /// Fails exactly as [`VmThread::call`] does; the thread is then left
+    /// finished (and still reusable).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thread is not finished.
+    pub fn restart<R: CallResolver + ?Sized>(
+        &mut self,
+        resolver: &mut R,
+        function: &FunctionName,
+        args: Vec<Value>,
+        origin: CallOrigin,
+    ) -> Result<(), VmError> {
+        assert_eq!(
+            self.status,
+            ThreadStatus::Done,
+            "restart on a thread that has not finished"
+        );
+        debug_assert!(self.frames.is_empty(), "a finished thread has no frames");
         let resolved = resolve_checked(resolver, function, origin)?;
         check_args(&resolved.code, function, &args)?;
-        let mut thread = VmThread {
-            frames: Vec::new(),
-            status: ThreadStatus::Runnable,
-            consumed_nanos: resolver.dispatch_cost_nanos(),
-            pending_resume: None,
-            call_cache: HashMap::new(),
-            profile: None,
-            arg_pool: Vec::new(),
-            legacy: false,
-            total_retired: 0,
-            fused_retired: 0,
-        };
-        resolver.enter(function, resolved.component);
-        thread.frames.push(Frame::new(resolved, args));
-        Ok(thread)
+        self.status = ThreadStatus::Runnable;
+        self.consumed_nanos = resolver.dispatch_cost_nanos();
+        self.pending_resume = None;
+        self.call_cache.clear();
+        self.profiling = false;
+        self.profile.clear();
+        self.legacy = false;
+        self.total_retired = 0;
+        self.fused_retired = 0;
+        resolver.enter(resolved.activity);
+        let frame = self.pool.frame(resolved, args);
+        self.frames.push(frame);
+        Ok(())
     }
 
     /// Returns the thread's status.
@@ -291,25 +385,25 @@ impl VmThread {
     /// right after [`VmThread::call`]) are counted as entered. Idempotent —
     /// enabling twice keeps the existing counters.
     pub fn enable_profiling(&mut self) {
-        if self.profile.is_some() {
+        if self.profiling {
             return;
         }
-        let mut profile = Box::<ThreadProfile>::default();
+        self.profiling = true;
         for frame in &self.frames {
-            profile.enter(frame.function());
+            self.profile.enter(frame.function());
         }
-        self.profile = Some(profile);
     }
 
     /// Returns `true` if cost attribution is on.
     pub fn is_profiling(&self) -> bool {
-        self.profile.is_some()
+        self.profiling
     }
 
-    /// Detaches the accumulated cost report, or `None` if profiling was
-    /// never enabled. The thread keeps running unprofiled afterwards.
-    pub fn take_profile(&mut self) -> Option<VmProfile> {
-        self.profile.take().map(|p| p.snapshot())
+    /// The accumulated cost report, borrowed in place, or `None` if
+    /// profiling was never enabled. It stays readable after the thread
+    /// finishes, until the thread is restarted.
+    pub fn profile(&self) -> Option<&VmProfile> {
+        self.profiling.then(|| self.profile.report())
     }
 
     /// Delivers the reply for the outcall this thread is suspended on.
@@ -355,10 +449,11 @@ impl VmThread {
 
     fn unwind<R: CallResolver + ?Sized>(&mut self, resolver: &mut R) {
         while let Some(frame) = self.frames.pop() {
-            resolver.exit(frame.function(), frame.component);
-            if let Some(p) = self.profile.as_deref_mut() {
-                p.exit();
+            resolver.exit(frame.activity);
+            if self.profiling {
+                self.profile.exit();
             }
+            self.pool.recycle(frame);
         }
     }
 
@@ -418,12 +513,14 @@ impl VmThread {
             // profile, and the consumed-nanos accumulator are all live
             // across the inner loop.
             let depth = self.frames.len();
+            let profiling = self.profiling;
             let profile = &mut self.profile;
             let consumed_nanos = &mut self.consumed_nanos;
-            let arg_pool = &mut self.arg_pool;
+            let pool = &mut self.pool;
             let Frame {
                 code,
                 component: _,
+                activity: _,
                 pc,
                 args: frame_args,
                 locals,
@@ -462,8 +559,8 @@ impl VmThread {
                         if $in_fused {
                             fused += 1;
                         }
-                        if let Some(p) = profile.as_deref_mut() {
-                            p.instruction($opc, $work);
+                        if profiling {
+                            profile.instruction($opc, $work);
                         }
                     }};
                 }
@@ -651,7 +748,7 @@ impl VmThread {
                         if stack.len() < n {
                             fault!(VmError::StackUnderflow);
                         }
-                        let mut args = arg_pool.pop().unwrap_or_default();
+                        let mut args = pool.values();
                         let at = stack.len() - n;
                         args.extend(stack.drain(at..));
                         // Inline cache: redeem the token this exact call
@@ -673,9 +770,9 @@ impl VmThread {
                         };
                         tr!(check_args(&resolved.code, function, &args));
                         *consumed_nanos += resolver.dispatch_cost_nanos();
-                        resolver.enter(function, resolved.component);
-                        if let Some(p) = profile.as_deref_mut() {
-                            p.enter(function);
+                        resolver.enter(resolved.activity);
+                        if profiling {
+                            profile.enter(function);
                         }
                         break 'ops FrameEvent::Call { resolved, args };
                     }
@@ -774,7 +871,7 @@ impl VmThread {
                     DecodedOp::GlobalSet(key) => {
                         charge!(38, 0, false);
                         let v = tr!(pop(stack));
-                        globals.set(key.as_str().to_owned(), v);
+                        globals.assign(key.as_str(), v);
                     }
                     // ---- superinstructions. With profiling off and ample
                     // fuel, the whole fused op charges in one bulk update
@@ -792,7 +889,7 @@ impl VmThread {
                         when,
                         target,
                     } => {
-                        if profile.is_none() && remaining >= 4 {
+                        if !profiling && remaining >= 4 {
                             remaining -= 4;
                             retired += 4;
                             fused += 4;
@@ -816,7 +913,7 @@ impl VmThread {
                         }
                     }
                     DecodedOp::BinStore { a, b, op, dst } => {
-                        if profile.is_none() && remaining >= 4 {
+                        if !profiling && remaining >= 4 {
                             remaining -= 4;
                             retired += 4;
                             fused += 4;
@@ -848,7 +945,7 @@ impl VmThread {
                         dst,
                         target,
                     } => {
-                        if profile.is_none() && remaining >= 5 {
+                        if !profiling && remaining >= 5 {
                             remaining -= 5;
                             retired += 5;
                             fused += 5;
@@ -877,7 +974,7 @@ impl VmThread {
                         }
                     }
                     DecodedOp::BinRet { a, b, op } => {
-                        if profile.is_none() && remaining >= 4 {
+                        if !profiling && remaining >= 4 {
                             remaining -= 4;
                             retired += 4;
                             fused += 4;
@@ -897,7 +994,7 @@ impl VmThread {
                         }
                     }
                     DecodedOp::BinPush { a, b, op } => {
-                        if profile.is_none() && remaining >= 3 {
+                        if !profiling && remaining >= 3 {
                             remaining -= 3;
                             retired += 3;
                             fused += 3;
@@ -916,7 +1013,7 @@ impl VmThread {
                         }
                     }
                     DecodedOp::OpStore { src, dst } => {
-                        if profile.is_none() && remaining >= 2 {
+                        if !profiling && remaining >= 2 {
                             remaining -= 2;
                             retired += 2;
                             fused += 2;
@@ -936,7 +1033,7 @@ impl VmThread {
                         }
                     }
                     DecodedOp::OpRet { src } => {
-                        if profile.is_none() && remaining >= 2 {
+                        if !profiling && remaining >= 2 {
                             remaining -= 2;
                             retired += 2;
                             fused += 2;
@@ -958,7 +1055,7 @@ impl VmThread {
                         // straight from a local/arg/constant, skipping the
                         // operand-stack round trip of the unfused pair.
                         let v;
-                        if profile.is_none() && remaining >= 2 {
+                        if !profiling && remaining >= 2 {
                             remaining -= 2;
                             retired += 2;
                             fused += 2;
@@ -982,7 +1079,7 @@ impl VmThread {
                         // push/pop. Fuel, retirement, the enter/exit pair,
                         // and every fault match the framed execution
                         // bit-for-bit.
-                        if profile.is_none() && remaining >= 4 {
+                        if !profiling && remaining >= 4 {
                             let mut stale = false;
                             if let Some(leaf) = &slot.leaf {
                                 if resolver.revalidate_token(leaf.token) {
@@ -995,7 +1092,7 @@ impl VmThread {
                                         });
                                     }
                                     *consumed_nanos += resolver.dispatch_cost_nanos();
-                                    resolver.enter(function, leaf.component);
+                                    resolver.enter(leaf.activity);
                                     remaining -= 4;
                                     retired += 4;
                                     fused += 4;
@@ -1005,7 +1102,7 @@ impl VmThread {
                                         Err(e) => {
                                             retired -= 3;
                                             fused -= 3;
-                                            resolver.exit(function, leaf.component);
+                                            resolver.exit(leaf.activity);
                                             fault!(e);
                                         }
                                     };
@@ -1014,7 +1111,7 @@ impl VmThread {
                                         Err(e) => {
                                             retired -= 2;
                                             fused -= 2;
-                                            resolver.exit(function, leaf.component);
+                                            resolver.exit(leaf.activity);
                                             fault!(e);
                                         }
                                     };
@@ -1023,11 +1120,11 @@ impl VmThread {
                                         Err(e) => {
                                             retired -= 1;
                                             fused -= 1;
-                                            resolver.exit(function, leaf.component);
+                                            resolver.exit(leaf.activity);
                                             fault!(e);
                                         }
                                     };
-                                    resolver.exit(function, leaf.component);
+                                    resolver.exit(leaf.activity);
                                     if !leaf.ret.accepts(TypeTag::Int) {
                                         fault!(VmError::ReturnType {
                                             function: function.clone(),
@@ -1074,7 +1171,7 @@ impl VmThread {
                                         a: a.clone(),
                                         b: b.clone(),
                                         op: *op,
-                                        component: resolved.component,
+                                        activity: resolved.activity,
                                         param: resolved.code.signature().params()[0],
                                         ret: resolved.code.signature().ret(),
                                     });
@@ -1082,11 +1179,11 @@ impl VmThread {
                             }
                         }
                         *consumed_nanos += resolver.dispatch_cost_nanos();
-                        resolver.enter(function, resolved.component);
-                        let mut args = arg_pool.pop().unwrap_or_default();
+                        resolver.enter(resolved.activity);
+                        let mut args = pool.values();
                         args.push(v);
-                        if let Some(p) = profile.as_deref_mut() {
-                            p.enter(function);
+                        if profiling {
+                            profile.enter(function);
                         }
                         break 'ops FrameEvent::Call { resolved, args };
                     }
@@ -1095,25 +1192,24 @@ impl VmThread {
 
             match event {
                 FrameEvent::Call { resolved, args } => {
-                    self.frames.push(Frame::new(resolved, args));
+                    let frame = self.pool.frame(resolved, args);
+                    self.frames.push(frame);
                 }
                 FrameEvent::Return(value) => {
-                    let mut frame = self.frames.pop().expect("returning thread has a frame");
-                    resolver.exit(frame.function(), frame.component);
-                    if let Some(p) = self.profile.as_deref_mut() {
-                        p.exit();
-                    }
-                    if self.arg_pool.len() < MAX_CALL_DEPTH {
-                        frame.args.clear();
-                        self.arg_pool.push(std::mem::take(&mut frame.args));
+                    let frame = self.frames.pop().expect("returning thread has a frame");
+                    resolver.exit(frame.activity);
+                    if self.profiling {
+                        self.profile.exit();
                     }
                     let expected = frame.code.signature().ret();
-                    if !expected.accepts(value.type_tag()) {
-                        let err = VmError::ReturnType {
+                    let mismatch =
+                        (!expected.accepts(value.type_tag())).then(|| VmError::ReturnType {
                             function: frame.function().clone(),
                             expected,
                             found: value.type_tag(),
-                        };
+                        });
+                    self.pool.recycle(frame);
+                    if let Some(err) = mismatch {
                         break 'thread self.fault(resolver, err);
                     }
                     match self.frames.last_mut() {
@@ -1192,13 +1288,13 @@ impl VmThread {
         // Borrow the instruction from the (cheaply cloned) shared code block
         // rather than deep-cloning it every step.
         let instr = &code.block().instrs()[pc];
-        if let Some(p) = self.profile.as_deref_mut() {
+        if self.profiling {
             let work = if let Instr::Work(nanos) = instr {
                 *nanos
             } else {
                 0
             };
-            p.instruction(instr.opcode(), work);
+            self.profile.instruction(instr.opcode(), work);
         }
         let frame = self.frames.last_mut().expect("frame exists");
         match instr {
@@ -1308,33 +1404,33 @@ impl VmThread {
                 // Inline cache: redeem the token this call site cached, if
                 // the resolver's configuration generation still matches.
                 let site = function.identity_key();
-                let resolved = match self
-                    .call_cache
-                    .get(&site)
-                    .and_then(|token| resolver.resolve_token(*token))
+                let cached = self.call_cache.iter().position(|(key, _)| *key == site);
+                let resolved = match cached
+                    .and_then(|i| resolver.resolve_token(self.call_cache[i].1))
                 {
                     Some(resolved) => resolved,
                     None => {
                         let (resolved, token) =
                             resolve_with_token_checked(resolver, function, CallOrigin::Internal)?;
-                        match token {
-                            Some(token) => {
-                                self.call_cache.insert(site, token);
+                        match (cached, token) {
+                            (Some(i), Some(token)) => self.call_cache[i].1 = token,
+                            (None, Some(token)) => self.call_cache.push((site, token)),
+                            (Some(i), None) => {
+                                self.call_cache.swap_remove(i);
                             }
-                            None => {
-                                self.call_cache.remove(&site);
-                            }
+                            (None, None) => {}
                         }
                         resolved
                     }
                 };
                 check_args(&resolved.code, function, &args)?;
                 self.consumed_nanos += resolver.dispatch_cost_nanos();
-                resolver.enter(function, resolved.component);
-                if let Some(p) = self.profile.as_deref_mut() {
-                    p.enter(function);
+                resolver.enter(resolved.activity);
+                if self.profiling {
+                    self.profile.enter(function);
                 }
-                self.frames.push(Frame::new(resolved, args));
+                let frame = self.pool.frame(resolved, args);
+                self.frames.push(frame);
             }
             Instr::CallNative { function, argc } => {
                 let args = pop_n(&mut frame.stack, *argc as usize)?;
@@ -1415,7 +1511,7 @@ impl VmThread {
             }
             Instr::GlobalSet(key) => {
                 let v = pop(&mut frame.stack)?;
-                globals.set(key.as_str().to_owned(), v);
+                globals.assign(key.as_str(), v);
             }
         }
         Ok(StepOutcome::Continue)
@@ -1427,17 +1523,19 @@ impl VmThread {
         value: Value,
     ) -> Result<StepOutcome, VmError> {
         let frame = self.frames.pop().expect("returning thread has a frame");
-        resolver.exit(frame.function(), frame.component);
-        if let Some(p) = self.profile.as_deref_mut() {
-            p.exit();
+        resolver.exit(frame.activity);
+        if self.profiling {
+            self.profile.exit();
         }
         let expected = frame.code.signature().ret();
-        if !expected.accepts(value.type_tag()) {
-            return Err(VmError::ReturnType {
-                function: frame.function().clone(),
-                expected,
-                found: value.type_tag(),
-            });
+        let mismatch = (!expected.accepts(value.type_tag())).then(|| VmError::ReturnType {
+            function: frame.function().clone(),
+            expected,
+            found: value.type_tag(),
+        });
+        self.pool.recycle(frame);
+        if let Some(err) = mismatch {
+            return Err(err);
         }
         match self.frames.last_mut() {
             Some(caller) => {

@@ -7,7 +7,9 @@
 //! it is three array increments per instruction with no allocation on the
 //! hot path (a function's name is looked up once per entry, by a linear
 //! scan: a thread touches one to three functions, so a hash table would
-//! cost more to build than it saves).
+//! cost more to build than it saves). The profile lives inline in the
+//! thread and is cleared when a host restarts the thread, so a host that
+//! recycles its threads profiles without allocating per call.
 //!
 //! The fuel cost of a function equals its instruction count — the fuel loop
 //! charges exactly one unit per retired instruction — so `instructions`
@@ -47,7 +49,7 @@ impl VmTotals {
     }
 }
 
-/// Per-function counters inside a [`ThreadProfile`] / [`VmProfile`].
+/// Per-function counters inside a thread's profile and a [`VmProfile`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FnStats {
     /// Times the function was entered.
@@ -69,42 +71,41 @@ impl FnStats {
 
 /// Live profiling state attached to one running thread.
 ///
-/// Maintains a shadow stack of indices into the thread's function list,
-/// parallel to the thread's call frames, so each retired instruction is
-/// attributed to the innermost function without touching the frame itself.
-#[derive(Debug)]
-pub struct ThreadProfile {
-    /// Every function entered, in first-entered order.
-    functions: Vec<FnProfile>,
+/// Holds the thread's [`VmProfile`] plus a shadow stack of indices into its
+/// function list, parallel to the thread's call frames, so each retired
+/// instruction is attributed to the innermost function without touching
+/// the frame itself. It lives inline in the thread and is cleared, not
+/// freed, when the thread is restarted, so a recycled thread profiles with
+/// no allocation once its buffers have grown.
+#[derive(Debug, Default)]
+pub(crate) struct ThreadProfile {
+    report: VmProfile,
     shadow: Vec<u32>,
-    opcodes: [u64; OPCODE_COUNT],
-}
-
-impl Default for ThreadProfile {
-    fn default() -> Self {
-        ThreadProfile {
-            functions: Vec::new(),
-            shadow: Vec::new(),
-            opcodes: [0; OPCODE_COUNT],
-        }
-    }
 }
 
 impl ThreadProfile {
+    /// Empties the counters, keeping the buffers' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.report.functions.clear();
+        self.report.opcodes = [0; OPCODE_COUNT];
+        self.shadow.clear();
+    }
+
     /// Records entry into `function`: finds (or appends) its entry, pushes
     /// the shadow frame, and counts the call.
     pub(crate) fn enter(&mut self, function: &FunctionName) {
-        let index = match self.functions.iter().position(|f| f.name == *function) {
+        let functions = &mut self.report.functions;
+        let index = match functions.iter().position(|f| f.name == *function) {
             Some(index) => index,
             None => {
-                self.functions.push(FnProfile {
+                functions.push(FnProfile {
                     name: function.clone(),
                     stats: FnStats::default(),
                 });
-                self.functions.len() - 1
+                functions.len() - 1
             }
         };
-        self.functions[index].stats.calls += 1;
+        functions[index].stats.calls += 1;
         self.shadow.push(index as u32);
     }
 
@@ -117,20 +118,17 @@ impl ThreadProfile {
     /// `work_nanos` of simulated compute) to the innermost function.
     #[inline]
     pub(crate) fn instruction(&mut self, opcode: usize, work_nanos: u64) {
-        self.opcodes[opcode] += 1;
+        self.report.opcodes[opcode] += 1;
         if let Some(&top) = self.shadow.last() {
-            let s = &mut self.functions[top as usize].stats;
+            let s = &mut self.report.functions[top as usize].stats;
             s.instructions += 1;
             s.work_nanos += work_nanos;
         }
     }
 
-    /// Freezes the counters into a report.
-    pub fn snapshot(&self) -> VmProfile {
-        VmProfile {
-            functions: self.functions.clone(),
-            opcodes: self.opcodes,
-        }
+    /// The counters so far.
+    pub(crate) fn report(&self) -> &VmProfile {
+        &self.report
     }
 }
 
@@ -175,7 +173,8 @@ impl VmProfile {
     }
 
     /// Folds `other` into `self`, matching functions by name (appended in
-    /// `other`'s order when new — still deterministic).
+    /// `other`'s order when new — still deterministic). Names that share an
+    /// allocation match by pointer, before any byte is compared.
     pub fn merge(&mut self, other: &VmProfile) {
         for f in &other.functions {
             match self.functions.iter_mut().find(|mine| mine.name == f.name) {
@@ -223,7 +222,7 @@ mod tests {
         p.exit();
         p.instruction(28, 0);
         p.exit();
-        let snap = p.snapshot();
+        let snap = p.report();
         let outer = snap.function("outer").expect("outer profiled");
         assert_eq!(
             (outer.calls, outer.instructions, outer.work_nanos),
@@ -253,8 +252,8 @@ mod tests {
         b.instruction(7, 0);
         b.exit();
         b.exit();
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
+        let mut merged = a.report().clone();
+        merged.merge(b.report());
         assert_eq!(merged.functions.len(), 2);
         assert_eq!(merged.functions[0].name.as_str(), "f");
         let f = merged.function("f").expect("f");

@@ -81,9 +81,14 @@ pub struct ResolvedCall {
     /// The pre-decoded implementation to execute (shared, decoded once per
     /// configuration generation, never per call).
     pub code: Rc<DecodedCode>,
-    /// The component containing the implementation (for thread-activity
-    /// accounting and the disappearing-component check).
+    /// The component containing the implementation (for the
+    /// disappearing-component check).
     pub component: ComponentId,
+    /// The resolver's dense index for this (function, component)
+    /// implementation, handed back to [`CallResolver::enter`] and
+    /// [`CallResolver::exit`] so thread-activity accounting indexes a
+    /// counter instead of looking up a name.
+    pub activity: u32,
 }
 
 /// A generation-stamped slot reference cacheable at a call site.
@@ -163,16 +168,18 @@ pub trait CallResolver {
         false
     }
 
-    /// Notifies that a thread entered the implementation of `function` in
-    /// `component` (push of a call frame).
-    fn enter(&mut self, function: &FunctionName, component: ComponentId) {
-        let _ = (function, component);
+    /// Notifies that a thread entered the implementation whose
+    /// [`ResolvedCall::activity`] index is `activity` (push of a call
+    /// frame).
+    fn enter(&mut self, activity: u32) {
+        let _ = activity;
     }
 
-    /// Notifies that a thread left the implementation of `function` in
-    /// `component` (pop of a call frame, normal or unwinding).
-    fn exit(&mut self, function: &FunctionName, component: ComponentId) {
-        let _ = (function, component);
+    /// Notifies that a thread left the implementation whose
+    /// [`ResolvedCall::activity`] index is `activity` (pop of a call frame,
+    /// normal or unwinding).
+    fn exit(&mut self, activity: u32) {
+        let _ = activity;
     }
 
     /// Simulated cost, in nanoseconds, charged per resolved call. The DFM
@@ -188,7 +195,9 @@ pub trait CallResolver {
 /// All functions are implicitly enabled and exported — exactly the contract
 /// a statically linked executable provides. Entries live in a flat slot
 /// table (name → slot index resolved once, then cached via [`CallToken`]s),
-/// so steady-state dispatch is a bounds-checked index.
+/// so steady-state dispatch is a bounds-checked index. It keeps no
+/// thread-activity counters: the activity index it hands out is the slot,
+/// and `enter`/`exit` are the trait's no-ops.
 #[derive(Debug, Clone)]
 pub struct StaticResolver {
     slots_by_name: HashMap<FunctionName, u32>,
@@ -315,6 +324,7 @@ impl StaticResolver {
         ResolvedCall {
             code: Rc::clone(&entry.code),
             component: entry.component,
+            activity: slot,
         }
     }
 }

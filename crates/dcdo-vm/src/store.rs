@@ -38,6 +38,17 @@ impl ValueStore {
         self.slots.insert(key.into(), value)
     }
 
+    /// Writes a slot by borrowed key (`GlobalSet`): an existing slot is
+    /// overwritten in place, so only a slot's first write allocates a key.
+    pub(crate) fn assign(&mut self, key: &str, value: Value) {
+        match self.slots.get_mut(key) {
+            Some(slot) => *slot = value,
+            None => {
+                self.slots.insert(Rc::from(key), value);
+            }
+        }
+    }
+
     /// Removes a slot.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
         self.slots.remove(key)

@@ -198,7 +198,7 @@ fn observe(bodies: &[Vec<Instr>], mode: Mode, fuel: u64, profiled: bool) -> Obse
         events,
         consumed_nanos: thread.take_consumed_nanos(),
         globals,
-        profile: thread.take_profile(),
+        profile: thread.profile().cloned(),
     }
 }
 

@@ -24,13 +24,23 @@ fn globals() -> ValueStore {
 #[derive(Default)]
 struct CountingResolver {
     inner: StaticResolver,
-    active: HashMap<FunctionName, i64>,
+    active: HashMap<u32, i64>,
     max_seen: i64,
 }
 
 impl CountingResolver {
     fn insert(&mut self, code: CodeBlock) {
         self.inner.insert(code, ComponentId::from_raw(1));
+    }
+
+    /// Threads inside `function`'s implementation.
+    fn active_in(&mut self, function: &str) -> i64 {
+        let activity = self
+            .inner
+            .resolve(&function.into(), CallOrigin::Internal)
+            .expect("installed")
+            .activity;
+        self.active.get(&activity).copied().unwrap_or(0)
     }
 
     fn all_idle(&self) -> bool {
@@ -47,16 +57,19 @@ impl CallResolver for CountingResolver {
         self.inner.resolve(function, origin)
     }
 
-    fn enter(&mut self, function: &FunctionName, _component: ComponentId) {
-        let n = self.active.entry(function.clone()).or_insert(0);
+    fn enter(&mut self, activity: u32) {
+        let n = self.active.entry(activity).or_insert(0);
         *n += 1;
         self.max_seen = self.max_seen.max(*n);
     }
 
-    fn exit(&mut self, function: &FunctionName, _component: ComponentId) {
-        let n = self.active.entry(function.clone()).or_insert(0);
+    fn exit(&mut self, activity: u32) {
+        let n = self.active.entry(activity).or_insert(0);
         *n -= 1;
-        assert!(*n >= 0, "exit without matching enter for {function}");
+        assert!(
+            *n >= 0,
+            "exit without matching enter for implementation {activity}"
+        );
     }
 }
 
@@ -235,7 +248,7 @@ fn suspension_and_resume_at_remote_outcall() {
     assert_eq!(req.args, vec![Value::Int(21)]);
     assert_eq!(thread.status(), ThreadStatus::Suspended);
     // While suspended the thread is still *inside* f (activity monitoring).
-    assert_eq!(r.active[&"f".into()], 1);
+    assert_eq!(r.active_in("f"), 1);
     assert_eq!(thread.functions_on_stack(), vec![FunctionName::new("f")]);
 
     thread.resume(Value::Int(42));
@@ -300,7 +313,7 @@ fn abort_unwinds_suspended_thread() {
         thread.run(&mut r, &natives(), &mut globals(), FUEL),
         RunOutcome::Suspended(_)
     ));
-    assert_eq!(r.active[&"f".into()], 1);
+    assert_eq!(r.active_in("f"), 1);
     let err = thread.abort(&mut r, "component removal timed out");
     assert!(matches!(err, VmError::Aborted(_)));
     assert_eq!(thread.status(), ThreadStatus::Done);

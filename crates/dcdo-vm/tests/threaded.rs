@@ -38,7 +38,7 @@ fn run_one(
     let retired = thread.retired_counts();
     (
         outcome,
-        thread.take_profile(),
+        thread.profile().cloned(),
         thread.take_consumed_nanos(),
         retired,
     )
@@ -145,12 +145,12 @@ impl CallResolver for BalanceResolver {
         self.inner.revalidate_token(token)
     }
 
-    fn enter(&mut self, _function: &FunctionName, _component: ComponentId) {
+    fn enter(&mut self, _activity: u32) {
         self.active += 1;
         self.enters += 1;
     }
 
-    fn exit(&mut self, _function: &FunctionName, _component: ComponentId) {
+    fn exit(&mut self, _activity: u32) {
         self.active -= 1;
         assert!(self.active >= 0, "exit without matching enter");
     }

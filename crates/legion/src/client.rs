@@ -6,7 +6,7 @@
 //! measure.
 
 use dcdo_sim::{Actor, ActorId, Ctx};
-use dcdo_types::{CallId, ObjectId};
+use dcdo_types::{CallId, FunctionName, ObjectId};
 use dcdo_vm::Value;
 
 use crate::cost::CostModel;
@@ -41,7 +41,7 @@ impl ClientObject {
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         target: ObjectId,
-        function: &str,
+        function: impl Into<FunctionName>,
         args: Vec<Value>,
     ) -> CallId {
         self.rpc.invoke(ctx, target, function, args)

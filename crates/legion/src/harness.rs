@@ -8,7 +8,7 @@
 //! examples all build on this.
 
 use dcdo_sim::{ActorId, NetConfig, NodeId, SimDuration, Simulation};
-use dcdo_types::{Architecture, ClassId, HostId, ObjectId};
+use dcdo_types::{Architecture, ClassId, FunctionName, HostId, ObjectId};
 use dcdo_vm::Value;
 
 use crate::binding::BindingAgent;
@@ -140,11 +140,15 @@ impl Testbed {
 
     /// Issues an invocation from a client (by actor id) and returns the call
     /// id without running the simulation.
+    ///
+    /// A caller that repeats a call passes a [`FunctionName`] it built
+    /// once: each clone shares one allocation, which the callee's DFM
+    /// recognises without hashing the name.
     pub fn client_call(
         &mut self,
         client: ActorId,
         target: ObjectId,
-        function: &str,
+        function: impl Into<FunctionName>,
         args: Vec<Value>,
     ) -> dcdo_types::CallId {
         self.sim
@@ -189,7 +193,7 @@ impl Testbed {
         &mut self,
         client: ActorId,
         target: ObjectId,
-        function: &str,
+        function: impl Into<FunctionName>,
         args: Vec<Value>,
     ) -> RpcCompletion {
         let call = self.client_call(client, target, function, args);
@@ -221,12 +225,13 @@ impl Testbed {
         function: &str,
         n: usize,
     ) -> f64 {
-        self.call_and_wait(client, target, function, vec![])
+        let function = FunctionName::from(function);
+        self.call_and_wait(client, target, function.clone(), vec![])
             .result
             .expect("warm-up call succeeds");
         let mut total = 0.0;
         for _ in 0..n {
-            let completion = self.call_and_wait(client, target, function, vec![]);
+            let completion = self.call_and_wait(client, target, function.clone(), vec![]);
             completion.result.expect("timed call succeeds");
             total += completion.elapsed.as_secs_f64();
         }

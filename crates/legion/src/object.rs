@@ -25,7 +25,10 @@ use crate::rpc::{RpcClient, RpcCompletion};
 pub const DEFAULT_FUEL: u64 = 10_000_000;
 
 struct ThreadEntry {
-    thread: VmThread,
+    /// Boxed: a thread carries its profile inline (about half a
+    /// kilobyte), so the live and spare tables hold pointers and a thread
+    /// moves between them without a copy.
+    thread: Box<VmThread>,
     reply_to: ActorId,
     call: CallId,
 }
@@ -45,6 +48,15 @@ enum Deferred {
     },
 }
 
+/// Most finished threads a runtime keeps for reuse.
+const SPARE_THREADS: usize = 16;
+
+/// Invocations a runtime must have served before it keeps finished
+/// threads. Many objects serve one call and are never called again (a
+/// DCDO migrated away stays alive), and a kept thread holds its buffers,
+/// about 2 KiB, for the object's life.
+const SPARE_AFTER: u64 = 1;
+
 /// The invocation-execution engine embedded in every active object actor.
 pub struct ObjectRuntime {
     object: ObjectId,
@@ -53,6 +65,17 @@ pub struct ObjectRuntime {
     deferred: IdMap<u64, Deferred>,
     outcalls: IdMap<u64, u64>,
     invocations_served: u64,
+    /// Finished threads, restarted for the next invocations so their
+    /// frame, stack and profile buffers are reused, not reallocated (from
+    /// the runtime's second invocation on, see [`SPARE_AFTER`]). Kept
+    /// boxed: a thread moves between here and `threads` as its box, where
+    /// unboxing would copy it and reboxing allocate.
+    #[allow(clippy::vec_box)]
+    spare: Vec<Box<VmThread>>,
+    /// `fn_hash` of each function name a `VmCost` span has carried,
+    /// computed at first sight; names sharing an allocation match by
+    /// pointer.
+    fn_hashes: Vec<(FunctionName, u64)>,
 }
 
 impl ObjectRuntime {
@@ -65,6 +88,8 @@ impl ObjectRuntime {
             deferred: IdMap::default(),
             outcalls: IdMap::default(),
             invocations_served: 0,
+            spare: Vec::new(),
+            fn_hashes: Vec::new(),
         }
     }
 
@@ -94,9 +119,10 @@ impl ObjectRuntime {
             .collect()
     }
 
-    /// Aborts a live thread: unwinds it (resolver exits fire), fails its
-    /// pending invocation with [`InvocationFault::ExecutionFault`], and
-    /// forgets it. Used by the forced-removal (time-out) policy of §3.2.
+    /// Aborts a live thread: unwinds it (resolver exits fire), harvests its
+    /// cost profile as a finished thread's, fails its pending invocation
+    /// with [`InvocationFault::ExecutionFault`], and forgets it. Used by the
+    /// forced-removal (time-out) policy of §3.2.
     pub fn abort_thread(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -108,6 +134,7 @@ impl ObjectRuntime {
             return false;
         };
         let err = entry.thread.abort(resolver, reason);
+        self.finish_thread(ctx, entry.thread);
         ctx.metrics().incr("object.threads_aborted");
         ctx.send(
             entry.reply_to,
@@ -134,8 +161,9 @@ impl ObjectRuntime {
         rpc: &mut RpcClient,
     ) {
         self.invocations_served += 1;
-        match VmThread::call(resolver, &function, args, CallOrigin::External) {
-            Ok(mut thread) => {
+        let mut thread = self.spare.pop().unwrap_or_default();
+        match thread.restart(resolver, &function, args, CallOrigin::External) {
+            Ok(()) => {
                 // Cost attribution piggybacks on tracing: when spans are
                 // recording, each thread counts per-function costs and the
                 // totals surface as `VmCost` spans at thread completion.
@@ -154,6 +182,7 @@ impl ObjectRuntime {
                 self.run_thread(ctx, token, resolver, natives, globals, rpc);
             }
             Err(err) => {
+                self.spare.push(thread);
                 ctx.metrics().incr("object.invoke_rejected");
                 ctx.send(
                     from,
@@ -188,8 +217,8 @@ impl ObjectRuntime {
         let consumed = SimDuration::from_nanos(entry.thread.take_consumed_nanos());
         match outcome {
             RunOutcome::Completed(value) => {
-                let mut entry = self.threads.remove(&token).expect("thread exists");
-                self.finish_profile(ctx, &mut entry);
+                let entry = self.threads.remove(&token).expect("thread exists");
+                self.finish_thread(ctx, entry.thread);
                 self.defer(
                     ctx,
                     consumed,
@@ -201,8 +230,8 @@ impl ObjectRuntime {
                 );
             }
             RunOutcome::Faulted(err) => {
-                let mut entry = self.threads.remove(&token).expect("thread exists");
-                self.finish_profile(ctx, &mut entry);
+                let entry = self.threads.remove(&token).expect("thread exists");
+                self.finish_thread(ctx, entry.thread);
                 ctx.metrics().incr("object.threads_faulted");
                 self.defer(
                     ctx,
@@ -221,22 +250,36 @@ impl ObjectRuntime {
         }
     }
 
-    /// Harvests a finished thread's cost profile: emits one `VmCost` span
-    /// per function touched (enriching the thread's `CallServed` span) and
-    /// folds the counters into the world's [`VmTotals`].
-    fn finish_profile(&mut self, ctx: &mut Ctx<'_, Msg>, entry: &mut ThreadEntry) {
-        let Some(profile) = entry.thread.take_profile() else {
-            return;
-        };
-        for f in &profile.functions {
-            ctx.emit_span(SpanKind::vm_cost(
-                fn_hash(f.name.as_str()),
-                f.stats.calls,
-                f.stats.instructions,
-                f.stats.work_nanos,
-            ));
+    /// Harvests a finished thread's cost profile — one `VmCost` span per
+    /// function touched (enriching the thread's `CallServed` span), and
+    /// the counters folded into the world's [`VmTotals`] — then keeps the
+    /// thread for reuse.
+    fn finish_thread(&mut self, ctx: &mut Ctx<'_, Msg>, thread: Box<VmThread>) {
+        if let Some(profile) = thread.profile() {
+            for f in &profile.functions {
+                let hash = self.fn_hash(&f.name);
+                ctx.emit_span(SpanKind::vm_cost(
+                    hash,
+                    f.stats.calls,
+                    f.stats.instructions,
+                    f.stats.work_nanos,
+                ));
+            }
+            ctx.totals::<VmTotals>().profile.merge(profile);
         }
-        ctx.totals::<VmTotals>().profile.merge(&profile);
+        if self.invocations_served > SPARE_AFTER && self.spare.len() < SPARE_THREADS {
+            self.spare.push(thread);
+        }
+    }
+
+    /// `fn_hash(name)`, computed once per name this runtime has seen.
+    fn fn_hash(&mut self, name: &FunctionName) -> u64 {
+        if let Some((_, hash)) = self.fn_hashes.iter().find(|(n, _)| n == name) {
+            return *hash;
+        }
+        let hash = fn_hash(name.as_str());
+        self.fn_hashes.push((name.clone(), hash));
+        hash
     }
 
     fn defer(&mut self, ctx: &mut Ctx<'_, Msg>, after: SimDuration, action: Deferred) {

@@ -23,7 +23,9 @@
 //! A reply of [`InvocationFault::NoSuchObject`] (the address is alive but
 //! hosts someone else) short-circuits straight to rebinding.
 
-use dcdo_sim::{ActorId, Ctx, IdMap, RpcOutcome, SimDuration, SimTime, SpanKind, TimerId};
+use dcdo_sim::{
+    ActorId, CounterSlot, Ctx, IdMap, RpcOutcome, SimDuration, SimTime, SpanKind, TimerId,
+};
 use dcdo_types::{CallId, FunctionName, ObjectId};
 use dcdo_vm::Value;
 
@@ -151,6 +153,9 @@ pub struct RpcClient {
     pending: IdMap<u64, Pending>,
     // binding-query call raw -> original call raw
     binding_queries: IdMap<u64, u64>,
+    /// `rpc.completed`, resolved in the world's metrics at the first
+    /// completion: every later one bumps it by index.
+    completed: Option<CounterSlot>,
 }
 
 impl RpcClient {
@@ -166,6 +171,7 @@ impl RpcClient {
             cache,
             pending: IdMap::default(),
             binding_queries: IdMap::default(),
+            completed: None,
         }
     }
 
@@ -547,7 +553,10 @@ impl RpcClient {
         result: Result<ReplyPayload, InvocationFault>,
     ) -> RpcCompletion {
         let elapsed = ctx.now().duration_since(pending.started);
-        ctx.metrics().incr("rpc.completed");
+        let completed = *self
+            .completed
+            .get_or_insert_with(|| ctx.metrics().counter_slot("rpc.completed"));
+        ctx.metrics().add_at(completed, 1);
         if result.is_err() {
             ctx.metrics().incr("rpc.faulted");
         }
