@@ -175,7 +175,7 @@ fn prewarm_host(fleet: &mut Fleet, components: &[dcdo_vm::ComponentBinary]) {
         .actor_mut::<HostObject>(host)
         .expect("host alive");
     for c in components {
-        host_ref.store_component(c.id(), c.encode());
+        host_ref.store_component(std::rc::Rc::new(c.clone()));
     }
 }
 

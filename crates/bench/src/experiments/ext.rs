@@ -60,7 +60,7 @@ pub fn e8(seed: u64) -> Table {
                 .sim
                 .actor_mut::<HostObject>(host)
                 .expect("host alive")
-                .store_component(comp.id(), comp.encode());
+                .store_component(std::rc::Rc::new(comp));
         }
         let completion = fleet.bed.control_and_wait(
             fleet.manager.driver,

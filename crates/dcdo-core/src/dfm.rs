@@ -76,11 +76,13 @@ const RECENT_NAMES: usize = 8;
 
 /// The runtime dynamic function mapper of one DCDO.
 pub struct Dfm {
-    descriptor: DfmDescriptor,
+    /// Shared with the manager's version store until this DFM's first
+    /// mutation copies it ([`Dfm::descriptor_mut`]).
+    descriptor: Rc<DfmDescriptor>,
     /// Loaded component code, **pre-decoded** into the VM's direct-threaded
-    /// form. Decoding happens once per incorporate/stage — the same rare
-    /// configuration-time moment that bumps the generation — so steady-state
-    /// dispatch hands out `Rc` clones of a cached decode.
+    /// form: the component's own fused decode, shared (or, with fusion off,
+    /// decoded afresh at incorporate/stage), so steady-state dispatch hands
+    /// out `Rc` clones of it.
     loaded: HashMap<ComponentId, HashMap<FunctionName, Loaded>>,
     interner: FunctionInterner,
     slots: Vec<Slot>,
@@ -109,7 +111,7 @@ impl Dfm {
     /// paper's 10–15 µs); `seed` drives the jitter.
     pub fn new(version: VersionId, dispatch_band: (SimDuration, SimDuration), seed: u64) -> Self {
         Dfm {
-            descriptor: DfmDescriptor::new(version),
+            descriptor: Rc::new(DfmDescriptor::new(version)),
             loaded: HashMap::new(),
             interner: FunctionInterner::new(),
             slots: Vec::new(),
@@ -145,7 +147,7 @@ impl Dfm {
         self.reindex();
     }
 
-    /// Pre-decode cache counters: decodes performed (at incorporate/stage),
+    /// Pre-decode cache counters: functions loaded (at incorporate/stage),
     /// resolutions served from the cache, and cached decodes dropped by
     /// configuration operations.
     pub fn decode_cache_stats(&self) -> DecodeCacheStats {
@@ -155,6 +157,11 @@ impl Dfm {
     /// The descriptor describing the current configuration.
     pub fn descriptor(&self) -> &DfmDescriptor {
         &self.descriptor
+    }
+
+    /// The descriptor, for a mutation: copied first if it is still shared.
+    fn descriptor_mut(&mut self) -> &mut DfmDescriptor {
+        Rc::make_mut(&mut self.descriptor)
     }
 
     /// The current configuration generation. Every configuration operation
@@ -250,12 +257,23 @@ impl Dfm {
     /// depends on `function` currently has active threads — used to
     /// postpone disables under activity monitoring (§3.2).
     pub fn dependents_active(&self, function: &FunctionName) -> bool {
-        self.descriptor.dependencies().iter().any(|dep| {
-            dep.target().function() == function
-                && self
-                    .activity()
-                    .any(|((f, c), n)| n > 0 && dep.source().matches(f, *c))
-        })
+        self.active_dependents(function).next().is_some()
+    }
+
+    /// Every implementation that depends (by one hop) on `function` and has
+    /// active threads, as its component and thread count.
+    pub fn active_dependents<'a>(
+        &'a self,
+        function: &'a FunctionName,
+    ) -> impl Iterator<Item = (ComponentId, u32)> + 'a {
+        self.activity()
+            .filter(move |((f, c), n)| {
+                *n > 0
+                    && self.descriptor.dependencies().iter().any(|dep| {
+                        dep.target().function() == function && dep.source().matches(f, *c)
+                    })
+            })
+            .map(|((_, c), n)| (*c, n))
     }
 
     /// Every implementation ever loaded, with its active-thread count.
@@ -282,7 +300,7 @@ impl Dfm {
         binary
             .validate()
             .map_err(|e| ConfigError::BadComponent(e.to_string()))?;
-        self.descriptor
+        self.descriptor_mut()
             .incorporate_component(&binary.descriptor(), ico)?;
         self.load_decoded(binary);
         self.reindex();
@@ -298,7 +316,7 @@ impl Dfm {
     ///
     /// Propagates descriptor-level removal failures.
     pub fn remove_component(&mut self, component: ComponentId) -> Result<(), ConfigError> {
-        self.descriptor.remove_component(component)?;
+        self.descriptor_mut().remove_component(component)?;
         if let Some(dropped) = self.loaded.remove(&component) {
             self.decode_stats.invalidations += dropped.len() as u64;
         }
@@ -317,7 +335,7 @@ impl Dfm {
         function: &FunctionName,
         component: ComponentId,
     ) -> Result<(), ConfigError> {
-        self.descriptor.enable_function(function, component)?;
+        self.descriptor_mut().enable_function(function, component)?;
         self.reindex();
         Ok(())
     }
@@ -328,7 +346,7 @@ impl Dfm {
     ///
     /// Propagates descriptor-level failures.
     pub fn disable_function(&mut self, function: &FunctionName) -> Result<(), ConfigError> {
-        self.descriptor.disable_function(function)?;
+        self.descriptor_mut().disable_function(function)?;
         self.reindex();
         Ok(())
     }
@@ -345,7 +363,11 @@ impl Dfm {
     /// Returns [`ConfigError::ComponentNotPresent`] if a required component
     /// is not loaded, or a validation error if the descriptor is internally
     /// inconsistent.
-    pub fn apply_descriptor(&mut self, descriptor: DfmDescriptor) -> Result<(), ConfigError> {
+    pub fn apply_descriptor(
+        &mut self,
+        descriptor: impl Into<Rc<DfmDescriptor>>,
+    ) -> Result<(), ConfigError> {
+        let descriptor = descriptor.into();
         descriptor.validate()?;
         for (component, _) in descriptor.components() {
             if !self.loaded.contains_key(&component) {
@@ -383,8 +405,9 @@ impl Dfm {
         Ok(())
     }
 
-    /// Decodes and loads a binary's code blocks (one `Rc<DecodedCode>` per
-    /// function, decoded once here rather than per call). Replacing an
+    /// Loads a binary's code: one `Rc<DecodedCode>` per function, the
+    /// component's own fused decode (decoded afresh only with fusion off).
+    /// Every function loaded counts as one decode; replacing an
     /// already-loaded component drops its cached decodes.
     /// Each implementation keeps the activity index it was first given.
     fn load_decoded(&mut self, binary: &ComponentBinary) {
@@ -403,7 +426,11 @@ impl Dfm {
                     self.active.len() - 1
                 });
                 let activity = u32::try_from(activity).expect("activity index overflow");
-                let code = Rc::new(DecodedCode::decode(Rc::new(f.code().clone()), self.fuse));
+                let code = if self.fuse {
+                    Rc::clone(f.decoded())
+                } else {
+                    Rc::new(DecodedCode::decode(Rc::clone(f.decoded().block()), false))
+                };
                 (f.name().clone(), Loaded { code, activity })
             })
             .collect();
@@ -428,7 +455,7 @@ impl Dfm {
         &mut self,
         f: impl FnOnce(&mut DfmDescriptor) -> Result<(), ConfigError>,
     ) -> Result<(), ConfigError> {
-        let result = f(&mut self.descriptor);
+        let result = f(self.descriptor_mut());
         // The mutation may have changed visibility (which the slot table
         // caches) — and even a refused mutation may have partially probed;
         // reindexing unconditionally keeps the invariant simple: *every*
@@ -730,7 +757,7 @@ mod tests {
         let mut dfm = ready_dfm();
         let c1 = ComponentId::from_raw(1);
         // double depends on helper; a thread is inside double.
-        dfm.descriptor
+        dfm.descriptor_mut()
             .add_dependency(dcdo_types::Dependency::type_a("double", c1, "helper"))
             .expect("dep");
         assert!(!dfm.dependents_active(&"helper".into()));

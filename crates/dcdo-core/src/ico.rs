@@ -1,15 +1,16 @@
 //! Implementation component objects (§2.3).
 //!
 //! An ICO is an active distributed object that *maintains* one
-//! implementation component: the executable code (the encoded
-//! [`ComponentBinary`]), the descriptor describing its contents, and the
-//! component's implementation type. Keeping components in first-class
+//! implementation component: the executable code (the [`ComponentBinary`],
+//! shared with every reader), the descriptor describing its contents, and
+//! the component's implementation type. Keeping components in first-class
 //! objects lets them be named through the system's global namespace and
 //! spares their (potentially large) data from traveling with every
 //! reference; a DCDO reads the data only when it actually incorporates the
 //! component.
 
-use bytes::Bytes;
+use std::rc::Rc;
+
 use dcdo_sim::{Actor, ActorId, Ctx, SimDuration};
 use dcdo_types::{CallId, ComponentId, ImplementationType, ObjectId};
 use dcdo_vm::{ComponentBinary, ComponentDescriptor};
@@ -22,9 +23,8 @@ use crate::ops::{
 /// An active object serving one implementation component's data.
 pub struct Ico {
     object: ObjectId,
-    component: ComponentId,
     descriptor: ComponentDescriptor,
-    encoded: Bytes,
+    binary: Rc<ComponentBinary>,
     cost: CostModel,
     reads_served: u64,
     // Deferred data replies: timer token -> (requester, call).
@@ -36,9 +36,8 @@ impl Ico {
     pub fn new(object: ObjectId, binary: &ComponentBinary, cost: CostModel) -> Self {
         Ico {
             object,
-            component: binary.id(),
             descriptor: binary.descriptor(),
-            encoded: binary.encode(),
+            binary: Rc::new(binary.clone()),
             cost,
             reads_served: 0,
             pending_reads: std::collections::HashMap::new(),
@@ -52,7 +51,7 @@ impl Ico {
 
     /// The component maintained.
     pub fn component_id(&self) -> ComponentId {
-        self.component
+        self.binary.id()
     }
 
     /// The component's implementation type.
@@ -146,8 +145,7 @@ impl Actor<Msg> for Ico {
                 Msg::control_ok(
                     call,
                     ComponentPayload {
-                        component: self.component,
-                        bytes: self.encoded.clone(),
+                        binary: Rc::clone(&self.binary),
                     },
                 ),
             );
@@ -163,7 +161,7 @@ impl std::fmt::Debug for Ico {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ico")
             .field("object", &self.object)
-            .field("component", &self.component)
+            .field("component", &self.component_id())
             .field("size_bytes", &self.size_bytes())
             .field("reads_served", &self.reads_served)
             .finish()
@@ -234,8 +232,7 @@ mod tests {
             .as_any()
             .downcast_ref::<ComponentPayload>()
             .expect("component payload");
-        let decoded = ComponentBinary::decode(data.bytes.clone()).expect("decodes");
-        assert_eq!(decoded, binary);
+        assert_eq!(*data.binary, binary);
         assert_eq!(sim.actor::<Ico>(ico).expect("alive").reads_served(), 1);
     }
 

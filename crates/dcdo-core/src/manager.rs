@@ -54,6 +54,7 @@
 //! serialisation queue and the version policy before its flow opens.
 
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 use bytes::Bytes;
 use dcdo_sim::{Actor, ActorId, Ctx, FlowKind, IdMap, NodeId, SpanKind};
@@ -107,7 +108,9 @@ pub enum UpdatePropagation {
 
 #[derive(Debug, Clone)]
 struct VersionEntry {
-    descriptor: DfmDescriptor,
+    /// Shared with every `ApplyDfmDescriptor` and version-check reply sent
+    /// for this version; only a configurable version is mutated.
+    descriptor: Rc<DfmDescriptor>,
     instantiable: bool,
 }
 
@@ -316,7 +319,7 @@ impl DcdoManager {
         store.insert(
             root.clone(),
             VersionEntry {
-                descriptor: DfmDescriptor::new(root.clone()),
+                descriptor: Rc::new(DfmDescriptor::new(root.clone())),
                 instantiable: false,
             },
         );
@@ -380,7 +383,7 @@ impl DcdoManager {
 
     /// The stored descriptor for a version (driver-side inspection).
     pub fn descriptor(&self, version: &VersionId) -> Option<&DfmDescriptor> {
-        self.store.get(version).map(|e| &e.descriptor)
+        self.store.get(version).map(|e| &*e.descriptor)
     }
 
     /// Lifecycle flows still in progress.
@@ -424,7 +427,7 @@ impl DcdoManager {
     }
 
     fn derive_version(&mut self, from: &VersionId) -> Result<VersionId, ConfigError> {
-        let parent = self.entry(from)?.descriptor.clone();
+        let parent = DfmDescriptor::clone(&self.entry(from)?.descriptor);
         let branch = self.branch_counters.entry(from.clone()).or_insert(0);
         *branch += 1;
         let version = from.child(*branch);
@@ -432,7 +435,7 @@ impl DcdoManager {
         self.store.insert(
             version.clone(),
             VersionEntry {
-                descriptor,
+                descriptor: Rc::new(descriptor),
                 instantiable: false,
             },
         );
@@ -447,7 +450,7 @@ impl DcdoManager {
         if entry.instantiable {
             return Err(ConfigError::VersionFrozen(version.clone()));
         }
-        Ok(&mut entry.descriptor)
+        Ok(Rc::make_mut(&mut entry.descriptor))
     }
 
     fn mark_instantiable(&mut self, version: &VersionId) -> Result<(), ConfigError> {

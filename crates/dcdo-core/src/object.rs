@@ -24,7 +24,8 @@
 //! postpones disables while active threads of dependent functions would be
 //! stranded.
 
-use bytes::Bytes;
+use std::rc::Rc;
+
 use dcdo_sim::{cfg_step, Actor, ActorId, Ctx, FlowKind, SimDuration, SimTime, SpanKind};
 use dcdo_types::{
     Architecture, CallId, ComponentId, FunctionName, ImplementationType, ObjectId, VersionId,
@@ -111,7 +112,7 @@ enum ConfigOp {
     /// `incorporateComponent()`: incorporate staged components (disabled).
     Incorporate,
     /// Bulk evolution toward a full target descriptor.
-    Apply { target: DfmDescriptor },
+    Apply { target: Rc<DfmDescriptor> },
     /// `removeComponent()` gated by thread activity.
     Remove { component: ComponentId },
     /// `disableFunction()` postponed while dependent threads are active.
@@ -124,10 +125,10 @@ enum Staged {
     /// Nothing yet.
     #[default]
     Nothing,
-    /// Downloaded from the ICO: the data (for the host cache), decoded.
-    Downloaded(Bytes, ComponentBinary),
-    /// Decoded, ready to map; `true` if the host cache had it.
-    Ready(ComponentBinary, bool),
+    /// Downloaded from the ICO, still to store in the host cache.
+    Downloaded(Rc<ComponentBinary>),
+    /// Ready to map; `true` if the host cache had it.
+    Ready(Rc<ComponentBinary>, bool),
 }
 
 /// One component still to pull: its ICO, and its id when the caller knows
@@ -170,7 +171,6 @@ pub struct DcdoObject {
     impl_type: ImplementationType,
     dfm: Dfm,
     runtime: legion_substrate::ObjectRuntime,
-    natives: NativeRegistry,
     rpc: RpcClient,
     state: ValueStore,
     cost: CostModel,
@@ -212,7 +212,6 @@ impl DcdoObject {
             impl_type: ImplementationType::portable_bytecode(),
             dfm,
             runtime: legion_substrate::ObjectRuntime::new(object),
-            natives: NativeRegistry::standard(),
             rpc,
             state: ValueStore::new(),
             cost,
@@ -315,7 +314,7 @@ impl DcdoObject {
             p.function,
             p.args,
             &mut self.dfm,
-            &self.natives,
+            &NativeRegistry,
             &mut self.state,
             &mut self.rpc,
         );
@@ -365,10 +364,7 @@ impl DcdoObject {
                 let diff = self.dfm.descriptor().diff_components(target);
                 diff.remove.iter().map(threads).collect()
             }
-            ConfigOp::Disable { function } => {
-                let active = u32::from(self.dfm.dependents_active(function));
-                vec![(ComponentId::from_raw(0), active)]
-            }
+            ConfigOp::Disable { function } => self.dfm.active_dependents(function).collect(),
             ConfigOp::Incorporate => vec![],
         };
         busy.retain(|(_, n)| *n > 0);
@@ -468,7 +464,7 @@ impl DcdoObject {
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         reply: Option<(ActorId, CallId)>,
-        target: DfmDescriptor,
+        target: Rc<DfmDescriptor>,
     ) {
         let diff = self.dfm.descriptor().diff_components(&target);
         let mut items = Vec::new();
@@ -499,7 +495,7 @@ impl DcdoObject {
                 ctx,
                 completion,
                 &mut self.dfm,
-                &self.natives,
+                &NativeRegistry,
                 &mut self.state,
                 &mut self.rpc,
             );
@@ -698,10 +694,9 @@ impl PlanOwner<Config, Change> for DcdoObject {
                 (self.host, ControlOp::new(fetch))
             }
             (CfgStep::IcoRead, _) => (item.ico, ControlOp::new(ReadComponent)),
-            (CfgStep::HostStore, Staged::Downloaded(bytes, _)) => {
+            (CfgStep::HostStore, Staged::Downloaded(binary)) => {
                 let store = StoreComponentData {
-                    component: component(),
-                    bytes: bytes.clone(),
+                    binary: Rc::clone(binary),
                 };
                 (self.host, ControlOp::new(store))
             }
@@ -718,8 +713,8 @@ impl PlanOwner<Config, Change> for DcdoObject {
     }
 
     /// Keeps what a fetch step brought in — the component id, the host's
-    /// cached copy (decoded), or the ICO's data (decoded, then stored) — or,
-    /// once the Map step's delay is over, maps the component in.
+    /// cached copy, or the ICO's (then stored) — or, once the Map step's
+    /// delay is over, maps the component in.
     fn done(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -728,13 +723,12 @@ impl PlanOwner<Config, Change> for DcdoObject {
         reply: Option<Reply>,
     ) -> Result<(), ConfigError> {
         let bad = ConfigError::BadComponent;
-        let decode = |bytes: Bytes| ComponentBinary::decode(bytes).map_err(|e| bad(e.to_string()));
         let i = item(flow);
         let item = &mut flow.data.items[i];
         let Some(reply) = reply else {
             // Map is the only timer step.
             let Staged::Ready(binary, _) = std::mem::take(&mut item.staged) else {
-                unreachable!("Map follows a decode");
+                unreachable!("Map follows a fetch");
             };
             let outcome = if matches!(flow.data.op, ConfigOp::Apply { .. }) {
                 self.dfm.stage_component(&binary)
@@ -755,13 +749,12 @@ impl PlanOwner<Config, Change> for DcdoObject {
             CfgStep::HostCheck => {
                 let cached = payload
                     .control_as::<ComponentData>()
-                    .and_then(|d| d.bytes.clone());
-                let Some(bytes) = cached else {
+                    .and_then(|d| d.binary.clone());
+                let Some(binary) = cached else {
                     ctx.metrics().incr("dcdo.component_cache_misses");
                     return Ok(());
                 };
                 ctx.metrics().incr("dcdo.component_cache_hits");
-                let binary = decode(bytes)?;
                 self.mappable(&binary)?;
                 item.staged = Staged::Ready(binary, true);
             }
@@ -769,11 +762,10 @@ impl PlanOwner<Config, Change> for DcdoObject {
                 let data = payload
                     .control_as::<crate::ops::ComponentPayload>()
                     .ok_or_else(|| bad("bad component payload".into()))?;
-                let binary = decode(data.bytes.clone())?;
-                item.staged = Staged::Downloaded(data.bytes.clone(), binary);
+                item.staged = Staged::Downloaded(Rc::clone(&data.binary));
             }
             CfgStep::HostStore => {
-                let Staged::Downloaded(_, binary) = std::mem::take(&mut item.staged) else {
+                let Staged::Downloaded(binary) = std::mem::take(&mut item.staged) else {
                     unreachable!("HostStore follows a download");
                 };
                 self.mappable(&binary)?;
@@ -875,7 +867,7 @@ impl Actor<Msg> for DcdoObject {
                 ctx,
                 token,
                 &mut self.dfm,
-                &self.natives,
+                &NativeRegistry,
                 &mut self.state,
                 &mut self.rpc,
             );

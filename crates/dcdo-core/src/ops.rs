@@ -5,13 +5,14 @@
 //! (§2.2), and DCDO Manager operations (§2.4). Names follow the paper
 //! (`incorporateComponent()`, `enableFunction()`, …).
 
-use bytes::Bytes;
+use std::rc::Rc;
+
 use dcdo_sim::SimDuration;
 use dcdo_types::{
     ComponentId, Dependency, FunctionName, ImplementationType, ObjectId, Protection, VersionId,
     Visibility,
 };
-use dcdo_vm::ComponentDescriptor;
+use dcdo_vm::{ComponentBinary, ComponentDescriptor};
 use legion_substrate::control_payload;
 use serde::{Deserialize, Serialize};
 
@@ -29,10 +30,8 @@ control_payload!(ReadComponent, "read-component");
 /// Reply to [`ReadComponent`].
 #[derive(Debug, Clone)]
 pub struct ComponentPayload {
-    /// The component's identity.
-    pub component: ComponentId,
-    /// The encoded [`ComponentBinary`](dcdo_vm::ComponentBinary).
-    pub bytes: Bytes,
+    /// The component, shared with the ICO that maintains it.
+    pub binary: Rc<ComponentBinary>,
 }
 
 // The transfer cost is charged by the ICO's reply delay; the message itself
@@ -135,8 +134,8 @@ control_payload!(RemoveFunctionDependency, "remove-function-dependency");
 /// Managers use to evolve their instances.
 #[derive(Debug, Clone)]
 pub struct ApplyDfmDescriptor {
-    /// The target configuration.
-    pub descriptor: DfmDescriptor,
+    /// The target configuration, shared with the manager's version store.
+    pub descriptor: Rc<DfmDescriptor>,
 }
 
 control_payload!(
@@ -434,7 +433,7 @@ pub struct VersionCheckReply {
     /// wants it at.
     pub up_to_date: bool,
     /// The descriptor to evolve to, when out of date.
-    pub descriptor: Option<DfmDescriptor>,
+    pub descriptor: Option<Rc<DfmDescriptor>>,
 }
 
 control_payload!(
@@ -568,8 +567,8 @@ pub struct VersionInfo {
     pub version: VersionId,
     /// Whether it is instantiable (frozen) or still configurable.
     pub instantiable: bool,
-    /// Its descriptor.
-    pub descriptor: DfmDescriptor,
+    /// Its descriptor, shared with the manager's version store.
+    pub descriptor: Rc<DfmDescriptor>,
 }
 
 control_payload!(
@@ -708,7 +707,7 @@ mod tests {
     #[test]
     fn descriptor_carrying_payloads_scale_wire_size() {
         let empty = ApplyDfmDescriptor {
-            descriptor: DfmDescriptor::new("1".parse().expect("v")),
+            descriptor: DfmDescriptor::new("1".parse().expect("v")).into(),
         };
         assert_eq!(ControlPayload::wire_size(&empty), 256);
     }

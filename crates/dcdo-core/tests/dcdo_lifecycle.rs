@@ -5,16 +5,16 @@
 use std::collections::HashMap;
 
 use dcdo_core::ops::{
-    ApplyDfmDescriptor, CheckVersion, CheckpointDcdo, ConfigureVersion, CreateDcdo,
-    DcdoCheckpointed, DcdoCreated, DcdoTable, DeriveVersion, DerivedVersion, DisableFunction,
-    ImplementationReport, IncorporateComponent, InterfaceReport, LazyCheck, ListDcdos,
-    MarkInstantiable, NodeFailed, NodeFailureReport, NodeRecovered, QueryImplementation,
+    AddFunctionDependency, ApplyDfmDescriptor, CheckVersion, CheckpointDcdo, ConfigureVersion,
+    CreateDcdo, DcdoCheckpointed, DcdoCreated, DcdoTable, DeriveVersion, DerivedVersion,
+    DisableFunction, ImplementationReport, IncorporateComponent, InterfaceReport, LazyCheck,
+    ListDcdos, MarkInstantiable, NodeFailed, NodeFailureReport, NodeRecovered, QueryImplementation,
     QueryInterface, RecoveryStarted, RemovalPolicy, RemoveComponent, SetCurrentVersion,
     SetLazyCheck, SetRemovalPolicy, UpdateDone, UpdateInstance, VersionConfigOp,
 };
-use dcdo_core::{DcdoManager, HostDirectory, Ico, UpdatePropagation, VersionPolicy};
+use dcdo_core::{ConfigError, DcdoManager, HostDirectory, Ico, UpdatePropagation, VersionPolicy};
 use dcdo_sim::{fn_hash, SimDuration, SpanKind};
-use dcdo_types::{ClassId, ComponentId, ObjectId, VersionId};
+use dcdo_types::{CallId, ClassId, ComponentId, Dependency, ObjectId, VersionId};
 use dcdo_vm::{ComponentBinary, ComponentBuilder, FunctionBuilder, Value, VmTotals};
 use legion_substrate::harness::{Class, Testbed};
 use legion_substrate::monolithic::ExecutableImage;
@@ -797,6 +797,109 @@ fn forced_removal_aborts_suspended_threads() {
     assert_eq!(relay.calls, 1);
 }
 
+/// A relay thread suspended on a 30 s peer, in a relay that is now
+/// disabled but declared dependent on `get` (`[relay, c3] -> [get]`):
+/// disabling `get` would strand it. Returns the scenario, the DCDO and the
+/// relay call still pending.
+fn relay_parked_on_get(seed: u64) -> (Scenario, ObjectId, CallId) {
+    let (mut s, dcdo, v1) = Scenario::with_counter(seed, false);
+    let slow_code = FunctionBuilder::parse("slow() -> int")
+        .expect("sig")
+        .work(30_000_000_000)
+        .push_int(5)
+        .ret()
+        .build()
+        .expect("valid");
+    let image = ExecutableImage::new(1, vec![slow_code], 100_000);
+    let node = s.bed.nodes[2];
+    let peer = Class::spawn(&mut s.bed, image).create(&mut s.bed, node);
+    let ico = s.publish_component(&relay_component(), 3);
+    let v2 = s.derive(&v1.to_string());
+    s.configure(&v2, VersionConfigOp::IncorporateComponent { ico });
+    s.configure(
+        &v2,
+        VersionConfigOp::EnableFunction {
+            function: "relay".into(),
+            component: ComponentId::from_raw(3),
+        },
+    );
+    s.mark_and_set_current(&v2);
+    s.mgr_ok(ControlOp::new(UpdateInstance {
+        object: dcdo,
+        to: None,
+    }));
+    let dependency = Dependency::type_a("relay", ComponentId::from_raw(3), "get");
+    let pending = s
+        .bed
+        .client_call(s.client, dcdo, "relay", vec![Value::ObjRef(peer)]);
+    s.bed.run_for(SimDuration::from_millis(200));
+    for op in [
+        ControlOp::new(AddFunctionDependency { dependency }),
+        ControlOp::new(DisableFunction {
+            function: "relay".into(),
+        }),
+    ] {
+        let completion = s.bed.control_and_wait(s.client, dcdo, op);
+        completion.result.expect("config op succeeds");
+    }
+    (s, dcdo, pending)
+}
+
+#[test]
+fn refused_disable_names_the_dependent_component() {
+    let (mut s, dcdo, _pending) = relay_parked_on_get(14);
+    let disable = ControlOp::new(DisableFunction {
+        function: "get".into(),
+    });
+    let err = s
+        .bed
+        .control_and_wait(s.client, dcdo, disable)
+        .result
+        .expect_err("refused while a dependent thread is active");
+    let busy = ConfigError::ComponentBusy {
+        component: ComponentId::from_raw(3),
+        active_threads: 1,
+    };
+    assert_eq!(err, InvocationFault::Refused(busy.to_string()));
+}
+
+#[test]
+fn forced_disable_aborts_dependent_threads() {
+    let (mut s, dcdo, pending) = relay_parked_on_get(15);
+    s.bed
+        .control_and_wait(
+            s.client,
+            dcdo,
+            ControlOp::new(SetRemovalPolicy {
+                policy: RemovalPolicy::ForceAfter(SimDuration::from_secs(1)),
+            }),
+        )
+        .result
+        .expect("policy set");
+    let disable = s.bed.client_control(
+        s.client,
+        dcdo,
+        ControlOp::new(DisableFunction {
+            function: "get".into(),
+        }),
+    );
+    let relay_result = s.bed.wait_for(s.client, pending);
+    let err = relay_result.result.expect_err("aborted");
+    assert!(
+        matches!(
+            err,
+            InvocationFault::ExecutionFault(dcdo_vm::VmError::Aborted(_))
+        ),
+        "{err}"
+    );
+    let disabled = s.bed.wait_for(s.client, disable);
+    assert!(
+        disabled.result.is_ok(),
+        "forced disable proceeds after the grace period"
+    );
+    assert!(s.call(dcdo, "get", vec![]).is_err(), "get is disabled");
+}
+
 #[test]
 fn lazy_every_call_updates_before_serving() {
     // §3.4 lazy update, strict-consistency variant: the DCDO consults its
@@ -1027,7 +1130,9 @@ fn apply_descriptor_rejects_component_without_ico() {
     let completion = s.bed.control_and_wait(
         s.client,
         dcdo,
-        ControlOp::new(ApplyDfmDescriptor { descriptor: target }),
+        ControlOp::new(ApplyDfmDescriptor {
+            descriptor: target.into(),
+        }),
     );
     let err = completion.result.expect_err("refused");
     assert!(err.to_string().contains("no ICO"), "{err}");

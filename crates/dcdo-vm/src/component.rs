@@ -6,14 +6,16 @@
 //! incorporation: a DCDO grows and shrinks its implementation by adding and
 //! removing whole components.
 //!
-//! The serialized form ([`ComponentBinary::encode`]) is what ICOs store and
-//! what travels over the network; [`ComponentBinary::size_bytes`] includes a
-//! declared static-data size so workloads can model the hundreds-of-
-//! kilobytes native components of the paper while the actual bytecode stays
-//! small.
+//! The serialized form ([`ComponentBinary::encode`]) fixes what a component
+//! costs to transfer; ICOs, host caches and DFMs share the decoded value,
+//! whose functions carry their fused decode. [`ComponentBinary::size_bytes`]
+//! includes a declared static-data size so workloads can model the
+//! hundreds-of-kilobytes native components of the paper while the actual
+//! bytecode stays small.
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use dcdo_types::{
@@ -24,12 +26,14 @@ use serde::{Deserialize, Serialize};
 
 use crate::builder::{BuildError, FunctionBuilder};
 use crate::codec::{self, DecodeError, Reader, Writer, FORMAT_VERSION, MAGIC};
+use crate::decoded::DecodedCode;
 use crate::instr::CodeBlock;
 
-/// One function implementation inside a component.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// One function implementation inside a component, with its code decoded
+/// (fused) once for every DFM that maps it.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionDecl {
-    code: CodeBlock,
+    decoded: Rc<DecodedCode>,
     visibility: Visibility,
     protection_request: Protection,
 }
@@ -38,7 +42,7 @@ impl FunctionDecl {
     /// Creates a declaration.
     pub fn new(code: CodeBlock, visibility: Visibility, protection_request: Protection) -> Self {
         FunctionDecl {
-            code,
+            decoded: Rc::new(DecodedCode::decode(Rc::new(code), true)),
             visibility,
             protection_request,
         }
@@ -46,17 +50,22 @@ impl FunctionDecl {
 
     /// The implementation code.
     pub fn code(&self) -> &CodeBlock {
-        &self.code
+        self.decoded.block()
+    }
+
+    /// The code's fused decode, shared by every DFM that maps it.
+    pub fn decoded(&self) -> &Rc<DecodedCode> {
+        &self.decoded
     }
 
     /// The function name (from the code's signature).
     pub fn name(&self) -> &FunctionName {
-        self.code.signature().name()
+        self.code().signature().name()
     }
 
     /// The declared signature.
     pub fn signature(&self) -> &FunctionSignature {
-        self.code.signature()
+        self.code().signature()
     }
 
     /// Exported or internal.
@@ -158,7 +167,7 @@ impl fmt::Display for ComponentError {
 impl std::error::Error for ComponentError {}
 
 /// A complete implementation component: descriptor metadata plus code.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentBinary {
     id: ComponentId,
     name: String,
@@ -208,6 +217,12 @@ impl ComponentBinary {
     /// The declared static-data padding (models native code/data bulk).
     pub fn static_data_size(&self) -> u64 {
         self.static_data_size
+    }
+
+    /// Length of [`ComponentBinary::encode`]'s output, without the static
+    /// data.
+    pub fn encoded_len(&self) -> u64 {
+        self.encoded_len
     }
 
     /// Total transferable size: encoded metadata + code + static data.
@@ -301,7 +316,7 @@ impl ComponentBinary {
         for f in &self.functions {
             w.u8(if f.visibility.is_exported() { 1 } else { 0 });
             w.u8(protection_code(f.protection_request));
-            codec::write_code_block(&mut w, &f.code);
+            codec::write_code_block(&mut w, f.code());
         }
         w.u32(self.dependencies.len() as u32);
         for d in &self.dependencies {
@@ -344,11 +359,7 @@ impl ComponentBinary {
             };
             let protection_request = protection_from_code(r.u8()?)?;
             let code = codec::read_code_block(&mut r)?;
-            functions.push(FunctionDecl {
-                code,
-                visibility,
-                protection_request,
-            });
+            functions.push(FunctionDecl::new(code, visibility, protection_request));
         }
         let n_deps = r.read_len()?;
         let mut dependencies = Vec::with_capacity(n_deps.min(4096));

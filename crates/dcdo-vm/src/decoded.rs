@@ -2,8 +2,9 @@
 //!
 //! The wire format ([`crate::codec`]) and the authoring format
 //! ([`Instr`]/[`CodeBlock`]) are untouched: a [`DecodedCode`] is a purely
-//! in-memory cache built once per code block by the resolver that loads it.
-//! Decoding does three things:
+//! in-memory form built once per code block, by the component that holds it
+//! (fused) or by a resolver that loads a bare block. Decoding does three
+//! things:
 //!
 //! 1. **Flattens operands** — immediates, local/arg slot indices, and jump
 //!    targets are inlined into a single `DecodedOp` array so the hot loop
@@ -23,7 +24,7 @@
 //! fused op is attributed to the same instruction the unfused program would
 //! have faulted at.
 //!
-//! Decoded code is cached by the issuing resolver next to its
+//! Decoded code is held by the issuing resolver next to its
 //! generation-stamped slot table: the configuration operations that expire
 //! [`CallToken`](crate::CallToken)s are exactly the ones that drop or
 //! replace cached [`DecodedCode`], so a stale decode can never outlive the
@@ -40,13 +41,14 @@ use crate::value::Value;
 
 /// Lifecycle counters for one resolver's decode cache.
 ///
-/// `decodes` counts [`DecodedCode`] builds (cache fills), `hits` counts
+/// `decodes` counts cache fills (one per code block loaded, whether decoded
+/// there or shared with its component), `hits` counts
 /// resolutions served from already-decoded code, and `invalidations` counts
 /// decoded blocks dropped or replaced by a configuration operation — the
 /// same operations that expire outstanding [`CallToken`](crate::CallToken)s.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeCacheStats {
-    /// Code blocks decoded (cache fills).
+    /// Code blocks loaded (cache fills).
     pub decodes: u64,
     /// Resolutions served from cached decoded code.
     pub hits: u64,
@@ -56,7 +58,7 @@ pub struct DecodeCacheStats {
 
 /// A fused operand: where a value comes from without touching the operand
 /// stack.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Operand {
     /// Local slot `n` (original opcode `load_local`).
     Local(u8),
@@ -205,7 +207,7 @@ fn int_of(v: &Value) -> Result<i64, VmError> {
 /// One pre-decoded operation: either a single original instruction with its
 /// operands inlined and jump targets rewritten to decoded indices, or a
 /// superinstruction covering 2–5 original instructions.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum DecodedOp {
     // ---- single original instructions (operands inlined) ----------------
     Push(Value),
@@ -323,9 +325,9 @@ pub(crate) enum DecodedOp {
     },
 }
 
-/// A code block decoded for direct-threaded execution, cached by the
-/// resolver that loaded it and shared per [`ResolvedCall`](crate::ResolvedCall).
-#[derive(Debug)]
+/// A code block decoded for direct-threaded execution, shared by the
+/// resolvers that load it and per [`ResolvedCall`](crate::ResolvedCall).
+#[derive(Debug, PartialEq, Eq)]
 pub struct DecodedCode {
     block: Rc<CodeBlock>,
     ops: Box<[DecodedOp]>,

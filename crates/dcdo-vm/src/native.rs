@@ -6,9 +6,6 @@
 //! outcalls — they model the unchanging runtime library a Legion object is
 //! linked against.
 
-use std::collections::HashMap;
-use std::fmt;
-
 use dcdo_types::FunctionName;
 
 use crate::error::VmError;
@@ -17,77 +14,38 @@ use crate::value::Value;
 /// A native intrinsic: pure function from arguments to a value.
 pub type NativeFn = fn(&[Value]) -> Result<Value, String>;
 
-/// A registry of native intrinsics.
-pub struct NativeRegistry {
-    map: HashMap<FunctionName, NativeFn>,
-}
+/// The host's native intrinsics: `abs`, `min`, `max`, `str_upper`,
+/// `str_lower`, `list_sum`, `list_reverse`, `list_sort`, `list_contains`.
+/// The set is fixed, so the registry holds nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NativeRegistry;
 
 impl NativeRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        NativeRegistry {
-            map: HashMap::new(),
-        }
-    }
-
-    /// Creates a registry preloaded with the standard intrinsics:
-    /// `abs`, `min`, `max`, `str_upper`, `str_lower`, `list_sum`,
-    /// `list_reverse`, `list_sort`, `list_contains`.
-    pub fn standard() -> Self {
-        let mut r = NativeRegistry::new();
-        r.register("abs", native_abs);
-        r.register("min", native_min);
-        r.register("max", native_max);
-        r.register("str_upper", native_str_upper);
-        r.register("str_lower", native_str_lower);
-        r.register("list_sum", native_list_sum);
-        r.register("list_reverse", native_list_reverse);
-        r.register("list_sort", native_list_sort);
-        r.register("list_contains", native_list_contains);
-        r
-    }
-
-    /// Registers (or replaces) an intrinsic.
-    pub fn register(&mut self, name: impl Into<FunctionName>, f: NativeFn) {
-        self.map.insert(name.into(), f);
+    /// The standard intrinsics.
+    pub const fn standard() -> Self {
+        NativeRegistry
     }
 
     /// Invokes an intrinsic.
     ///
     /// # Errors
     ///
-    /// Returns [`VmError::UnknownNative`] if the name is not registered and
+    /// Returns [`VmError::UnknownNative`] if no intrinsic has the name and
     /// [`VmError::NativeError`] if the intrinsic itself fails.
     pub fn call(&self, name: &FunctionName, args: &[Value]) -> Result<Value, VmError> {
-        let f = self
-            .map
-            .get(name)
-            .ok_or_else(|| VmError::UnknownNative(name.clone()))?;
+        let f: NativeFn = match name.as_str() {
+            "abs" => native_abs,
+            "min" => native_min,
+            "max" => native_max,
+            "str_upper" => native_str_upper,
+            "str_lower" => native_str_lower,
+            "list_sum" => native_list_sum,
+            "list_reverse" => native_list_reverse,
+            "list_sort" => native_list_sort,
+            "list_contains" => native_list_contains,
+            _ => return Err(VmError::UnknownNative(name.clone())),
+        };
         f(args).map_err(VmError::NativeError)
-    }
-
-    /// Returns the number of registered intrinsics.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Returns `true` if no intrinsics are registered.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-impl Default for NativeRegistry {
-    fn default() -> Self {
-        NativeRegistry::standard()
-    }
-}
-
-impl fmt::Debug for NativeRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NativeRegistry")
-            .field("intrinsics", &self.map.len())
-            .finish()
     }
 }
 
@@ -172,8 +130,24 @@ mod tests {
     #[test]
     fn standard_registry_is_populated() {
         let r = NativeRegistry::standard();
-        assert!(!r.is_empty());
-        assert_eq!(r.len(), 9);
+        assert_eq!(std::mem::size_of::<NativeRegistry>(), 0);
+        let names = [
+            "abs",
+            "min",
+            "max",
+            "str_upper",
+            "str_lower",
+            "list_sum",
+            "list_reverse",
+            "list_sort",
+            "list_contains",
+        ];
+        for name in names {
+            assert!(
+                !matches!(r.call(&name.into(), &[]), Err(VmError::UnknownNative(_))),
+                "{name} is an intrinsic"
+            );
+        }
     }
 
     #[test]
@@ -256,14 +230,5 @@ mod tests {
             r.call(&"list_sum".into(), &[Value::List(vec![Value::str("x")])]),
             Err(VmError::NativeError(_))
         ));
-    }
-
-    #[test]
-    fn custom_registration_replaces() {
-        let mut r = NativeRegistry::new();
-        r.register("two", |_| Ok(Value::Int(2)));
-        assert_eq!(r.call(&"two".into(), &[]).expect("two"), Value::Int(2));
-        r.register("two", |_| Ok(Value::Int(3)));
-        assert_eq!(r.call(&"two".into(), &[]).expect("two"), Value::Int(3));
     }
 }

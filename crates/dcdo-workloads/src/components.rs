@@ -138,6 +138,42 @@ pub fn kernel_function(name: &str, work_nanos: u64) -> CodeBlock {
 mod tests {
     use super::*;
 
+    /// Every component a scenario, experiment or bench maps survives the
+    /// object-code format unchanged, and so does its transferable size.
+    #[test]
+    fn every_fixture_component_round_trips_through_the_codec() {
+        use crate::{reconfig, service, simbench};
+        let relay = ComponentBuilder::new(ComponentId::from_raw(3), "relay")
+            .exported("relay(objref) -> int", |b| {
+                b.load_arg(0).call_remote("slow", 0).ret()
+            })
+            .expect("relay")
+            .build()
+            .expect("valid relay");
+        let mut fixtures = vec![
+            service::counter_core(),
+            service::step_by(10),
+            service::sorting_component(),
+            service::compare_descending(),
+            reconfig::padded_step(),
+            simbench::transfer_component(),
+            simbench::vm_spin_component(),
+            relay,
+        ];
+        for comps in [1, 2, 5, 10, 25, 50] {
+            fixtures.extend(
+                ComponentSuite::generate(&SuiteSpec::paper_creation(comps)).into_components(),
+            );
+        }
+        for c in &fixtures {
+            let decoded = ComponentBinary::decode(c.encode()).expect("decodes");
+            assert_eq!(&decoded, c, "{}", c.name());
+            assert_eq!(decoded.size_bytes(), c.size_bytes(), "{}", c.name());
+            assert_eq!(decoded.encoded_len(), c.encoded_len(), "{}", c.name());
+            assert_eq!(c.encoded_len(), c.encode().len() as u64, "{}", c.name());
+        }
+    }
+
     #[test]
     fn default_suite_is_the_paper_shape() {
         let suite = ComponentSuite::generate(&SuiteSpec::default());

@@ -458,7 +458,7 @@ impl Actor<Msg> for TransferSink {
 /// Builds the replicated component: a mid-sized suite component with
 /// static-data padding approximating the paper's ≈550 KB small native
 /// implementation.
-fn transfer_component() -> ComponentBinary {
+pub(crate) fn transfer_component() -> ComponentBinary {
     let spec = SuiteSpec {
         total_functions: 24,
         components: 1,

@@ -7,27 +7,27 @@
 //! incorporation and the download-dominated path (§4).
 
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
-use bytes::Bytes;
 use dcdo_sim::{Actor, ActorId, Ctx, NodeId};
 use dcdo_types::{Architecture, ClassId, ComponentId, HostId, ObjectId};
+use dcdo_vm::ComponentBinary;
 
 use crate::control_payload;
 use crate::msg::{Ack, InvocationFault, Msg};
 
-/// Control op: store component data in the host's cache.
+/// Control op: store component data in the host's cache. It travels as its
+/// encoded form: the wire size counts the encoded length.
 #[derive(Debug, Clone)]
 pub struct StoreComponentData {
     /// The component.
-    pub component: ComponentId,
-    /// Its encoded bytes.
-    pub bytes: Bytes,
+    pub binary: Rc<ComponentBinary>,
 }
 
 control_payload!(
     StoreComponentData,
     "store-component-data",
-    wire_size = |op| { 32 + op.bytes.len() as u64 }
+    wire_size = |op| { 32 + op.binary.encoded_len() }
 );
 
 /// Control op: fetch component data from the host's cache.
@@ -44,14 +44,14 @@ control_payload!(FetchComponentData, "fetch-component-data");
 pub struct ComponentData {
     /// The component asked about.
     pub component: ComponentId,
-    /// Its bytes, if cached.
-    pub bytes: Option<Bytes>,
+    /// The component, if cached.
+    pub binary: Option<Rc<ComponentBinary>>,
 }
 
 control_payload!(
     ComponentData,
     "component-data",
-    wire_size = |op| { 32 + op.bytes.as_ref().map_or(0, |b| b.len() as u64) }
+    wire_size = |op| { 32 + op.binary.as_ref().map_or(0, |b| b.encoded_len()) }
 );
 
 /// Control op: does the host cache this component?
@@ -101,7 +101,7 @@ pub struct HostObject {
     host: HostId,
     node: NodeId,
     arch: Architecture,
-    components: HashMap<ComponentId, Bytes>,
+    components: HashMap<ComponentId, Rc<ComponentBinary>>,
     executables: HashSet<(ClassId, u32)>,
 }
 
@@ -139,8 +139,8 @@ impl HostObject {
     }
 
     /// Direct cache insert (driver-side pre-warming).
-    pub fn store_component(&mut self, component: ComponentId, bytes: Bytes) {
-        self.components.insert(component, bytes);
+    pub fn store_component(&mut self, binary: Rc<ComponentBinary>) {
+        self.components.insert(binary.id(), binary);
     }
 }
 
@@ -156,7 +156,7 @@ impl Actor<Msg> for HostObject {
                     return;
                 }
                 let reply = if let Some(store) = op.as_any().downcast_ref::<StoreComponentData>() {
-                    self.components.insert(store.component, store.bytes.clone());
+                    self.store_component(Rc::clone(&store.binary));
                     ctx.metrics().incr("host.components_stored");
                     Msg::control_ok(call, Ack)
                 } else if let Some(fetch) = op.as_any().downcast_ref::<FetchComponentData>() {
@@ -164,7 +164,7 @@ impl Actor<Msg> for HostObject {
                         call,
                         ComponentData {
                             component: fetch.component,
-                            bytes: self.components.get(&fetch.component).cloned(),
+                            binary: self.components.get(&fetch.component).cloned(),
                         },
                     )
                 } else if let Some(has) = op.as_any().downcast_ref::<HasComponent>() {
@@ -204,5 +204,39 @@ impl Actor<Msg> for HostObject {
 
     fn name(&self) -> &str {
         "host"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use dcdo_vm::ComponentBuilder;
+
+    use super::*;
+    use crate::msg::ControlPayload;
+
+    #[test]
+    fn host_cache_messages_weigh_the_encoded_component() {
+        let binary = ComponentBuilder::new(ComponentId::from_raw(1), "padded")
+            .exported("f() -> unit", |b| b.ret())
+            .expect("f")
+            .static_data_size(550_000)
+            .build()
+            .expect("valid");
+        let wire = 32 + binary.encode().len() as u64;
+        let binary = Rc::new(binary);
+        let store = StoreComponentData {
+            binary: Rc::clone(&binary),
+        };
+        assert_eq!(store.wire_size(), wire);
+        let cached = ComponentData {
+            component: binary.id(),
+            binary: Some(binary),
+        };
+        assert_eq!(cached.wire_size(), wire);
+        let missing = ComponentData {
+            component: ComponentId::from_raw(1),
+            binary: None,
+        };
+        assert_eq!(missing.wire_size(), 32);
     }
 }

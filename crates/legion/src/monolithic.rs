@@ -144,7 +144,6 @@ pub struct MonolithicObject {
     object: ObjectId,
     runtime: ObjectRuntime,
     resolver: StaticResolver,
-    natives: NativeRegistry,
     rpc: RpcClient,
     state: ValueStore,
     image_version: u32,
@@ -163,7 +162,6 @@ impl MonolithicObject {
             object,
             runtime: ObjectRuntime::new(object),
             resolver: image.resolver(cost),
-            natives: NativeRegistry::standard(),
             rpc,
             state: ValueStore::new(),
             image_version: image.version(),
@@ -261,7 +259,7 @@ impl Actor<Msg> for MonolithicObject {
                     function,
                     args,
                     &mut self.resolver,
-                    &self.natives,
+                    &NativeRegistry,
                     &mut self.state,
                     &mut self.rpc,
                 );
@@ -283,7 +281,7 @@ impl Actor<Msg> for MonolithicObject {
                             ctx,
                             completion,
                             &mut self.resolver,
-                            &self.natives,
+                            &NativeRegistry,
                             &mut self.state,
                             &mut self.rpc,
                         );
@@ -302,7 +300,7 @@ impl Actor<Msg> for MonolithicObject {
                         ctx,
                         completion,
                         &mut self.resolver,
-                        &self.natives,
+                        &NativeRegistry,
                         &mut self.state,
                         &mut self.rpc,
                     );
@@ -314,7 +312,7 @@ impl Actor<Msg> for MonolithicObject {
             ctx,
             token,
             &mut self.resolver,
-            &self.natives,
+            &NativeRegistry,
             &mut self.state,
             &mut self.rpc,
         );
