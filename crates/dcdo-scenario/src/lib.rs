@@ -91,6 +91,7 @@ mod traffic;
 mod workload;
 
 pub mod registry;
+pub mod shapes;
 
 pub use episodes::{ReconfigEpisode, Shape, SimBenchEpisode};
 pub use error::ScenarioError;

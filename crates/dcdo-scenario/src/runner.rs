@@ -526,8 +526,9 @@ mod tests {
     use super::*;
     use crate::expect::{Expectation, Verdict};
     use crate::oracle;
-    use crate::registry::{self, MIXED_TRAFFIC, ROLLING_UPGRADE_COORD_CRASH};
+    use crate::registry;
     use crate::scenario::WorkloadSlot;
+    use crate::shapes;
     use crate::topology::Infra;
     use crate::workload::Workload;
 
@@ -706,49 +707,6 @@ mod tests {
         }
     }
 
-    /// The four benchmark workloads' scenario texts at `scale` (the
-    /// generator in `benchmark/src/workloads.rs`).
-    fn benchmark_shapes(seed: u64, scale: f64) -> [String; 4] {
-        let ticks = |base: f64| ((base * scale).round() as u64).max(1);
-        let calls = ticks(60_000.0);
-        let churn = ticks(10_000.0);
-        let secs = format!("{:.3}", (240.0 * scale).max(2.0));
-        [
-            format!(
-                "scenario calls_steady\nseed {seed}\ntopology legion nodes=16 net=centurion\n\
-                 window ticks={calls}\nworkload counter_service home=4\n\
-                 workload calls weight=100\nexpect trace_invariants\nexpect no_leaks\n\
-                 expect traffic_flowed\nexpect counter_equals calls.ok {calls}\n\
-                 expect counter_equals calls.err 0\n"
-            ),
-            format!(
-                "scenario reconfig_churn\nseed {seed}\ntopology legion nodes=16 net=centurion\n\
-                 window ticks={churn}\nworkload counter_service home=4\n\
-                 workload calls weight=10\nworkload config_ops weight=70\n\
-                 workload migrations weight=20 nodes=4+5+6+7\nexpect trace_invariants\n\
-                 expect no_leaks\nexpect traffic_flowed\nexpect counter_at_least calls.ok 1\n\
-                 expect counter_at_least config_ops.ok 1\nexpect counter_at_least migrations.ok 1\n\
-                 expect counter_equals calls.err 0\nexpect counter_equals config_ops.err 0\n\
-                 expect counter_equals migrations.err 0\nexpect mix_converged 0.1\n"
-            ),
-            MIXED_TRAFFIC
-                .replace("scenario mixed_traffic\n", "scenario mixed_traffic_x50\n")
-                .replace("seed 42\n", &format!("seed {seed}\n"))
-                .replace(
-                    "window ticks=400\n",
-                    &format!("window ticks={}\n", ticks(20_000.0)),
-                ),
-            ROLLING_UPGRADE_COORD_CRASH
-                .replace(
-                    "scenario rolling_upgrade_coord_crash\n",
-                    "scenario upgrade_crash_long\n",
-                )
-                .replace("seed 42\n", &format!("seed {seed}\n"))
-                .replace("window secs=2\n", &format!("window secs={secs}\n"))
-                .replace(" until=2\n", &format!(" until={secs}\n")),
-        ]
-    }
-
     #[test]
     fn fused_sweep_equals_the_batch_oracles() {
         let mut planted_found = 0;
@@ -756,8 +714,10 @@ mod tests {
             let declared = registry::declared()
                 .iter()
                 .map(|(name, _)| registry::load_declared(name).expect("declared"));
-            let shapes = benchmark_shapes(seed, 0.01)
-                .map(|text| Scenario::from_text(&text).expect("benchmark shape parses"));
+            let shapes = shapes::NAMES.map(|name| {
+                let text = shapes::generate(name, seed, 0.01).expect("a named shape");
+                Scenario::from_text(&text).expect("benchmark shape parses")
+            });
             // One run with a planted violation, so the verdicts compared are
             // not all empty.
             let mut planted = registry::load_declared("mixed_traffic").expect("declared");

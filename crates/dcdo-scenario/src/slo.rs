@@ -13,6 +13,8 @@
 //! derived deterministically from the span log after the window closes
 //! (see the runner), so every verdict replays byte-identically.
 
+use dcdo_sim::nearest_rank;
+
 use crate::expect::{Expectation, Verdict};
 use crate::workload::RunCx;
 
@@ -56,18 +58,11 @@ impl Expectation for SloLatency {
         // Worst = the largest quantile observed, breach or not, so the
         // detail is informative even on a pass.
         let mut worst: Option<(u64, f64)> = None;
-        for (idx, bucket) in sim.timeline().buckets() {
-            let Some(h) = bucket.metrics.histogram(&self.series) else {
+        for (idx, samples) in sim.timeline().series(&self.series) {
+            let Some(v) = nearest_rank(samples, self.q) else {
                 continue;
             };
-            if h.is_empty() {
-                continue;
-            }
             windows += 1;
-            // Quantiles need a sort; the timeline is behind a shared
-            // reference here, so clone the (small, per-bucket) histogram.
-            let mut h = h.clone();
-            let v = h.quantile(self.q).expect("nonempty");
             if v > self.bound_secs {
                 breaches += 1;
             }
@@ -127,9 +122,18 @@ impl Expectation for SloErrorRate {
         let mut windows = 0u64;
         let mut breaches = 0u64;
         let mut worst: Option<(u64, f64)> = None;
-        for (idx, bucket) in sim.timeline().buckets() {
-            let ok = bucket.metrics.counter(&ok_key);
-            let err = bucket.metrics.counter(&err_key);
+        let timeline = sim.timeline();
+        let mut oks = timeline.counter(&ok_key).peekable();
+        let mut errs = timeline.counter(&err_key).peekable();
+        // Both run ascending by window: walk them side by side.
+        loop {
+            let idx = match (oks.peek(), errs.peek()) {
+                (Some(&(a, _)), Some(&(b, _))) => a.min(b),
+                (Some(&(a, _)), None) | (None, Some(&(a, _))) => a,
+                (None, None) => break,
+            };
+            let ok = oks.next_if(|&(w, _)| w == idx).map_or(0, |(_, v)| v);
+            let err = errs.next_if(|&(w, _)| w == idx).map_or(0, |(_, v)| v);
             if ok + err == 0 {
                 continue;
             }

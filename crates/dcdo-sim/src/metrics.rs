@@ -104,18 +104,13 @@ impl Histogram {
     ///
     /// Panics if `q` is outside `[0, 1]`.
     pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
-        if self.samples.is_empty() {
-            return None;
-        }
         if !self.sorted {
             // All samples are finite (`record` rejects non-finite), so
             // total_cmp agrees with the numeric order.
             self.samples.sort_by(f64::total_cmp);
             self.sorted = true;
         }
-        let rank = ((q * self.samples.len() as f64).ceil() as usize).max(1) - 1;
-        Some(self.samples[rank.min(self.samples.len() - 1)])
+        nearest_rank(&self.samples, q)
     }
 
     /// Returns the median, or `None` if empty.
@@ -156,6 +151,19 @@ impl Histogram {
     }
 }
 
+/// The nearest-rank `q`-quantile (`0.0 ..= 1.0`) of samples already in
+/// ascending order, or `None` if there are none.
+///
+/// # Panics
+///
+/// Panics if `q` is outside `[0, 1]`.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
+    assert!((0.0..=1.0).contains(&q), "quantile {q} outside [0, 1]");
+    let last = sorted.len().checked_sub(1)?;
+    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
+    Some(sorted[rank.min(last)])
+}
+
 /// A counter resolved to its slot in one [`Metrics`] registry, for a
 /// per-call path: bumping it through [`Metrics::add_at`] is an index, with
 /// no name lookup. Valid only with the registry that issued it.
@@ -170,8 +178,7 @@ pub struct CounterSlot(u32);
 /// is first bumped, so a counter exists (in [`Metrics::counters`]) only
 /// once bumped. Slots are never removed, so a [`CounterSlot`] stays valid
 /// for the registry's life. The table is boxed and absent until the first
-/// resolution: the timeline keeps one registry per window, resolves no
-/// slot, and so pays one pointer for them.
+/// resolution, so a registry that resolves no slot pays one pointer for it.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
@@ -301,12 +308,6 @@ impl Metrics {
     /// Iterates over all histograms in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterates over all histograms mutably (quantiles sort in place), in
-    /// name order.
-    pub(crate) fn histograms_mut(&mut self) -> impl Iterator<Item = (&str, &mut Histogram)> {
-        self.histograms.iter_mut().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Clears all counters and histograms. Resolved [`CounterSlot`]s stay

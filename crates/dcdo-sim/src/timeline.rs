@@ -11,15 +11,18 @@
 //! during benchmarks.
 //!
 //! Bucketing is by *sim time*, not processing order: series derived after
-//! the run land in the buckets the hot path already filled. The exporters
-//! emit only order-independent statistics (counts, exact min/max,
-//! nearest-rank quantiles — never float sums) through the one writer
-//! ([`JsonWriter`], [`PromWriter`]), so the JSON and Prometheus text are
-//! byte-identical across build profiles.
+//! the run land in the buckets the hot path already filled. The named
+//! counters and series of every window share one name table and two flat
+//! columns, which [`Timeline::flush`] sorts once by window and name; the
+//! exporters and the SLO judges then read a window's counters and series as
+//! contiguous runs. The exporters emit only order-independent statistics
+//! (counts, exact min/max, nearest-rank quantiles — never float sums)
+//! through the one writer ([`JsonWriter`], [`PromWriter`]), so the JSON and
+//! Prometheus text are byte-identical across build profiles.
 
 use dcdo_trace::{JsonWriter, PromWriter};
 
-use crate::metrics::{Histogram, Metrics};
+use crate::metrics::nearest_rank;
 
 /// Default bucket width: 100 ms of simulated time.
 pub const DEFAULT_BUCKET_NS: u64 = 100_000_000;
@@ -84,13 +87,195 @@ impl WindowStats {
     }
 }
 
-/// One finished time bucket: hot-path stats plus named counters/series.
-#[derive(Debug, Clone, Default)]
+/// One finished time bucket: the hot path's event counts. Its named
+/// counters and series live in the timeline's columns
+/// ([`Timeline::counter`], [`Timeline::series`]).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Bucket {
     /// Engine event counts for the bucket.
     pub stats: WindowStats,
-    /// Named counters and sample series recorded into the bucket.
-    pub metrics: Metrics,
+}
+
+/// The named counters and sample series of every window: one name table
+/// and two flat columns. A record appends; [`Columns::sort`] orders both
+/// columns by window, then name in byte order, merging what one window
+/// recorded under one name into one cell or run.
+#[derive(Debug, Clone, Default)]
+struct Columns {
+    /// Counter and series names, indexed by id in first-recorded order.
+    names: Vec<String>,
+    /// Counter cells; once sorted, one per (window, name).
+    counters: Vec<CounterCell>,
+    /// The finite samples, run after run.
+    samples: Vec<f64>,
+    /// Run `i` holds `samples[runs[i].start..runs[i + 1].start]` (the last
+    /// runs to the column's end). Once sorted, one run per (window, name),
+    /// its samples ascending; a run may be empty (only non-finite samples).
+    runs: Vec<Run>,
+    /// A record landed since the last sort.
+    dirty: bool,
+}
+
+/// One counter's value in one window.
+#[derive(Debug, Clone, Copy)]
+struct CounterCell {
+    window: u64,
+    name: u32,
+    value: u64,
+}
+
+/// Where one window's samples of one series start in the sample column.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    window: u64,
+    name: u32,
+    start: u32,
+}
+
+/// What a timeline that never recorded a counter or series reads.
+static NO_COLUMNS: Columns = Columns {
+    names: Vec::new(),
+    counters: Vec::new(),
+    samples: Vec::new(),
+    runs: Vec::new(),
+    dirty: false,
+};
+
+impl Columns {
+    /// The id of `name`, added to the table on first sight. The table holds
+    /// the handful of series the runner derives, so a scan beats a hash.
+    fn name_id(&mut self, name: &str) -> u32 {
+        let id = match self.names.iter().position(|n| n == name) {
+            Some(id) => id,
+            None => {
+                self.names.push(name.to_owned());
+                self.names.len() - 1
+            }
+        };
+        u32::try_from(id).expect("timeline name table overflow")
+    }
+
+    fn id_of(&self, name: &str) -> Option<u32> {
+        let id = self.names.iter().position(|n| n == name)?;
+        Some(id as u32)
+    }
+
+    fn add(&mut self, window: u64, name: &str, delta: u64) {
+        let name = self.name_id(name);
+        self.dirty = true;
+        match self.counters.last_mut() {
+            Some(c) if c.window == window && c.name == name => c.value += delta,
+            _ => self.counters.push(CounterCell {
+                window,
+                name,
+                value: delta,
+            }),
+        }
+    }
+
+    /// Records `value` into series `name` of `window`. A non-finite sample
+    /// carries no measurement (as in [`Histogram::record`]), so it only
+    /// makes the series exist in the window.
+    ///
+    /// [`Histogram::record`]: crate::metrics::Histogram::record
+    fn sample(&mut self, window: u64, name: &str, value: f64) {
+        let name = self.name_id(name);
+        self.dirty = true;
+        match self.runs.last() {
+            Some(r) if r.window == window && r.name == name => {}
+            _ => {
+                let start = u32::try_from(self.samples.len()).expect("timeline sample overflow");
+                self.runs.push(Run {
+                    window,
+                    name,
+                    start,
+                });
+            }
+        }
+        if value.is_finite() {
+            self.samples.push(value);
+        }
+    }
+
+    /// Where run `i` ends in the sample column.
+    fn end(&self, i: usize) -> usize {
+        self.runs
+            .get(i + 1)
+            .map_or(self.samples.len(), |r| r.start as usize)
+    }
+
+    /// Every run with its samples, in column order.
+    fn series(&self) -> impl Iterator<Item = (&Run, &[f64])> {
+        let runs = self.runs.iter().enumerate();
+        runs.map(|(i, r)| (r, &self.samples[r.start as usize..self.end(i)]))
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+
+    /// Sorts both columns by (window, name in byte order) and merges equal
+    /// keys; a no-op unless something was recorded since the last sort.
+    fn sort(&mut self) {
+        if !std::mem::take(&mut self.dirty) {
+            return;
+        }
+        let mut by_bytes: Vec<u32> = (0..self.names.len() as u32).collect();
+        by_bytes.sort_unstable_by(|&a, &b| self.name(a).cmp(self.name(b)));
+        let mut rank = vec![0u32; by_bytes.len()];
+        for (r, &id) in by_bytes.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        let key = |window: u64, name: u32| (window, rank[name as usize]);
+
+        self.counters.sort_by_key(|c| key(c.window, c.name));
+        self.counters.dedup_by(|later, kept| {
+            let same = (later.window, later.name) == (kept.window, kept.name);
+            if same {
+                kept.value += later.value;
+            }
+            same
+        });
+
+        let in_order = self
+            .runs
+            .windows(2)
+            .all(|w| key(w[0].window, w[0].name) < key(w[1].window, w[1].name));
+        if in_order {
+            // The common case: records arrived window by window with one
+            // run per series, so only each run's samples need ordering.
+            for i in 0..self.runs.len() {
+                let (start, end) = (self.runs[i].start as usize, self.end(i));
+                self.samples[start..end].sort_by(f64::total_cmp);
+            }
+            return;
+        }
+        let mut order: Vec<usize> = (0..self.runs.len()).collect();
+        order.sort_by_key(|&i| key(self.runs[i].window, self.runs[i].name));
+        let mut samples = Vec::with_capacity(self.samples.len());
+        let mut runs: Vec<Run> = Vec::new();
+        for i in order {
+            let r = self.runs[i];
+            match runs.last() {
+                Some(last) if (last.window, last.name) == (r.window, r.name) => {}
+                _ => {
+                    if let Some(last) = runs.last() {
+                        samples[last.start as usize..].sort_by(f64::total_cmp);
+                    }
+                    runs.push(Run {
+                        start: samples.len() as u32,
+                        ..r
+                    });
+                }
+            }
+            samples.extend_from_slice(&self.samples[r.start as usize..self.end(i)]);
+        }
+        if let Some(last) = runs.last() {
+            samples[last.start as usize..].sort_by(f64::total_cmp);
+        }
+        self.samples = samples;
+        self.runs = runs;
+    }
 }
 
 /// The windowed time-series registry. Enabled by default (always-on);
@@ -109,6 +294,8 @@ pub struct Timeline {
     /// and a run's derived series mostly touch the last window, an O(1)
     /// append; a record behind it pays a binary search.
     done: Vec<(u64, Bucket)>,
+    /// The named counters and series, absent until the first record.
+    columns: Option<Box<Columns>>,
 }
 
 impl Default for Timeline {
@@ -127,6 +314,7 @@ impl Timeline {
             cur_end_ns: DEFAULT_BUCKET_NS,
             cur: WindowStats::default(),
             done: Vec::new(),
+            columns: None,
         }
     }
 
@@ -192,7 +380,7 @@ impl Timeline {
     /// once per bucket boundary, and is the only place that divides.
     #[cold]
     fn roll(&mut self, at_ns: u64) {
-        self.flush();
+        self.flush_stats();
         self.cur_idx = at_ns / self.bucket_ns;
         self.cur_end_ns = (self.cur_idx + 1) * self.bucket_ns;
     }
@@ -218,6 +406,14 @@ impl Timeline {
         &mut self.done[pos].1
     }
 
+    /// The columns of the window containing `at_ns`, whose bucket now
+    /// exists.
+    fn columns_at(&mut self, at_ns: u64) -> (u64, &mut Columns) {
+        let idx = at_ns / self.bucket_ns;
+        self.bucket_mut(idx);
+        (idx, self.columns.get_or_insert_with(Box::default))
+    }
+
     /// Adds `delta` to the named counter in the bucket containing `at_ns`.
     /// Off the hot path: meant for derived series (per-window RPC outcomes,
     /// flow completions) written after or alongside the run.
@@ -225,27 +421,37 @@ impl Timeline {
         if !self.enabled {
             return;
         }
-        let idx = at_ns / self.bucket_ns;
-        self.bucket_mut(idx).metrics.add(name, delta);
+        let (idx, columns) = self.columns_at(at_ns);
+        columns.add(idx, name, delta);
     }
 
     /// Records a sample into the named series in the bucket containing
-    /// `at_ns`. Off the hot path.
+    /// `at_ns`. Off the hot path. A non-finite sample is dropped, but the
+    /// series still exists in that bucket.
     pub fn record_sample(&mut self, at_ns: u64, name: &str, value: f64) {
         if !self.enabled {
             return;
         }
-        let idx = at_ns / self.bucket_ns;
-        self.bucket_mut(idx).metrics.sample(name, value);
+        let (idx, columns) = self.columns_at(at_ns);
+        columns.sample(idx, name, value);
     }
 
-    /// Flushes the in-flight accumulator so [`buckets`](Timeline::buckets)
-    /// and the exporters see everything recorded so far.
-    pub fn flush(&mut self) {
+    /// Moves the in-flight accumulator into its bucket.
+    fn flush_stats(&mut self) {
         if !self.cur.is_zero() {
             let mut stats = std::mem::take(&mut self.cur);
             stats.events = stats.observed();
             self.bucket_mut(self.cur_idx).stats.merge(&stats);
+        }
+    }
+
+    /// Flushes the in-flight accumulator and sorts the counter and series
+    /// columns, so [`buckets`](Timeline::buckets), the readers and the
+    /// exporters see everything recorded so far.
+    pub fn flush(&mut self) {
+        self.flush_stats();
+        if let Some(columns) = self.columns.as_deref_mut() {
+            columns.sort();
         }
     }
 
@@ -262,14 +468,56 @@ impl Timeline {
         self.done[start..].iter().map(|(k, v)| (*k, v))
     }
 
+    /// The sorted columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if something was recorded since the last
+    /// [`flush`](Timeline::flush).
+    fn sorted(&self) -> &Columns {
+        let columns = self.columns.as_deref().unwrap_or(&NO_COLUMNS);
+        assert!(!columns.dirty, "flush the timeline before reading it");
+        columns
+    }
+
+    /// The named counter in every window that recorded it, ascending by
+    /// window. Reads what the last [`flush`](Timeline::flush) sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if something was recorded since the last flush.
+    pub fn counter<'a>(&'a self, name: &str) -> impl Iterator<Item = (u64, u64)> + 'a {
+        let columns = self.sorted();
+        let id = columns.id_of(name);
+        let cells = columns.counters.iter().filter(move |c| Some(c.name) == id);
+        cells.map(|c| (c.window, c.value))
+    }
+
+    /// The named series in every window that recorded it, ascending by
+    /// window: each window's finite samples in ascending order (empty where
+    /// only non-finite ones were recorded). Reads what the last
+    /// [`flush`](Timeline::flush) sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if something was recorded since the last flush.
+    pub fn series<'a>(&'a self, name: &str) -> impl Iterator<Item = (u64, &'a [f64])> + 'a {
+        let columns = self.sorted();
+        let id = columns.id_of(name);
+        let runs = columns.series().filter(move |(r, _)| Some(r.name) == id);
+        runs.map(|(r, samples)| (r.window, samples))
+    }
+
     /// Total events accounted across all buckets (including in-flight).
     pub fn total_events(&self) -> u64 {
         self.done.iter().map(|(_, b)| b.stats.events).sum::<u64>() + self.cur.observed()
     }
 
-    /// Drops all recorded buckets and the in-flight accumulator.
+    /// Drops all recorded buckets, counters, series and the in-flight
+    /// accumulator.
     pub fn clear(&mut self) {
         self.done.clear();
+        self.columns = None;
         self.cur = WindowStats::default();
         self.cur_idx = 0;
         self.cur_end_ns = self.bucket_ns;
@@ -281,24 +529,30 @@ impl Timeline {
     /// identical across build profiles.
     pub fn to_json(&mut self) -> String {
         self.flush();
+        let columns = self.sorted();
+        let mut counters = columns.counters.iter().peekable();
+        let mut series = columns.series().peekable();
         let bucket_ns = self.bucket_ns;
         let mut w = JsonWriter::spaced();
         w.object_lines().key("bucket_ns").u64(bucket_ns);
         w.key("buckets").array_lines();
-        for (idx, b) in &mut self.done {
-            w.object().key("window").u64(*idx);
-            w.key("start_ns").u64(*idx * bucket_ns);
+        for &(idx, b) in &self.done {
+            w.object().key("window").u64(idx);
+            w.key("start_ns").u64(idx * bucket_ns);
             for (field, v) in STAT_FIELDS.iter().zip(b.stats.values()) {
                 w.key(field).u64(v);
             }
+            // Every record made its window's bucket, so the columns' next
+            // cells are this window's or a later one's.
             w.key("counters").object();
-            for (name, v) in b.metrics.counters() {
-                w.key(name).u64(v);
+            while let Some(c) = counters.next_if(|c| c.window == idx) {
+                w.key(columns.name(c.name)).u64(c.value);
             }
             w.close().key("series").object();
-            for (name, h) in b.metrics.histograms_mut() {
-                let [_, min, p50, p90, p99, max] = series_stats(h);
-                w.key(name).object().key("count").u64(h.count() as u64);
+            while let Some((r, samples)) = series.next_if(|(r, _)| r.window == idx) {
+                let [_, min, p50, p90, p99, max] = series_stats(samples);
+                let name = columns.name(r.name);
+                w.key(name).object().key("count").u64(samples.len() as u64);
                 w.key("min").f64(min).key("p50").f64(p50);
                 w.key("p90").f64(p90).key("p99").f64(p99);
                 w.key("max").f64(max).close();
@@ -315,6 +569,7 @@ impl Timeline {
     /// the caller that writes it out.
     pub fn to_prometheus(&mut self) -> String {
         self.flush();
+        let columns = self.sorted();
         let mut p = PromWriter::default();
         for (k, field) in STAT_FIELDS.iter().enumerate() {
             let metric = format!("dcdo_window_{field}");
@@ -325,48 +580,48 @@ impl Timeline {
             }
         }
         p.gauge("dcdo_window_counter");
-        for (idx, b) in &self.done {
-            for (name, v) in b.metrics.counters() {
-                p.sample("dcdo_window_counter").label("name", name);
-                p.label_u64("window", *idx).u64(v);
-            }
+        for c in &columns.counters {
+            p.sample("dcdo_window_counter");
+            p.label("name", columns.name(c.name));
+            p.label_u64("window", c.window).u64(c.value);
         }
         p.gauge("dcdo_window_series");
-        for (idx, b) in &mut self.done {
-            for (name, h) in b.metrics.histograms_mut() {
-                let stats = series_stats(h);
-                for (stat, v) in ["count", "min", "p50", "p90", "p99", "max"]
-                    .iter()
-                    .zip(stats)
-                {
-                    p.sample("dcdo_window_series").label("name", name);
-                    p.label("stat", stat).label_u64("window", *idx).f64(v);
-                }
+        for (r, samples) in columns.series() {
+            let stats = series_stats(samples);
+            for (stat, v) in ["count", "min", "p50", "p90", "p99", "max"]
+                .iter()
+                .zip(stats)
+            {
+                p.sample("dcdo_window_series");
+                p.label("name", columns.name(r.name)).label("stat", stat);
+                p.label_u64("window", r.window).f64(v);
             }
         }
         p.finish()
     }
 }
 
-/// What both exporters report of one series: count, exact min,
-/// nearest-rank p50/p90/p99, exact max (0 where empty). The first quantile
-/// sorts the samples once; everything after reads the sorted buffer.
-fn series_stats(h: &mut Histogram) -> [f64; 6] {
+/// What both exporters report of one series' ascending samples: count,
+/// exact min, nearest-rank p50/p90/p99, exact max (0 where empty).
+fn series_stats(sorted: &[f64]) -> [f64; 6] {
+    let q = |q| nearest_rank(sorted, q).unwrap_or(0.0);
     [
-        h.count() as f64,
-        h.min().unwrap_or(0.0),
-        h.quantile(0.5).unwrap_or(0.0),
-        h.quantile(0.9).unwrap_or(0.0),
-        h.quantile(0.99).unwrap_or(0.0),
-        h.max().unwrap_or(0.0),
+        sorted.len() as f64,
+        sorted.first().copied().unwrap_or(0.0),
+        q(0.5),
+        q(0.9),
+        q(0.99),
+        sorted.last().copied().unwrap_or(0.0),
     ]
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
     use std::fmt::Write as _;
 
     use super::*;
+    use crate::metrics::Metrics;
 
     #[test]
     fn events_land_in_their_sim_time_bucket() {
@@ -506,14 +761,15 @@ mod tests {
         assert_eq!(prom.lines().count(), 6 * 2 + 1 + 1 + 1 + 6, "{prom}");
     }
 
-    /// The window store this module had before the sorted `Vec`: a
-    /// `BTreeMap` keyed by window, rendered through `write!`.
+    /// The window store this module had before the sorted columns: a
+    /// `BTreeMap` keyed by window holding a string-keyed [`Metrics`]
+    /// registry per window, rendered through `write!`.
     struct Oracle {
         bucket_ns: u64,
         cur_idx: u64,
         cur_end_ns: u64,
         cur: WindowStats,
-        done: std::collections::BTreeMap<u64, Bucket>,
+        done: BTreeMap<u64, (WindowStats, Metrics)>,
     }
 
     impl Oracle {
@@ -523,7 +779,7 @@ mod tests {
                 cur_idx: 0,
                 cur_end_ns: bucket_ns,
                 cur: WindowStats::default(),
-                done: Default::default(),
+                done: BTreeMap::new(),
             }
         }
 
@@ -543,20 +799,34 @@ mod tests {
             }
         }
 
-        fn bucket(&mut self, at_ns: u64) -> &mut Bucket {
-            self.done.entry(at_ns / self.bucket_ns).or_default()
+        fn metrics(&mut self, at_ns: u64) -> &mut Metrics {
+            &mut self.done.entry(at_ns / self.bucket_ns).or_default().1
         }
 
         fn flush(&mut self) {
             if !self.cur.is_zero() {
                 let mut stats = std::mem::take(&mut self.cur);
                 stats.events = stats.observed();
-                self.done
-                    .entry(self.cur_idx)
-                    .or_default()
-                    .stats
-                    .merge(&stats);
+                self.done.entry(self.cur_idx).or_default().0.merge(&stats);
             }
+        }
+
+        /// Each window's series by name, with the statistics both
+        /// exporters print.
+        fn series(metrics: &Metrics) -> Vec<(String, [f64; 6])> {
+            let series = metrics.histograms().map(|(name, h)| {
+                let mut h = h.clone();
+                let stats = [
+                    h.count() as f64,
+                    h.min().unwrap_or(0.0),
+                    h.quantile(0.5).unwrap_or(0.0),
+                    h.quantile(0.9).unwrap_or(0.0),
+                    h.quantile(0.99).unwrap_or(0.0),
+                    h.max().unwrap_or(0.0),
+                ];
+                (name.to_owned(), stats)
+            });
+            series.collect()
         }
 
         fn json(&mut self) -> String {
@@ -564,11 +834,11 @@ mod tests {
             let bucket_ns = self.bucket_ns;
             let mut out = String::new();
             let _ = write!(out, "{{\n  \"bucket_ns\": {bucket_ns},\n  \"buckets\": [");
-            for (i, (idx, b)) in self.done.iter_mut().enumerate() {
+            for (i, (idx, (stats, metrics))) in self.done.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                let [events, delivered, timers, dead_letters, crashes, restarts] = b.stats.values();
+                let [events, delivered, timers, dead_letters, crashes, restarts] = stats.values();
                 let _ = write!(
                     out,
                     "\n    {{\"window\": {idx}, \"start_ns\": {}, \"events\": {events}, \
@@ -577,14 +847,14 @@ mod tests {
                      \"counters\": {{",
                     idx * bucket_ns,
                 );
-                for (j, (name, v)) in b.metrics.counters().enumerate() {
+                for (j, (name, v)) in metrics.counters().enumerate() {
                     let sep = if j > 0 { ", " } else { "" };
                     let _ = write!(out, "{sep}\"{name}\": {v}");
                 }
                 out.push_str("}, \"series\": {");
-                for (j, (name, h)) in b.metrics.histograms_mut().enumerate() {
+                for (j, (name, stats)) in Oracle::series(metrics).into_iter().enumerate() {
                     let sep = if j > 0 { ", " } else { "" };
-                    let [count, min, p50, p90, p99, max] = series_stats(h);
+                    let [count, min, p50, p90, p99, max] = stats;
                     let _ = write!(
                         out,
                         "{sep}\"{name}\": {{\"count\": {count}, \"min\": {min:?}, \"p50\": \
@@ -605,14 +875,14 @@ mod tests {
             let mut out = String::new();
             for (k, field) in STAT_FIELDS.iter().enumerate() {
                 let _ = writeln!(out, "# TYPE dcdo_window_{field} gauge");
-                for (idx, b) in &self.done {
-                    let v = b.stats.values()[k];
+                for (idx, (stats, _)) in &self.done {
+                    let v = stats.values()[k];
                     let _ = writeln!(out, "dcdo_window_{field}{{window=\"{idx}\"}} {v}");
                 }
             }
             out.push_str("# TYPE dcdo_window_counter gauge\n");
-            for (idx, b) in &self.done {
-                for (name, v) in b.metrics.counters() {
+            for (idx, (_, metrics)) in &self.done {
+                for (name, v) in metrics.counters() {
                     let _ = writeln!(
                         out,
                         "dcdo_window_counter{{name=\"{name}\",window=\"{idx}\"}} {v}"
@@ -620,9 +890,8 @@ mod tests {
                 }
             }
             out.push_str("# TYPE dcdo_window_series gauge\n");
-            for (idx, b) in &mut self.done {
-                for (name, h) in b.metrics.histograms_mut() {
-                    let stats = series_stats(h);
+            for (idx, (_, metrics)) in &self.done {
+                for (name, stats) in Oracle::series(metrics) {
                     for (stat, v) in ["count", "min", "p50", "p90", "p99", "max"]
                         .iter()
                         .zip(stats)
@@ -637,9 +906,24 @@ mod tests {
             }
             out
         }
+
+        /// The oracle's windows as plain data, each series' samples sorted.
+        fn flat(&self) -> Vec<Flat> {
+            let flat = self.done.iter().map(|(idx, (stats, metrics))| {
+                let counters = metrics.counters().map(|(n, v)| (n.into(), v));
+                let series = metrics.histograms().map(|(n, h)| {
+                    let mut samples = h.samples().to_vec();
+                    samples.sort_by(f64::total_cmp);
+                    (n.into(), samples)
+                });
+                (*idx, *stats, counters.collect(), series.collect())
+            });
+            flat.collect()
+        }
     }
 
-    /// A bucket as comparable plain data.
+    /// A window as comparable plain data: stats, counters and series by
+    /// name.
     type Flat = (
         u64,
         WindowStats,
@@ -647,15 +931,45 @@ mod tests {
         Vec<(String, Vec<f64>)>,
     );
 
-    fn flat<'a>(buckets: impl Iterator<Item = (u64, &'a Bucket)>) -> Vec<Flat> {
-        buckets
-            .map(|(idx, b)| {
-                let counters = b.metrics.counters().map(|(n, v)| (n.into(), v));
-                let series = b.metrics.histograms();
-                let series = series.map(|(n, h)| (n.into(), h.samples().to_vec()));
-                (idx, b.stats, counters.collect(), series.collect())
-            })
-            .collect()
+    /// The timeline's windows as plain data, read from its sorted columns.
+    fn flat(t: &Timeline) -> Vec<Flat> {
+        let columns = t.sorted();
+        let flat = t.buckets().map(|(idx, b)| {
+            let counters = columns.counters.iter().filter(|c| c.window == idx);
+            let counters = counters.map(|c| (columns.name(c.name).into(), c.value));
+            let series = columns.series().filter(|(r, _)| r.window == idx);
+            let series = series.map(|(r, s)| (columns.name(r.name).into(), s.to_vec()));
+            (idx, b.stats, counters.collect(), series.collect())
+        });
+        flat.collect()
+    }
+
+    /// The windows and their stats alone, readable mid-recording.
+    fn windows<'a>(
+        buckets: impl Iterator<Item = (u64, &'a WindowStats)>,
+    ) -> Vec<(u64, WindowStats)> {
+        buckets.map(|(idx, stats)| (idx, *stats)).collect()
+    }
+
+    #[test]
+    fn the_public_readers_see_the_sorted_columns() {
+        let mut t = Timeline::new();
+        t.set_bucket_ns(100);
+        t.record_sample(250, "lat", 3.0);
+        t.record_sample(10, "lat", f64::NAN);
+        t.record_counter(250, "ok", 2);
+        t.record_sample(250, "lat", 1.0);
+        t.record_counter(260, "ok", 5);
+        t.record_counter(20, "err", 1);
+        t.flush();
+        let lat: Vec<(u64, Vec<f64>)> = t.series("lat").map(|(w, s)| (w, s.to_vec())).collect();
+        assert_eq!(lat, vec![(0, vec![]), (2, vec![1.0, 3.0])]);
+        assert_eq!(t.counter("ok").collect::<Vec<_>>(), vec![(2, 7)]);
+        assert_eq!(t.counter("err").collect::<Vec<_>>(), vec![(0, 1)]);
+        assert_eq!(t.counter("nope").count(), 0);
+        t.record_counter(0, "err", 1);
+        let unsorted = std::panic::catch_unwind(|| t.counter("err").count());
+        assert!(unsorted.is_err(), "a read before the flush is refused");
     }
 
     mod properties {
@@ -663,16 +977,21 @@ mod tests {
         use proptest::prelude::*;
 
         const BUCKET_NS: u64 = 100;
-        const NAMES: [&str; 3] = ["lat.rpc", "ok.rpc", "served"];
+        /// Names whose byte order is not the order a run first records
+        /// them in: an upper-case name sorts first, a prefix before its
+        /// extensions.
+        const NAMES: [&str; 5] = ["lat.rpc", "ok.rpc", "served", "Z", "lat"];
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
             /// Any interleaving of hot-path accounting, derived records (in
-            /// and behind the current window, near and far apart) and
-            /// flushes leaves the sorted-`Vec` store holding and exporting
-            /// exactly what the `BTreeMap` store did; an empty op list is
-            /// the empty timeline.
+            /// and behind the current window, near and far apart; several
+            /// to one counter or series in one window; non-finite samples,
+            /// alone in a series or among finite ones; names first recorded
+            /// in any order) and flushes leaves the sorted columns holding
+            /// and exporting exactly what the per-window `Metrics` store
+            /// did; an empty op list is the empty timeline.
             #[test]
             fn sorted_vec_store_matches_btreemap_oracle(
                 ops in prop::collection::vec(
@@ -680,7 +999,7 @@ mod tests {
                         0u8..4,
                         prop_oneof![0u64..6, 6u64..40, 1_000u64..1_003, 1_000_000_000u64..1_000_000_002],
                         0u64..BUCKET_NS,
-                        (0usize..3, 0u8..9),
+                        (0usize..NAMES.len(), 0u8..9),
                     ),
                     0..48,
                 ),
@@ -697,23 +1016,30 @@ mod tests {
                         }
                         1 => {
                             t.record_counter(at_ns, NAMES[name], small as u64);
-                            oracle.bucket(at_ns).metrics.add(NAMES[name], small as u64);
+                            oracle.metrics(at_ns).add(NAMES[name], small as u64);
                         }
                         2 => {
-                            let value = small as f64 / 4.0 - offset as f64;
+                            let value = match small {
+                                0 => f64::NAN,
+                                1 => f64::INFINITY,
+                                2 => f64::NEG_INFINITY,
+                                _ => small as f64 / 4.0 - offset as f64,
+                            };
                             t.record_sample(at_ns, NAMES[name], value);
-                            oracle.bucket(at_ns).metrics.sample(NAMES[name], value);
+                            oracle.metrics(at_ns).sample(NAMES[name], value);
                         }
                         _ => {
                             t.flush();
                             oracle.flush();
+                            prop_assert_eq!(flat(&t), oracle.flat());
                         }
                     }
-                    prop_assert_eq!(flat(t.buckets()), flat(oracle.done.iter().map(|(k, v)| (*k, v))));
+                    let stats = oracle.done.iter().map(|(idx, (stats, _))| (*idx, stats));
+                    prop_assert_eq!(windows(t.buckets().map(|(i, b)| (i, &b.stats))), windows(stats));
                 }
                 prop_assert_eq!(t.to_json(), oracle.json());
                 prop_assert_eq!(t.to_prometheus(), oracle.prometheus());
-                prop_assert_eq!(flat(t.buckets()), flat(oracle.done.iter().map(|(k, v)| (*k, v))));
+                prop_assert_eq!(flat(&t), oracle.flat());
             }
         }
     }
