@@ -185,12 +185,11 @@ impl DfmDescriptor {
 
     /// The exported, enabled functions — the object's public interface as a
     /// client sees it (§2).
-    pub fn exported_interface(&self) -> Vec<(FunctionSignature, Protection)> {
+    pub fn exported_interface(&self) -> impl Iterator<Item = (&FunctionSignature, Protection)> {
         self.functions
             .values()
             .filter(|r| r.visibility.is_exported() && r.is_enabled())
-            .map(|r| (r.signature.clone(), r.protection))
-            .collect()
+            .map(|r| (&r.signature, r.protection))
     }
 
     // ---- configuration operations ------------------------------------
@@ -576,40 +575,48 @@ impl DfmDescriptor {
         Ok(())
     }
 
-    /// Computes the difference needed to evolve a DCDO shaped like `self`
-    /// into `target`: components to add (with their ICO sources and sizes)
-    /// and components to remove.
-    pub fn diff_components(&self, target: &DfmDescriptor) -> DescriptorDiff {
-        let mut add = Vec::new();
-        for (c, rec) in &target.components {
-            if !self.components.contains_key(c) {
-                add.push((*c, rec.clone()));
-            }
+    /// The difference needed to evolve a DCDO shaped like `self` into
+    /// `target`: components to add (with their ICO sources and sizes) and
+    /// components to remove, read from both descriptors as asked.
+    pub fn diff_components<'a>(&'a self, target: &'a DfmDescriptor) -> DescriptorDiff<'a> {
+        DescriptorDiff {
+            source: self,
+            target,
         }
-        let remove = self
-            .components
-            .keys()
-            .filter(|c| !target.components.contains_key(c))
-            .copied()
-            .collect();
-        DescriptorDiff { add, remove }
     }
 }
 
-/// The component-level difference between two descriptors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DescriptorDiff {
-    /// Components the target has that the source lacks.
-    pub add: Vec<(ComponentId, ComponentRecord)>,
-    /// Components the source has that the target lacks.
-    pub remove: Vec<ComponentId>,
+/// The component-level difference between two descriptors, a view over
+/// both: nothing is copied out of them.
+#[derive(Debug, Clone, Copy)]
+pub struct DescriptorDiff<'a> {
+    source: &'a DfmDescriptor,
+    target: &'a DfmDescriptor,
 }
 
-impl DescriptorDiff {
+impl<'a> DescriptorDiff<'a> {
+    /// Components the target has that the source lacks, in id order.
+    pub fn add(&self) -> impl Iterator<Item = (ComponentId, &'a ComponentRecord)> + 'a {
+        let source = self.source;
+        let target = self.target.components.iter();
+        target
+            .filter(move |(c, _)| !source.components.contains_key(c))
+            .map(|(c, rec)| (*c, rec))
+    }
+
+    /// Components the source has that the target lacks, in id order.
+    pub fn remove(&self) -> impl Iterator<Item = ComponentId> + 'a {
+        let target = self.target;
+        let source = self.source.components.keys();
+        source
+            .filter(move |c| !target.components.contains_key(c))
+            .copied()
+    }
+
     /// Returns `true` if no component changes are needed (pure DFM
     /// reconfiguration — the sub-half-second evolution case of §4).
     pub fn is_reconfiguration_only(&self) -> bool {
-        self.add.is_empty() && self.remove.is_empty()
+        self.add().next().is_none() && self.remove().next().is_none()
     }
 }
 
@@ -657,7 +664,7 @@ mod tests {
             d.function(&"add".into()).expect("rec").enabled(),
             Some(c(1))
         );
-        assert_eq!(d.exported_interface().len(), 1);
+        assert_eq!(d.exported_interface().count(), 1);
         assert_eq!(d.component_count(), 1);
         assert_eq!(d.function_count(), 1);
     }
@@ -1004,9 +1011,9 @@ mod tests {
         b.incorporate_component(&comp(3, "three", &[exported("h() -> unit")]), None)
             .expect("three");
         let diff = a.diff_components(&b);
-        assert_eq!(diff.add.len(), 1);
-        assert_eq!(diff.add[0].0, c(3));
-        assert_eq!(diff.remove, vec![c(1)]);
+        let add: Vec<ComponentId> = diff.add().map(|(c, _)| c).collect();
+        assert_eq!(add, vec![c(3)]);
+        assert_eq!(diff.remove().collect::<Vec<_>>(), vec![c(1)]);
         assert!(!diff.is_reconfiguration_only());
         assert!(a.diff_components(&a).is_reconfiguration_only());
     }

@@ -71,6 +71,15 @@ struct Loaded {
     activity: u32,
 }
 
+/// One (function, component) implementation whose code was loaded, at
+/// its activity index, with its active-thread count (§3.2).
+#[derive(Debug)]
+struct Impl {
+    function: FunctionName,
+    component: ComponentId,
+    active: u32,
+}
+
 /// How many recently resolved names the external fast path remembers.
 const RECENT_NAMES: usize = 8;
 
@@ -87,11 +96,9 @@ pub struct Dfm {
     interner: FunctionInterner,
     slots: Vec<Slot>,
     generation: u64,
-    /// The (function, component) implementation behind each activity
-    /// index, in first-loaded order. Only ever appended to.
-    impls: Vec<(FunctionName, ComponentId)>,
-    /// Active threads per activity index (§3.2).
-    active: Vec<u32>,
+    /// The implementation behind each activity index, in first-loaded
+    /// order. Only ever appended to.
+    impls: Vec<Impl>,
     /// Names recently resolved by [`CallResolver::resolve`], each a clone
     /// of the caller's own allocation, matched by pointer: a caller that
     /// builds its name once is answered without hashing it. Oldest first;
@@ -117,7 +124,6 @@ impl Dfm {
             slots: Vec::new(),
             generation: next_generation(),
             impls: Vec::new(),
-            active: Vec::new(),
             recent: Vec::new(),
             dispatch_band,
             rng: SimRng::seed_from_u64(seed),
@@ -157,6 +163,12 @@ impl Dfm {
     /// The descriptor describing the current configuration.
     pub fn descriptor(&self) -> &DfmDescriptor {
         &self.descriptor
+    }
+
+    /// The descriptor, shared: a reply that reports it holds it as it is
+    /// now, and this DFM's next mutation copies it.
+    pub fn shared_descriptor(&self) -> Rc<DfmDescriptor> {
+        Rc::clone(&self.descriptor)
     }
 
     /// The descriptor, for a mutation: copied first if it is still shared.
@@ -239,17 +251,19 @@ impl Dfm {
     /// Active-thread count for the implementation of `function` in
     /// `component`.
     pub fn active_threads(&self, function: &FunctionName, component: ComponentId) -> u32 {
-        self.activity()
-            .find(|((f, c), _)| *c == component && f == function)
-            .map_or(0, |(_, n)| n)
+        self.impls
+            .iter()
+            .find(|i| i.component == component && i.function == *function)
+            .map_or(0, |i| i.active)
     }
 
     /// Total active threads across all implementations in `component` —
     /// the disappearing-component check (§3.2).
     pub fn component_active_threads(&self, component: ComponentId) -> u32 {
-        self.activity()
-            .filter(|((_, c), _)| *c == component)
-            .map(|(_, n)| n)
+        self.impls
+            .iter()
+            .filter(|i| i.component == component)
+            .map(|i| i.active)
             .sum()
     }
 
@@ -266,19 +280,16 @@ impl Dfm {
         &'a self,
         function: &'a FunctionName,
     ) -> impl Iterator<Item = (ComponentId, u32)> + 'a {
-        self.activity()
-            .filter(move |((f, c), n)| {
-                *n > 0
+        self.impls
+            .iter()
+            .filter(move |i| {
+                i.active > 0
                     && self.descriptor.dependencies().iter().any(|dep| {
-                        dep.target().function() == function && dep.source().matches(f, *c)
+                        dep.target().function() == function
+                            && dep.source().matches(&i.function, i.component)
                     })
             })
-            .map(|((_, c), n)| (*c, n))
-    }
-
-    /// Every implementation ever loaded, with its active-thread count.
-    fn activity(&self) -> impl Iterator<Item = (&(FunctionName, ComponentId), u32)> {
-        self.impls.iter().zip(self.active.iter().copied())
+            .map(|i| (i.component, i.active))
     }
 
     // ---- configuration (mechanism of §2.2) -----------------------------
@@ -376,15 +387,15 @@ impl Dfm {
         }
         // Unload components the new descriptor no longer references,
         // dropping their cached decodes.
-        let keep: Vec<ComponentId> = descriptor.components().map(|(c, _)| c).collect();
+        let keep = |c: &ComponentId| descriptor.component(*c).is_some();
         let dropped: u64 = self
             .loaded
             .iter()
-            .filter(|(c, _)| !keep.contains(c))
+            .filter(|(c, _)| !keep(c))
             .map(|(_, m)| m.len() as u64)
             .sum();
         self.decode_stats.invalidations += dropped;
-        self.loaded.retain(|c, _| keep.contains(c));
+        self.loaded.retain(|c, _| keep(c));
         self.descriptor = descriptor;
         self.reindex();
         Ok(())
@@ -419,11 +430,14 @@ impl Dfm {
                 let known = self
                     .impls
                     .iter()
-                    .position(|(n, c)| *c == component && n == f.name());
+                    .position(|i| i.component == component && i.function == *f.name());
                 let activity = known.unwrap_or_else(|| {
-                    self.impls.push((f.name().clone(), component));
-                    self.active.push(0);
-                    self.active.len() - 1
+                    self.impls.push(Impl {
+                        function: f.name().clone(),
+                        component,
+                        active: 0,
+                    });
+                    self.impls.len() - 1
                 });
                 let activity = u32::try_from(activity).expect("activity index overflow");
                 let code = if self.fuse {
@@ -588,11 +602,11 @@ impl CallResolver for Dfm {
     }
 
     fn enter(&mut self, activity: u32) {
-        self.active[activity as usize] += 1;
+        self.impls[activity as usize].active += 1;
     }
 
     fn exit(&mut self, activity: u32) {
-        let n = &mut self.active[activity as usize];
+        let n = &mut self.impls[activity as usize].active;
         debug_assert!(*n > 0, "thread-activity counter underflow");
         *n = n.saturating_sub(1);
     }

@@ -362,7 +362,7 @@ impl DcdoObject {
             ConfigOp::Remove { component } => vec![threads(component)],
             ConfigOp::Apply { target } => {
                 let diff = self.dfm.descriptor().diff_components(target);
-                diff.remove.iter().map(threads).collect()
+                diff.remove().map(|c| threads(&c)).collect()
             }
             ConfigOp::Disable { function } => self.dfm.active_dependents(function).collect(),
             ConfigOp::Incorporate => vec![],
@@ -468,8 +468,8 @@ impl DcdoObject {
     ) {
         let diff = self.dfm.descriptor().diff_components(&target);
         let mut items = Vec::new();
-        for (component, record) in &diff.add {
-            if self.dfm.is_loaded(*component) {
+        for (component, record) in diff.add() {
+            if self.dfm.is_loaded(component) {
                 continue;
             }
             let Some(ico) = record.ico else {
@@ -480,7 +480,7 @@ impl DcdoObject {
             };
             items.push(FetchItem {
                 ico,
-                component: Some(*component),
+                component: Some(component),
                 staged: Staged::Nothing,
             });
         }
@@ -571,13 +571,7 @@ impl DcdoObject {
             Msg::control_ok(
                 call,
                 InterfaceReport {
-                    functions: self
-                        .dfm
-                        .descriptor()
-                        .exported_interface()
-                        .into_iter()
-                        .map(|(sig, prot)| (sig.to_string(), prot))
-                        .collect(),
+                    descriptor: self.dfm.shared_descriptor(),
                 },
             )
         } else if op.as_any().downcast_ref::<QueryImplementation>().is_some() {

@@ -9,8 +9,8 @@ use std::rc::Rc;
 
 use dcdo_sim::SimDuration;
 use dcdo_types::{
-    ComponentId, Dependency, FunctionName, ImplementationType, ObjectId, Protection, VersionId,
-    Visibility,
+    ComponentId, Dependency, FunctionName, FunctionSignature, ImplementationType, ObjectId,
+    Protection, VersionId, Visibility,
 };
 use dcdo_vm::{ComponentBinary, ComponentDescriptor};
 use legion_substrate::control_payload;
@@ -199,21 +199,30 @@ pub struct QueryInterface;
 
 control_payload!(QueryInterface, "query-interface");
 
-/// Reply to [`QueryInterface`].
+/// Reply to [`QueryInterface`]: the object's descriptor as it stood when
+/// it answered, shared, not copied (the DFM copies its own on its next
+/// mutation).
 #[derive(Debug, Clone)]
 pub struct InterfaceReport {
-    /// Exported, enabled functions: rendered signature and protection.
-    pub functions: Vec<(String, Protection)>,
+    /// The answering object's descriptor.
+    pub descriptor: Rc<DfmDescriptor>,
+}
+
+impl InterfaceReport {
+    /// Exported, enabled functions: signature and protection.
+    pub fn functions(&self) -> impl Iterator<Item = (&FunctionSignature, Protection)> {
+        self.descriptor.exported_interface()
+    }
 }
 
 control_payload!(
     InterfaceReport,
     "interface-report",
     wire_size = |op| {
+        // Each function travels as its rendered signature and protection.
         64 + op
-            .functions
-            .iter()
-            .map(|(s, _)| s.len() as u64 + 8)
+            .functions()
+            .map(|(sig, _)| sig.rendered_len() as u64 + 8)
             .sum::<u64>()
     }
 );

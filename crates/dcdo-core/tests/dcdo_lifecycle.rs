@@ -538,9 +538,8 @@ fn disappearing_exported_function_as_seen_by_a_client() {
     let payload = completion.result.expect("interface");
     let report = payload.control_as::<InterfaceReport>().expect("report");
     assert!(report
-        .functions
-        .iter()
-        .any(|(sig, _)| sig.starts_with("get(")));
+        .functions()
+        .any(|(sig, _)| sig.name().as_str() == "get"));
 
     // Disable get() directly on the live object (a configuration function
     // of the DCDO's own interface, §2.2).

@@ -249,11 +249,12 @@ proptest! {
             let _ = apply(&mut b, op);
         }
         let diff = a.diff_components(&b);
+        let remove: Vec<ComponentId> = diff.remove().collect();
         let mut result: Vec<ComponentId> = a
             .components()
             .map(|(c, _)| c)
-            .filter(|c| !diff.remove.contains(c))
-            .chain(diff.add.iter().map(|(c, _)| *c))
+            .filter(|c| !remove.contains(c))
+            .chain(diff.add().map(|(c, _)| c))
             .collect();
         result.sort();
         let mut expected: Vec<ComponentId> = b.components().map(|(c, _)| c).collect();

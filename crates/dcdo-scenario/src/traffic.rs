@@ -144,9 +144,21 @@ impl Workload for Calls {
 /// Configuration-plane traffic against the live DCDO's own interface
 /// (§2.2): rotating interface queries, function-status queries, and
 /// lazy-check mode flips.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ConfigOps {
     count: u64,
+    /// The function the status queries ask about, built once: each query
+    /// clones it (a refcount bump).
+    status_of: FunctionName,
+}
+
+impl Default for ConfigOps {
+    fn default() -> Self {
+        ConfigOps {
+            count: 0,
+            status_of: "get".into(),
+        }
+    }
 }
 
 impl ConfigOps {
@@ -184,7 +196,7 @@ impl Workload for ConfigOps {
                     s.client,
                     s.dcdo,
                     ControlOp::new(QueryFunctionStatus {
-                        function: "get".into(),
+                        function: self.status_of.clone(),
                     }),
                 ),
                 _ => {

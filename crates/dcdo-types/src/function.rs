@@ -179,6 +179,21 @@ impl FunctionSignature {
         self.ret
     }
 
+    /// The length in bytes of the signature's rendering (`name(int, str)
+    /// -> int`), counted without building the text.
+    pub fn rendered_len(&self) -> usize {
+        struct Count(usize);
+        impl fmt::Write for Count {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len();
+                Ok(())
+            }
+        }
+        let mut count = Count(0);
+        let _ = fmt::Write::write_fmt(&mut count, format_args!("{self}"));
+        count.0
+    }
+
     /// Returns `true` if `other` can replace `self` without breaking callers:
     /// same name, same arity, pairwise-compatible parameter and return types.
     pub fn compatible_with(&self, other: &FunctionSignature) -> bool {
@@ -374,6 +389,9 @@ mod tests {
         let compare: FunctionSignature = "compare(int, int) -> int".parse().unwrap();
         assert_eq!(compare.params().len(), 2);
         assert_eq!(compare.ret(), TypeTag::Int);
+        for sig in [&sort, &compare, &"ping()".parse().unwrap()] {
+            assert_eq!(sig.rendered_len(), sig.to_string().len());
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! [`ObjectCodeFormat::DcdoBytecode`](dcdo_types::ObjectCodeFormat).
 
 use std::fmt;
+use std::rc::Rc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dcdo_types::{FunctionSignature, ObjectId};
@@ -71,6 +72,13 @@ impl Writer {
     /// Creates an empty writer.
     pub fn new() -> Self {
         Writer::default()
+    }
+
+    /// Creates an empty writer with room for `n` bytes.
+    pub fn with_capacity(n: usize) -> Self {
+        Writer {
+            buf: BytesMut::with_capacity(n),
+        }
     }
 
     /// Finishes and returns the encoded bytes.
@@ -176,10 +184,17 @@ impl Reader {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, DecodeError> {
+        self.str_with(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string and hands it to `f` in place,
+    /// so a caller that keeps it as an `Rc<str>` copies it once.
+    pub fn str_with<T>(&mut self, f: impl FnOnce(&str) -> T) -> Result<T, DecodeError> {
         let n = self.read_len()?;
         self.need(n)?;
         let bytes = self.buf.copy_to_bytes(n);
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+        let s = std::str::from_utf8(&bytes).map_err(|_| DecodeError::BadUtf8)?;
+        Ok(f(s))
     }
 }
 
@@ -228,7 +243,7 @@ pub fn read_value(r: &mut Reader) -> Result<Value, DecodeError> {
         TAG_UNIT => Ok(Value::Unit),
         TAG_INT => Ok(Value::Int(r.i64()?)),
         TAG_BOOL => Ok(Value::Bool(r.u8()? != 0)),
-        TAG_STR => Ok(Value::str(r.str()?)),
+        TAG_STR => r.str_with(|s| Value::Str(Rc::from(s))),
         TAG_LIST => {
             let n = r.read_len()?;
             let mut items = Vec::with_capacity(n.min(1024));

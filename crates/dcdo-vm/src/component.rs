@@ -13,7 +13,6 @@
 //! hundreds-of-kilobytes native components of the paper while the actual
 //! bytecode stays small.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::rc::Rc;
 
@@ -273,12 +272,12 @@ impl ComponentBinary {
     /// Validates the component: unique function names, valid code, and
     /// dependency sources implemented here.
     pub fn validate(&self) -> Result<(), ComponentError> {
-        // Name lookups go through `&str` so the happy path allocates
-        // nothing: `FunctionName` is only cloned (a refcount bump) when
-        // building an error.
-        let mut seen: BTreeSet<&str> = BTreeSet::new();
-        for decl in &self.functions {
-            if !seen.insert(decl.name().as_str()) {
+        // A component declares a handful of functions, so the name checks
+        // scan the declarations and the happy path allocates nothing:
+        // `FunctionName` is only cloned (a refcount bump) for an error.
+        let declared = |name: &FunctionName| self.functions.iter().any(|d| d.name() == name);
+        for (i, decl) in self.functions.iter().enumerate() {
+            if self.functions[..i].iter().any(|d| d.name() == decl.name()) {
                 return Err(ComponentError::DuplicateFunction(decl.name().clone()));
             }
             decl.code()
@@ -290,9 +289,7 @@ impl ComponentBinary {
         }
         for dep in &self.dependencies {
             // Only pinned-to-self sources can be checked locally.
-            if dep.source().component() == Some(self.id)
-                && !seen.contains(dep.source().function().as_str())
-            {
+            if dep.source().component() == Some(self.id) && !declared(dep.source().function()) {
                 return Err(ComponentError::DanglingDependencySource(
                     dep.source().function().clone(),
                 ));

@@ -72,9 +72,20 @@ impl ValueStore {
             .sum()
     }
 
-    /// Serializes the store (Legion state capture).
+    /// The length of [`capture`](ValueStore::capture)'s encoding: a slot
+    /// count, then each key's length and bytes and its value's
+    /// [`Value::approx_size`] bytes.
+    fn encoded_len(&self) -> usize {
+        let slots = self.slots.iter();
+        4 + slots
+            .map(|(k, v)| 4 + k.len() + v.approx_size() as usize)
+            .sum::<usize>()
+    }
+
+    /// Serializes the store (Legion state capture) into a buffer sized
+    /// once.
     pub fn capture(&self) -> bytes::Bytes {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(self.encoded_len());
         w.u32(self.slots.len() as u32);
         for (k, v) in &self.slots {
             w.str(k);
@@ -93,7 +104,7 @@ impl ValueStore {
         let n = r.read_len()?;
         let mut slots = BTreeMap::new();
         for _ in 0..n {
-            let key: Rc<str> = r.str()?.into();
+            let key: Rc<str> = r.str_with(|s| s.into())?;
             let value = read_value(&mut r)?;
             slots.insert(key, value);
         }
@@ -134,7 +145,11 @@ mod tests {
         store.set("name", Value::str("svc"));
         store.set("hits", Value::Int(42));
         store.set("log", Value::List(vec![Value::str("a"), Value::str("b")]));
-        let restored = ValueStore::restore(store.capture()).expect("round trip");
+        store.set("flags", Value::List(vec![Value::Bool(true), Value::Unit]));
+        store.set("peer", Value::ObjRef(dcdo_types::ObjectId::from_raw(7)));
+        let captured = store.capture();
+        assert_eq!(captured.len(), store.encoded_len(), "sized exactly");
+        let restored = ValueStore::restore(captured).expect("round trip");
         assert_eq!(restored, store);
     }
 

@@ -85,7 +85,8 @@ impl Value {
         }
     }
 
-    /// Approximate serialized size in bytes, used for wire-size accounting.
+    /// Serialized size in bytes — exactly what the codec writes — used for
+    /// wire-size accounting.
     pub fn approx_size(&self) -> u64 {
         match self {
             Value::Unit => 1,

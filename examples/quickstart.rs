@@ -237,7 +237,7 @@ fn main() {
     let report = interface.result.expect("query succeeds");
     let report = report.control_as::<InterfaceReport>().expect("report");
     println!("exported interface:");
-    for (sig, prot) in &report.functions {
+    for (sig, prot) in report.functions() {
         println!("  {sig}  [{prot}]");
     }
 }
