@@ -243,7 +243,8 @@ impl Columns {
             .all(|w| key(w[0].window, w[0].name) < key(w[1].window, w[1].name));
         if in_order {
             // The common case: records arrived window by window with one
-            // run per series, so only each run's samples need ordering.
+            // run per series, so each run's samples are ordered in place,
+            // without a second sample column at the end of the run.
             for i in 0..self.runs.len() {
                 let (start, end) = (self.runs[i].start as usize, self.end(i));
                 self.samples[start..end].sort_by(f64::total_cmp);
@@ -262,10 +263,8 @@ impl Columns {
                     if let Some(last) = runs.last() {
                         samples[last.start as usize..].sort_by(f64::total_cmp);
                     }
-                    runs.push(Run {
-                        start: samples.len() as u32,
-                        ..r
-                    });
+                    let start = u32::try_from(samples.len()).expect("timeline sample overflow");
+                    runs.push(Run { start, ..r });
                 }
             }
             samples.extend_from_slice(&self.samples[r.start as usize..self.end(i)]);
