@@ -145,14 +145,11 @@ impl Columns {
     /// The id of `name`, added to the table on first sight. The table holds
     /// the handful of series the runner derives, so a scan beats a hash.
     fn name_id(&mut self, name: &str) -> u32 {
-        let id = match self.names.iter().position(|n| n == name) {
-            Some(id) => id,
-            None => {
-                self.names.push(name.to_owned());
-                self.names.len() - 1
-            }
-        };
-        u32::try_from(id).expect("timeline name table overflow")
+        if let Some(id) = self.id_of(name) {
+            return id;
+        }
+        self.names.push(name.to_owned());
+        u32::try_from(self.names.len() - 1).expect("timeline name table overflow")
     }
 
     fn id_of(&self, name: &str) -> Option<u32> {
@@ -241,39 +238,31 @@ impl Columns {
             .runs
             .windows(2)
             .all(|w| key(w[0].window, w[0].name) < key(w[1].window, w[1].name));
-        if in_order {
-            // The common case: records arrived window by window with one
-            // run per series, so each run's samples are ordered in place,
-            // without a second sample column at the end of the run.
-            for i in 0..self.runs.len() {
-                let (start, end) = (self.runs[i].start as usize, self.end(i));
-                self.samples[start..end].sort_by(f64::total_cmp);
-            }
-            return;
-        }
-        let mut order: Vec<usize> = (0..self.runs.len()).collect();
-        order.sort_by_key(|&i| key(self.runs[i].window, self.runs[i].name));
-        let mut samples = Vec::with_capacity(self.samples.len());
-        let mut runs: Vec<Run> = Vec::new();
-        for i in order {
-            let r = self.runs[i];
-            match runs.last() {
-                Some(last) if (last.window, last.name) == (r.window, r.name) => {}
-                _ => {
-                    if let Some(last) = runs.last() {
-                        samples[last.start as usize..].sort_by(f64::total_cmp);
-                    }
+        // The common case is in order: records arrived window by window
+        // with one run per series, and no second sample column is built.
+        if !in_order {
+            let mut order: Vec<usize> = (0..self.runs.len()).collect();
+            order.sort_by_key(|&i| key(self.runs[i].window, self.runs[i].name));
+            let mut samples = Vec::with_capacity(self.samples.len());
+            let mut runs: Vec<Run> = Vec::new();
+            for i in order {
+                let r = self.runs[i];
+                if runs
+                    .last()
+                    .is_none_or(|l| (l.window, l.name) != (r.window, r.name))
+                {
                     let start = u32::try_from(samples.len()).expect("timeline sample overflow");
                     runs.push(Run { start, ..r });
                 }
+                samples.extend_from_slice(&self.samples[r.start as usize..self.end(i)]);
             }
-            samples.extend_from_slice(&self.samples[r.start as usize..self.end(i)]);
+            self.samples = samples;
+            self.runs = runs;
         }
-        if let Some(last) = runs.last() {
-            samples[last.start as usize..].sort_by(f64::total_cmp);
+        for i in 0..self.runs.len() {
+            let (start, end) = (self.runs[i].start as usize, self.end(i));
+            self.samples[start..end].sort_by(f64::total_cmp);
         }
-        self.samples = samples;
-        self.runs = runs;
     }
 }
 
