@@ -11,6 +11,7 @@ use dcdo_sim::NodeId;
 use dcdo_types::{Architecture, ObjectId};
 use legion_substrate::harness::Testbed;
 use legion_substrate::host::HostObject;
+use legion_substrate::object::LegionObject;
 
 /// One node's host entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -14,7 +14,8 @@ use std::rc::Rc;
 use dcdo_sim::{Actor, ActorId, Ctx, SimDuration};
 use dcdo_types::{CallId, ComponentId, ImplementationType, ObjectId};
 use dcdo_vm::{ComponentBinary, ComponentDescriptor};
-use legion_substrate::{CostModel, InvocationFault, Msg};
+use legion_substrate::object::{self, LegionObject, Served};
+use legion_substrate::{ControlOp, CostModel, Msg};
 
 use crate::ops::{
     ComponentDescriptorReply, ComponentPayload, ReadComponent, ReadComponentDescriptor,
@@ -42,11 +43,6 @@ impl Ico {
             reads_served: 0,
             pending_reads: std::collections::HashMap::new(),
         }
-    }
-
-    /// The ICO's object identity.
-    pub fn object_id(&self) -> ObjectId {
-        self.object
     }
 
     /// The component maintained.
@@ -82,59 +78,45 @@ impl Ico {
     }
 }
 
+impl LegionObject for Ico {
+    fn object_id(&self) -> ObjectId {
+        self.object
+    }
+
+    fn control(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served {
+        if op.downcast_ref::<ReadComponent>().is_some() {
+            // Serving the data takes the component-transfer time;
+            // acknowledge immediately, deliver when done.
+            ctx.send(from, Msg::Progress { call });
+            let token = ctx.fresh_u64();
+            self.pending_reads.insert(token, (from, call));
+            let delay = self.read_time();
+            ctx.metrics().incr("ico.reads");
+            ctx.metrics().sample_duration("ico.read_time", delay);
+            ctx.schedule_timer(delay, token);
+            Served::Later
+        } else if op.downcast_ref::<ReadComponentDescriptor>().is_some() {
+            Served::Reply(Msg::control_ok(
+                call,
+                ComponentDescriptorReply {
+                    descriptor: self.descriptor.clone(),
+                },
+            ))
+        } else {
+            Served::Unknown
+        }
+    }
+}
+
 impl Actor<Msg> for Ico {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Control { call, target, op } => {
-                if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
-                    );
-                    return;
-                }
-                if op.as_any().downcast_ref::<ReadComponent>().is_some() {
-                    // Serving the data takes the component-transfer time;
-                    // acknowledge immediately, deliver when done.
-                    ctx.send(from, Msg::Progress { call });
-                    let token = ctx.fresh_u64();
-                    self.pending_reads.insert(token, (from, call));
-                    let delay = self.read_time();
-                    ctx.metrics().incr("ico.reads");
-                    ctx.metrics().sample_duration("ico.read_time", delay);
-                    ctx.schedule_timer(delay, token);
-                } else if op
-                    .as_any()
-                    .downcast_ref::<ReadComponentDescriptor>()
-                    .is_some()
-                {
-                    ctx.send(
-                        from,
-                        Msg::control_ok(
-                            call,
-                            ComponentDescriptorReply {
-                                descriptor: self.descriptor.clone(),
-                            },
-                        ),
-                    );
-                } else {
-                    ctx.send(
-                        from,
-                        Msg::refused(call, format!("ICO does not understand {}", op.describe())),
-                    );
-                }
-            }
-            Msg::Invoke { call, function, .. } => {
-                ctx.send(
-                    from,
-                    Msg::Reply {
-                        call,
-                        result: Err(InvocationFault::NoSuchFunction(function)),
-                    },
-                );
-            }
-            Msg::Reply { .. } | Msg::ControlReply { .. } | Msg::Progress { .. } => {}
-        }
+        object::deliver(self, ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
@@ -172,7 +154,7 @@ impl std::fmt::Debug for Ico {
 mod tests {
     use dcdo_sim::{NetConfig, NodeId, Simulation};
     use dcdo_vm::ComponentBuilder;
-    use legion_substrate::ControlOp;
+    use legion_substrate::InvocationFault;
 
     use super::*;
 

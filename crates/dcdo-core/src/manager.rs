@@ -60,11 +60,9 @@ use bytes::Bytes;
 use dcdo_sim::{Actor, ActorId, Ctx, FlowKind, IdMap, NodeId, SpanKind};
 use dcdo_types::{CallId, ClassId, ImplementationType, ObjectId, VersionId};
 use legion_substrate::binding::UnregisterBinding;
+use legion_substrate::object::{self, LegionObject, Served};
 use legion_substrate::plan::{answer, Action, Flow, Held, Kind, PlanOwner, Plans, Reply, Step};
-use legion_substrate::{
-    Ack, AgentAddress, ControlOp, CostModel, Handled, InvocationFault, Msg, RpcClient,
-    RpcCompletion,
-};
+use legion_substrate::{Ack, AgentAddress, ControlOp, CostModel, Msg, RpcClient, RpcCompletion};
 
 use crate::descriptor::DfmDescriptor;
 use crate::error::{ack_or_refuse, ConfigError};
@@ -351,11 +349,6 @@ impl DcdoManager {
     pub fn with_vault(mut self, vault: ObjectId) -> Self {
         self.vault = Some(vault);
         self
-    }
-
-    /// The manager's object identity.
-    pub fn object_id(&self) -> ObjectId {
-        self.object
     }
 
     /// The current (official) version.
@@ -904,44 +897,8 @@ impl DcdoManager {
             .map_or(0, |g| g.refused_while_fenced)
     }
 
-    fn handle_control(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: ActorId,
-        call: CallId,
-        op: ControlOp,
-    ) {
-        let reply = Some((from, call));
-        if let Some(create) = op.as_any().downcast_ref::<CreateDcdo>() {
-            return self.start_flow(ctx, MgrKind::Create, reply, None, Some(create.node));
-        }
-        if let Some(update) = op.as_any().downcast_ref::<UpdateInstance>() {
-            return self.start_update(ctx, reply, update.object, update.to.clone(), 0);
-        }
-        if let Some(mig) = op.as_any().downcast_ref::<MigrateDcdo>() {
-            return self.start_flow(ctx, MgrKind::Migrate, reply, Some(mig.object), Some(mig.to));
-        }
-        if let Some(de) = op.as_any().downcast_ref::<DeactivateDcdo>() {
-            return self.start_flow(ctx, MgrKind::Deactivate, reply, Some(de.object), None);
-        }
-        if let Some(act) = op.as_any().downcast_ref::<ActivateDcdo>() {
-            return self.start_flow(ctx, MgrKind::Activate, reply, Some(act.object), act.node);
-        }
-        if let Some(cp) = op.as_any().downcast_ref::<CheckpointDcdo>() {
-            return self.start_flow(ctx, MgrKind::Checkpoint, reply, Some(cp.object), None);
-        }
-        if let Some(nf) = op.as_any().downcast_ref::<NodeFailed>() {
-            return self.handle_node_failed(ctx, from, call, nf.node);
-        }
-        if let Some(nr) = op.as_any().downcast_ref::<NodeRecovered>() {
-            return self.handle_node_recovered(ctx, from, call, nr.node);
-        }
-        if let Some(cfg) = op.as_any().downcast_ref::<ConfigureVersion>() {
-            return self.handle_configure(ctx, from, call, cfg);
-        }
-        if let Some(set) = op.as_any().downcast_ref::<SetGroupEpoch>() {
-            return self.handle_set_group_epoch(ctx, from, call, set);
-        }
+    /// Answers a control op served in one step, or says it is unknown.
+    fn sync_control(&mut self, ctx: &mut Ctx<'_, Msg>, call: CallId, op: &ControlOp) -> Served {
         let reply = if let Some(derive) = op.as_any().downcast_ref::<DeriveVersion>() {
             match self.derive_version(&derive.from) {
                 Ok(version) => Msg::control_ok(call, DerivedVersion { version }),
@@ -1033,12 +990,9 @@ impl DcdoManager {
                 Err(e) => Msg::refused(call, e),
             }
         } else {
-            Msg::refused(
-                call,
-                format!("DCDO Manager does not understand {}", op.describe()),
-            )
+            return Served::Unknown;
         };
-        ctx.send(from, reply);
+        Served::Reply(reply)
     }
 }
 
@@ -1213,47 +1167,70 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
     }
 }
 
-impl Actor<Msg> for DcdoManager {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Control { call, target, op } => {
-                if target != self.object {
-                    return ctx.send(
-                        from,
-                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
-                    );
-                }
-                self.handle_control(ctx, from, call, op);
-            }
-            Msg::Invoke { call, function, .. } => {
-                ctx.send(
-                    from,
-                    Msg::Reply {
-                        call,
-                        result: Err(InvocationFault::NoSuchFunction(function)),
-                    },
-                );
-            }
-            reply => {
-                if let Handled::Completed(completion) = self.rpc.handle_message(ctx, reply) {
-                    self.handle_rpc_completion(ctx, completion);
-                }
-            }
-        }
+impl LegionObject for DcdoManager {
+    fn object_id(&self) -> ObjectId {
+        self.object
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
-        if self.rpc.owns_timer(token) {
-            if let Some(completion) = self.rpc.handle_timer(ctx, token) {
-                self.handle_rpc_completion(ctx, completion);
-            }
-            return;
+    fn control(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served {
+        let reply = Some((from, call));
+        let any = op.as_any();
+        if let Some(create) = any.downcast_ref::<CreateDcdo>() {
+            self.start_flow(ctx, MgrKind::Create, reply, None, Some(create.node));
+        } else if let Some(update) = any.downcast_ref::<UpdateInstance>() {
+            self.start_update(ctx, reply, update.object, update.to.clone(), 0);
+        } else if let Some(mig) = any.downcast_ref::<MigrateDcdo>() {
+            self.start_flow(ctx, MgrKind::Migrate, reply, Some(mig.object), Some(mig.to));
+        } else if let Some(de) = any.downcast_ref::<DeactivateDcdo>() {
+            self.start_flow(ctx, MgrKind::Deactivate, reply, Some(de.object), None);
+        } else if let Some(act) = any.downcast_ref::<ActivateDcdo>() {
+            self.start_flow(ctx, MgrKind::Activate, reply, Some(act.object), act.node);
+        } else if let Some(cp) = any.downcast_ref::<CheckpointDcdo>() {
+            self.start_flow(ctx, MgrKind::Checkpoint, reply, Some(cp.object), None);
+        } else if let Some(nf) = any.downcast_ref::<NodeFailed>() {
+            self.handle_node_failed(ctx, from, call, nf.node);
+        } else if let Some(nr) = any.downcast_ref::<NodeRecovered>() {
+            self.handle_node_recovered(ctx, from, call, nr.node);
+        } else if let Some(cfg) = any.downcast_ref::<ConfigureVersion>() {
+            self.handle_configure(ctx, from, call, cfg);
+        } else if let Some(set) = any.downcast_ref::<SetGroupEpoch>() {
+            self.handle_set_group_epoch(ctx, from, call, set);
+        } else {
+            return self.sync_control(ctx, call, op);
         }
+        Served::Later
+    }
+
+    fn rpc(&mut self) -> Option<&mut RpcClient> {
+        Some(&mut self.rpc)
+    }
+
+    fn completed(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
+        self.handle_rpc_completion(ctx, completion);
+    }
+
+    fn timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
         if let Some((object, version, attempt)) = self.retry_updates.remove(&token) {
             self.start_update(ctx, None, object, Some(version), attempt);
             return;
         }
         self.plan_timer(ctx, token);
+    }
+}
+
+impl Actor<Msg> for DcdoManager {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
+        object::deliver(self, ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+        object::fire(self, ctx, token);
     }
 
     fn name(&self) -> &str {

@@ -32,11 +32,9 @@ use dcdo_types::{
 };
 use dcdo_vm::{ComponentBinary, NativeRegistry, Value, ValueStore};
 use legion_substrate::host::{ComponentData, FetchComponentData, StoreComponentData};
-use legion_substrate::monolithic::{CaptureState, Deactivate, RestoreState, StateBlob};
+use legion_substrate::object::{self, state_op, LegionObject, Served};
 use legion_substrate::plan::{answer, Action, Flow, Kind, PlanOwner, Plans, Reply};
-use legion_substrate::{
-    Ack, ControlOp, CostModel, Handled, InvocationFault, Msg, RpcClient, RpcCompletion,
-};
+use legion_substrate::{Ack, ControlOp, CostModel, Msg, RpcClient, RpcCompletion};
 
 use crate::descriptor::DfmDescriptor;
 use crate::dfm::Dfm;
@@ -225,11 +223,6 @@ impl DcdoObject {
             check_call: None,
             config_ops_applied: 0,
         }
-    }
-
-    /// The DCDO's identity.
-    pub fn object_id(&self) -> ObjectId {
-        self.object
     }
 
     /// The native architecture of the host this DCDO runs on.
@@ -487,61 +480,10 @@ impl DcdoObject {
         self.start_config(ctx, reply, ConfigOp::Apply { target }, items);
     }
 
-    /// An RPC completed: an outcall of a running thread, a flow step, or
-    /// the lazy version check.
-    fn on_completion(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
-        if self.runtime.owns_completion(&completion) {
-            self.runtime.handle_outcall_completion(
-                ctx,
-                completion,
-                &mut self.dfm,
-                &NativeRegistry,
-                &mut self.state,
-                &mut self.rpc,
-            );
-        } else if let Some(completion) = self.plan_reply(ctx, completion) {
-            if self.check_call.take_if(|c| *c == completion.call).is_some() {
-                self.handle_check_reply(ctx, completion);
-            }
-        }
-    }
-
     // ---- control dispatch ------------------------------------------------
 
-    fn handle_control(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: ActorId,
-        call: CallId,
-        op: ControlOp,
-    ) {
-        // Multi-step configuration functions.
-        let reply = Some((from, call));
-        if let Some(inc) = op.as_any().downcast_ref::<IncorporateComponent>() {
-            let item = FetchItem {
-                ico: inc.ico,
-                component: None,
-                staged: Staged::Nothing,
-            };
-            return self.start_config(ctx, reply, ConfigOp::Incorporate, vec![item]);
-        }
-        if let Some(apply) = op.as_any().downcast_ref::<ApplyDfmDescriptor>() {
-            return self.begin_apply(ctx, reply, apply.descriptor.clone());
-        }
-        if let Some(rm) = op.as_any().downcast_ref::<RemoveComponent>() {
-            let remove = ConfigOp::Remove {
-                component: rm.component,
-            };
-            return self.start_config(ctx, reply, remove, Vec::new());
-        }
-        if let Some(dis) = op.as_any().downcast_ref::<DisableFunction>() {
-            let disable = ConfigOp::Disable {
-                function: dis.function.clone(),
-            };
-            return self.start_config(ctx, reply, disable, Vec::new());
-        }
-
-        // Synchronous configuration and status functions.
+    /// Answers a control op served in one step, or says it is unknown.
+    fn sync_control(&mut self, ctx: &mut Ctx<'_, Msg>, call: CallId, op: &ControlOp) -> Served {
         let reply = if let Some(en) = op.as_any().downcast_ref::<EnableFunction>() {
             let r = self.dfm.enable_function(&en.function, en.component);
             self.config_reply(ctx, call, r)
@@ -603,29 +545,10 @@ impl DcdoObject {
                     implementations,
                 },
             )
-        } else if op.as_any().downcast_ref::<CaptureState>().is_some() {
-            Msg::control_ok(
-                call,
-                StateBlob {
-                    bytes: self.state.capture(),
-                },
-            )
-        } else if let Some(restore) = op.as_any().downcast_ref::<RestoreState>() {
-            match ValueStore::restore(restore.bytes.clone()) {
-                Ok(state) => {
-                    self.state = state;
-                    Msg::control_ok(call, Ack)
-                }
-                Err(e) => Msg::refused(call, format!("bad state blob: {e}")),
-            }
-        } else if op.as_any().downcast_ref::<Deactivate>().is_some() {
-            let me = ctx.self_id();
-            ctx.kill(me);
-            Msg::control_ok(call, Ack)
         } else {
-            Msg::refused(call, format!("DCDO does not understand {}", op.describe()))
+            return state_op(ctx, &mut self.state, call, op);
         };
-        ctx.send(from, reply);
+        Served::Reply(reply)
     }
 
     /// Replies to a synchronous configuration function, stamping the new
@@ -796,66 +719,100 @@ impl PlanOwner<Config, Change> for DcdoObject {
     }
 }
 
-impl Actor<Msg> for DcdoObject {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Invoke {
-                call,
-                target,
-                function,
-                args,
-            } => {
-                if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::Reply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
-                    );
-                    return;
-                }
-                let invocation = Invocation {
-                    from,
-                    call,
-                    function,
-                    args,
-                };
-                if self.check_in_flight {
-                    return self.parked.push(invocation);
-                }
-                self.calls_since_check += 1;
-                if self.lazy_check_due(ctx.now()) {
-                    self.parked.push(invocation);
-                    return self.start_version_check(ctx);
-                }
+impl LegionObject for DcdoObject {
+    fn object_id(&self) -> ObjectId {
+        self.object
+    }
+
+    /// The multi-step configuration functions open a flow; the rest are
+    /// answered at once.
+    fn control(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served {
+        let reply = Some((from, call));
+        if let Some(inc) = op.as_any().downcast_ref::<IncorporateComponent>() {
+            let item = FetchItem {
+                ico: inc.ico,
+                component: None,
+                staged: Staged::Nothing,
+            };
+            self.start_config(ctx, reply, ConfigOp::Incorporate, vec![item]);
+        } else if let Some(apply) = op.as_any().downcast_ref::<ApplyDfmDescriptor>() {
+            self.begin_apply(ctx, reply, apply.descriptor.clone());
+        } else if let Some(rm) = op.as_any().downcast_ref::<RemoveComponent>() {
+            let remove = ConfigOp::Remove {
+                component: rm.component,
+            };
+            self.start_config(ctx, reply, remove, Vec::new());
+        } else if let Some(dis) = op.as_any().downcast_ref::<DisableFunction>() {
+            let disable = ConfigOp::Disable {
+                function: dis.function.clone(),
+            };
+            self.start_config(ctx, reply, disable, Vec::new());
+        } else {
+            return self.sync_control(ctx, call, op);
+        }
+        Served::Later
+    }
+
+    /// Serves the call, parks it behind a lazy version check in flight, or
+    /// parks it and starts one.
+    fn invoke(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: ActorId,
+        call: CallId,
+        function: FunctionName,
+        args: Vec<Value>,
+    ) -> Result<(), FunctionName> {
+        let invocation = Invocation {
+            from,
+            call,
+            function,
+            args,
+        };
+        if self.check_in_flight {
+            self.parked.push(invocation);
+        } else {
+            self.calls_since_check += 1;
+            if self.lazy_check_due(ctx.now()) {
+                self.parked.push(invocation);
+                self.start_version_check(ctx);
+            } else {
                 self.serve(ctx, invocation);
             }
-            Msg::Control { call, target, op } => {
-                if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
-                    );
-                    return;
-                }
-                self.handle_control(ctx, from, call, op);
-            }
-            reply => {
-                if let Handled::Completed(completion) = self.rpc.handle_message(ctx, reply) {
-                    self.on_completion(ctx, completion);
-                }
+        }
+        Ok(())
+    }
+
+    fn rpc(&mut self) -> Option<&mut RpcClient> {
+        Some(&mut self.rpc)
+    }
+
+    /// An outcall of a running thread, a flow step, or the lazy version
+    /// check.
+    fn completed(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
+        if self.runtime.owns_completion(&completion) {
+            self.runtime.handle_outcall_completion(
+                ctx,
+                completion,
+                &mut self.dfm,
+                &NativeRegistry,
+                &mut self.state,
+                &mut self.rpc,
+            );
+        } else if let Some(completion) = self.plan_reply(ctx, completion) {
+            if self.check_call.take_if(|c| *c == completion.call).is_some() {
+                self.handle_check_reply(ctx, completion);
             }
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
-        if self.rpc.owns_timer(token) {
-            if let Some(completion) = self.rpc.handle_timer(ctx, token) {
-                self.on_completion(ctx, completion);
-            }
-            return;
-        }
+    fn timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
         if !self.plan_timer(ctx, token) {
             self.runtime.handle_timer(
                 ctx,
@@ -866,6 +823,16 @@ impl Actor<Msg> for DcdoObject {
                 &mut self.rpc,
             );
         }
+    }
+}
+
+impl Actor<Msg> for DcdoObject {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
+        object::deliver(self, ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+        object::fire(self, ctx, token);
     }
 
     fn name(&self) -> &str {

@@ -25,6 +25,7 @@ use dcdo_sim::{
 };
 use dcdo_types::{CallId, FunctionName, ObjectId};
 use dcdo_vm::Value;
+use legion_substrate::object::{self, LegionObject, Served};
 use legion_substrate::{control_payload, Ack, ControlOp, InvocationFault, Msg};
 
 use crate::lattice::{ConfigDelta, GroupConfig};
@@ -257,8 +258,20 @@ impl GroupReplica {
             generation: self.config.epoch,
         });
     }
+}
 
-    fn on_control(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, call: CallId, op: ControlOp) {
+impl LegionObject for GroupReplica {
+    fn object_id(&self) -> ObjectId {
+        self.object
+    }
+
+    fn control(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        _: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served {
         let reply = if let Some(prep) = op.downcast_ref::<EpochPrepare>() {
             if prep.group != self.group || prep.epoch <= self.config.epoch {
                 Msg::refused(
@@ -312,52 +325,45 @@ impl GroupReplica {
                 },
             )
         } else {
-            Msg::refused(
-                call,
-                format!("group replica does not handle {}", op.describe()),
-            )
+            return Served::Unknown;
         };
-        ctx.send(from, reply);
+        Served::Reply(reply)
+    }
+
+    /// A replica serves any function: fenced, it refuses; otherwise it
+    /// answers with the version it runs.
+    fn invoke(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: ActorId,
+        call: CallId,
+        _: FunctionName,
+        _: Vec<Value>,
+    ) -> Result<(), FunctionName> {
+        let result = if let Some(fence) = &self.fence {
+            self.refused += 1;
+            Err(InvocationFault::Refused(format!(
+                "fenced for epoch {}",
+                fence.epoch
+            )))
+        } else {
+            self.served += 1;
+            ctx.emit_span(SpanKind::EpochServed {
+                group: self.group,
+                replica: self.member,
+                epoch: self.config.epoch,
+                call: call.as_raw(),
+            });
+            Ok(Value::Int(self.running_version() as i64))
+        };
+        ctx.send(from, Msg::Reply { call, result });
+        Ok(())
     }
 }
 
 impl Actor<Msg> for GroupReplica {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Invoke { call, target, .. } => {
-                let result = if target != self.object {
-                    Err(InvocationFault::NoSuchObject(target))
-                } else if self.fence.is_some() {
-                    self.refused += 1;
-                    Err(InvocationFault::Refused(format!(
-                        "fenced for epoch {}",
-                        self.fence.as_ref().map(|f| f.epoch).unwrap_or_default()
-                    )))
-                } else {
-                    self.served += 1;
-                    ctx.emit_span(SpanKind::EpochServed {
-                        group: self.group,
-                        replica: self.member,
-                        epoch: self.config.epoch,
-                        call: call.as_raw(),
-                    });
-                    Ok(Value::Int(self.running_version() as i64))
-                };
-                ctx.send(from, Msg::Reply { call, result });
-            }
-            Msg::Control { call, target, op } => {
-                if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
-                    );
-                    return;
-                }
-                self.on_control(ctx, from, call, op);
-            }
-            // Replies to this replica's own (nonexistent) outcalls.
-            _ => {}
-        }
+        object::deliver(self, ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
@@ -602,68 +608,63 @@ impl GroupCoordinator {
     }
 }
 
+impl LegionObject for GroupCoordinator {
+    fn object_id(&self) -> ObjectId {
+        self.object
+    }
+
+    fn control(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served {
+        let Some(p) = op.downcast_ref::<ProposeConfig>() else {
+            return Served::Unknown;
+        };
+        if p.group != self.group {
+            let why = format!("coordinator serves group {}, not {}", self.group, p.group);
+            return Served::Reply(Msg::refused(call, why));
+        }
+        // Accepted: the reply comes when the round resolves.
+        ctx.send(from, Msg::Progress { call });
+        self.inbox.join_in_place(&p.delta);
+        self.inbox_proposers.push((from, call));
+        if self.round.is_none() && !self.round_scheduled {
+            self.round_scheduled = true;
+            ctx.schedule_timer(self.round_delay, ROUND_TOKEN);
+        }
+        Served::Later
+    }
+
+    /// Prepare acks flow back here; commit/abort acks are Acks and
+    /// stale-prepare refusals are faults — both ignored.
+    fn reply(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
+        let Msg::ControlReply { result: Ok(op), .. } = msg else {
+            return;
+        };
+        let Some(ack) = op.downcast_ref::<EpochPrepareAck>() else {
+            return;
+        };
+        let Some(round) = self.round.as_mut() else {
+            return;
+        };
+        if ack.epoch != round.epoch || ack.joined_digest != round.joined_digest {
+            return;
+        }
+        if round.expected.contains(&ack.member) {
+            round.acks.insert(ack.member);
+        }
+        if round.acks.len() == round.expected.len() {
+            self.commit_round(ctx);
+        }
+    }
+}
+
 impl Actor<Msg> for GroupCoordinator {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Control { call, target, op } => {
-                if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
-                    );
-                    return;
-                }
-                if let Some(p) = op.downcast_ref::<ProposeConfig>() {
-                    if p.group != self.group {
-                        ctx.send(
-                            from,
-                            Msg::refused(
-                                call,
-                                format!("coordinator serves group {}, not {}", self.group, p.group),
-                            ),
-                        );
-                        return;
-                    }
-                    // Accepted: the reply comes when the round resolves.
-                    ctx.send(from, Msg::Progress { call });
-                    self.inbox.join_in_place(&p.delta);
-                    self.inbox_proposers.push((from, call));
-                    if self.round.is_none() && !self.round_scheduled {
-                        self.round_scheduled = true;
-                        ctx.schedule_timer(self.round_delay, ROUND_TOKEN);
-                    }
-                } else {
-                    ctx.send(
-                        from,
-                        Msg::refused(
-                            call,
-                            format!("group coordinator does not handle {}", op.describe()),
-                        ),
-                    );
-                }
-            }
-            Msg::ControlReply { result, .. } => {
-                // Prepare acks flow back here; commit/abort acks are Acks
-                // and stale-prepare refusals are faults — both ignored.
-                let Ok(op) = result else { return };
-                let Some(ack) = op.downcast_ref::<EpochPrepareAck>() else {
-                    return;
-                };
-                let Some(round) = self.round.as_mut() else {
-                    return;
-                };
-                if ack.epoch != round.epoch || ack.joined_digest != round.joined_digest {
-                    return;
-                }
-                if round.expected.contains(&ack.member) {
-                    round.acks.insert(ack.member);
-                }
-                if round.acks.len() == round.expected.len() {
-                    self.commit_round(ctx);
-                }
-            }
-            _ => {}
-        }
+        object::deliver(self, ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {

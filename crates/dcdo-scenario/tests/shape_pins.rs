@@ -1,15 +1,15 @@
 //! Pins what each benchmark shape costs the heap, exactly.
 //!
 //! A counting global allocator sees every allocation, reallocation and
-//! free this test thread makes while `run_artifacts` runs each of the four
-//! benchmark shapes (`dcdo_scenario::shapes`) at a tenth of the
-//! benchmark's size, seed 42. The counts are a function of the program
+//! free the test thread makes while `run_artifacts` runs each of the four
+//! benchmark shapes (`dcdo_scenario::shapes`) at seed 42: at a tenth of
+//! the benchmark's size, and, in an ignored test that release CI runs, at
+//! the benchmark's own size. The counts are a function of the program
 //! alone (the engine is deterministic and single-threaded), so they hold
 //! in debug and release builds alike and do not wobble between runs: a
-//! moved pin means the program's memory behaviour moved. This file holds
-//! exactly one test, so no other test's allocations reach the counters.
-//! A change that moves a pin re-pins it in a commit of its own and says
-//! why.
+//! moved pin means the program's memory behaviour moved. Counting is per
+//! thread, so the two tests may run side by side. A change that moves a
+//! pin re-pins it in a commit of its own and says why.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -114,13 +114,15 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// The benchmark's size multiplied by this.
-const SCALE: f64 = 0.1;
 const SEED: u64 = 42;
 
-/// Per shape, in `shapes::NAMES` order: allocations, reallocations, bytes
-/// allocated, large allocations, peak live bytes, events, spans.
-const PINS: [(&str, [u64; 7]); 4] = [
+/// A pin table: per shape, in `shapes::NAMES` order, allocations,
+/// reallocations, bytes allocated, large allocations, peak live bytes,
+/// events, spans.
+type Pins = [(&'static str, [u64; 7]); 4];
+
+/// At a tenth of the benchmark's size.
+const PINS: Pins = [
     (
         "calls_steady",
         [358, 109, 11568827, 13, 5797373, 18044, 63145],
@@ -139,10 +141,30 @@ const PINS: [(&str, [u64; 7]); 4] = [
     ),
 ];
 
-/// One shape's row: its counts over one `run_artifacts` call, with the
-/// run's events and spans.
-fn measure(name: &str) -> [u64; 7] {
-    let text = shapes::generate(name, SEED, SCALE).expect("a named shape");
+/// At the benchmark's size.
+const PINS_FULL: Pins = [
+    (
+        "calls_steady",
+        [363, 134, 154307731, 29, 77882918, 180044, 630145],
+    ),
+    (
+        "reconfig_churn",
+        [102848, 429, 68872073, 41, 26360799, 76734, 257640],
+    ),
+    (
+        "mixed_traffic_x50",
+        [66822, 314, 92566490, 34, 40420158, 87239, 297061],
+    ),
+    (
+        "upgrade_crash_long",
+        [260, 97, 149379625, 23, 74689541, 360071, 720167],
+    ),
+];
+
+/// One shape's row at `scale`: its counts over one `run_artifacts` call,
+/// with the run's events and spans.
+fn measure(name: &str, scale: f64) -> [u64; 7] {
+    let text = shapes::generate(name, SEED, scale).expect("a named shape");
     let scenario = Scenario::from_text(&text).expect("a shape parses");
     TALLY.with(|t| t.set(Tally::default()));
     COUNTING.with(|c| c.set(true));
@@ -171,13 +193,28 @@ fn render(rows: &[(&str, [u64; 7])]) -> String {
     out
 }
 
-#[test]
-fn each_shape_costs_the_heap_exactly_this_much() {
-    let got: Vec<(&str, [u64; 7])> = shapes::NAMES.iter().map(|&n| (n, measure(n))).collect();
+/// Fails, showing the measured table, unless every shape at `scale`
+/// matches `pins`.
+fn check(scale: f64, pins: &Pins) {
+    let got: Vec<(&str, [u64; 7])> = shapes::NAMES
+        .iter()
+        .map(|&n| (n, measure(n, scale)))
+        .collect();
     assert_eq!(
         render(&got),
-        render(&PINS),
+        render(pins),
         "allocations, reallocations, bytes allocated, allocations >= 128 KiB, \
-         peak live bytes, events, spans per shape at scale {SCALE}, seed {SEED}"
+         peak live bytes, events, spans per shape at scale {scale}, seed {SEED}"
     );
+}
+
+#[test]
+fn each_shape_costs_the_heap_exactly_this_much() {
+    check(0.1, &PINS);
+}
+
+#[test]
+#[ignore = "the benchmark's size: seconds in release, minutes in debug"]
+fn each_shape_at_full_size_costs_the_heap_exactly_this_much() {
+    check(1.0, &PINS_FULL);
 }

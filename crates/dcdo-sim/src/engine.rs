@@ -671,11 +671,7 @@ impl<M: Payload> Simulation<M> {
 
     /// Kills an actor; subsequent messages to it are dead letters.
     pub fn kill(&mut self, actor: ActorId) {
-        let Some(&node) = self
-            .placements
-            .get(actor.lane_index())
-            .and_then(|v| v.get(actor.ctr_index()))
-        else {
+        let Some(node) = self.placement(actor) else {
             return;
         };
         *self.slot_mut(actor).expect("placement implies slot") = Slot::Vacant;
@@ -731,35 +727,49 @@ impl<M: Payload> Simulation<M> {
         id: ActorId,
         f: impl FnOnce(&mut T, &mut Ctx<'_, M>) -> R,
     ) -> R {
-        let Some(slot_ref) = self.slot_mut(id) else {
+        let Some(node) = self.placement(id) else {
             panic!("with_actor: {id} is not alive");
         };
-        let slot = std::mem::replace(slot_ref, Slot::Running);
-        let Slot::Occupied(mut actor) = slot else {
-            panic!("with_actor: {id} is not alive");
-        };
-        let node = self.node_of(id);
-        let prev_lane = self.cur_lane;
-        self.cur_lane = node.as_raw() as u16 + 1;
-        let (out, killed) = {
-            let mut ctx = Ctx {
-                sim: self,
-                self_id: id,
-                killed_self: false,
-            };
-            let t = (actor.as_mut() as &mut dyn Any)
+        let ran = self.run_actor(id, node, |actor, ctx| {
+            let t = (actor as &mut dyn Any)
                 .downcast_mut::<T>()
                 .expect("with_actor: actor has a different concrete type");
-            let out = f(t, &mut ctx);
-            (out, ctx.killed_self)
+            f(t, ctx)
+        });
+        ran.unwrap_or_else(|| panic!("with_actor: {id} is not alive"))
+    }
+
+    /// The one way a handler runs: takes `id`'s slot to `Running`, sets the
+    /// lane to `node`'s, runs `handler` with a [`Ctx`], restores the lane,
+    /// and puts the actor back — or vacates the slot if the handler killed
+    /// its own actor. `None`, with the slot vacated, if no live actor is
+    /// there.
+    fn run_actor<R>(
+        &mut self,
+        id: ActorId,
+        node: NodeId,
+        handler: impl FnOnce(&mut dyn Actor<M>, &mut Ctx<'_, M>) -> R,
+    ) -> Option<R> {
+        let slot = self.slot_mut(id).expect("placement implies slot");
+        let Slot::Occupied(mut actor) = std::mem::replace(slot, Slot::Running) else {
+            *slot = Slot::Vacant;
+            return None;
         };
+        let prev_lane = std::mem::replace(&mut self.cur_lane, node.as_raw() as u16 + 1);
+        let mut ctx = Ctx {
+            sim: self,
+            self_id: id,
+            killed_self: false,
+        };
+        let out = handler(actor.as_mut(), &mut ctx);
+        let killed = ctx.killed_self;
         self.cur_lane = prev_lane;
         *self.slot_mut(id).expect("slot exists") = if killed {
             Slot::Vacant
         } else {
             Slot::Occupied(actor)
         };
-        out
+        Some(out)
     }
 
     /// Posts a message from `src` to `dst` through the network at the
@@ -819,6 +829,14 @@ impl<M: Payload> Simulation<M> {
             self.actors.resize_with(idx + 1, Vec::new);
             self.placements.resize_with(idx + 1, Vec::new);
         }
+    }
+
+    /// The node `id` was spawned on, if it ever was.
+    fn placement(&self, id: ActorId) -> Option<NodeId> {
+        self.placements
+            .get(id.lane_index())?
+            .get(id.ctr_index())
+            .copied()
     }
 
     fn slot(&self, id: ActorId) -> Option<&Slot<M>> {
@@ -1120,110 +1138,67 @@ impl<M: Payload> Simulation<M> {
     }
 
     fn dispatch_message(&mut self, src: ActorId, dst: ActorId, msg: M, cause: Option<SpanId>) {
-        let Some(&dst_node) = self
-            .placements
-            .get(dst.lane_index())
-            .and_then(|v| v.get(dst.ctr_index()))
-        else {
+        let Some(dst_node) = self.placement(dst) else {
             // Never-spawned destination: count and drop.
             self.metrics.incr("sim.dead_letters");
             self.trace_record(TraceEvent::DeadLetter { src, dst });
             self.observe(3, u32::MAX, dst.as_raw() as u64);
             return;
         };
-        self.cur_lane = dst_node.as_raw() as u16 + 1;
-        let slot_ref = self.slot_mut(dst).expect("placement implies slot");
-        let slot = std::mem::replace(slot_ref, Slot::Running);
-        let Slot::Occupied(mut actor) = slot else {
-            *self.slot_mut(dst).expect("slot exists") = Slot::Vacant;
-            self.metrics.incr("sim.dead_letters");
-            self.trace_record(TraceEvent::DeadLetter { src, dst });
-            self.span_emit(
+        let delivered = self.run_actor(dst, dst_node, |actor, ctx| {
+            let sim = &mut *ctx.sim;
+            sim.trace_record(TraceEvent::Delivered { src, dst });
+            sim.current_span = sim.span_emit(
                 dst_node.as_raw(),
                 cause,
-                SpanKind::MsgDeadLetter {
+                SpanKind::MsgDelivered {
                     src: src.as_raw(),
                     dst: dst.as_raw(),
                     dst_node: dst_node.as_raw(),
                 },
             );
-            self.observe(3, dst_node.as_raw(), dst.as_raw() as u64);
-            self.cur_lane = 0;
+            sim.observe(2, dst_node.as_raw(), dst.as_raw() as u64);
+            actor.on_message(ctx, src, msg);
+        });
+        self.current_span = None;
+        if delivered.is_some() {
             return;
-        };
-        self.trace_record(TraceEvent::Delivered { src, dst });
-        self.current_span = self.span_emit(
+        }
+        self.cur_lane = dst_node.as_raw() as u16 + 1;
+        self.metrics.incr("sim.dead_letters");
+        self.trace_record(TraceEvent::DeadLetter { src, dst });
+        self.span_emit(
             dst_node.as_raw(),
             cause,
-            SpanKind::MsgDelivered {
+            SpanKind::MsgDeadLetter {
                 src: src.as_raw(),
                 dst: dst.as_raw(),
                 dst_node: dst_node.as_raw(),
             },
         );
-        self.observe(2, dst_node.as_raw(), dst.as_raw() as u64);
-        let killed;
-        {
-            let mut ctx = Ctx {
-                sim: self,
-                self_id: dst,
-                killed_self: false,
-            };
-            actor.on_message(&mut ctx, src, msg);
-            killed = ctx.killed_self;
-        }
-        self.current_span = None;
+        self.observe(3, dst_node.as_raw(), dst.as_raw() as u64);
         self.cur_lane = 0;
-        *self.slot_mut(dst).expect("slot exists") = if killed {
-            Slot::Vacant
-        } else {
-            Slot::Occupied(actor)
-        };
     }
 
     fn dispatch_timer(&mut self, dst: ActorId, token: u64, cause: Option<SpanId>) {
         self.trace_record(TraceEvent::TimerFired { actor: dst, token });
-        let Some(&node) = self
-            .placements
-            .get(dst.lane_index())
-            .and_then(|v| v.get(dst.ctr_index()))
-        else {
+        let Some(node) = self.placement(dst) else {
             return;
         };
-        self.cur_lane = node.as_raw() as u16 + 1;
-        let slot_ref = self.slot_mut(dst).expect("placement implies slot");
-        let slot = std::mem::replace(slot_ref, Slot::Running);
-        let Slot::Occupied(mut actor) = slot else {
-            *self.slot_mut(dst).expect("slot exists") = Slot::Vacant;
-            self.cur_lane = 0;
-            return;
-        };
-        self.current_span = self.span_emit(
-            node.as_raw(),
-            cause,
-            SpanKind::TimerFired {
-                actor: dst.as_raw(),
-                token,
-            },
-        );
-        self.observe(4, node.as_raw(), dst.as_raw() as u64);
-        let killed;
-        {
-            let mut ctx = Ctx {
-                sim: self,
-                self_id: dst,
-                killed_self: false,
-            };
-            actor.on_timer(&mut ctx, token);
-            killed = ctx.killed_self;
-        }
+        self.run_actor(dst, node, |actor, ctx| {
+            let sim = &mut *ctx.sim;
+            sim.current_span = sim.span_emit(
+                node.as_raw(),
+                cause,
+                SpanKind::TimerFired {
+                    actor: dst.as_raw(),
+                    token,
+                },
+            );
+            sim.observe(4, node.as_raw(), dst.as_raw() as u64);
+            actor.on_timer(ctx, token);
+        });
         self.current_span = None;
-        self.cur_lane = 0;
-        *self.slot_mut(dst).expect("slot exists") = if killed {
-            Slot::Vacant
-        } else {
-            Slot::Occupied(actor)
-        };
     }
 
     /// Runs until the queue is empty. Returns the number of events

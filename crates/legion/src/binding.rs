@@ -13,10 +13,11 @@
 use std::collections::HashMap;
 
 use dcdo_sim::{Actor, ActorId, Ctx, SpanKind};
-use dcdo_types::ObjectId;
+use dcdo_types::{CallId, ObjectId};
 
 use crate::control_payload;
-use crate::msg::{Ack, InvocationFault, Msg};
+use crate::msg::{Ack, ControlOp, Msg};
+use crate::object::{self, LegionObject, Served};
 
 /// Registers (or updates) the binding for an object.
 #[derive(Debug, Clone)]
@@ -107,11 +108,6 @@ impl BindingAgent {
         }
     }
 
-    /// The agent's own object identity.
-    pub fn object_id(&self) -> ObjectId {
-        self.object
-    }
-
     /// Direct (driver-side) registration, used during scenario setup.
     pub fn register(&mut self, object: ObjectId, address: ActorId) {
         self.bindings.insert(object, address);
@@ -145,70 +141,68 @@ impl BindingAgent {
     }
 }
 
+impl LegionObject for BindingAgent {
+    fn object_id(&self) -> ObjectId {
+        self.object
+    }
+
+    fn control(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        _: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served {
+        let reply = if let Some(reg) = op.downcast_ref::<RegisterBinding>() {
+            self.bindings.insert(reg.object, reg.address);
+            ctx.metrics().incr("binding.registered");
+            if ctx.tracing_enabled() {
+                ctx.emit_span(SpanKind::BindingRegistered {
+                    object: reg.object.as_raw(),
+                    dst: reg.address.as_raw(),
+                });
+            }
+            Msg::control_ok(call, Ack)
+        } else if let Some(unreg) = op.downcast_ref::<UnregisterBinding>() {
+            self.bindings.remove(&unreg.object);
+            if ctx.tracing_enabled() {
+                ctx.emit_span(SpanKind::BindingInvalidated {
+                    object: unreg.object.as_raw(),
+                });
+            }
+            Msg::control_ok(call, Ack)
+        } else if let Some(inv) = op.downcast_ref::<InvalidateBindings>() {
+            let removed = self.invalidate_addresses(&inv.addresses);
+            ctx.metrics()
+                .add("binding.invalidated", removed.len() as u64);
+            if ctx.tracing_enabled() {
+                for object in &removed {
+                    ctx.emit_span(SpanKind::BindingInvalidated {
+                        object: object.as_raw(),
+                    });
+                }
+            }
+            Msg::control_ok(call, InvalidatedBindings { removed })
+        } else if let Some(query) = op.downcast_ref::<QueryBinding>() {
+            self.queries_served += 1;
+            ctx.metrics().incr("binding.queries");
+            Msg::control_ok(
+                call,
+                BindingResult {
+                    object: query.object,
+                    address: self.bindings.get(&query.object).copied(),
+                },
+            )
+        } else {
+            return Served::Unknown;
+        };
+        Served::Reply(reply)
+    }
+}
+
 impl Actor<Msg> for BindingAgent {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Control { call, op, .. } => {
-                let reply = if let Some(reg) = op.as_any().downcast_ref::<RegisterBinding>() {
-                    self.bindings.insert(reg.object, reg.address);
-                    ctx.metrics().incr("binding.registered");
-                    if ctx.tracing_enabled() {
-                        ctx.emit_span(SpanKind::BindingRegistered {
-                            object: reg.object.as_raw(),
-                            dst: reg.address.as_raw(),
-                        });
-                    }
-                    Msg::control_ok(call, Ack)
-                } else if let Some(unreg) = op.as_any().downcast_ref::<UnregisterBinding>() {
-                    self.bindings.remove(&unreg.object);
-                    if ctx.tracing_enabled() {
-                        ctx.emit_span(SpanKind::BindingInvalidated {
-                            object: unreg.object.as_raw(),
-                        });
-                    }
-                    Msg::control_ok(call, Ack)
-                } else if let Some(inv) = op.as_any().downcast_ref::<InvalidateBindings>() {
-                    let removed = self.invalidate_addresses(&inv.addresses);
-                    ctx.metrics()
-                        .add("binding.invalidated", removed.len() as u64);
-                    if ctx.tracing_enabled() {
-                        for object in &removed {
-                            ctx.emit_span(SpanKind::BindingInvalidated {
-                                object: object.as_raw(),
-                            });
-                        }
-                    }
-                    Msg::control_ok(call, InvalidatedBindings { removed })
-                } else if let Some(query) = op.as_any().downcast_ref::<QueryBinding>() {
-                    self.queries_served += 1;
-                    ctx.metrics().incr("binding.queries");
-                    Msg::control_ok(
-                        call,
-                        BindingResult {
-                            object: query.object,
-                            address: self.bindings.get(&query.object).copied(),
-                        },
-                    )
-                } else {
-                    Msg::refused(
-                        call,
-                        format!("binding agent does not understand {}", op.describe()),
-                    )
-                };
-                ctx.send(from, reply);
-            }
-            Msg::Invoke { call, function, .. } => {
-                // Binding agents export no user-level functions.
-                ctx.send(
-                    from,
-                    Msg::Reply {
-                        call,
-                        result: Err(InvocationFault::NoSuchFunction(function)),
-                    },
-                );
-            }
-            Msg::Reply { .. } | Msg::ControlReply { .. } | Msg::Progress { .. } => {}
-        }
+        object::deliver(self, ctx, from, msg);
     }
 
     fn name(&self) -> &str {
@@ -219,10 +213,9 @@ impl Actor<Msg> for BindingAgent {
 #[cfg(test)]
 mod tests {
     use dcdo_sim::{NetConfig, NodeId, Simulation};
-    use dcdo_types::CallId;
 
     use super::*;
-    use crate::msg::{ControlOp, ControlPayload};
+    use crate::msg::{ControlPayload, InvocationFault};
 
     /// Driver actor that records control replies it receives.
     #[derive(Default)]

@@ -45,9 +45,10 @@ use dcdo_types::{CallId, ClassId, ObjectId};
 use crate::control_payload;
 use crate::cost::CostModel;
 use crate::monolithic::{ExecutableImage, MonolithicObject};
-use crate::msg::{ControlOp, InvocationFault, Msg};
+use crate::msg::{ControlOp, Msg};
+use crate::object::{self, LegionObject, Served};
 use crate::plan::{answer, Action, Flow, Held, Kind, PlanOwner, Plans, Reply, Step};
-use crate::rpc::{AgentAddress, Handled, RpcClient};
+use crate::rpc::{AgentAddress, RpcClient, RpcCompletion};
 
 /// Control op: create a new instance on `node`.
 #[derive(Debug, Clone)]
@@ -331,11 +332,6 @@ impl ClassObject {
         self
     }
 
-    /// The class object's own identity.
-    pub fn object_id(&self) -> ObjectId {
-        self.object
-    }
-
     /// The current image version.
     pub fn current_version(&self) -> u32 {
         self.current_version
@@ -545,70 +541,67 @@ impl PlanOwner<OpKind, Target> for ClassObject {
     }
 }
 
+impl LegionObject for ClassObject {
+    fn object_id(&self) -> ObjectId {
+        self.object
+    }
+
+    fn control(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served {
+        let any = op.as_any();
+        let (kind, object, node) = if let Some(c) = any.downcast_ref::<CreateInstance>() {
+            (OpKind::Create, None, Some(c.node))
+        } else if let Some(e) = any.downcast_ref::<EvolveInstance>() {
+            (OpKind::Evolve, Some(e.object), None)
+        } else if let Some(m) = any.downcast_ref::<MigrateInstance>() {
+            (OpKind::Migrate, Some(m.object), Some(m.to))
+        } else if let Some(c) = any.downcast_ref::<CheckpointInstance>() {
+            (OpKind::Checkpoint, Some(c.object), None)
+        } else if let Some(r) = any.downcast_ref::<ReactivateInstance>() {
+            (OpKind::Reactivate, Some(r.object), Some(r.node))
+        } else {
+            let reply = if let Some(set) = any.downcast_ref::<SetCurrentImage>() {
+                match self.set_image(&set.image) {
+                    Ok(()) => Msg::control_ok(call, crate::msg::Ack),
+                    Err(why) => Msg::refused(call, why),
+                }
+            } else if any.downcast_ref::<ListInstances>().is_some() {
+                let entries = self.instances();
+                Msg::control_ok(call, InstanceTable { entries })
+            } else {
+                return Served::Unknown;
+            };
+            return Served::Reply(reply);
+        };
+        self.start(ctx, kind, from, call, object, node);
+        Served::Later
+    }
+
+    fn rpc(&mut self) -> Option<&mut RpcClient> {
+        Some(&mut self.rpc)
+    }
+
+    fn completed(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
+        self.plan_reply(ctx, completion);
+    }
+
+    fn timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+        self.plan_timer(ctx, token);
+    }
+}
+
 impl Actor<Msg> for ClassObject {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Control { call, target, op } => {
-                if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
-                    );
-                    return;
-                }
-                let any = op.as_any();
-                let (kind, object, node) = if let Some(c) = any.downcast_ref::<CreateInstance>() {
-                    (OpKind::Create, None, Some(c.node))
-                } else if let Some(e) = any.downcast_ref::<EvolveInstance>() {
-                    (OpKind::Evolve, Some(e.object), None)
-                } else if let Some(m) = any.downcast_ref::<MigrateInstance>() {
-                    (OpKind::Migrate, Some(m.object), Some(m.to))
-                } else if let Some(c) = any.downcast_ref::<CheckpointInstance>() {
-                    (OpKind::Checkpoint, Some(c.object), None)
-                } else if let Some(r) = any.downcast_ref::<ReactivateInstance>() {
-                    (OpKind::Reactivate, Some(r.object), Some(r.node))
-                } else {
-                    let reply = if let Some(set) = any.downcast_ref::<SetCurrentImage>() {
-                        match self.set_image(&set.image) {
-                            Ok(()) => Msg::control_ok(call, crate::msg::Ack),
-                            Err(why) => Msg::refused(call, why),
-                        }
-                    } else if any.downcast_ref::<ListInstances>().is_some() {
-                        let entries = self.instances();
-                        Msg::control_ok(call, InstanceTable { entries })
-                    } else {
-                        let why = format!("class object does not understand {}", op.describe());
-                        Msg::refused(call, why)
-                    };
-                    return ctx.send(from, reply);
-                };
-                self.start(ctx, kind, from, call, object, node);
-            }
-            Msg::Invoke { call, function, .. } => {
-                ctx.send(
-                    from,
-                    Msg::Reply {
-                        call,
-                        result: Err(InvocationFault::NoSuchFunction(function)),
-                    },
-                );
-            }
-            reply => {
-                if let Handled::Completed(completion) = self.rpc.handle_message(ctx, reply) {
-                    self.plan_reply(ctx, completion);
-                }
-            }
-        }
+        object::deliver(self, ctx, from, msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
-        if self.rpc.owns_timer(token) {
-            if let Some(completion) = self.rpc.handle_timer(ctx, token) {
-                self.plan_reply(ctx, completion);
-            }
-            return;
-        }
-        self.plan_timer(ctx, token);
+        object::fire(self, ctx, token);
     }
 
     fn name(&self) -> &str {

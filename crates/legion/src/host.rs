@@ -10,11 +10,12 @@ use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
 use dcdo_sim::{Actor, ActorId, Ctx, NodeId};
-use dcdo_types::{Architecture, ClassId, ComponentId, HostId, ObjectId};
+use dcdo_types::{Architecture, CallId, ClassId, ComponentId, HostId, ObjectId};
 use dcdo_vm::ComponentBinary;
 
 use crate::control_payload;
-use crate::msg::{Ack, InvocationFault, Msg};
+use crate::msg::{Ack, ControlOp, Msg};
+use crate::object::{self, LegionObject, Served};
 
 /// Control op: store component data in the host's cache. It travels as its
 /// encoded form: the wire size counts the encoded length.
@@ -118,11 +119,6 @@ impl HostObject {
         }
     }
 
-    /// The host's object identity.
-    pub fn object_id(&self) -> ObjectId {
-        self.object
-    }
-
     /// The host identifier.
     pub fn host_id(&self) -> HostId {
         self.host
@@ -144,62 +140,57 @@ impl HostObject {
     }
 }
 
+impl LegionObject for HostObject {
+    fn object_id(&self) -> ObjectId {
+        self.object
+    }
+
+    fn control(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        _: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served {
+        let reply = if let Some(store) = op.downcast_ref::<StoreComponentData>() {
+            self.store_component(Rc::clone(&store.binary));
+            ctx.metrics().incr("host.components_stored");
+            Msg::control_ok(call, Ack)
+        } else if let Some(fetch) = op.downcast_ref::<FetchComponentData>() {
+            Msg::control_ok(
+                call,
+                ComponentData {
+                    component: fetch.component,
+                    binary: self.components.get(&fetch.component).cloned(),
+                },
+            )
+        } else if let Some(has) = op.downcast_ref::<HasComponent>() {
+            Msg::control_ok(
+                call,
+                CachedReply {
+                    cached: self.components.contains_key(&has.component),
+                },
+            )
+        } else if let Some(store) = op.downcast_ref::<StoreExecutable>() {
+            self.executables.insert((store.class, store.version));
+            Msg::control_ok(call, Ack)
+        } else if let Some(has) = op.downcast_ref::<HasExecutable>() {
+            Msg::control_ok(
+                call,
+                CachedReply {
+                    cached: self.executables.contains(&(has.class, has.version)),
+                },
+            )
+        } else {
+            return Served::Unknown;
+        };
+        Served::Reply(reply)
+    }
+}
+
 impl Actor<Msg> for HostObject {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Control { call, target, op } => {
-                if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
-                    );
-                    return;
-                }
-                let reply = if let Some(store) = op.as_any().downcast_ref::<StoreComponentData>() {
-                    self.store_component(Rc::clone(&store.binary));
-                    ctx.metrics().incr("host.components_stored");
-                    Msg::control_ok(call, Ack)
-                } else if let Some(fetch) = op.as_any().downcast_ref::<FetchComponentData>() {
-                    Msg::control_ok(
-                        call,
-                        ComponentData {
-                            component: fetch.component,
-                            binary: self.components.get(&fetch.component).cloned(),
-                        },
-                    )
-                } else if let Some(has) = op.as_any().downcast_ref::<HasComponent>() {
-                    Msg::control_ok(
-                        call,
-                        CachedReply {
-                            cached: self.components.contains_key(&has.component),
-                        },
-                    )
-                } else if let Some(store) = op.as_any().downcast_ref::<StoreExecutable>() {
-                    self.executables.insert((store.class, store.version));
-                    Msg::control_ok(call, Ack)
-                } else if let Some(has) = op.as_any().downcast_ref::<HasExecutable>() {
-                    Msg::control_ok(
-                        call,
-                        CachedReply {
-                            cached: self.executables.contains(&(has.class, has.version)),
-                        },
-                    )
-                } else {
-                    Msg::refused(call, format!("host does not understand {}", op.describe()))
-                };
-                ctx.send(from, reply);
-            }
-            Msg::Invoke { call, function, .. } => {
-                ctx.send(
-                    from,
-                    Msg::Reply {
-                        call,
-                        result: Err(InvocationFault::NoSuchFunction(function)),
-                    },
-                );
-            }
-            Msg::Reply { .. } | Msg::ControlReply { .. } | Msg::Progress { .. } => {}
-        }
+        object::deliver(self, ctx, from, msg);
     }
 
     fn name(&self) -> &str {

@@ -9,16 +9,15 @@
 //! (§4 "Cost"). Clients holding the old address then pay the 25–35 s
 //! stale-binding discovery.
 
-use bytes::Bytes;
 use dcdo_sim::{Actor, ActorId, Ctx};
-use dcdo_types::{ComponentId, ObjectId};
-use dcdo_vm::{CodeBlock, ComponentBinary, NativeRegistry, StaticResolver, ValueStore};
+use dcdo_types::{CallId, ComponentId, FunctionName, ObjectId};
+use dcdo_vm::{CodeBlock, ComponentBinary, NativeRegistry, StaticResolver, Value, ValueStore};
 
 use crate::control_payload;
 use crate::cost::CostModel;
-use crate::msg::{Ack, ControlOp, InvocationFault, Msg};
-use crate::object::ObjectRuntime;
-use crate::rpc::{Handled, RpcClient};
+use crate::msg::{ControlOp, Msg};
+use crate::object::{self, state_op, LegionObject, ObjectRuntime, Served};
+use crate::rpc::{RpcClient, RpcCompletion};
 
 /// A statically linked executable: the complete implementation of a normal
 /// Legion object.
@@ -83,38 +82,6 @@ impl ExecutableImage {
     }
 }
 
-/// Control op: capture the object's state for migration/evolution.
-#[derive(Debug, Clone)]
-pub struct CaptureState;
-
-control_payload!(CaptureState, "capture-state");
-
-/// Control reply: the captured state blob.
-#[derive(Debug, Clone)]
-pub struct StateBlob {
-    /// The serialized [`ValueStore`].
-    pub bytes: Bytes,
-}
-
-control_payload!(
-    StateBlob,
-    "state-blob",
-    wire_size = |b| 32 + b.bytes.len() as u64
-);
-
-/// Control op: restore previously captured state into the object.
-#[derive(Debug, Clone)]
-pub struct RestoreState {
-    /// The serialized [`ValueStore`] produced by [`CaptureState`].
-    pub bytes: Bytes,
-}
-
-control_payload!(
-    RestoreState,
-    "restore-state",
-    wire_size = |b| 32 + b.bytes.len() as u64
-);
-
 /// Control op: report the implementation version the object runs.
 #[derive(Debug, Clone)]
 pub struct QueryVersion;
@@ -131,12 +98,6 @@ pub struct VersionReport {
 }
 
 control_payload!(VersionReport, "version-report");
-
-/// Control op: deactivate the object (its process exits).
-#[derive(Debug, Clone)]
-pub struct Deactivate;
-
-control_payload!(Deactivate, "deactivate");
 
 /// An active normal Legion object: one process running one monolithic
 /// executable.
@@ -169,11 +130,6 @@ impl MonolithicObject {
         }
     }
 
-    /// The object's identity.
-    pub fn object_id(&self) -> ObjectId {
-        self.object
-    }
-
     /// The image version this process runs.
     pub fn image_version(&self) -> u32 {
         self.image_version
@@ -188,126 +144,70 @@ impl MonolithicObject {
     pub fn invocations_served(&self) -> u64 {
         self.runtime.invocations_served()
     }
+}
 
-    fn handle_control(
+impl LegionObject for MonolithicObject {
+    fn object_id(&self) -> ObjectId {
+        self.object
+    }
+
+    fn control(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        _: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served {
+        if op.downcast_ref::<QueryVersion>().is_some() {
+            let report = VersionReport {
+                version: self.image_version,
+                functions: self.function_count,
+            };
+            return Served::Reply(Msg::control_ok(call, report));
+        }
+        state_op(ctx, &mut self.state, call, op)
+    }
+
+    fn invoke(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         from: ActorId,
-        call: dcdo_types::CallId,
-        op: ControlOp,
-    ) {
-        let reply = if op.as_any().downcast_ref::<CaptureState>().is_some() {
-            Msg::control_ok(
-                call,
-                StateBlob {
-                    bytes: self.state.capture(),
-                },
-            )
-        } else if let Some(restore) = op.as_any().downcast_ref::<RestoreState>() {
-            match ValueStore::restore(restore.bytes.clone()) {
-                Ok(state) => {
-                    self.state = state;
-                    Msg::control_ok(call, Ack)
-                }
-                Err(e) => Msg::refused(call, format!("bad state blob: {e}")),
-            }
-        } else if op.as_any().downcast_ref::<QueryVersion>().is_some() {
-            Msg::control_ok(
-                call,
-                VersionReport {
-                    version: self.image_version,
-                    functions: self.function_count,
-                },
-            )
-        } else if op.as_any().downcast_ref::<Deactivate>().is_some() {
-            let me = ctx.self_id();
-            ctx.kill(me);
-            Msg::control_ok(call, Ack)
-        } else {
-            Msg::refused(
-                call,
-                format!("monolithic object does not understand {}", op.describe()),
-            )
-        };
-        ctx.send(from, reply);
+        call: CallId,
+        function: FunctionName,
+        args: Vec<Value>,
+    ) -> Result<(), FunctionName> {
+        self.runtime.handle_invoke(
+            ctx,
+            from,
+            call,
+            function,
+            args,
+            &mut self.resolver,
+            &NativeRegistry,
+            &mut self.state,
+            &mut self.rpc,
+        );
+        Ok(())
     }
-}
 
-impl Actor<Msg> for MonolithicObject {
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Invoke {
-                call,
-                target,
-                function,
-                args,
-            } => {
-                if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::Reply {
-                            call,
-                            result: Err(InvocationFault::NoSuchObject(target)),
-                        },
-                    );
-                    return;
-                }
-                self.runtime.handle_invoke(
-                    ctx,
-                    from,
-                    call,
-                    function,
-                    args,
-                    &mut self.resolver,
-                    &NativeRegistry,
-                    &mut self.state,
-                    &mut self.rpc,
-                );
-            }
-            Msg::Control { call, target, op } => {
-                if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
-                    );
-                    return;
-                }
-                self.handle_control(ctx, from, call, op);
-            }
-            reply => match self.rpc.handle_message(ctx, reply) {
-                Handled::Completed(completion) => {
-                    if self.runtime.owns_completion(&completion) {
-                        self.runtime.handle_outcall_completion(
-                            ctx,
-                            completion,
-                            &mut self.resolver,
-                            &NativeRegistry,
-                            &mut self.state,
-                            &mut self.rpc,
-                        );
-                    }
-                }
-                Handled::InProgress | Handled::Stale | Handled::NotMine(_) => {}
-            },
+    fn rpc(&mut self) -> Option<&mut RpcClient> {
+        Some(&mut self.rpc)
+    }
+
+    fn completed(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
+        if self.runtime.owns_completion(&completion) {
+            self.runtime.handle_outcall_completion(
+                ctx,
+                completion,
+                &mut self.resolver,
+                &NativeRegistry,
+                &mut self.state,
+                &mut self.rpc,
+            );
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
-        if self.rpc.owns_timer(token) {
-            if let Some(completion) = self.rpc.handle_timer(ctx, token) {
-                if self.runtime.owns_completion(&completion) {
-                    self.runtime.handle_outcall_completion(
-                        ctx,
-                        completion,
-                        &mut self.resolver,
-                        &NativeRegistry,
-                        &mut self.state,
-                        &mut self.rpc,
-                    );
-                }
-            }
-            return;
-        }
+    fn timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
         self.runtime.handle_timer(
             ctx,
             token,
@@ -316,6 +216,16 @@ impl Actor<Msg> for MonolithicObject {
             &mut self.state,
             &mut self.rpc,
         );
+    }
+}
+
+impl Actor<Msg> for MonolithicObject {
+    fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
+        object::deliver(self, ctx, from, msg);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+        object::fire(self, ctx, token);
     }
 
     fn name(&self) -> &str {

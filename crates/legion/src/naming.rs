@@ -11,11 +11,12 @@ use std::fmt;
 use std::str::FromStr;
 
 use dcdo_sim::{Actor, ActorId, Ctx};
-use dcdo_types::ObjectId;
+use dcdo_types::{CallId, ObjectId};
 use serde::{Deserialize, Serialize};
 
 use crate::control_payload;
-use crate::msg::{Ack, InvocationFault, Msg};
+use crate::msg::{Ack, ControlOp, Msg};
+use crate::object::{self, LegionObject, Served};
 
 /// A hierarchical context path like `/home/components/sorting-v2`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -191,11 +192,6 @@ impl ContextSpace {
         }
     }
 
-    /// The context space's object identity.
-    pub fn object_id(&self) -> ObjectId {
-        self.object
-    }
-
     /// Direct (driver-side) bind.
     pub fn bind(&mut self, path: ContextPath, object: ObjectId) {
         self.bindings.insert(path, object);
@@ -217,58 +213,50 @@ impl ContextSpace {
     }
 }
 
+impl LegionObject for ContextSpace {
+    fn object_id(&self) -> ObjectId {
+        self.object
+    }
+
+    fn control(
+        &mut self,
+        _: &mut Ctx<'_, Msg>,
+        _: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served {
+        let reply = if let Some(bind) = op.downcast_ref::<BindName>() {
+            self.bindings.insert(bind.path.clone(), bind.object);
+            Msg::control_ok(call, Ack)
+        } else if let Some(unbind) = op.downcast_ref::<UnbindName>() {
+            self.bindings.remove(&unbind.path);
+            Msg::control_ok(call, Ack)
+        } else if let Some(lookup) = op.downcast_ref::<LookupName>() {
+            Msg::control_ok(
+                call,
+                NameResult {
+                    path: lookup.path.clone(),
+                    object: self.bindings.get(&lookup.path).copied(),
+                },
+            )
+        } else if let Some(list) = op.downcast_ref::<ListContext>() {
+            let entries = self
+                .bindings
+                .iter()
+                .filter(|(p, _)| list.context.contains(p))
+                .map(|(p, o)| (p.clone(), *o))
+                .collect();
+            Msg::control_ok(call, ContextListing { entries })
+        } else {
+            return Served::Unknown;
+        };
+        Served::Reply(reply)
+    }
+}
+
 impl Actor<Msg> for ContextSpace {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Control { call, target, op } => {
-                if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
-                    );
-                    return;
-                }
-                let reply = if let Some(bind) = op.as_any().downcast_ref::<BindName>() {
-                    self.bindings.insert(bind.path.clone(), bind.object);
-                    Msg::control_ok(call, Ack)
-                } else if let Some(unbind) = op.as_any().downcast_ref::<UnbindName>() {
-                    self.bindings.remove(&unbind.path);
-                    Msg::control_ok(call, Ack)
-                } else if let Some(lookup) = op.as_any().downcast_ref::<LookupName>() {
-                    Msg::control_ok(
-                        call,
-                        NameResult {
-                            path: lookup.path.clone(),
-                            object: self.bindings.get(&lookup.path).copied(),
-                        },
-                    )
-                } else if let Some(list) = op.as_any().downcast_ref::<ListContext>() {
-                    let entries = self
-                        .bindings
-                        .iter()
-                        .filter(|(p, _)| list.context.contains(p))
-                        .map(|(p, o)| (p.clone(), *o))
-                        .collect();
-                    Msg::control_ok(call, ContextListing { entries })
-                } else {
-                    Msg::refused(
-                        call,
-                        format!("context space does not understand {}", op.describe()),
-                    )
-                };
-                ctx.send(from, reply);
-            }
-            Msg::Invoke { call, function, .. } => {
-                ctx.send(
-                    from,
-                    Msg::Reply {
-                        call,
-                        result: Err(InvocationFault::NoSuchFunction(function)),
-                    },
-                );
-            }
-            Msg::Reply { .. } | Msg::ControlReply { .. } | Msg::Progress { .. } => {}
-        }
+        object::deliver(self, ctx, from, msg);
     }
 
     fn name(&self) -> &str {

@@ -10,16 +10,232 @@
 //! Threads suspended here are exactly the state of §3.1's disappearing
 //! function/component problems: configuration operations arriving while a
 //! thread is parked can invalidate what the thread needs on resume.
+//!
+//! Beside the runtime sits the Legion object protocol every addressed
+//! actor speaks, written once: [`LegionObject`]'s hooks say what an object
+//! serves, and [`deliver`] and [`fire`] apply the rules around them (a
+//! misaddressed request is `NoSuchObject`, a function not exported is
+//! `NoSuchFunction`, an unknown control op is one refusal, and replies and
+//! RPC timers take one path). [`state_op`] answers the three ops every
+//! active object must serve for migration (§3.5): capture, restore and
+//! deactivate.
 
-use dcdo_sim::{fn_hash, ActorId, Ctx, IdMap, SimDuration, SpanKind};
+use bytes::Bytes;
+use dcdo_sim::{fn_hash, Actor, ActorId, Ctx, IdMap, SimDuration, SpanKind};
 use dcdo_types::{CallId, ComponentId, FunctionName, ObjectId};
 use dcdo_vm::{
     CallOrigin, CallResolver, NativeRegistry, OutcallRequest, RunOutcome, Value, ValueStore,
     VmError, VmThread, VmTotals,
 };
 
-use crate::msg::{InvocationFault, Msg};
-use crate::rpc::{RpcClient, RpcCompletion};
+use crate::control_payload;
+use crate::msg::{Ack, ControlOp, InvocationFault, Msg};
+use crate::rpc::{Handled, RpcClient, RpcCompletion};
+
+/// What an object's control hook made of an op addressed to it.
+#[derive(Debug)]
+pub enum Served {
+    /// Answer the caller with this reply.
+    Reply(Msg),
+    /// The hook sent the reply itself, or will once the operation ends.
+    Later,
+    /// Not an op this object understands.
+    Unknown,
+}
+
+/// The hooks of an addressed Legion object. [`deliver`] and [`fire`] call
+/// them under the protocol's rules, so no object writes those rules out.
+pub trait LegionObject: Actor<Msg> {
+    /// The LOID this object answers to.
+    fn object_id(&self) -> ObjectId;
+
+    /// Serves a control op addressed to this object.
+    fn control(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served;
+
+    /// Serves an invocation addressed to this object, or hands `function`
+    /// back if the object exports no such function. By default it exports
+    /// none.
+    fn invoke(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        from: ActorId,
+        call: CallId,
+        function: FunctionName,
+        args: Vec<Value>,
+    ) -> Result<(), FunctionName> {
+        let _ = (ctx, from, call, args);
+        Err(function)
+    }
+
+    /// The client the object makes its own calls with, if it has one.
+    fn rpc(&mut self) -> Option<&mut RpcClient> {
+        None
+    }
+
+    /// One of the object's own calls completed.
+    fn completed(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
+        let _ = (ctx, completion);
+    }
+
+    /// A `Reply`, `ControlReply` or `Progress`. By default it goes to the
+    /// object's RPC client, and a call it completes to
+    /// [`completed`](LegionObject::completed); an object without a client
+    /// drops it.
+    fn reply(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
+        let Some(rpc) = self.rpc() else {
+            return;
+        };
+        if let Handled::Completed(completion) = rpc.handle_message(ctx, msg) {
+            self.completed(ctx, completion);
+        }
+    }
+
+    /// A timer that is not the RPC client's (see [`fire`]).
+    fn timer(&mut self, ctx: &mut Ctx<'_, Msg>, token: u64) {
+        let _ = (ctx, token);
+    }
+}
+
+/// Hands a message to `object`. A `Control` or `Invoke` for a LOID other
+/// than the object's gets `NoSuchObject`, the fault on which a caller's
+/// [`RpcClient`] rebinds; an `Invoke` of a function the object does not
+/// export gets `NoSuchFunction`; an unknown control op gets
+/// "`<name>` does not understand `<op>`", named by [`Actor::name`].
+/// Everything else is a reply.
+pub fn deliver<O: LegionObject>(object: &mut O, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
+    match msg {
+        Msg::Invoke {
+            call,
+            target,
+            function,
+            args,
+        } => {
+            let fault = if target != object.object_id() {
+                InvocationFault::NoSuchObject(target)
+            } else {
+                match object.invoke(ctx, from, call, function, args) {
+                    Ok(()) => return,
+                    Err(function) => InvocationFault::NoSuchFunction(function),
+                }
+            };
+            ctx.send(
+                from,
+                Msg::Reply {
+                    call,
+                    result: Err(fault),
+                },
+            );
+        }
+        Msg::Control { call, target, op } => {
+            let reply = if target != object.object_id() {
+                Msg::refused(call, InvocationFault::NoSuchObject(target))
+            } else {
+                match object.control(ctx, from, call, &op) {
+                    Served::Reply(reply) => reply,
+                    Served::Later => return,
+                    Served::Unknown => {
+                        let why =
+                            format!("{} does not understand {}", object.name(), op.describe());
+                        Msg::refused(call, why)
+                    }
+                }
+            };
+            ctx.send(from, reply);
+        }
+        reply => object.reply(ctx, reply),
+    }
+}
+
+/// Hands a fired timer to `object`: an RPC timer to its client (a call it
+/// ends goes to [`completed`](LegionObject::completed)), any other to
+/// [`timer`](LegionObject::timer).
+pub fn fire<O: LegionObject>(object: &mut O, ctx: &mut Ctx<'_, Msg>, token: u64) {
+    if let Some(rpc) = object.rpc().filter(|rpc| rpc.owns_timer(token)) {
+        if let Some(completion) = rpc.handle_timer(ctx, token) {
+            object.completed(ctx, completion);
+        }
+        return;
+    }
+    object.timer(ctx, token);
+}
+
+/// Control op: capture the object's state for migration/evolution.
+#[derive(Debug, Clone)]
+pub struct CaptureState;
+
+control_payload!(CaptureState, "capture-state");
+
+/// Control reply: the captured state blob.
+#[derive(Debug, Clone)]
+pub struct StateBlob {
+    /// The serialized [`ValueStore`].
+    pub bytes: Bytes,
+}
+
+control_payload!(
+    StateBlob,
+    "state-blob",
+    wire_size = |b| 32 + b.bytes.len() as u64
+);
+
+/// Control op: restore previously captured state into the object.
+#[derive(Debug, Clone)]
+pub struct RestoreState {
+    /// The serialized [`ValueStore`] produced by [`CaptureState`].
+    pub bytes: Bytes,
+}
+
+control_payload!(
+    RestoreState,
+    "restore-state",
+    wire_size = |b| 32 + b.bytes.len() as u64
+);
+
+/// Control op: deactivate the object (its process exits).
+#[derive(Debug, Clone)]
+pub struct Deactivate;
+
+control_payload!(Deactivate, "deactivate");
+
+/// Answers the ops every active object serves against its persistent
+/// `state` — [`CaptureState`], [`RestoreState`] (a blob that does not
+/// decode is refused) and [`Deactivate`] — or [`Served::Unknown`].
+pub fn state_op(
+    ctx: &mut Ctx<'_, Msg>,
+    state: &mut ValueStore,
+    call: CallId,
+    op: &ControlOp,
+) -> Served {
+    let reply = if op.downcast_ref::<CaptureState>().is_some() {
+        Msg::control_ok(
+            call,
+            StateBlob {
+                bytes: state.capture(),
+            },
+        )
+    } else if let Some(restore) = op.downcast_ref::<RestoreState>() {
+        match ValueStore::restore(restore.bytes.clone()) {
+            Ok(restored) => {
+                *state = restored;
+                Msg::control_ok(call, Ack)
+            }
+            Err(e) => Msg::refused(call, format!("bad state blob: {e}")),
+        }
+    } else if op.downcast_ref::<Deactivate>().is_some() {
+        let me = ctx.self_id();
+        ctx.kill(me);
+        Msg::control_ok(call, Ack)
+    } else {
+        return Served::Unknown;
+    };
+    Served::Reply(reply)
+}
 
 /// Per-run instruction budget for one thread activation.
 pub const DEFAULT_FUEL: u64 = 10_000_000;

@@ -14,8 +14,8 @@ use dcdo_sim::{mgr_step, ActorId, Ctx, FlowKind, IdMap, SimDuration, SimTime, Sp
 use dcdo_types::{CallId, ObjectId};
 
 use crate::binding::RegisterBinding;
-use crate::monolithic::{CaptureState, Deactivate, RestoreState, StateBlob};
 use crate::msg::{ControlOp, InvocationFault, Msg};
+use crate::object::{CaptureState, Deactivate, RestoreState, StateBlob};
 use crate::rpc::{AgentAddress, ReplyPayload, RpcCompletion};
 use crate::vault::{LoadState, LoadedState, SaveState};
 

@@ -8,10 +8,11 @@ use std::collections::HashMap;
 
 use bytes::Bytes;
 use dcdo_sim::{Actor, ActorId, Ctx};
-use dcdo_types::ObjectId;
+use dcdo_types::{CallId, ObjectId};
 
 use crate::control_payload;
-use crate::msg::{Ack, InvocationFault, Msg};
+use crate::msg::{Ack, ControlOp, Msg};
+use crate::object::{self, LegionObject, Served};
 
 /// Control op: persist a state blob for `owner`.
 #[derive(Debug, Clone)]
@@ -68,11 +69,6 @@ impl Vault {
         }
     }
 
-    /// The vault's object identity.
-    pub fn object_id(&self) -> ObjectId {
-        self.object
-    }
-
     /// Number of state blobs held.
     pub fn len(&self) -> usize {
         self.blobs.len()
@@ -89,46 +85,41 @@ impl Vault {
     }
 }
 
+impl LegionObject for Vault {
+    fn object_id(&self) -> ObjectId {
+        self.object
+    }
+
+    fn control(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        _: ActorId,
+        call: CallId,
+        op: &ControlOp,
+    ) -> Served {
+        let reply = if let Some(save) = op.downcast_ref::<SaveState>() {
+            self.blobs.insert(save.owner, save.bytes.clone());
+            ctx.metrics().incr("vault.saves");
+            Msg::control_ok(call, Ack)
+        } else if let Some(load) = op.downcast_ref::<LoadState>() {
+            ctx.metrics().incr("vault.loads");
+            Msg::control_ok(
+                call,
+                LoadedState {
+                    owner: load.owner,
+                    bytes: self.blobs.get(&load.owner).cloned(),
+                },
+            )
+        } else {
+            return Served::Unknown;
+        };
+        Served::Reply(reply)
+    }
+}
+
 impl Actor<Msg> for Vault {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
-        match msg {
-            Msg::Control { call, target, op } => {
-                if target != self.object {
-                    ctx.send(
-                        from,
-                        Msg::refused(call, InvocationFault::NoSuchObject(target)),
-                    );
-                    return;
-                }
-                let reply = if let Some(save) = op.as_any().downcast_ref::<SaveState>() {
-                    self.blobs.insert(save.owner, save.bytes.clone());
-                    ctx.metrics().incr("vault.saves");
-                    Msg::control_ok(call, Ack)
-                } else if let Some(load) = op.as_any().downcast_ref::<LoadState>() {
-                    ctx.metrics().incr("vault.loads");
-                    Msg::control_ok(
-                        call,
-                        LoadedState {
-                            owner: load.owner,
-                            bytes: self.blobs.get(&load.owner).cloned(),
-                        },
-                    )
-                } else {
-                    Msg::refused(call, format!("vault does not understand {}", op.describe()))
-                };
-                ctx.send(from, reply);
-            }
-            Msg::Invoke { call, function, .. } => {
-                ctx.send(
-                    from,
-                    Msg::Reply {
-                        call,
-                        result: Err(InvocationFault::NoSuchFunction(function)),
-                    },
-                );
-            }
-            Msg::Reply { .. } | Msg::ControlReply { .. } | Msg::Progress { .. } => {}
-        }
+        object::deliver(self, ctx, from, msg);
     }
 
     fn name(&self) -> &str {
