@@ -531,8 +531,11 @@ mod tests {
 
     #[test]
     fn bad_opcode_and_tag_are_rejected() {
-        let mut r = Reader::new(Bytes::from_static(&[0xFF]));
-        assert_eq!(read_instr(&mut r), Err(DecodeError::BadOpcode(0xFF)));
+        // Below the first tag, just past the last, and the top of the byte.
+        for tag in [0x00, 0x28, 0xFF] {
+            let mut r = Reader::new(Bytes::copy_from_slice(&[tag]));
+            assert_eq!(read_instr(&mut r), Err(DecodeError::BadOpcode(tag)));
+        }
         let mut r = Reader::new(Bytes::from_static(&[0xEE]));
         assert_eq!(read_value(&mut r), Err(DecodeError::BadTag(0xEE)));
     }

@@ -1,52 +1,99 @@
 //! Property tests: the assembly text format round-trips valid components.
 
 use dcdo_types::{ComponentId, Protection, Visibility};
-use dcdo_vm::{assemble, disassemble, CodeBlock, ComponentBuilder, Instr, Value};
+use dcdo_vm::{
+    assemble, disassemble, CodeBlock, ComponentBuilder, Instr, Value, OPCODE_COUNT, OPCODE_NAMES,
+};
 use proptest::prelude::*;
 
-/// Straight-line (jump-free) instructions that are valid for a
-/// `f(any, any) -> any` signature with 4 locals.
+/// Every instruction without an operand.
+const NULLARY: [Instr; 25] = [
+    Instr::Pop,
+    Instr::Dup,
+    Instr::Swap,
+    Instr::Add,
+    Instr::Sub,
+    Instr::Mul,
+    Instr::Div,
+    Instr::Rem,
+    Instr::Neg,
+    Instr::Not,
+    Instr::And,
+    Instr::Or,
+    Instr::Eq,
+    Instr::Ne,
+    Instr::Lt,
+    Instr::Le,
+    Instr::Gt,
+    Instr::Ge,
+    Instr::Ret,
+    Instr::ListGet,
+    Instr::ListSet,
+    Instr::ListLen,
+    Instr::ListPush,
+    Instr::StrConcat,
+    Instr::StrLen,
+];
+
+/// Every opcode, valid for a `f(any, any) -> any` signature with 4 locals.
+/// A jump's target is drawn here as any `u32` and brought into range by
+/// [`land_jumps`] once the body's length is known.
 fn arb_instr() -> impl Strategy<Value = Instr> {
+    let jumps: [fn(u32) -> Instr; 3] = [Instr::Jump, Instr::JumpIfFalse, Instr::JumpIfTrue];
     prop_oneof![
         any::<i64>().prop_map(|n| Instr::Push(Value::Int(n))),
         any::<bool>().prop_map(|b| Instr::Push(Value::Bool(b))),
         Just(Instr::Push(Value::Unit)),
         "[a-zA-Z0-9 _.-]{0,12}".prop_map(|s| Instr::Push(Value::str(s))),
-        Just(Instr::Pop),
-        Just(Instr::Dup),
-        Just(Instr::Swap),
+        (0..NULLARY.len()).prop_map(|i| NULLARY[i].clone()),
         (0u8..2).prop_map(Instr::LoadArg),
         (0u8..4).prop_map(Instr::LoadLocal),
         (0u8..4).prop_map(Instr::StoreLocal),
-        Just(Instr::Add),
-        Just(Instr::Sub),
-        Just(Instr::Mul),
-        Just(Instr::Eq),
-        Just(Instr::Ne),
-        Just(Instr::Lt),
-        Just(Instr::Ge),
-        Just(Instr::Ret),
         (0u8..5).prop_map(Instr::MakeList),
-        Just(Instr::ListLen),
-        Just(Instr::ListPush),
-        Just(Instr::StrConcat),
-        Just(Instr::StrLen),
+        (0..jumps.len(), any::<u32>()).prop_map(move |(i, t)| jumps[i](t)),
         any::<u64>().prop_map(Instr::Work),
-        ("[a-z][a-z0-9_]{0,8}", 0u8..4).prop_map(|(f, argc)| Instr::CallDyn {
-            function: f.as_str().into(),
-            argc,
+        ("[a-z][a-z0-9_]{0,8}", 0u8..4, 0u8..3).prop_map(|(f, argc, kind)| {
+            let function = f.as_str().into();
+            match kind {
+                0 => Instr::CallDyn { function, argc },
+                1 => Instr::CallNative { function, argc },
+                _ => Instr::CallRemote { function, argc },
+            }
         }),
-        ("[a-z][a-z0-9_]{0,8}", 0u8..4).prop_map(|(f, argc)| Instr::CallNative {
-            function: f.as_str().into(),
-            argc,
+        ("[a-z][a-z0-9_]{0,8}", any::<bool>()).prop_map(|(k, set)| if set {
+            Instr::GlobalSet(k.as_str().into())
+        } else {
+            Instr::GlobalGet(k.as_str().into())
         }),
-        ("[a-z][a-z0-9_]{0,8}", 0u8..4).prop_map(|(f, argc)| Instr::CallRemote {
-            function: f.as_str().into(),
-            argc,
-        }),
-        "[a-z][a-z0-9_]{0,8}".prop_map(|k| Instr::GlobalGet(k.as_str().into())),
-        "[a-z][a-z0-9_]{0,8}".prop_map(|k| Instr::GlobalSet(k.as_str().into())),
     ]
+}
+
+/// Points every jump in `instrs` at an instruction of the body, so the
+/// disassembler labels it and the assembler binds the label again.
+fn land_jumps(mut instrs: Vec<Instr>) -> Vec<Instr> {
+    let len = instrs.len() as u32;
+    for instr in &mut instrs {
+        if let Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::JumpIfTrue(t) = instr {
+            *t %= len;
+        }
+    }
+    instrs
+}
+
+/// The instruction strategy reaches every opcode.
+#[test]
+fn arb_instr_draws_every_opcode() {
+    let strategy = arb_instr();
+    let mut rng = TestRng::seed(7);
+    let mut seen = [false; OPCODE_COUNT];
+    for _ in 0..4_000 {
+        seen[strategy.generate(&mut rng).opcode()] = true;
+    }
+    let missing: Vec<&str> = (0..OPCODE_COUNT)
+        .filter(|&op| !seen[op])
+        .map(|op| OPCODE_NAMES[op])
+        .collect();
+    assert!(missing.is_empty(), "never drawn: {missing:?}");
 }
 
 fn arb_component() -> impl Strategy<Value = dcdo_vm::ComponentBinary> {
@@ -75,7 +122,7 @@ fn arb_component() -> impl Strategy<Value = dcdo_vm::ComponentBinary> {
                 let code = CodeBlock::new(
                     format!("{fname}(any, any) -> any").parse().expect("sig"),
                     4,
-                    instrs,
+                    land_jumps(instrs),
                 );
                 let visibility = if exported {
                     Visibility::Exported

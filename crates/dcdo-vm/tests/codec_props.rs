@@ -2,8 +2,10 @@
 //! well-formed components, and decoding never panics on corrupted input.
 
 use bytes::Bytes;
-use dcdo_types::{ComponentId, Dependency, Protection, Visibility};
-use dcdo_vm::{CodeBlock, ComponentBinary, ComponentBuilder, Instr, Value};
+use dcdo_types::{ComponentId, Dependency, ObjectId, Protection, Visibility};
+use dcdo_vm::{
+    CodeBlock, ComponentBinary, ComponentBuilder, Instr, Value, OPCODE_COUNT, OPCODE_NAMES,
+};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -12,38 +14,87 @@ fn arb_value() -> impl Strategy<Value = Value> {
         any::<i64>().prop_map(Value::Int),
         any::<bool>().prop_map(Value::Bool),
         "[a-zA-Z0-9 ]{0,12}".prop_map(Value::str),
+        any::<u64>().prop_map(|o| Value::ObjRef(ObjectId::from_raw(o))),
     ];
     leaf.prop_recursive(2, 8, 4, |inner| {
         prop::collection::vec(inner, 0..4).prop_map(Value::List)
     })
 }
 
+/// Every instruction without an operand.
+const NULLARY: [Instr; 25] = [
+    Instr::Pop,
+    Instr::Dup,
+    Instr::Swap,
+    Instr::Add,
+    Instr::Sub,
+    Instr::Mul,
+    Instr::Div,
+    Instr::Rem,
+    Instr::Neg,
+    Instr::Not,
+    Instr::And,
+    Instr::Or,
+    Instr::Eq,
+    Instr::Ne,
+    Instr::Lt,
+    Instr::Le,
+    Instr::Gt,
+    Instr::Ge,
+    Instr::Ret,
+    Instr::ListGet,
+    Instr::ListSet,
+    Instr::ListLen,
+    Instr::ListPush,
+    Instr::StrConcat,
+    Instr::StrLen,
+];
+
+/// Every opcode, jumps included: the codec does not care where they land.
 fn arb_instr() -> impl Strategy<Value = Instr> {
+    let small: [fn(u8) -> Instr; 4] = [
+        Instr::LoadArg,
+        Instr::LoadLocal,
+        Instr::StoreLocal,
+        Instr::MakeList,
+    ];
+    let jumps: [fn(u32) -> Instr; 3] = [Instr::Jump, Instr::JumpIfFalse, Instr::JumpIfTrue];
     prop_oneof![
         arb_value().prop_map(Instr::Push),
-        Just(Instr::Pop),
-        Just(Instr::Dup),
-        Just(Instr::Add),
-        Just(Instr::Sub),
-        Just(Instr::Mul),
-        Just(Instr::Eq),
-        Just(Instr::Lt),
-        Just(Instr::Ret),
-        Just(Instr::ListLen),
-        Just(Instr::StrConcat),
-        (0u8..4).prop_map(Instr::LoadArg),
-        (0u8..4).prop_map(Instr::LoadLocal),
-        (0u8..4).prop_map(Instr::StoreLocal),
-        any::<u64>().prop_map(Instr::Work),
-        ("[a-z]{1,8}", 0u8..4).prop_map(|(f, argc)| Instr::CallDyn {
-            function: f.as_str().into(),
-            argc,
+        (0..NULLARY.len()).prop_map(|i| NULLARY[i].clone()),
+        (0..small.len(), any::<u8>()).prop_map(move |(i, n)| small[i](n)),
+        (0..jumps.len(), any::<u32>()).prop_map(move |(i, t)| jumps[i](t)),
+        ("[a-z]{1,8}", any::<u8>(), 0u8..3).prop_map(|(f, argc, kind)| {
+            let function = f.as_str().into();
+            match kind {
+                0 => Instr::CallDyn { function, argc },
+                1 => Instr::CallNative { function, argc },
+                _ => Instr::CallRemote { function, argc },
+            }
         }),
-        ("[a-z]{1,8}", 0u8..4).prop_map(|(f, argc)| Instr::CallRemote {
-            function: f.as_str().into(),
-            argc,
+        any::<u64>().prop_map(Instr::Work),
+        ("[a-z]{1,8}", any::<bool>()).prop_map(|(k, set)| if set {
+            Instr::GlobalSet(k.as_str().into())
+        } else {
+            Instr::GlobalGet(k.as_str().into())
         }),
     ]
+}
+
+/// The instruction strategy reaches every opcode.
+#[test]
+fn arb_instr_draws_every_opcode() {
+    let strategy = arb_instr();
+    let mut rng = TestRng::seed(7);
+    let mut seen = [false; OPCODE_COUNT];
+    for _ in 0..4_000 {
+        seen[strategy.generate(&mut rng).opcode()] = true;
+    }
+    let missing: Vec<&str> = (0..OPCODE_COUNT)
+        .filter(|&op| !seen[op])
+        .map(|op| OPCODE_NAMES[op])
+        .collect();
+    assert!(missing.is_empty(), "never drawn: {missing:?}");
 }
 
 /// Code that need not be *valid* (jumps may dangle) — the codec must

@@ -136,6 +136,11 @@ pub fn kernel_function(name: &str, work_nanos: u64) -> CodeBlock {
 
 #[cfg(test)]
 mod tests {
+    use dcdo_sim::Fold;
+    use dcdo_types::ObjectId;
+    use dcdo_vm::codec::{read_code_block, write_code_block, Reader, Writer};
+    use dcdo_vm::{disassemble, Instr, Value, OPCODE_COUNT};
+
     use super::*;
 
     /// Every component a scenario, experiment or bench maps survives the
@@ -165,13 +170,125 @@ mod tests {
                 ComponentSuite::generate(&SuiteSpec::paper_creation(comps)).into_components(),
             );
         }
+        let mut fold = Fold::new(fixtures.len() as u64);
+        let mut text_fold = Fold::new(fixtures.len() as u64);
         for c in &fixtures {
             let decoded = ComponentBinary::decode(c.encode()).expect("decodes");
             assert_eq!(&decoded, c, "{}", c.name());
             assert_eq!(decoded.size_bytes(), c.size_bytes(), "{}", c.name());
             assert_eq!(decoded.encoded_len(), c.encoded_len(), "{}", c.name());
             assert_eq!(c.encoded_len(), c.encode().len() as u64, "{}", c.name());
+            fold_bytes(&mut fold, &c.encode());
+            fold_bytes(&mut text_fold, disassemble(c).as_bytes());
         }
+        // The object code itself is pinned, not only its round trip: a
+        // moved opcode tag or operand layout changes these folds.
+        let got = fold.finish();
+        assert_eq!(
+            got, FIXTURE_ENCODE_FOLD,
+            "fixture encodings now fold to {got:#018x}"
+        );
+        let got = text_fold.finish();
+        assert_eq!(
+            got, FIXTURE_TEXT_FOLD,
+            "fixture disassemblies now fold to {got:#018x}"
+        );
+
+        let block = every_opcode_block();
+        let mut w = Writer::new();
+        write_code_block(&mut w, &block);
+        let bytes = w.finish();
+        let mut r = Reader::new(bytes.clone());
+        assert_eq!(read_code_block(&mut r).expect("decodes"), block);
+        assert_eq!(r.remaining(), 0);
+        let mut fold = Fold::new(1);
+        fold_bytes(&mut fold, &bytes);
+        let got = fold.finish();
+        assert_eq!(
+            got, EVERY_OPCODE_FOLD,
+            "the every-opcode block now folds to {got:#018x}"
+        );
+    }
+
+    /// [`Fold`] of the fixtures' `encode()` bytes, in fixture order.
+    const FIXTURE_ENCODE_FOLD: u64 = 0x0dd4_384e_7ba5_c855;
+    /// [`Fold`] of the fixtures' disassembly texts, in fixture order.
+    const FIXTURE_TEXT_FOLD: u64 = 0x3702_7e5f_c0dc_9047;
+    /// [`Fold`] of [`every_opcode_block`]'s encoding.
+    const EVERY_OPCODE_FOLD: u64 = 0xf7bb_2aef_03df_0b20;
+
+    /// Feeds `bytes` to `fold`: their length, then eight to a little-endian
+    /// word (the last zero-padded).
+    fn fold_bytes(fold: &mut Fold, bytes: &[u8]) {
+        fold.word(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            fold.word(u64::from_le_bytes(word));
+        }
+    }
+
+    /// One code block holding every opcode, in opcode order, with a push of
+    /// every value kind.
+    fn every_opcode_block() -> CodeBlock {
+        let instrs = vec![
+            Instr::Push(Value::Unit),
+            Instr::Push(Value::Int(-7)),
+            Instr::Push(Value::Bool(true)),
+            Instr::Push(Value::str("s")),
+            Instr::Push(Value::List(vec![Value::Int(1), Value::str("x")])),
+            Instr::Push(Value::ObjRef(ObjectId::from_raw(9))),
+            Instr::Pop,
+            Instr::Dup,
+            Instr::Swap,
+            Instr::LoadArg(0),
+            Instr::LoadLocal(1),
+            Instr::StoreLocal(2),
+            Instr::Add,
+            Instr::Sub,
+            Instr::Mul,
+            Instr::Div,
+            Instr::Rem,
+            Instr::Neg,
+            Instr::Not,
+            Instr::And,
+            Instr::Or,
+            Instr::Eq,
+            Instr::Ne,
+            Instr::Lt,
+            Instr::Le,
+            Instr::Gt,
+            Instr::Ge,
+            Instr::Jump(3),
+            Instr::JumpIfFalse(4),
+            Instr::JumpIfTrue(5),
+            Instr::CallDyn {
+                function: "d".into(),
+                argc: 2,
+            },
+            Instr::CallNative {
+                function: "n".into(),
+                argc: 2,
+            },
+            Instr::CallRemote {
+                function: "r".into(),
+                argc: 2,
+            },
+            Instr::Ret,
+            Instr::MakeList(3),
+            Instr::ListGet,
+            Instr::ListSet,
+            Instr::ListLen,
+            Instr::ListPush,
+            Instr::StrConcat,
+            Instr::StrLen,
+            Instr::Work(1_000),
+            Instr::GlobalGet("k".into()),
+            Instr::GlobalSet("k".into()),
+        ];
+        let opcodes: std::collections::BTreeSet<usize> = instrs.iter().map(Instr::opcode).collect();
+        assert_eq!(opcodes.len(), OPCODE_COUNT);
+        CodeBlock::new("every(int) -> any".parse().expect("signature"), 3, instrs)
     }
 
     #[test]
