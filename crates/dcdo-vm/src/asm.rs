@@ -35,7 +35,8 @@
 //! - `auto_deps` additionally runs structural-dependency analysis.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
 use dcdo_types::{
     Architecture, ComponentId, Dependency, DependencyEnd, FunctionSignature, Protection, Visibility,
@@ -43,7 +44,7 @@ use dcdo_types::{
 
 use crate::builder::FunctionBuilder;
 use crate::component::{ComponentBinary, ComponentBuilder};
-use crate::instr::Instr;
+use crate::instr::{Instr, Opcode, Operand, Shape};
 use crate::value::Value;
 
 /// An error while assembling component text, with its 1-based line number.
@@ -280,167 +281,42 @@ fn assemble_body(sig: &str, body: &[(usize, String)]) -> Result<crate::CodeBlock
             Some((m, o)) => (m, o.trim()),
             None => (line.as_str(), ""),
         };
-        let want_u8 = |what: &str| -> Result<u8, AsmError> {
-            operand
-                .parse()
-                .map_err(|_| err(lineno, format!("{mnemonic} needs a small integer {what}")))
-        };
-        let want_u64 = || -> Result<u64, AsmError> {
-            operand
-                .parse()
-                .map_err(|_| err(lineno, format!("{mnemonic} needs an integer operand")))
-        };
-        let want_label =
-            |labels: &HashMap<String, crate::Label>| -> Result<crate::Label, AsmError> {
-                labels
+        if mnemonic == "locals" {
+            declared_locals = parse_int(lineno, mnemonic, operand)?;
+            b.locals(declared_locals);
+            continue;
+        }
+        let op = Opcode::from_name(mnemonic)
+            .ok_or_else(|| err(lineno, format!("unknown mnemonic {mnemonic:?}")))?;
+        let operand = match op.shape() {
+            Shape::None => Operand::None,
+            Shape::Value => Operand::Value(parse_value(lineno, operand)?),
+            Shape::U8 => Operand::U8(parse_int(lineno, mnemonic, operand)?),
+            Shape::Jump => {
+                let label = labels
                     .get(operand)
                     .copied()
-                    .ok_or_else(|| err(lineno, format!("unknown label {operand:?}")))
-            };
-        let want_call = || -> Result<(String, u8), AsmError> {
-            let (name, argc) = operand
-                .rsplit_once('/')
-                .ok_or_else(|| err(lineno, format!("{mnemonic} needs `name/argc`")))?;
-            let argc = argc
-                .parse()
-                .map_err(|_| err(lineno, format!("bad argc in {operand:?}")))?;
-            Ok((name.to_owned(), argc))
+                    .ok_or_else(|| err(lineno, format!("unknown label {operand:?}")))?;
+                b.branch(op, label);
+                continue;
+            }
+            Shape::Call => {
+                let (name, argc) = operand
+                    .rsplit_once('/')
+                    .ok_or_else(|| err(lineno, format!("{mnemonic} needs `name/argc`")))?;
+                let argc = argc
+                    .parse()
+                    .map_err(|_| err(lineno, format!("bad argc in {operand:?}")))?;
+                Operand::Call(name.into(), argc)
+            }
+            Shape::U64 => Operand::U64(parse_int(lineno, mnemonic, operand)?),
+            Shape::Key => Operand::Key(operand.into()),
         };
-        match mnemonic {
-            "push" => {
-                let value = parse_value(lineno, operand)?;
-                b.push(value);
-            }
-            "pop" => {
-                b.pop();
-            }
-            "dup" => {
-                b.dup();
-            }
-            "swap" => {
-                b.swap();
-            }
-            "locals" => {
-                declared_locals = want_u8("count")?;
-                b.locals(declared_locals);
-            }
-            "load_arg" => {
-                b.load_arg(want_u8("index")?);
-            }
-            "load_local" => {
-                let n = want_u8("slot")?;
-                max_local = Some(max_local.map_or(n, |m| m.max(n)));
-                b.load_local(n);
-            }
-            "store_local" => {
-                let n = want_u8("slot")?;
-                max_local = Some(max_local.map_or(n, |m| m.max(n)));
-                b.store_local(n);
-            }
-            "add" => {
-                b.add();
-            }
-            "sub" => {
-                b.sub();
-            }
-            "mul" => {
-                b.mul();
-            }
-            "div" => {
-                b.div();
-            }
-            "rem" => {
-                b.rem();
-            }
-            "neg" => {
-                b.neg();
-            }
-            "not" => {
-                b.not();
-            }
-            "and" => {
-                b.instr(Instr::And);
-            }
-            "or" => {
-                b.instr(Instr::Or);
-            }
-            "eq" => {
-                b.eq();
-            }
-            "ne" => {
-                b.ne();
-            }
-            "lt" => {
-                b.lt();
-            }
-            "le" => {
-                b.le();
-            }
-            "gt" => {
-                b.gt();
-            }
-            "ge" => {
-                b.ge();
-            }
-            "jump" => {
-                let l = want_label(&labels)?;
-                b.jump(l);
-            }
-            "jump_if_false" => {
-                let l = want_label(&labels)?;
-                b.jump_if_false(l);
-            }
-            "jump_if_true" => {
-                let l = want_label(&labels)?;
-                b.jump_if_true(l);
-            }
-            "call_dyn" => {
-                let (name, argc) = want_call()?;
-                b.call_dyn(&name, argc);
-            }
-            "call_native" => {
-                let (name, argc) = want_call()?;
-                b.call_native(&name, argc);
-            }
-            "call_remote" => {
-                let (name, argc) = want_call()?;
-                b.call_remote(&name, argc);
-            }
-            "ret" => {
-                b.ret();
-            }
-            "make_list" => {
-                b.make_list(want_u8("arity")?);
-            }
-            "list_get" => {
-                b.instr(Instr::ListGet);
-            }
-            "list_set" => {
-                b.instr(Instr::ListSet);
-            }
-            "list_len" => {
-                b.instr(Instr::ListLen);
-            }
-            "list_push" => {
-                b.instr(Instr::ListPush);
-            }
-            "str_concat" => {
-                b.instr(Instr::StrConcat);
-            }
-            "str_len" => {
-                b.instr(Instr::StrLen);
-            }
-            "work" => {
-                b.work(want_u64()?);
-            }
-            "global_get" => {
-                b.global_get(operand);
-            }
-            "global_set" => {
-                b.global_set(operand);
-            }
-            other => return Err(err(lineno, format!("unknown mnemonic {other:?}"))),
+        let instr = op.with(operand);
+        if let Instr::LoadLocal(n) | Instr::StoreLocal(n) = instr {
+            max_local = Some(max_local.map_or(n, |m| m.max(n)));
         }
+        b.instr(instr);
     }
     if let Some(m) = max_local {
         // Ensure the local count covers every used slot even when the
@@ -449,6 +325,15 @@ fn assemble_body(sig: &str, body: &[(usize, String)]) -> Result<crate::CodeBlock
         b.locals(declared_locals.max(m + 1));
     }
     b.build().map_err(|e| err(first_line, e.to_string()))
+}
+
+fn parse_int<T: FromStr>(lineno: usize, mnemonic: &str, operand: &str) -> Result<T, AsmError> {
+    operand.parse().map_err(|_| {
+        err(
+            lineno,
+            format!("{mnemonic} needs an integer operand, not {operand:?}"),
+        )
+    })
 }
 
 fn parse_value(lineno: usize, operand: &str) -> Result<Value, AsmError> {
@@ -505,72 +390,25 @@ pub fn disassemble(component: &ComponentBinary) -> String {
         if code.locals() > 0 {
             let _ = writeln!(out, "    locals {}", code.locals());
         }
-        // Collect jump targets to synthesize labels.
+        // Label every jump target `l<pc>`.
         let mut targets: Vec<u32> = code
             .instrs()
             .iter()
-            .filter_map(|i| match i {
-                Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::JumpIfTrue(t) => Some(*t),
+            .filter_map(|i| match i.operand() {
+                Operand::Jump(t) => Some(t),
                 _ => None,
             })
             .collect();
         targets.sort_unstable();
         targets.dedup();
-        let label_of = |t: u32| format!("l{t}");
         for (pc, instr) in code.instrs().iter().enumerate() {
-            if targets.contains(&(pc as u32)) {
-                let _ = writeln!(out, "  {}:", label_of(pc as u32));
+            if targets.binary_search(&(pc as u32)).is_ok() {
+                let _ = writeln!(out, "  l{pc}:");
             }
-            let text = match instr {
-                Instr::Push(Value::Unit) => "push unit".to_owned(),
-                Instr::Push(Value::Bool(x)) => format!("push {x}"),
-                Instr::Push(Value::Int(n)) => format!("push {n}"),
-                Instr::Push(Value::Str(s)) => format!("push \"{s}\""),
-                Instr::Push(other) => format!("push {other}"),
-                Instr::Pop => "pop".into(),
-                Instr::Dup => "dup".into(),
-                Instr::Swap => "swap".into(),
-                Instr::LoadArg(n) => format!("load_arg {n}"),
-                Instr::LoadLocal(n) => format!("load_local {n}"),
-                Instr::StoreLocal(n) => format!("store_local {n}"),
-                Instr::Add => "add".into(),
-                Instr::Sub => "sub".into(),
-                Instr::Mul => "mul".into(),
-                Instr::Div => "div".into(),
-                Instr::Rem => "rem".into(),
-                Instr::Neg => "neg".into(),
-                Instr::Not => "not".into(),
-                Instr::And => "and".into(),
-                Instr::Or => "or".into(),
-                Instr::Eq => "eq".into(),
-                Instr::Ne => "ne".into(),
-                Instr::Lt => "lt".into(),
-                Instr::Le => "le".into(),
-                Instr::Gt => "gt".into(),
-                Instr::Ge => "ge".into(),
-                Instr::Jump(t) => format!("jump {}", label_of(*t)),
-                Instr::JumpIfFalse(t) => format!("jump_if_false {}", label_of(*t)),
-                Instr::JumpIfTrue(t) => format!("jump_if_true {}", label_of(*t)),
-                Instr::CallDyn { function, argc } => format!("call_dyn {function}/{argc}"),
-                Instr::CallNative { function, argc } => {
-                    format!("call_native {function}/{argc}")
-                }
-                Instr::CallRemote { function, argc } => {
-                    format!("call_remote {function}/{argc}")
-                }
-                Instr::Ret => "ret".into(),
-                Instr::MakeList(n) => format!("make_list {n}"),
-                Instr::ListGet => "list_get".into(),
-                Instr::ListSet => "list_set".into(),
-                Instr::ListLen => "list_len".into(),
-                Instr::ListPush => "list_push".into(),
-                Instr::StrConcat => "str_concat".into(),
-                Instr::StrLen => "str_len".into(),
-                Instr::Work(n) => format!("work {n}"),
-                Instr::GlobalGet(k) => format!("global_get {k}"),
-                Instr::GlobalSet(k) => format!("global_set {k}"),
+            let _ = match instr.operand() {
+                Operand::Jump(t) => writeln!(out, "    {} l{t}", instr.opcode_name()),
+                _ => writeln!(out, "    {instr}"),
             };
-            let _ = writeln!(out, "    {text}");
         }
         let _ = writeln!(out, "}}");
     }
@@ -583,6 +421,26 @@ pub fn disassemble(component: &ComponentBinary) -> String {
         let _ = writeln!(out, "depend {} -> {}", end(dep.source()), end(dep.target()));
     }
     out
+}
+
+/// An instruction as one line of assembly text, without indentation. A
+/// jump's target is its instruction index; [`disassemble`] writes the label
+/// `l<index>` there instead.
+impl fmt::Display for Instr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.opcode_name())?;
+        match self.operand() {
+            Operand::None => Ok(()),
+            Operand::Value(Value::Unit) => f.write_str(" unit"),
+            Operand::Value(Value::Str(s)) => write!(f, " \"{s}\""),
+            Operand::Value(v) => write!(f, " {v}"),
+            Operand::U8(n) => write!(f, " {n}"),
+            Operand::Jump(t) => write!(f, " {t}"),
+            Operand::Call(function, argc) => write!(f, " {function}/{argc}"),
+            Operand::U64(n) => write!(f, " {n}"),
+            Operand::Key(k) => write!(f, " {k}"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -644,6 +502,39 @@ depend [incr, self] -> [step]
                 .expect("starts");
             let out = t.run(&mut r, &NativeRegistry::standard(), &mut g, 10_000);
             assert_eq!(out, RunOutcome::Completed(Value::Int(expected)));
+        }
+    }
+
+    /// Every mnemonic in the instruction-set table assembles, and every
+    /// opcode's `Display` is the line the disassembler writes for it (with
+    /// a jump's target as an index, not a label).
+    #[test]
+    fn every_opcode_assembles_and_displays_as_its_disassembled_line() {
+        for op in Opcode::ALL {
+            let operand = match op.shape() {
+                Shape::None => "",
+                Shape::Value => " \"v\"",
+                Shape::U8 => " 1",
+                Shape::Jump => " top",
+                Shape::Call => " f/1",
+                Shape::U64 => " 250",
+                Shape::Key => " k",
+            };
+            let name = op.name();
+            let src = format!(
+                "component \"c\" id=1\nexport fn f(any, any) -> any {{\n  top:\n    push 0\n    {name}{operand}\n}}\n"
+            );
+            let component = assemble(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+            let instr = &component.functions()[0].code().instrs()[1];
+            assert_eq!(instr.op(), op);
+            let text = disassemble(&component);
+            let line = text.lines().rev().nth(1).expect("a body line").trim_start();
+            if op.shape() == Shape::Jump {
+                assert_eq!(line, format!("{name} l0"));
+                assert_eq!(instr.to_string(), format!("{name} 0"));
+            } else {
+                assert_eq!(line, instr.to_string());
+            }
         }
     }
 

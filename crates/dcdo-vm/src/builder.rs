@@ -28,7 +28,7 @@ use std::fmt;
 
 use dcdo_types::{FunctionSignature, ParseSignatureError};
 
-use crate::instr::{CodeBlock, CodeValidationError, Instr};
+use crate::instr::{CodeBlock, CodeValidationError, Instr, Opcode, Operand};
 use crate::value::Value;
 
 /// A symbolic jump target handed out by [`FunctionBuilder::new_label`].
@@ -76,9 +76,8 @@ impl From<CodeValidationError> for BuildError {
 
 enum Slot {
     Fixed(Instr),
-    Jump(Label),
-    JumpIfFalse(Label),
-    JumpIfTrue(Label),
+    /// A jump opcode whose target is a label, resolved in `build`.
+    Jump(Opcode, Label),
 }
 
 /// Fluent assembler for one function body.
@@ -244,19 +243,23 @@ impl FunctionBuilder {
 
     /// Unconditional jump to `label`.
     pub fn jump(&mut self, label: Label) -> &mut Self {
-        self.slots.push(Slot::Jump(label));
-        self
+        self.branch(Opcode::Jump, label)
     }
 
     /// Jump to `label` if the popped boolean is false.
     pub fn jump_if_false(&mut self, label: Label) -> &mut Self {
-        self.slots.push(Slot::JumpIfFalse(label));
-        self
+        self.branch(Opcode::JumpIfFalse, label)
     }
 
     /// Jump to `label` if the popped boolean is true.
     pub fn jump_if_true(&mut self, label: Label) -> &mut Self {
-        self.slots.push(Slot::JumpIfTrue(label));
+        self.branch(Opcode::JumpIfTrue, label)
+    }
+
+    /// Emits the jump opcode `op` (of [`Shape::Jump`](crate::Shape::Jump))
+    /// to `label`.
+    pub(crate) fn branch(&mut self, op: Opcode, label: Label) -> &mut Self {
+        self.slots.push(Slot::Jump(op, label));
         self
     }
 
@@ -334,9 +337,7 @@ impl FunctionBuilder {
         for slot in &self.slots {
             instrs.push(match slot {
                 Slot::Fixed(i) => i.clone(),
-                Slot::Jump(l) => Instr::Jump(resolve(l)?),
-                Slot::JumpIfFalse(l) => Instr::JumpIfFalse(resolve(l)?),
-                Slot::JumpIfTrue(l) => Instr::JumpIfTrue(resolve(l)?),
+                Slot::Jump(op, l) => op.with(Operand::Jump(resolve(l)?)),
             });
         }
         let block = CodeBlock::new(self.signature.clone(), self.locals, instrs);

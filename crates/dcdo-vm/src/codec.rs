@@ -12,7 +12,7 @@ use std::rc::Rc;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dcdo_types::{FunctionSignature, ObjectId};
 
-use crate::instr::{CodeBlock, Instr};
+use crate::instr::{CodeBlock, Instr, Opcode, Operand, Shape};
 use crate::value::Value;
 
 /// Magic number opening every encoded component ("DCDO").
@@ -259,167 +259,41 @@ pub fn read_value(r: &mut Reader) -> Result<Value, DecodeError> {
 
 // ---- Instr ----------------------------------------------------------------
 
-#[rustfmt::skip]
-mod op {
-    pub const PUSH: u8 = 0x01; pub const POP: u8 = 0x02; pub const DUP: u8 = 0x03;
-    pub const SWAP: u8 = 0x04; pub const LOAD_ARG: u8 = 0x05; pub const LOAD_LOCAL: u8 = 0x06;
-    pub const STORE_LOCAL: u8 = 0x07; pub const ADD: u8 = 0x08; pub const SUB: u8 = 0x09;
-    pub const MUL: u8 = 0x0A; pub const DIV: u8 = 0x0B; pub const REM: u8 = 0x0C;
-    pub const NEG: u8 = 0x0D; pub const NOT: u8 = 0x0E; pub const AND: u8 = 0x0F;
-    pub const OR: u8 = 0x10; pub const EQ: u8 = 0x11; pub const NE: u8 = 0x12;
-    pub const LT: u8 = 0x13; pub const LE: u8 = 0x14; pub const GT: u8 = 0x15;
-    pub const GE: u8 = 0x16; pub const JUMP: u8 = 0x17; pub const JUMP_IF_FALSE: u8 = 0x18;
-    pub const JUMP_IF_TRUE: u8 = 0x19; pub const CALL_DYN: u8 = 0x1A;
-    pub const CALL_NATIVE: u8 = 0x1B; pub const CALL_REMOTE: u8 = 0x1C; pub const RET: u8 = 0x1D;
-    pub const MAKE_LIST: u8 = 0x1E; pub const LIST_GET: u8 = 0x1F; pub const LIST_SET: u8 = 0x20;
-    pub const LIST_LEN: u8 = 0x21; pub const LIST_PUSH: u8 = 0x22; pub const STR_CONCAT: u8 = 0x23;
-    pub const STR_LEN: u8 = 0x24; pub const WORK: u8 = 0x25;
-    pub const GLOBAL_GET: u8 = 0x26; pub const GLOBAL_SET: u8 = 0x27;
-}
-
-/// Encodes one instruction.
+/// Encodes one instruction: its tag, the opcode index plus one, then its
+/// operand.
 pub fn write_instr(w: &mut Writer, i: &Instr) {
-    match i {
-        Instr::Push(v) => {
-            w.u8(op::PUSH);
-            write_value(w, v);
-        }
-        Instr::Pop => w.u8(op::POP),
-        Instr::Dup => w.u8(op::DUP),
-        Instr::Swap => w.u8(op::SWAP),
-        Instr::LoadArg(n) => {
-            w.u8(op::LOAD_ARG);
-            w.u8(*n);
-        }
-        Instr::LoadLocal(n) => {
-            w.u8(op::LOAD_LOCAL);
-            w.u8(*n);
-        }
-        Instr::StoreLocal(n) => {
-            w.u8(op::STORE_LOCAL);
-            w.u8(*n);
-        }
-        Instr::Add => w.u8(op::ADD),
-        Instr::Sub => w.u8(op::SUB),
-        Instr::Mul => w.u8(op::MUL),
-        Instr::Div => w.u8(op::DIV),
-        Instr::Rem => w.u8(op::REM),
-        Instr::Neg => w.u8(op::NEG),
-        Instr::Not => w.u8(op::NOT),
-        Instr::And => w.u8(op::AND),
-        Instr::Or => w.u8(op::OR),
-        Instr::Eq => w.u8(op::EQ),
-        Instr::Ne => w.u8(op::NE),
-        Instr::Lt => w.u8(op::LT),
-        Instr::Le => w.u8(op::LE),
-        Instr::Gt => w.u8(op::GT),
-        Instr::Ge => w.u8(op::GE),
-        Instr::Jump(t) => {
-            w.u8(op::JUMP);
-            w.u32(*t);
-        }
-        Instr::JumpIfFalse(t) => {
-            w.u8(op::JUMP_IF_FALSE);
-            w.u32(*t);
-        }
-        Instr::JumpIfTrue(t) => {
-            w.u8(op::JUMP_IF_TRUE);
-            w.u32(*t);
-        }
-        Instr::CallDyn { function, argc } => {
-            w.u8(op::CALL_DYN);
+    w.u8(i.opcode() as u8 + 1);
+    match i.operand() {
+        Operand::None => {}
+        Operand::Value(v) => write_value(w, v),
+        Operand::U8(n) => w.u8(n),
+        Operand::Jump(t) => w.u32(t),
+        Operand::Call(function, argc) => {
             w.str(function.as_str());
-            w.u8(*argc);
+            w.u8(argc);
         }
-        Instr::CallNative { function, argc } => {
-            w.u8(op::CALL_NATIVE);
-            w.str(function.as_str());
-            w.u8(*argc);
-        }
-        Instr::CallRemote { function, argc } => {
-            w.u8(op::CALL_REMOTE);
-            w.str(function.as_str());
-            w.u8(*argc);
-        }
-        Instr::Ret => w.u8(op::RET),
-        Instr::MakeList(n) => {
-            w.u8(op::MAKE_LIST);
-            w.u8(*n);
-        }
-        Instr::ListGet => w.u8(op::LIST_GET),
-        Instr::ListSet => w.u8(op::LIST_SET),
-        Instr::ListLen => w.u8(op::LIST_LEN),
-        Instr::ListPush => w.u8(op::LIST_PUSH),
-        Instr::StrConcat => w.u8(op::STR_CONCAT),
-        Instr::StrLen => w.u8(op::STR_LEN),
-        Instr::Work(n) => {
-            w.u8(op::WORK);
-            w.u64(*n);
-        }
-        Instr::GlobalGet(k) => {
-            w.u8(op::GLOBAL_GET);
-            w.str(k.as_str());
-        }
-        Instr::GlobalSet(k) => {
-            w.u8(op::GLOBAL_SET);
-            w.str(k.as_str());
-        }
+        Operand::U64(n) => w.u64(n),
+        Operand::Key(k) => w.str(k.as_str()),
     }
 }
 
 /// Decodes one instruction.
 pub fn read_instr(r: &mut Reader) -> Result<Instr, DecodeError> {
-    Ok(match r.u8()? {
-        op::PUSH => Instr::Push(read_value(r)?),
-        op::POP => Instr::Pop,
-        op::DUP => Instr::Dup,
-        op::SWAP => Instr::Swap,
-        op::LOAD_ARG => Instr::LoadArg(r.u8()?),
-        op::LOAD_LOCAL => Instr::LoadLocal(r.u8()?),
-        op::STORE_LOCAL => Instr::StoreLocal(r.u8()?),
-        op::ADD => Instr::Add,
-        op::SUB => Instr::Sub,
-        op::MUL => Instr::Mul,
-        op::DIV => Instr::Div,
-        op::REM => Instr::Rem,
-        op::NEG => Instr::Neg,
-        op::NOT => Instr::Not,
-        op::AND => Instr::And,
-        op::OR => Instr::Or,
-        op::EQ => Instr::Eq,
-        op::NE => Instr::Ne,
-        op::LT => Instr::Lt,
-        op::LE => Instr::Le,
-        op::GT => Instr::Gt,
-        op::GE => Instr::Ge,
-        op::JUMP => Instr::Jump(r.u32()?),
-        op::JUMP_IF_FALSE => Instr::JumpIfFalse(r.u32()?),
-        op::JUMP_IF_TRUE => Instr::JumpIfTrue(r.u32()?),
-        op::CALL_DYN => Instr::CallDyn {
-            function: r.str()?.into(),
-            argc: r.u8()?,
-        },
-        op::CALL_NATIVE => Instr::CallNative {
-            function: r.str()?.into(),
-            argc: r.u8()?,
-        },
-        op::CALL_REMOTE => Instr::CallRemote {
-            function: r.str()?.into(),
-            argc: r.u8()?,
-        },
-        op::RET => Instr::Ret,
-        op::MAKE_LIST => Instr::MakeList(r.u8()?),
-        op::LIST_GET => Instr::ListGet,
-        op::LIST_SET => Instr::ListSet,
-        op::LIST_LEN => Instr::ListLen,
-        op::LIST_PUSH => Instr::ListPush,
-        op::STR_CONCAT => Instr::StrConcat,
-        op::STR_LEN => Instr::StrLen,
-        op::WORK => Instr::Work(r.u64()?),
-        op::GLOBAL_GET => Instr::GlobalGet(r.str()?.into()),
-        op::GLOBAL_SET => Instr::GlobalSet(r.str()?.into()),
-        other => return Err(DecodeError::BadOpcode(other)),
-    })
+    let tag = r.u8()?;
+    let op = tag
+        .checked_sub(1)
+        .and_then(|index| Opcode::ALL.get(usize::from(index)))
+        .ok_or(DecodeError::BadOpcode(tag))?;
+    let operand = match op.shape() {
+        Shape::None => Operand::None,
+        Shape::Value => Operand::Value(read_value(r)?),
+        Shape::U8 => Operand::U8(r.u8()?),
+        Shape::Jump => Operand::Jump(r.u32()?),
+        Shape::Call => Operand::Call(r.str()?.into(), r.u8()?),
+        Shape::U64 => Operand::U64(r.u64()?),
+        Shape::Key => Operand::Key(r.str()?.into()),
+    };
+    Ok(op.with(operand))
 }
 
 // ---- CodeBlock ------------------------------------------------------------

@@ -36,7 +36,7 @@ use std::rc::Rc;
 use dcdo_types::{FunctionName, FunctionSignature};
 
 use crate::error::VmError;
-use crate::instr::{CodeBlock, Instr};
+use crate::instr::{CodeBlock, Instr, Opcode};
 use crate::value::Value;
 
 /// Lifecycle counters for one resolver's decode cache.
@@ -70,11 +70,11 @@ pub(crate) enum Operand {
 
 impl Operand {
     /// The original opcode this operand stands for, for exact profiling.
-    pub(crate) fn opcode(&self) -> usize {
+    pub(crate) fn opcode(&self) -> Opcode {
         match self {
-            Operand::Local(_) => 5,
-            Operand::Arg(_) => 4,
-            Operand::Imm(_) => 0,
+            Operand::Local(_) => Opcode::LoadLocal,
+            Operand::Arg(_) => Opcode::LoadArg,
+            Operand::Imm(_) => Opcode::Push,
         }
     }
 
@@ -111,13 +111,13 @@ impl ArithKind {
     }
 
     /// The original opcode, for exact profiling.
-    pub(crate) fn opcode(self) -> usize {
+    pub(crate) fn opcode(self) -> Opcode {
         match self {
-            ArithKind::Add => 7,
-            ArithKind::Sub => 8,
-            ArithKind::Mul => 9,
-            ArithKind::Div => 10,
-            ArithKind::Rem => 11,
+            ArithKind::Add => Opcode::Add,
+            ArithKind::Sub => Opcode::Sub,
+            ArithKind::Mul => Opcode::Mul,
+            ArithKind::Div => Opcode::Div,
+            ArithKind::Rem => Opcode::Rem,
         }
     }
 
@@ -164,14 +164,14 @@ impl CmpKind {
     }
 
     /// The original opcode, for exact profiling.
-    pub(crate) fn opcode(self) -> usize {
+    pub(crate) fn opcode(self) -> Opcode {
         match self {
-            CmpKind::Eq => 16,
-            CmpKind::Ne => 17,
-            CmpKind::Lt => 18,
-            CmpKind::Le => 19,
-            CmpKind::Gt => 20,
-            CmpKind::Ge => 21,
+            CmpKind::Eq => Opcode::Eq,
+            CmpKind::Ne => Opcode::Ne,
+            CmpKind::Lt => Opcode::Lt,
+            CmpKind::Le => Opcode::Le,
+            CmpKind::Gt => Opcode::Gt,
+            CmpKind::Ge => Opcode::Ge,
         }
     }
 

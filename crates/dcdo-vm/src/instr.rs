@@ -1,5 +1,10 @@
 //! The bytecode instruction set and code blocks.
 //!
+//! The opcodes are declared once, in the `instruction_set!` table below:
+//! each entry gives an [`Instr`] variant its [`Opcode`], mnemonic and
+//! operand [`Shape`], and the codec, the assembler, the disassembler and
+//! the interpreter's accounting all read them from there.
+//!
 //! The instruction set is a small stack machine. The two call instructions
 //! are where dynamic configurability bites:
 //!
@@ -123,119 +128,225 @@ pub enum Instr {
     GlobalSet(FunctionName),
 }
 
-/// Number of distinct opcodes ([`Instr`] variants) — the length of the
-/// per-opcode aggregate array kept by the profiling hook.
-pub const OPCODE_COUNT: usize = 39;
+/// Declares the instruction set, one entry per opcode in opcode order:
+/// `Variant: Shape = "mnemonic"`. An entry's position is its opcode index
+/// (the profiler's, and the object code's tag minus one); its mnemonic is
+/// both the opcode name and the assembly text; its shape is the operand
+/// that follows the tag and the mnemonic. The codec, the assembler and
+/// disassembler and the interpreter's charges all read this one table.
+macro_rules! instruction_set {
+    ($($variant:ident: $shape:ident = $name:literal,)*) => {
+        /// An opcode: an [`Instr`] variant without its operand. Its
+        /// discriminant is the dense opcode index.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Opcode {
+            $(#[doc = concat!("`", $name, "`")] $variant,)*
+        }
 
-/// Stable opcode names, indexed by [`Instr::opcode`].
-pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
-    "push",
-    "pop",
-    "dup",
-    "swap",
-    "load_arg",
-    "load_local",
-    "store_local",
-    "add",
-    "sub",
-    "mul",
-    "div",
-    "rem",
-    "neg",
-    "not",
-    "and",
-    "or",
-    "eq",
-    "ne",
-    "lt",
-    "le",
-    "gt",
-    "ge",
-    "jump",
-    "jump_if_false",
-    "jump_if_true",
-    "call_dyn",
-    "call_native",
-    "call_remote",
-    "ret",
-    "make_list",
-    "list_get",
-    "list_set",
-    "list_len",
-    "list_push",
-    "str_concat",
-    "str_len",
-    "work",
-    "global_get",
-    "global_set",
-];
+        /// Number of distinct opcodes ([`Instr`] variants) — the length of
+        /// the per-opcode aggregate array kept by the profiling hook.
+        pub const OPCODE_COUNT: usize = [$($name),*].len();
+
+        /// Stable opcode names, which are also the assembly mnemonics,
+        /// indexed by [`Instr::opcode`].
+        pub const OPCODE_NAMES: [&str; OPCODE_COUNT] = [$($name),*];
+
+        impl Opcode {
+            /// Every opcode, in index order.
+            pub const ALL: [Opcode; OPCODE_COUNT] = [$(Opcode::$variant),*];
+
+            /// The operand this opcode takes.
+            pub const fn shape(self) -> Shape {
+                match self {
+                    $(Opcode::$variant => Shape::$shape,)*
+                }
+            }
+
+            /// This opcode's instruction around `operand`.
+            ///
+            /// # Panics
+            ///
+            /// If `operand` is not of this opcode's [`shape`](Opcode::shape).
+            pub(crate) fn with(self, operand: Operand) -> Instr {
+                match (self, operand) {
+                    $((Opcode::$variant, operand_form!($shape, a, b)) => {
+                        instr_form!($variant, $shape, a, b)
+                    })*
+                    (op, operand) => panic!("{op:?} takes no {operand:?}"),
+                }
+            }
+        }
+
+        impl Instr {
+            /// This instruction's opcode.
+            pub const fn op(&self) -> Opcode {
+                match self {
+                    $(Instr::$variant { .. } => Opcode::$variant,)*
+                }
+            }
+
+            /// This instruction's operand, borrowed.
+            pub(crate) fn operand(&self) -> Operand<&Value, &FunctionName> {
+                match self {
+                    $(instr_form!($variant, $shape, a, b) => operand_ref!($shape, a, b),)*
+                }
+            }
+        }
+    };
+}
+
+/// The [`Instr`] of `$variant` holding the bindings `$a` (and, for a call,
+/// `$b`); a pattern and an expression alike.
+macro_rules! instr_form {
+    ($variant:ident, None, $a:ident, $b:ident) => {
+        Instr::$variant
+    };
+    ($variant:ident, Call, $a:ident, $b:ident) => {
+        Instr::$variant {
+            function: $a,
+            argc: $b,
+        }
+    };
+    ($variant:ident, $shape:ident, $a:ident, $b:ident) => {
+        Instr::$variant($a)
+    };
+}
+
+/// The [`Operand`] of `$shape` holding the bindings `$a` (and, for a call,
+/// `$b`); a pattern and an expression alike.
+macro_rules! operand_form {
+    (None, $a:ident, $b:ident) => {
+        Operand::None
+    };
+    (Call, $a:ident, $b:ident) => {
+        Operand::Call($a, $b)
+    };
+    ($shape:ident, $a:ident, $b:ident) => {
+        Operand::$shape($a)
+    };
+}
+
+/// `operand_form` from the references an `instr_form` pattern binds in a
+/// borrowed instruction: integers are copied out.
+macro_rules! operand_ref {
+    (None, $a:ident, $b:ident) => {
+        Operand::None
+    };
+    (Call, $a:ident, $b:ident) => {
+        Operand::Call($a, *$b)
+    };
+    (Value, $a:ident, $b:ident) => {
+        Operand::Value($a)
+    };
+    (Key, $a:ident, $b:ident) => {
+        Operand::Key($a)
+    };
+    ($shape:ident, $a:ident, $b:ident) => {
+        Operand::$shape(*$a)
+    };
+}
+
+instruction_set! {
+    Push: Value = "push",
+    Pop: None = "pop",
+    Dup: None = "dup",
+    Swap: None = "swap",
+    LoadArg: U8 = "load_arg",
+    LoadLocal: U8 = "load_local",
+    StoreLocal: U8 = "store_local",
+    Add: None = "add",
+    Sub: None = "sub",
+    Mul: None = "mul",
+    Div: None = "div",
+    Rem: None = "rem",
+    Neg: None = "neg",
+    Not: None = "not",
+    And: None = "and",
+    Or: None = "or",
+    Eq: None = "eq",
+    Ne: None = "ne",
+    Lt: None = "lt",
+    Le: None = "le",
+    Gt: None = "gt",
+    Ge: None = "ge",
+    Jump: Jump = "jump",
+    JumpIfFalse: Jump = "jump_if_false",
+    JumpIfTrue: Jump = "jump_if_true",
+    CallDyn: Call = "call_dyn",
+    CallNative: Call = "call_native",
+    CallRemote: Call = "call_remote",
+    Ret: None = "ret",
+    MakeList: U8 = "make_list",
+    ListGet: None = "list_get",
+    ListSet: None = "list_set",
+    ListLen: None = "list_len",
+    ListPush: None = "list_push",
+    StrConcat: None = "str_concat",
+    StrLen: None = "str_len",
+    Work: U64 = "work",
+    GlobalGet: Key = "global_get",
+    GlobalSet: Key = "global_set",
+}
+
+/// The operand an opcode takes: what follows its tag in the object code
+/// and its mnemonic in assembly text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// No operand.
+    None,
+    /// A constant [`Value`] (`push`).
+    Value,
+    /// A small integer: an argument index, a local slot or a list length.
+    U8,
+    /// A jump target, an instruction index.
+    Jump,
+    /// A function name and an argument count, written `name/argc`.
+    Call,
+    /// Nanoseconds of simulated compute (`work`).
+    U64,
+    /// A persistent state key (`global_get`, `global_set`).
+    Key,
+}
+
+/// An instruction's operand, one variant per [`Shape`]: owned when an
+/// instruction is built ([`Opcode::with`]), borrowed when one is read
+/// ([`Instr::operand`]).
+#[derive(Debug)]
+pub(crate) enum Operand<V = Value, N = FunctionName> {
+    None,
+    Value(V),
+    U8(u8),
+    Jump(u32),
+    Call(N, u8),
+    U64(u64),
+    Key(N),
+}
+
+impl Opcode {
+    /// The opcode whose mnemonic is `name`.
+    pub fn from_name(name: &str) -> Option<Opcode> {
+        let index = OPCODE_NAMES.iter().position(|&n| n == name)?;
+        Some(Opcode::ALL[index])
+    }
+
+    /// The mnemonic.
+    pub const fn name(self) -> &'static str {
+        OPCODE_NAMES[self as usize]
+    }
+}
 
 impl Instr {
     /// A dense opcode index in declaration order, `0..OPCODE_COUNT`.
     ///
-    /// Stable across builds (it follows the declaration order above), so the
+    /// Stable across builds (it follows the instruction-set table), so the
     /// profiler's per-opcode aggregates are comparable between runs.
     pub const fn opcode(&self) -> usize {
-        match self {
-            Instr::Push(_) => 0,
-            Instr::Pop => 1,
-            Instr::Dup => 2,
-            Instr::Swap => 3,
-            Instr::LoadArg(_) => 4,
-            Instr::LoadLocal(_) => 5,
-            Instr::StoreLocal(_) => 6,
-            Instr::Add => 7,
-            Instr::Sub => 8,
-            Instr::Mul => 9,
-            Instr::Div => 10,
-            Instr::Rem => 11,
-            Instr::Neg => 12,
-            Instr::Not => 13,
-            Instr::And => 14,
-            Instr::Or => 15,
-            Instr::Eq => 16,
-            Instr::Ne => 17,
-            Instr::Lt => 18,
-            Instr::Le => 19,
-            Instr::Gt => 20,
-            Instr::Ge => 21,
-            Instr::Jump(_) => 22,
-            Instr::JumpIfFalse(_) => 23,
-            Instr::JumpIfTrue(_) => 24,
-            Instr::CallDyn { .. } => 25,
-            Instr::CallNative { .. } => 26,
-            Instr::CallRemote { .. } => 27,
-            Instr::Ret => 28,
-            Instr::MakeList(_) => 29,
-            Instr::ListGet => 30,
-            Instr::ListSet => 31,
-            Instr::ListLen => 32,
-            Instr::ListPush => 33,
-            Instr::StrConcat => 34,
-            Instr::StrLen => 35,
-            Instr::Work(_) => 36,
-            Instr::GlobalGet(_) => 37,
-            Instr::GlobalSet(_) => 38,
-        }
+        self.op() as usize
     }
 
     /// The stable short name of this instruction's opcode.
     pub const fn opcode_name(&self) -> &'static str {
-        OPCODE_NAMES[self.opcode()]
-    }
-}
-
-impl fmt::Display for Instr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Instr::CallDyn { function, argc } => write!(f, "call_dyn {function}/{argc}"),
-            Instr::CallNative { function, argc } => write!(f, "call_native {function}/{argc}"),
-            Instr::CallRemote { function, argc } => write!(f, "call_remote {function}/{argc}"),
-            Instr::Push(v) => write!(f, "push {v}"),
-            Instr::GlobalGet(k) => write!(f, "global_get {k}"),
-            Instr::GlobalSet(k) => write!(f, "global_set {k}"),
-            other => write!(f, "{}", format!("{other:?}").to_lowercase()),
-        }
+        self.op().name()
     }
 }
 

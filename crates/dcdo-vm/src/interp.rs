@@ -40,7 +40,7 @@ use dcdo_types::{ComponentId, FunctionName, ObjectId, TypeTag};
 
 use crate::decoded::{ArithKind, DecodedCode, DecodedOp, Operand};
 use crate::error::VmError;
-use crate::instr::Instr;
+use crate::instr::{Instr, Opcode};
 use crate::native::NativeRegistry;
 use crate::profile::{ThreadProfile, VmProfile};
 use crate::resolver::{CallOrigin, CallResolver, CallToken, ResolveError, ResolvedCall};
@@ -560,7 +560,7 @@ impl VmThread {
                             fused += 1;
                         }
                         if profiling {
-                            profile.instruction($opc, $work);
+                            profile.instruction($opc as usize, $work);
                         }
                     }};
                 }
@@ -596,27 +596,27 @@ impl VmThread {
                 *pc = cur + 1;
                 match op {
                     DecodedOp::Push(v) => {
-                        charge!(0, 0, false);
+                        charge!(Opcode::Push, 0, false);
                         stack.push(v.clone());
                     }
                     DecodedOp::Pop => {
-                        charge!(1, 0, false);
+                        charge!(Opcode::Pop, 0, false);
                         tr!(pop(stack));
                     }
                     DecodedOp::Dup => {
-                        charge!(2, 0, false);
+                        charge!(Opcode::Dup, 0, false);
                         let v = tr!(stack.last().cloned().ok_or(VmError::StackUnderflow));
                         stack.push(v);
                     }
                     DecodedOp::Swap => {
-                        charge!(3, 0, false);
+                        charge!(Opcode::Swap, 0, false);
                         let b = tr!(pop(stack));
                         let a = tr!(pop(stack));
                         stack.push(b);
                         stack.push(a);
                     }
                     DecodedOp::LoadArg(n) => {
-                        charge!(4, 0, false);
+                        charge!(Opcode::LoadArg, 0, false);
                         let v = tr!(frame_args
                             .get(*n as usize)
                             .cloned()
@@ -624,7 +624,7 @@ impl VmThread {
                         stack.push(v);
                     }
                     DecodedOp::LoadLocal(n) => {
-                        charge!(5, 0, false);
+                        charge!(Opcode::LoadLocal, 0, false);
                         let v = tr!(locals
                             .get(*n as usize)
                             .cloned()
@@ -632,25 +632,25 @@ impl VmThread {
                         stack.push(v);
                     }
                     DecodedOp::StoreLocal(n) => {
-                        charge!(6, 0, false);
+                        charge!(Opcode::StoreLocal, 0, false);
                         let v = tr!(pop(stack));
                         let slot = tr!(locals.get_mut(*n as usize).ok_or(VmError::StackUnderflow));
                         *slot = v;
                     }
                     DecodedOp::Add => {
-                        charge!(7, 0, false);
+                        charge!(Opcode::Add, 0, false);
                         tr!(int_binop(stack, |a, b| Ok(a.wrapping_add(b))));
                     }
                     DecodedOp::Sub => {
-                        charge!(8, 0, false);
+                        charge!(Opcode::Sub, 0, false);
                         tr!(int_binop(stack, |a, b| Ok(a.wrapping_sub(b))));
                     }
                     DecodedOp::Mul => {
-                        charge!(9, 0, false);
+                        charge!(Opcode::Mul, 0, false);
                         tr!(int_binop(stack, |a, b| Ok(a.wrapping_mul(b))));
                     }
                     DecodedOp::Div => {
-                        charge!(10, 0, false);
+                        charge!(Opcode::Div, 0, false);
                         tr!(int_binop(stack, |a, b| {
                             if b == 0 {
                                 Err(VmError::DivideByZero)
@@ -660,7 +660,7 @@ impl VmThread {
                         }));
                     }
                     DecodedOp::Rem => {
-                        charge!(11, 0, false);
+                        charge!(Opcode::Rem, 0, false);
                         tr!(int_binop(stack, |a, b| {
                             if b == 0 {
                                 Err(VmError::DivideByZero)
@@ -670,67 +670,67 @@ impl VmThread {
                         }));
                     }
                     DecodedOp::Neg => {
-                        charge!(12, 0, false);
+                        charge!(Opcode::Neg, 0, false);
                         let a = tr!(pop_int(stack));
                         stack.push(Value::Int(a.wrapping_neg()));
                     }
                     DecodedOp::Not => {
-                        charge!(13, 0, false);
+                        charge!(Opcode::Not, 0, false);
                         let a = tr!(pop_bool(stack));
                         stack.push(Value::Bool(!a));
                     }
                     DecodedOp::And => {
-                        charge!(14, 0, false);
+                        charge!(Opcode::And, 0, false);
                         let b = tr!(pop_bool(stack));
                         let a = tr!(pop_bool(stack));
                         stack.push(Value::Bool(a && b));
                     }
                     DecodedOp::Or => {
-                        charge!(15, 0, false);
+                        charge!(Opcode::Or, 0, false);
                         let b = tr!(pop_bool(stack));
                         let a = tr!(pop_bool(stack));
                         stack.push(Value::Bool(a || b));
                     }
                     DecodedOp::Eq => {
-                        charge!(16, 0, false);
+                        charge!(Opcode::Eq, 0, false);
                         let b = tr!(pop(stack));
                         let a = tr!(pop(stack));
                         stack.push(Value::Bool(a == b));
                     }
                     DecodedOp::Ne => {
-                        charge!(17, 0, false);
+                        charge!(Opcode::Ne, 0, false);
                         let b = tr!(pop(stack));
                         let a = tr!(pop(stack));
                         stack.push(Value::Bool(a != b));
                     }
                     DecodedOp::Lt => {
-                        charge!(18, 0, false);
+                        charge!(Opcode::Lt, 0, false);
                         tr!(int_cmp(stack, |a, b| a < b));
                     }
                     DecodedOp::Le => {
-                        charge!(19, 0, false);
+                        charge!(Opcode::Le, 0, false);
                         tr!(int_cmp(stack, |a, b| a <= b));
                     }
                     DecodedOp::Gt => {
-                        charge!(20, 0, false);
+                        charge!(Opcode::Gt, 0, false);
                         tr!(int_cmp(stack, |a, b| a > b));
                     }
                     DecodedOp::Ge => {
-                        charge!(21, 0, false);
+                        charge!(Opcode::Ge, 0, false);
                         tr!(int_cmp(stack, |a, b| a >= b));
                     }
                     DecodedOp::Jump(t) => {
-                        charge!(22, 0, false);
+                        charge!(Opcode::Jump, 0, false);
                         *pc = *t as usize;
                     }
                     DecodedOp::JumpIfFalse(t) => {
-                        charge!(23, 0, false);
+                        charge!(Opcode::JumpIfFalse, 0, false);
                         if !tr!(pop_bool(stack)) {
                             *pc = *t as usize;
                         }
                     }
                     DecodedOp::JumpIfTrue(t) => {
-                        charge!(24, 0, false);
+                        charge!(Opcode::JumpIfTrue, 0, false);
                         if tr!(pop_bool(stack)) {
                             *pc = *t as usize;
                         }
@@ -740,7 +740,7 @@ impl VmThread {
                         argc,
                         site,
                     } => {
-                        charge!(25, 0, false);
+                        charge!(Opcode::CallDyn, 0, false);
                         if depth >= MAX_CALL_DEPTH {
                             fault!(VmError::CallDepthExceeded(MAX_CALL_DEPTH));
                         }
@@ -777,13 +777,13 @@ impl VmThread {
                         break 'ops FrameEvent::Call { resolved, args };
                     }
                     DecodedOp::CallNative { function, argc } => {
-                        charge!(26, 0, false);
+                        charge!(Opcode::CallNative, 0, false);
                         let args = tr!(pop_n(stack, *argc as usize));
                         let result = tr!(natives.call(function, &args));
                         stack.push(result);
                     }
                     DecodedOp::CallRemote { function, argc } => {
-                        charge!(27, 0, false);
+                        charge!(Opcode::CallRemote, 0, false);
                         let args = tr!(pop_n(stack, *argc as usize));
                         let target = tr!(pop(stack));
                         let Some(target) = target.as_obj_ref() else {
@@ -799,17 +799,17 @@ impl VmThread {
                         });
                     }
                     DecodedOp::Ret => {
-                        charge!(28, 0, false);
+                        charge!(Opcode::Ret, 0, false);
                         let value = stack.pop().unwrap_or(Value::Unit);
                         break 'ops FrameEvent::Return(value);
                     }
                     DecodedOp::MakeList(n) => {
-                        charge!(29, 0, false);
+                        charge!(Opcode::MakeList, 0, false);
                         let items = tr!(pop_n(stack, *n as usize));
                         stack.push(Value::List(items));
                     }
                     DecodedOp::ListGet => {
-                        charge!(30, 0, false);
+                        charge!(Opcode::ListGet, 0, false);
                         let index = tr!(pop_int(stack));
                         let list = tr!(pop_list(stack));
                         let item = tr!(usize::try_from(index)
@@ -822,7 +822,7 @@ impl VmThread {
                         stack.push(item);
                     }
                     DecodedOp::ListSet => {
-                        charge!(31, 0, false);
+                        charge!(Opcode::ListSet, 0, false);
                         let value = tr!(pop(stack));
                         let index = tr!(pop_int(stack));
                         let mut list = tr!(pop_list(stack));
@@ -835,25 +835,25 @@ impl VmThread {
                         stack.push(Value::List(list));
                     }
                     DecodedOp::ListLen => {
-                        charge!(32, 0, false);
+                        charge!(Opcode::ListLen, 0, false);
                         let list = tr!(pop_list(stack));
                         stack.push(Value::Int(list.len() as i64));
                     }
                     DecodedOp::ListPush => {
-                        charge!(33, 0, false);
+                        charge!(Opcode::ListPush, 0, false);
                         let value = tr!(pop(stack));
                         let mut list = tr!(pop_list(stack));
                         list.push(value);
                         stack.push(Value::List(list));
                     }
                     DecodedOp::StrConcat => {
-                        charge!(34, 0, false);
+                        charge!(Opcode::StrConcat, 0, false);
                         let b = tr!(pop_str(stack));
                         let a = tr!(pop_str(stack));
                         stack.push(Value::str(format!("{a}{b}")));
                     }
                     DecodedOp::StrLen => {
-                        charge!(35, 0, false);
+                        charge!(Opcode::StrLen, 0, false);
                         let s = tr!(pop_str(stack));
                         stack.push(Value::Int(s.len() as i64));
                     }
@@ -861,15 +861,15 @@ impl VmThread {
                         // Folded into the dispatch table: the work amount
                         // reaches the profiler through the hook argument,
                         // with no pre-dispatch branch on the hot path.
-                        charge!(36, *nanos, false);
+                        charge!(Opcode::Work, *nanos, false);
                         *consumed_nanos += *nanos;
                     }
                     DecodedOp::GlobalGet(key) => {
-                        charge!(37, 0, false);
+                        charge!(Opcode::GlobalGet, 0, false);
                         stack.push(globals.get(key.as_str()));
                     }
                     DecodedOp::GlobalSet(key) => {
-                        charge!(38, 0, false);
+                        charge!(Opcode::GlobalSet, 0, false);
                         let v = tr!(pop(stack));
                         globals.assign(key.as_str(), v);
                     }
@@ -906,7 +906,15 @@ impl VmThread {
                             let vb = tr!(fetch(locals, frame_args, b));
                             charge!(cmp.opcode(), 0, true);
                             let flag = tr!(cmp.eval(&va, &vb));
-                            charge!(if *when { 24 } else { 23 }, 0, true);
+                            charge!(
+                                if *when {
+                                    Opcode::JumpIfTrue
+                                } else {
+                                    Opcode::JumpIfFalse
+                                },
+                                0,
+                                true
+                            );
                             if flag == *when {
                                 *pc = *target as usize;
                             }
@@ -932,7 +940,7 @@ impl VmThread {
                             let vb = tr!(fetch(locals, frame_args, b));
                             charge!(op.opcode(), 0, true);
                             let r = tr!(op.eval(&va, &vb));
-                            charge!(6, 0, true);
+                            charge!(Opcode::StoreLocal, 0, true);
                             let slot =
                                 tr!(locals.get_mut(*dst as usize).ok_or(VmError::StackUnderflow));
                             *slot = Value::Int(r);
@@ -965,11 +973,11 @@ impl VmThread {
                             let vb = tr!(fetch(locals, frame_args, b));
                             charge!(op.opcode(), 0, true);
                             let r = tr!(op.eval(&va, &vb));
-                            charge!(6, 0, true);
+                            charge!(Opcode::StoreLocal, 0, true);
                             let slot =
                                 tr!(locals.get_mut(*dst as usize).ok_or(VmError::StackUnderflow));
                             *slot = Value::Int(r);
-                            charge!(22, 0, true);
+                            charge!(Opcode::Jump, 0, true);
                             *pc = *target as usize;
                         }
                     }
@@ -989,7 +997,7 @@ impl VmThread {
                             let vb = tr!(fetch(locals, frame_args, b));
                             charge!(op.opcode(), 0, true);
                             let r = tr!(op.eval(&va, &vb));
-                            charge!(28, 0, true);
+                            charge!(Opcode::Ret, 0, true);
                             break 'ops FrameEvent::Return(Value::Int(r));
                         }
                     }
@@ -1026,7 +1034,7 @@ impl VmThread {
                         } else {
                             charge!(src.opcode(), 0, true);
                             let v = tr!(fetch(locals, frame_args, src));
-                            charge!(6, 0, true);
+                            charge!(Opcode::StoreLocal, 0, true);
                             let slot =
                                 tr!(locals.get_mut(*dst as usize).ok_or(VmError::StackUnderflow));
                             *slot = v;
@@ -1042,7 +1050,7 @@ impl VmThread {
                         } else {
                             charge!(src.opcode(), 0, true);
                             let v = tr!(fetch(locals, frame_args, src));
-                            charge!(28, 0, true);
+                            charge!(Opcode::Ret, 0, true);
                             break 'ops FrameEvent::Return(v);
                         }
                     }
@@ -1063,7 +1071,7 @@ impl VmThread {
                         } else {
                             charge!(arg.opcode(), 0, true);
                             v = tr!(fetch(locals, frame_args, arg));
-                            charge!(25, 0, true);
+                            charge!(Opcode::CallDyn, 0, true);
                         }
                         if depth >= MAX_CALL_DEPTH {
                             fault!(VmError::CallDepthExceeded(MAX_CALL_DEPTH));
