@@ -6,8 +6,11 @@
 //! JSON and Prometheus text (CI diffs the JSON debug-vs-release).
 //!
 //! Usage:
-//!   cargo run --release -p dcdo-bench --bin dcdo-inspect -- \
-//!       [vm] <workload> [seed] [--out PREFIX]
+//!
+//! ```text
+//! cargo run --release -p dcdo-bench --bin dcdo-inspect -- \
+//!     [vm] <workload> [seed] [--out PREFIX]
+//! ```
 //!
 //! Workloads: reconfig, reconfig_faulted, crash_during_reconfig (the
 //! `reconfig_run` driver with its layer map), rolling_partition,

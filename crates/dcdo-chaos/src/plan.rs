@@ -114,8 +114,8 @@ pub struct FaultStep {
 
 /// A deterministic, replayable schedule of fault actions.
 ///
-/// Steps are kept in insertion order; [`ChaosController::install`]
-/// (see [`crate::ChaosController`]) stably sorts them by time, so two steps
+/// Steps are kept in insertion order;
+/// [`ChaosController::install`](crate::ChaosController::install) stably sorts them by time, so two steps
 /// at the same instant apply in the order they were added.
 ///
 /// # Examples

@@ -122,7 +122,7 @@ pub struct ReplicaStatus {
     /// The implementation version it is running.
     pub version: u32,
     /// Whether its health probe passes (see
-    /// [`GroupReplica::unhealthy_from_version`]).
+    /// `GroupReplica::unhealthy_from_version`).
     pub healthy: bool,
     /// Invocations served.
     pub served: u64,

@@ -240,7 +240,7 @@ fn flow_cones(log: &TraceLog) -> HashMap<u64, u64> {
 
 /// Builds the reconfiguration-cost table: one row per flow kind present in
 /// the log, sorted by kind code. Message/byte costs come from the `MsgSent`
-/// spans causally attributed to each flow (see [`flow_cones`]).
+/// spans causally attributed to each flow (see `flow_cones`).
 pub fn cost_table(log: &TraceLog, flows: &[FlowRecord]) -> Vec<CostRow> {
     let cones = flow_cones(log);
     let mut traffic: HashMap<u64, (u64, u64)> = HashMap::new();

@@ -45,7 +45,7 @@ pub struct CriticalPath {
     pub end_ns: u64,
     /// The chain's segments in chronological order.
     pub segments: Vec<PathSegment>,
-    /// Time attributed to every layer, in [`LAYERS`] order (zeros included).
+    /// Time attributed to every layer, in `LAYERS` order (zeros included).
     pub by_layer: Vec<(Layer, u64)>,
 }
 

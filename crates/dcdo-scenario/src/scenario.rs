@@ -200,8 +200,8 @@ impl Scenario {
     }
 }
 
-/// Fluent construction of a [`Scenario`] in Rust (the file loader in
-/// [`crate::parse`] is the declarative equivalent).
+/// Fluent construction of a [`Scenario`] in Rust (the file loader,
+/// [`parse_scenario`](crate::parse_scenario), is the declarative equivalent).
 pub struct ScenarioBuilder {
     scenario: Scenario,
 }

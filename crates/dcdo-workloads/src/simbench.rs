@@ -256,7 +256,7 @@ pub fn fan_out(rounds: u64, spokes: u32, payload_words: usize) -> u64 {
 // ---------------------------------------------------------------------------
 // fan-out-wide (many concurrent clusters)
 
-/// Builds the wide fan-out simulation: one [`BlastHub`] per centurion node
+/// Builds the wide fan-out simulation: one `BlastHub` per centurion node
 /// (16 independent broadcast clusters running concurrently), with the
 /// `spokes` ack spokes dealt round-robin across the hubs and every spoke
 /// placed on a *different* node than its hub.
