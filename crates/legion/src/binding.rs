@@ -213,20 +213,25 @@ impl Actor<Msg> for BindingAgent {
 #[cfg(test)]
 mod tests {
     use dcdo_sim::{NetConfig, NodeId, Simulation};
+    use dcdo_vm::Value;
 
     use super::*;
     use crate::msg::{ControlPayload, InvocationFault};
 
-    /// Driver actor that records control replies it receives.
+    /// Driver actor that records the control and invocation replies it
+    /// receives.
     #[derive(Default)]
     struct Probe {
         replies: Vec<Result<ControlOp, InvocationFault>>,
+        invocation_replies: Vec<(CallId, Result<Value, InvocationFault>)>,
     }
 
     impl Actor<Msg> for Probe {
         fn on_message(&mut self, _ctx: &mut Ctx<'_, Msg>, _from: ActorId, msg: Msg) {
-            if let Msg::ControlReply { result, .. } = msg {
-                self.replies.push(result);
+            match msg {
+                Msg::ControlReply { result, .. } => self.replies.push(result),
+                Msg::Reply { call, result } => self.invocation_replies.push((call, result)),
+                _ => {}
             }
         }
     }
@@ -408,8 +413,18 @@ mod tests {
             },
         );
         sim.run_until_idle();
-        // The probe only records ControlReply; the Reply is observed via
-        // dead-silence here, so check the agent served no queries instead.
+        // The agent exports no functions: the call is answered with the
+        // envelope's NoSuchFunction, and serves no binding query.
+        let probe_ref = sim.actor::<Probe>(probe).expect("alive");
+        let [(call, Err(fault))] = probe_ref.invocation_replies.as_slice() else {
+            panic!(
+                "want one refused reply, got {:?}",
+                probe_ref.invocation_replies
+            );
+        };
+        assert_eq!(*call, CallId::from_raw(1));
+        assert_eq!(fault.to_string(), "function anything not in interface");
+        assert!(probe_ref.replies.is_empty());
         assert_eq!(
             sim.actor::<BindingAgent>(agent)
                 .expect("alive")
