@@ -328,12 +328,9 @@ fn assemble_body(sig: &str, body: &[(usize, String)]) -> Result<crate::CodeBlock
 }
 
 fn parse_int<T: FromStr>(lineno: usize, mnemonic: &str, operand: &str) -> Result<T, AsmError> {
-    operand.parse().map_err(|_| {
-        err(
-            lineno,
-            format!("{mnemonic} needs an integer operand, not {operand:?}"),
-        )
-    })
+    operand
+        .parse()
+        .map_err(|_| err(lineno, format!("{mnemonic} needs an integer operand")))
 }
 
 fn parse_value(lineno: usize, operand: &str) -> Result<Value, AsmError> {

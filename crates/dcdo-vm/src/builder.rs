@@ -256,8 +256,7 @@ impl FunctionBuilder {
         self.branch(Opcode::JumpIfTrue, label)
     }
 
-    /// Emits the jump opcode `op` (of [`Shape::Jump`](crate::Shape::Jump))
-    /// to `label`.
+    /// Emits the jump opcode `op` to `label`.
     pub(crate) fn branch(&mut self, op: Opcode, label: Label) -> &mut Self {
         self.slots.push(Slot::Jump(op, label));
         self

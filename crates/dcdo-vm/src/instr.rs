@@ -139,7 +139,7 @@ macro_rules! instruction_set {
         /// An opcode: an [`Instr`] variant without its operand. Its
         /// discriminant is the dense opcode index.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub enum Opcode {
+        pub(crate) enum Opcode {
             $(#[doc = concat!("`", $name, "`")] $variant,)*
         }
 
@@ -153,10 +153,10 @@ macro_rules! instruction_set {
 
         impl Opcode {
             /// Every opcode, in index order.
-            pub const ALL: [Opcode; OPCODE_COUNT] = [$(Opcode::$variant),*];
+            pub(crate) const ALL: [Opcode; OPCODE_COUNT] = [$(Opcode::$variant),*];
 
             /// The operand this opcode takes.
-            pub const fn shape(self) -> Shape {
+            pub(crate) const fn shape(self) -> Shape {
                 match self {
                     $(Opcode::$variant => Shape::$shape,)*
                 }
@@ -179,7 +179,7 @@ macro_rules! instruction_set {
 
         impl Instr {
             /// This instruction's opcode.
-            pub const fn op(&self) -> Opcode {
+            pub(crate) const fn op(&self) -> Opcode {
                 match self {
                     $(Instr::$variant { .. } => Opcode::$variant,)*
                 }
@@ -291,7 +291,7 @@ instruction_set! {
 /// The operand an opcode takes: what follows its tag in the object code
 /// and its mnemonic in assembly text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shape {
+pub(crate) enum Shape {
     /// No operand.
     None,
     /// A constant [`Value`] (`push`).
@@ -324,13 +324,13 @@ pub(crate) enum Operand<V = Value, N = FunctionName> {
 
 impl Opcode {
     /// The opcode whose mnemonic is `name`.
-    pub fn from_name(name: &str) -> Option<Opcode> {
+    pub(crate) fn from_name(name: &str) -> Option<Opcode> {
         let index = OPCODE_NAMES.iter().position(|&n| n == name)?;
         Some(Opcode::ALL[index])
     }
 
     /// The mnemonic.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         OPCODE_NAMES[self as usize]
     }
 }

@@ -51,7 +51,7 @@ pub use component::{
 };
 pub use decoded::{DecodeCacheStats, DecodedCode};
 pub use error::VmError;
-pub use instr::{CodeBlock, CodeValidationError, Instr, Opcode, Shape, OPCODE_COUNT, OPCODE_NAMES};
+pub use instr::{CodeBlock, CodeValidationError, Instr, OPCODE_COUNT, OPCODE_NAMES};
 pub use interp::{OutcallRequest, RunOutcome, ThreadStatus, VmThread, MAX_CALL_DEPTH};
 pub use native::{NativeFn, NativeRegistry};
 pub use profile::{FnProfile, FnStats, VmProfile, VmTotals};
