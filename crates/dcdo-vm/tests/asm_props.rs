@@ -1,39 +1,10 @@
 //! Property tests: the assembly text format round-trips valid components.
 
 use dcdo_types::{ComponentId, Protection, Visibility};
-use dcdo_vm::{
-    assemble, disassemble, CodeBlock, ComponentBuilder, Instr, Value, OPCODE_COUNT, OPCODE_NAMES,
-};
+use dcdo_vm::{assemble, disassemble, CodeBlock, ComponentBuilder, Instr, Value};
 use proptest::prelude::*;
 
-/// Every instruction without an operand.
-const NULLARY: [Instr; 25] = [
-    Instr::Pop,
-    Instr::Dup,
-    Instr::Swap,
-    Instr::Add,
-    Instr::Sub,
-    Instr::Mul,
-    Instr::Div,
-    Instr::Rem,
-    Instr::Neg,
-    Instr::Not,
-    Instr::And,
-    Instr::Or,
-    Instr::Eq,
-    Instr::Ne,
-    Instr::Lt,
-    Instr::Le,
-    Instr::Gt,
-    Instr::Ge,
-    Instr::Ret,
-    Instr::ListGet,
-    Instr::ListSet,
-    Instr::ListLen,
-    Instr::ListPush,
-    Instr::StrConcat,
-    Instr::StrLen,
-];
+mod common;
 
 /// Every opcode, valid for a `f(any, any) -> any` signature with 4 locals.
 /// A jump's target is drawn here as any `u32` and brought into range by
@@ -45,7 +16,7 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
         any::<bool>().prop_map(|b| Instr::Push(Value::Bool(b))),
         Just(Instr::Push(Value::Unit)),
         "[a-zA-Z0-9 _.-]{0,12}".prop_map(|s| Instr::Push(Value::str(s))),
-        (0..NULLARY.len()).prop_map(|i| NULLARY[i].clone()),
+        (0..common::NULLARY.len()).prop_map(|i| common::NULLARY[i].clone()),
         (0u8..2).prop_map(Instr::LoadArg),
         (0u8..4).prop_map(Instr::LoadLocal),
         (0u8..4).prop_map(Instr::StoreLocal),
@@ -83,17 +54,7 @@ fn land_jumps(mut instrs: Vec<Instr>) -> Vec<Instr> {
 /// The instruction strategy reaches every opcode.
 #[test]
 fn arb_instr_draws_every_opcode() {
-    let strategy = arb_instr();
-    let mut rng = TestRng::seed(7);
-    let mut seen = [false; OPCODE_COUNT];
-    for _ in 0..4_000 {
-        seen[strategy.generate(&mut rng).opcode()] = true;
-    }
-    let missing: Vec<&str> = (0..OPCODE_COUNT)
-        .filter(|&op| !seen[op])
-        .map(|op| OPCODE_NAMES[op])
-        .collect();
-    assert!(missing.is_empty(), "never drawn: {missing:?}");
+    assert_eq!(common::undrawn_opcodes(&arb_instr()), Vec::<&str>::new());
 }
 
 fn arb_component() -> impl Strategy<Value = dcdo_vm::ComponentBinary> {

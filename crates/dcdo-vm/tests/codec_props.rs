@@ -3,10 +3,10 @@
 
 use bytes::Bytes;
 use dcdo_types::{ComponentId, Dependency, ObjectId, Protection, Visibility};
-use dcdo_vm::{
-    CodeBlock, ComponentBinary, ComponentBuilder, Instr, Value, OPCODE_COUNT, OPCODE_NAMES,
-};
+use dcdo_vm::{CodeBlock, ComponentBinary, ComponentBuilder, Instr, Value};
 use proptest::prelude::*;
+
+mod common;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
@@ -21,35 +21,6 @@ fn arb_value() -> impl Strategy<Value = Value> {
     })
 }
 
-/// Every instruction without an operand.
-const NULLARY: [Instr; 25] = [
-    Instr::Pop,
-    Instr::Dup,
-    Instr::Swap,
-    Instr::Add,
-    Instr::Sub,
-    Instr::Mul,
-    Instr::Div,
-    Instr::Rem,
-    Instr::Neg,
-    Instr::Not,
-    Instr::And,
-    Instr::Or,
-    Instr::Eq,
-    Instr::Ne,
-    Instr::Lt,
-    Instr::Le,
-    Instr::Gt,
-    Instr::Ge,
-    Instr::Ret,
-    Instr::ListGet,
-    Instr::ListSet,
-    Instr::ListLen,
-    Instr::ListPush,
-    Instr::StrConcat,
-    Instr::StrLen,
-];
-
 /// Every opcode, jumps included: the codec does not care where they land.
 fn arb_instr() -> impl Strategy<Value = Instr> {
     let small: [fn(u8) -> Instr; 4] = [
@@ -61,7 +32,7 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
     let jumps: [fn(u32) -> Instr; 3] = [Instr::Jump, Instr::JumpIfFalse, Instr::JumpIfTrue];
     prop_oneof![
         arb_value().prop_map(Instr::Push),
-        (0..NULLARY.len()).prop_map(|i| NULLARY[i].clone()),
+        (0..common::NULLARY.len()).prop_map(|i| common::NULLARY[i].clone()),
         (0..small.len(), any::<u8>()).prop_map(move |(i, n)| small[i](n)),
         (0..jumps.len(), any::<u32>()).prop_map(move |(i, t)| jumps[i](t)),
         ("[a-z]{1,8}", any::<u8>(), 0u8..3).prop_map(|(f, argc, kind)| {
@@ -84,17 +55,7 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
 /// The instruction strategy reaches every opcode.
 #[test]
 fn arb_instr_draws_every_opcode() {
-    let strategy = arb_instr();
-    let mut rng = TestRng::seed(7);
-    let mut seen = [false; OPCODE_COUNT];
-    for _ in 0..4_000 {
-        seen[strategy.generate(&mut rng).opcode()] = true;
-    }
-    let missing: Vec<&str> = (0..OPCODE_COUNT)
-        .filter(|&op| !seen[op])
-        .map(|op| OPCODE_NAMES[op])
-        .collect();
-    assert!(missing.is_empty(), "never drawn: {missing:?}");
+    assert_eq!(common::undrawn_opcodes(&arb_instr()), Vec::<&str>::new());
 }
 
 /// Code that need not be *valid* (jumps may dangle) — the codec must
