@@ -160,9 +160,14 @@ pub fn assemble(source: &str) -> Result<ComponentBinary, AsmError> {
         .map_err(|e| err(0, format!("component validation failed: {e}")))
 }
 
+/// Cuts the line's `;` comment. A `;` between the line's first and last
+/// `"` lies in a string literal, which [`disassemble`] writes unescaped,
+/// so any string round-trips; a comment after a literal holds no `"`.
 fn strip_comment(line: &str) -> &str {
-    match line.find(';') {
-        Some(i) => &line[..i],
+    let literal = line.find('"').zip(line.rfind('"'));
+    let in_literal = |i| literal.is_some_and(|(open, close)| open < i && i < close);
+    match line.match_indices(';').find(|&(i, _)| !in_literal(i)) {
+        Some((i, _)) => &line[..i],
         None => line,
     }
 }
@@ -289,6 +294,9 @@ fn assemble_body(sig: &str, body: &[(usize, String)]) -> Result<crate::CodeBlock
         let op = Opcode::from_name(mnemonic)
             .ok_or_else(|| err(lineno, format!("unknown mnemonic {mnemonic:?}")))?;
         let operand = match op.shape() {
+            Shape::None if !operand.is_empty() => {
+                return Err(err(lineno, format!("{mnemonic} takes no operand")));
+            }
             Shape::None => Operand::None,
             Shape::Value => Operand::Value(parse_value(lineno, operand)?),
             Shape::U8 => Operand::U8(parse_int(lineno, mnemonic, operand)?),
@@ -556,6 +564,28 @@ export fn f() -> int {
 "#;
         let component = assemble(src).expect("assembles");
         assert_eq!(component.functions().len(), 1);
+    }
+
+    #[test]
+    fn a_semicolon_in_a_string_literal_is_not_a_comment() {
+        let src = "component \"c;d\" id=1 ; the header\n\
+                   export fn f() -> str {\n    push \"a;b\" ; a;b\n    ret\n}\n";
+        let component = assemble(src).expect("assembles");
+        assert_eq!(component.name(), "c;d");
+        let push = &component.functions()[0].code().instrs()[0];
+        assert_eq!(*push, Instr::Push(Value::str("a;b")));
+        let text = disassemble(&component);
+        assert_eq!(assemble(&text).expect("round trip"), component);
+    }
+
+    #[test]
+    fn an_operand_after_an_operand_free_mnemonic_is_an_error() {
+        let src =
+            "component \"c\" id=1\nexport fn f() -> unit {\n    push unit\n    pop 5\n    ret\n}\n";
+        let e = assemble(src).unwrap_err();
+        assert_eq!(e.line, 4);
+        assert_eq!(e.message, "pop takes no operand");
+        assert!(assemble(&src.replace("pop 5", "pop ; 5")).is_ok());
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
         any::<i64>().prop_map(|n| Instr::Push(Value::Int(n))),
         any::<bool>().prop_map(|b| Instr::Push(Value::Bool(b))),
         Just(Instr::Push(Value::Unit)),
-        "[a-zA-Z0-9 _.-]{0,12}".prop_map(|s| Instr::Push(Value::str(s))),
+        "[a-zA-Z0-9 _.;\"-]{0,12}".prop_map(|s| Instr::Push(Value::str(s))),
         (0..common::NULLARY.len()).prop_map(|i| common::NULLARY[i].clone()),
         (0u8..2).prop_map(Instr::LoadArg),
         (0u8..4).prop_map(Instr::LoadLocal),
