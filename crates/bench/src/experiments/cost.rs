@@ -2,6 +2,7 @@
 //! evolution-cost comparison — the paper's headline "Cost" results.
 
 use dcdo_core::ops::{UpdateInstance, VersionConfigOp};
+use dcdo_sim::{SimTime, SpanKind};
 use dcdo_types::VersionId;
 use dcdo_vm::Value;
 use dcdo_workloads::service;
@@ -59,15 +60,21 @@ pub fn e4(seed: u64, trials: usize) -> Table {
             .replace(&mut bed, instance, image)
             .result
             .expect("evolved");
-        // The stale client call rides through the discovery protocol.
+        // The stale client call rides through the discovery protocol; the
+        // window runs from its issue to its `BindingInvalidated` span.
+        bed.sim.spans_mut().enable();
+        let issued = bed.sim.now();
         let completion = bed.call_and_wait(client, instance, "leaf", vec![Value::Int(1)]);
         completion.result.expect("eventually succeeds");
-        let h = bed
+        let invalidated = bed
             .sim
-            .metrics_mut()
-            .histogram_mut("rpc.stale_binding_discovery_time")
-            .expect("discovery recorded");
-        discoveries.push(h.median().expect("sample"));
+            .spans()
+            .events()
+            .iter()
+            .find(|e| matches!(e.kind, SpanKind::BindingInvalidated { .. }))
+            .expect("discovery traced");
+        let discovery = SimTime::from_nanos(invalidated.at_ns).duration_since(issued);
+        discoveries.push(discovery.as_secs_f64());
     }
     discoveries.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     let min = discoveries[0];

@@ -98,7 +98,6 @@ impl LegionObject for Ico {
             self.pending_reads.insert(token, (from, call));
             let delay = self.read_time();
             ctx.metrics().incr("ico.reads");
-            ctx.metrics().sample_duration("ico.read_time", delay);
             ctx.schedule_timer(delay, token);
             Served::Later
         } else if op.downcast_ref::<ReadComponentDescriptor>().is_some() {

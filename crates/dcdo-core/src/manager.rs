@@ -21,8 +21,9 @@
 //!
 //! Every lifecycle operation is a *flow*: a fixed sequence of steps declared
 //! in one table (`MgrKind::plan`) and walked by the plan driver
-//! ([`legion_substrate::plan`]); the manager builds each step's action and
-//! records the outcome:
+//! ([`legion_substrate::plan`]), whose flow spans are the only record of a
+//! flow's duration; the manager builds each step's action and records the
+//! outcome:
 //!
 //! | kind       | steps                                                    | finishing records                              |
 //! |------------|----------------------------------------------------------|------------------------------------------------|
@@ -158,8 +159,6 @@ struct Plan {
     steps: &'static [Step],
     /// Counter bumped when the flow finishes.
     counter: Option<&'static str>,
-    /// Histogram sampled with the flow's duration when it finishes.
-    timer: Option<&'static str>,
 }
 
 impl MgrKind {
@@ -174,49 +173,42 @@ impl MgrKind {
                 needs: None,
                 steps: &[Spawn, Register, Apply],
                 counter: None,
-                timer: Some("manager.create_time"),
             },
             MgrKind::Update => Plan {
                 trace: FlowKind::Update,
                 needs: Some(Live),
                 steps: &[Apply],
                 counter: Some("manager.updates_done"),
-                timer: Some("manager.update_time"),
             },
             MgrKind::Migrate => Plan {
                 trace: FlowKind::Migrate,
                 needs: Some(Live),
                 steps: &[Capture, Deactivate, Spawn, Apply, Restore, Register],
                 counter: Some("manager.migrations_done"),
-                timer: Some("manager.migrate_time"),
             },
             MgrKind::Deactivate => Plan {
                 trace: FlowKind::Deactivate,
                 needs: Some(Live),
                 steps: &[Capture, Deactivate, Unregister],
                 counter: Some("manager.deactivations"),
-                timer: None,
             },
             MgrKind::Activate => Plan {
                 trace: FlowKind::Activate,
                 needs: Some(Parked),
                 steps: &[Spawn, Apply, Restore, Register],
                 counter: Some("manager.activations"),
-                timer: Some("manager.activate_time"),
             },
             MgrKind::Checkpoint => Plan {
                 trace: FlowKind::Checkpoint,
                 needs: Some(Live),
                 steps: &[Capture, SaveVault],
                 counter: Some("manager.checkpoints"),
-                timer: Some("manager.checkpoint_time"),
             },
             MgrKind::Recover => Plan {
                 trace: FlowKind::Recover,
                 needs: Some(Crashed),
                 steps: &[Spawn, Apply, LoadVault, Restore, Register],
                 counter: Some("manager.recoveries"),
-                timer: Some("manager.recover_time"),
             },
         }
     }
@@ -1114,10 +1106,6 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
         }
         if let Some(counter) = plan.counter {
             ctx.metrics().incr(counter);
-        }
-        if let Some(timer) = plan.timer {
-            let elapsed = ctx.now().duration_since(flow.started);
-            ctx.metrics().sample_duration(timer, elapsed);
         }
         let address = flow.data.held.new_actor;
         let payload = match flow.kind {

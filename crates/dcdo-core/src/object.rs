@@ -403,10 +403,7 @@ impl DcdoObject {
             ConfigOp::Apply { target } => {
                 let outcome = self.dfm.apply_descriptor(target);
                 if outcome.is_ok() {
-                    let elapsed = ctx.now().duration_since(flow.started);
                     ctx.metrics().incr("dcdo.evolutions");
-                    ctx.metrics()
-                        .sample_duration("dcdo.evolution_time", elapsed);
                 }
                 outcome
             }
@@ -620,8 +617,6 @@ impl PlanOwner<Config, Change> for DcdoObject {
             (CfgStep::Map, Staged::Ready(binary, cached)) => {
                 let functions = binary.functions().len();
                 let delay = self.cost.component_incorporation(functions, *cached);
-                ctx.metrics()
-                    .sample_duration("dcdo.component_map_time", delay);
                 return Ok(Action::Timer(delay));
             }
             (step, staged) => unreachable!("{step:?} entered with {staged:?}"),

@@ -1021,7 +1021,7 @@ impl<M: Payload> Simulation<M> {
                 node: node.as_raw(),
             },
         );
-        self.observe(7, node.as_raw(), 0);
+        self.observe(SpanKind::CRASH, node.as_raw(), 0);
         let mut killed = 0;
         for lane in 0..self.actors.len() {
             for ctr in 0..self.actors[lane].len() {
@@ -1071,7 +1071,7 @@ impl<M: Payload> Simulation<M> {
                 node: node.as_raw(),
             },
         );
-        self.observe(8, node.as_raw(), 0);
+        self.observe(SpanKind::RESTART, node.as_raw(), 0);
     }
 
     /// Returns `true` if the node is up (never crashed, or restarted).
@@ -1142,7 +1142,7 @@ impl<M: Payload> Simulation<M> {
             // Never-spawned destination: count and drop.
             self.metrics.incr("sim.dead_letters");
             self.trace_record(TraceEvent::DeadLetter { src, dst });
-            self.observe(3, u32::MAX, dst.as_raw() as u64);
+            self.observe(SpanKind::DEAD_LETTER, u32::MAX, dst.as_raw() as u64);
             return;
         };
         let delivered = self.run_actor(dst, dst_node, |actor, ctx| {
@@ -1157,7 +1157,7 @@ impl<M: Payload> Simulation<M> {
                     dst_node: dst_node.as_raw(),
                 },
             );
-            sim.observe(2, dst_node.as_raw(), dst.as_raw() as u64);
+            sim.observe(SpanKind::DELIVERED, dst_node.as_raw(), dst.as_raw() as u64);
             actor.on_message(ctx, src, msg);
         });
         self.current_span = None;
@@ -1176,7 +1176,11 @@ impl<M: Payload> Simulation<M> {
                 dst_node: dst_node.as_raw(),
             },
         );
-        self.observe(3, dst_node.as_raw(), dst.as_raw() as u64);
+        self.observe(
+            SpanKind::DEAD_LETTER,
+            dst_node.as_raw(),
+            dst.as_raw() as u64,
+        );
         self.cur_lane = 0;
     }
 
@@ -1195,7 +1199,7 @@ impl<M: Payload> Simulation<M> {
                     token,
                 },
             );
-            sim.observe(4, node.as_raw(), dst.as_raw() as u64);
+            sim.observe(SpanKind::TIMER, node.as_raw(), dst.as_raw() as u64);
             actor.on_timer(ctx, token);
         });
         self.current_span = None;

@@ -12,8 +12,8 @@
 //!   loss/duplication fault injection;
 //! - a bulk [`TransferModel`] calibrated to Legion's file-transfer
 //!   throughput as implied by the paper's own numbers;
-//! - seeded randomness ([`SimRng`]) and measurement collection ([`Metrics`],
-//!   [`Histogram`]).
+//! - seeded randomness ([`SimRng`]) and named event counters ([`Metrics`]);
+//!   durations are read from the span log.
 //!
 //! Determinism: events are totally ordered by `(time, lane, sequence)` keys
 //! minted from per-lane counters, and all jitter comes from per-lane seeded
@@ -63,7 +63,7 @@ mod timeline;
 mod trace;
 
 pub use engine::{Actor, ActorId, Ctx, Payload, Simulation, TimerId};
-pub use metrics::{nearest_rank, CounterSlot, Histogram, Metrics};
+pub use metrics::{nearest_rank, CounterSlot, Metrics};
 pub use net::{DeliveryPlan, LinkFault, NetConfig, NetStats, Network, NodeId, TransferModel};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

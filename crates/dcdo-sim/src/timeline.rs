@@ -20,7 +20,7 @@
 //! through the one writer ([`JsonWriter`], [`PromWriter`]), so the JSON and
 //! Prometheus text are byte-identical across build profiles.
 
-use dcdo_trace::{JsonWriter, PromWriter};
+use dcdo_trace::{JsonWriter, PromWriter, SpanKind};
 
 use crate::metrics::nearest_rank;
 
@@ -171,10 +171,8 @@ impl Columns {
     }
 
     /// Records `value` into series `name` of `window`. A non-finite sample
-    /// carries no measurement (as in [`Histogram::record`]), so it only
-    /// makes the series exist in the window.
-    ///
-    /// [`Histogram::record`]: crate::metrics::Histogram::record
+    /// carries no measurement, so it only makes the series exist in the
+    /// window.
     fn sample(&mut self, window: u64, name: &str, value: f64) {
         let name = self.name_id(name);
         self.dirty = true;
@@ -343,23 +341,23 @@ impl Timeline {
     }
 
     /// Accounts one executed engine event at `at_ns` with the stable
-    /// [`SpanKind`](dcdo_trace::SpanKind) code of its kind. This is the
-    /// per-event hot path: callers gate on
-    /// [`is_enabled`](Timeline::is_enabled). Only the engine's five
-    /// executed-event codes (2/3/4/7/8) are classified — the bucket's
-    /// `events` total is derived from them at flush time, so the hot path
-    /// is one boundary compare and a single counter increment.
+    /// [`SpanKind`] code of its kind. This is the per-event hot path:
+    /// callers gate on [`is_enabled`](Timeline::is_enabled). Only the
+    /// engine's five executed-event codes ([`SpanKind::DELIVERED`] and the
+    /// four declared beside it) are classified — the bucket's `events`
+    /// total is derived from them at flush time, so the hot path is one
+    /// boundary compare and a single counter increment.
     #[inline(always)]
     pub fn account(&mut self, at_ns: u64, code: u8) {
         if at_ns >= self.cur_end_ns {
             self.roll(at_ns);
         }
         match code {
-            2 => self.cur.delivered += 1,
-            3 => self.cur.dead_letters += 1,
-            4 => self.cur.timers += 1,
-            7 => self.cur.crashes += 1,
-            8 => self.cur.restarts += 1,
+            SpanKind::DELIVERED => self.cur.delivered += 1,
+            SpanKind::DEAD_LETTER => self.cur.dead_letters += 1,
+            SpanKind::TIMER => self.cur.timers += 1,
+            SpanKind::CRASH => self.cur.crashes += 1,
+            SpanKind::RESTART => self.cur.restarts += 1,
             _ => {}
         }
     }
@@ -609,7 +607,6 @@ mod tests {
     use std::fmt::Write as _;
 
     use super::*;
-    use crate::metrics::Metrics;
 
     #[test]
     fn events_land_in_their_sim_time_bucket() {
@@ -750,14 +747,22 @@ mod tests {
     }
 
     /// The window store this module had before the sorted columns: a
-    /// `BTreeMap` keyed by window holding a string-keyed [`Metrics`]
-    /// registry per window, rendered through `write!`.
+    /// `BTreeMap` keyed by window holding string-keyed counters and sample
+    /// vectors per window, rendered through `write!`.
     struct Oracle {
         bucket_ns: u64,
         cur_idx: u64,
         cur_end_ns: u64,
         cur: WindowStats,
-        done: BTreeMap<u64, (WindowStats, Metrics)>,
+        done: BTreeMap<u64, (WindowStats, Named)>,
+    }
+
+    /// One window's counters and series by name; a series holds its finite
+    /// samples in recording order.
+    #[derive(Default)]
+    struct Named {
+        counters: BTreeMap<String, u64>,
+        series: BTreeMap<String, Vec<f64>>,
     }
 
     impl Oracle {
@@ -778,17 +783,28 @@ mod tests {
                 self.cur_end_ns = (self.cur_idx + 1) * self.bucket_ns;
             }
             match code {
-                2 => self.cur.delivered += 1,
-                3 => self.cur.dead_letters += 1,
-                4 => self.cur.timers += 1,
-                7 => self.cur.crashes += 1,
-                8 => self.cur.restarts += 1,
+                SpanKind::DELIVERED => self.cur.delivered += 1,
+                SpanKind::DEAD_LETTER => self.cur.dead_letters += 1,
+                SpanKind::TIMER => self.cur.timers += 1,
+                SpanKind::CRASH => self.cur.crashes += 1,
+                SpanKind::RESTART => self.cur.restarts += 1,
                 _ => {}
             }
         }
 
-        fn metrics(&mut self, at_ns: u64) -> &mut Metrics {
+        fn named(&mut self, at_ns: u64) -> &mut Named {
             &mut self.done.entry(at_ns / self.bucket_ns).or_default().1
+        }
+
+        fn add(&mut self, at_ns: u64, name: &str, delta: u64) {
+            *self.named(at_ns).counters.entry(name.into()).or_default() += delta;
+        }
+
+        fn sample(&mut self, at_ns: u64, name: &str, value: f64) {
+            let samples = self.named(at_ns).series.entry(name.into()).or_default();
+            if value.is_finite() {
+                samples.push(value);
+            }
         }
 
         fn flush(&mut self) {
@@ -801,18 +817,20 @@ mod tests {
 
         /// Each window's series by name, with the statistics both
         /// exporters print.
-        fn series(metrics: &Metrics) -> Vec<(String, [f64; 6])> {
-            let series = metrics.histograms().map(|(name, h)| {
-                let mut h = h.clone();
+        fn series(named: &Named) -> Vec<(String, [f64; 6])> {
+            let series = named.series.iter().map(|(name, samples)| {
+                let mut sorted = samples.clone();
+                sorted.sort_by(f64::total_cmp);
+                let q = |q| nearest_rank(&sorted, q).unwrap_or(0.0);
                 let stats = [
-                    h.count() as f64,
-                    h.min().unwrap_or(0.0),
-                    h.quantile(0.5).unwrap_or(0.0),
-                    h.quantile(0.9).unwrap_or(0.0),
-                    h.quantile(0.99).unwrap_or(0.0),
-                    h.max().unwrap_or(0.0),
+                    sorted.len() as f64,
+                    sorted.first().copied().unwrap_or(0.0),
+                    q(0.5),
+                    q(0.9),
+                    q(0.99),
+                    sorted.last().copied().unwrap_or(0.0),
                 ];
-                (name.to_owned(), stats)
+                (name.clone(), stats)
             });
             series.collect()
         }
@@ -822,7 +840,7 @@ mod tests {
             let bucket_ns = self.bucket_ns;
             let mut out = String::new();
             let _ = write!(out, "{{\n  \"bucket_ns\": {bucket_ns},\n  \"buckets\": [");
-            for (i, (idx, (stats, metrics))) in self.done.iter().enumerate() {
+            for (i, (idx, (stats, named))) in self.done.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
@@ -835,12 +853,12 @@ mod tests {
                      \"counters\": {{",
                     idx * bucket_ns,
                 );
-                for (j, (name, v)) in metrics.counters().enumerate() {
+                for (j, (name, v)) in named.counters.iter().enumerate() {
                     let sep = if j > 0 { ", " } else { "" };
                     let _ = write!(out, "{sep}\"{name}\": {v}");
                 }
                 out.push_str("}, \"series\": {");
-                for (j, (name, stats)) in Oracle::series(metrics).into_iter().enumerate() {
+                for (j, (name, stats)) in Oracle::series(named).into_iter().enumerate() {
                     let sep = if j > 0 { ", " } else { "" };
                     let [count, min, p50, p90, p99, max] = stats;
                     let _ = write!(
@@ -869,8 +887,8 @@ mod tests {
                 }
             }
             out.push_str("# TYPE dcdo_window_counter gauge\n");
-            for (idx, (_, metrics)) in &self.done {
-                for (name, v) in metrics.counters() {
+            for (idx, (_, named)) in &self.done {
+                for (name, v) in &named.counters {
                     let _ = writeln!(
                         out,
                         "dcdo_window_counter{{name=\"{name}\",window=\"{idx}\"}} {v}"
@@ -878,8 +896,8 @@ mod tests {
                 }
             }
             out.push_str("# TYPE dcdo_window_series gauge\n");
-            for (idx, (_, metrics)) in &self.done {
-                for (name, stats) in Oracle::series(metrics) {
+            for (idx, (_, named)) in &self.done {
+                for (name, stats) in Oracle::series(named) {
                     for (stat, v) in ["count", "min", "p50", "p90", "p99", "max"]
                         .iter()
                         .zip(stats)
@@ -897,12 +915,12 @@ mod tests {
 
         /// The oracle's windows as plain data, each series' samples sorted.
         fn flat(&self) -> Vec<Flat> {
-            let flat = self.done.iter().map(|(idx, (stats, metrics))| {
-                let counters = metrics.counters().map(|(n, v)| (n.into(), v));
-                let series = metrics.histograms().map(|(n, h)| {
-                    let mut samples = h.samples().to_vec();
+            let flat = self.done.iter().map(|(idx, (stats, named))| {
+                let counters = named.counters.iter().map(|(n, v)| (n.clone(), *v));
+                let series = named.series.iter().map(|(n, samples)| {
+                    let mut samples = samples.clone();
                     samples.sort_by(f64::total_cmp);
-                    (n.into(), samples)
+                    (n.clone(), samples)
                 });
                 (*idx, *stats, counters.collect(), series.collect())
             });
@@ -978,7 +996,7 @@ mod tests {
             /// to one counter or series in one window; non-finite samples,
             /// alone in a series or among finite ones; names first recorded
             /// in any order) and flushes leaves the sorted columns holding
-            /// and exporting exactly what the per-window `Metrics` store
+            /// and exporting exactly what the per-window name-keyed store
             /// did; an empty op list is the empty timeline.
             #[test]
             fn sorted_vec_store_matches_btreemap_oracle(
@@ -1004,7 +1022,7 @@ mod tests {
                         }
                         1 => {
                             t.record_counter(at_ns, NAMES[name], small as u64);
-                            oracle.metrics(at_ns).add(NAMES[name], small as u64);
+                            oracle.add(at_ns, NAMES[name], small as u64);
                         }
                         2 => {
                             let value = match small {
@@ -1014,7 +1032,7 @@ mod tests {
                                 _ => small as f64 / 4.0 - offset as f64,
                             };
                             t.record_sample(at_ns, NAMES[name], value);
-                            oracle.metrics(at_ns).sample(NAMES[name], value);
+                            oracle.sample(at_ns, NAMES[name], value);
                         }
                         _ => {
                             t.flush();

@@ -26,8 +26,9 @@ use std::collections::BTreeMap;
 
 /// One compact flight-recorder frame: the executed event's time plus a
 /// packed `(kind code, node, actor)` word. Codes reuse the stable
-/// [`SpanKind::code`] numbering (2 delivered, 3 dead letter, 4 timer,
-/// 7 crash, 8 restart).
+/// [`SpanKind::code`] numbering: [`SpanKind::DELIVERED`],
+/// [`SpanKind::DEAD_LETTER`], [`SpanKind::TIMER`], [`SpanKind::CRASH`] and
+/// [`SpanKind::RESTART`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlightFrame {
     /// Simulated time of the event, in nanoseconds.

@@ -579,17 +579,30 @@ macro_rules! fields {
 }
 
 impl SpanKind {
+    /// The [`code`](SpanKind::code) of [`MsgDelivered`](SpanKind::MsgDelivered).
+    /// This and the next four are the executed engine events the timeline
+    /// classifies and the flight recorder's frames carry.
+    pub const DELIVERED: u8 = 2;
+    /// The code of [`MsgDeadLetter`](SpanKind::MsgDeadLetter).
+    pub const DEAD_LETTER: u8 = 3;
+    /// The code of [`TimerFired`](SpanKind::TimerFired).
+    pub const TIMER: u8 = 4;
+    /// The code of [`NodeCrashed`](SpanKind::NodeCrashed).
+    pub const CRASH: u8 = 7;
+    /// The code of [`NodeRestarted`](SpanKind::NodeRestarted).
+    pub const RESTART: u8 = 8;
+
     /// A stable integer code identifying the variant (digest, exporters).
     pub const fn code(&self) -> u64 {
         match self {
             SpanKind::MsgSent { .. } => 1,
-            SpanKind::MsgDelivered { .. } => 2,
-            SpanKind::MsgDeadLetter { .. } => 3,
-            SpanKind::TimerFired { .. } => 4,
+            SpanKind::MsgDelivered { .. } => SpanKind::DELIVERED as u64,
+            SpanKind::MsgDeadLetter { .. } => SpanKind::DEAD_LETTER as u64,
+            SpanKind::TimerFired { .. } => SpanKind::TIMER as u64,
             SpanKind::ActorSpawned { .. } => 5,
             SpanKind::ActorKilled { .. } => 6,
-            SpanKind::NodeCrashed { .. } => 7,
-            SpanKind::NodeRestarted { .. } => 8,
+            SpanKind::NodeCrashed { .. } => SpanKind::CRASH as u64,
+            SpanKind::NodeRestarted { .. } => SpanKind::RESTART as u64,
             SpanKind::PartitionChanged { .. } => 9,
             SpanKind::PartitionHealed => 10,
             SpanKind::LinkFaultSet { .. } => 11,

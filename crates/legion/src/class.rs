@@ -10,8 +10,9 @@
 //!
 //! Every lifecycle operation is a fixed sequence of steps declared in one
 //! table (`OpKind::plan`) and walked by the plan driver ([`crate::plan`]),
-//! which leaves the same flow spans as the DCDO side (kinds `class_*`); the
-//! class object builds each step's action and records the outcome:
+//! which leaves the same flow spans as the DCDO side (kinds `class_*`), the
+//! only record of an operation's duration; the class object builds each
+//! step's action and records the outcome:
 //!
 //! | kind              | steps                                                                                              | version   | finishing records                     |
 //! |-------------------|----------------------------------------------------------------------------------------------------|-----------|---------------------------------------|
@@ -197,8 +198,6 @@ struct Plan {
     vault_use: Option<&'static str>,
     /// Counter bumped when the operation is admitted.
     counter: Option<&'static str>,
-    /// Histogram sampled with the operation's duration when it finishes.
-    timer: &'static str,
 }
 
 impl OpKind {
@@ -225,35 +224,30 @@ impl OpKind {
                 steps: &[Download, Spawn, Register],
                 vault_use: None,
                 counter: None,
-                timer: "class.create_time",
             },
             OpKind::Evolve => Plan {
                 trace: FlowKind::ClassEvolve,
                 steps: REPLACE,
                 vault_use: None,
                 counter: None,
-                timer: "class.evolve_time",
             },
             OpKind::Migrate => Plan {
                 trace: FlowKind::ClassMigrate,
                 steps: REPLACE,
                 vault_use: None,
                 counter: None,
-                timer: "class.migrate_time",
             },
             OpKind::Checkpoint => Plan {
                 trace: FlowKind::ClassCheckpoint,
                 steps: &[Capture, CaptureCost, SaveVault],
                 vault_use: Some("checkpoint into"),
                 counter: None,
-                timer: "class.checkpoint_time",
             },
             OpKind::Reactivate => Plan {
                 trace: FlowKind::ClassReactivate,
                 steps: &[Download, Spawn, LoadVault, RestoreCost, Restore, Register],
                 vault_use: Some("reactivate from"),
                 counter: Some("class.reactivations_started"),
-                timer: "class.reactivate_time",
             },
         }
     }
@@ -449,8 +443,6 @@ impl PlanOwner<OpKind, Target> for ClassObject {
             Step::Download => {
                 let delay = self.cost.transfer.transfer_time(image.size_bytes());
                 ctx.metrics().incr("class.executable_downloads");
-                ctx.metrics()
-                    .sample_duration("class.executable_download_time", delay);
                 delay
             }
             Step::Spawn => self.cost.process_creation(image.functions().len()),
@@ -505,12 +497,9 @@ impl PlanOwner<OpKind, Target> for ClassObject {
         Ok(())
     }
 
-    /// Records the outcome (see the module docs' pipeline table), times
-    /// it, and answers the caller.
+    /// Records the outcome (see the module docs' pipeline table) and
+    /// answers the caller.
     fn finish(&mut self, ctx: &mut Ctx<'_, Msg>, flow: ClassFlow) {
-        let elapsed = ctx.now().duration_since(flow.started);
-        ctx.metrics()
-            .sample_duration(flow.kind.plan().timer, elapsed);
         let (object, version) = (flow.object, flow.data.version);
         let reply = match flow.data.held.new_actor {
             // Only a checkpoint spawns nothing.

@@ -6,11 +6,12 @@
 //! admission, holds the in-flight table and the route map of the calls and
 //! timers flows wait on, walks each flow past the steps the owner's skip
 //! rule drops, and leaves its `FlowStarted`, `FlowStep`, `FlowCompleted`
-//! and `FlowAborted` spans. [`Step`] is the lifecycle vocabulary class
-//! objects and DCDO Managers share, with the steps both take built here.
+//! and `FlowAborted` spans, the one record of a flow's timing. [`Step`] is
+//! the lifecycle vocabulary class objects and DCDO Managers share, with the
+//! steps both take built here.
 
 use bytes::Bytes;
-use dcdo_sim::{mgr_step, ActorId, Ctx, FlowKind, IdMap, SimDuration, SimTime, SpanKind};
+use dcdo_sim::{mgr_step, ActorId, Ctx, FlowKind, IdMap, SimDuration, SpanKind};
 use dcdo_types::{CallId, ObjectId};
 
 use crate::binding::RegisterBinding;
@@ -57,8 +58,6 @@ pub struct Flow<K, D> {
     pub object: ObjectId,
     /// Who waits for the outcome, if anyone.
     pub reply: Option<(ActorId, CallId)>,
-    /// When it was opened.
-    pub started: SimTime,
     /// The owner's per-flow state.
     pub data: D,
     at: usize,
@@ -165,12 +164,10 @@ pub trait PlanOwner<K: Kind, D>: Sized {
             object: raw,
             kind: trace,
         });
-        let started = ctx.now();
         let flow = Flow {
             kind,
             object,
             reply,
-            started,
             data,
             at: 0,
         };

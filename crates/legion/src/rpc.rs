@@ -470,10 +470,7 @@ impl RpcClient {
                     self.send_attempt(ctx, call, &mut pending, address);
                 } else {
                     // Give up on the cached binding; consult the agent.
-                    let discovery = ctx.now().duration_since(pending.started);
                     ctx.metrics().incr("rpc.stale_binding_discovered");
-                    ctx.metrics()
-                        .sample_duration("rpc.stale_binding_discovery_time", discovery);
                     self.cache.remove(&pending.target);
                     if ctx.tracing_enabled() {
                         ctx.emit_span(SpanKind::BindingInvalidated {

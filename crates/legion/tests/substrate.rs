@@ -2,7 +2,7 @@
 //! whole-executable evolution, migration, and the stale-binding discovery
 //! costs the paper reports in §4.
 
-use dcdo_sim::SimDuration;
+use dcdo_sim::{SimDuration, SimTime, SpanKind};
 use dcdo_types::{ClassId, ObjectId};
 use dcdo_vm::{FunctionBuilder, Value};
 use legion_substrate::class::{
@@ -204,6 +204,8 @@ fn stale_binding_discovery_takes_25_to_35_seconds() {
 
     // The client still holds the stale address; its next call must ride
     // through timeouts and a rebind.
+    bed.sim.spans_mut().enable();
+    let issued = bed.sim.now();
     let completion = bed.call_and_wait(client, instance, "add", vec![Value::Int(2), Value::Int(2)]);
     let value = completion
         .result
@@ -217,13 +219,18 @@ fn stale_binding_discovery_takes_25_to_35_seconds() {
         (25.0..=40.0).contains(&discovery),
         "stale-binding discovery took {discovery}s (paper: 25-35s before rebind)"
     );
-    // The metric records the pre-rebind discovery window specifically.
-    let h = bed
+    // The pre-rebind discovery window ends at the call's
+    // `BindingInvalidated` span.
+    let invalidated = bed
         .sim
-        .metrics_mut()
-        .histogram_mut("rpc.stale_binding_discovery_time")
-        .expect("recorded");
-    let observed = h.median().expect("has samples");
+        .spans()
+        .events()
+        .iter()
+        .find(|e| matches!(e.kind, SpanKind::BindingInvalidated { .. }))
+        .expect("discovery traced");
+    let observed = SimTime::from_nanos(invalidated.at_ns)
+        .duration_since(issued)
+        .as_secs_f64();
     assert!(
         (25.0..=35.0).contains(&observed),
         "discovery window {observed}s"
