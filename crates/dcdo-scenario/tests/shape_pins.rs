@@ -125,15 +125,15 @@ type Pins = [(&'static str, [u64; 7]); 4];
 const PINS: Pins = [
     (
         "calls_steady",
-        [358, 109, 11568827, 13, 5797373, 18044, 63145],
+        [349, 109, 11567489, 13, 5796035, 18044, 63145],
     ),
     (
         "reconfig_churn",
-        [10714, 193, 7408617, 9, 2876079, 7653, 25734],
+        [10701, 169, 7384635, 9, 2866561, 7653, 25734],
     ),
     (
         "mixed_traffic_x50",
-        [6593, 173, 7462770, 11, 3160092, 8573, 29234],
+        [6580, 153, 7450500, 11, 3154670, 8573, 29234],
     ),
     (
         "upgrade_crash_long",
@@ -145,15 +145,15 @@ const PINS: Pins = [
 const PINS_FULL: Pins = [
     (
         "calls_steady",
-        [363, 134, 154307731, 29, 77882918, 180044, 630145],
+        [354, 134, 154306393, 29, 77881580, 180044, 630145],
     ),
     (
         "reconfig_churn",
-        [102848, 429, 68872073, 41, 26360799, 76734, 257640],
+        [102835, 393, 68675291, 41, 26293937, 76734, 257640],
     ),
     (
         "mixed_traffic_x50",
-        [66822, 314, 92566490, 34, 40420158, 87239, 297061],
+        [66809, 282, 92468396, 34, 40386064, 87239, 297061],
     ),
     (
         "upgrade_crash_long",

@@ -79,7 +79,7 @@ const WARM_ROUNDS: usize = 6;
 /// Rounds in the measured window: one migration and one config op each.
 const ROUNDS: usize = 12;
 /// Allocations the measured window makes.
-const WINDOW_ALLOCATIONS: u64 = 481;
+const WINDOW_ALLOCATIONS: u64 = 473;
 
 /// One round: migrate the instance to `to`, then one config op on it.
 fn round(bed: &mut Testbed, manager: &Manager, dcdo: ObjectId, to: NodeId, i: usize) {
