@@ -33,13 +33,18 @@
 //!   component, a raw number pins to another component id, no pin means any
 //!   implementation (the four §3.2 types).
 //! - `auto_deps` additionally runs structural-dependency analysis.
+//! - The component name, and a state key or call target that holds `;`,
+//!   `"`, `\` or whitespace, are written quoted, with `\"`, `\\` and `\n`
+//!   escapes.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 use std::str::FromStr;
 
 use dcdo_types::{
-    Architecture, ComponentId, Dependency, DependencyEnd, FunctionSignature, Protection, Visibility,
+    Architecture, ComponentId, Dependency, DependencyEnd, FunctionName, FunctionSignature,
+    Protection, Visibility,
 };
 
 use crate::builder::FunctionBuilder;
@@ -180,14 +185,10 @@ fn parse_header(
         .strip_prefix("component ")
         .ok_or_else(|| err(lineno, "expected `component \"name\" id=N [arch=...]`"))?
         .trim();
-    let (name, rest) = if let Some(stripped) = rest.strip_prefix('"') {
-        let close = stripped
-            .find('"')
-            .ok_or_else(|| err(lineno, "unterminated component name"))?;
-        (stripped[..close].to_owned(), stripped[close + 1..].trim())
-    } else {
+    if !rest.starts_with('"') {
         return Err(err(lineno, "component name must be quoted"));
-    };
+    }
+    let (name, rest) = unquote(lineno, rest)?;
     let mut id = None;
     let mut arch = Architecture::Portable;
     for part in rest.split_whitespace() {
@@ -315,10 +316,10 @@ fn assemble_body(sig: &str, body: &[(usize, String)]) -> Result<crate::CodeBlock
                 let argc = argc
                     .parse()
                     .map_err(|_| err(lineno, format!("bad argc in {operand:?}")))?;
-                Operand::Call(name.into(), argc)
+                Operand::Call(name_token(lineno, name)?, argc)
             }
             Shape::U64 => Operand::U64(parse_int(lineno, mnemonic, operand)?),
-            Shape::Key => Operand::Key(operand.into()),
+            Shape::Key => Operand::Key(name_token(lineno, operand)?),
         };
         let instr = op.with(operand);
         if let Instr::LoadLocal(n) | Instr::StoreLocal(n) = instr {
@@ -363,6 +364,55 @@ fn parse_value(lineno: usize, operand: &str) -> Result<Value, AsmError> {
         .map_err(|_| err(lineno, format!("cannot parse push operand {operand:?}")))
 }
 
+/// `s` in double quotes, with `"`, `\` and newlines escaped.
+fn quote(s: &str) -> String {
+    let escaped = s
+        .replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n");
+    format!("\"{escaped}\"")
+}
+
+/// A state key or call target as assembly text: as it is, or [`quote`]d
+/// if it holds what would end or cut it (`;`, `"`, `\`, whitespace).
+fn token(s: &str) -> Cow<'_, str> {
+    if s.contains(|c: char| matches!(c, ';' | '"' | '\\') || c.is_whitespace()) {
+        quote(s).into()
+    } else {
+        s.into()
+    }
+}
+
+/// A state key or call target read back from [`token`]'s text.
+fn name_token(lineno: usize, s: &str) -> Result<FunctionName, AsmError> {
+    if !s.starts_with('"') {
+        return Ok(s.into());
+    }
+    match unquote(lineno, s)? {
+        (name, "") => Ok(name.as_str().into()),
+        _ => Err(err(lineno, format!("text after the quoted name in {s:?}"))),
+    }
+}
+
+/// Reads the [`quote`]d text `s` opens with; returns it unescaped, and
+/// what follows the closing quote.
+fn unquote(lineno: usize, s: &str) -> Result<(String, &str), AsmError> {
+    let mut out = String::new();
+    let mut chars = s.char_indices().skip(1);
+    while let Some((i, c)) = chars.next() {
+        out.push(match c {
+            '"' => return Ok((out, &s[i + 1..])),
+            '\\' => match chars.next() {
+                Some((_, c @ ('"' | '\\'))) => c,
+                Some((_, 'n')) => '\n',
+                _ => return Err(err(lineno, format!("bad escape in {s:?}"))),
+            },
+            c => c,
+        });
+    }
+    Err(err(lineno, format!("unterminated quote in {s:?}")))
+}
+
 /// Renders a component back into assembly text. The output re-assembles to
 /// an equal component (modulo generated label names and an explicit `locals`
 /// directive).
@@ -371,8 +421,8 @@ pub fn disassemble(component: &ComponentBinary) -> String {
     let arch = component.impl_type().architecture();
     let _ = writeln!(
         out,
-        "component \"{}\" id={} arch={arch}",
-        component.name(),
+        "component {} id={} arch={arch}",
+        quote(component.name()),
         component.id().as_raw(),
     );
     if component.static_data_size() > 0 {
@@ -441,9 +491,9 @@ impl fmt::Display for Instr {
             Operand::Value(v) => write!(f, " {v}"),
             Operand::U8(n) => write!(f, " {n}"),
             Operand::Jump(t) => write!(f, " {t}"),
-            Operand::Call(function, argc) => write!(f, " {function}/{argc}"),
+            Operand::Call(function, argc) => write!(f, " {}/{argc}", token(function.as_str())),
             Operand::U64(n) => write!(f, " {n}"),
-            Operand::Key(k) => write!(f, " {k}"),
+            Operand::Key(k) => write!(f, " {}", token(k.as_str())),
         }
     }
 }
@@ -576,6 +626,58 @@ export fn f() -> int {
         assert_eq!(*push, Instr::Push(Value::str("a;b")));
         let text = disassemble(&component);
         assert_eq!(assemble(&text).expect("round trip"), component);
+    }
+
+    /// A component name, state key or call target holding `;`, `"`, `\`,
+    /// whitespace or a newline round-trips; at a `;` it used to be cut
+    /// short, and at a `"` the header failed to re-assemble.
+    #[test]
+    fn names_keys_and_call_targets_with_special_characters_round_trip() {
+        for name in ["a;b", "a\"b", "a\\b", "a b", "a\nb", " a/b;\t"] {
+            let instrs = vec![
+                Instr::GlobalGet(name.into()),
+                Instr::GlobalSet(name.into()),
+                Instr::CallDyn {
+                    function: name.into(),
+                    argc: 0,
+                },
+                Instr::CallRemote {
+                    function: name.into(),
+                    argc: 2,
+                },
+                Instr::Ret,
+            ];
+            let code = crate::CodeBlock::new("f() -> any".parse().expect("sig"), 0, instrs);
+            let component = ComponentBuilder::new(ComponentId::from_raw(1), name)
+                .function(code, Visibility::Exported, Protection::FullyDynamic)
+                .build()
+                .expect("valid");
+            let text = disassemble(&component);
+            assert_eq!(assemble(&text).as_ref(), Ok(&component), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_token_is_quoted_only_when_it_must_be() {
+        let get = |k: &str| Instr::GlobalGet(k.into()).to_string();
+        assert_eq!(get("count"), "global_get count");
+        assert_eq!(get("a;b"), "global_get \"a;b\"");
+        assert_eq!(get("q\"\\\n"), "global_get \"q\\\"\\\\\\n\"");
+        let call = Instr::CallNative {
+            function: "a b".into(),
+            argc: 1,
+        };
+        assert_eq!(call.to_string(), "call_native \"a b\"/1");
+        let body =
+            |line: &str| format!("component \"c\" id=1\nexport fn f() -> any {{\n    {line}\n}}\n");
+        for bad in [
+            "global_get \"a",
+            "global_get \"a\" b",
+            "global_get \"a\\x\"",
+            "call_dyn \"a\"1",
+        ] {
+            assert!(assemble(&body(bad)).is_err(), "{bad} assembled");
+        }
     }
 
     #[test]

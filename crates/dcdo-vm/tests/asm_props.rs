@@ -6,6 +6,10 @@ use proptest::prelude::*;
 
 mod common;
 
+/// A state key or call target: plain, or holding what the disassembler
+/// must quote (`;`, `"`, `\`, whitespace, a newline), or a `/`.
+const NAME: &str = "[a-z][a-z0-9_;\" \\\t\n/]{0,8}";
+
 /// Every opcode, valid for a `f(any, any) -> any` signature with 4 locals.
 /// A jump's target is drawn here as any `u32` and brought into range by
 /// [`land_jumps`] once the body's length is known.
@@ -23,7 +27,7 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
         (0u8..5).prop_map(Instr::MakeList),
         (0..jumps.len(), any::<u32>()).prop_map(move |(i, t)| jumps[i](t)),
         any::<u64>().prop_map(Instr::Work),
-        ("[a-z][a-z0-9_]{0,8}", 0u8..4, 0u8..3).prop_map(|(f, argc, kind)| {
+        (NAME, 0u8..4, 0u8..3).prop_map(|(f, argc, kind)| {
             let function = f.as_str().into();
             match kind {
                 0 => Instr::CallDyn { function, argc },
@@ -31,7 +35,7 @@ fn arb_instr() -> impl Strategy<Value = Instr> {
                 _ => Instr::CallRemote { function, argc },
             }
         }),
-        ("[a-z][a-z0-9_]{0,8}", any::<bool>()).prop_map(|(k, set)| if set {
+        (NAME, any::<bool>()).prop_map(|(k, set)| if set {
             Instr::GlobalSet(k.as_str().into())
         } else {
             Instr::GlobalGet(k.as_str().into())
@@ -60,7 +64,7 @@ fn arb_instr_draws_every_opcode() {
 fn arb_component() -> impl Strategy<Value = dcdo_vm::ComponentBinary> {
     (
         1u64..500,
-        "[a-z][a-z0-9-]{0,10}",
+        "[a-z][a-z0-9;\" \\\n-]{0,10}",
         prop::collection::vec(
             (
                 "[a-z][a-z0-9_]{0,8}",
