@@ -15,11 +15,9 @@ use dcdo_sim::{Actor, ActorId, Ctx, SimDuration};
 use dcdo_types::{CallId, ComponentId, ImplementationType, ObjectId};
 use dcdo_vm::{ComponentBinary, ComponentDescriptor};
 use legion_substrate::object::{self, LegionObject, Served};
-use legion_substrate::{ControlOp, CostModel, Msg};
+use legion_substrate::{CostModel, Msg};
 
-use crate::ops::{
-    ComponentDescriptorReply, ComponentPayload, ReadComponent, ReadComponentDescriptor,
-};
+use crate::ops::{ComponentDescriptorReply, ComponentPayload, IcoOp};
 
 /// An active object serving one implementation component's data.
 pub struct Ico {
@@ -79,6 +77,8 @@ impl Ico {
 }
 
 impl LegionObject for Ico {
+    type Ops<'a> = IcoOp<'a>;
+
     fn object_id(&self) -> ObjectId {
         self.object
     }
@@ -88,27 +88,26 @@ impl LegionObject for Ico {
         ctx: &mut Ctx<'_, Msg>,
         from: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: IcoOp<'_>,
     ) -> Served {
-        if op.downcast_ref::<ReadComponent>().is_some() {
-            // Serving the data takes the component-transfer time;
-            // acknowledge immediately, deliver when done.
-            ctx.send(from, Msg::Progress { call });
-            let token = ctx.fresh_u64();
-            self.pending_reads.insert(token, (from, call));
-            let delay = self.read_time();
-            ctx.metrics().incr("ico.reads");
-            ctx.schedule_timer(delay, token);
-            Served::Later
-        } else if op.downcast_ref::<ReadComponentDescriptor>().is_some() {
-            Served::Reply(Msg::control_ok(
+        match op {
+            IcoOp::ReadComponent(_) => {
+                // Serving the data takes the component-transfer time;
+                // acknowledge immediately, deliver when done.
+                ctx.send(from, Msg::Progress { call });
+                let token = ctx.fresh_u64();
+                self.pending_reads.insert(token, (from, call));
+                let delay = self.read_time();
+                ctx.metrics().incr("ico.reads");
+                ctx.schedule_timer(delay, token);
+                Served::Later
+            }
+            IcoOp::ReadComponentDescriptor(_) => Served::Reply(Msg::control_ok(
                 call,
                 ComponentDescriptorReply {
                     descriptor: self.descriptor.clone(),
                 },
-            ))
-        } else {
-            Served::Unknown
+            )),
         }
     }
 }
@@ -153,9 +152,10 @@ impl std::fmt::Debug for Ico {
 mod tests {
     use dcdo_sim::{NetConfig, NodeId, Simulation};
     use dcdo_vm::ComponentBuilder;
-    use legion_substrate::InvocationFault;
+    use legion_substrate::{ControlOp, InvocationFault, OpTable};
 
     use super::*;
+    use crate::ops::{IcoReply, ReadComponent, ReadComponentDescriptor};
 
     fn component(id: u64, padding: u64) -> ComponentBinary {
         ComponentBuilder::new(ComponentId::from_raw(id), "served")
@@ -209,10 +209,9 @@ mod tests {
         let probe_ref = sim.actor::<Probe>(probe).expect("alive");
         assert_eq!(probe_ref.progress, 1, "progress ack sent");
         let payload = probe_ref.replies[0].as_ref().expect("read succeeds");
-        let data = payload
-            .as_any()
-            .downcast_ref::<ComponentPayload>()
-            .expect("component payload");
+        let Some(IcoReply::ComponentPayload(data)) = IcoReply::decode(payload) else {
+            panic!("not a component payload: {payload:?}");
+        };
         assert_eq!(*data.binary, binary);
         assert_eq!(sim.actor::<Ico>(ico).expect("alive").reads_served(), 1);
     }
@@ -243,10 +242,9 @@ mod tests {
         );
         let probe_ref = sim.actor::<Probe>(probe).expect("alive");
         let payload = probe_ref.replies[0].as_ref().expect("read succeeds");
-        let reply = payload
-            .as_any()
-            .downcast_ref::<ComponentDescriptorReply>()
-            .expect("descriptor reply");
+        let Some(IcoReply::ComponentDescriptorReply(reply)) = IcoReply::decode(payload) else {
+            panic!("not a descriptor reply: {payload:?}");
+        };
         assert_eq!(reply.descriptor.id, ComponentId::from_raw(2));
         let _ = ico;
     }

@@ -70,12 +70,10 @@ use crate::error::{ack_or_refuse, ConfigError};
 use crate::hosts::HostDirectory;
 use crate::object::DcdoObject;
 use crate::ops::{
-    ActivateDcdo, ApplyDfmDescriptor, CheckVersion, CheckpointDcdo, ConfigureVersion, CreateDcdo,
-    DcdoCheckpointed, DcdoCreated, DcdoTable, DeactivateDcdo, DeriveVersion, DerivedVersion,
-    GroupEpochReport, ListDcdos, ListVersions, MarkInstantiable, MigrateDcdo, MigrateDone,
-    NodeFailed, NodeFailureReport, NodeRecovered, QueryVersionInfo, ReadComponentDescriptor,
-    RecoveryStarted, ReportVersion, SetCurrentVersion, SetGroupEpoch, UpdateDone, UpdateInstance,
-    VersionCheckReply, VersionConfigOp, VersionInfo, VersionTable,
+    ApplyDfmDescriptor, ConfigureVersion, DcdoCheckpointed, DcdoCreated, DcdoTable, DerivedVersion,
+    GroupEpochReport, ManagerOp, MigrateDone, NodeFailureReport, ReadComponentDescriptor,
+    RecoveryStarted, SetGroupEpoch, UpdateDone, VersionCheckReply, VersionConfigOp, VersionInfo,
+    VersionTable,
 };
 
 /// Which evolutions between versions are legal (§3.4–3.5).
@@ -100,8 +98,9 @@ pub enum VersionPolicy {
 pub enum UpdatePropagation {
     /// Designating a new current version immediately updates all instances.
     Proactive,
-    /// Updates happen only via explicit [`UpdateInstance`] calls (or lazy
-    /// pulls from the DCDOs themselves).
+    /// Updates happen only via explicit
+    /// [`UpdateInstance`](crate::ops::UpdateInstance) calls (or lazy pulls
+    /// from the DCDOs themselves).
     Explicit,
 }
 
@@ -336,8 +335,10 @@ impl DcdoManager {
         }
     }
 
-    /// Configures the vault backing [`CheckpointDcdo`] and crash-recovery
-    /// ([`NodeRecovered`]) flows. Without a vault both are refused.
+    /// Configures the vault backing
+    /// [`CheckpointDcdo`](crate::ops::CheckpointDcdo) and crash-recovery
+    /// ([`NodeRecovered`](crate::ops::NodeRecovered)) flows. Without a vault
+    /// both are refused.
     pub fn with_vault(mut self, vault: ObjectId) -> Self {
         self.vault = Some(vault);
         self
@@ -663,13 +664,7 @@ impl DcdoManager {
     /// in-flight flow touching the host. Interrupted internal updates are
     /// remembered for resume; explicit callers get a `Refused` reply now
     /// rather than a dangling `Progress`.
-    fn handle_node_failed(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: ActorId,
-        call: CallId,
-        node: NodeId,
-    ) {
+    fn node_failed(&mut self, ctx: &mut Ctx<'_, Msg>, call: CallId, node: NodeId) -> Msg {
         let mut crashed: Vec<ObjectId> = Vec::new();
         for (object, info) in self.table.iter_mut() {
             if info.node == node && info.parked_state.is_none() && !info.crashed {
@@ -714,21 +709,14 @@ impl DcdoManager {
         aborted.dedup();
         ctx.metrics()
             .add("manager.instances_crashed", crashed.len() as u64);
-        let report = NodeFailureReport { crashed, aborted };
-        ctx.send(from, Msg::control_ok(call, report));
+        Msg::control_ok(call, NodeFailureReport { crashed, aborted })
     }
 
     /// A crashed host is back: rebuild every crashed instance that lived
     /// there from its vault snapshot (the Recover plan).
-    fn handle_node_recovered(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: ActorId,
-        call: CallId,
-        node: NodeId,
-    ) {
+    fn node_recovered(&mut self, ctx: &mut Ctx<'_, Msg>, call: CallId, node: NodeId) -> Msg {
         if self.vault.is_none() {
-            return ctx.send(from, Msg::refused(call, "manager has no vault configured"));
+            return Msg::refused(call, "manager has no vault configured");
         }
         let mut objects = self.crashed_instances();
         objects.retain(|o| self.table[o].node == node);
@@ -736,7 +724,7 @@ impl DcdoManager {
             ctx.metrics().incr("manager.recoveries_started");
             self.start_flow(ctx, MgrKind::Recover, None, Some(object), Some(node));
         }
-        ctx.send(from, Msg::control_ok(call, RecoveryStarted { objects }));
+        Msg::control_ok(call, RecoveryStarted { objects })
     }
 
     fn handle_rpc_completion(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
@@ -762,25 +750,25 @@ impl DcdoManager {
         self.plan_reply(ctx, completion);
     }
 
-    fn handle_configure(
+    fn configure(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         from: ActorId,
         call: CallId,
         cfg: &ConfigureVersion,
-    ) {
+    ) -> Served {
         // Incorporation needs an ICO round trip; everything else is local.
         if let VersionConfigOp::IncorporateComponent { ico } = cfg.op {
             // Check the version is configurable before paying the roundtrip.
             if let Err(e) = self.configurable_mut(&cfg.version) {
-                return ctx.send(from, Msg::refused(call, e));
+                return Served::Reply(Msg::refused(call, e));
             }
             let rpc_call = self
                 .rpc
                 .control(ctx, ico, ControlOp::new(ReadComponentDescriptor));
             self.pending_incorporations
                 .insert(rpc_call.as_raw(), (from, call, cfg.version.clone(), ico));
-            return;
+            return Served::Later;
         }
         let result = self
             .configurable_mut(&cfg.version)
@@ -808,18 +796,17 @@ impl DcdoManager {
                     visibility,
                 } => d.set_visibility(function, *visibility),
             });
-        ctx.send(from, ack_or_refuse(call, result));
+        Served::Reply(ack_or_refuse(call, result))
     }
 
-    fn handle_set_group_epoch(
+    fn set_group_epoch(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
-        from: ActorId,
         call: CallId,
         set: &SetGroupEpoch,
-    ) {
+    ) -> Msg {
         let object = self.object;
-        let reply = match &mut self.group_gate {
+        match &mut self.group_gate {
             Some(gate) if gate.group != set.group => Msg::refused(
                 call,
                 format!(
@@ -871,8 +858,7 @@ impl DcdoManager {
                     },
                 )
             }
-        };
-        ctx.send(from, reply);
+        }
     }
 
     /// The manager's group enrolment, if any: `(group, epoch, fenced)`.
@@ -887,104 +873,6 @@ impl DcdoManager {
         self.group_gate
             .as_ref()
             .map_or(0, |g| g.refused_while_fenced)
-    }
-
-    /// Answers a control op served in one step, or says it is unknown.
-    fn sync_control(&mut self, ctx: &mut Ctx<'_, Msg>, call: CallId, op: &ControlOp) -> Served {
-        let reply = if let Some(derive) = op.as_any().downcast_ref::<DeriveVersion>() {
-            match self.derive_version(&derive.from) {
-                Ok(version) => Msg::control_ok(call, DerivedVersion { version }),
-                Err(e) => Msg::refused(call, e),
-            }
-        } else if let Some(mark) = op.as_any().downcast_ref::<MarkInstantiable>() {
-            ack_or_refuse(call, self.mark_instantiable(&mark.version))
-        } else if let Some(set) = op.as_any().downcast_ref::<SetCurrentVersion>() {
-            match self.instantiable_entry(&set.version) {
-                Ok(_) => {
-                    self.current = set.version.clone();
-                    ctx.metrics().incr("manager.current_version_changes");
-                    if self.propagation == UpdatePropagation::Proactive {
-                        let instances: Vec<ObjectId> = self
-                            .table
-                            .iter()
-                            .filter(|(_, i)| i.version != self.current)
-                            .map(|(o, _)| *o)
-                            .collect();
-                        for object in instances {
-                            self.start_update(ctx, None, object, None, 0);
-                        }
-                    }
-                    Msg::control_ok(call, Ack)
-                }
-                Err(e) => Msg::refused(call, e),
-            }
-        } else if let Some(check) = op.as_any().downcast_ref::<CheckVersion>() {
-            ctx.metrics().incr("manager.version_checks");
-            let up_to_date = check.current == self.current
-                || self
-                    .evolution_allowed(&check.current, &self.current)
-                    .is_err();
-            let descriptor = if up_to_date {
-                None
-            } else {
-                self.store.get(&self.current).map(|e| e.descriptor.clone())
-            };
-            // Optimistically record the promise; the DCDO confirms with
-            // ReportVersion once the evolution lands.
-            Msg::control_ok(
-                call,
-                VersionCheckReply {
-                    up_to_date,
-                    descriptor,
-                },
-            )
-        } else if let Some(report) = op.as_any().downcast_ref::<ReportVersion>() {
-            if let Some(info) = self.table.get_mut(&report.object) {
-                info.version = report.version.clone();
-            }
-            Msg::control_ok(call, Ack)
-        } else if op.as_any().downcast_ref::<ListVersions>().is_some() {
-            Msg::control_ok(
-                call,
-                VersionTable {
-                    entries: self
-                        .store
-                        .iter()
-                        .map(|(v, e)| {
-                            (
-                                v.clone(),
-                                e.instantiable,
-                                e.descriptor.component_count(),
-                                e.descriptor.function_count(),
-                            )
-                        })
-                        .collect(),
-                    current: self.current.clone(),
-                },
-            )
-        } else if op.as_any().downcast_ref::<ListDcdos>().is_some() {
-            Msg::control_ok(
-                call,
-                DcdoTable {
-                    entries: self.instances(),
-                },
-            )
-        } else if let Some(q) = op.as_any().downcast_ref::<QueryVersionInfo>() {
-            match self.entry(&q.version) {
-                Ok(entry) => Msg::control_ok(
-                    call,
-                    VersionInfo {
-                        version: q.version.clone(),
-                        instantiable: entry.instantiable,
-                        descriptor: entry.descriptor.clone(),
-                    },
-                ),
-                Err(e) => Msg::refused(call, e),
-            }
-        } else {
-            return Served::Unknown;
-        };
-        Served::Reply(reply)
     }
 }
 
@@ -1156,6 +1044,8 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
 }
 
 impl LegionObject for DcdoManager {
+    type Ops<'a> = ManagerOp<'a>;
+
     fn object_id(&self) -> ObjectId {
         self.object
     }
@@ -1165,34 +1055,128 @@ impl LegionObject for DcdoManager {
         ctx: &mut Ctx<'_, Msg>,
         from: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: ManagerOp<'_>,
     ) -> Served {
-        let reply = Some((from, call));
-        let any = op.as_any();
-        if let Some(create) = any.downcast_ref::<CreateDcdo>() {
-            self.start_flow(ctx, MgrKind::Create, reply, None, Some(create.node));
-        } else if let Some(update) = any.downcast_ref::<UpdateInstance>() {
-            self.start_update(ctx, reply, update.object, update.to.clone(), 0);
-        } else if let Some(mig) = any.downcast_ref::<MigrateDcdo>() {
-            self.start_flow(ctx, MgrKind::Migrate, reply, Some(mig.object), Some(mig.to));
-        } else if let Some(de) = any.downcast_ref::<DeactivateDcdo>() {
-            self.start_flow(ctx, MgrKind::Deactivate, reply, Some(de.object), None);
-        } else if let Some(act) = any.downcast_ref::<ActivateDcdo>() {
-            self.start_flow(ctx, MgrKind::Activate, reply, Some(act.object), act.node);
-        } else if let Some(cp) = any.downcast_ref::<CheckpointDcdo>() {
-            self.start_flow(ctx, MgrKind::Checkpoint, reply, Some(cp.object), None);
-        } else if let Some(nf) = any.downcast_ref::<NodeFailed>() {
-            self.handle_node_failed(ctx, from, call, nf.node);
-        } else if let Some(nr) = any.downcast_ref::<NodeRecovered>() {
-            self.handle_node_recovered(ctx, from, call, nr.node);
-        } else if let Some(cfg) = any.downcast_ref::<ConfigureVersion>() {
-            self.handle_configure(ctx, from, call, cfg);
-        } else if let Some(set) = any.downcast_ref::<SetGroupEpoch>() {
-            self.handle_set_group_epoch(ctx, from, call, set);
-        } else {
-            return self.sync_control(ctx, call, op);
-        }
-        Served::Later
+        let flow = Some((from, call));
+        let reply = match op {
+            ManagerOp::CreateDcdo(create) => {
+                self.start_flow(ctx, MgrKind::Create, flow, None, Some(create.node));
+                return Served::Later;
+            }
+            ManagerOp::UpdateInstance(update) => {
+                self.start_update(ctx, flow, update.object, update.to.clone(), 0);
+                return Served::Later;
+            }
+            ManagerOp::MigrateDcdo(mig) => {
+                self.start_flow(ctx, MgrKind::Migrate, flow, Some(mig.object), Some(mig.to));
+                return Served::Later;
+            }
+            ManagerOp::DeactivateDcdo(de) => {
+                self.start_flow(ctx, MgrKind::Deactivate, flow, Some(de.object), None);
+                return Served::Later;
+            }
+            ManagerOp::ActivateDcdo(act) => {
+                self.start_flow(ctx, MgrKind::Activate, flow, Some(act.object), act.node);
+                return Served::Later;
+            }
+            ManagerOp::CheckpointDcdo(cp) => {
+                self.start_flow(ctx, MgrKind::Checkpoint, flow, Some(cp.object), None);
+                return Served::Later;
+            }
+            ManagerOp::ConfigureVersion(cfg) => return self.configure(ctx, from, call, cfg),
+            ManagerOp::NodeFailed(nf) => self.node_failed(ctx, call, nf.node),
+            ManagerOp::NodeRecovered(nr) => self.node_recovered(ctx, call, nr.node),
+            ManagerOp::SetGroupEpoch(set) => self.set_group_epoch(ctx, call, set),
+            ManagerOp::DeriveVersion(derive) => match self.derive_version(&derive.from) {
+                Ok(version) => Msg::control_ok(call, DerivedVersion { version }),
+                Err(e) => Msg::refused(call, e),
+            },
+            ManagerOp::MarkInstantiable(mark) => {
+                ack_or_refuse(call, self.mark_instantiable(&mark.version))
+            }
+            ManagerOp::SetCurrentVersion(set) => match self.instantiable_entry(&set.version) {
+                Ok(_) => {
+                    self.current = set.version.clone();
+                    ctx.metrics().incr("manager.current_version_changes");
+                    if self.propagation == UpdatePropagation::Proactive {
+                        let instances: Vec<ObjectId> = self
+                            .table
+                            .iter()
+                            .filter(|(_, i)| i.version != self.current)
+                            .map(|(o, _)| *o)
+                            .collect();
+                        for object in instances {
+                            self.start_update(ctx, None, object, None, 0);
+                        }
+                    }
+                    Msg::control_ok(call, Ack)
+                }
+                Err(e) => Msg::refused(call, e),
+            },
+            ManagerOp::CheckVersion(check) => {
+                ctx.metrics().incr("manager.version_checks");
+                let up_to_date = check.current == self.current
+                    || self
+                        .evolution_allowed(&check.current, &self.current)
+                        .is_err();
+                let descriptor = if up_to_date {
+                    None
+                } else {
+                    self.store.get(&self.current).map(|e| e.descriptor.clone())
+                };
+                // Optimistically record the promise; the DCDO confirms with
+                // ReportVersion once the evolution lands.
+                Msg::control_ok(
+                    call,
+                    VersionCheckReply {
+                        up_to_date,
+                        descriptor,
+                    },
+                )
+            }
+            ManagerOp::ReportVersion(report) => {
+                if let Some(info) = self.table.get_mut(&report.object) {
+                    info.version = report.version.clone();
+                }
+                Msg::control_ok(call, Ack)
+            }
+            ManagerOp::ListVersions(_) => Msg::control_ok(
+                call,
+                VersionTable {
+                    entries: self
+                        .store
+                        .iter()
+                        .map(|(v, e)| {
+                            (
+                                v.clone(),
+                                e.instantiable,
+                                e.descriptor.component_count(),
+                                e.descriptor.function_count(),
+                            )
+                        })
+                        .collect(),
+                    current: self.current.clone(),
+                },
+            ),
+            ManagerOp::ListDcdos(_) => Msg::control_ok(
+                call,
+                DcdoTable {
+                    entries: self.instances(),
+                },
+            ),
+            ManagerOp::QueryVersionInfo(q) => match self.entry(&q.version) {
+                Ok(entry) => Msg::control_ok(
+                    call,
+                    VersionInfo {
+                        version: q.version.clone(),
+                        instantiable: entry.instantiable,
+                        descriptor: entry.descriptor.clone(),
+                    },
+                ),
+                Err(e) => Msg::refused(call, e),
+            },
+        };
+        Served::Reply(reply)
     }
 
     fn rpc(&mut self) -> Option<&mut RpcClient> {

@@ -32,7 +32,7 @@ use dcdo_types::{
 };
 use dcdo_vm::{ComponentBinary, NativeRegistry, Value, ValueStore};
 use legion_substrate::host::{ComponentData, FetchComponentData, StoreComponentData};
-use legion_substrate::object::{self, state_op, LegionObject, Served};
+use legion_substrate::object::{self, LegionObject, Served};
 use legion_substrate::plan::{answer, Action, Flow, Kind, PlanOwner, Plans, Reply};
 use legion_substrate::{Ack, ControlOp, CostModel, Msg, RpcClient, RpcCompletion};
 
@@ -40,11 +40,8 @@ use crate::descriptor::DfmDescriptor;
 use crate::dfm::Dfm;
 use crate::error::{ack_or_refuse, ConfigError};
 use crate::ops::{
-    AddFunctionDependency, ApplyDfmDescriptor, CheckVersion, DisableFunction, EnableFunction,
-    FunctionStatusReport, ImplementationReport, IncorporateComponent, InterfaceReport, LazyCheck,
-    QueryFunctionStatus, QueryImplementation, QueryInterface, ReadComponent,
-    ReadComponentDescriptor, RemovalPolicy, RemoveComponent, RemoveFunctionDependency,
-    SetFunctionProtection, SetLazyCheck, SetRemovalPolicy, VersionCheckReply,
+    CheckVersion, DcdoOp, FunctionStatusReport, ImplementationReport, InterfaceReport, LazyCheck,
+    ReadComponent, ReadComponentDescriptor, RemovalPolicy, VersionCheckReply,
 };
 
 /// Interval at which delayed removals re-check thread activity.
@@ -309,7 +306,6 @@ impl DcdoObject {
             &mut self.dfm,
             &NativeRegistry,
             &mut self.state,
-            &mut self.rpc,
         );
     }
 
@@ -475,77 +471,6 @@ impl DcdoObject {
             });
         }
         self.start_config(ctx, reply, ConfigOp::Apply { target }, items);
-    }
-
-    // ---- control dispatch ------------------------------------------------
-
-    /// Answers a control op served in one step, or says it is unknown.
-    fn sync_control(&mut self, ctx: &mut Ctx<'_, Msg>, call: CallId, op: &ControlOp) -> Served {
-        let reply = if let Some(en) = op.as_any().downcast_ref::<EnableFunction>() {
-            let r = self.dfm.enable_function(&en.function, en.component);
-            self.config_reply(ctx, call, r)
-        } else if let Some(p) = op.as_any().downcast_ref::<SetFunctionProtection>() {
-            let r = self
-                .dfm
-                .with_descriptor_mut(|d| d.set_protection(&p.function, p.protection));
-            self.config_reply(ctx, call, r)
-        } else if let Some(d) = op.as_any().downcast_ref::<AddFunctionDependency>() {
-            let r = self
-                .dfm
-                .with_descriptor_mut(|desc| desc.add_dependency(d.dependency.clone()));
-            self.config_reply(ctx, call, r)
-        } else if let Some(d) = op.as_any().downcast_ref::<RemoveFunctionDependency>() {
-            let r = self.dfm.with_descriptor_mut(|desc| {
-                desc.remove_dependency(&d.dependency);
-                Ok(())
-            });
-            self.config_reply(ctx, call, r)
-        } else if let Some(p) = op.as_any().downcast_ref::<SetRemovalPolicy>() {
-            self.removal_policy = p.policy;
-            Msg::control_ok(call, Ack)
-        } else if let Some(l) = op.as_any().downcast_ref::<SetLazyCheck>() {
-            self.lazy = l.mode;
-            Msg::control_ok(call, Ack)
-        } else if op.as_any().downcast_ref::<QueryInterface>().is_some() {
-            Msg::control_ok(
-                call,
-                InterfaceReport {
-                    descriptor: self.dfm.shared_descriptor(),
-                },
-            )
-        } else if op.as_any().downcast_ref::<QueryImplementation>().is_some() {
-            Msg::control_ok(
-                call,
-                ImplementationReport {
-                    version: self.dfm.version().clone(),
-                    components: self.dfm.descriptor().components().map(|(c, _)| c).collect(),
-                    impl_type: self.impl_type,
-                    function_count: self.dfm.descriptor().function_count(),
-                },
-            )
-        } else if let Some(q) = op.as_any().downcast_ref::<QueryFunctionStatus>() {
-            let record = self.dfm.descriptor().function(&q.function);
-            let implementations = record.map(|r| r.impls().to_vec()).unwrap_or_default();
-            let active_threads = implementations
-                .iter()
-                .map(|c| self.dfm.active_threads(&q.function, *c))
-                .sum();
-            Msg::control_ok(
-                call,
-                FunctionStatusReport {
-                    function: q.function.clone(),
-                    present: record.is_some(),
-                    enabled: record.and_then(|r| r.enabled()),
-                    visibility: record.map(|r| r.visibility()),
-                    protection: record.map(|r| r.protection()),
-                    active_threads,
-                    implementations,
-                },
-            )
-        } else {
-            return state_op(ctx, &mut self.state, call, op);
-        };
-        Served::Reply(reply)
     }
 
     /// Replies to a synchronous configuration function, stamping the new
@@ -715,6 +640,8 @@ impl PlanOwner<Config, Change> for DcdoObject {
 }
 
 impl LegionObject for DcdoObject {
+    type Ops<'a> = DcdoOp<'a>;
+
     fn object_id(&self) -> ObjectId {
         self.object
     }
@@ -726,32 +653,109 @@ impl LegionObject for DcdoObject {
         ctx: &mut Ctx<'_, Msg>,
         from: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: DcdoOp<'_>,
     ) -> Served {
-        let reply = Some((from, call));
-        if let Some(inc) = op.as_any().downcast_ref::<IncorporateComponent>() {
-            let item = FetchItem {
-                ico: inc.ico,
-                component: None,
-                staged: Staged::Nothing,
-            };
-            self.start_config(ctx, reply, ConfigOp::Incorporate, vec![item]);
-        } else if let Some(apply) = op.as_any().downcast_ref::<ApplyDfmDescriptor>() {
-            self.begin_apply(ctx, reply, apply.descriptor.clone());
-        } else if let Some(rm) = op.as_any().downcast_ref::<RemoveComponent>() {
-            let remove = ConfigOp::Remove {
-                component: rm.component,
-            };
-            self.start_config(ctx, reply, remove, Vec::new());
-        } else if let Some(dis) = op.as_any().downcast_ref::<DisableFunction>() {
-            let disable = ConfigOp::Disable {
-                function: dis.function.clone(),
-            };
-            self.start_config(ctx, reply, disable, Vec::new());
-        } else {
-            return self.sync_control(ctx, call, op);
-        }
-        Served::Later
+        let flow = Some((from, call));
+        let reply = match op {
+            DcdoOp::IncorporateComponent(inc) => {
+                let item = FetchItem {
+                    ico: inc.ico,
+                    component: None,
+                    staged: Staged::Nothing,
+                };
+                self.start_config(ctx, flow, ConfigOp::Incorporate, vec![item]);
+                return Served::Later;
+            }
+            DcdoOp::ApplyDfmDescriptor(apply) => {
+                self.begin_apply(ctx, flow, apply.descriptor.clone());
+                return Served::Later;
+            }
+            DcdoOp::RemoveComponent(rm) => {
+                let remove = ConfigOp::Remove {
+                    component: rm.component,
+                };
+                self.start_config(ctx, flow, remove, Vec::new());
+                return Served::Later;
+            }
+            DcdoOp::DisableFunction(dis) => {
+                let disable = ConfigOp::Disable {
+                    function: dis.function.clone(),
+                };
+                self.start_config(ctx, flow, disable, Vec::new());
+                return Served::Later;
+            }
+            DcdoOp::EnableFunction(en) => {
+                let r = self.dfm.enable_function(&en.function, en.component);
+                self.config_reply(ctx, call, r)
+            }
+            DcdoOp::SetFunctionProtection(p) => {
+                let r = self
+                    .dfm
+                    .with_descriptor_mut(|d| d.set_protection(&p.function, p.protection));
+                self.config_reply(ctx, call, r)
+            }
+            DcdoOp::AddFunctionDependency(d) => {
+                let r = self
+                    .dfm
+                    .with_descriptor_mut(|desc| desc.add_dependency(d.dependency.clone()));
+                self.config_reply(ctx, call, r)
+            }
+            DcdoOp::RemoveFunctionDependency(d) => {
+                let r = self.dfm.with_descriptor_mut(|desc| {
+                    desc.remove_dependency(&d.dependency);
+                    Ok(())
+                });
+                self.config_reply(ctx, call, r)
+            }
+            DcdoOp::SetRemovalPolicy(p) => {
+                self.removal_policy = p.policy;
+                Msg::control_ok(call, Ack)
+            }
+            DcdoOp::SetLazyCheck(l) => {
+                self.lazy = l.mode;
+                Msg::control_ok(call, Ack)
+            }
+            DcdoOp::QueryInterface(_) => Msg::control_ok(
+                call,
+                InterfaceReport {
+                    descriptor: self.dfm.shared_descriptor(),
+                },
+            ),
+            DcdoOp::QueryImplementation(_) => Msg::control_ok(
+                call,
+                ImplementationReport {
+                    version: self.dfm.version().clone(),
+                    components: self.dfm.descriptor().components().map(|(c, _)| c).collect(),
+                    impl_type: self.impl_type,
+                    function_count: self.dfm.descriptor().function_count(),
+                },
+            ),
+            DcdoOp::QueryFunctionStatus(q) => {
+                let record = self.dfm.descriptor().function(&q.function);
+                let implementations = record.map(|r| r.impls().to_vec()).unwrap_or_default();
+                let active_threads = implementations
+                    .iter()
+                    .map(|c| self.dfm.active_threads(&q.function, *c))
+                    .sum();
+                Msg::control_ok(
+                    call,
+                    FunctionStatusReport {
+                        function: q.function.clone(),
+                        present: record.is_some(),
+                        enabled: record.and_then(|r| r.enabled()),
+                        visibility: record.map(|r| r.visibility()),
+                        protection: record.map(|r| r.protection()),
+                        active_threads,
+                        implementations,
+                    },
+                )
+            }
+        };
+        Served::Reply(reply)
+    }
+
+    fn state(&mut self) -> Option<&mut ValueStore> {
+        Some(&mut self.state)
     }
 
     /// Serves the call, parks it behind a lazy version check in flight, or
@@ -792,14 +796,7 @@ impl LegionObject for DcdoObject {
     /// check.
     fn completed(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
         if self.runtime.owns_completion(&completion) {
-            self.runtime.handle_outcall_completion(
-                ctx,
-                completion,
-                &mut self.dfm,
-                &NativeRegistry,
-                &mut self.state,
-                &mut self.rpc,
-            );
+            self.runtime.handle_outcall_completion(ctx, completion);
         } else if let Some(completion) = self.plan_reply(ctx, completion) {
             if self.check_call.take_if(|c| *c == completion.call).is_some() {
                 self.handle_check_reply(ctx, completion);

@@ -13,7 +13,7 @@ use dcdo_types::{
     Protection, VersionId, Visibility,
 };
 use dcdo_vm::{ComponentBinary, ComponentDescriptor};
-use legion_substrate::control_payload;
+use legion_substrate::control_ops;
 use serde::{Deserialize, Serialize};
 
 use crate::descriptor::DfmDescriptor;
@@ -25,8 +25,6 @@ use crate::descriptor::DfmDescriptor;
 #[derive(Debug, Clone)]
 pub struct ReadComponent;
 
-control_payload!(ReadComponent, "read-component");
-
 /// Reply to [`ReadComponent`].
 #[derive(Debug, Clone)]
 pub struct ComponentPayload {
@@ -34,15 +32,9 @@ pub struct ComponentPayload {
     pub binary: Rc<ComponentBinary>,
 }
 
-// The transfer cost is charged by the ICO's reply delay; the message itself
-// carries a nominal header size to avoid double-charging the network model.
-control_payload!(ComponentPayload, "component-payload");
-
 /// Reads only the component's descriptor (metadata).
 #[derive(Debug, Clone)]
 pub struct ReadComponentDescriptor;
-
-control_payload!(ReadComponentDescriptor, "read-component-descriptor");
 
 /// Reply to [`ReadComponentDescriptor`].
 #[derive(Debug, Clone)]
@@ -51,11 +43,23 @@ pub struct ComponentDescriptorReply {
     pub descriptor: ComponentDescriptor,
 }
 
-control_payload!(
-    ComponentDescriptorReply,
-    "component-descriptor-reply",
-    wire_size = |op| { 256 + op.descriptor.functions.len() as u64 * 48 }
-);
+control_ops! {
+    /// The reads an ICO serves.
+    pub enum IcoOp {
+        ReadComponent = "read-component", 64;
+        ReadComponentDescriptor = "read-component-descriptor", 64;
+    }
+
+    /// An ICO's replies.
+    pub enum IcoReply {
+        // The transfer cost is charged by the ICO's reply delay; the message
+        // itself carries a nominal header size to avoid double-charging the
+        // network model.
+        ComponentPayload = "component-payload", 64;
+        ComponentDescriptorReply = "component-descriptor-reply",
+            |op| 256 + op.descriptor.functions.len() as u64 * 48;
+    }
+}
 
 // ---- DCDO configuration functions (§2.2) ------------------------------------
 
@@ -67,8 +71,6 @@ pub struct IncorporateComponent {
     pub ico: ObjectId,
 }
 
-control_payload!(IncorporateComponent, "incorporate-component");
-
 /// `removeComponent()`: remove an incorporated component, subject to the
 /// thread-activity policy (§3.2).
 #[derive(Debug, Clone)]
@@ -76,8 +78,6 @@ pub struct RemoveComponent {
     /// The component to remove.
     pub component: ComponentId,
 }
-
-control_payload!(RemoveComponent, "remove-component");
 
 /// `enableFunction()`: enable (or switch to) the implementation of
 /// `function` in `component`.
@@ -89,16 +89,12 @@ pub struct EnableFunction {
     pub component: ComponentId,
 }
 
-control_payload!(EnableFunction, "enable-function");
-
 /// `disableFunction()`: disallow future calls to `function`.
 #[derive(Debug, Clone)]
 pub struct DisableFunction {
     /// The function to disable.
     pub function: FunctionName,
 }
-
-control_payload!(DisableFunction, "disable-function");
 
 /// Strengthens a function's protection on the live object.
 #[derive(Debug, Clone)]
@@ -109,8 +105,6 @@ pub struct SetFunctionProtection {
     pub protection: Protection,
 }
 
-control_payload!(SetFunctionProtection, "set-function-protection");
-
 /// Declares a dependency on the live object.
 #[derive(Debug, Clone)]
 pub struct AddFunctionDependency {
@@ -118,16 +112,12 @@ pub struct AddFunctionDependency {
     pub dependency: Dependency,
 }
 
-control_payload!(AddFunctionDependency, "add-function-dependency");
-
 /// Retracts a dependency on the live object.
 #[derive(Debug, Clone)]
 pub struct RemoveFunctionDependency {
     /// The dependency.
     pub dependency: Dependency,
 }
-
-control_payload!(RemoveFunctionDependency, "remove-function-dependency");
 
 /// Bulk evolution: reconfigure the DCDO to match `descriptor`, fetching any
 /// missing components from their ICOs first. This is the operation DCDO
@@ -137,15 +127,6 @@ pub struct ApplyDfmDescriptor {
     /// The target configuration, shared with the manager's version store.
     pub descriptor: Rc<DfmDescriptor>,
 }
-
-control_payload!(
-    ApplyDfmDescriptor,
-    "apply-dfm-descriptor",
-    wire_size = |op| {
-        256 + op.descriptor.function_count() as u64 * 48
-            + op.descriptor.component_count() as u64 * 64
-    }
-);
 
 /// Thread-activity policy for component removal (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,8 +146,6 @@ pub struct SetRemovalPolicy {
     /// The policy to apply to subsequent removals.
     pub policy: RemovalPolicy,
 }
-
-control_payload!(SetRemovalPolicy, "set-removal-policy");
 
 /// When a DCDO checks its manager for a newer version (the lazy update
 /// policies of §3.4).
@@ -189,15 +168,11 @@ pub struct SetLazyCheck {
     pub mode: LazyCheck,
 }
 
-control_payload!(SetLazyCheck, "set-lazy-check");
-
 // ---- DCDO status-reporting functions (§2.2) ---------------------------------
 
 /// Returns the object's exported interface.
 #[derive(Debug, Clone)]
 pub struct QueryInterface;
-
-control_payload!(QueryInterface, "query-interface");
 
 /// Reply to [`QueryInterface`]: the object's descriptor as it stood when
 /// it answered, shared, not copied (the DFM copies its own on its next
@@ -215,23 +190,9 @@ impl InterfaceReport {
     }
 }
 
-control_payload!(
-    InterfaceReport,
-    "interface-report",
-    wire_size = |op| {
-        // Each function travels as its rendered signature and protection.
-        64 + op
-            .functions()
-            .map(|(sig, _)| sig.rendered_len() as u64 + 8)
-            .sum::<u64>()
-    }
-);
-
 /// Returns the object's implementation status.
 #[derive(Debug, Clone)]
 pub struct QueryImplementation;
-
-control_payload!(QueryImplementation, "query-implementation");
 
 /// Reply to [`QueryImplementation`].
 #[derive(Debug, Clone)]
@@ -246,16 +207,12 @@ pub struct ImplementationReport {
     pub function_count: usize,
 }
 
-control_payload!(ImplementationReport, "implementation-report");
-
 /// Returns one function's status.
 #[derive(Debug, Clone)]
 pub struct QueryFunctionStatus {
     /// The function asked about.
     pub function: FunctionName,
 }
-
-control_payload!(QueryFunctionStatus, "query-function-status");
 
 /// Reply to [`QueryFunctionStatus`].
 #[derive(Debug, Clone)]
@@ -276,7 +233,36 @@ pub struct FunctionStatusReport {
     pub implementations: Vec<ComponentId>,
 }
 
-control_payload!(FunctionStatusReport, "function-status-report");
+control_ops! {
+    /// The configuration and status-reporting functions a DCDO serves
+    /// (§2.2).
+    pub enum DcdoOp {
+        IncorporateComponent = "incorporate-component", 64;
+        RemoveComponent = "remove-component", 64;
+        EnableFunction = "enable-function", 64;
+        DisableFunction = "disable-function", 64;
+        SetFunctionProtection = "set-function-protection", 64;
+        AddFunctionDependency = "add-function-dependency", 64;
+        RemoveFunctionDependency = "remove-function-dependency", 64;
+        ApplyDfmDescriptor = "apply-dfm-descriptor", |op| 256
+            + op.descriptor.function_count() as u64 * 48
+            + op.descriptor.component_count() as u64 * 64;
+        SetRemovalPolicy = "set-removal-policy", 64;
+        SetLazyCheck = "set-lazy-check", 64;
+        QueryInterface = "query-interface", 64;
+        QueryImplementation = "query-implementation", 64;
+        QueryFunctionStatus = "query-function-status", 64;
+    }
+
+    /// A DCDO's status reports.
+    pub enum DcdoReply {
+        // Each function travels as its rendered signature and protection.
+        InterfaceReport = "interface-report",
+            |op| 64 + op.functions().map(|(sig, _)| sig.rendered_len() as u64 + 8).sum::<u64>();
+        ImplementationReport = "implementation-report", 64;
+        FunctionStatusReport = "function-status-report", 64;
+    }
+}
 
 // ---- DCDO Manager operations (§2.4) -----------------------------------------
 
@@ -287,16 +273,12 @@ pub struct DeriveVersion {
     pub from: VersionId,
 }
 
-control_payload!(DeriveVersion, "derive-version");
-
 /// Reply to [`DeriveVersion`].
 #[derive(Debug, Clone)]
 pub struct DerivedVersion {
     /// The fresh configurable version.
     pub version: VersionId,
 }
-
-control_payload!(DerivedVersion, "derived-version");
 
 /// A configuration step applied to a configurable version's descriptor.
 #[derive(Debug, Clone)]
@@ -358,16 +340,12 @@ pub struct ConfigureVersion {
     pub op: VersionConfigOp,
 }
 
-control_payload!(ConfigureVersion, "configure-version");
-
 /// Marks a configurable version **instantiable**, freezing it (§2.4).
 #[derive(Debug, Clone)]
 pub struct MarkInstantiable {
     /// The version to freeze.
     pub version: VersionId,
 }
-
-control_payload!(MarkInstantiable, "mark-instantiable");
 
 /// Designates the manager's current version (single-version managers
 /// evolve all instances toward it, §3.4).
@@ -377,16 +355,12 @@ pub struct SetCurrentVersion {
     pub version: VersionId,
 }
 
-control_payload!(SetCurrentVersion, "set-current-version");
-
 /// Creates a new DCDO reflecting the current version.
 #[derive(Debug, Clone)]
 pub struct CreateDcdo {
     /// The node to place it on.
     pub node: dcdo_sim::NodeId,
 }
-
-control_payload!(CreateDcdo, "create-dcdo");
 
 /// Reply to [`CreateDcdo`].
 #[derive(Debug, Clone)]
@@ -399,8 +373,6 @@ pub struct DcdoCreated {
     pub version: VersionId,
 }
 
-control_payload!(DcdoCreated, "dcdo-created");
-
 /// `updateInstance()`: explicitly evolve one DCDO (§3.4's explicit policy;
 /// multi-version managers accept an explicit target).
 #[derive(Debug, Clone)]
@@ -411,8 +383,6 @@ pub struct UpdateInstance {
     pub to: Option<VersionId>,
 }
 
-control_payload!(UpdateInstance, "update-instance");
-
 /// Reply to [`UpdateInstance`] (and to internally triggered updates).
 #[derive(Debug, Clone)]
 pub struct UpdateDone {
@@ -421,8 +391,6 @@ pub struct UpdateDone {
     /// The version it now reflects.
     pub version: VersionId,
 }
-
-control_payload!(UpdateDone, "update-done");
 
 /// A DCDO asking its manager whether it is out of date (lazy policies).
 #[derive(Debug, Clone)]
@@ -433,8 +401,6 @@ pub struct CheckVersion {
     pub current: VersionId,
 }
 
-control_payload!(CheckVersion, "check-version");
-
 /// Reply to [`CheckVersion`].
 #[derive(Debug, Clone)]
 pub struct VersionCheckReply {
@@ -444,16 +410,6 @@ pub struct VersionCheckReply {
     /// The descriptor to evolve to, when out of date.
     pub descriptor: Option<Rc<DfmDescriptor>>,
 }
-
-control_payload!(
-    VersionCheckReply,
-    "version-check-reply",
-    wire_size = |op| {
-        64 + op.descriptor.as_ref().map_or(0, |d| {
-            d.function_count() as u64 * 48 + d.component_count() as u64 * 64
-        })
-    }
-);
 
 /// Migrates a DCDO to another node at its current version. Unlike
 /// evolution, migration does change the instance's physical address, so
@@ -466,8 +422,6 @@ pub struct MigrateDcdo {
     pub to: dcdo_sim::NodeId,
 }
 
-control_payload!(MigrateDcdo, "migrate-dcdo");
-
 /// Reply to [`MigrateDcdo`].
 #[derive(Debug, Clone)]
 pub struct MigrateDone {
@@ -479,8 +433,6 @@ pub struct MigrateDone {
     pub version: VersionId,
 }
 
-control_payload!(MigrateDone, "migrate-done");
-
 /// Deactivates a DCDO: its state is captured and parked in the manager's
 /// table, its process exits, and its binding is removed. Legion objects are
 /// routinely deactivated when idle (§1: applications must be constantly
@@ -490,8 +442,6 @@ pub struct DeactivateDcdo {
     /// The instance to deactivate.
     pub object: ObjectId,
 }
-
-control_payload!(DeactivateDcdo, "deactivate-dcdo");
 
 /// Reactivates a previously deactivated DCDO: a fresh process is created
 /// (optionally on a different node), brought to the instance's version,
@@ -504,8 +454,6 @@ pub struct ActivateDcdo {
     pub node: Option<dcdo_sim::NodeId>,
 }
 
-control_payload!(ActivateDcdo, "activate-dcdo");
-
 /// A DCDO reporting the version it now reflects (sent after a
 /// lazily-triggered evolution completes, so the manager's DCDO table stays
 /// accurate).
@@ -517,13 +465,9 @@ pub struct ReportVersion {
     pub version: VersionId,
 }
 
-control_payload!(ReportVersion, "report-version");
-
 /// Lists the DCDOs under the manager's control (the DCDO table, §2.4).
 #[derive(Debug, Clone)]
 pub struct ListDcdos;
-
-control_payload!(ListDcdos, "list-dcdos");
 
 /// Reply to [`ListDcdos`].
 #[derive(Debug, Clone)]
@@ -532,17 +476,9 @@ pub struct DcdoTable {
     pub entries: Vec<(ObjectId, VersionId, ImplementationType)>,
 }
 
-control_payload!(
-    DcdoTable,
-    "dcdo-table",
-    wire_size = |op| { 64 + op.entries.len() as u64 * 48 }
-);
-
 /// Lists every version in the manager's DFM store.
 #[derive(Debug, Clone)]
 pub struct ListVersions;
-
-control_payload!(ListVersions, "list-versions");
 
 /// Reply to [`ListVersions`].
 #[derive(Debug, Clone)]
@@ -554,20 +490,12 @@ pub struct VersionTable {
     pub current: VersionId,
 }
 
-control_payload!(
-    VersionTable,
-    "version-table",
-    wire_size = |op| { 64 + op.entries.len() as u64 * 32 }
-);
-
 /// Queries one stored version's status.
 #[derive(Debug, Clone)]
 pub struct QueryVersionInfo {
     /// The version asked about.
     pub version: VersionId,
 }
-
-control_payload!(QueryVersionInfo, "query-version-info");
 
 /// Reply to [`QueryVersionInfo`].
 #[derive(Debug, Clone)]
@@ -580,12 +508,6 @@ pub struct VersionInfo {
     pub descriptor: Rc<DfmDescriptor>,
 }
 
-control_payload!(
-    VersionInfo,
-    "version-info",
-    wire_size = |op| { 64 + op.descriptor.function_count() as u64 * 48 }
-);
-
 /// Checkpoints a DCDO: its state is captured and persisted in the
 /// manager's vault *without* disturbing the running process. A checkpointed
 /// instance can be rebuilt after a host crash ([`NodeRecovered`]).
@@ -595,8 +517,6 @@ pub struct CheckpointDcdo {
     pub object: ObjectId,
 }
 
-control_payload!(CheckpointDcdo, "checkpoint-dcdo");
-
 /// Reply to [`CheckpointDcdo`].
 #[derive(Debug, Clone)]
 pub struct DcdoCheckpointed {
@@ -605,8 +525,6 @@ pub struct DcdoCheckpointed {
     /// The version the persisted snapshot reflects.
     pub version: VersionId,
 }
-
-control_payload!(DcdoCheckpointed, "dcdo-checkpointed");
 
 /// Notifies the manager that a host crashed. Instances resident there are
 /// marked crashed (refusing further reconfiguration until recovered) and
@@ -618,8 +536,6 @@ pub struct NodeFailed {
     pub node: dcdo_sim::NodeId,
 }
 
-control_payload!(NodeFailed, "node-failed");
-
 /// Reply to [`NodeFailed`].
 #[derive(Debug, Clone)]
 pub struct NodeFailureReport {
@@ -628,12 +544,6 @@ pub struct NodeFailureReport {
     /// Objects whose in-flight reconfiguration flows were aborted.
     pub aborted: Vec<ObjectId>,
 }
-
-control_payload!(
-    NodeFailureReport,
-    "node-failure-report",
-    wire_size = |op| { 32 + (op.crashed.len() + op.aborted.len()) as u64 * 16 }
-);
 
 /// Notifies the manager that a crashed host is back. Every crashed
 /// instance previously resident there is rebuilt from its vault snapshot
@@ -645,20 +555,12 @@ pub struct NodeRecovered {
     pub node: dcdo_sim::NodeId,
 }
 
-control_payload!(NodeRecovered, "node-recovered");
-
 /// Reply to [`NodeRecovered`].
 #[derive(Debug, Clone)]
 pub struct RecoveryStarted {
     /// Instances whose recovery flows were launched.
     pub objects: Vec<ObjectId>,
 }
-
-control_payload!(
-    RecoveryStarted,
-    "recovery-started",
-    wire_size = |op| { 32 + op.objects.len() as u64 * 16 }
-);
 
 // ---- Group epoch gating ------------------------------------------------------
 
@@ -679,8 +581,6 @@ pub struct SetGroupEpoch {
     pub fence: bool,
 }
 
-control_payload!(SetGroupEpoch, "set-group-epoch");
-
 /// Reply to [`SetGroupEpoch`]: the manager's view of its group enrolment.
 #[derive(Debug, Clone)]
 pub struct GroupEpochReport {
@@ -694,11 +594,53 @@ pub struct GroupEpochReport {
     pub refused_while_fenced: u64,
 }
 
-control_payload!(GroupEpochReport, "group-epoch-report");
+control_ops! {
+    /// The operations a DCDO Manager serves (§2.4), and the group epoch
+    /// gate.
+    pub enum ManagerOp {
+        DeriveVersion = "derive-version", 64;
+        ConfigureVersion = "configure-version", 64;
+        MarkInstantiable = "mark-instantiable", 64;
+        SetCurrentVersion = "set-current-version", 64;
+        CreateDcdo = "create-dcdo", 64;
+        UpdateInstance = "update-instance", 64;
+        CheckVersion = "check-version", 64;
+        MigrateDcdo = "migrate-dcdo", 64;
+        DeactivateDcdo = "deactivate-dcdo", 64;
+        ActivateDcdo = "activate-dcdo", 64;
+        ReportVersion = "report-version", 64;
+        ListDcdos = "list-dcdos", 64;
+        ListVersions = "list-versions", 64;
+        QueryVersionInfo = "query-version-info", 64;
+        CheckpointDcdo = "checkpoint-dcdo", 64;
+        NodeFailed = "node-failed", 64;
+        NodeRecovered = "node-recovered", 64;
+        SetGroupEpoch = "set-group-epoch", 64;
+    }
+
+    /// A DCDO Manager's replies.
+    pub enum ManagerReply {
+        DerivedVersion = "derived-version", 64;
+        DcdoCreated = "dcdo-created", 64;
+        UpdateDone = "update-done", 64;
+        VersionCheckReply = "version-check-reply", |op| 64 + op.descriptor.as_ref().map_or(0, |d| {
+            d.function_count() as u64 * 48 + d.component_count() as u64 * 64
+        });
+        MigrateDone = "migrate-done", 64;
+        DcdoTable = "dcdo-table", |op| 64 + op.entries.len() as u64 * 48;
+        VersionTable = "version-table", |op| 64 + op.entries.len() as u64 * 32;
+        VersionInfo = "version-info", |op| 64 + op.descriptor.function_count() as u64 * 48;
+        DcdoCheckpointed = "dcdo-checkpointed", 64;
+        NodeFailureReport = "node-failure-report",
+            |op| 32 + (op.crashed.len() + op.aborted.len()) as u64 * 16;
+        RecoveryStarted = "recovery-started", |op| 32 + op.objects.len() as u64 * 16;
+        GroupEpochReport = "group-epoch-report", 64;
+    }
+}
 
 #[cfg(test)]
 mod tests {
-    use legion_substrate::{ControlOp, ControlPayload};
+    use legion_substrate::{ControlOp, ControlPayload, OpTable};
 
     use super::*;
 
@@ -709,8 +651,11 @@ mod tests {
             component: ComponentId::from_raw(1),
         });
         assert_eq!(op.describe(), "enable-function");
-        assert!(op.as_any().downcast_ref::<EnableFunction>().is_some());
-        assert!(op.as_any().downcast_ref::<DisableFunction>().is_none());
+        assert!(matches!(
+            DcdoOp::decode(&op),
+            Some(DcdoOp::EnableFunction(e)) if e.function.as_str() == "f"
+        ));
+        assert!(ManagerOp::decode(&op).is_none());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use dcdo_sim::{
 use dcdo_types::{CallId, FunctionName, ObjectId};
 use dcdo_vm::Value;
 use legion_substrate::object::{self, LegionObject, Served};
-use legion_substrate::{control_payload, Ack, ControlOp, InvocationFault, Msg};
+use legion_substrate::{control_ops, Ack, ControlOp, InvocationFault, Msg, OpTable};
 
 use crate::lattice::{ConfigDelta, GroupConfig};
 
@@ -41,8 +41,6 @@ pub struct ProposeConfig {
     pub delta: ConfigDelta,
 }
 
-control_payload!(ProposeConfig, "propose-config");
-
 /// The coordinator's answer to a [`ProposeConfig`], sent when the round
 /// carrying the proposal resolves.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,8 +53,6 @@ pub struct ProposalResult {
     pub config_digest: u64,
 }
 
-control_payload!(ProposalResult, "proposal-result");
-
 /// Fence a replica for an in-flight epoch round.
 #[derive(Debug, Clone)]
 pub struct EpochPrepare {
@@ -67,8 +63,6 @@ pub struct EpochPrepare {
     /// Digest of the joined delta the round will apply.
     pub joined_digest: u64,
 }
-
-control_payload!(EpochPrepare, "epoch-prepare");
 
 /// A replica's acknowledgement that it is fenced for `epoch`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,8 +75,6 @@ pub struct EpochPrepareAck {
     pub joined_digest: u64,
 }
 
-control_payload!(EpochPrepareAck, "epoch-prepare-ack");
-
 /// Commit a round: the full next configuration, so stragglers catch up in
 /// one hop and digest agreement is checkable byte-for-byte.
 #[derive(Debug, Clone)]
@@ -90,8 +82,6 @@ pub struct EpochCommit {
     /// The committed configuration (carries its own epoch).
     pub config: GroupConfig,
 }
-
-control_payload!(EpochCommit, "epoch-commit");
 
 /// Abort an in-flight round: fenced replicas revert to the last committed
 /// epoch. Sent by the coordinator at a failed deadline, or by a rollout
@@ -104,13 +94,9 @@ pub struct EpochAbort {
     pub epoch: u64,
 }
 
-control_payload!(EpochAbort, "epoch-abort");
-
 /// Ask a replica for its health and epoch position.
 #[derive(Debug, Clone)]
 pub struct ProbeReplica;
-
-control_payload!(ProbeReplica, "probe-replica");
 
 /// A replica's answer to a [`ProbeReplica`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,7 +118,25 @@ pub struct ReplicaStatus {
     pub config_digest: u64,
 }
 
-control_payload!(ReplicaStatus, "replica-status");
+control_ops! {
+    /// The op a group coordinator serves.
+    pub enum CoordinatorOp { ProposeConfig = "propose-config", 64; }
+
+    /// The epoch-round ops a group replica serves.
+    pub enum ReplicaOp {
+        EpochPrepare = "epoch-prepare", 64;
+        EpochCommit = "epoch-commit", 64;
+        EpochAbort = "epoch-abort", 64;
+        ProbeReplica = "probe-replica", 64;
+    }
+
+    /// The group protocol's replies.
+    pub enum GroupReply {
+        ProposalResult = "proposal-result", 64;
+        EpochPrepareAck = "epoch-prepare-ack", 64;
+        ReplicaStatus = "replica-status", 64;
+    }
+}
 
 // ---- replica ------------------------------------------------------------
 
@@ -261,6 +265,8 @@ impl GroupReplica {
 }
 
 impl LegionObject for GroupReplica {
+    type Ops<'a> = ReplicaOp<'a>;
+
     fn object_id(&self) -> ObjectId {
         self.object
     }
@@ -270,18 +276,19 @@ impl LegionObject for GroupReplica {
         ctx: &mut Ctx<'_, Msg>,
         _: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: ReplicaOp<'_>,
     ) -> Served {
-        let reply = if let Some(prep) = op.downcast_ref::<EpochPrepare>() {
-            if prep.group != self.group || prep.epoch <= self.config.epoch {
+        let reply = match op {
+            ReplicaOp::EpochPrepare(prep)
+                if prep.group != self.group || prep.epoch <= self.config.epoch =>
+            {
+                let at = self.config.epoch;
                 Msg::refused(
                     call,
-                    format!(
-                        "stale prepare for epoch {} (at {})",
-                        prep.epoch, self.config.epoch
-                    ),
+                    format!("stale prepare for epoch {} (at {at})", prep.epoch),
                 )
-            } else {
+            }
+            ReplicaOp::EpochPrepare(prep) => {
                 if let Some(old) = self.fence.take() {
                     ctx.cancel_timer(old.timer);
                 }
@@ -299,20 +306,21 @@ impl LegionObject for GroupReplica {
                     },
                 )
             }
-        } else if let Some(commit) = op.downcast_ref::<EpochCommit>() {
-            self.adopt(ctx, commit.config.clone());
-            Msg::control_ok(call, Ack)
-        } else if let Some(abort) = op.downcast_ref::<EpochAbort>() {
-            if let Some(fence) = self.fence.take() {
-                if fence.epoch == abort.epoch && abort.group == self.group {
-                    ctx.cancel_timer(fence.timer);
-                } else {
-                    self.fence = Some(fence);
-                }
+            ReplicaOp::EpochCommit(commit) => {
+                self.adopt(ctx, commit.config.clone());
+                Msg::control_ok(call, Ack)
             }
-            Msg::control_ok(call, Ack)
-        } else if op.downcast_ref::<ProbeReplica>().is_some() {
-            Msg::control_ok(
+            ReplicaOp::EpochAbort(abort) => {
+                if let Some(fence) = self.fence.take() {
+                    if fence.epoch == abort.epoch && abort.group == self.group {
+                        ctx.cancel_timer(fence.timer);
+                    } else {
+                        self.fence = Some(fence);
+                    }
+                }
+                Msg::control_ok(call, Ack)
+            }
+            ReplicaOp::ProbeReplica(_) => Msg::control_ok(
                 call,
                 ReplicaStatus {
                     member: self.member,
@@ -323,9 +331,7 @@ impl LegionObject for GroupReplica {
                     refused: self.refused,
                     config_digest: self.config.digest(),
                 },
-            )
-        } else {
-            return Served::Unknown;
+            ),
         };
         Served::Reply(reply)
     }
@@ -609,6 +615,8 @@ impl GroupCoordinator {
 }
 
 impl LegionObject for GroupCoordinator {
+    type Ops<'a> = CoordinatorOp<'a>;
+
     fn object_id(&self) -> ObjectId {
         self.object
     }
@@ -618,11 +626,9 @@ impl LegionObject for GroupCoordinator {
         ctx: &mut Ctx<'_, Msg>,
         from: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: CoordinatorOp<'_>,
     ) -> Served {
-        let Some(p) = op.downcast_ref::<ProposeConfig>() else {
-            return Served::Unknown;
-        };
+        let CoordinatorOp::ProposeConfig(p) = op;
         if p.group != self.group {
             let why = format!("coordinator serves group {}, not {}", self.group, p.group);
             return Served::Reply(Msg::refused(call, why));
@@ -644,7 +650,7 @@ impl LegionObject for GroupCoordinator {
         let Msg::ControlReply { result: Ok(op), .. } = msg else {
             return;
         };
-        let Some(ack) = op.downcast_ref::<EpochPrepareAck>() else {
+        let Some(GroupReply::EpochPrepareAck(ack)) = GroupReply::decode(&op) else {
             return;
         };
         let Some(round) = self.round.as_mut() else {

@@ -21,11 +21,12 @@ use std::collections::BTreeSet;
 
 use dcdo_sim::{Actor, ActorId, Ctx, NodeId, SimDuration, Simulation, TimerId};
 use dcdo_types::CallId;
-use legion_substrate::{ControlOp, Msg};
+use legion_substrate::{ControlOp, Msg, OpTable};
 
 use crate::lattice::ConfigDelta;
 use crate::protocol::{
-    EpochAbort, GroupDeployment, ProbeReplica, ProposalResult, ProposeConfig, ReplicaStatus,
+    EpochAbort, GroupDeployment, GroupReply, ProbeReplica, ProposalResult, ProposeConfig,
+    ReplicaStatus,
 };
 
 /// How many replicas a wave upgrades, cumulatively.
@@ -350,15 +351,15 @@ impl Actor<Msg> for RolloutDriver {
             return;
         };
         match result {
-            Ok(op) => {
-                if let Some(r) = op.downcast_ref::<ProposalResult>() {
-                    if self.in_flight.as_ref().is_some_and(|f| f.call == call) {
-                        self.on_proposal_result(ctx, &r.clone());
-                    }
-                } else if let Some(s) = op.downcast_ref::<ReplicaStatus>() {
-                    self.on_probe_reply(ctx, &s.clone());
+            Ok(op) => match GroupReply::decode(&op) {
+                Some(GroupReply::ProposalResult(r))
+                    if self.in_flight.as_ref().is_some_and(|f| f.call == call) =>
+                {
+                    self.on_proposal_result(ctx, &r.clone());
                 }
-            }
+                Some(GroupReply::ReplicaStatus(s)) => self.on_probe_reply(ctx, &s.clone()),
+                _ => {}
+            },
             Err(_) => {
                 // A refused proposal resolves the wave as not committed.
                 if self.in_flight.as_ref().is_some_and(|f| f.call == call) {

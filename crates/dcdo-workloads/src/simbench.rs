@@ -22,7 +22,7 @@ use bytes::Bytes;
 use dcdo_sim::{Actor, ActorId, Ctx, NetConfig, NodeId, SimDuration, Simulation, TimerId};
 use dcdo_types::{CallId, ObjectId};
 use dcdo_vm::{ComponentBinary, Value};
-use legion_substrate::{control_payload, ControlOp, Msg};
+use legion_substrate::{control_ops, ControlOp, Msg, OpTable};
 
 use crate::{ComponentSuite, SuiteSpec};
 
@@ -33,12 +33,6 @@ pub struct BenchBlast {
     /// Opaque payload words.
     pub data: Vec<u64>,
 }
-
-control_payload!(
-    BenchBlast,
-    "bench-blast",
-    wire_size = |op| 16 + 8 * op.data.len() as u64
-);
 
 /// A component-replication control op: the component (whose transferable
 /// size prices the wire) plus its encoded form (the bulk bytes a sink
@@ -51,17 +45,20 @@ pub struct BenchTransfer {
     pub encoded: Bytes,
 }
 
-control_payload!(
-    BenchTransfer,
-    "bench-transfer",
-    wire_size = |op| 64 + op.component.size_bytes()
-);
-
 /// A minimal ack reply.
 #[derive(Debug, Clone)]
 pub struct BenchAck;
 
-control_payload!(BenchAck, "bench-ack");
+control_ops! {
+    /// The ops the fan-out and transfer sinks take.
+    pub enum BenchOp {
+        BenchBlast = "bench-blast", |op| 16 + 8 * op.data.len() as u64;
+        BenchTransfer = "bench-transfer", |op| 64 + op.component.size_bytes();
+    }
+
+    /// The sinks' reply.
+    pub enum BenchReply { BenchAck = "bench-ack", 64; }
+}
 
 // ---------------------------------------------------------------------------
 // ping-pong
@@ -434,10 +431,10 @@ impl Actor<Msg> for TransferSink {
             // A sink keeps its own handle on the bulk bytes (what a host
             // does before incorporating) — with shared payloads this is a
             // refcount bump, not a copy.
-            let retained = op
-                .as_any()
-                .downcast_ref::<BenchTransfer>()
-                .map(|t| t.encoded.clone());
+            let retained = match BenchOp::decode(&op) {
+                Some(BenchOp::BenchTransfer(t)) => Some(t.encoded.clone()),
+                _ => None,
+            };
             debug_assert!(retained.is_some());
             drop(retained);
             ctx.send(

@@ -15,8 +15,7 @@ use std::collections::HashMap;
 use dcdo_sim::{Actor, ActorId, Ctx, SpanKind};
 use dcdo_types::{CallId, ObjectId};
 
-use crate::control_payload;
-use crate::msg::{Ack, ControlOp, Msg};
+use crate::msg::{Ack, Msg};
 use crate::object::{self, LegionObject, Served};
 
 /// Registers (or updates) the binding for an object.
@@ -28,16 +27,12 @@ pub struct RegisterBinding {
     pub address: ActorId,
 }
 
-control_payload!(RegisterBinding, "register-binding");
-
 /// Removes the binding for an object (deactivation or deletion).
 #[derive(Debug, Clone)]
 pub struct UnregisterBinding {
     /// The object whose binding is removed.
     pub object: ObjectId,
 }
-
-control_payload!(UnregisterBinding, "unregister-binding");
 
 /// Drops every binding that points at one of the given physical addresses.
 ///
@@ -51,12 +46,6 @@ pub struct InvalidateBindings {
     pub addresses: Vec<ActorId>,
 }
 
-control_payload!(
-    InvalidateBindings,
-    "invalidate-bindings",
-    wire_size = |op| 16 + op.addresses.len() as u64 * 8
-);
-
 /// The answer to an [`InvalidateBindings`]: how many bindings were dropped.
 #[derive(Debug, Clone)]
 pub struct InvalidatedBindings {
@@ -64,20 +53,12 @@ pub struct InvalidatedBindings {
     pub removed: Vec<ObjectId>,
 }
 
-control_payload!(
-    InvalidatedBindings,
-    "invalidated-bindings",
-    wire_size = |op| 16 + op.removed.len() as u64 * 8
-);
-
 /// Asks for the current binding of an object.
 #[derive(Debug, Clone)]
 pub struct QueryBinding {
     /// The object being located.
     pub object: ObjectId,
 }
-
-control_payload!(QueryBinding, "query-binding");
 
 /// The answer to a [`QueryBinding`].
 #[derive(Debug, Clone)]
@@ -88,7 +69,21 @@ pub struct BindingResult {
     pub address: Option<ActorId>,
 }
 
-control_payload!(BindingResult, "binding-result");
+crate::control_ops! {
+    /// The ops a binding agent serves.
+    pub enum BindingOp {
+        RegisterBinding = "register-binding", 64;
+        UnregisterBinding = "unregister-binding", 64;
+        InvalidateBindings = "invalidate-bindings", |op| 16 + op.addresses.len() as u64 * 8;
+        QueryBinding = "query-binding", 64;
+    }
+
+    /// A binding agent's replies.
+    pub enum BindingReply {
+        InvalidatedBindings = "invalidated-bindings", |op| 16 + op.removed.len() as u64 * 8;
+        BindingResult = "binding-result", 64;
+    }
+}
 
 /// The binding agent: authoritative ObjectId → physical-address map.
 #[derive(Debug)]
@@ -142,6 +137,8 @@ impl BindingAgent {
 }
 
 impl LegionObject for BindingAgent {
+    type Ops<'a> = BindingOp<'a>;
+
     fn object_id(&self) -> ObjectId {
         self.object
     }
@@ -151,52 +148,54 @@ impl LegionObject for BindingAgent {
         ctx: &mut Ctx<'_, Msg>,
         _: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: BindingOp<'_>,
     ) -> Served {
-        let reply = if let Some(reg) = op.downcast_ref::<RegisterBinding>() {
-            self.bindings.insert(reg.object, reg.address);
-            ctx.metrics().incr("binding.registered");
-            if ctx.tracing_enabled() {
-                ctx.emit_span(SpanKind::BindingRegistered {
-                    object: reg.object.as_raw(),
-                    dst: reg.address.as_raw(),
-                });
-            }
-            Msg::control_ok(call, Ack)
-        } else if let Some(unreg) = op.downcast_ref::<UnregisterBinding>() {
-            self.bindings.remove(&unreg.object);
-            if ctx.tracing_enabled() {
-                ctx.emit_span(SpanKind::BindingInvalidated {
-                    object: unreg.object.as_raw(),
-                });
-            }
-            Msg::control_ok(call, Ack)
-        } else if let Some(inv) = op.downcast_ref::<InvalidateBindings>() {
-            let removed = self.invalidate_addresses(&inv.addresses);
-            ctx.metrics()
-                .add("binding.invalidated", removed.len() as u64);
-            if ctx.tracing_enabled() {
-                for object in &removed {
-                    ctx.emit_span(SpanKind::BindingInvalidated {
-                        object: object.as_raw(),
+        Served::Reply(match op {
+            BindingOp::RegisterBinding(reg) => {
+                self.bindings.insert(reg.object, reg.address);
+                ctx.metrics().incr("binding.registered");
+                if ctx.tracing_enabled() {
+                    ctx.emit_span(SpanKind::BindingRegistered {
+                        object: reg.object.as_raw(),
+                        dst: reg.address.as_raw(),
                     });
                 }
+                Msg::control_ok(call, Ack)
             }
-            Msg::control_ok(call, InvalidatedBindings { removed })
-        } else if let Some(query) = op.downcast_ref::<QueryBinding>() {
-            self.queries_served += 1;
-            ctx.metrics().incr("binding.queries");
-            Msg::control_ok(
-                call,
-                BindingResult {
-                    object: query.object,
-                    address: self.bindings.get(&query.object).copied(),
-                },
-            )
-        } else {
-            return Served::Unknown;
-        };
-        Served::Reply(reply)
+            BindingOp::UnregisterBinding(unreg) => {
+                self.bindings.remove(&unreg.object);
+                if ctx.tracing_enabled() {
+                    ctx.emit_span(SpanKind::BindingInvalidated {
+                        object: unreg.object.as_raw(),
+                    });
+                }
+                Msg::control_ok(call, Ack)
+            }
+            BindingOp::InvalidateBindings(inv) => {
+                let removed = self.invalidate_addresses(&inv.addresses);
+                ctx.metrics()
+                    .add("binding.invalidated", removed.len() as u64);
+                if ctx.tracing_enabled() {
+                    for object in &removed {
+                        ctx.emit_span(SpanKind::BindingInvalidated {
+                            object: object.as_raw(),
+                        });
+                    }
+                }
+                Msg::control_ok(call, InvalidatedBindings { removed })
+            }
+            BindingOp::QueryBinding(query) => {
+                self.queries_served += 1;
+                ctx.metrics().incr("binding.queries");
+                Msg::control_ok(
+                    call,
+                    BindingResult {
+                        object: query.object,
+                        address: self.bindings.get(&query.object).copied(),
+                    },
+                )
+            }
+        })
     }
 }
 
@@ -216,7 +215,7 @@ mod tests {
     use dcdo_vm::Value;
 
     use super::*;
-    use crate::msg::{ControlPayload, InvocationFault};
+    use crate::msg::{ControlOp, ControlPayload, InvocationFault, OpTable};
 
     /// Driver actor that records the control and invocation replies it
     /// receives.
@@ -278,10 +277,9 @@ mod tests {
         let probe_ref = sim.actor::<Probe>(probe).expect("alive");
         assert_eq!(probe_ref.replies.len(), 2);
         let result = probe_ref.replies[1].as_ref().expect("query succeeds");
-        let binding = result
-            .as_any()
-            .downcast_ref::<BindingResult>()
-            .expect("binding result");
+        let Some(BindingReply::BindingResult(binding)) = BindingReply::decode(result) else {
+            panic!("not a binding result: {result:?}");
+        };
         assert_eq!(binding.address, Some(addr));
     }
 
@@ -302,10 +300,9 @@ mod tests {
         sim.run_until_idle();
         let probe_ref = sim.actor::<Probe>(probe).expect("alive");
         let result = probe_ref.replies[0].as_ref().expect("query succeeds");
-        let binding = result
-            .as_any()
-            .downcast_ref::<BindingResult>()
-            .expect("binding result");
+        let Some(BindingReply::BindingResult(binding)) = BindingReply::decode(result) else {
+            panic!("not a binding result: {result:?}");
+        };
         assert_eq!(binding.address, None);
     }
 
@@ -338,10 +335,9 @@ mod tests {
         sim.run_until_idle();
         let probe_ref = sim.actor::<Probe>(probe).expect("alive");
         let result = probe_ref.replies[2].as_ref().expect("query succeeds");
-        let binding = result
-            .as_any()
-            .downcast_ref::<BindingResult>()
-            .expect("binding result");
+        let Some(BindingReply::BindingResult(binding)) = BindingReply::decode(result) else {
+            panic!("not a binding result: {result:?}");
+        };
         assert_eq!(binding.address, None);
     }
 
@@ -388,10 +384,9 @@ mod tests {
             .expect("reply")
             .as_ref()
             .expect("ok");
-        let inv = reply
-            .as_any()
-            .downcast_ref::<InvalidatedBindings>()
-            .expect("invalidated-bindings");
+        let Some(BindingReply::InvalidatedBindings(inv)) = BindingReply::decode(reply) else {
+            panic!("not invalidated-bindings: {reply:?}");
+        };
         assert_eq!(inv.removed, vec![a, b]);
         let agent_ref = sim.actor::<BindingAgent>(agent).expect("alive");
         assert_eq!(agent_ref.lookup(a), None);

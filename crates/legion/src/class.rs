@@ -43,10 +43,9 @@
 use dcdo_sim::{Actor, ActorId, Ctx, FlowKind, IdMap, IdSet, NodeId};
 use dcdo_types::{CallId, ClassId, ObjectId};
 
-use crate::control_payload;
 use crate::cost::CostModel;
 use crate::monolithic::{ExecutableImage, MonolithicObject};
-use crate::msg::{ControlOp, Msg};
+use crate::msg::{Ack, ControlOp, Msg};
 use crate::object::{self, LegionObject, Served};
 use crate::plan::{answer, Action, Flow, Held, Kind, PlanOwner, Plans, Reply, Step};
 use crate::rpc::{AgentAddress, RpcClient, RpcCompletion};
@@ -57,8 +56,6 @@ pub struct CreateInstance {
     /// The node to place the instance on.
     pub node: NodeId,
 }
-
-control_payload!(CreateInstance, "create-instance");
 
 /// Control reply: an instance was created.
 #[derive(Debug, Clone)]
@@ -71,8 +68,6 @@ pub struct InstanceCreated {
     pub version: u32,
 }
 
-control_payload!(InstanceCreated, "instance-created");
-
 /// Control op: install a new executable image and make it current.
 #[derive(Debug, Clone)]
 pub struct SetCurrentImage {
@@ -81,12 +76,6 @@ pub struct SetCurrentImage {
     pub image: ExecutableImage,
 }
 
-control_payload!(
-    SetCurrentImage,
-    "set-current-image",
-    wire_size = |op| { 64 + op.image.size_bytes() }
-);
-
 /// Control op: evolve an instance to the class's current image (the full
 /// monolithic replacement pipeline).
 #[derive(Debug, Clone)]
@@ -94,8 +83,6 @@ pub struct EvolveInstance {
     /// The instance to evolve.
     pub object: ObjectId,
 }
-
-control_payload!(EvolveInstance, "evolve-instance");
 
 /// Control op: migrate an instance to another node at its current version.
 #[derive(Debug, Clone)]
@@ -106,8 +93,6 @@ pub struct MigrateInstance {
     pub to: NodeId,
 }
 
-control_payload!(MigrateInstance, "migrate-instance");
-
 /// Control op: capture an instance's state and park a snapshot in the
 /// class's vault, leaving the running process untouched. The snapshot is
 /// what [`ReactivateInstance`] restores from after a crash.
@@ -117,16 +102,12 @@ pub struct CheckpointInstance {
     pub object: ObjectId,
 }
 
-control_payload!(CheckpointInstance, "checkpoint-instance");
-
 /// Control reply: a checkpoint was parked in the vault.
 #[derive(Debug, Clone)]
 pub struct CheckpointDone {
     /// The instance checkpointed.
     pub object: ObjectId,
 }
-
-control_payload!(CheckpointDone, "checkpoint-done");
 
 /// Control op: bring a crashed instance back up on `node` from its vault
 /// snapshot — download the executable if needed, spawn a fresh process,
@@ -142,8 +123,6 @@ pub struct ReactivateInstance {
     pub node: NodeId,
 }
 
-control_payload!(ReactivateInstance, "reactivate-instance");
-
 /// Control reply: an evolve/migrate pipeline finished.
 #[derive(Debug, Clone)]
 pub struct LifecycleDone {
@@ -155,13 +134,9 @@ pub struct LifecycleDone {
     pub version: u32,
 }
 
-control_payload!(LifecycleDone, "lifecycle-done");
-
 /// Control op: list the instances this class manages.
 #[derive(Debug, Clone)]
 pub struct ListInstances;
-
-control_payload!(ListInstances, "list-instances");
 
 /// Control reply to [`ListInstances`].
 #[derive(Debug, Clone)]
@@ -170,7 +145,26 @@ pub struct InstanceTable {
     pub entries: Vec<(ObjectId, NodeId, u32)>,
 }
 
-control_payload!(InstanceTable, "instance-table");
+crate::control_ops! {
+    /// The ops a class object serves.
+    pub enum ClassOp {
+        CreateInstance = "create-instance", 64;
+        SetCurrentImage = "set-current-image", |op| 64 + op.image.size_bytes();
+        EvolveInstance = "evolve-instance", 64;
+        MigrateInstance = "migrate-instance", 64;
+        CheckpointInstance = "checkpoint-instance", 64;
+        ReactivateInstance = "reactivate-instance", 64;
+        ListInstances = "list-instances", 64;
+    }
+
+    /// A class object's replies.
+    pub enum ClassReply {
+        InstanceCreated = "instance-created", 64;
+        CheckpointDone = "checkpoint-done", 64;
+        LifecycleDone = "lifecycle-done", 64;
+        InstanceTable = "instance-table", 64;
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct Instance {
@@ -531,6 +525,8 @@ impl PlanOwner<OpKind, Target> for ClassObject {
 }
 
 impl LegionObject for ClassObject {
+    type Ops<'a> = ClassOp<'a>;
+
     fn object_id(&self) -> ObjectId {
         self.object
     }
@@ -540,32 +536,24 @@ impl LegionObject for ClassObject {
         ctx: &mut Ctx<'_, Msg>,
         from: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: ClassOp<'_>,
     ) -> Served {
-        let any = op.as_any();
-        let (kind, object, node) = if let Some(c) = any.downcast_ref::<CreateInstance>() {
-            (OpKind::Create, None, Some(c.node))
-        } else if let Some(e) = any.downcast_ref::<EvolveInstance>() {
-            (OpKind::Evolve, Some(e.object), None)
-        } else if let Some(m) = any.downcast_ref::<MigrateInstance>() {
-            (OpKind::Migrate, Some(m.object), Some(m.to))
-        } else if let Some(c) = any.downcast_ref::<CheckpointInstance>() {
-            (OpKind::Checkpoint, Some(c.object), None)
-        } else if let Some(r) = any.downcast_ref::<ReactivateInstance>() {
-            (OpKind::Reactivate, Some(r.object), Some(r.node))
-        } else {
-            let reply = if let Some(set) = any.downcast_ref::<SetCurrentImage>() {
-                match self.set_image(&set.image) {
-                    Ok(()) => Msg::control_ok(call, crate::msg::Ack),
+        let (kind, object, node) = match op {
+            ClassOp::CreateInstance(c) => (OpKind::Create, None, Some(c.node)),
+            ClassOp::EvolveInstance(e) => (OpKind::Evolve, Some(e.object), None),
+            ClassOp::MigrateInstance(m) => (OpKind::Migrate, Some(m.object), Some(m.to)),
+            ClassOp::CheckpointInstance(c) => (OpKind::Checkpoint, Some(c.object), None),
+            ClassOp::ReactivateInstance(r) => (OpKind::Reactivate, Some(r.object), Some(r.node)),
+            ClassOp::SetCurrentImage(set) => {
+                return Served::Reply(match self.set_image(&set.image) {
+                    Ok(()) => Msg::control_ok(call, Ack),
                     Err(why) => Msg::refused(call, why),
-                }
-            } else if any.downcast_ref::<ListInstances>().is_some() {
+                });
+            }
+            ClassOp::ListInstances(_) => {
                 let entries = self.instances();
-                Msg::control_ok(call, InstanceTable { entries })
-            } else {
-                return Served::Unknown;
-            };
-            return Served::Reply(reply);
+                return Served::Reply(Msg::control_ok(call, InstanceTable { entries }));
+            }
         };
         self.start(ctx, kind, from, call, object, node);
         Served::Later

@@ -13,8 +13,7 @@ use dcdo_sim::{Actor, ActorId, Ctx, NodeId};
 use dcdo_types::{Architecture, CallId, ClassId, ComponentId, HostId, ObjectId};
 use dcdo_vm::ComponentBinary;
 
-use crate::control_payload;
-use crate::msg::{Ack, ControlOp, Msg};
+use crate::msg::{Ack, Msg};
 use crate::object::{self, LegionObject, Served};
 
 /// Control op: store component data in the host's cache. It travels as its
@@ -25,20 +24,12 @@ pub struct StoreComponentData {
     pub binary: Rc<ComponentBinary>,
 }
 
-control_payload!(
-    StoreComponentData,
-    "store-component-data",
-    wire_size = |op| { 32 + op.binary.encoded_len() }
-);
-
 /// Control op: fetch component data from the host's cache.
 #[derive(Debug, Clone)]
 pub struct FetchComponentData {
     /// The component wanted.
     pub component: ComponentId,
 }
-
-control_payload!(FetchComponentData, "fetch-component-data");
 
 /// Control reply to [`FetchComponentData`].
 #[derive(Debug, Clone)]
@@ -49,12 +40,6 @@ pub struct ComponentData {
     pub binary: Option<Rc<ComponentBinary>>,
 }
 
-control_payload!(
-    ComponentData,
-    "component-data",
-    wire_size = |op| { 32 + op.binary.as_ref().map_or(0, |b| b.encoded_len()) }
-);
-
 /// Control op: does the host cache this component?
 #[derive(Debug, Clone)]
 pub struct HasComponent {
@@ -62,16 +47,12 @@ pub struct HasComponent {
     pub component: ComponentId,
 }
 
-control_payload!(HasComponent, "has-component");
-
 /// Control reply to [`HasComponent`] / [`HasExecutable`].
 #[derive(Debug, Clone)]
 pub struct CachedReply {
     /// Whether the item is in the host cache.
     pub cached: bool,
 }
-
-control_payload!(CachedReply, "cached-reply");
 
 /// Control op: record that an executable image version is on this host.
 #[derive(Debug, Clone)]
@@ -82,8 +63,6 @@ pub struct StoreExecutable {
     pub version: u32,
 }
 
-control_payload!(StoreExecutable, "store-executable");
-
 /// Control op: does the host have this executable version?
 #[derive(Debug, Clone)]
 pub struct HasExecutable {
@@ -93,7 +72,23 @@ pub struct HasExecutable {
     pub version: u32,
 }
 
-control_payload!(HasExecutable, "has-executable");
+crate::control_ops! {
+    /// The ops a host object serves.
+    pub enum HostOp {
+        StoreComponentData = "store-component-data", |op| 32 + op.binary.encoded_len();
+        FetchComponentData = "fetch-component-data", 64;
+        HasComponent = "has-component", 64;
+        StoreExecutable = "store-executable", 64;
+        HasExecutable = "has-executable", 64;
+    }
+
+    /// A host object's replies.
+    pub enum HostReply {
+        ComponentData = "component-data",
+            |op| 32 + op.binary.as_ref().map_or(0, |b| b.encoded_len());
+        CachedReply = "cached-reply", 64;
+    }
+}
 
 /// A testbed machine as a Legion object.
 #[derive(Debug)]
@@ -141,6 +136,8 @@ impl HostObject {
 }
 
 impl LegionObject for HostObject {
+    type Ops<'a> = HostOp<'a>;
+
     fn object_id(&self) -> ObjectId {
         self.object
     }
@@ -150,41 +147,38 @@ impl LegionObject for HostObject {
         ctx: &mut Ctx<'_, Msg>,
         _: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: HostOp<'_>,
     ) -> Served {
-        let reply = if let Some(store) = op.downcast_ref::<StoreComponentData>() {
-            self.store_component(Rc::clone(&store.binary));
-            ctx.metrics().incr("host.components_stored");
-            Msg::control_ok(call, Ack)
-        } else if let Some(fetch) = op.downcast_ref::<FetchComponentData>() {
-            Msg::control_ok(
+        Served::Reply(match op {
+            HostOp::StoreComponentData(store) => {
+                self.store_component(Rc::clone(&store.binary));
+                ctx.metrics().incr("host.components_stored");
+                Msg::control_ok(call, Ack)
+            }
+            HostOp::FetchComponentData(fetch) => Msg::control_ok(
                 call,
                 ComponentData {
                     component: fetch.component,
                     binary: self.components.get(&fetch.component).cloned(),
                 },
-            )
-        } else if let Some(has) = op.downcast_ref::<HasComponent>() {
-            Msg::control_ok(
+            ),
+            HostOp::HasComponent(has) => Msg::control_ok(
                 call,
                 CachedReply {
                     cached: self.components.contains_key(&has.component),
                 },
-            )
-        } else if let Some(store) = op.downcast_ref::<StoreExecutable>() {
-            self.executables.insert((store.class, store.version));
-            Msg::control_ok(call, Ack)
-        } else if let Some(has) = op.downcast_ref::<HasExecutable>() {
-            Msg::control_ok(
+            ),
+            HostOp::StoreExecutable(store) => {
+                self.executables.insert((store.class, store.version));
+                Msg::control_ok(call, Ack)
+            }
+            HostOp::HasExecutable(has) => Msg::control_ok(
                 call,
                 CachedReply {
                     cached: self.executables.contains(&(has.class, has.version)),
                 },
-            )
-        } else {
-            return Served::Unknown;
-        };
-        Served::Reply(reply)
+            ),
+        })
     }
 }
 

@@ -35,6 +35,6 @@ pub mod rpc;
 pub mod vault;
 
 pub use cost::CostModel;
-pub use msg::{Ack, ControlOp, ControlPayload, InvocationFault, Msg};
+pub use msg::{Ack, AckReply, ControlOp, ControlPayload, InvocationFault, Msg, OpTable};
 pub use object::ObjectRuntime;
 pub use rpc::{AgentAddress, Handled, ReplyPayload, RpcClient, RpcCompletion};

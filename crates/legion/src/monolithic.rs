@@ -13,10 +13,9 @@ use dcdo_sim::{Actor, ActorId, Ctx};
 use dcdo_types::{CallId, ComponentId, FunctionName, ObjectId};
 use dcdo_vm::{CodeBlock, ComponentBinary, NativeRegistry, StaticResolver, Value, ValueStore};
 
-use crate::control_payload;
 use crate::cost::CostModel;
-use crate::msg::{ControlOp, Msg};
-use crate::object::{self, state_op, LegionObject, ObjectRuntime, Served};
+use crate::msg::Msg;
+use crate::object::{self, LegionObject, ObjectRuntime, Served};
 use crate::rpc::{RpcClient, RpcCompletion};
 
 /// A statically linked executable: the complete implementation of a normal
@@ -86,8 +85,6 @@ impl ExecutableImage {
 #[derive(Debug, Clone)]
 pub struct QueryVersion;
 
-control_payload!(QueryVersion, "query-version");
-
 /// Control reply to [`QueryVersion`].
 #[derive(Debug, Clone)]
 pub struct VersionReport {
@@ -97,7 +94,13 @@ pub struct VersionReport {
     pub functions: usize,
 }
 
-control_payload!(VersionReport, "version-report");
+crate::control_ops! {
+    /// The op a normal object serves beside the [`StateOp`](crate::object::StateOp)s.
+    pub enum MonolithicOp { QueryVersion = "query-version", 64; }
+
+    /// A normal object's reply.
+    pub enum MonolithicReply { VersionReport = "version-report", 64; }
+}
 
 /// An active normal Legion object: one process running one monolithic
 /// executable.
@@ -147,25 +150,29 @@ impl MonolithicObject {
 }
 
 impl LegionObject for MonolithicObject {
+    type Ops<'a> = MonolithicOp<'a>;
+
     fn object_id(&self) -> ObjectId {
         self.object
     }
 
     fn control(
         &mut self,
-        ctx: &mut Ctx<'_, Msg>,
+        _: &mut Ctx<'_, Msg>,
         _: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: MonolithicOp<'_>,
     ) -> Served {
-        if op.downcast_ref::<QueryVersion>().is_some() {
-            let report = VersionReport {
-                version: self.image_version,
-                functions: self.function_count,
-            };
-            return Served::Reply(Msg::control_ok(call, report));
-        }
-        state_op(ctx, &mut self.state, call, op)
+        let MonolithicOp::QueryVersion(_) = op;
+        let report = VersionReport {
+            version: self.image_version,
+            functions: self.function_count,
+        };
+        Served::Reply(Msg::control_ok(call, report))
+    }
+
+    fn state(&mut self) -> Option<&mut ValueStore> {
+        Some(&mut self.state)
     }
 
     fn invoke(
@@ -185,7 +192,6 @@ impl LegionObject for MonolithicObject {
             &mut self.resolver,
             &NativeRegistry,
             &mut self.state,
-            &mut self.rpc,
         );
         Ok(())
     }
@@ -196,14 +202,7 @@ impl LegionObject for MonolithicObject {
 
     fn completed(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
         if self.runtime.owns_completion(&completion) {
-            self.runtime.handle_outcall_completion(
-                ctx,
-                completion,
-                &mut self.resolver,
-                &NativeRegistry,
-                &mut self.state,
-                &mut self.rpc,
-            );
+            self.runtime.handle_outcall_completion(ctx, completion);
         }
     }
 

@@ -5,8 +5,10 @@
 //! with [`Value`] arguments; system-level operations
 //! ([`Msg::Control`]/[`Msg::ControlReply`]) carry typed control payloads
 //! (binding registration, component reads, configuration operations, …)
-//! as type-erased [`ControlPayload`] boxes so higher layers (the DCDO crate)
-//! can add operations without this crate knowing them.
+//! as type-erased [`ControlOp`]s, so higher layers (the DCDO crate) can
+//! add operations without this crate knowing them. Each protocol declares
+//! its payloads once, in a [`control_ops!`](crate::control_ops) table, and
+//! receivers decode through it.
 
 use std::any::Any;
 use std::fmt;
@@ -93,42 +95,50 @@ impl From<VmError> for InvocationFault {
 
 /// A typed control operation or reply, type-erased for transport.
 ///
-/// Implemented by binding-agent, vault, host, class, ICO, DCDO, and manager
-/// operation types. Receivers downcast with [`ControlPayload::as_any`].
-/// Payloads are `Rc`-shared immutable values: the engine is sequential, so
-/// nothing asks for `Send` or `Sync`.
+/// Implemented by the [`control_ops!`](crate::control_ops) tables of the
+/// binding-agent, vault, host, class, ICO, DCDO, manager and group
+/// protocols, which give each payload type its wire name and size in one
+/// row. A receiver reads a payload through a table's [`OpTable::decode`].
 pub trait ControlPayload: Any + fmt::Debug {
     /// On-the-wire size of the payload in bytes.
-    fn wire_size(&self) -> u64 {
-        64
-    }
+    fn wire_size(&self) -> u64;
 
     /// Short operation name for traces and dead-letter diagnostics.
     fn describe(&self) -> &'static str;
-
-    /// Upcast for downcasting to the concrete operation type.
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// A shared, type-erased control operation.
 ///
 /// Control payloads are immutable once sent, but the RPC machinery must
 /// keep a copy for every retry, the engine for every duplicate delivery,
-/// and fan-out callers one per destination. `ControlOp` wraps the payload
-/// in an [`Rc`] so all of those are pointer clones — the payload itself is
-/// never deep-copied after construction.
+/// and fan-out callers one per destination, so all of those are pointer
+/// copies and the payload is never deep-copied after construction. A
+/// zero-sized payload (an [`Ack`], a query without arguments) is held by a
+/// `'static` reference and costs no heap cell; any other is [`Rc`]-shared.
 #[derive(Clone)]
-pub struct ControlOp(Rc<dyn ControlPayload>);
+pub struct ControlOp(Held);
+
+#[derive(Clone)]
+enum Held {
+    Static(&'static dyn ControlPayload),
+    Shared(Rc<dyn ControlPayload>),
+}
 
 impl ControlOp {
     /// Wraps a concrete payload.
-    pub fn new(op: impl ControlPayload) -> Self {
-        ControlOp(Rc::new(op))
+    pub fn new<T: ControlPayload>(op: T) -> Self {
+        if size_of::<T>() == 0 {
+            // Boxing a zero-sized value allocates nothing, and leaking the
+            // box frees nothing.
+            ControlOp(Held::Static(Box::leak(Box::new(op))))
+        } else {
+            ControlOp(Held::Shared(Rc::new(op)))
+        }
     }
 
-    /// Downcasts to the concrete operation type.
+    /// The payload as the concrete operation type, if it is one.
     pub fn downcast_ref<T: ControlPayload>(&self) -> Option<&T> {
-        self.0.as_any().downcast_ref()
+        (&**self as &dyn Any).downcast_ref()
     }
 }
 
@@ -136,13 +146,16 @@ impl Deref for ControlOp {
     type Target = dyn ControlPayload;
 
     fn deref(&self) -> &Self::Target {
-        &*self.0
+        match &self.0 {
+            Held::Static(op) => *op,
+            Held::Shared(op) => &**op,
+        }
     }
 }
 
 impl fmt::Debug for ControlOp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        (**self).fmt(f)
     }
 }
 
@@ -152,39 +165,73 @@ impl<T: ControlPayload> From<T> for ControlOp {
     }
 }
 
-impl ControlOp {
-    /// Wraps an already-boxed payload (the type-erased construction path).
-    pub fn from_boxed(op: Box<dyn ControlPayload>) -> Self {
-        ControlOp(Rc::from(op))
-    }
+/// A borrowed, typed view of the payloads one
+/// [`control_ops!`](crate::control_ops) table declares: one variant per
+/// row.
+pub trait OpTable<'a>: Sized {
+    /// The rows' wire names, in row order.
+    const NAMES: &'static [&'static str];
+
+    /// The view of `op`, or `None` if no row of the table declares its
+    /// type.
+    fn decode(op: &'a ControlOp) -> Option<Self>;
 }
 
-/// Implements [`ControlPayload`] for a `Debug + 'static` type.
+/// Declares control-payload tables, one `enum` per table and one row per
+/// payload type: `Type = "wire-name", size;`. The size is the payload's
+/// on-the-wire byte count, a constant or `|op| …` of the payload; wire
+/// sizes set simulated time, so a row's size is part of the protocol.
+///
+/// Each row implements [`ControlPayload`] for its type, and each table
+/// declares a borrowed view enum with one variant per row, named after the
+/// type, whose [`OpTable`] impl decodes a [`ControlOp`] and lists the rows'
+/// names. A [`LegionObject`](crate::object::LegionObject) names the table
+/// it serves and matches on the view, so a row without a handler does not
+/// compile.
 #[macro_export]
-macro_rules! control_payload {
-    ($ty:ty, $name:literal) => {
+macro_rules! control_ops {
+    (@row $head:tt $done:tt $ty:ident = $name:literal, $size:literal; $($rest:tt)*) => {
+        $crate::control_ops!(@row $head $done $ty = $name, |_op| $size; $($rest)*);
+    };
+    (@row $head:tt [$($done:tt)*]
+        $ty:ident = $name:literal, |$op:ident| $size:expr; $($rest:tt)*) => {
         impl $crate::ControlPayload for $ty {
+            fn wire_size(&self) -> u64 {
+                let $op = self;
+                $size
+            }
+
             fn describe(&self) -> &'static str {
                 $name
             }
-            fn as_any(&self) -> &dyn ::std::any::Any {
-                self
+        }
+        $crate::control_ops!(@row $head [$($done)* $ty = $name;] $($rest)*);
+    };
+    (@row [$(#[$meta:meta])* $vis:vis $table:ident] [$($ty:ident = $name:literal;)*]) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy)]
+        $vis enum $table<'a> {
+            $(
+                #[doc = concat!("A [`", stringify!($ty), "`], `", $name, "` on the wire.")]
+                $ty(&'a $ty),
+            )*
+        }
+
+        impl<'a> $crate::OpTable<'a> for $table<'a> {
+            const NAMES: &'static [&'static str] = &[$($name),*];
+
+            fn decode(op: &'a $crate::ControlOp) -> Option<Self> {
+                $(
+                    if let Some(op) = op.downcast_ref::<$ty>() {
+                        return Some($table::$ty(op));
+                    }
+                )*
+                None
             }
         }
     };
-    ($ty:ty, $name:literal, wire_size = $size:expr) => {
-        impl $crate::ControlPayload for $ty {
-            fn wire_size(&self) -> u64 {
-                let f: fn(&$ty) -> u64 = $size;
-                f(self)
-            }
-            fn describe(&self) -> &'static str {
-                $name
-            }
-            fn as_any(&self) -> &dyn ::std::any::Any {
-                self
-            }
-        }
+    ($($(#[$meta:meta])* $vis:vis enum $table:ident { $($rows:tt)* })+) => {
+        $($crate::control_ops!(@row [$(#[$meta])* $vis $table] [] $($rows)*);)+
     };
 }
 
@@ -302,7 +349,10 @@ impl Msg {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ack;
 
-control_payload!(Ack, "ack");
+control_ops! {
+    /// The reply every protocol shares.
+    pub enum AckReply { Ack = "ack", 64; }
+}
 
 #[cfg(test)]
 mod tests {
@@ -313,45 +363,61 @@ mod tests {
         data: Vec<u8>,
     }
 
-    control_payload!(
-        TestOp,
-        "test-op",
-        wire_size = |op| 16 + op.data.len() as u64
-    );
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Nothing;
+
+    control_ops! {
+        /// Test payloads.
+        enum TestOps {
+            TestOp = "test-op", |op| 16 + op.data.len() as u64;
+            Nothing = "nothing", 8;
+        }
+    }
+
+    fn test_op(op: &ControlOp) -> &TestOp {
+        match TestOps::decode(op) {
+            Some(TestOps::TestOp(op)) => op,
+            other => panic!("not a test op: {other:?}"),
+        }
+    }
 
     #[test]
     fn control_payload_downcasts() {
-        let op: Box<dyn ControlPayload> = Box::new(TestOp {
+        let op = ControlOp::new(TestOp {
             data: vec![1, 2, 3],
         });
         assert_eq!(op.describe(), "test-op");
         assert_eq!(op.wire_size(), 19);
-        let concrete = op.as_any().downcast_ref::<TestOp>().expect("same type");
-        assert_eq!(concrete.data, vec![1, 2, 3]);
-        assert!(op.as_any().downcast_ref::<Ack>().is_none());
+        assert_eq!(test_op(&op).data, vec![1, 2, 3]);
+        assert_eq!(ControlOp::new(Nothing).wire_size(), 8);
+        assert_eq!(TestOps::NAMES, ["test-op", "nothing"]);
+        assert!(AckReply::decode(&op).is_none());
+        assert!(matches!(
+            AckReply::decode(&ControlOp::new(Ack)),
+            Some(AckReply::Ack(Ack))
+        ));
     }
 
     #[test]
     fn control_op_clone_shares_the_payload() {
         let op = ControlOp::new(TestOp { data: vec![9] });
         let cloned = op.clone();
-        assert_eq!(cloned.downcast_ref::<TestOp>(), op.downcast_ref::<TestOp>());
+        assert_eq!(test_op(&cloned), test_op(&op));
         // `Rc`-shared, not deep-copied.
-        assert!(std::ptr::eq(
-            op.downcast_ref::<TestOp>().expect("typed"),
-            cloned.downcast_ref::<TestOp>().expect("typed"),
-        ));
+        assert!(std::ptr::eq(test_op(&op), test_op(&cloned)));
     }
 
     #[test]
-    fn control_op_converts_from_concrete_and_boxed() {
-        let from_concrete: ControlOp = TestOp { data: vec![1] }.into();
-        let from_boxed = ControlOp::from_boxed(Box::new(TestOp { data: vec![2] }));
-        assert_eq!(from_concrete.describe(), "test-op");
-        assert_eq!(
-            from_boxed.downcast_ref::<TestOp>().expect("typed").data,
-            [2]
-        );
+    fn control_op_holds_a_zero_sized_payload_without_a_heap_cell() {
+        let nothing: ControlOp = Nothing.into();
+        assert!(matches!(nothing.0, Held::Static(_)));
+        assert!(matches!(nothing.clone().0, Held::Static(_)));
+        assert!(matches!(
+            TestOps::decode(&nothing),
+            Some(TestOps::Nothing(Nothing))
+        ));
+        let sized: ControlOp = TestOp { data: vec![] }.into();
+        assert!(matches!(sized.0, Held::Shared(_)));
     }
 
     #[test]
@@ -367,10 +433,7 @@ mod tests {
         let (Msg::Control { op: a, .. }, Msg::Control { op: b, .. }) = (&msg, &dup) else {
             panic!("clone changed the variant");
         };
-        assert!(std::ptr::eq(
-            a.downcast_ref::<TestOp>().expect("typed"),
-            b.downcast_ref::<TestOp>().expect("typed"),
-        ));
+        assert!(std::ptr::eq(test_op(a), test_op(b)));
     }
 
     #[test]
@@ -413,7 +476,8 @@ mod tests {
             panic!("not a control reply");
         };
         assert_eq!(c, call);
-        assert!(result.expect("ok").downcast_ref::<Ack>().is_some());
+        let ok = result.expect("ok");
+        assert!(matches!(AckReply::decode(&ok), Some(AckReply::Ack(Ack))));
         let Msg::ControlReply { result, .. } = Msg::refused(call, "no vault") else {
             panic!("not a control reply");
         };

@@ -14,8 +14,7 @@ use dcdo_sim::{Actor, ActorId, Ctx};
 use dcdo_types::{CallId, ObjectId};
 use serde::{Deserialize, Serialize};
 
-use crate::control_payload;
-use crate::msg::{Ack, ControlOp, Msg};
+use crate::msg::{Ack, Msg};
 use crate::object::{self, LegionObject, Served};
 
 /// A hierarchical context path like `/home/components/sorting-v2`.
@@ -117,8 +116,6 @@ pub struct BindName {
     pub object: ObjectId,
 }
 
-control_payload!(BindName, "bind-name");
-
 /// Control op: remove a path binding.
 #[derive(Debug, Clone)]
 pub struct UnbindName {
@@ -126,16 +123,12 @@ pub struct UnbindName {
     pub path: ContextPath,
 }
 
-control_payload!(UnbindName, "unbind-name");
-
 /// Control op: resolve a path.
 #[derive(Debug, Clone)]
 pub struct LookupName {
     /// The path to resolve.
     pub path: ContextPath,
 }
-
-control_payload!(LookupName, "lookup-name");
 
 /// Control reply to [`LookupName`].
 #[derive(Debug, Clone)]
@@ -146,16 +139,12 @@ pub struct NameResult {
     pub object: Option<ObjectId>,
 }
 
-control_payload!(NameResult, "name-result");
-
 /// Control op: list bindings under a context.
 #[derive(Debug, Clone)]
 pub struct ListContext {
     /// The context to list.
     pub context: ContextPath,
 }
-
-control_payload!(ListContext, "list-context");
 
 /// Control reply to [`ListContext`].
 #[derive(Debug, Clone)]
@@ -164,17 +153,22 @@ pub struct ContextListing {
     pub entries: Vec<(ContextPath, ObjectId)>,
 }
 
-control_payload!(
-    ContextListing,
-    "context-listing",
-    wire_size = |op| {
-        32 + op
-            .entries
-            .iter()
-            .map(|(p, _)| p.as_str().len() as u64 + 8)
-            .sum::<u64>()
+crate::control_ops! {
+    /// The ops a context space serves.
+    pub enum NamingOp {
+        BindName = "bind-name", 64;
+        UnbindName = "unbind-name", 64;
+        LookupName = "lookup-name", 64;
+        ListContext = "list-context", 64;
     }
-);
+
+    /// A context space's replies.
+    pub enum NamingReply {
+        NameResult = "name-result", 64;
+        ContextListing = "context-listing",
+            |op| 32 + op.entries.iter().map(|(p, _)| p.as_str().len() as u64 + 8).sum::<u64>();
+    }
+}
 
 /// The context-space object: hierarchical path → object map.
 #[derive(Debug)]
@@ -214,6 +208,8 @@ impl ContextSpace {
 }
 
 impl LegionObject for ContextSpace {
+    type Ops<'a> = NamingOp<'a>;
+
     fn object_id(&self) -> ObjectId {
         self.object
     }
@@ -223,34 +219,34 @@ impl LegionObject for ContextSpace {
         _: &mut Ctx<'_, Msg>,
         _: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: NamingOp<'_>,
     ) -> Served {
-        let reply = if let Some(bind) = op.downcast_ref::<BindName>() {
-            self.bindings.insert(bind.path.clone(), bind.object);
-            Msg::control_ok(call, Ack)
-        } else if let Some(unbind) = op.downcast_ref::<UnbindName>() {
-            self.bindings.remove(&unbind.path);
-            Msg::control_ok(call, Ack)
-        } else if let Some(lookup) = op.downcast_ref::<LookupName>() {
-            Msg::control_ok(
+        Served::Reply(match op {
+            NamingOp::BindName(bind) => {
+                self.bindings.insert(bind.path.clone(), bind.object);
+                Msg::control_ok(call, Ack)
+            }
+            NamingOp::UnbindName(unbind) => {
+                self.bindings.remove(&unbind.path);
+                Msg::control_ok(call, Ack)
+            }
+            NamingOp::LookupName(lookup) => Msg::control_ok(
                 call,
                 NameResult {
                     path: lookup.path.clone(),
                     object: self.bindings.get(&lookup.path).copied(),
                 },
-            )
-        } else if let Some(list) = op.downcast_ref::<ListContext>() {
-            let entries = self
-                .bindings
-                .iter()
-                .filter(|(p, _)| list.context.contains(p))
-                .map(|(p, o)| (p.clone(), *o))
-                .collect();
-            Msg::control_ok(call, ContextListing { entries })
-        } else {
-            return Served::Unknown;
-        };
-        Served::Reply(reply)
+            ),
+            NamingOp::ListContext(list) => {
+                let entries = self
+                    .bindings
+                    .iter()
+                    .filter(|(p, _)| list.context.contains(p))
+                    .map(|(p, o)| (p.clone(), *o))
+                    .collect();
+                Msg::control_ok(call, ContextListing { entries })
+            }
+        })
     }
 }
 

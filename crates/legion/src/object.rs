@@ -16,9 +16,10 @@
 //! serves, and [`deliver`] and [`fire`] apply the rules around them (a
 //! misaddressed request is `NoSuchObject`, a function not exported is
 //! `NoSuchFunction`, an unknown control op is one refusal, and replies and
-//! RPC timers take one path). [`state_op`] answers the three ops every
-//! active object must serve for migration (§3.5): capture, restore and
-//! deactivate.
+//! RPC timers take one path). An object names the op table it serves
+//! ([`LegionObject::Ops`]), and `deliver` decodes each op once against it.
+//! `deliver` also answers the three [`StateOp`]s every active object must
+//! serve for migration (§3.5): capture, restore and deactivate.
 
 use bytes::Bytes;
 use dcdo_sim::{fn_hash, Actor, ActorId, Ctx, IdMap, SimDuration, SpanKind};
@@ -28,8 +29,7 @@ use dcdo_vm::{
     VmError, VmThread, VmTotals,
 };
 
-use crate::control_payload;
-use crate::msg::{Ack, ControlOp, InvocationFault, Msg};
+use crate::msg::{Ack, InvocationFault, Msg, OpTable};
 use crate::rpc::{Handled, RpcClient, RpcCompletion};
 
 /// What an object's control hook made of an op addressed to it.
@@ -39,24 +39,31 @@ pub enum Served {
     Reply(Msg),
     /// The hook sent the reply itself, or will once the operation ends.
     Later,
-    /// Not an op this object understands.
-    Unknown,
 }
 
 /// The hooks of an addressed Legion object. [`deliver`] and [`fire`] call
 /// them under the protocol's rules, so no object writes those rules out.
 pub trait LegionObject: Actor<Msg> {
+    /// The table of control ops the object serves.
+    type Ops<'a>: OpTable<'a>;
+
     /// The LOID this object answers to.
     fn object_id(&self) -> ObjectId;
 
-    /// Serves a control op addressed to this object.
+    /// Serves one of the object's control ops.
     fn control(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         from: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: Self::Ops<'_>,
     ) -> Served;
+
+    /// The persistent state of an active object, on which [`deliver`]
+    /// serves the [`StateOp`]s. Other objects have none.
+    fn state(&mut self) -> Option<&mut ValueStore> {
+        None
+    }
 
     /// Serves an invocation addressed to this object, or hands `function`
     /// back if the object exports no such function. By default it exports
@@ -105,7 +112,9 @@ pub trait LegionObject: Actor<Msg> {
 /// Hands a message to `object`. A `Control` or `Invoke` for a LOID other
 /// than the object's gets `NoSuchObject`, the fault on which a caller's
 /// [`RpcClient`] rebinds; an `Invoke` of a function the object does not
-/// export gets `NoSuchFunction`; an unknown control op gets
+/// export gets `NoSuchFunction`. A control op of the object's table goes
+/// to [`control`](LegionObject::control), a [`StateOp`] to an object with
+/// [`state`](LegionObject::state) is served here, and any other op gets
 /// "`<name>` does not understand `<op>`", named by [`Actor::name`].
 /// Everything else is a reply.
 pub fn deliver<O: LegionObject>(object: &mut O, ctx: &mut Ctx<'_, Msg>, from: ActorId, msg: Msg) {
@@ -135,16 +144,16 @@ pub fn deliver<O: LegionObject>(object: &mut O, ctx: &mut Ctx<'_, Msg>, from: Ac
         Msg::Control { call, target, op } => {
             let reply = if target != object.object_id() {
                 Msg::refused(call, InvocationFault::NoSuchObject(target))
-            } else {
-                match object.control(ctx, from, call, &op) {
+            } else if let Some(served) = O::Ops::decode(&op) {
+                match object.control(ctx, from, call, served) {
                     Served::Reply(reply) => reply,
                     Served::Later => return,
-                    Served::Unknown => {
-                        let why =
-                            format!("{} does not understand {}", object.name(), op.describe());
-                        Msg::refused(call, why)
-                    }
                 }
+            } else if let (Some(state_op), Some(state)) = (StateOp::decode(&op), object.state()) {
+                serve_state(ctx, state, call, state_op)
+            } else {
+                let why = format!("{} does not understand {}", object.name(), op.describe());
+                Msg::refused(call, why)
             };
             ctx.send(from, reply);
         }
@@ -169,20 +178,12 @@ pub fn fire<O: LegionObject>(object: &mut O, ctx: &mut Ctx<'_, Msg>, token: u64)
 #[derive(Debug, Clone)]
 pub struct CaptureState;
 
-control_payload!(CaptureState, "capture-state");
-
 /// Control reply: the captured state blob.
 #[derive(Debug, Clone)]
 pub struct StateBlob {
     /// The serialized [`ValueStore`].
     pub bytes: Bytes,
 }
-
-control_payload!(
-    StateBlob,
-    "state-blob",
-    wire_size = |b| 32 + b.bytes.len() as u64
-);
 
 /// Control op: restore previously captured state into the object.
 #[derive(Debug, Clone)]
@@ -191,50 +192,50 @@ pub struct RestoreState {
     pub bytes: Bytes,
 }
 
-control_payload!(
-    RestoreState,
-    "restore-state",
-    wire_size = |b| 32 + b.bytes.len() as u64
-);
-
 /// Control op: deactivate the object (its process exits).
 #[derive(Debug, Clone)]
 pub struct Deactivate;
 
-control_payload!(Deactivate, "deactivate");
+crate::control_ops! {
+    /// The ops every active object serves for migration (§3.5).
+    pub enum StateOp {
+        CaptureState = "capture-state", 64;
+        RestoreState = "restore-state", |op| 32 + op.bytes.len() as u64;
+        Deactivate = "deactivate", 64;
+    }
 
-/// Answers the ops every active object serves against its persistent
-/// `state` — [`CaptureState`], [`RestoreState`] (a blob that does not
-/// decode is refused) and [`Deactivate`] — or [`Served::Unknown`].
-pub fn state_op(
+    /// The state ops' own reply (the others answer [`Ack`]).
+    pub enum StateReply { StateBlob = "state-blob", |op| 32 + op.bytes.len() as u64; }
+}
+
+/// Answers a state op against the object's persistent `state`: a
+/// [`RestoreState`] whose blob does not decode is refused.
+fn serve_state(
     ctx: &mut Ctx<'_, Msg>,
     state: &mut ValueStore,
     call: CallId,
-    op: &ControlOp,
-) -> Served {
-    let reply = if op.downcast_ref::<CaptureState>().is_some() {
-        Msg::control_ok(
+    op: StateOp<'_>,
+) -> Msg {
+    match op {
+        StateOp::CaptureState(_) => Msg::control_ok(
             call,
             StateBlob {
                 bytes: state.capture(),
             },
-        )
-    } else if let Some(restore) = op.downcast_ref::<RestoreState>() {
-        match ValueStore::restore(restore.bytes.clone()) {
+        ),
+        StateOp::RestoreState(restore) => match ValueStore::restore(restore.bytes.clone()) {
             Ok(restored) => {
                 *state = restored;
                 Msg::control_ok(call, Ack)
             }
             Err(e) => Msg::refused(call, format!("bad state blob: {e}")),
+        },
+        StateOp::Deactivate(_) => {
+            let me = ctx.self_id();
+            ctx.kill(me);
+            Msg::control_ok(call, Ack)
         }
-    } else if op.downcast_ref::<Deactivate>().is_some() {
-        let me = ctx.self_id();
-        ctx.kill(me);
-        Msg::control_ok(call, Ack)
-    } else {
-        return Served::Unknown;
-    };
-    Served::Reply(reply)
+    }
 }
 
 /// Per-run instruction budget for one thread activation.
@@ -374,7 +375,6 @@ impl ObjectRuntime {
         resolver: &mut dyn CallResolver,
         natives: &NativeRegistry,
         globals: &mut ValueStore,
-        rpc: &mut RpcClient,
     ) {
         self.invocations_served += 1;
         let mut thread = self.spare.pop().unwrap_or_default();
@@ -395,7 +395,7 @@ impl ObjectRuntime {
                         call,
                     },
                 );
-                self.run_thread(ctx, token, resolver, natives, globals, rpc);
+                self.run_thread(ctx, token, resolver, natives, globals);
             }
             Err(err) => {
                 self.spare.push(thread);
@@ -411,7 +411,6 @@ impl ObjectRuntime {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_thread(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -419,7 +418,6 @@ impl ObjectRuntime {
         resolver: &mut dyn CallResolver,
         natives: &NativeRegistry,
         globals: &mut ValueStore,
-        rpc: &mut RpcClient,
     ) {
         let entry = self.threads.get_mut(&token).expect("thread exists");
         let (retired, fused) = entry.thread.retired_counts();
@@ -460,7 +458,6 @@ impl ObjectRuntime {
                 );
             }
             RunOutcome::Suspended(request) => {
-                let _ = rpc;
                 self.defer(ctx, consumed, Deferred::IssueOutcall { token, request });
             }
         }
@@ -537,7 +534,7 @@ impl ObjectRuntime {
             }
             Deferred::ResumeThread { token } => {
                 if self.threads.contains_key(&token) {
-                    self.run_thread(ctx, token, resolver, natives, globals, rpc);
+                    self.run_thread(ctx, token, resolver, natives, globals);
                 }
             }
         }
@@ -551,16 +548,7 @@ impl ObjectRuntime {
 
     /// Feeds an outcall completion back into the suspended thread and
     /// reschedules it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn handle_outcall_completion(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        completion: RpcCompletion,
-        resolver: &mut dyn CallResolver,
-        natives: &NativeRegistry,
-        globals: &mut ValueStore,
-        rpc: &mut RpcClient,
-    ) {
+    pub fn handle_outcall_completion(&mut self, ctx: &mut Ctx<'_, Msg>, completion: RpcCompletion) {
         let Some(token) = self.outcalls.remove(&completion.call.as_raw()) else {
             return;
         };
@@ -581,7 +569,6 @@ impl ObjectRuntime {
         // Re-entry costs nothing extra; the thread's own Work/dispatch
         // charges apply on the next run.
         self.defer(ctx, SimDuration::ZERO, Deferred::ResumeThread { token });
-        let _ = (resolver, natives, globals, rpc);
     }
 }
 

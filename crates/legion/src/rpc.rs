@@ -29,9 +29,9 @@ use dcdo_sim::{
 use dcdo_types::{CallId, FunctionName, ObjectId};
 use dcdo_vm::Value;
 
-use crate::binding::{BindingResult, QueryBinding};
+use crate::binding::{BindingReply, QueryBinding};
 use crate::cost::CostModel;
-use crate::msg::{ControlOp, InvocationFault, Msg};
+use crate::msg::{ControlOp, ControlPayload, InvocationFault, Msg, OpTable};
 
 /// Where the binding agent lives.
 #[derive(Debug, Clone, Copy)]
@@ -72,10 +72,10 @@ impl ReplyPayload {
         }
     }
 
-    /// Downcasts a control reply to a concrete type.
-    pub fn control_as<T: 'static>(&self) -> Option<&T> {
+    /// A control reply as a concrete payload type, if it is one.
+    pub fn control_as<T: ControlPayload>(&self) -> Option<&T> {
         match self {
-            ReplyPayload::Control(op) => op.as_any().downcast_ref::<T>(),
+            ReplyPayload::Control(op) => op.downcast_ref::<T>(),
             ReplyPayload::Value(_) => None,
         }
     }
@@ -411,14 +411,10 @@ impl RpcClient {
         // The agent is alive — only *unanswered* queries count toward the
         // Unreachable budget.
         pending.unanswered_queries = 0;
-        let address = result
-            .ok()
-            .and_then(|op| {
-                op.as_any()
-                    .downcast_ref::<BindingResult>()
-                    .map(|b| b.address)
-            })
-            .flatten();
+        let address = match result.as_ref().ok().and_then(BindingReply::decode) {
+            Some(BindingReply::BindingResult(b)) => b.address,
+            _ => None,
+        };
         match address {
             Some(address) => {
                 self.cache.insert(pending.target, address);

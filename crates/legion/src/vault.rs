@@ -10,8 +10,7 @@ use bytes::Bytes;
 use dcdo_sim::{Actor, ActorId, Ctx};
 use dcdo_types::{CallId, ObjectId};
 
-use crate::control_payload;
-use crate::msg::{Ack, ControlOp, Msg};
+use crate::msg::{Ack, Msg};
 use crate::object::{self, LegionObject, Served};
 
 /// Control op: persist a state blob for `owner`.
@@ -23,20 +22,12 @@ pub struct SaveState {
     pub bytes: Bytes,
 }
 
-control_payload!(
-    SaveState,
-    "save-state",
-    wire_size = |op| 32 + op.bytes.len() as u64
-);
-
 /// Control op: load the persisted state blob of `owner`.
 #[derive(Debug, Clone)]
 pub struct LoadState {
     /// The object whose state is wanted.
     pub owner: ObjectId,
 }
-
-control_payload!(LoadState, "load-state");
 
 /// Control reply to [`LoadState`].
 #[derive(Debug, Clone)]
@@ -47,11 +38,18 @@ pub struct LoadedState {
     pub bytes: Option<Bytes>,
 }
 
-control_payload!(
-    LoadedState,
-    "loaded-state",
-    wire_size = |op| { 32 + op.bytes.as_ref().map_or(0, |b| b.len() as u64) }
-);
+crate::control_ops! {
+    /// The ops a vault serves.
+    pub enum VaultOp {
+        SaveState = "save-state", |op| 32 + op.bytes.len() as u64;
+        LoadState = "load-state", 64;
+    }
+
+    /// A vault's reply.
+    pub enum VaultReply {
+        LoadedState = "loaded-state", |op| 32 + op.bytes.as_ref().map_or(0, |b| b.len() as u64);
+    }
+}
 
 /// A vault: persistent object-state storage.
 #[derive(Debug)]
@@ -86,6 +84,8 @@ impl Vault {
 }
 
 impl LegionObject for Vault {
+    type Ops<'a> = VaultOp<'a>;
+
     fn object_id(&self) -> ObjectId {
         self.object
     }
@@ -95,25 +95,25 @@ impl LegionObject for Vault {
         ctx: &mut Ctx<'_, Msg>,
         _: ActorId,
         call: CallId,
-        op: &ControlOp,
+        op: VaultOp<'_>,
     ) -> Served {
-        let reply = if let Some(save) = op.downcast_ref::<SaveState>() {
-            self.blobs.insert(save.owner, save.bytes.clone());
-            ctx.metrics().incr("vault.saves");
-            Msg::control_ok(call, Ack)
-        } else if let Some(load) = op.downcast_ref::<LoadState>() {
-            ctx.metrics().incr("vault.loads");
-            Msg::control_ok(
-                call,
-                LoadedState {
-                    owner: load.owner,
-                    bytes: self.blobs.get(&load.owner).cloned(),
-                },
-            )
-        } else {
-            return Served::Unknown;
-        };
-        Served::Reply(reply)
+        Served::Reply(match op {
+            VaultOp::SaveState(save) => {
+                self.blobs.insert(save.owner, save.bytes.clone());
+                ctx.metrics().incr("vault.saves");
+                Msg::control_ok(call, Ack)
+            }
+            VaultOp::LoadState(load) => {
+                ctx.metrics().incr("vault.loads");
+                Msg::control_ok(
+                    call,
+                    LoadedState {
+                        owner: load.owner,
+                        bytes: self.blobs.get(&load.owner).cloned(),
+                    },
+                )
+            }
+        })
     }
 }
 
