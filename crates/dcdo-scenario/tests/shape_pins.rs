@@ -125,19 +125,19 @@ type Pins = [(&'static str, [u64; 7]); 4];
 const PINS: Pins = [
     (
         "calls_steady",
-        [349, 109, 11567489, 13, 5796035, 18044, 63145],
+        [338, 109, 11567313, 13, 5796035, 18044, 63145],
     ),
     (
         "reconfig_churn",
-        [10701, 169, 7384635, 9, 2866561, 7653, 25734],
+        [9026, 169, 7357835, 9, 2866561, 7653, 25734],
     ),
     (
         "mixed_traffic_x50",
-        [6580, 153, 7450500, 11, 3154670, 8573, 29234],
+        [5844, 153, 7438724, 11, 3154670, 8573, 29234],
     ),
     (
         "upgrade_crash_long",
-        [260, 85, 21154345, 14, 10576901, 36071, 72167],
+        [240, 85, 21154025, 14, 10576901, 36071, 72167],
     ),
 ];
 
@@ -145,19 +145,19 @@ const PINS: Pins = [
 const PINS_FULL: Pins = [
     (
         "calls_steady",
-        [354, 134, 154306393, 29, 77881580, 180044, 630145],
+        [343, 134, 154306217, 29, 77881580, 180044, 630145],
     ),
     (
         "reconfig_churn",
-        [102835, 393, 68675291, 41, 26293937, 76734, 257640],
+        [86070, 393, 68407051, 41, 26293937, 76734, 257640],
     ),
     (
         "mixed_traffic_x50",
-        [66809, 282, 92468396, 34, 40386064, 87239, 297061],
+        [58963, 282, 92342860, 34, 40386064, 87239, 297061],
     ),
     (
         "upgrade_crash_long",
-        [260, 97, 149379625, 23, 74689541, 360071, 720167],
+        [240, 97, 149379305, 23, 74689541, 360071, 720167],
     ),
 ];
 
