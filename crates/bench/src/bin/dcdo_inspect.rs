@@ -236,7 +236,7 @@ fn run_scenarios(args: &[String]) {
                 if artifacts.trace_entries_dropped > 0 {
                     eprintln!(
                         "dcdo-inspect: scenario {name}: trace_hash covers the last {} \
-                         execution-trace entries; {} earlier ones left the ring",
+                         structural events; {} earlier ones are outside it",
                         dcdo_scenario::TRACE_RING_CAPACITY,
                         artifacts.trace_entries_dropped
                     );

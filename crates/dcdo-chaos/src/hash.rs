@@ -1,7 +1,7 @@
 //! Golden-trace hashing.
 
 pub use dcdo_sim::fnv1a;
-use dcdo_sim::{Fold, Trace, TraceEvent};
+use dcdo_sim::{Fold, SpanEvent, Trace, TraceEvent};
 
 /// Condenses a recorded execution trace into a golden hash: a [`Fold`] of
 /// the entry count, then `(at_ns, event code, a, b)` per retained entry,
@@ -14,16 +14,72 @@ use dcdo_sim::{Fold, Trace, TraceEvent};
 pub fn trace_hash(trace: &Trace) -> u64 {
     let mut h = Fold::new(trace.len() as u64);
     for entry in trace.entries() {
-        let (code, a, b) = words(&entry.event);
-        h.word(entry.at.as_nanos());
-        h.word(code);
-        h.word(a);
-        h.word(b);
+        fold_entry(&mut h, entry.at.as_nanos(), &entry.event);
     }
     h.finish()
 }
 
-/// An event's stable code (declaration order, from 1) and its two operands.
+/// [`trace_hash`] folded from a span log instead of the ring: the hash a
+/// ring of `capacity` entries, switched on together with the log, would
+/// give. The engine writes a ring entry only as [`TraceEvent::of_span`] of
+/// a span it emits, so the ring's entries are the log's structural spans
+/// and its window their last `capacity`; this fold skips the ones before
+/// the window and folds the rest under the same code table.
+///
+/// A forward-only fold: [`observe`](SpanTraceHash::observe) every span of
+/// the log in order, then [`finish`](SpanTraceHash::finish).
+#[derive(Debug, Clone)]
+pub struct SpanTraceHash {
+    /// Structural spans still to pass before the window opens.
+    skip: u64,
+    fold: Fold,
+}
+
+impl SpanTraceHash {
+    /// A fold over a log holding `structural` structural spans
+    /// (`Simulation::structural_spans`), witnessing the last `capacity` of
+    /// them as [`Trace::enable`]`(capacity)` would.
+    pub fn new(structural: u64, capacity: usize) -> Self {
+        let window = structural.min(capacity.max(1) as u64);
+        SpanTraceHash {
+            skip: structural - window,
+            fold: Fold::new(window),
+        }
+    }
+
+    /// Feeds the next span of the log; only structural spans inside the
+    /// window move the fold.
+    #[inline]
+    pub fn observe(&mut self, e: &SpanEvent) {
+        let Some(event) = TraceEvent::of_span(&e.kind) else {
+            return;
+        };
+        if self.skip > 0 {
+            self.skip -= 1;
+        } else {
+            fold_entry(&mut self.fold, e.at_ns, &event);
+        }
+    }
+
+    /// The hash [`trace_hash`] gives for the matching ring.
+    pub fn finish(self) -> u64 {
+        self.fold.finish()
+    }
+}
+
+/// Folds one entry's four words: its time, then [`words`].
+#[inline]
+fn fold_entry(h: &mut Fold, at_ns: u64, event: &TraceEvent) {
+    let (code, a, b) = words(event);
+    h.word(at_ns);
+    h.word(code);
+    h.word(a);
+    h.word(b);
+}
+
+/// The code table both folds share: an event's stable code (declaration
+/// order, from 1) and its two operands.
+#[inline]
 fn words(event: &TraceEvent) -> (u64, u64, u64) {
     match event {
         TraceEvent::Spawned { actor, node } => (1, actor.as_raw().into(), node.as_raw().into()),

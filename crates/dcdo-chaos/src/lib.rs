@@ -15,7 +15,8 @@
 //!   and replays bit-identically for a given seed;
 //! - [`trace_hash`] folds an execution trace into one golden hash word
 //!   so tests can assert that two runs of the same plan + seed are
-//!   indistinguishable.
+//!   indistinguishable; [`SpanTraceHash`] folds the same word from a span
+//!   log, for runs that never record the trace ring.
 //!
 //! Determinism invariants (checked by this crate's tests):
 //!
@@ -34,5 +35,5 @@ mod hash;
 mod plan;
 
 pub use controller::{ChaosController, ChaosStats};
-pub use hash::{fnv1a, trace_hash};
+pub use hash::{fnv1a, trace_hash, SpanTraceHash};
 pub use plan::{FaultAction, FaultPlan, FaultStep, PlanError};

@@ -146,7 +146,6 @@ impl Workload for SimBenchEpisode {
             Shape::FanOutWide => simbench::fan_out_wide_sim(12, 48, 16),
             Shape::TransferHeavy => simbench::transfer_heavy_sim(4, 6),
         };
-        sim.trace_mut().enable(1 << 18);
         sim.spans_mut().enable();
         sim.run_with_budget(budget);
         sim.run_until_idle();

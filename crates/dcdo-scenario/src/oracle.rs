@@ -2,17 +2,31 @@
 //! read of the span log, kept as the differential oracles of
 //! `runner::tests::fused_sweep_equals_the_batch_oracles`: the windowed
 //! derive with its staging `Vec`s, the checker's loop, the tail sampler's
-//! flow table and its second sweep for the retained trees, and the span
-//! digest. They use only the public span-log API; the digest takes each
+//! flow table and its second sweep for the retained trees, the span
+//! digest, and the `trace_hash` of a legacy ring replayed from the log. They use only the public span-log API; the digest takes each
 //! span's fields from the JSONL export, so it shares no code with the fold
 //! it checks.
 
 use std::collections::BTreeMap;
 
 use dcdo_sim::{
-    FlightDump, FlowKind, Fold, IdMap, RetainedFlow, RpcOutcome, SpanKind, Timeline, TraceLog,
-    Violation,
+    FlightDump, FlowKind, Fold, IdMap, RetainedFlow, RpcOutcome, SimTime, SpanKind, Timeline,
+    Trace, TraceEvent, TraceLog, Violation,
 };
+
+/// The runner's `trace_hash`: the log's structural spans recorded into a
+/// legacy ring of `capacity`, which evicts all but the last of them, and
+/// the ring hashed.
+pub(crate) fn trace_hash(log: &TraceLog, capacity: usize) -> u64 {
+    let mut ring = Trace::new();
+    ring.enable(capacity);
+    for e in log.events() {
+        if let Some(event) = TraceEvent::of_span(&e.kind) {
+            ring.record(SimTime::from_nanos(e.at_ns), event);
+        }
+    }
+    dcdo_chaos::trace_hash(&ring)
+}
 
 /// The runner's windowed-series derive: samples and counters staged, then
 /// recorded, samples first.

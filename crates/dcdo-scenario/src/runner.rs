@@ -5,7 +5,7 @@
 //!
 //! 1. [`Scenario::validate`] — typed rejection before any state exists.
 //! 2. Build the world from the topology (episodes stay pending).
-//! 3. Enable execution tracing and span logging.
+//! 3. Enable span logging (the legacy execution-trace ring stays off).
 //! 4. `setup` every workload in declaration order.
 //! 5. `capture` every expectation's baseline.
 //! 6. Drive the window: timed runs let timers and chaos plans supply the
@@ -16,15 +16,15 @@
 //! 7. Drain the queue and `measure` every workload. Then the post-run
 //!    pass, each step once and in this order:
 //!    - **One read of the finished span log** ([`post_run_sweep`]): every
-//!      span, in log order, goes to four forward-only folds at once — the
+//!      span, in log order, goes to five forward-only folds at once — the
 //!      windowed-series derive (recording straight into the engine's
 //!      timeline), the invariant checker ([`dcdo_sim::Checker`]), the span
-//!      digest ([`dcdo_sim::SpanDigest`]) and the tail sampler
+//!      digest ([`dcdo_sim::SpanDigest`]), the tail sampler
 //!      ([`dcdo_sim::TailSampler`], which keeps every flow's causal-tree
-//!      membership, so its retained trees need no second read). The
-//!      checker's verdict is installed on the [`RunCx`] over any earlier
-//!      read, then marks the sampler's violating flows; the legacy
-//!      execution-trace ring gives the `trace_hash`.
+//!      membership, so its retained trees need no second read) and the
+//!      `trace_hash` ([`dcdo_chaos::SpanTraceHash`]). The checker's verdict
+//!      is installed on the [`RunCx`] over any earlier read, then marks the
+//!      sampler's violating flows.
 //!    - `judge` every expectation.
 //!    - Render the timeline JSON, then move the spans, their group arena
 //!      and the finished timeline out of the simulation into the
@@ -36,10 +36,12 @@
 //!
 //! The three witnesses are word folds (`dcdo_sim::Fold`: one multiply and
 //! one rotate per `u64`, seeded with the element count), never byte hashes.
-//! `trace_hash` folds `(at_ns, event code, a, b)` per entry of the legacy
-//! execution-trace ring and so witnesses the *tail* of the run: the ring
-//! keeps the last [`TRACE_RING_CAPACITY`] engine events, and a longer run
-//! evicts the rest ([`RunArtifacts::trace_entries_dropped`] says how many).
+//! `trace_hash` folds `(at_ns, event code, a, b)` per structural span (a
+//! spawn, kill, delivery, dead letter, timer, crash, restart or unreachable
+//! send) and so witnesses the *tail* of the run: it covers the last
+//! [`TRACE_RING_CAPACITY`] of them, the value `dcdo_chaos::trace_hash` gives
+//! for a legacy ring of that size switched on with the spans
+//! ([`RunArtifacts::trace_entries_dropped`] says how many fall outside).
 //! The span digest covers every field of every span of the run; the flight
 //! digest the frame count and the flight ring's retained frames.
 
@@ -47,6 +49,7 @@ use std::time::Instant;
 
 use std::collections::BTreeMap;
 
+use dcdo_chaos::SpanTraceHash;
 use dcdo_sim::{
     Checker, FlightDump, GroupArena, NodeId, RpcOutcome, Simulation, SpanDigest, SpanEvent,
     SpanKind, TailSampler, Timeline, Violation,
@@ -63,8 +66,9 @@ use crate::ScenarioError;
 /// the slowest 5% keep their full causal span trees in the flight dump.
 pub const FLIGHT_SLOW_QUANTILE: f64 = 0.95;
 
-/// Capacity of the legacy execution-trace ring the runner enables: the
-/// report's `trace_hash` covers the last this-many engine events.
+/// The report's `trace_hash` covers the last this-many structural spans:
+/// the capacity of the legacy execution-trace ring it reproduces (the
+/// runner never records the ring itself).
 pub const TRACE_RING_CAPACITY: usize = 1 << 18;
 
 /// Everything a scenario run produces beyond the pass/fail report: the raw
@@ -82,9 +86,9 @@ pub struct RunArtifacts {
     /// The group arena the `PartitionChanged` spans in
     /// [`spans`](RunArtifacts::spans) point into.
     pub span_groups: GroupArena,
-    /// Entries the legacy execution-trace ring evicted: when non-zero,
-    /// [`ScenarioReport::trace_hash`] witnesses only the ring's tail (its
-    /// last [`TRACE_RING_CAPACITY`] entries), not the whole run.
+    /// Structural spans before the `trace_hash` window (the entries a ring
+    /// of [`TRACE_RING_CAPACITY`] would have evicted): when non-zero,
+    /// [`ScenarioReport::trace_hash`] witnesses only the run's tail.
     pub trace_entries_dropped: u64,
     /// Windowed time-series telemetry as deterministic JSON, rendered with
     /// every run (`benchmark/src/traced.rs` compares it; see ROADMAP.md).
@@ -289,6 +293,7 @@ impl<'t> SeriesDerive<'t> {
 struct Swept {
     violations: Vec<Violation>,
     span_digest: u64,
+    trace_hash: u64,
     flight: FlightDump,
 }
 
@@ -301,9 +306,10 @@ thread_local! {
 }
 
 /// The post-run pass: one read of `sim`'s finished span log feeds the
-/// windowed-series derive, the invariant checker, the span digest and the
-/// tail sampler. The derive records into `sim`'s timeline, which is
-/// lent out for the read and back in place when this returns.
+/// windowed-series derive, the invariant checker, the span digest, the
+/// tail sampler and the `trace_hash`. The derive records into `sim`'s
+/// timeline, which is lent out for the read and back in place when this
+/// returns.
 fn post_run_sweep(sim: &mut Simulation<Msg>) -> Swept {
     let mut timeline = std::mem::take(sim.timeline_mut());
     let log = sim.spans();
@@ -311,6 +317,7 @@ fn post_run_sweep(sim: &mut Simulation<Msg>) -> Swept {
     let mut checker = Checker::new(log);
     let mut digest = SpanDigest::new(log);
     let mut sampler = TailSampler::new();
+    let mut ring = SpanTraceHash::new(sim.structural_spans(), TRACE_RING_CAPACITY);
     for e in log.events() {
         #[cfg(test)]
         SPAN_VISITS.with(|v| v.set(v.get() + 1));
@@ -318,6 +325,7 @@ fn post_run_sweep(sim: &mut Simulation<Msg>) -> Swept {
         checker.observe(e);
         digest.observe(e);
         sampler.observe(e);
+        ring.observe(e);
     }
     series.finish();
     let violations = checker.finish();
@@ -327,6 +335,7 @@ fn post_run_sweep(sim: &mut Simulation<Msg>) -> Swept {
     Swept {
         violations,
         span_digest,
+        trace_hash: ring.finish(),
         flight,
     }
 }
@@ -354,7 +363,6 @@ pub fn run_artifacts_timed(
     scenario.validate()?;
     let mut cx = RunCx::new(scenario.seed, scenario.topology.build(scenario.seed));
     if let Some(sim) = cx.world.sim_mut() {
-        sim.trace_mut().enable(TRACE_RING_CAPACITY);
         sim.spans_mut().enable();
     }
     for slot in &mut scenario.workloads {
@@ -446,11 +454,12 @@ pub fn run_artifacts_timed(
                 cx.install_trace_violations(swept.violations);
                 let sim = cx.world.sim().expect("a built world");
                 (
-                    dcdo_chaos::trace_hash(sim.trace()),
+                    swept.trace_hash,
                     swept.span_digest,
                     sim.events_processed(),
                     sim.pending_events() as u64,
-                    sim.trace().dropped(),
+                    sim.structural_spans()
+                        .saturating_sub(TRACE_RING_CAPACITY as u64),
                     Some(swept.flight),
                 )
             }
@@ -655,12 +664,14 @@ mod tests {
     }
 
     /// What the post-run sweep reads, copied from the last `measure` hook:
-    /// the finished span log, the timeline before the derive, and the
-    /// flight ring's `(frames recorded, frames retained, digest)`.
+    /// the finished span log, the timeline before the derive, the flight
+    /// ring's `(frames recorded, frames retained, digest)`, and how many
+    /// entries the legacy execution-trace ring holds.
     struct Snapshot {
         log: TraceLog,
         timeline: Timeline,
         ring: (u64, u64, u64),
+        trace_entries: usize,
     }
 
     /// A zero-weight workload whose `measure` hook takes a [`Snapshot`].
@@ -689,6 +700,7 @@ mod tests {
                     flight.recorded().min(flight.capacity() as u64),
                     flight.digest(),
                 ),
+                trace_entries: sim.trace().len(),
             });
         }
     }
@@ -704,6 +716,28 @@ mod tests {
         fn judge(&mut self, cx: &RunCx) -> Verdict {
             *self.0.borrow_mut() = cx.trace_violations().to_vec();
             Verdict::pass(self.name(), String::new())
+        }
+    }
+
+    #[test]
+    fn a_runner_run_records_nothing_in_the_legacy_ring() {
+        // The benchmark's shapes: every engine event kind, crashes too.
+        for name in shapes::NAMES {
+            let text = shapes::generate(name, 42, 0.01).expect("a named shape");
+            let scenario = Scenario::from_text(&text).expect("benchmark shape parses");
+            let snapshot = Rc::new(RefCell::new(None));
+            let infra = scenario.topology.infra;
+            let scenario = extended(
+                scenario,
+                TakeSnapshot {
+                    infra,
+                    out: snapshot.clone(),
+                },
+                KeepVerdict(Rc::default()),
+            );
+            run_artifacts(scenario, None).expect("valid scenario");
+            let snapshot = snapshot.take().expect("measured");
+            assert_eq!(snapshot.trace_entries, 0, "{name}");
         }
     }
 
@@ -745,8 +779,14 @@ mod tests {
                     log,
                     mut timeline,
                     ring,
+                    ..
                 } = snapshot.take().expect("measured");
                 assert_eq!(log.events(), &artifacts.spans[..], "{name}: spans");
+                assert_eq!(
+                    oracle::trace_hash(&log, TRACE_RING_CAPACITY),
+                    artifacts.report.trace_hash,
+                    "{name}: trace_hash"
+                );
 
                 assert_eq!(
                     oracle::digest(&log),

@@ -8,8 +8,10 @@
 //! the wiring between episode and runner.
 
 use dcdo_chaos::trace_hash;
-use dcdo_scenario::{registry, run, run_artifacts, Expectation, RunCx, Scenario, Verdict};
-use dcdo_sim::{fnv1a, Fnv1a, Fold, SpanKind, TraceLog};
+use dcdo_scenario::{
+    registry, run, run_artifacts, Expectation, RunCx, Scenario, Verdict, TRACE_RING_CAPACITY,
+};
+use dcdo_sim::{fnv1a, Fnv1a, Fold, SimTime, SpanKind, Trace, TraceEvent, TraceLog};
 use dcdo_workloads::{reconfig, simbench};
 
 /// The committed output of `dcdo-inspect scenario all`.
@@ -299,8 +301,11 @@ fn partition_groups_survive_the_artifacts_round_trip() {
 
 /// The witnesses as the parent of the word fold (PR 15) computed them,
 /// byte-serial FNV-1a throughout, from public accessors only: the re-pin
-/// oracle. Judged like any expectation, so it reads the very trace ring,
-/// span log and flight ring the run's own (folded) witnesses come from.
+/// oracle. Judged like any expectation, so it reads the very span log and
+/// flight ring the run's own (folded) witnesses come from. The runner
+/// leaves the legacy trace ring off, so the ring is replayed from the
+/// log's structural spans, one entry each, as the engine would have
+/// recorded it.
 struct LegacyWitnesses;
 
 impl Expectation for LegacyWitnesses {
@@ -310,7 +315,14 @@ impl Expectation for LegacyWitnesses {
 
     fn judge(&mut self, cx: &RunCx) -> Verdict {
         let sim = cx.world.sim().expect("a world was built");
-        let trace = fnv1a(sim.trace().render().as_bytes());
+        let mut ring = Trace::new();
+        ring.enable(TRACE_RING_CAPACITY);
+        for e in sim.spans().events() {
+            if let Some(event) = TraceEvent::of_span(&e.kind) {
+                ring.record(SimTime::from_nanos(e.at_ns), event);
+            }
+        }
+        let trace = fnv1a(ring.render().as_bytes());
         let [span, span_sans_configs, span_sans_vm_ids] = legacy_span_digests(sim.spans());
         let mut flight = Fnv1a::new();
         let mut word = |w: u64| flight.write_bytes(&w.to_le_bytes());

@@ -395,6 +395,8 @@ pub struct Simulation<M: Payload> {
     events_processed: u64,
     trace: Trace,
     spans: TraceLog,
+    /// Structural spans written to `spans` (see [`Simulation::structural_spans`]).
+    structural_spans: u64,
     /// The span of the event currently being dispatched — the causal parent
     /// of everything its handler emits. `None` outside dispatch or when
     /// tracing is disabled.
@@ -430,6 +432,7 @@ impl<M: Payload> Simulation<M> {
             events_processed: 0,
             trace: Trace::new(),
             spans: TraceLog::new(),
+            structural_spans: 0,
             current_span: None,
             cur_lane: 0,
             flight: FlightRecorder::new(),
@@ -506,6 +509,15 @@ impl<M: Payload> Simulation<M> {
     /// run or export it afterwards.
     pub fn spans_mut(&mut self) -> &mut TraceLog {
         &mut self.spans
+    }
+
+    /// How many structural spans (those [`TraceEvent::of_span`] maps to a
+    /// ring entry) the engine has written to the span log: counted only
+    /// while the log is on, and not reset by clearing it. With the log on
+    /// from world build, this is the number of entries a ring switched on
+    /// with it would have recorded, evictions included.
+    pub fn structural_spans(&self) -> u64 {
+        self.structural_spans
     }
 
     /// The always-on flight recorder (enabled by default; see
@@ -656,9 +668,8 @@ impl<M: Payload> Simulation<M> {
         debug_assert_eq!(self.actors[lane as usize].len(), ctr as usize);
         self.actors[lane as usize].push(Slot::Occupied(actor));
         self.placements[lane as usize].push(node);
-        self.trace_record(TraceEvent::Spawned { actor: id, node });
         let parent = self.current_span;
-        self.span_emit(
+        self.emit_event(
             node.as_raw(),
             parent,
             SpanKind::ActorSpawned {
@@ -675,9 +686,8 @@ impl<M: Payload> Simulation<M> {
             return;
         };
         *self.slot_mut(actor).expect("placement implies slot") = Slot::Vacant;
-        self.trace_record(TraceEvent::Killed { actor });
         let parent = self.current_span;
-        self.span_emit(
+        self.emit_event(
             node.as_raw(),
             parent,
             SpanKind::ActorKilled {
@@ -849,11 +859,27 @@ impl<M: Payload> Simulation<M> {
             .get_mut(id.ctr_index())
     }
 
-    /// Records an execution-trace event at the current time.
-    fn trace_record(&mut self, event: TraceEvent) {
-        if self.trace.is_enabled() {
-            self.trace.record(self.time, event);
+    /// Emits one engine event's span and, while the ring is on, its ring
+    /// entry ([`TraceEvent::of_span`]). Every ring entry is written here,
+    /// beside the span it mirrors, so a ring switched on with the span log
+    /// holds exactly the log's structural spans: the equality the scenario
+    /// runner's span-folded `trace_hash` rests on.
+    #[inline]
+    fn emit_event(&mut self, node: u32, parent: Option<SpanId>, kind: SpanKind) -> Option<SpanId> {
+        let structural = match TraceEvent::of_span(&kind) {
+            Some(event) => {
+                if self.trace.is_enabled() {
+                    self.trace.record(self.time, event);
+                }
+                true
+            }
+            None => false,
+        };
+        let id = self.span_emit(node, parent, kind);
+        if structural && id.is_some() {
+            self.structural_spans += 1;
         }
+        id
     }
 
     /// Emits a structured span from the current lane: ids are
@@ -911,7 +937,7 @@ impl<M: Payload> Simulation<M> {
             let rng = &mut lanes[lane as usize].as_mut().expect("lane state").rng;
             network.plan(now, src_node, dst_node, bytes, rng)
         };
-        let cause = if self.spans.is_enabled() {
+        let cause = if self.spans.is_enabled() || self.trace.is_enabled() {
             let verdict = match plan {
                 DeliveryPlan::Deliver(_) => SendVerdict::Sent,
                 DeliveryPlan::DeliverTwice(..) => SendVerdict::SentTwice,
@@ -919,7 +945,7 @@ impl<M: Payload> Simulation<M> {
                 DeliveryPlan::Unreachable => SendVerdict::Unreachable,
             };
             let parent = self.current_span;
-            self.span_emit(
+            self.emit_event(
                 src_node.as_raw(),
                 parent,
                 SpanKind::MsgSent {
@@ -991,7 +1017,6 @@ impl<M: Payload> Simulation<M> {
             }
             DeliveryPlan::Unreachable => {
                 self.metrics.incr("sim.unreachable_drops");
-                self.trace_record(TraceEvent::Unreachable { src, dst });
             }
         }
     }
@@ -1012,9 +1037,8 @@ impl<M: Payload> Simulation<M> {
         self.network.set_node_down(node);
         self.metrics.incr("sim.node_crashes");
         self.crashes.push(self.time);
-        self.trace_record(TraceEvent::NodeDown { node });
         let parent = self.current_span;
-        let crash_span = self.span_emit(
+        let crash_span = self.emit_event(
             node.as_raw(),
             parent,
             SpanKind::NodeCrashed {
@@ -1032,8 +1056,7 @@ impl<M: Payload> Simulation<M> {
                 }
                 self.actors[lane][ctr] = Slot::Vacant;
                 let actor = ActorId::from_parts(lane as u16, ctr as u16);
-                self.trace_record(TraceEvent::Killed { actor });
-                self.span_emit(
+                self.emit_event(
                     node.as_raw(),
                     crash_span,
                     SpanKind::ActorKilled {
@@ -1046,7 +1069,8 @@ impl<M: Payload> Simulation<M> {
         let placements = &self.placements;
         let cancelled = self.queue.cancel_timers_where(|kind| {
             matches!(kind, EventKind::Timer { dst, .. }
-                if placements[dst.lane_index()][dst.ctr_index()] == node)
+                if placements.get(dst.lane_index()).and_then(|l| l.get(dst.ctr_index()))
+                    == Some(&node))
         });
         self.metrics
             .add("sim.timers_cancelled_by_crash", cancelled as u64);
@@ -1062,9 +1086,8 @@ impl<M: Payload> Simulation<M> {
         }
         self.network.set_node_up(node);
         self.metrics.incr("sim.node_restarts");
-        self.trace_record(TraceEvent::NodeUp { node });
         let parent = self.current_span;
-        self.span_emit(
+        self.emit_event(
             node.as_raw(),
             parent,
             SpanKind::NodeRestarted {
@@ -1138,17 +1161,12 @@ impl<M: Payload> Simulation<M> {
     }
 
     fn dispatch_message(&mut self, src: ActorId, dst: ActorId, msg: M, cause: Option<SpanId>) {
-        let Some(dst_node) = self.placement(dst) else {
-            // Never-spawned destination: count and drop.
-            self.metrics.incr("sim.dead_letters");
-            self.trace_record(TraceEvent::DeadLetter { src, dst });
-            self.observe(SpanKind::DEAD_LETTER, u32::MAX, dst.as_raw() as u64);
-            return;
-        };
+        // `route` read both placements when it queued the message, so a
+        // never-spawned destination panicked there and never gets here.
+        let dst_node = self.node_of(dst);
         let delivered = self.run_actor(dst, dst_node, |actor, ctx| {
             let sim = &mut *ctx.sim;
-            sim.trace_record(TraceEvent::Delivered { src, dst });
-            sim.current_span = sim.span_emit(
+            sim.current_span = sim.emit_event(
                 dst_node.as_raw(),
                 cause,
                 SpanKind::MsgDelivered {
@@ -1166,8 +1184,7 @@ impl<M: Payload> Simulation<M> {
         }
         self.cur_lane = dst_node.as_raw() as u16 + 1;
         self.metrics.incr("sim.dead_letters");
-        self.trace_record(TraceEvent::DeadLetter { src, dst });
-        self.span_emit(
+        self.emit_event(
             dst_node.as_raw(),
             cause,
             SpanKind::MsgDeadLetter {
@@ -1184,14 +1201,15 @@ impl<M: Payload> Simulation<M> {
         self.cur_lane = 0;
     }
 
+    /// Fires `dst`'s timer. A timer for an actor that is dead, or was never
+    /// placed, fires nothing and records nothing.
     fn dispatch_timer(&mut self, dst: ActorId, token: u64, cause: Option<SpanId>) {
-        self.trace_record(TraceEvent::TimerFired { actor: dst, token });
         let Some(node) = self.placement(dst) else {
             return;
         };
         self.run_actor(dst, node, |actor, ctx| {
             let sim = &mut *ctx.sim;
-            sim.current_span = sim.span_emit(
+            sim.current_span = sim.emit_event(
                 node.as_raw(),
                 cause,
                 SpanKind::TimerFired {

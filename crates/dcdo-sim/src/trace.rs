@@ -5,9 +5,15 @@
 //! letters — that tests and debuggers can inspect. Because the engine is
 //! deterministic, a trace doubles as a golden record: identical seeds must
 //! produce identical traces.
+//!
+//! Every entry mirrors a span ([`TraceEvent::of_span`]), so the span log
+//! holds the same record: scenario runs leave the ring off and fold their
+//! `trace_hash` from the spans; direct runs may still switch it on.
 
 use std::collections::VecDeque;
 use std::fmt::{self, Write as _};
+
+use dcdo_trace::{SendVerdict, SpanKind};
 
 use crate::engine::ActorId;
 use crate::net::NodeId;
@@ -69,6 +75,51 @@ pub enum TraceEvent {
         /// The unreachable destination.
         dst: ActorId,
     },
+}
+
+impl TraceEvent {
+    /// The event an engine span records, if it is a structural one: a
+    /// spawn, kill, delivery, dead letter, timer firing, crash or restart,
+    /// or a send the network found unreachable. The engine writes every
+    /// ring entry as `of_span` of the span it emits beside it, so a ring
+    /// switched on with the span log holds exactly the log's structural
+    /// spans, in order.
+    #[inline]
+    pub fn of_span(kind: &SpanKind) -> Option<TraceEvent> {
+        let actor = ActorId::from_raw;
+        let node = NodeId::from_raw;
+        Some(match *kind {
+            SpanKind::ActorSpawned { actor: a, node: n } => TraceEvent::Spawned {
+                actor: actor(a),
+                node: node(n),
+            },
+            SpanKind::ActorKilled { actor: a } => TraceEvent::Killed { actor: actor(a) },
+            SpanKind::MsgDelivered { src, dst, .. } => TraceEvent::Delivered {
+                src: actor(src),
+                dst: actor(dst),
+            },
+            SpanKind::MsgDeadLetter { src, dst, .. } => TraceEvent::DeadLetter {
+                src: actor(src),
+                dst: actor(dst),
+            },
+            SpanKind::TimerFired { actor: a, token } => TraceEvent::TimerFired {
+                actor: actor(a),
+                token,
+            },
+            SpanKind::NodeCrashed { node: n } => TraceEvent::NodeDown { node: node(n) },
+            SpanKind::NodeRestarted { node: n } => TraceEvent::NodeUp { node: node(n) },
+            SpanKind::MsgSent {
+                src,
+                dst,
+                verdict: SendVerdict::Unreachable,
+                ..
+            } => TraceEvent::Unreachable {
+                src: actor(src),
+                dst: actor(dst),
+            },
+            _ => return None,
+        })
+    }
 }
 
 /// A timestamped trace entry.
