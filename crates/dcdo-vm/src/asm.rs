@@ -166,8 +166,8 @@ pub fn assemble(source: &str) -> Result<ComponentBinary, AsmError> {
 }
 
 /// Cuts the line's `;` comment. A `;` between the line's first and last
-/// `"` lies in a string literal, which [`disassemble`] writes unescaped,
-/// so any string round-trips; a comment after a literal holds no `"`.
+/// `"` lies in a quoted literal (its own `"`s are escaped, so the literal
+/// ends at the last one); a comment after a literal holds no `"`.
 fn strip_comment(line: &str) -> &str {
     let literal = line.find('"').zip(line.rfind('"'));
     let in_literal = |i| literal.is_some_and(|(open, close)| open < i && i < close);
@@ -352,11 +352,11 @@ fn parse_value(lineno: usize, operand: &str) -> Result<Value, AsmError> {
     if operand == "false" {
         return Ok(Value::Bool(false));
     }
-    if let Some(stripped) = operand.strip_prefix('"') {
-        let s = stripped
-            .strip_suffix('"')
-            .ok_or_else(|| err(lineno, "unterminated string literal"))?;
-        return Ok(Value::str(s));
+    if operand.starts_with('"') {
+        return match unquote(lineno, operand)? {
+            (s, "") => Ok(Value::str(s)),
+            _ => Err(err(lineno, format!("text after the string in {operand:?}"))),
+        };
     }
     operand
         .parse::<i64>()
@@ -487,7 +487,7 @@ impl fmt::Display for Instr {
         match self.operand() {
             Operand::None => Ok(()),
             Operand::Value(Value::Unit) => f.write_str(" unit"),
-            Operand::Value(Value::Str(s)) => write!(f, " \"{s}\""),
+            Operand::Value(Value::Str(s)) => write!(f, " {}", quote(s)),
             Operand::Value(v) => write!(f, " {v}"),
             Operand::U8(n) => write!(f, " {n}"),
             Operand::Jump(t) => write!(f, " {t}"),
@@ -655,6 +655,25 @@ export fn f() -> int {
             let text = disassemble(&component);
             assert_eq!(assemble(&text).as_ref(), Ok(&component), "{text}");
         }
+    }
+
+    /// A pushed string holding `"`, `\` or a newline round-trips; a
+    /// newline used to split the literal over two lines.
+    #[test]
+    fn pushed_strings_with_special_characters_round_trip() {
+        for s in ["a\nb", "a\"b", "a\\b", "\\n", "\"", "a;b\n", "", " x "] {
+            let instrs = vec![Instr::Push(Value::str(s)), Instr::Ret];
+            let code = crate::CodeBlock::new("f() -> any".parse().expect("sig"), 0, instrs);
+            let component = ComponentBuilder::new(ComponentId::from_raw(1), "c")
+                .function(code, Visibility::Exported, Protection::FullyDynamic)
+                .build()
+                .expect("valid");
+            let text = disassemble(&component);
+            assert_eq!(assemble(&text).as_ref(), Ok(&component), "{text}");
+        }
+        let push = |s: &str| Instr::Push(Value::str(s)).to_string();
+        assert_eq!(push("hi there"), "push \"hi there\"");
+        assert_eq!(push("q\"\\\n"), "push \"q\\\"\\\\\\n\"");
     }
 
     #[test]
