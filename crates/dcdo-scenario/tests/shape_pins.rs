@@ -125,19 +125,19 @@ type Pins = [(&'static str, [u64; 7]); 4];
 const PINS: Pins = [
     (
         "calls_steady",
-        [338, 109, 11567313, 13, 5796035, 18044, 63145],
+        [337, 96, 9994545, 10, 5009603, 18044, 63145],
     ),
     (
         "reconfig_churn",
-        [9026, 169, 7357835, 9, 2866561, 7653, 25734],
+        [9025, 158, 6964715, 8, 2669953, 7653, 25734],
     ),
     (
         "mixed_traffic_x50",
-        [5844, 153, 7438724, 11, 3154670, 8573, 29234],
+        [5843, 141, 6652388, 9, 2761454, 8573, 29234],
     ),
     (
         "upgrade_crash_long",
-        [240, 85, 21154025, 14, 10576901, 36071, 72167],
+        [239, 71, 18008393, 10, 9004037, 36071, 72167],
     ),
 ];
 
@@ -145,19 +145,19 @@ const PINS: Pins = [
 const PINS_FULL: Pins = [
     (
         "calls_steady",
-        [343, 134, 154306217, 29, 77881580, 180044, 630145],
+        [342, 118, 141723401, 23, 71590124, 180044, 630145],
     ),
     (
         "reconfig_churn",
-        [86070, 393, 68407051, 41, 26293937, 76734, 257640],
+        [86069, 378, 62115691, 36, 23148209, 76734, 257640],
     ),
     (
         "mixed_traffic_x50",
-        [58963, 282, 92342860, 34, 40386064, 87239, 297061],
+        [58962, 267, 86051500, 29, 37240336, 87239, 297061],
     ),
     (
         "upgrade_crash_long",
-        [240, 97, 149379305, 23, 74689541, 360071, 720167],
+        [239, 81, 136796489, 17, 68398085, 360071, 720167],
     ),
 ];
 
