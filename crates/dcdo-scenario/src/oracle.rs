@@ -3,9 +3,10 @@
 //! `runner::tests::fused_sweep_equals_the_batch_oracles`: the windowed
 //! derive with its staging `Vec`s, the checker's loop, the tail sampler's
 //! flow table and its second sweep for the retained trees, the span
-//! digest, and the `trace_hash` of a legacy ring replayed from the log. They use only the public span-log API; the digest takes each
-//! span's fields from the JSONL export, so it shares no code with the fold
-//! it checks.
+//! digest, and the `trace_hash` of a legacy ring replayed from the log.
+//! They use only the public span-log API; the digest takes each span's
+//! fields from the JSONL export, so it shares no code with the fold it
+//! checks.
 
 use std::collections::BTreeMap;
 
