@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks: the *real* (wall-clock) cost of the DFM
 //! indirection vs a static call table — the mechanism behind the paper's
 //! E1 overhead claim, measured on today's hardware rather than the 400 MHz
-//! Pentium II of the Centurion testbed.
+//! Pentium II of the Centurion testbed — and of the VM's hot loop under
+//! each dispatch mode, with its cost profile off and on (`vm_spin`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcdo_core::Dfm;
@@ -11,6 +12,7 @@ use dcdo_vm::{
     CallOrigin, CallResolver, NativeRegistry, RunOutcome, StaticResolver, Value, ValueStore,
     VmThread,
 };
+use dcdo_workloads::simbench::vm_spin_component;
 use dcdo_workloads::{kernel_function, ComponentSuite, SuiteSpec};
 use std::hint::black_box;
 
@@ -228,5 +230,66 @@ fn bench_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_dispatch);
+/// Iterations of the spin loop per timed run.
+const SPIN_ITERS: i64 = 200_000;
+
+/// A frozen resolver holding the spin component, its code decoded with
+/// superinstruction fusion or without.
+fn spin_resolver(fused: bool) -> StaticResolver {
+    let component = vm_spin_component();
+    let mut resolver = StaticResolver::new().with_fusion(fused);
+    for f in component.functions() {
+        resolver.insert(f.code().clone(), component.id());
+    }
+    resolver
+}
+
+/// Runs `spin(SPIN_ITERS)` to completion on a fresh thread, on the legacy
+/// single-step interpreter or the threaded loop, with the thread's cost
+/// profile enabled or not.
+fn run_spin(resolver: &mut StaticResolver, natives: &NativeRegistry, legacy: bool, profiled: bool) {
+    let mut globals = ValueStore::new();
+    let mut thread = VmThread::call(
+        resolver,
+        &"spin".into(),
+        vec![Value::Int(SPIN_ITERS)],
+        CallOrigin::External,
+    )
+    .expect("spin starts");
+    thread.set_legacy_stepper(legacy);
+    if profiled {
+        thread.enable_profiling();
+    }
+    let fuel = SPIN_ITERS as u64 * 24 + 64;
+    match thread.run(resolver, natives, &mut globals, fuel) {
+        RunOutcome::Completed(Value::Int(v)) => assert_eq!(v, SPIN_ITERS, "spin result"),
+        other => panic!("spin must complete: {other:?}"),
+    }
+}
+
+/// The interpreter's hot loop, a function call crossing per iteration, so
+/// both the per-instruction and the per-call profiling hooks sit on the
+/// path. `fused` is the shipped configuration; `fused_profiled` over
+/// `fused` is the price of turning attribution on (off, the hooks cost one
+/// predicted branch each); `unfused` and `legacy` are the threaded loop
+/// without superinstructions and the single-step interpreter the
+/// differential tests hold both to.
+fn bench_vm_spin(c: &mut Criterion) {
+    let natives = NativeRegistry::standard();
+    let mut group = c.benchmark_group("vm_spin");
+    for (arm, fused, legacy, profiled) in [
+        ("fused", true, false, false),
+        ("fused_profiled", true, false, true),
+        ("unfused", false, false, false),
+        ("legacy", false, true, false),
+    ] {
+        let mut resolver = spin_resolver(fused);
+        group.bench_function(arm, |b| {
+            b.iter(|| run_spin(&mut resolver, &natives, legacy, profiled));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_dispatch, bench_vm_spin);
 criterion_main!(benches);

@@ -721,10 +721,16 @@ mod tests {
 
     #[test]
     fn a_runner_run_records_nothing_in_the_legacy_ring() {
-        // The benchmark's shapes: every engine event kind, crashes too.
-        for name in shapes::NAMES {
+        // The benchmark's shapes: every engine event kind, crashes too. The
+        // reconfiguration episodes: their direct-run driver builds the world.
+        let shapes = shapes::NAMES.map(|name| {
             let text = shapes::generate(name, 42, 0.01).expect("a named shape");
             let scenario = Scenario::from_text(&text).expect("benchmark shape parses");
+            (name, scenario)
+        });
+        let episodes = ["reconfig", "crash_during_reconfig"]
+            .map(|name| (name, registry::load_declared(name).expect("declared")));
+        for (name, scenario) in shapes.into_iter().chain(episodes) {
             let snapshot = Rc::new(RefCell::new(None));
             let infra = scenario.topology.infra;
             let scenario = extended(

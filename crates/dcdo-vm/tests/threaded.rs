@@ -1,7 +1,7 @@
 //! Threaded-dispatch regressions: `Work` accounting after folding the
 //! pre-dispatch special case into the dispatch table, fuel exhaustion inside
-//! superinstructions, the inline leaf-call path, and decode-cache
-//! invalidation across reconfiguration.
+//! superinstructions, the inline leaf-call path, decode-cache invalidation
+//! across reconfiguration, and the `vm_spin` bench loop on every path.
 
 use dcdo_types::{ComponentId, FunctionName};
 use dcdo_vm::{
@@ -310,4 +310,112 @@ fn reconfiguration_invalidates_cached_decodes() {
     assert_ne!(r.generation(), gen_before);
     assert_eq!(r.decode_stats().decodes, 3);
     assert_eq!(r.decode_stats().invalidations, 2);
+}
+
+/// Installs the loop the `dispatch` bench's `vm_spin` group times (the body
+/// of `dcdo_workloads::simbench::vm_spin_component`): `entry(n)` counts `n`
+/// down, crossing into `bump` once per iteration. Installing it again is a
+/// reconfiguration that replaces both functions.
+fn insert_spin(r: &mut StaticResolver) {
+    let spin = vec![
+        Instr::Push(Value::Int(0)), // 0: acc = 0
+        Instr::StoreLocal(0),
+        Instr::LoadArg(0), // 2: left = n
+        Instr::StoreLocal(1),
+        Instr::LoadLocal(1), // 4: while left > 0
+        Instr::Push(Value::Int(0)),
+        Instr::Gt,
+        Instr::JumpIfFalse(16),
+        Instr::LoadLocal(0), // 8: acc = bump(acc)
+        Instr::CallDyn {
+            function: "bump".into(),
+            argc: 1,
+        },
+        Instr::StoreLocal(0),
+        Instr::LoadLocal(1), // 11: left -= 1
+        Instr::Push(Value::Int(1)),
+        Instr::Sub,
+        Instr::StoreLocal(1),
+        Instr::Jump(4),
+        Instr::LoadLocal(0), // 16: return acc
+        Instr::Ret,
+    ];
+    let bump = vec![
+        Instr::LoadArg(0),
+        Instr::Push(Value::Int(1)),
+        Instr::Add,
+        Instr::Ret,
+    ];
+    r.insert(
+        block("entry(int) -> int", 2, spin),
+        ComponentId::from_raw(1),
+    );
+    r.insert(block("bump(int) -> int", 0, bump), ComponentId::from_raw(1));
+}
+
+/// [`run_one`] of the spin loop (11 iterations) on a fresh resolver.
+fn spin(legacy: bool, fuse: bool, profiled: bool) -> (RunOutcome, (u64, u64)) {
+    let mut r = StaticResolver::new().with_fusion(fuse);
+    insert_spin(&mut r);
+    let (outcome, _, _, retired) = run_one(&mut r, legacy, profiled, 1_000);
+    (outcome, retired)
+}
+
+/// The spin loop returns its iteration count with the cost profile off and
+/// on, on every dispatch path.
+#[test]
+fn vm_spin_spins_profiled_or_not() {
+    for (legacy, fuse) in [(true, false), (false, false), (false, true)] {
+        for profiled in [false, true] {
+            let (outcome, _) = spin(legacy, fuse, profiled);
+            assert_eq!(outcome, RunOutcome::Completed(Value::Int(11)));
+        }
+    }
+}
+
+/// The three paths agree on the spin loop; the fused one retires the same
+/// original-opcode total as the unfused one, most of it inside
+/// superinstructions (the loop is built from fusable shapes).
+#[test]
+fn vm_spin_modes_agree_and_fusion_covers_the_loop() {
+    let (legacy, legacy_counts) = spin(true, false, false);
+    let (unfused, unfused_counts) = spin(false, false, false);
+    let (fused, fused_counts) = spin(false, true, false);
+    for outcome in [legacy, unfused, fused] {
+        assert_eq!(outcome, RunOutcome::Completed(Value::Int(11)));
+    }
+    assert_eq!(legacy_counts, (0, 0), "legacy stepper does not count");
+    assert_eq!(unfused_counts.1, 0, "no fusion without the fuse pass");
+    assert_eq!(fused_counts.0, unfused_counts.0);
+    assert!(
+        fused_counts.1 * 2 > fused_counts.0,
+        "expected >50% fused coverage on the spin loop, got {}/{}",
+        fused_counts.1,
+        fused_counts.0
+    );
+}
+
+/// Re-installing the spin loop between two fused runs invalidates both
+/// cached decodes; both runs keep their fused coverage, and every
+/// resolution (the entry call and each iteration's `bump`) is served from
+/// the decode cache.
+#[test]
+fn vm_spin_probe_sees_reconfiguration_invalidations() {
+    let mut r = StaticResolver::new().with_fusion(true);
+    insert_spin(&mut r);
+    let (mut retired, mut fused) = (0, 0);
+    for round in 0..2 {
+        if round == 1 {
+            insert_spin(&mut r);
+        }
+        let (outcome, _, _, counts) = run_one(&mut r, false, false, 1_000);
+        assert_eq!(outcome, RunOutcome::Completed(Value::Int(11)));
+        retired += counts.0;
+        fused += counts.1;
+    }
+    assert!(fused * 2 > retired, "coverage {fused}/{retired}");
+    let stats = r.decode_stats();
+    assert_eq!(stats.decodes, 4, "two installs of two functions");
+    assert_eq!(stats.invalidations, 2, "the second install replaced both");
+    assert_eq!(stats.hits, 2 * (1 + 11));
 }

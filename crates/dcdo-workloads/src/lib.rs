@@ -17,8 +17,9 @@
 //!   (including the paper's §3.2 behavioral-dependency example);
 //! - [`ClosedLoopClient`] — the sequential-call load driver behind the
 //!   end-to-end tests' background traffic and lazy update checks;
-//! - [`simbench`] — the sim-core throughput workload shapes behind the
-//!   `sim_throughput` bench suite and the `BENCH_sim.json` emitter;
+//! - [`simbench`] — the sim-core event-mix shapes behind the episode
+//!   scenarios and the trace-invariant suite, and the spin component the
+//!   `dispatch` bench's `vm_spin` group times;
 //! - [`reconfig`] — the canonical reconfiguration workload with the layer
 //!   map and name tables the `dcdo-profile` analyzers consume.
 

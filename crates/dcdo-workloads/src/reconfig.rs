@@ -1,5 +1,5 @@
 //! The canonical reconfiguration workload: a counter service evolved to a
-//! padded (1 MB) replacement `step` component, with full tracing enabled.
+//! padded (1 MB) replacement `step` component, with the span log recording.
 //!
 //! This is the workload behind the paper-style reconfiguration-cost tables:
 //! [`reconfig_run`] drives a complete version workflow (derive, incorporate,
@@ -117,7 +117,6 @@ impl ReconfigRun {
 /// time.
 pub fn reconfig_run(seed: u64, inject_fault: bool) -> ReconfigRun {
     let mut bed = Testbed::centurion(seed);
-    bed.sim.trace_mut().enable(1 << 18);
     bed.sim.spans_mut().enable();
     let driver_node = bed.nodes[15];
     let manager = Manager::spawn(&mut bed, Strategy::SingleVersionExplicit, driver_node);

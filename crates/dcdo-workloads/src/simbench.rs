@@ -1,10 +1,11 @@
-//! Sim-core throughput workloads.
+//! Sim-core event-mix shapes.
 //!
-//! Four canonical event-mix shapes used by the `sim_throughput` criterion
-//! suite and the `sim_bench` JSON emitter to track engine events/sec across
-//! PRs. Each runs a self-contained simulation over the real Legion [`Msg`]
-//! wire type so the measured cost includes payload handling (cloning ops for
-//! broadcast/resend, wire-size accounting) and not just queue mechanics:
+//! Each `*_sim` builder returns a self-contained simulation, not yet run,
+//! over the real Legion [`Msg`] wire type, plus the event budget to run it
+//! with. The declared episode scenarios, the trace-invariant suite, the
+//! golden-parity direct runs and the repo benchmark's engine-floor kernel
+//! drive them, so payload handling (cloning ops for broadcast/resend,
+//! wire-size accounting) is exercised and not just queue mechanics:
 //!
 //! - **ping-pong** — two objects volley an `Invoke`/`Reply` pair over the
 //!   jittered centurion network: the latency-bound RPC shape.
@@ -141,13 +142,6 @@ pub fn ping_pong_sim(rounds: u64) -> (Simulation<Msg>, u64) {
     (sim, rounds * 4 + 16)
 }
 
-/// Runs `rounds` invoke/reply volleys between two nodes of the centurion
-/// network. Returns events processed.
-pub fn ping_pong(rounds: u64) -> u64 {
-    let (mut sim, budget) = ping_pong_sim(rounds);
-    sim.run_with_budget(budget)
-}
-
 // ---------------------------------------------------------------------------
 // fan-out
 
@@ -242,14 +236,6 @@ pub fn fan_out_sim(rounds: u64, spokes: u32, payload_words: usize) -> (Simulatio
     (sim, rounds * u64::from(spokes) * 2 + u64::from(spokes) + 16)
 }
 
-/// Runs `rounds` broadcast rounds from a hub to `spokes` spokes on the
-/// instant network; the op payload carries `payload_words` words of data.
-/// Returns events processed.
-pub fn fan_out(rounds: u64, spokes: u32, payload_words: usize) -> u64 {
-    let (mut sim, budget) = fan_out_sim(rounds, spokes, payload_words);
-    sim.run_with_budget(budget)
-}
-
 // ---------------------------------------------------------------------------
 // fan-out-wide (many concurrent clusters)
 
@@ -302,13 +288,6 @@ pub fn fan_out_wide_sim(rounds: u64, spokes: u32, payload_words: usize) -> (Simu
         );
     }
     (sim, rounds * u64::from(spokes) * 2 + u64::from(spokes) + 64)
-}
-
-/// Runs `rounds` broadcast rounds across 16 per-node hub clusters sharing
-/// `spokes` spokes on the centurion network. Returns events processed.
-pub fn fan_out_wide(rounds: u64, spokes: u32, payload_words: usize) -> u64 {
-    let (mut sim, budget) = fan_out_wide_sim(rounds, spokes, payload_words);
-    sim.run_with_budget(budget)
 }
 
 // ---------------------------------------------------------------------------
@@ -370,14 +349,6 @@ pub fn timer_heavy_sim(actors: u32, fires_per_actor: u64) -> (Simulation<Msg>, u
         );
     }
     (sim, u64::from(actors) * (fires_per_actor + 4) * 4 + 16)
-}
-
-/// Runs `actors` parallel schedule-two-cancel-one timer chains, each firing
-/// `fires_per_actor` times, on the instant network. Returns events
-/// processed.
-pub fn timer_heavy(actors: u32, fires_per_actor: u64) -> u64 {
-    let (mut sim, budget) = timer_heavy_sim(actors, fires_per_actor);
-    sim.run_with_budget(budget)
 }
 
 // ---------------------------------------------------------------------------
@@ -499,21 +470,8 @@ pub fn transfer_heavy_sim(rounds: u64, sinks: u32) -> (Simulation<Msg>, u64) {
     (sim, rounds * u64::from(sinks) * 2 + u64::from(sinks) + 16)
 }
 
-/// Runs `rounds` replication rounds of one encoded component from a source
-/// to `sinks` sinks over the centurion network. Returns events processed.
-pub fn transfer_heavy(rounds: u64, sinks: u32) -> u64 {
-    let (mut sim, budget) = transfer_heavy_sim(rounds, sinks);
-    sim.run_with_budget(budget)
-}
-
-/// Verifies the component suite used by `transfer_heavy` doesn't silently
-/// shrink (the bench is only meaningful while the payload stays big).
-pub fn transfer_component_size() -> u64 {
-    transfer_component().size_bytes()
-}
-
 // ---------------------------------------------------------------------------
-// vm-spin (VM profiling-overhead probe)
+// vm-spin (the VM hot loop the `dispatch` bench's `vm_spin` group times)
 
 /// The spin component's id (outside the canonical service range).
 const VM_SPIN_ID: dcdo_types::ComponentId = dcdo_types::ComponentId::from_raw(9_900);
@@ -559,136 +517,37 @@ pub fn vm_spin_component() -> ComponentBinary {
         .expect("valid component")
 }
 
-/// How `vm_spin_with` executes the spin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VmSpinMode {
-    /// The legacy single-step interpreter (the differential oracle and the
-    /// benchmark "before" build).
-    Legacy,
-    /// The threaded dispatch loop over pre-decoded code, without
-    /// superinstruction fusion.
-    Unfused,
-    /// The threaded dispatch loop with superinstructions (the default
-    /// production configuration).
-    Fused,
-}
-
-/// Runs `spin(iters)` to completion on a frozen resolver, with the VM's
-/// per-thread cost profile enabled or not — the probe behind the
-/// "profiling is free when disabled" claim (`sim_bench` times both and
-/// reports the overhead fraction). Returns the spin result (== `iters`).
-pub fn vm_spin(iters: i64, profiled: bool) -> u64 {
-    vm_spin_with(iters, profiled, VmSpinMode::Fused).0
-}
-
-/// `vm_spin` with an explicit execution mode; returns
-/// `(spin result, (retired, fused) original-opcode counts)`. The retired
-/// counts are zero in [`VmSpinMode::Legacy`] (the legacy stepper does not
-/// count retirement).
-pub fn vm_spin_with(iters: i64, profiled: bool, mode: VmSpinMode) -> (u64, (u64, u64)) {
-    use dcdo_vm::{CallOrigin, NativeRegistry, RunOutcome, StaticResolver, ValueStore, VmThread};
-    let component = vm_spin_component();
-    let mut resolver = StaticResolver::new().with_fusion(mode == VmSpinMode::Fused);
-    for f in component.functions() {
-        resolver.insert(f.code().clone(), component.id());
-    }
-    let mut globals = ValueStore::new();
-    let mut thread = VmThread::call(
-        &mut resolver,
-        &"spin".into(),
-        vec![Value::Int(iters)],
-        CallOrigin::External,
-    )
-    .expect("spin starts");
-    thread.set_legacy_stepper(mode == VmSpinMode::Legacy);
-    if profiled {
-        thread.enable_profiling();
-    }
-    let fuel = (iters as u64) * 24 + 64;
-    match thread.run(
-        &mut resolver,
-        &NativeRegistry::standard(),
-        &mut globals,
-        fuel,
-    ) {
-        RunOutcome::Completed(Value::Int(v)) => (v as u64, thread.retired_counts()),
-        other => panic!("spin must complete: {other:?}"),
-    }
-}
-
-/// Runs a fused spin, then re-installs the spin component (a configuration
-/// operation: the cached decodes are invalidated and rebuilt, outstanding
-/// call tokens expire) and spins again — measuring superinstruction
-/// coverage and decode-cache hit/invalidation behavior across a
-/// reconfiguration. Returns the retired/fused totals (no profile) and the
-/// decode cache's counters across the whole probe (two decodes per
-/// function: initial install + the reconfiguration's re-install).
-pub fn vm_spin_fusion_probe(iters: i64) -> (dcdo_vm::VmTotals, dcdo_vm::DecodeCacheStats) {
-    use dcdo_vm::{CallOrigin, NativeRegistry, RunOutcome, StaticResolver, ValueStore, VmThread};
-    let component = vm_spin_component();
-    let mut resolver = StaticResolver::new().with_fusion(true);
-    for f in component.functions() {
-        resolver.insert(f.code().clone(), component.id());
-    }
-    let mut totals = dcdo_vm::VmTotals::default();
-    for round in 0..2 {
-        if round == 1 {
-            // The reconfiguration: re-incorporating the component replaces
-            // (and re-decodes) both functions and bumps the generation.
-            for f in component.functions() {
-                resolver.insert(f.code().clone(), component.id());
-            }
-        }
-        let mut globals = ValueStore::new();
-        let mut thread = VmThread::call(
-            &mut resolver,
-            &"spin".into(),
-            vec![Value::Int(iters)],
-            CallOrigin::External,
-        )
-        .expect("spin starts");
-        match thread.run(
-            &mut resolver,
-            &NativeRegistry::standard(),
-            &mut globals,
-            (iters as u64) * 24 + 64,
-        ) {
-            RunOutcome::Completed(Value::Int(v)) => assert_eq!(v, iters, "spin result"),
-            other => panic!("spin must complete: {other:?}"),
-        }
-        let (retired, fused) = thread.retired_counts();
-        totals.retired += retired;
-        totals.fused += fused;
-    }
-    (totals, resolver.decode_stats())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs a built shape to its budget; returns events processed.
+    fn run((mut sim, budget): (Simulation<Msg>, u64)) -> u64 {
+        sim.run_with_budget(budget)
+    }
+
     #[test]
     fn ping_pong_processes_expected_events() {
         // Kick + rounds * (invoke deliver + reply deliver).
-        assert_eq!(ping_pong(10), 1 + 10 * 2);
+        assert_eq!(run(ping_pong_sim(10)), 1 + 10 * 2);
     }
 
     #[test]
     fn fan_out_processes_expected_events() {
         // Kick + rounds * spokes * (control + reply).
-        assert_eq!(fan_out(3, 4, 16), 1 + 3 * 4 * 2);
+        assert_eq!(run(fan_out_sim(3, 4, 16)), 1 + 3 * 4 * 2);
     }
 
     #[test]
     fn fan_out_wide_processes_expected_events() {
         // 16 kicks + rounds * spokes * (control + reply). Every hub has
         // spokes (32 >= 16), so all 16 clusters run all their rounds.
-        assert_eq!(fan_out_wide(3, 32, 16), 16 + 3 * 32 * 2);
+        assert_eq!(run(fan_out_wide_sim(3, 32, 16)), 16 + 3 * 32 * 2);
     }
 
     #[test]
     fn timer_heavy_drains() {
-        let events = timer_heavy(4, 50);
+        let events = run(timer_heavy_sim(4, 50));
         // Per actor: 1 kick + >= fires (cancelled decoys may or may not
         // count as events depending on the queue implementation).
         assert!(events >= 4 * (1 + 50));
@@ -696,53 +555,13 @@ mod tests {
 
     #[test]
     fn transfer_heavy_processes_expected_events() {
-        assert_eq!(transfer_heavy(2, 3), 1 + 2 * 3 * 2);
-    }
-
-    #[test]
-    fn vm_spin_spins_profiled_or_not() {
-        assert_eq!(vm_spin(1_000, false), 1_000);
-        assert_eq!(vm_spin(1_000, true), 1_000);
-    }
-
-    #[test]
-    fn vm_spin_modes_agree_and_fusion_covers_the_loop() {
-        let (legacy, legacy_counts) = vm_spin_with(500, false, VmSpinMode::Legacy);
-        let (unfused, unfused_counts) = vm_spin_with(500, false, VmSpinMode::Unfused);
-        let (fused, fused_counts) = vm_spin_with(500, false, VmSpinMode::Fused);
-        assert_eq!(legacy, 500);
-        assert_eq!(unfused, 500);
-        assert_eq!(fused, 500);
-        assert_eq!(legacy_counts, (0, 0), "legacy stepper does not count");
-        assert_eq!(unfused_counts.1, 0, "no fusion without the fuse pass");
-        // Fusion must retire the same original-opcode total, with a large
-        // share inside superinstructions (the spin body is built from
-        // fusable shapes).
-        assert_eq!(fused_counts.0, unfused_counts.0);
-        assert!(
-            fused_counts.1 * 2 > fused_counts.0,
-            "expected >50% fused coverage on vm_spin, got {}/{}",
-            fused_counts.1,
-            fused_counts.0
-        );
-    }
-
-    #[test]
-    fn vm_spin_probe_sees_reconfiguration_invalidations() {
-        let (totals, stats) = vm_spin_fusion_probe(200);
-        assert!(totals.coverage() > 0.5, "coverage {}", totals.coverage());
-        // Two installs of two functions: 4 decodes, 2 of them replacing
-        // (invalidating) the first round's cached decodes.
-        assert_eq!(stats.decodes, 4);
-        assert_eq!(stats.invalidations, 2);
-        // Every CallDyn resolution in both rounds was served from the
-        // pre-decoded cache.
-        assert!(stats.hits >= 400);
+        assert_eq!(run(transfer_heavy_sim(2, 3)), 1 + 2 * 3 * 2);
     }
 
     #[test]
     fn transfer_component_is_paper_sized() {
-        let size = transfer_component_size();
+        // The transfer shape is only meaningful while the payload stays big.
+        let size = transfer_component().size_bytes();
         assert!(size > 550_000, "bulk padding must dominate: {size}");
     }
 }
