@@ -1,6 +1,9 @@
 //! `SpanTraceHash` against the ring it replaces: random engine worlds run
 //! with the legacy trace ring and the span log switched on together, and
-//! the span fold must give `trace_hash(sim.trace())` every time.
+//! the span fold must give `trace_hash(sim.trace())` every time. The same
+//! worlds check the flight ring and the timeline against the span log: a
+//! replay of the log's executed events must give the engine's frames,
+//! digest and per-bucket counts.
 
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
@@ -8,8 +11,8 @@ use std::rc::Rc;
 
 use dcdo_chaos::{trace_hash, SpanTraceHash};
 use dcdo_sim::{
-    Actor, ActorId, Ctx, NetConfig, NodeId, Payload, SendVerdict, SimDuration, SimRng, Simulation,
-    SpanKind,
+    Actor, ActorId, Ctx, FlightFrame, FlightRecorder, NetConfig, NodeId, Payload, SendVerdict,
+    SimDuration, SimRng, Simulation, SpanEvent, SpanKind, Timeline, WindowStats,
 };
 
 const NODES: u32 = 4;
@@ -78,15 +81,23 @@ impl Actor<Hop> for Chatter {
 #[derive(Default)]
 struct Seen {
     evicted: bool,
+    flight_evicted: bool,
+    buckets: usize,
     unreachable: bool,
     dead_letters: bool,
+    crashes: bool,
+    restarts: bool,
 }
 
+/// The timeline's bucket width in the random worlds: a world spans many.
+const BUCKET_NS: u64 = 1_000_000;
+
 /// A random world of `seed`: some actors spawned before the sinks are on
-/// (they must not count), a ring of `capacity`, then timers, driver
-/// posts, kills, crashes, restarts and partitions between bursts of steps.
-/// Every world also schedules a timer for an actor it kills before the
-/// timer fires, and one for an id that was never spawned.
+/// (they must not count), a ring of `capacity` and a flight ring of as
+/// many frames (at least 8), then timers, driver posts, kills, crashes,
+/// restarts and partitions between bursts of steps. Every world also
+/// schedules a timer for an actor it kills before the timer fires, and one
+/// for an id that was never spawned.
 fn world(seed: u64, capacity: usize) -> Simulation<Hop> {
     let mut rng = SimRng::seed_from_u64(seed);
     let mut sim = Simulation::new(NetConfig::centurion(), seed);
@@ -106,6 +117,8 @@ fn world(seed: u64, capacity: usize) -> Simulation<Hop> {
     }
     sim.trace_mut().enable(capacity);
     sim.spans_mut().enable();
+    sim.flight_mut().set_capacity(capacity);
+    sim.timeline_mut().set_bucket_ns(BUCKET_NS);
 
     for (i, &actor) in roster.borrow().clone().iter().enumerate() {
         sim.schedule_timer_for(actor, SimDuration::from_micros(50 * i as u64 + 10), 0);
@@ -187,27 +200,97 @@ fn fold_skipping_unreachable(sim: &Simulation<Hop>, capacity: usize) -> u64 {
     fold.finish()
 }
 
-/// Runs the corpus through `fold` and returns the worlds where it missed
-/// the ring's hash, with what the corpus exercised.
-fn misses(fold: fn(&Simulation<Hop>, usize) -> u64) -> (Vec<String>, Seen) {
+/// The ring hash and its span fold agree.
+fn fold_agrees(sim: &mut Simulation<Hop>, capacity: usize) -> bool {
+    span_fold(sim, capacity) == trace_hash(sim.trace())
+}
+
+/// The planted fault's fold agrees with the ring hash.
+fn skipping_fold_agrees(sim: &mut Simulation<Hop>, capacity: usize) -> bool {
+    fold_skipping_unreachable(sim, capacity) == trace_hash(sim.trace())
+}
+
+/// The executed event a span records, as its flight-frame code and actor:
+/// written out here as the oracle, not taken from the engine's mapping.
+fn executed(kind: &SpanKind) -> Option<(u8, u64)> {
+    Some(match *kind {
+        SpanKind::MsgDelivered { dst, .. } => (SpanKind::DELIVERED, u64::from(dst)),
+        SpanKind::MsgDeadLetter { dst, .. } => (SpanKind::DEAD_LETTER, u64::from(dst)),
+        SpanKind::TimerFired { actor, .. } => (SpanKind::TIMER, u64::from(actor)),
+        SpanKind::NodeCrashed { .. } => (SpanKind::CRASH, 0),
+        SpanKind::NodeRestarted { .. } => (SpanKind::RESTART, 0),
+        _ => return None,
+    })
+}
+
+/// A flight ring and a timeline shaped like `sim`'s, fed every executed
+/// event of its span log that `keep` lets through.
+fn replay(sim: &Simulation<Hop>, keep: fn(&SpanEvent) -> bool) -> (FlightRecorder, Timeline) {
+    let mut flight = FlightRecorder::new();
+    flight.set_capacity(sim.flight().capacity());
+    let mut timeline = Timeline::new();
+    timeline.set_bucket_ns(sim.timeline().bucket_ns());
+    for e in sim.spans().events().iter().filter(|e| keep(e)) {
+        if let Some((code, actor)) = executed(&e.kind) {
+            flight.push(FlightFrame::pack(e.at_ns, code, e.node, actor));
+            timeline.account(e.at_ns, code);
+        }
+    }
+    timeline.flush();
+    (flight, timeline)
+}
+
+fn window_stats(timeline: &Timeline) -> Vec<(u64, WindowStats)> {
+    timeline.buckets().map(|(i, b)| (i, b.stats)).collect()
+}
+
+/// The engine's flight ring and timeline equal the replay `keep` selects:
+/// the same frames, digest and total, and the same counts per bucket.
+fn sinks_agree_with(sim: &mut Simulation<Hop>, keep: fn(&SpanEvent) -> bool) -> bool {
+    sim.timeline_mut().flush();
+    let (flight, timeline) = replay(sim, keep);
+    let engine = sim.flight();
+    engine.frames() == flight.frames()
+        && engine.digest() == flight.digest()
+        && engine.recorded() == flight.recorded()
+        && window_stats(sim.timeline()) == window_stats(&timeline)
+}
+
+fn sinks_agree(sim: &mut Simulation<Hop>, _: usize) -> bool {
+    sinks_agree_with(sim, |_| true)
+}
+
+/// A planted fault: a replay blind to dead letters.
+fn sinks_agree_skipping_dead_letters(sim: &mut Simulation<Hop>, _: usize) -> bool {
+    sinks_agree_with(sim, |e| !matches!(e.kind, SpanKind::MsgDeadLetter { .. }))
+}
+
+/// Runs the corpus through `agrees` and returns the worlds where it found
+/// a mismatch, with what the corpus exercised.
+fn misses(agrees: fn(&mut Simulation<Hop>, usize) -> bool) -> (Vec<String>, Seen) {
     let mut missed = Vec::new();
     let mut seen = Seen::default();
     for seed in 0..48 {
         for capacity in [1, 7, 64, 1 << 16] {
-            let sim = world(seed, capacity);
+            let mut sim = world(seed, capacity);
             let trace = sim.trace();
             seen.evicted |= trace.dropped() > 0;
-            seen.unreachable |= sim.metrics().counter("sim.unreachable_drops") > 0;
-            seen.dead_letters |= sim.metrics().counter("sim.dead_letters") > 0;
+            seen.flight_evicted |= sim.flight().evicted() > 0;
+            let counter = |name| sim.metrics().counter(name) > 0;
+            seen.unreachable |= counter("sim.unreachable_drops");
+            seen.dead_letters |= counter("sim.dead_letters");
+            seen.crashes |= counter("sim.node_crashes");
+            seen.restarts |= counter("sim.node_restarts");
             let ring_entries = trace.len() as u64 + trace.dropped();
             assert_eq!(
                 sim.structural_spans(),
                 ring_entries,
                 "seed {seed} capacity {capacity}: one structural span per ring entry"
             );
-            if fold(&sim, capacity) != trace_hash(trace) {
+            if !agrees(&mut sim, capacity) {
                 missed.push(format!("seed {seed} capacity {capacity}"));
             }
+            seen.buckets = seen.buckets.max(sim.timeline().buckets().count());
         }
     }
     (missed, seen)
@@ -215,7 +298,7 @@ fn misses(fold: fn(&Simulation<Hop>, usize) -> u64) -> (Vec<String>, Seen) {
 
 #[test]
 fn the_span_fold_equals_the_ring_hash_on_random_worlds() {
-    let (missed, seen) = misses(span_fold);
+    let (missed, seen) = misses(fold_agrees);
     assert!(missed.is_empty(), "span fold missed the ring on {missed:?}");
     assert!(seen.evicted, "no world evicted ring entries");
     assert!(seen.unreachable, "no world sent to an unreachable node");
@@ -224,8 +307,30 @@ fn the_span_fold_equals_the_ring_hash_on_random_worlds() {
 
 #[test]
 fn a_fold_that_skips_unreachable_sends_fails_the_comparison() {
-    let (missed, _) = misses(fold_skipping_unreachable);
+    let (missed, _) = misses(skipping_fold_agrees);
     assert!(!missed.is_empty(), "the planted fold passed every world");
+}
+
+#[test]
+fn the_flight_ring_and_the_timeline_equal_a_replay_of_the_span_log() {
+    let (missed, seen) = misses(sinks_agree);
+    assert!(
+        missed.is_empty(),
+        "the sinks missed the replay on {missed:?}"
+    );
+    assert!(seen.flight_evicted, "no world evicted flight frames");
+    assert!(seen.buckets > 1, "no world spanned two timeline buckets");
+    assert!(seen.dead_letters, "no world dead-lettered a message");
+    assert!(
+        seen.crashes && seen.restarts,
+        "no world crashed and restarted a node"
+    );
+}
+
+#[test]
+fn a_replay_that_skips_dead_letters_fails_the_comparison() {
+    let (missed, _) = misses(sinks_agree_skipping_dead_letters);
+    assert!(!missed.is_empty(), "the planted replay passed every world");
 }
 
 #[test]

@@ -98,7 +98,6 @@ impl LegionObject for Ico {
                 let token = ctx.fresh_u64();
                 self.pending_reads.insert(token, (from, call));
                 let delay = self.read_time();
-                ctx.metrics().incr("ico.reads");
                 ctx.schedule_timer(delay, token);
                 Served::Later
             }

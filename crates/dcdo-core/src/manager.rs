@@ -33,7 +33,7 @@
 //! | Deactivate | Capture → Deactivate → Unregister                        | state parked in the entry; `Ack`               |
 //! | Activate   | Spawn → Apply → Restore → Register                       | address and host, nothing parked; `DcdoCreated` |
 //! | Checkpoint | Capture → SaveVault                                      | nothing (the vault holds the snapshot); `DcdoCheckpointed` |
-//! | Recover    | Spawn → Apply → LoadVault → Restore → Register           | address and host, no longer crashed; resumes an interrupted update |
+//! | Recover    | Spawn → Apply → LoadVault → Restore → Register           | address and host, no longer crashed; counts `manager.recoveries`; resumes an interrupted update |
 //!
 //! The shared skip rule drops Restore when the vault holds no snapshot.
 //! Spawn is a timer (process creation); every other step is one RPC. A step
@@ -156,8 +156,6 @@ struct Plan {
     needs: Option<InstanceState>,
     /// The steps, walked in order.
     steps: &'static [Step],
-    /// Counter bumped when the flow finishes.
-    counter: Option<&'static str>,
 }
 
 impl MgrKind {
@@ -171,43 +169,36 @@ impl MgrKind {
                 trace: FlowKind::Create,
                 needs: None,
                 steps: &[Spawn, Register, Apply],
-                counter: None,
             },
             MgrKind::Update => Plan {
                 trace: FlowKind::Update,
                 needs: Some(Live),
                 steps: &[Apply],
-                counter: Some("manager.updates_done"),
             },
             MgrKind::Migrate => Plan {
                 trace: FlowKind::Migrate,
                 needs: Some(Live),
                 steps: &[Capture, Deactivate, Spawn, Apply, Restore, Register],
-                counter: Some("manager.migrations_done"),
             },
             MgrKind::Deactivate => Plan {
                 trace: FlowKind::Deactivate,
                 needs: Some(Live),
                 steps: &[Capture, Deactivate, Unregister],
-                counter: Some("manager.deactivations"),
             },
             MgrKind::Activate => Plan {
                 trace: FlowKind::Activate,
                 needs: Some(Parked),
                 steps: &[Spawn, Apply, Restore, Register],
-                counter: Some("manager.activations"),
             },
             MgrKind::Checkpoint => Plan {
                 trace: FlowKind::Checkpoint,
                 needs: Some(Live),
                 steps: &[Capture, SaveVault],
-                counter: Some("manager.checkpoints"),
             },
             MgrKind::Recover => Plan {
                 trace: FlowKind::Recover,
                 needs: Some(Crashed),
                 steps: &[Spawn, Apply, LoadVault, Restore, Register],
-                counter: Some("manager.recoveries"),
             },
         }
     }
@@ -610,7 +601,6 @@ impl DcdoManager {
                 // the caller can retry after the commit (queued work could
                 // otherwise apply a pre-epoch target post-commit).
                 gate.refused_while_fenced += 1;
-                ctx.metrics().incr("manager.group_fence_refusals");
                 let why = format!(
                     "group {} epoch {} is fencing evolution",
                     gate.group, gate.epoch
@@ -653,7 +643,6 @@ impl DcdoManager {
             });
         }
         if let Err(e) = self.evolution_allowed(&admitted.version, &target) {
-            ctx.metrics().incr("manager.updates_refused");
             return answer(ctx, reply, |call| Msg::refused(call, e));
         }
         (admitted.version, admitted.retries) = (target, retries);
@@ -683,7 +672,6 @@ impl DcdoManager {
         let mut aborted: Vec<ObjectId> = Vec::new();
         for flow_id in doomed {
             let flow = self.abort_flow(ctx, flow_id).expect("flow in flight");
-            ctx.metrics().incr("manager.flows_aborted");
             aborted.push(flow.object);
             if flow.kind == MgrKind::Update && flow.reply.is_none() {
                 self.interrupted_updates
@@ -707,8 +695,6 @@ impl DcdoManager {
         }
         aborted.sort_unstable();
         aborted.dedup();
-        ctx.metrics()
-            .add("manager.instances_crashed", crashed.len() as u64);
         Msg::control_ok(call, NodeFailureReport { crashed, aborted })
     }
 
@@ -721,7 +707,6 @@ impl DcdoManager {
         let mut objects = self.crashed_instances();
         objects.retain(|o| self.table[o].node == node);
         for &object in &objects {
-            ctx.metrics().incr("manager.recoveries_started");
             self.start_flow(ctx, MgrKind::Recover, None, Some(object), Some(node));
         }
         Msg::control_ok(call, RecoveryStarted { objects })
@@ -836,9 +821,7 @@ impl DcdoManager {
                 });
                 g.epoch = set.epoch;
                 g.fenced = set.fence;
-                if set.fence {
-                    ctx.metrics().incr("manager.group_fences");
-                } else {
+                if !set.fence {
                     // Adoption: the manager is a (non-serving) group member
                     // for timeline purposes.
                     ctx.emit_span(SpanKind::ReplicaEpoch {
@@ -846,7 +829,6 @@ impl DcdoManager {
                         replica: object.as_raw(),
                         epoch: set.epoch,
                     });
-                    ctx.metrics().incr("manager.group_epoch_adoptions");
                 }
                 Msg::control_ok(
                     call,
@@ -941,7 +923,6 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
                 seed,
             );
             let actor = ctx.spawn(node, Box::new(dcdo));
-            ctx.metrics().incr("manager.dcdos_created");
             flow.data.held.new_actor = Some(actor);
             // Address the new process directly until the binding is
             // registered.
@@ -956,10 +937,9 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
     }
 
     /// The last step of the plan is done: records what the flow changed in
-    /// the DCDO table (see the module docs' plan table), counts and times
-    /// it, and answers the caller.
+    /// the DCDO table (see the module docs' plan table) and answers the
+    /// caller.
     fn finish(&mut self, ctx: &mut Ctx<'_, Msg>, flow: MgrFlow) {
-        let plan = flow.kind.plan();
         let (object, version) = (flow.object, flow.data.version);
         let impl_type = self
             .store
@@ -992,9 +972,6 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
         if flow.kind == MgrKind::Update {
             self.start_queued_update(ctx, object);
         }
-        if let Some(counter) = plan.counter {
-            ctx.metrics().incr(counter);
-        }
         let address = flow.data.held.new_actor;
         let payload = match flow.kind {
             MgrKind::Create | MgrKind::Activate => ControlOp::new(DcdoCreated {
@@ -1011,6 +988,7 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
             MgrKind::Deactivate => ControlOp::new(Ack),
             MgrKind::Checkpoint => ControlOp::new(DcdoCheckpointed { object, version }),
             MgrKind::Recover => {
+                ctx.metrics().incr("manager.recoveries");
                 // Nobody waits on a recovery; resume the reconfiguration
                 // the crash interrupted, if any.
                 if let Some(target) = self.interrupted_updates.remove(&object) {
@@ -1031,7 +1009,6 @@ impl PlanOwner<MgrKind, Target> for DcdoManager {
             // version.
             let retries = flow.data.retries;
             if flow.reply.is_none() && retries < 5 {
-                ctx.metrics().incr("manager.update_retries");
                 let token = ctx.fresh_u64();
                 self.retry_updates
                     .insert(token, (flow.object, flow.data.version, retries + 1));
@@ -1097,7 +1074,6 @@ impl LegionObject for DcdoManager {
             ManagerOp::SetCurrentVersion(set) => match self.instantiable_entry(&set.version) {
                 Ok(_) => {
                     self.current = set.version.clone();
-                    ctx.metrics().incr("manager.current_version_changes");
                     if self.propagation == UpdatePropagation::Proactive {
                         let instances: Vec<ObjectId> = self
                             .table

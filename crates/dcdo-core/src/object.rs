@@ -281,7 +281,6 @@ impl DcdoObject {
             }),
         );
         self.check_call = Some(call);
-        ctx.metrics().incr("dcdo.lazy_checks");
     }
 
     fn unpark_all(&mut self, ctx: &mut Ctx<'_, Msg>) {
@@ -365,10 +364,7 @@ impl DcdoObject {
                 component,
                 active_threads: active_threads as usize,
             }),
-            RemovalPolicy::DelayUntilIdle => {
-                ctx.metrics().incr("dcdo.removals_delayed");
-                Ok(Action::Recheck(IDLE_RECHECK))
-            }
+            RemovalPolicy::DelayUntilIdle => Ok(Action::Recheck(IDLE_RECHECK)),
             RemovalPolicy::ForceAfter(grace) => {
                 let now = ctx.now();
                 let deadline = *change.force_deadline.get_or_insert(now + grace);
@@ -388,21 +384,11 @@ impl DcdoObject {
     }
 
     /// The Apply step: makes the flow's configuration change.
-    fn apply_change(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        flow: &mut ConfigFlow,
-    ) -> Result<(), ConfigError> {
+    fn apply_change(&mut self, flow: &mut ConfigFlow) -> Result<(), ConfigError> {
         match std::mem::replace(&mut flow.data.op, ConfigOp::Incorporate) {
             // Staged components were incorporated as they were mapped.
             ConfigOp::Incorporate => Ok(()),
-            ConfigOp::Apply { target } => {
-                let outcome = self.dfm.apply_descriptor(target);
-                if outcome.is_ok() {
-                    ctx.metrics().incr("dcdo.evolutions");
-                }
-                outcome
-            }
+            ConfigOp::Apply { target } => self.dfm.apply_descriptor(target),
             ConfigOp::Remove { component } => self.dfm.remove_component(component),
             ConfigOp::Disable { function } => self.dfm.disable_function(&function),
         }
@@ -438,7 +424,6 @@ impl DcdoObject {
                 up_to_date: false,
                 descriptor: Some(target),
             }) => {
-                ctx.metrics().incr("dcdo.lazy_updates_triggered");
                 self.begin_apply(ctx, None, target);
             }
             // Up to date (or the check failed): resume service.
@@ -520,7 +505,7 @@ impl PlanOwner<Config, Change> for DcdoObject {
     ) -> Result<Action, ConfigError> {
         let item = match step {
             CfgStep::Gate => return self.gate(ctx, &mut flow.data),
-            CfgStep::Apply => return self.apply_change(ctx, flow).map(|()| Action::Done),
+            CfgStep::Apply => return self.apply_change(flow).map(|()| Action::Done),
             _ => &flow.data.items[item(flow)],
         };
         let component = || item.component.expect("component known");
@@ -588,10 +573,8 @@ impl PlanOwner<Config, Change> for DcdoObject {
                     .control_as::<ComponentData>()
                     .and_then(|d| d.binary.clone());
                 let Some(binary) = cached else {
-                    ctx.metrics().incr("dcdo.component_cache_misses");
                     return Ok(());
                 };
-                ctx.metrics().incr("dcdo.component_cache_hits");
                 self.mappable(&binary)?;
                 item.staged = Staged::Ready(binary, true);
             }
@@ -630,10 +613,6 @@ impl PlanOwner<Config, Change> for DcdoObject {
     }
 
     fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: ConfigFlow, err: ConfigError) {
-        // A change the DFM refuses is a refusal, not a failed fetch.
-        if flow.step() != Some(CfgStep::Apply) {
-            ctx.metrics().incr("dcdo.config_failed");
-        }
         self.end_lazy_check(ctx);
         answer(ctx, flow.reply, |call| Msg::refused(call, err));
     }

@@ -452,11 +452,6 @@ impl<M: Payload> Simulation<M> {
         &self.metrics
     }
 
-    /// Returns the metrics registry mutably.
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
-    }
-
     /// Returns the network model.
     pub fn network(&self) -> &Network {
         &self.network
@@ -859,13 +854,20 @@ impl<M: Payload> Simulation<M> {
             .get_mut(id.ctr_index())
     }
 
-    /// Emits one engine event's span and, while the ring is on, its ring
-    /// entry ([`TraceEvent::of_span`]). Every ring entry is written here,
-    /// beside the span it mirrors, so a ring switched on with the span log
-    /// holds exactly the log's structural spans: the equality the scenario
-    /// runner's span-folded `trace_hash` rests on.
+    /// Emits one engine event's span and, derived from its kind, its ring
+    /// entry while the ring is on ([`TraceEvent::of_span`]) and, for an
+    /// executed event, its timeline count and flight frame
+    /// ([`SpanKind::executed`]), whether or not spans are on. Every ring
+    /// entry, count and frame is written here, beside the span it mirrors,
+    /// so a ring switched on with the span log holds exactly the log's
+    /// structural spans (the equality the scenario runner's span-folded
+    /// `trace_hash` rests on), and the timeline and flight ring replay from
+    /// the log.
     #[inline]
     fn emit_event(&mut self, node: u32, parent: Option<SpanId>, kind: SpanKind) -> Option<SpanId> {
+        if let Some((code, actor)) = kind.executed() {
+            self.observe(code, node, actor);
+        }
         let structural = match TraceEvent::of_span(&kind) {
             Some(event) => {
                 if self.trace.is_enabled() {
@@ -1045,7 +1047,6 @@ impl<M: Payload> Simulation<M> {
                 node: node.as_raw(),
             },
         );
-        self.observe(SpanKind::CRASH, node.as_raw(), 0);
         let mut killed = 0;
         for lane in 0..self.actors.len() {
             for ctr in 0..self.actors[lane].len() {
@@ -1094,7 +1095,6 @@ impl<M: Payload> Simulation<M> {
                 node: node.as_raw(),
             },
         );
-        self.observe(SpanKind::RESTART, node.as_raw(), 0);
     }
 
     /// Returns `true` if the node is up (never crashed, or restarted).
@@ -1143,8 +1143,9 @@ impl<M: Payload> Simulation<M> {
         true
     }
 
-    /// The always-on observability hook: accounts the executing event into
-    /// the timeline bucket and leaves a compact frame in the flight ring.
+    /// The always-on observability hook [`emit_event`](Self::emit_event)
+    /// runs for each executed event: accounts it into the timeline bucket
+    /// and leaves a compact frame in the flight ring.
     /// This is the per-event hot path — one enabled branch per facility, a
     /// cached bucket-end compare, plain integer increments, and a 16-byte
     /// ring store; no division or map lookups.
@@ -1175,7 +1176,6 @@ impl<M: Payload> Simulation<M> {
                     dst_node: dst_node.as_raw(),
                 },
             );
-            sim.observe(SpanKind::DELIVERED, dst_node.as_raw(), dst.as_raw() as u64);
             actor.on_message(ctx, src, msg);
         });
         self.current_span = None;
@@ -1192,11 +1192,6 @@ impl<M: Payload> Simulation<M> {
                 dst: dst.as_raw(),
                 dst_node: dst_node.as_raw(),
             },
-        );
-        self.observe(
-            SpanKind::DEAD_LETTER,
-            dst_node.as_raw(),
-            dst.as_raw() as u64,
         );
         self.cur_lane = 0;
     }
@@ -1217,7 +1212,6 @@ impl<M: Payload> Simulation<M> {
                     token,
                 },
             );
-            sim.observe(SpanKind::TIMER, node.as_raw(), dst.as_raw() as u64);
             actor.on_timer(ctx, token);
         });
         self.current_span = None;

@@ -63,7 +63,7 @@ mod timeline;
 mod trace;
 
 pub use engine::{Actor, ActorId, Ctx, Payload, Simulation, TimerId};
-pub use metrics::{nearest_rank, CounterSlot, Metrics};
+pub use metrics::{nearest_rank, Metrics};
 pub use net::{DeliveryPlan, LinkFault, NetConfig, NetStats, Network, NodeId, TransferModel};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

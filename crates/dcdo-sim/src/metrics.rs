@@ -1,9 +1,12 @@
 //! Named event counters, and the nearest-rank quantile rule.
 //!
-//! Actors bump counters through `Ctx::metrics`; the workload drivers, the
-//! scenario runner's `metric_*` expectations and the repo benchmark read
-//! them after a run. No duration is kept here: every timed operation is a
-//! flow or a flow step in the span log, and its latency is read from there.
+//! Actors bump counters through `Ctx::metrics`; the engine's tests, the
+//! workload drivers, the scenario runner's `metric_*` expectations and the
+//! repo benchmark read them after a run. A counter is kept only where
+//! something reads it: an event the span log records (a completed RPC, a
+//! binding miss, a flow) is counted from its spans, not here. No duration
+//! is kept here either: every timed operation is a flow or a flow step in
+//! the span log, and its latency is read from there.
 
 use std::collections::BTreeMap;
 
@@ -20,31 +23,14 @@ pub fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
     Some(sorted[rank.min(last)])
 }
 
-/// A counter resolved to its slot in one [`Metrics`] registry, for a
-/// per-call path: bumping it through [`Metrics::add_at`] is an index, with
-/// no name lookup. Valid only with the registry that issued it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CounterSlot(u32);
-
-/// A named collection of counters.
+/// A named collection of counters, in name order.
 ///
-/// A counter lives in one of two places: the name-ordered `counters` map,
-/// or — once a caller resolved it with [`Metrics::counter_slot`] — the slot
-/// table, indexed by [`CounterSlot`]. A slot holds `None` until its counter
-/// is first bumped, so a counter exists (in [`Metrics::counters`]) only
-/// once bumped. Slots are never removed, so a [`CounterSlot`] stays valid
-/// for the registry's life. The table is boxed and absent until the first
-/// resolution, so a registry that resolves no slot pays one pointer for it.
+/// A counter exists (in [`Metrics::counters`]) only once bumped; only its
+/// first bump allocates its key.
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     counters: BTreeMap<String, u64>,
-    slots: Option<Box<SlotTable>>,
 }
-
-/// Resolved counters, indexed by [`CounterSlot`]: name and value (`None`
-/// until first bumped).
-#[derive(Debug, Clone, Default)]
-struct SlotTable(Vec<(String, Option<u64>)>);
 
 impl Metrics {
     /// Creates an empty metrics registry.
@@ -52,50 +38,15 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Resolves the named counter to its slot, once, for a caller that
-    /// bumps it per call. Resolving does not create the counter; a value it
-    /// already has moves to the slot.
-    pub fn counter_slot(&mut self, name: &str) -> CounterSlot {
-        let table = &mut self.slots.get_or_insert_with(Box::default).0;
-        let slot = match table.iter().position(|(n, _)| n == name) {
-            Some(slot) => slot,
-            None => {
-                table.push((name.to_owned(), self.counters.remove(name)));
-                table.len() - 1
-            }
-        };
-        CounterSlot(u32::try_from(slot).expect("counter slot overflow"))
-    }
-
-    /// Adds `delta` to the counter at `slot`, creating it at zero if absent.
-    #[inline]
-    pub fn add_at(&mut self, slot: CounterSlot, delta: u64) {
-        let table = self
-            .slots
-            .as_deref_mut()
-            .expect("a CounterSlot comes from its own registry");
-        *table.0[slot.0 as usize].1.get_or_insert(0) += delta;
-    }
-
     /// Adds `delta` to the named counter, creating it at zero if absent.
     pub fn add(&mut self, name: &str, delta: u64) {
         // Look up by `&str`: only a counter's first touch allocates its key.
-        if let Some(v) = self.counters.get_mut(name) {
-            *v += delta;
-            return;
-        }
-        let slotted = self.slots.as_deref_mut().map_or(&mut [][..], |t| &mut t.0);
-        match slotted.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => *v.get_or_insert(0) += delta,
+        match self.counters.get_mut(name) {
+            Some(v) => *v += delta,
             None => {
                 self.counters.insert(name.to_owned(), delta);
             }
         }
-    }
-
-    /// The resolved counters, in slot order.
-    fn slotted(&self) -> &[(String, Option<u64>)] {
-        self.slots.as_deref().map_or(&[], |t| &t.0)
     }
 
     /// Increments the named counter by one.
@@ -105,32 +56,12 @@ impl Metrics {
 
     /// Returns the value of the named counter (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .get(name)
-            .copied()
-            .or_else(|| self.slotted().iter().find(|(n, _)| n == name)?.1)
-            .unwrap_or(0)
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Iterates over all counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        let mut slotted: Vec<(&str, u64)> = self
-            .slotted()
-            .iter()
-            .filter_map(|(n, v)| Some((n.as_str(), (*v)?)))
-            .collect();
-        slotted.sort_unstable_by_key(|&(n, _)| n);
-        let mut slotted = slotted.into_iter().peekable();
-        let mut named = self
-            .counters
-            .iter()
-            .map(|(n, v)| (n.as_str(), *v))
-            .peekable();
-        std::iter::from_fn(move || match (named.peek(), slotted.peek()) {
-            (Some(a), Some(b)) if b.0 < a.0 => slotted.next(),
-            (Some(_), _) => named.next(),
-            (None, _) => slotted.next(),
-        })
+        self.counters.iter().map(|(n, v)| (n.as_str(), *v))
     }
 }
 
@@ -158,31 +89,6 @@ mod tests {
         // Same map, same key allocation: the second touch built no key.
         assert_eq!(keys(&m), before);
         assert_eq!(m.counter("x"), 2);
-    }
-
-    #[test]
-    fn a_resolved_slot_bumps_the_named_counter_and_exists_only_once_bumped() {
-        let mut m = Metrics::new();
-        m.incr("b");
-        let slot = m.counter_slot("a");
-        assert_eq!(m.counter_slot("a"), slot, "resolving twice finds one slot");
-        assert_eq!(m.counter("a"), 0);
-        assert_eq!(m.counters().collect::<Vec<_>>(), vec![("b", 1)]);
-        m.add_at(slot, 2);
-        m.incr("a");
-        assert_eq!(m.counter("a"), 3);
-        m.incr("c");
-        assert_eq!(
-            m.counters().collect::<Vec<_>>(),
-            vec![("a", 3), ("b", 1), ("c", 1)]
-        );
-        // A counter bumped by name keeps its value when resolved.
-        let b = m.counter_slot("b");
-        m.add_at(b, 1);
-        assert_eq!(
-            m.counters().collect::<Vec<_>>(),
-            vec![("a", 3), ("b", 2), ("c", 1)]
-        );
     }
 
     #[test]

@@ -592,6 +592,22 @@ impl SpanKind {
     /// The code of [`NodeRestarted`](SpanKind::NodeRestarted).
     pub const RESTART: u8 = 8;
 
+    /// The executed engine event this span records, as one of the five
+    /// codes above and the actor it ran (0 for a node's crash or restart);
+    /// `None` for every other kind. The engine accounts exactly these into its timeline and
+    /// flight ring, from the span it emits, so both replay from the log.
+    #[inline]
+    pub const fn executed(&self) -> Option<(u8, u64)> {
+        Some(match *self {
+            SpanKind::MsgDelivered { dst, .. } => (SpanKind::DELIVERED, dst as u64),
+            SpanKind::MsgDeadLetter { dst, .. } => (SpanKind::DEAD_LETTER, dst as u64),
+            SpanKind::TimerFired { actor, .. } => (SpanKind::TIMER, actor as u64),
+            SpanKind::NodeCrashed { .. } => (SpanKind::CRASH, 0),
+            SpanKind::NodeRestarted { .. } => (SpanKind::RESTART, 0),
+            _ => return None,
+        })
+    }
+
     /// A stable integer code identifying the variant (digest, exporters).
     pub const fn code(&self) -> u64 {
         match self {

@@ -153,7 +153,6 @@ impl LegionObject for BindingAgent {
         Served::Reply(match op {
             BindingOp::RegisterBinding(reg) => {
                 self.bindings.insert(reg.object, reg.address);
-                ctx.metrics().incr("binding.registered");
                 if ctx.tracing_enabled() {
                     ctx.emit_span(SpanKind::BindingRegistered {
                         object: reg.object.as_raw(),
@@ -173,8 +172,6 @@ impl LegionObject for BindingAgent {
             }
             BindingOp::InvalidateBindings(inv) => {
                 let removed = self.invalidate_addresses(&inv.addresses);
-                ctx.metrics()
-                    .add("binding.invalidated", removed.len() as u64);
                 if ctx.tracing_enabled() {
                     for object in &removed {
                         ctx.emit_span(SpanKind::BindingInvalidated {
@@ -186,7 +183,6 @@ impl LegionObject for BindingAgent {
             }
             BindingOp::QueryBinding(query) => {
                 self.queries_served += 1;
-                ctx.metrics().incr("binding.queries");
                 Msg::control_ok(
                     call,
                     BindingResult {

@@ -190,8 +190,6 @@ struct Plan {
     steps: &'static [Step],
     /// What the operation needs the vault for; without one it is refused.
     vault_use: Option<&'static str>,
-    /// Counter bumped when the operation is admitted.
-    counter: Option<&'static str>,
 }
 
 impl OpKind {
@@ -217,31 +215,26 @@ impl OpKind {
                 trace: FlowKind::ClassCreate,
                 steps: &[Download, Spawn, Register],
                 vault_use: None,
-                counter: None,
             },
             OpKind::Evolve => Plan {
                 trace: FlowKind::ClassEvolve,
                 steps: REPLACE,
                 vault_use: None,
-                counter: None,
             },
             OpKind::Migrate => Plan {
                 trace: FlowKind::ClassMigrate,
                 steps: REPLACE,
                 vault_use: None,
-                counter: None,
             },
             OpKind::Checkpoint => Plan {
                 trace: FlowKind::ClassCheckpoint,
                 steps: &[Capture, CaptureCost, SaveVault],
                 vault_use: Some("checkpoint into"),
-                counter: None,
             },
             OpKind::Reactivate => Plan {
                 trace: FlowKind::ClassReactivate,
                 steps: &[Download, Spawn, LoadVault, RestoreCost, Restore, Register],
                 vault_use: Some("reactivate from"),
-                counter: Some("class.reactivations_started"),
             },
         }
     }
@@ -400,9 +393,6 @@ impl ClassObject {
             },
             held: Held::default(),
         });
-        if let (Ok(_), Some(counter)) = (&admitted, plan.counter) {
-            ctx.metrics().incr(counter);
-        }
         self.open_flow(ctx, kind, Some((reply_to, call)), object, admitted);
     }
 }
@@ -434,11 +424,7 @@ impl PlanOwner<OpKind, Target> for ClassObject {
         let image = &self.images[&target.version];
         let state_len = |held: &Held| held.state.as_ref().expect("state held").len() as u64;
         let delay = match step {
-            Step::Download => {
-                let delay = self.cost.transfer.transfer_time(image.size_bytes());
-                ctx.metrics().incr("class.executable_downloads");
-                delay
-            }
+            Step::Download => self.cost.transfer.transfer_time(image.size_bytes()),
             Step::Spawn => self.cost.process_creation(image.functions().len()),
             Step::CaptureCost => self.cost.state_capture(state_len(&target.held)),
             Step::RestoreCost => self.cost.state_restore(state_len(&target.held)),
@@ -477,7 +463,6 @@ impl PlanOwner<OpKind, Target> for ClassObject {
                 let rpc = RpcClient::new(self.agent, self.cost.clone());
                 let process = MonolithicObject::new(flow.object, image, &self.cost, rpc);
                 let actor = ctx.spawn(target.node, Box::new(process));
-                ctx.metrics().incr("class.processes_created");
                 target.held.new_actor = Some(actor);
             }
             Step::CaptureCost | Step::RestoreCost => {}
@@ -519,7 +504,6 @@ impl PlanOwner<OpKind, Target> for ClassObject {
     }
 
     fn fail(&mut self, ctx: &mut Ctx<'_, Msg>, flow: ClassFlow, why: String) {
-        ctx.metrics().incr("class.ops_failed");
         answer(ctx, flow.reply, |call| Msg::refused(call, why));
     }
 }

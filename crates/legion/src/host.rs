@@ -144,7 +144,7 @@ impl LegionObject for HostObject {
 
     fn control(
         &mut self,
-        ctx: &mut Ctx<'_, Msg>,
+        _: &mut Ctx<'_, Msg>,
         _: ActorId,
         call: CallId,
         op: HostOp<'_>,
@@ -152,7 +152,6 @@ impl LegionObject for HostObject {
         Served::Reply(match op {
             HostOp::StoreComponentData(store) => {
                 self.store_component(Rc::clone(&store.binary));
-                ctx.metrics().incr("host.components_stored");
                 Msg::control_ok(call, Ack)
             }
             HostOp::FetchComponentData(fetch) => Msg::control_ok(

@@ -352,7 +352,6 @@ impl ObjectRuntime {
         };
         let err = entry.thread.abort(resolver, reason);
         self.finish_thread(ctx, entry.thread);
-        ctx.metrics().incr("object.threads_aborted");
         ctx.send(
             entry.reply_to,
             Msg::Reply {
@@ -399,7 +398,6 @@ impl ObjectRuntime {
             }
             Err(err) => {
                 self.spare.push(thread);
-                ctx.metrics().incr("object.invoke_rejected");
                 ctx.send(
                     from,
                     Msg::Reply {
@@ -446,7 +444,6 @@ impl ObjectRuntime {
             RunOutcome::Faulted(err) => {
                 let entry = self.threads.remove(&token).expect("thread exists");
                 self.finish_thread(ctx, entry.thread);
-                ctx.metrics().incr("object.threads_faulted");
                 self.defer(
                     ctx,
                     consumed,

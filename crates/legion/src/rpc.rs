@@ -23,9 +23,7 @@
 //! A reply of [`InvocationFault::NoSuchObject`] (the address is alive but
 //! hosts someone else) short-circuits straight to rebinding.
 
-use dcdo_sim::{
-    ActorId, CounterSlot, Ctx, IdMap, RpcOutcome, SimDuration, SimTime, SpanKind, TimerId,
-};
+use dcdo_sim::{ActorId, Ctx, IdMap, RpcOutcome, SimDuration, SimTime, SpanKind, TimerId};
 use dcdo_types::{CallId, FunctionName, ObjectId};
 use dcdo_vm::Value;
 
@@ -153,9 +151,6 @@ pub struct RpcClient {
     pending: IdMap<u64, Pending>,
     // binding-query call raw -> original call raw
     binding_queries: IdMap<u64, u64>,
-    /// `rpc.completed`, resolved in the world's metrics at the first
-    /// completion: every later one bumps it by index.
-    completed: Option<CounterSlot>,
 }
 
 impl RpcClient {
@@ -171,7 +166,6 @@ impl RpcClient {
             cache,
             pending: IdMap::default(),
             binding_queries: IdMap::default(),
-            completed: None,
         }
     }
 
@@ -466,7 +460,6 @@ impl RpcClient {
                     self.send_attempt(ctx, call, &mut pending, address);
                 } else {
                     // Give up on the cached binding; consult the agent.
-                    ctx.metrics().incr("rpc.stale_binding_discovered");
                     self.cache.remove(&pending.target);
                     if ctx.tracing_enabled() {
                         ctx.emit_span(SpanKind::BindingInvalidated {
@@ -546,13 +539,6 @@ impl RpcClient {
         result: Result<ReplyPayload, InvocationFault>,
     ) -> RpcCompletion {
         let elapsed = ctx.now().duration_since(pending.started);
-        let completed = *self
-            .completed
-            .get_or_insert_with(|| ctx.metrics().counter_slot("rpc.completed"));
-        ctx.metrics().add_at(completed, 1);
-        if result.is_err() {
-            ctx.metrics().incr("rpc.faulted");
-        }
         if ctx.tracing_enabled() {
             let outcome = match &result {
                 Ok(_) => RpcOutcome::Ok,

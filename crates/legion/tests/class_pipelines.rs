@@ -354,7 +354,7 @@ migrate ok 4308807762
 checkpoint refused 40000
 reactivate refused 40000
 evolve-unknown refused 40000
-counters binding.queries=3 binding.registered=4 class.executable_downloads=3 class.processes_created=4 rpc.completed=21 rpc.faulted=3 sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0
+counters sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0
 events 66
 spans 0150d38a8c6d80a7
 vault=false seed=42
@@ -366,7 +366,7 @@ migrate ok 4308853906
 checkpoint refused 40000
 reactivate refused 40000
 evolve-unknown refused 40000
-counters binding.queries=3 binding.registered=4 class.executable_downloads=3 class.processes_created=4 rpc.completed=21 rpc.faulted=3 sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0
+counters sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0
 events 66
 spans 913a1888b0744186
 vault=true seed=3
@@ -378,7 +378,7 @@ migrate ok 4308860904
 checkpoint ok 1089182
 reactivate ok 4307237557
 evolve-unknown refused 40000
-counters binding.queries=4 binding.registered=5 class.executable_downloads=4 class.processes_created=5 class.reactivations_started=1 rpc.completed=30 rpc.faulted=1 sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0 vault.loads=3 vault.saves=3
+counters sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0 vault.loads=3 vault.saves=3
 events 92
 spans b0914fc1675b3710
 vault=true seed=42
@@ -390,7 +390,7 @@ migrate ok 4308951321
 checkpoint ok 1105631
 reactivate ok 4307204788
 evolve-unknown refused 40000
-counters binding.queries=4 binding.registered=5 class.executable_downloads=4 class.processes_created=5 class.reactivations_started=1 rpc.completed=30 rpc.faulted=1 sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0 vault.loads=3 vault.saves=3
+counters sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0 vault.loads=3 vault.saves=3
 events 92
 spans 7928d95098d74a59
 ";
