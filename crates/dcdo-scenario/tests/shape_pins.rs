@@ -125,15 +125,15 @@ type Pins = [(&'static str, [u64; 7]); 4];
 const PINS: Pins = [
     (
         "calls_steady",
-        [337, 96, 9994545, 10, 5009603, 18044, 63145],
+        [326, 96, 9994166, 10, 5009224, 18044, 63145],
     ),
     (
         "reconfig_churn",
-        [9025, 158, 6964715, 8, 2669953, 7653, 25734],
+        [9009, 158, 6961828, 8, 2668666, 7653, 25734],
     ),
     (
         "mixed_traffic_x50",
-        [5843, 141, 6652388, 9, 2761454, 8573, 29234],
+        [5826, 141, 6650365, 9, 2760151, 8573, 29234],
     ),
     (
         "upgrade_crash_long",
@@ -145,15 +145,15 @@ const PINS: Pins = [
 const PINS_FULL: Pins = [
     (
         "calls_steady",
-        [342, 118, 141723401, 23, 71590124, 180044, 630145],
+        [331, 118, 141723022, 23, 71589745, 180044, 630145],
     ),
     (
         "reconfig_churn",
-        [86069, 378, 62115691, 36, 23148209, 76734, 257640],
+        [86052, 378, 62098260, 36, 23146906, 76734, 257640],
     ),
     (
         "mixed_traffic_x50",
-        [58962, 267, 86051500, 29, 37240336, 87239, 297061],
+        [58945, 267, 86042357, 29, 37239033, 87239, 297061],
     ),
     (
         "upgrade_crash_long",
