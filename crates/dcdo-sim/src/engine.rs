@@ -865,9 +865,7 @@ impl<M: Payload> Simulation<M> {
     /// the log.
     #[inline]
     fn emit_event(&mut self, node: u32, parent: Option<SpanId>, kind: SpanKind) -> Option<SpanId> {
-        if let Some((code, actor)) = kind.executed() {
-            self.observe(code, node, actor);
-        }
+        let executed = kind.executed();
         let structural = match TraceEvent::of_span(&kind) {
             Some(event) => {
                 if self.trace.is_enabled() {
@@ -880,6 +878,9 @@ impl<M: Payload> Simulation<M> {
         let id = self.span_emit(node, parent, kind);
         if structural && id.is_some() {
             self.structural_spans += 1;
+        }
+        if let Some((code, actor)) = executed {
+            self.observe(code, node, actor);
         }
         id
     }
