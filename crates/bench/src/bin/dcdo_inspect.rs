@@ -1,4 +1,4 @@
-//! Trace inspector: runs a named workload or chaos scenario with full
+//! Trace inspector: runs any declared scenario or `.scn` file with full
 //! tracing, feeds the span log through the `dcdo-profile` analyzers, and
 //! prints the paper-style tables — per-kind reconfiguration costs, the
 //! longest critical path with its per-layer split, the VM hot-function
@@ -9,16 +9,18 @@
 //!
 //! ```text
 //! cargo run --release -p dcdo-bench --bin dcdo-inspect -- \
-//!     [vm] <workload> [seed] [--out PREFIX]
+//!     [vm] <scenario|file.scn> [seed] [--out PREFIX]
 //! ```
 //!
-//! Workloads: reconfig, reconfig_faulted, crash_during_reconfig (the
-//! `reconfig_run` driver with its layer map), rolling_partition,
-//! restart_storm (the declared scenarios, profiled with an empty layer
-//! map). Seed defaults to 42; output defaults to BENCH_profile.json /
+//! `reconfig`, `reconfig_faulted` and `crash_during_reconfig` run the
+//! `reconfig_run` driver and profile it with its layer map. Any other name
+//! is a declared scenario or a `.scn` file, run through the `dcdo-scenario`
+//! runner and profiled with an empty layer map (everything attributes to
+//! `other`/`network`), which still shows the traffic and RPC shape. Seed
+//! defaults to 42; output defaults to BENCH_profile.json /
 //! BENCH_profile.prom.
 //!
-//! The `vm` subcommand (`dcdo-inspect vm <workload> …`) runs the same
+//! The `vm` subcommand (`dcdo-inspect vm <scenario> …`) runs the same
 //! scenario and then reports the VM's view of it from the world's
 //! `VmTotals` (`ReconfigRun::vm_totals`, `RunArtifacts::vm`): the
 //! per-function cost table, the per-opcode retirement table (in
@@ -61,23 +63,17 @@ use dcdo_sim::{JsonWriter, TraceLog};
 use dcdo_vm::{VmProfile, VmTotals, OPCODE_NAMES};
 use dcdo_workloads::reconfig;
 
-const WORKLOADS: &[&str] = &[
-    "reconfig",
-    "reconfig_faulted",
-    "crash_during_reconfig",
-    "rolling_partition",
-    "restart_storm",
-];
-
 fn usage() -> ! {
-    eprintln!("usage: dcdo-inspect [vm] <workload> [seed] [--out PREFIX]");
+    eprintln!("usage: dcdo-inspect [vm] <scenario|file.scn> [seed] [--out PREFIX]");
     eprintln!("       dcdo-inspect scenarios");
     eprintln!("       dcdo-inspect scenario <name|file.scn|all> [seed] [--out FILE] [--phases]");
     eprintln!("       dcdo-inspect epochs <name|file.scn> [seed]");
     eprintln!("       dcdo-inspect timeline <name|file.scn> [seed] [--out FILE]");
     eprintln!("       dcdo-inspect flight <name|file.scn> [seed] [--out FILE]");
     eprintln!("       dcdo-inspect trace <name|file.scn> [seed] [--out FILE]");
-    eprintln!("workloads: {}", WORKLOADS.join(", "));
+    eprintln!("profile (no subcommand): run a scenario and print its cost table,");
+    eprintln!("    critical path, flow steps, VM and RPC views; reconfig,");
+    eprintln!("    reconfig_faulted and crash_during_reconfig use reconfig_run's layer map");
     eprintln!("vm: print the VM per-function/per-opcode cost tables and");
     eprintln!("    superinstruction coverage for the scenario");
     eprintln!("scenarios: list the declared scenarios the runner knows");
@@ -431,8 +427,8 @@ fn print_timeline_table(timeline: &dcdo_sim::Timeline) {
     }
 }
 
-/// Runs `name` and returns its profile together with the world's VM
-/// totals.
+/// Runs `name` (a declared scenario or a `.scn` file) and returns its
+/// profile together with the world's VM totals.
 fn run_workload(name: &str, seed: u64) -> (ProfileReport, VmTotals) {
     match name {
         "reconfig" | "reconfig_faulted" | "crash_during_reconfig" => {
@@ -441,21 +437,24 @@ fn run_workload(name: &str, seed: u64) -> (ProfileReport, VmTotals) {
                 // The declared scenario's episode drains the queue.
                 run.bed.sim.run_until_idle();
             }
-            if run.recovery_time_s > 0.0 {
-                println!("recovery after injected crash: {:.3}s", run.recovery_time_s);
+            if run.drive.recovery_time_s > 0.0 {
+                println!(
+                    "recovery after injected crash: {:.3}s",
+                    run.drive.recovery_time_s
+                );
             }
-            println!("reconfiguration window: {} messages", run.window_messages);
+            println!(
+                "reconfiguration window: {} messages",
+                run.drive.window_messages
+            );
             (run.profile(), run.vm_totals())
         }
-        // The ring scenarios have no manager or vault, so their profile
-        // carries an empty layer map (everything attributes to
-        // `other`/`network`) and surfaces traffic and RPC shape.
         _ => {
-            let scenario = dcdo_scenario::registry::load_declared(name)
-                .unwrap_or_else(|| usage())
-                .with_seed(seed);
-            let artifacts = dcdo_scenario::run_artifacts(scenario, None)
-                .expect("declared scenarios validate at any seed");
+            let scenario = scenario_targets(name).remove(0).with_seed(seed);
+            let artifacts = dcdo_scenario::run_artifacts(scenario, None).unwrap_or_else(|e| {
+                eprintln!("dcdo-inspect: scenario {name} is invalid: {e}");
+                std::process::exit(2);
+            });
             print!("{}", artifacts.report.render());
             let report = ProfileReport::analyze(
                 &TraceLog::from_events(artifacts.spans, artifacts.span_groups),
@@ -694,7 +693,7 @@ fn main() {
         }
         _ => {}
     }
-    // The profile path (`[vm] <workload> [seed]`) shares the same flag
+    // The profile path (`[vm] <scenario> [seed]`) shares the same flag
     // parser as every subcommand.
     let cli = parse_cli(&args);
     let mut positionals = cli.positionals.as_slice();
@@ -713,7 +712,7 @@ fn main() {
         usage();
     }
     let out_prefix = cli.out.unwrap_or_else(|| "BENCH_profile".to_string());
-    if !WORKLOADS.contains(&workload.as_str()) {
+    if workload == "all" {
         usage();
     }
 

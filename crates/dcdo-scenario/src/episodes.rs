@@ -1,26 +1,27 @@
-//! Episode workloads: complete, self-contained canonical runs re-expressed
-//! as scenario declarations.
+//! The workloads that wrap `dcdo-workloads`' canonical drivers, run on the
+//! world the runner built from the scenario's `topology` line.
 //!
-//! An episode builds its own world, drives it to completion, and installs
-//! the finished world into the run context; the scenario layer contributes
-//! validation, expectations, and the report. The episodes here wrap the
-//! PR 3–5 canonical drivers — the reconfiguration workflow
-//! (`dcdo_workloads::reconfig::reconfig_run`) and the sim-bench shapes —
-//! and reproduce their golden trace hashes byte-for-byte (asserted by the
-//! `golden_parity` suite).
+//! [`ReconfigEpisode`] is an episode: inside a `window episode` it drives
+//! the reconfiguration workflow (`dcdo_workloads::reconfig::reconfig_drive`)
+//! to its end on the runner's 16-node centurion testbed. [`SimBench`] is a
+//! setup-only workload: it spawns one engine shape (`dcdo_workloads::simbench`)
+//! into the runner's bare simulation and posts its kick, and the timed
+//! window runs it. The `golden_parity` suite compares both with direct runs
+//! of the same drivers.
 
 use dcdo_workloads::{reconfig, simbench};
 
-use crate::topology::{Infra, World};
+use crate::error::ScenarioError;
+use crate::topology::{Infra, Topology};
 use crate::workload::{RunCx, ServiceHandles, Workload};
 
 /// The canonical reconfiguration workflow: a counter service evolved to a
-/// padded replacement `step` component on a 16-node testbed, optionally
+/// padded replacement `step` component on the 16-node testbed, optionally
 /// with the instance's host crashed mid-evolution.
 ///
-/// The faulted variant first runs a healthy same-seed baseline and records
-/// `reconfig.amplification` (faulted window messages over baseline) and
-/// `reconfig.recovery_s` gauges.
+/// The faulted variant first runs a healthy same-seed baseline on a testbed
+/// of its own and records `reconfig.amplification` (faulted window messages
+/// over baseline) and `reconfig.recovery_s` gauges.
 pub struct ReconfigEpisode {
     faulted: bool,
 }
@@ -42,54 +43,50 @@ impl Workload for ReconfigEpisode {
     }
 
     fn needs(&self) -> Infra {
-        Infra::Episode
+        Infra::Legion
+    }
+
+    fn has_episode(&self) -> bool {
+        true
     }
 
     fn episode(&mut self, cx: &mut RunCx) {
-        if self.faulted {
-            let baseline = reconfig::reconfig_run(cx.seed, false);
-            let mut run = reconfig::reconfig_run(cx.seed, true);
-            run.bed.sim.run_until_idle();
+        // The baseline runs before the faulted drive, as it always has:
+        // `next_generation`'s process-wide counter sees the order.
+        let baseline = self
+            .faulted
+            .then(|| reconfig::reconfig_run(cx.seed, false).drive.window_messages);
+        let bed = cx.world.testbed_mut().expect("validated: a legion world");
+        let drive = reconfig::reconfig_drive(bed, self.faulted);
+        let client_node = bed.nodes[15];
+        if let Some(baseline) = baseline {
             cx.gauge(
                 "reconfig.amplification",
-                run.window_messages as f64 / baseline.window_messages.max(1) as f64,
+                drive.window_messages as f64 / baseline.max(1) as f64,
             );
-            cx.gauge("reconfig.recovery_s", run.recovery_time_s);
-            cx.add("reconfig.window_messages", run.window_messages);
-            cx.service = Some(handles_of(&run));
-            cx.world = World::Legion(run.bed);
-        } else {
-            let mut run = reconfig::reconfig_run(cx.seed, false);
-            run.bed.sim.run_until_idle();
-            cx.add("reconfig.window_messages", run.window_messages);
-            cx.service = Some(handles_of(&run));
-            cx.world = World::Legion(run.bed);
+            cx.gauge("reconfig.recovery_s", drive.recovery_time_s);
         }
+        cx.add("reconfig.window_messages", drive.window_messages);
+        cx.service = Some(ServiceHandles {
+            manager: drive.manager_object,
+            manager_actor: drive.manager_actor,
+            client: drive.client,
+            client_node,
+            dcdo: drive.dcdo,
+            dcdo_node: drive.dcdo_node,
+        });
     }
 }
 
-fn handles_of(run: &reconfig::ReconfigRun) -> ServiceHandles {
-    ServiceHandles {
-        manager: run.manager_object,
-        manager_actor: run.manager_actor,
-        client: run.client,
-        client_node: run.bed.nodes[15],
-        dcdo: run.dcdo,
-        dcdo_node: run.dcdo_node,
-    }
-}
-
-/// Which sim-bench shape a [`SimBenchEpisode`] runs, at the canonical
+/// Which engine shape a [`SimBench`] workload spawns, at the canonical
 /// parameters the trace-invariant suite pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Shape {
-    /// Two actors ping-ponging 200 rounds on the calibrated network.
+    /// Two actors ping-ponging 200 rounds (on nodes 0 and 1).
     PingPong,
-    /// A hub bursting to 8 spokes for 20 rounds on the instant network.
+    /// A hub bursting to 8 spokes for 20 rounds (over nodes 0–15).
     FanOut,
-    /// The wide fan-out variant (48 spokes, 12 rounds).
-    FanOutWide,
-    /// Ownership-transfer chains: 4 rounds over 6 sinks.
+    /// Ownership-transfer chains: 4 rounds over 6 sinks (over nodes 0–15).
     TransferHeavy,
 }
 
@@ -99,7 +96,6 @@ impl Shape {
         match self {
             Shape::PingPong => "ping_pong",
             Shape::FanOut => "fan_out",
-            Shape::FanOutWide => "fan_out_wide",
             Shape::TransferHeavy => "transfer_heavy",
         }
     }
@@ -109,47 +105,59 @@ impl Shape {
         match name {
             "ping_pong" => Some(Shape::PingPong),
             "fan_out" => Some(Shape::FanOut),
-            "fan_out_wide" => Some(Shape::FanOutWide),
             "transfer_heavy" => Some(Shape::TransferHeavy),
             _ => None,
         }
     }
-}
 
-/// One sim-bench shape run to completion with tracing enabled. The shapes
-/// pin their own internal seeds (the bench suite's golden digests depend
-/// on them), so the scenario seed is not consulted.
-pub struct SimBenchEpisode {
-    shape: Shape,
-}
-
-impl SimBenchEpisode {
-    /// An episode running `shape` at its canonical parameters.
-    pub fn new(shape: Shape) -> Self {
-        SimBenchEpisode { shape }
+    /// How many nodes the shape places actors on.
+    fn nodes(&self) -> u32 {
+        match self {
+            Shape::PingPong => 2,
+            Shape::FanOut | Shape::TransferHeavy => 16,
+        }
     }
 }
 
-impl Workload for SimBenchEpisode {
+/// One engine shape, spawned into the runner's simulation at setup with its
+/// kick posted; a timed window runs it. The network and the seed are the
+/// topology's and the scenario's.
+pub struct SimBench {
+    shape: Shape,
+}
+
+impl SimBench {
+    /// A workload spawning `shape` at its canonical parameters.
+    pub fn new(shape: Shape) -> Self {
+        SimBench { shape }
+    }
+}
+
+impl Workload for SimBench {
     fn name(&self) -> &str {
         self.shape.name()
     }
 
-    fn needs(&self) -> Infra {
-        Infra::Episode
+    fn check(&self, topology: &Topology) -> Result<(), ScenarioError> {
+        if topology.nodes < self.shape.nodes() {
+            return Err(ScenarioError::BadParam {
+                context: format!("workload simbench shape={}", self.shape.name()),
+                msg: format!(
+                    "the shape places actors on {} nodes, the topology has {}",
+                    self.shape.nodes(),
+                    topology.nodes
+                ),
+            });
+        }
+        Ok(())
     }
 
-    fn episode(&mut self, cx: &mut RunCx) {
-        let (mut sim, budget) = match self.shape {
-            Shape::PingPong => simbench::ping_pong_sim(200),
-            Shape::FanOut => simbench::fan_out_sim(20, 8, 16),
-            Shape::FanOutWide => simbench::fan_out_wide_sim(12, 48, 16),
-            Shape::TransferHeavy => simbench::transfer_heavy_sim(4, 6),
+    fn setup(&mut self, cx: &mut RunCx) {
+        let sim = cx.world.sim_mut().expect("a built world");
+        match self.shape {
+            Shape::PingPong => simbench::ping_pong(sim, 200),
+            Shape::FanOut => simbench::fan_out(sim, 20, 8, 16),
+            Shape::TransferHeavy => simbench::transfer_heavy(sim, 4, 6),
         };
-        sim.spans_mut().enable();
-        sim.run_with_budget(budget);
-        sim.run_until_idle();
-        cx.add("simbench.budget", budget);
-        cx.world = World::Bare(sim);
     }
 }

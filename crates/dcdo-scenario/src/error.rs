@@ -54,9 +54,9 @@ pub enum ScenarioError {
         /// When the workload's schedule fires its last step.
         schedule_end: SimDuration,
     },
-    /// An `episode` window on a non-episode topology, or an episode
-    /// topology with a non-episode window: episodes build their own world,
-    /// so the two declarations must agree.
+    /// An episode workload outside an `episode` window, or an `episode`
+    /// window with a workload that has no episode: the window runs episode
+    /// hooks and nothing else.
     EpisodeMismatch {
         /// The offending scenario's name.
         scenario: String,
@@ -67,7 +67,7 @@ pub enum ScenarioError {
     WorldMismatch {
         /// The workload that cannot run.
         workload: String,
-        /// What it needs, in words (`"legion"`, `"episode"`).
+        /// What it needs, in words (`"legion"`).
         needs: &'static str,
     },
     /// A workload drives the shared DCDO service (`calls`, `config_ops`,
@@ -146,7 +146,7 @@ impl fmt::Display for ScenarioError {
             ),
             ScenarioError::EpisodeMismatch { scenario } => write!(
                 f,
-                "scenario {scenario:?}: episode windows and episode topologies must be paired"
+                "scenario {scenario:?}: an episode window runs episode workloads and nothing else"
             ),
             ScenarioError::WorldMismatch { workload, needs } => {
                 write!(f, "workload {workload:?} needs a {needs} topology")

@@ -7,8 +7,8 @@
 //!
 //! - **Topologies describe.** A [`Topology`] is a description — node
 //!   count, network characteristics, infrastructure tier — that builds a
-//!   [`World`]: a bare simulation, a full Legion testbed, or a pending
-//!   world an episode workload installs.
+//!   [`World`]: a bare simulation or a full Legion testbed. It is the only
+//!   place a scenario's world comes from.
 //! - **Workloads drive.** A [`Workload`] is a trait object with
 //!   setup/step/episode/measure phases. Inside a tick window the runner
 //!   picks which workload steps by a **weighted draw from the engine's
@@ -93,7 +93,7 @@ mod workload;
 pub mod registry;
 pub mod shapes;
 
-pub use episodes::{ReconfigEpisode, Shape, SimBenchEpisode};
+pub use episodes::{ReconfigEpisode, Shape, SimBench};
 pub use error::ScenarioError;
 pub use expect::{
     CounterBound, Expectation, GaugeBound, MetricBound, MixConverged, NoLeakedEvents,

@@ -20,7 +20,7 @@
 //! - `scenario <name>` — required, names the scenario.
 //! - `seed <u64>` — default seed (overridable via
 //!   [`Scenario::with_seed`](crate::Scenario::with_seed)).
-//! - `topology <bare|legion|episode> [nodes=N] [net=instant|centurion]`
+//! - `topology <bare|legion> nodes=N [net=instant|centurion]`
 //! - `window <ticks=N | secs=F | episode>`
 //! - `workload <name> [weight=N] [key=value | token ...]` — the remaining
 //!   tokens go to the workload's registry factory.
@@ -180,12 +180,11 @@ fn err(line: usize, msg: &str) -> ScenarioError {
 
 fn parse_topology(line: usize, rest: &[&str]) -> Result<Topology, ScenarioError> {
     let Some((kind, args)) = rest.split_first() else {
-        return Err(err(line, "expected: topology <bare|legion|episode> [...]"));
+        return Err(err(line, "expected: topology <bare|legion> [...]"));
     };
     let infra = match *kind {
         "bare" => Infra::Bare,
         "legion" => Infra::Legion,
-        "episode" => Infra::Episode,
         other => return Err(err(line, &format!("unknown topology kind {other:?}"))),
     };
     let mut nodes: Option<u32> = None;
@@ -206,13 +205,7 @@ fn parse_topology(line: usize, rest: &[&str]) -> Result<Topology, ScenarioError>
             return Err(err(line, &format!("unknown topology arg {arg:?}")));
         }
     }
-    // Episode topologies describe the world the episode builds; 16 nodes
-    // (the canonical testbed) is the default description.
-    let nodes = match (nodes, infra) {
-        (Some(n), _) => n,
-        (None, Infra::Episode) => 16,
-        (None, _) => return Err(err(line, "topology needs nodes=N")),
-    };
+    let nodes = nodes.ok_or_else(|| err(line, "topology needs nodes=N"))?;
     Ok(Topology { nodes, net, infra })
 }
 
@@ -437,15 +430,5 @@ mod tests {
                 other => panic!("expected BadParam for {token:?}, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn episode_topology_defaults_to_sixteen_nodes() {
-        let decl = parse_scenario(
-            "scenario x\ntopology episode\nwindow episode\nworkload simbench shape=fan_out\n",
-        )
-        .expect("parses");
-        assert_eq!(decl.topology.nodes, 16);
-        assert_eq!(decl.topology.infra, Infra::Episode);
     }
 }

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::episodes::{ReconfigEpisode, Shape, SimBenchEpisode};
+use crate::episodes::{ReconfigEpisode, Shape, SimBench};
 use crate::error::ScenarioError;
 use crate::expect::{
     CounterBound, Expectation, GaugeBound, MetricBound, MixConverged, NoLeakedEvents,
@@ -159,7 +159,7 @@ impl Registry {
                 context: "workload simbench".to_string(),
                 msg: format!("unknown shape {shape:?}"),
             })?;
-            Ok(Box::new(SimBenchEpisode::new(shape)))
+            Ok(Box::new(SimBench::new(shape)))
         });
 
         r.register_expectation("trace_invariants", |_| Ok(Box::new(TraceInvariantsClean)));
@@ -427,11 +427,11 @@ expect slo_recovery 1.0
 ";
 
 /// `reconfig` — the canonical healthy reconfiguration workflow as an
-/// episode declaration.
+/// episode on the 16-node centurion testbed.
 pub const RECONFIG: &str = "\
 scenario reconfig
 seed 42
-topology episode nodes=16 net=centurion
+topology legion nodes=16 net=centurion
 window episode
 workload reconfig_episode
 expect trace_invariants
@@ -444,7 +444,7 @@ expect counter_at_least reconfig.window_messages 1
 pub const CRASH_DURING_RECONFIG: &str = "\
 scenario crash_during_reconfig
 seed 42
-topology episode nodes=16 net=centurion
+topology legion nodes=16 net=centurion
 window episode
 workload reconfig_episode faulted=true
 expect trace_invariants
@@ -454,7 +454,7 @@ expect gauge_above reconfig.amplification 1
 expect metric_equals sim.node_crashes 1
 ";
 
-/// `rolling_partition` — a genuine composition (not an episode): the ring
+/// `rolling_partition` — a genuine composition: the ring
 /// and the fault plan are independent declared workloads over a bare
 /// topology.
 pub const ROLLING_PARTITION: &str = "\
@@ -489,33 +489,35 @@ expect metric_equals sim.node_crashes 12
 expect gauge_above net.amplification 1
 ";
 
-/// `ping_pong` — the sim-bench ping-pong shape as an episode (the shapes
-/// pin their own internal seeds; the declared seed is not consulted).
+/// `ping_pong` — the ping-pong engine shape on a bare two-node world.
 pub const PING_PONG: &str = "\
 scenario ping_pong
-topology episode nodes=2 net=centurion
-window episode
+seed 17
+topology bare nodes=2 net=centurion
+window secs=1
 workload simbench shape=ping_pong
 expect trace_invariants
 expect no_leaks
 ";
 
-/// `fan_out` — the sim-bench fan-out burst shape as an episode.
+/// `fan_out` — the fan-out burst engine shape on a bare world with an
+/// instant network (every delivery lands at time zero).
 pub const FAN_OUT: &str = "\
 scenario fan_out
-topology episode nodes=16 net=instant
-window episode
+seed 19
+topology bare nodes=16 net=instant
+window secs=1
 workload simbench shape=fan_out
 expect trace_invariants
 expect no_leaks
 ";
 
-/// `transfer_heavy` — the ownership-transfer sim-bench shape as an
-/// episode.
+/// `transfer_heavy` — the ownership-transfer engine shape on a bare world.
 pub const TRANSFER_HEAVY: &str = "\
 scenario transfer_heavy
-topology episode nodes=16 net=centurion
-window episode
+seed 29
+topology bare nodes=16 net=centurion
+window secs=2
 workload simbench shape=transfer_heavy
 expect trace_invariants
 expect no_leaks

@@ -4,7 +4,8 @@
 //! digests, and gauges against the committed `BENCH_scenarios.json`):
 //!
 //! 1. [`Scenario::validate`] — typed rejection before any state exists.
-//! 2. Build the world from the topology (episodes stay pending).
+//! 2. Build the world from the topology ([`Topology::build`](crate::Topology::build),
+//!    the only place a scenario's world comes from).
 //! 3. Enable span logging (the legacy execution-trace ring stays off).
 //! 4. `setup` every workload in declaration order.
 //! 5. `capture` every expectation's baseline.
@@ -98,8 +99,10 @@ pub struct RunArtifacts {
     /// [`Timeline::to_prometheus`], which only a caller that writes the
     /// text pays for).
     pub timeline: Timeline,
-    /// The tail-sampled flight-recorder dump (`None` only when the
-    /// scenario never built a world).
+    /// The tail-sampled flight-recorder dump. Always `Some`: the `Option`
+    /// is kept only because `benchmark/src/traced.rs:550` reads it as one
+    /// and cannot be edited outside a change to the benchmark (ROADMAP.md
+    /// item 1 removes both).
     pub flight: Option<FlightDump>,
     /// `true` when any `slo_*` expectation failed — callers should persist
     /// the full-fidelity [`flight`](RunArtifacts::flight) dump.
@@ -362,9 +365,11 @@ pub fn run_artifacts_timed(
     let mut clock = Instant::now();
     scenario.validate()?;
     let mut cx = RunCx::new(scenario.seed, scenario.topology.build(scenario.seed));
-    if let Some(sim) = cx.world.sim_mut() {
-        sim.spans_mut().enable();
-    }
+    cx.world
+        .sim_mut()
+        .expect("a built world")
+        .spans_mut()
+        .enable();
     for slot in &mut scenario.workloads {
         slot.workload.setup(&mut cx);
     }
@@ -376,9 +381,7 @@ pub fn run_artifacts_timed(
     let mut ticks: Vec<(String, u64)> = Vec::new();
     match scenario.window {
         Window::Timed(d) => {
-            let sim = cx.world.sim_mut().expect("validated: built world");
-            sim.run_for(d);
-            sim.run_until_idle();
+            cx.world.sim_mut().expect("a built world").run_for(d);
         }
         Window::Ticks(n) => {
             // Weighted selection draws from the lane of the service's
@@ -397,7 +400,7 @@ pub fn run_artifacts_timed(
                 let mut draw = cx
                     .world
                     .sim_mut()
-                    .expect("validated: built world")
+                    .expect("a built world")
                     .rng_for(lane_node)
                     .range_u64(0, total);
                 let mut picked = 0;
@@ -411,10 +414,6 @@ pub fn run_artifacts_timed(
                 scenario.workloads[picked].workload.step(&mut cx, tick);
                 counts[picked] += 1;
             }
-            cx.world
-                .sim_mut()
-                .expect("validated: built world")
-                .run_until_idle();
             for (slot, &count) in scenario.workloads.iter().zip(&counts) {
                 if slot.weight == 0 {
                     continue;
@@ -437,6 +436,7 @@ pub fn run_artifacts_timed(
             }
         }
     }
+    cx.world.sim_mut().expect("a built world").run_until_idle();
     times.drive_s = lap(&mut clock);
 
     for slot in &mut scenario.workloads {
@@ -447,24 +447,14 @@ pub fn run_artifacts_timed(
     // The post-run sweep fills the timeline's derived series before the
     // judges read them, and its checker verdict replaces any read an
     // earlier hook made of the unfinished log.
-    let (trace_hash, span_digest, events_processed, leaked_events, trace_entries_dropped, flight) =
-        match cx.world.sim_mut() {
-            Some(sim) => {
-                let swept = post_run_sweep(sim);
-                cx.install_trace_violations(swept.violations);
-                let sim = cx.world.sim().expect("a built world");
-                (
-                    swept.trace_hash,
-                    swept.span_digest,
-                    sim.events_processed(),
-                    sim.pending_events() as u64,
-                    sim.structural_spans()
-                        .saturating_sub(TRACE_RING_CAPACITY as u64),
-                    Some(swept.flight),
-                )
-            }
-            None => (0, 0, 0, 0, 0, None),
-        };
+    let swept = post_run_sweep(cx.world.sim_mut().expect("a built world"));
+    cx.install_trace_violations(swept.violations);
+    let sim = cx.world.sim().expect("a built world");
+    let events_processed = sim.events_processed();
+    let leaked_events = sim.pending_events() as u64;
+    let trace_entries_dropped = sim
+        .structural_spans()
+        .saturating_sub(TRACE_RING_CAPACITY as u64);
     let trace_violations = cx.trace_violations().len() as u64;
     times.sweep_s = lap(&mut clock);
 
@@ -479,29 +469,22 @@ pub fn run_artifacts_timed(
         .count() as u64;
     times.judge_s = lap(&mut clock);
 
-    let timeline_json = cx
-        .world
-        .sim_mut()
-        .map_or_else(String::new, |sim| sim.timeline_mut().to_json());
+    let sim = cx.world.sim_mut().expect("a built world");
+    let timeline_json = sim.timeline_mut().to_json();
     times.render_s = lap(&mut clock);
     // Every reader of the span log has had its turn, so the artifacts take
     // the events and their group arena themselves.
-    let ((spans, span_groups), timeline, vm) = match cx.world.sim_mut() {
-        Some(sim) => (
-            sim.spans_mut().take_events(),
-            std::mem::take(sim.timeline_mut()),
-            std::mem::take(sim.totals_mut::<VmTotals>()),
-        ),
-        None => Default::default(),
-    };
+    let (spans, span_groups) = sim.spans_mut().take_events();
+    let timeline = std::mem::take(sim.timeline_mut());
+    let vm = std::mem::take(sim.totals_mut::<VmTotals>());
     let artifacts = RunArtifacts {
         report: ScenarioReport {
             name: scenario.name.clone(),
             seed: scenario.seed,
             passed: verdicts.iter().all(|v| v.passed),
-            trace_hash,
-            span_digest,
-            flight_digest: flight.as_ref().map_or(0, |f| f.ring_digest),
+            trace_hash: swept.trace_hash,
+            span_digest: swept.span_digest,
+            flight_digest: swept.flight.ring_digest,
             events_processed,
             leaked_events,
             trace_violations,
@@ -516,7 +499,7 @@ pub fn run_artifacts_timed(
         trace_entries_dropped,
         timeline_json,
         timeline,
-        flight,
+        flight: Some(swept.flight),
         slo_breached: slo_breaches > 0,
         vm,
     };
@@ -674,10 +657,23 @@ mod tests {
         trace_entries: usize,
     }
 
-    /// A zero-weight workload whose `measure` hook takes a [`Snapshot`].
+    /// A zero-weight workload whose `measure` hook takes a [`Snapshot`]
+    /// (an episode, with an empty hook, in an episode window).
     struct TakeSnapshot {
         infra: Infra,
+        episode: bool,
         out: Rc<RefCell<Option<Snapshot>>>,
+    }
+
+    impl TakeSnapshot {
+        /// A snapshot taker that fits into `scenario`.
+        fn fitting(scenario: &Scenario, out: Rc<RefCell<Option<Snapshot>>>) -> Self {
+            TakeSnapshot {
+                infra: scenario.topology.infra,
+                episode: scenario.window == Window::Episode,
+                out,
+            }
+        }
     }
 
     impl Workload for TakeSnapshot {
@@ -687,6 +683,10 @@ mod tests {
 
         fn needs(&self) -> Infra {
             self.infra
+        }
+
+        fn has_episode(&self) -> bool {
+            self.episode
         }
 
         fn measure(&mut self, cx: &mut RunCx) {
@@ -722,7 +722,7 @@ mod tests {
     #[test]
     fn a_runner_run_records_nothing_in_the_legacy_ring() {
         // The benchmark's shapes: every engine event kind, crashes too. The
-        // reconfiguration episodes: their direct-run driver builds the world.
+        // reconfiguration episodes: a driver that once built its own world.
         let shapes = shapes::NAMES.map(|name| {
             let text = shapes::generate(name, 42, 0.01).expect("a named shape");
             let scenario = Scenario::from_text(&text).expect("benchmark shape parses");
@@ -732,15 +732,8 @@ mod tests {
             .map(|name| (name, registry::load_declared(name).expect("declared")));
         for (name, scenario) in shapes.into_iter().chain(episodes) {
             let snapshot = Rc::new(RefCell::new(None));
-            let infra = scenario.topology.infra;
-            let scenario = extended(
-                scenario,
-                TakeSnapshot {
-                    infra,
-                    out: snapshot.clone(),
-                },
-                KeepVerdict(Rc::default()),
-            );
+            let take = TakeSnapshot::fitting(&scenario, snapshot.clone());
+            let scenario = extended(scenario, take, KeepVerdict(Rc::default()));
             run_artifacts(scenario, None).expect("valid scenario");
             let snapshot = snapshot.take().expect("measured");
             assert_eq!(snapshot.trace_entries, 0, "{name}");
@@ -771,15 +764,8 @@ mod tests {
                 let name = format!("{} seed {seed}", scenario.name);
                 let snapshot = Rc::new(RefCell::new(None));
                 let verdict = Rc::new(RefCell::new(Vec::new()));
-                let infra = scenario.topology.infra;
-                let scenario = extended(
-                    scenario,
-                    TakeSnapshot {
-                        infra,
-                        out: snapshot.clone(),
-                    },
-                    KeepVerdict(verdict.clone()),
-                );
+                let take = TakeSnapshot::fitting(&scenario, snapshot.clone());
+                let scenario = extended(scenario, take, KeepVerdict(verdict.clone()));
                 let artifacts = run_artifacts(scenario, None).expect("valid scenario");
                 let Snapshot {
                     log,

@@ -18,8 +18,12 @@ pub enum Window {
     /// Timer-driven workloads (rings, chaos plans) supply the traffic.
     Timed(SimDuration),
     /// A single self-contained episode: each workload's
-    /// [`Workload::episode`](crate::Workload::episode) hook runs once and
-    /// installs the finished world.
+    /// [`Workload::episode`](crate::Workload::episode) hook runs once on
+    /// the built world, then the queue drains. Only episode workloads
+    /// (`reconfig_episode`) run here. Once they become compositions, what
+    /// keeps the variant is `benchmark/src/replica.rs:275`, which names it
+    /// and cannot be edited outside a change to the benchmark (ROADMAP.md
+    /// item 1 removes both).
     Episode,
 }
 
@@ -130,8 +134,11 @@ impl Scenario {
             });
         }
         let episode_window = self.window == Window::Episode;
-        let episode_topology = self.topology.infra == Infra::Episode;
-        if episode_window != episode_topology {
+        if self
+            .workloads
+            .iter()
+            .any(|s| s.workload.has_episode() != episode_window)
+        {
             return Err(ScenarioError::EpisodeMismatch {
                 scenario: self.name.clone(),
             });
@@ -150,12 +157,7 @@ impl Scenario {
         let has_service = self.workloads.iter().any(|s| s.workload.provides_service());
         for slot in &self.workloads {
             let needs = slot.workload.needs();
-            let compatible = match needs {
-                Infra::Bare => self.topology.infra != Infra::Episode,
-                Infra::Legion => self.topology.infra == Infra::Legion,
-                Infra::Episode => self.topology.infra == Infra::Episode,
-            };
-            if !compatible {
+            if needs == Infra::Legion && self.topology.infra != Infra::Legion {
                 return Err(ScenarioError::WorldMismatch {
                     workload: slot.workload.name().to_string(),
                     needs: needs.name(),
@@ -231,7 +233,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Uses an episode window (pair with [`Topology::episode`]).
+    /// Uses an episode window (for episode workloads only).
     pub fn episode(mut self) -> Self {
         self.scenario.window = Window::Episode;
         self

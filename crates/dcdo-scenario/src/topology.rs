@@ -2,10 +2,10 @@
 //!
 //! A [`Topology`] is a *description* — node count, network characteristics,
 //! and which infrastructure tier to stand up — that [`Topology::build`]
-//! turns into a [`World`]: either a bare [`Simulation`] (rings, chaos), a
-//! full Legion [`Testbed`] (DCDO services, managers, vaults), or a pending
-//! placeholder that an episode workload fills in with a world it built and
-//! drove itself.
+//! turns into a [`World`]: either a bare [`Simulation`] (rings, chaos, the
+//! engine shapes) or a full Legion [`Testbed`] (DCDO services, managers,
+//! vaults). [`Topology::build`] is the only place a scenario's world comes
+//! from: every workload, episodes included, drives the world it built.
 
 use dcdo_sim::{NetConfig, Simulation};
 use legion_substrate::harness::Testbed;
@@ -47,18 +47,14 @@ pub enum Infra {
     /// A full Legion testbed: hosts, binding agent, vault, and context,
     /// ready for DCDO managers and services.
     Legion,
-    /// No world is built up front; a single episode workload constructs,
-    /// drives, and installs its own finished world.
-    Episode,
 }
 
 impl Infra {
-    /// The name used in scenario files (`topology bare|legion|episode`).
+    /// The name used in scenario files (`topology bare|legion`).
     pub fn name(&self) -> &'static str {
         match self {
             Infra::Bare => "bare",
             Infra::Legion => "legion",
-            Infra::Episode => "episode",
         }
     }
 }
@@ -67,7 +63,7 @@ impl Infra {
 /// which network, with which infrastructure tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
-    /// Number of simulated nodes (descriptive for [`Infra::Episode`]).
+    /// Number of simulated nodes.
     pub nodes: u32,
     /// Network characteristics.
     pub net: NetKind,
@@ -94,20 +90,7 @@ impl Topology {
         }
     }
 
-    /// An episode topology: `nodes`/`net` describe the world the episode
-    /// workload will build, for documentation and reports; nothing is
-    /// constructed up front.
-    pub fn episode(nodes: u32, net: NetKind) -> Self {
-        Topology {
-            nodes,
-            net,
-            infra: Infra::Episode,
-        }
-    }
-
-    /// Builds the world this topology describes. Episode topologies return
-    /// [`World::Pending`]; the episode workload installs the finished
-    /// world during its run.
+    /// Builds the world this topology describes.
     pub fn build(&self, seed: u64) -> World {
         match self.infra {
             Infra::Bare => World::Bare(Simulation::new(self.net.config(), seed)),
@@ -117,7 +100,6 @@ impl Topology {
                 self.net.config(),
                 seed,
             )),
-            Infra::Episode => World::Pending,
         }
     }
 }
@@ -127,8 +109,6 @@ impl Topology {
 // anyway; boxing the variants would only add indirection to every access.
 #[allow(clippy::large_enum_variant)]
 pub enum World {
-    /// Nothing built yet — an episode workload will install its world.
-    Pending,
     /// A bare simulator.
     Bare(Simulation<Msg>),
     /// A full Legion testbed.
@@ -136,20 +116,21 @@ pub enum World {
 }
 
 impl World {
-    /// The underlying simulator, whichever tier is built; `None` while
-    /// pending.
+    /// The underlying simulator, whichever tier is built. Always `Some`:
+    /// the `Option` is kept only because `benchmark/src/replica.rs` (lines
+    /// 183 and 218) unwraps it and cannot be edited outside a change to
+    /// the benchmark (ROADMAP.md item 1 removes both).
     pub fn sim(&self) -> Option<&Simulation<Msg>> {
         match self {
-            World::Pending => None,
             World::Bare(sim) => Some(sim),
             World::Legion(bed) => Some(&bed.sim),
         }
     }
 
-    /// Mutable access to the underlying simulator.
+    /// Mutable access to the underlying simulator. Always `Some`, for the
+    /// reason [`World::sim`] gives.
     pub fn sim_mut(&mut self) -> Option<&mut Simulation<Msg>> {
         match self {
-            World::Pending => None,
             World::Bare(sim) => Some(sim),
             World::Legion(bed) => Some(&mut bed.sim),
         }
@@ -159,7 +140,7 @@ impl World {
     pub fn testbed(&self) -> Option<&Testbed> {
         match self {
             World::Legion(bed) => Some(bed),
-            _ => None,
+            World::Bare(_) => None,
         }
     }
 
@@ -167,7 +148,7 @@ impl World {
     pub fn testbed_mut(&mut self) -> Option<&mut Testbed> {
         match self {
             World::Legion(bed) => Some(bed),
-            _ => None,
+            World::Bare(_) => None,
         }
     }
 }

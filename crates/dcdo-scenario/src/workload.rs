@@ -9,9 +9,9 @@
 //!   a tick window the runner picks which workload steps by a weighted
 //!   draw from the engine's per-lane deterministic RNG streams, so the
 //!   mix is a pure function of the seed.
-//! - [`episode`](Workload::episode) runs a complete self-contained
-//!   workload (the PR 3–5 canonical runs) and installs the finished world
-//!   into the context so expectations can judge it.
+//! - [`episode`](Workload::episode) drives a complete canonical run (the
+//!   reconfiguration workflow) to its end on the world the runner built,
+//!   inside an `episode` window.
 //! - [`measure`](Workload::measure) records workload-specific counters and
 //!   gauges after the window closes and the queue drains.
 //!
@@ -64,8 +64,7 @@ pub struct GroupHandles {
 pub struct RunCx {
     /// The scenario's RNG seed.
     pub seed: u64,
-    /// The built world (or [`World::Pending`] until an episode installs
-    /// one).
+    /// The world the runner built from the topology.
     pub world: World,
     /// Handles to a stood-up DCDO service, if a service workload built one.
     pub service: Option<ServiceHandles>,
@@ -96,8 +95,7 @@ impl RunCx {
         }
     }
 
-    /// Every trace-invariant violation in the world's span log (none when
-    /// no world was built). The scenario runner installs the verdict of its
+    /// Every trace-invariant violation in the world's span log. The scenario runner installs the verdict of its
     /// post-run sweep, which the expectations and the report then share. A
     /// read before that — from a workload's `measure`, an expectation's
     /// `capture`, or a caller judging without the runner — checks the log
@@ -166,11 +164,17 @@ pub trait Workload {
     fn name(&self) -> &str;
 
     /// Which infrastructure tier this workload needs; validated before the
-    /// world is built. [`Infra::Bare`] workloads run on any built world,
-    /// [`Infra::Legion`] workloads need the testbed, [`Infra::Episode`]
-    /// workloads need a pending world they install into.
+    /// world is built. [`Infra::Bare`] workloads run on any world,
+    /// [`Infra::Legion`] workloads need the testbed.
     fn needs(&self) -> Infra {
         Infra::Bare
+    }
+
+    /// `true` if this workload runs whole in its
+    /// [`episode`](Workload::episode) hook. Validation pairs such workloads
+    /// with an `episode` window, and that window with nothing else.
+    fn has_episode(&self) -> bool {
+        false
     }
 
     /// `true` if `setup` publishes the [`ServiceHandles`] the
@@ -204,8 +208,8 @@ pub trait Workload {
         let _ = (cx, tick);
     }
 
-    /// Runs a complete self-contained episode and installs the finished
-    /// world into `cx.world`.
+    /// Drives a complete episode on `cx.world`; the runner drains the
+    /// queue afterwards.
     fn episode(&mut self, cx: &mut RunCx) {
         let _ = cx;
     }

@@ -3,16 +3,22 @@
 //! pinned byte-for-byte by the committed `BENCH_scenarios.json` (the
 //! output of `dcdo-inspect scenario all`).
 //!
-//! The episode scenarios are additionally compared against direct runs of
-//! the drivers they wrap (`reconfig_run`, the `simbench` shapes), guarding
-//! the wiring between episode and runner.
+//! The scenarios that wrap `dcdo-workloads` drivers (`reconfig_run`, the
+//! `simbench` shapes) are additionally compared against direct runs of
+//! those drivers, guarding the wiring between workload and runner.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use dcdo_chaos::{trace_hash, SpanTraceHash};
 use dcdo_scenario::{
     registry, run, run_artifacts, Expectation, RunCx, Scenario, Verdict, TRACE_RING_CAPACITY,
 };
-use dcdo_sim::{fnv1a, Fnv1a, Fold, SimTime, SpanKind, Trace, TraceEvent, TraceLog};
+use dcdo_sim::{
+    fnv1a, Fnv1a, Fold, NetConfig, SimTime, Simulation, SpanEvent, SpanId, SpanKind, Trace,
+    TraceEvent, TraceLog,
+};
 use dcdo_workloads::{reconfig, simbench};
+use legion_substrate::Msg;
 
 /// The committed output of `dcdo-inspect scenario all`.
 const GOLDEN: &str = include_str!("../../../BENCH_scenarios.json");
@@ -66,52 +72,183 @@ fn reconfig_matches_direct_run() {
     let report = run(declared("reconfig")).expect("valid scenario");
     // reconfig_run leaves the legacy ring off: the direct run's hash is
     // folded from its span log, as the runner folds the report's.
-    let sim = &direct.bed.sim;
-    let mut ring = SpanTraceHash::new(sim.structural_spans(), TRACE_RING_CAPACITY);
-    for e in sim.spans().events() {
-        ring.observe(e);
-    }
-    assert_eq!(report.trace_hash, ring.finish());
-    assert_eq!(report.span_digest, sim.spans().digest());
+    let log = direct.bed.sim.spans();
+    assert_eq!(report.trace_hash, fold_structural(log));
+    assert_eq!(report.span_digest, log.digest());
     assert!(report.passed, "{}", report.render());
 }
 
-fn direct_simbench(
-    build: impl FnOnce() -> (dcdo_sim::Simulation<legion_substrate::Msg>, u64),
-) -> (u64, u64) {
-    let (mut sim, budget) = build();
-    sim.trace_mut().enable(1 << 18);
+/// Runs a shape directly: a simulation over `net` at `seed` with the ring
+/// and the span log on before `populate` spawns the first actor, then
+/// drained. Returns `(trace_hash, span_digest, events_processed)`.
+fn direct_shape(
+    net: NetConfig,
+    seed: u64,
+    populate: impl FnOnce(&mut Simulation<Msg>) -> u64,
+) -> (u64, u64, u64) {
+    let mut sim = Simulation::new(net, seed);
+    sim.trace_mut().enable(TRACE_RING_CAPACITY);
     sim.spans_mut().enable();
-    sim.run_with_budget(budget);
+    populate(&mut sim);
     sim.run_until_idle();
-    (trace_hash(sim.trace()), sim.spans().digest())
+    (
+        trace_hash(sim.trace()),
+        sim.spans().digest(),
+        sim.events_processed(),
+    )
+}
+
+/// The declared shape `name` reports what [`direct_shape`] gives.
+fn assert_matches_direct_run(name: &str, direct: (u64, u64, u64)) {
+    let report = run(declared(name)).expect("valid scenario");
+    let ran = (
+        report.trace_hash,
+        report.span_digest,
+        report.events_processed,
+    );
+    assert_eq!(ran, direct, "{name}");
+    assert!(report.passed, "{}", report.render());
 }
 
 #[test]
 fn ping_pong_matches_direct_run() {
-    let (hash, digest) = direct_simbench(|| simbench::ping_pong_sim(200));
-    let report = run(declared("ping_pong")).expect("valid scenario");
-    assert_eq!(report.trace_hash, hash);
-    assert_eq!(report.span_digest, digest);
-    assert!(report.passed, "{}", report.render());
+    let direct = direct_shape(NetConfig::centurion(), 17, |sim| {
+        simbench::ping_pong(sim, 200)
+    });
+    assert_matches_direct_run("ping_pong", direct);
 }
 
 #[test]
 fn fan_out_matches_direct_run() {
-    let (hash, digest) = direct_simbench(|| simbench::fan_out_sim(20, 8, 16));
-    let report = run(declared("fan_out")).expect("valid scenario");
-    assert_eq!(report.trace_hash, hash);
-    assert_eq!(report.span_digest, digest);
-    assert!(report.passed, "{}", report.render());
+    let direct = direct_shape(NetConfig::instant(), 19, |sim| {
+        simbench::fan_out(sim, 20, 8, 16)
+    });
+    assert_matches_direct_run("fan_out", direct);
 }
 
 #[test]
 fn transfer_heavy_matches_direct_run() {
-    let (hash, digest) = direct_simbench(|| simbench::transfer_heavy_sim(4, 6));
-    let report = run(declared("transfer_heavy")).expect("valid scenario");
-    assert_eq!(report.trace_hash, hash);
-    assert_eq!(report.span_digest, digest);
-    assert!(report.passed, "{}", report.render());
+    let direct = direct_shape(NetConfig::centurion(), 29, |sim| {
+        simbench::transfer_heavy(sim, 4, 6)
+    });
+    assert_matches_direct_run("transfer_heavy", direct);
+}
+
+/// `log` without the spans `skip` selects (it sees each span and its
+/// parent), the rest renumbered as if the skipped ones had never been
+/// emitted: each lane's later span ids close up, and a parent that was
+/// skipped becomes none. This is the log a run that never emitted them
+/// would have written, as long as nothing the skipped spans caused depends
+/// on them otherwise.
+fn without(log: &TraceLog, skip: impl Fn(&SpanEvent, Option<&SpanEvent>) -> bool) -> TraceLog {
+    // A lane span id is `(lane + 1) << 48 | per-lane counter`.
+    let mut closed: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut renamed: BTreeMap<u64, Option<SpanId>> = BTreeMap::new();
+    let mut kept = Vec::new();
+    for e in log.events() {
+        let parent = e.parent.and_then(|p| log.get(p));
+        let lane = e.id.as_raw() >> 48;
+        if skip(e, parent) {
+            *closed.entry(lane).or_default() += 1;
+            renamed.insert(e.id.as_raw(), None);
+            continue;
+        }
+        let shift = closed.get(&lane).copied().unwrap_or(0);
+        let id = SpanId::from_raw(e.id.as_raw() - shift).expect("nonzero");
+        renamed.insert(e.id.as_raw(), Some(id));
+        let parent = e
+            .parent
+            .and_then(|p| renamed.get(&p.as_raw()).copied().unwrap_or(Some(p)));
+        kept.push(SpanEvent {
+            id,
+            parent,
+            ..*e
+        });
+    }
+    let (_, groups) = log.clone().take_events();
+    TraceLog::from_events(kept, groups)
+}
+
+/// The three shapes, whose spans before the first executed event (the
+/// spawns and the kick's send) the runner logs since it spawns them into
+/// its own world with the log already on; their earlier driver spawned
+/// them before switching the log on.
+const SHAPES: [&str; 3] = ["ping_pong", "fan_out", "transfer_heavy"];
+
+/// The spans a run added to what the witnesses pinned before:
+/// `scenario`'s setup-time spans if it is one of the [`SHAPES`].
+fn added_span(scenario: &str, log: &TraceLog) -> impl Fn(&SpanEvent, Option<&SpanEvent>) -> bool {
+    let events = log.events();
+    let setup = match SHAPES.contains(&scenario) {
+        true => events
+            .iter()
+            .position(|e| e.kind.executed().is_some())
+            .unwrap_or(events.len()),
+        false => 0,
+    };
+    let setup: BTreeSet<u64> = events[..setup].iter().map(|e| e.id.as_raw()).collect();
+    move |e: &SpanEvent, _parent: Option<&SpanEvent>| setup.contains(&e.id.as_raw())
+}
+
+/// The structural fold `trace_hash` is: the runner's, over `log`.
+fn fold_structural(log: &TraceLog) -> u64 {
+    let structural = log
+        .events()
+        .iter()
+        .filter(|e| TraceEvent::of_span(&e.kind).is_some())
+        .count() as u64;
+    let mut ring = SpanTraceHash::new(structural, TRACE_RING_CAPACITY);
+    for e in log.events() {
+        ring.observe(e);
+    }
+    ring.finish()
+}
+
+/// `(scenario, trace_hash, span_digest, flight_digest, events_processed)`
+/// as `BENCH_scenarios.json` pinned them before the three shapes moved
+/// into the runner's world.
+const BEFORE_SHAPES_IN_THE_RUNNERS_WORLD: [(&str, u64, u64, u64, u64); 3] = [
+    (
+        "ping_pong",
+        0x862d8cbf2f0e0f5a,
+        0xb45c7eb2b508f6c6,
+        0xab5f32c241e9be68,
+        401,
+    ),
+    (
+        "fan_out",
+        0xb1b2e77e4e0de1b6,
+        0xf13dc0cd9190ce62,
+        0x0e81ece545268cf8,
+        321,
+    ),
+    (
+        "transfer_heavy",
+        0xcee3c5cb9b7e1b91,
+        0xdf81efab02ef1596,
+        0x8c83e390e38054d2,
+        49,
+    ),
+];
+
+/// The re-pin proof for the three shapes: without the spans the runner's
+/// world adds (the setup-time spawns and the kick's send), each log folds
+/// and digests to its old pin, and the flight digest and event count did
+/// not move.
+#[test]
+fn the_shapes_repin_only_by_their_setup_spans() {
+    for (name, trace, span, flight, events) in BEFORE_SHAPES_IN_THE_RUNNERS_WORLD {
+        let artifacts = run_artifacts(declared(name), None).expect("valid scenario");
+        let report = &artifacts.report;
+        let log = TraceLog::from_events(artifacts.spans, artifacts.span_groups);
+        let old = without(&log, added_span(name, &log));
+        assert!(old.len() < log.len(), "{name}: the setup spans are logged");
+        assert_eq!(fold_structural(&log), report.trace_hash, "{name}: the fold");
+        assert_eq!(fold_structural(&old), trace, "{name}: trace_hash");
+        assert_eq!(old.digest(), span, "{name}: span_digest");
+        assert_eq!(report.flight_digest, flight, "{name}: flight_digest");
+        assert_eq!(report.events_processed, events, "{name}: events");
+    }
 }
 
 #[test]
@@ -312,8 +449,9 @@ fn partition_groups_survive_the_artifacts_round_trip() {
 /// flight ring the run's own (folded) witnesses come from. The runner
 /// leaves the legacy trace ring off, so the ring is replayed from the
 /// log's structural spans, one entry each, as the engine would have
-/// recorded it.
-struct LegacyWitnesses;
+/// recorded it. The log is read without the spans that runs added since
+/// ([`added_span`]; the tests above prove each such re-pin).
+struct LegacyWitnesses(&'static str);
 
 impl Expectation for LegacyWitnesses {
     fn name(&self) -> &str {
@@ -322,15 +460,16 @@ impl Expectation for LegacyWitnesses {
 
     fn judge(&mut self, cx: &RunCx) -> Verdict {
         let sim = cx.world.sim().expect("a world was built");
+        let log = without(sim.spans(), added_span(self.0, sim.spans()));
         let mut ring = Trace::new();
         ring.enable(TRACE_RING_CAPACITY);
-        for e in sim.spans().events() {
+        for e in log.events() {
             if let Some(event) = TraceEvent::of_span(&e.kind) {
                 ring.record(SimTime::from_nanos(e.at_ns), event);
             }
         }
         let trace = fnv1a(ring.render().as_bytes());
-        let [span, span_sans_configs, span_sans_vm_ids] = legacy_span_digests(sim.spans());
+        let [span, span_sans_configs, span_sans_vm_ids] = legacy_span_digests(&log);
         let mut flight = Fnv1a::new();
         let mut word = |w: u64| flight.write_bytes(&w.to_le_bytes());
         word(sim.flight().recorded());
@@ -522,7 +661,7 @@ fn legacy_witnesses_still_match_the_pr15_goldens() {
     {
         assert_eq!(name, frozen_name);
         let mut scenario = declared(name);
-        scenario.expectations.push(Box::new(LegacyWitnesses));
+        scenario.expectations.push(Box::new(LegacyWitnesses(name)));
         let report = run_artifacts(scenario, None)
             .expect("valid scenario")
             .report;

@@ -4,7 +4,7 @@
 use dcdo_chaos::{FaultPlan, PlanError};
 use dcdo_scenario::{
     run, run_artifacts, Calls, ChaosAttachment, ChatterRing, CounterBound, NetKind, NoLeakedEvents,
-    RunCx, Scenario, ScenarioError, Topology, TraceInvariantsClean, Workload,
+    ReconfigEpisode, RunCx, Scenario, ScenarioError, Topology, TraceInvariantsClean, Workload,
 };
 use dcdo_sim::{NodeId, SimDuration};
 
@@ -233,7 +233,7 @@ fn legion_workload_on_bare_topology_is_rejected() {
 }
 
 #[test]
-fn episode_window_without_episode_topology_is_rejected() {
+fn episode_window_with_a_workload_that_has_no_episode_is_rejected() {
     let scenario = Scenario::builder("confused")
         .seed(1)
         .topology(Topology::bare(4, NetKind::Centurion))
@@ -244,6 +244,22 @@ fn episode_window_without_episode_topology_is_rejected() {
         scenario.validate(),
         Err(ScenarioError::EpisodeMismatch {
             scenario: "confused".to_string()
+        })
+    );
+}
+
+#[test]
+fn episode_workload_under_a_tick_window_is_rejected() {
+    let scenario = Scenario::builder("stepped_episode")
+        .seed(1)
+        .topology(Topology::legion(16, NetKind::Centurion))
+        .ticks(10)
+        .workload(1, ReconfigEpisode::new(false))
+        .build();
+    assert_eq!(
+        scenario.validate(),
+        Err(ScenarioError::EpisodeMismatch {
+            scenario: "stepped_episode".to_string()
         })
     );
 }

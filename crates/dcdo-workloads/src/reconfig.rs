@@ -2,16 +2,18 @@
 //! padded (1 MB) replacement `step` component, with the span log recording.
 //!
 //! This is the workload behind the paper-style reconfiguration-cost tables:
-//! [`reconfig_run`] drives a complete version workflow (derive, incorporate,
-//! enable, instantiate, update) on a 16-node testbed and returns the
-//! finished [`Testbed`] together with every identifier the profiler needs —
-//! which actor is the manager, which is the vault, which node hosts the
-//! instance — so [`ReconfigRun::layer_map`] can attribute critical-path time
-//! to the right layer and [`ReconfigRun::fn_names`] can print function names
-//! instead of hashes.
+//! [`reconfig_drive`] drives a complete version workflow (derive,
+//! incorporate, enable, instantiate, update) on a 16-node testbed and
+//! returns every identifier the profiler needs — which actor is the
+//! manager, which node hosts the instance — so [`ReconfigRun::layer_map`]
+//! can attribute critical-path time to the right layer and
+//! [`ReconfigRun::fn_names`] can print function names instead of hashes.
+//! [`reconfig_run`] builds the testbed (`Testbed::centurion`, spans on) and
+//! drives it.
 //!
-//! The same function (with `inject_fault = true`) is the driver the
-//! declared `crash_during_reconfig` scenario's episode wraps.
+//! The declared `reconfig` and `crash_during_reconfig` scenarios run the
+//! same driver on the testbed their `topology legion nodes=16
+//! net=centurion` line builds.
 
 use dcdo_core::ops::{CheckpointDcdo, NodeFailed, NodeRecovered, UpdateInstance, VersionConfigOp};
 use dcdo_profile::{FnNames, Layer, LayerMap, ProfileReport};
@@ -36,11 +38,10 @@ pub fn padded_step() -> dcdo_vm::ComponentBinary {
         .expect("valid component")
 }
 
-/// A finished reconfiguration run: the testbed (trace, metrics, spans) plus
-/// the identities the profiler needs to attribute time to layers.
-pub struct ReconfigRun {
-    /// The testbed after the run; its span log holds the full trace.
-    pub bed: Testbed,
+/// What one drive of the workflow leaves besides the testbed: the
+/// identities the profiler needs to attribute time to layers, and the
+/// window's measurements.
+pub struct ReconfigDrive {
     /// The DCDO manager's actor.
     pub manager_actor: ActorId,
     /// The DCDO manager's object identity.
@@ -60,11 +61,21 @@ pub struct ReconfigRun {
     pub recovery_time_s: f64,
 }
 
+/// A finished reconfiguration run: the testbed (trace, metrics, spans) and
+/// what its drive left.
+pub struct ReconfigRun {
+    /// The testbed after the run; its span log holds the full trace.
+    pub bed: Testbed,
+    /// The drive's identities and measurements.
+    pub drive: ReconfigDrive,
+}
+
 impl ReconfigRun {
     /// Builds the actor/node → layer attribution map for this run:
     /// manager → `Manager`, vault → `Vault`, the instance's node → `Vm`,
     /// the client → `Client`, and hosts/ICOs/directory services → `Host`.
     pub fn layer_map(&self) -> LayerMap {
+        let drive = &self.drive;
         let mut map = LayerMap::new();
         for node in &self.bed.nodes {
             map.set_node(node.as_raw(), Layer::Host);
@@ -73,21 +84,21 @@ impl ReconfigRun {
         // work, flow machinery on the instance's node is object/VM work,
         // and the client's node originates requests.
         map.set_node(self.bed.nodes[0].as_raw(), Layer::Manager);
-        map.set_node(self.dcdo_node.as_raw(), Layer::Vm);
+        map.set_node(drive.dcdo_node.as_raw(), Layer::Vm);
         map.set_node(self.bed.nodes[15].as_raw(), Layer::Client);
         // Actor overrides beat the node fallback, so co-located services on
         // node 0 (vault, agent, host object) still classify correctly.
         for host in &self.bed.hosts {
             map.set_actor(host.as_raw(), Layer::Host);
         }
-        for ico in &self.ico_actors {
+        for ico in &drive.ico_actors {
             map.set_actor(ico.as_raw(), Layer::Host);
         }
         map.set_actor(self.bed.vault.as_raw(), Layer::Vault);
         map.set_actor(self.bed.context.as_raw(), Layer::Host);
         map.set_actor(self.bed.agent.actor.as_raw(), Layer::Host);
-        map.set_actor(self.manager_actor.as_raw(), Layer::Manager);
-        map.set_actor(self.client.as_raw(), Layer::Client);
+        map.set_actor(drive.manager_actor.as_raw(), Layer::Manager);
+        map.set_actor(drive.client.as_raw(), Layer::Client);
         map
     }
 
@@ -110,24 +121,32 @@ impl ReconfigRun {
     }
 }
 
-/// Drives the counter service through an evolution to the padded step
-/// component, optionally crashing the instance's host one second into the
-/// flow. Returns the testbed (for trace/metric/profile extraction) plus the
-/// message count of the reconfiguration window and the measured recovery
-/// time.
+/// Builds the canonical 16-node centurion testbed with spans on and runs
+/// [`reconfig_drive`] on it. Returns the testbed (for trace/metric/profile
+/// extraction) with what the drive left.
 pub fn reconfig_run(seed: u64, inject_fault: bool) -> ReconfigRun {
     let mut bed = Testbed::centurion(seed);
     bed.sim.spans_mut().enable();
+    let drive = reconfig_drive(&mut bed, inject_fault);
+    ReconfigRun { bed, drive }
+}
+
+/// Drives the counter service on `bed` (at least 16 nodes) through an
+/// evolution to the padded step component, optionally crashing the
+/// instance's host one second into the flow. Returns the identities the
+/// profiler needs, the message count of the reconfiguration window and the
+/// measured recovery time; the queue is left undrained.
+pub fn reconfig_drive(bed: &mut Testbed, inject_fault: bool) -> ReconfigDrive {
     let driver_node = bed.nodes[15];
-    let manager = Manager::spawn(&mut bed, Strategy::SingleVersionExplicit, driver_node);
+    let manager = Manager::spawn(bed, Strategy::SingleVersionExplicit, driver_node);
     let (manager_obj, client) = (manager.object, manager.driver);
 
     // Version 1.1: the counter core, live in one instance on node 4.
-    let (core_ico, core_actor) = Manager::publish(&mut bed, &service::counter_core(), 1);
-    let v1 = manager.build_version(&mut bed, &VersionId::root(), service::counter_v1(core_ico));
-    manager.set_current(&mut bed, &v1);
+    let (core_ico, core_actor) = Manager::publish(bed, &service::counter_core(), 1);
+    let v1 = manager.build_version(bed, &VersionId::root(), service::counter_v1(core_ico));
+    manager.set_current(bed, &v1);
     let node = bed.nodes[4];
-    let (dcdo, _) = manager.create(&mut bed, node);
+    let (dcdo, _) = manager.create(bed, node);
     for _ in 0..2 {
         bed.call_and_wait(client, dcdo, "incr", vec![])
             .result
@@ -136,11 +155,11 @@ pub fn reconfig_run(seed: u64, inject_fault: bool) -> ReconfigRun {
     // Snapshot (count = 2): what recovery will rebuild from.
     let checkpoint = ControlOp::new(CheckpointDcdo { object: dcdo });
     manager
-        .control(&mut bed, manager_obj, checkpoint)
+        .control(bed, manager_obj, checkpoint)
         .expect("checkpoint");
 
     // Version 1.1.1: the padded step.
-    let (step_ico, step_actor) = Manager::publish(&mut bed, &padded_step(), 2);
+    let (step_ico, step_actor) = Manager::publish(bed, &padded_step(), 2);
     let steps = vec![
         VersionConfigOp::IncorporateComponent { ico: step_ico },
         VersionConfigOp::EnableFunction {
@@ -148,8 +167,8 @@ pub fn reconfig_run(seed: u64, inject_fault: bool) -> ReconfigRun {
             component: service::ids::STEP_TEN,
         },
     ];
-    let v2 = manager.build_version(&mut bed, &v1, steps);
-    manager.set_current(&mut bed, &v2);
+    let v2 = manager.build_version(bed, &v1, steps);
+    manager.set_current(bed, &v2);
 
     // The measured window: update kickoff to verified post-update service.
     let window_start_messages = bed.sim.network().stats().messages_sent;
@@ -168,7 +187,7 @@ pub fn reconfig_run(seed: u64, inject_fault: bool) -> ReconfigRun {
         let crashed_at = bed.sim.now();
         let failed = ControlOp::new(NodeFailed { node });
         manager
-            .control(&mut bed, manager_obj, failed)
+            .control(bed, manager_obj, failed)
             .expect("failure report");
         bed.wait_for(client, update)
             .result
@@ -177,7 +196,7 @@ pub fn reconfig_run(seed: u64, inject_fault: bool) -> ReconfigRun {
         bed.revive_host(node);
         let recovered = ControlOp::new(NodeRecovered { node });
         manager
-            .control(&mut bed, manager_obj, recovered)
+            .control(bed, manager_obj, recovered)
             .expect("recovery starts");
         while bed.sim.metrics().counter("manager.recoveries") == 0 {
             assert!(bed.sim.step(), "drained before recovery completed");
@@ -188,7 +207,7 @@ pub fn reconfig_run(seed: u64, inject_fault: bool) -> ReconfigRun {
             to: None,
         });
         manager
-            .control(&mut bed, manager_obj, update)
+            .control(bed, manager_obj, update)
             .expect("re-issued update lands");
     } else {
         bed.wait_for(client, update).result.expect("update lands");
@@ -203,8 +222,7 @@ pub fn reconfig_run(seed: u64, inject_fault: bool) -> ReconfigRun {
         .expect("value reply");
     assert_eq!(after, Value::Int(12), "service verified after the episode");
     let window_messages = bed.sim.network().stats().messages_sent - window_start_messages;
-    ReconfigRun {
-        bed,
+    ReconfigDrive {
         manager_actor: manager.actor,
         manager_object: manager_obj,
         client,

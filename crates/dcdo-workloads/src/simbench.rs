@@ -1,11 +1,15 @@
 //! Sim-core event-mix shapes.
 //!
-//! Each `*_sim` builder returns a self-contained simulation, not yet run,
-//! over the real Legion [`Msg`] wire type, plus the event budget to run it
-//! with. The declared episode scenarios, the trace-invariant suite, the
-//! golden-parity direct runs and the repo benchmark's engine-floor kernel
-//! drive them, so payload handling (cloning ops for broadcast/resend,
-//! wire-size accounting) is exercised and not just queue mechanics:
+//! Each shape spawns its actors into a simulation over the real Legion
+//! [`Msg`] wire type and posts its kick ([`ping_pong`], [`fan_out`],
+//! [`transfer_heavy`]); the declared `ping_pong`, `fan_out` and
+//! `transfer_heavy` scenarios spawn them into the world their `topology
+//! bare` line builds. Each `*_sim` builder is `Simulation::new` with the
+//! shape's network and seed plus that same function, returning the
+//! simulation, not yet run, and the event budget to run it with; the
+//! trace-invariant suite and the repo benchmark's engine-floor kernel drive
+//! them. Payload handling (cloning ops for broadcast/resend, wire-size
+//! accounting) is exercised, not just queue mechanics:
 //!
 //! - **ping-pong** — two objects volley an `Invoke`/`Reply` pair over the
 //!   jittered centurion network: the latency-bound RPC shape.
@@ -123,6 +127,13 @@ impl Actor<Msg> for Ponger {
 /// sim first (the invariant suite does).
 pub fn ping_pong_sim(rounds: u64) -> (Simulation<Msg>, u64) {
     let mut sim = Simulation::new(NetConfig::centurion(), 17);
+    let budget = ping_pong(&mut sim, rounds);
+    (sim, budget)
+}
+
+/// Spawns the ping-pong pair on nodes 0 and 1 of `sim` and posts the kick.
+/// Returns the event budget that runs it to the end.
+pub fn ping_pong(sim: &mut Simulation<Msg>, rounds: u64) -> u64 {
     let ponger = sim.spawn(NodeId::from_raw(1), Ponger);
     let pinger = sim.spawn(
         NodeId::from_raw(0),
@@ -139,7 +150,7 @@ pub fn ping_pong_sim(rounds: u64) -> (Simulation<Msg>, u64) {
             result: Ok(Value::Unit),
         },
     );
-    (sim, rounds * 4 + 16)
+    rounds * 4 + 16
 }
 
 // ---------------------------------------------------------------------------
@@ -210,6 +221,13 @@ impl Actor<Msg> for AckSpoke {
 /// Builds the fan-out simulation without running it; see [`ping_pong_sim`].
 pub fn fan_out_sim(rounds: u64, spokes: u32, payload_words: usize) -> (Simulation<Msg>, u64) {
     let mut sim = Simulation::new(NetConfig::instant(), 19);
+    let budget = fan_out(&mut sim, rounds, spokes, payload_words);
+    (sim, budget)
+}
+
+/// Spawns the fan-out hub on node 0 of `sim` and its spokes over nodes
+/// 0–15, and posts the kick; see [`ping_pong`].
+pub fn fan_out(sim: &mut Simulation<Msg>, rounds: u64, spokes: u32, payload_words: usize) -> u64 {
     let hub = sim.spawn(
         NodeId::from_raw(0),
         BlastHub {
@@ -233,7 +251,7 @@ pub fn fan_out_sim(rounds: u64, spokes: u32, payload_words: usize) -> (Simulatio
             result: Ok(ControlOp::new(BenchAck)),
         },
     );
-    (sim, rounds * u64::from(spokes) * 2 + u64::from(spokes) + 16)
+    rounds * u64::from(spokes) * 2 + u64::from(spokes) + 16
 }
 
 // ---------------------------------------------------------------------------
@@ -441,9 +459,16 @@ pub(crate) fn transfer_component() -> ComponentBinary {
 /// Builds the transfer-heavy simulation without running it; see
 /// [`ping_pong_sim`].
 pub fn transfer_heavy_sim(rounds: u64, sinks: u32) -> (Simulation<Msg>, u64) {
+    let mut sim = Simulation::new(NetConfig::centurion(), 29);
+    let budget = transfer_heavy(&mut sim, rounds, sinks);
+    (sim, budget)
+}
+
+/// Spawns the transfer source on node 0 of `sim` and its sinks over nodes
+/// 1–15, and posts the kick; see [`ping_pong`].
+pub fn transfer_heavy(sim: &mut Simulation<Msg>, rounds: u64, sinks: u32) -> u64 {
     let component = transfer_component();
     let encoded = component.encode();
-    let mut sim = Simulation::new(NetConfig::centurion(), 29);
     let source = sim.spawn(
         NodeId::from_raw(0),
         TransferSource {
@@ -467,7 +492,7 @@ pub fn transfer_heavy_sim(rounds: u64, sinks: u32) -> (Simulation<Msg>, u64) {
             result: Ok(ControlOp::new(BenchAck)),
         },
     );
-    (sim, rounds * u64::from(sinks) * 2 + u64::from(sinks) + 16)
+    rounds * u64::from(sinks) * 2 + u64::from(sinks) + 16
 }
 
 // ---------------------------------------------------------------------------

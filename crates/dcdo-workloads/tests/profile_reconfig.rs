@@ -57,7 +57,7 @@ fn vm_cost_deltas_are_visible_across_the_reconfiguration() {
     // clearly-attributed samples.
     for _ in 0..2 {
         run.bed
-            .call_and_wait(run.client, run.dcdo, "incr", vec![])
+            .call_and_wait(run.drive.client, run.drive.dcdo, "incr", vec![])
             .result
             .expect("post-update incr");
     }
@@ -68,7 +68,7 @@ fn vm_cost_deltas_are_visible_across_the_reconfiguration() {
         .events()
         .iter()
         .filter_map(|e| match &e.kind {
-            SpanKind::GenerationStamp { object, .. } if *object == run.dcdo.as_raw() => {
+            SpanKind::GenerationStamp { object, .. } if *object == run.drive.dcdo.as_raw() => {
                 Some(e.at_ns)
             }
             _ => None,
