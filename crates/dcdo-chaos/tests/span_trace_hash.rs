@@ -276,11 +276,10 @@ fn misses(agrees: fn(&mut Simulation<Hop>, usize) -> bool) -> (Vec<String>, Seen
             let trace = sim.trace();
             seen.evicted |= trace.dropped() > 0;
             seen.flight_evicted |= sim.flight().evicted() > 0;
-            let counter = |name| sim.metrics().counter(name) > 0;
-            seen.unreachable |= counter("sim.unreachable_drops");
-            seen.dead_letters |= counter("sim.dead_letters");
-            seen.crashes |= counter("sim.node_crashes");
-            seen.restarts |= counter("sim.node_restarts");
+            seen.unreachable |= sim.network().stats().unreachable > 0;
+            seen.dead_letters |= sim.dead_letters() > 0;
+            seen.crashes |= !sim.node_crashes().is_empty();
+            seen.restarts |= sim.node_restarts() > 0;
             let ring_entries = trace.len() as u64 + trace.dropped();
             assert_eq!(
                 sim.structural_spans(),

@@ -247,8 +247,9 @@ impl Expectation for CounterBound {
     }
 }
 
-/// A simulator metric must satisfy a bound
-/// (`metric_equals sim.node_crashes 12`).
+/// A simulator count must satisfy a bound
+/// (`metric_equals sim.node_crashes 12`), read by name through
+/// `Simulation::counter`.
 #[derive(Debug)]
 pub struct MetricBound {
     name: String,
@@ -288,7 +289,7 @@ impl Expectation for MetricBound {
         let Some(sim) = cx.world.sim() else {
             return Verdict::fail(&self.name, "no world was built".to_string());
         };
-        let value = sim.metrics().counter(&self.key);
+        let value = sim.counter(&self.key);
         let detail = format!(
             "{} = {} ({} {})",
             self.key,

@@ -159,11 +159,7 @@ fn without(log: &TraceLog, skip: impl Fn(&SpanEvent, Option<&SpanEvent>) -> bool
         let parent = e
             .parent
             .and_then(|p| renamed.get(&p.as_raw()).copied().unwrap_or(Some(p)));
-        kept.push(SpanEvent {
-            id,
-            parent,
-            ..*e
-        });
+        kept.push(SpanEvent { id, parent, ..*e });
     }
     let (_, groups) = log.clone().take_events();
     TraceLog::from_events(kept, groups)

@@ -211,7 +211,7 @@ impl<'a, M: Payload> Ctx<'a, M> {
     ///
     /// Delivery time accounts for protocol overhead, serialization,
     /// latency, egress contention, and fault injection. Messages to dead
-    /// actors become dead letters (counted in metrics, otherwise dropped) —
+    /// actors become dead letters (counted by the engine, otherwise dropped) —
     /// this is how a stale physical address behaves.
     pub fn send(&mut self, dst: ActorId, msg: M) {
         self.sim.route(self.self_id, dst, msg);
@@ -411,6 +411,12 @@ pub struct Simulation<M: Payload> {
     timeline: Timeline,
     /// When each node crash happened, in order (a run has a handful).
     crashes: Vec<SimTime>,
+    /// Node restarts that brought a down node back up.
+    node_restarts: u64,
+    /// Messages that arrived for a dead actor.
+    dead_letters: u64,
+    /// Timers a node crash cancelled with their actors.
+    timers_cancelled_by_crash: u64,
     /// Per-world totals a layer above the engine keeps (the VM's), typed
     /// `dyn Any` because this crate cannot name them.
     totals: Option<Box<dyn Any>>,
@@ -438,6 +444,9 @@ impl<M: Payload> Simulation<M> {
             flight: FlightRecorder::new(),
             timeline: Timeline::new(),
             crashes: Vec::new(),
+            node_restarts: 0,
+            dead_letters: 0,
+            timers_cancelled_by_crash: 0,
             totals: None,
         }
     }
@@ -563,6 +572,40 @@ impl<M: Payload> Simulation<M> {
     /// not spans are recorded.
     pub fn node_crashes(&self) -> &[SimTime] {
         &self.crashes
+    }
+
+    /// Node restarts so far (restarting a node that is up is not one).
+    pub fn node_restarts(&self) -> u64 {
+        self.node_restarts
+    }
+
+    /// Messages so far that arrived for a dead actor.
+    pub fn dead_letters(&self) -> u64 {
+        self.dead_letters
+    }
+
+    /// Pending timers node crashes have cancelled so far.
+    pub fn timers_cancelled_by_crash(&self) -> u64 {
+        self.timers_cancelled_by_crash
+    }
+
+    /// A count by name, as a scenario's `metric_*` line names it: the
+    /// `sim.*` names are the engine's own counts (the network's
+    /// [`NetStats`](crate::NetStats) and the fields above), which the
+    /// engine keeps once; any other name is a [`Metrics`] counter.
+    pub fn counter(&self, name: &str) -> u64 {
+        let net = self.network.stats();
+        match name {
+            "sim.messages_lost" => net.messages_lost,
+            "sim.duplicates_planned" => net.duplicates_planned,
+            "sim.duplicates_degraded" => net.duplicates_degraded,
+            "sim.unreachable_drops" => net.unreachable,
+            "sim.node_crashes" => self.crashes.len() as u64,
+            "sim.node_restarts" => self.node_restarts,
+            "sim.dead_letters" => self.dead_letters,
+            "sim.timers_cancelled_by_crash" => self.timers_cancelled_by_crash,
+            _ => self.metrics.counter(name),
+        }
     }
 
     /// Has no effect: the engine has one, sequential, execution path. Kept
@@ -974,7 +1017,6 @@ impl<M: Payload> Simulation<M> {
                 },
             ),
             DeliveryPlan::DeliverTwice(first, second) => {
-                self.metrics.incr("sim.duplicates_planned");
                 match msg.clone_for_redelivery() {
                     // True double delivery for payloads that opt in.
                     Some(dup) => {
@@ -1001,7 +1043,6 @@ impl<M: Payload> Simulation<M> {
                     // delivery at the later of the two arrival times. The
                     // dropped second delivery is counted, not silent.
                     None => {
-                        self.metrics.incr("sim.duplicates_degraded");
                         self.network.note_duplicate_degraded();
                         self.push(
                             second,
@@ -1015,12 +1056,8 @@ impl<M: Payload> Simulation<M> {
                     }
                 }
             }
-            DeliveryPlan::Lost => {
-                self.metrics.incr("sim.messages_lost");
-            }
-            DeliveryPlan::Unreachable => {
-                self.metrics.incr("sim.unreachable_drops");
-            }
+            // The network counted the drop in its stats.
+            DeliveryPlan::Lost | DeliveryPlan::Unreachable => {}
         }
     }
 
@@ -1038,7 +1075,6 @@ impl<M: Payload> Simulation<M> {
             return 0;
         }
         self.network.set_node_down(node);
-        self.metrics.incr("sim.node_crashes");
         self.crashes.push(self.time);
         let parent = self.current_span;
         let crash_span = self.emit_event(
@@ -1074,8 +1110,7 @@ impl<M: Payload> Simulation<M> {
                 if placements.get(dst.lane_index()).and_then(|l| l.get(dst.ctr_index()))
                     == Some(&node))
         });
-        self.metrics
-            .add("sim.timers_cancelled_by_crash", cancelled as u64);
+        self.timers_cancelled_by_crash += cancelled as u64;
         killed
     }
 
@@ -1087,7 +1122,7 @@ impl<M: Payload> Simulation<M> {
             return;
         }
         self.network.set_node_up(node);
-        self.metrics.incr("sim.node_restarts");
+        self.node_restarts += 1;
         let parent = self.current_span;
         self.emit_event(
             node.as_raw(),
@@ -1184,7 +1219,7 @@ impl<M: Payload> Simulation<M> {
             return;
         }
         self.cur_lane = dst_node.as_raw() as u16 + 1;
-        self.metrics.incr("sim.dead_letters");
+        self.dead_letters += 1;
         self.emit_event(
             dst_node.as_raw(),
             cause,
@@ -1384,7 +1419,7 @@ mod tests {
         sim.kill(server);
         sim.post(client, server, TestMsg::Ping(1));
         sim.run_until_idle();
-        assert_eq!(sim.metrics().counter("sim.dead_letters"), 1);
+        assert_eq!(sim.dead_letters(), 1);
         let c = sim.actor::<Collector>(client).expect("alive");
         assert!(c.pongs.is_empty());
     }
@@ -1408,7 +1443,7 @@ mod tests {
         sim.post(b, a, TestMsg::Ping(1));
         sim.run_until_idle();
         assert!(!sim.is_alive(a));
-        assert_eq!(sim.metrics().counter("sim.dead_letters"), 1);
+        assert_eq!(sim.dead_letters(), 1);
     }
 
     /// Fires a timer chain: each on_timer schedules the next until 5 fired.
@@ -1517,15 +1552,15 @@ mod tests {
             0,
             "dead actors' timers are swept from the queue"
         );
-        assert_eq!(sim.metrics().counter("sim.timers_cancelled_by_crash"), 1);
+        assert_eq!(sim.timers_cancelled_by_crash(), 1);
 
         // New traffic toward the dead node is dropped as unreachable, with
         // a counted reason — not a dead letter (it never reached the node).
         sim.post(client, server, TestMsg::Ping(1));
         sim.run_until_idle();
-        assert_eq!(sim.metrics().counter("sim.unreachable_drops"), 1);
         assert_eq!(sim.network().stats().unreachable, 1);
-        assert_eq!(sim.metrics().counter("sim.dead_letters"), 0);
+        assert_eq!(sim.network().stats().unreachable, 1);
+        assert_eq!(sim.dead_letters(), 0);
 
         // Restart: the node is reachable again, but old actors stay dead —
         // deliveries to them now dead-letter.
@@ -1533,7 +1568,7 @@ mod tests {
         assert!(sim.is_node_up(n1));
         sim.post(client, server, TestMsg::Ping(2));
         sim.run_until_idle();
-        assert_eq!(sim.metrics().counter("sim.dead_letters"), 1);
+        assert_eq!(sim.dead_letters(), 1);
 
         // A replacement spawned after the restart serves traffic.
         let server2 = sim.spawn(n1, Responder);
@@ -1551,10 +1586,10 @@ mod tests {
         sim.spawn(n, Responder);
         assert_eq!(sim.crash_node(n), 1);
         assert_eq!(sim.crash_node(n), 0, "second crash is a no-op");
-        assert_eq!(sim.metrics().counter("sim.node_crashes"), 1);
+        assert_eq!(sim.node_crashes().len(), 1);
         sim.restart_node(n);
         sim.restart_node(n);
-        assert_eq!(sim.metrics().counter("sim.node_restarts"), 1);
+        assert_eq!(sim.node_restarts(), 1);
     }
 
     #[test]
@@ -1567,7 +1602,7 @@ mod tests {
         sim.post(a, b, TestMsg::Ping(1));
         sim.run_until_idle();
         assert!(sim.actor::<Collector>(a).expect("alive").pongs.is_empty());
-        assert_eq!(sim.metrics().counter("sim.unreachable_drops"), 1);
+        assert_eq!(sim.network().stats().unreachable, 1);
         sim.network_mut().heal_partition();
         sim.post(a, b, TestMsg::Ping(2));
         sim.run_until_idle();
@@ -1585,8 +1620,6 @@ mod tests {
         let b = sim.spawn(NodeId::from_raw(1), Collector::default());
         sim.post(a, b, TestMsg::Pong(1));
         sim.run_until_idle();
-        assert_eq!(sim.metrics().counter("sim.duplicates_planned"), 1);
-        assert_eq!(sim.metrics().counter("sim.duplicates_degraded"), 1);
         let stats = sim.network().stats();
         assert_eq!(stats.duplicates_planned, 1);
         assert_eq!(stats.duplicates_degraded, 1);

@@ -149,9 +149,20 @@ fn run(vault: bool, seed: u64) -> (Testbed, String) {
         "evolve-unknown",
         ControlOp::new(EvolveInstance { object }),
     );
-    let metrics = bed.sim.metrics();
-    let counters: Vec<String> = metrics
-        .counters()
+    // Every run crashes a node; the engine's own counts come first, as
+    // their names sort.
+    let sim = &bed.sim;
+    let engine = [
+        ("sim.node_crashes", sim.node_crashes().len() as u64),
+        ("sim.node_restarts", sim.node_restarts()),
+        (
+            "sim.timers_cancelled_by_crash",
+            sim.timers_cancelled_by_crash(),
+        ),
+    ];
+    let counters: Vec<String> = engine
+        .into_iter()
+        .chain(sim.metrics().counters())
         .map(|(k, v)| format!("{k}={v}"))
         .collect();
     writeln!(out, "counters {}", counters.join(" ")).expect("write");

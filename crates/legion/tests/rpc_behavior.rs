@@ -209,7 +209,7 @@ fn duplicate_deliveries_do_not_confuse_the_protocol() {
     let c = bed.sim.actor::<ClientObject>(client).expect("client alive");
     assert_eq!(c.in_flight(), 0);
     assert!(
-        bed.sim.metrics().counter("sim.duplicates_planned") > 0,
+        bed.sim.network().stats().duplicates_planned > 0,
         "duplication actually occurred"
     );
 }

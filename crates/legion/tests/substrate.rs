@@ -478,7 +478,7 @@ fn crashed_instance_reactivates_from_vault_snapshot() {
     );
     assert!(c.rebinds >= 1, "client rebound after the crash");
     // The node restarted immediately, so sends to the dead process land as
-    // dead letters (the crash/queue sweep is covered by sim.node_crashes).
-    assert_eq!(bed.sim.metrics().counter("sim.node_crashes"), 1);
-    assert!(bed.sim.metrics().counter("sim.dead_letters") >= 1);
+    // dead letters (the crash/queue sweep is covered by node_crashes).
+    assert_eq!(bed.sim.node_crashes().len(), 1);
+    assert!(bed.sim.dead_letters() >= 1);
 }

@@ -157,7 +157,7 @@ fn calls_survive_message_loss() {
     }
     assert_eq!(ok, 30, "every idempotent call completed despite 10% loss");
     assert!(
-        fleet.bed.sim.metrics().counter("sim.messages_lost") > 0,
+        fleet.bed.sim.network().stats().messages_lost > 0,
         "losses actually happened"
     );
 }
