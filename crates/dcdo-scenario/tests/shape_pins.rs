@@ -129,15 +129,15 @@ const PINS: Pins = [
     ),
     (
         "reconfig_churn",
-        [9009, 158, 6961828, 8, 2668666, 7653, 25734],
+        [9008, 158, 6961812, 8, 2668650, 7653, 25734],
     ),
     (
         "mixed_traffic_x50",
-        [5826, 141, 6650365, 9, 2760151, 8573, 29234],
+        [5825, 141, 6650349, 9, 2760135, 8573, 29234],
     ),
     (
         "upgrade_crash_long",
-        [239, 71, 18008393, 10, 9004037, 36071, 72167],
+        [236, 71, 18008327, 10, 9003971, 36071, 72167],
     ),
 ];
 
@@ -149,15 +149,15 @@ const PINS_FULL: Pins = [
     ),
     (
         "reconfig_churn",
-        [86052, 378, 62098260, 36, 23146906, 76734, 257640],
+        [86051, 378, 62098244, 36, 23146890, 76734, 257640],
     ),
     (
         "mixed_traffic_x50",
-        [58945, 267, 86042357, 29, 37239033, 87239, 297061],
+        [58944, 267, 86042341, 29, 37239017, 87239, 297061],
     ),
     (
         "upgrade_crash_long",
-        [239, 81, 136796489, 17, 68398085, 360071, 720167],
+        [236, 81, 136796423, 17, 68398019, 360071, 720167],
     ),
 ];
 
