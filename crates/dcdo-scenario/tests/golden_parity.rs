@@ -171,8 +171,25 @@ fn without(log: &TraceLog, skip: impl Fn(&SpanEvent, Option<&SpanEvent>) -> bool
 /// them before switching the log on.
 const SHAPES: [&str; 3] = ["ping_pong", "fan_out", "transfer_heavy"];
 
-/// The spans a run added to what the witnesses pinned before:
-/// `scenario`'s setup-time spans if it is one of the [`SHAPES`].
+/// An actor's death recorded from its own handler (`Ctx::kill` of
+/// itself, `Ctx::crash_node` of its node): an `ActorKilled` whose parent
+/// is the delivery or timer that ran the actor. The engine logs these since
+/// it records every death; before, only the driver's kills and crashes
+/// were logged.
+fn is_self_kill(e: &SpanEvent, parent: Option<&SpanEvent>) -> bool {
+    let SpanKind::ActorKilled { actor } = e.kind else {
+        return false;
+    };
+    matches!(
+        parent.map(|p| p.kind),
+        Some(SpanKind::MsgDelivered { dst: ran, .. } | SpanKind::TimerFired { actor: ran, .. })
+            if ran == actor
+    )
+}
+
+/// The spans a run added to what the witnesses pinned before: its
+/// self-kills, and `scenario`'s setup-time spans if it is one of the
+/// [`SHAPES`].
 fn added_span(scenario: &str, log: &TraceLog) -> impl Fn(&SpanEvent, Option<&SpanEvent>) -> bool {
     let events = log.events();
     let setup = match SHAPES.contains(&scenario) {
@@ -183,7 +200,9 @@ fn added_span(scenario: &str, log: &TraceLog) -> impl Fn(&SpanEvent, Option<&Spa
         false => 0,
     };
     let setup: BTreeSet<u64> = events[..setup].iter().map(|e| e.id.as_raw()).collect();
-    move |e: &SpanEvent, _parent: Option<&SpanEvent>| setup.contains(&e.id.as_raw())
+    move |e: &SpanEvent, parent: Option<&SpanEvent>| {
+        setup.contains(&e.id.as_raw()) || is_self_kill(e, parent)
+    }
 }
 
 /// The structural fold `trace_hash` is: the runner's, over `log`.
@@ -202,8 +221,57 @@ fn fold_structural(log: &TraceLog) -> u64 {
 
 /// `(scenario, trace_hash, span_digest, flight_digest, events_processed)`
 /// as `BENCH_scenarios.json` pinned them before the three shapes moved
-/// into the runner's world.
-const BEFORE_SHAPES_IN_THE_RUNNERS_WORLD: [(&str, u64, u64, u64, u64); 3] = [
+/// into the runner's world and the engine logged self-kills.
+const BEFORE_THE_ADDED_SPANS: [(&str, u64, u64, u64, u64); 10] = [
+    (
+        "mixed_traffic",
+        0xbe92d39dc580cc40,
+        0x84345e5af3533c07,
+        0xa7f4b2f9e9172bd2,
+        1875,
+    ),
+    (
+        "reconfig",
+        0x9163484e507cb660,
+        0xfaa5965444733bc1,
+        0xa992af7fe38b2043,
+        93,
+    ),
+    (
+        "crash_during_reconfig",
+        0x64271a2dafb8cdb9,
+        0xbf0a564df2e35fa8,
+        0x656664ac2d17c72c,
+        146,
+    ),
+    (
+        "rolling_partition",
+        0x7964d70338d0715f,
+        0x69eaf7bc026e501a,
+        0x6ab6e027d93f8309,
+        1584,
+    ),
+    (
+        "restart_storm",
+        0xebed95b4e0ee31ac,
+        0x46edd56ce1afa8d8,
+        0xb0c700e89089be29,
+        647,
+    ),
+    (
+        "rolling_upgrade",
+        0x8ac4eea4e7337d2f,
+        0xc6dcbf822ad0beca,
+        0x188b51d664b0c84c,
+        3090,
+    ),
+    (
+        "rolling_upgrade_coord_crash",
+        0x817740abf8e32bdd,
+        0xaa6e824e0eb61c61,
+        0xbb267815155ff419,
+        3071,
+    ),
     (
         "ping_pong",
         0x862d8cbf2f0e0f5a,
@@ -227,23 +295,36 @@ const BEFORE_SHAPES_IN_THE_RUNNERS_WORLD: [(&str, u64, u64, u64, u64); 3] = [
     ),
 ];
 
-/// The re-pin proof for the three shapes: without the spans the runner's
-/// world adds (the setup-time spawns and the kick's send), each log folds
-/// and digests to its old pin, and the flight digest and event count did
-/// not move.
+/// The re-pin proof: without the spans runs have added since
+/// [`BEFORE_THE_ADDED_SPANS`] ([`added_span`]), every declared scenario's
+/// log folds and digests to its old pin, and no flight digest or event
+/// count moved. `mixed_traffic` logs one self-kill per migration.
 #[test]
-fn the_shapes_repin_only_by_their_setup_spans() {
-    for (name, trace, span, flight, events) in BEFORE_SHAPES_IN_THE_RUNNERS_WORLD {
+fn each_repin_moves_only_by_the_spans_it_adds() {
+    assert_eq!(registry::declared().len(), BEFORE_THE_ADDED_SPANS.len());
+    for (name, trace, span, flight, events) in BEFORE_THE_ADDED_SPANS {
         let artifacts = run_artifacts(declared(name), None).expect("valid scenario");
         let report = &artifacts.report;
         let log = TraceLog::from_events(artifacts.spans, artifacts.span_groups);
         let old = without(&log, added_span(name, &log));
-        assert!(old.len() < log.len(), "{name}: the setup spans are logged");
         assert_eq!(fold_structural(&log), report.trace_hash, "{name}: the fold");
         assert_eq!(fold_structural(&old), trace, "{name}: trace_hash");
         assert_eq!(old.digest(), span, "{name}: span_digest");
         assert_eq!(report.flight_digest, flight, "{name}: flight_digest");
         assert_eq!(report.events_processed, events, "{name}: events");
+        let self_kills = log
+            .events()
+            .iter()
+            .filter(|e| is_self_kill(e, e.parent.and_then(|p| log.get(p))))
+            .count();
+        if name == "mixed_traffic" {
+            let migrations = report.counters.iter().find(|(k, _)| k == "migrations.ok");
+            assert_eq!(migrations.map(|m| m.1), Some(23));
+            assert_eq!(self_kills, 23, "one self-kill per migration");
+        }
+        if SHAPES.contains(&name) {
+            assert!(old.len() < log.len(), "{name}: the setup spans are logged");
+        }
     }
 }
 

@@ -723,8 +723,16 @@ impl<M: Payload> Simulation<M> {
         let Some(node) = self.placement(actor) else {
             return;
         };
-        *self.slot_mut(actor).expect("placement implies slot") = Slot::Vacant;
         let parent = self.current_span;
+        self.vacate(actor, node, parent);
+    }
+
+    /// The one way an actor dies, by [`kill`](Simulation::kill), by its own
+    /// handler ([`Ctx::kill`] of itself, [`Ctx::crash_node`] of its node)
+    /// or in its node's crash: vacates `actor`'s slot on `node` and records
+    /// the death, caused by `parent`.
+    fn vacate(&mut self, actor: ActorId, node: NodeId, parent: Option<SpanId>) {
+        *self.slot_mut(actor).expect("placement implies slot") = Slot::Vacant;
         self.emit_event(
             node.as_raw(),
             parent,
@@ -788,10 +796,11 @@ impl<M: Payload> Simulation<M> {
     }
 
     /// The one way a handler runs: takes `id`'s slot to `Running`, sets the
-    /// lane to `node`'s, runs `handler` with a [`Ctx`], restores the lane,
-    /// and puts the actor back — or vacates the slot if the handler killed
-    /// its own actor. `None`, with the slot vacated, if no live actor is
-    /// there.
+    /// lane to `node`'s, runs `handler` with a [`Ctx`], puts the actor back
+    /// — or, if the handler killed its own actor, vacates the slot and
+    /// records the death from the handler's lane, caused by its span — and
+    /// restores the lane. `None`, with the slot vacated, if no live actor
+    /// is there.
     fn run_actor<R>(
         &mut self,
         id: ActorId,
@@ -810,13 +819,13 @@ impl<M: Payload> Simulation<M> {
             killed_self: false,
         };
         let out = handler(actor.as_mut(), &mut ctx);
-        let killed = ctx.killed_self;
-        self.cur_lane = prev_lane;
-        *self.slot_mut(id).expect("slot exists") = if killed {
-            Slot::Vacant
+        if ctx.killed_self {
+            let parent = self.current_span;
+            self.vacate(id, node, parent);
         } else {
-            Slot::Occupied(actor)
-        };
+            *self.slot_mut(id).expect("slot exists") = Slot::Occupied(actor);
+        }
+        self.cur_lane = prev_lane;
         Some(out)
     }
 
@@ -1092,15 +1101,8 @@ impl<M: Payload> Simulation<M> {
                 {
                     continue;
                 }
-                self.actors[lane][ctr] = Slot::Vacant;
                 let actor = ActorId::from_parts(lane as u16, ctr as u16);
-                self.emit_event(
-                    node.as_raw(),
-                    crash_span,
-                    SpanKind::ActorKilled {
-                        actor: actor.as_raw(),
-                    },
-                );
+                self.vacate(actor, node, crash_span);
                 killed += 1;
             }
         }
@@ -1444,6 +1446,59 @@ mod tests {
         sim.run_until_idle();
         assert!(!sim.is_alive(a));
         assert_eq!(sim.dead_letters(), 1);
+    }
+
+    /// Crashes its own node upon the first message.
+    struct CrashOwnNode;
+
+    impl Actor<TestMsg> for CrashOwnNode {
+        fn on_message(&mut self, ctx: &mut Ctx<'_, TestMsg>, _from: ActorId, _msg: TestMsg) {
+            let node = ctx.node();
+            ctx.crash_node(node);
+        }
+    }
+
+    #[test]
+    fn every_death_leaves_one_actor_killed_span() {
+        let mut sim = Simulation::new(NetConfig::instant(), 3);
+        sim.spans_mut().enable();
+        let (n0, n1) = (NodeId::from_raw(0), NodeId::from_raw(1));
+        let driven = sim.spawn(n0, Collector::default());
+        let selfish = sim.spawn(n0, SelfDestruct);
+        let crasher = sim.spawn(n1, CrashOwnNode);
+        let bystander = sim.spawn(n1, Collector::default());
+        sim.kill(driven);
+        sim.post(driven, selfish, TestMsg::Ping(0));
+        sim.post(driven, crasher, TestMsg::Ping(1));
+        sim.run_until_idle();
+        let log = sim.spans();
+        let deaths: Vec<(u32, Option<SpanKind>)> = log
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                SpanKind::ActorKilled { actor } => {
+                    Some((actor, e.parent.and_then(|p| log.get(p)).map(|p| p.kind)))
+                }
+                _ => None,
+            })
+            .collect();
+        let delivered = |dst: ActorId, dst_node: NodeId| SpanKind::MsgDelivered {
+            src: driven.as_raw(),
+            dst: dst.as_raw(),
+            dst_node: dst_node.as_raw(),
+        };
+        assert_eq!(
+            deaths,
+            [
+                (driven.as_raw(), None),
+                (selfish.as_raw(), Some(delivered(selfish, n0))),
+                (bystander.as_raw(), Some(SpanKind::NodeCrashed { node: 1 })),
+                (crasher.as_raw(), Some(delivered(crasher, n1))),
+            ]
+        );
+        assert!(![driven, selfish, crasher, bystander]
+            .iter()
+            .any(|&a| sim.is_alive(a)));
     }
 
     /// Fires a timer chain: each on_timer schedules the next until 5 fired.
