@@ -129,11 +129,11 @@ const PINS: Pins = [
     ),
     (
         "reconfig_churn",
-        [9008, 158, 6961812, 8, 2668650, 7653, 25734],
+        [9008, 158, 6961812, 8, 2668650, 7653, 25934],
     ),
     (
         "mixed_traffic_x50",
-        [5825, 141, 6650349, 9, 2760135, 8573, 29234],
+        [5825, 141, 6650349, 9, 2760135, 8573, 29324],
     ),
     (
         "upgrade_crash_long",
@@ -149,11 +149,11 @@ const PINS_FULL: Pins = [
     ),
     (
         "reconfig_churn",
-        [86051, 378, 62098244, 36, 23146890, 76734, 257640],
+        [86051, 378, 62098244, 36, 23146890, 76734, 259656],
     ),
     (
         "mixed_traffic_x50",
-        [58944, 267, 86042341, 29, 37239017, 87239, 297061],
+        [58944, 267, 86042341, 29, 37239017, 87239, 298041],
     ),
     (
         "upgrade_crash_long",

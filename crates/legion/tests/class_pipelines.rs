@@ -353,8 +353,11 @@ fn ops_naming_a_node_outside_the_lane_space_are_refused() {
 /// Captured before the pipelines became a declared plan table. The vault
 /// rows moved once, by -1.2 ms per restore, when a vault-backed restore
 /// stopped being charged for a 4096-byte placeholder instead of the state
-/// it loads. The span digests moved once, when class operations started
-/// leaving flow spans; no step time, counter or event count moved with them.
+/// it loads. The span digests moved twice, when class operations started
+/// leaving flow spans and when an instance's death from its own handler
+/// started leaving an `ActorKilled` span (without those spans each log
+/// digests to its earlier pin); no step time, counter or event count moved
+/// with them.
 const PINNED: &str = "\
 vault=false seed=3
 create-cold ok 4306203496
@@ -367,7 +370,7 @@ reactivate refused 40000
 evolve-unknown refused 40000
 counters sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0
 events 66
-spans 0150d38a8c6d80a7
+spans b73d29e944851ca2
 vault=false seed=42
 create-cold ok 4306203496
 create-warm ok 208080000
@@ -379,7 +382,7 @@ reactivate refused 40000
 evolve-unknown refused 40000
 counters sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0
 events 66
-spans 913a1888b0744186
+spans c4d1d556b013b24a
 vault=true seed=3
 create-cold ok 4306203496
 create-warm ok 208080000
@@ -391,7 +394,7 @@ reactivate ok 4307237557
 evolve-unknown refused 40000
 counters sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0 vault.loads=3 vault.saves=3
 events 92
-spans b0914fc1675b3710
+spans 9a944fc33a2a523e
 vault=true seed=42
 create-cold ok 4306203496
 create-warm ok 208080000
@@ -403,5 +406,5 @@ reactivate ok 4307204788
 evolve-unknown refused 40000
 counters sim.node_crashes=1 sim.node_restarts=1 sim.timers_cancelled_by_crash=0 vault.loads=3 vault.saves=3
 events 92
-spans 7928d95098d74a59
+spans c76b6725721c3191
 ";
