@@ -71,9 +71,8 @@ fn usage() -> ! {
     eprintln!("       dcdo-inspect timeline <name|file.scn> [seed] [--out FILE]");
     eprintln!("       dcdo-inspect flight <name|file.scn> [seed] [--out FILE]");
     eprintln!("       dcdo-inspect trace <name|file.scn> [seed] [--out FILE]");
-    eprintln!("profile (no subcommand): run a scenario and print its cost table,");
-    eprintln!("    critical path, flow steps, VM and RPC views; reconfig,");
-    eprintln!("    reconfig_faulted and crash_during_reconfig use reconfig_run's layer map");
+    eprintln!("profile: reconfig, reconfig_faulted, crash_during_reconfig use reconfig_run's");
+    eprintln!("    layer map; any other scenario or .scn file an empty one");
     eprintln!("vm: print the VM per-function/per-opcode cost tables and");
     eprintln!("    superinstruction coverage for the scenario");
     eprintln!("scenarios: list the declared scenarios the runner knows");

@@ -9,10 +9,11 @@
 //! window runs it. The `golden_parity` suite compares both with direct runs
 //! of the same drivers.
 
+use dcdo_sim::Simulation;
 use dcdo_workloads::{reconfig, simbench};
+use legion_substrate::Msg;
 
-use crate::error::ScenarioError;
-use crate::topology::{Infra, Topology};
+use crate::topology::Infra;
 use crate::workload::{RunCx, ServiceHandles, Workload};
 
 /// The canonical reconfiguration workflow: a counter service evolved to a
@@ -78,86 +79,34 @@ impl Workload for ReconfigEpisode {
     }
 }
 
-/// Which engine shape a [`SimBench`] workload spawns, at the canonical
-/// parameters the trace-invariant suite pins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Shape {
-    /// Two actors ping-ponging 200 rounds (on nodes 0 and 1).
-    PingPong,
-    /// A hub bursting to 8 spokes for 20 rounds (over nodes 0–15).
-    FanOut,
-    /// Ownership-transfer chains: 4 rounds over 6 sinks (over nodes 0–15).
-    TransferHeavy,
-}
-
-impl Shape {
-    /// The scenario-file token for this shape (`shape=<name>`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Shape::PingPong => "ping_pong",
-            Shape::FanOut => "fan_out",
-            Shape::TransferHeavy => "transfer_heavy",
-        }
-    }
-
-    /// Parses a `shape=` token.
-    pub fn parse(name: &str) -> Option<Shape> {
-        match name {
-            "ping_pong" => Some(Shape::PingPong),
-            "fan_out" => Some(Shape::FanOut),
-            "transfer_heavy" => Some(Shape::TransferHeavy),
-            _ => None,
-        }
-    }
-
-    /// How many nodes the shape places actors on.
-    fn nodes(&self) -> u32 {
-        match self {
-            Shape::PingPong => 2,
-            Shape::FanOut | Shape::TransferHeavy => 16,
-        }
-    }
-}
-
 /// One engine shape, spawned into the runner's simulation at setup with its
 /// kick posted; a timed window runs it. The network and the seed are the
 /// topology's and the scenario's.
 pub struct SimBench {
-    shape: Shape,
+    name: &'static str,
+    populate: fn(&mut Simulation<Msg>) -> u64,
 }
 
 impl SimBench {
-    /// A workload spawning `shape` at its canonical parameters.
-    pub fn new(shape: Shape) -> Self {
-        SimBench { shape }
+    /// The shape `name` (`ping_pong`, `fan_out` or `transfer_heavy`) at the
+    /// canonical parameters the trace-invariant suite pins, if it is one.
+    pub fn new(name: &str) -> Option<Self> {
+        let (name, populate): (_, fn(&mut Simulation<Msg>) -> u64) = match name {
+            "ping_pong" => ("ping_pong", |sim| simbench::ping_pong(sim, 200)),
+            "fan_out" => ("fan_out", |sim| simbench::fan_out(sim, 20, 8, 16)),
+            "transfer_heavy" => ("transfer_heavy", |sim| simbench::transfer_heavy(sim, 4, 6)),
+            _ => return None,
+        };
+        Some(SimBench { name, populate })
     }
 }
 
 impl Workload for SimBench {
     fn name(&self) -> &str {
-        self.shape.name()
-    }
-
-    fn check(&self, topology: &Topology) -> Result<(), ScenarioError> {
-        if topology.nodes < self.shape.nodes() {
-            return Err(ScenarioError::BadParam {
-                context: format!("workload simbench shape={}", self.shape.name()),
-                msg: format!(
-                    "the shape places actors on {} nodes, the topology has {}",
-                    self.shape.nodes(),
-                    topology.nodes
-                ),
-            });
-        }
-        Ok(())
+        self.name
     }
 
     fn setup(&mut self, cx: &mut RunCx) {
-        let sim = cx.world.sim_mut().expect("a built world");
-        match self.shape {
-            Shape::PingPong => simbench::ping_pong(sim, 200),
-            Shape::FanOut => simbench::fan_out(sim, 20, 8, 16),
-            Shape::TransferHeavy => simbench::transfer_heavy(sim, 4, 6),
-        };
+        (self.populate)(cx.world.sim_mut().expect("a built world"));
     }
 }

@@ -93,7 +93,7 @@ mod workload;
 pub mod registry;
 pub mod shapes;
 
-pub use episodes::{ReconfigEpisode, Shape, SimBench};
+pub use episodes::{ReconfigEpisode, SimBench};
 pub use error::ScenarioError;
 pub use expect::{
     CounterBound, Expectation, GaugeBound, MetricBound, MixConverged, NoLeakedEvents,

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::episodes::{ReconfigEpisode, Shape, SimBench};
+use crate::episodes::{ReconfigEpisode, SimBench};
 use crate::error::ScenarioError;
 use crate::expect::{
     CounterBound, Expectation, GaugeBound, MetricBound, MixConverged, NoLeakedEvents,
@@ -155,11 +155,11 @@ impl Registry {
         });
         r.register_workload("simbench", |args| {
             let shape = require_kv(args, "simbench", "shape")?;
-            let shape = Shape::parse(shape).ok_or_else(|| ScenarioError::BadParam {
+            let shape = SimBench::new(shape).ok_or_else(|| ScenarioError::BadParam {
                 context: "workload simbench".to_string(),
                 msg: format!("unknown shape {shape:?}"),
             })?;
-            Ok(Box::new(SimBench::new(shape)))
+            Ok(Box::new(shape))
         });
 
         r.register_expectation("trace_invariants", |_| Ok(Box::new(TraceInvariantsClean)));

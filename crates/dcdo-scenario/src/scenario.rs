@@ -17,13 +17,11 @@ pub enum Window {
     /// Run the simulator for a fixed span of simulated time, then drain.
     /// Timer-driven workloads (rings, chaos plans) supply the traffic.
     Timed(SimDuration),
-    /// A single self-contained episode: each workload's
-    /// [`Workload::episode`](crate::Workload::episode) hook runs once on
-    /// the built world, then the queue drains. Only episode workloads
-    /// (`reconfig_episode`) run here. Once they become compositions, what
-    /// keeps the variant is `benchmark/src/replica.rs:275`, which names it
-    /// and cannot be edited outside a change to the benchmark (ROADMAP.md
-    /// item 1 removes both).
+    /// Each workload's [`Workload::episode`](crate::Workload::episode)
+    /// hook runs once on the built world, then the queue drains; only
+    /// episode workloads (`reconfig_episode`) run here. Also kept because
+    /// `benchmark/src/replica.rs:275` names it and cannot be edited outside
+    /// a change to the benchmark (ROADMAP.md item 1 removes both).
     Episode,
 }
 

@@ -136,14 +136,6 @@ impl World {
         }
     }
 
-    /// The Legion testbed, when this world has one.
-    pub fn testbed(&self) -> Option<&Testbed> {
-        match self {
-            World::Legion(bed) => Some(bed),
-            World::Bare(_) => None,
-        }
-    }
-
     /// Mutable access to the Legion testbed.
     pub fn testbed_mut(&mut self) -> Option<&mut Testbed> {
         match self {

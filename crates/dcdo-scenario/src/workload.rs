@@ -101,15 +101,13 @@ impl RunCx {
     /// `capture`, or a caller judging without the runner — checks the log
     /// as it stands, and the verdict is kept only until the log grows.
     pub fn trace_violations(&self) -> Ref<'_, [Violation]> {
-        let len = self.world.sim().map_or(0, |sim| sim.spans().len());
+        let spans = self.world.sim().expect("a built world").spans();
+        let len = spans.len();
         let fresh = matches!(&*self.violations.borrow(), Some((judged, _)) if *judged == len);
         if !fresh {
-            let violations = self.world.sim().map_or_else(Vec::new, |sim| {
-                #[cfg(test)]
-                crate::runner::SPAN_VISITS.with(|v| v.set(v.get() + len as u64));
-                dcdo_sim::check_trace_invariants(sim.spans())
-            });
-            *self.violations.borrow_mut() = Some((len, violations));
+            #[cfg(test)]
+            crate::runner::SPAN_VISITS.with(|v| v.set(v.get() + len as u64));
+            *self.violations.borrow_mut() = Some((len, dcdo_sim::check_trace_invariants(spans)));
         }
         Ref::map(self.violations.borrow(), |verdict| {
             verdict.as_ref().map_or(&[][..], |(_, v)| &v[..])
@@ -119,7 +117,7 @@ impl RunCx {
     /// Installs the checker's verdict on the span log as it stands now
     /// (the runner's post-run sweep), replacing any earlier one.
     pub(crate) fn install_trace_violations(&mut self, violations: Vec<Violation>) {
-        let len = self.world.sim().map_or(0, |sim| sim.spans().len());
+        let len = self.world.sim().expect("a built world").spans().len();
         *self.violations.get_mut() = Some((len, violations));
     }
 
@@ -170,9 +168,8 @@ pub trait Workload {
         Infra::Bare
     }
 
-    /// `true` if this workload runs whole in its
-    /// [`episode`](Workload::episode) hook. Validation pairs such workloads
-    /// with an `episode` window, and that window with nothing else.
+    /// `true` if this workload runs whole in its [`episode`](Workload::episode)
+    /// hook; validation keeps an `episode` window for such workloads only.
     fn has_episode(&self) -> bool {
         false
     }

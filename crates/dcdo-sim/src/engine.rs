@@ -589,10 +589,8 @@ impl<M: Payload> Simulation<M> {
         self.timers_cancelled_by_crash
     }
 
-    /// A count by name, as a scenario's `metric_*` line names it: the
-    /// `sim.*` names are the engine's own counts (the network's
-    /// [`NetStats`](crate::NetStats) and the fields above), which the
-    /// engine keeps once; any other name is a [`Metrics`] counter.
+    /// A count by name, as a `.scn` `metric_*` line names it: a `sim.*` name
+    /// is the engine's own count, any other a [`Metrics`] counter.
     pub fn counter(&self, name: &str) -> u64 {
         let net = self.network.stats();
         match name {
@@ -727,10 +725,8 @@ impl<M: Payload> Simulation<M> {
         self.vacate(actor, node, parent);
     }
 
-    /// The one way an actor dies, by [`kill`](Simulation::kill), by its own
-    /// handler ([`Ctx::kill`] of itself, [`Ctx::crash_node`] of its node)
-    /// or in its node's crash: vacates `actor`'s slot on `node` and records
-    /// the death, caused by `parent`.
+    /// The one way an actor dies (killed, by its own handler, or in a
+    /// crash): vacates its slot and records the death, caused by `parent`.
     fn vacate(&mut self, actor: ActorId, node: NodeId, parent: Option<SpanId>) {
         *self.slot_mut(actor).expect("placement implies slot") = Slot::Vacant;
         self.emit_event(

@@ -4,12 +4,10 @@
 //! scenario runner's `metric_*` expectations and the repo benchmark read
 //! them after a run. A counter is kept only where something reads it: an
 //! event the span log records (a completed RPC, a binding miss, a flow) is
-//! counted from its spans, not here. The engine writes nothing here: its
-//! own counts (crashes, restarts, dead letters, cancelled timers, and the
-//! network's drops and duplicates) are typed fields that
-//! `Simulation::counter` resolves by their `sim.*` names. No duration is
-//! kept here either: every timed operation is a flow or a flow step in the
-//! span log, and its latency is read from there.
+//! counted from its spans, not here; the engine's own counts are typed
+//! fields (`Simulation::counter` resolves their `sim.*` names). No duration
+//! is kept here either: every timed operation is a flow or a flow step in
+//! the span log, and its latency is read from there.
 
 use std::collections::BTreeMap;
 

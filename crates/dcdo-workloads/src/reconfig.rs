@@ -4,16 +4,11 @@
 //! This is the workload behind the paper-style reconfiguration-cost tables:
 //! [`reconfig_drive`] drives a complete version workflow (derive,
 //! incorporate, enable, instantiate, update) on a 16-node testbed and
-//! returns every identifier the profiler needs — which actor is the
-//! manager, which node hosts the instance — so [`ReconfigRun::layer_map`]
-//! can attribute critical-path time to the right layer and
-//! [`ReconfigRun::fn_names`] can print function names instead of hashes.
-//! [`reconfig_run`] builds the testbed (`Testbed::centurion`, spans on) and
-//! drives it.
-//!
-//! The declared `reconfig` and `crash_during_reconfig` scenarios run the
-//! same driver on the testbed their `topology legion nodes=16
-//! net=centurion` line builds.
+//! returns every identifier the profiler needs, so
+//! [`ReconfigRun::layer_map`] can attribute critical-path time to the right
+//! layer and [`ReconfigRun::fn_names`] can print function names instead of
+//! hashes. [`reconfig_run`] builds the testbed (spans on) and drives it;
+//! the declared `reconfig` scenarios drive the testbed the runner built.
 
 use dcdo_core::ops::{CheckpointDcdo, NodeFailed, NodeRecovered, UpdateInstance, VersionConfigOp};
 use dcdo_profile::{FnNames, Layer, LayerMap, ProfileReport};
@@ -38,9 +33,8 @@ pub fn padded_step() -> dcdo_vm::ComponentBinary {
         .expect("valid component")
 }
 
-/// What one drive of the workflow leaves besides the testbed: the
-/// identities the profiler needs to attribute time to layers, and the
-/// window's measurements.
+/// What one drive of the workflow leaves besides the testbed: identities
+/// the profiler attributes time by, and the window's measurements.
 pub struct ReconfigDrive {
     /// The DCDO manager's actor.
     pub manager_actor: ActorId,

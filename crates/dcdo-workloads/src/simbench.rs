@@ -1,15 +1,12 @@
 //! Sim-core event-mix shapes.
 //!
-//! Each shape spawns its actors into a simulation over the real Legion
-//! [`Msg`] wire type and posts its kick ([`ping_pong`], [`fan_out`],
-//! [`transfer_heavy`]); the declared `ping_pong`, `fan_out` and
-//! `transfer_heavy` scenarios spawn them into the world their `topology
-//! bare` line builds. Each `*_sim` builder is `Simulation::new` with the
-//! shape's network and seed plus that same function, returning the
-//! simulation, not yet run, and the event budget to run it with; the
-//! trace-invariant suite and the repo benchmark's engine-floor kernel drive
-//! them. Payload handling (cloning ops for broadcast/resend, wire-size
-//! accounting) is exercised, not just queue mechanics:
+//! Each shape spawns its actors over the real Legion [`Msg`] wire type into
+//! a simulation and posts its kick (the declared shape scenarios use the
+//! world their `topology bare` line builds); each `*_sim` builder is
+//! `Simulation::new` plus that function, for the trace-invariant suite and
+//! the repo benchmark's engine-floor kernel. Payload handling (cloning ops
+//! for broadcast/resend, wire-size accounting) is exercised, not just queue
+//! mechanics:
 //!
 //! - **ping-pong** — two objects volley an `Invoke`/`Reply` pair over the
 //!   jittered centurion network: the latency-bound RPC shape.
@@ -131,8 +128,8 @@ pub fn ping_pong_sim(rounds: u64) -> (Simulation<Msg>, u64) {
     (sim, budget)
 }
 
-/// Spawns the ping-pong pair on nodes 0 and 1 of `sim` and posts the kick.
-/// Returns the event budget that runs it to the end.
+/// Spawns the ping-pong pair on nodes 0 and 1 of `sim`, posts the kick and
+/// returns the event budget that runs it to the end.
 pub fn ping_pong(sim: &mut Simulation<Msg>, rounds: u64) -> u64 {
     let ponger = sim.spawn(NodeId::from_raw(1), Ponger);
     let pinger = sim.spawn(
