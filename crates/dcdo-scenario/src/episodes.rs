@@ -52,8 +52,8 @@ impl Workload for ReconfigEpisode {
     }
 
     fn episode(&mut self, cx: &mut RunCx) {
-        // The baseline runs before the faulted drive, as it always has:
-        // `next_generation`'s process-wide counter sees the order.
+        // The baseline runs before the faulted drive: `next_generation`'s
+        // process-wide counter sees the order.
         let baseline = self
             .faulted
             .then(|| reconfig::reconfig_run(cx.seed, false).drive.window_messages);

@@ -95,11 +95,12 @@ impl RunCx {
         }
     }
 
-    /// Every trace-invariant violation in the world's span log. The scenario runner installs the verdict of its
-    /// post-run sweep, which the expectations and the report then share. A
-    /// read before that — from a workload's `measure`, an expectation's
-    /// `capture`, or a caller judging without the runner — checks the log
-    /// as it stands, and the verdict is kept only until the log grows.
+    /// Every trace-invariant violation in the world's span log. The
+    /// scenario runner installs the verdict of its post-run sweep, which
+    /// the expectations and the report then share. A read before that —
+    /// from a workload's `measure`, an expectation's `capture`, or a caller
+    /// judging without the runner — checks the log as it stands, and the
+    /// verdict is kept only until the log grows.
     pub fn trace_violations(&self) -> Ref<'_, [Violation]> {
         let spans = self.world.sim().expect("a built world").spans();
         let len = spans.len();
