@@ -390,7 +390,7 @@ fn run_flight(args: &[String]) {
 /// digest.
 fn run_trace(args: &[String]) {
     let (cli, name, artifacts) = run_single("trace", args);
-    let log = TraceLog::from_events(artifacts.spans, artifacts.span_groups);
+    let log = TraceLog::from_events(artifacts.spans, artifacts.span_arena);
     let json_path = cli.out.unwrap_or_else(|| format!("TRACE_{name}.json"));
     std::fs::write(&json_path, log.to_chrome_trace()).expect("write chrome trace");
     println!(
@@ -456,7 +456,7 @@ fn run_workload(name: &str, seed: u64) -> (ProfileReport, VmTotals) {
             });
             print!("{}", artifacts.report.render());
             let report = ProfileReport::analyze(
-                &TraceLog::from_events(artifacts.spans, artifacts.span_groups),
+                &TraceLog::from_events(artifacts.spans, artifacts.span_arena),
                 &LayerMap::new(),
                 &FnNames::new(),
             );
@@ -786,7 +786,7 @@ mod tests {
         for f in &artifacts.vm.profile.functions {
             names.insert(f.name.as_str());
         }
-        let log = TraceLog::from_events(artifacts.spans, artifacts.span_groups);
+        let log = TraceLog::from_events(artifacts.spans, artifacts.span_arena);
         let profile = ProfileReport::analyze(&log, &LayerMap::new(), &names);
         let doc = parse(&profile.to_json());
         let hot = doc.get("vm_functions").expect("vm_functions").items();

@@ -232,7 +232,7 @@ fn replay(sim: &Simulation<Hop>, keep: fn(&SpanEvent) -> bool) -> (FlightRecorde
     timeline.set_bucket_ns(sim.timeline().bucket_ns());
     for e in sim.spans().events().iter().filter(|e| keep(e)) {
         if let Some((code, actor)) = executed(&e.kind) {
-            flight.push(FlightFrame::pack(e.at_ns, code, e.node, actor));
+            flight.push(FlightFrame::pack(e.at_ns, code, e.node(), actor));
             timeline.account(e.at_ns, code);
         }
     }

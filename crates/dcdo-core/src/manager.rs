@@ -824,11 +824,11 @@ impl DcdoManager {
                 if !set.fence {
                     // Adoption: the manager is a (non-serving) group member
                     // for timeline purposes.
-                    ctx.emit_span(SpanKind::ReplicaEpoch {
-                        group: set.group,
-                        replica: object.as_raw(),
-                        epoch: set.epoch,
-                    });
+                    ctx.emit_span(SpanKind::replica_epoch(
+                        set.group,
+                        object.as_raw(),
+                        set.epoch,
+                    ));
                 }
                 Msg::control_ok(
                     call,

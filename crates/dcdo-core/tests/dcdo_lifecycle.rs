@@ -780,8 +780,10 @@ fn forced_removal_aborts_suspended_threads() {
     );
     // The aborted thread's cost is harvested like a finished thread's: a
     // `VmCost` span for relay, and relay in the world's VM totals.
-    let relay_cost = s.bed.sim.spans().events().iter().any(|e| {
-        matches!(e.kind, SpanKind::VmCost { function, calls: 1, .. } if function == fn_hash("relay"))
+    let spans = s.bed.sim.spans();
+    let relay_cost = spans.events().iter().any(|e| {
+        matches!(e.kind, SpanKind::VmCost { function, calls: 1, .. }
+            if spans.function(function) == fn_hash("relay"))
     });
     assert!(relay_cost, "the aborted thread emitted its VmCost span");
     let totals = s

@@ -250,11 +250,11 @@ impl GroupReplica {
             return;
         }
         self.config = config;
-        ctx.emit_span(SpanKind::ReplicaEpoch {
-            group: self.group,
-            replica: self.member as u64,
-            epoch: self.config.epoch,
-        });
+        ctx.emit_span(SpanKind::replica_epoch(
+            self.group,
+            u64::from(self.member),
+            self.config.epoch,
+        ));
         // The group epoch rides the same generation discipline single
         // objects use: one stamp per adoption, monotone per object.
         ctx.emit_span(SpanKind::GenerationStamp {
@@ -354,12 +354,12 @@ impl LegionObject for GroupReplica {
             )))
         } else {
             self.served += 1;
-            ctx.emit_span(SpanKind::EpochServed {
-                group: self.group,
-                replica: self.member,
-                epoch: self.config.epoch,
-                call: call.as_raw(),
-            });
+            ctx.emit_span(SpanKind::epoch_served(
+                self.group,
+                self.member,
+                self.config.epoch,
+                call.as_raw(),
+            ));
             Ok(Value::Int(self.running_version() as i64))
         };
         ctx.send(from, Msg::Reply { call, result });
@@ -496,11 +496,7 @@ impl GroupCoordinator {
             object: self.group,
             kind: FlowKind::Epoch,
         });
-        ctx.emit_span(SpanKind::EpochProposed {
-            group: self.group,
-            epoch,
-            config: joined_digest,
-        });
+        ctx.emit_span(SpanKind::epoch_proposed(self.group, epoch, joined_digest));
         let expected: BTreeSet<u32> = self
             .config
             .members
@@ -547,11 +543,11 @@ impl GroupCoordinator {
         ctx.cancel_timer(round.deadline);
         self.config = round.next;
         self.committed_rounds += 1;
-        ctx.emit_span(SpanKind::EpochCommitted {
-            group: self.group,
-            epoch: self.config.epoch,
-            config: self.config.digest(),
-        });
+        ctx.emit_span(SpanKind::epoch_committed(
+            self.group,
+            self.config.epoch,
+            self.config.digest(),
+        ));
         ctx.emit_span(SpanKind::FlowCompleted { flow: round.flow });
         // Broadcast the full config to every known replica — including
         // members the new config dropped, so they learn they are out.

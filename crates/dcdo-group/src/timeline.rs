@@ -40,17 +40,17 @@ pub fn epoch_timeline(events: &[SpanEvent]) -> Vec<EpochEvent> {
                 group,
                 epoch,
                 config,
-            } => (group, epoch, EpochEventKind::Proposed, config),
+            } => (group, u64::from(epoch), EpochEventKind::Proposed, config),
             SpanKind::EpochCommitted {
                 group,
                 epoch,
                 config,
-            } => (group, epoch, EpochEventKind::Committed, config),
+            } => (group, u64::from(epoch), EpochEventKind::Committed, config),
             SpanKind::ReplicaEpoch {
                 group,
                 replica,
                 epoch,
-            } => (group, epoch, EpochEventKind::Adopted, replica),
+            } => (group, epoch, EpochEventKind::Adopted, u64::from(replica)),
             _ => continue,
         };
         out.push(EpochEvent {

@@ -69,7 +69,7 @@ pub fn collect_flows(log: &TraceLog) -> Vec<FlowRecord> {
                         flow: *flow,
                         object: *object,
                         kind: *kind,
-                        start_span: e.id,
+                        start_span: e.id(),
                         start_ns: e.at_ns,
                         end_span: None,
                         end_ns: None,
@@ -86,7 +86,7 @@ pub fn collect_flows(log: &TraceLog) -> Vec<FlowRecord> {
             SpanKind::FlowCompleted { flow } | SpanKind::FlowAborted { flow } => {
                 if let Some(r) = by_id.get_mut(flow) {
                     if r.end_span.is_none() {
-                        r.end_span = Some(e.id);
+                        r.end_span = Some(e.id());
                         r.end_ns = Some(e.at_ns);
                         r.aborted = matches!(e.kind, SpanKind::FlowAborted { .. });
                     }
@@ -221,7 +221,7 @@ fn flow_cones(log: &TraceLog) -> HashMap<u64, u64> {
     }
     let mut assign: HashMap<u64, u64> = HashMap::new();
     for e in log.events() {
-        let raw = e.id.as_raw();
+        let raw = e.id().as_raw();
         if let Some(f) = e.kind.flow_id() {
             assign.insert(raw, f);
             continue;
@@ -246,10 +246,10 @@ pub fn cost_table(log: &TraceLog, flows: &[FlowRecord]) -> Vec<CostRow> {
     let mut traffic: HashMap<u64, (u64, u64)> = HashMap::new();
     for e in log.events() {
         if let SpanKind::MsgSent { bytes, .. } = &e.kind {
-            if let Some(flow) = cones.get(&e.id.as_raw()) {
+            if let Some(flow) = cones.get(&e.id().as_raw()) {
                 let t = traffic.entry(*flow).or_insert((0, 0));
                 t.0 += 1;
-                t.1 += *bytes;
+                t.1 += u64::from(*bytes);
             }
         }
     }

@@ -104,9 +104,9 @@ impl LayerMap {
     pub fn classify(&self, event: &SpanEvent) -> Layer {
         match &event.kind {
             SpanKind::MsgDelivered { .. } | SpanKind::MsgDeadLetter { .. } => Layer::Network,
-            SpanKind::TimerFired { actor, .. } => self.actor(*actor, event.node),
-            SpanKind::MsgSent { src, .. } => self.actor(*src, event.node),
-            _ => self.node(event.node),
+            SpanKind::TimerFired { actor, .. } => self.actor(*actor, event.node()),
+            SpanKind::MsgSent { src, .. } => self.actor(*src, event.node()),
+            _ => self.node(event.node()),
         }
     }
 }

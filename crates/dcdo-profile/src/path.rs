@@ -87,7 +87,7 @@ pub fn critical_path(log: &TraceLog, flow: &FlowRecord, map: &LayerMap) -> Optio
         let at = e.at_ns.max(prev_ns);
         let layer = map.classify(e);
         segments.push(PathSegment {
-            span: e.id,
+            span: e.id(),
             kind_name: e.kind.name(),
             layer,
             start_ns: prev_ns,

@@ -240,7 +240,8 @@ mod tests {
                 dst_node: 4,
             },
         );
-        l.emit(950, 4, del, SpanKind::vm_cost(fn_hash("step"), 1, 12, 40));
+        let step = l.intern_function(fn_hash("step"));
+        l.emit(950, 4, del, SpanKind::vm_cost(step, 1, 12, 40));
         l.emit(1_000, 0, del, SpanKind::FlowCompleted { flow: 1 });
         l
     }
@@ -291,7 +292,8 @@ mod tests {
         let name = "a\"b\\c\nd";
         let mut log = TraceLog::new();
         log.enable();
-        log.emit(5, 0, None, SpanKind::vm_cost(fn_hash(name), 1, 12, 40));
+        let function = log.intern_function(fn_hash(name));
+        log.emit(5, 0, None, SpanKind::vm_cost(function, 1, 12, 40));
         let mut names = FnNames::new();
         names.insert(name);
         let report = ProfileReport::analyze(&log, &LayerMap::new(), &names);

@@ -60,7 +60,7 @@ mod tests {
     fn counts_attempts_retries_and_outcomes() {
         let mut l = TraceLog::new();
         l.enable();
-        for (call, attempt) in [(1u64, 1u32), (2, 1), (2, 2), (2, 3)] {
+        for (call, attempt) in [(1u64, 1u16), (2, 1), (2, 2), (2, 3)] {
             l.emit(
                 0,
                 0,

@@ -79,9 +79,10 @@ pub fn vm_costs_between(
             ..
         } = &e.kind
         {
-            let cost = by_fn.entry(*function).or_insert_with(|| VmFnCost {
-                function: *function,
-                name: names.name(*function).map(str::to_string),
+            let function = log.function(*function);
+            let cost = by_fn.entry(function).or_insert_with(|| VmFnCost {
+                function,
+                name: names.name(function).map(str::to_string),
                 threads: 0,
                 calls: 0,
                 instructions: 0,
@@ -107,8 +108,15 @@ pub fn vm_costs_between(
 mod tests {
     use super::*;
 
-    fn cost(function: u64, calls: u64, instructions: u64, work: u64) -> SpanKind {
-        SpanKind::vm_cost(function, calls, instructions, work)
+    /// Records a `VmCost` span for `function` at `at_ns`.
+    fn cost(l: &mut TraceLog, at_ns: u64, function: u64, calls: u64, instructions: u64, work: u64) {
+        let function = l.intern_function(function);
+        l.emit(
+            at_ns,
+            0,
+            None,
+            SpanKind::vm_cost(function, calls, instructions, work),
+        );
     }
 
     #[test]
@@ -119,9 +127,9 @@ mod tests {
         let get = fn_hash("get");
         let mut l = TraceLog::new();
         l.enable();
-        l.emit(10, 0, None, cost(step, 1, 40, 1_000));
-        l.emit(20, 0, None, cost(get, 2, 10, 50_000));
-        l.emit(30, 0, None, cost(step, 1, 40, 1_000));
+        cost(&mut l, 10, step, 1, 40, 1_000);
+        cost(&mut l, 20, get, 2, 10, 50_000);
+        cost(&mut l, 30, step, 1, 40, 1_000);
         let costs = vm_costs(&l, &names);
         assert_eq!(costs.len(), 2);
         assert_eq!(costs[0].name.as_deref(), Some("get"), "hottest first");
@@ -136,8 +144,8 @@ mod tests {
         let step = fn_hash("step");
         let mut l = TraceLog::new();
         l.enable();
-        l.emit(10, 0, None, cost(step, 1, 5, 100));
-        l.emit(90, 0, None, cost(step, 1, 50, 9_000));
+        cost(&mut l, 10, step, 1, 5, 100);
+        cost(&mut l, 90, step, 1, 50, 9_000);
         let names = FnNames::new();
         let pre = vm_costs_between(&l, &names, 0, 50);
         let post = vm_costs_between(&l, &names, 50, u64::MAX);

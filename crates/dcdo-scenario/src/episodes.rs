@@ -13,8 +13,9 @@ use dcdo_sim::Simulation;
 use dcdo_workloads::{reconfig, simbench};
 use legion_substrate::Msg;
 
-use crate::topology::Infra;
+use crate::topology::{Infra, Topology};
 use crate::workload::{RunCx, ServiceHandles, Workload};
+use crate::ScenarioError;
 
 /// The canonical reconfiguration workflow: a counter service evolved to a
 /// padded replacement `step` component on the 16-node testbed, optionally
@@ -85,25 +86,52 @@ impl Workload for ReconfigEpisode {
 pub struct SimBench {
     name: &'static str,
     populate: fn(&mut Simulation<Msg>) -> u64,
+    /// The highest node the shape spawns an actor on.
+    top_node: u32,
 }
 
 impl SimBench {
     /// The shape `name` (`ping_pong`, `fan_out` or `transfer_heavy`) at the
     /// canonical parameters the trace-invariant suite pins, if it is one.
     pub fn new(name: &str) -> Option<Self> {
-        let (name, populate): (_, fn(&mut Simulation<Msg>) -> u64) = match name {
-            "ping_pong" => ("ping_pong", |sim| simbench::ping_pong(sim, 200)),
-            "fan_out" => ("fan_out", |sim| simbench::fan_out(sim, 20, 8, 16)),
-            "transfer_heavy" => ("transfer_heavy", |sim| simbench::transfer_heavy(sim, 4, 6)),
+        type Populate = fn(&mut Simulation<Msg>) -> u64;
+        let (name, populate, top_node): (_, Populate, _) = match name {
+            // The pair on nodes 0 and 1.
+            "ping_pong" => ("ping_pong", |sim| simbench::ping_pong(sim, 200), 1),
+            // The hub on node 0, its 8 spokes on nodes 0–7.
+            "fan_out" => ("fan_out", |sim| simbench::fan_out(sim, 20, 8, 16), 7),
+            // The source on node 0, its 6 sinks on nodes 1–6.
+            "transfer_heavy" => (
+                "transfer_heavy",
+                |sim| simbench::transfer_heavy(sim, 4, 6),
+                6,
+            ),
             _ => return None,
         };
-        Some(SimBench { name, populate })
+        Some(SimBench {
+            name,
+            populate,
+            top_node,
+        })
     }
 }
 
 impl Workload for SimBench {
     fn name(&self) -> &str {
         self.name
+    }
+
+    fn check(&self, topology: &Topology) -> Result<(), ScenarioError> {
+        if self.top_node >= topology.nodes {
+            return Err(ScenarioError::BadParam {
+                context: format!("workload simbench shape={}", self.name),
+                msg: format!(
+                    "the shape spawns on nodes 0-{} but the topology has {}",
+                    self.top_node, topology.nodes
+                ),
+            });
+        }
+        Ok(())
     }
 
     fn setup(&mut self, cx: &mut RunCx) {

@@ -112,8 +112,8 @@ pub(crate) fn check(log: &TraceLog) -> Vec<Violation> {
     let mut generations: IdMap<u64, u64> = IdMap::default();
     let mut calls: IdMap<u64, (bool, bool, u32)> = IdMap::default();
     let mut recovering: IdMap<u64, u64> = IdMap::default();
-    let mut committed: IdMap<u64, u64> = IdMap::default();
-    let mut adopted: IdMap<(u64, u64), u64> = IdMap::default();
+    let mut committed: IdMap<u64, u32> = IdMap::default();
+    let mut adopted: IdMap<(u64, u32), u64> = IdMap::default();
 
     for e in log.events() {
         match &e.kind {
@@ -140,21 +140,21 @@ pub(crate) fn check(log: &TraceLog) -> Vec<Violation> {
                 ..
             } if verdict.delivers() && !topo.reachable(*src_node, *dst_node) => {
                 violations.push(Violation::SentAcrossFault {
-                    span: e.id,
+                    span: e.id(),
                     src_node: *src_node,
                     dst_node: *dst_node,
                 });
             }
             SpanKind::MsgDelivered { dst_node, .. } if topo.is_down(*dst_node) => {
                 violations.push(Violation::DeliveredToDeadNode {
-                    span: e.id,
+                    span: e.id(),
                     dst_node: *dst_node,
                 });
             }
             SpanKind::FlowStarted { flow, object, kind } => {
-                if flows.insert(*flow, (*object, true, e.node)).is_some() {
+                if flows.insert(*flow, (*object, true, e.node())).is_some() {
                     violations.push(Violation::DuplicateFlowStart {
-                        span: e.id,
+                        span: e.id(),
                         flow: *flow,
                     });
                 }
@@ -173,7 +173,7 @@ pub(crate) fn check(log: &TraceLog) -> Vec<Violation> {
                         }
                     }
                     _ => violations.push(Violation::SpuriousFlowEnd {
-                        span: e.id,
+                        span: e.id(),
                         flow: *flow,
                     }),
                 }
@@ -191,12 +191,12 @@ pub(crate) fn check(log: &TraceLog) -> Vec<Violation> {
                 }
             }
             SpanKind::RpcAttempt { call, .. } => {
-                calls.entry(*call).or_insert((false, false, e.node)).2 = e.node;
+                calls.entry(*call).or_insert((false, false, e.node())).2 = e.node();
             }
             SpanKind::RpcCompleted { call, .. } => {
-                if let Some((_, true, _)) = calls.insert(*call, (true, true, e.node)) {
+                if let Some((_, true, _)) = calls.insert(*call, (true, true, e.node())) {
                     violations.push(Violation::DuplicateRpcCompletion {
-                        span: e.id,
+                        span: e.id(),
                         call: *call,
                     });
                 }
@@ -206,16 +206,16 @@ pub(crate) fn check(log: &TraceLog) -> Vec<Violation> {
             }
             SpanKind::CallServed { object, .. } if recovering.contains_key(object) => {
                 violations.push(Violation::ServedBeforeReregister {
-                    span: e.id,
+                    span: e.id(),
                     object: *object,
                 });
             }
             SpanKind::EpochCommitted { group, epoch, .. } => match committed.get(group) {
                 Some(&last) if *epoch <= last => violations.push(Violation::EpochRegressed {
-                    span: e.id,
+                    span: e.id(),
                     group: *group,
-                    from: last,
-                    to: *epoch,
+                    from: u64::from(last),
+                    to: u64::from(*epoch),
                 }),
                 _ => {
                     committed.insert(*group, *epoch);
@@ -229,7 +229,7 @@ pub(crate) fn check(log: &TraceLog) -> Vec<Violation> {
                 let last = adopted.entry((*group, *replica)).or_insert(*epoch);
                 if *epoch < *last {
                     violations.push(Violation::EpochRegressed {
-                        span: e.id,
+                        span: e.id(),
                         group: *group,
                         from: *last,
                         to: *epoch,
@@ -247,11 +247,11 @@ pub(crate) fn check(log: &TraceLog) -> Vec<Violation> {
                 if let Some(&current) = committed.get(group) {
                     if *epoch < current {
                         violations.push(Violation::MixedEpochServing {
-                            span: e.id,
+                            span: e.id(),
                             group: *group,
-                            replica: *replica as u64,
-                            serving: *epoch,
-                            committed: current,
+                            replica: u64::from(*replica),
+                            serving: u64::from(*epoch),
+                            committed: u64::from(current),
                         });
                     }
                 }
@@ -413,7 +413,7 @@ fn flow_trees(log: &TraceLog, wanted: &[u64]) -> Vec<Vec<usize>> {
                 sets.len() - 1
             }
         };
-        member.insert(e.id.as_raw(), set);
+        member.insert(e.id().as_raw(), set);
         for &slot in &sets[set] {
             trees[slot].push(pos);
         }
@@ -429,10 +429,10 @@ pub(crate) fn digest(log: &TraceLog) -> u64 {
     let mut fold = Fold::new(log.len() as u64);
     for (e, line) in log.events().iter().zip(log.to_jsonl().lines()) {
         for w in [
-            e.id.as_raw(),
+            e.id().as_raw(),
             e.parent.map_or(0, |p| p.as_raw()),
             e.at_ns,
-            e.node as u64,
+            e.node() as u64,
             e.kind.code(),
         ] {
             fold.word(w);

@@ -52,7 +52,7 @@ use std::collections::BTreeMap;
 
 use dcdo_chaos::SpanTraceHash;
 use dcdo_sim::{
-    Checker, FlightDump, GroupArena, NodeId, RpcOutcome, Simulation, SpanDigest, SpanEvent,
+    Checker, FlightDump, NodeId, RpcOutcome, Simulation, SpanArena, SpanDigest, SpanEvent,
     SpanKind, TailSampler, Timeline, Violation,
 };
 use dcdo_vm::VmTotals;
@@ -82,11 +82,11 @@ pub struct RunArtifacts {
     /// The run's span log, for post-hoc analyses: moved out of the
     /// simulation, since a copy would hold the log twice.
     /// [`dcdo_sim::TraceLog::from_events`] wraps it again, together with
-    /// [`span_groups`](RunArtifacts::span_groups).
+    /// [`span_arena`](RunArtifacts::span_arena).
     pub spans: Vec<SpanEvent>,
     /// The group arena the `PartitionChanged` spans in
     /// [`spans`](RunArtifacts::spans) point into.
-    pub span_groups: GroupArena,
+    pub span_arena: SpanArena,
     /// Structural spans before the `trace_hash` window (the entries a ring
     /// of [`TRACE_RING_CAPACITY`] would have evicted): when non-zero,
     /// [`ScenarioReport::trace_hash`] witnesses only the run's tail.
@@ -474,7 +474,7 @@ pub fn run_artifacts_timed(
     times.render_s = lap(&mut clock);
     // Every reader of the span log has had its turn, so the artifacts take
     // the events and their group arena themselves.
-    let (spans, span_groups) = sim.spans_mut().take_events();
+    let (spans, span_arena) = sim.spans_mut().take_events();
     let timeline = std::mem::take(sim.timeline_mut());
     let vm = std::mem::take(sim.totals_mut::<VmTotals>());
     let artifacts = RunArtifacts {
@@ -495,7 +495,7 @@ pub fn run_artifacts_timed(
             verdicts,
         },
         spans,
-        span_groups,
+        span_arena,
         trace_entries_dropped,
         timeline_json,
         timeline,

@@ -147,19 +147,19 @@ fn without(log: &TraceLog, skip: impl Fn(&SpanEvent, Option<&SpanEvent>) -> bool
     let mut kept = Vec::new();
     for e in log.events() {
         let parent = e.parent.and_then(|p| log.get(p));
-        let lane = e.id.as_raw() >> 48;
+        let lane = e.id().as_raw() >> 48;
         if skip(e, parent) {
             *closed.entry(lane).or_default() += 1;
-            renamed.insert(e.id.as_raw(), None);
+            renamed.insert(e.id().as_raw(), None);
             continue;
         }
         let shift = closed.get(&lane).copied().unwrap_or(0);
-        let id = SpanId::from_raw(e.id.as_raw() - shift).expect("nonzero");
-        renamed.insert(e.id.as_raw(), Some(id));
+        let id = SpanId::from_raw(e.id().as_raw() - shift).expect("nonzero");
+        renamed.insert(e.id().as_raw(), Some(id));
         let parent = e
             .parent
             .and_then(|p| renamed.get(&p.as_raw()).copied().unwrap_or(Some(p)));
-        kept.push(SpanEvent { id, parent, ..*e });
+        kept.push(SpanEvent::new(id, parent, e.at_ns, e.node(), e.kind));
     }
     let (_, groups) = log.clone().take_events();
     TraceLog::from_events(kept, groups)
@@ -199,9 +199,9 @@ fn added_span(scenario: &str, log: &TraceLog) -> impl Fn(&SpanEvent, Option<&Spa
             .unwrap_or(events.len()),
         false => 0,
     };
-    let setup: BTreeSet<u64> = events[..setup].iter().map(|e| e.id.as_raw()).collect();
+    let setup: BTreeSet<u64> = events[..setup].iter().map(|e| e.id().as_raw()).collect();
     move |e: &SpanEvent, parent: Option<&SpanEvent>| {
-        setup.contains(&e.id.as_raw()) || is_self_kill(e, parent)
+        setup.contains(&e.id().as_raw()) || is_self_kill(e, parent)
     }
 }
 
@@ -305,7 +305,7 @@ fn each_repin_moves_only_by_the_spans_it_adds() {
     for (name, trace, span, flight, events) in BEFORE_THE_ADDED_SPANS {
         let artifacts = run_artifacts(declared(name), None).expect("valid scenario");
         let report = &artifacts.report;
-        let log = TraceLog::from_events(artifacts.spans, artifacts.span_groups);
+        let log = TraceLog::from_events(artifacts.spans, artifacts.span_arena);
         let old = without(&log, added_span(name, &log));
         assert_eq!(fold_structural(&log), report.trace_hash, "{name}: the fold");
         assert_eq!(fold_structural(&old), trace, "{name}: trace_hash");
@@ -435,7 +435,7 @@ fn returned_spans_recompute_every_reported_witness() {
     for (name, _) in registry::declared() {
         let artifacts = run_artifacts(declared(name), None).expect("valid scenario");
         let report = artifacts.report;
-        let log = TraceLog::from_events(artifacts.spans, artifacts.span_groups);
+        let log = TraceLog::from_events(artifacts.spans, artifacts.span_arena);
         assert_eq!(log.digest(), report.span_digest, "{name}: span digest");
         assert_eq!(
             check_trace_invariants(&log).len() as u64,
@@ -464,7 +464,7 @@ fn returned_spans_recompute_every_reported_witness() {
 fn partition_groups_survive_the_artifacts_round_trip() {
     use dcdo_sim::{check_trace_invariants, SendVerdict, SpanEvent, SpanId, Violation};
     let artifacts = run_artifacts(declared("rolling_partition"), None).expect("valid scenario");
-    let (spans, groups) = (artifacts.spans, artifacts.span_groups);
+    let (spans, groups) = (artifacts.spans, artifacts.span_arena);
     let log = TraceLog::from_events(spans.clone(), groups.clone());
     assert_eq!(log.digest(), artifacts.report.span_digest);
 
@@ -498,12 +498,14 @@ fn partition_groups_survive_the_artifacts_round_trip() {
     let first = installed[0].0;
     let planted = |dst_node: u32| {
         let mut log = TraceLog::from_events(spans[..=first].to_vec(), groups.clone());
-        log.push_event(SpanEvent {
-            id: SpanId::from_raw(u64::MAX).expect("nonzero"),
-            parent: None,
-            at_ns: spans[first].at_ns,
-            node: 0,
-            kind: SpanKind::MsgSent {
+        // The largest id a span record holds: bits 32–47 carry its node.
+        let id = SpanId::from_raw(0xFFFF_0000_FFFF_FFFF).expect("nonzero");
+        log.push_event(SpanEvent::new(
+            id,
+            None,
+            spans[first].at_ns,
+            0,
+            SpanKind::MsgSent {
                 src: 0,
                 dst: 1,
                 src_node: 0,
@@ -511,7 +513,7 @@ fn partition_groups_survive_the_artifacts_round_trip() {
                 verdict: SendVerdict::Sent,
                 bytes: 1,
             },
-        });
+        ));
         check_trace_invariants(&log)
             .into_iter()
             .filter(|v| matches!(v, Violation::SentAcrossFault { .. }))
@@ -601,10 +603,10 @@ fn legacy_span_digests(log: &TraceLog) -> [u64; 3] {
             }
         };
         for w in [
-            e.id.as_raw(),
+            e.id().as_raw(),
             e.parent.map_or(0, |p| p.as_raw()),
             e.at_ns,
-            e.node as u64,
+            e.node() as u64,
             e.kind.code(),
         ] {
             word(w, Word::Kept);

@@ -61,7 +61,7 @@ fn planted_invariant_violation_fails_with_a_precise_verdict() {
         .iter()
         .any(|f| f.flow == 999_999 && f.violating));
     let log =
-        dcdo_sim::TraceLog::from_events(artifacts.spans.clone(), artifacts.span_groups.clone());
+        dcdo_sim::TraceLog::from_events(artifacts.spans.clone(), artifacts.span_arena.clone());
     assert_eq!(dcdo_sim::check_trace_invariants(&log).len(), 1);
     let verdict = &report.verdicts[0];
     assert_eq!(verdict.expectation, "trace_invariants");
@@ -278,6 +278,37 @@ fn oversized_ring_is_rejected_as_bad_param() {
             assert!(msg.contains("8 nodes"), "message names the sizes: {msg}");
         }
         other => panic!("expected BadParam, got {other:?}"),
+    }
+}
+
+#[test]
+fn engine_shape_past_the_topology_is_rejected_as_bad_param() {
+    let text = |nodes: u32, shape: &str| {
+        format!(
+            "scenario shape\ntopology bare nodes={nodes} net=instant\nwindow secs=1\n\
+             workload simbench shape={shape}\n"
+        )
+    };
+    let scenario = Scenario::from_text(&text(2, "fan_out")).expect("parses");
+    match scenario.validate() {
+        Err(ScenarioError::BadParam { context, msg }) => {
+            assert_eq!(context, "workload simbench shape=fan_out");
+            assert!(msg.contains("nodes 0-7"), "message names the span: {msg}");
+            assert!(msg.contains("has 2"), "and the topology's size: {msg}");
+        }
+        other => panic!("expected BadParam, got {other:?}"),
+    }
+    // Each shape fits a topology one node past its highest node, not one
+    // node short of it.
+    for (shape, top) in [("ping_pong", 1), ("fan_out", 7), ("transfer_heavy", 6)] {
+        let fits = |nodes| {
+            Scenario::from_text(&text(nodes, shape))
+                .expect("parses")
+                .validate()
+                .is_ok()
+        };
+        assert!(fits(top + 1), "{shape} on {} nodes", top + 1);
+        assert!(!fits(top), "{shape} on {top} nodes");
     }
 }
 

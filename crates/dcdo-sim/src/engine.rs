@@ -18,7 +18,9 @@
 use std::any::Any;
 use std::fmt;
 
-use dcdo_trace::{FlightFrame, FlightRecorder, SendVerdict, SpanEvent, SpanId, SpanKind, TraceLog};
+use dcdo_trace::{
+    FlightFrame, FlightRecorder, FnRef, SendVerdict, SpanEvent, SpanId, SpanKind, TraceLog,
+};
 
 use crate::metrics::Metrics;
 use crate::net::{DeliveryPlan, LinkFault, NetConfig, Network, NodeId};
@@ -316,6 +318,13 @@ impl<'a, M: Payload> Ctx<'a, M> {
         let node = self.sim.node_of(self.self_id).as_raw();
         let parent = self.sim.current_span;
         self.sim.span_emit(node, parent, kind)
+    }
+
+    /// The span log's handle for VM function hash `hash`, the `function` of
+    /// a [`SpanKind::VmCost`] ([`TraceLog::intern_function`]). Gate on
+    /// [`tracing_enabled`](Ctx::tracing_enabled), as for the span itself.
+    pub fn intern_function(&mut self, hash: u64) -> FnRef {
+        self.sim.spans.intern_function(hash)
     }
 
     /// The span of the event currently being dispatched, if traced.
@@ -936,6 +945,8 @@ impl<M: Payload> Simulation<M> {
     /// Emits a structured span from the current lane: ids are
     /// `((lane + 1) << 48) | per-lane counter`, so they are unique and never
     /// collide with the dense ids of standalone [`TraceLog::emit`] calls.
+    /// The counter stops at 2^32 in every build: the record keeps the node
+    /// in bits 32–47 of the id ([`SpanEvent::new`]).
     fn span_emit(&mut self, node: u32, parent: Option<SpanId>, kind: SpanKind) -> Option<SpanId> {
         if !self.spans.is_enabled() {
             return None;
@@ -944,16 +955,11 @@ impl<M: Payload> Simulation<M> {
         let at_ns = self.time.as_nanos();
         let ls = self.lane_state(lane);
         ls.span_ctr += 1;
-        debug_assert!(ls.span_ctr < 1 << LANE_SHIFT);
+        assert!(ls.span_ctr < 1 << 32, "lane {lane} minted 2^32 spans");
         let raw = ((lane as u64 + 1) << LANE_SHIFT) | ls.span_ctr;
         let id = SpanId::from_raw(raw).expect("lane span ids are nonzero");
-        self.spans.push_event(SpanEvent {
-            id,
-            parent,
-            at_ns,
-            node,
-            kind,
-        });
+        self.spans
+            .push_event(SpanEvent::new(id, parent, at_ns, node, kind));
         Some(id)
     }
 
@@ -999,14 +1005,14 @@ impl<M: Payload> Simulation<M> {
             self.emit_event(
                 src_node.as_raw(),
                 parent,
-                SpanKind::MsgSent {
-                    src: src.as_raw(),
-                    dst: dst.as_raw(),
-                    src_node: src_node.as_raw(),
-                    dst_node: dst_node.as_raw(),
+                SpanKind::msg_sent(
+                    src.as_raw(),
+                    dst.as_raw(),
+                    src_node.as_raw(),
+                    dst_node.as_raw(),
                     verdict,
                     bytes,
-                },
+                ),
             )
         } else {
             None

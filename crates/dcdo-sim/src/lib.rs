@@ -80,7 +80,7 @@ pub use dcdo_trace::{
 // crate): re-exported so layers above the engine can emit spans through
 // [`Ctx`] and render their exports without depending on the tracing crate.
 pub use dcdo_trace::{
-    cfg_step, check as check_trace_invariants, fn_hash, fnv1a, mgr_step, Checker, FlowKind, Fnv1a,
-    Fold, GroupArena, GroupsRef, IdHasher, IdMap, IdSet, JsonWriter, PromWriter, RpcOutcome,
-    SendVerdict, SpanDigest, SpanEvent, SpanId, SpanKind, TraceLog, Violation, NO_NODE,
+    cfg_step, check as check_trace_invariants, fn_hash, fnv1a, mgr_step, Checker, FlowKind, FnRef,
+    Fnv1a, Fold, GroupsRef, IdHasher, IdMap, IdSet, JsonWriter, PromWriter, RpcOutcome,
+    SendVerdict, SpanArena, SpanDigest, SpanEvent, SpanId, SpanKind, TraceLog, Violation, NO_NODE,
 };

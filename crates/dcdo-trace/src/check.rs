@@ -31,7 +31,7 @@ use std::fmt;
 
 use crate::hash::IdMap;
 use crate::log::TraceLog;
-use crate::span::{FlowKind, GroupArena, SpanEvent, SpanId, SpanKind};
+use crate::span::{FlowKind, SpanArena, SpanEvent, SpanId, SpanKind};
 
 /// One invariant violation found by [`check`] (or a [`Checker`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,8 +237,8 @@ impl Topology {
 /// feeds the same fold from its one post-run read of the log.
 #[derive(Clone)]
 pub struct Checker<'a> {
-    /// The log's group arena, for `PartitionChanged` handles.
-    groups: &'a GroupArena,
+    /// The log's arena, for `PartitionChanged` handles.
+    arena: &'a SpanArena,
     violations: Vec<Violation>,
     topo: Topology,
     /// flow id -> (object, open?, node the flow started on)
@@ -249,9 +249,9 @@ pub struct Checker<'a> {
     /// object -> recover flow awaiting re-registration
     recovering: IdMap<u64, u64>,
     /// group -> last committed epoch
-    committed: IdMap<u64, u64>,
+    committed: IdMap<u64, u32>,
     /// (group, replica) -> last adopted epoch
-    adopted: IdMap<(u64, u64), u64>,
+    adopted: IdMap<(u64, u32), u64>,
 }
 
 impl<'a> Checker<'a> {
@@ -259,7 +259,7 @@ impl<'a> Checker<'a> {
     /// them in log order.
     pub fn new(log: &'a TraceLog) -> Self {
         Checker {
-            groups: log.group_arena(),
+            arena: log.arena(),
             violations: Vec::new(),
             topo: Topology::default(),
             flows: IdMap::default(),
@@ -296,7 +296,7 @@ impl<'a> Checker<'a> {
                 topo.set_down(*node, false);
             }
             SpanKind::PartitionChanged { groups } => {
-                topo.groups = self.groups.get(*groups).to_vec();
+                topo.groups = self.arena.get(*groups).to_vec();
             }
             SpanKind::PartitionHealed => {
                 topo.groups.clear();
@@ -308,21 +308,25 @@ impl<'a> Checker<'a> {
                 ..
             } if verdict.delivers() && !topo.reachable(*src_node, *dst_node) => {
                 violations.push(Violation::SentAcrossFault {
-                    span: e.id,
+                    span: e.id(),
                     src_node: *src_node,
                     dst_node: *dst_node,
                 });
             }
             SpanKind::MsgDelivered { dst_node, .. } if topo.is_down(*dst_node) => {
                 violations.push(Violation::DeliveredToDeadNode {
-                    span: e.id,
+                    span: e.id(),
                     dst_node: *dst_node,
                 });
             }
             SpanKind::FlowStarted { flow, object, kind } => {
-                if self.flows.insert(*flow, (*object, true, e.node)).is_some() {
+                if self
+                    .flows
+                    .insert(*flow, (*object, true, e.node()))
+                    .is_some()
+                {
                     violations.push(Violation::DuplicateFlowStart {
-                        span: e.id,
+                        span: e.id(),
                         flow: *flow,
                     });
                 }
@@ -343,7 +347,7 @@ impl<'a> Checker<'a> {
                         }
                     }
                     _ => violations.push(Violation::SpuriousFlowEnd {
-                        span: e.id,
+                        span: e.id(),
                         flow: *flow,
                     }),
                 }
@@ -361,13 +365,13 @@ impl<'a> Checker<'a> {
                 }
             }
             SpanKind::RpcAttempt { call, .. } => {
-                let entry = self.calls.entry(*call).or_insert((false, false, e.node));
-                entry.2 = e.node;
+                let entry = self.calls.entry(*call).or_insert((false, false, e.node()));
+                entry.2 = e.node();
             }
             SpanKind::RpcCompleted { call, .. } => {
-                if let Some((_, true, _)) = self.calls.insert(*call, (true, true, e.node)) {
+                if let Some((_, true, _)) = self.calls.insert(*call, (true, true, e.node())) {
                     violations.push(Violation::DuplicateRpcCompletion {
-                        span: e.id,
+                        span: e.id(),
                         call: *call,
                     });
                 }
@@ -377,7 +381,7 @@ impl<'a> Checker<'a> {
             }
             SpanKind::CallServed { object, .. } if self.recovering.contains_key(object) => {
                 violations.push(Violation::ServedBeforeReregister {
-                    span: e.id,
+                    span: e.id(),
                     object: *object,
                 });
             }
@@ -387,10 +391,10 @@ impl<'a> Checker<'a> {
                     // epoch would let two different configs claim one epoch.
                     Some(&last) if *epoch <= last => {
                         violations.push(Violation::EpochRegressed {
-                            span: e.id,
+                            span: e.id(),
                             group: *group,
-                            from: last,
-                            to: *epoch,
+                            from: u64::from(last),
+                            to: u64::from(*epoch),
                         });
                     }
                     _ => {
@@ -408,7 +412,7 @@ impl<'a> Checker<'a> {
                 // progress); only the replica's own history must not rewind.
                 if *epoch < *last {
                     violations.push(Violation::EpochRegressed {
-                        span: e.id,
+                        span: e.id(),
                         group: *group,
                         from: *last,
                         to: *epoch,
@@ -426,11 +430,11 @@ impl<'a> Checker<'a> {
                 if let Some(&current) = self.committed.get(group) {
                     if *epoch < current {
                         violations.push(Violation::MixedEpochServing {
-                            span: e.id,
+                            span: e.id(),
                             group: *group,
-                            replica: *replica as u64,
-                            serving: *epoch,
-                            committed: current,
+                            replica: u64::from(*replica),
+                            serving: u64::from(*epoch),
+                            committed: u64::from(current),
                         });
                     }
                 }
@@ -494,7 +498,7 @@ mod tests {
         let mut checker = Checker::new(l);
         for (n, e) in l.events().iter().enumerate() {
             checker.observe(e);
-            let prefix = TraceLog::from_events(l.events()[..=n].to_vec(), l.group_arena().clone());
+            let prefix = TraceLog::from_events(l.events()[..=n].to_vec(), l.arena().clone());
             assert_eq!(
                 checker.clone().finish(),
                 check(&prefix),

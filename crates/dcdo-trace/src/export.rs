@@ -21,9 +21,9 @@ impl TraceLog {
             w.object().key("name").str(e.kind.name());
             w.key("ph").str("i").key("s").str("p");
             w.key("ts").decimal(e.at_ns, 3);
-            w.key("pid").u64(u64::from(e.node)).key("tid").u64(0);
+            w.key("pid").u64(u64::from(e.node())).key("tid").u64(0);
             w.key("args").object();
-            w.key("span").u64(e.id.as_raw());
+            w.key("span").u64(e.id().as_raw());
             w.key("parent").u64(e.parent.map_or(0, |p| p.as_raw()));
             w.key("at_ns").u64(e.at_ns);
             self.write_fields(&mut w, e);
@@ -37,10 +37,10 @@ impl TraceLog {
     pub fn to_jsonl(&self) -> String {
         let mut w = JsonWriter::compact();
         for e in self.events() {
-            w.object().key("span").u64(e.id.as_raw());
+            w.object().key("span").u64(e.id().as_raw());
             w.key("parent").u64(e.parent.map_or(0, |p| p.as_raw()));
             w.key("at_ns").u64(e.at_ns);
-            w.key("node").u64(u64::from(e.node));
+            w.key("node").u64(u64::from(e.node()));
             w.key("kind").str(e.kind.name());
             self.write_fields(&mut w, e);
             w.close().newline();
@@ -51,7 +51,7 @@ impl TraceLog {
     /// Writes the event's typed fields (and the partition group array, read
     /// from the log's arena) as members of the open object.
     fn write_fields(&self, w: &mut JsonWriter, e: &SpanEvent) {
-        e.kind.for_each_field(|name, value| {
+        e.kind.for_each_field(self.arena(), |name, value| {
             w.key(name).u64(value);
         });
         if let SpanKind::PartitionChanged { groups } = e.kind {

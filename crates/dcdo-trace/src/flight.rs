@@ -442,10 +442,10 @@ impl FlightDump {
             w.key("slow").bool(f.slow);
             w.key("spans").array();
             for s in &f.spans {
-                w.object().key("id").u64(s.id.as_raw());
+                w.object().key("id").u64(s.id().as_raw());
                 w.key("parent").u64(s.parent.map_or(0, SpanId::as_raw));
                 w.key("at_ns").u64(s.at_ns);
-                w.key("node").u64(u64::from(s.node));
+                w.key("node").u64(u64::from(s.node()));
                 w.key("name").str(s.kind.name()).close();
             }
             w.close().close();
@@ -491,7 +491,7 @@ impl FlightDump {
                 .spans
                 .iter()
                 .enumerate()
-                .map(|(i, s)| (s.id.as_raw(), i))
+                .map(|(i, s)| (s.id().as_raw(), i))
                 .collect();
             for s in &f.spans {
                 let mut depth = 0usize;
@@ -510,8 +510,8 @@ impl FlightDump {
                     "  ".repeat(depth + 1),
                     s.kind.name(),
                     s.at_ns,
-                    s.node,
-                    s.id.as_raw(),
+                    s.node(),
+                    s.id().as_raw(),
                 ));
             }
         }
@@ -733,13 +733,7 @@ mod tests {
         // `push_event` takes any timestamps: an end stamped before its
         // start must neither panic nor wrap into the "slowest" flow.
         let id = |raw| SpanId::from_raw(raw).expect("nonzero");
-        let ev = |raw, at_ns, kind| SpanEvent {
-            id: id(raw),
-            parent: None,
-            at_ns,
-            node: 0,
-            kind,
-        };
+        let ev = |raw, at_ns, kind| SpanEvent::new(id(raw), None, at_ns, 0, kind);
         let started = |flow| SpanKind::FlowStarted {
             flow,
             object: 1,
@@ -752,7 +746,7 @@ mod tests {
                 ev(3, 600, started(2)),
                 ev(4, 650, SpanKind::FlowCompleted { flow: 2 }),
             ],
-            crate::GroupArena::default(),
+            crate::SpanArena::default(),
         );
         let dump = tail_sample(&log, &FlightRecorder::new(), 0.95);
         let slow: Vec<u64> = dump.flows.iter().map(|f| f.flow).collect();

@@ -46,7 +46,7 @@ pub use flight::{
 pub use hash::{fn_hash, fnv1a, Fnv1a, Fold, IdHasher, IdMap, IdSet};
 pub use log::{SpanDigest, TraceLog};
 pub use span::{
-    cfg_step, mgr_step, FlowKind, GroupArena, GroupsRef, RpcOutcome, SendVerdict, SpanEvent,
+    cfg_step, mgr_step, FlowKind, FnRef, GroupsRef, RpcOutcome, SendVerdict, SpanArena, SpanEvent,
     SpanId, SpanKind, NO_NODE,
 };
 pub use write::{JsonWriter, PromWriter};

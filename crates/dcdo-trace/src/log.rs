@@ -3,7 +3,7 @@
 use std::cell::RefCell;
 
 use crate::hash::{Fold, IdMap};
-use crate::span::{GroupArena, GroupsRef, SpanEvent, SpanId, SpanKind};
+use crate::span::{FnRef, GroupsRef, SpanArena, SpanEvent, SpanId, SpanKind};
 
 /// A deterministic, append-only log of [`SpanEvent`]s for one run.
 ///
@@ -17,10 +17,10 @@ use crate::span::{GroupArena, GroupsRef, SpanEvent, SpanId, SpanKind};
 /// whose id the producer chose (the simulation engine allocates per-lane
 /// ids, so a node's span ids do not depend on what other nodes emit).
 ///
-/// Recording is a plain `Vec` push of a 64-byte `Copy` record and does no
-/// hashing; the one variable-length payload, a partition's group vector,
-/// goes into the log's [`GroupArena`] through [`TraceLog::intern_groups`]
-/// and the span carries a handle. The id → position
+/// Recording is a plain `Vec` push of a 48-byte `Copy` record and does no
+/// hashing; a partition's group vector and a VM function's hash go into the
+/// log's [`SpanArena`] through [`TraceLog::intern_groups`] and
+/// [`TraceLog::intern_function`], and the span carries a handle. The id → position
 /// index behind [`TraceLog::get`] is built on the first lookup and extended
 /// by the spans recorded since on each later one, so a run that never looks
 /// a span up by id never pays for the index.
@@ -39,7 +39,7 @@ pub struct TraceLog {
     enabled: bool,
     next_id: u64,
     events: Vec<SpanEvent>,
-    groups: GroupArena,
+    arena: SpanArena,
     index: RefCell<IdIndex>,
 }
 
@@ -64,14 +64,13 @@ impl TraceLog {
         TraceLog::default()
     }
 
-    /// Wraps an already recorded span list and the arena its
-    /// `PartitionChanged` handles point into (a finished run's
-    /// `RunArtifacts::spans` and `span_groups`, say) as a disabled log,
-    /// without copying either.
-    pub fn from_events(events: Vec<SpanEvent>, groups: GroupArena) -> Self {
+    /// Wraps an already recorded span list and the arena its handles point
+    /// into (a finished run's `RunArtifacts::spans` and `span_arena`, say)
+    /// as a disabled log, without copying either.
+    pub fn from_events(events: Vec<SpanEvent>, arena: SpanArena) -> Self {
         TraceLog {
             events,
-            groups,
+            arena,
             ..TraceLog::default()
         }
     }
@@ -95,23 +94,23 @@ impl TraceLog {
     /// Drops all captured events and resets the id sequence.
     pub fn clear(&mut self) {
         self.events.clear();
-        self.groups.clear();
+        self.arena.clear();
         let index = self.index.get_mut();
         index.positions.clear();
         index.covered = 0;
         self.next_id = 0;
     }
 
-    /// Moves the captured events and their group arena out, leaving the log
+    /// Moves the captured events and their arena out, leaving the log
     /// empty (and its enabled state unchanged). The id sequence continues,
     /// so spans emitted afterwards never collide with the ones taken.
-    pub fn take_events(&mut self) -> (Vec<SpanEvent>, GroupArena) {
+    pub fn take_events(&mut self) -> (Vec<SpanEvent>, SpanArena) {
         // The index describes the departing events: a stale `covered` would
         // underflow in `get`.
         *self.index.get_mut() = IdIndex::default();
         (
             std::mem::take(&mut self.events),
-            std::mem::take(&mut self.groups),
+            std::mem::take(&mut self.arena),
         )
     }
 
@@ -119,13 +118,30 @@ impl TraceLog {
     /// handle a [`SpanKind::PartitionChanged`] span carries. Callers gate on
     /// [`is_enabled`](TraceLog::is_enabled), as for the span itself.
     pub fn intern_groups(&mut self, groups: &[u32]) -> GroupsRef {
-        self.groups.push(groups)
+        self.arena.push(groups)
     }
 
     /// The group vector behind a [`SpanKind::PartitionChanged`] handle of
     /// this log.
     pub fn groups(&self, groups: GroupsRef) -> &[u32] {
-        self.groups.get(groups)
+        self.arena.get(groups)
+    }
+
+    /// Stores a VM function's hash in the log's arena, once per distinct
+    /// hash, and returns the handle a [`SpanKind::VmCost`] span carries.
+    /// Callers gate on [`is_enabled`](TraceLog::is_enabled), as for the
+    /// span itself.
+    ///
+    /// # Panics
+    ///
+    /// Refuses a 2^16th distinct hash ([`SpanArena::intern_function`]).
+    pub fn intern_function(&mut self, hash: u64) -> FnRef {
+        self.arena.intern_function(hash)
+    }
+
+    /// The function hash behind a [`SpanKind::VmCost`] handle of this log.
+    pub fn function(&self, function: FnRef) -> u64 {
+        self.arena.function(function)
     }
 
     /// Records an event, returning its id — or `None` when disabled.
@@ -146,13 +162,8 @@ impl TraceLog {
         }
         self.next_id += 1;
         let id = SpanId::from_raw(self.next_id).expect("span ids start at 1");
-        self.events.push(SpanEvent {
-            id,
-            parent,
-            at_ns,
-            node,
-            kind,
-        });
+        self.events
+            .push(SpanEvent::new(id, parent, at_ns, node, kind));
         Some(id)
     }
 
@@ -184,7 +195,7 @@ impl TraceLog {
         let index = &mut *self.index.borrow_mut();
         index.positions.reserve(self.events.len() - index.covered);
         for (pos, e) in self.events.iter().enumerate().skip(index.covered) {
-            index.positions.insert(e.id.as_raw(), pos);
+            index.positions.insert(e.id().as_raw(), pos);
         }
         index.covered = self.events.len();
         self.events.get(*index.positions.get(&id.as_raw())?)
@@ -206,9 +217,9 @@ impl TraceLog {
             .collect()
     }
 
-    /// The arena the log's `PartitionChanged` handles point into.
-    pub(crate) fn group_arena(&self) -> &GroupArena {
-        &self.groups
+    /// The arena the log's handles point into.
+    pub(crate) fn arena(&self) -> &SpanArena {
+        &self.arena
     }
 
     /// The extraction [`FlowTrees`] replaced, kept as the differential
@@ -221,14 +232,14 @@ impl TraceLog {
             .events
             .iter()
             .enumerate()
-            .map(|(pos, e)| (e.id.as_raw(), pos))
+            .map(|(pos, e)| (e.id().as_raw(), pos))
             .collect();
         let mut member = vec![false; self.events.len()];
         let mut queue = VecDeque::new();
         for (i, e) in self.events.iter().enumerate() {
             if e.kind.flow_id() == Some(flow) {
                 member[i] = true;
-                queue.push_back(e.id);
+                queue.push_back(e.id());
             }
         }
         while let Some(parent) = queue.pop_front() {
@@ -237,7 +248,7 @@ impl TraceLog {
             for (i, e) in self.events.iter().enumerate().skip(start) {
                 if !member[i] && e.parent == Some(parent) {
                     member[i] = true;
-                    queue.push_back(e.id);
+                    queue.push_back(e.id());
                 }
             }
         }
@@ -260,7 +271,7 @@ impl TraceLog {
     pub(crate) fn legacy_digest(&self) -> u64 {
         let mut h = crate::hash::Fnv1a::new();
         for e in &self.events {
-            digest_words(e, &self.groups, |w| h.write_u64(w));
+            digest_words(e, &self.arena, |w| h.write_u64(w));
         }
         h.finish()
     }
@@ -283,7 +294,7 @@ impl TraceLog {
 /// the digest still covers the stamps' order, objects, and causality.
 pub struct SpanDigest<'a> {
     fold: Fold,
-    groups: &'a GroupArena,
+    arena: &'a SpanArena,
 }
 
 impl<'a> SpanDigest<'a> {
@@ -292,7 +303,7 @@ impl<'a> SpanDigest<'a> {
     pub fn new(log: &'a TraceLog) -> Self {
         SpanDigest {
             fold: Fold::new(log.len() as u64),
-            groups: &log.groups,
+            arena: &log.arena,
         }
     }
 
@@ -300,7 +311,7 @@ impl<'a> SpanDigest<'a> {
     #[inline]
     pub fn observe(&mut self, e: &SpanEvent) {
         let fold = &mut self.fold;
-        digest_words(e, self.groups, |w| fold.word(w));
+        digest_words(e, self.arena, |w| fold.word(w));
     }
 
     /// The digest.
@@ -311,19 +322,19 @@ impl<'a> SpanDigest<'a> {
 
 /// Feeds `word` everything the digest covers of span `e`, in order.
 #[inline(always)]
-fn digest_words(e: &SpanEvent, groups: &GroupArena, mut word: impl FnMut(u64)) {
-    word(e.id.as_raw());
+fn digest_words(e: &SpanEvent, arena: &SpanArena, mut word: impl FnMut(u64)) {
+    word(e.id().as_raw());
     word(e.parent.map_or(0, SpanId::as_raw));
     word(e.at_ns);
-    word(e.node as u64);
+    word(u64::from(e.node()));
     word(e.kind.code());
     if let SpanKind::GenerationStamp { object, .. } = &e.kind {
         word(*object);
     } else {
-        e.kind.for_each_field(|_, v| word(v));
+        e.kind.for_each_field(arena, |_, v| word(v));
     }
-    if let SpanKind::PartitionChanged { groups: handle } = e.kind {
-        for &g in groups.get(handle) {
+    if let SpanKind::PartitionChanged { groups } = e.kind {
+        for &g in arena.get(groups) {
             word(g as u64);
         }
     }
@@ -349,8 +360,8 @@ pub(crate) struct FlowTrees {
     /// `unions[i]`.
     unions: Vec<Vec<u32>>,
     /// Raw id of each span inside some tree → (its membership set, its log
-    /// position). Positions fit `u32`: a log of 2^32 64-byte spans would
-    /// hold 256 GiB.
+    /// position). Positions fit `u32`: a log of 2^32 48-byte spans would
+    /// hold 192 GiB.
     member: IdMap<u64, (u32, u32)>,
     /// `(set, position)` of member spans whose id a later member reused
     /// (`push_event` leaves id uniqueness to the producer).
@@ -397,7 +408,7 @@ impl FlowTrees {
                 UNION + self.unions.len() as u32 - 1
             }
         };
-        if let Some(earlier) = self.member.insert(e.id.as_raw(), (set, pos)) {
+        if let Some(earlier) = self.member.insert(e.id().as_raw(), (set, pos)) {
             self.shadowed.push(earlier);
         }
     }
@@ -489,8 +500,8 @@ mod tests {
         let log = sample_log();
         assert_eq!(log.len(), 5);
         for (i, e) in log.events().iter().enumerate() {
-            assert_eq!(e.id.as_raw(), i as u64 + 1);
-            assert_eq!(log.get(e.id), Some(e));
+            assert_eq!(e.id().as_raw(), i as u64 + 1);
+            assert_eq!(log.get(e.id()), Some(e));
         }
     }
 
@@ -510,7 +521,7 @@ mod tests {
         let flow: Vec<u64> = log
             .spans_for_flow(7)
             .iter()
-            .map(|e| e.id.as_raw())
+            .map(|e| e.id().as_raw())
             .collect();
         // Flow events 1 and 4, plus descendants 2 (MsgSent) and 3
         // (MsgDelivered); the unrelated timer (5) is excluded.
@@ -539,24 +550,24 @@ mod tests {
         let mut log = TraceLog::new();
         log.enable();
         let big = |raw: u64| SpanId::from_raw(raw).expect("nonzero");
-        log.push_event(SpanEvent {
-            id: big(1 << 48),
-            parent: None,
-            at_ns: 5,
-            node: 0,
-            kind: SpanKind::FlowStarted {
+        log.push_event(SpanEvent::new(
+            big(1 << 48),
+            None,
+            5,
+            0,
+            SpanKind::FlowStarted {
                 flow: 3,
                 object: 1,
                 kind: FlowKind::Create,
             },
-        });
-        log.push_event(SpanEvent {
-            id: big((2 << 48) | 7),
-            parent: Some(big(1 << 48)),
-            at_ns: 6,
-            node: 1,
-            kind: SpanKind::FlowCompleted { flow: 3 },
-        });
+        ));
+        log.push_event(SpanEvent::new(
+            big((2 << 48) | 7),
+            Some(big(1 << 48)),
+            6,
+            1,
+            SpanKind::FlowCompleted { flow: 3 },
+        ));
         assert_eq!(log.len(), 2);
         assert_eq!(log.get(big(1 << 48)).expect("indexed").at_ns, 5);
         assert_eq!(log.get(big((2 << 48) | 7)).expect("indexed").at_ns, 6);
@@ -575,14 +586,9 @@ mod tests {
         // `push_event` leaves id uniqueness to the producer: a tree member
         // whose id a later member reuses still belongs to its tree.
         let id = SpanId::from_raw(5).expect("nonzero");
-        let step = |at_ns, flow| SpanEvent {
-            id,
-            parent: None,
-            at_ns,
-            node: 0,
-            kind: SpanKind::FlowStep { flow, step: 0 },
-        };
-        let log = TraceLog::from_events(vec![step(1, 7), step(2, 8)], GroupArena::default());
+        let step =
+            |at_ns, flow| SpanEvent::new(id, None, at_ns, 0, SpanKind::FlowStep { flow, step: 0 });
+        let log = TraceLog::from_events(vec![step(1, 7), step(2, 8)], SpanArena::default());
         let at = |flow| -> Vec<u64> { log.spans_for_flow(flow).iter().map(|e| e.at_ns).collect() };
         assert_eq!((at(7), at(8)), (vec![1], vec![2]));
     }
@@ -592,32 +598,32 @@ mod tests {
         let mut log = sample_log();
         let first = log.events()[0];
         // First lookup builds the index.
-        assert_eq!(log.get(first.id), Some(&first));
+        assert_eq!(log.get(first.id()), Some(&first));
         let emitted = log
             .emit(60, 0, None, SpanKind::PartitionHealed)
             .expect("enabled");
-        let pushed = SpanEvent {
-            id: SpanId::from_raw((3 << 48) | 9).expect("nonzero"),
-            parent: Some(emitted),
-            at_ns: 70,
-            node: 1,
-            kind: SpanKind::FlowAborted { flow: 7 },
-        };
+        let pushed = SpanEvent::new(
+            SpanId::from_raw((3 << 48) | 9).expect("nonzero"),
+            Some(emitted),
+            70,
+            1,
+            SpanKind::FlowAborted { flow: 7 },
+        );
         log.push_event(pushed);
         // Spans recorded after the index was built resolve, and the old
         // ones still do.
         assert_eq!(log.get(emitted).expect("indexed").at_ns, 60);
-        assert_eq!(log.get(pushed.id), Some(&pushed));
-        assert_eq!(log.get(first.id), Some(&first));
+        assert_eq!(log.get(pushed.id()), Some(&pushed));
+        assert_eq!(log.get(first.id()), Some(&first));
         // A clone carries a usable index of its own.
-        assert_eq!(log.clone().get(pushed.id), Some(&pushed));
+        assert_eq!(log.clone().get(pushed.id()), Some(&pushed));
         log.clear();
-        assert_eq!(log.get(first.id), None, "clear drops the index too");
-        assert_eq!(log.get(pushed.id), None);
+        assert_eq!(log.get(first.id()), None, "clear drops the index too");
+        assert_eq!(log.get(pushed.id()), None);
         let reused = log
             .emit(80, 2, None, SpanKind::PartitionHealed)
             .expect("enabled");
-        assert_eq!(reused, first.id, "dense ids restart after clear");
+        assert_eq!(reused, first.id(), "dense ids restart after clear");
         assert_eq!(log.get(reused).expect("indexed").at_ns, 80);
     }
 
@@ -628,30 +634,30 @@ mod tests {
         log.emit(55, 0, None, SpanKind::PartitionChanged { groups });
         let old = log.events().to_vec();
         // Build the index first, so the take has something stale to drop.
-        assert_eq!(log.get(old[4].id), Some(&old[4]));
+        assert_eq!(log.get(old[4].id()), Some(&old[4]));
         let (events, arena) = log.take_events();
         assert_eq!(events, old);
         assert_eq!(arena.get(groups), &[1, 2], "the arena leaves with them");
         assert_eq!(log.len(), 0);
         for e in &old {
-            assert_eq!(log.get(e.id), None);
+            assert_eq!(log.get(e.id()), None);
         }
         let next = log
             .emit(60, 0, None, SpanKind::PartitionHealed)
             .expect("still enabled");
         assert_eq!(next.as_raw(), 7, "the id sequence continues");
         assert_eq!(log.get(next).expect("indexed").at_ns, 60);
-        assert_eq!(log.get(old[0].id), None);
+        assert_eq!(log.get(old[0].id()), None);
     }
 
     #[test]
     fn from_events_wraps_a_span_list_without_enabling() {
         let events = sample_log().events().to_vec();
-        let mut log = TraceLog::from_events(events.clone(), GroupArena::default());
+        let mut log = TraceLog::from_events(events.clone(), SpanArena::default());
         assert!(!log.is_enabled());
         assert_eq!(log.events(), &events[..]);
         assert_eq!(log.digest(), sample_log().digest());
-        assert_eq!(log.get(events[2].id), Some(&events[2]));
+        assert_eq!(log.get(events[2].id()), Some(&events[2]));
         assert_eq!(log.spans_for_flow(7).len(), 4);
         assert_eq!(log.emit(0, 0, None, SpanKind::PartitionHealed), None);
     }
@@ -709,16 +715,10 @@ mod tests {
                         2 => SpanKind::FlowCompleted { flow },
                         _ => SpanKind::TimerFired { actor: 1, token: 0 },
                     };
-                    SpanEvent {
-                        id: lane_id(i),
-                        parent,
-                        at_ns: i as u64,
-                        node: 0,
-                        kind,
-                    }
+                    SpanEvent::new(lane_id(i), parent, i as u64, 0, kind)
                 })
                 .collect();
-            TraceLog::from_events(events, GroupArena::default())
+            TraceLog::from_events(events, SpanArena::default())
         }
 
         proptest! {
@@ -740,8 +740,8 @@ mod tests {
                 for (slot, &flow) in FLOWS.iter().enumerate() {
                     let want = log.flow_tree_oracle(flow);
                     prop_assert_eq!(&together[slot], &want, "flow {} in the joint sweep", flow);
-                    let ids: Vec<SpanId> = want.iter().map(|&pos| log.events()[pos].id).collect();
-                    let got: Vec<SpanId> = log.spans_for_flow(flow).iter().map(|e| e.id).collect();
+                    let ids: Vec<SpanId> = want.iter().map(|&pos| log.events()[pos].id()).collect();
+                    let got: Vec<SpanId> = log.spans_for_flow(flow).iter().map(|e| e.id()).collect();
                     prop_assert_eq!(got, ids);
                 }
             }

@@ -3,6 +3,8 @@
 use std::fmt;
 use std::num::NonZeroU64;
 
+use crate::hash::IdMap;
+
 /// Sentinel node value for events not attributable to any node (driver-side
 /// topology changes, for example).
 pub const NO_NODE: u32 = u32::MAX;
@@ -263,7 +265,7 @@ pub mod cfg_step {
 }
 
 /// A `Copy` handle to one [`SpanKind::PartitionChanged`] group vector, held
-/// in the [`GroupArena`] of the log that recorded the span.
+/// in the [`SpanArena`] of the log that recorded the span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupsRef {
     start: u32,
@@ -277,15 +279,24 @@ impl GroupsRef {
     }
 }
 
-/// Append-only storage for the group vectors of a log's
-/// [`SpanKind::PartitionChanged`] spans, so the span record itself stays a
-/// fixed-size `Copy` value.
+/// A `Copy` handle to one [`SpanKind::VmCost`] function hash, held in the
+/// [`SpanArena`] of the log that recorded the span: the arena's 16-bit
+/// index of the hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FnRef(u16);
+
+/// Append-only storage for what a span record does not hold in place, so
+/// the record itself stays a fixed-size `Copy` value: the group vectors of
+/// a log's [`SpanKind::PartitionChanged`] spans, and each distinct function
+/// hash its [`SpanKind::VmCost`] spans name, once.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct GroupArena {
+pub struct SpanArena {
     groups: Vec<u32>,
+    functions: Vec<u64>,
+    function_of: IdMap<u64, FnRef>,
 }
 
-impl GroupArena {
+impl SpanArena {
     /// Stores `groups` and returns the handle a span carries.
     pub fn push(&mut self, groups: &[u32]) -> GroupsRef {
         let start = u32::try_from(self.groups.len()).expect("group arena exceeds u32");
@@ -304,9 +315,38 @@ impl GroupArena {
         &self.groups[groups.start as usize..][..groups.len()]
     }
 
-    /// Forgets every stored vector (handles issued so far become invalid).
+    /// The handle of function hash `hash`, stored at its first sight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hash` is new and the arena already holds 2^16 distinct
+    /// hashes: a handle is never wrapped onto another function.
+    pub fn intern_function(&mut self, hash: u64) -> FnRef {
+        if let Some(&function) = self.function_of.get(&hash) {
+            return function;
+        }
+        let function =
+            FnRef(u16::try_from(self.functions.len()).expect("function arena holds 2^16 hashes"));
+        self.functions.push(hash);
+        self.function_of.insert(hash, function);
+        function
+    }
+
+    /// The function hash behind `function`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `function` was issued by another arena and reaches past
+    /// this one's end.
+    pub fn function(&self, function: FnRef) -> u64 {
+        self.functions[usize::from(function.0)]
+    }
+
+    /// Forgets every stored value (handles issued so far become invalid).
     pub(crate) fn clear(&mut self) {
         self.groups.clear();
+        self.functions.clear();
+        self.function_of.clear();
     }
 }
 
@@ -315,8 +355,11 @@ impl GroupArena {
 /// Identifiers are raw integers: `u32` for engine-level actors and nodes,
 /// `u64` for the logical ids minted above the engine (objects, calls, flows).
 /// Every variant is integer-only so the log digests identically across
-/// builds, and fixed-size so the record is `Copy` (the one variable-length
-/// payload, a partition's groups, lives in the log's [`GroupArena`]).
+/// builds, and at most 24 bytes so the record is a 48-byte `Copy` value: a
+/// partition's groups and a VM function's hash live in the log's
+/// [`SpanArena`], and fields narrower than the value they carry are built
+/// through the constructors below, which say per field whether an
+/// out-of-range value saturates or is refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpanKind {
     // ---- engine ---------------------------------------------------------
@@ -332,8 +375,9 @@ pub enum SpanKind {
         dst_node: u32,
         /// What the network decided to do with it.
         verdict: SendVerdict,
-        /// Wire size of the payload in bytes.
-        bytes: u64,
+        /// Wire size of the payload in bytes, saturating at `u32::MAX`
+        /// ([`SpanKind::msg_sent`]).
+        bytes: u32,
     },
     /// A message reached a live destination actor.
     MsgDelivered {
@@ -420,8 +464,9 @@ pub enum SpanKind {
         call: u64,
         /// The logical destination object.
         object: u64,
-        /// 1-based attempt number within the retry chain.
-        attempt: u32,
+        /// 1-based attempt number within the retry chain, saturating at
+        /// `u16::MAX` ([`SpanKind::rpc_attempt`]).
+        attempt: u16,
         /// The physical destination actor tried.
         dst: u32,
     },
@@ -511,8 +556,9 @@ pub enum SpanKind {
     EpochProposed {
         /// The reconfiguring group.
         group: u64,
-        /// The epoch the round advances to on commit.
-        epoch: u64,
+        /// The epoch the round advances to on commit; one past `u32::MAX`
+        /// is refused ([`SpanKind::epoch_proposed`]).
+        epoch: u32,
         /// Digest of the joined delta under proposal.
         config: u64,
     },
@@ -522,8 +568,9 @@ pub enum SpanKind {
     EpochCommitted {
         /// The reconfiguring group.
         group: u64,
-        /// The committed epoch.
-        epoch: u64,
+        /// The committed epoch; one past `u32::MAX` is refused
+        /// ([`SpanKind::epoch_committed`]).
+        epoch: u32,
         /// Digest of the committed configuration.
         config: u64,
     },
@@ -531,8 +578,9 @@ pub enum SpanKind {
     ReplicaEpoch {
         /// The group.
         group: u64,
-        /// The adopting replica (member id).
-        replica: u64,
+        /// The adopting replica (member id); one past `u32::MAX` is refused
+        /// ([`SpanKind::replica_epoch`]).
+        replica: u32,
         /// The epoch adopted.
         epoch: u64,
     },
@@ -540,10 +588,12 @@ pub enum SpanKind {
     EpochServed {
         /// The group.
         group: u64,
-        /// The serving replica (member id).
-        replica: u32,
-        /// The epoch the call was served at.
-        epoch: u64,
+        /// The serving replica (member id); one past `u16::MAX` is refused
+        /// ([`SpanKind::epoch_served`]).
+        replica: u16,
+        /// The epoch the call was served at; one past `u32::MAX` is
+        /// refused.
+        epoch: u32,
         /// The call id served.
         call: u64,
     },
@@ -552,13 +602,15 @@ pub enum SpanKind {
     ///
     /// Emitted (at most once per function per thread) when a VM thread
     /// finishes, enriching the thread's [`SpanKind::CallServed`] span so the
-    /// profiler can attribute compute to components. `function` is the
+    /// profiler can attribute compute to components. `function` names the
     /// build-independent FNV-1a hash of the function's name (see
-    /// [`fn_hash`](crate::fn_hash)); the layers above publish a hash → name
-    /// table out of band. Build it with [`SpanKind::vm_cost`].
+    /// [`fn_hash`](crate::fn_hash)) in the log's [`SpanArena`]; the layers
+    /// above publish a hash → name table out of band. Build it with
+    /// [`SpanKind::vm_cost`].
     VmCost {
-        /// FNV-1a hash of the function name.
-        function: u64,
+        /// The FNV-1a hash of the function name, read through
+        /// [`TraceLog::function`](crate::TraceLog::function).
+        function: FnRef,
         /// Times the function was entered, saturating at `u32::MAX`.
         calls: u32,
         /// Instructions retired inside the function.
@@ -693,9 +745,99 @@ impl SpanKind {
         }
     }
 
+    /// A [`SpanKind::MsgSent`]: `bytes` saturates at `u32::MAX`, a size
+    /// past which the record undercounts rather than stop the run.
+    pub fn msg_sent(
+        src: u32,
+        dst: u32,
+        src_node: u32,
+        dst_node: u32,
+        verdict: SendVerdict,
+        bytes: u64,
+    ) -> Self {
+        SpanKind::MsgSent {
+            src,
+            dst,
+            src_node,
+            dst_node,
+            verdict,
+            bytes: u32::try_from(bytes).unwrap_or(u32::MAX),
+        }
+    }
+
+    /// A [`SpanKind::RpcAttempt`]: `attempt` saturates at `u16::MAX`, a
+    /// count no retry budget reaches.
+    pub fn rpc_attempt(call: u64, object: u64, attempt: u32, dst: u32) -> Self {
+        SpanKind::RpcAttempt {
+            call,
+            object,
+            attempt: u16::try_from(attempt).unwrap_or(u16::MAX),
+            dst,
+        }
+    }
+
+    /// A [`SpanKind::EpochProposed`].
+    ///
+    /// # Panics
+    ///
+    /// Refuses an `epoch` past `u32::MAX`: epochs order commits, so a
+    /// saturated one would read as a regression.
+    pub fn epoch_proposed(group: u64, epoch: u64, config: u64) -> Self {
+        SpanKind::EpochProposed {
+            group,
+            epoch: narrow_epoch(epoch),
+            config,
+        }
+    }
+
+    /// A [`SpanKind::EpochCommitted`].
+    ///
+    /// # Panics
+    ///
+    /// Refuses an `epoch` past `u32::MAX`, as [`SpanKind::epoch_proposed`].
+    pub fn epoch_committed(group: u64, epoch: u64, config: u64) -> Self {
+        SpanKind::EpochCommitted {
+            group,
+            epoch: narrow_epoch(epoch),
+            config,
+        }
+    }
+
+    /// A [`SpanKind::ReplicaEpoch`].
+    ///
+    /// # Panics
+    ///
+    /// Refuses a `replica` past `u32::MAX`: a saturated id would merge two
+    /// replicas' histories.
+    pub fn replica_epoch(group: u64, replica: u64, epoch: u64) -> Self {
+        SpanKind::ReplicaEpoch {
+            group,
+            replica: u32::try_from(replica).expect("replica id exceeds u32"),
+            epoch,
+        }
+    }
+
+    /// A [`SpanKind::EpochServed`].
+    ///
+    /// # Panics
+    ///
+    /// Refuses a `replica` past `u16::MAX` (an id, as in
+    /// [`SpanKind::replica_epoch`]) and an `epoch` past `u32::MAX` (as in
+    /// [`SpanKind::epoch_proposed`]).
+    pub fn epoch_served(group: u64, replica: u32, epoch: u64, call: u64) -> Self {
+        SpanKind::EpochServed {
+            group,
+            replica: u16::try_from(replica).expect("serving replica id exceeds u16"),
+            epoch: narrow_epoch(epoch),
+            call,
+        }
+    }
+
     /// A [`SpanKind::VmCost`] from a thread's `u64` counters: `calls`
-    /// saturates at `u32::MAX`.
-    pub fn vm_cost(function: u64, calls: u64, instructions: u64, work_nanos: u64) -> Self {
+    /// saturates at `u32::MAX`. `function` comes from the recording log's
+    /// [`intern_function`](crate::TraceLog::intern_function), which refuses
+    /// a 2^16th distinct hash.
+    pub fn vm_cost(function: FnRef, calls: u64, instructions: u64, work_nanos: u64) -> Self {
         SpanKind::VmCost {
             function,
             calls: u32::try_from(calls).unwrap_or(u32::MAX),
@@ -708,10 +850,11 @@ impl SpanKind {
     /// order: what the exporters print and the digest folds. Inlined into
     /// the digest, the names cost nothing and no pair is ever stored.
     ///
-    /// [`SpanKind::PartitionChanged`]'s group vector lives in the log's
-    /// [`GroupArena`]; the exporters and the digest read it from there.
+    /// A [`SpanKind::VmCost`]'s function hash is read from `arena`, the
+    /// recording log's; a [`SpanKind::PartitionChanged`]'s group vector
+    /// lives there too, and the exporters and the digest read it from it.
     #[inline(always)]
-    pub(crate) fn for_each_field(&self, mut f: impl FnMut(&'static str, u64)) {
+    pub(crate) fn for_each_field(&self, arena: &SpanArena, mut f: impl FnMut(&'static str, u64)) {
         match self {
             SpanKind::MsgSent {
                 src,
@@ -726,7 +869,7 @@ impl SpanKind {
                 ("src_node", *src_node as u64),
                 ("dst_node", *dst_node as u64),
                 ("verdict", verdict.code()),
-                ("bytes", *bytes),
+                ("bytes", u64::from(*bytes)),
             ),
             SpanKind::MsgDelivered { src, dst, dst_node }
             | SpanKind::MsgDeadLetter { src, dst, dst_node } => fields!(f;
@@ -764,7 +907,7 @@ impl SpanKind {
             } => fields!(f;
                 ("call", *call),
                 ("object", *object),
-                ("attempt", *attempt as u64),
+                ("attempt", u64::from(*attempt)),
                 ("dst", *dst as u64),
             ),
             SpanKind::RpcRetry { call, attempt } => {
@@ -803,12 +946,20 @@ impl SpanKind {
                 group,
                 epoch,
                 config,
-            } => fields!(f; ("group", *group), ("epoch", *epoch), ("config", *config)),
+            } => fields!(f;
+                ("group", *group),
+                ("epoch", u64::from(*epoch)),
+                ("config", *config),
+            ),
             SpanKind::ReplicaEpoch {
                 group,
                 replica,
                 epoch,
-            } => fields!(f; ("group", *group), ("replica", *replica), ("epoch", *epoch)),
+            } => fields!(f;
+                ("group", *group),
+                ("replica", u64::from(*replica)),
+                ("epoch", *epoch),
+            ),
             SpanKind::EpochServed {
                 group,
                 replica,
@@ -816,8 +967,8 @@ impl SpanKind {
                 call,
             } => fields!(f;
                 ("group", *group),
-                ("replica", *replica as u64),
-                ("epoch", *epoch),
+                ("replica", u64::from(*replica)),
+                ("epoch", u64::from(*epoch)),
                 ("call", *call),
             ),
             SpanKind::VmCost {
@@ -826,7 +977,7 @@ impl SpanKind {
                 instructions,
                 work_nanos,
             } => fields!(f;
-                ("function", *function),
+                ("function", arena.function(*function)),
                 ("calls", *calls as u64),
                 ("instructions", *instructions),
                 ("work_nanos", *work_nanos),
@@ -835,26 +986,106 @@ impl SpanKind {
     }
 }
 
-/// One recorded event of a [`TraceLog`](crate::TraceLog): a 64-byte `Copy`
+/// An epoch in the 32 bits an epoch span field holds.
+///
+/// # Panics
+///
+/// Panics if `epoch` exceeds `u32::MAX`.
+fn narrow_epoch(epoch: u64) -> u32 {
+    u32::try_from(epoch).expect("group epoch exceeds u32")
+}
+
+/// One recorded event of a [`TraceLog`](crate::TraceLog): a 48-byte `Copy`
 /// record, so a log of them is one flat allocation with nothing to drop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The id and the node share one word: bits 32–47 of every span id are
+/// zero (the engine's are `(lane + 1) << 48 | counter` with a 32-bit
+/// counter, [`TraceLog::emit`](crate::TraceLog::emit)'s are dense), so the
+/// node's 16 bits live there, [`NO_NODE`] as `0xFFFF`.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// This event's id (see [`SpanId`] for the allocation schemes).
-    pub id: SpanId,
+    /// The id with the node in bits 32–47 (see [`SpanEvent::new`]).
+    id_node: NonZeroU64,
     /// The event that causally triggered this one, if traced.
     pub parent: Option<SpanId>,
     /// Simulated time of the event, in nanoseconds since the run started.
     pub at_ns: u64,
-    /// The node the event happened on, or [`NO_NODE`].
-    pub node: u32,
     /// The typed payload.
     pub kind: SpanKind,
 }
 
+/// Where a [`SpanEvent`]'s node sits in its id word.
+const NODE_SHIFT: u32 = 32;
+/// The node field's value for [`NO_NODE`].
+const NODE_FIELD_NONE: u64 = 0xFFFF;
+/// The id word's node bits.
+const NODE_BITS: u64 = NODE_FIELD_NONE << NODE_SHIFT;
+
+impl SpanEvent {
+    /// A record of event `id` on `node` ([`NO_NODE`] if not attributable).
+    ///
+    /// # Panics
+    ///
+    /// Refuses an `id` with any of bits 32–47 set and a `node` from
+    /// `0xFFFF` up other than [`NO_NODE`]: neither fits the shared word,
+    /// and folding one into the other would change both silently.
+    #[inline]
+    pub fn new(id: SpanId, parent: Option<SpanId>, at_ns: u64, node: u32, kind: SpanKind) -> Self {
+        let raw = id.0.get();
+        assert!(
+            raw & NODE_BITS == 0,
+            "span id {raw:#x} sets bits 32-47, which hold the node"
+        );
+        let field = if node == NO_NODE {
+            NODE_FIELD_NONE
+        } else {
+            assert!(
+                u64::from(node) < NODE_FIELD_NONE,
+                "node {node} does not fit a span record's 16 bits"
+            );
+            u64::from(node)
+        };
+        SpanEvent {
+            id_node: id.0 | (field << NODE_SHIFT),
+            parent,
+            at_ns,
+            kind,
+        }
+    }
+
+    /// This event's id (see [`SpanId`] for the allocation schemes).
+    #[inline]
+    pub fn id(&self) -> SpanId {
+        let raw = self.id_node.get() & !NODE_BITS;
+        SpanId::from_raw(raw).expect("a record's id is nonzero")
+    }
+
+    /// The node the event happened on, or [`NO_NODE`].
+    #[inline]
+    pub fn node(&self) -> u32 {
+        match (self.id_node.get() & NODE_BITS) >> NODE_SHIFT {
+            NODE_FIELD_NONE => NO_NODE,
+            field => u32::try_from(field).expect("a 16-bit node field"),
+        }
+    }
+}
+
+impl fmt::Debug for SpanEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpanEvent")
+            .field("id", &self.id())
+            .field("parent", &self.parent)
+            .field("at_ns", &self.at_ns)
+            .field("node", &self.node())
+            .field("kind", &self.kind)
+            .finish()
+    }
+}
+
 // The record layout is part of tracing's cost: every span is written once,
 // swept by each post-run reader, and first-touched as fresh pages.
-const _: () = assert!(std::mem::size_of::<SpanKind>() == 32);
-const _: () = assert!(std::mem::size_of::<SpanEvent>() == 64);
+const _: () = assert!(std::mem::size_of::<SpanKind>() == 24);
+const _: () = assert!(std::mem::size_of::<SpanEvent>() == 48);
 const _: () = {
     const fn copy<T: Copy>() {}
     copy::<SpanEvent>()
@@ -864,9 +1095,16 @@ const _: () = {
 mod tests {
     use super::*;
 
+    /// Whether `f` panics (the narrowing constructors refuse by panicking).
+    fn refused<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> bool {
+        std::panic::catch_unwind(f).is_err()
+    }
+
     #[test]
     fn vm_cost_calls_saturate_at_u32_max() {
-        let calls = |n| match SpanKind::vm_cost(7, n, 1, 2) {
+        let mut arena = SpanArena::default();
+        let function = arena.intern_function(7);
+        let calls = |n| match SpanKind::vm_cost(function, n, 1, 2) {
             SpanKind::VmCost { calls, .. } => calls,
             other => panic!("not a VmCost: {other:?}"),
         };
@@ -875,8 +1113,8 @@ mod tests {
         assert_eq!(calls(u32::MAX as u64 + 1), u32::MAX);
         assert_eq!(calls(u64::MAX), u32::MAX);
         let mut fields = Vec::new();
-        SpanKind::vm_cost(7, 1 << 40, 1, 2)
-            .for_each_field(|name, value| fields.push((name, value)));
+        SpanKind::vm_cost(function, 1 << 40, 1, 2)
+            .for_each_field(&arena, |name, value| fields.push((name, value)));
         assert_eq!(
             fields,
             [
@@ -889,8 +1127,74 @@ mod tests {
     }
 
     #[test]
+    fn narrowed_fields_saturate_or_refuse_at_their_bound() {
+        let field = |kind: SpanKind, name: &str| {
+            let mut found = None;
+            kind.for_each_field(&SpanArena::default(), |n, v| {
+                if n == name {
+                    found = Some(v);
+                }
+            });
+            found.expect("field present")
+        };
+        let sent = |bytes| SpanKind::msg_sent(1, 2, 0, 1, SendVerdict::Sent, bytes);
+        let top = u64::from(u32::MAX);
+        assert_eq!(field(sent(top), "bytes"), top);
+        assert_eq!(field(sent(top + 1), "bytes"), top, "bytes saturate");
+        let attempt = |n| SpanKind::rpc_attempt(1, 2, n, 3);
+        let top16 = u32::from(u16::MAX);
+        assert_eq!(field(attempt(top16), "attempt"), u64::from(top16));
+        assert_eq!(field(attempt(top16 + 1), "attempt"), u64::from(top16));
+        assert_eq!(field(attempt(u32::MAX), "attempt"), u64::from(top16));
+
+        assert_eq!(field(SpanKind::epoch_proposed(1, top, 9), "epoch"), top);
+        assert!(refused(|| SpanKind::epoch_proposed(1, top + 1, 9)));
+        assert_eq!(field(SpanKind::epoch_committed(1, top, 9), "epoch"), top);
+        assert!(refused(|| SpanKind::epoch_committed(1, top + 1, 9)));
+        assert_eq!(field(SpanKind::replica_epoch(1, top, 5), "replica"), top);
+        assert!(refused(|| SpanKind::replica_epoch(1, top + 1, 5)));
+        assert_eq!(
+            field(SpanKind::replica_epoch(1, 2, u64::MAX), "epoch"),
+            u64::MAX,
+            "an adopted epoch keeps its 64 bits"
+        );
+        let served = SpanKind::epoch_served(1, top16, top, 4);
+        assert_eq!(field(served, "replica"), u64::from(top16));
+        assert_eq!(field(served, "epoch"), top);
+        assert!(refused(|| SpanKind::epoch_served(1, top16 + 1, 1, 4)));
+        assert!(refused(|| SpanKind::epoch_served(1, 2, top + 1, 4)));
+    }
+
+    #[test]
+    fn function_arena_holds_each_hash_once_and_refuses_a_full_table() {
+        let mut arena = SpanArena::default();
+        let a = arena.intern_function(0xfeed);
+        let b = arena.intern_function(0xbeef);
+        assert_eq!(arena.intern_function(0xfeed), a, "a hash is stored once");
+        assert_ne!(a, b);
+        assert_eq!((arena.function(a), arena.function(b)), (0xfeed, 0xbeef));
+        for hash in 2..1 << 16 {
+            arena.intern_function(hash << 20);
+        }
+        let last = arena.intern_function(((1 << 16) - 1) << 20);
+        assert_eq!(arena.function(last), ((1 << 16) - 1) << 20);
+        assert_eq!(
+            arena.intern_function(0xbeef),
+            b,
+            "known hashes still resolve"
+        );
+        let mut full = arena.clone();
+        assert!(
+            refused(move || full.intern_function(1)),
+            "a 2^16th distinct hash is refused, not wrapped onto handle 0"
+        );
+        arena.clear();
+        assert_eq!(arena, SpanArena::default());
+    }
+
+    #[test]
     fn group_arena_hands_back_what_was_pushed() {
-        let mut arena = GroupArena::default();
+        let mut arena = SpanArena::default();
         let a = arena.push(&[1, 1, 2]);
         let empty = arena.push(&[]);
         let b = arena.push(&[0, 3]);
@@ -899,7 +1203,82 @@ mod tests {
         assert!(arena.get(empty).is_empty());
         assert_eq!((a.len(), b.len(), empty.len()), (3, 2, 0));
         arena.clear();
-        assert_eq!(arena, GroupArena::default());
+        assert_eq!(arena, SpanArena::default());
+    }
+
+    #[test]
+    fn record_refuses_ids_and_nodes_outside_the_shared_word() {
+        let id = |raw| SpanId::from_raw(raw).expect("nonzero");
+        let record = |raw, node| SpanEvent::new(id(raw), None, 0, node, SpanKind::PartitionHealed);
+        for raw in [1 << 32, 1 << 47, 0xFFFF << 32, (1 << 48) | (1 << 40) | 1] {
+            assert!(refused(|| record(raw, 0)), "id {raw:#x}");
+        }
+        for node in [0xFFFF, 0x1_0000, NO_NODE - 1] {
+            assert!(refused(|| record(1, node)), "node {node:#x}");
+        }
+        let last = record(!NODE_BITS, 0xFFFE);
+        assert_eq!((last.id().as_raw(), last.node()), (!NODE_BITS, 0xFFFE));
+        assert_eq!(
+            format!("{:?}", record(5, NO_NODE)),
+            "SpanEvent { id: SpanId(5), parent: None, at_ns: 0, node: 4294967295, \
+             kind: PartitionHealed }",
+            "Debug prints the id and the node as fields"
+        );
+    }
+
+    mod packing_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The top 16 bits of a span id: 0 for dense ids, `lane + 1` for
+        /// the engine's, edges first.
+        fn lanes() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                Just(0u64),
+                Just(1),
+                Just(0xFFFE),
+                Just(0xFFFF),
+                0u64..=0xFFFF
+            ]
+        }
+
+        fn counters() -> impl Strategy<Value = u64> {
+            prop_oneof![
+                Just(0u64),
+                Just(1),
+                Just(u64::from(u32::MAX)),
+                any::<u32>().prop_map(u64::from)
+            ]
+        }
+
+        fn nodes() -> impl Strategy<Value = u32> {
+            prop_oneof![Just(0u32), Just(0xFFFE), Just(NO_NODE), 0u32..0xFFFF]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// `id()` and `node()` read back what `new` packed, over the
+            /// domain's edges, and the other fields are untouched.
+            #[test]
+            fn id_and_node_round_trip(
+                lane in lanes(),
+                counter in counters(),
+                node in nodes(),
+                parent in any::<u64>(),
+                at_ns in any::<u64>(),
+            ) {
+                let raw = lane << 48 | counter;
+                prop_assume!(raw != 0);
+                let id = SpanId::from_raw(raw).expect("nonzero");
+                let parent = SpanId::from_raw(parent);
+                let kind = SpanKind::TimerFired { actor: 3, token: at_ns };
+                let e = SpanEvent::new(id, parent, at_ns, node, kind);
+                prop_assert_eq!(e.id(), id);
+                prop_assert_eq!(e.node(), node);
+                prop_assert_eq!((e.parent, e.at_ns, e.kind), (parent, at_ns, kind));
+            }
+        }
     }
 
     #[test]

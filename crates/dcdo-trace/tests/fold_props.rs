@@ -5,7 +5,8 @@
 use std::hash::{BuildHasher, BuildHasherDefault};
 
 use dcdo_trace::{
-    FlowKind, Fold, GroupArena, IdHasher, SendVerdict, SpanEvent, SpanId, SpanKind, TraceLog,
+    FlowKind, Fold, IdHasher, SendVerdict, SpanArena, SpanEvent, SpanId, SpanKind, TraceLog,
+    NO_NODE,
 };
 use proptest::prelude::*;
 
@@ -70,7 +71,8 @@ fn id_hasher_spreads_lane_structured_span_ids() {
 }
 
 /// One span as the words the digest covers: id, parent (0 = none),
-/// time, node, then the kind's own fields (see [`span`]).
+/// time, node, then the kind's own fields (see [`span`]). The node is one
+/// below 2^15 or [`NO_NODE`], inside the record's 16-bit node domain.
 type Spec = (u64, u64, u64, u32, u8, [u64; 4]);
 
 /// How many of the kind's fields enter the digest.
@@ -79,7 +81,7 @@ fn covered_fields(what: u8) -> usize {
 }
 
 /// Builds the span of `spec`, storing a partition's groups in `groups`.
-fn span(&(id, parent, at_ns, node, what, f): &Spec, groups: &mut GroupArena) -> SpanEvent {
+fn span(&(id, parent, at_ns, node, what, f): &Spec, groups: &mut SpanArena) -> SpanEvent {
     let kind = match what % 5 {
         0 => SpanKind::MsgSent {
             src: f[0] as u32,
@@ -87,7 +89,7 @@ fn span(&(id, parent, at_ns, node, what, f): &Spec, groups: &mut GroupArena) -> 
             src_node: f[2] as u32,
             dst_node: 1,
             verdict: SendVerdict::Sent,
-            bytes: f[3],
+            bytes: f[3] as u32,
         },
         1 => SpanKind::TimerFired {
             actor: f[0] as u32,
@@ -108,24 +110,20 @@ fn span(&(id, parent, at_ns, node, what, f): &Spec, groups: &mut GroupArena) -> 
             generation: f[1],
         },
     };
-    SpanEvent {
-        id: SpanId::from_raw(id | 1).expect("nonzero"),
-        parent: SpanId::from_raw(parent),
-        at_ns,
-        node,
-        kind,
-    }
+    // Bits 32–47 of a span id hold the record's node.
+    let id = SpanId::from_raw(id & !(0xFFFF << 32) | 1).expect("nonzero");
+    SpanEvent::new(id, SpanId::from_raw(parent), at_ns, node, kind)
 }
 
 /// `spec`'s span alone in a fresh arena: two specs give equal pairs exactly
 /// when they give equal spans, groups included.
-fn alone(spec: &Spec) -> (SpanEvent, GroupArena) {
-    let mut groups = GroupArena::default();
+fn alone(spec: &Spec) -> (SpanEvent, SpanArena) {
+    let mut groups = SpanArena::default();
     (span(spec, &mut groups), groups)
 }
 
 fn digest_of(specs: &[Spec]) -> u64 {
-    let mut groups = GroupArena::default();
+    let mut groups = SpanArena::default();
     let events = specs.iter().map(|spec| span(spec, &mut groups)).collect();
     TraceLog::from_events(events, groups).digest()
 }
@@ -137,7 +135,7 @@ fn specs() -> impl Strategy<Value = Vec<Spec>> {
             word(),
             word(),
             word(),
-            any::<u32>(),
+            prop_oneof![0u32..1 << 15, Just(NO_NODE)],
             0u8..5,
             (word(), word(), word(), word()).prop_map(|(a, b, c, d)| [a, b, c, d]),
         ),
@@ -168,7 +166,7 @@ proptest! {
         specs in specs(),
         at in any::<usize>(),
         word in any::<usize>(),
-        // Bits 1–15: survives the `as u32` fields and `id | 1`.
+        // Bits 1–15: survives the `as u32` fields and the id's `| 1`.
         flip in (1u64..1 << 15).prop_map(|bits| bits << 1),
     ) {
         let before = digest_of(&specs);
@@ -178,7 +176,9 @@ proptest! {
             0 => spec.0 ^= flip,
             1 => spec.1 ^= flip,
             2 => spec.2 ^= flip,
-            3 => spec.3 ^= flip as u32,
+            // Bits 0–14 keep a node below 2^15; `NO_NODE` becomes one.
+            3 if spec.3 == NO_NODE => spec.3 = (flip >> 1) as u32,
+            3 => spec.3 ^= (flip >> 1) as u32,
             field => spec.5[field - 4] ^= flip,
         }
         prop_assert_ne!(digest_of(&edited), before);

@@ -265,12 +265,12 @@ impl RpcClient {
         pending.attempts += 1;
         pending.total_attempts += 1;
         if ctx.tracing_enabled() {
-            ctx.emit_span(SpanKind::RpcAttempt {
-                call: call.as_raw(),
-                object: pending.target.as_raw(),
-                attempt: pending.total_attempts,
-                dst: address.as_raw(),
-            });
+            ctx.emit_span(SpanKind::rpc_attempt(
+                call.as_raw(),
+                pending.target.as_raw(),
+                pending.total_attempts,
+                address.as_raw(),
+            ));
         }
         let msg = match &pending.op {
             RpcOp::Invoke { function, args } => Msg::Invoke {
