@@ -123,21 +123,18 @@ type Pins = [(&'static str, [u64; 7]); 4];
 
 /// At a tenth of the benchmark's size.
 const PINS: Pins = [
-    (
-        "calls_steady",
-        [326, 96, 9994166, 10, 5009224, 18044, 63145],
-    ),
+    ("calls_steady", [328, 96, 7897130, 9, 3960764, 18044, 63145]),
     (
         "reconfig_churn",
-        [9008, 158, 6961812, 8, 2668650, 7653, 25934],
+        [9010, 158, 5911112, 7, 2144478, 7653, 25934],
     ),
     (
         "mixed_traffic_x50",
-        [5825, 141, 6650349, 9, 2760135, 8573, 29324],
+        [5827, 141, 5600881, 8, 2234891, 8573, 29324],
     ),
     (
         "upgrade_crash_long",
-        [236, 71, 18008327, 10, 9003971, 36071, 72167],
+        [236, 71, 13814055, 9, 6906787, 36071, 72167],
     ),
 ];
 
@@ -145,19 +142,19 @@ const PINS: Pins = [
 const PINS_FULL: Pins = [
     (
         "calls_steady",
-        [331, 118, 141723022, 23, 71589745, 180044, 630145],
+        [333, 118, 108168706, 22, 54812645, 180044, 630145],
     ),
     (
         "reconfig_churn",
-        [86051, 378, 62098244, 36, 23146890, 76734, 259656],
+        [86053, 378, 53687240, 35, 18930126, 76734, 259656],
     ),
     (
         "mixed_traffic_x50",
-        [58944, 267, 86042341, 29, 37239017, 87239, 298041],
+        [58946, 267, 69254265, 28, 28839485, 87239, 298041],
     ),
     (
         "upgrade_crash_long",
-        [236, 81, 136796423, 17, 68398019, 360071, 720167],
+        [236, 81, 103242023, 16, 51620771, 360071, 720167],
     ),
 ];
 
