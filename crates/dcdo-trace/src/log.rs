@@ -20,10 +20,10 @@ use crate::span::{FnRef, GroupsRef, SpanArena, SpanEvent, SpanId, SpanKind};
 /// Recording is a plain `Vec` push of a 48-byte `Copy` record and does no
 /// hashing; a partition's group vector and a VM function's hash go into the
 /// log's [`SpanArena`] through [`TraceLog::intern_groups`] and
-/// [`TraceLog::intern_function`], and the span carries a handle. The id → position
-/// index behind [`TraceLog::get`] is built on the first lookup and extended
-/// by the spans recorded since on each later one, so a run that never looks
-/// a span up by id never pays for the index.
+/// [`TraceLog::intern_function`], and the span carries a handle. The
+/// id → position index behind [`TraceLog::get`] is built on the first
+/// lookup and extended by the spans recorded since on each later one, so a
+/// run that never looks a span up by id never pays for the index.
 ///
 /// Every post-run reader is a forward-only fold over the finished log's
 /// spans — [`SpanDigest`], [`Checker`](crate::Checker),

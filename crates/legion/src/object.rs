@@ -466,21 +466,18 @@ impl ObjectRuntime {
     /// thread for reuse.
     fn finish_thread(&mut self, ctx: &mut Ctx<'_, Msg>, thread: Box<VmThread>) {
         if let Some(profile) = thread.profile() {
-            // The span log holds each function's hash once; a thread that
-            // outlived the recording leaves no span and no hash.
-            let traced: &[_] = if ctx.tracing_enabled() {
-                &profile.functions
-            } else {
-                &[]
-            };
-            for f in traced {
-                let function = ctx.intern_function(self.fn_hash(&f.name));
-                ctx.emit_span(SpanKind::vm_cost(
-                    function,
-                    f.stats.calls,
-                    f.stats.instructions,
-                    f.stats.work_nanos,
-                ));
+            // A thread that outlived the recording leaves no span, and no
+            // hash in the span log's arena.
+            if ctx.tracing_enabled() {
+                for f in &profile.functions {
+                    let function = ctx.intern_function(self.fn_hash(&f.name));
+                    ctx.emit_span(SpanKind::vm_cost(
+                        function,
+                        f.stats.calls,
+                        f.stats.instructions,
+                        f.stats.work_nanos,
+                    ));
+                }
             }
             ctx.totals::<VmTotals>().profile.merge(profile);
         }
